@@ -74,6 +74,20 @@ class JsonRows {
         static_cast<long long>(micros.Max())));
   }
 
+  /// A distribution of frame counts (not latencies): the fields say
+  /// frames, so the regression gate never treats them as microseconds.
+  void AddFrameCounts(const char* section, const char* transport,
+                      const char* stage, const Histogram& frames) {
+    Add(section, StrFormat(
+        "{\"section\": \"%s\", \"transport\": \"%s\", \"stage\": \"%s\", "
+        "\"count\": %llu, \"frames_p50\": %.1f, \"frames_p99\": %.1f, "
+        "\"frames_max\": %lld}",
+        section, transport, stage,
+        static_cast<unsigned long long>(frames.Count()),
+        frames.Percentile(50), frames.Percentile(99),
+        static_cast<long long>(frames.Max())));
+  }
+
   /// Rewrites `path` with this run's rows plus every existing row whose
   /// section this run did NOT produce. Rows are one-per-line, which is the
   /// format Write has always emitted — anything unparseable is dropped.

@@ -2,11 +2,11 @@
 // driven through the same ClusterTransport interface five ways:
 //
 //   threaded    — the in-process broker (std::thread workers, no network)
-//   rpc         — RemoteCluster -> loopback TCP -> in-process RpcServer,
-//                 one Publish round trip per event
+//   rpc         — FanoutCluster -> loopback TCP -> one in-process RpcServer
+//                 hosting all partitions, one Publish round trip per event
 //   rpc-batch   — same, but PublishBatch frames of 256 events
-//   fanout-1d   — FanoutCluster -> one daemon hosting all partitions,
-//                 pipelined batch frames (up to 32 in flight)
+//   fanout-1d   — same single daemon, pipelined batch frames of 4096
+//                 events (up to 32 frames in flight)
 //   fanout-4d   — FanoutCluster -> a 4-daemon partition group (one daemon
 //                 per partition), same pipelined batches fanned to all four
 //
@@ -44,7 +44,6 @@
 #include "net/fanout_cluster.h"
 #include "net/frame_buf.h"
 #include "net/frame_io.h"
-#include "net/remote_cluster.h"
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -86,7 +85,6 @@ struct Endpoint {
   std::unique_ptr<LocalClusterTransport> local;
   std::vector<std::unique_ptr<LocalClusterTransport>> hosted;
   std::vector<std::unique_ptr<net::RpcServer>> servers;
-  std::unique_ptr<net::RemoteCluster> remote;
   std::unique_ptr<net::FanoutCluster> fanout;
 };
 
@@ -124,19 +122,6 @@ net::RpcServer* SpawnDaemon(Endpoint* e, const StaticGraph& graph,
   }
   e->servers.push_back(std::move(server).value());
   return e->servers.back().get();
-}
-
-/// Fresh loopback RPC endpoint (server + connected client).
-Endpoint MakeRemote(const StaticGraph& graph) {
-  Endpoint e;
-  net::RpcServer* server = SpawnDaemon(&e, graph, MakeClusterOptions());
-  net::RemoteClusterOptions ropt;
-  ropt.port = server->port();
-  auto remote = net::RemoteCluster::Connect(ropt);
-  if (!remote.ok()) std::exit(1);
-  e.remote = std::move(remote).value();
-  e.transport = e.remote.get();
-  return e;
 }
 
 /// Fresh fan-out endpoint: `daemons` == 1 hosts the whole cluster behind
@@ -200,12 +185,10 @@ struct ConnScaleResult {
 };
 
 /// The many-connection experiment: N raw client sockets against one
-/// in-process daemon, round-robin ping round trips across all of them.
-/// The thread-per-connection loop pays one OS thread per socket; the epoll
-/// reactor serves all N from one reactor thread + a fixed worker pool —
-/// the number this section exists to put on the record.
-ConnScaleResult RunConnScale(const StaticGraph& graph,
-                             net::ServerLoop loop, size_t connections,
+/// in-process daemon, round-robin ping round trips across all of them. The
+/// epoll reactor serves all N from one reactor thread + a fixed worker
+/// pool — the number this section exists to put on the record.
+ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
                              size_t rounds) {
   Endpoint e;
   auto hosted = LocalClusterTransport::Create(
@@ -213,9 +196,7 @@ ConnScaleResult RunConnScale(const StaticGraph& graph,
   if (!hosted.ok()) std::exit(1);
   e.hosted.push_back(std::move(hosted).value());
   const long threads_before = CountThreads();
-  net::RpcServerOptions sopt;
-  sopt.loop = loop;
-  auto server = net::RpcServer::Start(e.hosted.back().get(), sopt);
+  auto server = net::RpcServer::Start(e.hosted.back().get(), {});
   if (!server.ok()) std::exit(1);
 
   std::vector<net::TcpSocket> sockets;
@@ -231,8 +212,8 @@ ConnScaleResult RunConnScale(const StaticGraph& graph,
   }
   std::string ping;
   net::AppendEmptyRequest(net::MessageTag::kPing, &ping);
-  // One warm-up round trip per connection so every handler thread (threads
-  // loop) exists before the census.
+  // One warm-up round trip per connection so every connection is accepted
+  // before the census.
   for (net::TcpSocket& socket : sockets) {
     if (!socket.WriteAll(ping.data(), ping.size()).ok()) std::exit(1);
     net::Frame reply;
@@ -322,7 +303,7 @@ int main() {
   std::printf("%11s %8s %12s %10s\n", "transport", "batch", "events/s",
               "recs");
   uint64_t reference_recs = 0;
-  enum class Kind { kLocal, kRemote, kFanout1, kFanout4 };
+  enum class Kind { kLocal, kFanout1, kFanout4 };
   struct Config {
     const char* name;
     Kind kind;
@@ -330,8 +311,8 @@ int main() {
   };
   const Config configs[] = {
       {"threaded", Kind::kLocal, 1},
-      {"rpc", Kind::kRemote, 1},
-      {"rpc-batch", Kind::kRemote, 256},
+      {"rpc", Kind::kFanout1, 1},
+      {"rpc-batch", Kind::kFanout1, 256},
       {"fanout-1d", Kind::kFanout1, 4096},
       {"fanout-4d", Kind::kFanout4, 4096},
   };
@@ -340,7 +321,6 @@ int main() {
     Endpoint endpoint;
     switch (c.kind) {
       case Kind::kLocal: endpoint = MakeLocal(w.follow_graph); break;
-      case Kind::kRemote: endpoint = MakeRemote(w.follow_graph); break;
       case Kind::kFanout1: endpoint = MakeFanout(w.follow_graph, 1); break;
       case Kind::kFanout4: endpoint = MakeFanout(w.follow_graph, 4); break;
     }
@@ -462,7 +442,8 @@ int main() {
           std::min<size_t>(256u << 10, chain.pending_bytes());
       frames_per_writev.Record(static_cast<int64_t>(chain.Advance(take)));
     }
-    json.AddStage("egress", "outbox", "frames-per-writev", frames_per_writev);
+    json.AddFrameCounts("egress", "outbox", "frames-per-writev",
+                        frames_per_writev);
 
     // End-to-end: the same ingest workload fanned through real daemons.
     // Fanned bytes/s = stream wire bytes x daemon count / elapsed — the
@@ -501,7 +482,7 @@ int main() {
     }
   }
 
-  // --- connection scaling: threads vs epoll under 256 peers ----------------
+  // --- connection scaling: the reactor under 256 peers --------------------
   std::printf("\n--- connection scaling (256 concurrent connections, "
               "round-robin pings) ---\n");
   std::printf("%11s %13s %14s %15s\n", "loop", "connections", "requests/s",
@@ -509,19 +490,13 @@ int main() {
   {
     constexpr size_t kConnections = 256;
     constexpr size_t kRounds = 40;
-    const net::ServerLoop loops[] = {net::ServerLoop::kThreads,
-                                     net::ServerLoop::kEpoll};
-    for (const net::ServerLoop loop : loops) {
-      const ConnScaleResult result =
-          RunConnScale(w.follow_graph, loop, kConnections, kRounds);
-      const char* name =
-          loop == net::ServerLoop::kEpoll ? "epoll" : "threads";
-      std::printf("%11s %13zu %14s %15ld\n", name, kConnections,
-                  HumanCount(result.requests_per_sec).c_str(),
-                  result.server_threads);
-      json.AddConnScale(name, kConnections, result.requests_per_sec,
-                        result.server_threads);
-    }
+    const ConnScaleResult result =
+        RunConnScale(w.follow_graph, kConnections, kRounds);
+    std::printf("%11s %13zu %14s %15ld\n", "epoll", kConnections,
+                HumanCount(result.requests_per_sec).c_str(),
+                result.server_threads);
+    json.AddConnScale("epoll", kConnections, result.requests_per_sec,
+                      result.server_threads);
   }
 
   const size_t latency_events = 2'000;
@@ -536,7 +511,7 @@ int main() {
   };
   const LatencyConfig latency_configs[] = {
       {"threaded", Kind::kLocal},
-      {"rpc", Kind::kRemote},
+      {"rpc", Kind::kFanout1},
       {"fanout-1d", Kind::kFanout1},
       {"fanout-4d", Kind::kFanout4},
   };
@@ -544,7 +519,6 @@ int main() {
     Endpoint endpoint;
     switch (c.kind) {
       case Kind::kLocal: endpoint = MakeLocal(w.follow_graph); break;
-      case Kind::kRemote: endpoint = MakeRemote(w.follow_graph); break;
       case Kind::kFanout1: endpoint = MakeFanout(w.follow_graph, 1); break;
       case Kind::kFanout4: endpoint = MakeFanout(w.follow_graph, 4); break;
     }
@@ -646,10 +620,8 @@ int main() {
               "4-daemon row writes every event\nto four sockets — the "
               "paper's deployment trades that broker-side fan-out cost\nfor "
               "per-partition detector parallelism across processes. the "
-              "conn-scale rows are\nthe reason the epoll reactor exists: "
-              "the threads loop pays one OS thread per\npeer (256 "
-              "connections -> ~256 server threads), the reactor serves the "
-              "same peers\nfrom one epoll thread plus a fixed worker "
-              "pool.\n");
+              "conn-scale row is\nthe reason the epoll reactor exists: it "
+              "serves 256 peers from one epoll thread\nplus a fixed worker "
+              "pool, not one OS thread per peer.\n");
   return 0;
 }

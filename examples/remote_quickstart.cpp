@@ -15,30 +15,33 @@
 #include <string>
 
 #include "gen/figure1.h"
-#include "net/remote_cluster.h"
+#include "net/fanout_cluster.h"
 
 using namespace magicrecs;
 
 int main(int argc, char** argv) {
-  net::RemoteClusterOptions options;
-  options.host = argc > 1 ? argv[1] : "127.0.0.1";
-  options.port =
+  // One endpoint hosting every partition: the broker over a single daemon.
+  net::FanoutEndpoint endpoint;
+  endpoint.host = argc > 1 ? argv[1] : "127.0.0.1";
+  endpoint.port =
       static_cast<uint16_t>(argc > 2 ? std::strtoul(argv[2], nullptr, 10)
                                      : 7421);
+  net::FanoutClusterOptions options;
+  options.endpoints.push_back(endpoint);
 
-  auto remote = net::RemoteCluster::Connect(options);
+  auto remote = net::FanoutCluster::Connect(options);
   if (!remote.ok()) {
-    std::fprintf(stderr, "connect %s:%u: %s\n", options.host.c_str(),
-                 options.port, remote.status().ToString().c_str());
+    std::fprintf(stderr, "connect %s:%u: %s\n", endpoint.host.c_str(),
+                 endpoint.port, remote.status().ToString().c_str());
     return 1;
   }
-  std::printf("connected to magicrecsd at %s:%u\n", options.host.c_str(),
-              options.port);
 
   if (const Status s = (*remote)->Ping(); !s.ok()) {
     std::fprintf(stderr, "ping: %s\n", s.ToString().c_str());
     return 1;
   }
+  std::printf("connected to magicrecsd at %s:%u\n", endpoint.host.c_str(),
+              endpoint.port);
 
   // Publish the Figure-1 dynamic edges: B1->C1, B1->C2, B2->C3, then the
   // trigger B2->C2 that completes the diamond for A2.

@@ -8,7 +8,8 @@
 //
 //   * LocalClusterTransport(kInline)   — synchronous, deterministic,
 //   * LocalClusterTransport(kThreaded) — one worker thread per replica,
-//   * RemoteCluster (src/net/)         — a real magicrecsd process over TCP,
+//   * FanoutCluster (src/net/)         — magicrecsd processes over TCP (one
+//                                        all-hosting daemon, or a group),
 //
 // without knowing which one it has. The contract is publish/drain/gather:
 // Publish delivers an event to every partition, Drain blocks until all
@@ -71,7 +72,7 @@ struct GatherReport {
   std::vector<uint32_t> missing_partitions;
 
   /// True iff every daemon answered — also the state a transport with no
-  /// fan-out (local, single remote) always reports.
+  /// fan-out (in-process) always reports.
   bool complete() const {
     return daemons_answered == daemons_total && missing_partitions.empty();
   }
@@ -87,8 +88,9 @@ struct GatherReport {
 /// as a negotiated tail (net/wire.h), so only hello-speaking peers see it;
 /// a fan-out broker sums the daemons' counters into its merged view.
 struct ServerLoopStats {
-  /// 0 = none/unknown (in-process transport), 1 = thread-per-connection,
-  /// 2 = epoll reactor.
+  /// 0 = none/unknown (in-process transport), 2 = epoll reactor (every
+  /// current daemon). 1 named a thread-per-connection loop that no longer
+  /// exists; the byte stays so the stats wire bytes do not change.
   uint8_t loop = 0;
 
   uint32_t connections_open = 0;   ///< currently-accepted connections
@@ -201,7 +203,7 @@ class ClusterTransport {
   /// gather may overwrite in between. The default implementation forwards
   /// to the report-less overload and copies LastGatherReport(), which is
   /// exact for transports whose gathers are always complete; transports
-  /// that can degrade (the fan-out broker, RemoteCluster) override it.
+  /// that can degrade (the fan-out broker) override it.
   virtual Result<std::vector<Recommendation>> TakeRecommendations(
       GatherReport* report);
 
@@ -217,8 +219,8 @@ class ClusterTransport {
   /// The text exposition of every metric this endpoint knows (see
   /// docs/observability.md for the format). The default renders the
   /// process-wide MetricsRegistry; transports that sit in front of other
-  /// processes (the fan-out broker, RemoteCluster) override it to pull the
-  /// remote surface too. Serves the kStatsText RPC.
+  /// processes (the fan-out broker) override it to pull the remote
+  /// surface too. Serves the kStatsText RPC.
   virtual Result<std::string> GetStatsText();
 
   /// Health of this endpoint and its constituent parties, as last
@@ -232,23 +234,24 @@ class ClusterTransport {
   virtual Result<HealthReport> GetHealth();
 
   /// Moves out the completed end-to-end traces collected since the last
-  /// call (bounded; oldest dropped first). Only transports that originate
-  /// sampled traces (the fan-out broker) or ferry them (RemoteCluster)
-  /// return anything; the default is empty.
+  /// call (bounded; oldest dropped first). Only the fan-out broker, which
+  /// originates sampled traces and ferries those its daemons return,
+  /// yields anything; the default is empty.
   virtual std::vector<TraceContext> TakeTraces();
 
-  /// Coverage of the most recent TakeRecommendations on this transport. A
-  /// transport that cannot partially fail (local, single remote daemon)
-  /// reports a complete GatherReport; the fan-out broker reports which
-  /// partitions were missing from the last merge. Callers that care about
-  /// degraded results read this right after a successful gather.
+  /// Coverage of the most recent TakeRecommendations on this transport. An
+  /// in-process transport cannot partially fail and reports a complete
+  /// GatherReport; the fan-out broker reports which partitions were
+  /// missing from the last merge. Callers that care about degraded results
+  /// read this right after a successful gather.
   virtual GatherReport LastGatherReport() const;
 
   /// The user -> partition placement this transport routes by. Local
   /// transports report their cluster's partitioner; the fan-out broker
   /// (net/fanout_cluster.h) reports the group partitioner it routes replica
-  /// ops with. A transport with no client-side placement knowledge (a bare
-  /// RemoteCluster: placement lives server-side) reports Unimplemented.
+  /// ops with. A transport with no client-side placement knowledge (a
+  /// broker over one all-hosting daemon with no group_size: placement
+  /// lives server-side) reports Unimplemented.
   virtual Result<HashPartitioner> Partitioner() const;
 
   /// Releases the transport's resources (joins workers, closes the

@@ -138,10 +138,9 @@ void EpollReactor::Run() {
 
 void EpollReactor::PauseAccept() {
   // Transient accept failure (e.g. EMFILE under a connection flood): keep
-  // serving the connections we have. The threaded loop sleeps its
-  // dedicated accept thread here; the reactor must NOT sleep — it is the
-  // only I/O thread — so the listener's interest is dropped and the wait
-  // timeout above re-arms it after the backoff.
+  // serving the connections we have. The reactor must NOT sleep — it is
+  // the only I/O thread — so the listener's interest is dropped and the
+  // wait timeout above re-arms it after the backoff.
   epoll_event ev{};
   ev.events = 0;
   ev.data.u64 = kListenerToken;
@@ -318,8 +317,7 @@ void EpollReactor::SettleFramingError(Conn* conn) {
 }
 
 void EpollReactor::ParkFrame(Conn* conn, Frame frame) {
-  const bool mux_enabled = server_->options_.enable_mux;
-  if (frame.tag == MessageTag::kHello && mux_enabled) {
+  if (frame.tag == MessageTag::kHello) {
     // The handshake is answered inline by the reactor — it flips
     // connection state no worker may touch. Demanding a quiet connection
     // keeps the reply from overtaking responses still owed to earlier
@@ -337,13 +335,12 @@ void EpollReactor::ParkFrame(Conn* conn, Frame frame) {
     server_->requests_served_metric_->Increment();
     return;
   }
-  if (frame.tag == MessageTag::kMuxRequest && mux_enabled) {
+  if (frame.tag == MessageTag::kMuxRequest) {
     Parked parked;
     // Only the inner tag is peeked here, for scheduling; the full envelope
-    // decode — and its error policy — lives in the shared
-    // RpcServer::HandleMuxEnvelope the worker runs, so the two server
-    // loops cannot diverge. A payload too short to hold an inner tag is
-    // parked anyway and answered with that shared error reply.
+    // decode — and its error policy — lives in RpcServer::HandleMuxEnvelope
+    // on the worker. A payload too short to hold an inner tag is parked
+    // anyway and answered with that error reply.
     parked.order_sensitive =
         frame.payload.size() > 8 &&
         IsOrderSensitive(static_cast<MessageTag>(

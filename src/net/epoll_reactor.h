@@ -1,7 +1,7 @@
-// The event-driven server loop behind RpcServer (ServerLoop::kEpoll): one
-// reactor thread multiplexes the listener and every connection fd through
-// epoll, so connection count is bounded by file descriptors instead of OS
-// threads. The data path per connection:
+// The event-driven server loop behind RpcServer: one reactor thread
+// multiplexes the listener and every connection fd through epoll, so
+// connection count is bounded by file descriptors instead of OS threads.
+// The data path per connection:
 //
 //   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
 //   machine) -> classify (session frames inline; requests parked in arrival
@@ -20,8 +20,7 @@
 // Backpressure: dispatched-but-unanswered requests per connection are
 // capped at max_inflight_per_conn; at the cap the reactor drops the
 // connection's EPOLLIN interest. The peer's writes then fill the TCP
-// window and block — the same end-to-end backpressure the threaded loop
-// provides, without a thread per peer.
+// window and block — end-to-end backpressure without a thread per peer.
 //
 // Threading: the reactor thread owns all connection state; workers only see
 // copies of decoded frames and push completed response bytes through a
@@ -73,7 +72,7 @@ class EpollReactor {
 
  private:
   /// One request waiting for (or blocked from) dispatch. For a mux
-  /// envelope, `frame` is the whole envelope (unwrapped by the shared
+  /// envelope, `frame` is the whole envelope (unwrapped by
   /// RpcServer::HandleMuxEnvelope on the worker); only the inner tag was
   /// peeked for the ordering classification.
   struct Parked {

@@ -176,7 +176,6 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     daemon->dialing = true;
     lock.unlock();
     MuxConnectionOptions mopt;
-    mopt.enable_mux = options_.enable_mux;
     mopt.tcp_nodelay = options_.tcp_nodelay;
     mopt.connect_timeout_ms = options_.connect_timeout_ms;
     // A host whose kernel accepts while the daemon is wedged must fail
@@ -534,9 +533,7 @@ bool FanoutCluster::TryHedgePublish(Slot* slot,
   // A standing connection means the daemon is slow, not gone: the hedge is
   // a plain second request_id on the same socket. A broken one is dropped
   // WITHOUT opening the circuit-breaker window (the daemon dialed; it may
-  // be merely slow) and replaced. On the legacy in-order session an
-  // abandon above poisons the connection by design, which lands in the
-  // redial branch — the old "fresh pooled connection" behavior.
+  // be merely slow) and replaced.
   if (slot->conn->broken()) {
     DropConn(slot->daemon, slot->conn, /*start_backoff=*/false);
     Result<std::shared_ptr<MuxConnection>> fresh = AcquireConn(slot->daemon);
@@ -733,14 +730,17 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
     for (Slot& slot : slots) QueueUnsent(&slot, frames, frame_events);
   }
   // Park the trace for the gather stamp only if at least one daemon echoed
-  // its stamps back (one lone broker-encode stamp says nothing). The ring
-  // is bounded: a broker nobody scrapes must not grow without bound.
-  if (trace.active() && trace.stamps.size() > 1) {
-    std::lock_guard<std::mutex> lock(traces_mu_);
-    traces_.push_back(std::move(trace));
-    while (traces_.size() > kMaxParkedTraces) traces_.pop_front();
-  }
+  // its stamps back (one lone broker-encode stamp says nothing).
+  if (trace.active() && trace.stamps.size() > 1) ParkTrace(std::move(trace));
   return FirstError(slots);
+}
+
+void FanoutCluster::ParkTrace(TraceContext trace) {
+  // The ring is bounded: a broker nobody scrapes must not grow without
+  // bound.
+  std::lock_guard<std::mutex> lock(traces_mu_);
+  traces_.push_back(std::move(trace));
+  while (traces_.size() > kMaxParkedTraces) traces_.pop_front();
 }
 
 Status FanoutCluster::Drain() {
@@ -806,13 +806,17 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
       }
       bool has_more = false;
       GatherReport chunk_report;
+      TraceContext chunk_trace;
       const Status decoded = DecodeRecommendationsReply(
-          frame.payload, &staged, &has_more, &chunk_report);
+          frame.payload, &staged, &has_more, &chunk_report, &chunk_trace);
       if (!decoded.ok()) {
         slot.status = TagError(*slot.daemon, decoded);
         complete = false;
         break;
       }
+      // A daemon that is itself a broker ferries a completed trace back on
+      // its reply's last frame.
+      if (chunk_trace.active()) ParkTrace(std::move(chunk_trace));
       staged_missing.insert(staged_missing.end(),
                             chunk_report.missing_partitions.begin(),
                             chunk_report.missing_partitions.end());

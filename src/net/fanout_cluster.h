@@ -7,7 +7,7 @@
 //
 // Topology: each endpoint is one daemon. Either
 //   * one endpoint hosting the whole cluster (partition = kAllPartitions;
-//     the single-daemon deployment PR 2 shipped), or
+//     the single-daemon deployment, and the repo's one client for it), or
 //   * N endpoints, each a partition-group member hosting exactly one global
 //     partition (magicrecsd --partition-group=N --partition-id=p), covering
 //     partitions 0..N-1.
@@ -29,9 +29,7 @@
 // outstanding (distinct request_ids) per daemon before awaiting acks,
 // while the same bytes stream to every other daemon; daemons process
 // concurrently, the client never blocks on one daemon before writing to
-// the next. Against a pre-versioning daemon the session downgrades to the
-// strict in-order protocol (the hello probe, net/wire.h) and the same
-// pipeline runs FIFO — wire bytes identical to the pre-mux broker.
+// the next.
 //
 // Failure handling per daemon: replies are bounded by a per-call recv
 // timeout, a connection failure fails only that daemon's lane, and every
@@ -77,8 +75,8 @@
 //     durability and topology verification must not silently degrade.
 // Degraded semantics are eventual, not exact: events parked in a replay
 // buffer are invisible to Drain until flushed, so recommendations can
-// trail into a later gather. Strict mode keeps the PR 3 contract — and,
-// against pre-versioning daemons, its wire bytes — unchanged.
+// trail into a later gather. Strict mode keeps the all-or-nothing
+// contract.
 
 #ifndef MAGICRECS_NET_FANOUT_CLUSTER_H_
 #define MAGICRECS_NET_FANOUT_CLUSTER_H_
@@ -162,10 +160,6 @@ struct FanoutClusterOptions {
   int max_reconnect_backoff_ms = 2'000;
 
   bool tcp_nodelay = true;
-
-  /// Probe daemons with kHello and multiplex when accepted. False forces
-  /// the legacy in-order session on every lane (back-compat testing).
-  bool enable_mux = true;
 
   /// Sample one publish in this many for end-to-end tracing (util/trace.h):
   /// the sampled batch's FIRST frame carries a trace tail toward every
@@ -291,7 +285,9 @@ class FanoutCluster : public ClusterTransport {
   Result<std::string> GetStatsText() override;
 
   /// Drains the completed-trace ring (bounded; oldest dropped on
-  /// overflow). A trace completes when a gather ran after its publish.
+  /// overflow). A trace completes when a gather ran after its publish, or
+  /// arrives complete on a daemon's gather-reply tail (a daemon that is
+  /// itself a broker ferries its own traces back that way).
   std::vector<TraceContext> TakeTraces() override;
 
   /// The group partitioner replica ops are routed with.
@@ -498,6 +494,9 @@ class FanoutCluster : public ClusterTransport {
   void ReapOneAck(Slot* slot, const std::vector<FrameBuf>& frames,
                   bool sequenced, TraceContext* trace);
 
+  /// Appends a trace to the bounded traces_ ring for TakeTraces.
+  void ParkTrace(TraceContext trace);
+
   /// Awaits and decodes one kStatsReply on a slot; false on any failure
   /// (recorded in the slot's status).
   bool AwaitStatsReply(Slot* slot, ClusterStats* stats);
@@ -609,8 +608,9 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> next_trace_id_{1};
 
   /// Traces whose publish finished, awaiting (or holding) their kGather
-  /// stamp. Bounded to kMaxParkedTraces; oldest dropped on overflow — a
-  /// trace is a diagnostic, never backpressure.
+  /// stamp, plus completed traces ferried in on gather-reply tails.
+  /// Bounded to kMaxParkedTraces; oldest dropped on overflow — a trace is
+  /// a diagnostic, never backpressure.
   static constexpr size_t kMaxParkedTraces = 64;
   std::mutex traces_mu_;
   std::deque<TraceContext> traces_;

@@ -1,5 +1,5 @@
 // Refcounted frame buffers and the iovec outbox chain — the zero-copy
-// egress layer under both server loops and the mux client.
+// egress layer under the reactor and the mux client.
 //
 // A FrameBuf is an immutable sequence of byte segments that together form
 // one or more complete wire frames (net/wire.h framing). Each segment is a

@@ -37,22 +37,6 @@ Status WriteFrames(TcpSocket* socket, const std::string& bytes) {
   return socket->WriteAll(bytes.data(), bytes.size());
 }
 
-Status WriteFrames(TcpSocket* socket, const FrameBuf& frames) {
-  const std::vector<FrameBuf::Segment>& segments = frames.segments();
-  struct iovec iov[kMaxIovPerWritev];
-  size_t index = 0;
-  while (index < segments.size()) {
-    int iovcnt = 0;
-    for (; iovcnt < kMaxIovPerWritev && index < segments.size();
-         ++iovcnt, ++index) {
-      iov[iovcnt].iov_base = const_cast<char*>(segments[index].data());
-      iov[iovcnt].iov_len = segments[index].len;
-    }
-    MAGICRECS_RETURN_IF_ERROR(socket->WritevAll(iov, iovcnt));
-  }
-  return Status::OK();
-}
-
 void FrameAssembler::Append(const char* data, size_t n) {
   // Compact opportunistically: once everything parsed so far has been
   // consumed, drop the dead prefix instead of growing without bound.

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "net/frame_buf.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "util/status.h"
@@ -29,18 +28,15 @@ Status ReadFrame(TcpSocket* socket, Frame* frame, bool* clean_eof = nullptr);
 /// Writes pre-assembled frame bytes (from the Append* wire encoders).
 Status WriteFrames(TcpSocket* socket, const std::string& bytes);
 
-/// Scatter/gather write of a frame chain: the segments go out through
-/// WritevAll in kMaxIovPerWritev-sized batches, never flattened.
-Status WriteFrames(TcpSocket* socket, const FrameBuf& frames);
-
 /// Incremental frame parser for the non-blocking reactor: bytes arrive in
 /// arbitrary slices (a header split across two reads, ten frames in one),
 /// Append() buffers them, Next() pulls complete frames one at a time.
 ///
 /// Enforces the same discipline as ReadFrame — the length bound BEFORE any
-/// allocation, the body CRC before a payload byte is trusted — so the two
-/// server loops share one robustness contract. After Next() returns an
-/// error the stream is desynchronized and the connection must be dropped.
+/// allocation, the body CRC before a payload byte is trusted — so the
+/// reactor and the blocking client reader share one robustness contract.
+/// After Next() returns an error the stream is desynchronized and the
+/// connection must be dropped.
 class FrameAssembler {
  public:
   /// Buffers `n` more bytes from the wire.

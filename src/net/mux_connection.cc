@@ -19,14 +19,6 @@ int64_t SteadyNowMicros() {
       .count();
 }
 
-/// True when a legacy (bare) reply frame ends its logical call: everything
-/// except a chunked recommendations reply with has_more set.
-bool LegacyReplyComplete(const Frame& frame) {
-  if (frame.tag != MessageTag::kRecommendationsReply) return true;
-  if (frame.payload.empty()) return true;  // malformed; caller will reject
-  return frame.payload[0] == 0;  // has_more is the leading byte
-}
-
 }  // namespace
 
 Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
@@ -40,43 +32,43 @@ Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
   if (options.tcp_nodelay) {
     MAGICRECS_RETURN_IF_ERROR(conn->socket_.SetNoDelay(true));
   }
-  if (options.enable_mux) {
-    // The hello probe doubles as version detection: a pre-versioning
-    // server answers kError for the unknown tag and keeps the connection
-    // usable — the downgrade path, locked by the back-compat tests. The
-    // reply read is bounded by hello_timeout_ms (connect_timeout_ms only
-    // bounds the TCP dial): a wedged daemon behind a live kernel must
-    // fail the dial, not hang it.
-    if (options.hello_timeout_ms > 0) {
-      MAGICRECS_RETURN_IF_ERROR(
-          conn->socket_.SetRecvTimeout(options.hello_timeout_ms));
-    }
-    std::string hello;
-    AppendHello(kFeatureMux | kFeatureTrace, &hello);
-    MAGICRECS_RETURN_IF_ERROR(WriteFrames(&conn->socket_, hello));
-    Frame reply;
-    MAGICRECS_RETURN_IF_ERROR(ReadFrame(&conn->socket_, &reply));
-    if (options.hello_timeout_ms > 0) {
-      // The reader thread's waits are deadline-based; the socket itself
-      // goes back to blocking reads.
-      MAGICRECS_RETURN_IF_ERROR(conn->socket_.SetRecvTimeout(0));
-    }
-    if (reply.tag == MessageTag::kHelloReply) {
-      uint32_t peer_version = 0;
-      uint32_t features = 0;
-      uint32_t max_inflight = 0;
-      MAGICRECS_RETURN_IF_ERROR(DecodeHelloReply(
-          reply.payload, &peer_version, &features, &max_inflight));
-      conn->muxed_ = (features & kFeatureMux) != 0;
-      conn->features_ = features & (kFeatureMux | kFeatureTrace);
-      conn->server_max_inflight_ = max_inflight;
-    } else if (reply.tag != MessageTag::kError) {
-      return Status::Internal(StrFormat(
-          "server answered hello with %s",
-          std::string(MessageTagName(reply.tag)).c_str()));
-    }
-    // kError: an old server; fall through to the legacy in-order path.
+  // The reply read is bounded by hello_timeout_ms (connect_timeout_ms only
+  // bounds the TCP dial): a wedged daemon behind a live kernel must fail
+  // the dial, not hang it.
+  if (options.hello_timeout_ms > 0) {
+    MAGICRECS_RETURN_IF_ERROR(
+        conn->socket_.SetRecvTimeout(options.hello_timeout_ms));
   }
+  std::string hello;
+  AppendHello(kFeatureMux | kFeatureTrace, &hello);
+  MAGICRECS_RETURN_IF_ERROR(WriteFrames(&conn->socket_, hello));
+  Frame reply;
+  MAGICRECS_RETURN_IF_ERROR(ReadFrame(&conn->socket_, &reply));
+  if (options.hello_timeout_ms > 0) {
+    // The reader thread's waits are deadline-based; the socket itself goes
+    // back to blocking reads.
+    MAGICRECS_RETURN_IF_ERROR(conn->socket_.SetRecvTimeout(0));
+  }
+  if (reply.tag != MessageTag::kHelloReply) {
+    const std::string answer =
+        reply.tag == MessageTag::kError
+            ? DecodeError(reply.payload).ToString()
+            : std::string(MessageTagName(reply.tag));
+    return Status::FailedPrecondition(StrFormat(
+        "daemon did not negotiate mux: it answered hello with %s",
+        answer.c_str()));
+  }
+  uint32_t peer_version = 0;
+  uint32_t features = 0;
+  uint32_t max_inflight = 0;
+  MAGICRECS_RETURN_IF_ERROR(DecodeHelloReply(reply.payload, &peer_version,
+                                             &features, &max_inflight));
+  if ((features & kFeatureMux) == 0) {
+    return Status::FailedPrecondition(
+        "daemon did not negotiate mux: its hello reply lacks the mux bit");
+  }
+  conn->features_ = features & (kFeatureMux | kFeatureTrace);
+  conn->server_max_inflight_ = max_inflight;
   conn->reader_ = std::thread([c = conn.get()] { c->ReaderLoop(); });
   return conn;
 }
@@ -117,13 +109,6 @@ void MuxConnection::FailAllLocked(const Status& status) {
     }
   }
   pending_.clear();
-  for (const CallHandle& call : fifo_) {
-    if (!call->done) {
-      call->status = status;
-      call->done = true;
-    }
-  }
-  fifo_.clear();
   cv_.notify_all();
 }
 
@@ -139,49 +124,34 @@ void MuxConnection::ReaderLoop() {
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (broken_) return;  // shut down while we were reading
-    if (muxed_) {
-      if (frame.tag != MessageTag::kMuxResponse) {
-        // The only bare frame a muxed server sends is the framing-error
-        // kError that precedes a sever; anything else is protocol
-        // corruption. Either way the session is over.
-        FailAllLocked(frame.tag == MessageTag::kError
-                          ? DecodeError(frame.payload)
-                          : Status::Internal(StrFormat(
-                                "bare %s frame on a multiplexed session",
-                                std::string(MessageTagName(frame.tag))
-                                    .c_str())));
-        return;
-      }
-      uint64_t request_id = 0;
-      bool last = false;
-      Frame inner;
-      const Status decoded =
-          DecodeMuxResponse(frame.payload, &request_id, &last, &inner);
-      if (!decoded.ok()) {
-        FailAllLocked(decoded);
-        return;
-      }
-      const auto it = pending_.find(request_id);
-      if (it == pending_.end()) continue;  // abandoned call: discard
-      it->second->frames.push_back(std::move(inner));
-      if (last) {
-        it->second->done = true;
-        pending_.erase(it);
-        cv_.notify_all();
-      }
-    } else {
-      if (fifo_.empty()) {
-        FailAllLocked(Status::Internal("server sent an unsolicited reply"));
-        return;
-      }
-      const CallHandle& call = fifo_.front();
-      const bool complete = LegacyReplyComplete(frame);
-      call->frames.push_back(std::move(frame));
-      if (complete) {
-        call->done = true;
-        fifo_.pop_front();
-        cv_.notify_all();
-      }
+    if (frame.tag != MessageTag::kMuxResponse) {
+      // The only bare frame a muxed server sends is the framing-error
+      // kError that precedes a sever; anything else is protocol
+      // corruption. Either way the session is over.
+      FailAllLocked(frame.tag == MessageTag::kError
+                        ? DecodeError(frame.payload)
+                        : Status::Internal(StrFormat(
+                              "bare %s frame on a multiplexed session",
+                              std::string(MessageTagName(frame.tag))
+                                  .c_str())));
+      return;
+    }
+    uint64_t request_id = 0;
+    bool last = false;
+    Frame inner;
+    const Status decoded =
+        DecodeMuxResponse(frame.payload, &request_id, &last, &inner);
+    if (!decoded.ok()) {
+      FailAllLocked(decoded);
+      return;
+    }
+    const auto it = pending_.find(request_id);
+    if (it == pending_.end()) continue;  // abandoned call: discard
+    it->second->frames.push_back(std::move(inner));
+    if (last) {
+      it->second->done = true;
+      pending_.erase(it);
+      cv_.notify_all();
     }
   }
 }
@@ -195,12 +165,11 @@ Result<MuxConnection::CallHandle> MuxConnection::Start(
 Result<MuxConnection::CallHandle> MuxConnection::Start(
     FrameBuf framed_request, int cap_wait_ms) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Muxed sessions honor the server's advertised in-flight cap: waiting
-  // here is the client half of the reactor's backpressure. The wait is
-  // bounded: a daemon that stops answering stops freeing slots, and every
-  // timeout that could notice lives in Await, which a hung Start never
-  // reaches.
-  if (muxed_ && server_max_inflight_ > 0) {
+  // Honor the server's advertised in-flight cap: waiting here is the
+  // client half of the reactor's backpressure. The wait is bounded: a
+  // daemon that stops answering stops freeing slots, and every timeout
+  // that could notice lives in Await, which a hung Start never reaches.
+  if (server_max_inflight_ > 0) {
     const auto slot_free = [&] {
       return broken_ || pending_.size() < server_max_inflight_;
     };
@@ -220,16 +189,10 @@ Result<MuxConnection::CallHandle> MuxConnection::Start(
   call->id = next_id_++;
   if (options_.slow_call_us > 0) call->started_at_us = SteadyNowMicros();
   // Registration and outbox enqueue happen in the SAME mu_ critical
-  // section, so registration order == wire order — the legacy FIFO's
-  // correctness condition (the old code held a dedicated send lock across
-  // the whole blocking write for this; the chain needs only this section).
-  if (muxed_) {
-    pending_.emplace(call->id, call);
-    outbox_.Append(WrapMuxRequestShared(call->id, framed_request));
-  } else {
-    fifo_.push_back(call);
-    outbox_.Append(std::move(framed_request));
-  }
+  // section, so registration order == wire order: order-sensitive
+  // requests from one caller reach the daemon in the order they started.
+  pending_.emplace(call->id, call);
+  outbox_.Append(WrapMuxRequestShared(call->id, framed_request));
   const Status written = FlushOutboxLocked(lock);
   if (!written.ok()) return written;
   return call;
@@ -286,8 +249,8 @@ Status MuxConnection::Await(const CallHandle& call, int timeout_ms,
   } else {
     // The deadline bounds SILENCE, not total call duration: every reply
     // frame that arrives extends it, so a long chunked gather that keeps
-    // streaming never times out mid-delivery — the same semantics the
-    // per-read SO_RCVTIMEO gave the pre-mux client.
+    // streaming never times out mid-delivery — the semantics of a per-read
+    // SO_RCVTIMEO.
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(timeout_ms);
     size_t progress = call->frames.size();
@@ -305,7 +268,7 @@ Status MuxConnection::Await(const CallHandle& call, int timeout_ms,
     }
     if (timed) {
       // Timed out. Hand back whatever arrived — a gather's partial share
-      // is rescuable — then abandon (mux) or poison (legacy).
+      // is rescuable — then abandon the id.
       const Status timeout = Status::Unavailable(StrFormat(
           "call timed out after %dms (%zu reply frames received)",
           timeout_ms, call->frames.size()));
@@ -313,15 +276,8 @@ Status MuxConnection::Await(const CallHandle& call, int timeout_ms,
       call->frames.clear();
       call->status = timeout;
       call->done = true;
-      if (muxed_) {
-        pending_.erase(call->id);  // late frames will be discarded
-        cv_.notify_all();          // a Start blocked at the cap may proceed
-      } else {
-        // The reply may land mid-future-call: the stream cannot realign.
-        FailAllLocked(timeout);
-        lock.unlock();
-        socket_.Shutdown();
-      }
+      pending_.erase(call->id);  // late frames will be discarded
+      cv_.notify_all();          // a Start blocked at the cap may proceed
       return timeout;
     }
   }
@@ -356,18 +312,12 @@ void MuxConnection::MaybeLogSlowCall(const Call& call,
 }
 
 void MuxConnection::Abandon(const CallHandle& call) {
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (call->done) return;
   call->done = true;
   call->status = Status::Aborted("call abandoned");
-  if (muxed_) {
-    pending_.erase(call->id);
-    cv_.notify_all();  // a Start blocked at the cap may proceed
-    return;
-  }
-  FailAllLocked(Status::Unavailable("in-order call abandoned"));
-  lock.unlock();
-  socket_.Shutdown();
+  pending_.erase(call->id);
+  cv_.notify_all();  // a Start blocked at the cap may proceed
 }
 
 Status MuxConnection::CallOne(const std::string& framed_request,

@@ -6,23 +6,17 @@
 // every incoming kMuxResponse to its waiter by id, so replies may return in
 // any order and one slow call never blocks the wire for the others.
 //
-// Negotiation and the legacy path: Dial() opens the session with kHello. A
-// pre-versioning server answers kError(Unimplemented) — that IS the
-// downgrade signal, and the connection falls back to the strict in-order
-// protocol: requests go out bare, the reader matches replies to waiters
-// FIFO (pipelining still works — the old protocol allows writing request
-// N+1 before reply N — but replies cannot overtake, and an abandoned call
-// would desynchronize the stream, so a timeout poisons the connection).
-// Either way the calls LOOK the same to the caller; muxed() reports which
-// wire form is live.
+// Negotiation: Dial() opens the session with kHello and requires a
+// kHelloReply granting kFeatureMux. Anything else — a kError from a daemon
+// that does not speak hello, or a reply without the mux bit — fails the
+// dial; there is no in-order fallback (every client and daemon is built
+// from this repo, docs/wire-protocol.md).
 //
-// Timeouts: a muxed call that misses its deadline is abandoned — the id is
+// Timeouts: a call that misses its deadline is abandoned — the id is
 // forgotten, late frames for it are discarded, and the connection stays
-// usable (the stream is still frame-aligned; this is the property the old
-// leased-socket pool could not offer). Frames that DID arrive before the
-// deadline are handed back with the timeout, so a gather's partial share
-// can be rescued rather than dropped. On the legacy path a timeout severs
-// the connection, exactly like the pre-mux client.
+// usable (the stream is still frame-aligned). Frames that DID arrive
+// before the deadline are handed back with the timeout, so a gather's
+// partial share can be rescued rather than dropped.
 //
 // Lifetime: Shutdown() (or destruction) severs the socket; the reader
 // fails every outstanding call with Unavailable and exits. A broken
@@ -34,7 +28,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,11 +44,6 @@
 namespace magicrecs::net {
 
 struct MuxConnectionOptions {
-  /// Open the session with a kHello probe. False skips the handshake and
-  /// speaks the pre-versioning in-order protocol unconditionally — the
-  /// back-compat tests use this to emit byte-identical legacy traffic.
-  bool enable_mux = true;
-
   bool tcp_nodelay = true;
 
   /// Bounds the dial (see TcpSocket::Connect). 0 = kernel default.
@@ -88,8 +76,9 @@ class MuxConnection {
   };
   using CallHandle = std::shared_ptr<Call>;
 
-  /// Connects and runs the hello exchange (unless disabled), then starts
-  /// the reader. Unavailable when the peer cannot be reached.
+  /// Connects and runs the hello exchange, then starts the reader.
+  /// Unavailable when the peer cannot be reached; FailedPrecondition when
+  /// it answers the hello without granting kFeatureMux.
   static Result<std::unique_ptr<MuxConnection>> Dial(
       const std::string& host, uint16_t port,
       const MuxConnectionOptions& options);
@@ -99,26 +88,23 @@ class MuxConnection {
   MuxConnection(const MuxConnection&) = delete;
   MuxConnection& operator=(const MuxConnection&) = delete;
 
-  /// True when the hello exchange negotiated request-id multiplexing.
-  bool muxed() const { return muxed_; }
-
-  /// The full feature mask the server granted (0 on the legacy path).
+  /// The full feature mask the server granted (always includes kFeatureMux).
   uint32_t features() const { return features_; }
 
   /// True when the server granted kFeatureTrace: publishes may carry a
   /// trace tail and acks/replies may echo stamps back (net/wire.h).
   bool trace_negotiated() const { return (features_ & kFeatureTrace) != 0; }
 
-  /// The per-connection in-flight cap the server advertised (0 on the
-  /// legacy path). Start() enforces it for muxed sessions.
+  /// The per-connection in-flight cap the server advertised (0 = none).
+  /// Start() enforces it.
   uint32_t server_max_inflight() const { return server_max_inflight_; }
 
   /// True once the connection failed; every Start/Await fails thereafter.
   bool broken() const;
 
   /// Sends one framed request (exactly one frame from the wire encoders)
-  /// and registers its waiter. Muxed sessions block at the server's
-  /// in-flight cap until a slot frees; `cap_wait_ms` bounds that wait
+  /// and registers its waiter. Blocks at the server's in-flight cap until
+  /// a slot frees; `cap_wait_ms` bounds that wait
   /// (0 = forever) — a daemon that stops answering stops freeing slots,
   /// and without the bound a publisher would hang here ahead of every
   /// timeout that lives in Await. A cap-wait miss fails ONLY this call
@@ -127,8 +113,8 @@ class MuxConnection {
   Result<CallHandle> Start(const std::string& framed_request,
                            int cap_wait_ms = 0);
 
-  /// Zero-copy Start: the request rides as a FrameBuf, so a muxed send
-  /// builds its kMuxRequest envelope around the SAME payload block the
+  /// Zero-copy Start: the request rides as a FrameBuf, so the send builds
+  /// its kMuxRequest envelope around the SAME payload block the
   /// caller encoded (the fan-out broker hands one refcounted publish frame
   /// to every daemon and every pipeline slot this way — no per-daemon
   /// copy). Sends go through a per-connection outbox chain drained by
@@ -143,16 +129,13 @@ class MuxConnection {
   /// `timeout_ms` 0 waits forever; otherwise it bounds SILENCE — each
   /// arriving reply frame extends the deadline, so a chunked reply that
   /// keeps streaming never times out mid-delivery (the per-read recv
-  /// timeout semantics of the pre-mux client). On a timeout, frames that
-  /// already arrived are still moved out (rescuable partial share); the
-  /// call is abandoned on a muxed session, the whole connection poisoned
-  /// on the legacy path (see the file comment).
+  /// timeout semantics of a blocking socket read). On a timeout, frames
+  /// that already arrived are still moved out (rescuable partial share)
+  /// and the call is abandoned.
   Status Await(const CallHandle& call, int timeout_ms,
                std::vector<Frame>* frames);
 
-  /// Forgets a muxed call (late frames are discarded). On the legacy path
-  /// an outstanding call cannot be skipped, so this poisons the
-  /// connection.
+  /// Forgets a call (late frames are discarded).
   void Abandon(const CallHandle& call);
 
   /// Start + Await; `timeout_ms` bounds both the cap wait and the reply
@@ -194,7 +177,6 @@ class MuxConnection {
 
   MuxConnectionOptions options_;
   TcpSocket socket_;
-  bool muxed_ = false;
   uint32_t features_ = 0;
   uint32_t server_max_inflight_ = 0;
   std::thread reader_;
@@ -204,8 +186,7 @@ class MuxConnection {
   uint64_t next_id_ = 1;
   bool broken_ = false;
   Status broken_status_;
-  std::unordered_map<uint64_t, CallHandle> pending_;  ///< muxed sessions
-  std::deque<CallHandle> fifo_;                       ///< legacy sessions
+  std::unordered_map<uint64_t, CallHandle> pending_;
 
   /// Frames owed to the socket, in registration order (mu_ guards the
   /// chain and writer_active_; the sole active writer is the only Advance

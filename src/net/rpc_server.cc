@@ -1,53 +1,17 @@
 #include "net/rpc_server.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "health/health_monitor.h"
 #include "net/epoll_reactor.h"
-#include "net/frame_io.h"
 #include "util/clock.h"
 #include "util/metrics.h"
 #include "util/str_format.h"
 
 namespace magicrecs::net {
-
-ServerLoop ResolveServerLoop(ServerLoop requested) {
-  if (requested != ServerLoop::kAuto) return requested;
-  if (const char* env = std::getenv("MAGICRECS_SERVER_LOOP")) {
-    ServerLoop from_env;
-    if (ParseServerLoop(env, &from_env) && from_env != ServerLoop::kAuto) {
-      return from_env;
-    }
-  }
-  return ServerLoop::kEpoll;
-}
-
-std::string_view ServerLoopFlag(ServerLoop loop) {
-  switch (loop) {
-    case ServerLoop::kThreads: return "threads";
-    case ServerLoop::kEpoll: return "epoll";
-    case ServerLoop::kAuto: return "auto";
-  }
-  return "unknown";
-}
-
-bool ParseServerLoop(std::string_view value, ServerLoop* loop) {
-  if (value == "threads") {
-    *loop = ServerLoop::kThreads;
-    return true;
-  }
-  if (value == "epoll") {
-    *loop = ServerLoop::kEpoll;
-    return true;
-  }
-  return false;
-}
 
 RpcServer::RpcServer(ClusterTransport* transport,
                      const RpcServerOptions& options)
@@ -65,7 +29,6 @@ Result<std::unique_ptr<RpcServer>> RpcServer::Start(
     return Status::InvalidArgument("worker_threads must be >= 1");
   }
   std::unique_ptr<RpcServer> server(new RpcServer(transport, options));
-  server->loop_ = ResolveServerLoop(options.loop);
   MAGICRECS_ASSIGN_OR_RETURN(
       server->listener_,
       TcpListener::Listen(options.host, options.port, options.backlog));
@@ -117,13 +80,8 @@ Result<std::unique_ptr<RpcServer>> RpcServer::Start(
     base.mux_connections = server->mux_connections_metric_->Value();
     base.slow_requests = server->slow_requests_metric_->Value();
   }
-  if (server->loop_ == ServerLoop::kEpoll) {
-    server->reactor_ = std::make_unique<EpollReactor>(server.get());
-    MAGICRECS_RETURN_IF_ERROR(server->reactor_->Start());
-  } else {
-    server->accept_thread_ =
-        std::thread([s = server.get()] { s->AcceptLoop(); });
-  }
+  server->reactor_ = std::make_unique<EpollReactor>(server.get());
+  MAGICRECS_RETURN_IF_ERROR(server->reactor_->Start());
   if (options.health_interval_ms > 0) {
     // Self-health: the daemon grades its own serving behavior from the
     // same registry counters the scrape surface renders. Only the rate
@@ -174,21 +132,8 @@ void RpcServer::Stop() {
   // registry counters through cached pointers, and the journal it writes
   // is only guaranteed to outlive the server, not Stop().
   health_monitor_.reset();
-  stopping_.store(true, std::memory_order_release);
-  listener_.Close();  // unblocks Accept() / wakes the reactor
+  listener_.Close();  // refuses new peers; the reactor severs the open ones
   if (reactor_ != nullptr) reactor_->Stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::list<std::unique_ptr<Connection>> connections;
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    connection->socket.Shutdown();  // unblocks a handler stuck in recv
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
 }
 
 RpcServerStats RpcServer::stats() const {
@@ -217,7 +162,7 @@ RpcServerStats RpcServer::stats() const {
 ServerLoopStats RpcServer::SnapshotLoopStats() const {
   const RpcServerStats current = stats();
   ServerLoopStats s;
-  s.loop = loop_ == ServerLoop::kEpoll ? 2 : 1;
+  s.loop = 2;  // the epoll reactor (see ServerLoopStats::loop)
   s.connections_open = current.connections_open;
   s.requests_served = current.requests_served;
   s.partial_reads = current.partial_reads;
@@ -278,104 +223,6 @@ void RpcServer::FinishBatch(uint64_t sequence, bool applied) {
   dedup_cv_.notify_all();
 }
 
-void RpcServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Result<TcpSocket> accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      // Transient accept failure (e.g. EMFILE under a connection flood):
-      // keep serving, but back off instead of spinning a core until an fd
-      // frees up.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    connections_accepted_metric_->Increment();
-    if (options_.tcp_nodelay) {
-      (void)accepted->SetNoDelay(true);
-    }
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(accepted).value();
-    Connection* raw = connection.get();
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    ReapFinishedLocked();
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void RpcServer::ReapFinishedLocked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void RpcServer::ServeConnection(Connection* connection) {
-  TcpSocket& socket = connection->socket;
-  connections_open_metric_->Add(1);
-  Frame request;
-  uint32_t features = 0;
-  // One logical reply = one scatter/gather WritevAll over the FrameBuf's
-  // segments — the threads loop shares the chain egress path (and its
-  // metrics) with the reactor.
-  const auto write_reply = [&](FrameBuf reply) {
-    writev_calls_metric_->Increment();
-    egress_bytes_metric_->Increment(reply.size());
-    frames_per_writev_metric_->Record(
-        static_cast<int64_t>(reply.frame_count()));
-    return WriteFrames(&socket, reply);
-  };
-  while (!stopping_.load(std::memory_order_acquire)) {
-    bool clean_eof = false;
-    const Status read = ReadFrame(&socket, &request, &clean_eof);
-    if (!read.ok()) {
-      if (!clean_eof && !read.IsUnavailable()) {
-        // Malformed framing (oversized length, CRC mismatch, empty body):
-        // tell the peer why, then drop the connection — after a framing
-        // error the stream offsets can no longer be trusted.
-        protocol_errors_metric_->Increment();
-        std::string error;
-        AppendError(read, &error);
-        (void)write_reply(FrameBuf::Wrap(std::move(error)));
-        requests_served_metric_->Increment();
-      } else if (!clean_eof) {
-        protocol_errors_metric_->Increment();
-      }
-      break;
-    }
-    FrameBuf reply;
-    // Session frames first: the hello handshake flips the connection into
-    // mux framing, under which each request arrives as an envelope and
-    // every reply frame is wrapped with the request's id. This loop is
-    // serial, so replies still go out in request order — legal: mux allows
-    // reordering, it never requires it.
-    if (request.tag == MessageTag::kHello && options_.enable_mux) {
-      std::string response;
-      HandleHello(request, &response, &features);
-      reply = FrameBuf::Wrap(std::move(response));
-    } else if (request.tag == MessageTag::kMuxRequest &&
-               options_.enable_mux) {
-      HandleMuxEnvelope(request, features, &reply);
-    } else {
-      std::string response;
-      HandleRequest(request, features, &response);
-      reply = FrameBuf::Wrap(std::move(response));
-    }
-    if (!write_reply(std::move(reply)).ok()) break;
-    requests_served_metric_->Increment();
-  }
-  // Shutdown (FIN to the peer) rather than Close: Stop() may concurrently
-  // Shutdown() this socket too, and both only read the fd. The fd itself is
-  // released when the Connection is destroyed, strictly after join.
-  socket.Shutdown();
-  connections_open_metric_->Add(-1);
-  connection->done.store(true, std::memory_order_release);
-}
-
 void RpcServer::HandleHello(const Frame& request, std::string* response,
                             uint32_t* features) {
   uint32_t peer_version = 0;
@@ -394,28 +241,6 @@ void RpcServer::HandleHello(const Frame& request, std::string* response,
   AppendHelloReply(accepted,
                    static_cast<uint32_t>(options_.max_inflight_per_conn),
                    response);
-}
-
-void RpcServer::HandleMuxEnvelope(const Frame& envelope, uint32_t features,
-                                  std::string* response) {
-  uint64_t request_id = 0;
-  Frame inner;
-  const Status decoded =
-      DecodeMuxRequest(envelope.payload, &request_id, &inner);
-  if (!decoded.ok()) {
-    // The envelope itself was well-framed; only its payload is bad.
-    protocol_errors_metric_->Increment();
-    AppendError(decoded, response);
-    return;
-  }
-  std::string inner_response;
-  HandleRequest(inner, features, &inner_response);
-  const Status wrapped =
-      WrapMuxResponses(request_id, inner_response, response);
-  if (!wrapped.ok()) {
-    response->clear();
-    AppendError(wrapped, response);
-  }
 }
 
 void RpcServer::HandleMuxEnvelope(const Frame& envelope, uint32_t features,

@@ -1,36 +1,28 @@
-// The daemon side of the RPC layer: a TCP listener and one of two server
-// loops, dispatching decoded frames onto a ClusterTransport. This is the
-// fan-out broker boundary of the paper's deployment — magicrecsd is a thin
-// main() around this class.
+// The daemon side of the RPC layer: a TCP listener and an epoll reactor
+// (net/epoll_reactor.h), dispatching decoded frames onto a
+// ClusterTransport. This is the fan-out broker boundary of the paper's
+// deployment — magicrecsd is a thin main() around this class.
 //
-// Server loops (RpcServerOptions::loop):
-//   * kEpoll (the default) — one reactor thread multiplexes every
-//     connection through epoll: non-blocking reads feed an incremental
-//     FrameAssembler, decoded requests are dispatched onto a small
-//     ThreadPool, responses drain through per-connection write buffers
-//     with partial-write state machines. Connection count is bounded by
-//     fds, not threads — the shape the paper's "millions of users behind a
-//     handful of hosts" deployment needs.
-//   * kThreads — the original thread-per-connection loop: simple, strictly
-//     serial per connection, one OS thread per peer. Still the right tool
-//     for a handful of long-lived broker connections; kept as the
-//     rolling-upgrade fallback (docs/operations.md has the decision
-//     table).
-// Both loops speak the same protocol, pass the same robustness suite, and
-// support the hello/mux session extension (net/wire.h): a multiplexed
-// connection carries many logical calls, identified by request_id.
+// One reactor thread multiplexes every connection through epoll:
+// non-blocking reads feed an incremental FrameAssembler, decoded requests
+// are dispatched onto a small ThreadPool, responses drain through
+// per-connection write buffers with partial-write state machines.
+// Connection count is bounded by fds, not threads — the shape the paper's
+// "millions of users behind a handful of hosts" deployment needs. Clients
+// open a hello/mux session (net/wire.h): a multiplexed connection carries
+// many logical calls, identified by request_id. A peer that never says
+// hello is still served, strictly in order, one reply per request.
 //
 // Ordering and backpressure: requests that mutate the event stream
-// (IsOrderSensitive) are applied in per-connection arrival order on both
-// loops; on an epoll connection order-free reads may overtake a stalled
-// write. Each epoll connection caps dispatched-but-unanswered requests at
+// (IsOrderSensitive) are applied in per-connection arrival order; on a
+// muxed connection order-free reads may overtake a stalled write. Each
+// connection caps dispatched-but-unanswered requests at
 // max_inflight_per_conn — at the cap the reactor stops reading that
-// connection, the kernel's TCP window fills, and the peer blocks: the same
-// end-to-end backpressure the threaded loop gets from its blocking
-// handler, without a thread pinned per peer.
+// connection, the kernel's TCP window fills, and the peer blocks:
+// end-to-end backpressure without a thread pinned per peer.
 //
 // Protocol-error policy (exercised by tests/net/rpc_robustness_test.cc and
-// tests/net/epoll_server_test.cc, identical across loops):
+// tests/net/epoll_server_test.cc):
 //   * well-framed but unknown/unsupported tag -> kError response, the
 //     connection stays usable;
 //   * transport-level failure -> kError response carrying the Status, the
@@ -44,16 +36,12 @@
 #ifndef MAGICRECS_NET_RPC_SERVER_H_
 #define MAGICRECS_NET_RPC_SERVER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -77,24 +65,6 @@ namespace magicrecs::net {
 
 class EpollReactor;
 
-/// Which concurrency model serves the connections.
-enum class ServerLoop {
-  kAuto,     ///< resolve via MAGICRECS_SERVER_LOOP env, else kEpoll
-  kThreads,  ///< thread-per-connection (the PR 2 loop)
-  kEpoll,    ///< event-driven reactor + worker pool
-};
-
-/// Resolves kAuto: the MAGICRECS_SERVER_LOOP environment variable
-/// ("threads" / "epoll") decides, defaulting to kEpoll — this is how CI
-/// runs the whole suite under either loop without per-test plumbing.
-ServerLoop ResolveServerLoop(ServerLoop requested);
-
-/// "threads" / "epoll" (resolved loops only).
-std::string_view ServerLoopFlag(ServerLoop loop);
-
-/// Parses a --server-loop flag value; false on anything unknown.
-bool ParseServerLoop(std::string_view value, ServerLoop* loop);
-
 struct RpcServerOptions {
   /// Numeric IPv4 listen address.
   std::string host = "127.0.0.1";
@@ -113,26 +83,16 @@ struct RpcServerOptions {
   /// dedup off — every batch is applied, sequence or not.
   size_t publish_dedup_window = 4096;
 
-  /// Server loop (kAuto: MAGICRECS_SERVER_LOOP env, else epoll).
-  ServerLoop loop = ServerLoop::kAuto;
-
-  /// Epoll loop: cap on dispatched-but-unanswered requests per connection;
-  /// at the cap the reactor stops reading that peer (backpressure). Also
-  /// advertised to hello-speaking clients as their pipelining budget.
+  /// Cap on dispatched-but-unanswered requests per connection; at the cap
+  /// the reactor stops reading that peer (backpressure). Also advertised
+  /// to hello-speaking clients as their pipelining budget.
   size_t max_inflight_per_conn = 64;
 
-  /// Epoll loop: worker threads the reactor dispatches requests onto.
+  /// Worker threads the reactor dispatches requests onto.
   int worker_threads = 4;
 
-  /// Answer the kHello session handshake (request-id multiplexing). False
-  /// makes the server behave like a pre-versioning binary — kHello and
-  /// kMuxRequest become unknown tags — which is how the back-compat tests
-  /// pin the downgrade path.
-  bool enable_mux = true;
-
   /// Log any request whose handler runs at least this long (stderr, plus
-  /// the rpc_slow_requests registry counter). Applies to both server
-  /// loops — the timing wraps the shared HandleRequest. 0 disables.
+  /// the rpc_slow_requests registry counter). 0 disables.
   int64_t slow_request_us = 0;
 
   /// Identity this server stamps into trace contexts (util/trace.h): a
@@ -184,7 +144,7 @@ struct RpcServerStats {
 
 class RpcServer {
  public:
-  /// Binds, listens, and spawns the serving loop. `transport` must be
+  /// Binds, listens, and starts the reactor. `transport` must be
   /// thread-safe and outlive the server; the server never owns it, so one
   /// daemon process can host several servers over distinct transports.
   static Result<std::unique_ptr<RpcServer>> Start(
@@ -199,9 +159,6 @@ class RpcServer {
   uint16_t port() const { return listener_.port(); }
   const std::string& host() const { return options_.host; }
 
-  /// The loop actually serving (kAuto resolved).
-  ServerLoop loop() const { return loop_; }
-
   /// Stops accepting, severs open connections, joins every thread.
   /// Idempotent.
   void Stop();
@@ -211,25 +168,16 @@ class RpcServer {
  private:
   friend class EpollReactor;
 
-  struct Connection {
-    TcpSocket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   RpcServer(ClusterTransport* transport, const RpcServerOptions& options);
-
-  void AcceptLoop();
-  void ServeConnection(Connection* connection);
 
   /// Appends the response frame(s) for one well-framed request to
   /// *response. Framing-level errors (which do close the connection) are
-  /// handled by the serving loop before dispatch reaches here. `features`
-  /// is the hello-granted feature mask for the connection (0 for a peer
-  /// that never spoke hello): kFeatureMux gates the stats server-loop
-  /// tail, kFeatureTrace gates trace tails on replies. Thread-safe: the
-  /// epoll loop calls it from several workers at once. Also the slow-
-  /// request timing point for both loops.
+  /// handled by the reactor before dispatch reaches here. `features` is
+  /// the hello-granted feature mask for the connection (0 for a peer that
+  /// never spoke hello): kFeatureMux gates the stats server-loop tail,
+  /// kFeatureTrace gates trace tails on replies. Thread-safe: the reactor
+  /// calls it from several workers at once. Also the slow-request timing
+  /// point.
   void HandleRequest(const Frame& request, uint32_t features,
                      std::string* response);
 
@@ -243,25 +191,17 @@ class RpcServer {
                    uint32_t* features);
 
   /// Unwraps one kMuxRequest envelope, handles the inner request, and
-  /// appends the id-wrapped reply frames (or a bare error for a mangled
-  /// envelope payload — the stream itself is still aligned). Shared by
-  /// both server loops so their error policy cannot diverge; thread-safe
+  /// sets the id-wrapped reply frames (or a bare error for a mangled
+  /// envelope payload — the stream itself is still aligned). The inner
+  /// reply frames are encoded once and every kMuxResponse envelope shares
+  /// that block — no per-chunk body copy; byte-identical to the string
+  /// encoder WrapMuxResponses (locked by the egress tests). Thread-safe
   /// like HandleRequest.
-  void HandleMuxEnvelope(const Frame& envelope, uint32_t features,
-                         std::string* response);
-
-  /// Zero-copy form of the above: the inner reply frames are encoded once
-  /// and every kMuxResponse envelope shares that block — no per-chunk body
-  /// copy. Both server loops send through this one; byte-identical to the
-  /// string form (locked by the egress tests).
   void HandleMuxEnvelope(const Frame& envelope, uint32_t features,
                          FrameBuf* response);
 
   /// Snapshot of the wire-visible server-loop counters.
   ServerLoopStats SnapshotLoopStats() const;
-
-  /// Joins and erases finished connections (called with connections_mu_).
-  void ReapFinishedLocked();
 
   /// Idempotent-batch admission. True iff `sequence` was already APPLIED
   /// inside the dedup window — the caller acks without applying. Otherwise
@@ -282,15 +222,9 @@ class RpcServer {
 
   ClusterTransport* transport_;
   RpcServerOptions options_;
-  ServerLoop loop_ = ServerLoop::kThreads;
   TcpListener listener_;
-  std::thread accept_thread_;
   std::unique_ptr<EpollReactor> reactor_;
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;
-
-  std::mutex connections_mu_;
-  std::list<std::unique_ptr<Connection>> connections_;
 
   /// Outcome record for a sequence whose apply is in flight. Shared with
   /// every duplicate waiting on it: the outcome is handed to waiters

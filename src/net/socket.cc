@@ -242,39 +242,6 @@ Result<IoChunk> TcpSocket::WritevChunk(const struct iovec* iov, int iovcnt) {
   }
 }
 
-Status TcpSocket::WritevAll(struct iovec* iov, int iovcnt) {
-  int index = 0;
-  while (index < iovcnt) {
-    msghdr msg{};
-    msg.msg_iov = iov + index;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt - index);
-    const ssize_t written = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Non-blocking fd with a full buffer: wait for room, then retry.
-        MAGICRECS_ASSIGN_OR_RETURN(const bool writable, PollWritable(-1));
-        (void)writable;
-        continue;
-      }
-      if (errno == EPIPE || errno == ECONNRESET) {
-        return Status::Unavailable("connection closed by peer");
-      }
-      return Errno("sendmsg");
-    }
-    size_t taken = static_cast<size_t>(written);
-    while (index < iovcnt && taken >= iov[index].iov_len) {
-      taken -= iov[index].iov_len;
-      ++index;
-    }
-    if (index < iovcnt && taken > 0) {
-      iov[index].iov_base = static_cast<char*>(iov[index].iov_base) + taken;
-      iov[index].iov_len -= taken;
-    }
-  }
-  return Status::OK();
-}
-
 Result<bool> TcpSocket::PollWritable(int timeout_ms) {
   pollfd pfd{};
   pfd.fd = fd_;

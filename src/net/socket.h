@@ -85,11 +85,6 @@ class TcpSocket {
   /// Same error mapping as WriteChunk.
   Result<IoChunk> WritevChunk(const struct iovec* iov, int iovcnt);
 
-  /// Writes every byte the iovec array covers, retrying partial writes
-  /// and polling for socket-buffer room — the scatter/gather WriteAll.
-  /// MUTATES the array (entries are consumed/adjusted as bytes go out).
-  Status WritevAll(struct iovec* iov, int iovcnt);
-
   /// Polls the fd for writability. True when writable, false on the
   /// timeout; fd-level failures surface as the Status.
   Result<bool> PollWritable(int timeout_ms);

@@ -103,30 +103,29 @@
 //   kHelloReply         proto_version:u32 features:u32 max_inflight:u32
 //   kMuxRequest         request_id:u64 inner_tag:u8 inner_payload
 //   kMuxResponse        request_id:u64 last:u8 inner_tag:u8 inner_payload
-//     A client MAY open a session with kHello naming the features it wants
-//     (bit 0, kFeatureMux: request-id multiplexing). A server that
-//     understands it answers kHelloReply with the intersection of features
-//     it accepts plus the per-connection in-flight request cap it will
-//     enforce; a PRE-VERSIONING server answers kError(Unimplemented) — an
-//     unknown-but-well-framed tag — and the connection stays usable, which
-//     IS the negotiation: the client falls back to the strict in-order
-//     encoding below, byte-identical to the pre-extension protocol. Once
-//     mux is negotiated, many logical calls share the connection: each
-//     request travels as a kMuxRequest envelope around the ordinary
-//     request body, every reply frame comes back as a kMuxResponse
-//     envelope carrying the same request_id, and replies for DIFFERENT
-//     request_ids may arrive in any order (frames of one chunked reply
-//     stay ordered; `last` marks its final frame). Request ids are chosen
-//     by the client and opaque to the server; reusing an id while it is in
-//     flight is a client bug. Hello payloads grow at the tail like every
-//     other message; the leading marker byte keeps a hello distinguishable
-//     from residue under the same discipline as the other tails.
+//     A client opens a session with kHello naming the features it wants
+//     (bit 0, kFeatureMux: request-id multiplexing). The server answers
+//     kHelloReply with the intersection of features it accepts plus the
+//     per-connection in-flight request cap it will enforce. The clients in
+//     this repo (net/mux_connection.h) REQUIRE that reply to grant
+//     kFeatureMux and fail the dial otherwise — they never fall back to
+//     the unnegotiated encoding below, which the server still answers for
+//     any peer that skips the hello. Once mux is negotiated, many logical
+//     calls share the connection: each request travels as a kMuxRequest
+//     envelope around the ordinary request body, every reply frame comes
+//     back as a kMuxResponse envelope carrying the same request_id, and
+//     replies for DIFFERENT request_ids may arrive in any order (frames of
+//     one chunked reply stay ordered; `last` marks its final frame).
+//     Request ids are chosen by the client and opaque to the server;
+//     reusing an id while it is in flight is a client bug. Hello payloads
+//     grow at the tail like every other message; the leading marker byte
+//     keeps a hello distinguishable from residue under the same discipline
+//     as the other tails.
 //
 // Without negotiation, every request is answered by exactly one response on
-// the same connection, in request order. Clients MAY pipeline — write
-// request N+1 before reading response N (the fan-out broker keeps a bounded
-// window of publish frames in flight) — so servers must not assume at most
-// one outstanding request per connection. Ordering: requests that mutate
+// the same connection, in request order. A peer MAY pipeline — write
+// request N+1 before reading response N — so servers must not assume at
+// most one outstanding request per connection. Ordering: requests that mutate
 // the event stream (publish, publish-batch, drain, checkpoint, replica
 // ops) are applied in per-connection arrival order even on a multiplexed
 // connection — out-of-order completion is only allowed for reads (gather,

@@ -209,41 +209,6 @@ void TinySocketPair(TcpSocket* writer, TcpSocket* reader) {
   *reader = TcpSocket(fds[1]);
 }
 
-TEST(WritevTest, WritevAllResumesMidIovecAgainstAOneByteReader) {
-  TcpSocket writer, reader;
-  TinySocketPair(&writer, &reader);
-
-  // Five segments, ~64 KiB total — far beyond the squeezed send buffer, so
-  // WritevAll must take several partial sendmsg rounds, resuming mid-iovec.
-  std::vector<std::string> parts;
-  std::string expected;
-  for (int i = 0; i < 5; ++i) {
-    parts.push_back(std::string(13'000 + 17 * i, static_cast<char>('a' + i)));
-    expected += parts.back();
-  }
-  std::thread sender([&] {
-    struct iovec iov[5];
-    for (int i = 0; i < 5; ++i) {
-      iov[i].iov_base = parts[i].data();
-      iov[i].iov_len = parts[i].size();
-    }
-    const Status status = writer.WritevAll(iov, 5);
-    EXPECT_TRUE(status.ok()) << status;
-    writer.Shutdown();
-  });
-  std::string received;
-  received.reserve(expected.size());
-  char byte;
-  bool eof = false;
-  while (received.size() < expected.size()) {
-    ASSERT_TRUE(reader.ReadFull(&byte, 1, &eof).ok());
-    ASSERT_FALSE(eof);
-    received.push_back(byte);
-  }
-  sender.join();
-  EXPECT_EQ(received, expected);
-}
-
 TEST(WritevTest, WritevChunkReportsWouldBlockInsteadOfBlocking) {
   TcpSocket writer, reader;
   TinySocketPair(&writer, &reader);
@@ -282,14 +247,12 @@ TEST(WritevTest, WritevChunkReportsWouldBlockInsteadOfBlocking) {
       << "256 KiB against a 4 KiB send buffer never filled it?";
 }
 
-// --- end-to-end byte identity, both server loops ----------------------------
+// --- end-to-end byte identity through the reactor ---------------------------
 
-class EgressServerTest : public ::testing::TestWithParam<ServerLoop> {
+class EgressServerTest : public ::testing::Test {
  protected:
   void StartServer() {
-    RpcServerOptions options;
-    options.loop = GetParam();
-    auto server = RpcServer::Start(&transport_, options);
+    auto server = RpcServer::Start(&transport_, {});
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(server).value();
   }
@@ -298,7 +261,7 @@ class EgressServerTest : public ::testing::TestWithParam<ServerLoop> {
   std::unique_ptr<RpcServer> server_;
 };
 
-TEST_P(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
+TEST_F(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   // The wire-compatibility lock: a chunked multi-frame gather reply read
   // raw off the socket must equal, byte for byte, what the flat-string
   // encoder produces for the same recommendations. ~9 MiB => three chunked
@@ -329,12 +292,11 @@ TEST_P(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   EXPECT_TRUE(raw == expected) << "zero-copy egress changed the wire bytes";
 }
 
-TEST_P(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
+TEST_F(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
   transport_.set_recommendations({});
   StartServer();
   auto conn = MuxConnection::Dial("127.0.0.1", server_->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  ASSERT_TRUE((*conn)->muxed());
   std::vector<Frame> reply;
   ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
   ASSERT_EQ(reply.size(), 1u);
@@ -346,19 +308,12 @@ TEST_P(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
   EXPECT_NE(text.find("rpc_frames_per_writev"), std::string::npos);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothLoops, EgressServerTest,
-                         ::testing::Values(ServerLoop::kThreads,
-                                           ServerLoop::kEpoll),
-                         [](const auto& info) {
-                           return std::string(ServerLoopFlag(info.param));
-                         });
-
 // --- the convoy regression (send_mu_ held across a blocking jumbo write) ----
 
 TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
-  // A fake daemon that accepts and reads NOTHING until told: the client's
-  // first Start (a 12 MiB jumbo) must block in the kernel with every
-  // socket buffer full, while a second thread's small Start returns
+  // A fake daemon that answers the hello, then reads NOTHING until told:
+  // the client's first Start (a 12 MiB jumbo) must block in the kernel with
+  // every socket buffer full, while a second thread's small Start returns
   // promptly — under the old code it parked on send_mu_ for the whole
   // jumbo write. The wire must still carry jumbo-then-ping, in order.
   auto listener = TcpListener::Listen("127.0.0.1", 0);
@@ -374,21 +329,32 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
 
   std::atomic<bool> jumbo_started{false};
   std::atomic<bool> jumbo_done{false};
-  std::string received(jumbo.size() + ping.size(), '\0');
+  std::vector<Frame> received;  // the unwrapped kMuxRequest bodies
   std::thread server([&] {
     Result<TcpSocket> peer = listener->Accept();
     ASSERT_TRUE(peer.ok()) << peer.status();
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    ASSERT_EQ(hello.tag, MessageTag::kHello);
+    std::string reply;
+    AppendHelloReply(kFeatureMux, /*max_inflight=*/64, &reply);
+    ASSERT_TRUE(WriteFrames(&*peer, reply).ok());
     // Hold every byte in flight until the small Start has come back.
     while (!jumbo_started.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    bool eof = false;
-    ASSERT_TRUE(peer->ReadFull(received.data(), received.size(), &eof).ok());
+    for (int i = 0; i < 2; ++i) {
+      Frame envelope;
+      ASSERT_TRUE(ReadFrame(&*peer, &envelope).ok());
+      ASSERT_EQ(envelope.tag, MessageTag::kMuxRequest);
+      uint64_t request_id = 0;
+      Frame inner;
+      ASSERT_TRUE(DecodeMuxRequest(envelope.payload, &request_id, &inner).ok());
+      received.push_back(std::move(inner));
+    }
   });
 
-  MuxConnectionOptions options;
-  options.enable_mux = false;  // legacy path: no hello to fake
-  auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), options);
+  auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
 
   std::thread jumbo_writer([&] {
@@ -410,8 +376,10 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
 
   server.join();
   jumbo_writer.join();
-  EXPECT_EQ(received.compare(0, jumbo.size(), jumbo), 0);
-  EXPECT_EQ(received.compare(jumbo.size(), ping.size(), ping), 0);
+  ASSERT_EQ(received.size(), 2u);
+  EXPECT_EQ(received[0].tag, MessageTag::kPublish);
+  EXPECT_EQ(received[0].payload, std::string(12u << 20, 'j'));
+  EXPECT_EQ(received[1].tag, MessageTag::kPing);
   (*conn)->Shutdown();
 }
 

@@ -1,14 +1,13 @@
-// Partial-I/O and scaling acceptance for the server loops, parameterized
-// over both so the two implementations share one contract:
+// Partial-I/O and scaling acceptance for the epoll reactor:
 //   * frames delivered one byte at a time decode exactly like whole ones;
 //   * replies larger than the socket buffer drain through the partial-
-//     write state machine (epoll: EPOLLOUT + carry, counted);
+//     write state machine (EPOLLOUT + carry, counted);
 //   * pipelined requests before a framing error are all answered, in
 //     order, before the error reply severs the connection;
 //   * the per-connection in-flight cap applies backpressure instead of
 //     unbounded buffering;
-//   * 256 concurrent connections are served — and the epoll reactor does
-//     it without 256 threads (asserted via /proc/self/task).
+//   * 256 concurrent connections are served without 256 threads
+//     (asserted via /proc/self/task).
 
 #include "net/epoll_reactor.h"
 
@@ -49,28 +48,23 @@ long CountThreads() {
   return count;
 }
 
-class ServerLoopTest : public ::testing::TestWithParam<ServerLoop> {
+class EpollServerTest : public ::testing::Test {
  protected:
-  void StartServer(const RpcServerOptions& base = {}) {
-    RpcServerOptions options = base;
-    options.loop = GetParam();
+  void StartServer(const RpcServerOptions& options = {}) {
     auto server = RpcServer::Start(&transport_, options);
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(server).value();
-    ASSERT_EQ(server_->loop(), GetParam());
   }
 
   Result<TcpSocket> RawConnection() {
     return TcpSocket::Connect("127.0.0.1", server_->port());
   }
 
-  bool epoll() const { return GetParam() == ServerLoop::kEpoll; }
-
   StubTransport transport_;
   std::unique_ptr<RpcServer> server_;
 };
 
-TEST_P(ServerLoopTest, FramesDeliveredOneByteAtATimeDecode) {
+TEST_F(EpollServerTest, FramesDeliveredOneByteAtATimeDecode) {
   StartServer();
   auto socket = RawConnection();
   ASSERT_TRUE(socket.ok()) << socket.status();
@@ -92,16 +86,13 @@ TEST_P(ServerLoopTest, FramesDeliveredOneByteAtATimeDecode) {
   ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
   EXPECT_EQ(reply.tag, MessageTag::kAck);  // the ping
   EXPECT_EQ(transport_.publishes(), 1u);
-  if (epoll()) {
-    EXPECT_GT(server_->stats().partial_reads, 0u)
-        << "byte-dribbled frames should have exercised the partial-read "
-           "path";
-  }
+  EXPECT_GT(server_->stats().partial_reads, 0u)
+      << "byte-dribbled frames should have exercised the partial-read path";
 }
 
-TEST_P(ServerLoopTest, ReplyLargerThanSocketBufferDrains) {
+TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
   // ~24 MiB of canned recommendations: far beyond any socket buffer, so
-  // the reply must stream through several chunked frames and (epoll) the
+  // the reply must stream through several chunked frames and the
   // partial-write state machine while the client reads at its own pace.
   std::vector<Recommendation> canned(60'000);
   for (size_t i = 0; i < canned.size(); ++i) {
@@ -132,20 +123,18 @@ TEST_P(ServerLoopTest, ReplyLargerThanSocketBufferDrains) {
   }
   ASSERT_EQ(received.size(), canned.size());
   EXPECT_EQ(received.back().witnesses, canned.back().witnesses);
-  if (epoll()) {
-    EXPECT_GT(server_->stats().partial_writes, 0u)
-        << "a 24 MiB reply cannot have fit the socket buffer whole";
-  }
+  EXPECT_GT(server_->stats().partial_writes, 0u)
+      << "a 24 MiB reply cannot have fit the socket buffer whole";
 }
 
-TEST_P(ServerLoopTest, PipelinedRequestsBeforeFramingErrorAnswerInOrder) {
+TEST_F(EpollServerTest, PipelinedRequestsBeforeFramingErrorAnswerInOrder) {
   StartServer();
   auto socket = RawConnection();
   ASSERT_TRUE(socket.ok()) << socket.status();
 
   // Two good pings, then an oversized length prefix — all in one write.
-  // The contract (identical across loops): both pings answered first,
-  // then the error reply, then the connection is severed.
+  // The contract: both pings answered first, then the error reply, then
+  // the connection is severed.
   std::string bytes;
   AppendEmptyRequest(MessageTag::kPing, &bytes);
   AppendEmptyRequest(MessageTag::kPing, &bytes);
@@ -168,7 +157,7 @@ TEST_P(ServerLoopTest, PipelinedRequestsBeforeFramingErrorAnswerInOrder) {
       << "the stream is desynchronized; the server must sever";
 }
 
-TEST_P(ServerLoopTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
+TEST_F(EpollServerTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
   RpcServerOptions options;
   options.max_inflight_per_conn = 4;
   options.worker_threads = 2;
@@ -177,8 +166,8 @@ TEST_P(ServerLoopTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
   ASSERT_TRUE(socket.ok()) << socket.status();
 
   // 200 pipelined pings, written before any reply is read. Every one must
-  // be answered; the epoll loop must have paused reads at the cap along
-  // the way rather than parking 200 decoded requests.
+  // be answered; the reactor must have paused reads at the cap along the
+  // way rather than parking 200 decoded requests.
   constexpr int kPings = 200;
   std::string bytes;
   for (int i = 0; i < kPings; ++i) {
@@ -195,13 +184,11 @@ TEST_P(ServerLoopTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
     EXPECT_EQ(reply.tag, MessageTag::kAck);
   }
   writer.join();
-  if (epoll()) {
-    EXPECT_GT(server_->stats().inflight_stalls, 0u)
-        << "200 pipelined requests against a cap of 4 never stalled?";
-  }
+  EXPECT_GT(server_->stats().inflight_stalls, 0u)
+      << "200 pipelined requests against a cap of 4 never stalled?";
 }
 
-TEST_P(ServerLoopTest, Soak256ConcurrentConnections) {
+TEST_F(EpollServerTest, Soak256ConcurrentConnections) {
   StartServer();
   const long threads_before = CountThreads();
   constexpr size_t kConnections = 256;
@@ -227,12 +214,9 @@ TEST_P(ServerLoopTest, Soak256ConcurrentConnections) {
     }
   }
   EXPECT_GE(server_->stats().connections_accepted, kConnections);
-  if (epoll()) {
-    const long added = CountThreads() - threads_before;
-    EXPECT_LT(added, 32)
-        << "the epoll loop must serve 256 connections without a thread per "
-           "connection (threads loop would add ~256)";
-  }
+  EXPECT_LT(CountThreads() - threads_before, 32)
+      << "the reactor must serve 256 connections without a thread per "
+         "connection";
   // Orderly teardown: close every socket; the server reaps them all.
   sockets.clear();
   for (int i = 0; i < 200; ++i) {
@@ -243,13 +227,6 @@ TEST_P(ServerLoopTest, Soak256ConcurrentConnections) {
   EXPECT_EQ(server_->stats().protocol_errors, 0u)
       << "orderly closes must not count as protocol errors";
 }
-
-INSTANTIATE_TEST_SUITE_P(BothLoops, ServerLoopTest,
-                         ::testing::Values(ServerLoop::kThreads,
-                                           ServerLoop::kEpoll),
-                         [](const auto& info) {
-                           return std::string(ServerLoopFlag(info.param));
-                         });
 
 }  // namespace
 }  // namespace magicrecs::net

@@ -4,7 +4,9 @@
 // records, not just (user, item) pairs — to the inline single-process
 // broker. Plus the connection-pool failure drill: a daemon killed
 // mid-pipeline surfaces as a Status error, and the pool reconnects once the
-// daemon is back.
+// daemon is back. The single-daemon deployment — one all-hosting endpoint —
+// gets its own cases: move-out gathers, Status codes across the wire,
+// persistence, an inline-mode daemon, and a server stop.
 
 #include "net/fanout_cluster.h"
 
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../persist/scoped_temp_dir.h"
 #include "fanout_test_util.h"
 
 #include "cluster/transport.h"
@@ -60,6 +63,27 @@ std::vector<Recommendation> RunThrough(ClusterTransport* transport,
   auto recs = transport->TakeRecommendations();
   EXPECT_TRUE(recs.ok()) << recs.status();
   return std::move(recs).value_or({});
+}
+
+/// One daemon hosting every partition behind a one-endpoint broker.
+struct SingleDaemon {
+  Daemon daemon;
+  std::unique_ptr<FanoutCluster> broker;
+};
+
+SingleDaemon StartSingleDaemon(const StaticGraph& graph,
+                               const ClusterOptions& options,
+                               LocalClusterTransport::Mode mode =
+                                   LocalClusterTransport::Mode::kThreaded) {
+  SingleDaemon s;
+  s.daemon = StartDaemon(graph, options, {}, mode);
+  FanoutClusterOptions fopt;
+  fopt.endpoints.resize(1);
+  fopt.endpoints[0].port = s.daemon.server->port();
+  auto broker = FanoutCluster::Connect(fopt);
+  EXPECT_TRUE(broker.ok()) << broker.status();
+  s.broker = std::move(broker).value();
+  return s;
 }
 
 TEST(FanoutClusterTest, TopologyValidation) {
@@ -411,6 +435,94 @@ TEST(FanoutClusterTest, CallsAfterCloseFailCleanly) {
   EXPECT_TRUE(
       g.broker->TakeRecommendations().status().IsFailedPrecondition());
   EXPECT_TRUE(g.broker->Close().ok()) << "Close is idempotent";
+}
+
+TEST(FanoutClusterTest, SingleDaemonSecondTakeIsEmpty) {
+  SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(),
+                                     MakeClusterOptions(2));
+  ASSERT_TRUE(s.broker->Ping().ok());
+  for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
+    ASSERT_TRUE(s.broker->Publish(event).ok());
+  }
+  ASSERT_TRUE(s.broker->Drain().ok());
+  auto recs = s.broker->TakeRecommendations();
+  ASSERT_TRUE(recs.ok()) << recs.status();
+  ASSERT_EQ(recs->size(), 1u);
+  EXPECT_EQ((*recs)[0].user, figure1::kA2);
+  EXPECT_EQ((*recs)[0].item, figure1::kC2);
+
+  // Move-out semantics hold across the wire.
+  auto empty = s.broker->TakeRecommendations();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(FanoutClusterTest, SingleDaemonReplicaOpStatusCodesSurviveTheWire) {
+  SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(),
+                                     MakeClusterOptions(2, 2));
+  ASSERT_TRUE(s.broker->KillReplica(0, 1).ok());
+  ASSERT_TRUE(s.broker->RecoverReplica(0, 1).ok());
+
+  // The daemon's Status codes survive the round trip.
+  EXPECT_TRUE(s.broker->KillReplica(99, 0).IsInvalidArgument());
+  EXPECT_TRUE(s.broker->RecoverReplica(0, 0).IsAlreadyExists());
+  EXPECT_TRUE(s.broker->Checkpoint(0).IsFailedPrecondition())
+      << "no persistence configured on the hosted cluster";
+}
+
+TEST(FanoutClusterTest, SingleDaemonCheckpointThenRecoverWithPersistence) {
+  ScopedTempDir dir;
+  ClusterOptions options = MakeClusterOptions(2, 2);
+  options.persist.dir = dir.path();
+  SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(), options);
+
+  // Stream everything but the trigger, checkpoint, kill+recover a replica
+  // (rebuilt from snapshot + WAL on the daemon), then the trigger.
+  const auto edges = figure1::DynamicEdges(0);
+  for (size_t i = 0; i + 1 < edges.size(); ++i) {
+    EdgeEvent event;
+    event.edge = edges[i];
+    ASSERT_TRUE(s.broker->Publish(event).ok());
+  }
+  ASSERT_TRUE(s.broker->Checkpoint(Seconds(100)).ok());
+  ASSERT_TRUE(s.broker->KillReplica(0, 0).ok());
+  ASSERT_TRUE(s.broker->RecoverReplica(0, 0).ok());
+  EdgeEvent trigger;
+  trigger.edge = edges.back();
+  ASSERT_TRUE(s.broker->Publish(trigger).ok());
+  ASSERT_TRUE(s.broker->Drain().ok());
+
+  auto recs = s.broker->TakeRecommendations();
+  ASSERT_TRUE(recs.ok()) << recs.status();
+  ASSERT_EQ(recs->size(), 1u);
+  EXPECT_EQ((*recs)[0].user, figure1::kA2);
+  EXPECT_EQ((*recs)[0].item, figure1::kC2);
+}
+
+TEST(FanoutClusterTest, SingleDaemonOverAnInlineModeTransport) {
+  // The daemon can host an inline (single-threaded) cluster too.
+  SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(),
+                                     MakeClusterOptions(2),
+                                     LocalClusterTransport::Mode::kInline);
+  for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
+    ASSERT_TRUE(s.broker->Publish(event).ok());
+  }
+  ASSERT_TRUE(s.broker->Drain().ok());  // no-op, but must succeed
+  auto recs = s.broker->TakeRecommendations();
+  ASSERT_TRUE(recs.ok()) << recs.status();
+  ASSERT_EQ(recs->size(), 1u);
+  EXPECT_EQ((*recs)[0].user, figure1::kA2);
+}
+
+TEST(FanoutClusterTest, ServerStopGivesUnavailableNotAHang) {
+  SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(),
+                                     MakeClusterOptions(2));
+  ASSERT_TRUE(s.broker->Ping().ok());
+  s.daemon.server->Stop();
+  EdgeEvent event;
+  event.edge = {figure1::kB1, figure1::kC1, 1};
+  const Status published = s.broker->Publish(event);
+  EXPECT_TRUE(published.IsUnavailable()) << published;
 }
 
 }  // namespace

@@ -64,10 +64,11 @@ struct Daemon {
 
 inline Daemon StartDaemon(const StaticGraph& graph,
                           const ClusterOptions& options,
-                          const net::RpcServerOptions& server_options = {}) {
+                          const net::RpcServerOptions& server_options = {},
+                          LocalClusterTransport::Mode mode =
+                              LocalClusterTransport::Mode::kThreaded) {
   Daemon d;
-  auto hosted = LocalClusterTransport::Create(
-      graph, options, LocalClusterTransport::Mode::kThreaded);
+  auto hosted = LocalClusterTransport::Create(graph, options, mode);
   EXPECT_TRUE(hosted.ok()) << hosted.status();
   d.hosted = std::move(hosted).value();
   auto server = net::RpcServer::Start(d.hosted.get(), server_options);

@@ -1,8 +1,6 @@
-// Session-layer acceptance: the hello negotiation (both directions of
-// version skew), request-id multiplexing with out-of-order completion on
-// one socket, timeout-abandon keeping the connection usable, and the
-// legacy in-order fallback staying byte-compatible with pre-versioning
-// peers — the back-compat lock the rolling-upgrade story rests on.
+// Session-layer acceptance: the mandatory hello negotiation, request-id
+// multiplexing with out-of-order completion on one socket, timeout-abandon
+// keeping the connection usable, and bounded waits at the in-flight cap.
 
 #include "net/mux_connection.h"
 
@@ -17,9 +15,9 @@
 #include "stub_transport.h"
 
 #include "cluster/transport.h"
-#include "gen/figure1.h"
-#include "net/remote_cluster.h"
+#include "net/frame_io.h"
 #include "net/rpc_server.h"
+#include "net/socket.h"
 #include "net/wire.h"
 
 namespace magicrecs::net {
@@ -44,75 +42,92 @@ struct Harness {
   std::unique_ptr<RpcServer> server;
 };
 
-std::unique_ptr<Harness> StartServer(ServerLoop loop,
-                                     bool server_mux = true) {
+std::unique_ptr<Harness> StartServer(const RpcServerOptions& options = {}) {
   auto h = std::make_unique<Harness>();
-  RpcServerOptions options;
-  options.loop = loop;
-  options.enable_mux = server_mux;
   auto server = RpcServer::Start(&h->transport, options);
   EXPECT_TRUE(server.ok()) << server.status();
   h->server = std::move(server).value();
   return h;
 }
 
-TEST(MuxConnectionTest, NegotiatesWithAnUpgradedServer) {
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop);
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_TRUE((*conn)->muxed());
-    EXPECT_EQ((*conn)->server_max_inflight(), 64u);
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    ASSERT_EQ(reply.size(), 1u);
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-    EXPECT_EQ(h->server->stats().mux_connections, 1u);
-  }
+TEST(MuxConnectionTest, NegotiatesWithTheServer) {
+  auto h = StartServer();
+  auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  EXPECT_NE((*conn)->features() & kFeatureMux, 0u);
+  EXPECT_EQ((*conn)->server_max_inflight(), 64u);
+  std::vector<Frame> reply;
+  ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
+  ASSERT_EQ(reply.size(), 1u);
+  EXPECT_EQ(reply[0].tag, MessageTag::kAck);
+  EXPECT_EQ(h->server->stats().mux_connections, 1u);
 }
 
-TEST(MuxConnectionTest, FallsBackAgainstAPreVersioningServer) {
-  // enable_mux=false makes the server treat kHello as an unknown tag —
-  // exactly what a pre-PR5 binary does. The client must downgrade to the
-  // strict in-order session and still serve calls.
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop, /*server_mux=*/false);
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_FALSE((*conn)->muxed());
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    ASSERT_EQ(reply.size(), 1u);
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-    EXPECT_EQ(h->server->stats().mux_connections, 0u);
-  }
+TEST(MuxConnectionTest, DialFailsAgainstAServerWithoutHello) {
+  // A peer that answers the hello with kError(Unimplemented) — what a
+  // daemon that never learned the handshake does — must fail the dial:
+  // the client has no in-order fallback to downgrade to.
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread server([&] {
+    Result<TcpSocket> peer = listener->Accept();
+    ASSERT_TRUE(peer.ok()) << peer.status();
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    EXPECT_EQ(hello.tag, MessageTag::kHello);
+    std::string error;
+    AppendError(Status::Unimplemented("unknown message tag 0x0a"), &error);
+    ASSERT_TRUE(WriteFrames(&*peer, error).ok());
+    char byte;
+    (void)peer->ReadFull(&byte, 1);  // hold the socket until the client exits
+  });
+  {
+    auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
+    EXPECT_FALSE(conn.ok());
+    EXPECT_TRUE(conn.status().IsFailedPrecondition()) << conn.status();
+    EXPECT_NE(conn.status().ToString().find("did not negotiate mux"),
+              std::string::npos)
+        << conn.status();
+  }  // the client hangs up here, releasing the fake server
+  server.join();
 }
 
-TEST(MuxConnectionTest, LegacyClientSpeaksToAnUpgradedServer) {
-  // The other direction of version skew: a pre-versioning client never
-  // sends kHello, so the server must serve bare in-order traffic forever.
-  for (const ServerLoop loop : {ServerLoop::kThreads, ServerLoop::kEpoll}) {
-    auto h = StartServer(loop);
-    MuxConnectionOptions mopt;
-    mopt.enable_mux = false;
-    auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), mopt);
-    ASSERT_TRUE(conn.ok()) << conn.status();
-    EXPECT_FALSE((*conn)->muxed());
-    std::vector<Frame> reply;
-    ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
-    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
-  }
+TEST(MuxConnectionTest, StatsTailRidesOnlyOnTheNegotiatedSession) {
+  // The server-loop counters are a negotiated stats tail: a muxed session
+  // receives them (loop byte 2, the reactor), while a peer that never said
+  // hello gets the bare encoding it can decode.
+  auto h = StartServer();
+  std::string stats_request;
+  AppendEmptyRequest(MessageTag::kStats, &stats_request);
+
+  auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  std::vector<Frame> reply;
+  ASSERT_TRUE((*conn)->CallOne(stats_request, 0, &reply).ok());
+  ASSERT_EQ(reply.size(), 1u);
+  ClusterStats muxed;
+  ASSERT_TRUE(DecodeStatsReply(reply[0].payload, &muxed).ok());
+  EXPECT_EQ(muxed.server.loop, 2);
+
+  auto bare_socket = TcpSocket::Connect("127.0.0.1", h->server->port());
+  ASSERT_TRUE(bare_socket.ok()) << bare_socket.status();
+  ASSERT_TRUE(WriteFrames(&*bare_socket, stats_request).ok());
+  Frame bare_reply;
+  ASSERT_TRUE(ReadFrame(&*bare_socket, &bare_reply).ok());
+  ASSERT_EQ(bare_reply.tag, MessageTag::kStatsReply);
+  ClusterStats bare;
+  ASSERT_TRUE(DecodeStatsReply(bare_reply.payload, &bare).ok());
+  EXPECT_FALSE(bare.server.any());
 }
 
 TEST(MuxConnectionTest, OrderFreeReadOvertakesAStalledWriteOnOneSocket) {
   // The reason mux exists: a gated Drain holds its worker on the epoll
   // server while a Ping issued LATER on the SAME connection completes
   // first — out-of-order replies demultiplexed by request_id.
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  ASSERT_TRUE((*conn)->muxed());
 
   auto drain = (*conn)->Start(DrainFrame());
   ASSERT_TRUE(drain.ok()) << drain.status();
@@ -139,7 +154,7 @@ TEST(MuxConnectionTest, TimedOutCallIsAbandonedAndTheConnectionSurvives) {
   // The property the old leased-socket pool could not offer: a deadline
   // miss forgets the request id instead of poisoning the stream. The late
   // reply is discarded and the SAME connection keeps serving.
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
@@ -163,13 +178,9 @@ TEST(MuxConnectionTest, CapWaitIsBoundedAgainstASilentServer) {
   // A daemon that stops answering stops freeing in-flight slots. A Start
   // blocked at the cap must fail within its bound — without poisoning the
   // connection — instead of hanging ahead of every Await-side timeout.
-  auto h = std::make_unique<Harness>();
   RpcServerOptions options;
-  options.loop = ServerLoop::kEpoll;
   options.max_inflight_per_conn = 1;
-  auto server = RpcServer::Start(&h->transport, options);
-  ASSERT_TRUE(server.ok()) << server.status();
-  h->server = std::move(server).value();
+  auto h = StartServer(options);
   h->transport.GateDrains();
 
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
@@ -194,7 +205,7 @@ TEST(MuxConnectionTest, CapWaitIsBoundedAgainstASilentServer) {
 }
 
 TEST(MuxConnectionTest, ManyThreadsShareOneConnection) {
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
   constexpr int kThreads = 8;
@@ -221,7 +232,7 @@ TEST(MuxConnectionTest, ManyThreadsShareOneConnection) {
 }
 
 TEST(MuxConnectionTest, ShutdownFailsInflightCallsAndFutureStarts) {
-  auto h = StartServer(ServerLoop::kEpoll);
+  auto h = StartServer();
   h->transport.GateDrains();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
@@ -242,58 +253,10 @@ TEST(MuxConnectionTest, ShutdownFailsInflightCallsAndFutureStarts) {
 
 TEST(MuxConnectionTest, FailedDialReturnsErrorNotCrash) {
   // Nothing listens on the reserved port: the dial must come back as a
-  // Status — and tearing down the half-built RemoteCluster (conn_ never
-  // assigned) must not crash in Close().
-  RemoteClusterOptions ropt;
-  ropt.port = 1;
-  auto remote = RemoteCluster::Connect(ropt);
-  EXPECT_FALSE(remote.ok());
-  EXPECT_TRUE(remote.status().IsUnavailable()) << remote.status();
-}
-
-// --- the ClusterTransport-level back-compat locks ----------------------------
-
-TEST(MuxConnectionTest, RemoteClusterLegacyModeMatchesFigure1) {
-  // Full client driving the legacy wire (enable_mux=false): the bytes on
-  // the wire are the pre-versioning protocol's, and the results must be
-  // identical to the muxed session's.
-  for (const bool client_mux : {true, false}) {
-    ClusterOptions options;
-    options.num_partitions = 2;
-    options.detector.k = 2;
-    options.detector.window = Minutes(10);
-    auto hosted = LocalClusterTransport::Create(
-        figure1::FollowGraph(), options,
-        LocalClusterTransport::Mode::kThreaded);
-    ASSERT_TRUE(hosted.ok()) << hosted.status();
-    auto server = RpcServer::Start(hosted->get(), RpcServerOptions{});
-    ASSERT_TRUE(server.ok()) << server.status();
-
-    RemoteClusterOptions ropt;
-    ropt.port = (*server)->port();
-    ropt.enable_mux = client_mux;
-    auto remote = RemoteCluster::Connect(ropt);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_EQ((*remote)->muxed(), client_mux);
-
-    for (const TimestampedEdge& edge : figure1::DynamicEdges(0)) {
-      EdgeEvent event;
-      event.edge = edge;
-      ASSERT_TRUE((*remote)->Publish(event).ok());
-    }
-    ASSERT_TRUE((*remote)->Drain().ok());
-    auto recs = (*remote)->TakeRecommendations();
-    ASSERT_TRUE(recs.ok()) << recs.status();
-    ASSERT_EQ(recs->size(), 1u);
-    EXPECT_EQ((*recs)[0].user, figure1::kA2);
-    EXPECT_EQ((*recs)[0].item, figure1::kC2);
-
-    // The negotiated stats tail must never leak to a legacy session.
-    auto stats = (*remote)->GetStats();
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_EQ(stats->server.any(), client_mux)
-        << "server-loop counters are a negotiated extension";
-  }
+  // Status.
+  auto conn = MuxConnection::Dial("127.0.0.1", 1, {});
+  EXPECT_FALSE(conn.ok());
+  EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status();
 }
 
 }  // namespace

@@ -13,8 +13,8 @@
 
 #include "cluster/transport.h"
 #include "gen/figure1.h"
+#include "net/fanout_cluster.h"
 #include "net/frame_io.h"
-#include "net/remote_cluster.h"
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
@@ -45,11 +45,12 @@ class RpcRobustnessTest : public ::testing::Test {
 
   /// The daemon must still serve a well-behaved client.
   void ExpectServerAlive() {
-    RemoteClusterOptions options;
-    options.port = server_->port();
-    auto remote = RemoteCluster::Connect(options);
-    ASSERT_TRUE(remote.ok()) << remote.status();
-    EXPECT_TRUE((*remote)->Ping().ok());
+    FanoutClusterOptions options;
+    options.endpoints.resize(1);
+    options.endpoints[0].port = server_->port();
+    auto broker = FanoutCluster::Connect(options);
+    ASSERT_TRUE(broker.ok()) << broker.status();
+    EXPECT_TRUE((*broker)->Ping().ok());
   }
 
   /// Handler threads for severed connections finish asynchronously; poll

@@ -3,16 +3,18 @@
 
 Every bench row is a flat JSON object tagged with a "section". A row's
 identity is the tuple of its descriptive fields (section, transport, loop,
-stage, batch, connections, ...); its measurements are the throughput and
-latency fields. The check fails when, for any row present in both files,
+stage, batch, connections, ...); its measurements are the throughput,
+latency and count fields. The check fails when
 
+  * a baseline row is missing from the current run (a bench stopped
+    emitting it), or, for any row present in both files,
   * a throughput measurement (events_per_sec, requests_per_sec) dropped by
     more than --threshold (default 30%), or
   * tail latency (p99_us) grew by more than --threshold.
 
-Rows present only in the baseline are reported but do not fail the check
-(a bench section can be retired); rows present only in the current run are
-new coverage and pass silently. Refresh the baseline deliberately:
+Rows present only in the current run are new coverage and pass silently.
+To retire a row, delete it from the baseline in the same change that stops
+emitting it. Refresh the baseline deliberately:
 
     ./build/bench_net && ./build/bench_health
     cp BENCH_net.json bench/baseline/BENCH_net.json
@@ -36,6 +38,9 @@ MEASUREMENTS = {
     "p90_us",
     "p99_us",
     "max_us",
+    "frames_p50",
+    "frames_p99",
+    "frames_max",
     "recs",
     "count",
     "server_threads",
@@ -98,14 +103,16 @@ def main():
     sections = {s for s in args.sections.split(",") if s}
 
     failures = []
+    missing = []
     compared = 0
     for key, base_row in sorted(baseline.items()):
         if sections and base_row.get("section") not in sections:
             continue
         cur_row = current.get(key)
         if cur_row is None:
-            print(f"note: baseline-only row (not failing): "
+            print(f"FAIL: baseline row missing from the run: "
                   f"{describe(base_row)}")
+            missing.append(base_row)
             continue
         for field, direction in GATED.items():
             if field not in base_row or field not in cur_row:
@@ -125,7 +132,13 @@ def main():
             if bad:
                 failures.append((base_row, field, base, cur))
 
-    if compared == 0:
+    if missing:
+        print(f"\n{len(missing)} baseline row(s) missing from "
+              f"{args.current} (delete a row from {args.baseline} to "
+              "retire it):", file=sys.stderr)
+        for row in missing:
+            print(f"  {describe(row)}", file=sys.stderr)
+    if compared == 0 and not missing:
         sys.exit("no comparable measurements between "
                  f"{args.baseline} and {args.current}")
     if failures:
@@ -134,6 +147,7 @@ def main():
         for row, field, base, cur in failures:
             print(f"  {describe(row)} :: {field} {base:.1f} -> {cur:.1f}",
                   file=sys.stderr)
+    if missing or failures:
         sys.exit(1)
     print(f"\nbench check passed: {compared} measurements within "
           f"{args.threshold:.0%} of baseline")
