@@ -12,7 +12,6 @@
 #include "baseline/polling_detector.h"
 #include "baseline/twohop_tracker.h"
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "util/clock.h"
 #include "util/str_format.h"
 
@@ -69,25 +68,25 @@ int main() {
     opt.k = kK;
     opt.window = kWindow;
     opt.max_reported_witnesses = 0;
-    DiamondDetector detector(&w.follower_index, opt);
+    const auto engine = bench::DiamondEngine(w.follower_index, opt);
     std::vector<Recommendation> recs;
     Stopwatch timer;
     uint64_t emitted = 0;
     for (const TimestampedEdge& e : w.events) {
       recs.clear();
-      if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
+      if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
       emitted += recs.size();
     }
     Row row;
     row.name = "online (paper)";
     // Detection is synchronous with the trigger edge: latency == query time.
     row.detection_latency_p50_s =
-        detector.stats().query_micros.Median() / 1e6;
+        engine->stats().query_micros.Median() / 1e6;
     row.detection_latency_p99_s =
-        detector.stats().query_micros.Percentile(99) / 1e6;
+        engine->stats().query_micros.Percentile(99) / 1e6;
     row.per_event_cost_us = static_cast<double>(timer.ElapsedMicros()) /
                             static_cast<double>(w.events.size());
-    row.memory = detector.DynamicMemoryUsage();
+    row.memory = engine->DynamicMemoryUsage();
     row.emitted = emitted;
     Print(row);
   }

@@ -11,7 +11,6 @@
 
 #include "bench_json.h"
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "stream/delay_model.h"
 #include "stream/latency_tracker.h"
 #include "stream/simulator.h"
@@ -36,7 +35,7 @@ int main() {
   opt.k = 3;
   opt.window = Minutes(10);
   opt.max_reported_witnesses = 0;  // contents unused; skip materialization
-  DiamondDetector detector(&w.follower_index, opt);
+  const auto engine = bench::DiamondEngine(w.follower_index, opt);
 
   SimulatedClock clock;
   VirtualTimeSimulator simulator(&clock);
@@ -52,9 +51,8 @@ int main() {
     latency.RecordQueueDelay(queue_delay);
     const Stopwatch query_timer;
     recs.clear();
-    if (!detector
-             .OnEdge(event.edge.src, event.edge.dst, event.edge.created_at,
-                     &recs)
+    if (!engine->OnEdge(event.edge.src, event.edge.dst, event.edge.created_at,
+                        &recs)
              .ok()) {
       return;
     }

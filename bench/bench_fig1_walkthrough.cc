@@ -2,16 +2,15 @@
 //
 // The only figure in the paper is the worked diamond example: with k = 2,
 // the arrival of edge B2 -> C2 must produce exactly the recommendation
-// "C2 to A2". This harness replays the fragment through all four
-// implementations (online detector, generic motif engine, batch finder,
-// 20-partition cluster) and reports agreement.
+// "C2 to A2". This harness replays the fragment through all three
+// implementations (online motif engine, batch finder, 20-partition cluster)
+// and reports agreement.
 
 #include <cstdio>
 #include <vector>
 
 #include "baseline/snapshot_finder.h"
 #include "cluster/cluster.h"
-#include "core/diamond_detector.h"
 #include "core/motif_engine.h"
 #include "gen/figure1.h"
 
@@ -40,16 +39,6 @@ int main() {
   int failures = 0;
 
   {
-    DiamondDetector detector(&follower_index, opt);
-    std::vector<Recommendation> recs;
-    for (const auto& e : edges) {
-      if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) ++failures;
-    }
-    std::printf("%-28s %s\n", "online DiamondDetector:",
-                IsExpected(recs) ? "push C2 to A2  [ok]" : "MISMATCH");
-    failures += IsExpected(recs) ? 0 : 1;
-  }
-  {
     auto engine = MotifEngine::Create(follow, MakeDiamondSpec(2, Minutes(10)));
     std::vector<Recommendation> recs;
     if (engine.ok()) {
@@ -59,7 +48,7 @@ int main() {
         }
       }
     }
-    std::printf("%-28s %s\n", "declarative MotifEngine:",
+    std::printf("%-28s %s\n", "online MotifEngine:",
                 IsExpected(recs) ? "push C2 to A2  [ok]" : "MISMATCH");
     failures += IsExpected(recs) ? 0 : 1;
   }
@@ -90,7 +79,7 @@ int main() {
   }
 
   std::printf("\nresult: %s\n",
-              failures == 0 ? "all four implementations agree with the paper"
+              failures == 0 ? "all three implementations agree with the paper"
                             : "DISAGREEMENT DETECTED");
   return failures;
 }

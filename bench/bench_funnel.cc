@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "delivery/pipeline.h"
 #include "util/str_format.h"
 
@@ -34,14 +33,14 @@ int main() {
   dopt.k = 3;
   dopt.window = Minutes(10);
   dopt.max_reported_witnesses = 0;
-  DiamondDetector detector(&w.follower_index, dopt);
+  const auto engine = bench::DiamondEngine(w.follower_index, dopt);
 
   DeliveryPipeline pipeline;
   std::vector<Recommendation> recs;
   uint64_t by_outcome[4] = {0, 0, 0, 0};
   for (const TimestampedEdge& e : w.events) {
     recs.clear();
-    if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
+    if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
     for (const Recommendation& rec : recs) {
       const DeliveryOutcome outcome =
           pipeline.Process(rec, e.created_at, nullptr);

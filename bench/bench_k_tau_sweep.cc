@@ -10,7 +10,6 @@
 #include <set>
 
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
 #include "util/str_format.h"
@@ -59,17 +58,17 @@ int main() {
       opt.k = k;
       opt.window = tau;
       opt.max_reported_witnesses = 0;
-      DiamondDetector detector(&follower_index, opt);
+      const auto engine = bench::DiamondEngine(follower_index, opt);
       std::vector<Recommendation> recs;
       uint64_t candidates = 0;
       for (const TimestampedEdge& e : stream->events) {
         recs.clear();
-        if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
+        if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
           return 1;
         }
         candidates += recs.size();
       }
-      const DiamondStats& stats = detector.stats();
+      const MotifEngineStats& stats = engine->stats();
       std::printf("%4u %9llds %14s %14s %14.3f %16.1f\n", k,
                   static_cast<long long>(tau / kMicrosPerSecond),
                   HumanCount(static_cast<double>(stats.threshold_queries)).c_str(),

@@ -55,7 +55,7 @@ int main() {
       total_recs += recs.size();
     }
     if (partitions == 1) reference_recs = total_recs;
-    const DiamondStats stats = (*cluster)->AggregatedStats();
+    const MotifEngineStats stats = (*cluster)->AggregatedStats();
     std::printf("%11u %10s %12s %12s %14s %14s %s\n", partitions,
                 HumanCount(static_cast<double>(total_recs)).c_str(),
                 HumanBytes((*cluster)->TotalStaticMemory()).c_str(),
@@ -88,7 +88,7 @@ int main() {
       }
       total_recs += recs.size();
     }
-    const DiamondStats stats = (*cluster)->AggregatedStats();
+    const MotifEngineStats stats = (*cluster)->AggregatedStats();
     std::printf("%9u %10s %22s\n", replicas,
                 HumanCount(static_cast<double>(total_recs)).c_str(),
                 HumanCount(static_cast<double>(stats.threshold_queries) /

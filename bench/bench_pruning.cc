@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "util/str_format.h"
 
 using namespace magicrecs;
@@ -42,21 +41,21 @@ int main() {
     opt.k = 3;
     opt.window = window;
     opt.max_reported_witnesses = 0;
-    DiamondDetector detector(&w.follower_index, opt);
+    const auto engine = bench::DiamondEngine(w.follower_index, opt);
     std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
       recs.clear();
-      if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
+      if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
       total_recs += recs.size();
     }
     if (window == Minutes(30)) reference_recs = total_recs;
-    const DynamicGraphStats stats = detector.dynamic_index().stats();
+    const DynamicGraphStats stats = engine->dynamic_index().stats();
     std::printf("%9llds %14s %14s %12s %12s %9.1f%%\n",
                 static_cast<long long>(window / kMicrosPerSecond),
                 CommaSeparated(stats.current_edges).c_str(),
                 CommaSeparated(stats.pruned).c_str(),
-                HumanBytes(detector.DynamicMemoryUsage()).c_str(),
+                HumanBytes(engine->DynamicMemoryUsage()).c_str(),
                 HumanCount(static_cast<double>(total_recs)).c_str(),
                 reference_recs == 0
                     ? 0.0
@@ -73,20 +72,20 @@ int main() {
     opt.window = Minutes(10);
     opt.max_reported_witnesses = 0;
     opt.max_in_edges_per_vertex = cap;
-    DiamondDetector detector(&w.follower_index, opt);
+    const auto engine = bench::DiamondEngine(w.follower_index, opt);
     std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
       recs.clear();
-      if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
+      if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return 1;
       total_recs += recs.size();
     }
-    const DynamicGraphStats stats = detector.dynamic_index().stats();
+    const DynamicGraphStats stats = engine->dynamic_index().stats();
     std::printf("%10s %14s %14s %12s %12s\n",
                 cap == 0 ? "unlimited" : CommaSeparated(cap).c_str(),
                 CommaSeparated(stats.current_edges).c_str(),
                 CommaSeparated(stats.evicted).c_str(),
-                HumanBytes(detector.DynamicMemoryUsage()).c_str(),
+                HumanBytes(engine->DynamicMemoryUsage()).c_str(),
                 HumanCount(static_cast<double>(total_recs)).c_str());
   }
   std::printf("\nshape: retained edges and D memory scale with tau; "

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "workload.h"
-#include "core/diamond_detector.h"
 #include "util/str_format.h"
 
 using namespace magicrecs;
@@ -33,15 +32,15 @@ int main() {
       opt.k = k;
       opt.window = Minutes(10);
       opt.max_reported_witnesses = 0;
-      DiamondDetector detector(&w.follower_index, opt);
+      const auto engine = bench::DiamondEngine(w.follower_index, opt);
       std::vector<Recommendation> recs;
       for (const TimestampedEdge& e : w.events) {
         recs.clear();
-        if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
+        if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
           return 1;
         }
       }
-      const Histogram& h = detector.stats().query_micros;
+      const Histogram& h = engine->stats().query_micros;
       std::printf("%10u %4u %12.1f %12.1f %12.1f %12.1f %12lld\n", users, k,
                   h.Percentile(50), h.Percentile(90), h.Percentile(99),
                   h.Percentile(99.9), static_cast<long long>(h.Max()));

@@ -122,7 +122,7 @@ void SnapshotCosts(const Workload& w, const std::string& root) {
     Stopwatch write_timer;
     const Status ws = WriteSnapshot(
         path, meta, with_static ? &(*engine)->follower_index() : nullptr,
-        &(*engine)->detector().dynamic_index());
+        &(*engine)->motif_engine().dynamic_index());
     if (!ws.ok()) std::exit(1);
     const double write_ms = ToMillis(write_timer.ElapsedMicros());
 
@@ -181,7 +181,7 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
         const Status s = WriteSnapshot(
             persist.dir + "/" + SnapshotFileName(half), meta,
             &(*engine)->follower_index(),
-            &(*engine)->detector().dynamic_index());
+            &(*engine)->motif_engine().dynamic_index());
         if (!s.ok()) std::exit(1);
       }
     }
@@ -195,15 +195,14 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
   {
     auto engine = RecommenderEngine::Create(w.follow_graph, ProductionOptions());
     if (!engine.ok()) std::exit(1);
-    (*engine)->ClearDynamicState();
     Stopwatch timer;
     uint64_t replayed = 0;
     const Status s = ReplayWal(
         persist.dir, 0,
         [&](const EdgeEvent& event) {
           ++replayed;
-          return (*engine)->Ingest(event.edge.src, event.edge.dst,
-                                   event.edge.created_at);
+          return (*engine)->motif_engine().Ingest(
+              event.edge.src, event.edge.dst, event.edge.created_at);
         },
         nullptr);
     if (!s.ok()) std::exit(1);

@@ -11,7 +11,6 @@
 #include "bench_json.h"
 #include "workload.h"
 #include "cluster/cluster.h"
-#include "core/diamond_detector.h"
 #include "intersect/simd.h"
 #include "util/clock.h"
 #include "util/str_format.h"
@@ -47,13 +46,14 @@ void SingleDetectorSweep() {
     config.seed = users;
     const Workload w = MakeWorkload(config);
 
-    DiamondDetector detector(&w.follower_index, ProductionOptions());
+    const auto engine =
+        bench::DiamondEngine(w.follower_index, ProductionOptions());
     std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
     Stopwatch timer;
     for (const TimestampedEdge& e : w.events) {
       recs.clear();
-      if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return;
+      if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return;
       total_recs += recs.size();
     }
     const double seconds = timer.ElapsedSeconds();
@@ -132,7 +132,7 @@ void KernelAblationSweep(bench::JsonRows* rows) {
                           Config{"simd", true, false},
                           Config{"simd+hubs", true, true}}) {
     const bool prior = SetSimdEnabled(c.simd);
-    StaticGraph index = w.follower_index.Transpose().Transpose();  // copy
+    StaticGraph index = w.follower_index;
     if (c.hubs) index.BuildHubIndex();
     DiamondOptions opt = ProductionOptions();
     opt.use_hub_bitsets = c.hubs;
@@ -141,13 +141,13 @@ void KernelAblationSweep(bench::JsonRows* rows) {
     double rate = 0;
     uint64_t total_recs = 0;
     for (int pass = 0; pass < 2; ++pass) {
-      DiamondDetector detector(&index, opt);
+      const auto engine = bench::DiamondEngine(index, opt);
       std::vector<Recommendation> recs;
       total_recs = 0;
       Stopwatch timer;
       for (const TimestampedEdge& e : w.events) {
         recs.clear();
-        if (!detector.OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return;
+        if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) return;
         total_recs += recs.size();
       }
       rate = std::max(

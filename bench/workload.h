@@ -7,8 +7,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
+#include "core/motif_engine.h"
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
 #include "graph/static_graph.h"
@@ -75,6 +77,23 @@ inline Workload MakeWorkload(const WorkloadConfig& config) {
   w.burst_events = stream->burst_events;
   w.events = std::move(stream).value().events;
   return w;
+}
+
+/// The diamond MotifEngine over `follower_index`, borrowed as-is (no copy,
+/// no hub index added), so it must outlive the engine. Exits on invalid
+/// options.
+inline std::unique_ptr<MotifEngine> DiamondEngine(
+    const StaticGraph& follower_index, const DiamondOptions& options) {
+  auto engine = MotifEngine::CreateDiamond(
+      std::shared_ptr<const StaticGraph>(std::shared_ptr<const StaticGraph>(),
+                                         &follower_index),
+      options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "diamond engine: %s\n",
+                 engine.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(engine).value();
 }
 
 }  // namespace magicrecs::bench

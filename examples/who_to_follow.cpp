@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   });
 
   // --- Report ----------------------------------------------------------------
-  const DiamondStats stats = (*cluster)->AggregatedStats();
+  const MotifEngineStats stats = (*cluster)->AggregatedStats();
   std::printf("\nprocessed %llu events in %.2fs wall (%.0f events/s)\n",
               static_cast<unsigned long long>(stream->events.size()),
               wall.ElapsedSeconds(),

@@ -4,17 +4,17 @@
 // static graph snapshot and viewed as batch computations", §1).
 //
 // Given the full stream up front, it groups dynamic edges by target and
-// enumerates, which is structurally different code from the online detector;
-// the two must nevertheless produce the same recommendations. The test suite
-// uses this as ground truth, and T4 uses it to quantify the staleness of
-// batch results.
+// enumerates, which is structurally different code from the online
+// MotifEngine; the two must nevertheless produce the same recommendations.
+// The test suite uses this as ground truth, and T4 uses it to quantify the
+// staleness of batch results.
 
 #ifndef MAGICRECS_BASELINE_SNAPSHOT_FINDER_H_
 #define MAGICRECS_BASELINE_SNAPSHOT_FINDER_H_
 
 #include <vector>
 
-#include "core/diamond_detector.h"
+#include "core/motif_plan.h"
 #include "core/recommendation.h"
 #include "graph/edge.h"
 #include "graph/static_graph.h"
@@ -25,7 +25,8 @@ namespace magicrecs {
 /// Batch diamond finder.
 class SnapshotMotifFinder {
  public:
-  /// `follower_index` as in DiamondDetector. Must outlive the finder.
+  /// `follower_index` is the S structure: for vertex B, Neighbors(B) is the
+  /// sorted list of accounts following B. Must outlive the finder.
   SnapshotMotifFinder(const StaticGraph* follower_index,
                       const DiamondOptions& options);
 

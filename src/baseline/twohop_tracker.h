@@ -69,7 +69,8 @@ struct TwoHopStats {
 /// Materialized two-hop neighborhood counts. Thread-compatible.
 class TwoHopTracker {
  public:
-  /// `follower_index` as in DiamondDetector. Must outlive the tracker.
+  /// `follower_index` is the S structure (Neighbors(B) = sorted followers
+  /// of B). Must outlive the tracker.
   TwoHopTracker(const StaticGraph* follower_index,
                 const TwoHopOptions& options);
 

@@ -90,8 +90,10 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     // Replicas of a partition share the immutable shard; each owns its D.
     auto shared_shard = std::make_shared<const StaticGraph>(std::move(shard));
     for (uint32_t r = 0; r < options.replicas_per_partition; ++r) {
-      cluster->servers_[i].push_back(PartitionServer::CreateWithShard(
-          shared_shard, p, options.detector));
+      MAGICRECS_ASSIGN_OR_RETURN(
+          std::unique_ptr<PartitionServer> server,
+          PartitionServer::CreateWithShard(shared_shard, p, options.detector));
+      cluster->servers_[i].push_back(std::move(server));
     }
     auto mask = std::make_unique<std::atomic<uint64_t>>(
         options.replicas_per_partition == 64
@@ -433,7 +435,7 @@ Status Cluster::Checkpoint(Timestamp created_at) {
     MAGICRECS_RETURN_IF_ERROR(wal_->Sync());
   }
   RecoveryManager recovery(options_.persist);
-  return recovery.Checkpoint(source->detector(), /*follower_index=*/nullptr,
+  return recovery.Checkpoint(source->motif_engine(), /*follower_index=*/nullptr,
                              source->partition_id(),
                              next_sequence_.load(std::memory_order_acquire),
                              created_at);
@@ -477,7 +479,7 @@ std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
   for (size_t i = 0; i < servers_.size(); ++i) {
     const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      const DiamondStats& s = servers_[i][r]->stats();
+      const MotifEngineStats& s = servers_[i][r]->stats();
       ReplicaStats entry;
       entry.partition = owned_partitions_[i];
       entry.replica = r;
@@ -491,12 +493,13 @@ std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
   return out;
 }
 
-DiamondStats Cluster::AggregatedStats() const {
-  DiamondStats total;
+MotifEngineStats Cluster::AggregatedStats() const {
+  MotifEngineStats total;
   for (const auto& partition : servers_) {
     for (const auto& server : partition) {
-      const DiamondStats& s = server->stats();
+      const MotifEngineStats& s = server->stats();
       total.events += s.events;
+      total.filtered_by_action += s.filtered_by_action;
       total.threshold_queries += s.threshold_queries;
       total.raw_candidates += s.raw_candidates;
       total.recommendations += s.recommendations;

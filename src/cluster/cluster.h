@@ -41,8 +41,8 @@
 
 #include "cluster/partition_server.h"
 #include "cluster/partitioner.h"
-#include "core/diamond_detector.h"
 #include "core/engine.h"
+#include "core/motif_engine.h"
 #include "core/recommendation.h"
 #include "graph/static_graph.h"
 #include "persist/persist_options.h"
@@ -234,7 +234,7 @@ class Cluster {
   size_t TotalDynamicMemory() const;
 
   /// Detector stats merged across all locally hosted replicas.
-  DiamondStats AggregatedStats() const;
+  MotifEngineStats AggregatedStats() const;
 
   /// Per-replica counters tagged with global partition identity, ordered by
   /// (partition, replica). The attributable complement of AggregatedStats().

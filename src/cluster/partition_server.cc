@@ -4,13 +4,6 @@
 
 namespace magicrecs {
 
-PartitionServer::PartitionServer(std::shared_ptr<const StaticGraph> shard,
-                                 uint32_t partition_id,
-                                 const DiamondOptions& options)
-    : shard_(std::move(shard)), partition_id_(partition_id), options_(options) {
-  detector_ = std::make_unique<DiamondDetector>(shard_.get(), options_);
-}
-
 Result<StaticGraph> BuildPartitionShard(const StaticGraph& full_follower_index,
                                         const HashPartitioner& partitioner,
                                         uint32_t partition_id) {
@@ -36,16 +29,18 @@ Result<std::unique_ptr<PartitionServer>> PartitionServer::Create(
       StaticGraph shard,
       BuildPartitionShard(full_follower_index, partitioner, partition_id));
   shard.BuildHubIndex();
-  return std::unique_ptr<PartitionServer>(new PartitionServer(
-      std::make_shared<const StaticGraph>(std::move(shard)), partition_id,
-      options));
+  return CreateWithShard(std::make_shared<const StaticGraph>(std::move(shard)),
+                         partition_id, options);
 }
 
-std::unique_ptr<PartitionServer> PartitionServer::CreateWithShard(
+Result<std::unique_ptr<PartitionServer>> PartitionServer::CreateWithShard(
     std::shared_ptr<const StaticGraph> shard, uint32_t partition_id,
     const DiamondOptions& options) {
+  MAGICRECS_ASSIGN_OR_RETURN(
+      std::unique_ptr<MotifEngine> engine,
+      MotifEngine::CreateDiamond(std::move(shard), options));
   return std::unique_ptr<PartitionServer>(
-      new PartitionServer(std::move(shard), partition_id, options));
+      new PartitionServer(std::move(engine), partition_id));
 }
 
 Status PartitionServer::OnEvent(const EdgeEvent& event, bool emit,
@@ -53,9 +48,9 @@ Status PartitionServer::OnEvent(const EdgeEvent& event, bool emit,
   const TimestampedEdge& e = event.edge;
   next_sequence_ = std::max(next_sequence_, event.sequence + 1);
   if (emit) {
-    return detector_->OnEdge(e.src, e.dst, e.created_at, out);
+    return engine_->OnEdge(e.src, e.dst, e.created_at, out);
   }
-  return detector_->Ingest(e.src, e.dst, e.created_at);
+  return engine_->Ingest(e.src, e.dst, e.created_at);
 }
 
 Status PartitionServer::SyncDynamicStateFrom(
@@ -64,20 +59,8 @@ Status PartitionServer::SyncDynamicStateFrom(
     return Status::InvalidArgument(
         "replicas can only sync within the same partition");
   }
-  detector_->CopyDynamicStateFrom(*healthy_peer.detector_);
+  engine_->CopyDynamicStateFrom(*healthy_peer.engine_);
   next_sequence_ = healthy_peer.next_sequence_;
-  return Status::OK();
-}
-
-void PartitionServer::ClearDynamicState() {
-  detector_->ClearDynamicState();
-  next_sequence_ = 0;
-}
-
-Status PartitionServer::RestoreDynamicState(const uint8_t* data, size_t size,
-                                            uint64_t next_sequence) {
-  MAGICRECS_RETURN_IF_ERROR(detector_->RestoreDynamicState(data, size));
-  next_sequence_ = next_sequence;
   return Status::OK();
 }
 

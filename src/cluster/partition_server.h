@@ -1,5 +1,5 @@
 // One partition server: the S shard for its resident A's, a full copy of the
-// D structure, and a diamond detector running against them. Mirrors the
+// D structure, and a diamond MotifEngine running against them. Mirrors the
 // paper's key design decision — "each partition needs to keep the complete D
 // data structure, since in principle any B can be in any partition", so every
 // server ingests the entire edge stream and all intersections stay local.
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "cluster/partitioner.h"
-#include "core/diamond_detector.h"
+#include "core/motif_engine.h"
 #include "core/recommendation.h"
 #include "graph/static_graph.h"
 #include "stream/event.h"
@@ -41,7 +41,7 @@ class PartitionServer {
 
   /// Shares a pre-built shard (used when creating replicas of the same
   /// partition: the immutable shard is built once, D is per-replica).
-  static std::unique_ptr<PartitionServer> CreateWithShard(
+  static Result<std::unique_ptr<PartitionServer>> CreateWithShard(
       std::shared_ptr<const StaticGraph> shard, uint32_t partition_id,
       const DiamondOptions& options);
 
@@ -52,42 +52,38 @@ class PartitionServer {
                  std::vector<Recommendation>* out);
 
   uint32_t partition_id() const { return partition_id_; }
-  const DiamondStats& stats() const { return detector_->stats(); }
-  const StaticGraph& shard() const { return *shard_; }
-  size_t StaticMemoryUsage() const { return shard_->MemoryUsage(); }
-  size_t DynamicMemoryUsage() const { return detector_->DynamicMemoryUsage(); }
-  void Prune(Timestamp now) { detector_->Prune(now); }
+  const MotifEngineStats& stats() const { return engine_->stats(); }
+  const StaticGraph& shard() const { return engine_->static_index(); }
+  size_t StaticMemoryUsage() const { return shard().MemoryUsage(); }
+  size_t DynamicMemoryUsage() const { return engine_->DynamicMemoryUsage(); }
+  void Prune(Timestamp now) { engine_->Prune(now); }
 
   /// 1 + the sequence of the last event applied to this replica (0 if
   /// none). Checkpointing uses this as the snapshot's coverage cutoff.
   uint64_t next_sequence() const { return next_sequence_; }
 
-  const DiamondDetector& detector() const { return *detector_; }
-
   /// Re-synchronizes this replica's dynamic state from a healthy peer of the
   /// same partition (replica bootstrap after recovery).
   Status SyncDynamicStateFrom(const PartitionServer& healthy_peer);
 
-  // Durability hooks (see src/persist/recovery.h). D is per-replica state;
-  // the immutable S shard is rebuilt offline, not persisted here.
-  void ClearDynamicState();
-  void EncodeDynamicState(std::string* out) const {
-    detector_->EncodeDynamicState(out);
+  // Durability hooks (see src/persist/recovery.h). D is per-replica state
+  // inside the engine; the immutable S shard is rebuilt offline, not
+  // persisted here.
+  const MotifEngine& motif_engine() const { return *engine_; }
+  MotifEngine& motif_engine() { return *engine_; }
+  /// Where live ingest resumes after recovery rebuilt D through
+  /// motif_engine().
+  void set_next_sequence(uint64_t next_sequence) {
+    next_sequence_ = next_sequence;
   }
-  /// Replaces D with snapshot bytes covering sequences [0, next_sequence).
-  Status RestoreDynamicState(const uint8_t* data, size_t size,
-                             uint64_t next_sequence);
 
  private:
-  PartitionServer(std::shared_ptr<const StaticGraph> shard,
-                  uint32_t partition_id, const DiamondOptions& options);
+  PartitionServer(std::unique_ptr<MotifEngine> engine, uint32_t partition_id)
+      : partition_id_(partition_id), engine_(std::move(engine)) {}
 
-  std::shared_ptr<const StaticGraph> shard_;
   uint32_t partition_id_;
-  DiamondOptions options_;
-  std::unique_ptr<DiamondDetector> detector_;
+  std::unique_ptr<MotifEngine> engine_;
   uint64_t next_sequence_ = 0;
-  std::vector<Recommendation> discard_;  // sink for emit=false runs
 };
 
 }  // namespace magicrecs

@@ -209,7 +209,7 @@ Result<ClusterStats> LocalClusterTransport::GetStats() {
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
   if (mode_ == Mode::kThreaded) cluster_->Drain();
-  const DiamondStats detector = cluster_->AggregatedStats();
+  const MotifEngineStats detector = cluster_->AggregatedStats();
   ClusterStats stats;
   stats.num_partitions = cluster_->num_partitions();
   stats.replicas_per_partition = cluster_->replicas_per_partition();
@@ -233,7 +233,7 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     if (closed_) return Status::FailedPrecondition("transport is closed");
     if (mode_ == Mode::kThreaded) cluster_->Drain();
-    const DiamondStats detector = cluster_->AggregatedStats();
+    const MotifEngineStats detector = cluster_->AggregatedStats();
     MetricsRegistry* registry = MetricsRegistry::Default();
     registry->GetCounter("detector_events")->RaiseTo(detector.events);
     registry->GetCounter("detector_threshold_queries")

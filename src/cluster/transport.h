@@ -113,7 +113,7 @@ struct ServerLoopStats {
 std::string_view ServerLoopName(uint8_t loop);
 
 /// Cluster-wide counters as reported over the stats RPC. A flat POD rather
-/// than DiamondStats so it has a stable wire encoding.
+/// than MotifEngineStats so it has a stable wire encoding.
 struct ClusterStats {
   uint32_t num_partitions = 0;       ///< deployment-wide (full group)
   uint32_t replicas_per_partition = 0;

@@ -5,58 +5,29 @@
 
 namespace magicrecs {
 
-RecommenderEngine::RecommenderEngine(StaticGraph follower_index,
-                                     const EngineOptions& options)
-    : options_(options), follower_index_(std::move(follower_index)) {
-  follower_index_.BuildHubIndex();
-  detector_ =
-      std::make_unique<DiamondDetector>(&follower_index_, options_.detector);
-}
-
-namespace {
-
-Status ValidateOptions(const EngineOptions& options) {
-  if (options.detector.k == 0) {
-    return Status::InvalidArgument("detector k must be >= 1");
-  }
-  if (options.detector.window <= 0) {
-    return Status::InvalidArgument("detector window must be positive");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<std::unique_ptr<RecommenderEngine>> RecommenderEngine::Create(
     const StaticGraph& follow_graph, const EngineOptions& options) {
-  MAGICRECS_RETURN_IF_ERROR(ValidateOptions(options));
-  StaticGraph capped =
+  const StaticGraph capped =
       ApplyInfluencerCap(follow_graph, options.max_influencers_per_user);
-  StaticGraph follower_index = capped.Transpose();
-  return std::unique_ptr<RecommenderEngine>(
-      new RecommenderEngine(std::move(follower_index), options));
+  return CreateFromFollowerIndex(capped.Transpose(), options);
 }
 
 Result<std::unique_ptr<RecommenderEngine>>
 RecommenderEngine::CreateFromFollowerIndex(StaticGraph follower_index,
                                            const EngineOptions& options) {
-  MAGICRECS_RETURN_IF_ERROR(ValidateOptions(options));
+  follower_index.BuildHubIndex();
+  MAGICRECS_ASSIGN_OR_RETURN(
+      std::unique_ptr<MotifEngine> engine,
+      MotifEngine::CreateDiamond(
+          std::make_shared<const StaticGraph>(std::move(follower_index)),
+          options.detector));
   return std::unique_ptr<RecommenderEngine>(
-      new RecommenderEngine(std::move(follower_index), options));
+      new RecommenderEngine(options, std::move(engine)));
 }
 
 StaticGraph RecommenderEngine::ApplyInfluencerCap(
     const StaticGraph& follow_graph, uint32_t cap) {
-  if (cap == 0) {
-    // Rebuild to return an owned copy with identical contents.
-    StaticGraphBuilder builder(follow_graph.num_vertices());
-    follow_graph.ForEachEdge([&](VertexId src, VertexId dst) {
-      const Status s = builder.AddEdge(src, dst);
-      (void)s;  // inputs come from a valid graph
-    });
-    auto rebuilt = builder.Build();
-    return std::move(rebuilt).value();
-  }
+  if (cap == 0) return follow_graph;
 
   // Popularity = follower count = in-degree in the follow graph.
   std::vector<uint32_t> in_degree(follow_graph.num_vertices(), 0);

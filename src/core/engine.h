@@ -2,7 +2,7 @@
 // components — "the partitioned graph infrastructure that maintains the
 // relevant data structures" and "the 'program' that performs the motif
 // detection" (§3). It owns the follower index (S), applies the production
-// influencer cap, and forwards the event stream to a DiamondDetector.
+// influencer cap, and forwards the event stream to a diamond MotifEngine.
 //
 // For the 20-partition deployment, see cluster/Cluster, which instantiates
 // one engine-equivalent per partition.
@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/diamond_detector.h"
+#include "core/motif_engine.h"
 #include "core/recommendation.h"
 #include "graph/static_graph.h"
 #include "util/result.h"
@@ -49,34 +49,23 @@ class RecommenderEngine {
   /// Ingests one edge-creation event; appends resulting recommendations.
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out) {
-    return detector_->OnEdge(src, dst, t, out);
-  }
-
-  /// Ingests into D without the motif query (WAL replay: recommendations
-  /// for replayed events were already delivered before the crash).
-  Status Ingest(VertexId src, VertexId dst, Timestamp t) {
-    return detector_->Ingest(src, dst, t);
-  }
-
-  // Durability hooks (see src/persist/). The follower index is serialized
-  // separately via follower_index().EncodeTo.
-  void ClearDynamicState() { detector_->ClearDynamicState(); }
-  void EncodeDynamicState(std::string* out) const {
-    detector_->EncodeDynamicState(out);
-  }
-  Status RestoreDynamicState(const uint8_t* data, size_t size) {
-    return detector_->RestoreDynamicState(data, size);
+    return engine_->OnEdge(src, dst, t, out);
   }
 
   const EngineOptions& options() const { return options_; }
-  const DiamondStats& stats() const { return detector_->stats(); }
-  const StaticGraph& follower_index() const { return follower_index_; }
-  const DiamondDetector& detector() const { return *detector_; }
+  const MotifEngineStats& stats() const { return engine_->stats(); }
+  const StaticGraph& follower_index() const { return engine_->static_index(); }
 
-  void Prune(Timestamp now) { detector_->Prune(now); }
+  /// The diamond engine: Ingest (WAL replay) and the dynamic-state hooks
+  /// the persist/ module drives. The follower index is serialized
+  /// separately via follower_index().EncodeTo.
+  const MotifEngine& motif_engine() const { return *engine_; }
+  MotifEngine& motif_engine() { return *engine_; }
 
-  size_t StaticMemoryUsage() const { return follower_index_.MemoryUsage(); }
-  size_t DynamicMemoryUsage() const { return detector_->DynamicMemoryUsage(); }
+  void Prune(Timestamp now) { engine_->Prune(now); }
+
+  size_t StaticMemoryUsage() const { return follower_index().MemoryUsage(); }
+  size_t DynamicMemoryUsage() const { return engine_->DynamicMemoryUsage(); }
 
   /// The influencer-cap transform, exposed for tests and the T7 experiment:
   /// returns a copy of `follow_graph` where each user keeps only their
@@ -86,11 +75,12 @@ class RecommenderEngine {
                                         uint32_t cap);
 
  private:
-  RecommenderEngine(StaticGraph follower_index, const EngineOptions& options);
+  RecommenderEngine(const EngineOptions& options,
+                    std::unique_ptr<MotifEngine> engine)
+      : options_(options), engine_(std::move(engine)) {}
 
   EngineOptions options_;
-  StaticGraph follower_index_;
-  std::unique_ptr<DiamondDetector> detector_;
+  std::unique_ptr<MotifEngine> engine_;
 };
 
 }  // namespace magicrecs

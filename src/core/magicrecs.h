@@ -21,15 +21,13 @@
 #include "graph/graph_io.h"
 #include "graph/static_graph.h"
 
-// The paper's contribution: online diamond-motif detection and the
-// single-machine engine facade.
-#include "core/diamond_detector.h"
+// The paper's contribution: online motif detection — the diamond and the
+// generalized declarative framework of §3 share one executor, MotifEngine —
+// and the single-machine engine facade.
 #include "core/engine.h"
-#include "core/recommendation.h"
-
-// The generalized declarative motif framework (§3 of the paper).
 #include "core/motif_engine.h"
 #include "core/motif_plan.h"
 #include "core/motif_spec.h"
+#include "core/recommendation.h"
 
 #endif  // MAGICRECS_CORE_MAGICRECS_H_

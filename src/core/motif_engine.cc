@@ -4,79 +4,109 @@
 #include <cassert>
 
 #include "util/clock.h"
+#include "util/str_format.h"
 
 namespace magicrecs {
 
 namespace {
 
-/// The plan's static-lookup orientation, or kFollowersOfActor if the plan
-/// somehow lacks a gather op (CompileMotif always emits one).
-StaticLookup PlanLookup(const MotifPlan& plan) {
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind == PlanOpKind::kGatherStaticLists) return op.lookup;
-  }
-  return StaticLookup::kFollowersOfActor;
+/// The plan's op of `kind`. CompileMotif emits every kind but the optional
+/// witness cap, and the engine only looks up the ones it always emits.
+const PlanOp& OpOf(const MotifPlan& plan, PlanOpKind kind) {
+  const auto it =
+      std::find_if(plan.ops.begin(), plan.ops.end(),
+                   [kind](const PlanOp& op) { return op.kind == kind; });
+  assert(it != plan.ops.end());
+  return *it;
 }
 
-Duration PlanWindow(const MotifPlan& plan) {
-  for (const PlanOp& op : plan.ops) {
-    if (op.kind == PlanOpKind::kInsertDynamic) return op.window;
-  }
-  return Minutes(10);
+DynamicGraphOptions MakeDynamicOptions(const MotifPlan& plan,
+                                       const MotifOptions& options) {
+  DynamicGraphOptions dyn;
+  dyn.window = OpOf(plan, PlanOpKind::kInsertDynamic).window;
+  dyn.max_in_edges_per_vertex = options.max_in_edges_per_vertex;
+  dyn.strict_time_order = options.strict_time_order;
+  return dyn;
 }
 
 }  // namespace
 
-MotifEngine::MotifEngine(MotifPlan plan, StaticGraph static_index,
-                         const DynamicGraphOptions& dyn_options)
+MotifEngine::MotifEngine(MotifPlan plan,
+                         std::shared_ptr<const StaticGraph> static_index,
+                         const MotifOptions& options)
     : plan_(std::move(plan)),
       static_index_(std::move(static_index)),
-      dynamic_index_(dyn_options) {}
+      dynamic_index_(MakeDynamicOptions(plan_, options)),
+      trigger_action_(OpOf(plan_, PlanOpKind::kInsertDynamic).action),
+      follower_orientation_(
+          OpOf(plan_, PlanOpKind::kGatherStaticLists).lookup ==
+          StaticLookup::kFollowersOfActor),
+      use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()) {}
 
 Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
     const StaticGraph& follow_graph, const MotifSpec& spec,
-    const PlannerOptions& options) {
-  MAGICRECS_ASSIGN_OR_RETURN(MotifPlan plan, CompileMotif(spec, options));
+    const MotifOptions& options) {
+  MAGICRECS_ASSIGN_OR_RETURN(const MotifPlan plan, CompileMotif(spec, options));
 
   // Materialize only the orientation the plan reads. The DSL's static edge
   // U -> W means "U follows W", matching the follow graph's orientation, so:
   //   followers(actor)  needs the transpose;
   //   followees(actor)  needs the graph as-is.
-  StaticGraph index;
-  if (PlanLookup(plan) == StaticLookup::kFollowersOfActor) {
-    index = follow_graph.Transpose();
-  } else {
-    // Copy via rebuild (StaticGraph is immutable and cheaply rebuildable).
-    StaticGraphBuilder builder(follow_graph.num_vertices());
-    follow_graph.ForEachEdge([&](VertexId src, VertexId dst) {
-      const Status s = builder.AddEdge(src, dst);
-      (void)s;
-    });
-    auto rebuilt = builder.Build();
-    index = std::move(rebuilt).value();
-  }
+  StaticGraph index = OpOf(plan, PlanOpKind::kGatherStaticLists).lookup ==
+                              StaticLookup::kFollowersOfActor
+                          ? follow_graph.Transpose()
+                          : follow_graph;
   index.BuildHubIndex();
+  return CreateOverIndex(std::make_shared<const StaticGraph>(std::move(index)),
+                         spec, options);
+}
 
-  DynamicGraphOptions dyn;
-  dyn.window = PlanWindow(plan);
+Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateOverIndex(
+    std::shared_ptr<const StaticGraph> static_index, const MotifSpec& spec,
+    const MotifOptions& options) {
+  if (static_index == nullptr) {
+    return Status::InvalidArgument("motif engine needs a static index");
+  }
+  MAGICRECS_ASSIGN_OR_RETURN(MotifPlan plan, CompileMotif(spec, options));
   return std::unique_ptr<MotifEngine>(
-      new MotifEngine(std::move(plan), std::move(index), dyn));
+      new MotifEngine(std::move(plan), std::move(static_index), options));
+}
+
+Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateDiamond(
+    std::shared_ptr<const StaticGraph> follower_index,
+    const DiamondOptions& options) {
+  return CreateOverIndex(std::move(follower_index),
+                         MakeDiamondSpec(options.k, options.window), options);
+}
+
+bool MotifEngine::Admits(MotifAction action) {
+  if (trigger_action_ == MotifAction::kAny || action == trigger_action_) {
+    return true;
+  }
+  ++stats_.filtered_by_action;
+  return false;
+}
+
+Status MotifEngine::Ingest(VertexId src, VertexId dst, Timestamp t,
+                           MotifAction action) {
+  if (!Admits(action)) return Status::OK();
+  MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
+  ++stats_.events;
+  return Status::OK();
 }
 
 Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
                            std::vector<Recommendation>* out,
                            MotifAction action) {
   const Stopwatch timer;
+  const StaticGraph& index = *static_index_;
 
   // The interpreter walks the compiled ops in order; every op manipulates
   // the shared per-event context (actors_ / lists_ / matches_).
   for (const PlanOp& op : plan_.ops) {
     switch (op.kind) {
       case PlanOpKind::kInsertDynamic: {
-        if (op.action != MotifAction::kAny && action != op.action) {
-          ++stats_.filtered_by_action;
-          return Status::OK();  // event is not of the motif's action type
-        }
+        if (!Admits(action)) return Status::OK();  // not the motif's action
         MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
         ++stats_.events;
         break;
@@ -94,6 +124,7 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         break;
       }
       case PlanOpKind::kCapWitnesses: {
+        // Celebrity-target guard: keep only the most recent actors.
         if (op.cap > 0 && actors_.size() > op.cap) {
           std::nth_element(
               actors_.begin(),
@@ -107,14 +138,17 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         break;
       }
       case PlanOpKind::kGatherStaticLists: {
+        // Hub actors also carry their bitmap view for O(1) verification
+        // probes.
+        stats_.intersection_sizes.Record(static_cast<int64_t>(actors_.size()));
         lists_.clear();
         bitsets_.clear();
         list_sources_.clear();
         for (const TimestampedInEdge& actor : actors_) {
-          const auto list = static_index_.Neighbors(actor.src);
+          const auto list = index.Neighbors(actor.src);
           if (list.empty()) continue;
           lists_.push_back(list);
-          bitsets_.push_back(static_index_.HubBitset(actor.src));
+          if (use_bitsets_) bitsets_.push_back(index.HubBitset(actor.src));
           list_sources_.push_back(actor.src);
         }
         break;
@@ -125,7 +159,7 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
           return Status::OK();
         }
         ThresholdIntersect(lists_, op.k, &matches_, op.algorithm,
-                           static_index_.has_hub_index() ? &bitsets_ : nullptr);
+                           use_bitsets_ ? &bitsets_ : nullptr);
         stats_.raw_candidates += matches_.size();
         break;
       }
@@ -133,18 +167,21 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         auto keep = matches_.begin();
         for (auto it = matches_.begin(); it != matches_.end(); ++it) {
           const VertexId user = it->id;
-          if (user == dst) continue;
-          if (op.exclude_existing) {
-            // "Already follows the item": a static in-edge of the item from
-            // the user (only checkable in follower orientation) or an
-            // in-window dynamic action by the user.
-            const bool static_follow =
-                PlanLookup(plan_) == StaticLookup::kFollowersOfActor &&
-                static_index_.HasEdge(dst, user);
-            const bool dynamic_follow = std::any_of(
-                actors_.begin(), actors_.end(),
-                [user](const TimestampedInEdge& e) { return e.src == user; });
-            if (static_follow || dynamic_follow) continue;
+          if (user == dst) {
+            ++stats_.suppressed_self;
+            continue;
+          }
+          // "Already follows the item": a static in-edge of the item from
+          // the user (only checkable in follower orientation) or an
+          // in-window dynamic action by the user.
+          if (op.exclude_existing &&
+              ((follower_orientation_ && index.HasEdge(dst, user)) ||
+               std::any_of(actors_.begin(), actors_.end(),
+                           [user](const TimestampedInEdge& e) {
+                             return e.src == user;
+                           }))) {
+            ++stats_.suppressed_existing;
+            continue;
           }
           *keep++ = *it;
         }
@@ -180,6 +217,20 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
 
   stats_.query_micros.Record(timer.ElapsedMicros());
   return Status::OK();
+}
+
+std::string MotifEngineStats::ToString() const {
+  return StrFormat(
+      "events=%llu threshold_queries=%llu raw_candidates=%llu "
+      "recommendations=%llu suppressed_existing=%llu suppressed_self=%llu\n"
+      "query latency: %s",
+      static_cast<unsigned long long>(events),
+      static_cast<unsigned long long>(threshold_queries),
+      static_cast<unsigned long long>(raw_candidates),
+      static_cast<unsigned long long>(recommendations),
+      static_cast<unsigned long long>(suppressed_existing),
+      static_cast<unsigned long long>(suppressed_self),
+      query_micros.ToString(1.0, "us").c_str());
 }
 
 }  // namespace magicrecs

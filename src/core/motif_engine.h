@@ -1,13 +1,20 @@
-// Generic streaming executor for compiled motif plans. One MotifEngine is
-// the declarative counterpart of one hand-coded DiamondDetector; running the
-// diamond spec through it must produce bit-identical recommendations (an
-// invariant the test suite enforces), at a small interpretation overhead
-// (quantified by the A2 ablation bench).
+// Streaming executor for compiled motif plans — the one motif executor on
+// every path. Compiled from MakeDiamondSpec(k, window) it is the paper's
+// online diamond detector (§2): when edge B -> C is created at time t,
+//   1. query the dynamic index D for the other B's that followed C within
+//      (t - window, t]  — the top half of the diamond;
+//   2. if at least k distinct B's exist, look up their follower lists in the
+//      static index S and find every A present in >= k of them — the bottom
+//      half;
+//   3. each such A receives C as a recommendation.
+// Other specs (triangle closure, content co-action, followee pushes) run
+// through the same interpreter; adding a motif means writing a spec.
 
 #ifndef MAGICRECS_CORE_MOTIF_ENGINE_H_
 #define MAGICRECS_CORE_MOTIF_ENGINE_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/motif_plan.h"
@@ -19,51 +26,121 @@
 
 namespace magicrecs {
 
-/// Counters for one engine instance.
+/// Counters and latency distributions for one engine instance.
 struct MotifEngineStats {
-  uint64_t events = 0;
-  uint64_t filtered_by_action = 0;
-  uint64_t threshold_queries = 0;
-  uint64_t raw_candidates = 0;
-  uint64_t recommendations = 0;
-  Histogram query_micros;
+  uint64_t events = 0;               ///< edges ingested into D
+  uint64_t filtered_by_action = 0;   ///< edges the trigger's action rejected
+  uint64_t threshold_queries = 0;    ///< events with >= k in-window actors
+  uint64_t raw_candidates = 0;       ///< matches before exclusion filters
+  uint64_t recommendations = 0;      ///< emitted recommendations
+  uint64_t suppressed_existing = 0;  ///< dropped: already follows the item
+  uint64_t suppressed_self = 0;      ///< dropped: candidate == item
+  Histogram query_micros;            ///< wall-clock per-event detection cost
+
+  /// Witness-set size per threshold query (after the celebrity cap): the
+  /// paper's main cost driver, since intersection work scales with the
+  /// actors' static lists.
+  Histogram intersection_sizes;
+
+  std::string ToString() const;
 };
 
-/// Executes one compiled motif plan against the static graph and its own
-/// dynamic index. Thread-compatible.
+/// Executes one compiled motif plan against a static index and its own
+/// dynamic index. Thread-compatible: the cluster layer runs one instance per
+/// partition replica.
 class MotifEngine {
  public:
   /// `follow_graph` holds the declared static orientation (edges U -> W mean
-  /// "U follows W"). The engine materializes only the index orientation the
-  /// plan needs.
+  /// "U follows W"). The engine materializes (with a hub index) only the
+  /// orientation the plan needs.
   static Result<std::unique_ptr<MotifEngine>> Create(
       const StaticGraph& follow_graph, const MotifSpec& spec,
-      const PlannerOptions& options = {});
+      const MotifOptions& options = {});
+
+  /// Runs over an already-oriented static index — Neighbors(actor) must be
+  /// exactly the list the plan gathers (the follower index for the
+  /// diamond). The index is shared, not copied: replicas of one partition
+  /// keep one S shard between them.
+  static Result<std::unique_ptr<MotifEngine>> CreateOverIndex(
+      std::shared_ptr<const StaticGraph> static_index, const MotifSpec& spec,
+      const MotifOptions& options = {});
+
+  /// The diamond over a follower index: CreateOverIndex with
+  /// MakeDiamondSpec(options.k, options.window).
+  static Result<std::unique_ptr<MotifEngine>> CreateDiamond(
+      std::shared_ptr<const StaticGraph> follower_index,
+      const DiamondOptions& options);
 
   /// Ingests a stream edge. `action` is matched against the trigger edge's
   /// action filter (kAny accepts everything). Appends recommendations to
-  /// *out (not cleared).
+  /// *out (not cleared). The stream must be delivered in non-decreasing `t`
+  /// order per destination (MotifOptions::strict_time_order enforces it).
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out,
                 MotifAction action = MotifAction::kFollow);
 
+  /// Ingests the edge into D without running the motif query. Standby
+  /// replicas keep their dynamic state warm this way while the primary
+  /// answers queries, and WAL replay rebuilds D with it (recommendations
+  /// for replayed events were delivered before the crash).
+  Status Ingest(VertexId src, VertexId dst, Timestamp t,
+                MotifAction action = MotifAction::kFollow);
+
+  /// Replaces this engine's dynamic state with a copy of `other`'s
+  /// (replica bootstrap from a live peer).
+  void CopyDynamicStateFrom(const MotifEngine& other) {
+    dynamic_index_ = other.dynamic_index_;
+  }
+
+  /// Drops all dynamic state. Recovery resets an engine before restoring it
+  /// from a snapshot + WAL replay, so stale pre-crash edges cannot leak into
+  /// the rebuilt state.
+  void ClearDynamicState() { dynamic_index_.Clear(); }
+
+  /// Serializes the dynamic edge store for the persist/ snapshot module.
+  void EncodeDynamicState(std::string* out) const {
+    dynamic_index_.EncodeTo(out);
+  }
+
+  /// Restores the dynamic edge store from EncodeDynamicState() bytes.
+  Status RestoreDynamicState(const uint8_t* data, size_t size) {
+    return dynamic_index_.DecodeFrom(data, size);
+  }
+
   const MotifPlan& plan() const { return plan_; }
   const MotifEngineStats& stats() const { return stats_; }
+  const StaticGraph& static_index() const { return *static_index_; }
+  const DynamicInEdgeIndex& dynamic_index() const { return dynamic_index_; }
+
+  /// Bytes held by the dynamic index (S is shared, accounted by its owner).
   size_t DynamicMemoryUsage() const { return dynamic_index_.MemoryUsage(); }
+
+  /// Periodic maintenance: prune expired dynamic edges (memory relief on
+  /// long streams with cold targets).
   void Prune(Timestamp now) { dynamic_index_.PruneAll(now); }
 
  private:
-  MotifEngine(MotifPlan plan, StaticGraph static_index,
-              const DynamicGraphOptions& dyn_options);
+  MotifEngine(MotifPlan plan, std::shared_ptr<const StaticGraph> static_index,
+              const MotifOptions& options);
+
+  /// False (and counted) when the trigger's action filter rejects `action`.
+  bool Admits(MotifAction action);
 
   MotifPlan plan_;
   /// Oriented so that Neighbors(actor) is exactly what kGatherStaticLists
   /// needs (followers or followees per the plan).
-  StaticGraph static_index_;
+  std::shared_ptr<const StaticGraph> static_index_;
   DynamicInEdgeIndex dynamic_index_;
   MotifEngineStats stats_;
 
-  // Scratch, reused per event.
+  // Resolved from the plan and options once, off the per-event path.
+  MotifAction trigger_action_;
+  /// The index is the follower orientation, so S can answer "already
+  /// follows the item" (a static in-edge of the item from the user).
+  bool follower_orientation_;
+  bool use_bitsets_;
+
+  // Scratch, reused per event to stay allocation-free on the hot path.
   std::vector<TimestampedInEdge> actors_;
   std::vector<std::span<const VertexId>> lists_;
   std::vector<BitsetView> bitsets_;

@@ -77,7 +77,7 @@ std::string MotifPlan::Explain() const {
 }
 
 Result<MotifPlan> CompileMotif(const MotifSpec& spec,
-                               const PlannerOptions& options) {
+                               const MotifOptions& options) {
   MAGICRECS_RETURN_IF_ERROR(spec.Validate());
 
   // Locate the trigger (Validate guarantees existence and dynamism).

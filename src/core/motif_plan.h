@@ -61,13 +61,50 @@ struct PlanOp {
   std::string Describe() const;
 };
 
-/// Execution knobs the planner bakes into the plan (the same knobs
-/// DiamondOptions exposes, so generic and hand-coded paths are comparable).
-struct PlannerOptions {
+/// Execution knobs of one motif: the planner bakes the witness caps, the
+/// exclusion filter and the intersection algorithm into the plan's ops;
+/// MotifEngine applies the rest to its indexes.
+struct MotifOptions {
+  /// Upper bound on dynamic in-edges retained per target (forwarded to the
+  /// D structure; 0 = unlimited).
+  size_t max_in_edges_per_vertex = 0;
+
+  /// Caps how many B's participate in one motif query; when exceeded, the
+  /// most recent actors are kept. Bounds worst-case query cost on celebrity
+  /// targets. 0 = unlimited.
   size_t max_witnesses_per_query = 64;
+
+  /// Caps the witness ids materialized into each Recommendation (the count
+  /// is always exact). 0 = report none.
   size_t max_reported_witnesses = 8;
+
+  /// Drop candidates who already follow the recommended account — they
+  /// cannot be "recommended" something they have (checked against both S
+  /// and the in-window dynamic edges).
   bool exclude_existing_followers = true;
+
+  /// Threshold-intersection strategy (kAuto selects per query).
   ThresholdAlgorithm algorithm = ThresholdAlgorithm::kAuto;
+
+  /// Probe hub actors' bitmaps (StaticGraph::BuildHubIndex) during
+  /// candidate verification instead of galloping their sorted arrays.
+  /// No-op when the static index has no hub index built.
+  bool use_hub_bitsets = true;
+
+  /// Rejects out-of-order event timestamps instead of clamping them.
+  bool strict_time_order = false;
+};
+
+/// Tunable parameters of the paper's diamond motif ("k and tau are
+/// tunable", §1): MakeDiamondSpec(k, window) run with these options.
+struct DiamondOptions : MotifOptions {
+  /// Minimum number of distinct followings that must act on the same target
+  /// (the paper's k; production value 3).
+  uint32_t k = 3;
+
+  /// Freshness window tau: only actions within this window of the trigger
+  /// count toward k.
+  Duration window = Minutes(10);
 };
 
 /// A compiled, immutable plan.
@@ -81,7 +118,7 @@ struct MotifPlan {
 
 /// Validates the spec's shape and emits the physical plan.
 Result<MotifPlan> CompileMotif(const MotifSpec& spec,
-                               const PlannerOptions& options = {});
+                               const MotifOptions& options = {});
 
 }  // namespace magicrecs
 

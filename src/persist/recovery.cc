@@ -63,36 +63,39 @@ Status RecoveryManager::ReplayFrom(
   return Status::OK();
 }
 
-Status RecoveryManager::RecoverDetector(DiamondDetector* detector,
-                                        RecoveryStats* stats) const {
-  RecoveryStats local;
-  RecoveryStats& out = stats != nullptr ? *stats : local;
-  out = RecoveryStats{};
-  if (!options_.enabled()) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
-  Stopwatch timer;
-
-  detector->ClearDynamicState();
-  std::optional<SnapshotContents> snapshot;
-  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, &out));
+Status RecoveryManager::RebuildDynamicState(
+    const std::optional<SnapshotContents>& snapshot, MotifEngine* engine,
+    RecoveryStats* stats) const {
+  engine->ClearDynamicState();
   uint64_t min_sequence = 0;
   if (snapshot.has_value()) {
     if (snapshot->has_dynamic) {
-      MAGICRECS_RETURN_IF_ERROR(detector->RestoreDynamicState(
+      MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
           reinterpret_cast<const uint8_t*>(snapshot->dynamic_bytes.data()),
           snapshot->dynamic_bytes.size()));
     }
     min_sequence = snapshot->meta.next_sequence;
   }
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(
+  return ReplayFrom(
       min_sequence,
-      [detector](const EdgeEvent& event) {
-        return detector->Ingest(event.edge.src, event.edge.dst,
-                                event.edge.created_at);
+      [engine](const EdgeEvent& event) {
+        return engine->Ingest(event.edge.src, event.edge.dst,
+                              event.edge.created_at);
       },
-      &out));
-  out.wall_micros = timer.ElapsedMicros();
+      stats);
+}
+
+Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
+                                            RecoveryStats* stats) const {
+  *stats = RecoveryStats{};
+  if (!options_.enabled()) {
+    return Status::FailedPrecondition("persistence is not configured");
+  }
+  Stopwatch timer;
+  std::optional<SnapshotContents> snapshot;
+  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, stats));
+  MAGICRECS_RETURN_IF_ERROR(RebuildDynamicState(snapshot, engine, stats));
+  stats->wall_micros = timer.ElapsedMicros();
   return Status::OK();
 }
 
@@ -123,19 +126,8 @@ Result<std::unique_ptr<RecommenderEngine>> RecoveryManager::RecoverEngine(
       std::unique_ptr<RecommenderEngine> engine,
       RecommenderEngine::CreateFromFollowerIndex(std::move(follower_index),
                                                  options));
-  if (snapshot->has_dynamic) {
-    MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
-        reinterpret_cast<const uint8_t*>(snapshot->dynamic_bytes.data()),
-        snapshot->dynamic_bytes.size()));
-  }
-  RecommenderEngine* raw = engine.get();
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(
-      snapshot->meta.next_sequence,
-      [raw](const EdgeEvent& event) {
-        return raw->Ingest(event.edge.src, event.edge.dst,
-                           event.edge.created_at);
-      },
-      &out));
+  MAGICRECS_RETURN_IF_ERROR(
+      RebuildDynamicState(snapshot, &engine->motif_engine(), &out));
   out.wall_micros = timer.ElapsedMicros();
   return engine;
 }
@@ -143,71 +135,21 @@ Result<std::unique_ptr<RecommenderEngine>> RecoveryManager::RecoverEngine(
 Status RecoveryManager::RecoverEngineState(RecommenderEngine* engine,
                                            RecoveryStats* stats) const {
   RecoveryStats local;
-  RecoveryStats& out = stats != nullptr ? *stats : local;
-  out = RecoveryStats{};
-  if (!options_.enabled()) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
-  Stopwatch timer;
-
-  engine->ClearDynamicState();
-  std::optional<SnapshotContents> snapshot;
-  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, &out));
-  uint64_t min_sequence = 0;
-  if (snapshot.has_value()) {
-    if (snapshot->has_dynamic) {
-      MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
-          reinterpret_cast<const uint8_t*>(snapshot->dynamic_bytes.data()),
-          snapshot->dynamic_bytes.size()));
-    }
-    min_sequence = snapshot->meta.next_sequence;
-  }
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(
-      min_sequence,
-      [engine](const EdgeEvent& event) {
-        return engine->Ingest(event.edge.src, event.edge.dst,
-                              event.edge.created_at);
-      },
-      &out));
-  out.wall_micros = timer.ElapsedMicros();
-  return Status::OK();
+  return RecoverDynamicState(&engine->motif_engine(),
+                             stats != nullptr ? stats : &local);
 }
 
 Status RecoveryManager::RecoverPartitionServer(PartitionServer* server,
                                                RecoveryStats* stats) const {
   RecoveryStats local;
   RecoveryStats& out = stats != nullptr ? *stats : local;
-  out = RecoveryStats{};
-  if (!options_.enabled()) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
-  Stopwatch timer;
-
-  server->ClearDynamicState();
-  std::optional<SnapshotContents> snapshot;
-  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, &out));
-  uint64_t min_sequence = 0;
-  if (snapshot.has_value()) {
-    if (snapshot->has_dynamic) {
-      MAGICRECS_RETURN_IF_ERROR(server->RestoreDynamicState(
-          reinterpret_cast<const uint8_t*>(snapshot->dynamic_bytes.data()),
-          snapshot->dynamic_bytes.size(), snapshot->meta.next_sequence));
-    }
-    min_sequence = snapshot->meta.next_sequence;
-  }
-  std::vector<Recommendation> discard;
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(
-      min_sequence,
-      [server, &discard](const EdgeEvent& event) {
-        discard.clear();
-        return server->OnEvent(event, /*emit=*/false, &discard);
-      },
-      &out));
-  out.wall_micros = timer.ElapsedMicros();
+  MAGICRECS_RETURN_IF_ERROR(
+      RecoverDynamicState(&server->motif_engine(), &out));
+  server->set_next_sequence(out.next_sequence);
   return Status::OK();
 }
 
-Status RecoveryManager::Checkpoint(const DiamondDetector& detector,
+Status RecoveryManager::Checkpoint(const MotifEngine& engine,
                                    const StaticGraph* follower_index,
                                    uint32_t partition_id,
                                    uint64_t next_sequence,
@@ -229,7 +171,7 @@ Status RecoveryManager::Checkpoint(const DiamondDetector& detector,
   const std::string path =
       options_.dir + "/" + SnapshotFileName(next_sequence);
   MAGICRECS_RETURN_IF_ERROR(WriteSnapshot(path, meta, follower_index,
-                                          &detector.dynamic_index()));
+                                          &engine.dynamic_index()));
   // Reclaim everything the new snapshot supersedes. Failing to reclaim is
   // not fatal to durability, but surfacing it beats silent disk growth.
   MAGICRECS_RETURN_IF_ERROR(

@@ -19,8 +19,8 @@
 #include <string>
 
 #include "cluster/partition_server.h"
-#include "core/diamond_detector.h"
 #include "core/engine.h"
+#include "core/motif_engine.h"
 #include "persist/persist_options.h"
 #include "persist/snapshot.h"
 #include "util/result.h"
@@ -49,10 +49,6 @@ class RecoveryManager {
  public:
   explicit RecoveryManager(const PersistOptions& options) : options_(options) {}
 
-  /// Rebuilds a detector's dynamic state from snapshot + WAL. A directory
-  /// with no snapshot and no WAL is a valid cold start (empty state, OK).
-  Status RecoverDetector(DiamondDetector* detector, RecoveryStats* stats) const;
-
   /// Rebuilds a full single-machine engine — S from the snapshot's static
   /// section, D from its dynamic section + WAL replay. Requires a snapshot
   /// carrying S (written via Checkpoint with a non-null follower_index);
@@ -62,7 +58,9 @@ class RecoveryManager {
 
   /// Restores the dynamic state of an engine the caller already rebuilt
   /// from the follow graph (the common restart path when the offline graph
-  /// pipeline output is still at hand and the snapshot carries only D).
+  /// pipeline output is still at hand and the snapshot carries only D). A
+  /// directory with no snapshot and no WAL is a valid cold start (empty
+  /// state, OK).
   Status RecoverEngineState(RecommenderEngine* engine,
                             RecoveryStats* stats) const;
 
@@ -75,19 +73,29 @@ class RecoveryManager {
   /// Writes a snapshot covering sequences [0, next_sequence), then deletes
   /// the WAL segments and older snapshots it supersedes. Pass a non-null
   /// `follower_index` to make the snapshot self-contained (enables
-  /// RecoverEngine). The caller must be quiesced: `detector` must have
+  /// RecoverEngine). The caller must be quiesced: `engine` must have
   /// applied exactly the events below `next_sequence`.
-  Status Checkpoint(const DiamondDetector& detector,
+  Status Checkpoint(const MotifEngine& engine,
                     const StaticGraph* follower_index, uint32_t partition_id,
                     uint64_t next_sequence, Timestamp created_at) const;
 
   const PersistOptions& options() const { return options_; }
 
  private:
+  /// RecoverEngineState and RecoverPartitionServer: loads the newest
+  /// snapshot, then RebuildDynamicState. Resets and fills *stats.
+  Status RecoverDynamicState(MotifEngine* engine, RecoveryStats* stats) const;
+
   /// Loads the newest snapshot into *contents (nullopt on a cold start) and
   /// accounts it in *stats.
   Status LoadLatestSnapshot(std::optional<SnapshotContents>* contents,
                             RecoveryStats* stats) const;
+
+  /// The one restore path: clears `engine`'s D, restores the snapshot's D
+  /// (if any), then replays the WAL tail the snapshot does not cover
+  /// through Ingest, accounting into *stats.
+  Status RebuildDynamicState(const std::optional<SnapshotContents>& snapshot,
+                             MotifEngine* engine, RecoveryStats* stats) const;
 
   /// Replays WAL records with sequence >= min_sequence through `ingest`,
   /// accounting into *stats (including the post-replay next_sequence).

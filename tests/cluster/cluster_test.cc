@@ -278,7 +278,7 @@ TEST(ClusterTest, AggregatedStatsCoverAllPartitions) {
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
     ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
   }
-  const DiamondStats stats = (*cluster)->AggregatedStats();
+  const MotifEngineStats stats = (*cluster)->AggregatedStats();
   // Every partition ingests every event.
   EXPECT_EQ(stats.events, 4u * 3u);
   EXPECT_EQ(stats.recommendations, 1u);

@@ -113,14 +113,17 @@ TEST(PartitionServerTest, SharedShardReplicasAreIndependent) {
   auto shared = std::make_shared<const StaticGraph>(std::move(shard).value());
   auto r0 = PartitionServer::CreateWithShard(shared, 0, Defaults(2));
   auto r1 = PartitionServer::CreateWithShard(shared, 0, Defaults(2));
+  ASSERT_TRUE(r0.ok() && r1.ok());
 
   std::vector<Recommendation> out;
   ASSERT_TRUE(
-      r0->OnEvent(MakeEvent({figure1::kB1, figure1::kC2, 1}), true, &out)
+      (*r0)->OnEvent(MakeEvent({figure1::kB1, figure1::kC2, 1}), true, &out)
           .ok());
-  // r1's D never saw the edge.
-  EXPECT_EQ(r0->DynamicMemoryUsage() > 0, true);
-  EXPECT_EQ(r1->stats().events, 0u);
+  // r1's D never saw the edge, but both read the one shared shard.
+  EXPECT_EQ((*r0)->DynamicMemoryUsage() > 0, true);
+  EXPECT_EQ((*r1)->stats().events, 0u);
+  EXPECT_EQ(&(*r0)->shard(), shared.get());
+  EXPECT_EQ(&(*r1)->shard(), shared.get());
 }
 
 TEST(PartitionServerTest, MemoryAccountedPerReplica) {

@@ -1,46 +1,362 @@
 #include "core/motif_engine.h"
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
-#include "core/diamond_detector.h"
 #include "gen/figure1.h"
 
 namespace magicrecs {
 namespace {
 
-TEST(MotifEngineTest, DiamondSpecReproducesFigure1) {
-  auto engine = MotifEngine::Create(figure1::FollowGraph(),
-                                    MakeDiamondSpec(2, Minutes(10)));
-  ASSERT_TRUE(engine.ok()) << engine.status();
+DiamondOptions Defaults(uint32_t k, Duration window = Minutes(10)) {
+  DiamondOptions opt;
+  opt.k = k;
+  opt.window = window;
+  return opt;
+}
+
+/// The diamond engine over `follow_graph` (edges A -> B, "A follows B").
+std::unique_ptr<MotifEngine> Diamond(const StaticGraph& follow_graph,
+                                     const DiamondOptions& options) {
+  auto engine = MotifEngine::Create(
+      follow_graph, MakeDiamondSpec(options.k, options.window), options);
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  return engine.ok() ? std::move(engine).value() : nullptr;
+}
+
+/// Builds a follow graph over `num_vertices` from (follower, followee) pairs.
+StaticGraph Follows(size_t num_vertices, const std::vector<Edge>& edges) {
+  StaticGraphBuilder builder(num_vertices);
+  EXPECT_TRUE(builder.AddEdges(edges).ok());
+  auto graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+// --- The diamond on the paper's Figure 1 -------------------------------------
+
+TEST(MotifEngineTest, PaperWalkthroughRecommendsC2ToA2) {
+  // "when the edge B2 -> C2 is created ... we want to push C2 to A2" (k=2).
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
   std::vector<Recommendation> recs;
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*engine)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+    ASSERT_TRUE(engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
   }
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
   EXPECT_EQ(recs[0].item, figure1::kC2);
   EXPECT_EQ(recs[0].witness_count, 2u);
+  EXPECT_EQ(recs[0].witnesses,
+            (std::vector<VertexId>{figure1::kB1, figure1::kB2}));
+  EXPECT_EQ(recs[0].trigger, figure1::kB2);
 }
 
-TEST(MotifEngineTest, MatchesHandCodedDetectorOnFigure1) {
-  auto engine = MotifEngine::Create(figure1::FollowGraph(),
-                                    MakeDiamondSpec(2, Minutes(10)));
-  ASSERT_TRUE(engine.ok());
-
-  const StaticGraph follow = figure1::FollowGraph();
-  const StaticGraph follower_index = follow.Transpose();
-  DiamondOptions opt;
-  opt.k = 2;
-  opt.window = Minutes(10);
-  DiamondDetector detector(&follower_index, opt);
-
-  std::vector<Recommendation> generic, handcoded;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*engine)->OnEdge(e.src, e.dst, e.created_at, &generic).ok());
-    ASSERT_TRUE(detector.OnEdge(e.src, e.dst, e.created_at, &handcoded).ok());
+TEST(MotifEngineTest, NoRecommendationBeforeTrigger) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  const auto edges = figure1::DynamicEdges(0);
+  for (size_t i = 0; i + 1 < edges.size(); ++i) {  // all but the trigger
+    ASSERT_TRUE(
+        engine->OnEdge(edges[i].src, edges[i].dst, edges[i].created_at, &recs)
+            .ok());
   }
-  EXPECT_EQ(generic, handcoded);
+  EXPECT_TRUE(recs.empty());
 }
+
+TEST(MotifEngineTest, ProductionKThreeNeedsAThirdWitness) {
+  // With k=3 the Figure 1 fragment cannot produce a recommendation.
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(3));
+  std::vector<Recommendation> recs;
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+  }
+  EXPECT_TRUE(recs.empty());
+}
+
+TEST(MotifEngineTest, ExpiredWindowSuppressesTheMotif) {
+  // If B1 -> C2 happened an hour before B2 -> C2, tau = 10min excludes it.
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 0, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(figure1::kB2, figure1::kC2, Hours(1), &recs).ok());
+  EXPECT_TRUE(recs.empty());
+}
+
+TEST(MotifEngineTest, WindowBoundaryInclusive) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 1, &recs).ok());
+  // Exactly window-1 later: still inside (t - window, t].
+  ASSERT_TRUE(
+      engine->OnEdge(figure1::kB2, figure1::kC2, Minutes(10), &recs).ok());
+  EXPECT_EQ(recs.size(), 1u);
+}
+
+TEST(MotifEngineTest, RepeatFollowByTheSameBDoesNotCount) {
+  // B1 following C2 twice is one distinct witness, not two.
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 2, &recs).ok());
+  EXPECT_TRUE(recs.empty());
+}
+
+TEST(MotifEngineTest, StatsAreAccurate) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+  }
+  const MotifEngineStats& stats = engine->stats();
+  EXPECT_EQ(stats.events, 4u);
+  EXPECT_EQ(stats.threshold_queries, 1u);
+  EXPECT_EQ(stats.raw_candidates, 1u);
+  EXPECT_EQ(stats.recommendations, 1u);
+  EXPECT_EQ(stats.query_micros.Count(), 4u);
+  EXPECT_EQ(stats.intersection_sizes.Count(), 1u);
+  EXPECT_EQ(stats.intersection_sizes.Max(), 2);
+}
+
+// --- Exclusion filters -------------------------------------------------------
+
+TEST(MotifEngineTest, ExcludesExistingFollower) {
+  // A0 follows B1, B2 and already follows C9: no recommendation for A0.
+  const auto engine =
+      Diamond(Follows(10, {{0, 1}, {0, 2}, {0, 9}}), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(1, 9, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(2, 9, 2, &recs).ok());
+  EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->stats().suppressed_existing, 1u);
+}
+
+TEST(MotifEngineTest, ExistingFollowerIncludedWhenDisabled) {
+  DiamondOptions opt = Defaults(2);
+  opt.exclude_existing_followers = false;
+  const auto engine = Diamond(Follows(10, {{0, 1}, {0, 2}, {0, 9}}), opt);
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(1, 9, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(2, 9, 2, &recs).ok());
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].user, 0u);
+  EXPECT_EQ(engine->stats().suppressed_existing, 0u);
+}
+
+TEST(MotifEngineTest, ExcludesDynamicFollower) {
+  // A0 follows B1 and B2; A0 itself followed C9 two seconds earlier on the
+  // stream (not in S). Still excluded.
+  const auto engine = Diamond(Follows(10, {{0, 1}, {0, 2}}), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(0, 9, Seconds(1), &recs).ok());  // A0 -> C9
+  ASSERT_TRUE(engine->OnEdge(1, 9, Seconds(2), &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(2, 9, Seconds(3), &recs).ok());
+  EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->stats().suppressed_existing, 1u);
+}
+
+TEST(MotifEngineTest, SelfRecommendationSuppressed) {
+  // C9 follows B1 and B2; B1, B2 follow C9 back: C9 must not be recommended
+  // to itself.
+  const auto engine = Diamond(Follows(10, {{9, 1}, {9, 2}}), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(1, 9, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(2, 9, 2, &recs).ok());
+  EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->stats().suppressed_self, 1u);
+}
+
+// --- Fan-out, re-triggering and the witness caps -----------------------------
+
+TEST(MotifEngineTest, MultipleUsersRecommendedAtOnce) {
+  // A0..A4 all follow B10 and B11; both follow C20 within the window.
+  std::vector<Edge> follows;
+  for (VertexId a = 0; a < 5; ++a) {
+    follows.push_back({a, 10});
+    follows.push_back({a, 11});
+  }
+  const auto engine = Diamond(Follows(30, follows), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(10, 20, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(11, 20, 2, &recs).ok());
+  ASSERT_EQ(recs.size(), 5u);
+  for (const auto& rec : recs) EXPECT_EQ(rec.item, 20u);
+}
+
+TEST(MotifEngineTest, LaterWitnessesRetrigger) {
+  // After the first recommendation at k=2, a third B triggers another
+  // recommendation with witness_count=3 (downstream dedup collapses these).
+  const auto engine =
+      Diamond(Follows(30, {{0, 10}, {0, 11}, {0, 12}}), Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(10, 20, 1, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(11, 20, 2, &recs).ok());
+  ASSERT_TRUE(engine->OnEdge(12, 20, 3, &recs).ok());
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_EQ(recs[0].witness_count, 2u);
+  EXPECT_EQ(recs[1].witness_count, 3u);
+}
+
+TEST(MotifEngineTest, WitnessReportingCapKeepsCountExact) {
+  std::vector<Edge> follows;
+  for (VertexId b = 10; b < 16; ++b) follows.push_back({0, b});
+  DiamondOptions opt = Defaults(6);
+  opt.max_reported_witnesses = 2;
+  const auto engine = Diamond(Follows(30, follows), opt);
+  std::vector<Recommendation> recs;
+  for (VertexId b = 10; b < 16; ++b) {
+    ASSERT_TRUE(engine->OnEdge(b, 20, b, &recs).ok());
+  }
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].witness_count, 6u);
+  EXPECT_EQ(recs[0].witnesses.size(), 2u);
+}
+
+TEST(MotifEngineTest, WitnessQueryCapBoundsWork) {
+  // 100 actors on a hot target, cap at 10: the query still works with the
+  // 10 most recent.
+  std::vector<Edge> follows;
+  for (VertexId b = 50; b < 150; ++b) follows.push_back({0, b});
+  DiamondOptions opt = Defaults(3);
+  opt.max_witnesses_per_query = 10;
+  const auto engine = Diamond(Follows(200, follows), opt);
+  std::vector<Recommendation> recs;
+  for (VertexId b = 50; b < 150; ++b) {
+    ASSERT_TRUE(engine->OnEdge(b, 190, Seconds(b), &recs).ok());
+  }
+  EXPECT_FALSE(recs.empty());
+  for (const auto& rec : recs) EXPECT_LE(rec.witness_count, 10u);
+  EXPECT_EQ(engine->stats().intersection_sizes.Max(), 10);
+}
+
+TEST(MotifEngineTest, KOneDegeneratesToTriangleClosure) {
+  const auto engine = Diamond(Follows(10, {{0, 1}}), Defaults(1));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(1, 5, 1, &recs).ok());
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].user, 0u);
+  EXPECT_EQ(recs[0].item, 5u);
+}
+
+// --- Option semantics on D ---------------------------------------------------
+
+TEST(MotifEngineTest, InvalidEdgeRejected) {
+  const auto engine = Diamond(StaticGraph(), Defaults(2));
+  std::vector<Recommendation> recs;
+  EXPECT_TRUE(engine->OnEdge(kInvalidVertex, 1, 0, &recs).IsInvalidArgument());
+}
+
+TEST(MotifEngineTest, StrictTimeOrderPropagates) {
+  DiamondOptions opt = Defaults(2);
+  opt.strict_time_order = true;
+  const auto engine = Diamond(StaticGraph(), opt);
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(1, 2, Seconds(10), &recs).ok());
+  EXPECT_TRUE(engine->OnEdge(3, 2, Seconds(5), &recs).IsFailedPrecondition());
+}
+
+TEST(MotifEngineTest, RetentionCapPropagates) {
+  // One retained in-edge per target: B1 -> C2 is evicted by B2 -> C2, so the
+  // trigger finds a single witness.
+  DiamondOptions opt = Defaults(2);
+  opt.max_in_edges_per_vertex = 1;
+  const auto engine = Diamond(figure1::FollowGraph(), opt);
+  std::vector<Recommendation> recs;
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+  }
+  EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->dynamic_index().stats().evicted, 1u);
+}
+
+// --- Serving hooks: ingest-only, state transfer, prune, shared index ---------
+
+TEST(MotifEngineTest, IngestSkipsQueryWork) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(engine->Ingest(e.src, e.dst, e.created_at).ok());
+  }
+  EXPECT_EQ(engine->stats().events, 4u);
+  EXPECT_EQ(engine->stats().threshold_queries, 0u);
+  EXPECT_EQ(engine->stats().recommendations, 0u);
+  EXPECT_EQ(engine->stats().query_micros.Count(), 0u);
+}
+
+TEST(MotifEngineTest, CopyDynamicStateTransfersWarmState) {
+  const auto warm = Diamond(figure1::FollowGraph(), Defaults(2));
+  const auto cold = Diamond(figure1::FollowGraph(), Defaults(2));
+  const auto edges = figure1::DynamicEdges(0);
+  std::vector<Recommendation> recs;
+  for (size_t i = 0; i + 1 < edges.size(); ++i) {
+    ASSERT_TRUE(
+        warm->OnEdge(edges[i].src, edges[i].dst, edges[i].created_at, &recs)
+            .ok());
+  }
+  cold->CopyDynamicStateFrom(*warm);
+  // The trigger lands on the previously cold replica and still detects.
+  ASSERT_TRUE(cold->OnEdge(edges.back().src, edges.back().dst,
+                           edges.back().created_at, &recs)
+                  .ok());
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].user, figure1::kA2);
+}
+
+TEST(MotifEngineTest, DynamicStateRoundTripsThroughEncoding) {
+  const auto source = Diamond(figure1::FollowGraph(), Defaults(2));
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(source->Ingest(e.src, e.dst, e.created_at).ok());
+  }
+  std::string bytes;
+  source->EncodeDynamicState(&bytes);
+
+  const auto restored = Diamond(figure1::FollowGraph(), Defaults(2));
+  ASSERT_TRUE(restored
+                  ->RestoreDynamicState(
+                      reinterpret_cast<const uint8_t*>(bytes.data()),
+                      bytes.size())
+                  .ok());
+  std::string again;
+  restored->EncodeDynamicState(&again);
+  EXPECT_EQ(again, bytes);
+  restored->ClearDynamicState();
+  EXPECT_EQ(restored->dynamic_index().stats().current_edges, 0u);
+}
+
+TEST(MotifEngineTest, PruneReleasesExpiredState) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2, Seconds(10)));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 0, &recs).ok());
+  EXPECT_GT(engine->DynamicMemoryUsage(), 0u);
+  engine->Prune(Hours(1));
+  EXPECT_EQ(engine->dynamic_index().stats().current_edges, 0u);
+}
+
+TEST(MotifEngineTest, DiamondOverABorrowedIndexSharesIt) {
+  auto follower_index =
+      std::make_shared<const StaticGraph>(figure1::FollowGraph().Transpose());
+  auto a = MotifEngine::CreateDiamond(follower_index, Defaults(2));
+  auto b = MotifEngine::CreateDiamond(follower_index, Defaults(2));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(&(*a)->static_index(), follower_index.get());
+  EXPECT_EQ(&(*b)->static_index(), follower_index.get());
+
+  std::vector<Recommendation> recs;
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE((*a)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+  }
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ((*b)->stats().events, 0u);  // D stays per engine
+
+  EXPECT_TRUE(MotifEngine::CreateDiamond(nullptr, Defaults(2))
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(MotifEngine::CreateDiamond(follower_index, Defaults(0))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// --- Other motifs through the same executor ----------------------------------
 
 TEST(MotifEngineTest, TriangleClosureFiresOnFirstEdge) {
   auto engine = MotifEngine::Create(figure1::FollowGraph(),
@@ -70,6 +386,11 @@ TEST(MotifEngineTest, ActionFilterSkipsOtherActions) {
   EXPECT_TRUE(recs.empty());
   EXPECT_EQ((*engine)->stats().filtered_by_action, 4u);
 
+  // Ingest-only follows are filtered the same way, so standbys stay in step.
+  ASSERT_TRUE((*engine)->Ingest(figure1::kB1, figure1::kC2, 1).ok());
+  EXPECT_EQ((*engine)->stats().filtered_by_action, 5u);
+  EXPECT_EQ((*engine)->stats().events, 0u);
+
   // Replayed as retweets, the motif fires.
   for (const TimestampedEdge& e : figure1::DynamicEdges(Hours(1))) {
     ASSERT_TRUE((*engine)
@@ -84,16 +405,11 @@ TEST(MotifEngineTest, ActionFilterSkipsOtherActions) {
 TEST(MotifEngineTest, ReversedStaticEdgeRecommendsToFollowees) {
   // Pattern: static B -> A (the actor follows A); dynamic B -> C. When >= 1
   // actors who follow A act on C, recommend C to A. Build: B5 follows A0.
-  StaticGraphBuilder builder(10);
-  ASSERT_TRUE(builder.AddEdge(5, 0).ok());
-  auto follow = builder.Build();
-  ASSERT_TRUE(follow.ok());
-
   MotifSpec spec = MakeDiamondSpec(1, Minutes(10));
   spec.name = "followee_push";
   spec.edges[0] = MotifEdgeSpec{"B", "A", MotifEdgeKind::kStatic, 0,
                                 MotifAction::kAny};
-  auto engine = MotifEngine::Create(*follow, spec);
+  auto engine = MotifEngine::Create(Follows(10, {{5, 0}}), spec);
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   std::vector<Recommendation> recs;
@@ -109,31 +425,6 @@ TEST(MotifEngineTest, RejectsUnplannableSpec) {
   auto engine = MotifEngine::Create(figure1::FollowGraph(), spec);
   EXPECT_FALSE(engine.ok());
   EXPECT_TRUE(engine.status().IsUnimplemented());
-}
-
-TEST(MotifEngineTest, StatsCountQueriesAndCandidates) {
-  auto engine = MotifEngine::Create(figure1::FollowGraph(),
-                                    MakeDiamondSpec(2, Minutes(10)));
-  ASSERT_TRUE(engine.ok());
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*engine)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
-  const MotifEngineStats& stats = (*engine)->stats();
-  EXPECT_EQ(stats.events, 4u);
-  EXPECT_EQ(stats.threshold_queries, 1u);
-  EXPECT_EQ(stats.recommendations, 1u);
-}
-
-TEST(MotifEngineTest, PruneAndMemoryAccounting) {
-  auto engine = MotifEngine::Create(figure1::FollowGraph(),
-                                    MakeDiamondSpec(2, Seconds(5)));
-  ASSERT_TRUE(engine.ok());
-  std::vector<Recommendation> recs;
-  ASSERT_TRUE((*engine)->OnEdge(figure1::kB1, figure1::kC1, 0, &recs).ok());
-  EXPECT_GT((*engine)->DynamicMemoryUsage(), 0u);
-  (*engine)->Prune(Hours(1));
-  SUCCEED();
 }
 
 TEST(MotifEngineTest, PlanIsExposedForExplain) {

@@ -36,8 +36,8 @@ TEST(MotifPlanTest, ReversedStaticEdgeUsesForwardIndex) {
   }
 }
 
-TEST(MotifPlanTest, PlannerOptionsAreBakedIn) {
-  PlannerOptions opts;
+TEST(MotifPlanTest, MotifOptionsAreBakedIn) {
+  MotifOptions opts;
   opts.max_witnesses_per_query = 7;
   opts.max_reported_witnesses = 2;
   opts.exclude_existing_followers = false;
@@ -68,7 +68,7 @@ TEST(MotifPlanTest, PlannerOptionsAreBakedIn) {
 }
 
 TEST(MotifPlanTest, ZeroWitnessCapDropsTheCapOp) {
-  PlannerOptions opts;
+  MotifOptions opts;
   opts.max_witnesses_per_query = 0;
   auto plan = CompileMotif(MakeDiamondSpec(2, Minutes(1)), opts);
   ASSERT_TRUE(plan.ok());

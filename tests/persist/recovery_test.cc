@@ -155,7 +155,7 @@ TEST(RecoveryEquivalenceTest, SnapshotPlusWalTailMatchesUninterrupted) {
     // Checkpoint with the follower index, so recovery is self-contained.
     const size_t segments_before = ListWalSegments(dir.path()).size();
     ASSERT_TRUE(recovery
-                    .Checkpoint((*engine)->detector(),
+                    .Checkpoint((*engine)->motif_engine(),
                                 &(*engine)->follower_index(),
                                 /*partition_id=*/0,
                                 /*next_sequence=*/checkpoint_at,
@@ -240,7 +240,7 @@ class ClusterRecoveryTest : public ::testing::Test {
   static std::string DynamicStateOf(const Cluster& cluster, uint32_t p,
                                     uint32_t r) {
     std::string bytes;
-    cluster.server(p, r).EncodeDynamicState(&bytes);
+    cluster.server(p, r).motif_engine().EncodeDynamicState(&bytes);
     return bytes;
   }
 

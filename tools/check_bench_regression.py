@@ -6,6 +6,9 @@ identity is the tuple of its descriptive fields (section, transport, loop,
 stage, batch, connections, ...); its measurements are the throughput,
 latency and count fields. The check fails when
 
+  * any row, in either file, has its percentiles out of order
+    (p50_us > p99_us, p99_us > max_us, or the same for frames_p50/p99/max),
+    since such a row is not a measurement, or
   * a baseline row is missing from the current run (a bench stopped
     emitting it), or, for any row present in both files,
   * a throughput measurement (events_per_sec, requests_per_sec) dropped by
@@ -62,6 +65,24 @@ GATED = {
 }
 
 
+# Percentile ladders: within a row, each present field must not exceed the
+# next present one.
+LADDERS = (
+    ("p50_us", "p99_us", "max_us"),
+    ("frames_p50", "frames_p99", "frames_max"),
+)
+
+
+def inverted(row):
+    """The first out-of-order (lower, upper) percentile pair, or None."""
+    for ladder in LADDERS:
+        present = [f for f in ladder if f in row]
+        for lower, upper in zip(present, present[1:]):
+            if float(row[lower]) > float(row[upper]):
+                return lower, upper
+    return None
+
+
 def identity(row):
     return tuple(sorted((k, v) for k, v in row.items()
                         if k not in MEASUREMENTS))
@@ -98,9 +119,22 @@ def main():
                              "(default: every section in the baseline)")
     args = parser.parse_args()
 
-    baseline = {identity(r): r for r in load_rows(args.baseline)}
-    current = {identity(r): r for r in load_rows(args.current)}
+    baseline_rows = load_rows(args.baseline)
+    current_rows = load_rows(args.current)
+    baseline = {identity(r): r for r in baseline_rows}
+    current = {identity(r): r for r in current_rows}
     sections = {s for s in args.sections.split(",") if s}
+
+    invalid = []
+    for path, rows in ((args.baseline, baseline_rows),
+                       (args.current, current_rows)):
+        for row in rows:
+            pair = inverted(row)
+            if pair is not None:
+                lower, upper = pair
+                print(f"FAIL: {path}: {lower} {row[lower]} > {upper} "
+                      f"{row[upper]} in {describe(row)}")
+                invalid.append(row)
 
     failures = []
     missing = []
@@ -138,7 +172,10 @@ def main():
               "retire it):", file=sys.stderr)
         for row in missing:
             print(f"  {describe(row)}", file=sys.stderr)
-    if compared == 0 and not missing:
+    if invalid:
+        print(f"\n{len(invalid)} row(s) with percentiles out of order "
+              "(p50 <= p99 <= max must hold)", file=sys.stderr)
+    if compared == 0 and not missing and not invalid:
         sys.exit("no comparable measurements between "
                  f"{args.baseline} and {args.current}")
     if failures:
@@ -147,7 +184,7 @@ def main():
         for row, field, base, cur in failures:
             print(f"  {describe(row)} :: {field} {base:.1f} -> {cur:.1f}",
                   file=sys.stderr)
-    if missing or failures:
+    if invalid or missing or failures:
         sys.exit(1)
     print(f"\nbench check passed: {compared} measurements within "
           f"{args.threshold:.0%} of baseline")
