@@ -9,12 +9,14 @@
 //   * hub shapes: bitset ∩ array and bitset ∩ bitset against the scalar
 //     merge on hub-degree lists — the crossover behind
 //     AutoHubDegreeThreshold;
-//   * k-of-n: scan-count vs heap-merge vs candidate-verify on per-event
-//     shapes, including the celebrity list candidate-verify exists for.
+//   * k-of-n: scan-count vs heap-merge vs candidate-verify on balanced
+//     shapes around kScanCountMaxElements, plus the celebrity list
+//     candidate-verify exists for.
 //
-// Emits the machine-readable "intersect" section into BENCH_net.json
-// (merged; other benches' sections are preserved). The "speedup" field is
-// time(scalar reference)/time(kernel) on the same shape — machine-
+// Emits the machine-readable "intersect" and "threshold" sections into
+// BENCH_net.json (merged; other benches' sections are preserved). The
+// "speedup" field is time(reference)/time(kernel) on the same shape —
+// scalar merge for "intersect", heap-merge for "threshold" — machine-
 // independent, so tools/check_bench_regression.py gates on it.
 //
 // Exit status: --check additionally fails (exit 1) unless the hub-skew
@@ -24,6 +26,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -260,53 +263,89 @@ void HubSweep(bench::JsonRows* rows, bool check) {
               "(bitmap <= 2x array memory), floor %zu\n\n", kMinHubDegree);
 }
 
-void ThresholdSweep() {
-  std::printf("--- k-of-n (6 lists, k=3) ---\n");
-  std::printf("%12s %14s %14s %14s %14s\n", "list size", "scan-count",
-              "heap-merge", "cand-verify", "auto");
+struct ThresholdShape {
+  std::string name;
+  size_t k;
+  std::vector<std::vector<VertexId>> storage;
+};
+
+/// Times every algorithm on every k-of-n shape and emits one "threshold" row
+/// per (shape, algorithm); heap-merge is the speedup reference, as in the
+/// ablation tables. The whole sweep runs several rounds and each cell keeps
+/// its best time, so a burst of interference on a shared host cannot cover
+/// every round of one shape, nor land on one side of a ratio.
+void ThresholdSweep(bench::JsonRows* rows) {
+  constexpr ThresholdAlgorithm kAlgos[] = {
+      ThresholdAlgorithm::kHeapMerge, ThresholdAlgorithm::kScanCount,
+      ThresholdAlgorithm::kCandidateVerify, ThresholdAlgorithm::kAuto};
+  constexpr int kRounds = 5;
+  std::vector<ThresholdShape> shapes;
+  // Balanced: 6 lists, k=3, universe 4x the list size. The totals straddle
+  // kScanCountMaxElements; scan-count's table (8 bytes x 2x the total,
+  // rounded up to a power of two) grows from 4 KiB to 4 MiB.
   Rng rng(7);
-  for (const size_t list_size : {32ul, 512ul, 8'192ul}) {
-    std::vector<std::vector<VertexId>> storage;
+  for (const size_t list_size :
+       {32ul, 512ul, 1'024ul, 2'048ul, 4'096ul, 8'192ul, 16'384ul, 32'768ul}) {
+    ThresholdShape& shape =
+        shapes.emplace_back("6x" + std::to_string(list_size), 3);
     for (size_t i = 0; i < 6; ++i) {
-      storage.push_back(SortedRandom(
+      shape.storage.push_back(SortedRandom(
           list_size, static_cast<uint32_t>(list_size * 4), &rng));
     }
-    std::vector<std::span<const VertexId>> lists(storage.begin(),
-                                                 storage.end());
-    std::vector<ThresholdMatch> out;
-    std::printf("%12zu", list_size);
-    for (const ThresholdAlgorithm algo :
-         {ThresholdAlgorithm::kScanCount, ThresholdAlgorithm::kHeapMerge,
-          ThresholdAlgorithm::kCandidateVerify, ThresholdAlgorithm::kAuto}) {
-      const double seconds =
-          TimePerCall([&] { ThresholdIntersect(lists, 3, &out, algo); });
-      std::printf(" %12.1fus", seconds * 1e6);
-    }
-    std::printf("\n");
   }
-
-  std::printf("\n--- k-of-n celebrity (2x64 + one huge list, k=2) ---\n");
-  std::printf("%12s %14s %14s %14s %14s\n", "celebrity", "scan-count",
-              "heap-merge", "cand-verify", "auto");
+  // Celebrity: 2x64 + one huge list, k=2 — the shape candidate-verify
+  // exists for.
   for (const size_t celebrity : {10'000ul, 100'000ul}) {
     Rng crng(11);
-    std::vector<std::vector<VertexId>> storage;
-    storage.push_back(SortedRandom(64, 1'000'000, &crng));
-    storage.push_back(SortedRandom(64, 1'000'000, &crng));
-    storage.push_back(SortedRandom(celebrity, 1'000'000, &crng));
-    std::vector<std::span<const VertexId>> lists(storage.begin(),
-                                                 storage.end());
-    std::vector<ThresholdMatch> out;
-    std::printf("%12zu", celebrity);
-    for (const ThresholdAlgorithm algo :
-         {ThresholdAlgorithm::kScanCount, ThresholdAlgorithm::kHeapMerge,
-          ThresholdAlgorithm::kCandidateVerify, ThresholdAlgorithm::kAuto}) {
-      const double seconds =
-          TimePerCall([&] { ThresholdIntersect(lists, 2, &out, algo); });
-      std::printf(" %12.1fus", seconds * 1e6);
-    }
-    std::printf("\n");
+    ThresholdShape& shape =
+        shapes.emplace_back("celebrity-" + std::to_string(celebrity), 2);
+    shape.storage.push_back(SortedRandom(64, 1'000'000, &crng));
+    shape.storage.push_back(SortedRandom(64, 1'000'000, &crng));
+    shape.storage.push_back(SortedRandom(celebrity, 1'000'000, &crng));
   }
+
+  std::vector<std::vector<double>> best(
+      shapes.size(), std::vector<double>(std::size(kAlgos),
+                                         std::numeric_limits<double>::infinity()));
+  std::vector<ThresholdMatch> out;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      const std::vector<std::span<const VertexId>> lists(
+          shapes[s].storage.begin(), shapes[s].storage.end());
+      for (size_t a = 0; a < std::size(kAlgos); ++a) {
+        best[s][a] = std::min(best[s][a], TimePerCall([&] {
+                                ThresholdIntersect(lists, shapes[s].k, &out,
+                                                   kAlgos[a]);
+                              }));
+      }
+    }
+  }
+
+  std::printf("--- k-of-n: us/op, speedup vs heap-merge in parens ---\n");
+  std::printf("%16s %8s %16s %16s %16s %16s\n", "shape", "elems",
+              "heap-merge", "scan-count", "cand-verify", "auto");
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const std::vector<std::span<const VertexId>> lists(
+        shapes[s].storage.begin(), shapes[s].storage.end());
+    double total_elems = 0;
+    for (const auto& list : lists) {
+      total_elems += static_cast<double>(list.size());
+    }
+    const double heap_merge = best[s][0];
+    std::printf("%16s %8.0f", shapes[s].name.c_str(), total_elems);
+    for (size_t a = 0; a < std::size(kAlgos); ++a) {
+      std::printf(" %8.1f (%3.1fx)", best[s][a] * 1e6, heap_merge / best[s][a]);
+      rows->AddKernel("threshold", ThresholdAlgorithmName(kAlgos[a]).data(),
+                      shapes[s].name.c_str(), total_elems / best[s][a] / 1e6,
+                      heap_merge / best[s][a]);
+    }
+    std::printf("  auto=%s\n",
+                ThresholdAlgorithmName(
+                    SelectThresholdAlgorithm(lists, shapes[s].k)).data());
+  }
+  std::printf("\nkScanCountMaxElements = %zu (auto: scan-count up to it, "
+              "heap-merge above)\n\n",
+              kScanCountMaxElements);
 }
 
 }  // namespace
@@ -323,7 +362,7 @@ int main(int argc, char** argv) {
   bench::JsonRows rows;
   PairwiseSweep(&rows, check);
   HubSweep(&rows, check);
-  ThresholdSweep();
+  ThresholdSweep(&rows);
   rows.MergeWrite(kJsonPath);
 
   if (g_check_failed) {

@@ -76,8 +76,10 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
 
   // Offline pipeline: influencer cap, invert to the follower index, then
   // cut one shard per hosted partition. Replicas share the immutable shard.
-  const StaticGraph capped = RecommenderEngine::ApplyInfluencerCap(
-      follow_graph, options.max_influencers_per_user);
+  MAGICRECS_ASSIGN_OR_RETURN(
+      const StaticGraph capped,
+      RecommenderEngine::ApplyInfluencerCap(follow_graph,
+                                            options.max_influencers_per_user));
   const StaticGraph full_follower_index = capped.Transpose();
 
   cluster->servers_.resize(cluster->owned_partitions_.size());
@@ -100,9 +102,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
             ? ~uint64_t{0}
             : (uint64_t{1} << options.replicas_per_partition) - 1);
     cluster->alive_masks_.push_back(std::move(mask));
+    const MetricLabels labels = {{"partition", StrFormat("%u", p)}};
     cluster->apply_histograms_.push_back(
-        MetricsRegistry::Default()->GetHistogram(
-            "publish_apply_us", {{"partition", StrFormat("%u", p)}}));
+        MetricsRegistry::Default()->GetHistogram("publish_apply_us", labels));
+    cluster->apply_errors_.push_back(
+        MetricsRegistry::Default()->GetCounter("publish_apply_errors", labels));
   }
 
   if (options.persist.enabled()) {
@@ -186,7 +190,11 @@ Status Cluster::ApplyInline(const EdgeEvent& event,
       if ((mask & (uint64_t{1} << r)) == 0) continue;  // dead: misses event
       const bool emit = ShouldEmit(static_cast<uint32_t>(i), r,
                                    event.sequence);
-      MAGICRECS_RETURN_IF_ERROR(servers_[i][r]->OnEvent(event, emit, out));
+      const Status s = servers_[i][r]->OnEvent(event, emit, out);
+      if (!s.ok()) {
+        apply_errors_[i]->Increment();
+        return s;
+      }
     }
     apply_histograms_[i]->Record(apply_timer.ElapsedMicros());
   }
@@ -291,9 +299,10 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
       gathered.clear();
       const bool emit = ShouldEmit(local, replica, event->sequence);
       const Stopwatch apply_timer;
-      const Status s =
-          servers_[local][replica]->OnEvent(*event, emit, &gathered);
-      (void)s;  // per-event errors are reflected in detector stats
+      // No caller waits on this event: a failed apply is only counted.
+      if (!servers_[local][replica]->OnEvent(*event, emit, &gathered).ok()) {
+        apply_errors_[local]->Increment();
+      }
       apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
       if (!gathered.empty()) {
         std::lock_guard<std::mutex> lock(results_mu_);

@@ -52,6 +52,7 @@
 
 namespace magicrecs {
 
+class Counter;
 class HistogramMetric;
 class WalWriter;
 struct RecoveryStats;
@@ -285,6 +286,10 @@ class Cluster {
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once
   /// at Create so the per-event path never takes the registry lock.
   std::vector<HistogramMetric*> apply_histograms_;
+  /// publish_apply_errors{partition=P}: replica applies that failed. The
+  /// inline path also returns the error; the threaded worker has no caller
+  /// to return it to, so this counter is the only trace it leaves.
+  std::vector<Counter*> apply_errors_;
 
   // Durability state (null / unused when options_.persist is disabled).
   std::unique_ptr<WalWriter> wal_;

@@ -7,8 +7,9 @@ namespace magicrecs {
 
 Result<std::unique_ptr<RecommenderEngine>> RecommenderEngine::Create(
     const StaticGraph& follow_graph, const EngineOptions& options) {
-  const StaticGraph capped =
-      ApplyInfluencerCap(follow_graph, options.max_influencers_per_user);
+  MAGICRECS_ASSIGN_OR_RETURN(
+      const StaticGraph capped,
+      ApplyInfluencerCap(follow_graph, options.max_influencers_per_user));
   return CreateFromFollowerIndex(capped.Transpose(), options);
 }
 
@@ -25,7 +26,7 @@ RecommenderEngine::CreateFromFollowerIndex(StaticGraph follower_index,
       new RecommenderEngine(options, std::move(engine)));
 }
 
-StaticGraph RecommenderEngine::ApplyInfluencerCap(
+Result<StaticGraph> RecommenderEngine::ApplyInfluencerCap(
     const StaticGraph& follow_graph, uint32_t cap) {
   if (cap == 0) return follow_graph;
 
@@ -41,8 +42,7 @@ StaticGraph RecommenderEngine::ApplyInfluencerCap(
     const auto neighbors = follow_graph.Neighbors(src);
     if (neighbors.size() <= cap) {
       for (const VertexId dst : neighbors) {
-        const Status s = builder.AddEdge(src, dst);
-        (void)s;
+        MAGICRECS_RETURN_IF_ERROR(builder.AddEdge(src, dst));
       }
       continue;
     }
@@ -56,12 +56,10 @@ StaticGraph RecommenderEngine::ApplyInfluencerCap(
                         return a < b;
                       });
     for (uint32_t i = 0; i < cap; ++i) {
-      const Status s = builder.AddEdge(src, followees[i]);
-      (void)s;
+      MAGICRECS_RETURN_IF_ERROR(builder.AddEdge(src, followees[i]));
     }
   }
-  auto rebuilt = builder.Build();
-  return std::move(rebuilt).value();
+  return builder.Build();
 }
 
 }  // namespace magicrecs

@@ -70,9 +70,10 @@ class RecommenderEngine {
   /// The influencer-cap transform, exposed for tests and the T7 experiment:
   /// returns a copy of `follow_graph` where each user keeps only their
   /// `cap` most-popular followees (popularity = follower count; ties break
-  /// toward smaller id). cap == 0 returns the graph unchanged.
-  static StaticGraph ApplyInfluencerCap(const StaticGraph& follow_graph,
-                                        uint32_t cap);
+  /// toward smaller id). cap == 0 returns the graph unchanged. Fails with
+  /// the graph builder's status if the capped graph cannot be built.
+  static Result<StaticGraph> ApplyInfluencerCap(const StaticGraph& follow_graph,
+                                                uint32_t cap);
 
  private:
   RecommenderEngine(const EngineOptions& options,

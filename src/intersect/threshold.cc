@@ -1,10 +1,10 @@
 #include "intersect/threshold.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <queue>
-#include <unordered_map>
 
 #include "intersect/simd.h"
 
@@ -26,22 +26,104 @@ std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo) {
 
 namespace {
 
+/// Open-addressing id -> occurrence-count table, reused by every call on a
+/// thread. Linear probing, multiplicative (Fibonacci) hashing, power-of-two
+/// sizes. kInvalidVertex marks an empty slot, so a real occurrence of that
+/// id is counted on the side. Every slot a call fills is listed in
+/// touched_: the caller reads its counts from that list, and the next
+/// Begin() empties exactly those slots — nothing ever scans or clears the
+/// whole table.
+class CountTable {
+ public:
+  /// Starts a count over `total` list elements: empties what the previous
+  /// count filled and sizes this count's slot range to >= 2 * total. The
+  /// backing storage only grows.
+  void Begin(size_t total) {
+    for (const size_t slot : touched_) slots_[slot] = Slot{};
+    touched_.clear();
+    invalid_count_ = 0;
+    const size_t capacity =
+        std::bit_ceil(std::max<size_t>(2 * total, kMinSlots));
+    if (capacity > slots_.size()) slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+  }
+
+  void Add(VertexId v) {
+    if (v == kInvalidVertex) {
+      ++invalid_count_;
+      return;
+    }
+    size_t i = static_cast<size_t>((uint64_t{v} * 0x9E3779B97F4A7C15ull) >>
+                                   shift_);
+    while (true) {
+      Slot& slot = slots_[i];
+      if (slot.id == v) {
+        ++slot.count;
+        return;
+      }
+      if (slot.id == kInvalidVertex) {
+        touched_.push_back(i);  // first, so a throw leaves no unlisted slot
+        slot = Slot{v, 1};
+        return;
+      }
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// Calls fn(id, count) for every distinct id counted since Begin(), in
+  /// no particular order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const size_t slot : touched_) fn(slots_[slot].id, slots_[slot].count);
+    if (invalid_count_ > 0) fn(kInvalidVertex, invalid_count_);
+  }
+
+ private:
+  struct Slot {
+    VertexId id = kInvalidVertex;
+    uint32_t count = 0;
+  };
+  static constexpr size_t kMinSlots = 16;
+
+  std::vector<Slot> slots_;
+  std::vector<size_t> touched_;
+  uint32_t invalid_count_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+};
+
+/// Per-thread working memory of ScanCount and CandidateVerify; once warm,
+/// neither allocates.
+struct Scratch {
+  CountTable counts;
+  std::vector<size_t> order;
+  std::vector<ThresholdMatch> candidates;
+  std::vector<size_t> cursor;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+bool IdLess(const ThresholdMatch& a, const ThresholdMatch& b) {
+  return a.id < b.id;
+}
+
 size_t ScanCount(const std::vector<std::span<const VertexId>>& lists, size_t k,
                  std::vector<ThresholdMatch>* out) {
-  std::unordered_map<VertexId, uint32_t> counts;
+  CountTable& counts = ThreadScratch().counts;
   size_t total = 0;
   for (const auto& list : lists) total += list.size();
-  counts.reserve(total);
+  counts.Begin(total);
   for (const auto& list : lists) {
-    for (const VertexId v : list) ++counts[v];
+    for (const VertexId v : list) counts.Add(v);
   }
-  for (const auto& [v, c] : counts) {
+  counts.ForEach([&](VertexId v, uint32_t c) {
     if (c >= k) out->push_back(ThresholdMatch{v, c});
-  }
-  std::sort(out->begin(), out->end(),
-            [](const ThresholdMatch& a, const ThresholdMatch& b) {
-              return a.id < b.id;
-            });
+  });
+  std::sort(out->begin(), out->end(), IdLess);
   return out->size();
 }
 
@@ -81,39 +163,39 @@ size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
                        size_t k, std::vector<ThresholdMatch>* out,
                        const std::vector<BitsetView>* bitsets) {
   const size_t n = lists.size();
+  Scratch& scratch = ThreadScratch();
   // Order list indices by size: the n-k+1 smallest seed the candidate set,
   // the k-1 largest are only probed.
-  std::vector<size_t> order(n);
+  std::vector<size_t>& order = scratch.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return lists[a].size() < lists[b].size();
   });
   const size_t num_seed = n - k + 1;
 
-  // Merge the seed lists, tracking per-candidate seed occurrence counts.
-  // Per-event inputs are small, so a scan-count over seeds is fine; the
-  // savings come from never scanning the large verify lists.
-  std::unordered_map<VertexId, uint32_t> seed_counts;
+  // Count seed occurrences per candidate. The savings come from never
+  // scanning the large verify lists.
+  size_t seed_total = 0;
+  for (size_t s = 0; s < num_seed; ++s) seed_total += lists[order[s]].size();
+  scratch.counts.Begin(seed_total);
   for (size_t s = 0; s < num_seed; ++s) {
-    for (const VertexId v : lists[order[s]]) ++seed_counts[v];
+    for (const VertexId v : lists[order[s]]) scratch.counts.Add(v);
   }
-
-  std::vector<ThresholdMatch> candidates;
-  candidates.reserve(seed_counts.size());
-  for (const auto& [v, c] : seed_counts) {
+  std::vector<ThresholdMatch>& candidates = scratch.candidates;
+  candidates.clear();
+  scratch.counts.ForEach([&](VertexId v, uint32_t c) {
     candidates.push_back(ThresholdMatch{v, c});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const ThresholdMatch& a, const ThresholdMatch& b) {
-              return a.id < b.id;
-            });
+  });
+  std::sort(candidates.begin(), candidates.end(), IdLess);
 
   // Verify candidates against each large list. A list with a hub bitmap is
   // one O(1) bit probe; the rest use a galloping cursor with SIMD-finished
   // probes — candidates are sorted, so cursors only move forward.
   const size_t num_verify = n - num_seed;  // == k-1
-  std::vector<size_t> cursor(num_verify, 0);
-  for (auto& cand : candidates) {
+  std::vector<size_t>& cursor = scratch.cursor;
+  cursor.assign(num_verify, 0);
+  for (const ThresholdMatch& cand : candidates) {
     uint32_t count = cand.count;
     for (size_t vl = 0; vl < num_verify; ++vl) {
       // Early exit: cannot reach k even if all remaining lists match.
@@ -169,7 +251,7 @@ ThresholdAlgorithm SelectThresholdAlgorithm(
   if (k >= 2 && largest >= 8 * std::max<size_t>(rest, 1) && largest >= 1024) {
     return ThresholdAlgorithm::kCandidateVerify;
   }
-  if (total <= 4096) return ThresholdAlgorithm::kScanCount;
+  if (total <= kScanCountMaxElements) return ThresholdAlgorithm::kScanCount;
   return ThresholdAlgorithm::kHeapMerge;
 }
 

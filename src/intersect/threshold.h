@@ -4,8 +4,13 @@
 // followed C (§2; the paper's worked example is k=2, production is k=3).
 //
 // Three classic strategies, selectable for the A1 ablation:
-//   * ScanCount  — hash-count every occurrence; O(total), wins when lists
-//                  are short (the common per-event case).
+//   * ScanCount  — hash-count every occurrence; O(total), wins while its
+//                  table fits in L2 (kScanCountMaxElements). The counts live
+//                  in a flat open-addressing table (linear probing, 8 bytes
+//                  per slot, sized to >= 2x the call's input) that is
+//                  reused across calls: each call records the slots it
+//                  fills and the next call empties exactly those, so a
+//                  warm call allocates nothing and never scans the table.
 //   * HeapMerge  — n-way merge with a min-heap, counting runs of equal
 //                  values; O(total * log n), memory-light, output sorted for
 //                  free.
@@ -13,7 +18,13 @@
 //                  n-k+1 smallest lists (it can miss at most n-k lists);
 //                  union those as candidates, verify each against the larger
 //                  lists by galloping binary search with early exit. Wins
-//                  when a few lists are huge (celebrity B's).
+//                  when a few lists are huge (celebrity B's). Its seed
+//                  counts use the same reused table.
+//
+// The table and CandidateVerify's working vectors are per-thread scratch
+// (thread_local), so concurrent callers never share state and the
+// signature carries no scratch argument. The scratch only grows: a thread
+// keeps the capacity of the largest input it has counted.
 
 #ifndef MAGICRECS_INTERSECT_THRESHOLD_H_
 #define MAGICRECS_INTERSECT_THRESHOLD_H_
@@ -63,9 +74,15 @@ size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
                           ThresholdAlgorithm algo = ThresholdAlgorithm::kAuto,
                           const std::vector<BitsetView>* bitsets = nullptr);
 
+/// kAuto's cut between ScanCount and HeapMerge, in total input elements
+/// (docs/experiments-a1.md). On balanced families ScanCount beat HeapMerge
+/// at every measured size, so the cut is where its table stops fitting in
+/// L2: 65536 elements need 131072 slots, 1 MiB, plus the touched list.
+inline constexpr size_t kScanCountMaxElements = 65536;
+
 /// The heuristic used by kAuto, exposed for tests and benches: picks
-/// CandidateVerify when size skew is extreme, ScanCount for small inputs,
-/// HeapMerge otherwise.
+/// CandidateVerify when size skew is extreme, ScanCount for inputs of at
+/// most kScanCountMaxElements, HeapMerge otherwise.
 ThresholdAlgorithm SelectThresholdAlgorithm(
     const std::vector<std::span<const VertexId>>& lists, size_t k);
 

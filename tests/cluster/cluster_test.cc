@@ -8,6 +8,7 @@
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
+#include "util/metrics.h"
 
 namespace magicrecs {
 namespace {
@@ -131,6 +132,38 @@ TEST(ClusterTest, ThreadedModeMatchesInlineMode) {
       (*threaded)->TakeRecommendations();
 
   EXPECT_EQ(Pairs(threaded_recs), Pairs(inline_recs));
+}
+
+TEST(ClusterTest, FailedApplyIsReturnedInlineAndCountedThreaded) {
+  // strict_time_order rejects an in-edge older than the newest one of its
+  // destination: the second event below fails to apply.
+  ClusterOptions opt = MakeOptions(1);
+  opt.detector.strict_time_order = true;
+  EdgeEvent newer, older;
+  newer.edge = {figure1::kB1, figure1::kC1, Seconds(100)};
+  older.edge = {figure1::kB2, figure1::kC1, Seconds(50)};
+  // The registry is process-wide, so compare against a reading taken first.
+  const Counter* errors = MetricsRegistry::Default()->GetCounter(
+      "publish_apply_errors", {{"partition", "0"}});
+
+  auto inline_cluster = Cluster::Create(figure1::FollowGraph(), opt);
+  ASSERT_TRUE(inline_cluster.ok()) << inline_cluster.status();
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE((*inline_cluster)->OnEdgeEvent(newer, &recs).ok());
+  uint64_t before = errors->Value();
+  EXPECT_TRUE(
+      (*inline_cluster)->OnEdgeEvent(older, &recs).IsFailedPrecondition());
+  EXPECT_EQ(errors->Value(), before + 1);
+
+  auto threaded = Cluster::Create(figure1::FollowGraph(), opt);
+  ASSERT_TRUE(threaded.ok()) << threaded.status();
+  ASSERT_TRUE((*threaded)->Start().ok());
+  before = errors->Value();
+  ASSERT_TRUE((*threaded)->Publish(newer).ok());
+  ASSERT_TRUE((*threaded)->Publish(older).ok());  // accepted; fails on apply
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  EXPECT_EQ(errors->Value(), before + 1);
 }
 
 TEST(ClusterTest, PublishRequiresStart) {

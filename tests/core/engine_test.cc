@@ -60,8 +60,9 @@ TEST(RecommenderEngineTest, MemoryAccountingNonZero) {
 
 TEST(InfluencerCapTest, ZeroCapKeepsEverything) {
   const StaticGraph g = figure1::FollowGraph();
-  const StaticGraph capped = RecommenderEngine::ApplyInfluencerCap(g, 0);
-  EXPECT_EQ(capped.num_edges(), g.num_edges());
+  auto capped = RecommenderEngine::ApplyInfluencerCap(g, 0);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped->num_edges(), g.num_edges());
 }
 
 TEST(InfluencerCapTest, CapKeepsMostPopularFollowees) {
@@ -72,14 +73,15 @@ TEST(InfluencerCapTest, CapKeepsMostPopularFollowees) {
   auto g = builder.Build();
   ASSERT_TRUE(g.ok());
 
-  const StaticGraph capped = RecommenderEngine::ApplyInfluencerCap(*g, 2);
+  auto capped = RecommenderEngine::ApplyInfluencerCap(*g, 2);
+  ASSERT_TRUE(capped.ok()) << capped.status();
   // A0 keeps B3 (3 followers) and B2 (2 followers); drops B1.
-  EXPECT_TRUE(capped.HasEdge(0, 3));
-  EXPECT_TRUE(capped.HasEdge(0, 2));
-  EXPECT_FALSE(capped.HasEdge(0, 1));
+  EXPECT_TRUE(capped->HasEdge(0, 3));
+  EXPECT_TRUE(capped->HasEdge(0, 2));
+  EXPECT_FALSE(capped->HasEdge(0, 1));
   // Users under the cap are untouched.
-  EXPECT_EQ(capped.OutDegree(4), 2u);
-  EXPECT_EQ(capped.OutDegree(5), 1u);
+  EXPECT_EQ(capped->OutDegree(4), 2u);
+  EXPECT_EQ(capped->OutDegree(5), 1u);
 }
 
 TEST(InfluencerCapTest, CapShrinksSMemory) {
@@ -87,9 +89,10 @@ TEST(InfluencerCapTest, CapShrinksSMemory) {
   for (VertexId b = 1; b < 60; ++b) ASSERT_TRUE(builder.AddEdge(0, b).ok());
   auto g = builder.Build();
   ASSERT_TRUE(g.ok());
-  const StaticGraph capped = RecommenderEngine::ApplyInfluencerCap(*g, 10);
-  EXPECT_EQ(capped.OutDegree(0), 10u);
-  EXPECT_LT(capped.MemoryUsage(), g->MemoryUsage());
+  auto capped = RecommenderEngine::ApplyInfluencerCap(*g, 10);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped->OutDegree(0), 10u);
+  EXPECT_LT(capped->MemoryUsage(), g->MemoryUsage());
 }
 
 TEST(InfluencerCapTest, TieBreaksTowardSmallerId) {
@@ -98,9 +101,10 @@ TEST(InfluencerCapTest, TieBreaksTowardSmallerId) {
   ASSERT_TRUE(builder.AddEdges({{0, 2}, {0, 1}}).ok());
   auto g = builder.Build();
   ASSERT_TRUE(g.ok());
-  const StaticGraph capped = RecommenderEngine::ApplyInfluencerCap(*g, 1);
-  EXPECT_TRUE(capped.HasEdge(0, 1));
-  EXPECT_FALSE(capped.HasEdge(0, 2));
+  auto capped = RecommenderEngine::ApplyInfluencerCap(*g, 1);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_TRUE(capped->HasEdge(0, 1));
+  EXPECT_FALSE(capped->HasEdge(0, 2));
 }
 
 TEST(RecommenderEngineTest, CapChangesDetectionOutcome) {

@@ -5,6 +5,12 @@
 // for every k from 1 to n, with and without hub bitset views. The k == 0 and
 // k > n boundary contracts are locked down explicitly.
 //
+// ScanCount and CandidateVerify count in a per-thread table reused across
+// calls, so the ThresholdScratchTest cases feed one thread a sequence of
+// large, small and empty families (a bad reset shows up as stale ids or
+// counts), families holding kInvalidVertex (the table's empty-slot
+// marker), and eight threads at once.
+//
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
 #include <algorithm>
@@ -12,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,13 +106,13 @@ std::vector<BitsetView> MakeBitsets(
   return views;
 }
 
-void CheckFamily(const std::vector<std::vector<VertexId>>& lists,
-                 uint64_t universe, uint64_t seed, int trial, Rng* rng) {
+/// Every algorithm (and kAuto) at every k from 1 to n must match the
+/// reference, without and — when `bitsets` is given — with hub bitset
+/// views. `where` names the family in failure messages.
+void CheckAgainstReference(const std::vector<std::vector<VertexId>>& lists,
+                           const std::vector<BitsetView>* bitsets,
+                           const std::string& where) {
   std::vector<std::span<const VertexId>> spans(lists.begin(), lists.end());
-  std::vector<std::vector<uint64_t>> bitset_storage;
-  const std::vector<BitsetView> bitsets =
-      MakeBitsets(lists, universe, &bitset_storage, rng);
-
   for (size_t k = 1; k <= lists.size(); ++k) {
     const std::vector<ThresholdMatch> expected = Reference(lists, k);
     for (const ThresholdAlgorithm algo :
@@ -114,23 +121,31 @@ void CheckFamily(const std::vector<std::vector<VertexId>>& lists,
           ThresholdAlgorithm::kCandidateVerify}) {
       std::vector<ThresholdMatch> got;
       const size_t n = ThresholdIntersect(spans, k, &got, algo);
-      ASSERT_EQ(n, got.size())
-          << ThresholdAlgorithmName(algo) << " count mismatch; seed=" << seed
-          << " trial=" << trial << " k=" << k;
+      ASSERT_EQ(n, got.size()) << ThresholdAlgorithmName(algo)
+                               << " count mismatch; " << where << " k=" << k;
       ASSERT_EQ(got, expected)
           << ThresholdAlgorithmName(algo) << " diverged (ids or counts); "
-          << "seed=" << seed << " trial=" << trial << " k=" << k
-          << " n_lists=" << lists.size();
+          << where << " k=" << k << " n_lists=" << lists.size();
+      if (bitsets == nullptr) continue;
 
       // Same query with hub bitset views must be identical.
       std::vector<ThresholdMatch> got_bits;
-      ThresholdIntersect(spans, k, &got_bits, algo, &bitsets);
+      ThresholdIntersect(spans, k, &got_bits, algo, bitsets);
       ASSERT_EQ(got_bits, expected)
           << ThresholdAlgorithmName(algo) << " diverged with bitsets; "
-          << "seed=" << seed << " trial=" << trial << " k=" << k;
+          << where << " k=" << k;
     }
-    if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+void CheckFamily(const std::vector<std::vector<VertexId>>& lists,
+                 uint64_t universe, uint64_t seed, int trial, Rng* rng) {
+  std::vector<std::vector<uint64_t>> bitset_storage;
+  const std::vector<BitsetView> bitsets =
+      MakeBitsets(lists, universe, &bitset_storage, rng);
+  CheckAgainstReference(
+      lists, &bitsets,
+      "seed=" + std::to_string(seed) + " trial=" + std::to_string(trial));
 }
 
 TEST(ThresholdPropertyTest, AllAlgorithmsAgreeOnZipfFamilies) {
@@ -195,6 +210,97 @@ TEST(ThresholdPropertyTest, EmptyFamilyIsEmpty) {
     EXPECT_EQ(ThresholdIntersect(spans, 1, &out, algo), 0u);
     EXPECT_TRUE(out.empty());
   }
+}
+
+/// A family of `n` lists over [0, universe), each id kept with probability
+/// `density`: sorted and duplicate-free by construction, in O(universe).
+std::vector<std::vector<VertexId>> DenseFamily(Rng* rng, size_t n,
+                                               uint64_t universe,
+                                               double density) {
+  std::vector<std::vector<VertexId>> lists(n);
+  for (std::vector<VertexId>& list : lists) {
+    for (uint64_t v = 0; v < universe; ++v) {
+      if (rng->Bernoulli(density)) list.push_back(static_cast<VertexId>(v));
+    }
+  }
+  return lists;
+}
+
+/// Trial i's family on one thread: large, small, large, empty in turn. The
+/// small families reuse ids of the large ones, so a slot or count the reset
+/// missed would surface as a wrong match.
+std::vector<std::vector<VertexId>> AlternatingFamily(Rng* rng, int trial,
+                                                     uint64_t large_universe) {
+  switch (trial % 4) {
+    case 0:
+    case 2:
+      return DenseFamily(rng, 4 + rng->UniformInt(5), large_universe,
+                         0.2 + 0.2 * rng->UniformDouble());
+    case 1:
+      return DenseFamily(rng, 1 + rng->UniformInt(4), 48, 0.3);
+    default:
+      return std::vector<std::vector<VertexId>>(5);  // all lists empty
+  }
+}
+
+/// Failure context: the MAGICRECS_FUZZ_SEED that reproduces the run.
+std::string Where(uint64_t base_seed, int trial) {
+  return "MAGICRECS_FUZZ_SEED=" + std::to_string(base_seed) +
+         " trial=" + std::to_string(trial);
+}
+
+TEST(ThresholdScratchTest, AlternatingSizesLeaveNoStaleCounts) {
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  Rng rng(base ^ 0x5eed7ab1e);
+  for (int trial = 0; trial < 32; ++trial) {
+    CheckAgainstReference(AlternatingFamily(&rng, trial, 12'000), nullptr,
+                          Where(base, trial));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ThresholdScratchTest, InvalidVertexIsCountedLikeAnyId) {
+  // kInvalidVertex is the largest id, so appending it keeps lists sorted.
+  const std::vector<std::vector<VertexId>> fixed = {
+      {1, kInvalidVertex - 1, kInvalidVertex},
+      {kInvalidVertex},
+      {2, kInvalidVertex - 1, kInvalidVertex}};
+  CheckAgainstReference(fixed, nullptr, "fixed family");
+
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  Rng rng(base ^ 0x1d1e);
+  for (int trial = 0; trial < 40; ++trial) {
+    auto lists = trial % 2 == 0 ? DenseFamily(&rng, 2 + rng.UniformInt(6),
+                                              4'000, 0.3)
+                                : DenseFamily(&rng, 2 + rng.UniformInt(6),
+                                              40, 0.4);
+    for (auto& list : lists) {
+      if (rng.Bernoulli(0.6)) list.push_back(kInvalidVertex);
+    }
+    CheckAgainstReference(lists, nullptr, Where(base, trial));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ThresholdScratchTest, ConcurrentThreadsKeepTheirOwnTables) {
+  constexpr int kThreads = 8;
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    // Each thread runs its own seeded sequence of families.
+    threads.emplace_back([base, t] {
+      Rng rng((base ^ 0xc0ffee) + static_cast<uint64_t>(t));
+      for (int trial = 0; trial < 24; ++trial) {
+        CheckAgainstReference(
+            AlternatingFamily(&rng, trial, 3'000), nullptr,
+            Where(base, trial) + " thread=" + std::to_string(t));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 }  // namespace

@@ -164,10 +164,16 @@ TEST(ThresholdSelectionTest, DominantListUsesCandidateVerify) {
 }
 
 TEST(ThresholdSelectionTest, LargeBalancedInputsUseHeapMerge) {
-  std::vector<std::vector<VertexId>> lists(4, std::vector<VertexId>(4'000));
+  // Four equal lists filling exactly kScanCountMaxElements stay on
+  // scan-count; one more element tips the family over to heap-merge.
+  constexpr size_t kLen = kScanCountMaxElements / 4;
+  std::vector<std::vector<VertexId>> lists(4, std::vector<VertexId>(kLen));
   for (auto& l : lists) {
-    for (VertexId v = 0; v < 4'000; ++v) l[v] = v;
+    for (VertexId v = 0; v < kLen; ++v) l[v] = v;
   }
+  EXPECT_EQ(SelectThresholdAlgorithm(Spans(lists), 2),
+            ThresholdAlgorithm::kScanCount);
+  lists[0].push_back(static_cast<VertexId>(kLen));
   EXPECT_EQ(SelectThresholdAlgorithm(Spans(lists), 2),
             ThresholdAlgorithm::kHeapMerge);
 }

@@ -22,6 +22,10 @@ emitting it. Refresh the baseline deliberately:
     ./build/bench_net && ./build/bench_health
     cp BENCH_net.json bench/baseline/BENCH_net.json
 
+The "threshold" rows come from ./build/bench_intersection; the baseline
+keeps only the shapes whose scan-count table fits in L2
+(docs/experiments-a1.md).
+
 Usage:
     tools/check_bench_regression.py [--baseline PATH] [--current PATH]
         [--threshold FRAC] [--sections a,b,...]
@@ -53,8 +57,8 @@ MEASUREMENTS = {
 
 # measurement -> direction: +1 means higher is better (throughput), -1
 # means lower is better (latency). Only these gate the check; the rest are
-# informational. "speedup" (bench_intersection's intersect section) is
-# time(scalar reference)/time(kernel) on the same shape — machine-
+# informational. "speedup" (bench_intersection's intersect and threshold
+# sections) is time(reference)/time(kernel) on the same shape — machine-
 # independent, so it catches kernel regressions that absolute rates would
 # hide behind hardware variance.
 GATED = {
