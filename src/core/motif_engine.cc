@@ -41,7 +41,8 @@ MotifEngine::MotifEngine(MotifPlan plan,
       follower_orientation_(
           OpOf(plan_, PlanOpKind::kGatherStaticLists).lookup ==
           StaticLookup::kFollowersOfActor),
-      use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()) {}
+      use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
+      kept_((static_index_->num_vertices() + 63) / 64, 0) {}
 
 Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
     const StaticGraph& follow_graph, const MotifSpec& spec,
@@ -189,6 +190,7 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         break;
       }
       case PlanOpKind::kEmit: {
+        const size_t first = out->size();
         for (const ThresholdMatch& match : matches_) {
           Recommendation rec;
           rec.user = match.id;
@@ -196,19 +198,12 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
           rec.witness_count = match.count;
           rec.event_time = t;
           rec.trigger = src;
-          if (op.cap > 0) {
-            for (size_t i = 0;
-                 i < list_sources_.size() && rec.witnesses.size() < op.cap;
-                 ++i) {
-              if (std::binary_search(lists_[i].begin(), lists_[i].end(),
-                                     match.id)) {
-                rec.witnesses.push_back(list_sources_[i]);
-              }
-            }
-            std::sort(rec.witnesses.begin(), rec.witnesses.end());
-          }
+          rec.witnesses.reserve(std::min<size_t>(match.count, op.cap));
           out->push_back(std::move(rec));
-          ++stats_.recommendations;
+        }
+        stats_.recommendations += matches_.size();
+        if (op.cap > 0 && !matches_.empty()) {
+          CollectWitnesses(op.cap, out->data() + first);
         }
         break;
       }
@@ -217,6 +212,31 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
 
   stats_.query_micros.Record(timer.ElapsedMicros());
   return Status::OK();
+}
+
+void MotifEngine::CollectWitnesses(size_t cap, Recommendation* recs) {
+  for (const ThresholdMatch& match : matches_) {
+    kept_[match.id >> 6] |= uint64_t{1} << (match.id & 63);
+  }
+  const BitsetView kept{kept_.data(), kept_.size()};
+  // A list is sorted, so its kept ids come in match order and each record
+  // lookup resumes where the previous one stopped.
+  for (size_t i = 0; i < lists_.size(); ++i) {
+    auto next = matches_.begin();
+    for (const VertexId v : lists_[i]) {
+      if (!kept.Test(v)) continue;
+      next = std::lower_bound(
+          next, matches_.end(), v,
+          [](const ThresholdMatch& m, VertexId id) { return m.id < id; });
+      std::vector<VertexId>& witnesses =
+          recs[next - matches_.begin()].witnesses;
+      if (witnesses.size() < cap) witnesses.push_back(list_sources_[i]);
+    }
+  }
+  for (size_t r = 0; r < matches_.size(); ++r) {
+    kept_[matches_[r].id >> 6] = 0;
+    std::sort(recs[r].witnesses.begin(), recs[r].witnesses.end());
+  }
 }
 
 std::string MotifEngineStats::ToString() const {

@@ -126,6 +126,11 @@ class MotifEngine {
   /// False (and counted) when the trigger's action filter rejects `action`.
   bool Admits(MotifAction action);
 
+  /// kEmit's witness step: recs[r] is the record built for matches_[r].
+  /// Each record gets the sources of the first `cap` gathered lists that
+  /// hold its user, in gather order, then sorted.
+  void CollectWitnesses(size_t cap, Recommendation* recs);
+
   MotifPlan plan_;
   /// Oriented so that Neighbors(actor) is exactly what kGatherStaticLists
   /// needs (followers or followees per the plan).
@@ -146,6 +151,11 @@ class MotifEngine {
   std::vector<BitsetView> bitsets_;
   std::vector<VertexId> list_sources_;
   std::vector<ThresholdMatch> matches_;
+  /// Bitmap over the static index's vertex ids, one bit per vertex
+  /// (num_vertices / 8 bytes): marks the kept matches while kEmit walks the
+  /// gathered lists. Match ids come from those lists, so they are always in
+  /// range. All-zero between events; an event clears only the words it set.
+  std::vector<uint64_t> kept_;
 };
 
 }  // namespace magicrecs

@@ -27,8 +27,11 @@ struct Recommendation {
   /// (>= the detector's k).
   uint32_t witness_count = 0;
 
-  /// The followings that acted (the "B"s), capped at the detector's witness
-  /// reporting limit; sorted ascending.
+  /// The followings that acted (the "B"s), at most the detector's witness
+  /// reporting limit (MotifOptions::max_reported_witnesses) of them: the
+  /// first that many in the query's gather order (in-window actors after
+  /// the celebrity cap) whose static list holds `user`, then sorted
+  /// ascending. All of them when witness_count is within the limit.
   std::vector<VertexId> witnesses;
 
   /// Creation time of the edge that completed the motif.

@@ -78,13 +78,15 @@ size_t DynamicInEdgeIndex::GetRecentInEdges(
       out->push_back(e);
     }
   }
-  // Deduplicate sources, keeping the most recent timestamp. The log is
-  // time-sorted, so after a stable sort by source the last entry per source
-  // is the freshest.
-  std::stable_sort(out->begin(), out->end(),
-                   [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
-                     return a.src < b.src;
-                   });
+  // Deduplicate sources, keeping the most recent timestamp: after sorting by
+  // (source, time) the last entry per source is the freshest. Entries equal
+  // in both fields are interchangeable, so an unstable in-place sort gives
+  // the same result as a stable one without its temporary buffer.
+  std::sort(out->begin(), out->end(),
+            [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
+              return a.src != b.src ? a.src < b.src
+                                    : a.created_at < b.created_at;
+            });
   auto write = out->begin();
   for (auto read = out->begin(); read != out->end();) {
     auto next = read + 1;
@@ -157,6 +159,10 @@ Status DynamicInEdgeIndex::DecodeFrom(const uint8_t* data, size_t size) {
     if (!reader.GetU32(&dst) || !reader.GetU64(&count)) {
       return Status::Corruption("dynamic index log header truncated");
     }
+    // Insert refuses the reserved id, so an encoding holding it is corrupt.
+    if (dst == kInvalidVertex) {
+      return Status::Corruption("dynamic index log for the invalid vertex id");
+    }
     constexpr size_t kEntryBytes = sizeof(uint32_t) + sizeof(int64_t);
     if (count > reader.remaining() / kEntryBytes) {
       return Status::Corruption("dynamic index entries truncated");
@@ -168,6 +174,10 @@ Status DynamicInEdgeIndex::DecodeFrom(const uint8_t* data, size_t size) {
       TimestampedInEdge e;
       reader.GetU32(&e.src);
       reader.GetI64(&e.created_at);
+      if (e.src == kInvalidVertex) {
+        return Status::Corruption(
+            "dynamic index edge from the invalid vertex id");
+      }
       if (e.created_at < prev) {
         return Status::Corruption("dynamic index log is not time-sorted");
       }

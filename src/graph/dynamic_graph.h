@@ -90,6 +90,9 @@ class DynamicInEdgeIndex {
   /// Replaces this index's contents with edges decoded from EncodeTo()
   /// bytes. Options are unchanged (they come from construction, not the
   /// snapshot). Lifetime counters restart from the decoded edge count.
+  /// Corruption, leaving the index unchanged, when the bytes are truncated,
+  /// a log is not time-sorted, a destination repeats, or an edge uses
+  /// kInvalidVertex (which Insert refuses).
   Status DecodeFrom(const uint8_t* data, size_t size);
 
  private:

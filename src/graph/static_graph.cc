@@ -108,9 +108,15 @@ Result<StaticGraph> StaticGraph::DecodeFrom(const uint8_t* data, size_t size) {
   StaticGraph graph;
   graph.offsets_.resize(num_offsets);
   graph.targets_.resize(num_targets);
-  std::memcpy(graph.offsets_.data(), reader.cursor(), offset_bytes);
+  // An empty array's data() may be null, which memcpy rejects even for
+  // zero bytes.
+  if (offset_bytes > 0) {
+    std::memcpy(graph.offsets_.data(), reader.cursor(), offset_bytes);
+  }
   reader.Skip(offset_bytes);
-  std::memcpy(graph.targets_.data(), reader.cursor(), target_bytes);
+  if (target_bytes > 0) {
+    std::memcpy(graph.targets_.data(), reader.cursor(), target_bytes);
+  }
   reader.Skip(target_bytes);
 
   // Structural validation: offsets must be a monotone prefix-sum ending at

@@ -1,11 +1,15 @@
 #include "core/motif_engine.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gen/figure1.h"
+#include "util/random.h"
 
 namespace magicrecs {
 namespace {
@@ -432,6 +436,193 @@ TEST(MotifEngineTest, PlanIsExposedForExplain) {
                                     MakeDiamondSpec(3, Minutes(10)));
   ASSERT_TRUE(engine.ok());
   EXPECT_NE((*engine)->plan().Explain().find("diamond"), std::string::npos);
+}
+
+// --- Differential: the one-pass emit against the per-match emit --------------
+//
+// kEmit walks the gathered lists once per query. The reference below runs
+// the same diamond pipeline with the direct per-match emit: each kept match
+// binary-searches every gathered list in gather order and stops at the
+// reporting cap. Records must match exactly, witnesses included. Failures
+// print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed> (and
+// MAGICRECS_FUZZ_TRIALS=<n> for a longer run).
+
+uint64_t FuzzSeed() {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_SEED")) {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 0xe1417ull;
+}
+
+int FuzzTrials(int default_trials) {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_TRIALS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<int>(v);
+  }
+  return default_trials;
+}
+
+/// The diamond over `index` (the follower orientation), step by step as
+/// MotifEngine runs it, with the per-match emit.
+class PerMatchDiamond {
+ public:
+  PerMatchDiamond(std::shared_ptr<const StaticGraph> index,
+                  const DiamondOptions& options)
+      : index_(std::move(index)), options_(options), dynamic_([&] {
+          DynamicGraphOptions dyn;
+          dyn.window = options.window;
+          return dyn;
+        }()) {}
+
+  void OnEdge(VertexId src, VertexId dst, Timestamp t,
+              std::vector<Recommendation>* out) {
+    ASSERT_TRUE(dynamic_.Insert(src, dst, t).ok());
+    std::vector<TimestampedInEdge> actors;
+    dynamic_.GetRecentInEdges(dst, t, &actors);
+    if (actors.size() < options_.k) return;
+    const size_t query_cap = options_.max_witnesses_per_query;
+    if (query_cap > 0 && actors.size() > query_cap) {
+      std::nth_element(
+          actors.begin(),
+          actors.begin() + static_cast<std::ptrdiff_t>(query_cap),
+          actors.end(),
+          [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
+            return a.created_at > b.created_at;
+          });
+      actors.resize(query_cap);
+    }
+    const bool use_bitsets =
+        options_.use_hub_bitsets && index_->has_hub_index();
+    std::vector<std::span<const VertexId>> lists;
+    std::vector<BitsetView> bitsets;
+    std::vector<VertexId> sources;
+    for (const TimestampedInEdge& actor : actors) {
+      const auto list = index_->Neighbors(actor.src);
+      if (list.empty()) continue;
+      lists.push_back(list);
+      if (use_bitsets) bitsets.push_back(index_->HubBitset(actor.src));
+      sources.push_back(actor.src);
+    }
+    if (lists.size() < options_.k) return;
+    std::vector<ThresholdMatch> matches;
+    ThresholdIntersect(lists, options_.k, &matches, options_.algorithm,
+                       use_bitsets ? &bitsets : nullptr);
+    for (const ThresholdMatch& match : matches) {
+      const VertexId user = match.id;
+      if (user == dst) continue;
+      if (options_.exclude_existing_followers &&
+          (index_->HasEdge(dst, user) ||
+           std::any_of(actors.begin(), actors.end(),
+                       [user](const TimestampedInEdge& e) {
+                         return e.src == user;
+                       }))) {
+        continue;
+      }
+      Recommendation rec;
+      rec.user = user;
+      rec.item = dst;
+      rec.witness_count = match.count;
+      rec.event_time = t;
+      rec.trigger = src;
+      const size_t cap = options_.max_reported_witnesses;
+      for (size_t i = 0; i < lists.size() && rec.witnesses.size() < cap; ++i) {
+        if (std::binary_search(lists[i].begin(), lists[i].end(), user)) {
+          rec.witnesses.push_back(sources[i]);
+        }
+      }
+      std::sort(rec.witnesses.begin(), rec.witnesses.end());
+      out->push_back(std::move(rec));
+    }
+  }
+
+ private:
+  std::shared_ptr<const StaticGraph> index_;
+  DiamondOptions options_;
+  DynamicInEdgeIndex dynamic_;
+};
+
+TEST(MotifEngineEmitTest, OnePassEmitMatchesPerMatchReference) {
+  const uint64_t seed = FuzzSeed();
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
+  size_t capped_records = 0;  // records whose count exceeds the cap
+  const int trials = FuzzTrials(6);
+  for (int trial = 0; trial < trials; ++trial) {
+    // A random follow graph: A follows B with a per-trial density, so some
+    // A's follow many of the acting B's (witness_count above every cap).
+    const size_t n = 30 + rng.UniformInt(90);
+    const double density = 0.05 + 0.3 * rng.UniformDouble();
+    StaticGraphBuilder builder(n);
+    for (VertexId a = 0; a < n; ++a) {
+      for (VertexId b = 0; b < n; ++b) {
+        if (a != b && rng.Bernoulli(density)) {
+          ASSERT_TRUE(builder.AddEdge(a, b).ok());
+        }
+      }
+    }
+    auto follow_graph = builder.Build();
+    ASSERT_TRUE(follow_graph.ok());
+    StaticGraph followers = follow_graph->Transpose();
+    // A low hub threshold gives these small graphs bitmapped lists.
+    followers.BuildHubIndex(n / 4);
+    const auto index =
+        std::make_shared<const StaticGraph>(std::move(followers));
+
+    // A stream of B -> C actions onto a handful of targets, in time order.
+    std::vector<TimestampedEdge> stream(80 + rng.UniformInt(80));
+    const size_t targets = 1 + rng.UniformInt(6);
+    Timestamp now = 0;
+    for (TimestampedEdge& e : stream) {
+      now += static_cast<Duration>(rng.UniformInt(Seconds(3)));
+      e = {static_cast<VertexId>(rng.UniformInt(n)),
+           static_cast<VertexId>(rng.UniformInt(targets)), now};
+    }
+
+    DiamondOptions opt;
+    opt.k = static_cast<uint32_t>(1 + rng.UniformInt(4));
+    opt.window = Minutes(1 + static_cast<int64_t>(rng.UniformInt(10)));
+    opt.max_witnesses_per_query =
+        rng.Bernoulli(0.5) ? 0 : 4 + rng.UniformInt(60);
+    for (const ThresholdAlgorithm algo :
+         {ThresholdAlgorithm::kScanCount, ThresholdAlgorithm::kHeapMerge,
+          ThresholdAlgorithm::kCandidateVerify}) {
+      for (const size_t cap : {0, 1, 3, 8, 64}) {
+        for (const bool bitsets : {false, true}) {
+          for (const bool exclude : {false, true}) {
+            opt.algorithm = algo;
+            opt.max_reported_witnesses = cap;
+            opt.use_hub_bitsets = bitsets;
+            opt.exclude_existing_followers = exclude;
+            const std::string where =
+                "MAGICRECS_FUZZ_SEED=" + std::to_string(seed) +
+                " trial=" + std::to_string(trial) + " algo=" +
+                std::string(ThresholdAlgorithmName(algo)) +
+                " cap=" + std::to_string(cap) +
+                " bitsets=" + std::to_string(bitsets) +
+                " exclude=" + std::to_string(exclude);
+            auto engine = MotifEngine::CreateDiamond(index, opt);
+            ASSERT_TRUE(engine.ok()) << engine.status() << " " << where;
+            PerMatchDiamond reference(index, opt);
+            std::vector<Recommendation> got;
+            std::vector<Recommendation> want;
+            for (const TimestampedEdge& e : stream) {
+              ASSERT_TRUE(
+                  (*engine)->OnEdge(e.src, e.dst, e.created_at, &got).ok());
+              reference.OnEdge(e.src, e.dst, e.created_at, &want);
+              ASSERT_EQ(got.size(), want.size()) << where;
+            }
+            for (size_t r = 0; r < want.size(); ++r) {
+              ASSERT_EQ(got[r], want[r])
+                  << where << " record " << r << ": " << want[r].ToString();
+              if (cap > 0 && want[r].witness_count > cap) ++capped_records;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The cap must actually bind, or the gather-order selection goes untested.
+  EXPECT_GT(capped_records, 0u) << "MAGICRECS_FUZZ_SEED=" << seed;
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // Property test: DynamicInEdgeIndex against a brute-force reference model
 // under long random operation sequences — insertions with drifting time,
-// interleaved queries, periodic global prunes.
+// interleaved queries, periodic global prunes. The duplicate-heavy cases
+// (three sources, one or two targets, steps of 0 or 1 microsecond) put
+// many entries equal in both source and timestamp into one window, pinning
+// the window's (source, time) dedup.
+//
+// Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,9 +74,19 @@ class ReferenceModel {
   std::map<VertexId, std::vector<TimestampedInEdge>> logs_;
 };
 
+uint64_t BaseSeed() {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_SEED")) {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 1234;
+}
+
 struct ModelCase {
   Duration window;
   size_t cap;
+  uint64_t sources = 40;           ///< srcs drawn from [0, sources)
+  uint64_t targets = 12;           ///< dsts drawn from [0, targets)
+  Duration max_step = Seconds(2);  ///< each step advances time [0, max_step)
 };
 
 class DynamicGraphModelTest : public ::testing::TestWithParam<ModelCase> {};
@@ -82,21 +99,27 @@ TEST_P(DynamicGraphModelTest, AgreesWithBruteForceModel) {
   DynamicInEdgeIndex index(opt);
   ReferenceModel model(param.window, param.cap);
 
-  Rng rng(1234 + static_cast<uint64_t>(param.window) + param.cap);
+  const uint64_t seed =
+      BaseSeed() + static_cast<uint64_t>(param.window) + param.cap;
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
   Timestamp now = 0;
   std::vector<TimestampedInEdge> actual;
   for (int step = 0; step < 20'000; ++step) {
-    now += static_cast<Duration>(rng.UniformInt(Seconds(2)));
-    const VertexId src = static_cast<VertexId>(rng.UniformInt(40));
-    const VertexId dst = static_cast<VertexId>(rng.UniformInt(12));
+    now += static_cast<Duration>(
+        rng.UniformInt(static_cast<uint64_t>(param.max_step)));
+    const VertexId src = static_cast<VertexId>(rng.UniformInt(param.sources));
+    const VertexId dst = static_cast<VertexId>(rng.UniformInt(param.targets));
     ASSERT_TRUE(index.Insert(src, dst, now).ok());
     model.Insert(src, dst, now);
 
     if (step % 7 == 0) {
-      const VertexId q = static_cast<VertexId>(rng.UniformInt(12));
+      const VertexId q = static_cast<VertexId>(rng.UniformInt(param.targets));
       index.GetRecentInEdges(q, now, &actual);
       const auto expected = model.Query(q, now);
-      ASSERT_EQ(actual, expected) << "step " << step << " dst " << q;
+      ASSERT_EQ(actual, expected)
+          << "step " << step << " dst " << q
+          << " MAGICRECS_FUZZ_SEED=" << BaseSeed();
     }
     if (step % 1000 == 999) {
       index.PruneAll(now);  // global prune must not change query results
@@ -108,10 +131,18 @@ INSTANTIATE_TEST_SUITE_P(
     WindowsAndCaps, DynamicGraphModelTest,
     ::testing::Values(ModelCase{Seconds(10), 0}, ModelCase{Seconds(10), 5},
                       ModelCase{Minutes(5), 0}, ModelCase{Minutes(5), 64},
-                      ModelCase{Seconds(1), 3}),
+                      ModelCase{Seconds(1), 3},
+                      // Duplicate-heavy: ~80 entries per 40 us window, a
+                      // third of them repeating a (source, time) pair.
+                      ModelCase{40, 0, 3, 1, 2}, ModelCase{40, 5, 3, 2, 2}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
-      return "w" + std::to_string(info.param.window / kMicrosPerSecond) +
-             "s_cap" + std::to_string(info.param.cap);
+      const ModelCase& c = info.param;
+      const std::string window =
+          c.window % kMicrosPerSecond == 0
+              ? std::to_string(c.window / kMicrosPerSecond) + "s"
+              : std::to_string(c.window) + "us";
+      return "w" + window + "_cap" + std::to_string(c.cap) +
+             (c.sources == 40 ? "" : "_src" + std::to_string(c.sources));
     });
 
 }  // namespace

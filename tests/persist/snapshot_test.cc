@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/codec.h"
 #include "scoped_temp_dir.h"
 
 namespace magicrecs {
@@ -110,6 +111,36 @@ TEST(DynamicIndexCodecTest, EncodingIsDeterministic) {
   a.EncodeTo(&bytes_a);
   b.EncodeTo(&bytes_b);
   EXPECT_EQ(bytes_a, bytes_b);
+}
+
+TEST(DynamicIndexCodecTest, InvalidVertexIdIsCorruption) {
+  // Insert refuses kInvalidVertex, so an encoding carrying it as either
+  // endpoint cannot come from EncodeTo: decoding must fail, not restore it.
+  const auto forge = [](VertexId dst, VertexId src) {
+    std::string bytes;
+    persist::PutU64(&bytes, 1);  // one log
+    persist::PutU32(&bytes, dst);
+    persist::PutU64(&bytes, 1);  // one entry
+    persist::PutU32(&bytes, src);
+    persist::PutI64(&bytes, Seconds(1));
+    return bytes;
+  };
+  DynamicInEdgeIndex index;
+  ASSERT_TRUE(index.Insert(1, 10, Seconds(1)).ok());
+  for (const std::string& bytes :
+       {forge(kInvalidVertex, 1), forge(10, kInvalidVertex)}) {
+    const Status s = index.DecodeFrom(
+        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    EXPECT_TRUE(s.IsCorruption()) << s;
+    // The failed decode left the index as it was.
+    EXPECT_EQ(index.CountRecentInEdges(10, Seconds(1)), 1u);
+  }
+  // The same bytes with valid ids decode.
+  const std::string valid = forge(10, 1);
+  EXPECT_TRUE(index
+                  .DecodeFrom(reinterpret_cast<const uint8_t*>(valid.data()),
+                              valid.size())
+                  .ok());
 }
 
 TEST(DynamicIndexCodecTest, ClearDropsEverything) {
