@@ -50,7 +50,7 @@ void PopulateRegistry(MetricsRegistry* registry) {
         ->Record(40 + p);
   }
   registry->GetCounter("events_published")->Increment(50'000);
-  registry->GetCounter("broker_hedged_publishes")->Increment(3);
+  registry->GetCounter("broker_replay_dropped_events")->Increment(3);
   registry->GetCounter("broker_replayed_events")->Increment(12);
   registry->GetGauge("broker_policy")->Set(0);
 }

@@ -42,14 +42,13 @@ std::string ClusterStats::ToString() const {
   // Broker-only counters ride along only when something degraded actually
   // happened, so healthy output stays identical to what operators already
   // grep for.
-  if (degraded_gathers != 0 || hedged_publishes != 0 || replayed_events != 0 ||
+  if (degraded_gathers != 0 || replayed_events != 0 ||
       replay_dropped_events != 0 || rescued_recommendations != 0 ||
       rescue_dropped != 0) {
     out += StrFormat(
-        " degraded_gathers=%llu hedged=%llu replayed=%llu replay_dropped=%llu "
+        " degraded_gathers=%llu replayed=%llu replay_dropped=%llu "
         "rescued=%llu rescue_dropped=%llu",
         static_cast<unsigned long long>(degraded_gathers),
-        static_cast<unsigned long long>(hedged_publishes),
         static_cast<unsigned long long>(replayed_events),
         static_cast<unsigned long long>(replay_dropped_events),
         static_cast<unsigned long long>(rescued_recommendations),

@@ -142,9 +142,6 @@ struct ClusterStats {
   /// Gathers that returned successfully with >= 1 partition missing.
   uint64_t degraded_gathers = 0;
 
-  /// Publish lanes re-sent on a fresh connection after the hedge threshold.
-  uint64_t hedged_publishes = 0;
-
   /// Events delivered from a replay buffer after a daemon came back.
   uint64_t replayed_events = 0;
 

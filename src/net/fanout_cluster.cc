@@ -204,8 +204,7 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
 }
 
 void FanoutCluster::DropConn(Daemon* daemon,
-                             const std::shared_ptr<MuxConnection>& conn,
-                             bool start_backoff) {
+                             const std::shared_ptr<MuxConnection>& conn) {
   if (conn == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(daemon->mu);
@@ -217,12 +216,18 @@ void FanoutCluster::DropConn(Daemon* daemon,
     // successfully (daemon->conn has moved on by then).
     if (daemon->conn == conn) {
       daemon->conn.reset();
-      if (start_backoff) StartBackoffLocked(daemon);
+      StartBackoffLocked(daemon);
     }
   }
   // Sever outside the lock: failing the other callers' in-flight awaits
   // takes the connection's own mutex.
   conn->Shutdown();
+}
+
+void FanoutCluster::FailLane(Slot* slot, const Status& status) {
+  if (slot->status.ok()) slot->status = TagError(*slot->daemon, status);
+  slot->poisoned = true;
+  DropConn(slot->daemon, slot->conn);
 }
 
 size_t FanoutCluster::RequiredQuorum() const {
@@ -295,9 +300,7 @@ void FanoutCluster::FlushReplayOn(Slot* slot) {
     if (!status.ok()) {
       // The daemon went away again mid-replay: fail the lane, keep the
       // unacked frames parked for the next attempt.
-      if (slot->status.ok()) slot->status = TagError(*daemon, status);
-      slot->poisoned = true;
-      DropConn(daemon, slot->conn, /*start_backoff=*/true);
+      FailLane(slot, status);
       return;
     }
     const MessageTag tag =
@@ -316,11 +319,7 @@ void FanoutCluster::FlushReplayOn(Slot* slot) {
       // Neither ack nor error: version skew or a protocol bug. Fail the
       // lane and keep the frame parked for the next attempt — consuming it
       // here would lose its events without counting them anywhere.
-      if (slot->status.ok()) {
-        slot->status = TagError(*daemon, UnexpectedReply(tag, "replay ack"));
-      }
-      slot->poisoned = true;
-      DropConn(daemon, slot->conn, /*start_backoff=*/true);
+      FailLane(slot, UnexpectedReply(tag, "replay ack"));
       return;
     }
     daemon->replay_events -= frame.events;
@@ -338,13 +337,9 @@ void FanoutCluster::StartAll(std::vector<Slot>* slots,
         slot.conn->Start(request, options_.recv_timeout_ms);
     if (started.ok()) {
       slot.call = std::move(started).value();
-      continue;
+    } else {
+      FailLane(&slot, started.status());
     }
-    if (slot.status.ok()) {
-      slot.status = TagError(*slot.daemon, started.status());
-    }
-    slot.poisoned = true;
-    DropConn(slot.daemon, slot.conn, /*start_backoff=*/true);
   }
 }
 
@@ -363,9 +358,7 @@ bool FanoutCluster::AwaitReply(Slot* slot, std::vector<Frame>* frames) {
   // Timed out or the connection died. Either way this call treats the
   // daemon as failed: drop the shared connection and open the breaker
   // window. (Frames that did arrive stay in *frames for rescue.)
-  if (slot->status.ok()) slot->status = TagError(*slot->daemon, status);
-  slot->poisoned = true;
-  DropConn(slot->daemon, slot->conn, /*start_backoff=*/true);
+  FailLane(slot, status);
   return false;
 }
 
@@ -447,119 +440,47 @@ Status FanoutCluster::Publish(const EdgeEvent& event) {
   return PublishBatch(std::span<const EdgeEvent>(&event, 1));
 }
 
-void FanoutCluster::ReapOneAck(Slot* slot,
-                               const std::vector<FrameBuf>& frames,
-                               bool sequenced, TraceContext* trace) {
+void FanoutCluster::ReapOneAck(Slot* slot, TraceContext* trace) {
   // On a kError reply the session stays usable (the server answered; later
   // acks still arrive) so only the first error is recorded; a transport
-  // failure or silence past the deadline fails the lane — after, under a
-  // degraded policy, one hedge attempt re-issues the unacked frames under
-  // fresh request_ids.
-  const bool hedging = sequenced && options_.hedge_after_ms > 0;
-  while (slot->live() && slot->acked < slot->calls.size()) {
-    // With hedging on, acks are awaited only for the hedge threshold —
-    // both before the hedge (so it can fire) and after it (so a server
-    // stalled past two windows fails over to the replay buffer instead of
-    // pinning the publish for the full recv timeout).
-    const int timeout_ms =
-        hedging ? options_.hedge_after_ms : options_.recv_timeout_ms;
-    std::vector<Frame> reply;
-    const Status status =
-        slot->conn->Await(slot->calls[slot->acked], timeout_ms, &reply);
-    if (status.ok()) {
-      const MessageTag tag =
-          reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
-      if (tag == MessageTag::kAck || tag == MessageTag::kError) {
-        // Ack or server rejection: either way the server answered THIS
-        // frame and the lane stays usable.
-        slot->acked++;
-        if (tag == MessageTag::kAck && trace != nullptr) {
-          // A traced frame's ack echoes the daemon's stamps; fold them into
-          // the originating context (MergeStampsFrom drops the repeated
-          // broker-encode stamp). Stale echoes for some other trace — a
-          // hedge's plain duplicate, a dedup-suppressed ack — stay out.
-          TraceContext echoed;
-          if (DecodeAck(reply.front().payload, &echoed).ok() &&
-              echoed.trace_id == trace->trace_id) {
-            trace->MergeStampsFrom(echoed);
-          }
-        }
-        if (tag == MessageTag::kError) {
-          const Status err =
-              TagError(*slot->daemon, DecodeError(reply.front().payload));
-          if (slot->server_error.ok()) slot->server_error = err;
-          if (slot->status.ok()) slot->status = err;
-        }
-        return;
-      }
-      // Any other tag is a protocol violation: counting it as an ack would
-      // mark events applied that never were. Fail the lane without
-      // hedging — re-sending to a daemon that violates the protocol
-      // invites worse; the normal failure path (replay parking under a
-      // degraded policy, an error under strict) takes over.
-      if (slot->status.ok()) {
-        slot->status = TagError(*slot->daemon, UnexpectedReply(tag, "ack"));
-      }
-      slot->poisoned = true;
-      DropConn(slot->daemon, slot->conn, /*start_backoff=*/true);
-      return;
+  // failure or silence past the deadline fails the lane, and under a
+  // degraded policy its unacked frames then park for replay.
+  std::vector<Frame> reply;
+  const Status status = slot->conn->Await(slot->calls[slot->acked],
+                                          options_.recv_timeout_ms, &reply);
+  if (!status.ok()) {
+    FailLane(slot, status);
+    return;
+  }
+  const MessageTag tag =
+      reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
+  if (tag != MessageTag::kAck && tag != MessageTag::kError) {
+    // A protocol violation: counting it as an ack would mark events
+    // applied that never were. The normal failure path (replay parking
+    // under a degraded policy, an error under strict) takes over.
+    FailLane(slot, UnexpectedReply(tag, "ack"));
+    return;
+  }
+  // Ack or server rejection: either way the server answered THIS frame
+  // and the lane stays usable.
+  slot->acked++;
+  if (tag == MessageTag::kAck && trace != nullptr) {
+    // A traced frame's ack echoes the daemon's stamps; fold them into the
+    // originating context (MergeStampsFrom drops the repeated
+    // broker-encode stamp). Stale echoes for some other trace — a
+    // dedup-suppressed ack — stay out.
+    TraceContext echoed;
+    if (DecodeAck(reply.front().payload, &echoed).ok() &&
+        echoed.trace_id == trace->trace_id) {
+      trace->MergeStampsFrom(echoed);
     }
-    if (slot->status.ok()) slot->status = TagError(*slot->daemon, status);
-    if (!TryHedgePublish(slot, frames, sequenced)) {
-      slot->poisoned = true;
-      DropConn(slot->daemon, slot->conn, /*start_backoff=*/true);
-      return;
-    }
-    // Hedged: the unacked frames are back in flight under fresh ids; loop
-    // to await their acks.
   }
-}
-
-bool FanoutCluster::TryHedgePublish(Slot* slot,
-                                    const std::vector<FrameBuf>& frames,
-                                    bool sequenced) {
-  if (!sequenced || options_.hedge_after_ms <= 0 || slot->hedged) {
-    return false;
+  if (tag == MessageTag::kError) {
+    const Status err =
+        TagError(*slot->daemon, DecodeError(reply.front().payload));
+    if (slot->server_error.ok()) slot->server_error = err;
+    if (slot->status.ok()) slot->status = err;
   }
-  if (closed_.load(std::memory_order_acquire)) return false;
-  slot->hedged = true;
-  // Forget the unacked originals: late replies to abandoned ids are
-  // discarded by the session, and the batch sequences make each duplicate
-  // below a suppressed re-send of a frame the daemon may already have
-  // applied (server-side dedup, rpc_server.h).
-  for (size_t f = slot->acked; f < slot->calls.size(); ++f) {
-    if (slot->calls[f] != nullptr) slot->conn->Abandon(slot->calls[f]);
-  }
-  // A standing connection means the daemon is slow, not gone: the hedge is
-  // a plain second request_id on the same socket. A broken one is dropped
-  // WITHOUT opening the circuit-breaker window (the daemon dialed; it may
-  // be merely slow) and replaced.
-  if (slot->conn->broken()) {
-    DropConn(slot->daemon, slot->conn, /*start_backoff=*/false);
-    Result<std::shared_ptr<MuxConnection>> fresh = AcquireConn(slot->daemon);
-    if (!fresh.ok()) {
-      if (slot->status.ok()) slot->status = fresh.status();
-      return false;  // lane stays down: QueueUnsent parks the whole tail
-    }
-    slot->conn = std::move(fresh).value();
-  }
-  hedged_publishes_.fetch_add(1, std::memory_order_relaxed);
-  slot->poisoned = false;
-  slot->status = slot->server_error;  // transport error superseded
-  for (size_t f = slot->acked; f < slot->calls.size(); ++f) {
-    Result<MuxConnection::CallHandle> dup =
-        slot->conn->Start(frames[f], options_.recv_timeout_ms);
-    if (!dup.ok()) {
-      if (slot->status.ok()) {
-        slot->status = TagError(*slot->daemon, dup.status());
-      }
-      slot->poisoned = true;
-      DropConn(slot->daemon, slot->conn, /*start_backoff=*/true);
-      return false;
-    }
-    slot->calls[f] = std::move(dup).value();
-  }
-  return true;
 }
 
 void FanoutCluster::QueueUnsent(Slot* slot,
@@ -634,15 +555,15 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
 
   // Encode once: the same chunked kPublishBatch frames stream to every
   // daemon (each partition ingests the full stream). Each frame becomes a
-  // refcounted FrameBuf, so the N lanes (and all their pipeline slots, the
-  // hedge re-sends, and the replay buffer) share ONE payload block per
-  // frame — fan-out costs segment references, never a byte copy. Degraded
-  // policies tag every frame with a batch sequence so hedged re-sends are
-  // idempotent; strict mode emits the untagged (pre-extension) bytes. A
-  // sampled publish additionally encodes a traced VARIANT of the first
-  // frame: the trace tail rides only toward trace-negotiated lanes, while
-  // hedges and the replay buffer reuse the canonical plain bytes (a
-  // replayed trace would stamp a long-finished pipeline).
+  // refcounted FrameBuf, so the N lanes (and all their pipeline slots and
+  // the replay buffer) share ONE payload block per frame — fan-out costs
+  // segment references, never a byte copy. Degraded policies tag every
+  // frame with a batch sequence so replays are idempotent; strict mode
+  // emits the untagged (pre-extension) bytes. A sampled publish
+  // additionally encodes a traced VARIANT of the first frame: the trace
+  // tail rides only toward trace-negotiated lanes, while the replay buffer
+  // reuses the canonical plain bytes (a replayed trace would stamp a
+  // long-finished pipeline).
   const size_t chunk = std::max<size_t>(1, options_.publish_chunk_events);
   std::vector<FrameBuf> frames;
   std::vector<size_t> frame_events;
@@ -678,7 +599,7 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
     for (Slot& slot : slots) {
       if (!slot.live()) continue;
       if (slot.calls.size() - slot.acked >= window) {
-        ReapOneAck(&slot, frames, entered_degraded, trace_out);
+        ReapOneAck(&slot, trace_out);
       }
       if (!slot.live()) continue;
       // The traced variant of frame 0 rides only to lanes whose hello
@@ -691,35 +612,14 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
           slot.conn->Start(buf, options_.recv_timeout_ms);
       if (started.ok()) {
         slot.calls.push_back(std::move(started).value());
-        continue;
-      }
-      if (slot.status.ok()) {
-        slot.status = TagError(*slot.daemon, started.status());
-      }
-      slot.poisoned = true;
-      // One hedge may revive the lane; the current frame then still needs
-      // to go out under its own fresh id so slot.calls stays aligned with
-      // the frame list.
-      if (TryHedgePublish(&slot, frames, entered_degraded)) {
-        Result<MuxConnection::CallHandle> retry =
-            slot.conn->Start(frames[f], options_.recv_timeout_ms);
-        if (retry.ok()) {
-          slot.calls.push_back(std::move(retry).value());
-        } else {
-          if (slot.status.ok()) {
-            slot.status = TagError(*slot.daemon, retry.status());
-          }
-          slot.poisoned = true;
-          DropConn(slot.daemon, slot.conn, /*start_backoff=*/true);
-        }
       } else {
-        DropConn(slot.daemon, slot.conn, /*start_backoff=*/true);
+        FailLane(&slot, started.status());
       }
     }
   }
   for (Slot& slot : slots) {
     while (slot.live() && slot.acked < slot.calls.size()) {
-      ReapOneAck(&slot, frames, entered_degraded, trace_out);
+      ReapOneAck(&slot, trace_out);
     }
   }
   // Queue-to-replay only for calls that ENTERED degraded: their frames
@@ -980,7 +880,7 @@ Status FanoutCluster::ExchangeForAckOn(Daemon* daemon,
   const Status status =
       conn->CallOne(request, options_.recv_timeout_ms, &reply);
   if (!status.ok()) {
-    DropConn(daemon, conn, /*start_backoff=*/true);
+    DropConn(daemon, conn);
     return TagError(*daemon, status);
   }
   const MessageTag tag =
@@ -1055,7 +955,6 @@ Result<ClusterStats> FanoutCluster::GetStats() {
             });
   // Broker-side degraded-mode counters (never on the wire; see transport.h).
   merged.degraded_gathers = degraded_gathers_.load(std::memory_order_relaxed);
-  merged.hedged_publishes = hedged_publishes_.load(std::memory_order_relaxed);
   merged.replayed_events = replayed_events_.load(std::memory_order_relaxed);
   merged.replay_dropped_events =
       replay_dropped_events_.load(std::memory_order_relaxed);
@@ -1257,8 +1156,6 @@ void FanoutCluster::MirrorBrokerCounters() {
   MetricsRegistry* registry = MetricsRegistry::Default();
   registry->GetCounter("broker_degraded_gathers")
       ->RaiseTo(degraded_gathers_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_hedged_publishes")
-      ->RaiseTo(hedged_publishes_.load(std::memory_order_relaxed));
   registry->GetCounter("broker_replayed_events")
       ->RaiseTo(replayed_events_.load(std::memory_order_relaxed));
   registry->GetCounter("broker_replay_dropped_events")

@@ -60,16 +60,15 @@
 //     per-daemon replay buffer and re-sent — in order, ahead of newer
 //     traffic — once the daemon answers again; overflow is an explicit
 //     ResourceExhausted, never a silent drop;
-//   * a publish lane silent for hedge_after_ms is hedged: the unacked
-//     frames are re-sent under fresh request_ids — on the same multiplexed
-//     connection when it still stands (a server-side stall), or on a
-//     redialed one when it died. Frames carry a batch sequence in degraded
-//     mode, so the daemon suppresses the duplicate if the original did
-//     land (RpcServer's dedup window); a duplicate racing the original's
-//     still-in-flight apply is held until that apply resolves — an ack
-//     always means the events landed — so a hedge routes around slowness,
-//     while a stall that outlives the hedge window too fails the lane over
-//     to the replay buffer;
+//   * a publish lane that stays silent for recv_timeout_ms (a stalled
+//     daemon), or whose connection fails mid-pipeline, fails over to the
+//     same replay buffer: the lane is dropped with backoff and its unacked
+//     frames are parked and replayed in order. Frames carry a batch
+//     sequence in degraded mode, so the daemon suppresses the replayed copy
+//     when the original did land (RpcServer's dedup window); a copy racing
+//     the original's still-in-flight apply is held until that apply
+//     resolves — an ack always means the events landed — so replay is
+//     exactly-once;
 //   * Drain and GetStats tolerate missing daemons under the same quorum;
 //     Checkpoint, replica ops, and Ping stay strict under every policy —
 //     durability and topology verification must not silently degrade.
@@ -147,7 +146,11 @@ struct FanoutClusterOptions {
   /// advertises in its hello reply.
   size_t max_inflight_frames = 32;
 
-  /// Reply timeout per logical call (0 = block forever).
+  /// Reply timeout per logical call (0 = block forever). It is also the
+  /// failover bound for a slow daemon: under a degraded policy, a publish
+  /// lane silent for this long is dropped and its unacked frames park in
+  /// the replay buffer, so a stalled daemon delays a publish by at most
+  /// this much.
   int recv_timeout_ms = 30'000;
 
   /// Dial timeout (0 = kernel default, which can be minutes against a
@@ -180,11 +183,6 @@ struct FanoutClusterOptions {
   /// Daemons that must answer for a kQuorum gather/drain/stats to succeed.
   /// 0 = majority (endpoints/2 + 1). Ignored by the other policies.
   uint32_t gather_quorum = 0;
-
-  /// Hedge threshold: a publish lane silent for this long has its unacked
-  /// frames re-sent under fresh request_ids (once per daemon per call).
-  /// 0 disables hedging. Strict mode never hedges.
-  int hedge_after_ms = 0;
 
   /// Per-daemon replay buffer bound, in events. Publishes that cannot
   /// reach a daemon (backoff, connect failure, mid-pipeline death) are
@@ -298,7 +296,7 @@ class FanoutCluster : public ClusterTransport {
   /// registry-gauge reconstruction when the autopilot is off.
   Result<HealthReport> GetHealth() override;
 
-  /// The policy currently steering gathers/hedging/replay — the autopilot
+  /// The policy currently steering gathers/replay — the autopilot
   /// may have flipped it away from options.policy.
   FanoutPolicy active_policy() const {
     return active_policy_.load(std::memory_order_relaxed);
@@ -371,12 +369,11 @@ class FanoutCluster : public ClusterTransport {
     Status status;
 
     /// First kError REPLY the daemon sent (as opposed to a transport
-    /// failure): preserved across a hedge or a queue-to-replay, which clear
-    /// the transport error but must not hide a server-side rejection.
+    /// failure): preserved across a queue-to-replay, which clears the
+    /// transport error but must not hide a server-side rejection.
     Status server_error;
 
     bool poisoned = false;  ///< lane unusable for the rest of this call
-    bool hedged = false;    ///< this lane already used its one hedge
 
     /// Publish pipeline: calls[i] is frame i's in-flight handle; the first
     /// `acked` frames are confirmed (ack or server error).
@@ -408,10 +405,14 @@ class FanoutCluster : public ClusterTransport {
   Result<std::shared_ptr<MuxConnection>> AcquireConn(Daemon* daemon);
 
   /// Severs `conn` and forgets it as the daemon's shared connection (a
-  /// newer one is left alone). `start_backoff` opens the circuit-breaker
-  /// window; a hedge redial passes false — the daemon dialed, it is slow.
-  void DropConn(Daemon* daemon, const std::shared_ptr<MuxConnection>& conn,
-                bool start_backoff);
+  /// newer one is left alone), opening the circuit-breaker window.
+  void DropConn(Daemon* daemon, const std::shared_ptr<MuxConnection>& conn);
+
+  /// The one lane-failure path: records `status` (tagged with the daemon)
+  /// as the slot's first error, poisons the lane for the rest of the call,
+  /// and drops its connection with backoff. Under a degraded policy a
+  /// failed publish lane then parks its unacked frames (QueueUnsent).
+  void FailLane(Slot* slot, const Status& status);
 
   /// Opens/extends the daemon's circuit-breaker window after a failure.
   /// Caller holds daemon->mu.
@@ -438,7 +439,7 @@ class FanoutCluster : public ClusterTransport {
 
   /// True under a degraded ACTIVE policy (anything but kStrict). The
   /// active policy starts as options.policy and is flipped by the
-  /// autopilot; every degraded-mode gate (replay, hedging, sequence
+  /// autopilot; every degraded-mode gate (replay, sequence
   /// tagging, quorum tolerance) keys off it, never off the configured one.
   bool degraded() const {
     return active_policy_.load(std::memory_order_relaxed) !=
@@ -474,25 +475,13 @@ class FanoutCluster : public ClusterTransport {
   void QueueUnsent(Slot* slot, const std::vector<FrameBuf>& frames,
                    const std::vector<size_t>& frame_events);
 
-  /// One hedge attempt for a failed publish lane: re-issues every unacked
-  /// frame under fresh request_ids — on the standing connection when it
-  /// survived (server-side stall), on a redial (without opening the
-  /// backoff window) when it died. True iff the lane is live again with
-  /// slot->calls realigned to the frame list. `sequenced` says whether the
-  /// frames carry batch sequences (the call entered under a degraded
-  /// policy): hedging an unsequenced frame could double-apply it, so the
-  /// hedge only fires when they do — a mid-call autopilot flip must not
-  /// change that.
-  bool TryHedgePublish(Slot* slot, const std::vector<FrameBuf>& frames,
-                       bool sequenced);
-
-  /// Awaits the oldest unacked publish frame on the lane, hedging once on
-  /// failure when the policy allows (see TryHedgePublish on `sequenced`).
-  /// kError replies record the first server error but keep the lane (the
-  /// session is still usable). A non-null `trace` folds the stamps echoed
-  /// on an ack's trace tail into the publish's originating context.
-  void ReapOneAck(Slot* slot, const std::vector<FrameBuf>& frames,
-                  bool sequenced, TraceContext* trace);
+  /// Awaits the oldest unacked publish frame on the lane. kError replies
+  /// record the first server error but keep the lane (the session is still
+  /// usable); silence past recv_timeout_ms, a transport failure, or a
+  /// protocol violation fails the lane (FailLane). A non-null `trace` folds
+  /// the stamps echoed on an ack's trace tail into the publish's
+  /// originating context.
+  void ReapOneAck(Slot* slot, TraceContext* trace);
 
   /// Appends a trace to the bounded traces_ ring for TakeTraces.
   void ParkTrace(TraceContext trace);
@@ -564,18 +553,17 @@ class FanoutCluster : public ClusterTransport {
   mutable std::mutex report_mu_;
   GatherReport last_report_;
 
-  /// Source of the idempotent batch sequences hedged frames carry. Seeded
-  /// with a random epoch per broker incarnation (see the constructor): the
-  /// daemons' dedup window is keyed by the raw sequence and outlives this
-  /// broker, so a restarted or second broker must not reuse values an
-  /// earlier incarnation already burned. NextBatchSequence() never hands
-  /// out 0, the wire's "no dedup" marker.
+  /// Source of the idempotent batch sequences degraded-mode frames carry.
+  /// Seeded with a random epoch per broker incarnation (see the
+  /// constructor): the daemons' dedup window is keyed by the raw sequence
+  /// and outlives this broker, so a restarted or second broker must not
+  /// reuse values an earlier incarnation already burned.
+  /// NextBatchSequence() never hands out 0, the wire's "no dedup" marker.
   std::atomic<uint64_t> next_batch_sequence_{1};
 
   // Degraded-mode counters surfaced through GetStats() (and mirrored into
   // the process registry at GetStatsText() scrape time via RaiseTo).
   std::atomic<uint64_t> degraded_gathers_{0};
-  std::atomic<uint64_t> hedged_publishes_{0};
   std::atomic<uint64_t> replayed_events_{0};
   std::atomic<uint64_t> replay_dropped_events_{0};
   std::atomic<uint64_t> rescue_dropped_{0};

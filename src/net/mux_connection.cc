@@ -311,15 +311,6 @@ void MuxConnection::MaybeLogSlowCall(const Call& call,
                breakdown.c_str());
 }
 
-void MuxConnection::Abandon(const CallHandle& call) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (call->done) return;
-  call->done = true;
-  call->status = Status::Aborted("call abandoned");
-  pending_.erase(call->id);
-  cv_.notify_all();  // a Start blocked at the cap may proceed
-}
-
 Status MuxConnection::CallOne(const std::string& framed_request,
                               int timeout_ms, std::vector<Frame>* frames) {
   MAGICRECS_ASSIGN_OR_RETURN(CallHandle call,

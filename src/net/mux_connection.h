@@ -135,9 +135,6 @@ class MuxConnection {
   Status Await(const CallHandle& call, int timeout_ms,
                std::vector<Frame>* frames);
 
-  /// Forgets a call (late frames are discarded).
-  void Abandon(const CallHandle& call);
-
   /// Start + Await; `timeout_ms` bounds both the cap wait and the reply
   /// silence.
   Status CallOne(const std::string& framed_request, int timeout_ms,

@@ -187,7 +187,7 @@ bool RpcServer::BeginBatch(uint64_t sequence) {
     // connection. Waiting (rather than acking now) keeps the ack honest:
     // if that apply fails, this copy wakes, claims the sequence, and
     // applies the batch itself. Bounded by the original's apply; the
-    // hedging broker's recv timeout covers a pathological stall. The
+    // replaying broker's recv timeout covers a pathological stall. The
     // outcome is read from the shared record, not the window — a success
     // the window has already evicted must still suppress this copy.
     const std::shared_ptr<InflightBatch> state = it->second;
@@ -315,7 +315,7 @@ void RpcServer::DispatchRequest(const Frame& request, uint32_t features,
         trace.Stamp(TraceStage::kDaemonDequeue, options_.trace_party,
                     SystemClock::Default()->Now());
       }
-      // A non-zero sequence marks an idempotent batch: a hedged re-send of
+      // A non-zero sequence marks an idempotent batch: a replayed copy of
       // a frame this server already APPLIED (possibly on another
       // connection) is acked without applying it twice. A re-send racing
       // the original's in-flight apply waits for its outcome inside

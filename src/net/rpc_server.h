@@ -78,9 +78,10 @@ struct RpcServerOptions {
   bool tcp_nodelay = true;
 
   /// How many recently seen publish-batch sequences to remember for
-  /// idempotent-batch dedup (hedged publishes re-send the same sequence on
-  /// a second request; see wire.h). Shared across connections. 0 turns
-  /// dedup off — every batch is applied, sequence or not.
+  /// idempotent-batch dedup (a broker's replay buffer re-sends a frame the
+  /// daemon may already have applied under the same sequence; see wire.h).
+  /// Shared across connections. 0 turns dedup off — every batch is
+  /// applied, sequence or not, so a replay can double-apply.
   size_t publish_dedup_window = 4096;
 
   /// Cap on dispatched-but-unanswered requests per connection; at the cap
@@ -130,7 +131,7 @@ struct RpcServerStats {
   uint64_t connections_accepted = 0;
   uint64_t requests_served = 0;   ///< responses sent, errors included
   uint64_t protocol_errors = 0;   ///< malformed frames / unknown tags
-  uint64_t duplicate_batches = 0; ///< hedged re-sends suppressed by dedup
+  uint64_t duplicate_batches = 0; ///< replayed copies suppressed by dedup
 
   // Reactor / session counters (see ServerLoopStats in cluster/transport.h
   // for the wire-visible form).

@@ -17,13 +17,14 @@
 //   kPublishBatch       count:u32  (src dst created_at action)*
 //                       [marker:u8=0x01 batch_seq:u64]
 //     The bracketed batch_seq tail makes the frame idempotent: a broker
-//     hedging a slow daemon re-sends the same frame (same sequence) on a
-//     fresh connection, and the server suppresses the duplicate
-//     (rpc_server.h publish_dedup_window). Absent tail = no dedup — the
-//     pre-extension encoding, which strict-mode brokers still emit. The
-//     marker byte means presence is never inferred from payload length
-//     alone: a forged count that leaves tail-sized residue is rejected,
-//     not silently decoded as a sequence.
+//     that timed out on a slow daemon replays the same frame (same
+//     sequence) on a fresh connection, and the server suppresses the
+//     duplicate (rpc_server.h publish_dedup_window) — dedup is what makes
+//     replay safe. Absent tail = no dedup — the pre-extension encoding,
+//     which strict-mode brokers still emit. The marker byte means presence
+//     is never inferred from payload length alone: a forged count that
+//     leaves tail-sized residue is rejected, not silently decoded as a
+//     sequence.
 //   kTakeRecommendations  (empty)
 //   kDrain                (empty)
 //   kCheckpoint         created_at:i64

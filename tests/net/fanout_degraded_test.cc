@@ -1,11 +1,11 @@
 // Degraded-mode acceptance for the fan-out broker (FanoutPolicy): quorum
 // gathers keep serving the surviving partitions when a daemon dies and the
-// GatherReport names what is missing; hedged publishes re-send on a fresh
-// connection and the server-side batch-sequence dedup suppresses the
-// duplicate; publishes to an unreachable daemon park in a bounded replay
-// buffer and flow again — restoring byte-identical strict-mode results —
-// once the daemon returns. Strict mode on a healthy group must stay
-// byte-identical to the PR 3 contract.
+// GatherReport names what is missing; a publish to a stalled daemon times
+// out into the replay buffer and the server-side batch-sequence dedup
+// suppresses the replayed copy; publishes to an unreachable daemon park in
+// a bounded replay buffer and flow again — restoring byte-identical
+// strict-mode results — once the daemon returns. Strict mode on a healthy
+// group must stay byte-identical to the inline reference.
 
 #include <algorithm>
 #include <chrono>
@@ -48,8 +48,9 @@ using net::RpcServer;
 using net::RpcServerOptions;
 
 /// A ClusterTransport decorator that stalls the first `delays` PublishBatch
-/// calls by `delay` — the "slow daemon" a hedged publish is designed to
-/// route around. Everything else forwards unchanged.
+/// calls by `delay` — the "slow daemon" whose unacked frame the broker
+/// times out on and later sends again as a replayed copy. Everything else
+/// forwards unchanged.
 class DelayingTransport : public ClusterTransport {
  public:
   DelayingTransport(ClusterTransport* wrapped,
@@ -93,7 +94,7 @@ class DelayingTransport : public ClusterTransport {
 /// A ClusterTransport decorator whose FIRST PublishBatch blocks until
 /// Release() and then fails without applying anything — an apply caught in
 /// flight whose outcome turns out to be failure, exactly the window where
-/// a racing hedged duplicate must not be blind-acked. Later calls forward.
+/// a racing replayed copy must not be blind-acked. Later calls forward.
 class GatedFailingTransport : public ClusterTransport {
  public:
   explicit GatedFailingTransport(ClusterTransport* wrapped)
@@ -154,12 +155,10 @@ class GatedFailingTransport : public ClusterTransport {
 
 /// A degraded-policy partition group.
 Group StartGroup(const StaticGraph& graph, uint32_t group_size,
-                 FanoutPolicy policy, uint32_t gather_quorum = 0,
-                 int hedge_after_ms = 0) {
+                 FanoutPolicy policy, uint32_t gather_quorum = 0) {
   FanoutClusterOptions fopt;
   fopt.policy = policy;
   fopt.gather_quorum = gather_quorum;
-  fopt.hedge_after_ms = hedge_after_ms;
   return StartGroup(graph, group_size, /*replicas=*/1, /*k=*/2, fopt);
 }
 
@@ -308,7 +307,6 @@ TEST(FanoutDegradedTest, StrictModeOnHealthyGroupMatchesInlineReference) {
   auto stats = g.broker->GetStats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->degraded_gathers, 0u);
-  EXPECT_EQ(stats->hedged_publishes, 0u);
   EXPECT_EQ(stats->replayed_events, 0u);
 }
 
@@ -434,45 +432,48 @@ TEST(FanoutDegradedTest, RescueBufferIsBoundedAndCountsDrops) {
   EXPECT_EQ(stats->rescue_dropped, per_partition[survivor] - 1);
 }
 
-TEST(FanoutDegradedTest, HedgedPublishIsDedupedServerSide) {
+TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
   // One daemon whose transport stalls its first PublishBatch far past the
-  // hedge threshold: the broker re-sends on a fresh connection, the
-  // server's sequence dedup suppresses the duplicate, and the events are
-  // applied exactly once.
+  // broker's recv timeout: the publish lane times out, the unacked frame
+  // parks in the replay buffer, and the publish returns without waiting
+  // out the stall. The stalled original still applies; the later replay
+  // of the same frame is suppressed by the server's sequence dedup, so
+  // the events are applied exactly once. This is the one test where a
+  // frame the daemon received but never acked is replayed: with dedup off
+  // (publish_dedup_window = 0) the replay would apply it a second time.
   TestWorkload w = MakeTestWorkload(256);
   ClusterOptions options = MakeClusterOptions(2);
 
   auto hosted = LocalClusterTransport::Create(
       w.graph, options, LocalClusterTransport::Mode::kThreaded);
   ASSERT_TRUE(hosted.ok()) << hosted.status();
-  DelayingTransport delaying(hosted->get(), std::chrono::milliseconds(400),
-                             /*delays=*/1);
+  constexpr auto kStall = std::chrono::milliseconds(400);
+  DelayingTransport delaying(hosted->get(), kStall, /*delays=*/1);
   auto server = RpcServer::Start(&delaying, RpcServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
 
   FanoutClusterOptions fopt;
   fopt.group_size = 2;
   fopt.policy = FanoutPolicy::kQuorum;
-  fopt.hedge_after_ms = 60;
+  fopt.recv_timeout_ms = 120;
   FanoutEndpoint endpoint;
   endpoint.port = (*server)->port();
   fopt.endpoints.push_back(endpoint);
   auto broker = FanoutCluster::Connect(fopt);
   ASSERT_TRUE(broker.ok()) << broker.status();
 
-  // One 256-event batch = one frame. The original lane sleeps 400ms inside
-  // the server; the hedge fires after ~60ms on a fresh connection, where
-  // the dedup admission HOLDS the duplicate until the original's apply
-  // resolves — an ack must mean the events landed, never a blind promise
-  // over an apply that could still fail. The hedge lane's shortened ack
-  // timeout therefore expires too; the frame fails over to the replay
-  // buffer and the publish still returns OK without waiting out the stall.
+  // One 256-event batch = one frame. The daemon sleeps 400ms inside its
+  // apply; the broker's 120ms ack timeout fails the lane over to the
+  // replay buffer, and parked is success under a degraded policy.
+  const auto publish_start = std::chrono::steady_clock::now();
   ASSERT_TRUE((*broker)->PublishBatch(w.events).ok());
+  const auto publish_took = std::chrono::steady_clock::now() - publish_start;
+  EXPECT_LT(publish_took, kStall - std::chrono::milliseconds(100))
+      << "the publish waited out the stall instead of failing over";
 
   // Wait out the stalled original and the backoff window; the next broker
-  // calls flush the parked replay, which the server dup-acks (the
-  // original's copy applied). Exactly-once: the daemon counted every
-  // event once despite up to three deliveries of the same frame.
+  // calls flush the parked frame, which the server dup-acks (the
+  // original's copy applied).
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   Status recovered;
   for (int i = 0; i < 100; ++i) {
@@ -484,18 +485,18 @@ TEST(FanoutDegradedTest, HedgedPublishIsDedupedServerSide) {
   ASSERT_TRUE((*broker)->Drain().ok());
   auto settled = (*broker)->GetStats();
   ASSERT_TRUE(settled.ok()) << settled.status();
-  EXPECT_EQ(settled->hedged_publishes, 1u) << "the hedge never fired";
-  // Exactly-once accounting end to end: the daemon applied the events one
-  // time (publish counters unchanged by the hedge), and the extra copies
-  // — the hedged duplicate and/or the replay of the parked frame — were
+  // Exactly-once accounting end to end: every parked event was replayed,
+  // the daemon applied each event one time, and the replayed copy was
   // suppressed by the sequence dedup, not silently double-applied.
+  EXPECT_EQ(settled->replayed_events, w.events.size())
+      << "the timed-out frame never went through the replay buffer";
   EXPECT_EQ(settled->events_published, w.events.size())
-      << "hedged batch was applied twice (dedup failed) or dropped";
+      << "replayed batch was applied twice (dedup failed) or dropped";
+  EXPECT_EQ(settled->detector_events, w.events.size() * 2)
+      << "each of the 2 partitions must ingest every event exactly once";
   EXPECT_GE((*server)->stats().duplicate_batches, 1u)
       << "no duplicate was ever suppressed — the exactly-once result above "
          "would then be luck, not dedup";
-  EXPECT_EQ(settled->detector_events, w.events.size() * 2)
-      << "each of the 2 partitions must ingest every event exactly once";
 }
 
 TEST(FanoutDegradedTest, RestartedBrokerIsNotDupSuppressed) {
@@ -542,7 +543,7 @@ TEST(FanoutDegradedTest, RestartedBrokerIsNotDupSuppressed) {
 }
 
 TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
-  // A hedged duplicate that arrives while the original's apply is still
+  // A replayed copy that arrives while the original's apply is still
   // in flight must not be blind-acked: if the original then FAILS, the
   // batch never landed and the broker would treat it as delivered. The
   // duplicate has to wait for the original's outcome and, on failure,
@@ -568,22 +569,22 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
   }
   ASSERT_TRUE(gated.first_apply_started());
 
-  // Hedged copy on a fresh connection, racing the in-flight apply. Give
+  // Replayed copy on a fresh connection, racing the in-flight apply. Give
   // its handler time to reach the dedup admission before resolving the
   // original (the interesting interleaving either way: if it has not
   // arrived yet, it simply finds no trace of the failed sequence later).
-  auto hedge = net::TcpSocket::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(hedge.ok()) << hedge.status();
-  ASSERT_TRUE(hedge->WriteAll(frame.data(), frame.size()).ok());
+  auto replay = net::TcpSocket::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  ASSERT_TRUE(replay->WriteAll(frame.data(), frame.size()).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gated.Release();
 
-  // The original reports the injected failure; the hedge is acked only
+  // The original reports the injected failure; the replay is acked only
   // because it applied the batch itself.
   net::Frame reply;
   ASSERT_TRUE(net::ReadFrame(&*original, &reply).ok());
   EXPECT_EQ(reply.tag, net::MessageTag::kError);
-  ASSERT_TRUE(net::ReadFrame(&*hedge, &reply).ok());
+  ASSERT_TRUE(net::ReadFrame(&*replay, &reply).ok());
   EXPECT_EQ(reply.tag, net::MessageTag::kAck)
       << "the duplicate of a failed apply must succeed, not inherit the "
          "failure";

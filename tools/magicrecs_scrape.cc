@@ -27,6 +27,7 @@
 
 #include "net/mux_connection.h"
 #include "net/wire.h"
+#include "util/flags.h"
 #include "util/metrics.h"
 #include "util/str_format.h"
 
@@ -34,13 +35,6 @@ namespace {
 
 using namespace magicrecs;
 using namespace magicrecs::net;
-
-bool FlagValue(const char* arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *value = arg + prefix.size();
-  return true;
-}
 
 /// One parsed exposition: counters and gauges by canonical key. Histogram
 /// lines pass through untouched in watch mode only when they move, so the
@@ -142,17 +136,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--watch") == 0) {
       watch = true;
     } else if (FlagValue(argv[i], "interval-ms", &value)) {
-      interval_ms = static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
-      if (interval_ms <= 0) {
-        std::fprintf(stderr, "magicrecs_scrape: --interval-ms must be > 0\n");
+      // A watch interval must be positive.
+      if (!ParseIntegerFlag("magicrecs_scrape", "interval-ms", value,
+                            &interval_ms, 1)) {
         return 2;
       }
     } else if (FlagValue(argv[i], "count", &value)) {
-      count = std::strtoll(value.c_str(), nullptr, 10);
+      if (!ParseIntegerFlag("magicrecs_scrape", "count", value, &count, 0)) {
+        return 2;
+      }
     } else if (FlagValue(argv[i], "host", &value)) {
       host = value;
     } else if (FlagValue(argv[i], "port", &value)) {
-      port = static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!ParseIntegerFlag("magicrecs_scrape", "port", value, &port)) {
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "magicrecs_scrape: unknown flag '%s'\n", argv[i]);
       return 2;

@@ -23,11 +23,14 @@
 // SIGTERM, and shuts down cleanly (draining workers, syncing the WAL).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "cluster/cluster.h"
 #include "cluster/transport.h"
@@ -37,6 +40,7 @@
 #include "net/rpc_server.h"
 #include "util/clock.h"
 #include "util/event_log.h"
+#include "util/flags.h"
 #include "util/metrics.h"
 #include "util/metrics_export.h"
 #include "util/str_format.h"
@@ -61,8 +65,8 @@ struct DaemonOptions {
   bool inline_mode = false;
   bool partition_id_set = false;
 
-  // Idempotent publish-batch dedup window (hedged broker re-sends; see
-  // net/rpc_server.h). 0 disables dedup.
+  // Idempotent publish-batch dedup window: what makes a broker's replay of
+  // an unacked frame exactly-once (net/rpc_server.h). 0 disables dedup.
   size_t publish_dedup_window = 4096;
 
   // Epoll reactor tuning (net/rpc_server.h).
@@ -100,8 +104,10 @@ void PrintUsage() {
       "  --window-secs=N        freshness window tau (600)\n"
       "  --inbox-capacity=N     per-replica inbox bound (65536)\n"
       "  --max-influencers=N    influencer cap, 0 = off (0)\n"
-      "  --publish-dedup-window=N  idempotent batch sequences remembered\n"
-      "                         for hedged-publish dedup; 0 = off (4096)\n"
+      "  --publish-dedup-window=N  idempotent batch sequences remembered so\n"
+      "                         a broker's replay of an unacked frame is\n"
+      "                         applied once; 0 = off, replays may\n"
+      "                         double-apply (4096)\n"
       "  --max-inflight-per-conn=N  dispatched-but-unanswered requests per\n"
       "                         connection before the reactor stops reading\n"
       "                         that peer (64)\n"
@@ -121,15 +127,16 @@ void PrintUsage() {
       "  --help                 this text\n");
 }
 
-/// Parses "--name=value" into value; false if arg is not --name=...
-bool FlagValue(const char* arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (std::strncmp(arg, prefix.c_str(), prefix.size()) != 0) return false;
-  *value = arg + prefix.size();
-  return true;
+/// ParseIntegerFlag for this tool: a bad value is a usage error.
+template <typename T>
+bool IntFlag(const char* flag, const std::string& value, T* out,
+             std::type_identity_t<T> min = std::numeric_limits<T>::min(),
+             std::type_identity_t<T> max = std::numeric_limits<T>::max()) {
+  return ParseIntegerFlag("magicrecsd", flag, value, out, min, max);
 }
 
 bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
+  int64_t window_secs = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     std::string value;
@@ -143,60 +150,94 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
     } else if (FlagValue(arg, "host", &value)) {
       options->host = value;
     } else if (FlagValue(arg, "port", &value)) {
-      options->port = static_cast<uint16_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("port", value, &options->port)) return false;
     } else if (FlagValue(arg, "graph", &value)) {
       options->graph = value;
     } else if (FlagValue(arg, "graph-file", &value)) {
       options->graph_file = value;
     } else if (FlagValue(arg, "users", &value)) {
-      options->users = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("users", value, &options->users)) return false;
     } else if (FlagValue(arg, "mean-followees", &value)) {
       options->mean_followees = std::strtod(value.c_str(), nullptr);
     } else if (FlagValue(arg, "graph-seed", &value)) {
-      options->graph_seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("graph-seed", value, &options->graph_seed)) return false;
     } else if (FlagValue(arg, "partitions", &value)) {
-      options->cluster.num_partitions = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("partitions", value, &options->cluster.num_partitions)) {
+        return false;
+      }
     } else if (FlagValue(arg, "partition-group", &value)) {
-      options->cluster.group_size = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("partition-group", value, &options->cluster.group_size)) {
+        return false;
+      }
     } else if (FlagValue(arg, "partition-id", &value)) {
-      options->cluster.group_partition = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("partition-id", value, &options->cluster.group_partition)) {
+        return false;
+      }
       options->partition_id_set = true;
     } else if (FlagValue(arg, "partitioner-salt", &value)) {
-      options->cluster.partitioner_salt = std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("partitioner-salt", value,
+                   &options->cluster.partitioner_salt)) {
+        return false;
+      }
     } else if (FlagValue(arg, "replicas", &value)) {
-      options->cluster.replicas_per_partition = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("replicas", value,
+                   &options->cluster.replicas_per_partition)) {
+        return false;
+      }
     } else if (FlagValue(arg, "k", &value)) {
-      options->cluster.detector.k = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("k", value, &options->cluster.detector.k)) return false;
     } else if (FlagValue(arg, "window-secs", &value)) {
-      options->cluster.detector.window = Seconds(std::strtoll(value.c_str(), nullptr, 10));
+      if (!IntFlag("window-secs", value, &window_secs, 0,
+                   INT64_MAX / kMicrosPerSecond)) {
+        return false;
+      }
+      options->cluster.detector.window = Seconds(window_secs);
     } else if (FlagValue(arg, "inbox-capacity", &value)) {
-      options->cluster.inbox_capacity = std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("inbox-capacity", value, &options->cluster.inbox_capacity)) {
+        return false;
+      }
     } else if (FlagValue(arg, "max-influencers", &value)) {
-      options->cluster.max_influencers_per_user = static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!IntFlag("max-influencers", value,
+                   &options->cluster.max_influencers_per_user)) {
+        return false;
+      }
     } else if (FlagValue(arg, "publish-dedup-window", &value)) {
-      options->publish_dedup_window = std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("publish-dedup-window", value,
+                   &options->publish_dedup_window)) {
+        return false;
+      }
     } else if (FlagValue(arg, "max-inflight-per-conn", &value)) {
-      options->max_inflight_per_conn =
-          std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("max-inflight-per-conn", value,
+                   &options->max_inflight_per_conn)) {
+        return false;
+      }
     } else if (FlagValue(arg, "rpc-workers", &value)) {
-      options->rpc_workers =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      if (!IntFlag("rpc-workers", value, &options->rpc_workers)) return false;
     } else if (FlagValue(arg, "slow-request-ms", &value)) {
-      options->slow_request_ms = std::strtoll(value.c_str(), nullptr, 10);
+      if (!IntFlag("slow-request-ms", value, &options->slow_request_ms, 0)) {
+        return false;
+      }
     } else if (FlagValue(arg, "metrics-dump-interval", &value)) {
-      options->metrics_dump_interval_s =
-          std::strtoll(value.c_str(), nullptr, 10);
+      if (!IntFlag("metrics-dump-interval", value,
+                   &options->metrics_dump_interval_s, 0)) {
+        return false;
+      }
     } else if (FlagValue(arg, "metrics-dump-path", &value)) {
       options->metrics_dump_path = value;
     } else if (FlagValue(arg, "health-interval-ms", &value)) {
-      options->health_interval_ms =
-          static_cast<int>(std::strtol(value.c_str(), nullptr, 10));
+      if (!IntFlag("health-interval-ms", value, &options->health_interval_ms,
+                   0)) {
+        return false;
+      }
     } else if (FlagValue(arg, "health-journal", &value)) {
       options->health_journal_path = value;
     } else if (FlagValue(arg, "persist-dir", &value)) {
       options->cluster.persist.dir = value;
     } else if (FlagValue(arg, "fsync-batch", &value)) {
-      options->cluster.persist.fsync_batch = std::strtoull(value.c_str(), nullptr, 10);
+      if (!IntFlag("fsync-batch", value,
+                   &options->cluster.persist.fsync_batch)) {
+        return false;
+      }
     } else {
       std::fprintf(stderr, "magicrecsd: unknown flag '%s'\n\n", arg);
       PrintUsage();
