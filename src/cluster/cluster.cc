@@ -105,6 +105,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     const MetricLabels labels = {{"partition", StrFormat("%u", p)}};
     cluster->apply_histograms_.push_back(
         MetricsRegistry::Default()->GetHistogram("publish_apply_us", labels));
+    cluster->inbox_wait_histograms_.push_back(
+        MetricsRegistry::Default()->GetHistogram("publish_inbox_wait_us",
+                                                 labels));
     cluster->apply_errors_.push_back(
         MetricsRegistry::Default()->GetCounter("publish_apply_errors", labels));
   }
@@ -132,18 +135,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
   return cluster;
 }
 
-Status Cluster::AssignSequenceAndLog(EdgeEvent* event) {
-  if (wal_ == nullptr) {
-    event->sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  // Sequence assignment and the WAL append must be one atomic step: a log
-  // ordered by sequence is what lets replay resume from a snapshot cutoff.
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  event->sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-  return wal_->Append(*event);
-}
-
 bool Cluster::ShouldEmit(uint32_t local, uint32_t replica,
                          uint64_t sequence) const {
   const uint64_t mask = alive_masks_[local]->load(std::memory_order_acquire);
@@ -165,17 +156,21 @@ Status Cluster::OnEdge(VertexId src, VertexId dst, Timestamp t,
 }
 
 Status Cluster::AssignSequenceAndLogBatch(std::span<EdgeEvent> events) {
+  const auto assign = [&] {
+    uint64_t sequence =
+        next_sequence_.fetch_add(events.size(), std::memory_order_relaxed);
+    for (EdgeEvent& event : events) event.sequence = sequence++;
+  };
   if (wal_ == nullptr) {
-    for (EdgeEvent& event : events) {
-      event.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
-    }
+    assign();
     return Status::OK();
   }
-  // One wal_mu_ round-trip covers the whole wire batch: sequences stay
-  // contiguous in the log and the lock cost amortizes over the batch.
+  // Sequence assignment and the WAL append must be one atomic step: a log
+  // ordered by sequence is what lets replay resume from a snapshot cutoff.
+  // One wal_mu_ round-trip covers the whole wire batch.
   std::lock_guard<std::mutex> lock(wal_mu_);
-  for (EdgeEvent& event : events) {
-    event.sequence = next_sequence_.fetch_add(1, std::memory_order_relaxed);
+  assign();
+  for (const EdgeEvent& event : events) {
     MAGICRECS_RETURN_IF_ERROR(wal_->Append(event));
   }
   return Status::OK();
@@ -207,7 +202,7 @@ Status Cluster::OnEdgeEvent(EdgeEvent event,
     return Status::FailedPrecondition(
         "inline OnEdge cannot be mixed with threaded mode");
   }
-  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLog(&event));
+  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLogBatch(std::span(&event, 1)));
   events_published_.fetch_add(1, std::memory_order_relaxed);
   return ApplyInline(event, out);
 }
@@ -237,7 +232,7 @@ Status Cluster::Start() {
   for (uint32_t i = 0; i < local_partitions; ++i) {
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
       inboxes_[i].push_back(
-          std::make_unique<MpmcQueue<EdgeEvent>>(options_.inbox_capacity));
+          std::make_unique<Inbox>(options_.inbox_capacity));
       consumed_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
     }
   }
@@ -251,19 +246,7 @@ Status Cluster::Start() {
 }
 
 Status Cluster::Publish(EdgeEvent event) {
-  if (!running_) {
-    return Status::FailedPrecondition("cluster is not running; call Start()");
-  }
-  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLog(&event));
-  for (auto& partition_inboxes : inboxes_) {
-    for (auto& inbox : partition_inboxes) {
-      if (!inbox->Push(event)) {
-        return Status::Aborted("cluster stopped during publish");
-      }
-    }
-  }
-  events_published_.fetch_add(1, std::memory_order_release);
-  return Status::OK();
+  return PublishBatch(std::span<const EdgeEvent>(&event, 1));
 }
 
 Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
@@ -271,18 +254,23 @@ Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
     return Status::FailedPrecondition("cluster is not running; call Start()");
   }
   if (events.empty()) return Status::OK();
-  std::vector<EdgeEvent> batch(events.begin(), events.end());
-  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLogBatch(batch));
-  for (const EdgeEvent& event : batch) {
-    for (auto& partition_inboxes : inboxes_) {
-      for (auto& inbox : partition_inboxes) {
-        if (!inbox->Push(event)) {
-          return Status::Aborted("cluster stopped during publish");
-        }
+  // The one copy of the batch, in one allocation: make_shared of an array
+  // puts the reference count and the events in a single block. Every
+  // replica inbox shares it, and the last worker to pop it frees it.
+  const size_t size = events.size();
+  std::shared_ptr<EdgeEvent[]> batch = std::make_shared<EdgeEvent[]>(size);
+  std::copy(events.begin(), events.end(), batch.get());
+  MAGICRECS_RETURN_IF_ERROR(
+      AssignSequenceAndLogBatch(std::span(batch.get(), size)));
+  const std::shared_ptr<const EdgeEvent[]> sequenced = std::move(batch);
+  for (auto& partition_inboxes : inboxes_) {
+    for (auto& inbox : partition_inboxes) {
+      if (!inbox->Push(InboxBatch{sequenced, size, Stopwatch()}, size)) {
+        return Status::Aborted("cluster stopped during publish");
       }
     }
-    events_published_.fetch_add(1, std::memory_order_release);
   }
+  events_published_.fetch_add(size, std::memory_order_release);
   return Status::OK();
 }
 
@@ -290,31 +278,38 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
   auto& inbox = *inboxes_[local][replica];
   auto& consumed =
       *consumed_[local * options_.replicas_per_partition + replica];
+  PartitionServer& server = *servers_[local][replica];
+  const uint64_t self = uint64_t{1} << replica;
   std::vector<Recommendation> gathered;
   while (true) {
-    std::optional<EdgeEvent> event = inbox.Pop();
-    if (!event.has_value()) return;  // closed and drained
-    const uint64_t mask = alive_masks_[local]->load(std::memory_order_acquire);
-    if ((mask & (uint64_t{1} << replica)) != 0) {
-      gathered.clear();
-      const bool emit = ShouldEmit(local, replica, event->sequence);
+    std::optional<InboxBatch> batch = inbox.Pop();
+    if (!batch.has_value()) return;  // closed and drained
+    inbox_wait_histograms_[local]->Record(batch->queued.ElapsedMicros());
+    gathered.clear();
+    for (const EdgeEvent& event : std::span(batch->events.get(), batch->size)) {
+      // Per event, so a KillReplica takes effect mid-batch.
+      const uint64_t mask =
+          alive_masks_[local]->load(std::memory_order_acquire);
+      if ((mask & self) == 0) continue;
+      const bool emit = ShouldEmit(local, replica, event.sequence);
       const Stopwatch apply_timer;
-      // No caller waits on this event: a failed apply is only counted.
-      if (!servers_[local][replica]->OnEvent(*event, emit, &gathered).ok()) {
+      // No caller waits on this event: a failed apply is only counted, and
+      // the rest of the batch still applies.
+      if (!server.OnEvent(event, emit, &gathered).ok()) {
         apply_errors_[local]->Increment();
       }
       apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
-      if (!gathered.empty()) {
-        std::lock_guard<std::mutex> lock(results_mu_);
-        results_.insert(results_.end(),
-                        std::make_move_iterator(gathered.begin()),
-                        std::make_move_iterator(gathered.end()));
-      }
+    }
+    if (!gathered.empty()) {
+      std::lock_guard<std::mutex> lock(results_mu_);
+      results_.insert(results_.end(),
+                      std::make_move_iterator(gathered.begin()),
+                      std::make_move_iterator(gathered.end()));
     }
     // seq_cst pairs with Drain(): either this worker sees the waiter's
     // registration and notifies, or the waiter's predicate sees this
     // increment — no missed wakeup, no sleep-polling.
-    consumed.fetch_add(1, std::memory_order_seq_cst);
+    consumed.fetch_add(batch->size, std::memory_order_seq_cst);
     if (drain_waiters_.load(std::memory_order_seq_cst) > 0) {
       std::lock_guard<std::mutex> lock(drain_mu_);
       drain_cv_.notify_all();

@@ -9,8 +9,10 @@
 //                event through all partitions synchronously. Used by tests
 //                and virtual-time experiments.
 //   * threaded — one worker thread per replica with bounded inboxes; the
-//                Publish() path is the broker. Used by the throughput
-//                experiments.
+//                Publish() path is the broker. Each publish call hands every
+//                replica inbox one shared, sequenced batch, and a worker
+//                applies a popped batch event by event. Used by the
+//                throughput experiments and the daemon.
 //
 // Replica semantics: every alive replica ingests every event (D must stay
 // complete on all of them); the motif query for an event runs on exactly one
@@ -47,6 +49,7 @@
 #include "graph/static_graph.h"
 #include "persist/persist_options.h"
 #include "stream/event.h"
+#include "util/clock.h"
 #include "util/mpmc_queue.h"
 #include "util/result.h"
 
@@ -91,7 +94,8 @@ struct ClusterOptions {
   /// EngineOptions::max_influencers_per_user).
   uint32_t max_influencers_per_user = 0;
 
-  /// Bounded inbox size per replica in threaded mode (backpressure).
+  /// Bounded inbox size per replica in threaded mode (backpressure), in
+  /// events. A publish batch larger than this enters an empty inbox alone.
   size_t inbox_capacity = 1 << 16;
 
   /// Salt for the hash partitioner.
@@ -152,13 +156,14 @@ class Cluster {
   /// Spawns one worker thread per replica. FailedPrecondition if running.
   Status Start();
 
-  /// Broker fan-out: enqueues the event on every replica's inbox (blocking
-  /// on backpressure). Assigns the event's sequence number.
+  /// Broker fan-out of one event: PublishBatch of a batch of one.
   Status Publish(EdgeEvent event);
 
-  /// Batch fan-out: sequences and WAL-appends the whole batch under one
-  /// wal_mu_ acquisition, then enqueues every event. Same per-event
-  /// semantics as Publish called in a loop, amortized locking.
+  /// Batch fan-out: copies the batch once, sequences and WAL-appends it
+  /// under one wal_mu_ acquisition, then pushes that one immutable copy onto
+  /// every replica's inbox (blocking on backpressure). Same per-event
+  /// semantics as Publish called in a loop, with one inbox handoff per
+  /// replica for the whole batch.
   Status PublishBatch(std::span<const EdgeEvent> events);
 
   /// Blocks until every replica has consumed everything published so far.
@@ -242,12 +247,14 @@ class Cluster {
   std::vector<ReplicaStats> PerReplicaStats() const;
 
  private:
-  struct Replica {
-    std::unique_ptr<PartitionServer> server;
-    std::unique_ptr<MpmcQueue<EdgeEvent>> inbox;
-    std::thread worker;
-    std::atomic<uint64_t> consumed{0};
+  /// One publish batch on its way into a replica inbox. Every replica's
+  /// inbox holds the same immutable events; `queued` starts at the push.
+  struct InboxBatch {
+    std::shared_ptr<const EdgeEvent[]> events;
+    size_t size = 0;
+    Stopwatch queued;
   };
+  using Inbox = MpmcQueue<InboxBatch>;
 
   Cluster(const ClusterOptions& options, HashPartitioner partitioner);
 
@@ -262,18 +269,14 @@ class Cluster {
 
   void WorkerLoop(uint32_t local, uint32_t replica);
 
-  /// Stamps sequence numbers on (and WAL-appends) a whole batch under a
-  /// single wal_mu_ acquisition.
+  /// Stamps contiguous sequence numbers on a whole batch and, when
+  /// persistence is on, WAL-appends it — atomically together under a single
+  /// wal_mu_ acquisition, so the log is ordered by sequence.
   Status AssignSequenceAndLogBatch(std::span<EdgeEvent> events);
 
   /// The inline-mode per-event apply shared by OnEdgeEvent and
   /// OnEdgeEventBatch (event already sequenced and logged).
   Status ApplyInline(const EdgeEvent& event, std::vector<Recommendation>* out);
-
-  /// Assigns the event's sequence number and, when persistence is on,
-  /// appends it to the WAL — atomically together, so the log is ordered by
-  /// sequence.
-  Status AssignSequenceAndLog(EdgeEvent* event);
 
   ClusterOptions options_;
   HashPartitioner partitioner_;
@@ -284,8 +287,12 @@ class Cluster {
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> alive_masks_;
 
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once
-  /// at Create so the per-event path never takes the registry lock.
+  /// at Create so the per-event path never takes the registry lock. Times
+  /// one replica's OnEvent.
   std::vector<HistogramMetric*> apply_histograms_;
+  /// publish_inbox_wait_us{partition=P}: one sample per batch per replica,
+  /// from the publisher's push (backpressure included) to the worker's pop.
+  std::vector<HistogramMetric*> inbox_wait_histograms_;
   /// publish_apply_errors{partition=P}: replica applies that failed. The
   /// inline path also returns the error; the threaded worker has no caller
   /// to return it to, so this counter is the only trace it leaves.
@@ -297,12 +304,13 @@ class Cluster {
 
   // Threaded mode state.
   bool running_ = false;
-  std::vector<std::vector<std::unique_ptr<MpmcQueue<EdgeEvent>>>> inboxes_;
+  std::vector<std::vector<std::unique_ptr<Inbox>>> inboxes_;
   std::vector<std::thread> workers_;
+  /// Events (not batches) each replica has taken off its inbox.
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> consumed_;
   // Drain() rendezvous: workers wake waiters after bumping their consumed
   // counter instead of the waiters sleep-polling. drain_waiters_ keeps the
-  // notify off the per-event hot path when nobody is draining.
+  // notify off the per-batch hot path when nobody is draining.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   std::atomic<int> drain_waiters_{0};

@@ -329,6 +329,8 @@ void RpcServer::DispatchRequest(const Frame& request, uint32_t features,
       if (status.ok()) {
         status = transport_->PublishBatch(events);
         if (batch_sequence != 0) FinishBatch(batch_sequence, status.ok());
+        // A threaded transport returns once the batch is queued on every
+        // replica inbox, so this stamp marks the handoff, not the apply.
         if (status.ok() && trace.active()) {
           trace.Stamp(TraceStage::kDetectorApply, options_.trace_party,
                       SystemClock::Default()->Now());

@@ -26,7 +26,10 @@ namespace magicrecs {
 enum class TraceStage : uint8_t {
   kBrokerEncode = 1,   ///< broker serialized the batch into frames
   kDaemonDequeue = 2,  ///< daemon's RPC layer picked the request up
-  kDetectorApply = 3,  ///< all replica detectors finished applying the batch
+  /// The daemon's PublishBatch returned: applied by every replica detector
+  /// in inline mode; in threaded mode only sequenced, logged and queued on
+  /// every replica inbox (the name predates the threaded handoff).
+  kDetectorApply = 3,
   kGather = 4,         ///< broker merged the gather carrying the results
 };
 

@@ -1,7 +1,10 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +167,161 @@ TEST(ClusterTest, FailedApplyIsReturnedInlineAndCountedThreaded) {
   (*threaded)->Drain();
   (*threaded)->Stop();
   EXPECT_EQ(errors->Value(), before + 1);
+}
+
+std::vector<EdgeEvent> ToEvents(const std::vector<TimestampedEdge>& edges) {
+  std::vector<EdgeEvent> events(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) events[i].edge = edges[i];
+  return events;
+}
+
+// The recommendations of an inline cluster fed `events` one at a time: the
+// oracle for every threaded publish schedule.
+std::multiset<std::pair<VertexId, VertexId>> InlinePairs(
+    const StaticGraph& graph, const ClusterOptions& opt,
+    const std::vector<EdgeEvent>& events) {
+  auto cluster = Cluster::Create(graph, opt);
+  EXPECT_TRUE(cluster.ok()) << cluster.status();
+  std::vector<Recommendation> recs;
+  for (const EdgeEvent& event : events) {
+    EXPECT_TRUE((*cluster)->OnEdgeEvent(event, &recs).ok());
+  }
+  return Pairs(recs);
+}
+
+struct Workload {
+  StaticGraph graph;
+  std::vector<EdgeEvent> events;
+};
+
+Workload MakeWorkload(size_t num_events) {
+  SocialGraphOptions gopt;
+  gopt.num_users = 300;
+  gopt.mean_followees = 10;
+  gopt.seed = 29;
+  auto graph = SocialGraphGenerator(gopt).Generate();
+  EXPECT_TRUE(graph.ok());
+  ActivityStreamOptions sopt;
+  sopt.num_events = num_events;
+  sopt.seed = 31;
+  auto stream = ActivityStreamGenerator(&*graph, sopt).Generate();
+  EXPECT_TRUE(stream.ok());
+  return {std::move(*graph), ToEvents(stream->events)};
+}
+
+TEST(ClusterTest, MixedBatchesMatchInline) {
+  // Batches of every size the daemon sees, interleaved with single-event
+  // publishes; strict_time_order turns any reordering inside a replica into
+  // an apply failure, so equal output means per-replica order held.
+  ClusterOptions opt = MakeOptions(3, 2);
+  opt.detector.strict_time_order = true;
+  const Workload w = MakeWorkload(10'000);
+  const auto reference = InlinePairs(w.graph, opt, w.events);
+  ASSERT_FALSE(reference.empty()) << "workload produced no motifs";
+
+  auto threaded = Cluster::Create(w.graph, opt);
+  ASSERT_TRUE(threaded.ok());
+  ASSERT_TRUE((*threaded)->Start().ok());
+  const std::span<const EdgeEvent> all(w.events);
+  size_t next = 0;
+  for (size_t round = 0; next < all.size(); ++round) {
+    const size_t size =
+        std::min<size_t>(std::array<size_t, 4>{1, 7, 256, 4096}[round % 4],
+                         all.size() - next);
+    ASSERT_TRUE((*threaded)->PublishBatch(all.subspan(next, size)).ok());
+    next += size;
+    if (next < all.size()) {
+      ASSERT_TRUE((*threaded)->Publish(all[next++]).ok());
+    }
+  }
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  EXPECT_EQ((*threaded)->events_published(), w.events.size());
+  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations()), reference);
+}
+
+TEST(ClusterTest, OversizedBatchIsAdmittedAlone) {
+  // A 256-event batch never fits a 1-event inbox; it must enter an empty
+  // one instead of blocking forever.
+  ClusterOptions opt = MakeOptions(2, 2);
+  opt.inbox_capacity = 1;
+  const Workload w = MakeWorkload(2'048);
+  const auto reference = InlinePairs(w.graph, opt, w.events);
+
+  auto threaded = Cluster::Create(w.graph, opt);
+  ASSERT_TRUE(threaded.ok());
+  ASSERT_TRUE((*threaded)->Start().ok());
+  const std::span<const EdgeEvent> all(w.events);
+  for (size_t i = 0; i < all.size(); i += 256) {
+    ASSERT_TRUE((*threaded)
+                    ->PublishBatch(all.subspan(i, std::min<size_t>(
+                                                      256, all.size() - i)))
+                    .ok());
+  }
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations()), reference);
+}
+
+TEST(ClusterTest, FailedEventMidBatchDoesNotStopTheBatch) {
+  // `older` is older than C2's newest in-edge under strict_time_order, so it
+  // fails; `later` then completes the Figure 1 diamond (A2 follows B1 and
+  // B2, both now point to C2) and must still be applied.
+  ClusterOptions opt = MakeOptions(1);
+  opt.detector.strict_time_order = true;
+  EdgeEvent newer, older, later;
+  newer.edge = {figure1::kB1, figure1::kC2, Seconds(100)};
+  older.edge = {figure1::kB2, figure1::kC2, Seconds(50)};
+  later.edge = {figure1::kB2, figure1::kC2, Seconds(101)};
+  const Counter* errors = MetricsRegistry::Default()->GetCounter(
+      "publish_apply_errors", {{"partition", "0"}});
+
+  auto threaded = Cluster::Create(figure1::FollowGraph(), opt);
+  ASSERT_TRUE(threaded.ok()) << threaded.status();
+  ASSERT_TRUE((*threaded)->Start().ok());
+  const uint64_t before = errors->Value();
+  const std::vector<EdgeEvent> batch = {newer, older, later};
+  ASSERT_TRUE((*threaded)->PublishBatch(batch).ok());
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  EXPECT_EQ(errors->Value(), before + 1);
+  const std::vector<Recommendation> recs = (*threaded)->TakeRecommendations();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].user, figure1::kA2);
+  EXPECT_EQ(recs[0].item, figure1::kC2);
+}
+
+TEST(ClusterTest, InboxHandsOffOneItemPerBatchPerReplica) {
+  // The structural pin of the batch handoff: every replica inbox takes one
+  // item per publish batch, so publish_inbox_wait_us grows by the batch
+  // count per replica. A per-event handoff would grow it by the event count.
+  constexpr uint32_t kPartitions = 2;
+  constexpr uint32_t kReplicas = 2;
+  constexpr size_t kBatches = 12;
+  constexpr size_t kBatchSize = 64;
+  const Workload w = MakeWorkload(kBatches * kBatchSize);
+  std::vector<const HistogramMetric*> waits;
+  std::vector<uint64_t> before;
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    waits.push_back(MetricsRegistry::Default()->GetHistogram(
+        "publish_inbox_wait_us", {{"partition", std::to_string(p)}}));
+    before.push_back(waits.back()->Snapshot().Count());
+  }
+
+  auto threaded = Cluster::Create(w.graph, MakeOptions(kPartitions, kReplicas));
+  ASSERT_TRUE(threaded.ok());
+  ASSERT_TRUE((*threaded)->Start().ok());
+  const std::span<const EdgeEvent> all(w.events);
+  for (size_t b = 0; b < kBatches; ++b) {
+    const auto batch = all.subspan(b * kBatchSize, kBatchSize);
+    ASSERT_TRUE((*threaded)->PublishBatch(batch).ok());
+  }
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    EXPECT_EQ(waits[p]->Snapshot().Count() - before[p], kBatches * kReplicas)
+        << "partition " << p;
+  }
 }
 
 TEST(ClusterTest, PublishRequiresStart) {

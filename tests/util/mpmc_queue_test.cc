@@ -228,6 +228,70 @@ TEST(MpmcQueueTest, TryVariantsUnderContentionLoseNothing) {
   EXPECT_EQ(q.size(), 0u);
 }
 
+TEST(MpmcQueueTest, CapacityCountsItemWeight) {
+  MpmcQueue<int> q(10);
+  EXPECT_TRUE(q.TryPush(1, 6));
+  EXPECT_FALSE(q.TryPush(2, 5));  // 6 + 5 > 10
+  EXPECT_TRUE(q.TryPush(3, 4));   // exactly full
+  EXPECT_FALSE(q.TryPush(4, 1));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.Pop(), 1);          // frees 6 of the 10
+  EXPECT_TRUE(q.TryPush(2, 5));
+  EXPECT_FALSE(q.TryPush(5, 2));  // 4 + 5 + 2 > 10
+  EXPECT_EQ(q.Pop(), 3);
+  EXPECT_EQ(q.Pop(), 2);
+}
+
+TEST(MpmcQueueTest, WeightedPushBlocksUntilItFits) {
+  MpmcQueue<int> q(4);
+  ASSERT_TRUE(q.Push(1, 3));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.Push(2, 2));  // 3 + 2 > 4: waits for the pop
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(q.Pop(), 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q.Pop(), 2);
+}
+
+TEST(MpmcQueueTest, OversizedItemEntersAnEmptyQueueAlone) {
+  MpmcQueue<int> q(4);
+  EXPECT_TRUE(q.TryPush(1, 9));  // heavier than the capacity, queue empty
+  EXPECT_FALSE(q.TryPush(2, 1));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.Push(3, 9));  // waits until the queue is empty again
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load());
+  EXPECT_EQ(q.Pop(), 1);
+  producer.join();
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.Pop(), 3);
+}
+
+TEST(MpmcQueueTest, CloseReleasesABlockedWeightedPush) {
+  MpmcQueue<int> q(4);
+  ASSERT_TRUE(q.Push(1, 3));
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    EXPECT_FALSE(q.Push(2, 2));
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  q.Close();
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_FALSE(q.Pop().has_value());
+}
+
 TEST(MpmcQueueTest, MoveOnlyPayloads) {
   MpmcQueue<std::unique_ptr<int>> q;
   q.Push(std::make_unique<int>(9));

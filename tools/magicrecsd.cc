@@ -102,7 +102,7 @@ void PrintUsage() {
       "  --replicas=N           replicas per partition (1)\n"
       "  --k=N                  motif threshold k (3; fig1 wants 2)\n"
       "  --window-secs=N        freshness window tau (600)\n"
-      "  --inbox-capacity=N     per-replica inbox bound (65536)\n"
+      "  --inbox-capacity=N     per-replica inbox bound, in events (65536)\n"
       "  --max-influencers=N    influencer cap, 0 = off (0)\n"
       "  --publish-dedup-window=N  idempotent batch sequences remembered so\n"
       "                         a broker's replay of an unacked frame is\n"
