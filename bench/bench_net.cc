@@ -185,9 +185,10 @@ struct ConnScaleResult {
 };
 
 /// The many-connection experiment: N raw client sockets against one
-/// in-process daemon, round-robin ping round trips across all of them. The
-/// epoll reactor serves all N from one reactor thread + a fixed worker
-/// pool — the number this section exists to put on the record.
+/// in-process daemon, each opening the session with a hello, then
+/// round-robin mux-wrapped ping round trips across all of them. The epoll
+/// reactor serves all N from one reactor thread + a fixed worker pool —
+/// the number this section exists to put on the record.
 ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
                              size_t rounds) {
   Endpoint e;
@@ -210,14 +211,21 @@ ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
     }
     sockets.push_back(std::move(socket).value());
   }
+  std::string hello;
+  net::AppendHello(net::kFeatureMux | net::kFeatureTrace, &hello);
+  std::string bare_ping;
+  net::AppendEmptyRequest(net::MessageTag::kPing, &bare_ping);
   std::string ping;
-  net::AppendEmptyRequest(net::MessageTag::kPing, &ping);
-  // One warm-up round trip per connection so every connection is accepted
-  // before the census.
+  net::AppendMuxRequest(/*request_id=*/1, bare_ping, &ping);
+  // The hello round trip on every connection also makes sure each one is
+  // accepted before the census.
   for (net::TcpSocket& socket : sockets) {
-    if (!socket.WriteAll(ping.data(), ping.size()).ok()) std::exit(1);
+    if (!socket.WriteAll(hello.data(), hello.size()).ok()) std::exit(1);
     net::Frame reply;
-    if (!net::ReadFrame(&socket, &reply).ok()) std::exit(1);
+    if (!net::ReadFrame(&socket, &reply).ok() ||
+        reply.tag != net::MessageTag::kHelloReply) {
+      std::exit(1);
+    }
   }
   ConnScaleResult result;
   result.server_threads = CountThreads() - threads_before;

@@ -22,8 +22,9 @@ Result<StaticGraph> SocialGraphGenerator::Generate() const {
   if (opt.num_users >= kInvalidVertex) {
     return Status::InvalidArgument("num_users exceeds the vertex id space");
   }
-  if (opt.mean_followees <= 0) {
-    return Status::InvalidArgument("mean_followees must be positive");
+  if (!std::isfinite(opt.mean_followees) || opt.mean_followees <= 0) {
+    return Status::InvalidArgument(
+        "mean_followees must be finite and positive");
   }
   if (opt.popularity_exponent <= 0) {
     return Status::InvalidArgument("popularity_exponent must be positive");

@@ -175,7 +175,7 @@ void EpollReactor::AcceptReady() {
     }
     if (would_block) return;
     server_->connections_accepted_metric_->Increment();
-    if (server_->options_.tcp_nodelay) (void)accepted->SetNoDelay(true);
+    (void)accepted->SetNoDelay(true);  // request/response traffic
     if (!accepted->SetNonBlocking(true).ok()) continue;  // drops the socket
     auto conn = std::make_unique<Conn>();
     conn->id = next_conn_id_++;
@@ -300,7 +300,16 @@ void EpollReactor::DrainFrames(Conn* conn) {
       break;
     }
     if (!ready) break;
-    ParkFrame(conn, std::move(frame));
+    const Status parked = ParkFrame(conn, std::move(frame));
+    if (!parked.ok()) {
+      // A session violation: the stream is still aligned, but the peer is
+      // not speaking the protocol, so it gets the same deferred error and
+      // close as a framing error.
+      server_->protocol_errors_metric_->Increment();
+      conn->framing_error = parked;
+      conn->read_paused = true;
+      break;
+    }
   }
   TryDispatch(conn);
   SettleFramingError(conn);
@@ -316,47 +325,39 @@ void EpollReactor::SettleFramingError(Conn* conn) {
   conn->close_after_flush = true;
 }
 
-void EpollReactor::ParkFrame(Conn* conn, Frame frame) {
-  if (frame.tag == MessageTag::kHello) {
-    // The handshake is answered inline by the reactor — it flips
-    // connection state no worker may touch. Demanding a quiet connection
-    // keeps the reply from overtaking responses still owed to earlier
-    // requests.
-    std::string reply;
-    if (conn->inflight != 0 || !conn->parked.empty()) {
-      server_->protocol_errors_metric_->Increment();
-      AppendError(
-          Status::FailedPrecondition("hello must precede in-flight requests"),
-          &reply);
-    } else {
-      server_->HandleHello(frame, &reply, &conn->features);
+Status EpollReactor::ParkFrame(Conn* conn, Frame frame) {
+  if (!conn->hello_done) {
+    // The opening hello is answered inline by the reactor: it is the first
+    // frame, so nothing is owed ahead of its reply.
+    if (frame.tag != MessageTag::kHello) {
+      return Status::FailedPrecondition(
+          StrFormat("the first frame must be a hello, not %s",
+                    std::string(MessageTagName(frame.tag)).c_str()));
     }
+    std::string reply;
+    MAGICRECS_RETURN_IF_ERROR(server_->HandleHello(frame, &reply));
+    conn->hello_done = true;
     conn->outbox.Append(FrameBuf::Wrap(std::move(reply)));
     server_->requests_served_metric_->Increment();
-    return;
+    return Status::OK();
   }
-  if (frame.tag == MessageTag::kMuxRequest) {
-    Parked parked;
-    // Only the inner tag is peeked here, for scheduling; the full envelope
-    // decode — and its error policy — lives in RpcServer::HandleMuxEnvelope
-    // on the worker. A payload too short to hold an inner tag is parked
-    // anyway and answered with that error reply.
-    parked.order_sensitive =
-        frame.payload.size() > 8 &&
-        IsOrderSensitive(static_cast<MessageTag>(
-            static_cast<uint8_t>(frame.payload[8])));
-    parked.is_mux = true;
-    parked.frame = std::move(frame);
-    conn->parked.push_back(std::move(parked));
-    return;
+  if (frame.tag != MessageTag::kMuxRequest) {
+    return Status::FailedPrecondition(StrFormat(
+        "a %s frame after the hello; requests travel in mux envelopes",
+        std::string(MessageTagName(frame.tag)).c_str()));
   }
-  // Bare request: the pre-versioning contract is strict in-order
-  // request/response, so everything runs serially — which also keeps the
-  // replies in request order without a reorder buffer.
   Parked parked;
+  // Only the inner tag is peeked here, for scheduling; the full envelope
+  // decode — and its error policy — lives in RpcServer::HandleMuxEnvelope
+  // on the worker. A payload too short to hold an inner tag is parked
+  // anyway and answered with that error reply.
+  parked.order_sensitive =
+      frame.payload.size() > 8 &&
+      IsOrderSensitive(static_cast<MessageTag>(
+          static_cast<uint8_t>(frame.payload[8])));
   parked.frame = std::move(frame);
-  parked.order_sensitive = true;
   conn->parked.push_back(std::move(parked));
+  return Status::OK();
 }
 
 void EpollReactor::TryDispatch(Conn* conn) {
@@ -382,18 +383,11 @@ void EpollReactor::TryDispatch(Conn* conn) {
 
 void EpollReactor::Dispatch(Conn* conn, Parked parked) {
   conn->inflight++;
-  pool_->Submit([this, conn_id = conn->id, features = conn->features,
-                 p = std::move(parked)]() mutable {
+  pool_->Submit([this, conn_id = conn->id, p = std::move(parked)]() mutable {
     Completion completion;
     completion.conn_id = conn_id;
     completion.order_sensitive = p.order_sensitive;
-    if (p.is_mux) {
-      server_->HandleMuxEnvelope(p.frame, features, &completion.buf);
-    } else {
-      std::string response;
-      server_->HandleRequest(p.frame, features, &response);
-      completion.buf = FrameBuf::Wrap(std::move(response));
-    }
+    server_->HandleMuxEnvelope(p.frame, &completion.buf);
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       completions_.push_back(std::move(completion));

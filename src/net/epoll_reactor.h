@@ -4,18 +4,22 @@
 // The data path per connection:
 //
 //   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
-//   machine) -> classify (session frames inline; requests parked in arrival
-//   order) -> dispatch onto the worker ThreadPool -> completion queue ->
-//   reactor appends the response to the connection's outbox -> non-blocking
-//   WriteChunk with partial-write carry + EPOLLOUT when the socket buffer
-//   fills.
+//   machine) -> session gate (the opening hello is answered inline; mux
+//   envelopes are parked in arrival order) -> dispatch onto the worker
+//   ThreadPool -> completion queue -> reactor appends the response to the
+//   connection's outbox -> non-blocking WriteChunk with partial-write carry
+//   + EPOLLOUT when the socket buffer fills.
+//
+// Session gate: the first frame must be a hello that RpcServer::HandleHello
+// accepts, and every later frame a kMuxRequest. Anything else is a session
+// violation, handled like a framing error: reading stops, the kError reply
+// waits until every earlier request has answered, and the connection
+// closes once it is flushed.
 //
 // Ordering: order-sensitive requests (publishes, drain, checkpoint, replica
 // ops — IsOrderSensitive in wire.h) run strictly serially per connection,
-// in arrival order; order-free reads (gather, stats, ping) on a muxed
-// connection may overtake them. Bare (non-negotiated) connections are fully
-// serial, which keeps their replies in request order — the pre-versioning
-// contract.
+// in arrival order; order-free reads (gather, stats, ping) may overtake
+// them.
 //
 // Backpressure: dispatched-but-unanswered requests per connection are
 // capped at max_inflight_per_conn; at the cap the reactor drops the
@@ -71,13 +75,11 @@ class EpollReactor {
   void Stop();
 
  private:
-  /// One request waiting for (or blocked from) dispatch. For a mux
-  /// envelope, `frame` is the whole envelope (unwrapped by
-  /// RpcServer::HandleMuxEnvelope on the worker); only the inner tag was
-  /// peeked for the ordering classification.
+  /// One request waiting for (or blocked from) dispatch: the whole mux
+  /// envelope (unwrapped by RpcServer::HandleMuxEnvelope on the worker);
+  /// only the inner tag was peeked for the ordering classification.
   struct Parked {
     Frame frame;
-    bool is_mux = false;
     bool order_sensitive = true;
   };
 
@@ -96,15 +98,16 @@ class EpollReactor {
     std::deque<Parked> parked;
     size_t inflight = 0;       ///< dispatched, completion not yet drained
     bool serial_busy = false;  ///< an order-sensitive request is running
-    uint32_t features = 0;     ///< hello-granted feature bits (kFeature*)
+    bool hello_done = false;   ///< the opening hello was accepted
     bool read_paused = false;  ///< EPOLLIN dropped at the in-flight cap
     bool eof_seen = false;     ///< peer half-closed; serve what is parked
     bool drop_residue = false; ///< truncated tail at EOF: ignore buffer
     bool close_after_flush = false;  ///< reply queued; sever once flushed
 
-    /// A framing violation waiting to be reported. The error reply is
-    /// deferred until every earlier request has answered, so it never
-    /// overtakes replies the peer is owed; reading stays paused forever.
+    /// A framing or session violation waiting to be reported. The error
+    /// reply is deferred until every earlier request has answered, so it
+    /// never overtakes replies the peer is owed; reading stays paused
+    /// forever.
     Status framing_error;
     uint32_t interest = 0;     ///< epoll events currently registered
   };
@@ -132,11 +135,14 @@ class EpollReactor {
   void HandleConnEvent(uint64_t id, uint32_t events);
   void ReadReady(Conn* conn);
 
-  /// Pulls complete frames out of the assembler, classifying each:
-  /// session frames are answered inline, requests are parked; a framing
-  /// error pauses reading and records the deferred error reply.
+  /// Pulls complete frames out of the assembler and passes each through
+  /// ParkFrame; a framing error or session violation pauses reading and
+  /// records the deferred error reply.
   void DrainFrames(Conn* conn);
-  void ParkFrame(Conn* conn, Frame frame);
+
+  /// The session gate: answers the opening hello inline and parks mux
+  /// envelopes. Returns the violation for any other frame.
+  Status ParkFrame(Conn* conn, Frame frame);
 
   /// Emits the deferred framing-error reply once the connection owes
   /// nothing earlier, then marks it close-after-flush.

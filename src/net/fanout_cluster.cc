@@ -97,7 +97,7 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
   std::random_device rd;
   uint64_t epoch =
       (static_cast<uint64_t>(rd()) << 32) | static_cast<uint64_t>(rd());
-  if (epoch == 0) epoch = 1;  // 0 is the wire's "no dedup" marker
+  if (epoch == 0) epoch = 1;  // 0 is the wire's "no sequence"
   next_batch_sequence_.store(epoch, std::memory_order_relaxed);
   // Trace ids get their own epoch for the same cross-incarnation reason
   // (two brokers' traces must not collide in a shared log).
@@ -115,7 +115,7 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
 uint64_t FanoutCluster::NextBatchSequence() {
   uint64_t sequence =
       next_batch_sequence_.fetch_add(1, std::memory_order_relaxed);
-  while (sequence == 0) {  // wrapped onto the "no dedup" marker: skip it
+  while (sequence == 0) {  // wrapped onto the "no sequence": skip it
     sequence = next_batch_sequence_.fetch_add(1, std::memory_order_relaxed);
   }
   return sequence;
@@ -176,7 +176,6 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     daemon->dialing = true;
     lock.unlock();
     MuxConnectionOptions mopt;
-    mopt.tcp_nodelay = options_.tcp_nodelay;
     mopt.connect_timeout_ms = options_.connect_timeout_ms;
     // A host whose kernel accepts while the daemon is wedged must fail
     // the dial inside the reply-silence bound, not pin every caller
@@ -535,11 +534,11 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
         "the health journal's shed_start event)");
   }
   // One policy snapshot steers this whole call: a concurrent autopilot
-  // flip must not leave some frames sequence-tagged and others not.
+  // flip must not park some of its failed lanes and fail others.
   const bool entered_degraded = degraded();
   // Sampling decision for end-to-end tracing: 1 in trace_sample_every
   // publishes originates a TraceContext. Unsampled publishes never touch a
-  // clock and their frames are byte-identical to a pre-trace broker's.
+  // clock and their frames carry no trace tail.
   TraceContext trace;
   if (options_.trace_sample_every > 0 &&
       publish_count_.fetch_add(1, std::memory_order_relaxed) %
@@ -557,22 +556,21 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   // daemon (each partition ingests the full stream). Each frame becomes a
   // refcounted FrameBuf, so the N lanes (and all their pipeline slots and
   // the replay buffer) share ONE payload block per frame — fan-out costs
-  // segment references, never a byte copy. Degraded policies tag every
-  // frame with a batch sequence so replays are idempotent; strict mode
-  // emits the untagged (pre-extension) bytes. A sampled publish
-  // additionally encodes a traced VARIANT of the first frame: the trace
-  // tail rides only toward trace-negotiated lanes, while the replay buffer
-  // reuses the canonical plain bytes (a replayed trace would stamp a
-  // long-finished pipeline).
-  const size_t chunk = std::max<size_t>(1, options_.publish_chunk_events);
+  // segment references, never a byte copy. Every frame carries a batch
+  // sequence, so a replay or a stray duplicate is idempotent at the
+  // daemon. A sampled publish additionally encodes a traced VARIANT of the
+  // first frame for the lanes, while the replay buffer reuses the
+  // canonical plain bytes (a replayed trace would stamp a long-finished
+  // pipeline).
   std::vector<FrameBuf> frames;
   std::vector<size_t> frame_events;
   FrameBuf traced_first_frame;
-  frames.reserve((events.size() + chunk - 1) / chunk);
+  frames.reserve((events.size() + kPublishChunkEvents - 1) /
+                 kPublishChunkEvents);
   frame_events.reserve(frames.capacity());
-  for (size_t i = 0; i < events.size(); i += chunk) {
-    const size_t n = std::min(chunk, events.size() - i);
-    const uint64_t sequence = entered_degraded ? NextBatchSequence() : 0;
+  for (size_t i = 0; i < events.size(); i += kPublishChunkEvents) {
+    const size_t n = std::min(kPublishChunkEvents, events.size() - i);
+    const uint64_t sequence = NextBatchSequence();
     std::string frame;
     AppendPublishBatch(events.subspan(i, n), &frame, sequence);
     if (i == 0 && trace.active()) {
@@ -589,25 +587,20 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   std::vector<Slot> slots = AcquireAll();
   TraceContext* trace_out = trace.active() ? &trace : nullptr;
 
-  // The pipeline: keep up to max_inflight_frames outstanding request_ids
+  // The pipeline: keep up to kPublishWindowFrames outstanding request_ids
   // per daemon, starting frame f on every lane before frame f+1 so all
   // daemons chew on the same prefix of the stream concurrently. (The
   // session additionally honors the cap the daemon advertised in its hello
   // reply — MuxConnection::Start blocks there.)
-  const size_t window = std::max<size_t>(1, options_.max_inflight_frames);
   for (size_t f = 0; f < frames.size(); ++f) {
     for (Slot& slot : slots) {
       if (!slot.live()) continue;
-      if (slot.calls.size() - slot.acked >= window) {
+      if (slot.calls.size() - slot.acked >= kPublishWindowFrames) {
         ReapOneAck(&slot, trace_out);
       }
       if (!slot.live()) continue;
-      // The traced variant of frame 0 rides only to lanes whose hello
-      // granted kFeatureTrace; everyone else gets the canonical bytes.
       const FrameBuf& buf =
-          (f == 0 && trace.active() && slot.conn->trace_negotiated())
-              ? traced_first_frame
-              : frames[f];
+          f == 0 && trace.active() ? traced_first_frame : frames[f];
       Result<MuxConnection::CallHandle> started =
           slot.conn->Start(buf, options_.recv_timeout_ms);
       if (started.ok()) {
@@ -622,10 +615,9 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
       ReapOneAck(&slot, trace_out);
     }
   }
-  // Queue-to-replay only for calls that ENTERED degraded: their frames
-  // carry batch sequences, so a frame that was applied but never acked
-  // dedups on replay. Untagged strict-mode frames must fail instead —
-  // replaying one that half-landed would double-apply it.
+  // Queue-to-replay only for calls that ENTERED degraded: strict mode keeps
+  // its all-or-nothing contract and fails the publish instead. (A replayed
+  // frame that was applied but never acked dedups on its batch sequence.)
   if (entered_degraded) {
     for (Slot& slot : slots) QueueUnsent(&slot, frames, frame_events);
   }

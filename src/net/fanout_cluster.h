@@ -25,8 +25,9 @@
 // is a request_id on that socket; replies demultiplex to their callers, so
 // concurrent gathers, stats probes, and publish pipelines coexist on the
 // same connection without a leased-socket pool. A PublishBatch splits into
-// chunked kPublishBatch frames and keeps up to max_inflight_frames of them
-// outstanding (distinct request_ids) per daemon before awaiting acks,
+// kPublishChunkEvents-event kPublishBatch frames, each tagged with a batch
+// sequence, and keeps up to kPublishWindowFrames of them outstanding
+// (distinct request_ids) per daemon before awaiting acks,
 // while the same bytes stream to every other daemon; daemons process
 // concurrently, the client never blocks on one daemon before writing to
 // the next.
@@ -63,9 +64,9 @@
 //   * a publish lane that stays silent for recv_timeout_ms (a stalled
 //     daemon), or whose connection fails mid-pipeline, fails over to the
 //     same replay buffer: the lane is dropped with backoff and its unacked
-//     frames are parked and replayed in order. Frames carry a batch
-//     sequence in degraded mode, so the daemon suppresses the replayed copy
-//     when the original did land (RpcServer's dedup window); a copy racing
+//     frames are parked and replayed in order. Every frame carries a batch
+//     sequence, so the daemon suppresses the replayed copy when the
+//     original did land (RpcServer's dedup window); a copy racing
 //     the original's still-in-flight apply is held until that apply
 //     resolves — an ack always means the events landed — so replay is
 //     exactly-once;
@@ -75,7 +76,7 @@
 // Degraded semantics are eventual, not exact: events parked in a replay
 // buffer are invisible to Drain until flushed, so recommendations can
 // trail into a later gather. Strict mode keeps the all-or-nothing
-// contract.
+// contract: a failed lane fails the publish instead of parking its frames.
 
 #ifndef MAGICRECS_NET_FANOUT_CLUSTER_H_
 #define MAGICRECS_NET_FANOUT_CLUSTER_H_
@@ -127,6 +128,14 @@ enum class FanoutPolicy {
 
 std::string_view FanoutPolicyName(FanoutPolicy policy);
 
+/// Events per pipelined kPublishBatch frame.
+inline constexpr size_t kPublishChunkEvents = 256;
+
+/// Publish frames (request_ids) in flight per daemon before acks are
+/// awaited. The daemon's advertised in-flight cap (its hello reply) also
+/// bounds the window: MuxConnection::Start blocks there.
+inline constexpr size_t kPublishWindowFrames = 32;
+
 struct FanoutClusterOptions {
   std::vector<FanoutEndpoint> endpoints;
 
@@ -137,14 +146,6 @@ struct FanoutClusterOptions {
 
   /// Must match the daemons' partitioner salt (magicrecsd default: 0).
   uint64_t partitioner_salt = 0;
-
-  /// Events per pipelined kPublishBatch frame.
-  size_t publish_chunk_events = 256;
-
-  /// Publish frames (request_ids) in flight per daemon before acks are
-  /// awaited. The effective window also honors the cap an upgraded daemon
-  /// advertises in its hello reply.
-  size_t max_inflight_frames = 32;
 
   /// Reply timeout per logical call (0 = block forever). It is also the
   /// failover bound for a slow daemon: under a degraded policy, a publish
@@ -162,13 +163,11 @@ struct FanoutClusterOptions {
   int reconnect_backoff_ms = 50;
   int max_reconnect_backoff_ms = 2'000;
 
-  bool tcp_nodelay = true;
-
   /// Sample one publish in this many for end-to-end tracing (util/trace.h):
-  /// the sampled batch's FIRST frame carries a trace tail toward every
-  /// trace-negotiated daemon, the daemons' ack echoes fold back into one
-  /// context, and the next gather stamps it complete. 0 disables tracing.
-  /// Unsampled publishes emit bytes identical to a pre-trace broker.
+  /// the sampled batch's FIRST frame carries a trace tail to every daemon,
+  /// the daemons' ack echoes fold back into one context, and the next
+  /// gather stamps it complete. 0 disables tracing. Unsampled publishes
+  /// carry no trace tail.
   uint64_t trace_sample_every = 1024;
 
   /// When > 0, any logical call (publish ack, gather, stats) slower than
@@ -439,14 +438,15 @@ class FanoutCluster : public ClusterTransport {
 
   /// True under a degraded ACTIVE policy (anything but kStrict). The
   /// active policy starts as options.policy and is flipped by the
-  /// autopilot; every degraded-mode gate (replay, sequence
-  /// tagging, quorum tolerance) keys off it, never off the configured one.
+  /// autopilot; every degraded-mode gate (replay, quorum tolerance) keys
+  /// off it, never off the configured one.
   bool degraded() const {
     return active_policy_.load(std::memory_order_relaxed) !=
            FanoutPolicy::kStrict;
   }
 
-  /// Next idempotent batch sequence (never 0, the "no dedup" marker).
+  /// Next idempotent batch sequence (never 0, the "no sequence" value a
+  /// daemon refuses).
   uint64_t NextBatchSequence();
 
   /// Daemons that must answer for a broadcast to succeed under the policy.
@@ -553,12 +553,12 @@ class FanoutCluster : public ClusterTransport {
   mutable std::mutex report_mu_;
   GatherReport last_report_;
 
-  /// Source of the idempotent batch sequences degraded-mode frames carry.
+  /// Source of the idempotent batch sequences every publish frame carries.
   /// Seeded with a random epoch per broker incarnation (see the
   /// constructor): the daemons' dedup window is keyed by the raw sequence
   /// and outlives this broker, so a restarted or second broker must not
   /// reuse values an earlier incarnation already burned.
-  /// NextBatchSequence() never hands out 0, the wire's "no dedup" marker.
+  /// NextBatchSequence() never hands out 0, the wire's "no sequence".
   std::atomic<uint64_t> next_batch_sequence_{1};
 
   // Degraded-mode counters surfaced through GetStats() (and mirrored into

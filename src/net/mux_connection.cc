@@ -29,9 +29,7 @@ Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
   MAGICRECS_ASSIGN_OR_RETURN(
       conn->socket_,
       TcpSocket::Connect(host, port, options.connect_timeout_ms));
-  if (options.tcp_nodelay) {
-    MAGICRECS_RETURN_IF_ERROR(conn->socket_.SetNoDelay(true));
-  }
+  MAGICRECS_RETURN_IF_ERROR(conn->socket_.SetNoDelay(true));
   // The reply read is bounded by hello_timeout_ms (connect_timeout_ms only
   // bounds the TCP dial): a wedged daemon behind a live kernel must fail
   // the dial, not hang it.
@@ -63,11 +61,15 @@ Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
   uint32_t max_inflight = 0;
   MAGICRECS_RETURN_IF_ERROR(DecodeHelloReply(reply.payload, &peer_version,
                                              &features, &max_inflight));
+  if (peer_version != kProtocolVersion) {
+    return Status::FailedPrecondition(StrFormat(
+        "daemon speaks protocol version %u; this client speaks %u",
+        peer_version, kProtocolVersion));
+  }
   if ((features & kFeatureMux) == 0) {
     return Status::FailedPrecondition(
         "daemon did not negotiate mux: its hello reply lacks the mux bit");
   }
-  conn->features_ = features & (kFeatureMux | kFeatureTrace);
   conn->server_max_inflight_ = max_inflight;
   conn->reader_ = std::thread([c = conn.get()] { c->ReaderLoop(); });
   return conn;

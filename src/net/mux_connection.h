@@ -6,11 +6,12 @@
 // every incoming kMuxResponse to its waiter by id, so replies may return in
 // any order and one slow call never blocks the wire for the others.
 //
-// Negotiation: Dial() opens the session with kHello and requires a
-// kHelloReply granting kFeatureMux. Anything else — a kError from a daemon
-// that does not speak hello, or a reply without the mux bit — fails the
-// dial; there is no in-order fallback (every client and daemon is built
-// from this repo, docs/wire-protocol.md).
+// Session: Dial() opens the session with kHello and requires a kHelloReply
+// naming kProtocolVersion and granting kFeatureMux. Anything else — a
+// kError, a reply from another protocol version, or one without the mux
+// bit — fails the dial; the hello is the protocol's one version gate
+// (docs/wire-protocol.md). A session always carries trace tails: every
+// server of this version grants kFeatureTrace with mux.
 //
 // Timeouts: a call that misses its deadline is abandoned — the id is
 // forgotten, late frames for it are discarded, and the connection stays
@@ -44,8 +45,6 @@
 namespace magicrecs::net {
 
 struct MuxConnectionOptions {
-  bool tcp_nodelay = true;
-
   /// Bounds the dial (see TcpSocket::Connect). 0 = kernel default.
   int connect_timeout_ms = 0;
 
@@ -76,9 +75,10 @@ class MuxConnection {
   };
   using CallHandle = std::shared_ptr<Call>;
 
-  /// Connects and runs the hello exchange, then starts the reader.
-  /// Unavailable when the peer cannot be reached; FailedPrecondition when
-  /// it answers the hello without granting kFeatureMux.
+  /// Connects (Nagle off) and runs the hello exchange, then starts the
+  /// reader. Unavailable when the peer cannot be reached;
+  /// FailedPrecondition when it refuses the hello, names another protocol
+  /// version, or does not grant kFeatureMux.
   static Result<std::unique_ptr<MuxConnection>> Dial(
       const std::string& host, uint16_t port,
       const MuxConnectionOptions& options);
@@ -87,13 +87,6 @@ class MuxConnection {
 
   MuxConnection(const MuxConnection&) = delete;
   MuxConnection& operator=(const MuxConnection&) = delete;
-
-  /// The full feature mask the server granted (always includes kFeatureMux).
-  uint32_t features() const { return features_; }
-
-  /// True when the server granted kFeatureTrace: publishes may carry a
-  /// trace tail and acks/replies may echo stamps back (net/wire.h).
-  bool trace_negotiated() const { return (features_ & kFeatureTrace) != 0; }
 
   /// The per-connection in-flight cap the server advertised (0 = none).
   /// Start() enforces it.
@@ -174,7 +167,6 @@ class MuxConnection {
 
   MuxConnectionOptions options_;
   TcpSocket socket_;
-  uint32_t features_ = 0;
   uint32_t server_max_inflight_ = 0;
   std::thread reader_;
 

@@ -174,7 +174,6 @@ ServerLoopStats RpcServer::SnapshotLoopStats() const {
 
 bool RpcServer::BeginBatch(uint64_t sequence) {
   std::unique_lock<std::mutex> lock(dedup_mu_);
-  if (options_.publish_dedup_window == 0) return false;
   while (true) {
     if (seen_batch_sequences_.contains(sequence)) return true;
     const auto it = inflight_batches_.find(sequence);
@@ -201,7 +200,6 @@ bool RpcServer::BeginBatch(uint64_t sequence) {
 
 void RpcServer::FinishBatch(uint64_t sequence, bool applied) {
   std::lock_guard<std::mutex> lock(dedup_mu_);
-  if (options_.publish_dedup_window == 0) return;
   const auto it = inflight_batches_.find(sequence);
   if (it != inflight_batches_.end()) {
     it->second->resolved = true;
@@ -215,7 +213,7 @@ void RpcServer::FinishBatch(uint64_t sequence, bool applied) {
   if (applied) {
     seen_batch_sequences_.insert(sequence);
     seen_batch_order_.push_back(sequence);
-    while (seen_batch_order_.size() > options_.publish_dedup_window) {
+    while (seen_batch_order_.size() > kPublishDedupWindow) {
       seen_batch_sequences_.erase(seen_batch_order_.front());
       seen_batch_order_.pop_front();
     }
@@ -223,28 +221,27 @@ void RpcServer::FinishBatch(uint64_t sequence, bool applied) {
   dedup_cv_.notify_all();
 }
 
-void RpcServer::HandleHello(const Frame& request, std::string* response,
-                            uint32_t* features) {
+Status RpcServer::HandleHello(const Frame& request, std::string* response) {
   uint32_t peer_version = 0;
   uint32_t wanted = 0;
-  const Status decoded = DecodeHello(request.payload, &peer_version, &wanted);
-  if (!decoded.ok()) {
-    protocol_errors_metric_->Increment();
-    AppendError(decoded, response);
-    return;
+  MAGICRECS_RETURN_IF_ERROR(
+      DecodeHello(request.payload, &peer_version, &wanted));
+  if (peer_version != kProtocolVersion) {
+    return Status::FailedPrecondition(
+        StrFormat("hello names protocol version %u; this server speaks %u",
+                  peer_version, kProtocolVersion));
   }
-  const uint32_t accepted = wanted & (kFeatureMux | kFeatureTrace);
-  if ((accepted & kFeatureMux) != 0 && (*features & kFeatureMux) == 0) {
-    mux_connections_metric_->Increment();
+  if ((wanted & kFeatureMux) == 0) {
+    return Status::FailedPrecondition("hello must ask for mux");
   }
-  *features |= accepted;
-  AppendHelloReply(accepted,
+  mux_connections_metric_->Increment();
+  AppendHelloReply(kFeatureMux | kFeatureTrace,
                    static_cast<uint32_t>(options_.max_inflight_per_conn),
                    response);
+  return Status::OK();
 }
 
-void RpcServer::HandleMuxEnvelope(const Frame& envelope, uint32_t features,
-                                  FrameBuf* response) {
+void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
   uint64_t request_id = 0;
   Frame inner;
   const Status decoded =
@@ -261,7 +258,7 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, uint32_t features,
   // slices its body out of that block instead of copying it — the
   // server-side half of the zero-copy egress path.
   std::string inner_response;
-  HandleRequest(inner, features, &inner_response);
+  HandleRequest(inner, &inner_response);
   Result<FrameBuf> wrapped = WrapMuxResponsesShared(
       request_id, FrameBuf::MakeBlock(std::move(inner_response)));
   if (!wrapped.ok()) {
@@ -273,14 +270,13 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, uint32_t features,
   *response = std::move(wrapped).value();
 }
 
-void RpcServer::HandleRequest(const Frame& request, uint32_t features,
-                              std::string* response) {
+void RpcServer::HandleRequest(const Frame& request, std::string* response) {
   if (options_.slow_request_us <= 0) {
-    DispatchRequest(request, features, response);
+    DispatchRequest(request, response);
     return;
   }
   Stopwatch timer;
-  DispatchRequest(request, features, response);
+  DispatchRequest(request, response);
   const int64_t elapsed_us = timer.ElapsedMicros();
   if (elapsed_us >= options_.slow_request_us) {
     slow_requests_metric_->Increment();
@@ -295,52 +291,44 @@ void RpcServer::HandleRequest(const Frame& request, uint32_t features,
   }
 }
 
-void RpcServer::DispatchRequest(const Frame& request, uint32_t features,
-                                std::string* response) {
+void RpcServer::DispatchRequest(const Frame& request, std::string* response) {
   const std::string_view payload = request.payload;
   Status status;
   switch (request.tag) {
-    case MessageTag::kPublish: {
-      EdgeEvent event;
-      status = DecodePublish(payload, &event);
-      if (status.ok()) status = transport_->Publish(event);
-      break;
-    }
     case MessageTag::kPublishBatch: {
       std::vector<EdgeEvent> events;
       uint64_t batch_sequence = 0;
       TraceContext trace;
       status = DecodePublishBatch(payload, &events, &batch_sequence, &trace);
-      if (status.ok() && trace.active()) {
+      if (status.ok() && batch_sequence == 0) {
+        status = Status::InvalidArgument(
+            "publish-batch lacks its batch sequence");
+      }
+      if (!status.ok()) break;
+      if (trace.active()) {
         trace.Stamp(TraceStage::kDaemonDequeue, options_.trace_party,
                     SystemClock::Default()->Now());
       }
-      // A non-zero sequence marks an idempotent batch: a replayed copy of
-      // a frame this server already APPLIED (possibly on another
-      // connection) is acked without applying it twice. A re-send racing
-      // the original's in-flight apply waits for its outcome inside
-      // BeginBatch — an ack always means some copy of the batch landed.
-      // The duplicate's ack carries no trace: the original's did, and a
-      // second set of stamps for one apply would double-count the stage.
-      if (status.ok() && batch_sequence != 0 && BeginBatch(batch_sequence)) {
+      // Every batch is idempotent: a replayed copy of a frame this server
+      // already APPLIED (possibly on another connection) is acked without
+      // applying it twice. A re-send racing the original's in-flight apply
+      // waits for its outcome inside BeginBatch — an ack always means some
+      // copy of the batch landed. The duplicate's ack carries no trace: the
+      // original's did, and a second set of stamps for one apply would
+      // double-count the stage.
+      if (BeginBatch(batch_sequence)) {
         duplicate_batches_metric_->Increment();
         break;  // status is OK: ack the duplicate
       }
-      if (status.ok()) {
-        status = transport_->PublishBatch(events);
-        if (batch_sequence != 0) FinishBatch(batch_sequence, status.ok());
-        // A threaded transport returns once the batch is queued on every
-        // replica inbox, so this stamp marks the handoff, not the apply.
-        if (status.ok() && trace.active()) {
-          trace.Stamp(TraceStage::kDetectorApply, options_.trace_party,
-                      SystemClock::Default()->Now());
-          // Echo the stamps on the ack ONLY toward a kFeatureTrace peer: a
-          // pre-trace decoder expects the ack payload to be empty.
-          if ((features & kFeatureTrace) != 0) {
-            AppendAck(response, &trace);
-            return;
-          }
-        }
+      status = transport_->PublishBatch(events);
+      FinishBatch(batch_sequence, status.ok());
+      // A threaded transport returns once the batch is queued on every
+      // replica inbox, so this stamp marks the handoff, not the apply.
+      if (status.ok() && trace.active()) {
+        trace.Stamp(TraceStage::kDetectorApply, options_.trace_party,
+                    SystemClock::Default()->Now());
+        AppendAck(response, &trace);  // trace in, trace out
+        return;
       }
       break;
     }
@@ -361,14 +349,10 @@ void RpcServer::DispatchRequest(const Frame& request, uint32_t features,
         // gatherers never receive each other's coverage.
         //
         // Completed traces ride the reply's trace tail, one per gather
-        // (the oldest), and only toward a kFeatureTrace peer — TakeTraces
-        // is left undrained otherwise so a local operator can still read
-        // them.
+        // (the oldest).
         TraceContext reply_trace;
-        if ((features & kFeatureTrace) != 0) {
-          std::vector<TraceContext> traces = transport_->TakeTraces();
-          if (!traces.empty()) reply_trace = std::move(traces.front());
-        }
+        std::vector<TraceContext> traces = transport_->TakeTraces();
+        if (!traces.empty()) reply_trace = std::move(traces.front());
         AppendRecommendationsReplyChunked(
             *recs, kRecommendationsChunkBytes, response,
             report.complete() ? nullptr : &report,
@@ -400,23 +384,17 @@ void RpcServer::DispatchRequest(const Frame& request, uint32_t features,
       break;
     }
     case MessageTag::kStats: {
-      const bool negotiated = (features & kFeatureMux) != 0;
       Result<ClusterStats> stats = transport_->GetStats();
       if (stats.ok()) {
-        // The server-loop counters ride only toward hello-speaking peers:
-        // a pre-versioning decoder rejects the unfamiliar tail (wire.h,
-        // "Versioning and compatibility").
-        if (negotiated) stats->server = SnapshotLoopStats();
-        AppendStatsReply(*stats, response, negotiated);
+        stats->server = SnapshotLoopStats();
+        AppendStatsReply(*stats, response);
         return;
       }
       status = stats.status();
       break;
     }
     case MessageTag::kStatsText: {
-      // The registry text exposition. No negotiation needed: the tag is
-      // new, so an old client never sends it and an old server answers
-      // kError(Unimplemented) through the default arm below.
+      // The registry text exposition.
       Result<std::string> text = transport_->GetStatsText();
       if (text.ok()) {
         AppendStatsTextReply(*text, response);

@@ -8,10 +8,10 @@
 // are dispatched onto a small ThreadPool, responses drain through
 // per-connection write buffers with partial-write state machines.
 // Connection count is bounded by fds, not threads — the shape the paper's
-// "millions of users behind a handful of hosts" deployment needs. Clients
-// open a hello/mux session (net/wire.h): a multiplexed connection carries
-// many logical calls, identified by request_id. A peer that never says
-// hello is still served, strictly in order, one reply per request.
+// "millions of users behind a handful of hosts" deployment needs. Every
+// connection speaks the one session protocol of net/wire.h: a hello first
+// (the version gate), then mux-enveloped requests, so one connection
+// carries many logical calls identified by request_id.
 //
 // Ordering and backpressure: requests that mutate the event stream
 // (IsOrderSensitive) are applied in per-connection arrival order; on a
@@ -23,14 +23,20 @@
 //
 // Protocol-error policy (exercised by tests/net/rpc_robustness_test.cc and
 // tests/net/epoll_server_test.cc):
-//   * well-framed but unknown/unsupported tag -> kError response, the
-//     connection stays usable;
-//   * transport-level failure -> kError response carrying the Status, the
+//   * a session violation — a first frame that is not a hello, a hello
+//     with another proto_version or without the mux bit, a second hello,
+//     or a bare (non-mux) request after the hello -> kError
+//     (FailedPrecondition), then the connection is closed;
+//   * a well-framed mux envelope whose inner tag is unknown, or whose
+//     payload does not decode -> kError reply, the connection stays
+//     usable;
+//   * transport-level failure -> kError reply carrying the Status, the
 //     connection stays usable;
 //   * oversized length prefix or CRC mismatch -> kError response, then the
 //     connection is closed: the byte stream can no longer be trusted to be
 //     frame-aligned;
 //   * truncated frame / dropped connection -> the connection is reaped.
+// A closing kError never overtakes replies owed to earlier requests.
 // None of these touch the other connections or the daemon's lifetime.
 
 #ifndef MAGICRECS_NET_RPC_SERVER_H_
@@ -74,19 +80,9 @@ struct RpcServerOptions {
 
   int backlog = 64;
 
-  /// Disable Nagle on accepted connections (request/response traffic).
-  bool tcp_nodelay = true;
-
-  /// How many recently seen publish-batch sequences to remember for
-  /// idempotent-batch dedup (a broker's replay buffer re-sends a frame the
-  /// daemon may already have applied under the same sequence; see wire.h).
-  /// Shared across connections. 0 turns dedup off — every batch is
-  /// applied, sequence or not, so a replay can double-apply.
-  size_t publish_dedup_window = 4096;
-
   /// Cap on dispatched-but-unanswered requests per connection; at the cap
   /// the reactor stops reading that peer (backpressure). Also advertised
-  /// to hello-speaking clients as their pipelining budget.
+  /// in the hello reply as the client's pipelining budget.
   size_t max_inflight_per_conn = 64;
 
   /// Worker threads the reactor dispatches requests onto.
@@ -139,9 +135,14 @@ struct RpcServerStats {
   uint64_t partial_reads = 0;     ///< reads that left a frame incomplete
   uint64_t partial_writes = 0;    ///< writes cut short by a full buffer
   uint64_t inflight_stalls = 0;   ///< reads paused at the in-flight cap
-  uint64_t mux_connections = 0;   ///< connections that negotiated mux
+  uint64_t mux_connections = 0;   ///< connections that completed the hello
   uint64_t slow_requests = 0;     ///< handlers past slow_request_us
 };
+
+/// How many recently applied publish-batch sequences the server remembers
+/// (shared across connections): a broker's replay of a frame the daemon
+/// already applied under the same sequence is acked without applying it.
+inline constexpr size_t kPublishDedupWindow = 4096;
 
 class RpcServer {
  public:
@@ -173,23 +174,19 @@ class RpcServer {
 
   /// Appends the response frame(s) for one well-framed request to
   /// *response. Framing-level errors (which do close the connection) are
-  /// handled by the reactor before dispatch reaches here. `features` is
-  /// the hello-granted feature mask for the connection (0 for a peer that
-  /// never spoke hello): kFeatureMux gates the stats server-loop tail,
-  /// kFeatureTrace gates trace tails on replies. Thread-safe: the reactor
-  /// calls it from several workers at once. Also the slow-request timing
-  /// point.
-  void HandleRequest(const Frame& request, uint32_t features,
-                     std::string* response);
+  /// handled by the reactor before dispatch reaches here. Thread-safe: the
+  /// reactor calls it from several workers at once. Also the slow-request
+  /// timing point.
+  void HandleRequest(const Frame& request, std::string* response);
 
   /// The untimed handler body behind HandleRequest.
-  void DispatchRequest(const Frame& request, uint32_t features,
-                       std::string* response);
+  void DispatchRequest(const Frame& request, std::string* response);
 
-  /// Negotiates a kHello. Appends the reply frame and ORs the granted
-  /// feature bits into *features (a later hello can only widen the grant).
-  void HandleHello(const Frame& request, std::string* response,
-                   uint32_t* features);
+  /// Checks a connection's opening kHello — the session's version gate —
+  /// and on success appends the kHelloReply. A hello that does not decode,
+  /// names another proto_version, or does not ask for mux returns the
+  /// error the reactor answers before it closes the connection.
+  Status HandleHello(const Frame& request, std::string* response);
 
   /// Unwraps one kMuxRequest envelope, handles the inner request, and
   /// sets the id-wrapped reply frames (or a bare error for a mangled
@@ -198,8 +195,7 @@ class RpcServer {
   /// that block — no per-chunk body copy; byte-identical to the string
   /// encoder WrapMuxResponses (locked by the egress tests). Thread-safe
   /// like HandleRequest.
-  void HandleMuxEnvelope(const Frame& envelope, uint32_t features,
-                         FrameBuf* response);
+  void HandleMuxEnvelope(const Frame& envelope, FrameBuf* response);
 
   /// Snapshot of the wire-visible server-loop counters.
   ServerLoopStats SnapshotLoopStats() const;

@@ -138,7 +138,6 @@ Status TrailingGarbage(const char* what) {
 
 std::string_view MessageTagName(MessageTag tag) {
   switch (tag) {
-    case MessageTag::kPublish: return "publish";
     case MessageTag::kPublishBatch: return "publish-batch";
     case MessageTag::kTakeRecommendations: return "take-recommendations";
     case MessageTag::kDrain: return "drain";
@@ -163,7 +162,6 @@ std::string_view MessageTagName(MessageTag tag) {
 
 bool IsOrderSensitive(MessageTag tag) {
   switch (tag) {
-    case MessageTag::kPublish:
     case MessageTag::kPublishBatch:
     case MessageTag::kDrain:
     case MessageTag::kCheckpoint:
@@ -219,13 +217,6 @@ Status DecodeFrameBody(const uint8_t* body, size_t body_len,
 
 // --- requests ----------------------------------------------------------------
 
-void AppendPublish(const EdgeEvent& event, std::string* out) {
-  std::string payload;
-  payload.reserve(kEventBytes);
-  PutEvent(event, &payload);
-  AppendFrame(MessageTag::kPublish, payload, out);
-}
-
 void AppendPublishBatch(std::span<const EdgeEvent> events, std::string* out,
                         uint64_t batch_sequence, const TraceContext* trace) {
   const bool has_trace = trace != nullptr && trace->active();
@@ -259,13 +250,6 @@ void AppendReplicaOp(MessageTag tag, uint32_t partition, uint32_t replica,
   PutU32(&payload, partition);
   PutU32(&payload, replica);
   AppendFrame(tag, payload, out);
-}
-
-Status DecodePublish(std::string_view payload, EdgeEvent* event) {
-  ByteReader reader = ReaderOf(payload);
-  if (!GetEvent(&reader, event)) return Truncated("publish");
-  if (reader.remaining() != 0) return TrailingGarbage("publish");
-  return Status::OK();
 }
 
 Status DecodePublishBatch(std::string_view payload,
@@ -496,7 +480,7 @@ void AppendAck(std::string* out, const TraceContext* trace) {
 
 Status DecodeAck(std::string_view payload, TraceContext* trace) {
   if (trace != nullptr) *trace = TraceContext{};  // absent tail = no trace
-  if (payload.empty()) return Status::OK();  // the pre-trace encoding
+  if (payload.empty()) return Status::OK();  // no trace tail
   ByteReader reader = ReaderOf(payload);
   uint8_t marker = 0;
   reader.GetU8(&marker);
@@ -578,8 +562,7 @@ void AppendRecommendationsReply(std::span<const Recommendation> recs,
     PutU32(payload, static_cast<uint32_t>(rec.witnesses.size()));
     for (const VertexId witness : rec.witnesses) PutU32(payload, witness);
   }
-  // A complete gather omits the tail: healthy-path bytes stay identical to
-  // the pre-extension encoding (tail-growth versioning, see wire.h).
+  // A complete gather omits the tail (tail-growth versioning, see wire.h).
   if (report != nullptr && !report->complete()) {
     PutU8(payload, kGatherReportMarker);
     PutU32(payload, report->daemons_total);
@@ -590,7 +573,7 @@ void AppendRecommendationsReply(std::span<const Recommendation> recs,
     }
   }
   // The trace tail goes after the report tail (tail order is fixed: 0x01
-  // before 0x02) and only toward trace-negotiated peers (caller gates).
+  // before 0x02).
   if (trace != nullptr && trace->active()) PutTraceTail(*trace, payload);
   frame.Finish();
 }
@@ -630,8 +613,7 @@ Status DecodeStatsTextReply(std::string_view payload, std::string* text) {
   return Status::OK();
 }
 
-void AppendStatsReply(const ClusterStats& stats, std::string* out,
-                      bool include_server_tail) {
+void AppendStatsReply(const ClusterStats& stats, std::string* out) {
   std::string payload;
   PutU32(&payload, stats.num_partitions);
   PutU32(&payload, stats.replicas_per_partition);
@@ -651,19 +633,15 @@ void AppendStatsReply(const ClusterStats& stats, std::string* out,
     PutU64(&payload, entry.recommendations);
   }
   PutU64(&payload, stats.partitioner_salt);
-  // Server-loop reactor counters: a marker-led tail after the salt, emitted
-  // only toward peers that completed the hello exchange (see wire.h) — the
-  // pre-versioning decoders reject unfamiliar trailing bytes.
-  if (include_server_tail) {
-    PutU8(&payload, kServerLoopMarker);
-    PutU8(&payload, stats.server.loop);
-    PutU32(&payload, stats.server.connections_open);
-    PutU64(&payload, stats.server.requests_served);
-    PutU64(&payload, stats.server.partial_reads);
-    PutU64(&payload, stats.server.partial_writes);
-    PutU64(&payload, stats.server.inflight_stalls);
-    PutU64(&payload, stats.server.mux_connections);
-  }
+  // Server-loop reactor counters: a marker-led tail after the salt.
+  PutU8(&payload, kServerLoopMarker);
+  PutU8(&payload, stats.server.loop);
+  PutU32(&payload, stats.server.connections_open);
+  PutU64(&payload, stats.server.requests_served);
+  PutU64(&payload, stats.server.partial_reads);
+  PutU64(&payload, stats.server.partial_writes);
+  PutU64(&payload, stats.server.inflight_stalls);
+  PutU64(&payload, stats.server.mux_connections);
   AppendFrame(MessageTag::kStatsReply, payload, out);
 }
 
@@ -776,7 +754,7 @@ Status DecodeStatsReply(std::string_view payload, ClusterStats* stats) {
       !reader.GetU64(&stats->dynamic_memory_bytes)) {
     return Truncated("stats-reply");
   }
-  // Extension tails (absent in pre-extension encodings; tail-growth
+  // Extension tails (a decoder reads a missing one as empty; tail-growth
   // versioning, see wire.h): the per-replica identity list, then the
   // partitioner salt, then the marker-led server-loop counters.
   stats->per_replica.clear();

@@ -12,19 +12,45 @@
 //   frame := body_len:u32  masked_crc32c(body):u32  body
 //   body  := tag:u8  payload
 //
-// Request payloads (client -> server):
-//   kPublish            src:u32 dst:u32 created_at:i64 action:u8
+// Session (protocol version 2). There is one session protocol: every
+// connection opens with a hello, and every request after it travels in a
+// mux envelope.
+//   kHello              marker:u8=0x01 proto_version:u32 features:u32
+//   kHelloReply         proto_version:u32 features:u32 max_inflight:u32
+//   kMuxRequest         request_id:u64 inner_tag:u8 inner_payload
+//   kMuxResponse        request_id:u64 last:u8 inner_tag:u8 inner_payload
+//     The first frame a client sends is kHello naming kProtocolVersion and
+//     asking for kFeatureMux. The hello is the protocol's one version
+//     gate: both sides compare proto_version, and a mismatch fails the
+//     session (the server answers kError(FailedPrecondition) and closes;
+//     the client fails the dial). The server answers kHelloReply granting
+//     kFeatureMux | kFeatureTrace plus the per-connection in-flight request
+//     cap it enforces. Any other first frame, a second hello, or a hello
+//     that does not ask for mux is refused the same way: kError
+//     (FailedPrecondition), then the connection is closed. After the hello,
+//     each request is a kMuxRequest envelope around an ordinary request
+//     body; every reply frame comes back as a kMuxResponse envelope
+//     carrying the same request_id, and replies for DIFFERENT request_ids
+//     may arrive in any order (frames of one chunked reply stay ordered;
+//     `last` marks its final frame). Request ids are chosen by the client
+//     and opaque to the server; reusing an id while it is in flight is a
+//     client bug. After the hello reply a server sends a bare frame only
+//     as a kError: one that precedes a close, or the answer to an envelope
+//     too short to decode.
+//
+// Request bodies (inside a kMuxRequest):
+//   0x01                  retired (the single-event publish); never reuse
 //   kPublishBatch       count:u32  (src dst created_at action)*
-//                       [marker:u8=0x01 batch_seq:u64]
-//     The bracketed batch_seq tail makes the frame idempotent: a broker
-//     that timed out on a slow daemon replays the same frame (same
-//     sequence) on a fresh connection, and the server suppresses the
-//     duplicate (rpc_server.h publish_dedup_window) — dedup is what makes
-//     replay safe. Absent tail = no dedup — the pre-extension encoding,
-//     which strict-mode brokers still emit. The marker byte means presence
-//     is never inferred from payload length alone: a forged count that
-//     leaves tail-sized residue is rejected, not silently decoded as a
-//     sequence.
+//                       marker:u8=0x01 batch_seq:u64  [trace-tail]
+//     Every batch carries a non-zero batch_seq, and the server refuses a
+//     batch without one (InvalidArgument). The sequence makes the frame
+//     idempotent: a broker that timed out on a slow daemon replays the
+//     same frame (same sequence) on a fresh connection, and the server
+//     acks the duplicate without applying it (rpc_server.h, the dedup
+//     window). The marker byte means presence is never inferred from
+//     payload length alone: a forged count that leaves tail-sized residue
+//     is rejected, not silently decoded as a sequence. The codec itself
+//     still encodes and decodes a batch without the tail (a sequence of 0).
 //   kTakeRecommendations  (empty)
 //   kDrain                (empty)
 //   kCheckpoint         created_at:i64
@@ -34,17 +60,15 @@
 //   kPing                 (empty)
 //   kStatsText            (empty)
 //     Answered by kStatsTextReply: the serving process's metrics registry
-//     rendered in the stable text exposition (docs/observability.md). A
-//     pre-extension daemon answers kError(Unimplemented) — rule 3 of the
-//     versioning discipline — so scrapers degrade gracefully.
+//     rendered in the stable text exposition (docs/observability.md).
 //
-// Response payloads (server -> client):
+// Reply bodies (inside a kMuxResponse):
 //   kAck                  (empty)
 //                         [marker:u8=0x02 trace-tail]
 //     The bracketed trace tail echoes a publish-batch's TraceContext back
 //     with the daemon's stamps added (see "Trace propagation" below). It is
-//     emitted only when the acked request itself carried a trace — trace in,
-//     trace out — so a sender that cannot decode the tail never receives it.
+//     emitted only when the acked request itself carried a trace — trace
+//     in, trace out.
 //   kError              code:u8 message-bytes (to end of payload)
 //   kRecommendationsReply has_more:u8 count:u32 rec*
 //                         [marker:u8=0x01 daemons_total:u32
@@ -57,34 +81,32 @@
 //     The bracketed GatherReport tail is appended to the LAST frame only
 //     when the serving transport's gather was degraded (a fan-out broker
 //     under quorum/best-effort policy with daemons down); a complete
-//     gather omits it, keeping healthy-path bytes identical to the
-//     pre-extension encoding.
+//     gather omits it.
 //   kStatsReply         num_partitions:u32 replicas:u32 published:u64
 //                       detector_events:u64 queries:u64 recs:u64
 //                       static_bytes:u64 dynamic_bytes:u64
-//                       [replica_count:u32 replica*  [salt:u64
-//                        [marker:u8=0x01 loop:u8 conns_open:u32
-//                         requests:u64 partial_reads:u64
-//                         partial_writes:u64 inflight_stalls:u64
-//                         mux_conns:u64]]]   where
+//                       replica_count:u32 replica*  salt:u64
+//                       marker:u8=0x01 loop:u8 conns_open:u32
+//                       requests:u64 partial_reads:u64
+//                       partial_writes:u64 inflight_stalls:u64
+//                       mux_conns:u64   where
 //     replica := partition:u32 replica:u32 alive:u8
 //                events:u64 queries:u64 recs:u64
-//     The bracketed tails are extensions: the per-replica identity list (so
-//     stats from many partition-group daemons stay attributable) and the
-//     partitioner salt (so a fan-out broker can detect placement
-//     disagreement). Decoders accept their absence — the pre-extension
-//     encodings — as empty/zero. This is the protocol's versioning
-//     discipline: payloads grow only at the tail, and a decoder treats a
-//     missing tail as the field's empty/zero value. The converse does NOT
-//     hold — a pre-extension decoder rejects an unfamiliar tail as
-//     trailing garbage — so a grown payload must not be EMITTED until the
-//     peer that decodes it is upgraded. The degraded-mode tails (batch_seq,
-//     GatherReport) are therefore tied to explicit operator opt-in
-//     (FanoutPolicy != strict): upgrade every binary first, enable the
-//     policy second (docs/wire-protocol.md, "Versioning and compatibility").
+//     The per-replica identity list keeps stats from many partition-group
+//     daemons attributable, the partitioner salt lets a fan-out broker
+//     detect placement disagreement, and the marker-led tail carries the
+//     serving loop's reactor counters. The server always sends all three;
+//     the decoder still reads an encoding that stops after the fixed
+//     fields or after the salt as empty/zero.
 //   kStatsTextReply       the registry text exposition, raw UTF-8 bytes
 //
-// Trace propagation (feature bit 1, kFeatureTrace):
+// Growth: payloads grow only at the tail, behind a marker byte, and a
+// decoder treats a missing tail as the field's empty/zero value. Any
+// change an older peer cannot read bumps kProtocolVersion, so mixed
+// versions fail at the hello instead of mid-stream
+// (docs/wire-protocol.md, "Versioning and compatibility").
+//
+// Trace propagation:
 //   trace-tail := marker:u8=0x02 trace_id:u64 origin_us:i64 count:u8
 //                 (stage:u8 party:u32 at_us:i64)*
 //     A sampled publish-batch appends the trace tail AFTER the batch_seq
@@ -94,45 +116,15 @@
 //     trace tail; the gather reply's LAST frame may carry one completed
 //     context after the GatherReport tail. count is capped at
 //     kMaxTraceStamps (64) — a forged count is rejected before allocating.
-//     Emission is gated on the hello exchange: a client/broker requests
-//     kFeatureTrace, and only a connection whose HelloReply granted the bit
-//     ever carries a trace tail in either direction — unsampled batches and
-//     legacy peers see byte-identical pre-extension frames.
+//     Unsampled batches carry no trace tail.
 //
-// Session negotiation and multiplexing (protocol version 1):
-//   kHello              marker:u8=0x01 proto_version:u32 features:u32
-//   kHelloReply         proto_version:u32 features:u32 max_inflight:u32
-//   kMuxRequest         request_id:u64 inner_tag:u8 inner_payload
-//   kMuxResponse        request_id:u64 last:u8 inner_tag:u8 inner_payload
-//     A client opens a session with kHello naming the features it wants
-//     (bit 0, kFeatureMux: request-id multiplexing). The server answers
-//     kHelloReply with the intersection of features it accepts plus the
-//     per-connection in-flight request cap it will enforce. The clients in
-//     this repo (net/mux_connection.h) REQUIRE that reply to grant
-//     kFeatureMux and fail the dial otherwise — they never fall back to
-//     the unnegotiated encoding below, which the server still answers for
-//     any peer that skips the hello. Once mux is negotiated, many logical
-//     calls share the connection: each request travels as a kMuxRequest
-//     envelope around the ordinary request body, every reply frame comes
-//     back as a kMuxResponse envelope carrying the same request_id, and
-//     replies for DIFFERENT request_ids may arrive in any order (frames of
-//     one chunked reply stay ordered; `last` marks its final frame).
-//     Request ids are chosen by the client and opaque to the server;
-//     reusing an id while it is in flight is a client bug. Hello payloads
-//     grow at the tail like every other message; the leading marker byte
-//     keeps a hello distinguishable from residue under the same discipline
-//     as the other tails.
-//
-// Without negotiation, every request is answered by exactly one response on
-// the same connection, in request order. A peer MAY pipeline — write
-// request N+1 before reading response N — so servers must not assume at
-// most one outstanding request per connection. Ordering: requests that mutate
-// the event stream (publish, publish-batch, drain, checkpoint, replica
-// ops) are applied in per-connection arrival order even on a multiplexed
-// connection — out-of-order completion is only allowed for reads (gather,
-// stats, ping), which may overtake a stalled write. Sequence numbers are
-// NOT carried for published events: the server's broker assigns them at
-// ingest, exactly as the in-process broker does.
+// Ordering: requests that mutate the event stream (publish-batch, drain,
+// checkpoint, replica ops) are applied in per-connection arrival order;
+// out-of-order completion is only allowed for reads (gather, stats,
+// stats-text, ping), which may overtake a stalled write. Sequence numbers
+// for published EVENTS are not carried: the server's broker assigns them
+// at ingest, exactly as the in-process broker does (batch_seq identifies
+// a frame, not an event).
 //
 // Robustness contract (tests/net/): a truncated frame, an oversized length
 // prefix, a CRC mismatch, or an unknown tag decodes to a Status error —
@@ -159,7 +151,7 @@ namespace magicrecs::net {
 /// Message discriminator, first byte of every frame body. Requests occupy
 /// the low range, responses have the top bit set.
 enum class MessageTag : uint8_t {
-  kPublish = 0x01,
+  // 0x01 is retired (the single-event publish) and must never be reused.
   kPublishBatch = 0x02,
   kTakeRecommendations = 0x03,
   kDrain = 0x04,
@@ -181,10 +173,14 @@ enum class MessageTag : uint8_t {
   kStatsTextReply = 0x86,
 };
 
-/// Wire protocol version carried by the hello exchange.
-inline constexpr uint32_t kProtocolVersion = 1;
+/// Wire protocol version carried by the hello exchange; both sides refuse
+/// a peer that names another. Version 2 made the hello mandatory, every
+/// publish-batch's batch_seq required, and retired tag 0x01 — a version-1
+/// peer would fail on those mid-stream, so it is refused at the hello.
+inline constexpr uint32_t kProtocolVersion = 2;
 
-/// Hello feature bits.
+/// Hello feature bits. A client asks for kFeatureMux; the server grants
+/// both bits to every hello that does.
 inline constexpr uint32_t kFeatureMux = 1u << 0;
 inline constexpr uint32_t kFeatureTrace = 1u << 1;
 
@@ -226,12 +222,9 @@ Status DecodeFrameBody(const uint8_t* body, size_t body_len,
 
 // --- request encoders / decoders ---------------------------------------------
 
-void AppendPublish(const EdgeEvent& event, std::string* out);
-
 /// `batch_sequence` != 0 appends the idempotency tail (see the payload
-/// table); 0 emits the pre-extension encoding byte-identically. A non-null
-/// active() `trace` appends the trace tail after it — emit that ONLY on a
-/// connection whose hello granted kFeatureTrace.
+/// table); 0 omits it, which a server refuses. A non-null active() `trace`
+/// appends the trace tail after it.
 void AppendPublishBatch(std::span<const EdgeEvent> events, std::string* out,
                         uint64_t batch_sequence = 0,
                         const TraceContext* trace = nullptr);
@@ -240,11 +233,9 @@ void AppendCheckpoint(Timestamp created_at, std::string* out);
 void AppendReplicaOp(MessageTag tag, uint32_t partition, uint32_t replica,
                      std::string* out);
 
-Status DecodePublish(std::string_view payload, EdgeEvent* event);
-
 /// `*batch_sequence` (optional) receives the idempotency tail, or 0 when
-/// the payload carries the pre-extension encoding. `*trace` (optional)
-/// receives the trace tail, or an inactive context when absent.
+/// the payload has none. `*trace` (optional) receives the trace tail, or
+/// an inactive context when absent.
 Status DecodePublishBatch(std::string_view payload,
                           std::vector<EdgeEvent>* events,
                           uint64_t* batch_sequence = nullptr,
@@ -292,19 +283,18 @@ Status DecodeMuxResponse(std::string_view payload, uint64_t* request_id,
 // --- response encoders / decoders --------------------------------------------
 
 /// A non-null active() `trace` appends the ack's trace tail — echo a trace
-/// ONLY when the acked request itself carried one.
+/// only when the acked request itself carried one.
 void AppendAck(std::string* out, const TraceContext* trace = nullptr);
 void AppendError(const Status& status, std::string* out);
 
 /// `*trace` (optional) receives the ack's trace tail, or an inactive
-/// context when absent (the pre-extension empty payload).
+/// context when absent (the empty payload).
 Status DecodeAck(std::string_view payload, TraceContext* trace = nullptr);
 
 /// One reply frame holding exactly these recommendations. A non-null
 /// `report` that is not complete() appends the GatherReport tail; a
 /// non-null active() `trace` appends the trace tail after it (both only
-/// meaningful on the final frame of a chunked reply, and the trace only
-/// toward a kFeatureTrace peer).
+/// meaningful on the final frame of a chunked reply).
 void AppendRecommendationsReply(std::span<const Recommendation> recs,
                                 bool has_more, std::string* out,
                                 const GatherReport* report = nullptr,
@@ -329,13 +319,9 @@ Status DecodeStatsTextReply(std::string_view payload, std::string* text);
 /// Default chunk budget: comfortably under kMaxFrameBodyBytes.
 inline constexpr size_t kRecommendationsChunkBytes = 4u << 20;
 
-/// `include_server_tail` appends the serving loop's reactor counters as a
-/// marker-led tail after the salt (ClusterStats::server). Emit it ONLY to a
-/// peer that completed the hello exchange: a pre-versioning decoder rejects
-/// unfamiliar trailing bytes (see "Versioning" above), and the hello is how
-/// the server knows the peer is not one.
-void AppendStatsReply(const ClusterStats& stats, std::string* out,
-                      bool include_server_tail = false);
+/// Always carries the per-replica list, the salt, and the serving loop's
+/// reactor counters (ClusterStats::server) as the marker-led tail.
+void AppendStatsReply(const ClusterStats& stats, std::string* out);
 
 /// Rebuilds the Status carried by a kError payload (always non-OK; a
 /// mangled error payload decodes to Internal).
@@ -344,7 +330,7 @@ Status DecodeError(std::string_view payload);
 /// APPENDS the frame's recommendations to *recs (the caller accumulates
 /// across a chunked reply) and reports whether more frames follow.
 /// `*report` (optional) receives the GatherReport tail when present, or a
-/// complete report when absent (the pre-extension encoding). `*trace`
+/// complete report when absent. `*trace`
 /// (optional) receives the trace tail, or an inactive context when absent.
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,

@@ -1,5 +1,6 @@
 #include "gen/social_graph.h"
 
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -117,6 +118,16 @@ TEST(SocialGraphTest, InvalidOptionsRejected) {
   opt = SmallOptions();
   opt.mean_followees = -1;
   EXPECT_TRUE(SocialGraphGenerator(opt).Generate().status().IsInvalidArgument());
+
+  // Non-finite means slip past a `<= 0` check; NaN would reach an
+  // undefined double -> uint32_t cast in the degree draw.
+  for (const double mean : {std::nan(""), HUGE_VAL}) {
+    opt = SmallOptions();
+    opt.mean_followees = mean;
+    EXPECT_TRUE(
+        SocialGraphGenerator(opt).Generate().status().IsInvalidArgument())
+        << mean;
+  }
 
   opt = SmallOptions();
   opt.reciprocity = 1.5;

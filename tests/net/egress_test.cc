@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "raw_session.h"
 #include "stub_transport.h"
 
 #include "net/frame_io.h"
@@ -279,17 +280,22 @@ TEST_F(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   AppendRecommendationsReplyChunked(canned, kRecommendationsChunkBytes,
                                     &expected);
 
-  auto socket = TcpSocket::Connect("127.0.0.1", server_->port());
-  ASSERT_TRUE(socket.ok()) << socket.status();
-  std::string request;
-  AppendEmptyRequest(MessageTag::kTakeRecommendations, &request);
-  ASSERT_TRUE(socket->WriteAll(request.data(), request.size()).ok());
+  std::string expected_wrapped;
+  ASSERT_TRUE(WrapMuxResponses(7, expected, &expected_wrapped).ok());
 
-  std::string raw(expected.size(), '\0');
+  auto session = net_test::RawSession::Open(server_->port());
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE(session
+                  ->Send(7, net_test::EmptyRequest(
+                                MessageTag::kTakeRecommendations))
+                  .ok());
+
+  std::string raw(expected_wrapped.size(), '\0');
   bool eof = false;
-  ASSERT_TRUE(socket->ReadFull(raw.data(), raw.size(), &eof).ok());
+  ASSERT_TRUE(session->socket().ReadFull(raw.data(), raw.size(), &eof).ok());
   ASSERT_FALSE(eof);
-  EXPECT_TRUE(raw == expected) << "zero-copy egress changed the wire bytes";
+  EXPECT_TRUE(raw == expected_wrapped)
+      << "zero-copy egress changed the wire bytes";
 }
 
 TEST_F(EgressServerTest, MuxedCallBytesDecodeAndEgressMetricsCount) {
@@ -324,7 +330,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
             0);
 
   std::string jumbo;
-  AppendFrame(MessageTag::kPublish, std::string(12u << 20, 'j'), &jumbo);
+  AppendFrame(MessageTag::kPublishBatch, std::string(12u << 20, 'j'), &jumbo);
   const std::string ping = PingFrame();
 
   std::atomic<bool> jumbo_started{false};
@@ -377,7 +383,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
   server.join();
   jumbo_writer.join();
   ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0].tag, MessageTag::kPublish);
+  EXPECT_EQ(received[0].tag, MessageTag::kPublishBatch);
   EXPECT_EQ(received[0].payload, std::string(12u << 20, 'j'));
   EXPECT_EQ(received[1].tag, MessageTag::kPing);
   (*conn)->Shutdown();
@@ -391,7 +397,7 @@ TEST(FrameBufTest, ConcurrentLanesShareOneBlockSafely) {
   // under TSan this locks the only cross-thread state — the block
   // refcount — as data-race free.
   std::string inner;
-  AppendFrame(MessageTag::kPublish, std::string(64 << 10, 'p'), &inner);
+  AppendFrame(MessageTag::kPublishBatch, std::string(64 << 10, 'p'), &inner);
   const FrameBuf canonical = FrameBuf::Wrap(std::move(inner));
   constexpr int kLanes = 8;
   std::vector<std::thread> lanes;

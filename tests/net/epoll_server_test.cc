@@ -1,5 +1,7 @@
-// Partial-I/O and scaling acceptance for the epoll reactor:
-//   * frames delivered one byte at a time decode exactly like whole ones;
+// Partial-I/O and scaling acceptance for the epoll reactor, driven through
+// raw hello+mux sessions (raw_session.h):
+//   * frames delivered one byte at a time — the hello included — decode
+//     exactly like whole ones;
 //   * replies larger than the socket buffer drain through the partial-
 //     write state machine (EPOLLOUT + carry, counted);
 //   * pipelined requests before a framing error are all answered, in
@@ -18,22 +20,26 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "raw_session.h"
 #include "stub_transport.h"
 
-#include "net/frame_io.h"
 #include "net/rpc_server.h"
-#include "net/socket.h"
 #include "net/wire.h"
 
 namespace magicrecs::net {
 namespace {
 
+using net_test::EmptyRequest;
+using net_test::HelloFrame;
+using net_test::MuxWrap;
+using net_test::RawSession;
 using net_test::StubTransport;
 
 /// Threads in this process right now (/proc/self/task entries).
@@ -56,8 +62,11 @@ class EpollServerTest : public ::testing::Test {
     server_ = std::move(server).value();
   }
 
-  Result<TcpSocket> RawConnection() {
-    return TcpSocket::Connect("127.0.0.1", server_->port());
+  /// A raw connection past the session gate.
+  RawSession Open() {
+    auto session = RawSession::Open(server_->port());
+    EXPECT_TRUE(session.ok()) << session.status();
+    return std::move(session).value();
   }
 
   StubTransport transport_;
@@ -66,25 +75,34 @@ class EpollServerTest : public ::testing::Test {
 
 TEST_F(EpollServerTest, FramesDeliveredOneByteAtATimeDecode) {
   StartServer();
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok()) << socket.status();
+  auto session = RawSession::Connect(server_->port());
+  ASSERT_TRUE(session.ok()) << session.status();
 
-  // A publish frame and a ping frame, dribbled one byte per write: the
-  // assembler must stitch split headers and split bodies back together.
-  std::string bytes;
+  // The hello, a publish envelope and a ping envelope, dribbled one byte
+  // per write: the assembler must stitch split headers and split bodies
+  // back together.
+  std::string publish;
   EdgeEvent event;
   event.edge = TimestampedEdge{3, 7, 42};
-  AppendPublish(event, &bytes);
-  AppendEmptyRequest(MessageTag::kPing, &bytes);
+  AppendPublishBatch(std::span(&event, 1), &publish, /*batch_sequence=*/9);
+  const std::string bytes = HelloFrame() + MuxWrap(1, publish) +
+                            MuxWrap(2, EmptyRequest(MessageTag::kPing));
   for (const char byte : bytes) {
-    ASSERT_TRUE(socket->WriteAll(&byte, 1).ok());
+    ASSERT_TRUE(session->Write(std::string_view(&byte, 1)).ok());
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  EXPECT_EQ(reply.tag, MessageTag::kAck);  // the publish
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  EXPECT_EQ(reply.tag, MessageTag::kAck);  // the ping
+  ASSERT_TRUE(session->Read(&reply).ok());
+  EXPECT_EQ(reply.tag, MessageTag::kHelloReply);
+  // The ping is order-free and may overtake the publish: match by id.
+  uint64_t ids = 0;
+  for (int i = 0; i < 2; ++i) {
+    uint64_t id = 0;
+    ASSERT_TRUE(session->ReadReply(&reply, &id).ok());
+    EXPECT_EQ(reply.tag, MessageTag::kAck) << "request " << id;
+    ids |= uint64_t{1} << id;
+  }
+  EXPECT_EQ(ids, 0b110u) << "each request answered exactly once";
   EXPECT_EQ(transport_.publishes(), 1u);
   EXPECT_GT(server_->stats().partial_reads, 0u)
       << "byte-dribbled frames should have exercised the partial-read path";
@@ -102,12 +120,9 @@ TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
   }
   transport_.set_recommendations(canned);
   StartServer();
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok()) << socket.status();
-
-  std::string request;
-  AppendEmptyRequest(MessageTag::kTakeRecommendations, &request);
-  ASSERT_TRUE(socket->WriteAll(request.data(), request.size()).ok());
+  RawSession session = Open();
+  ASSERT_TRUE(
+      session.Send(1, EmptyRequest(MessageTag::kTakeRecommendations)).ok());
   // Let the server hit the full socket buffer before we start draining.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
@@ -115,11 +130,13 @@ TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
   bool has_more = true;
   while (has_more) {
     Frame reply;
-    ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
+    bool last = false;
+    ASSERT_TRUE(session.ReadReply(&reply, nullptr, &last).ok());
     ASSERT_EQ(reply.tag, MessageTag::kRecommendationsReply);
     ASSERT_TRUE(DecodeRecommendationsReply(reply.payload, &received,
                                            &has_more, nullptr)
                     .ok());
+    EXPECT_EQ(last, !has_more);
   }
   ASSERT_EQ(received.size(), canned.size());
   EXPECT_EQ(received.back().witnesses, canned.back().witnesses);
@@ -129,31 +146,28 @@ TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
 
 TEST_F(EpollServerTest, PipelinedRequestsBeforeFramingErrorAnswerInOrder) {
   StartServer();
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok()) << socket.status();
+  RawSession session = Open();
 
   // Two good pings, then an oversized length prefix — all in one write.
   // The contract: both pings answered first, then the error reply, then
   // the connection is severed.
-  std::string bytes;
-  AppendEmptyRequest(MessageTag::kPing, &bytes);
-  AppendEmptyRequest(MessageTag::kPing, &bytes);
+  std::string bytes = MuxWrap(1, EmptyRequest(MessageTag::kPing)) +
+                      MuxWrap(2, EmptyRequest(MessageTag::kPing));
   std::string bad_header(kFrameHeaderBytes, '\0');
   const uint32_t huge = 1u << 30;
   std::memcpy(bad_header.data(), &huge, sizeof(huge));
   bytes += bad_header;
-  ASSERT_TRUE(socket->WriteAll(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(session.Write(bytes).ok());
 
   Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
+  ASSERT_TRUE(session.ReadReply(&reply).ok());
   EXPECT_EQ(reply.tag, MessageTag::kAck);
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
+  ASSERT_TRUE(session.ReadReply(&reply).ok());
   EXPECT_EQ(reply.tag, MessageTag::kAck);
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
+  ASSERT_TRUE(session.Read(&reply).ok());
   ASSERT_EQ(reply.tag, MessageTag::kError);
   EXPECT_TRUE(DecodeError(reply.payload).IsResourceExhausted());
-  char byte;
-  EXPECT_TRUE(socket->ReadFull(&byte, 1).IsUnavailable())
+  EXPECT_TRUE(session.Closed())
       << "the stream is desynchronized; the server must sever";
 }
 
@@ -162,8 +176,7 @@ TEST_F(EpollServerTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
   options.max_inflight_per_conn = 4;
   options.worker_threads = 2;
   StartServer(options);
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok()) << socket.status();
+  RawSession session = Open();
 
   // 200 pipelined pings, written before any reply is read. Every one must
   // be answered; the reactor must have paused reads at the cap along the
@@ -171,16 +184,16 @@ TEST_F(EpollServerTest, InflightCapAppliesBackpressureNotUnboundedBuffering) {
   constexpr int kPings = 200;
   std::string bytes;
   for (int i = 0; i < kPings; ++i) {
-    AppendEmptyRequest(MessageTag::kPing, &bytes);
+    bytes += MuxWrap(i, EmptyRequest(MessageTag::kPing));
   }
   std::thread writer([&] {
     // A second thread: 200 pings can exceed the combined socket buffers
     // once the server stops reading, which is exactly the point.
-    (void)socket->WriteAll(bytes.data(), bytes.size());
+    (void)session.Write(bytes);
   });
   for (int i = 0; i < kPings; ++i) {
     Frame reply;
-    ASSERT_TRUE(ReadFrame(&*socket, &reply).ok()) << "ping " << i;
+    ASSERT_TRUE(session.ReadReply(&reply).ok()) << "ping " << i;
     EXPECT_EQ(reply.tag, MessageTag::kAck);
   }
   writer.join();
@@ -192,33 +205,35 @@ TEST_F(EpollServerTest, Soak256ConcurrentConnections) {
   StartServer();
   const long threads_before = CountThreads();
   constexpr size_t kConnections = 256;
-  std::vector<TcpSocket> sockets;
-  sockets.reserve(kConnections);
+  std::vector<RawSession> sessions;
+  sessions.reserve(kConnections);
   for (size_t i = 0; i < kConnections; ++i) {
-    auto socket = RawConnection();
-    ASSERT_TRUE(socket.ok()) << "connection " << i << ": "
-                             << socket.status();
-    sockets.push_back(std::move(socket).value());
+    auto session = RawSession::Open(server_->port());
+    ASSERT_TRUE(session.ok()) << "connection " << i << ": "
+                              << session.status();
+    sessions.push_back(std::move(session).value());
   }
   // Three ping waves across every connection: all served, none dropped.
-  std::string ping;
-  AppendEmptyRequest(MessageTag::kPing, &ping);
+  const std::string ping = EmptyRequest(MessageTag::kPing);
   for (int wave = 0; wave < 3; ++wave) {
-    for (TcpSocket& socket : sockets) {
-      ASSERT_TRUE(socket.WriteAll(ping.data(), ping.size()).ok());
+    for (RawSession& session : sessions) {
+      ASSERT_TRUE(session.Send(wave, ping).ok());
     }
-    for (TcpSocket& socket : sockets) {
+    for (RawSession& session : sessions) {
       Frame reply;
-      ASSERT_TRUE(ReadFrame(&socket, &reply).ok());
+      uint64_t id = 0;
+      ASSERT_TRUE(session.ReadReply(&reply, &id).ok());
       EXPECT_EQ(reply.tag, MessageTag::kAck);
+      EXPECT_EQ(id, static_cast<uint64_t>(wave));
     }
   }
   EXPECT_GE(server_->stats().connections_accepted, kConnections);
+  EXPECT_EQ(server_->stats().mux_connections, kConnections);
   EXPECT_LT(CountThreads() - threads_before, 32)
       << "the reactor must serve 256 connections without a thread per "
          "connection";
   // Orderly teardown: close every socket; the server reaps them all.
-  sockets.clear();
+  sessions.clear();
   for (int i = 0; i < 200; ++i) {
     if (server_->stats().connections_open == 0) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "fanout_test_util.h"
+#include "raw_session.h"
 
 #include "cluster/transport.h"
 #include "gen/activity_stream.h"
@@ -439,8 +440,8 @@ TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
   // out the stall. The stalled original still applies; the later replay
   // of the same frame is suppressed by the server's sequence dedup, so
   // the events are applied exactly once. This is the one test where a
-  // frame the daemon received but never acked is replayed: with dedup off
-  // (publish_dedup_window = 0) the replay would apply it a second time.
+  // frame the daemon received but never acked is replayed: without the
+  // dedup the replay would apply it a second time.
   TestWorkload w = MakeTestWorkload(256);
   ClusterOptions options = MakeClusterOptions(2);
 
@@ -522,7 +523,7 @@ TEST(FanoutDegradedTest, RestartedBrokerIsNotDupSuppressed) {
   endpoint.port = (*server)->port();
   fopt.endpoints.push_back(endpoint);
 
-  // Each 256-event publish is exactly one frame (default chunk size), so
+  // Each 256-event publish is exactly one frame (kPublishChunkEvents), so
   // each incarnation emits exactly one sequence — a bare counter would
   // collide on its very first batch.
   {
@@ -561,9 +562,9 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
   net::AppendPublishBatch(w.events, &frame, /*batch_sequence=*/0x1234);
 
   // Original copy: its handler enters the (gated, doomed) apply.
-  auto original = net::TcpSocket::Connect("127.0.0.1", (*server)->port());
+  auto original = net_test::RawSession::Open((*server)->port());
   ASSERT_TRUE(original.ok()) << original.status();
-  ASSERT_TRUE(original->WriteAll(frame.data(), frame.size()).ok());
+  ASSERT_TRUE(original->Send(1, frame).ok());
   for (int i = 0; i < 500 && !gated.first_apply_started(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -573,18 +574,18 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
   // its handler time to reach the dedup admission before resolving the
   // original (the interesting interleaving either way: if it has not
   // arrived yet, it simply finds no trace of the failed sequence later).
-  auto replay = net::TcpSocket::Connect("127.0.0.1", (*server)->port());
+  auto replay = net_test::RawSession::Open((*server)->port());
   ASSERT_TRUE(replay.ok()) << replay.status();
-  ASSERT_TRUE(replay->WriteAll(frame.data(), frame.size()).ok());
+  ASSERT_TRUE(replay->Send(1, frame).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   gated.Release();
 
   // The original reports the injected failure; the replay is acked only
   // because it applied the batch itself.
   net::Frame reply;
-  ASSERT_TRUE(net::ReadFrame(&*original, &reply).ok());
+  ASSERT_TRUE(original->ReadReply(&reply).ok());
   EXPECT_EQ(reply.tag, net::MessageTag::kError);
-  ASSERT_TRUE(net::ReadFrame(&*replay, &reply).ok());
+  ASSERT_TRUE(replay->ReadReply(&reply).ok());
   EXPECT_EQ(reply.tag, net::MessageTag::kAck)
       << "the duplicate of a failed apply must succeed, not inherit the "
          "failure";
@@ -596,6 +597,85 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
   EXPECT_EQ(stats->events_published, w.events.size())
       << "racing duplicate was blind-acked over a failed apply (0 = lost) "
          "or double-applied (2x)";
+}
+
+TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
+  // One publish encoding: a strict-policy broker sequence-tags every frame
+  // too, so any copy of a frame that reaches a daemon twice is applied
+  // once. A capturing fake daemon records what the broker puts on the
+  // wire; a real daemon then receives one captured frame twice, on two
+  // connections, and must dup-ack the second copy.
+  auto listener = net::TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::vector<net::Frame> captured;  // inner publish-batch frames
+  std::thread fake([&] {
+    Result<net::TcpSocket> peer = listener->Accept();
+    ASSERT_TRUE(peer.ok()) << peer.status();
+    net::Frame frame;
+    ASSERT_TRUE(net::ReadFrame(&*peer, &frame).ok());
+    ASSERT_EQ(frame.tag, net::MessageTag::kHello);
+    std::string reply;
+    net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace, 64, &reply);
+    ASSERT_TRUE(net::WriteFrames(&*peer, reply).ok());
+    // Ack every request until the broker hangs up.
+    while (net::ReadFrame(&*peer, &frame).ok()) {
+      uint64_t id = 0;
+      net::Frame inner;
+      ASSERT_TRUE(net::DecodeMuxRequest(frame.payload, &id, &inner).ok());
+      if (inner.tag == net::MessageTag::kPublishBatch) {
+        captured.push_back(inner);
+      }
+      std::string ack;
+      net::AppendAck(&ack);
+      std::string envelope;
+      net::AppendMuxResponse(id, /*last=*/true, ack, &envelope);
+      ASSERT_TRUE(net::WriteFrames(&*peer, envelope).ok());
+    }
+  });
+
+  TestWorkload w = MakeTestWorkload(2 * net::kPublishChunkEvents);
+  {
+    FanoutClusterOptions fopt;
+    ASSERT_EQ(fopt.policy, FanoutPolicy::kStrict);
+    fopt.trace_sample_every = 0;
+    fopt.recv_timeout_ms = 10'000;
+    fopt.endpoints.resize(1);
+    fopt.endpoints[0].port = listener->port();
+    auto broker = FanoutCluster::Connect(fopt);
+    ASSERT_TRUE(broker.ok()) << broker.status();
+    ASSERT_TRUE((*broker)->PublishBatch(w.events).ok());
+    ASSERT_TRUE((*broker)->Close().ok());
+  }
+  fake.join();
+  ASSERT_EQ(captured.size(), 2u) << "two chunk-sized frames expected";
+  uint64_t sequences[2] = {};
+  for (int i = 0; i < 2; ++i) {
+    std::vector<EdgeEvent> events;
+    ASSERT_TRUE(net::DecodePublishBatch(captured[i].payload, &events,
+                                        &sequences[i])
+                    .ok());
+    EXPECT_EQ(events.size(), net::kPublishChunkEvents);
+    EXPECT_NE(sequences[i], 0u) << "strict frame " << i << " is untagged";
+  }
+  EXPECT_NE(sequences[0], sequences[1]);
+
+  Daemon daemon = StartDaemon(w.graph, MakeClusterOptions(2));
+  std::string copy;
+  net::AppendFrame(captured[0].tag, captured[0].payload, &copy);
+  for (uint64_t attempt = 0; attempt < 2; ++attempt) {
+    auto session = net_test::RawSession::Open(daemon.server->port());
+    ASSERT_TRUE(session.ok()) << session.status();
+    ASSERT_TRUE(session->Send(attempt, copy).ok());
+    net::Frame reply;
+    ASSERT_TRUE(session->ReadReply(&reply).ok());
+    EXPECT_EQ(reply.tag, net::MessageTag::kAck) << "copy " << attempt;
+  }
+  ASSERT_TRUE(daemon.hosted->Drain().ok());
+  auto stats = daemon.hosted->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->events_published, net::kPublishChunkEvents)
+      << "the second copy was applied again";
+  EXPECT_EQ(daemon.server->stats().duplicate_batches, 1u);
 }
 
 TEST(FanoutDegradedTest, ReplayBufferOverflowIsExplicit) {

@@ -1,6 +1,7 @@
-// Session-layer acceptance: the mandatory hello negotiation, request-id
-// multiplexing with out-of-order completion on one socket, timeout-abandon
-// keeping the connection usable, and bounded waits at the in-flight cap.
+// Session-layer acceptance: the mandatory hello (the protocol's version
+// gate), request-id multiplexing with out-of-order completion on one
+// socket, timeout-abandon keeping the connection usable, and bounded waits
+// at the in-flight cap.
 
 #include "net/mux_connection.h"
 
@@ -19,6 +20,7 @@
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "persist/codec.h"
 
 namespace magicrecs::net {
 namespace {
@@ -54,13 +56,23 @@ TEST(MuxConnectionTest, NegotiatesWithTheServer) {
   auto h = StartServer();
   auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
   ASSERT_TRUE(conn.ok()) << conn.status();
-  EXPECT_NE((*conn)->features() & kFeatureMux, 0u);
   EXPECT_EQ((*conn)->server_max_inflight(), 64u);
   std::vector<Frame> reply;
   ASSERT_TRUE((*conn)->CallOne(PingFrame(), 0, &reply).ok());
   ASSERT_EQ(reply.size(), 1u);
   EXPECT_EQ(reply[0].tag, MessageTag::kAck);
   EXPECT_EQ(h->server->stats().mux_connections, 1u);
+
+  // Every session's stats reply carries the server-loop counters (loop
+  // byte 2, the reactor).
+  std::string stats_request;
+  AppendEmptyRequest(MessageTag::kStats, &stats_request);
+  ASSERT_TRUE((*conn)->CallOne(stats_request, 0, &reply).ok());
+  ASSERT_EQ(reply.size(), 1u);
+  ClusterStats stats;
+  ASSERT_TRUE(DecodeStatsReply(reply[0].payload, &stats).ok());
+  EXPECT_EQ(stats.server.loop, 2);
+  EXPECT_EQ(stats.server.mux_connections, 1u);
 }
 
 TEST(MuxConnectionTest, DialFailsAgainstAServerWithoutHello) {
@@ -92,32 +104,39 @@ TEST(MuxConnectionTest, DialFailsAgainstAServerWithoutHello) {
   server.join();
 }
 
-TEST(MuxConnectionTest, StatsTailRidesOnlyOnTheNegotiatedSession) {
-  // The server-loop counters are a negotiated stats tail: a muxed session
-  // receives them (loop byte 2, the reactor), while a peer that never said
-  // hello gets the bare encoding it can decode.
-  auto h = StartServer();
-  std::string stats_request;
-  AppendEmptyRequest(MessageTag::kStats, &stats_request);
-
-  auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
-  ASSERT_TRUE(conn.ok()) << conn.status();
-  std::vector<Frame> reply;
-  ASSERT_TRUE((*conn)->CallOne(stats_request, 0, &reply).ok());
-  ASSERT_EQ(reply.size(), 1u);
-  ClusterStats muxed;
-  ASSERT_TRUE(DecodeStatsReply(reply[0].payload, &muxed).ok());
-  EXPECT_EQ(muxed.server.loop, 2);
-
-  auto bare_socket = TcpSocket::Connect("127.0.0.1", h->server->port());
-  ASSERT_TRUE(bare_socket.ok()) << bare_socket.status();
-  ASSERT_TRUE(WriteFrames(&*bare_socket, stats_request).ok());
-  Frame bare_reply;
-  ASSERT_TRUE(ReadFrame(&*bare_socket, &bare_reply).ok());
-  ASSERT_EQ(bare_reply.tag, MessageTag::kStatsReply);
-  ClusterStats bare;
-  ASSERT_TRUE(DecodeStatsReply(bare_reply.payload, &bare).ok());
-  EXPECT_FALSE(bare.server.any());
+TEST(MuxConnectionTest, DialFailsAgainstAnotherProtocolVersion) {
+  // The hello is the version gate on the client side too: a reply naming
+  // another protocol version fails the dial even though it grants mux.
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::thread server([&] {
+    Result<TcpSocket> peer = listener->Accept();
+    ASSERT_TRUE(peer.ok()) << peer.status();
+    Frame hello;
+    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    uint32_t version = 0;
+    uint32_t features = 0;
+    ASSERT_TRUE(DecodeHello(hello.payload, &version, &features).ok());
+    EXPECT_EQ(version, kProtocolVersion);
+    std::string payload;
+    persist::PutU32(&payload, kProtocolVersion + 1);
+    persist::PutU32(&payload, kFeatureMux | kFeatureTrace);
+    persist::PutU32(&payload, 64);
+    std::string reply;
+    AppendFrame(MessageTag::kHelloReply, payload, &reply);
+    ASSERT_TRUE(WriteFrames(&*peer, reply).ok());
+    char byte;
+    (void)peer->ReadFull(&byte, 1);  // hold the socket until the client exits
+  });
+  {
+    auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
+    EXPECT_FALSE(conn.ok());
+    EXPECT_TRUE(conn.status().IsFailedPrecondition()) << conn.status();
+    EXPECT_NE(conn.status().ToString().find("protocol version"),
+              std::string::npos)
+        << conn.status();
+  }  // the client hangs up here, releasing the fake server
+  server.join();
 }
 
 TEST(MuxConnectionTest, OrderFreeReadOvertakesAStalledWriteOnOneSocket) {

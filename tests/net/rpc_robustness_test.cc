@@ -1,26 +1,33 @@
-// Hostile-peer tests for the daemon side of the RPC layer: truncated
-// frames, oversized length prefixes, CRC damage, and unknown tags must come
-// back as Status errors (or a severed connection) — never a crash, a hang,
-// or collateral damage to other connections.
+// Hostile-peer tests for the daemon side of the RPC layer: session-gate
+// violations, truncated frames, oversized length prefixes, CRC damage, and
+// unknown tags must come back as Status errors (or a severed connection) —
+// never a crash, a hang, or collateral damage to other connections.
 
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "raw_session.h"
 
 #include "cluster/transport.h"
 #include "gen/figure1.h"
 #include "net/fanout_cluster.h"
-#include "net/frame_io.h"
 #include "net/rpc_server.h"
-#include "net/socket.h"
 #include "net/wire.h"
+#include "persist/codec.h"
 
 namespace magicrecs::net {
 namespace {
+
+using net_test::EmptyRequest;
+using net_test::HelloFrame;
+using net_test::MuxWrap;
+using net_test::RawSession;
 
 class RpcRobustnessTest : public ::testing::Test {
  protected:
@@ -39,8 +46,29 @@ class RpcRobustnessTest : public ::testing::Test {
     server_ = std::move(server).value();
   }
 
-  Result<TcpSocket> RawConnection() {
-    return TcpSocket::Connect("127.0.0.1", server_->port());
+  /// A socket that has not said hello yet.
+  RawSession Connect() {
+    auto session = RawSession::Connect(server_->port());
+    EXPECT_TRUE(session.ok()) << session.status();
+    return std::move(session).value();
+  }
+
+  /// A socket past the session gate.
+  RawSession Open() {
+    auto session = RawSession::Open(server_->port());
+    EXPECT_TRUE(session.ok()) << session.status();
+    return std::move(session).value();
+  }
+
+  /// The connection's next frame is a bare kError carrying `code`, and the
+  /// server closes the connection after it.
+  static void ExpectErrorThenClose(RawSession* session, StatusCode code) {
+    Frame reply;
+    ASSERT_TRUE(session->Read(&reply).ok());
+    ASSERT_EQ(reply.tag, MessageTag::kError);
+    const Status error = DecodeError(reply.payload);
+    EXPECT_EQ(error.code(), code) << error;
+    EXPECT_TRUE(session->Closed()) << "the server must sever after " << error;
   }
 
   /// The daemon must still serve a well-behaved client.
@@ -67,112 +95,239 @@ class RpcRobustnessTest : public ::testing::Test {
   std::unique_ptr<RpcServer> server_;
 };
 
+// --- the session gate --------------------------------------------------------
+
+TEST_F(RpcRobustnessTest, NonHelloFirstFrameIsRefusedAndClosed) {
+  // A bare ping, a mux envelope, and a reply-range tag as the opening
+  // frame: each is refused and the connection closed, before any request
+  // reaches the transport.
+  const std::string openers[] = {EmptyRequest(MessageTag::kPing),
+                                 MuxWrap(1, EmptyRequest(MessageTag::kPing)),
+                                 EmptyRequest(MessageTag::kAck)};
+  for (const std::string& opener : openers) {
+    RawSession session = Connect();
+    ASSERT_TRUE(session.Write(opener).ok());
+    ExpectErrorThenClose(&session, StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(server_->stats().mux_connections, 0u);
+  WaitForProtocolErrors(3);
+  ExpectServerAlive();
+}
+
+TEST_F(RpcRobustnessTest, SecondHelloIsRefusedAfterEarlierRepliesDrain) {
+  // A second hello is a session violation. Its error must not overtake
+  // the reply owed to the ping pipelined ahead of it.
+  RawSession session = Open();
+  std::string bytes = MuxWrap(7, EmptyRequest(MessageTag::kPing));
+  bytes += HelloFrame();
+  ASSERT_TRUE(session.Write(bytes).ok());
+  Frame inner;
+  uint64_t id = 0;
+  ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
+  EXPECT_EQ(id, 7u);
+  EXPECT_EQ(inner.tag, MessageTag::kAck);
+  ExpectErrorThenClose(&session, StatusCode::kFailedPrecondition);
+  ExpectServerAlive();
+}
+
+TEST_F(RpcRobustnessTest, HelloFromAnotherProtocolVersionIsRefused) {
+  // The hello is the one version gate: a peer naming another version —
+  // the previous one or a newer one — is refused at the door, not
+  // discovered mid-stream.
+  for (const uint32_t version : {kProtocolVersion - 1, kProtocolVersion + 1}) {
+    std::string payload;
+    persist::PutU8(&payload, 0x01);  // the hello marker
+    persist::PutU32(&payload, version);
+    persist::PutU32(&payload, kFeatureMux | kFeatureTrace);
+    std::string hello;
+    AppendFrame(MessageTag::kHello, payload, &hello);
+    RawSession session = Connect();
+    ASSERT_TRUE(session.Write(hello).ok());
+    Frame reply;
+    ASSERT_TRUE(session.Read(&reply).ok());
+    ASSERT_EQ(reply.tag, MessageTag::kError);
+    const Status refused = DecodeError(reply.payload);
+    EXPECT_TRUE(refused.IsFailedPrecondition()) << refused;
+    EXPECT_NE(refused.ToString().find("protocol version"), std::string::npos)
+        << refused;
+    EXPECT_TRUE(session.Closed()) << "version " << version;
+  }
+  EXPECT_EQ(server_->stats().mux_connections, 0u);
+}
+
+TEST_F(RpcRobustnessTest, HelloWithoutMuxAndMangledHelloAreRefused) {
+  {
+    std::string hello;
+    AppendHello(kFeatureTrace, &hello);  // asks for trace only
+    RawSession session = Connect();
+    ASSERT_TRUE(session.Write(hello).ok());
+    ExpectErrorThenClose(&session, StatusCode::kFailedPrecondition);
+  }
+  {
+    std::string hello;
+    AppendFrame(MessageTag::kHello, "\x7e", &hello);  // no marker
+    RawSession session = Connect();
+    ASSERT_TRUE(session.Write(hello).ok());
+    ExpectErrorThenClose(&session, StatusCode::kInvalidArgument);
+  }
+  ExpectServerAlive();
+}
+
+TEST_F(RpcRobustnessTest, BareRequestAfterTheHelloIsRefused) {
+  // After the hello every request travels in a mux envelope; there is no
+  // second, bare request/response protocol to fall back to.
+  RawSession session = Open();
+  ASSERT_TRUE(session.Write(EmptyRequest(MessageTag::kPing)).ok());
+  ExpectErrorThenClose(&session, StatusCode::kFailedPrecondition);
+  ExpectServerAlive();
+}
+
+// --- framing and payload damage ----------------------------------------------
+
 TEST_F(RpcRobustnessTest, OversizedLengthPrefixGetsErrorAndClose) {
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok());
+  RawSession session = Open();
   // Claim a 1 GiB body. The server must refuse without allocating it.
   std::string header(kFrameHeaderBytes, '\0');
   const uint32_t huge = 1u << 30;
   std::memcpy(header.data(), &huge, sizeof(huge));
-  ASSERT_TRUE(socket->WriteAll(header.data(), header.size()).ok());
-
-  Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  ASSERT_EQ(reply.tag, MessageTag::kError);
-  EXPECT_TRUE(DecodeError(reply.payload).IsResourceExhausted());
-
+  ASSERT_TRUE(session.Write(header).ok());
   // After a framing error the server drops the connection...
-  char byte;
-  EXPECT_TRUE(socket->ReadFull(&byte, 1).IsUnavailable());
+  ExpectErrorThenClose(&session, StatusCode::kResourceExhausted);
   // ...but keeps serving everyone else.
   ExpectServerAlive();
 }
 
-TEST_F(RpcRobustnessTest, CrcMismatchGetsCorruptionErrorAndClose) {
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok());
-  std::string frame;
-  AppendEmptyRequest(MessageTag::kPing, &frame);
-  frame.back() ^= 0x01;  // corrupt the tag byte after the CRC was computed
-  ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
+TEST_F(RpcRobustnessTest, PreHelloOversizedLengthPrefixGetsErrorAndClose) {
+  // Framing is checked before the session gate: a hostile first frame is
+  // refused without its body being buffered.
+  RawSession session = Connect();
+  std::string header(kFrameHeaderBytes, '\0');
+  const uint32_t huge = 1u << 30;
+  std::memcpy(header.data(), &huge, sizeof(huge));
+  ASSERT_TRUE(session.Write(header).ok());
+  ExpectErrorThenClose(&session, StatusCode::kResourceExhausted);
+  ExpectServerAlive();
+}
 
-  Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  ASSERT_EQ(reply.tag, MessageTag::kError);
-  EXPECT_TRUE(DecodeError(reply.payload).IsCorruption());
-  char byte;
-  EXPECT_TRUE(socket->ReadFull(&byte, 1).IsUnavailable());
+TEST_F(RpcRobustnessTest, CrcMismatchGetsCorruptionErrorAndClose) {
+  RawSession session = Open();
+  std::string frame = MuxWrap(1, EmptyRequest(MessageTag::kPing));
+  frame.back() ^= 0x01;  // corrupt the inner tag after the CRC was computed
+  ASSERT_TRUE(session.Write(frame).ok());
+  ExpectErrorThenClose(&session, StatusCode::kCorruption);
   ExpectServerAlive();
 }
 
 TEST_F(RpcRobustnessTest, UnknownTagGetsErrorButConnectionSurvives) {
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok());
-  // Well-framed body with a tag the server has never heard of: the stream
-  // is still aligned, so the connection must stay usable.
-  std::string frame;
-  AppendFrame(static_cast<MessageTag>(0x5e), "payload", &frame);
-  ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
-  Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  ASSERT_EQ(reply.tag, MessageTag::kError);
-  EXPECT_TRUE(DecodeError(reply.payload).IsUnimplemented());
+  RawSession session = Open();
+  // A well-framed envelope around a tag the server has never heard of: the
+  // stream is still aligned, so the connection must stay usable.
+  std::string unknown;
+  AppendFrame(static_cast<MessageTag>(0x5e), "payload", &unknown);
+  ASSERT_TRUE(session.Send(1, unknown).ok());
+  Frame inner;
+  uint64_t id = 0;
+  ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
+  EXPECT_EQ(id, 1u);
+  ASSERT_EQ(inner.tag, MessageTag::kError);
+  EXPECT_TRUE(DecodeError(inner.payload).IsUnimplemented());
+
+  // The retired single-event publish tag (0x01) is just as unknown.
+  std::string retired;
+  AppendFrame(static_cast<MessageTag>(0x01), std::string(17, '\0'), &retired);
+  ASSERT_TRUE(session.Send(2, retired).ok());
+  ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
+  EXPECT_EQ(id, 2u);
+  ASSERT_EQ(inner.tag, MessageTag::kError);
+  EXPECT_TRUE(DecodeError(inner.payload).IsUnimplemented());
 
   // Same connection, valid ping: still served.
-  frame.clear();
-  AppendEmptyRequest(MessageTag::kPing, &frame);
-  ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  EXPECT_EQ(reply.tag, MessageTag::kAck);
+  ASSERT_TRUE(session.Send(3, EmptyRequest(MessageTag::kPing)).ok());
+  ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
+  EXPECT_EQ(id, 3u);
+  EXPECT_EQ(inner.tag, MessageTag::kAck);
 }
 
 TEST_F(RpcRobustnessTest, MalformedPayloadGetsStatusErrorConnectionSurvives) {
-  auto socket = RawConnection();
-  ASSERT_TRUE(socket.ok());
-  // A kPublish frame whose payload is three bytes short: framing is fine,
-  // payload decoding fails -> InvalidArgument response, connection lives.
+  RawSession session = Open();
+  // A publish-batch whose payload is a zero count plus ten stray bytes:
+  // framing is fine, payload decoding fails -> InvalidArgument reply,
+  // connection lives.
   std::string frame;
-  AppendFrame(MessageTag::kPublish, std::string(14, '\0'), &frame);
-  ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
-  Frame reply;
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  ASSERT_EQ(reply.tag, MessageTag::kError);
-  EXPECT_TRUE(DecodeError(reply.payload).IsInvalidArgument());
+  AppendFrame(MessageTag::kPublishBatch, std::string(14, '\0'), &frame);
+  ASSERT_TRUE(session.Send(1, frame).ok());
+  Frame inner;
+  ASSERT_TRUE(session.ReadReply(&inner).ok());
+  ASSERT_EQ(inner.tag, MessageTag::kError);
+  EXPECT_TRUE(DecodeError(inner.payload).IsInvalidArgument());
 
-  frame.clear();
-  AppendEmptyRequest(MessageTag::kPing, &frame);
-  ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
-  ASSERT_TRUE(ReadFrame(&*socket, &reply).ok());
-  EXPECT_EQ(reply.tag, MessageTag::kAck);
+  // An envelope too short to carry an inner tag gets a bare error, and the
+  // connection lives on too.
+  std::string short_envelope;
+  AppendFrame(MessageTag::kMuxRequest, "1234567", &short_envelope);
+  ASSERT_TRUE(session.Write(short_envelope).ok());
+  Frame bare;
+  ASSERT_TRUE(session.Read(&bare).ok());
+  ASSERT_EQ(bare.tag, MessageTag::kError);
+  EXPECT_TRUE(DecodeError(bare.payload).IsInvalidArgument());
+
+  ASSERT_TRUE(session.Send(2, EmptyRequest(MessageTag::kPing)).ok());
+  ASSERT_TRUE(session.ReadReply(&inner).ok());
+  EXPECT_EQ(inner.tag, MessageTag::kAck);
+}
+
+TEST_F(RpcRobustnessTest, PublishBatchWithoutASequenceIsRefused) {
+  // Every batch is idempotent: one without its batch sequence cannot be
+  // deduplicated, so the daemon refuses it instead of applying it.
+  std::vector<EdgeEvent> events(3);
+  for (uint32_t i = 0; i < events.size(); ++i) {
+    events[i].edge = TimestampedEdge{i, i + 1, Seconds(i)};
+  }
+  std::string untagged;
+  AppendPublishBatch(events, &untagged);
+  RawSession session = Open();
+  ASSERT_TRUE(session.Send(1, untagged).ok());
+  Frame inner;
+  ASSERT_TRUE(session.ReadReply(&inner).ok());
+  ASSERT_EQ(inner.tag, MessageTag::kError);
+  const Status refused = DecodeError(inner.payload);
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
+  ASSERT_TRUE(hosted_->Drain().ok());
+  auto stats = hosted_->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->events_published, 0u);
+
+  std::string tagged;
+  AppendPublishBatch(events, &tagged, /*batch_sequence=*/42);
+  ASSERT_TRUE(session.Send(2, tagged).ok());
+  ASSERT_TRUE(session.ReadReply(&inner).ok());
+  EXPECT_EQ(inner.tag, MessageTag::kAck);
 }
 
 TEST_F(RpcRobustnessTest, TruncatedFrameThenDisconnectIsHarmless) {
   {
-    auto socket = RawConnection();
-    ASSERT_TRUE(socket.ok());
+    RawSession session = Open();
     // Half a header, then hang up.
-    ASSERT_TRUE(socket->WriteAll("\x20\x00", 2).ok());
+    ASSERT_TRUE(session.Write(std::string_view("\x20\x00", 2)).ok());
   }
   {
-    auto socket = RawConnection();
-    ASSERT_TRUE(socket.ok());
+    RawSession session = Open();
     // A full header promising 32 body bytes, deliver 5, hang up.
-    std::string frame;
-    AppendEmptyRequest(MessageTag::kPing, &frame);
+    std::string frame = EmptyRequest(MessageTag::kPing);
     uint32_t lied = 32;
     std::memcpy(frame.data(), &lied, sizeof(lied));
-    ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
+    ASSERT_TRUE(session.Write(frame).ok());
   }
   ExpectServerAlive();
   WaitForProtocolErrors(1);
 }
 
 TEST_F(RpcRobustnessTest, GarbageFloodNeverCrashesTheDaemon) {
-  // Deterministic pseudo-garbage, several connections' worth.
+  // Deterministic pseudo-garbage, several connections' worth: half of them
+  // past the hello, half hitting the session gate.
   uint64_t x = 0x9e3779b97f4a7c15ull;
   for (int conn = 0; conn < 8; ++conn) {
-    auto socket = RawConnection();
-    ASSERT_TRUE(socket.ok());
+    RawSession session = conn % 2 == 0 ? Open() : Connect();
     std::string garbage(733 + 97 * conn, '\0');
     for (char& c : garbage) {
       x ^= x << 13;
@@ -182,17 +337,16 @@ TEST_F(RpcRobustnessTest, GarbageFloodNeverCrashesTheDaemon) {
     }
     // The server may sever mid-write once it hits a framing error; that is
     // the expected outcome, not a failure.
-    (void)socket->WriteAll(garbage.data(), garbage.size());
+    (void)session.Write(garbage);
   }
   ExpectServerAlive();
   WaitForProtocolErrors(1);
 }
 
 TEST_F(RpcRobustnessTest, StopWithOpenConnectionsDoesNotHang) {
-  auto a = RawConnection();
-  auto b = RawConnection();
-  ASSERT_TRUE(a.ok() && b.ok());
-  // Neither connection sends anything; Stop() must still return promptly
+  RawSession a = Connect();
+  RawSession b = Open();
+  // Neither connection sends a request; Stop() must still return promptly
   // (the test harness timeout is the hang detector).
   server_->Stop();
 }

@@ -59,24 +59,12 @@ Frame DecodeWhole(const std::string& frame) {
   return out;
 }
 
-TEST(WireTest, PublishRoundTrip) {
-  std::string frame;
-  AppendPublish(MakeEvent(3, 7, 123456789, ActionType::kRetweet), &frame);
-  const Frame decoded = DecodeWhole(frame);
-  EXPECT_EQ(decoded.tag, MessageTag::kPublish);
-  EdgeEvent event;
-  ASSERT_TRUE(DecodePublish(decoded.payload, &event).ok());
-  EXPECT_EQ(event.edge.src, 3u);
-  EXPECT_EQ(event.edge.dst, 7u);
-  EXPECT_EQ(event.edge.created_at, 123456789);
-  EXPECT_EQ(event.action, ActionType::kRetweet);
-  EXPECT_EQ(event.sequence, 0u) << "sequence must be assigned by the broker";
-}
-
 TEST(WireTest, PublishBatchRoundTrip) {
   std::vector<EdgeEvent> events;
   for (int i = 0; i < 100; ++i) {
-    events.push_back(MakeEvent(i, i + 1, Seconds(i)));
+    events.push_back(MakeEvent(i, i + 1, Seconds(i),
+                               i % 2 == 0 ? ActionType::kFollow
+                                          : ActionType::kRetweet));
   }
   std::string frame;
   AppendPublishBatch(events, &frame);
@@ -88,6 +76,7 @@ TEST(WireTest, PublishBatchRoundTrip) {
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(out[i].edge, events[i].edge);
     EXPECT_EQ(out[i].action, events[i].action);
+    EXPECT_EQ(out[i].sequence, 0u) << "sequence must be assigned by the broker";
   }
 }
 
@@ -301,7 +290,7 @@ TEST(WireTest, ZeroLengthBodyIsInvalid) {
 
 TEST(WireTest, CrcMismatchIsCorruption) {
   std::string frame;
-  AppendPublish(MakeEvent(1, 2, 3), &frame);
+  AppendCheckpoint(3, &frame);
   frame[frame.size() - 1] ^= 0x40;  // flip one payload bit
   const SplitFrame split = Split(frame);
   MessageTag tag;
@@ -314,11 +303,12 @@ TEST(WireTest, CrcMismatchIsCorruption) {
 TEST(WireTest, TruncatedPayloadsAreInvalidNotCrash) {
   // Every decoder must reject every strict prefix of a valid payload.
   std::string frame;
-  AppendPublish(MakeEvent(1, 2, 3), &frame);
+  AppendCheckpoint(3, &frame);
   const std::string payload = DecodeWhole(frame).payload;
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    EdgeEvent event;
-    EXPECT_FALSE(DecodePublish(payload.substr(0, cut), &event).ok()) << cut;
+    Timestamp created_at = 0;
+    EXPECT_FALSE(DecodeCheckpoint(payload.substr(0, cut), &created_at).ok())
+        << cut;
   }
 
   frame.clear();
@@ -335,11 +325,11 @@ TEST(WireTest, TruncatedPayloadsAreInvalidNotCrash) {
 
 TEST(WireTest, TrailingGarbageRejected) {
   std::string frame;
-  AppendPublish(MakeEvent(1, 2, 3), &frame);
+  AppendCheckpoint(3, &frame);
   std::string payload = DecodeWhole(frame).payload;
   payload.push_back('\0');
-  EdgeEvent event;
-  EXPECT_TRUE(DecodePublish(payload, &event).IsInvalidArgument());
+  Timestamp created_at = 0;
+  EXPECT_TRUE(DecodeCheckpoint(payload, &created_at).IsInvalidArgument());
 }
 
 TEST(WireTest, ForgedBatchCountDoesNotAllocate) {
@@ -396,9 +386,8 @@ TEST(WireTest, PublishBatchSequenceTailRoundTrips) {
 }
 
 TEST(WireTest, PublishBatchWithoutSequenceTailIsByteIdenticalAndDecodes) {
-  // Sequence 0 must emit the pre-extension encoding byte for byte (strict
-  // brokers keep their PR 3 wire behavior), and the new decoder must read
-  // it as "no sequence".
+  // Sequence 0 omits the tail (the codec's default call shape), and the
+  // decoder reads that as "no sequence" — the value a server refuses.
   const std::vector<EdgeEvent> events = {MakeEvent(7, 8, 300)};
   std::string old_frame;
   AppendPublishBatch(events, &old_frame);
@@ -434,7 +423,7 @@ TEST(WireTest, PublishBatchRejectsTailWithoutPresenceMarker) {
   // existed it would silently misattribute 8 bytes of "sequence".
   const std::vector<EdgeEvent> events = {MakeEvent(1, 2, 100)};
   std::string frame;
-  AppendPublishBatch(events, &frame);  // pre-extension encoding
+  AppendPublishBatch(events, &frame);  // no sequence tail
   std::string payload = DecodeWhole(frame).payload;
   payload.append(9, '\0');  // marker 0x00 + 8 garbage bytes
   std::vector<EdgeEvent> decoded;
@@ -487,9 +476,9 @@ TEST(WireTest, GatherReportTailRoundTrips) {
 }
 
 TEST(WireTest, CompleteGatherOmitsReportTailAndDecodesAsComplete) {
-  // A complete report must not change the bytes at all (back-compat with
-  // PR 3 clients on the healthy path), and the pre-extension encoding must
-  // decode to a complete report.
+  // A complete report must not change the bytes at all (the healthy path
+  // pays nothing), and a reply without the tail must decode to a complete
+  // report.
   GatherReport complete;
   complete.daemons_total = 4;
   complete.daemons_answered = 4;
@@ -608,7 +597,7 @@ TEST(WireTest, GatherReportTailRejectsResidueWithoutPresenceMarker) {
 
 TEST(WireTest, EveryTagHasAName) {
   for (const MessageTag tag :
-       {MessageTag::kPublish, MessageTag::kPublishBatch,
+       {MessageTag::kPublishBatch,
         MessageTag::kTakeRecommendations, MessageTag::kDrain,
         MessageTag::kCheckpoint, MessageTag::kKillReplica,
         MessageTag::kRecoverReplica, MessageTag::kStats, MessageTag::kPing,
@@ -620,6 +609,8 @@ TEST(WireTest, EveryTagHasAName) {
     EXPECT_NE(MessageTagName(tag), "unknown");
   }
   EXPECT_EQ(MessageTagName(static_cast<MessageTag>(0x55)), "unknown");
+  // 0x01, the retired single-event publish, stays unassigned.
+  EXPECT_EQ(MessageTagName(static_cast<MessageTag>(0x01)), "unknown");
 }
 
 // --- trace propagation -------------------------------------------------------
@@ -651,7 +642,7 @@ TEST(WireTest, PublishBatchTraceTailRoundTrips) {
   EXPECT_EQ(sequence, 77u) << "sequence tail must coexist with the trace";
   EXPECT_EQ(out, trace);
 
-  // The tail also rides without a sequence (strict-mode broker).
+  // The codec also carries the trace tail without a sequence.
   frame.clear();
   AppendPublishBatch(events, &frame, /*batch_sequence=*/0, &trace);
   sequence = 99;
@@ -664,9 +655,8 @@ TEST(WireTest, PublishBatchTraceTailRoundTrips) {
 }
 
 TEST(WireTest, UnsampledPublishBatchIsByteIdenticalToPreTraceEncoding) {
-  // The back-compat lock: an unsampled publish (no trace, or an inactive
-  // context) must emit exactly the bytes a pre-trace broker emitted, so
-  // legacy peers and golden captures never see the extension.
+  // An unsampled publish (no trace, or an inactive context) emits exactly
+  // the untraced bytes, so only sampled batches pay for the tail.
   const std::vector<EdgeEvent> events = {MakeEvent(7, 8, 300)};
   std::string pre_trace;
   AppendPublishBatch(events, &pre_trace, /*batch_sequence=*/5);
@@ -834,7 +824,7 @@ TEST(WireTest, HelloReplyRoundTrip) {
 
 TEST(WireTest, MuxRequestRoundTrip) {
   std::string inner;
-  AppendPublish(MakeEvent(3, 7, 42), &inner);
+  AppendCheckpoint(42, &inner);
   std::string envelope;
   AppendMuxRequest(0xDEADBEEFCAFE, inner, &envelope);
   const Frame decoded = DecodeWhole(envelope);
@@ -843,11 +833,10 @@ TEST(WireTest, MuxRequestRoundTrip) {
   Frame unwrapped;
   ASSERT_TRUE(DecodeMuxRequest(decoded.payload, &id, &unwrapped).ok());
   EXPECT_EQ(id, 0xDEADBEEFCAFEull);
-  EXPECT_EQ(unwrapped.tag, MessageTag::kPublish);
-  EdgeEvent event;
-  ASSERT_TRUE(DecodePublish(unwrapped.payload, &event).ok());
-  EXPECT_EQ(event.edge.src, 3u);
-  EXPECT_EQ(event.edge.dst, 7u);
+  EXPECT_EQ(unwrapped.tag, MessageTag::kCheckpoint);
+  Timestamp created_at = 0;
+  ASSERT_TRUE(DecodeCheckpoint(unwrapped.payload, &created_at).ok());
+  EXPECT_EQ(created_at, 42);
 }
 
 TEST(WireTest, MuxResponseRoundTripWithLastFlag) {
@@ -930,9 +919,8 @@ TEST(WireTest, TruncatedMuxPayloadsAreInvalidNotCrash) {
 TEST(WireTest, OrderSensitivityClassification) {
   // The mutating requests must never be reordered; the reads may overtake.
   for (const MessageTag tag :
-       {MessageTag::kPublish, MessageTag::kPublishBatch, MessageTag::kDrain,
-        MessageTag::kCheckpoint, MessageTag::kKillReplica,
-        MessageTag::kRecoverReplica}) {
+       {MessageTag::kPublishBatch, MessageTag::kDrain, MessageTag::kCheckpoint,
+        MessageTag::kKillReplica, MessageTag::kRecoverReplica}) {
     EXPECT_TRUE(IsOrderSensitive(tag)) << MessageTagName(tag);
   }
   for (const MessageTag tag :
@@ -954,30 +942,29 @@ TEST(WireTest, StatsReplyServerLoopTailRoundTrips) {
   stats.server.inflight_stalls = 3;
   stats.server.mux_connections = 299;
 
-  // Emitted only toward negotiated peers...
-  std::string with_tail;
-  AppendStatsReply(stats, &with_tail, /*include_server_tail=*/true);
+  std::string frame;
+  AppendStatsReply(stats, &frame);
   ClusterStats decoded;
-  ASSERT_TRUE(
-      DecodeStatsReply(DecodeWhole(with_tail).payload, &decoded).ok());
+  ASSERT_TRUE(DecodeStatsReply(DecodeWhole(frame).payload, &decoded).ok());
   EXPECT_EQ(decoded.server, stats.server);
   EXPECT_EQ(decoded.partitioner_salt, 7u);
 
-  // ...and omitted otherwise, decoding as all-zero (pre-versioning form).
-  std::string without_tail;
-  AppendStatsReply(stats, &without_tail, /*include_server_tail=*/false);
+  // An encoding that stops after the salt still decodes, as all-zero
+  // counters (tail-growth versioning).
+  std::string payload = DecodeWhole(frame).payload;
+  payload.resize(payload.size() - (1 + 1 + 4 + 5 * 8));
   ClusterStats bare;
-  ASSERT_TRUE(
-      DecodeStatsReply(DecodeWhole(without_tail).payload, &bare).ok());
+  bare.server.loop = 9;  // stale state must be cleared
+  ASSERT_TRUE(DecodeStatsReply(payload, &bare).ok());
   EXPECT_EQ(bare.server, ServerLoopStats{});
-  EXPECT_FALSE(bare.server.any());
+  EXPECT_EQ(bare.partitioner_salt, 7u);
 }
 
 TEST(WireTest, StatsReplyServerLoopTailRejectsForgedResidue) {
   ClusterStats stats;
   stats.server.loop = 1;
   std::string frame;
-  AppendStatsReply(stats, &frame, /*include_server_tail=*/true);
+  AppendStatsReply(stats, &frame);
   std::string payload = DecodeWhole(frame).payload;
   // Corrupt the tail's presence marker: length-compatible residue must not
   // decode as reactor counters.

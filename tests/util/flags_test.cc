@@ -97,5 +97,37 @@ TEST(ParseIntegerFlagTest, ReportsTheFlagAndItsText) {
   EXPECT_EQ(port, 0);
 }
 
+TEST(ParseFiniteDoubleTest, AcceptsWholeFiniteNumbers) {
+  double mean = 0;
+  EXPECT_TRUE(ParseFiniteDouble("30", &mean));
+  EXPECT_EQ(mean, 30.0);
+  EXPECT_TRUE(ParseFiniteDouble("2.5", &mean));
+  EXPECT_EQ(mean, 2.5);
+  EXPECT_TRUE(ParseFiniteDouble("1e3", &mean));
+  EXPECT_EQ(mean, 1000.0);
+  EXPECT_TRUE(ParseFiniteDouble("-0.25", &mean));
+  EXPECT_EQ(mean, -0.25);
+}
+
+TEST(ParseFiniteDoubleTest, RejectsMalformedAndNonFiniteText) {
+  double mean = 30;
+  for (const char* bad : {"", "abc", "30x", "3 0", " 30", "30 ", "+30",
+                          "nan", "NaN", "inf", "-inf", "infinity", "1e999",
+                          "0x1p3", "--1", "."}) {
+    EXPECT_FALSE(ParseFiniteDouble(bad, &mean)) << "'" << bad << "'";
+    EXPECT_EQ(mean, 30.0) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseFiniteDoubleFlagTest, ReportsTheFlagAndItsText) {
+  double mean = 30;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(
+      ParseFiniteDoubleFlag("magicrecsd", "mean-followees", "nan", &mean));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "magicrecsd: invalid value for --mean-followees: 'nan'\n");
+  EXPECT_EQ(mean, 30.0);
+}
+
 }  // namespace
 }  // namespace magicrecs

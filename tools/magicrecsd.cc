@@ -65,10 +65,6 @@ struct DaemonOptions {
   bool inline_mode = false;
   bool partition_id_set = false;
 
-  // Idempotent publish-batch dedup window: what makes a broker's replay of
-  // an unacked frame exactly-once (net/rpc_server.h). 0 disables dedup.
-  size_t publish_dedup_window = 4096;
-
   // Epoll reactor tuning (net/rpc_server.h).
   size_t max_inflight_per_conn = 64;
   int rpc_workers = 4;
@@ -104,10 +100,6 @@ void PrintUsage() {
       "  --window-secs=N        freshness window tau (600)\n"
       "  --inbox-capacity=N     per-replica inbox bound, in events (65536)\n"
       "  --max-influencers=N    influencer cap, 0 = off (0)\n"
-      "  --publish-dedup-window=N  idempotent batch sequences remembered so\n"
-      "                         a broker's replay of an unacked frame is\n"
-      "                         applied once; 0 = off, replays may\n"
-      "                         double-apply (4096)\n"
       "  --max-inflight-per-conn=N  dispatched-but-unanswered requests per\n"
       "                         connection before the reactor stops reading\n"
       "                         that peer (64)\n"
@@ -158,7 +150,10 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
     } else if (FlagValue(arg, "users", &value)) {
       if (!IntFlag("users", value, &options->users)) return false;
     } else if (FlagValue(arg, "mean-followees", &value)) {
-      options->mean_followees = std::strtod(value.c_str(), nullptr);
+      if (!ParseFiniteDoubleFlag("magicrecsd", "mean-followees", value,
+                                 &options->mean_followees)) {
+        return false;
+      }
     } else if (FlagValue(arg, "graph-seed", &value)) {
       if (!IntFlag("graph-seed", value, &options->graph_seed)) return false;
     } else if (FlagValue(arg, "partitions", &value)) {
@@ -199,11 +194,6 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
     } else if (FlagValue(arg, "max-influencers", &value)) {
       if (!IntFlag("max-influencers", value,
                    &options->cluster.max_influencers_per_user)) {
-        return false;
-      }
-    } else if (FlagValue(arg, "publish-dedup-window", &value)) {
-      if (!IntFlag("publish-dedup-window", value,
-                   &options->publish_dedup_window)) {
         return false;
       }
     } else if (FlagValue(arg, "max-inflight-per-conn", &value)) {
@@ -313,7 +303,6 @@ int main(int argc, char** argv) {
   net::RpcServerOptions server_options;
   server_options.host = options.host;
   server_options.port = options.port;
-  server_options.publish_dedup_window = options.publish_dedup_window;
   server_options.max_inflight_per_conn = options.max_inflight_per_conn;
   server_options.worker_threads = options.rpc_workers;
   server_options.slow_request_us = options.slow_request_ms * 1000;
