@@ -9,7 +9,8 @@
 #include <cstdio>
 
 #include "workload.h"
-#include "core/engine.h"
+#include "cluster/partition_server.h"
+#include "core/motif_engine.h"
 #include "util/str_format.h"
 
 using namespace magicrecs;
@@ -30,13 +31,16 @@ int main() {
               "recs", "recall", "query p99(us)");
   uint64_t reference_recs = 0;
   for (const uint32_t cap : {0u, 200u, 100u, 50u, 20u}) {
-    EngineOptions opt;
-    opt.detector.k = 3;
-    opt.detector.window = Minutes(10);
-    opt.detector.max_reported_witnesses = 0;
-    opt.max_influencers_per_user = cap;
-    auto engine = RecommenderEngine::Create(w.follow_graph, opt);
+    DiamondOptions opt;
+    opt.k = 3;
+    opt.window = Minutes(10);
+    opt.max_reported_witnesses = 0;
+    auto capped = ApplyInfluencerCap(w.follow_graph, cap);
+    if (!capped.ok()) return 1;
+    auto engine = MotifEngine::Create(
+        *capped, MakeDiamondSpec(opt.k, opt.window), opt);
     if (!engine.ok()) return 1;
+    const StaticGraph& s = (*engine)->static_index();
 
     std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
@@ -50,8 +54,8 @@ int main() {
     if (cap == 0) reference_recs = total_recs;
     std::printf("%10s %12s %12s %12s %9.1f%% %14.1f\n",
                 cap == 0 ? "unlimited" : CommaSeparated(cap).c_str(),
-                CommaSeparated((*engine)->follower_index().num_edges()).c_str(),
-                HumanBytes((*engine)->StaticMemoryUsage()).c_str(),
+                CommaSeparated(s.num_edges()).c_str(),
+                HumanBytes(s.MemoryUsage()).c_str(),
                 HumanCount(static_cast<double>(total_recs)).c_str(),
                 reference_recs == 0
                     ? 0.0

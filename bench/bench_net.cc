@@ -165,6 +165,7 @@ Endpoint MakeFanout(const StaticGraph& graph, uint32_t daemons,
 struct ThroughputResult {
   double events_per_sec = 0;
   uint64_t recs = 0;
+  GatherReport report;  ///< coverage of the closing gather
 };
 
 /// Threads in this process right now (/proc/self/task entries).
@@ -266,9 +267,9 @@ ThroughputResult RunThroughput(ClusterTransport* transport,
   }
   if (!transport->Drain().ok()) std::exit(1);
   const double secs = watch.ElapsedSeconds();
-  auto recs = transport->TakeRecommendations();
-  if (!recs.ok()) std::exit(1);
   ThroughputResult result;
+  auto recs = transport->TakeRecommendations(&result.report);
+  if (!recs.ok()) std::exit(1);
   result.events_per_sec = static_cast<double>(events.size()) / secs;
   result.recs = recs->size();
   return result;
@@ -355,12 +356,11 @@ int main() {
     endpoint.servers.back()->Stop();
     const ThroughputResult result =
         RunThroughput(endpoint.transport, events, 4096);
-    const GatherReport report = endpoint.fanout->LastGatherReport();
     auto stats = endpoint.fanout->GetStats();
     std::printf("%11s %8d %12s %10s [%s]\n", "fanout-3/4", 4096,
                 HumanCount(result.events_per_sec).c_str(),
                 HumanCount(static_cast<double>(result.recs)).c_str(),
-                report.ToString().c_str());
+                result.report.ToString().c_str());
     if (stats.ok()) {
       std::printf("            degraded stats: %s\n",
                   stats->ToString().c_str());

@@ -169,12 +169,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "drain: %s\n", s.ToString().c_str());
     return 1;
   }
-  auto recs = (*broker)->TakeRecommendations();
+  GatherReport report;
+  auto recs = (*broker)->TakeRecommendations(&report);
   if (!recs.ok()) {
     std::fprintf(stderr, "gather: %s\n", recs.status().ToString().c_str());
     return 1;
   }
-  const GatherReport report = (*broker)->LastGatherReport();
   std::printf("gather report: %s\n", report.ToString().c_str());
 
   bool found = false;

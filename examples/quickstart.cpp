@@ -1,14 +1,14 @@
 // Quickstart: the paper's Figure 1, end to end, in ~60 lines.
 //
 // Builds the eight-vertex sample fragment, streams the four dynamic edges
-// through a RecommenderEngine with k = 2, and shows that the arrival of
+// through the diamond MotifEngine with k = 2, and shows that the arrival of
 // B2 -> C2 produces exactly one recommendation: "push C2 to A2".
 //
 //   $ ./quickstart
 
 #include <cstdio>
 
-#include "core/engine.h"
+#include "core/motif_engine.h"
 #include "gen/figure1.h"
 
 using namespace magicrecs;
@@ -26,10 +26,11 @@ int main() {
 
   // 2. The engine: inverts the follow graph into the follower index (S) and
   //    maintains the dynamic in-edge index (D) as events arrive.
-  EngineOptions options;
-  options.detector.k = 2;             // the paper's worked example
-  options.detector.window = Minutes(10);  // freshness window tau
-  auto engine = RecommenderEngine::Create(follow_graph, options);
+  DiamondOptions options;
+  options.k = 2;                 // the paper's worked example
+  options.window = Minutes(10);  // freshness window tau
+  auto engine = MotifEngine::Create(
+      follow_graph, MakeDiamondSpec(options.k, options.window), options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine creation failed: %s\n",
                  engine.status().ToString().c_str());

@@ -78,8 +78,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
   // cut one shard per hosted partition. Replicas share the immutable shard.
   MAGICRECS_ASSIGN_OR_RETURN(
       const StaticGraph capped,
-      RecommenderEngine::ApplyInfluencerCap(follow_graph,
-                                            options.max_influencers_per_user));
+      ApplyInfluencerCap(follow_graph, options.max_influencers_per_user));
   const StaticGraph full_follower_index = capped.Transpose();
 
   cluster->servers_.resize(cluster->owned_partitions_.size());
@@ -439,8 +438,7 @@ Status Cluster::Checkpoint(Timestamp created_at) {
     MAGICRECS_RETURN_IF_ERROR(wal_->Sync());
   }
   RecoveryManager recovery(options_.persist);
-  return recovery.Checkpoint(source->motif_engine(), /*follower_index=*/nullptr,
-                             source->partition_id(),
+  return recovery.Checkpoint(source->motif_engine(), source->partition_id(),
                              next_sequence_.load(std::memory_order_acquire),
                              created_at);
 }

@@ -43,7 +43,6 @@
 
 #include "cluster/partition_server.h"
 #include "cluster/partitioner.h"
-#include "core/engine.h"
 #include "core/motif_engine.h"
 #include "core/recommendation.h"
 #include "graph/static_graph.h"
@@ -91,7 +90,9 @@ struct ClusterOptions {
   DiamondOptions detector;
 
   /// Influencer cap applied to the follow graph before sharding (see
-  /// EngineOptions::max_influencers_per_user).
+  /// ApplyInfluencerCap). When > 0, only each user's
+  /// `max_influencers_per_user` most-followed followees contribute to S,
+  /// which shrinks S and bounds per-B follower-list fan-in. 0 = off.
   uint32_t max_influencers_per_user = 0;
 
   /// Bounded inbox size per replica in threaded mode (backpressure), in

@@ -21,6 +21,15 @@
 
 namespace magicrecs {
 
+/// The influencer cap: "for users who follow many accounts … limit the
+/// number of influencers each user can have" (§2). Returns a copy of
+/// `follow_graph` where each user keeps only their `cap` most-popular
+/// followees (popularity = follower count; ties break toward smaller id).
+/// cap == 0 returns the graph unchanged. Fails with the graph builder's
+/// status if the capped graph cannot be built.
+Result<StaticGraph> ApplyInfluencerCap(const StaticGraph& follow_graph,
+                                       uint32_t cap);
+
 /// Cuts the S shard for one partition out of the full follower index: the
 /// follower lists restricted to the A's that `partitioner` assigns to
 /// `partition_id`. The same B appears in many shards ("the same B's may

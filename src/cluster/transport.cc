@@ -87,14 +87,10 @@ Status ClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
   return Status::OK();
 }
 
-GatherReport ClusterTransport::LastGatherReport() const {
-  return GatherReport{};  // no fan-out: every gather is complete
-}
-
 Result<std::vector<Recommendation>> ClusterTransport::TakeRecommendations(
     GatherReport* report) {
   Result<std::vector<Recommendation>> recs = TakeRecommendations();
-  if (report != nullptr) *report = LastGatherReport();
+  if (report != nullptr) *report = GatherReport{};  // no fan-out: complete
   return recs;
 }
 

@@ -195,12 +195,10 @@ class ClusterTransport {
   virtual Result<std::vector<Recommendation>> TakeRecommendations() = 0;
 
   /// Same gather, also filling `*report` (if non-null) with THIS call's
-  /// coverage — the race-free form for concurrent callers, since
-  /// LastGatherReport() is a shared last-call slot that another thread's
-  /// gather may overwrite in between. The default implementation forwards
-  /// to the report-less overload and copies LastGatherReport(), which is
-  /// exact for transports whose gathers are always complete; transports
-  /// that can degrade (the fan-out broker) override it.
+  /// coverage. The default implementation forwards to the report-less
+  /// overload and reports a complete gather, which is exact for in-process
+  /// transports; transports that can degrade (the fan-out broker, which
+  /// names the partitions missing from a merge) override it.
   virtual Result<std::vector<Recommendation>> TakeRecommendations(
       GatherReport* report);
 
@@ -235,13 +233,6 @@ class ClusterTransport {
   /// originates sampled traces and ferries those its daemons return,
   /// yields anything; the default is empty.
   virtual std::vector<TraceContext> TakeTraces();
-
-  /// Coverage of the most recent TakeRecommendations on this transport. An
-  /// in-process transport cannot partially fail and reports a complete
-  /// GatherReport; the fan-out broker reports which partitions were
-  /// missing from the last merge. Callers that care about degraded results
-  /// read this right after a successful gather.
-  virtual GatherReport LastGatherReport() const;
 
   /// The user -> partition placement this transport routes by. Local
   /// transports report their cluster's partitioner; the fan-out broker

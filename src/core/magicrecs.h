@@ -4,7 +4,9 @@
 //
 //   #include "core/magicrecs.h"
 //
-//   auto engine = magicrecs::RecommenderEngine::Create(follow_graph, {});
+//   using namespace magicrecs;
+//   auto engine = MotifEngine::Create(follow_graph,
+//                                     MakeDiamondSpec(/*k=*/2, Minutes(10)));
 //   engine.value()->OnEdge(b, c, now, &recommendations);
 
 #ifndef MAGICRECS_CORE_MAGICRECS_H_
@@ -22,9 +24,7 @@
 #include "graph/static_graph.h"
 
 // The paper's contribution: online motif detection — the diamond and the
-// generalized declarative framework of §3 share one executor, MotifEngine —
-// and the single-machine engine facade.
-#include "core/engine.h"
+// generalized declarative framework of §3 share one executor, MotifEngine.
 #include "core/motif_engine.h"
 #include "core/motif_plan.h"
 #include "core/motif_spec.h"

@@ -1,9 +1,7 @@
 #include "graph/static_graph.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "persist/codec.h"
 #include "util/str_format.h"
 
 namespace magicrecs {
@@ -77,71 +75,6 @@ StaticGraph StaticGraph::Transpose() const {
     }
   }
   return out;
-}
-
-void StaticGraph::EncodeTo(std::string* out) const {
-  persist::PutU64(out, offsets_.size());
-  persist::PutU64(out, targets_.size());
-  out->append(reinterpret_cast<const char*>(offsets_.data()),
-              offsets_.size() * sizeof(uint64_t));
-  out->append(reinterpret_cast<const char*>(targets_.data()),
-              targets_.size() * sizeof(VertexId));
-}
-
-Result<StaticGraph> StaticGraph::DecodeFrom(const uint8_t* data, size_t size) {
-  persist::ByteReader reader(data, size);
-  uint64_t num_offsets = 0;
-  uint64_t num_targets = 0;
-  if (!reader.GetU64(&num_offsets) || !reader.GetU64(&num_targets)) {
-    return Status::Corruption("static graph encoding truncated");
-  }
-  // Guard the multiplications below against wrap-around from hostile counts.
-  if (num_offsets > reader.remaining() / sizeof(uint64_t) ||
-      num_targets > reader.remaining() / sizeof(VertexId)) {
-    return Status::Corruption("static graph arrays truncated");
-  }
-  const size_t offset_bytes = num_offsets * sizeof(uint64_t);
-  const size_t target_bytes = num_targets * sizeof(VertexId);
-  if (reader.remaining() < offset_bytes + target_bytes) {
-    return Status::Corruption("static graph arrays truncated");
-  }
-  StaticGraph graph;
-  graph.offsets_.resize(num_offsets);
-  graph.targets_.resize(num_targets);
-  // An empty array's data() may be null, which memcpy rejects even for
-  // zero bytes.
-  if (offset_bytes > 0) {
-    std::memcpy(graph.offsets_.data(), reader.cursor(), offset_bytes);
-  }
-  reader.Skip(offset_bytes);
-  if (target_bytes > 0) {
-    std::memcpy(graph.targets_.data(), reader.cursor(), target_bytes);
-  }
-  reader.Skip(target_bytes);
-
-  // Structural validation: offsets must be a monotone prefix-sum ending at
-  // the target count, and every target id must be in range.
-  if (num_offsets == 0) {
-    if (num_targets != 0) {
-      return Status::Corruption("edges without vertices in static graph");
-    }
-    return graph;
-  }
-  if (graph.offsets_.front() != 0 || graph.offsets_.back() != num_targets) {
-    return Status::Corruption("static graph offsets do not span the targets");
-  }
-  for (size_t i = 1; i < num_offsets; ++i) {
-    if (graph.offsets_[i] < graph.offsets_[i - 1]) {
-      return Status::Corruption("static graph offsets are not monotone");
-    }
-  }
-  const size_t num_vertices = num_offsets - 1;
-  for (const VertexId t : graph.targets_) {
-    if (t >= num_vertices) {
-      return Status::Corruption("static graph target id out of range");
-    }
-  }
-  return graph;
 }
 
 Status StaticGraphBuilder::AddEdge(VertexId src, VertexId dst) {

@@ -67,8 +67,8 @@ class StaticGraph {
   /// `hub_degree_threshold` (0 = AutoHubDegreeThreshold) additionally gets a
   /// bitmap over [0, num_vertices), packed into one contiguous arena so
   /// hub ∩ hub runs word-parallel and hub membership probes are O(1).
-  /// Derived data only — rebuild after DecodeFrom; call before the graph is
-  /// shared across threads. Idempotent for a given threshold.
+  /// Derived data only; call before the graph is shared across threads.
+  /// Idempotent for a given threshold.
   void BuildHubIndex(size_t hub_degree_threshold = 0);
 
   bool has_hub_index() const { return hub_words_per_row_ > 0; }
@@ -104,14 +104,6 @@ class StaticGraph {
            hub_words_.size() * sizeof(uint64_t) +
            hub_slot_.size() * sizeof(uint32_t);
   }
-
-  /// Appends a self-delimiting binary encoding of the CSR arrays to *out
-  /// (little-endian; the persist/ snapshot format embeds this verbatim).
-  void EncodeTo(std::string* out) const;
-
-  /// Rebuilds a graph from EncodeTo() bytes. Corruption if the buffer is
-  /// truncated or structurally inconsistent.
-  static Result<StaticGraph> DecodeFrom(const uint8_t* data, size_t size);
 
  private:
   friend class StaticGraphBuilder;

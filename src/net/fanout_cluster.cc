@@ -793,10 +793,6 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
   const Status replay_rejection = FirstReplayRejection(slots);
   const Status first = FirstError(slots);
   if (caller_report != nullptr) *caller_report = report;
-  {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    last_report_ = report;
-  }
   // Quorum tolerance covers ABSENT daemons, not data loss: a replay-flush
   // rejection (permanent loss of parked events, surfaced exactly once)
   // fails the call even when enough daemons answered this gather.
@@ -970,11 +966,6 @@ Result<ClusterStats> FanoutCluster::GetStats() {
               return a.partition < b.partition;
             });
   return merged;
-}
-
-GatherReport FanoutCluster::LastGatherReport() const {
-  std::lock_guard<std::mutex> lock(report_mu_);
-  return last_report_;
 }
 
 std::vector<TraceContext> FanoutCluster::TakeTraces() {

@@ -55,8 +55,9 @@
 // all-or-nothing contract for availability:
 //   * gathers return the merged recommendations of whichever daemons
 //     answered, as long as at least the quorum did; the partitions missing
-//     from the merge are named by LastGatherReport() (and forwarded on the
-//     wire when this broker itself sits behind an RpcServer);
+//     from the merge are named by TakeRecommendations(GatherReport*) (and
+//     forwarded on the wire when this broker itself sits behind an
+//     RpcServer);
 //   * publishes to a daemon in reconnect backoff are queued in a bounded
 //     per-daemon replay buffer and re-sent — in order, ahead of newer
 //     traffic — once the daemon answers again; overflow is an explicit
@@ -254,14 +255,11 @@ class FanoutCluster : public ClusterTransport {
   /// taken from healthy daemons into a bounded client-side buffer,
   /// prepended to the next successful call (server-side takes are
   /// destructive; see the class comment). A quorum/best-effort success with
-  /// daemons missing returns the partial merge; the report overload (or,
-  /// single-threaded, LastGatherReport()) names the missing partitions.
+  /// daemons missing returns the partial merge; the report overload names
+  /// the missing partitions.
   Result<std::vector<Recommendation>> TakeRecommendations() override;
   Result<std::vector<Recommendation>> TakeRecommendations(
       GatherReport* report) override;
-
-  /// Coverage of the most recent gather (complete until one has run).
-  GatherReport LastGatherReport() const override;
 
   Status Checkpoint(Timestamp created_at) override;
   Status KillReplica(uint32_t partition, uint32_t replica) override;
@@ -548,10 +546,6 @@ class FanoutCluster : public ClusterTransport {
   /// max_pending_recommendations; cleared by Close().
   std::mutex pending_mu_;
   std::vector<Recommendation> pending_;
-
-  /// Coverage of the most recent gather.
-  mutable std::mutex report_mu_;
-  GatherReport last_report_;
 
   /// Source of the idempotent batch sequences every publish frame carries.
   /// Seeded with a random epoch per broker incarnation (see the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "util/clock.h"
 #include "util/str_format.h"
@@ -23,26 +24,8 @@ std::string RecoveryStats::ToString() const {
       static_cast<unsigned long long>(next_sequence), ToMillis(wall_micros));
 }
 
-Status RecoveryManager::LoadLatestSnapshot(
-    std::optional<SnapshotContents>* contents, RecoveryStats* stats) const {
-  contents->reset();
-  Result<std::string> path = FindLatestSnapshot(options_.dir);
-  if (!path.ok()) {
-    if (path.status().IsNotFound()) return Status::OK();  // cold start
-    return path.status();
-  }
-  MAGICRECS_ASSIGN_OR_RETURN(SnapshotContents loaded, ReadSnapshot(*path));
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(*path, ec);
-  stats->snapshot_bytes = ec ? 0 : size;
-  stats->snapshot_loaded = true;
-  *contents = std::move(loaded);
-  return Status::OK();
-}
-
-Status RecoveryManager::ReplayFrom(
-    uint64_t min_sequence, const std::function<Status(const EdgeEvent&)>& ingest,
-    RecoveryStats* stats) const {
+Status RecoveryManager::ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
+                                   RecoveryStats* stats) const {
   uint64_t max_seen = 0;
   bool any = false;
   WalReplayStats wal_stats;
@@ -51,7 +34,8 @@ Status RecoveryManager::ReplayFrom(
       [&](const EdgeEvent& event) {
         max_seen = std::max(max_seen, event.sequence);
         any = true;
-        return ingest(event);
+        return engine->Ingest(event.edge.src, event.edge.dst,
+                              event.edge.created_at);
       },
       &wal_stats));
   stats->wal_bytes_read = wal_stats.bytes_read;
@@ -63,44 +47,8 @@ Status RecoveryManager::ReplayFrom(
   return Status::OK();
 }
 
-Status RecoveryManager::RebuildDynamicState(
-    const std::optional<SnapshotContents>& snapshot, MotifEngine* engine,
-    RecoveryStats* stats) const {
-  engine->ClearDynamicState();
-  uint64_t min_sequence = 0;
-  if (snapshot.has_value()) {
-    if (snapshot->has_dynamic) {
-      MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
-          reinterpret_cast<const uint8_t*>(snapshot->dynamic_bytes.data()),
-          snapshot->dynamic_bytes.size()));
-    }
-    min_sequence = snapshot->meta.next_sequence;
-  }
-  return ReplayFrom(
-      min_sequence,
-      [engine](const EdgeEvent& event) {
-        return engine->Ingest(event.edge.src, event.edge.dst,
-                              event.edge.created_at);
-      },
-      stats);
-}
-
-Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
-                                            RecoveryStats* stats) const {
-  *stats = RecoveryStats{};
-  if (!options_.enabled()) {
-    return Status::FailedPrecondition("persistence is not configured");
-  }
-  Stopwatch timer;
-  std::optional<SnapshotContents> snapshot;
-  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, stats));
-  MAGICRECS_RETURN_IF_ERROR(RebuildDynamicState(snapshot, engine, stats));
-  stats->wall_micros = timer.ElapsedMicros();
-  return Status::OK();
-}
-
-Result<std::unique_ptr<RecommenderEngine>> RecoveryManager::RecoverEngine(
-    const EngineOptions& options, RecoveryStats* stats) const {
+Status RecoveryManager::RecoverPartitionServer(PartitionServer* server,
+                                               RecoveryStats* stats) const {
   RecoveryStats local;
   RecoveryStats& out = stats != nullptr ? *stats : local;
   out = RecoveryStats{};
@@ -108,49 +56,32 @@ Result<std::unique_ptr<RecommenderEngine>> RecoveryManager::RecoverEngine(
     return Status::FailedPrecondition("persistence is not configured");
   }
   Stopwatch timer;
-
-  std::optional<SnapshotContents> snapshot;
-  MAGICRECS_RETURN_IF_ERROR(LoadLatestSnapshot(&snapshot, &out));
-  if (!snapshot.has_value() || !snapshot->has_static) {
-    return Status::FailedPrecondition(
-        "engine recovery needs a snapshot carrying the follower index; "
-        "checkpoint with include_follower_index or rebuild from the follow "
-        "graph");
+  // Reset first, so stale pre-crash edges cannot leak into the rebuilt D.
+  MotifEngine& engine = server->motif_engine();
+  engine.ClearDynamicState();
+  uint64_t min_sequence = 0;
+  Result<std::string> path = FindLatestSnapshot(options_.dir);
+  if (path.ok()) {
+    MAGICRECS_ASSIGN_OR_RETURN(const SnapshotContents snapshot,
+                               ReadSnapshot(*path));
+    MAGICRECS_RETURN_IF_ERROR(engine.RestoreDynamicState(
+        reinterpret_cast<const uint8_t*>(snapshot.dynamic_bytes.data()),
+        snapshot.dynamic_bytes.size()));
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(*path, ec);
+    out.snapshot_bytes = ec ? 0 : size;
+    out.snapshot_loaded = true;
+    min_sequence = snapshot.meta.next_sequence;
+  } else if (!path.status().IsNotFound()) {  // NotFound: cold start
+    return path.status();
   }
-  MAGICRECS_ASSIGN_OR_RETURN(
-      StaticGraph follower_index,
-      StaticGraph::DecodeFrom(
-          reinterpret_cast<const uint8_t*>(snapshot->static_bytes.data()),
-          snapshot->static_bytes.size()));
-  MAGICRECS_ASSIGN_OR_RETURN(
-      std::unique_ptr<RecommenderEngine> engine,
-      RecommenderEngine::CreateFromFollowerIndex(std::move(follower_index),
-                                                 options));
-  MAGICRECS_RETURN_IF_ERROR(
-      RebuildDynamicState(snapshot, &engine->motif_engine(), &out));
+  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(min_sequence, &engine, &out));
   out.wall_micros = timer.ElapsedMicros();
-  return engine;
-}
-
-Status RecoveryManager::RecoverEngineState(RecommenderEngine* engine,
-                                           RecoveryStats* stats) const {
-  RecoveryStats local;
-  return RecoverDynamicState(&engine->motif_engine(),
-                             stats != nullptr ? stats : &local);
-}
-
-Status RecoveryManager::RecoverPartitionServer(PartitionServer* server,
-                                               RecoveryStats* stats) const {
-  RecoveryStats local;
-  RecoveryStats& out = stats != nullptr ? *stats : local;
-  MAGICRECS_RETURN_IF_ERROR(
-      RecoverDynamicState(&server->motif_engine(), &out));
   server->set_next_sequence(out.next_sequence);
   return Status::OK();
 }
 
 Status RecoveryManager::Checkpoint(const MotifEngine& engine,
-                                   const StaticGraph* follower_index,
                                    uint32_t partition_id,
                                    uint64_t next_sequence,
                                    Timestamp created_at) const {
@@ -170,8 +101,8 @@ Status RecoveryManager::Checkpoint(const MotifEngine& engine,
   meta.created_at = created_at;
   const std::string path =
       options_.dir + "/" + SnapshotFileName(next_sequence);
-  MAGICRECS_RETURN_IF_ERROR(WriteSnapshot(path, meta, follower_index,
-                                          &engine.dynamic_index()));
+  MAGICRECS_RETURN_IF_ERROR(
+      WriteSnapshot(path, meta, engine.dynamic_index()));
   // Reclaim everything the new snapshot supersedes. Failing to reclaim is
   // not fatal to durability, but surfacing it beats silent disk growth.
   MAGICRECS_RETURN_IF_ERROR(

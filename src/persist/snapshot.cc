@@ -25,9 +25,7 @@ using persist::MaskCrc;
 using persist::UnmaskCrc;
 
 constexpr char kMagic[8] = {'M', 'R', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kFlagHasStatic = 1u << 0;
 constexpr uint32_t kFlagHasDynamic = 1u << 1;
-constexpr uint32_t kTagStatic = 1;
 constexpr uint32_t kTagDynamic = 2;
 
 void AppendSection(std::string* out, uint32_t tag, const std::string& payload) {
@@ -71,30 +69,19 @@ std::string SnapshotFileName(uint64_t next_sequence) {
 }
 
 Status WriteSnapshot(const std::string& path, const SnapshotMeta& meta,
-                     const StaticGraph* follower_index,
-                     const DynamicInEdgeIndex* dynamic_index) {
+                     const DynamicInEdgeIndex& dynamic_index) {
   std::string blob;
   blob.append(kMagic, sizeof(kMagic));
   persist::PutU32(&blob, kSnapshotVersion);
-  uint32_t flags = 0;
-  if (follower_index != nullptr) flags |= kFlagHasStatic;
-  if (dynamic_index != nullptr) flags |= kFlagHasDynamic;
-  persist::PutU32(&blob, flags);
+  persist::PutU32(&blob, kFlagHasDynamic);
   persist::PutU32(&blob, meta.partition_id);
   persist::PutU32(&blob, 0);  // reserved
   persist::PutU64(&blob, meta.next_sequence);
   persist::PutI64(&blob, meta.created_at);
 
   std::string payload;
-  if (follower_index != nullptr) {
-    follower_index->EncodeTo(&payload);
-    AppendSection(&blob, kTagStatic, payload);
-  }
-  if (dynamic_index != nullptr) {
-    payload.clear();
-    dynamic_index->EncodeTo(&payload);
-    AppendSection(&blob, kTagDynamic, payload);
-  }
+  dynamic_index.EncodeTo(&payload);
+  AppendSection(&blob, kTagDynamic, payload);
 
   // Temp + fsync + rename + directory fsync: a crash or power loss at any
   // point leaves either the old snapshot or the complete new one — never a
@@ -140,6 +127,7 @@ Result<SnapshotContents> ReadSnapshot(const std::string& path) {
   uint32_t flags = 0;
   uint32_t reserved = 0;
   SnapshotContents out;
+  bool has_dynamic = false;
   if (!reader.GetU32(&version) || !reader.GetU32(&flags) ||
       !reader.GetU32(&out.meta.partition_id) || !reader.GetU32(&reserved) ||
       !reader.GetU64(&out.meta.next_sequence) ||
@@ -150,6 +138,12 @@ Result<SnapshotContents> ReadSnapshot(const std::string& path) {
     return Status::InvalidArgument(
         StrFormat("%s: snapshot version %u is newer than supported %u",
                   path.c_str(), version, kSnapshotVersion));
+  }
+  if (flags != kFlagHasDynamic) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: snapshot flags 0x%x, expected 0x%x (D only); S is never read "
+        "from a snapshot and must be rebuilt from the follow graph",
+        path.c_str(), flags, kFlagHasDynamic));
   }
 
   while (reader.remaining() > 0) {
@@ -168,25 +162,15 @@ Result<SnapshotContents> ReadSnapshot(const std::string& path) {
       return Status::Corruption(
           StrFormat("%s: section %u checksum mismatch", path.c_str(), tag));
     }
-    std::string bytes(reinterpret_cast<const char*>(payload), len);
-    switch (tag) {
-      case kTagStatic:
-        out.has_static = true;
-        out.static_bytes = std::move(bytes);
-        break;
-      case kTagDynamic:
-        out.has_dynamic = true;
-        out.dynamic_bytes = std::move(bytes);
-        break;
-      default:
-        break;  // unknown section from a newer minor revision: skip
-    }
+    if (tag == kTagDynamic) {
+      has_dynamic = true;
+      out.dynamic_bytes.assign(reinterpret_cast<const char*>(payload), len);
+    }  // other tags: sections from a newer minor revision, skipped
   }
 
-  if (out.has_static != ((flags & kFlagHasStatic) != 0) ||
-      out.has_dynamic != ((flags & kFlagHasDynamic) != 0)) {
+  if (!has_dynamic) {
     return Status::Corruption(
-        StrFormat("%s: sections disagree with header flags", path.c_str()));
+        StrFormat("%s: D section missing", path.c_str()));
   }
   return out;
 }

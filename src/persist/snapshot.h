@@ -1,13 +1,18 @@
-// Versioned binary snapshots of a partition's durable state: the static
-// follower index S (optional — replicas that can rebuild S from the offline
-// graph pipeline snapshot only D) and the dynamic in-edge index D, plus the
-// sequence cutoff that tells recovery where WAL replay must resume.
+// Versioned binary snapshots of a partition's durable state: the dynamic
+// in-edge index D, plus the sequence cutoff that tells recovery where WAL
+// replay must resume. A snapshot holds D only; the static follower index S
+// is rebuilt from the follow graph when a Cluster starts, never persisted.
 //
 // On-disk layout (little-endian):
 //   snapshot := magic "MRSNAP01" (8)  version:u32  flags:u32
 //               partition_id:u32  reserved:u32  next_sequence:u64
 //               created_at:i64  section*
 //   section  := tag:u32  payload_len:u64  payload  masked_crc32c(payload):u32
+//
+// flags must be exactly 0x2 (D present) and the D section (tag 2) is
+// required. Version 1 also allowed flag 0x1 with an S section (tag 1);
+// ReadSnapshot refuses such files: their S must be rebuilt from the follow
+// graph. Sections with unknown tags are skipped.
 //
 // Snapshots are written to a temp file and renamed into place, so a crash
 // mid-write never leaves a half snapshot under the canonical name. Files are
@@ -21,7 +26,6 @@
 #include <string>
 
 #include "graph/dynamic_graph.h"
-#include "graph/static_graph.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/types.h"
@@ -42,21 +46,16 @@ struct SnapshotMeta {
   Timestamp created_at = 0;
 };
 
-/// A decoded snapshot file: metadata plus the raw section payloads, ready
-/// for StaticGraph::DecodeFrom / DynamicInEdgeIndex::DecodeFrom.
+/// A decoded snapshot file: metadata plus the raw D payload, ready for
+/// DynamicInEdgeIndex::DecodeFrom.
 struct SnapshotContents {
   SnapshotMeta meta;
-  bool has_static = false;
-  bool has_dynamic = false;
-  std::string static_bytes;
   std::string dynamic_bytes;
 };
 
-/// Serializes the given state to `path` (atomically, via temp + rename).
-/// Either graph pointer may be null to omit that section.
+/// Serializes `dynamic_index` to `path` (atomically, via temp + rename).
 Status WriteSnapshot(const std::string& path, const SnapshotMeta& meta,
-                     const StaticGraph* follower_index,
-                     const DynamicInEdgeIndex* dynamic_index);
+                     const DynamicInEdgeIndex& dynamic_index);
 
 /// Reads and CRC-verifies a snapshot written by WriteSnapshot.
 Result<SnapshotContents> ReadSnapshot(const std::string& path);

@@ -41,6 +41,61 @@ TEST(ClusterTest, InvalidOptionsRejected) {
   EXPECT_TRUE(Cluster::Create(figure1::FollowGraph(), too_many_replicas)
                   .status()
                   .IsInvalidArgument());
+  // Detector options are validated when the partition engines compile.
+  EXPECT_TRUE(Cluster::Create(figure1::FollowGraph(), MakeOptions(1, 1, 0))
+                  .status()
+                  .IsInvalidArgument());
+  ClusterOptions zero_window = MakeOptions(1);
+  zero_window.detector.window = 0;
+  EXPECT_TRUE(Cluster::Create(figure1::FollowGraph(), zero_window)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ClusterTest, OnePartitionShardIsTheFullFollowerIndex) {
+  // One machine is a one-partition cluster: its shard is the whole
+  // follower index, inverted from the follow graph.
+  auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const StaticGraph& s = (*cluster)->server(0, 0).shard();
+  EXPECT_EQ(s.num_edges(), figure1::FollowGraph().num_edges());
+  // followers(B1) = {A1, A2}
+  const auto followers = s.Neighbors(figure1::kB1);
+  ASSERT_EQ(followers.size(), 2u);
+  EXPECT_EQ(followers[0], figure1::kA1);
+  EXPECT_EQ(followers[1], figure1::kA2);
+}
+
+TEST(ClusterTest, CapChangesDetectionOutcome) {
+  // A0 follows B1, B2 (B2 more popular via follower B3), plus popular B4,
+  // B5. With cap=2 only {B4, B5} (most-followed) survive, so a motif via
+  // B1+B2 is no longer visible for A0.
+  StaticGraphBuilder builder(20);
+  ASSERT_TRUE(builder.AddEdges({{0, 1}, {0, 2}, {0, 4}, {0, 5}}).ok());
+  // Give B4 and B5 many followers.
+  for (VertexId a = 10; a < 16; ++a) {
+    ASSERT_TRUE(builder.AddEdge(a, 4).ok());
+    ASSERT_TRUE(builder.AddEdge(a, 5).ok());
+  }
+  auto g = builder.Build();
+  ASSERT_TRUE(g.ok());
+
+  ClusterOptions capped_opt = MakeOptions(1);
+  capped_opt.max_influencers_per_user = 2;
+  auto capped_cluster = Cluster::Create(*g, capped_opt);
+  ASSERT_TRUE(capped_cluster.ok());
+
+  auto full_cluster = Cluster::Create(*g, MakeOptions(1));
+  ASSERT_TRUE(full_cluster.ok());
+
+  std::vector<Recommendation> capped_recs, full_recs;
+  ASSERT_TRUE((*capped_cluster)->OnEdge(1, 9, 1, &capped_recs).ok());
+  ASSERT_TRUE((*capped_cluster)->OnEdge(2, 9, 2, &capped_recs).ok());
+  ASSERT_TRUE((*full_cluster)->OnEdge(1, 9, 1, &full_recs).ok());
+  ASSERT_TRUE((*full_cluster)->OnEdge(2, 9, 2, &full_recs).ok());
+
+  EXPECT_EQ(full_recs.size(), 1u);   // motif via B1+B2 found
+  EXPECT_TRUE(capped_recs.empty());  // pruned away by the influencer cap
 }
 
 TEST(ClusterTest, InlineFigure1MatchesSingleMachine) {

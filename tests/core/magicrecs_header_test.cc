@@ -15,11 +15,9 @@ TEST(UmbrellaHeaderTest, MinimalEmbedding) {
   auto follow_graph = builder.Build();
   ASSERT_TRUE(follow_graph.ok());
 
-  EngineOptions options;
-  options.detector.k = 2;
-  options.detector.window = Minutes(10);
-  auto engine = RecommenderEngine::Create(*follow_graph, options);
-  ASSERT_TRUE(engine.ok());
+  auto engine =
+      MotifEngine::Create(*follow_graph, MakeDiamondSpec(2, Minutes(10)));
+  ASSERT_TRUE(engine.ok()) << engine.status();
 
   std::vector<Recommendation> recs;
   ASSERT_TRUE((*engine)->OnEdge(2, 9, Seconds(1), &recs).ok());

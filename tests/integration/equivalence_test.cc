@@ -1,6 +1,6 @@
 // Cross-implementation equivalence: the same motif semantics are implemented
 // three times in this repo (online motif engine, batch snapshot finder,
-// partitioned cluster). On any workload they must agree, and the engine must
+// partitioned cluster; one machine is a one-partition cluster). On any workload they must agree, and the engine must
 // reproduce the recorded output of the hand-coded diamond detector it
 // replaced.
 
@@ -181,6 +181,34 @@ TEST_P(EquivalenceTest, ClusterMatchesSingleMachine) {
   }
 
   EXPECT_EQ(Keys(cluster_recs), Keys(single_recs)) << "k=" << k;
+
+  // One machine is a one-partition cluster: with the influencer cap on, its
+  // ordered output is exactly the engine's over the capped follow graph.
+  ClusterOptions one;
+  one.num_partitions = 1;
+  one.detector = DetectorOptions(k);
+  one.max_influencers_per_user = 5;
+  auto capped =
+      ApplyInfluencerCap(w.follow_graph, one.max_influencers_per_user);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  ASSERT_LT(capped->num_edges(), w.follow_graph.num_edges())
+      << "the cap should bind on this workload";
+  Workload capped_w;
+  capped_w.follow_graph = std::move(capped).value();
+  capped_w.events = w.events;
+  const std::vector<Recommendation> capped_single =
+      RunEngine(capped_w, one.detector);
+  auto one_cluster = Cluster::Create(w.follow_graph, one);
+  ASSERT_TRUE(one_cluster.ok()) << one_cluster.status();
+  std::vector<Recommendation> one_recs;
+  for (const TimestampedEdge& e : w.events) {
+    ASSERT_TRUE(
+        (*one_cluster)->OnEdge(e.src, e.dst, e.created_at, &one_recs).ok());
+  }
+  if (k <= 2) {
+    EXPECT_FALSE(one_recs.empty()) << "k=" << k;
+  }
+  EXPECT_EQ(one_recs, capped_single) << "k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(AcrossK, EquivalenceTest,

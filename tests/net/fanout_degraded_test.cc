@@ -219,9 +219,9 @@ TEST(FanoutDegradedTest, QuorumGatherSurvivesDaemonKilledMidstream) {
   // Drain tolerates the dead daemon (3/4 >= majority quorum of 3).
   ASSERT_TRUE(g.broker->Drain().ok());
 
-  auto degraded = g.broker->TakeRecommendations();
+  GatherReport report;
+  auto degraded = g.broker->TakeRecommendations(&report);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
-  const GatherReport report = g.broker->LastGatherReport();
   EXPECT_EQ(report.daemons_total, kGroup);
   EXPECT_EQ(report.daemons_answered, kGroup - 1);
   ASSERT_EQ(report.missing_partitions.size(), 1u);
@@ -271,10 +271,11 @@ TEST(FanoutDegradedTest, QuorumGatherSurvivesDaemonKilledMidstream) {
   std::vector<Recommendation> all = *degraded;
   for (int attempt = 0; attempt < 200; ++attempt) {
     ASSERT_TRUE(g.broker->Drain().ok());
-    auto taken = g.broker->TakeRecommendations();
+    GatherReport taken_report;
+    auto taken = g.broker->TakeRecommendations(&taken_report);
     ASSERT_TRUE(taken.ok()) << taken.status();
     all.insert(all.end(), taken->begin(), taken->end());
-    if (g.broker->LastGatherReport().complete() &&
+    if (taken_report.complete() &&
         all.size() >= reference.size()) {
       break;
     }
@@ -301,10 +302,11 @@ TEST(FanoutDegradedTest, StrictModeOnHealthyGroupMatchesInlineReference) {
   Group g = StartGroup(w.graph, kGroup, FanoutPolicy::kStrict);
   ASSERT_TRUE(g.broker->PublishBatch(w.events).ok());
   ASSERT_TRUE(g.broker->Drain().ok());
-  auto recs = g.broker->TakeRecommendations();
+  GatherReport report;
+  auto recs = g.broker->TakeRecommendations(&report);
   ASSERT_TRUE(recs.ok());
   EXPECT_EQ(Sorted(*recs), reference);
-  EXPECT_TRUE(g.broker->LastGatherReport().complete());
+  EXPECT_TRUE(report.complete());
   auto stats = g.broker->GetStats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->degraded_gathers, 0u);
@@ -319,10 +321,10 @@ TEST(FanoutDegradedTest, BestEffortGatherSurvivesEveryDaemonDown) {
   EdgeEvent event;
   event.edge = {figure1::kB1, figure1::kC1, 1};
   EXPECT_TRUE(g.broker->Publish(event).ok());
-  auto recs = g.broker->TakeRecommendations();
+  GatherReport report;
+  auto recs = g.broker->TakeRecommendations(&report);
   ASSERT_TRUE(recs.ok()) << recs.status();
   EXPECT_TRUE(recs->empty());
-  const GatherReport report = g.broker->LastGatherReport();
   EXPECT_EQ(report.daemons_answered, 0u);
   EXPECT_EQ(report.missing_partitions.size(), 2u);
 }

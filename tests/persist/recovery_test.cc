@@ -13,16 +13,21 @@
 #include "cluster/cluster.h"
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
+#include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "scoped_temp_dir.h"
 
 namespace magicrecs {
 namespace {
 
-EngineOptions TestEngineOptions() {
-  EngineOptions options;
+/// One partition, one replica, inline: the single-machine deployment.
+/// Durable when `persist_dir` is non-empty.
+ClusterOptions OnePartition(const std::string& persist_dir) {
+  ClusterOptions options;
+  options.num_partitions = 1;
   options.detector.k = 2;
   options.detector.window = Minutes(10);
+  options.persist.dir = persist_dir;
   return options;
 }
 
@@ -53,26 +58,21 @@ TestWorkload MakeTestWorkload(uint64_t num_events) {
   return w;
 }
 
-EdgeEvent ToEvent(const TimestampedEdge& edge, uint64_t sequence) {
-  EdgeEvent event;
-  event.edge = edge;
-  event.sequence = sequence;
-  return event;
+std::unique_ptr<Cluster> MakeCluster(const TestWorkload& w,
+                                     const ClusterOptions& options) {
+  auto cluster = Cluster::Create(w.follow_graph, options);
+  EXPECT_TRUE(cluster.ok()) << cluster.status();
+  return cluster.ok() ? std::move(cluster).value() : nullptr;
 }
 
-/// Runs `events[begin, end)` through the engine, collecting recommendations.
-std::vector<Recommendation> RunRange(RecommenderEngine* engine,
+/// Runs `events[begin, end)` through the cluster, collecting
+/// recommendations.
+std::vector<Recommendation> RunRange(Cluster* cluster,
                                      const std::vector<TimestampedEdge>& events,
-                                     size_t begin, size_t end,
-                                     WalWriter* wal = nullptr,
-                                     uint64_t first_sequence = 0) {
+                                     size_t begin, size_t end) {
   std::vector<Recommendation> recs;
   for (size_t i = begin; i < end; ++i) {
-    if (wal != nullptr) {
-      EXPECT_TRUE(
-          wal->Append(ToEvent(events[i], first_sequence + (i - begin))).ok());
-    }
-    EXPECT_TRUE(engine
+    EXPECT_TRUE(cluster
                     ->OnEdge(events[i].src, events[i].dst,
                              events[i].created_at, &recs)
                     .ok());
@@ -85,38 +85,32 @@ TEST(RecoveryEquivalenceTest, CrashAtMidStreamThenRecoverMatchesUninterrupted) {
   const size_t half = w.events.size() / 2;
 
   // Uninterrupted reference run.
-  auto baseline = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-  ASSERT_TRUE(baseline.ok());
+  auto baseline = MakeCluster(w, OnePartition(""));
+  ASSERT_NE(baseline, nullptr);
   const std::vector<Recommendation> baseline_recs =
-      RunRange(baseline->get(), w.events, 0, w.events.size());
+      RunRange(baseline.get(), w.events, 0, w.events.size());
   ASSERT_FALSE(baseline_recs.empty())
       << "workload produced no recommendations; equivalence check is vacuous";
 
-  // Durable run: log every event, crash after half the stream.
+  // Durable run: the broker logs every event; crash after half the stream.
   ScopedTempDir dir;
-  PersistOptions persist;
-  persist.dir = dir.path();
   std::vector<Recommendation> pre_crash_recs;
   {
-    auto engine = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-    ASSERT_TRUE(engine.ok());
-    auto wal = WalWriter::Open(persist);
-    ASSERT_TRUE(wal.ok());
-    pre_crash_recs = RunRange(engine->get(), w.events, 0, half, wal->get(), 0);
-    // <- crash: engine state dropped, only the WAL survives.
+    auto cluster = MakeCluster(w, OnePartition(dir.path()));
+    ASSERT_NE(cluster, nullptr);
+    pre_crash_recs = RunRange(cluster.get(), w.events, 0, half);
+    // <- crash: in-memory state dropped, only the WAL survives.
   }
 
-  // Recover into a fresh engine and finish the stream.
-  auto recovered = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-  ASSERT_TRUE(recovered.ok());
-  RecoveryManager recovery(persist);
-  RecoveryStats stats;
-  ASSERT_TRUE(recovery.RecoverEngineState(recovered->get(), &stats).ok());
-  EXPECT_FALSE(stats.snapshot_loaded);
-  EXPECT_EQ(stats.events_replayed, half);
-  EXPECT_TRUE(stats.wal_clean_tail);
+  // Restart: Create replays the WAL into the fresh replica, then the
+  // stream finishes.
+  auto restarted = MakeCluster(w, OnePartition(dir.path()));
+  ASSERT_NE(restarted, nullptr);
+  EXPECT_TRUE(FindLatestSnapshot(dir.path()).status().IsNotFound());
+  EXPECT_EQ(restarted->server(0, 0).next_sequence(), half);
+  EXPECT_EQ(restarted->server(0, 0).stats().events, half);  // all replayed
   const std::vector<Recommendation> post_recovery_recs =
-      RunRange(recovered->get(), w.events, half, w.events.size());
+      RunRange(restarted.get(), w.events, half, w.events.size());
 
   // Byte-identical recommendations: pre-crash + post-recovery == baseline.
   std::vector<Recommendation> combined = pre_crash_recs;
@@ -131,58 +125,44 @@ TEST(RecoveryEquivalenceTest, SnapshotPlusWalTailMatchesUninterrupted) {
   const size_t checkpoint_at = n / 2;
   const size_t crash_at = 3 * n / 4;
 
-  auto baseline = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-  ASSERT_TRUE(baseline.ok());
+  auto baseline = MakeCluster(w, OnePartition(""));
+  ASSERT_NE(baseline, nullptr);
   const std::vector<Recommendation> baseline_recs =
-      RunRange(baseline->get(), w.events, 0, n);
+      RunRange(baseline.get(), w.events, 0, n);
   ASSERT_FALSE(baseline_recs.empty());
 
   ScopedTempDir dir;
-  PersistOptions persist;
-  persist.dir = dir.path();
-  persist.wal_segment_bytes = 4096;  // force rotation so truncation has bite
-  RecoveryManager recovery(persist);
+  ClusterOptions options = OnePartition(dir.path());
+  options.persist.wal_segment_bytes = 4096;  // rotate so truncation has bite
   std::vector<Recommendation> pre_crash_recs;
   {
-    auto engine = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-    ASSERT_TRUE(engine.ok());
-    auto wal = WalWriter::Open(persist);
-    ASSERT_TRUE(wal.ok());
-    pre_crash_recs =
-        RunRange(engine->get(), w.events, 0, checkpoint_at, wal->get(), 0);
-    ASSERT_TRUE((*wal)->Sync().ok());
+    auto cluster = MakeCluster(w, options);
+    ASSERT_NE(cluster, nullptr);
+    pre_crash_recs = RunRange(cluster.get(), w.events, 0, checkpoint_at);
 
-    // Checkpoint with the follower index, so recovery is self-contained.
     const size_t segments_before = ListWalSegments(dir.path()).size();
-    ASSERT_TRUE(recovery
-                    .Checkpoint((*engine)->motif_engine(),
-                                &(*engine)->follower_index(),
-                                /*partition_id=*/0,
-                                /*next_sequence=*/checkpoint_at,
-                                /*created_at=*/0)
-                    .ok());
+    ASSERT_TRUE(cluster->Checkpoint().ok());
     EXPECT_LT(ListWalSegments(dir.path()).size(), segments_before)
         << "checkpoint should have reclaimed covered WAL segments";
 
-    const auto tail_recs = RunRange(engine->get(), w.events, checkpoint_at,
-                                    crash_at, wal->get(), checkpoint_at);
+    const auto tail_recs =
+        RunRange(cluster.get(), w.events, checkpoint_at, crash_at);
     pre_crash_recs.insert(pre_crash_recs.end(), tail_recs.begin(),
                           tail_recs.end());
     // <- crash.
   }
 
-  // Self-contained recovery: no follow graph needed, S comes from the
-  // snapshot and D from snapshot + WAL tail.
-  RecoveryStats stats;
-  auto recovered = recovery.RecoverEngine(TestEngineOptions(), &stats);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  EXPECT_TRUE(stats.snapshot_loaded);
-  EXPECT_GT(stats.snapshot_bytes, 0u);
-  EXPECT_EQ(stats.events_replayed, crash_at - checkpoint_at);
-  EXPECT_EQ(stats.next_sequence, crash_at);
+  // Restart: S is rebuilt from the follow graph; D comes from the snapshot
+  // plus the WAL tail it does not cover.
+  auto restarted = MakeCluster(w, options);
+  ASSERT_NE(restarted, nullptr);
+  EXPECT_TRUE(FindLatestSnapshot(dir.path()).ok());
+  EXPECT_EQ(restarted->server(0, 0).next_sequence(), crash_at);
+  EXPECT_EQ(restarted->server(0, 0).stats().events, crash_at - checkpoint_at)
+      << "only the WAL tail past the snapshot should have been replayed";
 
   const std::vector<Recommendation> post_recovery_recs =
-      RunRange(recovered->get(), w.events, crash_at, n);
+      RunRange(restarted.get(), w.events, crash_at, n);
   std::vector<Recommendation> combined = pre_crash_recs;
   combined.insert(combined.end(), post_recovery_recs.begin(),
                   post_recovery_recs.end());
@@ -191,27 +171,19 @@ TEST(RecoveryEquivalenceTest, SnapshotPlusWalTailMatchesUninterrupted) {
 
 TEST(RecoveryTest, ColdStartOnEmptyDirectoryIsOk) {
   ScopedTempDir dir;
-  PersistOptions persist;
-  persist.dir = dir.path();
   const TestWorkload w = MakeTestWorkload(16);
-  auto engine = RecommenderEngine::Create(w.follow_graph, TestEngineOptions());
-  ASSERT_TRUE(engine.ok());
+  auto cluster = MakeCluster(w, OnePartition(dir.path()));
+  ASSERT_NE(cluster, nullptr);
+  EXPECT_EQ(cluster->server(0, 0).next_sequence(), 0u);
+
+  // The same empty directory through the recovery path a killed replica
+  // takes.
+  ASSERT_TRUE(cluster->KillReplica(0, 0).ok());
   RecoveryStats stats;
-  ASSERT_TRUE(
-      RecoveryManager(persist).RecoverEngineState(engine->get(), &stats).ok());
+  ASSERT_TRUE(cluster->RecoverReplica(0, 0, &stats).ok());
   EXPECT_FALSE(stats.snapshot_loaded);
   EXPECT_EQ(stats.events_replayed, 0u);
   EXPECT_EQ(stats.next_sequence, 0u);
-}
-
-TEST(RecoveryTest, RecoverEngineWithoutSnapshotIsFailedPrecondition) {
-  ScopedTempDir dir;
-  PersistOptions persist;
-  persist.dir = dir.path();
-  RecoveryStats stats;
-  auto recovered =
-      RecoveryManager(persist).RecoverEngine(TestEngineOptions(), &stats);
-  EXPECT_TRUE(recovered.status().IsFailedPrecondition()) << recovered.status();
 }
 
 class ClusterRecoveryTest : public ::testing::Test {

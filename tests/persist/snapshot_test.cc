@@ -2,70 +2,20 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "persist/codec.h"
+#include "persist/crc32.h"
 #include "scoped_temp_dir.h"
 
 namespace magicrecs {
 namespace {
 
 namespace fs = std::filesystem;
-
-StaticGraph MakeGraph() {
-  StaticGraphBuilder builder(6);
-  EXPECT_TRUE(builder.AddEdge(0, 1).ok());
-  EXPECT_TRUE(builder.AddEdge(0, 3).ok());
-  EXPECT_TRUE(builder.AddEdge(2, 5).ok());
-  EXPECT_TRUE(builder.AddEdge(4, 0).ok());
-  auto graph = builder.Build();
-  EXPECT_TRUE(graph.ok());
-  return std::move(graph).value();
-}
-
-std::vector<std::pair<VertexId, VertexId>> EdgesOf(const StaticGraph& g) {
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  g.ForEachEdge([&](VertexId s, VertexId d) { edges.emplace_back(s, d); });
-  return edges;
-}
-
-TEST(StaticGraphCodecTest, RoundTripPreservesStructure) {
-  const StaticGraph graph = MakeGraph();
-  std::string bytes;
-  graph.EncodeTo(&bytes);
-  auto decoded = StaticGraph::DecodeFrom(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->num_vertices(), graph.num_vertices());
-  EXPECT_EQ(decoded->num_edges(), graph.num_edges());
-  EXPECT_EQ(EdgesOf(*decoded), EdgesOf(graph));
-}
-
-TEST(StaticGraphCodecTest, EmptyGraphRoundTrips) {
-  StaticGraph empty;
-  std::string bytes;
-  empty.EncodeTo(&bytes);
-  auto decoded = StaticGraph::DecodeFrom(
-      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->num_vertices(), 0u);
-  EXPECT_EQ(decoded->num_edges(), 0u);
-}
-
-TEST(StaticGraphCodecTest, TruncationIsCorruption) {
-  const StaticGraph graph = MakeGraph();
-  std::string bytes;
-  graph.EncodeTo(&bytes);
-  for (const size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{3}}) {
-    auto decoded = StaticGraph::DecodeFrom(
-        reinterpret_cast<const uint8_t*>(bytes.data()), cut);
-    EXPECT_FALSE(decoded.ok());
-    EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status();
-  }
-}
 
 TEST(DynamicIndexCodecTest, RoundTripPreservesRecentEdges) {
   DynamicGraphOptions options;
@@ -161,7 +111,6 @@ class SnapshotFileTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotFileTest, FullRoundTrip) {
-  const StaticGraph graph = MakeGraph();
   DynamicInEdgeIndex index;
   ASSERT_TRUE(index.Insert(1, 100, Seconds(5)).ok());
 
@@ -169,21 +118,13 @@ TEST_F(SnapshotFileTest, FullRoundTrip) {
   meta.partition_id = 7;
   meta.next_sequence = 1234;
   meta.created_at = Seconds(99);
-  ASSERT_TRUE(WriteSnapshot(PathFor(1234), meta, &graph, &index).ok());
+  ASSERT_TRUE(WriteSnapshot(PathFor(1234), meta, index).ok());
 
   auto contents = ReadSnapshot(PathFor(1234));
   ASSERT_TRUE(contents.ok()) << contents.status();
   EXPECT_EQ(contents->meta.partition_id, 7u);
   EXPECT_EQ(contents->meta.next_sequence, 1234u);
   EXPECT_EQ(contents->meta.created_at, Seconds(99));
-  ASSERT_TRUE(contents->has_static);
-  ASSERT_TRUE(contents->has_dynamic);
-
-  auto decoded_graph = StaticGraph::DecodeFrom(
-      reinterpret_cast<const uint8_t*>(contents->static_bytes.data()),
-      contents->static_bytes.size());
-  ASSERT_TRUE(decoded_graph.ok());
-  EXPECT_EQ(EdgesOf(*decoded_graph), EdgesOf(graph));
 
   DynamicInEdgeIndex restored;
   ASSERT_TRUE(restored
@@ -194,23 +135,86 @@ TEST_F(SnapshotFileTest, FullRoundTrip) {
   EXPECT_EQ(restored.CountRecentInEdges(100, Seconds(5)), 1u);
 }
 
-TEST_F(SnapshotFileTest, DynamicOnlySnapshotOmitsStaticSection) {
+/// A snapshot in the version-1 layout, section by section: `flags`, then
+/// each (tag, payload) with its masked CRC.
+std::string HandBuiltSnapshot(
+    uint32_t flags,
+    const std::vector<std::pair<uint32_t, std::string>>& sections) {
+  std::string blob = "MRSNAP01";
+  persist::PutU32(&blob, 1);  // version
+  persist::PutU32(&blob, flags);
+  persist::PutU32(&blob, 3);  // partition_id
+  persist::PutU32(&blob, 0);  // reserved
+  persist::PutU64(&blob, 42);  // next_sequence
+  persist::PutI64(&blob, Seconds(7));
+  for (const auto& [tag, payload] : sections) {
+    persist::PutU32(&blob, tag);
+    persist::PutU64(&blob, payload.size());
+    blob += payload;
+    persist::PutU32(&blob, persist::MaskCrc(persist::Crc32c(payload.data(),
+                                                            payload.size())));
+  }
+  return blob;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+TEST_F(SnapshotFileTest, WriterKeepsTheVersionOneDOnlyLayout) {
+  // Every persist directory a daemon ever wrote holds exactly these bytes:
+  // the writer must keep producing them, and the reader keep accepting them.
   DynamicInEdgeIndex index;
+  ASSERT_TRUE(index.Insert(1, 100, Seconds(5)).ok());
+  std::string d;
+  index.EncodeTo(&d);
   SnapshotMeta meta;
-  ASSERT_TRUE(
-      WriteSnapshot(PathFor(1), meta, /*follower_index=*/nullptr, &index).ok());
-  auto contents = ReadSnapshot(PathFor(1));
-  ASSERT_TRUE(contents.ok());
-  EXPECT_FALSE(contents->has_static);
-  EXPECT_TRUE(contents->has_dynamic);
+  meta.partition_id = 3;
+  meta.next_sequence = 42;
+  meta.created_at = Seconds(7);
+  ASSERT_TRUE(WriteSnapshot(PathFor(42), meta, index).ok());
+
+  std::ifstream in(PathFor(42), std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, HandBuiltSnapshot(/*flags=*/0x2, {{2, d}}));
+}
+
+TEST_F(SnapshotFileTest, SCarryingSnapshotIsRefused) {
+  // The S section of the version-1 layout: a 2-vertex CSR, edge 0 -> 1.
+  std::string s;
+  persist::PutU64(&s, 3);  // offsets
+  persist::PutU64(&s, 1);  // targets
+  for (const uint64_t offset : {0u, 1u, 1u}) persist::PutU64(&s, offset);
+  persist::PutU32(&s, 1);
+  DynamicInEdgeIndex index;
+  ASSERT_TRUE(index.Insert(1, 100, Seconds(5)).ok());
+  std::string d;
+  index.EncodeTo(&d);
+  WriteFile(PathFor(42), HandBuiltSnapshot(/*flags=*/0x3, {{1, s}, {2, d}}));
+
+  auto contents = ReadSnapshot(PathFor(42));
+  ASSERT_FALSE(contents.ok());
+  EXPECT_TRUE(contents.status().IsInvalidArgument()) << contents.status();
+  const std::string message = contents.status().ToString();
+  EXPECT_NE(message.find(PathFor(42)), std::string::npos) << message;
+  EXPECT_NE(message.find("rebuilt from the follow graph"), std::string::npos)
+      << message;
+}
+
+TEST_F(SnapshotFileTest, MissingDSectionIsCorruption) {
+  WriteFile(PathFor(42), HandBuiltSnapshot(/*flags=*/0x2, {}));
+  EXPECT_TRUE(ReadSnapshot(PathFor(42)).status().IsCorruption());
 }
 
 TEST_F(SnapshotFileTest, FlippedPayloadByteIsDetected) {
-  const StaticGraph graph = MakeGraph();
+  // Enough edges that the middle of the file is inside the D payload.
   DynamicInEdgeIndex index;
-  ASSERT_TRUE(index.Insert(1, 100, Seconds(5)).ok());
+  for (VertexId src = 1; src <= 64; ++src) {
+    ASSERT_TRUE(index.Insert(src, 100, Seconds(5)).ok());
+  }
   SnapshotMeta meta;
-  ASSERT_TRUE(WriteSnapshot(PathFor(5), meta, &graph, &index).ok());
+  ASSERT_TRUE(WriteSnapshot(PathFor(5), meta, index).ok());
 
   const auto size = fs::file_size(PathFor(5));
   std::fstream f(PathFor(5), std::ios::in | std::ios::out | std::ios::binary);
@@ -229,7 +233,7 @@ TEST_F(SnapshotFileTest, TruncatedFileIsDetected) {
   DynamicInEdgeIndex index;
   ASSERT_TRUE(index.Insert(1, 100, Seconds(5)).ok());
   SnapshotMeta meta;
-  ASSERT_TRUE(WriteSnapshot(PathFor(5), meta, nullptr, &index).ok());
+  ASSERT_TRUE(WriteSnapshot(PathFor(5), meta, index).ok());
   fs::resize_file(PathFor(5), fs::file_size(PathFor(5)) - 3);
   EXPECT_TRUE(ReadSnapshot(PathFor(5)).status().IsCorruption());
 }
@@ -239,7 +243,7 @@ TEST_F(SnapshotFileTest, FindLatestPicksHighestSequence) {
   SnapshotMeta meta;
   for (const uint64_t seq : {5u, 300u, 40u}) {
     meta.next_sequence = seq;
-    ASSERT_TRUE(WriteSnapshot(PathFor(seq), meta, nullptr, &index).ok());
+    ASSERT_TRUE(WriteSnapshot(PathFor(seq), meta, index).ok());
   }
   auto latest = FindLatestSnapshot(dir_.path());
   ASSERT_TRUE(latest.ok());
@@ -259,7 +263,7 @@ TEST_F(SnapshotFileTest, FindLatestOnEmptyDirIsNotFound) {
 TEST_F(SnapshotFileTest, NoTempFileSurvivesAWrite) {
   DynamicInEdgeIndex index;
   SnapshotMeta meta;
-  ASSERT_TRUE(WriteSnapshot(PathFor(9), meta, nullptr, &index).ok());
+  ASSERT_TRUE(WriteSnapshot(PathFor(9), meta, index).ok());
   size_t files = 0;
   for (const auto& entry : fs::directory_iterator(dir_.path())) {
     ++files;

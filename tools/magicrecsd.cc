@@ -62,7 +62,6 @@ struct DaemonOptions {
 
   // Cluster shape.
   ClusterOptions cluster;
-  bool inline_mode = false;
   bool partition_id_set = false;
 
   // Epoll reactor tuning (net/rpc_server.h).
@@ -115,7 +114,6 @@ void PrintUsage() {
       "  --persist-dir=PATH     WAL + snapshot directory, empty = off\n"
       "  --fsync-batch=N        group-commit batch with --fsync (1)\n"
       "  --fsync                fdatasync WAL appends\n"
-      "  --inline               single-threaded deterministic broker\n"
       "  --help                 this text\n");
 }
 
@@ -135,8 +133,6 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
     if (std::strcmp(arg, "--help") == 0) {
       PrintUsage();
       std::exit(0);
-    } else if (std::strcmp(arg, "--inline") == 0) {
-      options->inline_mode = true;
     } else if (std::strcmp(arg, "--fsync") == 0) {
       options->cluster.persist.sync_each_append = true;
     } else if (FlagValue(arg, "host", &value)) {
@@ -291,9 +287,7 @@ int main(int argc, char** argv) {
                static_cast<size_t>(graph->num_edges()));
 
   auto transport = LocalClusterTransport::Create(
-      *graph, options.cluster,
-      options.inline_mode ? LocalClusterTransport::Mode::kInline
-                          : LocalClusterTransport::Mode::kThreaded);
+      *graph, options.cluster, LocalClusterTransport::Mode::kThreaded);
   if (!transport.ok()) {
     std::fprintf(stderr, "magicrecsd: creating cluster: %s\n",
                  transport.status().ToString().c_str());
@@ -341,10 +335,9 @@ int main(int argc, char** argv) {
           : StrFormat("%u partitions x %u replicas",
                       options.cluster.num_partitions,
                       options.cluster.replicas_per_partition);
-  std::printf("magicrecsd listening on %s:%u (%s, k=%u, %s)\n",
+  std::printf("magicrecsd listening on %s:%u (%s, k=%u)\n",
               options.host.c_str(), (*server)->port(), shape.c_str(),
-              options.cluster.detector.k,
-              options.inline_mode ? "inline" : "threaded");
+              options.cluster.detector.k);
   std::fflush(stdout);
 
   std::unique_ptr<MetricsJsonlDumper> dumper;
