@@ -165,7 +165,7 @@ Endpoint MakeFanout(const StaticGraph& graph, uint32_t daemons,
 struct ThroughputResult {
   double events_per_sec = 0;
   uint64_t recs = 0;
-  GatherReport report;  ///< coverage of the closing gather
+  net::GatherReport report;  ///< coverage of the closing gather (broker)
 };
 
 /// Threads in this process right now (/proc/self/task entries).
@@ -249,9 +249,10 @@ ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
   return result;
 }
 
-ThroughputResult RunThroughput(ClusterTransport* transport,
+ThroughputResult RunThroughput(const Endpoint& endpoint,
                                const std::vector<EdgeEvent>& events,
                                size_t batch) {
+  ClusterTransport* transport = endpoint.transport;
   Stopwatch watch;
   if (batch <= 1) {
     for (const EdgeEvent& event : events) {
@@ -268,7 +269,9 @@ ThroughputResult RunThroughput(ClusterTransport* transport,
   if (!transport->Drain().ok()) std::exit(1);
   const double secs = watch.ElapsedSeconds();
   ThroughputResult result;
-  auto recs = transport->TakeRecommendations(&result.report);
+  auto recs = endpoint.fanout != nullptr
+                  ? endpoint.fanout->TakeRecommendations(&result.report)
+                  : transport->TakeRecommendations();
   if (!recs.ok()) std::exit(1);
   result.events_per_sec = static_cast<double>(events.size()) / secs;
   result.recs = recs->size();
@@ -334,7 +337,7 @@ int main() {
       case Kind::kFanout4: endpoint = MakeFanout(w.follow_graph, 4); break;
     }
     const ThroughputResult result =
-        RunThroughput(endpoint.transport, events, c.batch);
+        RunThroughput(endpoint, events, c.batch);
     if (c.kind == Kind::kLocal) reference_recs = result.recs;
     std::printf("%11s %8zu %12s %10s %s\n", c.name, c.batch,
                 HumanCount(result.events_per_sec).c_str(),
@@ -355,7 +358,7 @@ int main() {
     // once the circuit breaker opens, its gathers go missing.
     endpoint.servers.back()->Stop();
     const ThroughputResult result =
-        RunThroughput(endpoint.transport, events, 4096);
+        RunThroughput(endpoint, events, 4096);
     auto stats = endpoint.fanout->GetStats();
     std::printf("%11s %8d %12s %10s [%s]\n", "fanout-3/4", 4096,
                 HumanCount(result.events_per_sec).c_str(),
@@ -565,7 +568,7 @@ int main() {
     }
     if (!endpoint.transport->Drain().ok()) std::exit(1);
     if (!endpoint.transport->TakeRecommendations().ok()) std::exit(1);
-    const std::vector<TraceContext> traces = endpoint.transport->TakeTraces();
+    const std::vector<TraceContext> traces = endpoint.fanout->TakeTraces();
     Histogram encode, dequeue, apply, gather, end_to_end;
     for (const TraceContext& trace : traces) {
       const TraceStamp* enc = trace.Find(TraceStage::kBrokerEncode);

@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "drain: %s\n", s.ToString().c_str());
     return 1;
   }
-  GatherReport report;
+  net::GatherReport report;
   auto recs = (*broker)->TakeRecommendations(&report);
   if (!recs.ok()) {
     std::fprintf(stderr, "gather: %s\n", recs.status().ToString().c_str());

@@ -2,23 +2,10 @@
 
 #include <utility>
 
-#include "util/clock.h"
 #include "util/metrics.h"
 #include "util/str_format.h"
 
 namespace magicrecs {
-
-std::string GatherReport::ToString() const {
-  std::string out = StrFormat("%u/%u daemons answered", daemons_answered,
-                              daemons_total);
-  if (!missing_partitions.empty()) {
-    out += ", missing partitions:";
-    for (const uint32_t partition : missing_partitions) {
-      out += partition == UINT32_MAX ? " all" : StrFormat(" %u", partition);
-    }
-  }
-  return out;
-}
 
 std::string_view ServerLoopName(uint8_t loop) {
   switch (loop) {
@@ -80,35 +67,9 @@ std::string ClusterStats::PerReplicaString() const {
   return out;
 }
 
-Status ClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
-  for (const EdgeEvent& event : events) {
-    MAGICRECS_RETURN_IF_ERROR(Publish(event));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Recommendation>> ClusterTransport::TakeRecommendations(
-    GatherReport* report) {
-  Result<std::vector<Recommendation>> recs = TakeRecommendations();
-  if (report != nullptr) *report = GatherReport{};  // no fan-out: complete
-  return recs;
-}
-
-Result<HashPartitioner> ClusterTransport::Partitioner() const {
-  return Status::Unimplemented(
-      "this transport carries no client-side partition placement");
-}
-
 Result<std::string> ClusterTransport::GetStatsText() {
   return MetricsRegistry::Default()->RenderText();
 }
-
-Result<HealthReport> ClusterTransport::GetHealth() {
-  return HealthReportFromRegistry(*MetricsRegistry::Default(),
-                                  SystemClock::Default()->Now());
-}
-
-std::vector<TraceContext> ClusterTransport::TakeTraces() { return {}; }
 
 // --- LocalClusterTransport ---------------------------------------------------
 
@@ -136,14 +97,6 @@ Result<std::unique_ptr<LocalClusterTransport>> LocalClusterTransport::Adopt(
 LocalClusterTransport::~LocalClusterTransport() {
   const Status s = Close();
   (void)s;  // destructor cannot propagate
-}
-
-Status LocalClusterTransport::Publish(const EdgeEvent& event) {
-  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) return cluster_->Publish(event);
-  std::lock_guard<std::mutex> lock(inline_mu_);
-  return cluster_->OnEdgeEvent(event, &inline_results_);
 }
 
 Status LocalClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
@@ -247,10 +200,6 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
         ->RaiseTo(cluster_->events_published());
   }
   return MetricsRegistry::Default()->RenderText();
-}
-
-Result<HashPartitioner> LocalClusterTransport::Partitioner() const {
-  return cluster_->partitioner();
 }
 
 Status LocalClusterTransport::Close() {

@@ -1,10 +1,10 @@
-// The transport seam between stream producers and the partitioned cluster.
+// The transport seam between a publisher and the partitioned cluster.
 //
 // The paper's production deployment is ~20 partition servers on separate
 // machines behind a fan-out broker; this repo started with a single-process
 // Cluster object whose "distributed" mode was std::thread. ClusterTransport
-// abstracts the boundary so the same driver code — tests, benches, examples,
-// the stream simulator — can run against
+// is the boundary the RPC server dispatches through and the benches and
+// tests drive, so the same calls run against
 //
 //   * LocalClusterTransport(kInline)   — synchronous, deterministic,
 //   * LocalClusterTransport(kThreaded) — one worker thread per replica,
@@ -12,9 +12,10 @@
 //                                        all-hosting daemon, or a group),
 //
 // without knowing which one it has. The contract is publish/drain/gather:
-// Publish delivers an event to every partition, Drain blocks until all
+// PublishBatch delivers events to every partition, Drain blocks until all
 // published events are fully processed, TakeRecommendations moves out what
-// the motif queries emitted since the last call.
+// the motif queries emitted since the last call. Broker-only calls (the
+// gather coverage report, traces, health, placement) live on FanoutCluster.
 
 #ifndef MAGICRECS_CLUSTER_TRANSPORT_H_
 #define MAGICRECS_CLUSTER_TRANSPORT_H_
@@ -30,11 +31,9 @@
 
 #include "cluster/cluster.h"
 #include "core/recommendation.h"
-#include "health/health_engine.h"
 #include "stream/event.h"
 #include "util/result.h"
 #include "util/status.h"
-#include "util/trace.h"
 #include "util/types.h"
 
 namespace magicrecs {
@@ -56,37 +55,10 @@ struct PartitionHealth {
   std::string ToString() const;
 };
 
-/// Coverage of one gather: which partitions the merged recommendations
-/// actually came from. A degraded-mode broker (net/fanout_cluster.h,
-/// FanoutPolicy::kQuorum / kBestEffort) returns merged results while some
-/// daemons are down; this report names what is missing so callers can tell
-/// a complete gather from a degraded one. Travels as a tail extension of
-/// the recommendations-reply wire message when (and only when) incomplete.
-struct GatherReport {
-  uint32_t daemons_total = 0;
-  uint32_t daemons_answered = 0;
-
-  /// Sorted, deduplicated global partition ids whose recommendations are
-  /// NOT in the merged result. UINT32_MAX marks a missing all-hosting
-  /// daemon (every partition is missing).
-  std::vector<uint32_t> missing_partitions;
-
-  /// True iff every daemon answered — also the state a transport with no
-  /// fan-out (in-process) always reports.
-  bool complete() const {
-    return daemons_answered == daemons_total && missing_partitions.empty();
-  }
-
-  friend bool operator==(const GatherReport&, const GatherReport&) = default;
-
-  /// e.g. "3/4 daemons answered, missing partitions: 2".
-  std::string ToString() const;
-};
-
 /// Counters from the RPC server loop serving a daemon's stats request —
 /// the event-driven reactor's observability surface. Rides the stats wire
-/// as a negotiated tail (net/wire.h), so only hello-speaking peers see it;
-/// a fan-out broker sums the daemons' counters into its merged view.
+/// as its marker-led last tail (net/wire.h); a fan-out broker sums the
+/// daemons' counters into its merged view.
 struct ServerLoopStats {
   /// 0 = none/unknown (in-process transport), 2 = epoll reactor (every
   /// current daemon). 1 named a thread-per-connection loop that no longer
@@ -179,13 +151,14 @@ class ClusterTransport {
  public:
   virtual ~ClusterTransport() = default;
 
-  /// Delivers one edge-creation event to every partition. The transport
-  /// assigns the sequence number; any caller-provided value is ignored.
-  virtual Status Publish(const EdgeEvent& event) = 0;
+  /// Delivers a batch, in order, to every partition. The transport assigns
+  /// the sequence numbers; any caller-provided value is ignored.
+  virtual Status PublishBatch(std::span<const EdgeEvent> events) = 0;
 
-  /// Delivers a batch in order. Default implementation loops Publish; the
-  /// remote transport overrides it with a single framed round trip.
-  virtual Status PublishBatch(std::span<const EdgeEvent> events);
+  /// One event: a batch of one.
+  Status Publish(const EdgeEvent& event) {
+    return PublishBatch(std::span<const EdgeEvent>(&event, 1));
+  }
 
   /// Blocks until every event published so far is fully processed.
   virtual Status Drain() = 0;
@@ -193,14 +166,6 @@ class ClusterTransport {
   /// Moves out all recommendations gathered since the last call. Ordering
   /// across partitions is unspecified.
   virtual Result<std::vector<Recommendation>> TakeRecommendations() = 0;
-
-  /// Same gather, also filling `*report` (if non-null) with THIS call's
-  /// coverage. The default implementation forwards to the report-less
-  /// overload and reports a complete gather, which is exact for in-process
-  /// transports; transports that can degrade (the fan-out broker, which
-  /// names the partitions missing from a merge) override it.
-  virtual Result<std::vector<Recommendation>> TakeRecommendations(
-      GatherReport* report);
 
   /// Snapshots the durable state (see Cluster::Checkpoint). Call quiesced.
   virtual Status Checkpoint(Timestamp created_at) = 0;
@@ -217,30 +182,6 @@ class ClusterTransport {
   /// processes (the fan-out broker) override it to pull the remote
   /// surface too. Serves the kStatsText RPC.
   virtual Result<std::string> GetStatsText();
-
-  /// Health of this endpoint and its constituent parties, as last
-  /// evaluated by a health engine (src/health/health_engine.h). The
-  /// default reconstructs party states from the process registry's
-  /// `health{party="..."}` gauges — the ones a HealthMonitor publishes —
-  /// so any transport in a monitored process answers for free; the fan-out
-  /// broker overrides with its own engine's full report (reasons and
-  /// details included). An empty report means no health engine has
-  /// evaluated yet.
-  virtual Result<HealthReport> GetHealth();
-
-  /// Moves out the completed end-to-end traces collected since the last
-  /// call (bounded; oldest dropped first). Only the fan-out broker, which
-  /// originates sampled traces and ferries those its daemons return,
-  /// yields anything; the default is empty.
-  virtual std::vector<TraceContext> TakeTraces();
-
-  /// The user -> partition placement this transport routes by. Local
-  /// transports report their cluster's partitioner; the fan-out broker
-  /// (net/fanout_cluster.h) reports the group partitioner it routes replica
-  /// ops with. A transport with no client-side placement knowledge (a
-  /// broker over one all-hosting daemon with no group_size: placement
-  /// lives server-side) reports Unimplemented.
-  virtual Result<HashPartitioner> Partitioner() const;
 
   /// Releases the transport's resources (joins workers, closes the
   /// connection). Idempotent; called by the destructor.
@@ -266,7 +207,6 @@ class LocalClusterTransport : public ClusterTransport {
 
   ~LocalClusterTransport() override;
 
-  Status Publish(const EdgeEvent& event) override;
   Status PublishBatch(std::span<const EdgeEvent> events) override;
   Status Drain() override;
   Result<std::vector<Recommendation>> TakeRecommendations() override;
@@ -275,7 +215,6 @@ class LocalClusterTransport : public ClusterTransport {
   Status RecoverReplica(uint32_t partition, uint32_t replica) override;
   Result<ClusterStats> GetStats() override;
   Result<std::string> GetStatsText() override;
-  Result<HashPartitioner> Partitioner() const override;
   Status Close() override;
 
   Mode mode() const { return mode_; }
@@ -291,7 +230,7 @@ class LocalClusterTransport : public ClusterTransport {
   std::atomic<bool> closed_{false};
 
   // Concurrency: several RPC connection handlers drive one transport. Data-
-  // plane calls (Publish, Drain, TakeRecommendations, KillReplica — all
+  // plane calls (PublishBatch, Drain, TakeRecommendations, KillReplica — all
   // safe to run concurrently through the cluster's own synchronization)
   // hold state_mu_ shared; control-plane calls that read or rewrite raw
   // detector state (GetStats, Checkpoint, RecoverReplica) hold it exclusive

@@ -19,6 +19,18 @@ Status UnexpectedReply(MessageTag got, const char* expected) {
 
 }  // namespace
 
+std::string GatherReport::ToString() const {
+  std::string out = StrFormat("%u/%u daemons answered", daemons_answered,
+                              daemons_total);
+  if (!missing_partitions.empty()) {
+    out += ", missing partitions:";
+    for (const uint32_t partition : missing_partitions) {
+      out += partition == UINT32_MAX ? " all" : StrFormat(" %u", partition);
+    }
+  }
+  return out;
+}
+
 std::string_view FanoutPolicyName(FanoutPolicy policy) {
   switch (policy) {
     case FanoutPolicy::kStrict: return "strict";
@@ -435,10 +447,6 @@ Status FanoutCluster::BroadcastForAck(const std::string& request,
 
 // --- ClusterTransport --------------------------------------------------------
 
-Status FanoutCluster::Publish(const EdgeEvent& event) {
-  return PublishBatch(std::span<const EdgeEvent>(&event, 1));
-}
-
 void FanoutCluster::ReapOneAck(Slot* slot, TraceContext* trace) {
   // On a kError reply the session stays usable (the server answered; later
   // acks still arrive) so only the first error is recorded; a transport
@@ -665,22 +673,18 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
   StartAll(&slots, FrameBuf::Wrap(std::move(request)));
   // Gather: each daemon streams its share as chunked reply frames; the
   // merged result is their concatenation (cross-partition ordering is
-  // unspecified, exactly as with the in-process broker). A daemon that is
-  // itself a degraded broker forwards its own gaps as a GatherReport tail;
-  // those fold into this merge's report. Each daemon's chunks are STAGED
-  // and merged only when its stream completes: a daemon that dies
-  // mid-stream is reported missing, and recommendations it did deliver
-  // must not sit in a merge whose report names their partition absent — a
-  // caller compensating per the report would double-count them. The
-  // partial share is rescued instead (the server-side take was
+  // unspecified, exactly as with the in-process broker). Each daemon's
+  // chunks are STAGED and merged only when its stream completes: a daemon
+  // that dies mid-stream is reported missing, and recommendations it did
+  // deliver must not sit in a merge whose report names their partition
+  // absent — a caller compensating per the report would double-count
+  // them. The partial share is rescued instead (the server-side take was
   // destructive) and rides with the next successful gather, like any
   // other rescued share.
-  std::vector<uint32_t> downstream_missing;
   for (Slot& slot : slots) {
     std::vector<Frame> reply;
     const bool replied = AwaitReply(&slot, &reply);
     std::vector<Recommendation> staged;
-    std::vector<uint32_t> staged_missing;
     bool complete = replied && !reply.empty();
     for (size_t i = 0; i < reply.size() && complete; ++i) {
       const Frame& frame = reply[i];
@@ -697,21 +701,13 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
         break;
       }
       bool has_more = false;
-      GatherReport chunk_report;
-      TraceContext chunk_trace;
-      const Status decoded = DecodeRecommendationsReply(
-          frame.payload, &staged, &has_more, &chunk_report, &chunk_trace);
+      const Status decoded =
+          DecodeRecommendationsReply(frame.payload, &staged, &has_more);
       if (!decoded.ok()) {
         slot.status = TagError(*slot.daemon, decoded);
         complete = false;
         break;
       }
-      // A daemon that is itself a broker ferries a completed trace back on
-      // its reply's last frame.
-      if (chunk_trace.active()) ParkTrace(std::move(chunk_trace));
-      staged_missing.insert(staged_missing.end(),
-                            chunk_report.missing_partitions.begin(),
-                            chunk_report.missing_partitions.end());
       if (i + 1 == reply.size() && has_more) {
         // The session said "last frame" while the chunking protocol
         // promised more: the reply stream is broken.
@@ -727,11 +723,8 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
     if (!replied && !reply.empty() && staged.empty()) {
       bool more = true;
       for (const Frame& frame : reply) {
-        if (frame.tag != MessageTag::kRecommendationsReply || !more) break;
-        GatherReport ignored;
-        if (!DecodeRecommendationsReply(frame.payload, &staged, &more,
-                                        &ignored)
-                 .ok()) {
+        if (frame.tag != MessageTag::kRecommendationsReply || !more ||
+            !DecodeRecommendationsReply(frame.payload, &staged, &more).ok()) {
           break;
         }
       }
@@ -741,9 +734,6 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
       slot.answered = true;
       recs.insert(recs.end(), std::make_move_iterator(staged.begin()),
                   std::make_move_iterator(staged.end()));
-      downstream_missing.insert(downstream_missing.end(),
-                                staged_missing.begin(),
-                                staged_missing.end());
     } else if (!staged.empty()) {
       RescuePending(&staged);
     }
@@ -780,15 +770,8 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
       report.missing_partitions.push_back(partition);
     }
   }
-  report.missing_partitions.insert(report.missing_partitions.end(),
-                                   downstream_missing.begin(),
-                                   downstream_missing.end());
   std::sort(report.missing_partitions.begin(),
             report.missing_partitions.end());
-  report.missing_partitions.erase(
-      std::unique(report.missing_partitions.begin(),
-                  report.missing_partitions.end()),
-      report.missing_partitions.end());
 
   const Status replay_rejection = FirstReplayRejection(slots);
   const Status first = FirstError(slots);
@@ -1329,7 +1312,8 @@ Result<HealthReport> FanoutCluster::GetHealth() {
     return Status::FailedPrecondition("fan-out cluster is closed");
   }
   if (monitor_ != nullptr) return monitor_->Latest();
-  return ClusterTransport::GetHealth();
+  return HealthReportFromRegistry(*MetricsRegistry::Default(),
+                                  SystemClock::Default()->Now());
 }
 
 Status FanoutCluster::Close() {

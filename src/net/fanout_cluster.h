@@ -2,8 +2,12 @@
 // servers on separate machines, each consuming the entire edge stream,
 // behind a broker that fans events out and gathers recommendations back.
 // FanoutCluster is that broker as a ClusterTransport — drivers written
-// against the seam (tests, benches, the stream simulator) run unchanged
-// against N magicrecsd processes, one per partition.
+// against the seam (tests, benches) run unchanged against N magicrecsd
+// processes, one per partition. It is the one broker tier: a daemon's
+// RpcServer always fronts an in-process LocalClusterTransport, never
+// another broker, so a gather reply carries recommendations only. The
+// broker-only calls — the gather coverage report, completed traces, health
+// and placement — are plain FanoutCluster methods, not part of the seam.
 //
 // Topology: each endpoint is one daemon. Either
 //   * one endpoint hosting the whole cluster (partition = kAllPartitions;
@@ -12,13 +16,13 @@
 //     partition (magicrecsd --partition-group=N --partition-id=p), covering
 //     partitions 0..N-1.
 //
-// Routing: Publish/PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats
+// Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats
 // broadcast to every daemon — every partition must ingest the full stream
 // (each holds a complete D copy), and a gather is the union of the per-
 // partition results. KillReplica/RecoverReplica route to the one daemon
 // hosting that partition. The group HashPartitioner is exposed through
-// ClusterTransport::Partitioner() so callers can attribute a user (and its
-// recommendations) to the daemon that owns it.
+// Partitioner() so callers can attribute a user (and its recommendations)
+// to the daemon that owns it.
 //
 // Wire mechanics per daemon: ONE multiplexed connection
 // (net/mux_connection.h), shared by every broker caller. Each logical call
@@ -55,9 +59,7 @@
 // all-or-nothing contract for availability:
 //   * gathers return the merged recommendations of whichever daemons
 //     answered, as long as at least the quorum did; the partitions missing
-//     from the merge are named by TakeRecommendations(GatherReport*) (and
-//     forwarded on the wire when this broker itself sits behind an
-//     RpcServer);
+//     from the merge are named by TakeRecommendations(GatherReport*);
 //   * publishes to a daemon in reconnect backoff are queued in a bounded
 //     per-daemon replay buffer and re-sent — in order, ahead of newer
 //     traffic — once the daemon answers again; overflow is an explicit
@@ -103,8 +105,34 @@
 #include "util/event_log.h"
 #include "util/result.h"
 #include "util/status.h"
+#include "util/trace.h"
 
 namespace magicrecs::net {
+
+/// Coverage of one gather: which partitions the merged recommendations
+/// actually came from. A degraded-mode broker (FanoutPolicy::kQuorum /
+/// kBestEffort) returns merged results while some daemons are down; this
+/// report names what is missing so callers can tell a complete gather from
+/// a degraded one.
+struct GatherReport {
+  uint32_t daemons_total = 0;
+  uint32_t daemons_answered = 0;
+
+  /// Sorted, deduplicated global partition ids whose recommendations are
+  /// NOT in the merged result. UINT32_MAX marks a missing all-hosting
+  /// daemon (every partition is missing).
+  std::vector<uint32_t> missing_partitions;
+
+  /// True iff every daemon answered.
+  bool complete() const {
+    return daemons_answered == daemons_total && missing_partitions.empty();
+  }
+
+  friend bool operator==(const GatherReport&, const GatherReport&) = default;
+
+  /// e.g. "3/4 daemons answered, missing partitions: 2".
+  std::string ToString() const;
+};
 
 /// One partition daemon behind the broker.
 struct FanoutEndpoint {
@@ -246,7 +274,6 @@ class FanoutCluster : public ClusterTransport {
 
   ~FanoutCluster() override;
 
-  Status Publish(const EdgeEvent& event) override;
   Status PublishBatch(std::span<const EdgeEvent> events) override;
   Status Drain() override;
 
@@ -258,8 +285,11 @@ class FanoutCluster : public ClusterTransport {
   /// daemons missing returns the partial merge; the report overload names
   /// the missing partitions.
   Result<std::vector<Recommendation>> TakeRecommendations() override;
+
+  /// Same gather, also filling `*report` (if non-null) with THIS call's
+  /// coverage.
   Result<std::vector<Recommendation>> TakeRecommendations(
-      GatherReport* report) override;
+      GatherReport* report);
 
   Status Checkpoint(Timestamp created_at) override;
   Status KillReplica(uint32_t partition, uint32_t replica) override;
@@ -280,18 +310,20 @@ class FanoutCluster : public ClusterTransport {
   Result<std::string> GetStatsText() override;
 
   /// Drains the completed-trace ring (bounded; oldest dropped on
-  /// overflow). A trace completes when a gather ran after its publish, or
-  /// arrives complete on a daemon's gather-reply tail (a daemon that is
-  /// itself a broker ferries its own traces back that way).
-  std::vector<TraceContext> TakeTraces() override;
+  /// overflow). A trace completes when a gather ran after its publish.
+  std::vector<TraceContext> TakeTraces();
 
-  /// The group partitioner replica ops are routed with.
-  Result<HashPartitioner> Partitioner() const override;
+  /// The group partitioner replica ops are routed with. Unimplemented for
+  /// one all-hosting daemon with no group_size: placement lives
+  /// server-side.
+  Result<HashPartitioner> Partitioner() const;
 
   /// The broker engine's latest report: the broker party plus one party
-  /// per daemon, with reasons and triggering values. Falls back to the
-  /// registry-gauge reconstruction when the autopilot is off.
-  Result<HealthReport> GetHealth() override;
+  /// per daemon, with reasons and triggering values. With the autopilot
+  /// off, the party states are rebuilt from the process registry's
+  /// `health{party="..."}` gauges. An empty report means no health engine
+  /// has evaluated yet.
+  Result<HealthReport> GetHealth();
 
   /// The policy currently steering gathers/replay — the autopilot
   /// may have flipped it away from options.policy.
@@ -590,9 +622,8 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> next_trace_id_{1};
 
   /// Traces whose publish finished, awaiting (or holding) their kGather
-  /// stamp, plus completed traces ferried in on gather-reply tails.
-  /// Bounded to kMaxParkedTraces; oldest dropped on overflow — a trace is
-  /// a diagnostic, never backpressure.
+  /// stamp. Bounded to kMaxParkedTraces; oldest dropped on overflow — a
+  /// trace is a diagnostic, never backpressure.
   static constexpr size_t kMaxParkedTraces = 64;
   std::mutex traces_mu_;
   std::deque<TraceContext> traces_;

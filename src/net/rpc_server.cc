@@ -333,30 +333,17 @@ void RpcServer::DispatchRequest(const Frame& request, std::string* response) {
       break;
     }
     case MessageTag::kTakeRecommendations: {
-      GatherReport report;
       Result<std::vector<Recommendation>> recs =
-          transport_->TakeRecommendations(&report);
+          transport_->TakeRecommendations();
       if (recs.ok()) {
         // A large gather streams as several bounded frames (one request,
         // N ordered replies) so no reply can hit the frame-size cap.
         // Delivery of a gather is at-most-once, mirroring the in-process
         // move-out contract: recommendations taken here are gone if the
         // reply write fails; the delivery pipeline's dedup absorbs any
-        // operator-level replay. When the transport's gather was degraded
-        // (a fan-out broker behind this server with daemons down), the
-        // GatherReport tail forwards which partitions are missing — taken
-        // from THIS call, not the shared last-call slot, so concurrent
-        // gatherers never receive each other's coverage.
-        //
-        // Completed traces ride the reply's trace tail, one per gather
-        // (the oldest).
-        TraceContext reply_trace;
-        std::vector<TraceContext> traces = transport_->TakeTraces();
-        if (!traces.empty()) reply_trace = std::move(traces.front());
-        AppendRecommendationsReplyChunked(
-            *recs, kRecommendationsChunkBytes, response,
-            report.complete() ? nullptr : &report,
-            reply_trace.active() ? &reply_trace : nullptr);
+        // operator-level replay.
+        AppendRecommendationsReplyChunked(*recs, kRecommendationsChunkBytes,
+                                          response);
         return;
       }
       status = recs.status();

@@ -30,12 +30,6 @@ constexpr size_t kEventBytes = 4 + 4 + 8 + 1;
 constexpr uint8_t kBatchSequenceMarker = 0x01;
 constexpr size_t kBatchSequenceTailBytes = 1 + 8;
 
-// The recommendations-reply GatherReport tail leads with the same kind of
-// presence marker, for the same reason: a forged or corrupted rec count
-// that leaves plausible residue must not have recommendation bytes
-// silently re-decoded as coverage data.
-constexpr uint8_t kGatherReportMarker = 0x01;
-
 // The hello marker, the stats-reply server-loop tail marker, and the fixed
 // envelope prefix sizes (request_id:u64 [+ last:u8]).
 constexpr uint8_t kHelloMarker = 0x01;
@@ -45,9 +39,10 @@ constexpr size_t kMuxResponsePrefixBytes = 8 + 1;
 
 // The trace tail (see wire.h, "Trace propagation"): marker, then
 // trace_id:u64 origin_us:i64 count:u8, then `count` 13-byte stamps. It is
-// always the LAST tail on any payload that carries it, so the decoder can
-// demand exact consumption — residue after a trace tail is corruption, not
-// a future extension (future extensions slot in BEFORE the trace tail).
+// always the LAST tail on any payload that carries it (a publish-batch or
+// an ack), so the decoder can demand exact consumption — residue after a
+// trace tail is corruption, not a future extension (future extensions slot
+// in BEFORE the trace tail).
 constexpr uint8_t kTraceMarker = 0x02;
 constexpr size_t kTraceStampBytes = 1 + 4 + 8;
 
@@ -543,9 +538,7 @@ class FrameWriter {
 }  // namespace
 
 void AppendRecommendationsReply(std::span<const Recommendation> recs,
-                                bool has_more, std::string* out,
-                                const GatherReport* report,
-                                const TraceContext* trace) {
+                                bool has_more, std::string* out) {
   size_t rec_bytes = 0;
   for (const Recommendation& rec : recs) rec_bytes += RecWireBytes(rec);
   out->reserve(out->size() + kFrameHeaderBytes + 1 + 1 + 4 + rec_bytes);
@@ -562,27 +555,12 @@ void AppendRecommendationsReply(std::span<const Recommendation> recs,
     PutU32(payload, static_cast<uint32_t>(rec.witnesses.size()));
     for (const VertexId witness : rec.witnesses) PutU32(payload, witness);
   }
-  // A complete gather omits the tail (tail-growth versioning, see wire.h).
-  if (report != nullptr && !report->complete()) {
-    PutU8(payload, kGatherReportMarker);
-    PutU32(payload, report->daemons_total);
-    PutU32(payload, report->daemons_answered);
-    PutU32(payload, static_cast<uint32_t>(report->missing_partitions.size()));
-    for (const uint32_t partition : report->missing_partitions) {
-      PutU32(payload, partition);
-    }
-  }
-  // The trace tail goes after the report tail (tail order is fixed: 0x01
-  // before 0x02).
-  if (trace != nullptr && trace->active()) PutTraceTail(*trace, payload);
   frame.Finish();
 }
 
 void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
                                        size_t max_payload_bytes,
-                                       std::string* out,
-                                       const GatherReport* report,
-                                       const TraceContext* trace) {
+                                       std::string* out) {
   size_t begin = 0;
   do {
     size_t end = begin;
@@ -593,12 +571,8 @@ void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
       bytes += RecWireBytes(recs[end]);
       ++end;
     }
-    const bool has_more = end < recs.size();
-    // Tails ride the LAST frame only, next to the gather report, so earlier
-    // frames stay byte-identical to a plain chunked reply.
-    AppendRecommendationsReply(recs.subspan(begin, end - begin), has_more,
-                               out, has_more ? nullptr : report,
-                               has_more ? nullptr : trace);
+    AppendRecommendationsReply(recs.subspan(begin, end - begin),
+                               /*has_more=*/end < recs.size(), out);
     begin = end;
   } while (begin < recs.size());
 }
@@ -662,10 +636,7 @@ Status DecodeError(std::string_view payload) {
 
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,
-                                  bool* has_more,
-                                  GatherReport* report, TraceContext* trace) {
-  if (report != nullptr) *report = GatherReport{};  // absent tail = complete
-  if (trace != nullptr) *trace = TraceContext{};    // absent tail = no trace
+                                  bool* has_more) {
   ByteReader reader = ReaderOf(payload);
   uint8_t more = 0;
   uint32_t count = 0;
@@ -697,48 +668,7 @@ Status DecodeRecommendationsReply(std::string_view payload,
     }
     recs->push_back(std::move(rec));
   }
-  // Tail loop (tail-growth versioning): the GatherReport tail (0x01), then
-  // optionally the trace tail (0x02, always last and exactly consuming).
-  // Trailing bytes that are not a marked tail are corruption, not coverage
-  // or trace data, and every count is bounds-checked against the actual
-  // remaining bytes before reserving.
-  bool saw_report = false;
-  while (reader.remaining() != 0) {
-    uint8_t marker = 0;
-    reader.GetU8(&marker);
-    if (marker == kGatherReportMarker && !saw_report) {
-      GatherReport tail;
-      uint32_t missing_count = 0;
-      if (!reader.GetU32(&tail.daemons_total) ||
-          !reader.GetU32(&tail.daemons_answered) ||
-          !reader.GetU32(&missing_count)) {
-        return Truncated("recommendations-reply gather-report");
-      }
-      if (static_cast<uint64_t>(missing_count) * 4 > reader.remaining()) {
-        return Status::InvalidArgument(
-            "recommendations-reply gather-report missing-partition count "
-            "does not match payload");
-      }
-      tail.missing_partitions.resize(missing_count);
-      for (uint32_t i = 0; i < missing_count; ++i) {
-        reader.GetU32(&tail.missing_partitions[i]);
-      }
-      if (report != nullptr) *report = std::move(tail);
-      saw_report = true;
-      continue;
-    }
-    if (marker == kTraceMarker) {
-      TraceContext decoded;
-      const Status status =
-          GetTraceTail(&reader, "recommendations-reply", &decoded);
-      if (!status.ok()) return status;
-      if (trace != nullptr) *trace = std::move(decoded);
-      break;  // GetTraceTail consumed the payload exactly
-    }
-    return Status::InvalidArgument(
-        "recommendations-reply gather-report tail lacks its presence "
-        "marker");
-  }
+  if (reader.remaining() != 0) return TrailingGarbage("recommendations-reply");
   return Status::OK();
 }
 
@@ -754,58 +684,46 @@ Status DecodeStatsReply(std::string_view payload, ClusterStats* stats) {
       !reader.GetU64(&stats->dynamic_memory_bytes)) {
     return Truncated("stats-reply");
   }
-  // Extension tails (a decoder reads a missing one as empty; tail-growth
-  // versioning, see wire.h): the per-replica identity list, then the
-  // partitioner salt, then the marker-led server-loop counters.
-  stats->per_replica.clear();
-  stats->partitioner_salt = 0;
-  stats->server = ServerLoopStats{};
-  if (reader.remaining() == 0) return Status::OK();
+  // The per-replica identity list, the partitioner salt, then the
+  // marker-led server-loop counters: every server sends all three, so the
+  // replica count must account for exactly the bytes that remain.
   uint32_t count = 0;
   if (!reader.GetU32(&count)) return Truncated("stats-reply");
-  // partition + replica + alive + 3 counters = 33 bytes per entry; the
-  // optional salt adds 8 after the list, the optional server-loop tail
-  // (marker + loop + u32 + 5 x u64) another 46 after the salt.
-  constexpr uint64_t kServerTailBytes = 1 + 1 + 4 + 5 * 8;
-  const uint64_t entry_bytes = static_cast<uint64_t>(count) * 33;
-  if (entry_bytes != reader.remaining() &&
-      entry_bytes + 8 != reader.remaining() &&
-      entry_bytes + 8 + kServerTailBytes != reader.remaining()) {
+  // partition + replica + alive + 3 counters = 33 bytes per entry; then the
+  // salt (8) and the server-loop tail (marker + loop + u32 + 5 x u64).
+  constexpr uint64_t kSaltAndServerTailBytes = 8 + 1 + 1 + 4 + 5 * 8;
+  if (static_cast<uint64_t>(count) * 33 + kSaltAndServerTailBytes !=
+      reader.remaining()) {
     return Status::InvalidArgument(StrFormat(
         "stats-reply replica count %u does not match %zu payload bytes",
         count, reader.remaining()));
   }
-  stats->per_replica.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ReplicaStats entry;
+  // The exact length check above keeps every read below in bounds.
+  stats->per_replica.resize(count);
+  for (ReplicaStats& entry : stats->per_replica) {
     uint8_t alive = 0;
-    if (!reader.GetU32(&entry.partition) || !reader.GetU32(&entry.replica) ||
-        !reader.GetU8(&alive) || !reader.GetU64(&entry.detector_events) ||
-        !reader.GetU64(&entry.threshold_queries) ||
-        !reader.GetU64(&entry.recommendations)) {
-      return Truncated("stats-reply");
-    }
+    reader.GetU32(&entry.partition);
+    reader.GetU32(&entry.replica);
+    reader.GetU8(&alive);
+    reader.GetU64(&entry.detector_events);
+    reader.GetU64(&entry.threshold_queries);
+    reader.GetU64(&entry.recommendations);
     entry.alive = alive != 0;
-    stats->per_replica.push_back(entry);
   }
-  if (reader.remaining() != 0 && !reader.GetU64(&stats->partitioner_salt)) {
-    return Truncated("stats-reply");
-  }
-  if (reader.remaining() == 0) return Status::OK();
+  reader.GetU64(&stats->partitioner_salt);
   uint8_t marker = 0;
-  if (!reader.GetU8(&marker) || marker != kServerLoopMarker) {
+  reader.GetU8(&marker);
+  if (marker != kServerLoopMarker) {
     return Status::InvalidArgument(
         "stats-reply server-loop tail lacks its presence marker");
   }
-  if (!reader.GetU8(&stats->server.loop) ||
-      !reader.GetU32(&stats->server.connections_open) ||
-      !reader.GetU64(&stats->server.requests_served) ||
-      !reader.GetU64(&stats->server.partial_reads) ||
-      !reader.GetU64(&stats->server.partial_writes) ||
-      !reader.GetU64(&stats->server.inflight_stalls) ||
-      !reader.GetU64(&stats->server.mux_connections)) {
-    return Truncated("stats-reply server-loop");
-  }
+  reader.GetU8(&stats->server.loop);
+  reader.GetU32(&stats->server.connections_open);
+  reader.GetU64(&stats->server.requests_served);
+  reader.GetU64(&stats->server.partial_reads);
+  reader.GetU64(&stats->server.partial_writes);
+  reader.GetU64(&stats->server.inflight_stalls);
+  reader.GetU64(&stats->server.mux_connections);
   return Status::OK();
 }
 

@@ -70,18 +70,12 @@
 //     emitted only when the acked request itself carried a trace — trace
 //     in, trace out.
 //   kError              code:u8 message-bytes (to end of payload)
-//   kRecommendationsReply has_more:u8 count:u32 rec*
-//                         [marker:u8=0x01 daemons_total:u32
-//                          daemons_answered:u32 missing_count:u32
-//                          missing_partition:u32*]   where
+//   kRecommendationsReply has_more:u8 count:u32 rec*   where
 //     rec := user:u32 item:u32 witness_count:u32 trigger:u32
 //            event_time:i64  nwitnesses:u32 witness:u32*
 //     A gather too large for one frame streams as several reply frames;
 //     has_more != 0 on all but the last. One request, N ordered frames.
-//     The bracketed GatherReport tail is appended to the LAST frame only
-//     when the serving transport's gather was degraded (a fan-out broker
-//     under quorum/best-effort policy with daemons down); a complete
-//     gather omits it.
+//     Nothing follows the last rec: a trailing byte is rejected.
 //   kStatsReply         num_partitions:u32 replicas:u32 published:u64
 //                       detector_events:u64 queries:u64 recs:u64
 //                       static_bytes:u64 dynamic_bytes:u64
@@ -95,13 +89,11 @@
 //     The per-replica identity list keeps stats from many partition-group
 //     daemons attributable, the partitioner salt lets a fan-out broker
 //     detect placement disagreement, and the marker-led tail carries the
-//     serving loop's reactor counters. The server always sends all three;
-//     the decoder still reads an encoding that stops after the fixed
-//     fields or after the salt as empty/zero.
+//     serving loop's reactor counters. Every server sends all three, and
+//     the decoder accepts only that one layout.
 //   kStatsTextReply       the registry text exposition, raw UTF-8 bytes
 //
-// Growth: payloads grow only at the tail, behind a marker byte, and a
-// decoder treats a missing tail as the field's empty/zero value. Any
+// Growth: payloads grow only at the tail, behind a marker byte. Any
 // change an older peer cannot read bumps kProtocolVersion, so mixed
 // versions fail at the hello instead of mid-stream
 // (docs/wire-protocol.md, "Versioning and compatibility").
@@ -113,8 +105,7 @@
 //     tail (tails keep their introduction order; a 0x02 tail may appear
 //     without a 0x01 tail but never before one). The daemon stamps
 //     daemon-dequeue and detector-apply and echoes the context in the ack's
-//     trace tail; the gather reply's LAST frame may carry one completed
-//     context after the GatherReport tail. count is capped at
+//     trace tail; no other payload carries one. count is capped at
 //     kMaxTraceStamps (64) — a forged count is rejected before allocating.
 //     Unsampled batches carry no trace tail.
 //
@@ -291,25 +282,17 @@ void AppendError(const Status& status, std::string* out);
 /// context when absent (the empty payload).
 Status DecodeAck(std::string_view payload, TraceContext* trace = nullptr);
 
-/// One reply frame holding exactly these recommendations. A non-null
-/// `report` that is not complete() appends the GatherReport tail; a
-/// non-null active() `trace` appends the trace tail after it (both only
-/// meaningful on the final frame of a chunked reply).
+/// One reply frame holding exactly these recommendations.
 void AppendRecommendationsReply(std::span<const Recommendation> recs,
-                                bool has_more, std::string* out,
-                                const GatherReport* report = nullptr,
-                                const TraceContext* trace = nullptr);
+                                bool has_more, std::string* out);
 
 /// Splits a gather across as many reply frames as its encoded size needs
 /// (target payload <= max_payload_bytes, one oversized rec still ships
 /// alone). Always emits at least one frame so an empty gather gets its
-/// empty reply. The GatherReport and trace tails (if any) ride on the last
-/// frame.
+/// empty reply.
 void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
                                        size_t max_payload_bytes,
-                                       std::string* out,
-                                       const GatherReport* report = nullptr,
-                                       const TraceContext* trace = nullptr);
+                                       std::string* out);
 
 /// The registry text exposition as a kStatsTextReply frame. The payload is
 /// the raw text; DecodeStatsTextReply exists for symmetry.
@@ -329,14 +312,9 @@ Status DecodeError(std::string_view payload);
 
 /// APPENDS the frame's recommendations to *recs (the caller accumulates
 /// across a chunked reply) and reports whether more frames follow.
-/// `*report` (optional) receives the GatherReport tail when present, or a
-/// complete report when absent. `*trace`
-/// (optional) receives the trace tail, or an inactive context when absent.
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,
-                                  bool* has_more,
-                                  GatherReport* report = nullptr,
-                                  TraceContext* trace = nullptr);
+                                  bool* has_more);
 Status DecodeStatsReply(std::string_view payload, ClusterStats* stats);
 
 }  // namespace magicrecs::net

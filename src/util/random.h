@@ -19,7 +19,8 @@
 namespace magicrecs {
 
 /// SplitMix64 step: maps any 64-bit state to a well-mixed output. Also used
-/// as a cheap hash for integers (e.g. in the Bloom filter and partitioner).
+/// as a cheap hash for integers (the partitioner, the two-hop baseline's
+/// counter slots, the quiet-hours offsets).
 uint64_t SplitMix64(uint64_t x);
 
 /// xoshiro256** generator: fast, 256-bit state, passes BigCrush.

@@ -134,18 +134,6 @@ TEST(ClusterTransportTest, StatsReflectThePublishedStream) {
   EXPECT_FALSE(stats->PerReplicaString().empty());
 }
 
-TEST(ClusterTransportTest, PartitionerIsExposedThroughTheSeam) {
-  auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),
-                                                 MakeOptions(3), Mode::kInline);
-  ASSERT_TRUE(transport.ok());
-  auto partitioner = (*transport)->Partitioner();
-  ASSERT_TRUE(partitioner.ok()) << partitioner.status();
-  EXPECT_EQ(partitioner->num_partitions(), 3u);
-  // Placement routed through the seam matches the cluster's own.
-  EXPECT_EQ(partitioner->PartitionOf(figure1::kA2),
-            (*transport)->cluster().partitioner().PartitionOf(figure1::kA2));
-}
-
 TEST(ClusterTransportTest, TakeIsMoveOutInBothModes) {
   for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
     auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),

@@ -133,9 +133,8 @@ TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
     bool last = false;
     ASSERT_TRUE(session.ReadReply(&reply, nullptr, &last).ok());
     ASSERT_EQ(reply.tag, MessageTag::kRecommendationsReply);
-    ASSERT_TRUE(DecodeRecommendationsReply(reply.payload, &received,
-                                           &has_more, nullptr)
-                    .ok());
+    ASSERT_TRUE(
+        DecodeRecommendationsReply(reply.payload, &received, &has_more).ok());
     EXPECT_EQ(last, !has_more);
   }
   ASSERT_EQ(received.size(), canned.size());

@@ -45,6 +45,7 @@ using net::FanoutCluster;
 using net::FanoutClusterOptions;
 using net::FanoutEndpoint;
 using net::FanoutPolicy;
+using net::GatherReport;
 using net::RpcServer;
 using net::RpcServerOptions;
 
@@ -58,9 +59,6 @@ class DelayingTransport : public ClusterTransport {
                     std::chrono::milliseconds delay, int delays)
       : wrapped_(wrapped), delay_(delay), delays_left_(delays) {}
 
-  Status Publish(const EdgeEvent& event) override {
-    return wrapped_->Publish(event);
-  }
   Status PublishBatch(std::span<const EdgeEvent> events) override {
     if (delays_left_.fetch_sub(1, std::memory_order_relaxed) > 0) {
       std::this_thread::sleep_for(delay_);
@@ -81,9 +79,6 @@ class DelayingTransport : public ClusterTransport {
     return wrapped_->RecoverReplica(partition, replica);
   }
   Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
-  Result<HashPartitioner> Partitioner() const override {
-    return wrapped_->Partitioner();
-  }
   Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
@@ -114,9 +109,6 @@ class GatedFailingTransport : public ClusterTransport {
     cv_.notify_all();
   }
 
-  Status Publish(const EdgeEvent& event) override {
-    return wrapped_->Publish(event);
-  }
   Status PublishBatch(std::span<const EdgeEvent> events) override {
     if (!first_taken_.exchange(true)) {
       started_.store(true, std::memory_order_release);
@@ -140,9 +132,6 @@ class GatedFailingTransport : public ClusterTransport {
     return wrapped_->RecoverReplica(partition, replica);
   }
   Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
-  Result<HashPartitioner> Partitioner() const override {
-    return wrapped_->Partitioner();
-  }
   Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
@@ -271,7 +260,7 @@ TEST(FanoutDegradedTest, QuorumGatherSurvivesDaemonKilledMidstream) {
   std::vector<Recommendation> all = *degraded;
   for (int attempt = 0; attempt < 200; ++attempt) {
     ASSERT_TRUE(g.broker->Drain().ok());
-    GatherReport taken_report;
+    net::GatherReport taken_report;
     auto taken = g.broker->TakeRecommendations(&taken_report);
     ASSERT_TRUE(taken.ok()) << taken.status();
     all.insert(all.end(), taken->begin(), taken->end());

@@ -2,9 +2,7 @@
 // sampled publish originates a TraceContext at the broker, every daemon
 // stamps dequeue and detector-apply and echoes them back on its ack tail,
 // the gather closes the trace, and TakeTraces hands the merged stamp list
-// to the operator. A broker behind an RpcServer ferries its completed
-// traces to the broker in front of it on the gather reply's tail. Plus the
-// kStatsText scrape surface over the same group.
+// to the operator. Plus the kStatsText scrape surface over the same group.
 
 #include <string>
 #include <vector>
@@ -13,7 +11,6 @@
 
 #include "fanout_test_util.h"
 #include "gen/figure1.h"
-#include "net/rpc_server.h"
 #include "util/trace.h"
 
 namespace magicrecs {
@@ -124,45 +121,6 @@ TEST(FanoutTraceTest, EveryTracedPublishParksItsOwnTrace) {
       EXPECT_NE(traces[i].trace_id, traces[j].trace_id);
     }
   }
-}
-
-TEST(FanoutTraceTest, OuterBrokerParksTheTraceAnInnerBrokerFerries) {
-  // Two broker tiers: the inner broker fronts a 2-daemon group and is
-  // itself a daemon's transport behind an RpcServer; the outer broker
-  // reaches that server as one all-hosting endpoint. Only the inner broker
-  // samples, so any trace the outer broker returns rode the reply tail.
-  const StaticGraph graph = figure1::FollowGraph();
-  net::FanoutClusterOptions inner_options;
-  inner_options.trace_sample_every = 1;
-  Group inner = StartGroup(graph, 2, 1, 2, inner_options);
-  auto front = net::RpcServer::Start(inner.broker.get(), {});
-  ASSERT_TRUE(front.ok()) << front.status();
-
-  net::FanoutClusterOptions outer_options;
-  outer_options.trace_sample_every = 0;
-  outer_options.endpoints.resize(1);
-  outer_options.endpoints[0].port = (*front)->port();
-  auto outer = net::FanoutCluster::Connect(outer_options);
-  ASSERT_TRUE(outer.ok()) << outer.status();
-
-  ASSERT_TRUE((*outer)->PublishBatch(Figure1Events()).ok());
-  ASSERT_TRUE((*outer)->Drain().ok());
-  ASSERT_TRUE((*outer)->TakeRecommendations().ok());
-
-  const std::vector<TraceContext> traces = (*outer)->TakeTraces();
-  ASSERT_EQ(traces.size(), 1u);
-  const TraceContext& trace = traces.front();
-  EXPECT_NE(FindStamp(trace, TraceStage::kBrokerEncode, kTracePartyBroker),
-            nullptr)
-      << trace.ToString();
-  EXPECT_NE(FindStamp(trace, TraceStage::kGather, kTracePartyBroker), nullptr)
-      << trace.ToString();
-  for (uint32_t p = 0; p < 2; ++p) {
-    EXPECT_NE(FindStamp(trace, TraceStage::kDetectorApply, p), nullptr)
-        << "partition " << p << " missing apply: " << trace.ToString();
-  }
-  EXPECT_TRUE(inner.broker->TakeTraces().empty())
-      << "the ferried trace must leave the inner broker's ring";
 }
 
 TEST(FanoutTraceTest, StatsTextScrapeCoversBrokerAndEveryDaemon) {

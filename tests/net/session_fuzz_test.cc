@@ -1,13 +1,16 @@
-// Seeded fuzzing of the session gate: the hello, the hello reply and the
-// mux envelopes are the first bytes a daemon (or a client) parses from an
-// untrusted peer. Valid messages must round-trip exactly; truncated,
-// marker-flipped and length-forged ones must come back as a Status, never
-// a crash or an out-of-bounds read (the ASan and TSan jobs run every net_
-// suite); and a valid hello+mux stream cut at random points must reassemble
-// into the same frames. Inputs come from a printed seed, so any failure is
-// a one-line repro:
+// Seeded fuzzing of the session gate and the reply bodies a broker parses:
+// the hello, the hello reply and the mux envelopes are the first bytes a
+// daemon (or a client) parses from an untrusted peer, and the
+// recommendations and stats replies are what a broker decodes from every
+// daemon. Valid messages must round-trip exactly; truncated,
+// marker-flipped, count-forged and length-forged ones must come back as a
+// Status, never a crash, an out-of-bounds read or an allocation the payload
+// cannot back (the ASan and TSan jobs run every net_ suite); and a valid
+// hello+mux stream cut at random points must reassemble into the same
+// frames. Inputs come from a printed seed, so any failure is a one-line
+// repro:
 //
-//   MAGICRECS_FUZZ_SEED=<seed> ./net_session_fuzz_test
+//   MAGICRECS_FUZZ_SEED=<seed> MAGICRECS_FUZZ_TRIALS=<n> ./net_session_fuzz_test
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +23,7 @@
 
 #include "net/frame_io.h"
 #include "net/wire.h"
+#include "persist/codec.h"
 #include "util/random.h"
 
 namespace magicrecs::net {
@@ -74,17 +78,139 @@ Frame ParseOne(const std::string& bytes) {
   return frame;
 }
 
-/// Runs all four session decoders over `payload`. Their only contract on
-/// hostile input is to return (the sanitizers check the reads).
+/// Parses a buffer of whole frames (e.g. a chunked reply) through the
+/// reactor's assembler.
+std::vector<Frame> ParseAll(const std::string& bytes) {
+  FrameAssembler assembler;
+  assembler.Append(bytes.data(), bytes.size());
+  std::vector<Frame> frames;
+  while (true) {
+    Frame frame;
+    bool ready = false;
+    EXPECT_TRUE(assembler.Next(&frame, &ready).ok());
+    if (!ready) break;
+    frames.push_back(std::move(frame));
+  }
+  EXPECT_EQ(assembler.buffered(), 0u);
+  return frames;
+}
+
+/// Runs every session and reply decoder over `payload`. Their only contract
+/// on hostile input is to return (the sanitizers check the reads).
 void DecodeAll(const std::string& payload) {
   uint32_t version = 0, features = 0, max_inflight = 0;
   uint64_t id = 0;
   bool last = false;
   Frame inner;
+  std::vector<Recommendation> recs;
+  ClusterStats stats;
   (void)DecodeHello(payload, &version, &features);
   (void)DecodeHelloReply(payload, &version, &features, &max_inflight);
   (void)DecodeMuxRequest(payload, &id, &inner);
   (void)DecodeMuxResponse(payload, &id, &last, &inner);
+  (void)DecodeRecommendationsReply(payload, &recs, &last);
+  (void)DecodeStatsReply(payload, &stats);
+}
+
+Recommendation RandomRecommendation(Rng* rng) {
+  Recommendation rec;
+  rec.user = RandomU32(rng);
+  rec.item = RandomU32(rng);
+  rec.witness_count = RandomU32(rng);
+  rec.trigger = RandomU32(rng);
+  rec.event_time = static_cast<Timestamp>(rng->NextUint64());
+  rec.witnesses.resize(rng->UniformInt(7));
+  for (VertexId& witness : rec.witnesses) witness = RandomU32(rng);
+  return rec;
+}
+
+std::vector<Recommendation> RandomRecommendations(Rng* rng, size_t max) {
+  std::vector<Recommendation> recs(rng->UniformInt(max + 1));
+  for (Recommendation& rec : recs) rec = RandomRecommendation(rng);
+  return recs;
+}
+
+/// Every field the stats wire carries, randomized; the broker-only
+/// counters stay zero because the wire does not carry them.
+ClusterStats RandomStats(Rng* rng) {
+  ClusterStats stats;
+  stats.num_partitions = RandomU32(rng);
+  stats.replicas_per_partition = RandomU32(rng);
+  stats.events_published = rng->NextUint64();
+  stats.detector_events = rng->NextUint64();
+  stats.threshold_queries = rng->NextUint64();
+  stats.recommendations = rng->NextUint64();
+  stats.static_memory_bytes = rng->NextUint64();
+  stats.dynamic_memory_bytes = rng->NextUint64();
+  stats.per_replica.resize(rng->UniformInt(6));
+  for (ReplicaStats& entry : stats.per_replica) {
+    entry.partition = RandomU32(rng);
+    entry.replica = RandomU32(rng);
+    entry.alive = rng->Bernoulli(0.5);
+    entry.detector_events = rng->NextUint64();
+    entry.threshold_queries = rng->NextUint64();
+    entry.recommendations = rng->NextUint64();
+  }
+  stats.partitioner_salt = rng->NextUint64();
+  stats.server.loop = static_cast<uint8_t>(rng->UniformInt(256));
+  stats.server.connections_open = RandomU32(rng);
+  stats.server.requests_served = rng->NextUint64();
+  stats.server.partial_reads = rng->NextUint64();
+  stats.server.partial_writes = rng->NextUint64();
+  stats.server.inflight_stalls = rng->NextUint64();
+  stats.server.mux_connections = rng->NextUint64();
+  return stats;
+}
+
+/// Residue in the retired recommendations-reply layout: a coverage tail
+/// (0x01 total answered count ids*) or a trace tail (0x02 id origin count
+/// stamps*), each well-formed by the old rules.
+std::string RetiredReplyTail(Rng* rng) {
+  std::string tail;
+  if (rng->Bernoulli(0.5)) {
+    const uint32_t missing = static_cast<uint32_t>(rng->UniformInt(4));
+    persist::PutU8(&tail, 0x01);
+    persist::PutU32(&tail, RandomU32(rng));
+    persist::PutU32(&tail, RandomU32(rng));
+    persist::PutU32(&tail, missing);
+    for (uint32_t i = 0; i < missing; ++i) {
+      persist::PutU32(&tail, RandomU32(rng));
+    }
+  } else {
+    const uint8_t stamps = static_cast<uint8_t>(rng->UniformInt(4));
+    persist::PutU8(&tail, 0x02);
+    persist::PutU64(&tail, rng->NextUint64());
+    persist::PutI64(&tail, static_cast<int64_t>(rng->NextUint64()));
+    persist::PutU8(&tail, stamps);
+    for (uint8_t i = 0; i < stamps; ++i) {
+      persist::PutU8(&tail, static_cast<uint8_t>(1 + rng->UniformInt(4)));
+      persist::PutU32(&tail, RandomU32(rng));
+      persist::PutI64(&tail, static_cast<int64_t>(rng->NextUint64()));
+    }
+  }
+  return tail;
+}
+
+/// Decodes a recommendations-reply payload that must be rejected, and
+/// checks the decoder reserved no more than the payload's bytes can back:
+/// a rec costs >= 28 wire bytes and a witness 4.
+void ExpectRecsRejected(const std::string& payload, const char* what) {
+  std::vector<Recommendation> recs;
+  bool has_more = false;
+  const Status s = DecodeRecommendationsReply(payload, &recs, &has_more);
+  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
+  EXPECT_LE(recs.capacity(), payload.size() / 28) << what;
+  for (const Recommendation& rec : recs) {
+    EXPECT_LE(rec.witnesses.capacity(), payload.size() / 4) << what;
+  }
+}
+
+/// The same for a stats-reply payload: a replica entry is 33 wire bytes.
+void ExpectStatsRejected(const std::string& payload, const char* what) {
+  ClusterStats stats;
+  const Status s = DecodeStatsReply(payload, &stats);
+  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
+  EXPECT_LE(stats.per_replica.capacity(), payload.size() / 33) << what;
 }
 
 TEST(SessionFuzzTest, ValidMessagesRoundTripExactly) {
@@ -297,6 +423,106 @@ TEST(SessionFuzzTest, SplitSessionStreamReassemblesIdentically) {
       uint64_t id = 0;
       Frame inner;
       EXPECT_TRUE(DecodeMuxRequest(got[i].payload, &id, &inner).ok());
+    }
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SessionFuzzTest, ReplyBodiesRoundTripExactly) {
+  const uint64_t seed = BaseSeed() ^ 0x4e91'1e5;
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
+  const int trials = Trials(2'000);
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    // A chunk budget from "one rec per frame" to "all in one" makes random
+    // chains of one or more frames.
+    const std::vector<Recommendation> recs = RandomRecommendations(&rng, 40);
+    const size_t budget = 1 + rng.UniformInt(2'048);
+    std::string chain;
+    AppendRecommendationsReplyChunked(recs, budget, &chain);
+    const std::vector<Frame> frames = ParseAll(chain);
+    ASSERT_FALSE(frames.empty());
+    std::vector<Recommendation> got;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      ASSERT_EQ(frames[i].tag, MessageTag::kRecommendationsReply);
+      bool has_more = false;
+      ASSERT_TRUE(
+          DecodeRecommendationsReply(frames[i].payload, &got, &has_more).ok())
+          << "frame " << i;
+      EXPECT_EQ(has_more, i + 1 < frames.size()) << "frame " << i;
+    }
+    EXPECT_EQ(got, recs);
+
+    const ClusterStats stats = RandomStats(&rng);
+    std::string reply;
+    AppendStatsReply(stats, &reply);
+    const Frame frame = ParseOne(reply);
+    ASSERT_EQ(frame.tag, MessageTag::kStatsReply);
+    ClusterStats decoded;
+    ASSERT_TRUE(DecodeStatsReply(frame.payload, &decoded).ok());
+    EXPECT_EQ(decoded, stats);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
+  const uint64_t seed = BaseSeed() ^ 0xbad'1e5;
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
+  const int trials = Trials(2'000);
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    const std::vector<Recommendation> recs = RandomRecommendations(&rng, 4);
+    std::string frame;
+    AppendRecommendationsReply(recs, rng.Bernoulli(0.5), &frame);
+    const std::string recs_payload = ParseOne(frame).payload;
+    const ClusterStats stats = RandomStats(&rng);
+    std::string stats_frame;
+    AppendStatsReply(stats, &stats_frame);
+    const std::string stats_payload = ParseOne(stats_frame).payload;
+
+    // Every truncation: each layout is exact, so no strict prefix decodes.
+    for (size_t cut = 0; cut < recs_payload.size(); ++cut) {
+      ExpectRecsRejected(recs_payload.substr(0, cut), "recs truncation");
+    }
+    for (size_t cut = 0; cut < stats_payload.size(); ++cut) {
+      ExpectStatsRejected(stats_payload.substr(0, cut), "stats truncation");
+    }
+
+    // A forged rec count (after has_more), and a forged witness count on
+    // the LAST rec: too few leaves residue, too many overruns the payload.
+    uint32_t forged = RandomU32(&rng) >> rng.UniformInt(32);
+    if (forged == recs.size()) forged++;
+    std::string damaged = recs_payload;
+    std::memcpy(damaged.data() + 1, &forged, sizeof(forged));
+    ExpectRecsRejected(damaged, "forged rec count");
+    if (!recs.empty()) {
+      const size_t witnesses = recs.back().witnesses.size();
+      const size_t at = recs_payload.size() - 4 * witnesses - 4;
+      forged = RandomU32(&rng) >> rng.UniformInt(32);
+      if (forged == witnesses) forged++;
+      damaged = recs_payload;
+      std::memcpy(damaged.data() + at, &forged, sizeof(forged));
+      ExpectRecsRejected(damaged, "forged witness count");
+    }
+
+    // A forged replica count (after the 56 fixed bytes).
+    forged = RandomU32(&rng) >> rng.UniformInt(32);
+    if (forged == stats.per_replica.size()) forged++;
+    damaged = stats_payload;
+    std::memcpy(damaged.data() + 56, &forged, sizeof(forged));
+    ExpectStatsRejected(damaged, "forged replica count");
+
+    // Any appended byte: random residue, a lone 0x01 or 0x02 marker, or a
+    // whole tail in the retired reply layout.
+    const std::string residues[] = {
+        RandomBytes(&rng, 1 + rng.UniformInt(32)), std::string(1, '\x01'),
+        std::string(1, '\x02'), RetiredReplyTail(&rng),
+        RetiredReplyTail(&rng) + RetiredReplyTail(&rng)};
+    for (const std::string& residue : residues) {
+      ExpectRecsRejected(recs_payload + residue, "appended bytes");
+      ExpectStatsRejected(stats_payload + residue, "appended bytes");
     }
     if (HasFatalFailure()) return;
   }

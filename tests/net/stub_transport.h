@@ -47,11 +47,6 @@ class StubTransport : public ClusterTransport {
     return publishes_.load(std::memory_order_relaxed);
   }
 
-  Status Publish(const EdgeEvent&) override {
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-
   Status PublishBatch(std::span<const EdgeEvent> events) override {
     publishes_.fetch_add(events.size(), std::memory_order_relaxed);
     return Status::OK();

@@ -240,20 +240,15 @@ TEST(WireTest, StatsReplyCarriesPerReplicaIdentity) {
   EXPECT_EQ(out.partitioner_salt, 0xfeedfaceu);
 }
 
-TEST(WireTest, StatsReplyWithoutIdentityTailDecodesAsEmpty) {
-  // The pre-extension encoding (no per-replica tail) must stay decodable:
-  // tail-growth versioning treats an absent tail as the empty list.
+TEST(WireTest, StatsReplyWithoutIdentityTailIsRejected) {
+  // Every server sends the replica list, the salt and the server-loop
+  // tail; an encoding that stops after the fixed fields is malformed.
   std::string payload;
   persist::PutU32(&payload, 4);   // num_partitions
   persist::PutU32(&payload, 1);   // replicas
   for (int i = 0; i < 6; ++i) persist::PutU64(&payload, 100 + i);
   ClusterStats out;
-  out.per_replica.resize(3);  // stale state must be cleared
-  out.partitioner_salt = 99;
-  ASSERT_TRUE(DecodeStatsReply(payload, &out).ok());
-  EXPECT_EQ(out.num_partitions, 4u);
-  EXPECT_TRUE(out.per_replica.empty());
-  EXPECT_EQ(out.partitioner_salt, 0u);
+  EXPECT_TRUE(DecodeStatsReply(payload, &out).IsInvalidArgument());
 }
 
 TEST(WireTest, StatsReplyWithForgedReplicaCountIsRejected) {
@@ -448,151 +443,37 @@ TEST(WireTest, PublishBatchRejectsCorruptedPresenceMarker) {
   EXPECT_TRUE(DecodePublishBatch(payload, &decoded).IsInvalidArgument());
 }
 
-TEST(WireTest, GatherReportTailRoundTrips) {
-  GatherReport report;
-  report.daemons_total = 4;
-  report.daemons_answered = 3;
-  report.missing_partitions = {2};
-
+TEST(WireTest, RecommendationsReplyRejectsAnyTrailingByte) {
+  // Nothing follows the last rec: any residue is corruption, including a
+  // tail in the retired layout (a 0x01 coverage tail or a 0x02 trace tail).
   std::vector<Recommendation> recs(1);
   recs[0].user = 11;
-  recs[0].item = 22;
   recs[0].witnesses = {1, 2};
   std::string frame;
-  AppendRecommendationsReply(recs, /*has_more=*/false, &frame, &report);
+  AppendRecommendationsReply(recs, false, &frame);
+  const std::string payload = DecodeWhole(frame).payload;
 
-  std::vector<Recommendation> decoded;
-  bool has_more = true;
-  GatherReport decoded_report;
-  ASSERT_TRUE(DecodeRecommendationsReply(DecodeWhole(frame).payload,
-                                         &decoded, &has_more,
-                                         &decoded_report)
-                  .ok());
-  ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].user, 11u);
-  EXPECT_FALSE(has_more);
-  EXPECT_EQ(decoded_report, report);
-  EXPECT_FALSE(decoded_report.complete());
-}
-
-TEST(WireTest, CompleteGatherOmitsReportTailAndDecodesAsComplete) {
-  // A complete report must not change the bytes at all (the healthy path
-  // pays nothing), and a reply without the tail must decode to a complete
-  // report.
-  GatherReport complete;
-  complete.daemons_total = 4;
-  complete.daemons_answered = 4;
-  std::vector<Recommendation> recs(1);
-  std::string with_report;
-  AppendRecommendationsReply(recs, false, &with_report, &complete);
-  std::string without_report;
-  AppendRecommendationsReply(recs, false, &without_report);
-  EXPECT_EQ(with_report, without_report);
-
-  std::vector<Recommendation> decoded;
-  bool has_more = false;
-  GatherReport report;
-  report.missing_partitions = {7};  // stale state must be overwritten
-  ASSERT_TRUE(DecodeRecommendationsReply(DecodeWhole(without_report).payload,
-                                         &decoded, &has_more, &report)
-                  .ok());
-  EXPECT_TRUE(report.complete());
-  EXPECT_TRUE(report.missing_partitions.empty());
-}
-
-TEST(WireTest, ChunkedReplyCarriesReportOnLastFrameOnly) {
-  GatherReport report;
-  report.daemons_total = 2;
-  report.daemons_answered = 1;
-  report.missing_partitions = {0};
-
-  // Force several chunks with a tiny budget.
-  std::vector<Recommendation> recs(5);
-  for (size_t i = 0; i < recs.size(); ++i) {
-    recs[i].user = static_cast<VertexId>(i);
-    recs[i].witnesses = {1, 2, 3};
+  std::string coverage_tail;  // marker, total, answered, one missing id
+  persist::PutU8(&coverage_tail, 0x01);
+  persist::PutU32(&coverage_tail, 2);
+  persist::PutU32(&coverage_tail, 1);
+  persist::PutU32(&coverage_tail, 1);
+  persist::PutU32(&coverage_tail, 0);
+  std::string trace_tail;  // marker, trace id, origin, zero stamps
+  persist::PutU8(&trace_tail, 0x02);
+  persist::PutU64(&trace_tail, 7);
+  persist::PutI64(&trace_tail, 1);
+  persist::PutU8(&trace_tail, 0);
+  for (const std::string& residue :
+       {std::string(1, '\0'), std::string(1, '\x01'), std::string(1, '\x02'),
+        coverage_tail, trace_tail, coverage_tail + trace_tail}) {
+    std::vector<Recommendation> decoded;
+    bool has_more = false;
+    EXPECT_TRUE(DecodeRecommendationsReply(payload + residue, &decoded,
+                                           &has_more)
+                    .IsInvalidArgument())
+        << residue.size() << "-byte residue";
   }
-  std::string frames;
-  AppendRecommendationsReplyChunked(recs, /*max_payload_bytes=*/64, &frames,
-                                    &report);
-
-  // Walk the frames; only the final one may carry the tail.
-  std::vector<Recommendation> decoded;
-  size_t offset = 0;
-  bool has_more = true;
-  GatherReport frame_report;
-  size_t frame_count = 0;
-  while (offset < frames.size()) {
-    uint32_t body_len = 0;
-    uint32_t crc = 0;
-    ASSERT_TRUE(DecodeFrameHeader(
-                    reinterpret_cast<const uint8_t*>(frames.data() + offset),
-                    &body_len, &crc)
-                    .ok());
-    const std::string_view payload(frames.data() + offset +
-                                       kFrameHeaderBytes + 1,
-                                   body_len - 1);
-    ASSERT_TRUE(DecodeRecommendationsReply(payload, &decoded, &has_more,
-                                           &frame_report)
-                    .ok());
-    if (has_more) {
-      EXPECT_TRUE(frame_report.complete())
-          << "non-final frame carried the report tail";
-    }
-    offset += kFrameHeaderBytes + body_len;
-    frame_count++;
-  }
-  EXPECT_GT(frame_count, 1u) << "budget did not force chunking";
-  EXPECT_FALSE(has_more);
-  EXPECT_EQ(frame_report, report) << "final frame lost the report tail";
-  EXPECT_EQ(decoded.size(), recs.size());
-}
-
-TEST(WireTest, GatherReportTailRejectsForgedMissingCount) {
-  GatherReport report;
-  report.daemons_total = 2;
-  report.daemons_answered = 1;
-  report.missing_partitions = {1};
-  std::string frame;
-  AppendRecommendationsReply({}, false, &frame, &report);
-  std::string payload = DecodeWhole(frame).payload;
-  // The missing count sits 4 bytes before the single missing id at the
-  // payload tail; forge it to claim more ids than the bytes provide.
-  const uint32_t forged = 1'000'000;
-  std::memcpy(payload.data() + payload.size() - 8, &forged, sizeof(forged));
-  std::vector<Recommendation> recs;
-  bool has_more = false;
-  GatherReport decoded;
-  EXPECT_TRUE(DecodeRecommendationsReply(payload, &recs, &has_more, &decoded)
-                  .IsInvalidArgument());
-}
-
-TEST(WireTest, GatherReportTailRejectsResidueWithoutPresenceMarker) {
-  // Trailing bytes that do not lead with the presence marker are
-  // corruption (e.g. a forged rec count leaving recommendation bytes
-  // unconsumed), never coverage data.
-  std::string frame;
-  AppendRecommendationsReply({}, false, &frame);
-  std::string payload = DecodeWhole(frame).payload;
-  payload.append(13, '\0');  // tail-shaped residue, marker byte 0x00
-  std::vector<Recommendation> recs;
-  bool has_more = false;
-  GatherReport decoded;
-  EXPECT_TRUE(DecodeRecommendationsReply(payload, &recs, &has_more, &decoded)
-                  .IsInvalidArgument());
-
-  // A genuine tail whose marker byte is corrupted is rejected too.
-  GatherReport report;
-  report.daemons_total = 2;
-  report.daemons_answered = 1;
-  report.missing_partitions = {1};
-  std::string with_tail;
-  AppendRecommendationsReply({}, false, &with_tail, &report);
-  std::string tail_payload = DecodeWhole(with_tail).payload;
-  tail_payload[1 + 4] = '\x7f';  // the marker, after has_more + count
-  EXPECT_TRUE(
-      DecodeRecommendationsReply(tail_payload, &recs, &has_more, &decoded)
-          .IsInvalidArgument());
 }
 
 TEST(WireTest, EveryTagHasAName) {
@@ -728,37 +609,6 @@ TEST(WireTest, AckTraceEchoRoundTrips) {
   EXPECT_TRUE(DecodeAck(mangled, &out).IsInvalidArgument());
 }
 
-TEST(WireTest, RecommendationsReplyTraceTailRoundTrips) {
-  GatherReport report;
-  report.daemons_total = 4;
-  report.daemons_answered = 3;
-  report.missing_partitions = {2};
-  const TraceContext trace = MakeTrace();
-  std::vector<Recommendation> recs(1);
-  recs[0].user = 11;
-
-  std::string frame;
-  AppendRecommendationsReply(recs, /*has_more=*/false, &frame, &report,
-                             &trace);
-  std::vector<Recommendation> decoded;
-  bool has_more = true;
-  GatherReport decoded_report;
-  TraceContext out;
-  ASSERT_TRUE(DecodeRecommendationsReply(DecodeWhole(frame).payload, &decoded,
-                                         &has_more, &decoded_report, &out)
-                  .ok());
-  EXPECT_EQ(decoded_report, report)
-      << "report tail must coexist with the trace tail";
-  EXPECT_EQ(out, trace);
-
-  // Without a trace the bytes are identical to the pre-trace encoding.
-  std::string with_null;
-  AppendRecommendationsReply(recs, false, &with_null, &report, nullptr);
-  std::string pre_trace;
-  AppendRecommendationsReply(recs, false, &pre_trace, &report);
-  EXPECT_EQ(with_null, pre_trace);
-}
-
 TEST(WireTest, StatsTextReplyRoundTrips) {
   const std::string text =
       "# source broker\ncounter rpc_requests_served 42\n";
@@ -890,7 +740,7 @@ TEST(WireTest, WrapMuxResponsesMarksOnlyTheFinalFrameLast) {
     saw_last = last;
     bool has_more = false;
     ASSERT_TRUE(DecodeRecommendationsReply(inner.payload, &reassembled,
-                                           &has_more, nullptr)
+                                           &has_more)
                     .ok());
     EXPECT_EQ(has_more, !last) << "chunk has_more and envelope last disagree";
     envelopes++;
@@ -949,15 +799,13 @@ TEST(WireTest, StatsReplyServerLoopTailRoundTrips) {
   EXPECT_EQ(decoded.server, stats.server);
   EXPECT_EQ(decoded.partitioner_salt, 7u);
 
-  // An encoding that stops after the salt still decodes, as all-zero
-  // counters (tail-growth versioning).
+  // An encoding that stops after the salt is rejected, as is one with a
+  // byte appended after the server-loop tail.
   std::string payload = DecodeWhole(frame).payload;
   payload.resize(payload.size() - (1 + 1 + 4 + 5 * 8));
-  ClusterStats bare;
-  bare.server.loop = 9;  // stale state must be cleared
-  ASSERT_TRUE(DecodeStatsReply(payload, &bare).ok());
-  EXPECT_EQ(bare.server, ServerLoopStats{});
-  EXPECT_EQ(bare.partitioner_salt, 7u);
+  EXPECT_TRUE(DecodeStatsReply(payload, &decoded).IsInvalidArgument());
+  EXPECT_TRUE(DecodeStatsReply(DecodeWhole(frame).payload + '\0', &decoded)
+                  .IsInvalidArgument());
 }
 
 TEST(WireTest, StatsReplyServerLoopTailRejectsForgedResidue) {
