@@ -65,7 +65,6 @@ class PartitionServer {
   const StaticGraph& shard() const { return engine_->static_index(); }
   size_t StaticMemoryUsage() const { return shard().MemoryUsage(); }
   size_t DynamicMemoryUsage() const { return engine_->DynamicMemoryUsage(); }
-  void Prune(Timestamp now) { engine_->Prune(now); }
 
   /// 1 + the sequence of the last event applied to this replica (0 if
   /// none). Checkpointing uses this as the snapshot's coverage cutoff.

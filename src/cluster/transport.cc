@@ -198,6 +198,22 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
         ->ReplaceWith(detector.intersection_sizes);
     registry->GetCounter("events_published")
         ->RaiseTo(cluster_->events_published());
+    // D's size per hosted partition, summed over its replicas (each keeps
+    // its own copy): gauges, since expiry shrinks D as the window moves.
+    for (const uint32_t p : cluster_->owned_partitions()) {
+      uint64_t edges = 0;
+      size_t bytes = 0;
+      for (uint32_t r = 0; r < cluster_->replicas_per_partition(); ++r) {
+        const PartitionServer& server = cluster_->server(p, r);
+        edges += server.motif_engine().dynamic_index().stats().current_edges;
+        bytes += server.DynamicMemoryUsage();
+      }
+      const MetricLabels labels = {{"partition", StrFormat("%u", p)}};
+      registry->GetGauge("dynamic_edges", labels)
+          ->Set(static_cast<int64_t>(edges));
+      registry->GetGauge("dynamic_bytes", labels)
+          ->Set(static_cast<int64_t>(bytes));
+    }
   }
   return MetricsRegistry::Default()->RenderText();
 }

@@ -75,6 +75,8 @@ class MotifEngine {
   /// action filter (kAny accepts everything). Appends recommendations to
   /// *out (not cleared). The stream must be delivered in non-decreasing `t`
   /// order per destination (MotifOptions::strict_time_order enforces it).
+  /// D retains the edges within the window of the newest time it has seen,
+  /// so a late event's query finds only what that watermark left.
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out,
                 MotifAction action = MotifAction::kFollow);
@@ -113,11 +115,9 @@ class MotifEngine {
   const DynamicInEdgeIndex& dynamic_index() const { return dynamic_index_; }
 
   /// Bytes held by the dynamic index (S is shared, accounted by its owner).
+  /// D expires edges as the stream's watermark advances, so this follows
+  /// the window with no maintenance call.
   size_t DynamicMemoryUsage() const { return dynamic_index_.MemoryUsage(); }
-
-  /// Periodic maintenance: prune expired dynamic edges (memory relief on
-  /// long streams with cold targets).
-  void Prune(Timestamp now) { dynamic_index_.PruneAll(now); }
 
  private:
   MotifEngine(MotifPlan plan, std::shared_ptr<const StaticGraph> static_index,

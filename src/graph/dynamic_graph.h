@@ -3,16 +3,29 @@
 // within a freshness window ("memory pressure can be alleviated by pruning
 // the D data structure to only retain the most recent edges", §2).
 //
-// Layout: hash map C -> append-only log of (B, created_at). Events arrive in
-// non-decreasing time order per the stream contract, so each per-vertex log
-// is time-sorted and pruning is a front-trim. A lazily-compacted offset
-// avoids O(n) erase-from-front.
+// Retention follows the watermark: the newest (clamped) time D has seen.
+// Every Insert first expires, across all destinations, the edges created at
+// or before watermark - window, so D holds exactly the edges of the window
+// and nothing of the destinations that fell out of it. An in-order stream
+// sees the same query results as per-destination pruning would give; a late
+// event (tolerant mode only) cannot bring back what the watermark already
+// expired, and an edge that arrives already expired is counted as pruned
+// and not stored.
+//
+// Layout: a flat open-addressing table keyed by destination (linear
+// probing, multiplicative hashing, backward-shift deletion, so no
+// tombstones), each slot holding its time-sorted log inline, plus an expiry
+// queue of (time, destination), one entry per stored edge, kept in time
+// order. Expiry pops the queue's expired front and front-trims the logs it
+// names; a log that empties frees its slot. Both structures grow and shrink
+// with the window.
 
 #ifndef MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
 #define MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "graph/edge.h"
@@ -23,8 +36,9 @@ namespace magicrecs {
 
 /// Configuration for DynamicInEdgeIndex.
 struct DynamicGraphOptions {
-  /// Freshness window tau: in-edges older than `now - window` are pruned and
-  /// never returned. Must be > 0.
+  /// Freshness window tau: in-edges created at or before
+  /// `watermark - window` are pruned, and a query at `now` returns only
+  /// edges created in (now - window, now]. Must be > 0.
   Duration window = Minutes(10);
 
   /// Upper bound on retained in-edges per destination vertex; oldest edges
@@ -34,7 +48,8 @@ struct DynamicGraphOptions {
 
   /// If true, Insert() rejects timestamps that go backwards for the same
   /// destination (stream contract violation) with FailedPrecondition;
-  /// otherwise they are accepted and clamped for pruning purposes.
+  /// otherwise they are accepted and clamped to that destination's newest
+  /// in-edge.
   bool strict_time_order = false;
 };
 
@@ -54,8 +69,8 @@ class DynamicInEdgeIndex {
  public:
   explicit DynamicInEdgeIndex(const DynamicGraphOptions& options = {});
 
-  /// Records edge src -> dst created at `t`. Prunes expired edges of `dst`
-  /// as a side effect.
+  /// Records edge src -> dst created at `t`, after expiring every edge the
+  /// new watermark puts out of the window.
   Status Insert(VertexId src, VertexId dst, Timestamp t);
 
   /// Appends the distinct sources with an edge to `dst` created in
@@ -67,15 +82,10 @@ class DynamicInEdgeIndex {
   /// Count of distinct in-window sources for `dst` without materializing.
   size_t CountRecentInEdges(VertexId dst, Timestamp now) const;
 
-  /// Prunes expired edges across all destinations and drops empty logs.
-  /// Called periodically by long-running servers to bound memory between
-  /// touches of cold vertices.
-  void PruneAll(Timestamp now);
-
   const DynamicGraphOptions& options() const { return options_; }
-  DynamicGraphStats stats() const;
+  const DynamicGraphStats& stats() const { return stats_; }
 
-  /// Approximate bytes held (hash map + logs).
+  /// Bytes held: the table, the expiry queue and every log's buffer.
   size_t MemoryUsage() const;
 
   /// Drops every retained edge (recovery resets state before restoring it
@@ -84,31 +94,79 @@ class DynamicInEdgeIndex {
 
   /// Appends a deterministic binary encoding of the retained edges to *out
   /// (destinations in ascending order, so identical state yields identical
-  /// bytes regardless of hash-map iteration order).
+  /// bytes regardless of table layout).
   void EncodeTo(std::string* out) const;
 
   /// Replaces this index's contents with edges decoded from EncodeTo()
-  /// bytes. Options are unchanged (they come from construction, not the
-  /// snapshot). Lifetime counters restart from the decoded edge count.
+  /// bytes and rebuilds the expiry queue; the watermark becomes the newest
+  /// decoded time. Options are unchanged (they come from construction, not
+  /// the snapshot). Lifetime counters restart from the decoded edge count.
   /// Corruption, leaving the index unchanged, when the bytes are truncated,
-  /// a log is not time-sorted, a destination repeats, or an edge uses
-  /// kInvalidVertex (which Insert refuses).
+  /// a log is empty or not time-sorted, a destination repeats, or an edge
+  /// uses kInvalidVertex (which Insert refuses).
   Status DecodeFrom(const uint8_t* data, size_t size);
 
  private:
-  struct Log {
+  /// One destination's log, oldest first; entries before `begin` are dead
+  /// space, compacted when it reaches half the buffer. dst == kInvalidVertex
+  /// marks an empty slot.
+  struct Slot {
+    VertexId dst = kInvalidVertex;
+    size_t begin = 0;
     std::vector<TimestampedInEdge> entries;
-    size_t begin = 0;  // logical front; compacted when wasteful
 
     size_t size() const { return entries.size() - begin; }
   };
 
-  /// Trims entries of `log` older than `now - window`; updates stats.
-  void PruneLog(Log* log, Timestamp now);
+  /// An expiry queue entry: at watermark `t + window`, `dst`'s log holds an
+  /// expired edge (unless the cap evicted it first).
+  struct Expiry {
+    Timestamp t;
+    VertexId dst;
+  };
+
+  static constexpr size_t kMinCapacity = 16;
+
+  /// `now - window`, saturating at the smallest timestamp.
+  Timestamp Cutoff(Timestamp now) const;
+
+  size_t Home(VertexId dst) const;
+  /// The slot holding `dst`, or the empty slot where it would go.
+  size_t Probe(VertexId dst) const;
+  /// `dst`'s slot, claimed (growing the table if needed) when absent.
+  Slot& FindOrAdd(VertexId dst);
+  /// Empties slot `i`, shifting later probe-chain entries back into the
+  /// hole, and shrinks the table once it is mostly empty.
+  void EraseSlot(size_t i);
+  void Rehash(size_t capacity);
+
+  /// Pops the queue's entries at or before `cutoff`, front-trims the logs
+  /// they name and erases the ones that empty.
+  void Expire(Timestamp cutoff);
+  /// Trims entries of `slot` created at or before `cutoff`; updates stats.
+  void PruneLog(Slot* slot, Timestamp cutoff);
+  /// Enqueues at the position that keeps the queue time-sorted: the back,
+  /// unless the edge is late.
+  void PushExpiry(Expiry e);
+  Expiry& ExpiryAt(size_t i) {
+    return expiry_[(expiry_head_ + i) & (expiry_.size() - 1)];
+  }
+  void ResizeExpiry(size_t capacity);
 
   DynamicGraphOptions options_;
-  std::unordered_map<VertexId, Log> logs_;
-  mutable DynamicGraphStats stats_;
+
+  /// Power-of-two capacity, at most half full.
+  std::vector<Slot> slots_;
+  int shift_ = 64;
+
+  /// Ring buffer of power-of-two capacity (or none yet).
+  std::vector<Expiry> expiry_;
+  size_t expiry_head_ = 0;
+  size_t expiry_size_ = 0;
+
+  Timestamp watermark_ = std::numeric_limits<Timestamp>::min();
+  /// tracked_vertices is the table's live-slot count.
+  DynamicGraphStats stats_;
 };
 
 }  // namespace magicrecs

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,37 @@ TEST(ClusterTransportTest, StatsReflectThePublishedStream) {
   }
   EXPECT_EQ(summed, stats->detector_events);
   EXPECT_FALSE(stats->PerReplicaString().empty());
+}
+
+TEST(ClusterTransportTest, StatsTextMirrorsDSizePerPartition) {
+  ClusterOptions options = MakeOptions(2);
+  options.replicas_per_partition = 2;
+  auto transport = LocalClusterTransport::Create(
+      figure1::FollowGraph(), options, Mode::kThreaded);
+  ASSERT_TRUE(transport.ok());
+  ASSERT_EQ(RunFigure1(transport->get()).size(), 1u);
+  auto text = (*transport)->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  // Every partition ingests all four figure-1 edges into both replicas.
+  for (const char* p : {"0", "1"}) {
+    EXPECT_NE(text->find(std::string("gauge dynamic_edges{partition=\"") + p +
+                         "\"} 8\n"),
+              std::string::npos)
+        << *text;
+    EXPECT_NE(text->find(std::string("gauge dynamic_bytes{partition=\"") + p +
+                         "\"} "),
+              std::string::npos)
+        << *text;
+  }
+  // An edge two windows later expires the rest of D at the next scrape.
+  EdgeEvent late;
+  late.edge = {figure1::kB1, figure1::kC3, Minutes(20)};
+  ASSERT_TRUE((*transport)->Publish(late).ok());
+  text = (*transport)->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("gauge dynamic_edges{partition=\"0\"} 2\n"),
+            std::string::npos)
+      << *text;
 }
 
 TEST(ClusterTransportTest, TakeIsMoveOutInBothModes) {

@@ -327,13 +327,19 @@ TEST(MotifEngineTest, DynamicStateRoundTripsThroughEncoding) {
   EXPECT_EQ(restored->dynamic_index().stats().current_edges, 0u);
 }
 
-TEST(MotifEngineTest, PruneReleasesExpiredState) {
+TEST(MotifEngineTest, LaterEventReleasesExpiredState) {
   const auto engine = Diamond(figure1::FollowGraph(), Defaults(2, Seconds(10)));
   std::vector<Recommendation> recs;
   ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 0, &recs).ok());
-  EXPECT_GT(engine->DynamicMemoryUsage(), 0u);
-  engine->Prune(Hours(1));
-  EXPECT_EQ(engine->dynamic_index().stats().current_edges, 0u);
+  ASSERT_TRUE(engine->OnEdge(figure1::kB2, figure1::kC1, 0, &recs).ok());
+  EXPECT_EQ(engine->dynamic_index().stats().tracked_vertices, 2u);
+  // An hour later, one edge to a third item expires both earlier items'
+  // state: no maintenance call is needed.
+  ASSERT_TRUE(
+      engine->OnEdge(figure1::kB1, figure1::kC3, Hours(1), &recs).ok());
+  EXPECT_EQ(engine->dynamic_index().stats().current_edges, 1u);
+  EXPECT_EQ(engine->dynamic_index().stats().tracked_vertices, 1u);
+  EXPECT_EQ(engine->dynamic_index().stats().pruned, 2u);
 }
 
 TEST(MotifEngineTest, DiamondOverABorrowedIndexSharesIt) {

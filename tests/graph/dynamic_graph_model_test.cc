@@ -1,9 +1,11 @@
 // Property test: DynamicInEdgeIndex against a brute-force reference model
 // under long random operation sequences — insertions with drifting time,
-// interleaved queries, periodic global prunes. The duplicate-heavy cases
-// (three sources, one or two targets, steps of 0 or 1 microsecond) put
-// many entries equal in both source and timestamp into one window, pinning
-// the window's (source, time) dedup.
+// interleaved queries, and after every step the retained edge and
+// destination counts. The late cases move time backwards across
+// destinations, pinning the watermark retention rule. The duplicate-heavy
+// cases (three sources, one or two targets, steps of 0 or 1 microsecond)
+// put many entries equal in both source and timestamp into one window,
+// pinning the window's (source, time) dedup.
 //
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
@@ -21,43 +23,44 @@
 namespace magicrecs {
 namespace {
 
-/// Brute-force model: remembers every edge ever inserted (with the same
-/// clamping rule) and recomputes window queries from scratch.
+/// Brute-force model of the retention rule: per destination, clamp a
+/// late time to that destination's newest edge; then drop every edge, of
+/// every destination, created at or before watermark - window (the new edge
+/// too, if it is already that old); then apply the per-vertex cap. Queries
+/// recompute the window from the retained logs.
 class ReferenceModel {
  public:
   explicit ReferenceModel(Duration window, size_t cap)
       : window_(window), cap_(cap) {}
 
   void Insert(VertexId src, VertexId dst, Timestamp t) {
-    auto& log = logs_[dst];
-    if (!log.empty() && t < log.back().created_at) {
-      t = log.back().created_at;  // tolerant-mode clamp
+    const auto it = logs_.find(dst);
+    if (it != logs_.end() && t < it->second.back().created_at) {
+      t = it->second.back().created_at;  // tolerant-mode clamp
     }
+    watermark_ = std::max(watermark_, t);
+    const Timestamp cutoff = watermark_ - window_;
+    for (auto log = logs_.begin(); log != logs_.end();) {
+      std::erase_if(log->second, [cutoff](const TimestampedInEdge& e) {
+        return e.created_at <= cutoff;
+      });
+      log = log->second.empty() ? logs_.erase(log) : std::next(log);
+    }
+    if (t <= cutoff) return;
+    auto& log = logs_[dst];
     log.push_back(TimestampedInEdge{src, t});
+    if (cap_ > 0 && log.size() > cap_) log.erase(log.begin());
   }
 
   std::vector<TimestampedInEdge> Query(VertexId dst, Timestamp now) const {
     const auto it = logs_.find(dst);
     if (it == logs_.end()) return {};
-    const auto& log = it->second;
-    // Replicate retention: per-insert window pruning plus the per-vertex
-    // cap. The retained window at index i spans the in-window suffix,
-    // clipped to the cap (eviction is oldest-first and cumulative; both
-    // boundaries only move forward, so the final state is the max).
-    size_t begin = 0;
-    for (size_t i = 0; i < log.size(); ++i) {
-      const Timestamp cutoff = log[i].created_at - window_;
-      size_t w = begin;
-      while (w <= i && log[w].created_at <= cutoff) ++w;
-      begin = std::max(begin, w);
-      if (cap_ > 0 && i + 1 - begin > cap_) begin = i + 1 - cap_;
-    }
     // Visible in (now - window_, now], deduped by src keeping latest.
     std::map<VertexId, Timestamp> best;
-    for (size_t i = begin; i < log.size(); ++i) {
-      if (log[i].created_at > now - window_ && log[i].created_at <= now) {
-        auto [it2, inserted] = best.try_emplace(log[i].src, log[i].created_at);
-        if (!inserted) it2->second = std::max(it2->second, log[i].created_at);
+    for (const TimestampedInEdge& e : it->second) {
+      if (e.created_at > now - window_ && e.created_at <= now) {
+        auto [it2, inserted] = best.try_emplace(e.src, e.created_at);
+        if (!inserted) it2->second = std::max(it2->second, e.created_at);
       }
     }
     std::vector<TimestampedInEdge> out;
@@ -68,9 +71,17 @@ class ReferenceModel {
     return out;
   }
 
+  uint64_t edges() const {
+    uint64_t total = 0;
+    for (const auto& [dst, log] : logs_) total += log.size();
+    return total;
+  }
+  uint64_t destinations() const { return logs_.size(); }
+
  private:
   Duration window_;
   size_t cap_;
+  Timestamp watermark_ = 0;
   std::map<VertexId, std::vector<TimestampedInEdge>> logs_;
 };
 
@@ -87,6 +98,10 @@ struct ModelCase {
   uint64_t sources = 40;           ///< srcs drawn from [0, sources)
   uint64_t targets = 12;           ///< dsts drawn from [0, targets)
   Duration max_step = Seconds(2);  ///< each step advances time [0, max_step)
+  /// Late cases: a step moves time back by [0, max_back) instead of
+  /// forward, one step in four, so events arrive out of order across
+  /// destinations (and are clamped within one).
+  Duration max_back = 0;
 };
 
 class DynamicGraphModelTest : public ::testing::TestWithParam<ModelCase> {};
@@ -99,30 +114,34 @@ TEST_P(DynamicGraphModelTest, AgreesWithBruteForceModel) {
   DynamicInEdgeIndex index(opt);
   ReferenceModel model(param.window, param.cap);
 
-  const uint64_t seed =
-      BaseSeed() + static_cast<uint64_t>(param.window) + param.cap;
+  const uint64_t seed = BaseSeed() + static_cast<uint64_t>(param.window) +
+                        param.cap + static_cast<uint64_t>(param.max_back);
   RecordProperty("seed", std::to_string(seed));
+  SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(BaseSeed()));
   Rng rng(seed);
-  Timestamp now = 0;
+  Timestamp now = Seconds(1000);
   std::vector<TimestampedInEdge> actual;
   for (int step = 0; step < 20'000; ++step) {
-    now += static_cast<Duration>(
-        rng.UniformInt(static_cast<uint64_t>(param.max_step)));
+    if (param.max_back > 0 && rng.UniformInt(4) == 0) {
+      now -= static_cast<Duration>(
+          rng.UniformInt(static_cast<uint64_t>(param.max_back)));
+    } else {
+      now += static_cast<Duration>(
+          rng.UniformInt(static_cast<uint64_t>(param.max_step)));
+    }
     const VertexId src = static_cast<VertexId>(rng.UniformInt(param.sources));
     const VertexId dst = static_cast<VertexId>(rng.UniformInt(param.targets));
     ASSERT_TRUE(index.Insert(src, dst, now).ok());
     model.Insert(src, dst, now);
+    ASSERT_EQ(index.stats().current_edges, model.edges()) << "step " << step;
+    ASSERT_EQ(index.stats().tracked_vertices, model.destinations())
+        << "step " << step;
 
     if (step % 7 == 0) {
       const VertexId q = static_cast<VertexId>(rng.UniformInt(param.targets));
       index.GetRecentInEdges(q, now, &actual);
       const auto expected = model.Query(q, now);
-      ASSERT_EQ(actual, expected)
-          << "step " << step << " dst " << q
-          << " MAGICRECS_FUZZ_SEED=" << BaseSeed();
-    }
-    if (step % 1000 == 999) {
-      index.PruneAll(now);  // global prune must not change query results
+      ASSERT_EQ(actual, expected) << "step " << step << " dst " << q;
     }
   }
 }
@@ -134,7 +153,19 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{Seconds(1), 3},
                       // Duplicate-heavy: ~80 entries per 40 us window, a
                       // third of them repeating a (source, time) pair.
-                      ModelCase{40, 0, 3, 1, 2}, ModelCase{40, 5, 3, 2, 2}),
+                      ModelCase{40, 0, 3, 1, 2}, ModelCase{40, 5, 3, 2, 2},
+                      // Late: time steps back by up to a few seconds, so
+                      // the watermark expires edges a late event's own
+                      // window would still cover. Many targets keep most
+                      // late events on destinations without a newer edge.
+                      ModelCase{Seconds(10), 0, 40, 200, Seconds(2),
+                                Seconds(4)},
+                      ModelCase{Seconds(10), 3, 40, 12, Seconds(2),
+                                Seconds(4)},
+                      // Late by up to 1.5 windows: some events arrive
+                      // already expired.
+                      ModelCase{Seconds(1), 0, 40, 50, Millis(600),
+                                Millis(1500)}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
       const ModelCase& c = info.param;
       const std::string window =
@@ -142,7 +173,11 @@ INSTANTIATE_TEST_SUITE_P(
               ? std::to_string(c.window / kMicrosPerSecond) + "s"
               : std::to_string(c.window) + "us";
       return "w" + window + "_cap" + std::to_string(c.cap) +
-             (c.sources == 40 ? "" : "_src" + std::to_string(c.sources));
+             (c.sources == 40 ? "" : "_src" + std::to_string(c.sources)) +
+             (c.max_back == 0
+                  ? ""
+                  : "_dst" + std::to_string(c.targets) + "_back" +
+                        std::to_string(c.max_back / kMicrosPerMilli) + "ms");
     });
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "graph/dynamic_graph.h"
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,13 +104,76 @@ TEST(DynamicGraphTest, InsertPrunesExpired) {
   EXPECT_EQ(d.stats().current_edges, 1u);
 }
 
-TEST(DynamicGraphTest, PruneAllDropsEmptyLogs) {
+TEST(DynamicGraphTest, LaterInsertReleasesOtherDestinations) {
   DynamicInEdgeIndex d(WindowOptions(Seconds(10)));
   ASSERT_TRUE(d.Insert(1, 100, Seconds(0)).ok());
   ASSERT_TRUE(d.Insert(2, 200, Seconds(1)).ok());
-  d.PruneAll(Seconds(60));
-  EXPECT_EQ(d.stats().current_edges, 0u);
-  EXPECT_EQ(d.stats().tracked_vertices, 0u);
+  const size_t two_logs = d.MemoryUsage();
+  // An edge to a third destination moves the watermark past both.
+  ASSERT_TRUE(d.Insert(3, 300, Seconds(60)).ok());
+  EXPECT_EQ(d.stats().pruned, 2u);
+  EXPECT_EQ(d.stats().current_edges, 1u);
+  EXPECT_EQ(d.stats().tracked_vertices, 1u);
+  EXPECT_LT(d.MemoryUsage(), two_logs);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(d.GetRecentInEdges(100, Seconds(5), &out), 0u);
+}
+
+TEST(DynamicGraphTest, LateEventLosesWhatTheWatermarkExpired) {
+  DynamicInEdgeIndex d(WindowOptions(Seconds(10)));
+  ASSERT_TRUE(d.Insert(1, 100, Seconds(0)).ok());
+  ASSERT_TRUE(d.Insert(2, 100, Seconds(8)).ok());
+  ASSERT_TRUE(d.Insert(3, 200, Seconds(20)).ok());  // expires 100's log
+  // A late edge to 100 at 15s: its query window (5s, 15s] would hold the
+  // 8s edge, but the watermark already expired it.
+  ASSERT_TRUE(d.Insert(4, 100, Seconds(15)).ok());
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(d.GetRecentInEdges(100, Seconds(15), &out), 1u);
+  EXPECT_EQ(out[0].src, 4u);
+  // An edge at or before watermark - window is counted but never stored.
+  ASSERT_TRUE(d.Insert(5, 400, Seconds(10)).ok());
+  EXPECT_EQ(d.CountRecentInEdges(400, Seconds(10)), 0u);
+  EXPECT_EQ(d.stats().inserted, 5u);
+  EXPECT_EQ(d.stats().pruned, 3u);
+  EXPECT_EQ(d.stats().current_edges, 2u);
+  EXPECT_EQ(d.stats().tracked_vertices, 2u);
+}
+
+TEST(DynamicGraphTest, ExtremeTimestampsDoNotOverflowTheCutoff) {
+  // Stream timestamps come off the wire: the window arithmetic saturates
+  // instead of overflowing at either end of the range.
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  DynamicInEdgeIndex d(WindowOptions(Seconds(10)));
+  ASSERT_TRUE(d.Insert(1, 100, kMin + 1).ok());
+  ASSERT_TRUE(d.Insert(2, 100, kMin + 2).ok());
+  EXPECT_EQ(d.CountRecentInEdges(100, kMin + 2), 2u);
+  ASSERT_TRUE(d.Insert(3, 200, kMax).ok());
+  EXPECT_EQ(d.stats().current_edges, 1u);
+  EXPECT_EQ(d.CountRecentInEdges(200, kMax), 1u);
+}
+
+TEST(DynamicGraphTest, TableGrowsAndShrinksWithTheWindow) {
+  DynamicInEdgeIndex d(WindowOptions(Seconds(1)));
+  ASSERT_TRUE(d.Insert(1, 1, 0).ok());
+  const size_t idle = d.MemoryUsage();
+  // A burst of 10k destinations inside one window, then a quiet stream to
+  // one destination: the table and the queue follow the window back down.
+  for (VertexId v = 2; v <= 10'000; ++v) {
+    ASSERT_TRUE(d.Insert(1, v, Millis(v / 100)).ok());
+  }
+  EXPECT_EQ(d.stats().tracked_vertices, 10'000u);
+  const size_t burst = d.MemoryUsage();
+  EXPECT_GT(burst, 10 * idle);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(d.Insert(1, 1, Seconds(10 + i)).ok());
+  }
+  EXPECT_EQ(d.stats().tracked_vertices, 1u);
+  EXPECT_EQ(d.stats().current_edges, 1u);
+  EXPECT_LT(d.MemoryUsage(), 2 * idle);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(d.GetRecentInEdges(1, Seconds(109), &out), 1u);
+  EXPECT_EQ(out[0].created_at, Seconds(109));
 }
 
 TEST(DynamicGraphTest, StrictTimeOrderRejectsRegression) {
