@@ -3,25 +3,23 @@
 //
 // Plain-printf harness (no Google Benchmark dependency, so CI can run it):
 //
-//   * pairwise ratio sweep: scalar merge vs galloping vs their AVX2
-//     variants across size ratios — the crossover table behind
-//     kGallopRatioThreshold (methodology: docs/experiments-a1.md);
-//   * hub shapes: bitset ∩ array and bitset ∩ bitset against the scalar
-//     merge on hub-degree lists — the crossover behind
+//   * hub probes: candidate verification against a celebrity list, probing
+//     it by SIMD-finished galloping search or by one bit test of its hub
+//     bitmap — the decision StaticGraph's hub index and
+//     MotifOptions::use_hub_bitsets make — plus a density sweep behind
 //     AutoHubDegreeThreshold;
 //   * k-of-n: scan-count vs heap-merge vs candidate-verify on balanced
 //     shapes around kScanCountMaxElements, plus the celebrity list
 //     candidate-verify exists for.
 //
-// Emits the machine-readable "intersect" and "threshold" sections into
-// BENCH_net.json (merged; other benches' sections are preserved). The
-// "speedup" field is time(reference)/time(kernel) on the same shape —
-// scalar merge for "intersect", heap-merge for "threshold" — machine-
-// independent, so tools/check_bench_regression.py gates on it.
+// Emits the machine-readable "threshold" section into BENCH_net.json
+// (merged; other benches' sections are preserved). The "speedup" field is
+// time(reference)/time(kernel) on the same shape — heap-merge for the k-of-n
+// rows, the galloping probe for the hub-probe rows — machine-independent,
+// so tools/check_bench_regression.py gates on it.
 //
-// Exit status: --check additionally fails (exit 1) unless the hub-skew
-// bitset rows hold a >= 2x speedup over scalar merge and the SIMD merge
-// beats scalar on the balanced row (skipped without AVX2).
+// Exit status: --check additionally fails (exit 1) unless every hub-probe
+// row's bitmap probe beats its galloping probe.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,14 +27,14 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
+#include "graph/static_graph.h"
 #include "intersect/bitset.h"
-#include "intersect/intersect.h"
 #include "intersect/simd.h"
 #include "intersect/threshold.h"
-#include "graph/static_graph.h"
 #include "util/clock.h"
 #include "util/random.h"
 
@@ -82,182 +80,103 @@ double TimePerCall(Fn&& fn) {
   }
 }
 
-struct KernelTime {
-  const char* name;
-  double seconds;  // per intersection
-};
-
-/// One pairwise shape: |small| fixed, ratio sweeps. Returns the per-kernel
-/// times, scalar-merge first (the speedup reference).
-std::vector<KernelTime> TimePairwise(const std::vector<VertexId>& a,
-                                     const std::vector<VertexId>& b) {
-  std::vector<VertexId> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::vector<KernelTime> times;
-  for (const IntersectKernel kernel :
-       {IntersectKernel::kScalarMerge, IntersectKernel::kScalarGalloping,
-        IntersectKernel::kSimdMerge, IntersectKernel::kSimdGalloping,
-        IntersectKernel::kAuto}) {
-    const double seconds = TimePerCall([&] {
-      out.clear();
-      Intersect(a, b, &out, kernel);
-    });
-    times.push_back({IntersectKernelName(kernel).data(), seconds});
-  }
-  return times;
-}
-
 constexpr const char* kJsonPath = "BENCH_net.json";
 
 bool g_check_failed = false;
 
+/// Fails the --check run unless `speedup` is above `floor`.
 void RequireSpeedup(const char* what, double speedup, double floor) {
-  if (speedup < floor) {
-    std::fprintf(stderr, "CHECK FAILED: %s speedup %.2fx < %.2fx\n", what,
+  if (!(speedup > floor)) {
+    std::fprintf(stderr, "CHECK FAILED: %s speedup %.2fx <= %.2fx\n", what,
                  speedup, floor);
     g_check_failed = true;
   }
 }
 
-void PairwiseSweep(bench::JsonRows* rows, bool check) {
-  std::printf("--- pairwise, |small|=4096, universe=4M ---\n");
-  std::printf("%10s", "ratio");
-  for (const char* name :
-       {"scalar-merge", "scalar-gallop", "simd-merge", "simd-gallop", "auto"}) {
-    std::printf(" %14s", name);
+/// Best time per call of candidate-verify on `lists` over kRounds rounds,
+/// once galloping every list and once with `bitsets`; the two alternate
+/// within each round so interference lands on both.
+std::pair<double, double> TimeVerify(
+    const std::vector<std::span<const VertexId>>& lists, size_t k,
+    const std::vector<BitsetView>& bitsets) {
+  constexpr int kRounds = 5;
+  std::vector<ThresholdMatch> out;
+  double gallop = std::numeric_limits<double>::infinity();
+  double bitmap = gallop;
+  for (int round = 0; round < kRounds; ++round) {
+    gallop = std::min(gallop, TimePerCall([&] {
+      ThresholdIntersect(lists, k, &out, ThresholdAlgorithm::kCandidateVerify);
+    }));
+    bitmap = std::min(bitmap, TimePerCall([&] {
+      ThresholdIntersect(lists, k, &out, ThresholdAlgorithm::kCandidateVerify,
+                         &bitsets);
+    }));
   }
-  std::printf("   (us/op; speedup vs scalar-merge in parens)\n");
-
-  Rng rng(42);
-  const size_t small_size = 4'096;
-  const auto small = SortedRandom(small_size, 4'000'000, &rng);
-  for (const size_t ratio : {1ul, 4ul, 8ul, 16ul, 32ul, 64ul, 256ul, 1024ul}) {
-    const uint32_t universe = static_cast<uint32_t>(
-        std::max<size_t>(4'000'000, 4 * small_size * ratio));
-    const auto large = SortedRandom(small_size * ratio, universe, &rng);
-    const auto times = TimePairwise(small, large);
-    const double scalar_merge = times[0].seconds;
-    const double total_elems =
-        static_cast<double>(small.size() + large.size());
-    std::printf("%9zu:1", ratio);
-    for (const KernelTime& t : times) {
-      std::printf(" %8.1f (%3.1fx)", t.seconds * 1e6, scalar_merge / t.seconds);
-    }
-    std::printf("\n");
-    const std::string shape = "ratio-" + std::to_string(ratio);
-    for (const KernelTime& t : times) {
-      rows->AddKernel("intersect", t.name, shape.c_str(),
-                      total_elems / t.seconds / 1e6, scalar_merge / t.seconds);
-    }
-    if (check && ratio == 1 && SimdEnabled()) {
-      // times[2] is simd-merge; on the balanced row the AVX2 block merge
-      // must beat the scalar merge outright.
-      RequireSpeedup("simd-merge on ratio-1", scalar_merge / times[2].seconds,
-                     1.0);
-    }
-  }
-  std::printf("\nkGallopRatioThreshold = %zu (crossover: gallop wins from "
-              "the ratio where its column beats merge)\n\n",
-              kGallopRatioThreshold);
+  return {gallop, bitmap};
 }
 
-void HubSweep(bench::JsonRows* rows, bool check) {
-  // Hub shapes: both lists are hub-degree over a 1M-vertex universe. The
-  // bitset kernels get the bitmap for free in production (the hub index is
-  // built once per graph load), so FillBitset is outside the timed region.
+/// Lists of the celebrity shape (two seed lists and one large list, k=2)
+/// with a bitmap of the large list only, as the hub index builds it.
+struct CelebrityShape {
+  std::vector<std::vector<VertexId>> storage;
+  std::vector<uint64_t> words;
+
+  CelebrityShape(size_t seed_size, size_t celebrity, size_t universe,
+                 Rng* rng) {
+    storage.push_back(SortedRandom(seed_size, universe, rng));
+    storage.push_back(SortedRandom(seed_size, universe, rng));
+    storage.push_back(SortedRandom(celebrity, universe, rng));
+    FillBitset(storage.back(), universe, &words);
+  }
+  std::vector<std::span<const VertexId>> lists() const {
+    return {storage.begin(), storage.end()};
+  }
+  std::vector<BitsetView> bitsets() const {
+    return {{}, {}, {words.data(), words.size()}};
+  }
+};
+
+void HubProbeSweep(bench::JsonRows* rows, bool check) {
+  // Universe 1M. The bitmap comes for free in production (the hub index is
+  // built once per shard), so FillBitset is outside the timed region.
   constexpr size_t kUniverse = 1'000'000;
   Rng rng(7);
-  std::printf("--- hub shapes, universe=1M (bitmaps prebuilt, as in the "
-              "hub index) ---\n");
-  std::printf("%22s %14s %14s %10s\n", "shape", "kernel", "us/op", "speedup");
-
-  const auto hub_a = SortedRandom(kUniverse / 10, kUniverse, &rng);
-  const auto hub_b = SortedRandom(kUniverse / 10, kUniverse, &rng);
-  const auto tail = SortedRandom(1'000, kUniverse, &rng);
-  std::vector<uint64_t> wa, wb;
-  FillBitset(hub_a, kUniverse, &wa);
-  FillBitset(hub_b, kUniverse, &wb);
-  const BitsetView va{wa.data(), wa.size()};
-  const BitsetView vb{wb.data(), wb.size()};
-
-  std::vector<VertexId> out;
-  out.reserve(kUniverse / 10);
-
-  // hub ∩ hub: AND + popcount vs scalar merge of two 100k lists.
-  {
-    const double scalar = TimePerCall([&] {
-      out.clear();
-      IntersectMerge(hub_a, hub_b, &out);
-    });
-    const double bitset = TimePerCall([&] {
-      out.clear();
-      IntersectBitsetBitset(va, vb, &out);
-    });
-    const double count_only = TimePerCall(
-        [&] { (void)IntersectBitsetBitsetCount(va, vb); });
-    const double elems = static_cast<double>(hub_a.size() + hub_b.size());
-    std::printf("%22s %14s %14.1f %9.1fx\n", "hub-hub 100k:100k",
-                "scalar-merge", scalar * 1e6, 1.0);
-    std::printf("%22s %14s %14.1f %9.1fx\n", "", "bitset-bitset",
-                bitset * 1e6, scalar / bitset);
-    std::printf("%22s %14s %14.1f %9.1fx\n", "", "bitset-count",
-                count_only * 1e6, scalar / count_only);
-    rows->AddKernel("intersect", "scalar-merge", "hub-hub", elems / scalar / 1e6,
-                    1.0);
-    rows->AddKernel("intersect", "bitset-bitset", "hub-hub",
-                    elems / bitset / 1e6, scalar / bitset);
-    rows->AddKernel("intersect", "bitset-count", "hub-hub",
-                    elems / count_only / 1e6, scalar / count_only);
-    if (check) {
-      RequireSpeedup("bitset-bitset on hub-hub", scalar / bitset, 2.0);
+  std::printf("--- hub probes: candidate-verify, k=2, universe=1M (bitmap "
+              "prebuilt, as in the hub index) ---\n");
+  std::printf("%26s %14s %14s %10s\n", "shape", "gallop us", "bitmap us",
+              "speedup");
+  for (const size_t celebrity : {10'000ul, 100'000ul}) {
+    for (const size_t seed_size : {64ul, 1'024ul}) {
+      const CelebrityShape shape(seed_size, celebrity, kUniverse, &rng);
+      const auto [gallop, bitmap] =
+          TimeVerify(shape.lists(), 2, shape.bitsets());
+      const std::string name = "celebrity-" + std::to_string(celebrity) +
+                               "-seeds-" + std::to_string(seed_size);
+      const double elems = static_cast<double>(2 * seed_size + celebrity);
+      std::printf("%26s %14.2f %14.2f %9.2fx\n", name.c_str(), gallop * 1e6,
+                  bitmap * 1e6, gallop / bitmap);
+      rows->AddKernel("threshold", "verify-gallop", name.c_str(),
+                      elems / gallop / 1e6, 1.0);
+      rows->AddKernel("threshold", "verify-bitmap", name.c_str(),
+                      elems / bitmap / 1e6, gallop / bitmap);
+      if (check) {
+        RequireSpeedup(("verify-bitmap on " + name).c_str(), gallop / bitmap,
+                       1.0);
+      }
     }
   }
 
-  // hub ∩ array: O(1) probes vs galloping the 100k list (what
-  // CandidateVerify did before the hub index existed).
-  {
-    const double scalar = TimePerCall([&] {
-      out.clear();
-      IntersectGalloping(tail, hub_a, &out);
-    });
-    const double bitset = TimePerCall([&] {
-      out.clear();
-      IntersectBitsetArray(va, tail, &out);
-    });
-    const double elems = static_cast<double>(tail.size());
-    std::printf("%22s %14s %14.1f %9.1fx\n", "hub-array 100k:1k",
-                "scalar-gallop", scalar * 1e6, 1.0);
-    std::printf("%22s %14s %14.1f %9.1fx\n", "", "bitset-array",
-                bitset * 1e6, scalar / bitset);
-    rows->AddKernel("intersect", "scalar-galloping", "hub-array",
-                    elems / scalar / 1e6, 1.0);
-    rows->AddKernel("intersect", "bitset-array", "hub-array",
-                    elems / bitset / 1e6, scalar / bitset);
-    if (check) {
-      RequireSpeedup("bitset-array on hub-array", scalar / bitset, 2.0);
-    }
-  }
-
-  // Hub-degree crossover: at which density does the bitmap probe beat the
-  // merge? This is the measurement AutoHubDegreeThreshold encodes
-  // (num_vertices/32, floored at kMinHubDegree).
-  std::printf("\n%22s %14s %14s %10s\n", "density (1/x)", "merge us",
-              "bitset us", "speedup");
-  for (const size_t inv_density : {8ul, 16ul, 32ul, 64ul, 128ul}) {
-    const auto list = SortedRandom(kUniverse / inv_density, kUniverse, &rng);
-    std::vector<uint64_t> w;
-    FillBitset(list, kUniverse, &w);
-    const BitsetView view{w.data(), w.size()};
-    const double merge = TimePerCall([&] {
-      out.clear();
-      IntersectMerge(list, hub_a, &out);
-    });
-    const double bitset = TimePerCall([&] {
-      out.clear();
-      IntersectBitsetArray(view, hub_a, &out);
-    });
-    std::printf("%22zu %14.1f %14.1f %9.1fx\n", inv_density, merge * 1e6,
-                bitset * 1e6, merge / bitset);
+  // Density sweep: at which celebrity-list density does its bitmap stop
+  // beating the galloping probe? AutoHubDegreeThreshold gives a bitmap from
+  // num_vertices/32 (floored at kMinHubDegree).
+  std::printf("\n%26s %14s %14s %10s\n", "density (1/x), seeds 1024",
+              "gallop us", "bitmap us", "speedup");
+  for (const size_t inv_density : {8ul, 32ul, 128ul, 512ul}) {
+    const CelebrityShape shape(1'024, kUniverse / inv_density, kUniverse,
+                               &rng);
+    const auto [gallop, bitmap] = TimeVerify(shape.lists(), 2, shape.bitsets());
+    std::printf("%26zu %14.2f %14.2f %9.2fx\n", inv_density, gallop * 1e6,
+                bitmap * 1e6, gallop / bitmap);
   }
   std::printf("\nAutoHubDegreeThreshold: degree >= num_vertices/32 "
               "(bitmap <= 2x array memory), floor %zu\n\n", kMinHubDegree);
@@ -356,12 +275,11 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
   }
 
-  std::printf("=== A1: intersection kernels (avx2=%s, simd=%s) ===\n\n",
+  std::printf("=== A1: intersection (avx2=%s, simd=%s) ===\n\n",
               CpuSupportsAvx2() ? "yes" : "no",
               SimdEnabled() ? "on" : "off");
   bench::JsonRows rows;
-  PairwiseSweep(&rows, check);
-  HubSweep(&rows, check);
+  HubProbeSweep(&rows, check);
   ThresholdSweep(&rows);
   rows.MergeWrite(kJsonPath);
 

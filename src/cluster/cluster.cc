@@ -177,6 +177,10 @@ Status Cluster::AssignSequenceAndLogBatch(std::span<EdgeEvent> events) {
 
 Status Cluster::ApplyInline(const EdgeEvent& event,
                             std::vector<Recommendation>* out) {
+  // Like a threaded worker, a failed replica neither stops the others nor
+  // the later partitions: the event is already in the WAL, so every replica
+  // must see it for recovery to rebuild the same D.
+  Status first_error;
   for (size_t i = 0; i < servers_.size(); ++i) {
     const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
     const Stopwatch apply_timer;
@@ -184,15 +188,15 @@ Status Cluster::ApplyInline(const EdgeEvent& event,
       if ((mask & (uint64_t{1} << r)) == 0) continue;  // dead: misses event
       const bool emit = ShouldEmit(static_cast<uint32_t>(i), r,
                                    event.sequence);
-      const Status s = servers_[i][r]->OnEvent(event, emit, out);
+      Status s = servers_[i][r]->OnEvent(event, emit, out);
       if (!s.ok()) {
         apply_errors_[i]->Increment();
-        return s;
+        if (first_error.ok()) first_error = std::move(s);
       }
     }
     apply_histograms_[i]->Record(apply_timer.ElapsedMicros());
   }
-  return Status::OK();
+  return first_error;
 }
 
 Status Cluster::OnEdgeEvent(EdgeEvent event,
@@ -216,10 +220,14 @@ Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
   std::vector<EdgeEvent> batch(events.begin(), events.end());
   MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLogBatch(batch));
   events_published_.fetch_add(batch.size(), std::memory_order_relaxed);
+  // The whole batch is logged, so the whole batch applies; the first
+  // failure is reported once every event has run.
+  Status first_error;
   for (const EdgeEvent& event : batch) {
-    MAGICRECS_RETURN_IF_ERROR(ApplyInline(event, out));
+    Status s = ApplyInline(event, out);
+    if (first_error.ok()) first_error = std::move(s);
   }
-  return Status::OK();
+  return first_error;
 }
 
 Status Cluster::Start() {

@@ -148,7 +148,9 @@ class Cluster {
 
   /// Applies a whole wire batch synchronously: sequences + WAL-appends every
   /// event under one wal_mu_ acquisition, then runs the detectors event by
-  /// event. One lock round-trip per batch instead of per event.
+  /// event. One lock round-trip per batch instead of per event. A failed
+  /// apply is counted and the batch keeps going, as in threaded mode; the
+  /// first failure is returned after the last event.
   Status OnEdgeEventBatch(std::span<const EdgeEvent> events,
                           std::vector<Recommendation>* out);
 
@@ -276,7 +278,8 @@ class Cluster {
   Status AssignSequenceAndLogBatch(std::span<EdgeEvent> events);
 
   /// The inline-mode per-event apply shared by OnEdgeEvent and
-  /// OnEdgeEventBatch (event already sequenced and logged).
+  /// OnEdgeEventBatch (event already sequenced and logged). Applies to every
+  /// alive replica even when one fails; returns the first failure.
   Status ApplyInline(const EdgeEvent& event, std::vector<Recommendation>* out);
 
   ClusterOptions options_;

@@ -1,8 +1,5 @@
 #include "intersect/bitset.h"
 
-#include <algorithm>
-#include <bit>
-
 namespace magicrecs {
 
 void FillBitset(std::span<const VertexId> list, size_t universe,
@@ -12,39 +9,6 @@ void FillBitset(std::span<const VertexId> list, size_t universe,
     if (static_cast<size_t>(v) >= universe) continue;
     (*bits)[static_cast<size_t>(v) >> 6] |= uint64_t{1} << (v & 63);
   }
-}
-
-size_t IntersectBitsetArray(BitsetView bits, std::span<const VertexId> list,
-                            std::vector<VertexId>* out) {
-  const size_t before = out->size();
-  for (const VertexId v : list) {
-    if (bits.Test(v)) out->push_back(v);
-  }
-  return out->size() - before;
-}
-
-size_t IntersectBitsetBitset(BitsetView a, BitsetView b,
-                             std::vector<VertexId>* out) {
-  const size_t before = out->size();
-  const size_t words = std::min(a.num_words, b.num_words);
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t common = a.words[w] & b.words[w];
-    while (common != 0) {
-      const int bit = std::countr_zero(common);
-      out->push_back(static_cast<VertexId>(w * 64 + static_cast<size_t>(bit)));
-      common &= common - 1;  // clear lowest set bit
-    }
-  }
-  return out->size() - before;
-}
-
-size_t IntersectBitsetBitsetCount(BitsetView a, BitsetView b) {
-  const size_t words = std::min(a.num_words, b.num_words);
-  size_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<size_t>(std::popcount(a.words[w] & b.words[w]));
-  }
-  return count;
 }
 
 }  // namespace magicrecs

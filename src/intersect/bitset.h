@@ -1,15 +1,16 @@
-// Bitset intersection kernels for hub vertices.
+// Bitmap membership views for hub vertices.
 //
 // A follower list whose degree is a meaningful fraction of the vertex
-// universe is cheaper to intersect as a bitmap than as a sorted array:
-//   * hub ∩ hub      — word-parallel AND + popcount, O(universe / 64);
-//   * hub ∩ array    — O(1) bit probe per array element, no search at all.
+// universe answers "is u in this list?" cheaper as a bitmap than as a
+// sorted array: one O(1) bit probe instead of a galloping search. The
+// threshold layer's candidate verification (intersect/threshold.h) probes a
+// hub's list this way.
 //
 // BitsetView is a non-owning view over raw words; ownership lives in
 // graph/static_graph.h's hub index, which packs every hub's bitmap into one
-// contiguous arena. This file knows nothing about graphs — the kernels take
-// plain words so the intersect layer stays dependency-free and the
-// differential fuzz suite can drive them directly.
+// contiguous arena. This file knows nothing about graphs, so the intersect
+// layer stays dependency-free and the differential fuzz suite can drive the
+// view directly.
 
 #ifndef MAGICRECS_INTERSECT_BITSET_H_
 #define MAGICRECS_INTERSECT_BITSET_H_
@@ -24,8 +25,8 @@
 namespace magicrecs {
 
 /// Non-owning bitmap over vertex ids [0, 64 * num_words). A default view is
-/// "absent" (empty()); kernels and callers treat absence as "no bitset
-/// available", not as an empty set.
+/// "absent" (empty()); callers treat absence as "no bitset available", not
+/// as an empty set.
 struct BitsetView {
   const uint64_t* words = nullptr;
   size_t num_words = 0;
@@ -42,19 +43,6 @@ struct BitsetView {
 /// Fills *bits (sized to cover `universe` ids, zeroed) from a sorted list.
 void FillBitset(std::span<const VertexId> list, size_t universe,
                 std::vector<uint64_t>* bits);
-
-/// Appends to *out every element of sorted `list` whose bit is set — the
-/// hub ∩ array kernel. Returns the number appended (output stays sorted).
-size_t IntersectBitsetArray(BitsetView bits, std::span<const VertexId> list,
-                            std::vector<VertexId>* out);
-
-/// Word-parallel AND of two bitsets, materializing the common ids in
-/// ascending order — the hub ∩ hub kernel. Returns the number appended.
-size_t IntersectBitsetBitset(BitsetView a, BitsetView b,
-                             std::vector<VertexId>* out);
-
-/// |a ∩ b| by AND + popcount, no materialization.
-size_t IntersectBitsetBitsetCount(BitsetView a, BitsetView b);
 
 }  // namespace magicrecs
 

@@ -5,8 +5,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "intersect/intersect.h"
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MAGICRECS_SIMD_X86 1
 #include <immintrin.h>
@@ -39,89 +37,6 @@ size_t ScalarGallopLowerBound(std::span<const VertexId> sorted, size_t from,
 }
 
 #if MAGICRECS_SIMD_X86
-
-/// Shuffle indices that compact the lanes selected by an 8-bit mask to the
-/// front of a vector (index table for _mm256_permutevar8x32_epi32).
-struct CompactTable {
-  alignas(32) uint32_t idx[256][8];
-};
-
-constexpr CompactTable MakeCompactTable() {
-  CompactTable t{};
-  for (int mask = 0; mask < 256; ++mask) {
-    int o = 0;
-    for (int lane = 0; lane < 8; ++lane) {
-      if (mask & (1 << lane)) t.idx[mask][o++] = static_cast<uint32_t>(lane);
-    }
-    for (; o < 8; ++o) t.idx[mask][o] = 0;
-  }
-  return t;
-}
-
-constexpr CompactTable kCompact = MakeCompactTable();
-
-__attribute__((target("avx2"))) size_t IntersectMergeAvx2(
-    std::span<const VertexId> a, std::span<const VertexId> b,
-    std::vector<VertexId>* out) {
-  const size_t before = out->size();
-  const VertexId* pa = a.data();
-  const VertexId* pb = b.data();
-  const size_t na = a.size();
-  const size_t nb = b.size();
-  size_t i = 0, j = 0;
-
-  // Rotate-by-one lane permutation: compares every a-lane against every
-  // b-lane across 8 rotations.
-  const __m256i rotate1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  out->reserve(before + std::min(na, nb));
-
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + j));
-    __m256i match = _mm256_cmpeq_epi32(va, vb);
-    for (int r = 1; r < 8; ++r) {
-      vb = _mm256_permutevar8x32_epi32(vb, rotate1);
-      match = _mm256_or_si256(match, _mm256_cmpeq_epi32(va, vb));
-    }
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(match)));
-    if (mask != 0) {
-      // Compress the matched (ascending, duplicate-free) lanes of va to the
-      // front and append them. The store writes a full vector into resized
-      // slots, then the size is trimmed to the real match count.
-      const __m256i shuf = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kCompact.idx[mask]));
-      const __m256i packed = _mm256_permutevar8x32_epi32(va, shuf);
-      const size_t old = out->size();
-      out->resize(old + 8);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out->data() + old),
-                          packed);
-      out->resize(old + std::popcount(mask));
-    }
-    // Advance the block whose maximum is smaller; on a tie both advance.
-    // Any unseen match of the advanced block would need a partner beyond the
-    // other block's max, which its own max rules out.
-    const VertexId amax = pa[i + 7];
-    const VertexId bmax = pb[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-
-  // Scalar tail: fewer than 8 lanes left in one of the lists.
-  while (i < na && j < nb) {
-    if (pa[i] < pb[j]) {
-      ++i;
-    } else if (pb[j] < pa[i]) {
-      ++j;
-    } else {
-      out->push_back(pa[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out->size() - before;
-}
 
 /// Lower bound over [from, n) with unsigned keys: gallop, narrow to a small
 /// window, then scan 8 lanes per step. Sign-bias (xor 0x80000000) turns the
@@ -161,24 +76,6 @@ __attribute__((target("avx2"))) size_t GallopLowerBoundAvx2(
   return lo;
 }
 
-__attribute__((target("avx2"))) size_t IntersectGallopingAvx2(
-    std::span<const VertexId> a, std::span<const VertexId> b,
-    std::vector<VertexId>* out) {
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
-  const size_t before = out->size();
-  size_t pos = 0;
-  for (const VertexId key : small) {
-    if (pos >= large.size()) break;
-    pos = GallopLowerBoundAvx2(large.data(), large.size(), pos, key);
-    if (pos < large.size() && large[pos] == key) {
-      out->push_back(key);
-      ++pos;
-    }
-  }
-  return out->size() - before;
-}
-
 bool DetectAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 #endif  // MAGICRECS_SIMD_X86
@@ -200,24 +97,6 @@ bool SetSimdEnabled(bool enabled) {
 
 bool SimdEnabled() {
   return CpuSupportsAvx2() && g_simd_enabled.load(std::memory_order_relaxed);
-}
-
-size_t IntersectMergeSimd(std::span<const VertexId> a,
-                          std::span<const VertexId> b,
-                          std::vector<VertexId>* out) {
-#if MAGICRECS_SIMD_X86
-  if (SimdEnabled()) return IntersectMergeAvx2(a, b, out);
-#endif
-  return IntersectMerge(a, b, out);
-}
-
-size_t IntersectGallopingSimd(std::span<const VertexId> a,
-                              std::span<const VertexId> b,
-                              std::vector<VertexId>* out) {
-#if MAGICRECS_SIMD_X86
-  if (SimdEnabled()) return IntersectGallopingAvx2(a, b, out);
-#endif
-  return IntersectGalloping(a, b, out);
 }
 
 size_t SimdGallopLowerBound(std::span<const VertexId> sorted, size_t from,

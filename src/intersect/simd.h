@@ -1,26 +1,21 @@
-// SIMD intersection kernels (AVX2) behind runtime CPU-feature dispatch.
+// The SIMD-finished lower-bound probe of the threshold layer's candidate
+// verification (intersect/threshold.h), behind runtime CPU-feature dispatch.
 //
-// Layout of the hot path: IntersectMergeSimd runs the block-wise "shuffling"
-// intersection — load 8 lanes of each list, compare all 8x8 pairs via lane
-// rotations (_mm256_cmpeq after _mm256_permutevar8x32), compress the matched
-// lanes through a precomputed shuffle table, and advance whichever block has
-// the smaller maximum. IntersectGallopingSimd keeps the exponential probe of
-// the scalar galloper but finishes each probe with an 8-lane vector scan
-// instead of the last ~5 binary-search levels, which is where the branch
-// mispredictions live.
+// SimdGallopLowerBound gallops exponentially, narrows by binary search, and
+// finishes with an 8-lane vector scan instead of the last ~5 binary-search
+// levels, which is where the branch mispredictions live.
 //
-// Every entry point is safe to call on any x86-64 (or non-x86) host: when the
-// CPU lacks AVX2 — or SIMD is force-disabled for testing — the functions
-// transparently run the scalar reference implementations from intersect.h.
-// Results are bit-identical to scalar by construction; the differential fuzz
-// suite (tests/intersect/differential_test.cc) enforces that invariant.
+// It is safe to call on any x86-64 (or non-x86) host: when the CPU lacks
+// AVX2 — or SIMD is force-disabled for testing — it runs a scalar probe
+// with the same contract. Both return what std::lower_bound would; the
+// differential fuzz suite (tests/intersect/differential_test.cc) enforces
+// that on every path.
 
 #ifndef MAGICRECS_INTERSECT_SIMD_H_
 #define MAGICRECS_INTERSECT_SIMD_H_
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "util/types.h"
 
@@ -35,27 +30,15 @@ bool CpuSupportsAvx2();
 /// Thread-compatible: flip only from single-threaded setup code.
 bool SetSimdEnabled(bool enabled);
 
-/// True iff SIMD kernels will actually vectorize: AVX2 present and not
-/// force-disabled. When false every *Simd entry point runs scalar code.
+/// True iff the probe will actually vectorize: AVX2 present and not
+/// force-disabled. When false SimdGallopLowerBound runs scalar code.
 bool SimdEnabled();
 
-/// AVX2 block merge intersection of two sorted duplicate-free lists.
-/// Appends a ∩ b to *out, returns the number appended. Scalar fallback when
-/// !SimdEnabled().
-size_t IntersectMergeSimd(std::span<const VertexId> a,
-                          std::span<const VertexId> b,
-                          std::vector<VertexId>* out);
-
-/// Galloping intersection whose probes finish with an 8-lane vector scan.
-/// Appends to *out, returns count. Scalar fallback when !SimdEnabled().
-size_t IntersectGallopingSimd(std::span<const VertexId> a,
-                              std::span<const VertexId> b,
-                              std::vector<VertexId>* out);
-
-/// First index >= `from` whose element is >= key: exponential gallop, then
+/// First index >= `from` (at most sorted.size()) whose element is >= key,
+/// exactly std::lower_bound over [from, end): exponential gallop, then
 /// binary narrowing, then an 8-lane vector scan of the final window (scalar
-/// scan when !SimdEnabled()). Shared by the galloping kernel and the
-/// threshold layer's candidate verification probes.
+/// scan when !SimdEnabled()). The threshold layer's candidate verification
+/// probe for lists without a hub bitmap.
 size_t SimdGallopLowerBound(std::span<const VertexId> sorted, size_t from,
                             VertexId key);
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/transport.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -194,34 +195,43 @@ TEST(ClusterTest, ThreadedModeMatchesInlineMode) {
 
 TEST(ClusterTest, FailedApplyIsReturnedInlineAndCountedThreaded) {
   // strict_time_order rejects an in-edge older than the newest one of its
-  // destination: the second event below fails to apply.
-  ClusterOptions opt = MakeOptions(1);
+  // destination: the second event below fails to apply. Every partition
+  // keeps its own D of every event, so all four replicas of a 2x2 cluster
+  // reject it, and a failed replica stops neither the next replica nor the
+  // next partition, inline or threaded.
+  ClusterOptions opt = MakeOptions(2, 2);
   opt.detector.strict_time_order = true;
   EdgeEvent newer, older;
   newer.edge = {figure1::kB1, figure1::kC1, Seconds(100)};
   older.edge = {figure1::kB2, figure1::kC1, Seconds(50)};
   // The registry is process-wide, so compare against a reading taken first.
-  const Counter* errors = MetricsRegistry::Default()->GetCounter(
-      "publish_apply_errors", {{"partition", "0"}});
+  const Counter* errors[] = {
+      MetricsRegistry::Default()->GetCounter("publish_apply_errors",
+                                             {{"partition", "0"}}),
+      MetricsRegistry::Default()->GetCounter("publish_apply_errors",
+                                             {{"partition", "1"}})};
+  const auto total_errors = [&] {
+    return errors[0]->Value() + errors[1]->Value();
+  };
 
   auto inline_cluster = Cluster::Create(figure1::FollowGraph(), opt);
   ASSERT_TRUE(inline_cluster.ok()) << inline_cluster.status();
   std::vector<Recommendation> recs;
   ASSERT_TRUE((*inline_cluster)->OnEdgeEvent(newer, &recs).ok());
-  uint64_t before = errors->Value();
+  uint64_t before = total_errors();
   EXPECT_TRUE(
       (*inline_cluster)->OnEdgeEvent(older, &recs).IsFailedPrecondition());
-  EXPECT_EQ(errors->Value(), before + 1);
+  EXPECT_EQ(total_errors(), before + 4);
 
   auto threaded = Cluster::Create(figure1::FollowGraph(), opt);
   ASSERT_TRUE(threaded.ok()) << threaded.status();
   ASSERT_TRUE((*threaded)->Start().ok());
-  before = errors->Value();
+  before = total_errors();
   ASSERT_TRUE((*threaded)->Publish(newer).ok());
   ASSERT_TRUE((*threaded)->Publish(older).ok());  // accepted; fails on apply
   (*threaded)->Drain();
   (*threaded)->Stop();
-  EXPECT_EQ(errors->Value(), before + 1);
+  EXPECT_EQ(total_errors(), before + 4);
 }
 
 std::vector<EdgeEvent> ToEvents(const std::vector<TimestampedEdge>& edges) {
@@ -321,29 +331,43 @@ TEST(ClusterTest, OversizedBatchIsAdmittedAlone) {
 TEST(ClusterTest, FailedEventMidBatchDoesNotStopTheBatch) {
   // `older` is older than C2's newest in-edge under strict_time_order, so it
   // fails; `later` then completes the Figure 1 diamond (A2 follows B1 and
-  // B2, both now point to C2) and must still be applied.
+  // B2, both now point to C2) and must still be applied. Both modes log the
+  // whole batch, so both must apply it whole: inline reports the failure,
+  // threaded only counts it.
   ClusterOptions opt = MakeOptions(1);
   opt.detector.strict_time_order = true;
   EdgeEvent newer, older, later;
   newer.edge = {figure1::kB1, figure1::kC2, Seconds(100)};
   older.edge = {figure1::kB2, figure1::kC2, Seconds(50)};
   later.edge = {figure1::kB2, figure1::kC2, Seconds(101)};
+  const std::vector<EdgeEvent> batch = {newer, older, later};
   const Counter* errors = MetricsRegistry::Default()->GetCounter(
       "publish_apply_errors", {{"partition", "0"}});
 
-  auto threaded = Cluster::Create(figure1::FollowGraph(), opt);
-  ASSERT_TRUE(threaded.ok()) << threaded.status();
-  ASSERT_TRUE((*threaded)->Start().ok());
-  const uint64_t before = errors->Value();
-  const std::vector<EdgeEvent> batch = {newer, older, later};
-  ASSERT_TRUE((*threaded)->PublishBatch(batch).ok());
-  (*threaded)->Drain();
-  (*threaded)->Stop();
-  EXPECT_EQ(errors->Value(), before + 1);
-  const std::vector<Recommendation> recs = (*threaded)->TakeRecommendations();
-  ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].user, figure1::kA2);
-  EXPECT_EQ(recs[0].item, figure1::kC2);
+  for (const auto mode : {LocalClusterTransport::Mode::kInline,
+                          LocalClusterTransport::Mode::kThreaded}) {
+    const bool inline_mode = mode == LocalClusterTransport::Mode::kInline;
+    SCOPED_TRACE(inline_mode ? "inline" : "threaded");
+    auto transport =
+        LocalClusterTransport::Create(figure1::FollowGraph(), opt, mode);
+    ASSERT_TRUE(transport.ok()) << transport.status();
+    const uint64_t before = errors->Value();
+    const Status published = (*transport)->PublishBatch(batch);
+    if (inline_mode) {
+      EXPECT_TRUE(published.IsFailedPrecondition()) << published;
+    } else {
+      EXPECT_TRUE(published.ok()) << published;  // fails on apply
+    }
+    ASSERT_TRUE((*transport)->Drain().ok());
+    EXPECT_EQ((*transport)->cluster().events_published(), batch.size());
+    EXPECT_EQ(errors->Value(), before + 1);
+    auto recs = (*transport)->TakeRecommendations();
+    ASSERT_TRUE(recs.ok()) << recs.status();
+    ASSERT_EQ(recs->size(), 1u);
+    EXPECT_EQ((*recs)[0].user, figure1::kA2);
+    EXPECT_EQ((*recs)[0].item, figure1::kC2);
+    ASSERT_TRUE((*transport)->Close().ok());
+  }
 }
 
 TEST(ClusterTest, InboxHandsOffOneItemPerBatchPerReplica) {

@@ -1,17 +1,27 @@
-// Differential fuzzing of the intersection kernels: every kernel — scalar
-// merge, scalar galloping, AVX2 block merge, SIMD galloping, and the bitset
-// family — must produce byte-identical output on every input. Inputs are
-// generated from a printed seed so any failure is a one-line repro:
+// Differential fuzzing of the two probes the threshold layer's candidate
+// verification runs (intersect/threshold.h):
+//
+//   * SimdGallopLowerBound, with the AVX2 scan and with the scalar fallback,
+//     must return exactly std::lower_bound over [from, end);
+//   * BitsetView::Test must answer exactly std::binary_search, including for
+//     ids past the end of the view.
+//
+// Inputs are generated from a printed seed so any failure is a one-line
+// repro:
 //
 //   MAGICRECS_FUZZ_SEED=<seed> ./intersect_differential_test
 //
-// The generator deliberately hits the adversarial shapes the SIMD kernels
-// care about: empty and singleton lists, 100% and 0% overlap, size skews up
-// to 10^5:1, unaligned subspan offsets (1..7 off a 32-byte boundary), and
-// tail lengths 0..7 so every epilogue path of the 8-lane kernels runs.
+// The generator deliberately hits the shapes the 8-lane scan cares about:
+// empty and singleton lists, lengths 0..23 so every tail 0..7 of a block
+// runs, unaligned subspan offsets (1..7 off a 32-byte boundary), lists up to
+// 10^5 elements where the gallop and the narrowing both run, and ids
+// straddling 2^31 where the scan's sign-bias compare would break first.
+// Small lists are probed from every `from`; larger ones from a sample that
+// always includes both ends.
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include "intersect/bitset.h"
-#include "intersect/intersect.h"
 #include "intersect/simd.h"
 #include "util/random.h"
 
@@ -43,17 +52,14 @@ int Trials(int default_trials) {
   return default_trials;
 }
 
-/// One fuzz input: two sorted duplicate-free lists plus the alignment
-/// offsets they were drawn at (kept for the failure message).
+/// One fuzz input: a sorted duplicate-free list viewed past `offset`
+/// leading sentinels (kept for the failure message).
 struct FuzzCase {
-  std::vector<VertexId> a_storage, b_storage;
-  size_t a_offset = 0, b_offset = 0;
+  std::vector<VertexId> storage;
+  size_t offset = 0;
 
-  std::span<const VertexId> a() const {
-    return std::span<const VertexId>(a_storage).subspan(a_offset);
-  }
-  std::span<const VertexId> b() const {
-    return std::span<const VertexId>(b_storage).subspan(b_offset);
+  std::span<const VertexId> list() const {
+    return std::span<const VertexId>(storage).subspan(offset);
   }
 };
 
@@ -62,7 +68,7 @@ struct FuzzCase {
 /// density profile stays random.
 std::vector<VertexId> RandomSortedList(Rng* rng, size_t n, uint64_t universe) {
   if (universe == 0 || n == 0) return {};
-  if (n > 4'096) {
+  if (n > 256) {
     n = std::min<uint64_t>(n, universe);
     const uint64_t max_gap = std::max<uint64_t>(1, universe / n);
     std::vector<VertexId> out;
@@ -81,178 +87,164 @@ std::vector<VertexId> RandomSortedList(Rng* rng, size_t n, uint64_t universe) {
   return {s.begin(), s.end()};
 }
 
+/// Ids of the high-id shape start just below 2^31, so one list holds ids on
+/// both sides of the sign bit.
+constexpr VertexId kHighBase = 0x7fff'ff00u;
+
 FuzzCase GenerateCase(Rng* rng) {
-  FuzzCase c;
   // Shape roulette (out of 1000). Small shapes dominate so 1e5+ cases stay
-  // fast; a thin slice goes to the 10^5:1 skews, whose O(n) cost would
-  // otherwise swamp the run.
+  // fast; a thin slice goes to the 10^5-element lists, whose O(n) cost
+  // would otherwise swamp the run.
   const uint64_t shape = rng->UniformInt(1000);
-  size_t na, nb;
+  size_t n;
   uint64_t universe;
+  VertexId base = 0;
   if (shape < 80) {  // empty / singleton corner
-    na = rng->UniformInt(2);
-    nb = rng->UniformInt(2);
+    n = rng->UniformInt(2);
     universe = 16;
-  } else if (shape < 220) {  // tail sweep: lengths straddling 8-lane blocks
-    na = rng->UniformInt(24);  // covers tails 0..7 of the 8-wide kernels
-    nb = rng->UniformInt(24);
+  } else if (shape < 380) {  // tail sweep: lengths straddling 8-lane blocks
+    n = rng->UniformInt(24);
     universe = 64;
-  } else if (shape < 360) {  // 100% overlap
-    na = nb = 1 + rng->UniformInt(200);
-    universe = 4 * na;
-  } else if (shape < 500) {  // 0% overlap (interleaved but disjoint)
-    na = 1 + rng->UniformInt(150);
-    nb = 1 + rng->UniformInt(150);
-    universe = 2 * (na + nb);
-  } else if (shape < 505) {  // heavy skew, up to ~10^5:1
-    na = 1 + rng->UniformInt(3);
-    nb = 10'000 + rng->UniformInt(90'001);
-    universe = 2 * nb;
-  } else if (shape < 600) {  // moderate skew (galloping crossover regime)
-    na = 1 + rng->UniformInt(30);
-    nb = 500 + rng->UniformInt(4'000);
-    universe = 8 * nb;
+  } else if (shape < 480) {  // dense: every id, or nearly
+    n = 1 + rng->UniformInt(200);
+    universe = n + rng->UniformInt(4);
+  } else if (shape < 485) {  // long list: gallop, narrow, then scan
+    n = 10'000 + rng->UniformInt(90'001);
+    universe = 2 * n;
+  } else if (shape < 600) {  // medium list: narrowing down to 32 lanes
+    n = 500 + rng->UniformInt(4'000);
+    universe = 8 * n;
+  } else if (shape < 700) {  // ids straddling 2^31
+    n = rng->UniformInt(300);
+    universe = 512;
+    base = kHighBase;
   } else {  // general random
-    na = rng->UniformInt(400);
-    nb = rng->UniformInt(400);
+    n = rng->UniformInt(400);
     universe = 1 + rng->UniformInt(1'200);
   }
 
-  if (shape >= 220 && shape < 360) {
-    c.a_storage = RandomSortedList(rng, na, universe);
-    c.b_storage = c.a_storage;  // identical contents
-  } else if (shape >= 360 && shape < 500) {
-    // Disjoint by parity: a gets even ids, b gets odd.
-    std::vector<VertexId> evens = RandomSortedList(rng, na, universe / 2);
-    std::vector<VertexId> odds = RandomSortedList(rng, nb, universe / 2);
-    for (VertexId& v : evens) v = 2 * v;
-    for (VertexId& v : odds) v = 2 * v + 1;
-    c.a_storage = std::move(evens);
-    c.b_storage = std::move(odds);
-  } else {
-    c.a_storage = RandomSortedList(rng, na, universe);
-    c.b_storage = RandomSortedList(rng, nb, universe);
+  FuzzCase c;
+  std::vector<VertexId> list = RandomSortedList(rng, n, universe);
+  // Unaligned offsets: 0..7 sentinel ids below everything real, viewed
+  // past, so the scan's loads start off a 32-byte boundary. The real ids
+  // shift up by 8 so sortedness and uniqueness survive.
+  c.offset = rng->UniformInt(8);
+  for (size_t i = 0; i < c.offset; ++i) {
+    c.storage.push_back(static_cast<VertexId>(i));
   }
-
-  // Unaligned offsets: prepend 0..7 sentinel ids below everything real and
-  // view past them, so the kernels' loads start off a 32-byte boundary.
-  c.a_offset = rng->UniformInt(8);
-  c.b_offset = rng->UniformInt(8);
-  auto prepend = [](std::vector<VertexId>* v, size_t k) {
-    if (k == 0) return;
-    std::vector<VertexId> padded(k);
-    for (size_t i = 0; i < k; ++i) padded[i] = static_cast<VertexId>(i);
-    padded.insert(padded.end(), v->begin(), v->end());
-    *v = std::move(padded);
-  };
-  // The sentinels (0..6) may collide with real ids; shift the real ids up
-  // by 8 first so sortedness and uniqueness survive.
-  for (VertexId& v : c.a_storage) v += 8;
-  for (VertexId& v : c.b_storage) v += 8;
-  prepend(&c.a_storage, c.a_offset);
-  prepend(&c.b_storage, c.b_offset);
+  for (const VertexId v : list) c.storage.push_back(base + v + 8);
   return c;
 }
 
-std::vector<VertexId> Reference(std::span<const VertexId> a,
-                                std::span<const VertexId> b) {
-  std::vector<VertexId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
+/// Checks SimdGallopLowerBound(list, from, key) against std::lower_bound.
+void CheckLowerBound(const FuzzCase& c, size_t from, VertexId key,
+                     uint64_t seed, int trial) {
+  const auto list = c.list();
+  const size_t got = SimdGallopLowerBound(list, from, key);
+  const size_t want = static_cast<size_t>(
+      std::lower_bound(list.begin() + static_cast<std::ptrdiff_t>(from),
+                       list.end(), key) -
+      list.begin());
+  ASSERT_EQ(got, want) << "lower_bound diverged; seed=" << seed
+                       << " trial=" << trial << " simd=" << SimdEnabled()
+                       << " |list|=" << list.size() << " offset=" << c.offset
+                       << " from=" << from << " key=" << key;
 }
 
-/// Runs one kernel and checks output + return count against the reference.
-void CheckKernel(const char* name, const FuzzCase& c,
-                 const std::vector<VertexId>& expected,
-                 size_t (*fn)(std::span<const VertexId>,
-                              std::span<const VertexId>,
-                              std::vector<VertexId>*),
-                 uint64_t seed, int trial) {
-  std::vector<VertexId> out;
-  const size_t n = fn(c.a(), c.b(), &out);
-  ASSERT_EQ(n, out.size())
-      << name << " returned count != appended size; seed=" << seed
-      << " trial=" << trial;
-  ASSERT_EQ(out, expected)
-      << name << " diverged from scalar reference; seed=" << seed
-      << " trial=" << trial << " |a|=" << c.a().size()
-      << " |b|=" << c.b().size() << " a_off=" << c.a_offset
-      << " b_off=" << c.b_offset;
+/// Probes every `from` of a short list and a sample of a long one, each
+/// with keys below, at, between and past the list's elements.
+void CheckLowerBounds(const FuzzCase& c, Rng* rng, uint64_t seed, int trial) {
+  const auto list = c.list();
+  const size_t n = list.size();
+  std::vector<size_t> froms;
+  if (n <= 64) {
+    for (size_t from = 0; from <= n; ++from) froms.push_back(from);
+  } else {
+    froms = {0, n - 1, n};
+    for (int i = 0; i < 13; ++i) froms.push_back(rng->UniformInt(n));
+  }
+  const uint64_t top = n == 0 ? 16 : uint64_t{list.back()} + 2;
+  for (const size_t from : froms) {
+    std::vector<VertexId> keys = {0, std::numeric_limits<VertexId>::max(),
+                                  static_cast<VertexId>(rng->UniformInt(top))};
+    if (n > 0) {
+      const VertexId hit = list[rng->UniformInt(n)];
+      keys.insert(keys.end(), {hit, hit - 1, hit + 1});
+    }
+    for (const VertexId key : keys) {
+      CheckLowerBound(c, from, key, seed, trial);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+/// Checks BitsetView::Test against std::binary_search for ids in and past
+/// the view. A short universe is swept id by id; a long one at sampled list
+/// elements, their neighbours, and random ids.
+void CheckBitset(const FuzzCase& c, Rng* rng, uint64_t seed, int trial) {
+  const auto list = c.list();
+  // The high-id shape would need a 256 MiB bitmap; its view stops below the
+  // list instead, so every listed id lands past the view.
+  const bool high = !list.empty() && list.back() >= kHighBase;
+  const uint64_t universe =
+      list.empty() || high ? c.offset
+                           : uint64_t{list.back()} + 1 + rng->UniformInt(130);
+  std::vector<uint64_t> words;
+  FillBitset(list, universe, &words);
+  const BitsetView view{words.data(), words.size()};
+  std::vector<VertexId> covered;
+  for (const VertexId v : list) {
+    if (v < universe) covered.push_back(v);
+  }
+
+  const auto check = [&](VertexId id) {
+    ASSERT_EQ(view.Test(id),
+              std::binary_search(covered.begin(), covered.end(), id))
+        << "bitset diverged; seed=" << seed << " trial=" << trial
+        << " id=" << id << " universe=" << universe
+        << " words=" << view.num_words;
+  };
+  const uint64_t past = 64 * uint64_t{view.num_words} + 130;
+  std::vector<VertexId> ids = {std::numeric_limits<VertexId>::max(),
+                               kHighBase, kHighBase + 0x100u};
+  if (past <= 4'096) {
+    for (uint64_t id = 0; id < past; ++id) {
+      ids.push_back(static_cast<VertexId>(id));
+    }
+  } else {
+    for (int i = 0; i < 256; ++i) {
+      const VertexId v = list[rng->UniformInt(list.size())];
+      ids.insert(ids.end(), {v - 1, v, v + 1,
+                             static_cast<VertexId>(rng->UniformInt(past))});
+    }
+  }
+  for (const VertexId id : ids) {
+    check(id);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 void RunDifferential(uint64_t seed, int trials) {
   Rng rng(seed);
   for (int trial = 0; trial < trials; ++trial) {
     const FuzzCase c = GenerateCase(&rng);
-    const std::vector<VertexId> expected = Reference(c.a(), c.b());
-
-    CheckKernel("scalar-merge", c, expected, &IntersectMerge, seed, trial);
-    CheckKernel("scalar-galloping", c, expected, &IntersectGalloping, seed,
-                trial);
-    CheckKernel("simd-merge", c, expected, &IntersectMergeSimd, seed, trial);
-    CheckKernel("simd-galloping", c, expected, &IntersectGallopingSimd, seed,
-                trial);
-    CheckKernel("auto", c, expected, &IntersectAuto, seed, trial);
-
+    CheckLowerBounds(c, &rng, seed, trial);
     if (::testing::Test::HasFatalFailure()) return;
-
-    // Bitset kernels: build a bitmap of each side, intersect every way.
-    const uint64_t universe =
-        1 + (c.a().empty() ? 0 : c.a().back()) +
-        (c.b().empty() ? 0 : c.b().back());
-    std::vector<uint64_t> wa, wb;
-    FillBitset(c.a(), universe, &wa);
-    FillBitset(c.b(), universe, &wb);
-    const BitsetView va{wa.data(), wa.size()};
-    const BitsetView vb{wb.data(), wb.size()};
-
-    std::vector<VertexId> out;
-    size_t n = IntersectBitsetArray(va, c.b(), &out);
-    ASSERT_EQ(n, out.size()) << "bitset∩array count; seed=" << seed
-                             << " trial=" << trial;
-    ASSERT_EQ(out, expected) << "bitset∩array diverged; seed=" << seed
-                             << " trial=" << trial;
-    out.clear();
-    n = IntersectBitsetArray(vb, c.a(), &out);
-    ASSERT_EQ(out, expected) << "array∩bitset diverged; seed=" << seed
-                             << " trial=" << trial;
-    out.clear();
-    n = IntersectBitsetBitset(va, vb, &out);
-    ASSERT_EQ(n, out.size()) << "bitset∩bitset count; seed=" << seed
-                             << " trial=" << trial;
-    ASSERT_EQ(out, expected) << "bitset∩bitset diverged; seed=" << seed
-                             << " trial=" << trial;
-    ASSERT_EQ(IntersectBitsetBitsetCount(va, vb), expected.size())
-        << "bitset popcount diverged; seed=" << seed << " trial=" << trial;
-
-    // SimdGallopLowerBound against std::lower_bound at random probes.
-    for (int probe = 0; probe < 4; ++probe) {
-      const VertexId key = static_cast<VertexId>(rng.UniformInt(universe + 2));
-      const size_t from =
-          c.b().empty() ? 0 : rng.UniformInt(c.b().size());
-      const size_t got = SimdGallopLowerBound(c.b(), from, key);
-      const size_t want = static_cast<size_t>(
-          std::lower_bound(c.b().begin() + static_cast<std::ptrdiff_t>(from),
-                           c.b().end(), key) -
-          c.b().begin());
-      ASSERT_EQ(got, want) << "lower_bound diverged; seed=" << seed
-                           << " trial=" << trial << " key=" << key
-                           << " from=" << from;
-    }
+    CheckBitset(c, &rng, seed, trial);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(DifferentialFuzzTest, SimdKernelsMatchScalar) {
+TEST(DifferentialFuzzTest, ProbesMatchStdWithSimd) {
   const uint64_t seed = BaseSeed();
   RecordProperty("seed", std::to_string(seed));
-  // 1e5 cases through every kernel. Each failure message carries the seed;
+  // 1e5 cases through both probes. Each failure message carries the seed;
   // rerun with MAGICRECS_FUZZ_SEED to reproduce exactly.
   RunDifferential(seed, Trials(100'000));
 }
 
-TEST(DifferentialFuzzTest, ScalarFallbackPathMatches) {
-  // Force-disable SIMD so the *Simd entry points run their scalar fallbacks:
+TEST(DifferentialFuzzTest, ProbesMatchStdWithScalarFallback) {
+  // Force-disable SIMD so SimdGallopLowerBound runs its scalar fallback:
   // the dispatch wrapper itself is part of the contract under test.
   const bool prior = SetSimdEnabled(false);
   ASSERT_FALSE(SimdEnabled());
@@ -264,7 +256,7 @@ TEST(DifferentialFuzzTest, ScalarFallbackPathMatches) {
 
 TEST(DifferentialFuzzTest, ReportsVectorizationState) {
   // Not an assertion — a breadcrumb in the test log so CI runs record
-  // whether the SIMD paths actually vectorized on that machine.
+  // whether the SIMD probe actually vectorized on that machine.
   RecordProperty("avx2", CpuSupportsAvx2() ? "yes" : "no");
   RecordProperty("simd_enabled", SimdEnabled() ? "yes" : "no");
   SUCCEED();

@@ -57,10 +57,10 @@ MEASUREMENTS = {
 
 # measurement -> direction: +1 means higher is better (throughput), -1
 # means lower is better (latency). Only these gate the check; the rest are
-# informational. "speedup" (bench_intersection's intersect and threshold
-# sections) is time(reference)/time(kernel) on the same shape — machine-
-# independent, so it catches kernel regressions that absolute rates would
-# hide behind hardware variance.
+# informational. "speedup" (bench_intersection's threshold section) is
+# time(reference)/time(kernel) on the same shape — machine-independent, so
+# it catches kernel regressions that absolute rates would hide behind
+# hardware variance.
 GATED = {
     "events_per_sec": +1,
     "requests_per_sec": +1,
