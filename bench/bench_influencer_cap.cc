@@ -43,10 +43,11 @@ int main() {
     const StaticGraph& s = (*engine)->static_index();
 
     std::vector<Recommendation> recs;
+    Histogram latency_us;
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
       recs.clear();
-      if (!(*engine)->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
+      if (!bench::TimedOnEdge(**engine, e, &recs, &latency_us).ok()) {
         return 1;
       }
       total_recs += recs.size();
@@ -61,7 +62,7 @@ int main() {
                     ? 0.0
                     : 100.0 * static_cast<double>(total_recs) /
                           static_cast<double>(reference_recs),
-                (*engine)->stats().query_micros.Percentile(99));
+                latency_us.Percentile(99));
   }
   std::printf("\nshape: the cap shrinks S roughly linearly once it binds and "
               "trims only the\nlow-popularity followees' contribution to "

@@ -34,13 +34,11 @@ int main() {
       opt.max_reported_witnesses = 0;
       const auto engine = bench::DiamondEngine(w.follower_index, opt);
       std::vector<Recommendation> recs;
+      Histogram h;
       for (const TimestampedEdge& e : w.events) {
         recs.clear();
-        if (!engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
-          return 1;
-        }
+        if (!bench::TimedOnEdge(*engine, e, &recs, &h).ok()) return 1;
       }
-      const Histogram& h = engine->stats().query_micros;
       std::printf("%10u %4u %12.1f %12.1f %12.1f %12.1f %12lld\n", users, k,
                   h.Percentile(50), h.Percentile(90), h.Percentile(99),
                   h.Percentile(99.9), static_cast<long long>(h.Max()));

@@ -14,6 +14,8 @@
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
 #include "graph/static_graph.h"
+#include "util/clock.h"
+#include "util/histogram.h"
 
 namespace magicrecs::bench {
 
@@ -94,6 +96,19 @@ inline std::unique_ptr<MotifEngine> DiamondEngine(
     std::exit(1);
   }
   return std::move(engine).value();
+}
+
+/// Feeds one edge to `engine` and records the call's wall time, in
+/// microseconds, into `latency_us`. The engine's own query_micros holds only
+/// its timing samples (one event in kTimingSamplePeriod), too few for a
+/// bench's tail percentiles, so a bench times every call itself.
+inline Status TimedOnEdge(MotifEngine& engine, const TimestampedEdge& e,
+                          std::vector<Recommendation>* out,
+                          Histogram* latency_us) {
+  const Stopwatch timer;
+  Status status = engine.OnEdge(e.src, e.dst, e.created_at, out);
+  latency_us->Record(timer.ElapsedMicros());
+  return status;
 }
 
 }  // namespace magicrecs::bench

@@ -181,22 +181,32 @@ Status Cluster::ApplyInline(const EdgeEvent& event,
   // the later partitions: the event is already in the WAL, so every replica
   // must see it for recovery to rebuild the same D.
   Status first_error;
-  for (size_t i = 0; i < servers_.size(); ++i) {
+  for (uint32_t i = 0; i < servers_.size(); ++i) {
     const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
-    const Stopwatch apply_timer;
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
       if ((mask & (uint64_t{1} << r)) == 0) continue;  // dead: misses event
-      const bool emit = ShouldEmit(static_cast<uint32_t>(i), r,
-                                   event.sequence);
-      Status s = servers_[i][r]->OnEvent(event, emit, out);
-      if (!s.ok()) {
-        apply_errors_[i]->Increment();
-        if (first_error.ok()) first_error = std::move(s);
-      }
+      Status s = ApplyToReplica(i, r, event, out);
+      if (!s.ok() && first_error.ok()) first_error = std::move(s);
     }
-    apply_histograms_[i]->Record(apply_timer.ElapsedMicros());
   }
   return first_error;
+}
+
+Status Cluster::ApplyToReplica(uint32_t local, uint32_t replica,
+                               const EdgeEvent& event,
+                               std::vector<Recommendation>* out) {
+  const bool emit = ShouldEmit(local, replica, event.sequence);
+  PartitionServer& server = *servers_[local][replica];
+  Status s;
+  if (IsTimingSample(event.sequence)) {
+    const Stopwatch apply_timer;
+    s = server.OnEvent(event, emit, out);
+    apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
+  } else {
+    s = server.OnEvent(event, emit, out);
+  }
+  if (!s.ok()) apply_errors_[local]->Increment();
+  return s;
 }
 
 Status Cluster::OnEdgeEvent(EdgeEvent event,
@@ -285,7 +295,6 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
   auto& inbox = *inboxes_[local][replica];
   auto& consumed =
       *consumed_[local * options_.replicas_per_partition + replica];
-  PartitionServer& server = *servers_[local][replica];
   const uint64_t self = uint64_t{1} << replica;
   std::vector<Recommendation> gathered;
   while (true) {
@@ -298,14 +307,9 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
       const uint64_t mask =
           alive_masks_[local]->load(std::memory_order_acquire);
       if ((mask & self) == 0) continue;
-      const bool emit = ShouldEmit(local, replica, event.sequence);
-      const Stopwatch apply_timer;
       // No caller waits on this event: a failed apply is only counted, and
       // the rest of the batch still applies.
-      if (!server.OnEvent(event, emit, &gathered).ok()) {
-        apply_errors_[local]->Increment();
-      }
-      apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
+      (void)ApplyToReplica(local, replica, event, &gathered);
     }
     if (!gathered.empty()) {
       std::lock_guard<std::mutex> lock(results_mu_);
@@ -516,6 +520,9 @@ MotifEngineStats Cluster::AggregatedStats() const {
       total.suppressed_existing += s.suppressed_existing;
       total.suppressed_self += s.suppressed_self;
       total.query_micros.Merge(s.query_micros);
+      for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+        total.stage_nanos[stage].Merge(s.stage_nanos[stage]);
+      }
       total.intersection_sizes.Merge(s.intersection_sizes);
     }
   }

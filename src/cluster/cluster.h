@@ -282,6 +282,14 @@ class Cluster {
   /// alive replica even when one fails; returns the first failure.
   Status ApplyInline(const EdgeEvent& event, std::vector<Recommendation>* out);
 
+  /// One replica's apply of one event, shared by ApplyInline and the
+  /// workers: emits if ShouldEmit picks it, counts a failure in
+  /// publish_apply_errors, and times the apply into publish_apply_us only
+  /// when the event is a timing sample (IsTimingSample).
+  Status ApplyToReplica(uint32_t local, uint32_t replica,
+                        const EdgeEvent& event,
+                        std::vector<Recommendation>* out);
+
   ClusterOptions options_;
   HashPartitioner partitioner_;
   /// Global partition ids hosted here; servers_[i] / alive_masks_[i] /
@@ -291,8 +299,8 @@ class Cluster {
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> alive_masks_;
 
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once
-  /// at Create so the per-event path never takes the registry lock. Times
-  /// one replica's OnEvent.
+  /// at Create so the per-event path never takes the registry lock. One
+  /// sample per replica per timed event: that replica's OnEvent.
   std::vector<HistogramMetric*> apply_histograms_;
   /// publish_inbox_wait_us{partition=P}: one sample per batch per replica,
   /// from the publisher's push (backpressure included) to the worker's pop.

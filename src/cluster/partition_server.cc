@@ -83,10 +83,13 @@ Status PartitionServer::OnEvent(const EdgeEvent& event, bool emit,
                                 std::vector<Recommendation>* out) {
   const TimestampedEdge& e = event.edge;
   next_sequence_ = std::max(next_sequence_, event.sequence + 1);
+  const bool timed = IsTimingSample(event.sequence);
   if (emit) {
-    return engine_->OnEdge(e.src, e.dst, e.created_at, out);
+    return engine_->OnEdge(e.src, e.dst, e.created_at, out,
+                           MotifAction::kFollow, timed);
   }
-  return engine_->Ingest(e.src, e.dst, e.created_at);
+  return engine_->Ingest(e.src, e.dst, e.created_at, MotifAction::kFollow,
+                         timed);
 }
 
 Status PartitionServer::SyncDynamicStateFrom(

@@ -56,7 +56,8 @@ class PartitionServer {
 
   /// Ingests one event into D; if `emit` is true, also runs the motif query
   /// and appends local recommendations to *out. Standby replicas ingest with
-  /// emit=false to keep D warm without duplicating query work.
+  /// emit=false to keep D warm without duplicating query work. The engine
+  /// times the event when its sequence is a timing sample (IsTimingSample).
   Status OnEvent(const EdgeEvent& event, bool emit,
                  std::vector<Recommendation>* out);
 

@@ -194,6 +194,11 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
         ->RaiseTo(detector.suppressed_self);
     registry->GetHistogram("detector_query_us")
         ->ReplaceWith(detector.query_micros);
+    for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+      const std::string op(PlanStageName(static_cast<PlanStage>(stage)));
+      registry->GetHistogram("detector_op_ns", {{"op", op}})
+          ->ReplaceWith(detector.stage_nanos[stage]);
+    }
     registry->GetHistogram("detector_intersection_size")
         ->ReplaceWith(detector.intersection_sizes);
     registry->GetCounter("events_published")

@@ -29,6 +29,36 @@ DynamicGraphOptions MakeDynamicOptions(const MotifPlan& plan,
   return dyn;
 }
 
+/// The clock reads of one OnEdge call: one per stage boundary when the
+/// event is timed, none otherwise. The query time comes from the same reads.
+class StageClock {
+ public:
+  StageClock(bool timed, MotifEngineStats* stats)
+      : stats_(timed ? stats : nullptr) {
+    if (stats_ != nullptr) start_ = last_ = SteadyNowNanos();
+  }
+
+  bool timed() const { return stats_ != nullptr; }
+
+  /// Ends `stage` now.
+  void Lap(PlanStage stage) {
+    if (stats_ == nullptr) return;
+    const int64_t now = SteadyNowNanos();
+    stats_->stage_nanos[static_cast<size_t>(stage)].Record(now - last_);
+    last_ = now;
+  }
+
+  /// Records the query time: the first read to the last lap.
+  void Finish() {
+    if (stats_ != nullptr) stats_->query_micros.Record((last_ - start_) / 1000);
+  }
+
+ private:
+  MotifEngineStats* stats_;
+  int64_t start_ = 0;
+  int64_t last_ = 0;
+};
+
 }  // namespace
 
 MotifEngine::MotifEngine(MotifPlan plan,
@@ -89,22 +119,25 @@ bool MotifEngine::Admits(MotifAction action) {
 }
 
 Status MotifEngine::Ingest(VertexId src, VertexId dst, Timestamp t,
-                           MotifAction action) {
+                           MotifAction action, bool timed) {
   if (!Admits(action)) return Status::OK();
+  StageClock clock(timed, &stats_);
   MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
+  clock.Lap(PlanStage::kIndexInsert);
   ++stats_.events;
   return Status::OK();
 }
 
 Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
                            std::vector<Recommendation>* out,
-                           MotifAction action) {
-  const Stopwatch timer;
+                           MotifAction action, bool timed) {
+  StageClock clock(timed, &stats_);
   const StaticGraph& index = *static_index_;
 
   // The interpreter walks the compiled ops in order; every op manipulates
   // the shared per-event context (actors_ / lists_ / matches_).
-  for (const PlanOp& op : plan_.ops) {
+  for (size_t i = 0; i < plan_.ops.size(); ++i) {
+    const PlanOp& op = plan_.ops[i];
     switch (op.kind) {
       case PlanOpKind::kInsertDynamic: {
         if (!Admits(action)) return Status::OK();  // not the motif's action
@@ -118,7 +151,8 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
       }
       case PlanOpKind::kCheckThreshold: {
         if (actors_.size() < op.k) {
-          stats_.query_micros.Record(timer.ElapsedMicros());
+          clock.Lap(PlanStage::kIndexWindow);
+          clock.Finish();
           return Status::OK();
         }
         ++stats_.threshold_queries;
@@ -156,7 +190,7 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
       }
       case PlanOpKind::kThresholdIntersect: {
         if (lists_.size() < op.k) {
-          stats_.query_micros.Record(timer.ElapsedMicros());
+          clock.Finish();
           return Status::OK();
         }
         ThresholdIntersect(lists_, op.k, &matches_, op.algorithm,
@@ -208,9 +242,17 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         break;
       }
     }
+    // A stage ends with its last op.
+    if (clock.timed()) {
+      const PlanStage stage = PlanStageOf(op.kind);
+      if (i + 1 == plan_.ops.size() ||
+          PlanStageOf(plan_.ops[i + 1].kind) != stage) {
+        clock.Lap(stage);
+      }
+    }
   }
 
-  stats_.query_micros.Record(timer.ElapsedMicros());
+  clock.Finish();
   return Status::OK();
 }
 

@@ -13,6 +13,7 @@
 #ifndef MAGICRECS_CORE_MOTIF_ENGINE_H_
 #define MAGICRECS_CORE_MOTIF_ENGINE_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +27,21 @@
 
 namespace magicrecs {
 
-/// Counters and latency distributions for one engine instance.
+/// Timing is sampled: a caller times one event in kTimingSamplePeriod,
+/// picked by its stream sequence, and reads no clock for the others. Every
+/// partition and replica that applies the same sequenced stream times the
+/// same events.
+inline constexpr uint64_t kTimingSamplePeriod = 64;
+
+/// Whether the event with this stream sequence is a timing sample
+/// (sequence 0 always is).
+constexpr bool IsTimingSample(uint64_t sequence) {
+  return sequence % kTimingSamplePeriod == 0;
+}
+
+/// Counters and latency distributions for one engine instance. The counters
+/// cover every event; the histograms of times cover only the timed ones
+/// (the `timed` argument of OnEdge/Ingest).
 struct MotifEngineStats {
   uint64_t events = 0;               ///< edges ingested into D
   uint64_t filtered_by_action = 0;   ///< edges the trigger's action rejected
@@ -35,7 +50,17 @@ struct MotifEngineStats {
   uint64_t recommendations = 0;      ///< emitted recommendations
   uint64_t suppressed_existing = 0;  ///< dropped: already follows the item
   uint64_t suppressed_self = 0;      ///< dropped: candidate == item
-  Histogram query_micros;            ///< wall-clock per-event detection cost
+
+  /// Wall-clock cost of each timed OnEdge call the trigger's action admits,
+  /// in microseconds: the sum of its stages, including events that stop at
+  /// the threshold.
+  Histogram query_micros;
+
+  /// Nanoseconds spent in each plan stage by the timed events that reached
+  /// it, indexed by PlanStage. A timed Ingest records index-insert only,
+  /// so index-insert counts every timed replica event and the later stages
+  /// count timed queries.
+  std::array<Histogram, kNumPlanStages> stage_nanos;
 
   /// Witness-set size per threshold query (after the celebrity cap): the
   /// paper's main cost driver, since intersection work scales with the
@@ -77,16 +102,20 @@ class MotifEngine {
   /// order per destination (MotifOptions::strict_time_order enforces it).
   /// D retains the edges within the window of the newest time it has seen,
   /// so a late event's query finds only what that watermark left.
+  /// When `timed`, records the call in stats().query_micros and each stage
+  /// it reaches in stats().stage_nanos, one clock read per stage boundary;
+  /// otherwise it reads no clock.
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out,
-                MotifAction action = MotifAction::kFollow);
+                MotifAction action = MotifAction::kFollow, bool timed = false);
 
   /// Ingests the edge into D without running the motif query. Standby
   /// replicas keep their dynamic state warm this way while the primary
   /// answers queries, and WAL replay rebuilds D with it (recommendations
-  /// for replayed events were delivered before the crash).
+  /// for replayed events were delivered before the crash). When `timed`,
+  /// the insert is recorded as an index-insert stage sample.
   Status Ingest(VertexId src, VertexId dst, Timestamp t,
-                MotifAction action = MotifAction::kFollow);
+                MotifAction action = MotifAction::kFollow, bool timed = false);
 
   /// Replaces this engine's dynamic state with a copy of `other`'s
   /// (replica bootstrap from a live peer).

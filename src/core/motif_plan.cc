@@ -26,6 +26,41 @@ std::string_view PlanOpKindName(PlanOpKind kind) {
   return "UNKNOWN";
 }
 
+PlanStage PlanStageOf(PlanOpKind kind) {
+  switch (kind) {
+    case PlanOpKind::kInsertDynamic:
+      return PlanStage::kIndexInsert;
+    case PlanOpKind::kCollectActors:
+    case PlanOpKind::kCheckThreshold:
+    case PlanOpKind::kCapWitnesses:
+      return PlanStage::kIndexWindow;
+    case PlanOpKind::kGatherStaticLists:
+      return PlanStage::kSFetch;
+    case PlanOpKind::kThresholdIntersect:
+      return PlanStage::kIntersect;
+    case PlanOpKind::kFilterCandidates:
+    case PlanOpKind::kEmit:
+      return PlanStage::kEmit;
+  }
+  return PlanStage::kEmit;
+}
+
+std::string_view PlanStageName(PlanStage stage) {
+  switch (stage) {
+    case PlanStage::kIndexInsert:
+      return "index-insert";
+    case PlanStage::kIndexWindow:
+      return "index-window";
+    case PlanStage::kSFetch:
+      return "s-fetch";
+    case PlanStage::kIntersect:
+      return "intersect";
+    case PlanStage::kEmit:
+      return "emit";
+  }
+  return "unknown";
+}
+
 std::string PlanOp::Describe() const {
   switch (kind) {
     case PlanOpKind::kInsertDynamic: {

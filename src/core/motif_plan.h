@@ -15,6 +15,7 @@
 #ifndef MAGICRECS_CORE_MOTIF_PLAN_H_
 #define MAGICRECS_CORE_MOTIF_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,6 +40,23 @@ enum class PlanOpKind {
 };
 
 std::string_view PlanOpKindName(PlanOpKind kind);
+
+/// The stages one event passes through, in plan order: each groups the
+/// consecutive ops that do one layer's work. Their names are the per-layer
+/// ledger's, so a metric label and a bench row name the same layer.
+enum class PlanStage : uint8_t {
+  kIndexInsert,  ///< "index-insert": kInsertDynamic
+  kIndexWindow,  ///< "index-window": kCollectActors, kCheckThreshold,
+                 ///< kCapWitnesses
+  kSFetch,       ///< "s-fetch": kGatherStaticLists
+  kIntersect,    ///< "intersect": kThresholdIntersect
+  kEmit,         ///< "emit": kFilterCandidates, kEmit
+};
+inline constexpr size_t kNumPlanStages = 5;
+
+/// The stage `kind` belongs to.
+PlanStage PlanStageOf(PlanOpKind kind);
+std::string_view PlanStageName(PlanStage stage);
 
 /// Which orientation of the static graph kGatherStaticLists reads.
 enum class StaticLookup {

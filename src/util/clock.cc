@@ -23,6 +23,12 @@ Timestamp SteadyNowMicros() {
 }
 }  // namespace
 
+int64_t SteadyNowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 Stopwatch::Stopwatch() : start_(SteadyNowMicros()) {}
 
 Duration Stopwatch::ElapsedMicros() const { return SteadyNowMicros() - start_; }

@@ -52,6 +52,10 @@ class SimulatedClock : public Clock {
   std::atomic<Timestamp> now_;
 };
 
+/// Nanoseconds on the monotonic clock (arbitrary epoch), for interval
+/// timing on hot paths that read the clock several times per operation.
+int64_t SteadyNowNanos();
+
 /// Measures elapsed wall time, for benchmark harnesses.
 class Stopwatch {
  public:

@@ -403,6 +403,88 @@ TEST(ClusterTest, InboxHandsOffOneItemPerBatchPerReplica) {
   }
 }
 
+// The registry is process-wide, so timing tests read publish_apply_us
+// samples as deltas from a reading taken first.
+uint64_t ApplySamples(uint32_t partition) {
+  return MetricsRegistry::Default()
+      ->GetHistogram("publish_apply_us",
+                     {{"partition", std::to_string(partition)}})
+      ->Snapshot()
+      .Count();
+}
+
+TEST(ClusterTest, InlineApplyTimesEachReplicaAsOneSample) {
+  // One sample is one replica's OnEvent, inline as in a worker: sequence 0
+  // through one partition with two replicas is two samples.
+  auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(1, 2));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const uint64_t before = ApplySamples(0);
+  EdgeEvent event;
+  event.edge = {figure1::kB1, figure1::kC1, 1};
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE((*cluster)->OnEdgeEvent(event, &recs).ok());
+  EXPECT_EQ(ApplySamples(0) - before, 2u);
+}
+
+TEST(ClusterTest, OneEventInThePeriodIsTimedInlineAndThreaded) {
+  // N is not a multiple of the period: sequences 0, 64, ..., 192 are the
+  // ceil(N / 64) timing samples, and every replica times exactly those.
+  constexpr uint32_t kPartitions = 2;
+  constexpr uint32_t kReplicas = 2;
+  constexpr size_t kEvents = 3 * kTimingSamplePeriod + 13;
+  constexpr uint64_t kSamples =
+      (kEvents + kTimingSamplePeriod - 1) / kTimingSamplePeriod;
+  const Workload w = MakeWorkload(kEvents);
+  ASSERT_EQ(w.events.size(), kEvents);
+  const auto check = [&](const Cluster& cluster, const uint64_t* before,
+                         const char* mode) {
+    for (uint32_t p = 0; p < kPartitions; ++p) {
+      EXPECT_EQ(ApplySamples(p) - before[p], kSamples * kReplicas)
+          << mode << " partition " << p;
+      uint64_t queries_timed = 0;
+      for (uint32_t r = 0; r < kReplicas; ++r) {
+        const MotifEngineStats& stats = cluster.server(p, r).stats();
+        EXPECT_EQ(stats.stage_nanos[static_cast<size_t>(
+                                        PlanStage::kIndexInsert)]
+                      .Count(),
+                  kSamples)
+            << mode << " partition " << p << " replica " << r;
+        queries_timed += stats.query_micros.Count();
+      }
+      // Only the replica that emits a timed event runs its query.
+      EXPECT_EQ(queries_timed, kSamples) << mode << " partition " << p;
+    }
+  };
+
+  uint64_t before[kPartitions];
+  for (uint32_t p = 0; p < kPartitions; ++p) before[p] = ApplySamples(p);
+  auto inline_cluster =
+      Cluster::Create(w.graph, MakeOptions(kPartitions, kReplicas));
+  ASSERT_TRUE(inline_cluster.ok());
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE((*inline_cluster)->OnEdgeEventBatch(w.events, &recs).ok());
+  check(**inline_cluster, before, "inline");
+
+  for (uint32_t p = 0; p < kPartitions; ++p) before[p] = ApplySamples(p);
+  auto threaded =
+      Cluster::Create(w.graph, MakeOptions(kPartitions, kReplicas));
+  ASSERT_TRUE(threaded.ok());
+  ASSERT_TRUE((*threaded)->Start().ok());
+  // 50-event batches do not line up with the period, so sampling per batch
+  // instead of per event would miscount.
+  constexpr size_t kBatchSize = 50;
+  const std::span<const EdgeEvent> all(w.events);
+  for (size_t next = 0; next < all.size(); next += kBatchSize) {
+    ASSERT_TRUE((*threaded)
+                    ->PublishBatch(all.subspan(
+                        next, std::min(kBatchSize, all.size() - next)))
+                    .ok());
+  }
+  (*threaded)->Drain();
+  (*threaded)->Stop();
+  check(**threaded, before, "threaded");
+}
+
 TEST(ClusterTest, PublishRequiresStart) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2));
   ASSERT_TRUE(cluster.ok());
@@ -552,6 +634,14 @@ TEST(ClusterTest, AggregatedStatsCoverAllPartitions) {
   // Every partition ingests every event.
   EXPECT_EQ(stats.events, 4u * 3u);
   EXPECT_EQ(stats.recommendations, 1u);
+  // Sequence 0 is timed in every partition, through its index window.
+  EXPECT_EQ(stats.query_micros.Count(), 3u);
+  EXPECT_EQ(
+      stats.stage_nanos[static_cast<size_t>(PlanStage::kIndexInsert)].Count(),
+      3u);
+  EXPECT_EQ(
+      stats.stage_nanos[static_cast<size_t>(PlanStage::kIndexWindow)].Count(),
+      3u);
 }
 
 }  // namespace

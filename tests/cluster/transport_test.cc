@@ -166,6 +166,28 @@ TEST(ClusterTransportTest, StatsTextMirrorsDSizePerPartition) {
       << *text;
 }
 
+TEST(ClusterTransportTest, StatsTextMirrorsSampledStageTimes) {
+  // Of the four figure-1 events only sequence 0 is a timing sample. All four
+  // replicas time its insert; the one replica per partition that emits it
+  // also times its index window, where it stops below k.
+  ClusterOptions options = MakeOptions(2);
+  options.replicas_per_partition = 2;
+  auto transport = LocalClusterTransport::Create(
+      figure1::FollowGraph(), options, Mode::kThreaded);
+  ASSERT_TRUE(transport.ok());
+  ASSERT_EQ(RunFigure1(transport->get()).size(), 1u);
+  auto text = (*transport)->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  for (const char* line : {"hist detector_op_ns{op=\"index-insert\"} count=4 ",
+                           "hist detector_op_ns{op=\"index-window\"} count=2 ",
+                           "hist detector_op_ns{op=\"s-fetch\"} count=0 ",
+                           "hist detector_op_ns{op=\"intersect\"} count=0 ",
+                           "hist detector_op_ns{op=\"emit\"} count=0 ",
+                           "hist detector_query_us count=2 "}) {
+    EXPECT_NE(text->find(line), std::string::npos) << line << "\n" << *text;
+  }
+}
+
 TEST(ClusterTransportTest, TakeIsMoveOutInBothModes) {
   for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
     auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),

@@ -108,19 +108,128 @@ TEST(MotifEngineTest, RepeatFollowByTheSameBDoesNotCount) {
 }
 
 TEST(MotifEngineTest, StatsAreAccurate) {
+  // Events are timed as a cluster times them, by sequence: of the four,
+  // only sequence 0 is a timing sample.
   const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
   std::vector<Recommendation> recs;
+  uint64_t sequence = 0;
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE(engine->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
+    ASSERT_TRUE(engine
+                    ->OnEdge(e.src, e.dst, e.created_at, &recs,
+                             MotifAction::kFollow, IsTimingSample(sequence++))
+                    .ok());
   }
   const MotifEngineStats& stats = engine->stats();
   EXPECT_EQ(stats.events, 4u);
   EXPECT_EQ(stats.threshold_queries, 1u);
   EXPECT_EQ(stats.raw_candidates, 1u);
   EXPECT_EQ(stats.recommendations, 1u);
-  EXPECT_EQ(stats.query_micros.Count(), 4u);
+  EXPECT_EQ(stats.query_micros.Count(), 1u);
   EXPECT_EQ(stats.intersection_sizes.Count(), 1u);
   EXPECT_EQ(stats.intersection_sizes.Max(), 2);
+}
+
+// --- Sampled timing ----------------------------------------------------------
+
+size_t StageCount(const MotifEngine& engine, PlanStage stage) {
+  return engine.stats().stage_nanos[static_cast<size_t>(stage)].Count();
+}
+
+TEST(MotifEngineTest, TimingSampleIsOneSequenceInThePeriod) {
+  EXPECT_TRUE(IsTimingSample(0));
+  EXPECT_FALSE(IsTimingSample(1));
+  EXPECT_FALSE(IsTimingSample(kTimingSamplePeriod - 1));
+  EXPECT_TRUE(IsTimingSample(kTimingSamplePeriod));
+  EXPECT_TRUE(IsTimingSample(7 * kTimingSamplePeriod));
+  EXPECT_FALSE(IsTimingSample(7 * kTimingSamplePeriod + 1));
+}
+
+TEST(MotifEngineTest, TimedEventsRecordEveryStageTheyReach) {
+  // Figure 1 at k=2: all four events pass index-insert and index-window;
+  // only the trigger B2 -> C2 queries S, intersects and emits.
+  const auto timed = Diamond(figure1::FollowGraph(), Defaults(2));
+  const auto untimed = Diamond(figure1::FollowGraph(), Defaults(2));
+  std::vector<Recommendation> timed_recs, untimed_recs;
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(timed
+                    ->OnEdge(e.src, e.dst, e.created_at, &timed_recs,
+                             MotifAction::kFollow, /*timed=*/true)
+                    .ok());
+    ASSERT_TRUE(
+        untimed->OnEdge(e.src, e.dst, e.created_at, &untimed_recs).ok());
+  }
+  EXPECT_EQ(timed_recs, untimed_recs);
+  EXPECT_EQ(timed->stats().query_micros.Count(), 4u);
+  EXPECT_EQ(StageCount(*timed, PlanStage::kIndexInsert), 4u);
+  EXPECT_EQ(StageCount(*timed, PlanStage::kIndexWindow), 4u);
+  EXPECT_EQ(StageCount(*timed, PlanStage::kSFetch), 1u);
+  EXPECT_EQ(StageCount(*timed, PlanStage::kIntersect), 1u);
+  EXPECT_EQ(StageCount(*timed, PlanStage::kEmit), 1u);
+  // The query time is the sum of the stages, from the same clock reads.
+  double stage_sum_ns = 0;
+  for (const Histogram& h : timed->stats().stage_nanos) {
+    stage_sum_ns += h.Mean() * static_cast<double>(h.Count());
+  }
+  const Histogram& query = timed->stats().query_micros;
+  EXPECT_LE(query.Mean() * static_cast<double>(query.Count()),
+            stage_sum_ns / 1000 + 1e-9);
+
+  // Direct callers do not time by default.
+  EXPECT_EQ(untimed->stats().query_micros.Count(), 0u);
+  for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+    EXPECT_EQ(untimed->stats().stage_nanos[stage].Count(), 0u)
+        << PlanStageName(static_cast<PlanStage>(stage));
+  }
+}
+
+TEST(MotifEngineTest, TimedIngestRecordsOnlyTheInsert) {
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
+    ASSERT_TRUE(engine
+                    ->Ingest(e.src, e.dst, e.created_at, MotifAction::kFollow,
+                             /*timed=*/true)
+                    .ok());
+  }
+  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexInsert), 4u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexWindow), 0u);
+  EXPECT_EQ(engine->stats().query_micros.Count(), 0u);
+}
+
+TEST(MotifEngineTest, FilteredActionIsNotTimed) {
+  auto engine = MotifEngine::Create(
+      figure1::FollowGraph(),
+      MakeCoActionSpec(2, Minutes(10), MotifAction::kRetweet));
+  ASSERT_TRUE(engine.ok());
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE((*engine)
+                  ->OnEdge(figure1::kB1, figure1::kC2, 1, &recs,
+                           MotifAction::kFollow, /*timed=*/true)
+                  .ok());
+  ASSERT_TRUE((*engine)
+                  ->Ingest(figure1::kB1, figure1::kC2, 1, MotifAction::kFollow,
+                           /*timed=*/true)
+                  .ok());
+  EXPECT_EQ((*engine)->stats().filtered_by_action, 2u);
+  EXPECT_EQ((*engine)->stats().query_micros.Count(), 0u);
+  EXPECT_EQ(StageCount(**engine, PlanStage::kIndexInsert), 0u);
+}
+
+TEST(MotifEngineTest, StageNamesAreTheLedgerVocabulary) {
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kInsertDynamic)),
+            "index-insert");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCollectActors)),
+            "index-window");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCheckThreshold)),
+            "index-window");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCapWitnesses)),
+            "index-window");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kGatherStaticLists)),
+            "s-fetch");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kThresholdIntersect)),
+            "intersect");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kFilterCandidates)),
+            "emit");
+  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kEmit)), "emit");
 }
 
 // --- Exclusion filters -------------------------------------------------------

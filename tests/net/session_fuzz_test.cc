@@ -1,8 +1,10 @@
-// Seeded fuzzing of the session gate and the reply bodies a broker parses:
-// the hello, the hello reply and the mux envelopes are the first bytes a
-// daemon (or a client) parses from an untrusted peer, and the
-// recommendations and stats replies are what a broker decodes from every
-// daemon. Valid messages must round-trip exactly; truncated,
+// Seeded fuzzing of the session gate, the request bodies a daemon parses
+// and the reply bodies a broker parses: the hello, the hello reply and the
+// mux envelopes are the first bytes a daemon (or a client) parses from an
+// untrusted peer; the publish-batch, checkpoint and replica-op requests are
+// what it then parses off the network; and the ack, recommendations and
+// stats replies are what a broker decodes from every daemon. Valid
+// messages must round-trip exactly; truncated,
 // marker-flipped, count-forged and length-forged ones must come back as a
 // Status, never a crash, an out-of-bounds read or an allocation the payload
 // cannot back (the ASan and TSan jobs run every net_ suite); and a valid
@@ -102,12 +104,21 @@ void DecodeAll(const std::string& payload) {
   uint64_t id = 0;
   bool last = false;
   Frame inner;
+  std::vector<EdgeEvent> events;
+  uint64_t batch_sequence = 0;
+  TraceContext trace;
+  Timestamp created_at = 0;
+  uint32_t partition = 0, replica = 0;
   std::vector<Recommendation> recs;
   ClusterStats stats;
   (void)DecodeHello(payload, &version, &features);
   (void)DecodeHelloReply(payload, &version, &features, &max_inflight);
   (void)DecodeMuxRequest(payload, &id, &inner);
   (void)DecodeMuxResponse(payload, &id, &last, &inner);
+  (void)DecodePublishBatch(payload, &events, &batch_sequence, &trace);
+  (void)DecodeCheckpoint(payload, &created_at);
+  (void)DecodeReplicaOp(payload, &partition, &replica);
+  (void)DecodeAck(payload, &trace);
   (void)DecodeRecommendationsReply(payload, &recs, &last);
   (void)DecodeStatsReply(payload, &stats);
 }
@@ -524,6 +535,332 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
       ExpectRecsRejected(recs_payload + residue, "appended bytes");
       ExpectStatsRejected(stats_payload + residue, "appended bytes");
     }
+    if (HasFatalFailure()) return;
+  }
+}
+
+// --- request bodies and the ack ---------------------------------------------
+
+// Wire sizes of the request-body layouts (wire.h): an event, the batch_seq
+// tail, a trace tail's fixed part and one of its stamps.
+constexpr size_t kEventWireBytes = 4 + 4 + 8 + 1;
+constexpr size_t kSequenceTailBytes = 1 + 8;
+constexpr size_t kTraceHeadBytes = 1 + 8 + 8 + 1;
+constexpr size_t kStampWireBytes = 1 + 4 + 8;
+
+EdgeEvent RandomEvent(Rng* rng) {
+  EdgeEvent event;
+  event.edge.src = RandomU32(rng);
+  event.edge.dst = RandomU32(rng);
+  event.edge.created_at = static_cast<Timestamp>(rng->NextUint64());
+  event.action = static_cast<ActionType>(rng->UniformInt(256));
+  return event;
+}
+
+/// An active trace (non-zero id) with up to `max_stamps` random stamps.
+TraceContext RandomTrace(Rng* rng, size_t max_stamps) {
+  TraceContext trace;
+  trace.trace_id = rng->NextUint64() | 1;
+  trace.origin_us = static_cast<int64_t>(rng->NextUint64());
+  trace.stamps.resize(rng->UniformInt(max_stamps + 1));
+  for (TraceStamp& stamp : trace.stamps) {
+    stamp.stage = static_cast<uint8_t>(rng->UniformInt(256));
+    stamp.party = RandomU32(rng);
+    stamp.at_us = static_cast<int64_t>(rng->NextUint64());
+  }
+  return trace;
+}
+
+/// A publish batch as a broker builds one, with or without each tail.
+struct PublishCase {
+  std::vector<EdgeEvent> events;
+  uint64_t batch_sequence = 0;  // 0: no batch_seq tail
+  TraceContext trace;           // inactive: no trace tail
+  std::string payload;
+
+  size_t events_end() const { return 4 + kEventWireBytes * events.size(); }
+  size_t sequence_end() const {
+    return events_end() + (batch_sequence != 0 ? kSequenceTailBytes : 0);
+  }
+};
+
+PublishCase RandomPublish(Rng* rng, size_t max_events, size_t max_stamps) {
+  PublishCase c;
+  c.events.resize(rng->UniformInt(max_events + 1));
+  for (EdgeEvent& event : c.events) event = RandomEvent(rng);
+  if (rng->Bernoulli(0.7)) c.batch_sequence = rng->NextUint64() | 1;
+  if (rng->Bernoulli(0.5)) c.trace = RandomTrace(rng, max_stamps);
+  std::string frame;
+  AppendPublishBatch(c.events, &frame, c.batch_sequence, &c.trace);
+  const Frame parsed = ParseOne(frame);
+  EXPECT_EQ(parsed.tag, MessageTag::kPublishBatch);
+  c.payload = parsed.payload;
+  return c;
+}
+
+/// The decoded events equal `want` field by field (the wire carries no
+/// event sequence, so every decoded one is 0).
+void ExpectSameEvents(const std::vector<EdgeEvent>& got,
+                      const std::vector<EdgeEvent>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].edge.src, want[i].edge.src) << what << " event " << i;
+    EXPECT_EQ(got[i].edge.dst, want[i].edge.dst) << what << " event " << i;
+    EXPECT_EQ(got[i].edge.created_at, want[i].edge.created_at)
+        << what << " event " << i;
+    EXPECT_EQ(got[i].action, want[i].action) << what << " event " << i;
+    EXPECT_EQ(got[i].sequence, 0u) << what << " event " << i;
+  }
+}
+
+/// Decodes a publish-batch payload and checks the decoder reserved no more
+/// than the payload's bytes can back, whatever the outcome.
+Status DecodePublishBacked(const std::string& payload, const char* what) {
+  std::vector<EdgeEvent> events;
+  uint64_t batch_sequence = 0;
+  TraceContext trace;
+  const Status s =
+      DecodePublishBatch(payload, &events, &batch_sequence, &trace);
+  EXPECT_LE(events.capacity(), payload.size() / kEventWireBytes) << what;
+  EXPECT_LE(trace.stamps.capacity(), payload.size() / kStampWireBytes)
+      << what;
+  return s;
+}
+
+void ExpectPublishRejected(const std::string& payload, const char* what) {
+  const Status s = DecodePublishBacked(payload, what);
+  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
+}
+
+/// The same for an ack payload.
+void ExpectAckRejected(const std::string& payload, const char* what) {
+  TraceContext trace;
+  const Status s = DecodeAck(payload, &trace);
+  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
+  EXPECT_LE(trace.stamps.capacity(), payload.size() / kStampWireBytes)
+      << what;
+}
+
+/// Random residue whose first byte is no tail's presence marker: a
+/// marker-led residue may be a well-formed tail, which the layout allows.
+std::string UnmarkedResidue(Rng* rng) {
+  std::string residue = RandomBytes(rng, 1 + rng->UniformInt(32));
+  while (residue[0] == '\x01' || residue[0] == '\x02') {
+    residue[0] = static_cast<char>(rng->UniformInt(256));
+  }
+  return residue;
+}
+
+/// A random byte other than `marker`.
+char OtherThan(Rng* rng, uint8_t marker) {
+  const auto byte = static_cast<uint8_t>(rng->UniformInt(256));
+  return static_cast<char>(byte == marker ? byte ^ 0x80 : byte);
+}
+
+std::string SequenceTail(Rng* rng) {
+  std::string tail;
+  persist::PutU8(&tail, 0x01);
+  persist::PutU64(&tail, rng->NextUint64() | 1);
+  return tail;
+}
+
+std::string TraceTail(Rng* rng) {
+  const TraceContext trace = RandomTrace(rng, 3);
+  std::string ack;
+  AppendAck(&ack, &trace);
+  return ParseOne(ack).payload;  // an ack's payload is exactly its tail
+}
+
+TEST(SessionFuzzTest, RequestBodiesAndAckRoundTripExactly) {
+  const uint64_t seed = BaseSeed() ^ 0x7e9'b0d1e5;
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
+  const int trials = Trials(2'000);
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    const PublishCase publish =
+        RandomPublish(&rng, rng.Bernoulli(0.1) ? 256 : 16, kMaxTraceStamps);
+    std::vector<EdgeEvent> events;
+    uint64_t batch_sequence = ~uint64_t{0};
+    TraceContext trace;
+    ASSERT_TRUE(DecodePublishBatch(publish.payload, &events, &batch_sequence,
+                                   &trace)
+                    .ok());
+    ExpectSameEvents(events, publish.events, "publish-batch");
+    EXPECT_EQ(batch_sequence, publish.batch_sequence);
+    EXPECT_EQ(trace, publish.trace);
+    // The optional outputs may be omitted.
+    ASSERT_TRUE(DecodePublishBatch(publish.payload, &events).ok());
+    ExpectSameEvents(events, publish.events, "publish-batch, no tails out");
+
+    const Timestamp created_at = static_cast<Timestamp>(rng.NextUint64());
+    std::string frame;
+    AppendCheckpoint(created_at, &frame);
+    Frame parsed = ParseOne(frame);
+    ASSERT_EQ(parsed.tag, MessageTag::kCheckpoint);
+    Timestamp got_created_at = 0;
+    ASSERT_TRUE(DecodeCheckpoint(parsed.payload, &got_created_at).ok());
+    EXPECT_EQ(got_created_at, created_at);
+
+    const MessageTag op = rng.Bernoulli(0.5) ? MessageTag::kKillReplica
+                                             : MessageTag::kRecoverReplica;
+    const uint32_t partition = RandomU32(&rng), replica = RandomU32(&rng);
+    frame.clear();
+    AppendReplicaOp(op, partition, replica, &frame);
+    parsed = ParseOne(frame);
+    ASSERT_EQ(parsed.tag, op);
+    uint32_t got_partition = 0, got_replica = 0;
+    ASSERT_TRUE(
+        DecodeReplicaOp(parsed.payload, &got_partition, &got_replica).ok());
+    EXPECT_EQ(got_partition, partition);
+    EXPECT_EQ(got_replica, replica);
+
+    const TraceContext echo = rng.Bernoulli(0.5)
+                                  ? RandomTrace(&rng, kMaxTraceStamps)
+                                  : TraceContext{};
+    frame.clear();
+    AppendAck(&frame, &echo);
+    parsed = ParseOne(frame);
+    ASSERT_EQ(parsed.tag, MessageTag::kAck);
+    EXPECT_EQ(parsed.payload.empty(), !echo.active());
+    TraceContext got_echo = RandomTrace(&rng, 2);  // overwritten either way
+    ASSERT_TRUE(DecodeAck(parsed.payload, &got_echo).ok());
+    EXPECT_EQ(got_echo, echo);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SessionFuzzTest, DamagedRequestBodiesAndAckReturnAStatus) {
+  const uint64_t seed = BaseSeed() ^ 0xbad'b0d1e5;
+  RecordProperty("seed", std::to_string(seed));
+  Rng rng(seed);
+  const int trials = Trials(2'000);
+  for (int trial = 0; trial < trials; ++trial) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    const PublishCase publish = RandomPublish(&rng, 6, 6);
+    const std::string& payload = publish.payload;
+    const bool has_sequence = publish.batch_sequence != 0;
+    const bool has_trace = publish.trace.active();
+
+    // Every truncation. A batch may end after its events or after its
+    // batch_seq tail, so those two cuts decode (to the events, and the
+    // sequence the cut kept); every other strict prefix is rejected.
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::string prefix = payload.substr(0, cut);
+      if (cut != publish.events_end() && cut != publish.sequence_end()) {
+        ExpectPublishRejected(prefix, "publish truncation");
+        continue;
+      }
+      std::vector<EdgeEvent> events;
+      uint64_t batch_sequence = ~uint64_t{0};
+      TraceContext trace = publish.trace;
+      ASSERT_TRUE(
+          DecodePublishBatch(prefix, &events, &batch_sequence, &trace).ok())
+          << "publish cut at tail boundary " << cut;
+      ExpectSameEvents(events, publish.events, "publish tail boundary");
+      EXPECT_EQ(batch_sequence,
+                cut == publish.sequence_end() ? publish.batch_sequence : 0);
+      EXPECT_FALSE(trace.active()) << "publish cut at " << cut;
+    }
+    DecodeAll(payload.substr(0, rng.UniformInt(payload.size() + 1)));
+
+    // A forged event count. One the payload cannot back is rejected before
+    // anything is reserved; a smaller one reparses the rest as events and
+    // tails, and whatever it decides, it reserves only what the bytes back.
+    uint32_t forged = RandomU32(&rng) >> rng.UniformInt(32);
+    if (forged == publish.events.size()) forged++;
+    std::string damaged = payload;
+    std::memcpy(damaged.data(), &forged, sizeof(forged));
+    const Status forged_count = DecodePublishBacked(damaged, "forged count");
+    if (uint64_t{forged} * kEventWireBytes > payload.size() - 4) {
+      EXPECT_TRUE(forged_count.IsInvalidArgument())
+          << "forged count " << forged << ": " << forged_count;
+    }
+    DecodeAll(damaged);
+
+    // A forged stamp count: the stamps must fill the tail exactly.
+    if (has_trace) {
+      const size_t at = publish.sequence_end() + kTraceHeadBytes - 1;
+      uint8_t stamps = static_cast<uint8_t>(rng.UniformInt(256));
+      if (stamps == publish.trace.stamps.size()) stamps++;
+      damaged = payload;
+      damaged[at] = static_cast<char>(stamps);
+      ExpectPublishRejected(damaged, "forged stamp count");
+    }
+
+    // A flipped presence marker never turns a tail into another one.
+    if (has_sequence) {
+      damaged = payload;
+      damaged[publish.events_end()] = OtherThan(&rng, 0x01);
+      ExpectPublishRejected(damaged, "flipped batch_seq marker");
+    }
+    if (has_trace) {
+      damaged = payload;
+      damaged[publish.sequence_end()] = OtherThan(&rng, 0x02);
+      ExpectPublishRejected(damaged, "flipped trace marker");
+    }
+
+    // Trailing bytes: unmarked residue, a lone marker, and a tail out of
+    // order (anything after the trace tail, a second batch_seq tail).
+    std::vector<std::string> residues = {UnmarkedResidue(&rng),
+                                         std::string(1, '\x01'),
+                                         std::string(1, '\x02')};
+    if (has_trace) {
+      residues.push_back(SequenceTail(&rng));
+      residues.push_back(TraceTail(&rng));
+    } else if (has_sequence) {
+      residues.push_back(SequenceTail(&rng));
+    }
+    for (const std::string& residue : residues) {
+      ExpectPublishRejected(payload + residue, "publish trailing bytes");
+      DecodeAll(payload + residue);
+    }
+
+    // Checkpoint and replica ops are exact 8-byte layouts.
+    std::string frame;
+    AppendCheckpoint(static_cast<Timestamp>(rng.NextUint64()), &frame);
+    const std::string checkpoint = ParseOne(frame).payload;
+    frame.clear();
+    AppendReplicaOp(MessageTag::kKillReplica, RandomU32(&rng),
+                    RandomU32(&rng), &frame);
+    const std::string replica_op = ParseOne(frame).payload;
+    Timestamp created_at = 0;
+    uint32_t partition = 0, replica = 0;
+    for (size_t cut = 0; cut < 8; ++cut) {
+      EXPECT_TRUE(DecodeCheckpoint(checkpoint.substr(0, cut), &created_at)
+                      .IsInvalidArgument())
+          << "checkpoint cut at " << cut;
+      EXPECT_TRUE(DecodeReplicaOp(replica_op.substr(0, cut), &partition,
+                                  &replica)
+                      .IsInvalidArgument())
+          << "replica-op cut at " << cut;
+    }
+    const std::string residue = RandomBytes(&rng, 1 + rng.UniformInt(32));
+    EXPECT_TRUE(DecodeCheckpoint(checkpoint + residue, &created_at)
+                    .IsInvalidArgument());
+    EXPECT_TRUE(DecodeReplicaOp(replica_op + residue, &partition, &replica)
+                    .IsInvalidArgument());
+
+    // The ack: empty, or exactly one trace tail.
+    const TraceContext echo = RandomTrace(&rng, 6);
+    frame.clear();
+    AppendAck(&frame, &echo);
+    const std::string ack = ParseOne(frame).payload;
+    for (size_t cut = 1; cut < ack.size(); ++cut) {
+      ExpectAckRejected(ack.substr(0, cut), "ack truncation");
+    }
+    damaged = ack;
+    uint8_t stamps = static_cast<uint8_t>(rng.UniformInt(256));
+    if (stamps == echo.stamps.size()) stamps++;
+    damaged[kTraceHeadBytes - 1] = static_cast<char>(stamps);
+    ExpectAckRejected(damaged, "ack forged stamp count");
+    damaged = ack;
+    damaged[0] = OtherThan(&rng, 0x02);
+    ExpectAckRejected(damaged, "ack flipped marker");
+    ExpectAckRejected(ack + RandomBytes(&rng, 1 + rng.UniformInt(32)),
+                      "bytes after the ack trace tail");
+    ExpectAckRejected(UnmarkedResidue(&rng), "unmarked ack residue");
+    ExpectAckRejected(std::string(1, '\x02'), "lone ack marker");
     if (HasFatalFailure()) return;
   }
 }
