@@ -9,8 +9,8 @@
 //     MotifOptions::use_hub_bitsets make — plus a density sweep behind
 //     AutoHubDegreeThreshold;
 //   * k-of-n: scan-count vs heap-merge vs candidate-verify on balanced
-//     shapes around kScanCountMaxElements, plus the celebrity list
-//     candidate-verify exists for.
+//     shapes around kScanCountMaxElements, the celebrity list, and two
+//     serving-shaped queries where one list holds most of ~300 elements.
 //
 // Emits the machine-readable "threshold" section into BENCH_net.json
 // (merged; other benches' sections are preserved). The "speedup" field is
@@ -222,6 +222,21 @@ void ThresholdSweep(bench::JsonRows* rows) {
     shape.storage.push_back(SortedRandom(64, 1'000'000, &crng));
     shape.storage.push_back(SortedRandom(celebrity, 1'000'000, &crng));
   }
+  // Serving: a motif query of the `one-daemon` stream (bench_serving) —
+  // k=3, about 300 elements, 80% of them in the largest list, and a
+  // universe sparse enough for about 0.3 matches per query.
+  for (const size_t num_lists : {4ul, 6ul}) {
+    constexpr uint32_t kServingUniverse = 1'000;
+    constexpr size_t kLargest = 240;
+    Rng srng(13);
+    ThresholdShape& shape = shapes.emplace_back(
+        "serving-" + std::to_string(num_lists) + "x300", 3);
+    shape.storage.push_back(SortedRandom(kLargest, kServingUniverse, &srng));
+    for (size_t i = 1; i < num_lists; ++i) {
+      shape.storage.push_back(SortedRandom(
+          (300 - kLargest) / (num_lists - 1), kServingUniverse, &srng));
+    }
+  }
 
   std::vector<std::vector<double>> best(
       shapes.size(), std::vector<double>(std::size(kAlgos),
@@ -258,12 +273,14 @@ void ThresholdSweep(bench::JsonRows* rows) {
                       shapes[s].name.c_str(), total_elems / best[s][a] / 1e6,
                       heap_merge / best[s][a]);
     }
-    std::printf("  auto=%s\n",
+    std::printf("  auto=%s matches=%zu\n",
                 ThresholdAlgorithmName(
-                    SelectThresholdAlgorithm(lists, shapes[s].k)).data());
+                    SelectThresholdAlgorithm(lists, shapes[s].k)).data(),
+                ThresholdIntersect(lists, shapes[s].k, &out));
   }
-  std::printf("\nkScanCountMaxElements = %zu (auto: scan-count up to it, "
-              "heap-merge above)\n\n",
+  std::printf("\nauto: candidate-verify when k >= 2 and the largest list "
+              "holds a third of the input; otherwise scan-count up to "
+              "kScanCountMaxElements = %zu, heap-merge above\n\n",
               kScanCountMaxElements);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <numeric>
 #include <queue>
 
 #include "intersect/simd.h"
@@ -97,9 +96,7 @@ class CountTable {
 /// neither allocates.
 struct Scratch {
   CountTable counts;
-  std::vector<size_t> order;
   std::vector<ThresholdMatch> candidates;
-  std::vector<size_t> cursor;
 };
 
 Scratch& ThreadScratch() {
@@ -162,76 +159,47 @@ BitsetView BitsetFor(const std::vector<BitsetView>* bitsets, size_t index) {
 size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
                        size_t k, std::vector<ThresholdMatch>* out,
                        const std::vector<BitsetView>* bitsets) {
-  const size_t n = lists.size();
+  // With k < 2 an id may occur only in the largest list, which is never
+  // counted here.
+  if (k < 2) return ScanCount(lists, k, out);
   Scratch& scratch = ThreadScratch();
-  // Order list indices by size: the n-k+1 smallest seed the candidate set,
-  // the k-1 largest are only probed.
-  std::vector<size_t>& order = scratch.order;
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return lists[a].size() < lists[b].size();
-  });
-  const size_t num_seed = n - k + 1;
+  size_t big = 0, total = 0;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    total += lists[i].size();
+    if (lists[i].size() > lists[big].size()) big = i;
+  }
 
-  // Count seed occurrences per candidate. The savings come from never
-  // scanning the large verify lists.
-  size_t seed_total = 0;
-  for (size_t s = 0; s < num_seed; ++s) seed_total += lists[order[s]].size();
-  scratch.counts.Begin(seed_total);
-  for (size_t s = 0; s < num_seed; ++s) {
-    for (const VertexId v : lists[order[s]]) scratch.counts.Add(v);
+  // Count every list but the largest. An id counted k-1 times is a
+  // candidate: one hit in the largest list can still lift it to k.
+  scratch.counts.Begin(total - lists[big].size());
+  for (size_t i = 0; i < lists.size(); ++i) {
+    if (i == big) continue;
+    for (const VertexId v : lists[i]) scratch.counts.Add(v);
   }
   std::vector<ThresholdMatch>& candidates = scratch.candidates;
   candidates.clear();
   scratch.counts.ForEach([&](VertexId v, uint32_t c) {
-    candidates.push_back(ThresholdMatch{v, c});
+    if (c + 1 >= k) candidates.push_back(ThresholdMatch{v, c});
   });
   std::sort(candidates.begin(), candidates.end(), IdLess);
 
-  // Verify candidates against each large list. A list with a hub bitmap is
-  // one O(1) bit probe; the rest use a galloping cursor with SIMD-finished
-  // probes — candidates are sorted, so cursors only move forward.
-  const size_t num_verify = n - num_seed;  // == k-1
-  std::vector<size_t>& cursor = scratch.cursor;
-  cursor.assign(num_verify, 0);
-  for (const ThresholdMatch& cand : candidates) {
-    uint32_t count = cand.count;
-    for (size_t vl = 0; vl < num_verify; ++vl) {
-      // Early exit: cannot reach k even if all remaining lists match.
-      if (count + (num_verify - vl) < k) break;
-      if (count >= k) break;
-      const size_t list_index = order[num_seed + vl];
-      const BitsetView bits = BitsetFor(bitsets, list_index);
-      if (!bits.empty()) {
-        if (bits.Test(cand.id)) ++count;
-        continue;
-      }
-      const auto list = lists[list_index];
-      size_t& pos = cursor[vl];
-      if (pos >= list.size()) continue;
+  // Probe each candidate once in the largest list: one bit test of its hub
+  // bitmap, or a galloping cursor that only moves forward because the
+  // candidates are sorted. The probe completes each count exactly.
+  const auto list = lists[big];
+  const BitsetView bits = BitsetFor(bitsets, big);
+  size_t pos = 0;
+  for (ThresholdMatch cand : candidates) {
+    if (!bits.empty()) {
+      if (bits.Test(cand.id)) ++cand.count;
+    } else if (pos < list.size()) {
       pos = SimdGallopLowerBound(list, pos, cand.id);
       if (pos < list.size() && list[pos] == cand.id) {
-        ++count;
+        ++cand.count;
         ++pos;
       }
     }
-    if (count >= k) {
-      // The qualify loop may have stopped early at `count == k`; recount
-      // exactly so every strategy reports identical counts. Matches are
-      // sparse, so the extra O(n log) per match is negligible.
-      uint32_t exact = 0;
-      for (size_t li = 0; li < n; ++li) {
-        const BitsetView bits = BitsetFor(bitsets, li);
-        if (!bits.empty()) {
-          if (bits.Test(cand.id)) ++exact;
-          continue;
-        }
-        const auto& list = lists[li];
-        if (std::binary_search(list.begin(), list.end(), cand.id)) ++exact;
-      }
-      out->push_back(ThresholdMatch{cand.id, exact});
-    }
+    if (cand.count >= k) out->push_back(cand);
   }
   return out->size();
 }
@@ -245,10 +213,10 @@ ThresholdAlgorithm SelectThresholdAlgorithm(
     total += l.size();
     largest = std::max(largest, l.size());
   }
-  const size_t rest = total - largest;
-  // A single dominant list that dwarfs the others (and k >= 2 so it can be
-  // relegated to verification) → candidate-verify skips scanning it.
-  if (k >= 2 && largest >= 8 * std::max<size_t>(rest, 1) && largest >= 1024) {
+  // The largest list holds at least a third of the input: candidate-verify
+  // probes it per candidate instead of counting it. With k >= 2 a candidate
+  // needs k-1 counts from the other lists first, and few ids have them.
+  if (k >= 2 && 2 * largest >= total - largest) {
     return ThresholdAlgorithm::kCandidateVerify;
   }
   if (total <= kScanCountMaxElements) return ThresholdAlgorithm::kScanCount;

@@ -14,14 +14,17 @@
 //   * HeapMerge  — n-way merge with a min-heap, counting runs of equal
 //                  values; O(total * log n), memory-light, output sorted for
 //                  free.
-//   * CandidateVerify — any qualifying element must occur in one of the
-//                  n-k+1 smallest lists (it can miss at most n-k lists);
-//                  union those as candidates, verify each against the larger
-//                  lists by galloping binary search with early exit. Wins
-//                  when a few lists are huge (celebrity B's). Its seed
-//                  counts use the same reused table.
+//   * CandidateVerify — count every list except the largest in the same
+//                  reused table; an id counted >= k-1 times is a candidate,
+//                  and one probe of the largest list (a hub-bitmap bit test,
+//                  or a galloping cursor) completes its count exactly. Wins
+//                  when one list holds much of the input: the follow graph's
+//                  popularity skew makes that the common serving query, and
+//                  a celebrity B the extreme one. Probing one list, not the
+//                  k-1 largest, keeps the candidates few: an id needs k-1
+//                  counts before it is probed at all.
 //
-// The table and CandidateVerify's working vectors are per-thread scratch
+// The table and CandidateVerify's candidate vector are per-thread scratch
 // (thread_local), so concurrent callers never share state and the
 // signature carries no scratch argument. The scratch only grows: a thread
 // keeps the capacity of the largest input it has counted.
@@ -66,9 +69,9 @@ std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo);
 ///
 /// `bitsets`, when non-null, runs parallel to `lists`: entry i is an O(1)
 /// membership view of lists[i] (a hub's bitmap from StaticGraph::HubBitset),
-/// or an empty view when none exists. CandidateVerify probes bitmapped
-/// lists with one bit test instead of a galloping search; results are
-/// identical with or without the views.
+/// or an empty view when none exists. CandidateVerify probes the largest
+/// list with one bit test instead of a galloping search when that list has
+/// a view; results are identical with or without the views.
 size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
                           size_t k, std::vector<ThresholdMatch>* out,
                           ThresholdAlgorithm algo = ThresholdAlgorithm::kAuto,
@@ -81,8 +84,12 @@ size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
 inline constexpr size_t kScanCountMaxElements = 65536;
 
 /// The heuristic used by kAuto, exposed for tests and benches: picks
-/// CandidateVerify when size skew is extreme, ScanCount for inputs of at
-/// most kScanCountMaxElements, HeapMerge otherwise.
+/// CandidateVerify when k >= 2 and the largest list holds at least a third
+/// of the input elements (2 * largest >= the rest), ScanCount for other
+/// inputs of at most kScanCountMaxElements, HeapMerge otherwise. With
+/// k < 2 an id may occur only in the largest list, so CandidateVerify
+/// (which never counts that list) is not picked, and a forced
+/// kCandidateVerify runs ScanCount.
 ThresholdAlgorithm SelectThresholdAlgorithm(
     const std::vector<std::span<const VertexId>>& lists, size_t k);
 

@@ -204,13 +204,16 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     }
     valid = kSegmentHeaderBytes + reader.position();
   }
+  if (valid < kSegmentHeaderBytes) {
+    // The header is torn, foreign or was never written (a crash right after
+    // the segment was created leaves it empty); recreate the segment, or
+    // the next record would land in a file replay cannot read.
+    writer->stats_.tail_bytes_repaired = contents.size();
+    MAGICRECS_RETURN_IF_ERROR(writer->OpenSegment(*index));
+    return writer;
+  }
   if (valid < contents.size()) {
     writer->stats_.tail_bytes_repaired = contents.size() - valid;
-    if (valid < kSegmentHeaderBytes) {
-      // Header itself is torn or foreign; recreate the segment from scratch.
-      MAGICRECS_RETURN_IF_ERROR(writer->OpenSegment(*index));
-      return writer;
-    }
     fs::resize_file(last, valid, ec);
     if (ec) {
       return Status::Internal(StrFormat("resize_file %s: %s", last.c_str(),

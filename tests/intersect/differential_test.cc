@@ -1,10 +1,14 @@
-// Differential fuzzing of the two probes the threshold layer's candidate
-// verification runs (intersect/threshold.h):
+// Differential fuzzing of the threshold layer (intersect/threshold.h) and
+// the two probes its candidate verification runs:
 //
 //   * SimdGallopLowerBound, with the AVX2 scan and with the scalar fallback,
 //     must return exactly std::lower_bound over [from, end);
 //   * BitsetView::Test must answer exactly std::binary_search, including for
-//     ids past the end of the view.
+//     ids past the end of the view;
+//   * ThresholdIntersect, under every ThresholdAlgorithm, with and without
+//     hub bitmaps for a random subset of the lists, must return exactly the
+//     ids a std::map count finds in >= k lists, with their counts, for every
+//     k from 0 to n+1.
 //
 // Inputs are generated from a printed seed so any failure is a one-line
 // repro:
@@ -17,11 +21,15 @@
 // 10^5 elements where the gallop and the narrowing both run, and ids
 // straddling 2^31 where the scan's sign-bias compare would break first.
 // Small lists are probed from every `from`; larger ones from a sample that
-// always includes both ends.
+// always includes both ends. The k-of-n inputs are balanced families, one
+// dominant list exactly at, just under and far over kAuto's "largest holds
+// a third" boundary, and families with empty lists, on ids from 0, around
+// 2^31 and up to kInvalidVertex.
 
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -30,6 +38,7 @@
 
 #include "intersect/bitset.h"
 #include "intersect/simd.h"
+#include "intersect/threshold.h"
 #include "util/random.h"
 
 namespace magicrecs {
@@ -235,6 +244,177 @@ void RunDifferential(uint64_t seed, int trials) {
   }
 }
 
+/// One k-of-n input. Ids are `base` plus an offset below `universe`; a
+/// list in a low-id family (base 0) may carry a bitmap, as a hub does.
+struct KofNCase {
+  const char* shape = "";
+  VertexId base = 0;
+  uint64_t universe = 0;
+  std::vector<std::vector<VertexId>> lists;
+  std::vector<std::vector<uint64_t>> words;  // parallel; empty = no bitmap
+
+  std::vector<std::span<const VertexId>> spans() const {
+    return {lists.begin(), lists.end()};
+  }
+  std::vector<BitsetView> views() const {
+    std::vector<BitsetView> out;
+    for (const auto& w : words) out.push_back({w.data(), w.size()});
+    return out;
+  }
+};
+
+/// Exactly `n` distinct offsets below `universe` (n <= universe), sorted.
+std::vector<VertexId> ExactSortedList(Rng* rng, size_t n, uint64_t universe) {
+  std::set<VertexId> s;
+  while (s.size() < n) {
+    s.insert(static_cast<VertexId>(rng->UniformInt(universe)));
+  }
+  return {s.begin(), s.end()};
+}
+
+/// Splits `total` into `parts` sizes of at most `cap` each
+/// (total <= parts * cap).
+std::vector<size_t> SplitSizes(Rng* rng, size_t total, size_t parts,
+                               size_t cap) {
+  std::vector<size_t> sizes(parts, 0);
+  for (size_t left = total; left > 0;) {
+    size_t& size = sizes[rng->UniformInt(parts)];
+    if (size < cap) {
+      ++size;
+      --left;
+    }
+  }
+  return sizes;
+}
+
+KofNCase GenerateKofNCase(Rng* rng) {
+  KofNCase c;
+  std::vector<size_t> sizes;
+  const uint64_t shape = rng->UniformInt(5);
+  if (shape == 0) {  // balanced: every list about the same size
+    c.shape = "balanced";
+    const size_t len = rng->UniformInt(120);
+    sizes.assign(2 + rng->UniformInt(7), 0);
+    for (size_t& size : sizes) size = len + rng->UniformInt(len / 8 + 1);
+  } else if (shape <= 3) {  // one dominant list at, under or over a third
+    const size_t others = 3 + rng->UniformInt(5);
+    size_t largest;
+    size_t rest;
+    if (shape == 1) {
+      c.shape = "dominant-at-a-third";
+      largest = 1 + rng->UniformInt(200);
+      rest = 2 * largest;
+    } else if (shape == 2) {
+      c.shape = "dominant-just-under-a-third";
+      largest = 1 + rng->UniformInt(200);
+      rest = 2 * largest + 1;
+    } else {
+      c.shape = "dominant-far-over-a-third";
+      largest = 200 + rng->UniformInt(3'000);
+      rest = rng->UniformInt(largest / 10);
+    }
+    sizes = SplitSizes(rng, rest, others, largest);
+    sizes.insert(sizes.begin() + static_cast<std::ptrdiff_t>(
+                                     rng->UniformInt(others + 1)),
+                 largest);
+  } else {  // empty lists among (or as all of) the inputs
+    c.shape = "with-empty-lists";
+    sizes.assign(1 + rng->UniformInt(7), 0);
+    for (size_t& size : sizes) {
+      if (rng->UniformInt(2) == 0) size = rng->UniformInt(60);
+    }
+  }
+  const size_t largest = *std::max_element(sizes.begin(), sizes.end());
+  // A dense universe makes most ids candidates; a sparse one leaves a
+  // fraction of a match per query, as the serving mix does.
+  constexpr uint64_t kSpread[] = {1, 2, 8, 64};
+  c.universe = std::max<uint64_t>(1, largest * kSpread[rng->UniformInt(4)] +
+                                         rng->UniformInt(4));
+  const uint64_t base_pick = rng->UniformInt(4);
+  c.base = base_pick == 2   ? (VertexId{1} << 31) -
+                                  static_cast<VertexId>(c.universe / 2)
+           : base_pick == 3 ? kInvalidVertex -
+                                  static_cast<VertexId>(c.universe - 1)
+                            : 0;
+  for (const size_t size : sizes) {
+    std::vector<VertexId>& list = c.lists.emplace_back(
+        ExactSortedList(rng, size, c.universe));
+    for (VertexId& v : list) v += c.base;
+    std::vector<uint64_t>& words = c.words.emplace_back();
+    // A bitmap spans ids [0, max]: only low-id families can afford one.
+    if (c.base == 0 && rng->UniformInt(2) == 0) {
+      FillBitset(list, c.universe + rng->UniformInt(130), &words);
+    }
+  }
+  return c;
+}
+
+std::vector<ThresholdMatch> ReferenceMatches(const KofNCase& c, size_t k) {
+  std::map<VertexId, uint32_t> counts;
+  for (const auto& list : c.lists) {
+    for (const VertexId v : list) ++counts[v];
+  }
+  std::vector<ThresholdMatch> out;
+  for (const auto& [v, count] : counts) {
+    if (count >= std::max<size_t>(k, 1)) out.push_back({v, count});
+  }
+  return out;
+}
+
+void CheckKofN(const KofNCase& c, uint64_t seed, int trial) {
+  constexpr ThresholdAlgorithm kAlgos[] = {
+      ThresholdAlgorithm::kAuto, ThresholdAlgorithm::kScanCount,
+      ThresholdAlgorithm::kHeapMerge, ThresholdAlgorithm::kCandidateVerify};
+  const auto lists = c.spans();
+  const auto views = c.views();
+  size_t total = 0;
+  for (const auto& list : lists) total += list.size();
+  const auto describe = [&](size_t k) {
+    std::string sizes;
+    for (const auto& list : lists) sizes += std::to_string(list.size()) + ",";
+    return "seed=" + std::to_string(seed) + " trial=" + std::to_string(trial) +
+           " simd=" + std::to_string(SimdEnabled()) + " shape=" + c.shape +
+           " base=" + std::to_string(c.base) +
+           " universe=" + std::to_string(c.universe) +
+           " k=" + std::to_string(k) + " sizes=" + sizes;
+  };
+  std::vector<ThresholdMatch> out;
+  for (size_t k = 0; k <= lists.size() + 1; ++k) {
+    const auto want = k > lists.size() ? std::vector<ThresholdMatch>{}
+                                       : ReferenceMatches(c, k);
+    for (const ThresholdAlgorithm algo : kAlgos) {
+      for (const std::vector<BitsetView>* bitsets :
+           {static_cast<const std::vector<BitsetView>*>(nullptr), &views}) {
+        out.assign(3, ThresholdMatch{7, 7});  // must be cleared
+        const size_t n = ThresholdIntersect(lists, k, &out, algo, bitsets);
+        ASSERT_EQ(n, out.size()) << describe(k);
+        ASSERT_EQ(out, want) << "k-of-n diverged; " << describe(k)
+                             << " algo=" << ThresholdAlgorithmName(algo)
+                             << " bitmaps=" << (bitsets != nullptr);
+      }
+    }
+    // The boundary shapes sit on kAuto's rule: the largest list holding a
+    // third of the input (2 * largest >= rest) picks candidate-verify.
+    if (k >= 2 && k <= lists.size() && total <= kScanCountMaxElements) {
+      const std::string_view shape = c.shape;
+      const ThresholdAlgorithm picked = SelectThresholdAlgorithm(lists, k);
+      if (shape == "dominant-just-under-a-third") {
+        ASSERT_EQ(picked, ThresholdAlgorithm::kScanCount) << describe(k);
+      } else if (shape.starts_with("dominant")) {
+        ASSERT_EQ(picked, ThresholdAlgorithm::kCandidateVerify) << describe(k);
+      }
+    }
+  }
+}
+
+void RunKofNDifferential(uint64_t seed, int trials) {
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    CheckKofN(GenerateKofNCase(&rng), seed, trial);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 TEST(DifferentialFuzzTest, ProbesMatchStdWithSimd) {
   const uint64_t seed = BaseSeed();
   RecordProperty("seed", std::to_string(seed));
@@ -251,6 +431,21 @@ TEST(DifferentialFuzzTest, ProbesMatchStdWithScalarFallback) {
   const uint64_t seed = BaseSeed() ^ 0xfa11bacc;
   RecordProperty("seed", std::to_string(seed));
   RunDifferential(seed, Trials(100'000) / 20 + 1);
+  SetSimdEnabled(prior);
+}
+
+TEST(DifferentialFuzzTest, KofNMatchesMapCountWithSimd) {
+  const uint64_t seed = BaseSeed() ^ 0x0f0f;
+  RecordProperty("seed", std::to_string(seed));
+  RunKofNDifferential(seed, Trials(100'000) / 50 + 1);
+}
+
+TEST(DifferentialFuzzTest, KofNMatchesMapCountWithScalarFallback) {
+  const bool prior = SetSimdEnabled(false);
+  ASSERT_FALSE(SimdEnabled());
+  const uint64_t seed = BaseSeed() ^ 0x5ca1a7;
+  RecordProperty("seed", std::to_string(seed));
+  RunKofNDifferential(seed, Trials(100'000) / 250 + 1);
   SetSimdEnabled(prior);
 }
 

@@ -150,8 +150,36 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ThresholdSelectionTest, SmallInputsUseScanCount) {
-  std::vector<VertexId> a{1, 2, 3}, b{2, 3, 4};
-  EXPECT_EQ(SelectThresholdAlgorithm({a, b}, 2),
+  // Four or more equal lists: the largest holds under a third of the input,
+  // so every element is counted. (Three equal lists sit exactly at a third.)
+  std::vector<VertexId> a{1, 2, 3}, b{2, 3, 4}, c{3, 4, 5}, d{4, 5, 6};
+  EXPECT_EQ(SelectThresholdAlgorithm({a, b, c, d}, 2),
+            ThresholdAlgorithm::kScanCount);
+  EXPECT_EQ(SelectThresholdAlgorithm({a, b, c, d, a, b}, 3),
+            ThresholdAlgorithm::kScanCount);
+}
+
+/// `rest` one-element lists beside one list of `largest` elements.
+std::vector<std::vector<VertexId>> OneLargeList(size_t largest, size_t rest) {
+  std::vector<std::vector<VertexId>> lists(rest + 1);
+  for (VertexId v = 0; v < largest; ++v) lists[0].push_back(v);
+  for (size_t i = 1; i <= rest; ++i) lists[i] = {static_cast<VertexId>(i)};
+  return lists;
+}
+
+TEST(ThresholdSelectionTest, LargestListHoldingAThirdUsesCandidateVerify) {
+  // 3 of 9 elements: 2 * 3 >= 6.
+  EXPECT_EQ(SelectThresholdAlgorithm(Spans(OneLargeList(3, 6)), 3),
+            ThresholdAlgorithm::kCandidateVerify);
+  EXPECT_EQ(SelectThresholdAlgorithm(Spans(OneLargeList(100, 200)), 2),
+            ThresholdAlgorithm::kCandidateVerify);
+}
+
+TEST(ThresholdSelectionTest, LargestListJustUnderAThirdUsesScanCount) {
+  // 3 of 10 elements: 2 * 3 < 7.
+  EXPECT_EQ(SelectThresholdAlgorithm(Spans(OneLargeList(3, 7)), 3),
+            ThresholdAlgorithm::kScanCount);
+  EXPECT_EQ(SelectThresholdAlgorithm(Spans(OneLargeList(100, 201)), 2),
             ThresholdAlgorithm::kScanCount);
 }
 
@@ -179,12 +207,17 @@ TEST(ThresholdSelectionTest, LargeBalancedInputsUseHeapMerge) {
 }
 
 TEST(ThresholdSelectionTest, KOneNeverPicksCandidateVerify) {
-  // With k=1 every list seeds candidates, so candidate-verify degenerates.
+  // With k=1 an id found only in the largest list qualifies, and
+  // candidate-verify never counts that list.
   std::vector<VertexId> small{1};
   std::vector<VertexId> huge(100'000);
   for (VertexId v = 0; v < 100'000; ++v) huge[v] = v;
-  EXPECT_NE(SelectThresholdAlgorithm({small, huge}, 1),
-            ThresholdAlgorithm::kCandidateVerify);
+  for (const size_t k : {0ul, 1ul}) {
+    EXPECT_NE(SelectThresholdAlgorithm({small, huge}, k),
+              ThresholdAlgorithm::kCandidateVerify);
+    EXPECT_NE(SelectThresholdAlgorithm(Spans(OneLargeList(3, 6)), k),
+              ThresholdAlgorithm::kCandidateVerify);
+  }
 }
 
 TEST(ThresholdAlgorithmNameTest, AllNamed) {
