@@ -1,11 +1,13 @@
 // Experiment T5 — the partitioned, replicated deployment (20 partitions in
 // production). Partitioning by A keeps every intersection local; the price
 // (which the paper calls out as the scalability bottleneck) is that every
-// partition ingests the entire stream and holds a full copy of D.
+// partition must read a complete D. On separate machines that is a full
+// copy of D per partition; in one process, every hosted partition reads
+// the process's one D.
 //
 // Reported per partition count: identical recommendations, query work per
-// partition (locality), total D memory (linear in partitions), and the
-// replica sweep for query throughput.
+// partition (locality), total D memory (one D per process, so constant),
+// and the replica sweep for query throughput.
 
 #include <algorithm>
 #include <cstdio>
@@ -37,7 +39,7 @@ int main() {
   dopt.max_reported_witnesses = 0;
 
   std::printf("%11s %10s %12s %12s %14s %14s\n", "partitions", "recs",
-              "S total", "D total", "ingests(sum)", "queries(sum)");
+              "S total", "D total", "ingests", "queries(sum)");
   uint64_t reference_recs = 0;
   for (const uint32_t partitions : {1u, 2u, 4u, 8u, 20u}) {
     ClusterOptions copt;
@@ -65,9 +67,10 @@ int main() {
                 total_recs == reference_recs ? "[recs identical]"
                                              : "[RECS DIFFER!]");
   }
-  std::printf("\nS is sharded (sum constant); D is replicated per partition "
-              "(sum linear) — the\npaper's noted memory/network bottleneck. "
-              "Ingest work is duplicated per partition.\n");
+  std::printf("\nS is sharded (sum constant); D is one per process "
+              "(constant), so ingest work is\ndone once per event. A "
+              "machine per partition would hold a copy each — the\npaper's "
+              "noted memory/network bottleneck.\n");
 
   std::printf("\n--- replica sweep (partitions=4): query share per replica "
               "---\n");
@@ -95,7 +98,7 @@ int main() {
                            (4.0 * replicas))
                     .c_str());
   }
-  std::printf("\neach replica ingests everything (D stays complete) but "
+  std::printf("\nevery replica reads the process's complete D but "
               "answers only 1/replicas\nof the queries — \"replicate the "
               "partitions for both fault tolerance and\nincreased query "
               "throughput\".\n");
@@ -163,10 +166,10 @@ int main() {
                 HumanCount(static_cast<double>(w.events.size()) / secs).c_str(),
                 identical ? "[identical]" : "[DIFFER!]");
     if (!identical) return 1;
-    std::printf("\nfailover re-spreads queries over survivors and recovery "
-                "re-syncs D from a peer,\nso repeated kill/recover cycles "
-                "lose nothing — the paper's fault-tolerance claim\nunder "
-                "sustained churn.\n");
+    std::printf("\nfailover re-spreads queries over survivors and a "
+                "recovered replica reads the\nprocess's D, so repeated "
+                "kill/recover cycles lose nothing — the paper's\n"
+                "fault-tolerance claim under sustained churn.\n");
   }
   return 0;
 }

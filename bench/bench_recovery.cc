@@ -119,9 +119,7 @@ void SnapshotCosts(const Workload& w, const std::string& root) {
   SnapshotMeta meta;
   meta.next_sequence = w.events.size();
   Stopwatch write_timer;
-  if (!WriteSnapshot(path, meta,
-                     cluster->server(0, 0).motif_engine().dynamic_index())
-           .ok()) {
+  if (!WriteSnapshot(path, meta, cluster->dynamic_index()).ok()) {
     std::exit(1);
   }
   const double write_ms = ToMillis(write_timer.ElapsedMicros());
@@ -152,17 +150,18 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
   // so the replay-all variant below still sees the full stream.
   PersistOptions persist;
   persist.dir = root + "/recovery";
-  const std::unique_ptr<Cluster> cluster = MakeCluster(w, persist);
+  std::unique_ptr<Cluster> cluster = MakeCluster(w, persist);
   const size_t half = w.events.size() / 2;
   Feed(cluster.get(), w, 0, half);
   SnapshotMeta meta;
   meta.next_sequence = half;
   if (!WriteSnapshot(persist.dir + "/" + SnapshotFileName(half), meta,
-                     cluster->server(0, 0).motif_engine().dynamic_index())
+                     cluster->dynamic_index())
            .ok()) {
     std::exit(1);
   }
   Feed(cluster.get(), w, half, w.events.size());
+  cluster.reset();  // the process stops; closing the WAL flushes it
 
   std::printf("%-24s %12s %14s %12s\n", "variant", "replayed", "replay ev/s",
               "total ms");
@@ -174,11 +173,15 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
                 seconds * 1e3);
   };
 
-  // Variant 1: snapshot + WAL tail, the path a daemon runs to rebuild a
-  // killed replica (RecoverReplica also syncs the WAL for variant 2).
+  // Variant 1: snapshot + WAL tail, the pass Cluster::Create runs on
+  // restart to rebuild the process's one D.
+  const DiamondOptions options = ProductionOptions();
+  auto window = MotifEngine::CreateDiamond(
+      std::make_shared<const StaticGraph>(), options);
   RecoveryStats stats;
-  if (!cluster->KillReplica(0, 0).ok() ||
-      !cluster->RecoverReplica(0, 0, &stats).ok()) {
+  if (!window.ok() || !RecoveryManager(persist)
+                           .RecoverDynamicState(window->get(), &stats)
+                           .ok()) {
     std::exit(1);
   }
   print_row("snapshot + wal tail", stats.events_replayed,
@@ -187,7 +190,6 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
 
   // Variant 2: WAL only (pretend the snapshot is absent by replaying into a
   // fresh engine from sequence 0).
-  const DiamondOptions options = ProductionOptions();
   auto engine = MotifEngine::Create(
       w.follow_graph, MakeDiamondSpec(options.k, options.window), options);
   if (!engine.ok()) std::exit(1);

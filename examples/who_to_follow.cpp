@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
               "the raw queue delay)\n");
   std::printf("\nper-event graph query latency: %s\n",
               stats.query_micros.ToString(1.0, "us").c_str());
-  std::printf("total D memory across partitions: %s\n",
+  std::printf("D memory (one per process): %s\n",
               HumanBytes((*cluster)->TotalDynamicMemory()).c_str());
   return 0;
 }

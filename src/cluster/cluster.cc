@@ -74,6 +74,13 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     }
   }
 
+  // The process's one D. Its engine only ever runs the window half, so its
+  // S is empty.
+  MAGICRECS_ASSIGN_OR_RETURN(
+      cluster->window_engine_,
+      MotifEngine::CreateDiamond(std::make_shared<const StaticGraph>(),
+                                 options.detector));
+
   // Offline pipeline: influencer cap, invert to the follower index, then
   // cut one shard per hosted partition. Replicas share the immutable shard.
   MAGICRECS_ASSIGN_OR_RETURN(
@@ -88,7 +95,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
         StaticGraph shard,
         BuildPartitionShard(full_follower_index, partitioner, p));
     shard.BuildHubIndex();
-    // Replicas of a partition share the immutable shard; each owns its D.
     auto shared_shard = std::make_shared<const StaticGraph>(std::move(shard));
     for (uint32_t r = 0; r < options.replicas_per_partition; ++r) {
       MAGICRECS_ASSIGN_OR_RETURN(
@@ -115,21 +121,18 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     MAGICRECS_ASSIGN_OR_RETURN(cluster->wal_,
                                WalWriter::Open(options.persist));
     // Restart path: the directory may already hold a snapshot + WAL from a
-    // previous incarnation. Rebuild every replica's D from it (a cold start
+    // previous incarnation. Rebuild the process's D from it (a cold start
     // replays nothing) and resume sequence assignment after the last durable
     // event — reassigning from 0 would corrupt the log's sequence order and
-    // make later recoveries skip the new events as "already covered".
-    RecoveryManager recovery(options.persist);
-    uint64_t resume_sequence = cluster->wal_->recovered_next_sequence();
-    for (auto& partition : cluster->servers_) {
-      for (auto& server : partition) {
-        RecoveryStats stats;
-        MAGICRECS_RETURN_IF_ERROR(
-            recovery.RecoverPartitionServer(server.get(), &stats));
-        resume_sequence = std::max(resume_sequence, stats.next_sequence);
-      }
-    }
-    cluster->next_sequence_.store(resume_sequence, std::memory_order_release);
+    // make a later restart skip the new events as "already covered".
+    RecoveryStats stats;
+    MAGICRECS_RETURN_IF_ERROR(
+        RecoveryManager(options.persist)
+            .RecoverDynamicState(cluster->window_engine_.get(), &stats));
+    cluster->next_sequence_.store(
+        std::max(cluster->wal_->recovered_next_sequence(),
+                 stats.next_sequence),
+        std::memory_order_release);
   }
   return cluster;
 }
@@ -138,8 +141,7 @@ bool Cluster::ShouldEmit(uint32_t local, uint32_t replica,
                          uint64_t sequence) const {
   const uint64_t mask = alive_masks_[local]->load(std::memory_order_acquire);
   if ((mask & (uint64_t{1} << replica)) == 0) return false;
-  const int alive = std::popcount(mask);
-  if (alive == 0) return false;
+  const int alive = std::popcount(mask);  // >= 1: `replica` is alive
   // Rank of this replica among the alive ones.
   const uint64_t below = mask & ((uint64_t{1} << replica) - 1);
   const int rank = std::popcount(below);
@@ -154,70 +156,54 @@ Status Cluster::OnEdge(VertexId src, VertexId dst, Timestamp t,
   return OnEdgeEvent(event, out);
 }
 
-Status Cluster::AssignSequenceAndLogBatch(std::span<EdgeEvent> events) {
-  const auto assign = [&] {
-    uint64_t sequence =
-        next_sequence_.fetch_add(events.size(), std::memory_order_relaxed);
-    for (EdgeEvent& event : events) event.sequence = sequence++;
-  };
-  if (wal_ == nullptr) {
-    assign();
-    return Status::OK();
-  }
-  // Sequence assignment and the WAL append must be one atomic step: a log
-  // ordered by sequence is what lets replay resume from a snapshot cutoff.
-  // One wal_mu_ round-trip covers the whole wire batch.
-  std::lock_guard<std::mutex> lock(wal_mu_);
-  assign();
-  for (const EdgeEvent& event : events) {
-    MAGICRECS_RETURN_IF_ERROR(wal_->Append(event));
+Status Cluster::SequenceAndLog(std::span<EdgeEvent> events) {
+  uint64_t sequence =
+      next_sequence_.fetch_add(events.size(), std::memory_order_relaxed);
+  for (EdgeEvent& event : events) event.sequence = sequence++;
+  if (wal_ != nullptr) {
+    for (const EdgeEvent& event : events) {
+      MAGICRECS_RETURN_IF_ERROR(wal_->Append(event));
+    }
   }
   return Status::OK();
 }
 
-Status Cluster::ApplyInline(const EdgeEvent& event,
-                            std::vector<Recommendation>* out) {
-  // Like a threaded worker, a failed replica neither stops the others nor
-  // the later partitions: the event is already in the WAL, so every replica
-  // must see it for recovery to rebuild the same D.
+Status Cluster::Window(WindowedBatch* batch) {
+  batch->offsets.assign(1, 0);
+  batch->actors.clear();
   Status first_error;
-  for (uint32_t i = 0; i < servers_.size(); ++i) {
-    const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
-    for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      if ((mask & (uint64_t{1} << r)) == 0) continue;  // dead: misses event
-      Status s = ApplyToReplica(i, r, event, out);
-      if (!s.ok() && first_error.ok()) first_error = std::move(s);
-    }
+  for (const EdgeEvent& event : batch->events) {
+    const TimestampedEdge& e = event.edge;
+    Status s = window_engine_->Window(e.src, e.dst, e.created_at,
+                                      &batch->actors, MotifAction::kFollow,
+                                      IsTimingSample(event.sequence));
+    batch->offsets.push_back(static_cast<uint32_t>(batch->actors.size()));
+    if (s.ok()) continue;
+    // Logged, so the event stays in the batch; no partition can query it.
+    for (Counter* errors : apply_errors_) errors->Increment();
+    if (first_error.ok()) first_error = std::move(s);
   }
   return first_error;
 }
 
-Status Cluster::ApplyToReplica(uint32_t local, uint32_t replica,
-                               const EdgeEvent& event,
-                               std::vector<Recommendation>* out) {
-  const bool emit = ShouldEmit(local, replica, event.sequence);
+void Cluster::QueryOnReplica(uint32_t local, uint32_t replica,
+                             const EdgeEvent& event,
+                             std::span<const VertexId> actors,
+                             std::vector<Recommendation>* out) {
+  if (actors.empty()) return;  // no query: nothing runs, nothing is timed
   PartitionServer& server = *servers_[local][replica];
-  Status s;
   if (IsTimingSample(event.sequence)) {
     const Stopwatch apply_timer;
-    s = server.OnEvent(event, emit, out);
+    server.Query(event, actors, out);
     apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
   } else {
-    s = server.OnEvent(event, emit, out);
+    server.Query(event, actors, out);
   }
-  if (!s.ok()) apply_errors_[local]->Increment();
-  return s;
 }
 
 Status Cluster::OnEdgeEvent(EdgeEvent event,
                             std::vector<Recommendation>* out) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "inline OnEdge cannot be mixed with threaded mode");
-  }
-  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLogBatch(std::span(&event, 1)));
-  events_published_.fetch_add(1, std::memory_order_relaxed);
-  return ApplyInline(event, out);
+  return OnEdgeEventBatch(std::span(&event, 1), out);
 }
 
 Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
@@ -227,17 +213,26 @@ Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
         "inline OnEdge cannot be mixed with threaded mode");
   }
   if (events.empty()) return Status::OK();
-  std::vector<EdgeEvent> batch(events.begin(), events.end());
-  MAGICRECS_RETURN_IF_ERROR(AssignSequenceAndLogBatch(batch));
-  events_published_.fetch_add(batch.size(), std::memory_order_relaxed);
+  inline_batch_.events.assign(events.begin(), events.end());
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    MAGICRECS_RETURN_IF_ERROR(SequenceAndLog(inline_batch_.events));
+  }
+  events_published_.fetch_add(events.size(), std::memory_order_relaxed);
   // The whole batch is logged, so the whole batch applies; the first
   // failure is reported once every event has run.
-  Status first_error;
-  for (const EdgeEvent& event : batch) {
-    Status s = ApplyInline(event, out);
-    if (first_error.ok()) first_error = std::move(s);
+  const Status window_error = Window(&inline_batch_);
+  for (size_t i = 0; i < inline_batch_.events.size(); ++i) {
+    const EdgeEvent& event = inline_batch_.events[i];
+    for (uint32_t local = 0; local < servers_.size(); ++local) {
+      for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
+        if (ShouldEmit(local, r, event.sequence)) {
+          QueryOnReplica(local, r, event, inline_batch_.ActorsOf(i), out);
+        }
+      }
+    }
   }
-  return first_error;
+  return window_error;
 }
 
 Status Cluster::Start() {
@@ -246,19 +241,23 @@ Status Cluster::Start() {
   inboxes_.clear();
   consumed_.clear();
   inboxes_.resize(local_partitions);
+  // The window thread's inbox and each replica inbox split inbox_capacity,
+  // so what is queued ahead of a replica stays within it.
+  const size_t half = options_.inbox_capacity - options_.inbox_capacity / 2;
   for (uint32_t i = 0; i < local_partitions; ++i) {
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      inboxes_[i].push_back(
-          std::make_unique<Inbox>(options_.inbox_capacity));
+      inboxes_[i].push_back(std::make_unique<Inbox>(half));
       consumed_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
     }
   }
+  window_inbox_ = std::make_unique<WindowInbox>(half);
   running_ = true;
   for (uint32_t i = 0; i < local_partitions; ++i) {
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
       workers_.emplace_back([this, i, r] { WorkerLoop(i, r); });
     }
   }
+  window_worker_ = std::thread([this] { WindowLoop(); });
   return Status::OK();
 }
 
@@ -271,45 +270,61 @@ Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
     return Status::FailedPrecondition("cluster is not running; call Start()");
   }
   if (events.empty()) return Status::OK();
-  // The one copy of the batch, in one allocation: make_shared of an array
-  // puts the reference count and the events in a single block. Every
-  // replica inbox shares it, and the last worker to pop it frees it.
-  const size_t size = events.size();
-  std::shared_ptr<EdgeEvent[]> batch = std::make_shared<EdgeEvent[]>(size);
-  std::copy(events.begin(), events.end(), batch.get());
-  MAGICRECS_RETURN_IF_ERROR(
-      AssignSequenceAndLogBatch(std::span(batch.get(), size)));
-  const std::shared_ptr<const EdgeEvent[]> sequenced = std::move(batch);
-  for (auto& partition_inboxes : inboxes_) {
-    for (auto& inbox : partition_inboxes) {
-      if (!inbox->Push(InboxBatch{sequenced, size, Stopwatch()}, size)) {
-        return Status::Aborted("cluster stopped during publish");
+  // The one copy of the batch. Every replica inbox shares it, and the last
+  // worker to pop it frees it.
+  auto batch = std::make_shared<WindowedBatch>();
+  batch->events.assign(events.begin(), events.end());
+  {
+    // Sequencing, the WAL append and the hand-off to the window thread are
+    // one atomic step: a log ordered by sequence is what lets replay resume
+    // from a snapshot cutoff, and D must see events in the log's order for
+    // replay to rebuild it. One publish_mu_ round-trip covers the batch.
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    MAGICRECS_RETURN_IF_ERROR(SequenceAndLog(batch->events));
+    if (!window_inbox_->Push(std::move(batch), events.size())) {
+      return Status::Aborted("cluster stopped during publish");
+    }
+  }
+  events_published_.fetch_add(events.size(), std::memory_order_release);
+  return Status::OK();
+}
+
+void Cluster::WindowLoop() {
+  while (true) {
+    std::optional<std::shared_ptr<WindowedBatch>> batch = window_inbox_->Pop();
+    if (!batch.has_value()) return;  // closed and drained
+    // A failed window half is counted in publish_apply_errors; the batch is
+    // logged, so it still goes out whole.
+    (void)Window(batch->get());
+    // Actor ids weigh in too, bounding queued memory when most events query.
+    const size_t weight = (*batch)->events.size() + (*batch)->actors.size();
+    const std::shared_ptr<const WindowedBatch> windowed = std::move(*batch);
+    for (auto& partition_inboxes : inboxes_) {
+      for (auto& inbox : partition_inboxes) {
+        if (!inbox->Push(InboxBatch{windowed, Stopwatch()}, weight)) return;
       }
     }
   }
-  events_published_.fetch_add(size, std::memory_order_release);
-  return Status::OK();
 }
 
 void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
   auto& inbox = *inboxes_[local][replica];
   auto& consumed =
       *consumed_[local * options_.replicas_per_partition + replica];
-  const uint64_t self = uint64_t{1} << replica;
   std::vector<Recommendation> gathered;
   while (true) {
-    std::optional<InboxBatch> batch = inbox.Pop();
-    if (!batch.has_value()) return;  // closed and drained
-    inbox_wait_histograms_[local]->Record(batch->queued.ElapsedMicros());
+    std::optional<InboxBatch> item = inbox.Pop();
+    if (!item.has_value()) return;  // closed and drained
+    inbox_wait_histograms_[local]->Record(item->queued.ElapsedMicros());
+    const WindowedBatch& batch = *item->batch;
     gathered.clear();
-    for (const EdgeEvent& event : std::span(batch->events.get(), batch->size)) {
-      // Per event, so a KillReplica takes effect mid-batch.
-      const uint64_t mask =
-          alive_masks_[local]->load(std::memory_order_acquire);
-      if ((mask & self) == 0) continue;
-      // No caller waits on this event: a failed apply is only counted, and
-      // the rest of the batch still applies.
-      (void)ApplyToReplica(local, replica, event, &gathered);
+    for (size_t i = 0; i < batch.events.size(); ++i) {
+      // ShouldEmit reads the alive mask per event, so a KillReplica takes
+      // effect mid-batch.
+      if (ShouldEmit(local, replica, batch.events[i].sequence)) {
+        QueryOnReplica(local, replica, batch.events[i], batch.ActorsOf(i),
+                       &gathered);
+      }
     }
     if (!gathered.empty()) {
       std::lock_guard<std::mutex> lock(results_mu_);
@@ -320,7 +335,7 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
     // seq_cst pairs with Drain(): either this worker sees the waiter's
     // registration and notifies, or the waiter's predicate sees this
     // increment — no missed wakeup, no sleep-polling.
-    consumed.fetch_add(batch->size, std::memory_order_seq_cst);
+    consumed.fetch_add(batch.events.size(), std::memory_order_seq_cst);
     if (drain_waiters_.load(std::memory_order_seq_cst) > 0) {
       std::lock_guard<std::mutex> lock(drain_mu_);
       drain_cv_.notify_all();
@@ -347,6 +362,9 @@ void Cluster::Drain() {
 
 void Cluster::Stop() {
   if (!running_) return;
+  // The window thread first, so every batch it took reaches the workers.
+  window_inbox_->Close();
+  window_worker_.join();
   for (auto& partition_inboxes : inboxes_) {
     for (auto& inbox : partition_inboxes) inbox->Close();
   }
@@ -354,7 +372,7 @@ void Cluster::Stop() {
   workers_.clear();
   running_ = false;
   if (wal_ != nullptr) {
-    std::lock_guard<std::mutex> lock(wal_mu_);
+    std::lock_guard<std::mutex> lock(publish_mu_);
     const Status s = wal_->Sync();
     (void)s;  // shutdown path; durability loss is bounded by the OS buffer
   }
@@ -367,7 +385,7 @@ std::vector<Recommendation> Cluster::TakeRecommendations() {
   return out;
 }
 
-Status Cluster::KillReplica(uint32_t partition, uint32_t replica) {
+Status Cluster::SetAlive(uint32_t partition, uint32_t replica, bool alive) {
   const int local = LocalPartitionIndex(partition);
   if (local < 0 || replica >= options_.replicas_per_partition) {
     return Status::InvalidArgument(
@@ -377,51 +395,13 @@ Status Cluster::KillReplica(uint32_t partition, uint32_t replica) {
                   is_partition_group_member() ? "partition-group member"
                                               : "out of range"));
   }
-  alive_masks_[local]->fetch_and(~(uint64_t{1} << replica),
-                                 std::memory_order_acq_rel);
-  return Status::OK();
-}
-
-Status Cluster::RecoverReplica(uint32_t partition, uint32_t replica,
-                               RecoveryStats* recovery_stats) {
-  const int local = LocalPartitionIndex(partition);
-  if (local < 0 || replica >= options_.replicas_per_partition) {
-    return Status::InvalidArgument(
-        StrFormat("no such replica: partition %u replica %u is not hosted "
-                  "here (%s)",
-                  partition, replica,
-                  is_partition_group_member() ? "partition-group member"
-                                              : "out of range"));
-  }
-  const uint64_t mask = alive_masks_[local]->load(std::memory_order_acquire);
-  if ((mask & (uint64_t{1} << replica)) != 0) {
+  const uint64_t bit = uint64_t{1} << replica;
+  std::atomic<uint64_t>& mask = *alive_masks_[local];
+  if (!alive) {
+    mask.fetch_and(~bit, std::memory_order_acq_rel);
+  } else if ((mask.fetch_or(bit, std::memory_order_acq_rel) & bit) != 0) {
     return Status::AlreadyExists("replica is already alive");
   }
-  if (options_.persist.enabled()) {
-    // Authoritative re-sync from durable state: drop whatever pre-crash D
-    // the replica still holds, load the newest snapshot, replay the WAL
-    // tail. Works even when the whole partition group died.
-    {
-      std::lock_guard<std::mutex> lock(wal_mu_);
-      MAGICRECS_RETURN_IF_ERROR(wal_->Sync());
-    }
-    RecoveryManager recovery(options_.persist);
-    MAGICRECS_RETURN_IF_ERROR(recovery.RecoverPartitionServer(
-        servers_[local][replica].get(), recovery_stats));
-  } else {
-    // Bootstrap D from any healthy peer; without one, the replica rejoins
-    // with the state it last had (cold start on an empty partition group).
-    for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      if (r != replica && (mask & (uint64_t{1} << r)) != 0) {
-        MAGICRECS_RETURN_IF_ERROR(
-            servers_[local][replica]->SyncDynamicStateFrom(
-                *servers_[local][r]));
-        break;
-      }
-    }
-  }
-  alive_masks_[local]->fetch_or(uint64_t{1} << replica,
-                                std::memory_order_acq_rel);
   return Status::OK();
 }
 
@@ -429,30 +409,13 @@ Status Cluster::Checkpoint(Timestamp created_at) {
   if (!options_.persist.enabled()) {
     return Status::FailedPrecondition("cluster has no persistence configured");
   }
-  // D is replicated whole into every partition and every alive replica has
-  // applied every published event once the cluster is quiesced, so any
-  // alive replica's detector is the canonical dynamic state.
-  const PartitionServer* source = nullptr;
-  for (size_t i = 0; i < servers_.size() && source == nullptr; ++i) {
-    const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
-    for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      if ((mask & (uint64_t{1} << r)) != 0) {
-        source = servers_[i][r].get();
-        break;
-      }
-    }
-  }
-  if (source == nullptr) {
-    return Status::Unavailable("no alive replica to snapshot from");
-  }
   {
-    std::lock_guard<std::mutex> lock(wal_mu_);
+    std::lock_guard<std::mutex> lock(publish_mu_);
     MAGICRECS_RETURN_IF_ERROR(wal_->Sync());
   }
-  RecoveryManager recovery(options_.persist);
-  return recovery.Checkpoint(source->motif_engine(), source->partition_id(),
-                             next_sequence_.load(std::memory_order_acquire),
-                             created_at);
+  return RecoveryManager(options_.persist)
+      .Checkpoint(*window_engine_, owned_partitions_.front(),
+                  next_sequence_.load(std::memory_order_relaxed), created_at);
 }
 
 uint32_t Cluster::alive_replicas(uint32_t partition) const {
@@ -477,16 +440,6 @@ size_t Cluster::TotalStaticMemory() const {
   return total;
 }
 
-size_t Cluster::TotalDynamicMemory() const {
-  size_t total = 0;
-  for (const auto& partition : servers_) {
-    for (const auto& server : partition) {
-      total += server->DynamicMemoryUsage();
-    }
-  }
-  return total;
-}
-
 std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
   std::vector<ReplicaStats> out;
   out.reserve(servers_.size() * options_.replicas_per_partition);
@@ -498,7 +451,7 @@ std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
       entry.partition = owned_partitions_[i];
       entry.replica = r;
       entry.alive = (mask & (uint64_t{1} << r)) != 0;
-      entry.detector_events = s.events;
+      entry.detector_events = window_engine_->stats().events;
       entry.threshold_queries = s.threshold_queries;
       entry.recommendations = s.recommendations;
       out.push_back(entry);
@@ -509,22 +462,23 @@ std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
 
 MotifEngineStats Cluster::AggregatedStats() const {
   MotifEngineStats total;
-  for (const auto& partition : servers_) {
-    for (const auto& server : partition) {
-      const MotifEngineStats& s = server->stats();
-      total.events += s.events;
-      total.filtered_by_action += s.filtered_by_action;
-      total.threshold_queries += s.threshold_queries;
-      total.raw_candidates += s.raw_candidates;
-      total.recommendations += s.recommendations;
-      total.suppressed_existing += s.suppressed_existing;
-      total.suppressed_self += s.suppressed_self;
-      total.query_micros.Merge(s.query_micros);
-      for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
-        total.stage_nanos[stage].Merge(s.stage_nanos[stage]);
-      }
-      total.intersection_sizes.Merge(s.intersection_sizes);
+  const auto merge = [&total](const MotifEngineStats& s) {
+    total.events += s.events;
+    total.filtered_by_action += s.filtered_by_action;
+    total.threshold_queries += s.threshold_queries;
+    total.raw_candidates += s.raw_candidates;
+    total.recommendations += s.recommendations;
+    total.suppressed_existing += s.suppressed_existing;
+    total.suppressed_self += s.suppressed_self;
+    total.query_micros.Merge(s.query_micros);
+    for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+      total.stage_nanos[stage].Merge(s.stage_nanos[stage]);
     }
+    total.intersection_sizes.Merge(s.intersection_sizes);
+  };
+  merge(window_engine_->stats());
+  for (const auto& partition : servers_) {
+    for (const auto& server : partition) merge(server->stats());
   }
   return total;
 }

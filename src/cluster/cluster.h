@@ -1,30 +1,39 @@
 // The distributed deployment of §2: N partitions (20 in production), each
-// holding an S shard for its resident A's plus a full copy of D, optionally
-// replicated "for both fault tolerance and increased query throughput".
-// Brokers fan the edge stream out to every partition (each partition consumes
-// the entire stream) and gather the per-partition recommendations.
+// holding an S shard for its resident A's, optionally replicated "for both
+// fault tolerance and increased query throughput". Brokers fan the edge
+// stream out to every partition and gather the per-partition
+// recommendations.
+//
+// D is kept once per process: the paper gives each partition a complete D
+// because each runs on its own machine, but the partitions and replicas of
+// one process share one. The plan splits at the query (MotifEngine::Window /
+// Query): the window half (insert into D, collect actors, check k, cap)
+// runs once per event per process, and each partition runs only the query
+// half (S fetch, intersection, emit) on its shard over the actor ids found.
 //
 // Two execution modes:
-//   * inline   — single-threaded, deterministic; every call processes one
-//                event through all partitions synchronously. Used by tests
-//                and virtual-time experiments.
-//   * threaded — one worker thread per replica with bounded inboxes; the
-//                Publish() path is the broker. Each publish call hands every
-//                replica inbox one shared, sequenced batch, and a worker
-//                applies a popped batch event by event. Used by the
+//   * inline   — single-threaded, deterministic; each call runs the window
+//                half, then the query halves. Used by tests and virtual-time
+//                experiments.
+//   * threaded — the Publish() path is the broker: it sequences and WAL-logs
+//                each batch and, under the same lock, hands it to the window
+//                thread, the only thread that touches D. That thread pushes
+//                one immutable batch — the events plus each event's actor
+//                ids or "no query" — onto every replica's bounded inbox, and
+//                one worker per replica runs the query halves. Used by the
 //                throughput experiments and the daemon.
 //
-// Replica semantics: every alive replica ingests every event (D must stay
-// complete on all of them); the motif query for an event runs on exactly one
-// replica per partition, chosen round-robin by sequence number — that is the
+// Replica semantics: the query for an event runs on exactly one alive
+// replica per partition, chosen round-robin by sequence number — the
 // "increased query throughput" of the paper. Failover re-spreads queries
-// over the survivors; a recovered replica must re-sync D from a healthy peer
-// before rejoining.
+// over the survivors; a recovered replica reads the process's current D, so
+// recovery is an alive-bit flip, made while no event is queued.
 //
 // Partition-group mode (ClusterOptions::group_size): one Cluster instance
 // hosts a single global partition of a wider deployment, so each partition
-// can run as its own magicrecsd process behind the fan-out broker in
-// net/fanout_cluster.h — the process-per-partition topology of the paper.
+// can run as its own magicrecsd process, with its own D, behind the fan-out
+// broker in net/fanout_cluster.h — the process-per-partition topology of
+// the paper.
 // See docs/architecture.md.
 
 #ifndef MAGICRECS_CLUSTER_CLUSTER_H_
@@ -57,7 +66,6 @@ namespace magicrecs {
 class Counter;
 class HistogramMetric;
 class WalWriter;
-struct RecoveryStats;
 
 /// Identity-tagged per-replica counters (surfaced as
 /// ClusterStats::per_replica and over the stats RPC): the global partition
@@ -95,8 +103,9 @@ struct ClusterOptions {
   /// which shrinks S and bounds per-B follower-list fan-in. 0 = off.
   uint32_t max_influencers_per_user = 0;
 
-  /// Bounded inbox size per replica in threaded mode (backpressure), in
-  /// events. A publish batch larger than this enters an empty inbox alone.
+  /// Threaded mode's backpressure: the window thread's inbox holds up to
+  /// half of this in events, each replica inbox up to half in events plus
+  /// their actor ids. A batch larger than a half enters an empty inbox alone.
   size_t inbox_capacity = 1 << 16;
 
   /// Salt for the hash partitioner.
@@ -108,16 +117,15 @@ struct ClusterOptions {
   /// so the S shard cut here is byte-identical to the corresponding shard of
   /// a single process hosting all group_size partitions, and replica ops /
   /// stats speak global partition ids. `num_partitions` is ignored. Every
-  /// group member must still ingest the entire edge stream (D is complete on
-  /// every partition) — the broker-side fan-out (net/fanout_cluster.h) does
-  /// that.
+  /// group member must still ingest the entire edge stream (each member
+  /// process keeps a complete D) — the broker-side fan-out
+  /// (net/fanout_cluster.h) does that.
   uint32_t group_size = 0;
   uint32_t group_partition = 0;
 
   /// Durability. When persist.dir is set, the broker write-ahead-logs every
   /// published event (threaded and inline modes both), Checkpoint() writes
-  /// snapshots there, and RecoverReplica() rebuilds a dead replica from
-  /// snapshot + WAL even when no healthy peer survives.
+  /// snapshots of D there, and Create() restores D from them on restart.
   PersistOptions persist;
 };
 
@@ -135,9 +143,9 @@ class Cluster {
 
   // --- Inline mode -----------------------------------------------------------
 
-  /// Processes one edge-creation event through every partition
-  /// synchronously; appends gathered recommendations to *out. Must not be
-  /// mixed with threaded-mode calls.
+  /// Processes one edge-creation event synchronously: the window half, then
+  /// every partition's query half; appends gathered recommendations to
+  /// *out. Must not be mixed with threaded-mode calls.
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out);
 
@@ -147,32 +155,33 @@ class Cluster {
   Status OnEdgeEvent(EdgeEvent event, std::vector<Recommendation>* out);
 
   /// Applies a whole wire batch synchronously: sequences + WAL-appends every
-  /// event under one wal_mu_ acquisition, then runs the detectors event by
-  /// event. One lock round-trip per batch instead of per event. A failed
-  /// apply is counted and the batch keeps going, as in threaded mode; the
-  /// first failure is returned after the last event.
+  /// event under one publish_mu_ acquisition, then runs the window half and
+  /// the query halves. One lock round-trip per batch instead of per event.
+  /// A failed apply is counted and the batch keeps going, as in threaded
+  /// mode; the first failure is returned after the last event.
   Status OnEdgeEventBatch(std::span<const EdgeEvent> events,
                           std::vector<Recommendation>* out);
 
   // --- Threaded mode ---------------------------------------------------------
 
-  /// Spawns one worker thread per replica. FailedPrecondition if running.
+  /// Spawns the window thread and one worker per replica. FailedPrecondition
+  /// if running.
   Status Start();
 
   /// Broker fan-out of one event: PublishBatch of a batch of one.
   Status Publish(EdgeEvent event);
 
-  /// Batch fan-out: copies the batch once, sequences and WAL-appends it
-  /// under one wal_mu_ acquisition, then pushes that one immutable copy onto
-  /// every replica's inbox (blocking on backpressure). Same per-event
-  /// semantics as Publish called in a loop, with one inbox handoff per
-  /// replica for the whole batch.
+  /// Batch fan-out: copies the batch once, then sequences, WAL-appends and
+  /// queues it for the window thread under one publish_mu_ acquisition
+  /// (blocking on backpressure); that thread pushes the one copy onto every
+  /// replica's inbox. Same per-event semantics as Publish in a loop. A
+  /// failed window half is counted in publish_apply_errors, not returned.
   Status PublishBatch(std::span<const EdgeEvent> events);
 
   /// Blocks until every replica has consumed everything published so far.
   void Drain();
 
-  /// Closes inboxes and joins workers. Idempotent.
+  /// Closes inboxes and joins the window thread and workers. Idempotent.
   void Stop();
 
   /// Moves out all recommendations gathered since the last call. Ordering
@@ -181,30 +190,26 @@ class Cluster {
 
   // --- Failure injection -----------------------------------------------------
 
-  /// Marks a replica dead: it stops ingesting and answering queries; other
-  /// replicas of the partition absorb its query share.
-  Status KillReplica(uint32_t partition, uint32_t replica);
+  /// Marks a replica dead: it stops answering queries; other replicas of the
+  /// partition absorb its query share.
+  Status KillReplica(uint32_t partition, uint32_t replica) {
+    return SetAlive(partition, replica, false);
+  }
 
-  /// Re-syncs the replica's dynamic state and marks it alive. With
-  /// persistence configured the replica is rebuilt from snapshot + WAL
-  /// replay (authoritative even with zero healthy peers); otherwise D is
-  /// copied from a healthy peer if one exists. In threaded mode, call only
-  /// while quiesced (after Drain()). `recovery_stats` (optional) receives
-  /// what the persistent path read and replayed.
-  Status RecoverReplica(uint32_t partition, uint32_t replica,
-                        RecoveryStats* recovery_stats = nullptr);
+  /// Marks a dead replica alive. It reads the process's D, which kept
+  /// ingesting while the replica was down, so there is nothing to rebuild.
+  /// In threaded mode, call only while quiesced (after Drain()), or a queued
+  /// event may be answered twice or not at all.
+  Status RecoverReplica(uint32_t partition, uint32_t replica) {
+    return SetAlive(partition, replica, true);
+  }
 
   // --- Durability ------------------------------------------------------------
 
-  /// Writes a snapshot of the dynamic state (D is identical on every alive
-  /// replica, so one copy covers the whole cluster) and reclaims the WAL
-  /// segments and snapshots it supersedes. Call while quiesced (inline
-  /// mode, or threaded mode after Drain()). FailedPrecondition without
-  /// persistence; Unavailable if every replica is dead.
+  /// Writes a snapshot of the process's D and reclaims the WAL segments and
+  /// snapshots it supersedes. Call while quiesced (inline mode, or threaded
+  /// mode after Drain()). FailedPrecondition without persistence.
   Status Checkpoint(Timestamp created_at = 0);
-
-  /// The broker's WAL writer (null when persistence is disabled).
-  const WalWriter* wal() const { return wal_.get(); }
 
   // --- Introspection ---------------------------------------------------------
 
@@ -232,29 +237,54 @@ class Cluster {
   uint64_t events_published() const {
     return events_published_.load(std::memory_order_relaxed);
   }
+  /// The sequence the next published event gets; after a restart, one past
+  /// the last durable event.
+  uint64_t next_sequence() const {
+    return next_sequence_.load(std::memory_order_acquire);
+  }
+
+  /// The process's one D. Read it quiesced.
+  const DynamicInEdgeIndex& dynamic_index() const {
+    return window_engine_->dynamic_index();
+  }
 
   /// Sum of all shard sizes (equals the unsharded S times the replication
   /// factor).
   size_t TotalStaticMemory() const;
 
-  /// Sum of all D copies — the paper's noted scalability bottleneck: D is
-  /// replicated into every partition, so this grows linearly with
-  /// partitions * replicas.
-  size_t TotalDynamicMemory() const;
+  /// Bytes of the process's one D, whatever the partition and replica
+  /// counts.
+  size_t TotalDynamicMemory() const {
+    return window_engine_->DynamicMemoryUsage();
+  }
 
-  /// Detector stats merged across all locally hosted replicas.
+  /// Detector stats of the process: the window half's counters and stage
+  /// times (once per event) merged with every hosted replica's query half.
   MotifEngineStats AggregatedStats() const;
 
   /// Per-replica counters tagged with global partition identity, ordered by
-  /// (partition, replica). The attributable complement of AggregatedStats().
+  /// (partition, replica). The attributable complement of AggregatedStats():
+  /// detector_events is the process's D's count, the same on every replica.
   std::vector<ReplicaStats> PerReplicaStats() const;
 
  private:
+  /// A sequenced batch after its window half: what the query halves read.
+  struct WindowedBatch {
+    std::vector<EdgeEvent> events;
+    /// Event i's actor ids are actors[offsets[i], offsets[i + 1]); an empty
+    /// range means "no query".
+    std::vector<uint32_t> offsets;
+    std::vector<VertexId> actors;
+
+    std::span<const VertexId> ActorsOf(size_t i) const {
+      return {actors.data() + offsets[i], actors.data() + offsets[i + 1]};
+    }
+  };
+
   /// One publish batch on its way into a replica inbox. Every replica's
-  /// inbox holds the same immutable events; `queued` starts at the push.
+  /// inbox holds the same immutable batch; `queued` starts at the push.
   struct InboxBatch {
-    std::shared_ptr<const EdgeEvent[]> events;
-    size_t size = 0;
+    std::shared_ptr<const WindowedBatch> batch;
     Stopwatch queued;
   };
   using Inbox = MpmcQueue<InboxBatch>;
@@ -270,53 +300,74 @@ class Cluster {
   /// index.
   bool ShouldEmit(uint32_t local, uint32_t replica, uint64_t sequence) const;
 
+  /// KillReplica / RecoverReplica: validates, then flips the alive bit.
+  Status SetAlive(uint32_t partition, uint32_t replica, bool alive);
+
   void WorkerLoop(uint32_t local, uint32_t replica);
 
-  /// Stamps contiguous sequence numbers on a whole batch and, when
-  /// persistence is on, WAL-appends it — atomically together under a single
-  /// wal_mu_ acquisition, so the log is ordered by sequence.
-  Status AssignSequenceAndLogBatch(std::span<EdgeEvent> events);
+  /// Stamps contiguous sequence numbers on `events` and WAL-appends them
+  /// when persistence is on. Callers hold publish_mu_ and queue the events
+  /// for the window half under it, so the log and D share one order.
+  Status SequenceAndLog(std::span<EdgeEvent> events);
 
-  /// The inline-mode per-event apply shared by OnEdgeEvent and
-  /// OnEdgeEventBatch (event already sequenced and logged). Applies to every
-  /// alive replica even when one fails; returns the first failure.
-  Status ApplyInline(const EdgeEvent& event, std::vector<Recommendation>* out);
+  /// Runs the window half of every event of `batch` on D, in order, filling
+  /// its actor ranges. A failure is counted in every hosted partition's
+  /// publish_apply_errors and leaves its event with no query; the first is
+  /// returned once the batch is done.
+  Status Window(WindowedBatch* batch);
 
-  /// One replica's apply of one event, shared by ApplyInline and the
-  /// workers: emits if ShouldEmit picks it, counts a failure in
-  /// publish_apply_errors, and times the apply into publish_apply_us only
-  /// when the event is a timing sample (IsTimingSample).
-  Status ApplyToReplica(uint32_t local, uint32_t replica,
-                        const EdgeEvent& event,
-                        std::vector<Recommendation>* out);
+  /// The window thread: windows each batch publishers hand it, then pushes
+  /// it onto every replica inbox.
+  void WindowLoop();
+
+  /// One replica's query half of one event ("no query" runs nothing),
+  /// inline or in a worker. Times it into publish_apply_us only when the
+  /// event is a timing sample (IsTimingSample).
+  void QueryOnReplica(uint32_t local, uint32_t replica, const EdgeEvent& event,
+                      std::span<const VertexId> actors,
+                      std::vector<Recommendation>* out);
 
   ClusterOptions options_;
   HashPartitioner partitioner_;
   /// Global partition ids hosted here; servers_[i] / alive_masks_[i] /
   /// inboxes_[i] belong to owned_partitions_[i].
   std::vector<uint32_t> owned_partitions_;
+  /// The process's one D: a diamond engine over an empty S that runs only
+  /// the window half (threaded: on the window thread).
+  std::unique_ptr<MotifEngine> window_engine_;
   std::vector<std::vector<std::unique_ptr<PartitionServer>>> servers_;
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> alive_masks_;
 
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once
   /// at Create so the per-event path never takes the registry lock. One
-  /// sample per replica per timed event: that replica's OnEvent.
+  /// sample per timed event: the partition's query half, on the replica
+  /// that runs it.
   std::vector<HistogramMetric*> apply_histograms_;
   /// publish_inbox_wait_us{partition=P}: one sample per batch per replica,
-  /// from the publisher's push (backpressure included) to the worker's pop.
+  /// from the window thread's push (backpressure included) to the worker's
+  /// pop.
   std::vector<HistogramMetric*> inbox_wait_histograms_;
-  /// publish_apply_errors{partition=P}: replica applies that failed. The
-  /// inline path also returns the error; the threaded worker has no caller
-  /// to return it to, so this counter is the only trace it leaves.
+  /// publish_apply_errors{partition=P}: events whose window half failed, so
+  /// that no partition could query them; each counts once in every hosted
+  /// partition. The inline path also returns the error; a threaded publish
+  /// accepts the logged batch, so this counter is the only trace it leaves.
   std::vector<Counter*> apply_errors_;
 
-  // Durability state (null / unused when options_.persist is disabled).
+  // Durability state (null when options_.persist is disabled).
   std::unique_ptr<WalWriter> wal_;
-  std::mutex wal_mu_;
+  /// Orders publishers: sequencing, the WAL append and the hand-off to the
+  /// window half happen under it.
+  std::mutex publish_mu_;
+
+  /// Inline mode's batch, reused so an inline event allocates nothing.
+  WindowedBatch inline_batch_;
 
   // Threaded mode state.
   bool running_ = false;
+  using WindowInbox = MpmcQueue<std::shared_ptr<WindowedBatch>>;
+  std::unique_ptr<WindowInbox> window_inbox_;
   std::vector<std::vector<std::unique_ptr<Inbox>>> inboxes_;
+  std::thread window_worker_;
   std::vector<std::thread> workers_;
   /// Events (not batches) each replica has taken off its inbox.
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> consumed_;

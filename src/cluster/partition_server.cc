@@ -82,25 +82,20 @@ Result<std::unique_ptr<PartitionServer>> PartitionServer::CreateWithShard(
 Status PartitionServer::OnEvent(const EdgeEvent& event, bool emit,
                                 std::vector<Recommendation>* out) {
   const TimestampedEdge& e = event.edge;
-  next_sequence_ = std::max(next_sequence_, event.sequence + 1);
-  const bool timed = IsTimingSample(event.sequence);
-  if (emit) {
-    return engine_->OnEdge(e.src, e.dst, e.created_at, out,
-                           MotifAction::kFollow, timed);
-  }
-  return engine_->Ingest(e.src, e.dst, e.created_at, MotifAction::kFollow,
-                         timed);
+  actors_.clear();
+  MAGICRECS_RETURN_IF_ERROR(
+      engine_->Window(e.src, e.dst, e.created_at, &actors_,
+                      MotifAction::kFollow, IsTimingSample(event.sequence)));
+  if (emit) Query(event, actors_, out);
+  return Status::OK();
 }
 
-Status PartitionServer::SyncDynamicStateFrom(
-    const PartitionServer& healthy_peer) {
-  if (healthy_peer.partition_id_ != partition_id_) {
-    return Status::InvalidArgument(
-        "replicas can only sync within the same partition");
-  }
-  engine_->CopyDynamicStateFrom(*healthy_peer.engine_);
-  next_sequence_ = healthy_peer.next_sequence_;
-  return Status::OK();
+void PartitionServer::Query(const EdgeEvent& event,
+                            std::span<const VertexId> actors,
+                            std::vector<Recommendation>* out) {
+  const TimestampedEdge& e = event.edge;
+  engine_->Query(e.src, e.dst, e.created_at, actors, out,
+                 IsTimingSample(event.sequence));
 }
 
 }  // namespace magicrecs

@@ -1,8 +1,8 @@
-// One partition server: the S shard for its resident A's, a full copy of the
-// D structure, and a diamond MotifEngine running against them. Mirrors the
-// paper's key design decision — "each partition needs to keep the complete D
-// data structure, since in principle any B can be in any partition", so every
-// server ingests the entire edge stream and all intersections stay local.
+// One partition server: the S shard for its resident A's and a diamond
+// MotifEngine over it. Stand-alone (OnEvent) it is the paper's partition on
+// its own machine, which "needs to keep the complete D data structure, since
+// in principle any B can be in any partition". Inside a Cluster it runs only
+// the query half (Query) over the actors the process's one D found.
 
 #ifndef MAGICRECS_CLUSTER_PARTITION_SERVER_H_
 #define MAGICRECS_CLUSTER_PARTITION_SERVER_H_
@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/partitioner.h"
@@ -49,42 +50,28 @@ class PartitionServer {
       uint32_t partition_id, const DiamondOptions& options);
 
   /// Shares a pre-built shard (used when creating replicas of the same
-  /// partition: the immutable shard is built once, D is per-replica).
+  /// partition: the immutable shard is built once).
   static Result<std::unique_ptr<PartitionServer>> CreateWithShard(
       std::shared_ptr<const StaticGraph> shard, uint32_t partition_id,
       const DiamondOptions& options);
 
-  /// Ingests one event into D; if `emit` is true, also runs the motif query
-  /// and appends local recommendations to *out. Standby replicas ingest with
-  /// emit=false to keep D warm without duplicating query work. The engine
-  /// times the event when its sequence is a timing sample (IsTimingSample).
+  /// Stand-alone serving: runs the event's window half on this server's
+  /// own D and, if `emit` is true, the query half, appending local
+  /// recommendations to *out. The engine times the event when its sequence
+  /// is a timing sample (IsTimingSample).
   Status OnEvent(const EdgeEvent& event, bool emit,
                  std::vector<Recommendation>* out);
+
+  /// The query half of `event` over the actor ids another engine's window
+  /// half found (MotifEngine::Query); timed like OnEvent. A Cluster calls
+  /// this and leaves this server's own D empty.
+  void Query(const EdgeEvent& event, std::span<const VertexId> actors,
+             std::vector<Recommendation>* out);
 
   uint32_t partition_id() const { return partition_id_; }
   const MotifEngineStats& stats() const { return engine_->stats(); }
   const StaticGraph& shard() const { return engine_->static_index(); }
   size_t StaticMemoryUsage() const { return shard().MemoryUsage(); }
-  size_t DynamicMemoryUsage() const { return engine_->DynamicMemoryUsage(); }
-
-  /// 1 + the sequence of the last event applied to this replica (0 if
-  /// none). Checkpointing uses this as the snapshot's coverage cutoff.
-  uint64_t next_sequence() const { return next_sequence_; }
-
-  /// Re-synchronizes this replica's dynamic state from a healthy peer of the
-  /// same partition (replica bootstrap after recovery).
-  Status SyncDynamicStateFrom(const PartitionServer& healthy_peer);
-
-  // Durability hooks (see src/persist/recovery.h). D is per-replica state
-  // inside the engine; the immutable S shard is rebuilt offline, not
-  // persisted here.
-  const MotifEngine& motif_engine() const { return *engine_; }
-  MotifEngine& motif_engine() { return *engine_; }
-  /// Where live ingest resumes after recovery rebuilt D through
-  /// motif_engine().
-  void set_next_sequence(uint64_t next_sequence) {
-    next_sequence_ = next_sequence;
-  }
 
  private:
   PartitionServer(std::unique_ptr<MotifEngine> engine, uint32_t partition_id)
@@ -92,7 +79,7 @@ class PartitionServer {
 
   uint32_t partition_id_;
   std::unique_ptr<MotifEngine> engine_;
-  uint64_t next_sequence_ = 0;
+  std::vector<VertexId> actors_;  ///< OnEvent's window-half output
 };
 
 }  // namespace magicrecs

@@ -101,7 +101,7 @@ LocalClusterTransport::~LocalClusterTransport() {
 
 Status LocalClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
   // One lock round trip for the whole batch: a wire batch from the RPC
-  // server sequences and applies under a single wal_mu_ (and, inline, a
+  // server sequences and logs under a single publish_mu_ (and, inline, a
   // single inline_mu_) acquisition instead of one per event.
   std::shared_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
@@ -128,8 +128,8 @@ Result<std::vector<Recommendation>> LocalClusterTransport::TakeRecommendations()
 }
 
 Status LocalClusterTransport::Checkpoint(Timestamp created_at) {
-  // Exclusive: blocks publishers, then quiesces the workers, so the
-  // snapshot serializes a detector no thread is mutating.
+  // Exclusive: blocks publishers, then quiesces the window thread and the
+  // workers, so the snapshot serializes a D no thread is mutating.
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
   if (mode_ == Mode::kThreaded) cluster_->Drain();
@@ -145,9 +145,11 @@ Status LocalClusterTransport::KillReplica(uint32_t partition,
 
 Status LocalClusterTransport::RecoverReplica(uint32_t partition,
                                              uint32_t replica) {
+  // Exclusive and quiesced, like Checkpoint: workers read the alive mask
+  // when they reach an event, so it may only grow with none queued.
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) cluster_->Drain();  // recover quiesced
+  if (mode_ == Mode::kThreaded) cluster_->Drain();
   return cluster_->RecoverReplica(partition, replica);
 }
 
@@ -203,22 +205,13 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
         ->ReplaceWith(detector.intersection_sizes);
     registry->GetCounter("events_published")
         ->RaiseTo(cluster_->events_published());
-    // D's size per hosted partition, summed over its replicas (each keeps
-    // its own copy): gauges, since expiry shrinks D as the window moves.
-    for (const uint32_t p : cluster_->owned_partitions()) {
-      uint64_t edges = 0;
-      size_t bytes = 0;
-      for (uint32_t r = 0; r < cluster_->replicas_per_partition(); ++r) {
-        const PartitionServer& server = cluster_->server(p, r);
-        edges += server.motif_engine().dynamic_index().stats().current_edges;
-        bytes += server.DynamicMemoryUsage();
-      }
-      const MetricLabels labels = {{"partition", StrFormat("%u", p)}};
-      registry->GetGauge("dynamic_edges", labels)
-          ->Set(static_cast<int64_t>(edges));
-      registry->GetGauge("dynamic_bytes", labels)
-          ->Set(static_cast<int64_t>(bytes));
-    }
+    // The size of the process's one D: gauges, since expiry shrinks D as
+    // the window moves.
+    registry->GetGauge("dynamic_edges")
+        ->Set(static_cast<int64_t>(
+            cluster_->dynamic_index().stats().current_edges));
+    registry->GetGauge("dynamic_bytes")
+        ->Set(static_cast<int64_t>(cluster_->TotalDynamicMemory()));
   }
   return MetricsRegistry::Default()->RenderText();
 }

@@ -90,11 +90,11 @@ struct ClusterStats {
   uint32_t num_partitions = 0;       ///< deployment-wide (full group)
   uint32_t replicas_per_partition = 0;
   uint64_t events_published = 0;     ///< broker-side publish count
-  uint64_t detector_events = 0;      ///< ingests summed over all replicas
+  uint64_t detector_events = 0;      ///< D ingests (one D per process)
   uint64_t threshold_queries = 0;    ///< motif queries summed over replicas
   uint64_t recommendations = 0;      ///< emitted recommendations (sum)
   uint64_t static_memory_bytes = 0;  ///< all S shards
-  uint64_t dynamic_memory_bytes = 0; ///< all D copies
+  uint64_t dynamic_memory_bytes = 0; ///< D (one per process)
 
   /// Identity-tagged counters, one entry per hosted replica, ordered by
   /// (partition, replica). A partition-group daemon reports only its own
@@ -230,11 +230,11 @@ class LocalClusterTransport : public ClusterTransport {
   std::atomic<bool> closed_{false};
 
   // Concurrency: several RPC connection handlers drive one transport. Data-
-  // plane calls (PublishBatch, Drain, TakeRecommendations, KillReplica — all
-  // safe to run concurrently through the cluster's own synchronization)
-  // hold state_mu_ shared; control-plane calls that read or rewrite raw
-  // detector state (GetStats, Checkpoint, RecoverReplica) hold it exclusive
-  // and quiesce first, so they never observe a detector mid-mutation.
+  // plane calls (PublishBatch, Drain, TakeRecommendations, KillReplica —
+  // all safe to run concurrently through the cluster's own synchronization)
+  // hold state_mu_ shared; control-plane calls that read raw detector state
+  // or must not race queued events (GetStats, Checkpoint, RecoverReplica)
+  // hold it exclusive and quiesce first.
   std::shared_mutex state_mu_;
 
   // kInline state: Cluster::OnEdgeEvent is not thread-safe and returns

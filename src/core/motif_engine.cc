@@ -29,8 +29,8 @@ DynamicGraphOptions MakeDynamicOptions(const MotifPlan& plan,
   return dyn;
 }
 
-/// The clock reads of one OnEdge call: one per stage boundary when the
-/// event is timed, none otherwise. The query time comes from the same reads.
+/// The clock reads of one Window or Query call: one per stage boundary when
+/// timed, none otherwise. The query time comes from the same reads.
 class StageClock {
  public:
   StageClock(bool timed, MotifEngineStats* stats)
@@ -59,6 +59,15 @@ class StageClock {
   int64_t last_ = 0;
 };
 
+/// Laps the stage of op `i` if op `i` is the stage's last op.
+void LapAtStageEnd(const MotifPlan& plan, size_t i, StageClock* clock) {
+  if (!clock->timed()) return;
+  const PlanStage stage = PlanStageOf(plan.ops[i].kind);
+  if (i + 1 == plan.ops.size() || PlanStageOf(plan.ops[i + 1].kind) != stage) {
+    clock->Lap(stage);
+  }
+}
+
 }  // namespace
 
 MotifEngine::MotifEngine(MotifPlan plan,
@@ -72,6 +81,8 @@ MotifEngine::MotifEngine(MotifPlan plan,
           OpOf(plan_, PlanOpKind::kGatherStaticLists).lookup ==
           StaticLookup::kFollowersOfActor),
       use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
+      first_query_op_(static_cast<size_t>(
+          &OpOf(plan_, PlanOpKind::kGatherStaticLists) - plan_.ops.data())),
       kept_((static_index_->num_vertices() + 63) / 64, 0) {}
 
 Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
@@ -131,16 +142,24 @@ Status MotifEngine::Ingest(VertexId src, VertexId dst, Timestamp t,
 Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
                            std::vector<Recommendation>* out,
                            MotifAction action, bool timed) {
-  StageClock clock(timed, &stats_);
-  const StaticGraph& index = *static_index_;
+  actor_ids_.clear();
+  MAGICRECS_RETURN_IF_ERROR(Window(src, dst, t, &actor_ids_, action, timed));
+  Query(src, dst, t, actor_ids_, out, timed);
+  return Status::OK();
+}
 
-  // The interpreter walks the compiled ops in order; every op manipulates
-  // the shared per-event context (actors_ / lists_ / matches_).
-  for (size_t i = 0; i < plan_.ops.size(); ++i) {
+// The interpreter walks the compiled ops in order, split between Window and
+// Query; every op manipulates the per-event context (actors_ / lists_ / ...).
+
+Status MotifEngine::Window(VertexId src, VertexId dst, Timestamp t,
+                           std::vector<VertexId>* actors, MotifAction action,
+                           bool timed) {
+  if (!Admits(action)) return Status::OK();  // not the motif's action
+  StageClock clock(timed, &stats_);
+  for (size_t i = 0; i < first_query_op_; ++i) {
     const PlanOp& op = plan_.ops[i];
     switch (op.kind) {
       case PlanOpKind::kInsertDynamic: {
-        if (!Admits(action)) return Status::OK();  // not the motif's action
         MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
         ++stats_.events;
         break;
@@ -152,10 +171,8 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
       case PlanOpKind::kCheckThreshold: {
         if (actors_.size() < op.k) {
           clock.Lap(PlanStage::kIndexWindow);
-          clock.Finish();
           return Status::OK();
         }
-        ++stats_.threshold_queries;
         break;
       }
       case PlanOpKind::kCapWitnesses: {
@@ -172,26 +189,45 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         }
         break;
       }
+      default:
+        assert(false && "query-half op before kGatherStaticLists");
+    }
+    LapAtStageEnd(plan_, i, &clock);
+  }
+  for (const TimestampedInEdge& actor : actors_) actors->push_back(actor.src);
+  return Status::OK();
+}
+
+void MotifEngine::Query(VertexId src, VertexId dst, Timestamp t,
+                        std::span<const VertexId> actors,
+                        std::vector<Recommendation>* out, bool timed) {
+  if (actors.empty()) return;  // no query: nothing runs, nothing is timed
+  StageClock clock(timed, &stats_);
+  const StaticGraph& index = *static_index_;
+  ++stats_.threshold_queries;
+  for (size_t i = first_query_op_; i < plan_.ops.size(); ++i) {
+    const PlanOp& op = plan_.ops[i];
+    switch (op.kind) {
       case PlanOpKind::kGatherStaticLists: {
         // Hub actors also carry their bitmap view for O(1) verification
         // probes.
-        stats_.intersection_sizes.Record(static_cast<int64_t>(actors_.size()));
+        stats_.intersection_sizes.Record(static_cast<int64_t>(actors.size()));
         lists_.clear();
         bitsets_.clear();
         list_sources_.clear();
-        for (const TimestampedInEdge& actor : actors_) {
-          const auto list = index.Neighbors(actor.src);
+        for (const VertexId actor : actors) {
+          const auto list = index.Neighbors(actor);
           if (list.empty()) continue;
           lists_.push_back(list);
-          if (use_bitsets_) bitsets_.push_back(index.HubBitset(actor.src));
-          list_sources_.push_back(actor.src);
+          if (use_bitsets_) bitsets_.push_back(index.HubBitset(actor));
+          list_sources_.push_back(actor);
         }
         break;
       }
       case PlanOpKind::kThresholdIntersect: {
         if (lists_.size() < op.k) {
           clock.Finish();
-          return Status::OK();
+          return;
         }
         ThresholdIntersect(lists_, op.k, &matches_, op.algorithm,
                            use_bitsets_ ? &bitsets_ : nullptr);
@@ -211,10 +247,8 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
           // in-window dynamic action by the user.
           if (op.exclude_existing &&
               ((follower_orientation_ && index.HasEdge(dst, user)) ||
-               std::any_of(actors_.begin(), actors_.end(),
-                           [user](const TimestampedInEdge& e) {
-                             return e.src == user;
-                           }))) {
+               std::find(actors.begin(), actors.end(), user) !=
+                   actors.end())) {
             ++stats_.suppressed_existing;
             continue;
           }
@@ -241,19 +275,12 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
         }
         break;
       }
+      default:
+        assert(false && "window-half op after kGatherStaticLists");
     }
-    // A stage ends with its last op.
-    if (clock.timed()) {
-      const PlanStage stage = PlanStageOf(op.kind);
-      if (i + 1 == plan_.ops.size() ||
-          PlanStageOf(plan_.ops[i + 1].kind) != stage) {
-        clock.Lap(stage);
-      }
-    }
+    LapAtStageEnd(plan_, i, &clock);
   }
-
   clock.Finish();
-  return Status::OK();
 }
 
 void MotifEngine::CollectWitnesses(size_t cap, Recommendation* recs) {

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,9 +29,8 @@
 namespace magicrecs {
 
 /// Timing is sampled: a caller times one event in kTimingSamplePeriod,
-/// picked by its stream sequence, and reads no clock for the others. Every
-/// partition and replica that applies the same sequenced stream times the
-/// same events.
+/// picked by its stream sequence, and reads no clock for the others, in the
+/// window half and every query half alike.
 inline constexpr uint64_t kTimingSamplePeriod = 64;
 
 /// Whether the event with this stream sequence is a timing sample
@@ -41,25 +41,25 @@ constexpr bool IsTimingSample(uint64_t sequence) {
 
 /// Counters and latency distributions for one engine instance. The counters
 /// cover every event; the histograms of times cover only the timed ones
-/// (the `timed` argument of OnEdge/Ingest).
+/// (the `timed` argument). The window half counts events and times
+/// index-insert and index-window; the query half counts and times the rest.
 struct MotifEngineStats {
   uint64_t events = 0;               ///< edges ingested into D
   uint64_t filtered_by_action = 0;   ///< edges the trigger's action rejected
-  uint64_t threshold_queries = 0;    ///< events with >= k in-window actors
+  uint64_t threshold_queries = 0;    ///< query halves run (>= k actors)
   uint64_t raw_candidates = 0;       ///< matches before exclusion filters
   uint64_t recommendations = 0;      ///< emitted recommendations
   uint64_t suppressed_existing = 0;  ///< dropped: already follows the item
   uint64_t suppressed_self = 0;      ///< dropped: candidate == item
 
-  /// Wall-clock cost of each timed OnEdge call the trigger's action admits,
-  /// in microseconds: the sum of its stages, including events that stop at
-  /// the threshold.
+  /// Wall-clock cost of each timed query half, in microseconds: the sum of
+  /// its stages, s-fetch through emit. An event that stops at the threshold
+  /// runs no query half and records nothing.
   Histogram query_micros;
 
   /// Nanoseconds spent in each plan stage by the timed events that reached
-  /// it, indexed by PlanStage. A timed Ingest records index-insert only,
-  /// so index-insert counts every timed replica event and the later stages
-  /// count timed queries.
+  /// it, indexed by PlanStage. index-insert counts every timed event the
+  /// action filter admits, and the query stages count timed queries.
   std::array<Histogram, kNumPlanStages> stage_nanos;
 
   /// Witness-set size per threshold query (after the celebrity cap): the
@@ -71,8 +71,9 @@ struct MotifEngineStats {
 };
 
 /// Executes one compiled motif plan against a static index and its own
-/// dynamic index. Thread-compatible: the cluster layer runs one instance per
-/// partition replica.
+/// dynamic index. The plan splits at the query: Window runs the ops on D,
+/// Query the ops on S. Thread-compatible: a Cluster runs Window on one
+/// instance per process and Query on one per partition replica.
 class MotifEngine {
  public:
   /// `follow_graph` holds the declared static orientation (edges U -> W mean
@@ -96,44 +97,48 @@ class MotifEngine {
       std::shared_ptr<const StaticGraph> follower_index,
       const DiamondOptions& options);
 
-  /// Ingests a stream edge. `action` is matched against the trigger edge's
-  /// action filter (kAny accepts everything). Appends recommendations to
-  /// *out (not cleared). The stream must be delivered in non-decreasing `t`
-  /// order per destination (MotifOptions::strict_time_order enforces it).
-  /// D retains the edges within the window of the newest time it has seen,
-  /// so a late event's query finds only what that watermark left.
-  /// When `timed`, records the call in stats().query_micros and each stage
-  /// it reaches in stats().stage_nanos, one clock read per stage boundary;
-  /// otherwise it reads no clock.
+  /// Ingests a stream edge: Window, then Query, on this engine's own D and
+  /// S. `action` is matched against the trigger edge's action filter (kAny
+  /// accepts everything). Appends recommendations to *out (not cleared).
+  /// The stream must be delivered in non-decreasing `t` order per
+  /// destination (MotifOptions::strict_time_order enforces it). D retains
+  /// the edges within the window of the newest time it has seen, so a late
+  /// event's query finds only what that watermark left. When `timed`,
+  /// records each stage the event reaches in stats().stage_nanos, one clock
+  /// read per stage boundary; otherwise it reads no clock.
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out,
                 MotifAction action = MotifAction::kFollow, bool timed = false);
 
-  /// Ingests the edge into D without running the motif query. Standby
-  /// replicas keep their dynamic state warm this way while the primary
-  /// answers queries, and WAL replay rebuilds D with it (recommendations
-  /// for replayed events were delivered before the crash). When `timed`,
-  /// the insert is recorded as an index-insert stage sample.
-  Status Ingest(VertexId src, VertexId dst, Timestamp t,
+  /// The window half (index-insert, index-window): inserts the edge into D
+  /// and collects its destination's in-window actors. When at least k
+  /// remain, appends the (capped) actors' ids to *actors in the order the
+  /// query half gathers them; otherwise appends nothing: "no query".
+  Status Window(VertexId src, VertexId dst, Timestamp t,
+                std::vector<VertexId>* actors,
                 MotifAction action = MotifAction::kFollow, bool timed = false);
 
-  /// Replaces this engine's dynamic state with a copy of `other`'s
-  /// (replica bootstrap from a live peer).
-  void CopyDynamicStateFrom(const MotifEngine& other) {
-    dynamic_index_ = other.dynamic_index_;
-  }
+  /// The query half (s-fetch, intersect, emit) over the actor ids Window
+  /// appended for the same edge (none: nothing runs). Reads S and no D, so
+  /// it may run on another engine than the window half. Appends
+  /// recommendations to *out. When `timed`, records its stages and total.
+  void Query(VertexId src, VertexId dst, Timestamp t,
+             std::span<const VertexId> actors,
+             std::vector<Recommendation>* out, bool timed = false);
+
+  /// Inserts the edge into D and nothing more: WAL replay rebuilds D with it
+  /// (recommendations for replayed events were delivered before the
+  /// crash). When `timed`, records an index-insert sample.
+  Status Ingest(VertexId src, VertexId dst, Timestamp t,
+                MotifAction action = MotifAction::kFollow, bool timed = false);
 
   /// Drops all dynamic state. Recovery resets an engine before restoring it
   /// from a snapshot + WAL replay, so stale pre-crash edges cannot leak into
   /// the rebuilt state.
   void ClearDynamicState() { dynamic_index_.Clear(); }
 
-  /// Serializes the dynamic edge store for the persist/ snapshot module.
-  void EncodeDynamicState(std::string* out) const {
-    dynamic_index_.EncodeTo(out);
-  }
-
-  /// Restores the dynamic edge store from EncodeDynamicState() bytes.
+  /// Restores the dynamic edge store from DynamicInEdgeIndex::EncodeTo()
+  /// bytes (the persist/ snapshot module).
   Status RestoreDynamicState(const uint8_t* data, size_t size) {
     return dynamic_index_.DecodeFrom(data, size);
   }
@@ -173,9 +178,12 @@ class MotifEngine {
   /// follows the item" (a static in-edge of the item from the user).
   bool follower_orientation_;
   bool use_bitsets_;
+  /// Plan index of the first query-half op (kGatherStaticLists).
+  size_t first_query_op_;
 
   // Scratch, reused per event to stay allocation-free on the hot path.
   std::vector<TimestampedInEdge> actors_;
+  std::vector<VertexId> actor_ids_;  ///< OnEdge's hand-off between halves
   std::vector<std::span<const VertexId>> lists_;
   std::vector<BitsetView> bitsets_;
   std::vector<VertexId> list_sources_;

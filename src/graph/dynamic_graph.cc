@@ -207,14 +207,6 @@ size_t DynamicInEdgeIndex::GetRecentInEdges(
   return out->size();
 }
 
-size_t DynamicInEdgeIndex::CountRecentInEdges(VertexId dst,
-                                              Timestamp now) const {
-  // Distinct-source count requires the same dedup as materialization; the
-  // per-vertex logs are window-bounded so this stays cheap.
-  std::vector<TimestampedInEdge> scratch;
-  return GetRecentInEdges(dst, now, &scratch);
-}
-
 void DynamicInEdgeIndex::Clear() { *this = DynamicInEdgeIndex(options_); }
 
 void DynamicInEdgeIndex::EncodeTo(std::string* out) const {

@@ -62,9 +62,8 @@ struct DynamicGraphStats {
   uint64_t tracked_vertices = 0;  ///< destinations with a non-empty log
 };
 
-/// The dynamic in-edge index. Thread-compatible: the cluster layer gives
-/// each partition server its own instance (the paper replicates D into
-/// every partition).
+/// The dynamic in-edge index. Thread-compatible: the cluster layer keeps
+/// one instance per process, which every hosted partition reads.
 class DynamicInEdgeIndex {
  public:
   explicit DynamicInEdgeIndex(const DynamicGraphOptions& options = {});
@@ -78,9 +77,6 @@ class DynamicInEdgeIndex {
   /// kept per source, sorted by source id. Returns the number appended.
   size_t GetRecentInEdges(VertexId dst, Timestamp now,
                           std::vector<TimestampedInEdge>* out) const;
-
-  /// Count of distinct in-window sources for `dst` without materializing.
-  size_t CountRecentInEdges(VertexId dst, Timestamp now) const;
 
   const DynamicGraphOptions& options() const { return options_; }
   const DynamicGraphStats& stats() const { return stats_; }

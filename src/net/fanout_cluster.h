@@ -17,8 +17,8 @@
 //     partitions 0..N-1.
 //
 // Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats
-// broadcast to every daemon — every partition must ingest the full stream
-// (each holds a complete D copy), and a gather is the union of the per-
+// broadcast to every daemon — every daemon must ingest the full stream
+// (each holds a complete D), and a gather is the union of the per-
 // partition results. KillReplica/RecoverReplica route to the one daemon
 // hosting that partition. The group HashPartitioner is exposed through
 // Partitioner() so callers can attribute a user (and its recommendations)

@@ -322,8 +322,8 @@ void RpcServer::DispatchRequest(const Frame& request, std::string* response) {
       }
       status = transport_->PublishBatch(events);
       FinishBatch(batch_sequence, status.ok());
-      // A threaded transport returns once the batch is queued on every
-      // replica inbox, so this stamp marks the handoff, not the apply.
+      // A threaded transport returns once the batch is queued for its window
+      // thread, so this stamp marks the handoff, not the apply.
       if (status.ok() && trace.active()) {
         trace.Stamp(TraceStage::kDetectorApply, options_.trace_party,
                     SystemClock::Default()->Now());

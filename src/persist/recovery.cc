@@ -47,37 +47,33 @@ Status RecoveryManager::ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
   return Status::OK();
 }
 
-Status RecoveryManager::RecoverPartitionServer(PartitionServer* server,
-                                               RecoveryStats* stats) const {
-  RecoveryStats local;
-  RecoveryStats& out = stats != nullptr ? *stats : local;
-  out = RecoveryStats{};
+Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
+                                            RecoveryStats* stats) const {
+  *stats = RecoveryStats{};
   if (!options_.enabled()) {
     return Status::FailedPrecondition("persistence is not configured");
   }
   Stopwatch timer;
   // Reset first, so stale pre-crash edges cannot leak into the rebuilt D.
-  MotifEngine& engine = server->motif_engine();
-  engine.ClearDynamicState();
+  engine->ClearDynamicState();
   uint64_t min_sequence = 0;
   Result<std::string> path = FindLatestSnapshot(options_.dir);
   if (path.ok()) {
     MAGICRECS_ASSIGN_OR_RETURN(const SnapshotContents snapshot,
                                ReadSnapshot(*path));
-    MAGICRECS_RETURN_IF_ERROR(engine.RestoreDynamicState(
+    MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
         reinterpret_cast<const uint8_t*>(snapshot.dynamic_bytes.data()),
         snapshot.dynamic_bytes.size()));
     std::error_code ec;
     const auto size = std::filesystem::file_size(*path, ec);
-    out.snapshot_bytes = ec ? 0 : size;
-    out.snapshot_loaded = true;
+    stats->snapshot_bytes = ec ? 0 : size;
+    stats->snapshot_loaded = true;
     min_sequence = snapshot.meta.next_sequence;
   } else if (!path.status().IsNotFound()) {  // NotFound: cold start
     return path.status();
   }
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(min_sequence, &engine, &out));
-  out.wall_micros = timer.ElapsedMicros();
-  server->set_next_sequence(out.next_sequence);
+  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(min_sequence, engine, stats));
+  stats->wall_micros = timer.ElapsedMicros();
   return Status::OK();
 }
 

@@ -1,10 +1,12 @@
-// Crash recovery for durable partitions: restore = load the newest
+// Crash recovery for a durable process: restore = load the newest
 // snapshot's D (if any), then replay WAL records from the snapshot's
 // sequence cutoff — ingest-only, since recommendations for replayed events
 // were already delivered before the crash. Checkpoint = write a snapshot of
 // D, then reclaim WAL segments and snapshots it supersedes. S is never
 // persisted: Cluster::Create rebuilds it from the follow graph and then
-// restores every replica's D through RecoverPartitionServer.
+// restores the process's one D through RecoverDynamicState, once per
+// process however many partitions and replicas it hosts. A killed replica
+// reads that same D when it rejoins, so it needs no recovery of its own.
 //
 // Recovery is deterministic: D is a pure function of the event stream, so
 // snapshot-load + replay reproduces exactly the state an uninterrupted run
@@ -17,7 +19,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/partition_server.h"
 #include "core/motif_engine.h"
 #include "persist/persist_options.h"
 #include "util/result.h"
@@ -46,15 +47,13 @@ class RecoveryManager {
  public:
   explicit RecoveryManager(const PersistOptions& options) : options_(options) {}
 
-  /// Rebuilds a partition replica's dynamic state: clears D, restores the
-  /// newest snapshot's D (if any), then replays the WAL tail the snapshot
-  /// does not cover through Ingest. The immutable S shard is untouched; it
-  /// is rebuilt from the follow graph, never persisted. A directory with no
-  /// snapshot and no WAL is a valid cold start (empty state, OK). The
-  /// server's next_sequence() reflects the replay afterwards. Resets and
-  /// fills *stats (optional).
-  Status RecoverPartitionServer(PartitionServer* server,
-                                RecoveryStats* stats) const;
+  /// Rebuilds `engine`'s D: clears it, restores the newest snapshot's D (if
+  /// any), then replays the WAL tail the snapshot does not cover through
+  /// Ingest. S is untouched; it is rebuilt from the follow graph, never
+  /// persisted. A directory with no snapshot and no WAL is a valid cold
+  /// start (empty state, OK). stats->next_sequence is where live ingest
+  /// resumes. Resets and fills *stats.
+  Status RecoverDynamicState(MotifEngine* engine, RecoveryStats* stats) const;
 
   /// Writes a snapshot of `engine`'s D covering sequences
   /// [0, next_sequence), then deletes the WAL segments and older snapshots

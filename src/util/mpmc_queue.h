@@ -6,7 +6,7 @@
 // Mutex + condition variables rather than a lock-free ring: the blocking
 // close semantics keep shutdown code simple and obviously correct. The lock
 // and wake-up cost is paid per item, so the cluster's replica inboxes carry
-// whole publish batches (weighted by their event count), not single events.
+// whole publish batches (weighted by their size), not single events.
 // On the serving benchmark's `dense` workload (4-vCPU Xeon VM), one item
 // per event drove the daemons to ~700k context switches/s at peak; one item
 // per batch, to ~18k/s, with ingest up ~35%.

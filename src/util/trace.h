@@ -27,8 +27,8 @@ enum class TraceStage : uint8_t {
   kBrokerEncode = 1,   ///< broker serialized the batch into frames
   kDaemonDequeue = 2,  ///< daemon's RPC layer picked the request up
   /// The daemon's PublishBatch returned: applied by every replica detector
-  /// in inline mode; in threaded mode only sequenced, logged and queued on
-  /// every replica inbox (the name predates the threaded handoff).
+  /// in inline mode; in threaded mode only sequenced, logged and queued for
+  /// the window thread (the name predates the threaded handoff).
   kDetectorApply = 3,
   kGather = 4,         ///< broker merged the gather carrying the results
 };

@@ -132,7 +132,7 @@ TEST(DynamicGraphTest, LateEventLosesWhatTheWatermarkExpired) {
   EXPECT_EQ(out[0].src, 4u);
   // An edge at or before watermark - window is counted but never stored.
   ASSERT_TRUE(d.Insert(5, 400, Seconds(10)).ok());
-  EXPECT_EQ(d.CountRecentInEdges(400, Seconds(10)), 0u);
+  EXPECT_EQ(d.GetRecentInEdges(400, Seconds(10), &out), 0u);
   EXPECT_EQ(d.stats().inserted, 5u);
   EXPECT_EQ(d.stats().pruned, 3u);
   EXPECT_EQ(d.stats().current_edges, 2u);
@@ -147,10 +147,11 @@ TEST(DynamicGraphTest, ExtremeTimestampsDoNotOverflowTheCutoff) {
   DynamicInEdgeIndex d(WindowOptions(Seconds(10)));
   ASSERT_TRUE(d.Insert(1, 100, kMin + 1).ok());
   ASSERT_TRUE(d.Insert(2, 100, kMin + 2).ok());
-  EXPECT_EQ(d.CountRecentInEdges(100, kMin + 2), 2u);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(d.GetRecentInEdges(100, kMin + 2, &out), 2u);
   ASSERT_TRUE(d.Insert(3, 200, kMax).ok());
   EXPECT_EQ(d.stats().current_edges, 1u);
-  EXPECT_EQ(d.CountRecentInEdges(200, kMax), 1u);
+  EXPECT_EQ(d.GetRecentInEdges(200, kMax, &out), 1u);
 }
 
 TEST(DynamicGraphTest, TableGrowsAndShrinksWithTheWindow) {
@@ -208,12 +209,13 @@ TEST(DynamicGraphTest, InvalidVertexRejected) {
   EXPECT_TRUE(d.Insert(1, kInvalidVertex, 0).IsInvalidArgument());
 }
 
-TEST(DynamicGraphTest, CountMatchesMaterialization) {
+TEST(DynamicGraphTest, RepeatSourceCountsOnce) {
   DynamicInEdgeIndex d(WindowOptions(Seconds(10)));
   ASSERT_TRUE(d.Insert(1, 100, Seconds(1)).ok());
   ASSERT_TRUE(d.Insert(2, 100, Seconds(2)).ok());
   ASSERT_TRUE(d.Insert(1, 100, Seconds(3)).ok());  // dup source
-  EXPECT_EQ(d.CountRecentInEdges(100, Seconds(5)), 2u);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(d.GetRecentInEdges(100, Seconds(5), &out), 2u);
 }
 
 TEST(DynamicGraphTest, StatsTrackInsertions) {

@@ -102,13 +102,13 @@ TEST(RecoveryEquivalenceTest, CrashAtMidStreamThenRecoverMatchesUninterrupted) {
     // <- crash: in-memory state dropped, only the WAL survives.
   }
 
-  // Restart: Create replays the WAL into the fresh replica, then the
-  // stream finishes.
+  // Restart: Create replays the WAL into the fresh D, then the stream
+  // finishes.
   auto restarted = MakeCluster(w, OnePartition(dir.path()));
   ASSERT_NE(restarted, nullptr);
   EXPECT_TRUE(FindLatestSnapshot(dir.path()).status().IsNotFound());
-  EXPECT_EQ(restarted->server(0, 0).next_sequence(), half);
-  EXPECT_EQ(restarted->server(0, 0).stats().events, half);  // all replayed
+  EXPECT_EQ(restarted->next_sequence(), half);
+  EXPECT_EQ(restarted->AggregatedStats().events, half);  // all replayed
   const std::vector<Recommendation> post_recovery_recs =
       RunRange(restarted.get(), w.events, half, w.events.size());
 
@@ -157,8 +157,8 @@ TEST(RecoveryEquivalenceTest, SnapshotPlusWalTailMatchesUninterrupted) {
   auto restarted = MakeCluster(w, options);
   ASSERT_NE(restarted, nullptr);
   EXPECT_TRUE(FindLatestSnapshot(dir.path()).ok());
-  EXPECT_EQ(restarted->server(0, 0).next_sequence(), crash_at);
-  EXPECT_EQ(restarted->server(0, 0).stats().events, crash_at - checkpoint_at)
+  EXPECT_EQ(restarted->next_sequence(), crash_at);
+  EXPECT_EQ(restarted->AggregatedStats().events, crash_at - checkpoint_at)
       << "only the WAL tail past the snapshot should have been replayed";
 
   const std::vector<Recommendation> post_recovery_recs =
@@ -172,15 +172,19 @@ TEST(RecoveryEquivalenceTest, SnapshotPlusWalTailMatchesUninterrupted) {
 TEST(RecoveryTest, ColdStartOnEmptyDirectoryIsOk) {
   ScopedTempDir dir;
   const TestWorkload w = MakeTestWorkload(16);
-  auto cluster = MakeCluster(w, OnePartition(dir.path()));
+  const ClusterOptions options = OnePartition(dir.path());
+  auto cluster = MakeCluster(w, options);
   ASSERT_NE(cluster, nullptr);
-  EXPECT_EQ(cluster->server(0, 0).next_sequence(), 0u);
+  EXPECT_EQ(cluster->next_sequence(), 0u);
 
-  // The same empty directory through the recovery path a killed replica
-  // takes.
-  ASSERT_TRUE(cluster->KillReplica(0, 0).ok());
+  // The same empty directory through the recovery pass Create runs.
+  auto engine = MotifEngine::CreateDiamond(
+      std::make_shared<const StaticGraph>(), options.detector);
+  ASSERT_TRUE(engine.ok()) << engine.status();
   RecoveryStats stats;
-  ASSERT_TRUE(cluster->RecoverReplica(0, 0, &stats).ok());
+  ASSERT_TRUE(RecoveryManager(options.persist)
+                  .RecoverDynamicState(engine->get(), &stats)
+                  .ok());
   EXPECT_FALSE(stats.snapshot_loaded);
   EXPECT_EQ(stats.events_replayed, 0u);
   EXPECT_EQ(stats.next_sequence, 0u);
@@ -209,53 +213,42 @@ class ClusterRecoveryTest : public ::testing::Test {
     return Status::OK();
   }
 
-  static std::string DynamicStateOf(const Cluster& cluster, uint32_t p,
-                                    uint32_t r) {
+  /// The process's one D, which every partition and replica reads.
+  static std::string DynamicStateOf(const Cluster& cluster) {
     std::string bytes;
-    cluster.server(p, r).motif_engine().EncodeDynamicState(&bytes);
+    cluster.dynamic_index().EncodeTo(&bytes);
     return bytes;
   }
 
   TestWorkload workload_;
 };
 
-TEST_F(ClusterRecoveryTest, ReplicaRebuildsFromWalWithoutHealthyPeer) {
-  ScopedTempDir dir;
-  auto cluster = Cluster::Create(workload_.follow_graph, Options(dir.path()));
-  ASSERT_TRUE(cluster.ok()) << cluster.status();
-
-  ASSERT_TRUE(Feed(cluster->get(), 0, 300).ok());
-  ASSERT_TRUE((*cluster)->KillReplica(1, 1).ok());
-  ASSERT_TRUE(Feed(cluster->get(), 300, 400).ok());  // missed by (1,1)
-
-  RecoveryStats stats;
-  ASSERT_TRUE((*cluster)->RecoverReplica(1, 1, &stats).ok());
-  EXPECT_EQ(stats.events_replayed, 400u);
-  EXPECT_FALSE(stats.snapshot_loaded);
-
-  // The recovered replica's D must be byte-identical to a replica that
-  // never died.
-  EXPECT_EQ(DynamicStateOf(**cluster, 1, 1), DynamicStateOf(**cluster, 1, 0));
-  EXPECT_EQ((*cluster)->server(1, 1).next_sequence(), 400u);
-  EXPECT_EQ((*cluster)->alive_replicas(1), 2u);
-}
-
 TEST_F(ClusterRecoveryTest, CheckpointBoundsReplayForLaterRecoveries) {
   ScopedTempDir dir;
-  auto cluster = Cluster::Create(workload_.follow_graph, Options(dir.path()));
-  ASSERT_TRUE(cluster.ok());
+  {
+    auto cluster = Cluster::Create(workload_.follow_graph, Options(dir.path()));
+    ASSERT_TRUE(cluster.ok());
 
-  ASSERT_TRUE(Feed(cluster->get(), 0, 400).ok());
-  ASSERT_TRUE((*cluster)->Checkpoint().ok());
+    ASSERT_TRUE(Feed(cluster->get(), 0, 400).ok());
+    ASSERT_TRUE((*cluster)->Checkpoint().ok());
 
-  ASSERT_TRUE((*cluster)->KillReplica(0, 1).ok());
-  ASSERT_TRUE(Feed(cluster->get(), 400, 500).ok());
+    ASSERT_TRUE((*cluster)->KillReplica(0, 1).ok());
+    ASSERT_TRUE(Feed(cluster->get(), 400, 500).ok());
+    ASSERT_TRUE((*cluster)->RecoverReplica(0, 1).ok());
+    // <- process "crashes".
+  }
 
-  RecoveryStats stats;
-  ASSERT_TRUE((*cluster)->RecoverReplica(0, 1, &stats).ok());
-  EXPECT_TRUE(stats.snapshot_loaded);
-  EXPECT_EQ(stats.events_replayed, 100u);
-  EXPECT_EQ(DynamicStateOf(**cluster, 0, 1), DynamicStateOf(**cluster, 0, 0));
+  // The restart loads the snapshot and replays only the WAL tail past it.
+  auto restarted = Cluster::Create(workload_.follow_graph, Options(dir.path()));
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  EXPECT_TRUE(FindLatestSnapshot(dir.path()).ok());
+  EXPECT_EQ((*restarted)->next_sequence(), 500u);
+  EXPECT_EQ((*restarted)->AggregatedStats().events, 100u);
+
+  auto uninterrupted = Cluster::Create(workload_.follow_graph, Options(""));
+  ASSERT_TRUE(uninterrupted.ok());
+  ASSERT_TRUE(Feed(uninterrupted->get(), 0, 500).ok());
+  EXPECT_EQ(DynamicStateOf(**restarted), DynamicStateOf(**uninterrupted));
 }
 
 TEST_F(ClusterRecoveryTest, ThreadedModeLogsEveryPublishedEvent) {
@@ -294,41 +287,35 @@ TEST_F(ClusterRecoveryTest, RestartedClusterResumesStateAndSequences) {
     // <- process "crashes": only the persistence directory survives.
   }
 
-  auto restarted = Cluster::Create(workload_.follow_graph, Options(dir.path()));
-  ASSERT_TRUE(restarted.ok()) << restarted.status();
-  // Every replica came back with the pre-crash D and the right resume point.
-  EXPECT_EQ((*restarted)->server(0, 0).next_sequence(), 300u);
-  EXPECT_EQ(DynamicStateOf(**restarted, 0, 0),
-            DynamicStateOf(**restarted, 1, 1));
-
-  // New events must continue the sequence space, not restart at 0 —
-  // otherwise later recoveries would skip them as already covered.
-  ASSERT_TRUE(Feed(restarted->get(), 300, 400).ok());
-  ASSERT_TRUE((*restarted)->KillReplica(0, 0).ok());
-  ASSERT_TRUE(Feed(restarted->get(), 400, 500).ok());
-  RecoveryStats stats;
-  ASSERT_TRUE((*restarted)->RecoverReplica(0, 0, &stats).ok());
-  EXPECT_EQ(stats.next_sequence, 500u);
-  EXPECT_EQ(DynamicStateOf(**restarted, 0, 0),
-            DynamicStateOf(**restarted, 0, 1));
-
-  // And the full restarted lineage equals an uninterrupted cluster.
   auto uninterrupted =
       Cluster::Create(workload_.follow_graph, Options(""));
   ASSERT_TRUE(uninterrupted.ok());
-  ASSERT_TRUE(Feed(uninterrupted->get(), 0, 500).ok());
-  EXPECT_EQ(DynamicStateOf(**restarted, 0, 1),
-            DynamicStateOf(**uninterrupted, 0, 1));
-}
+  ASSERT_TRUE(Feed(uninterrupted->get(), 0, 300).ok());
 
-TEST_F(ClusterRecoveryTest, PeerSyncStillWorksWithoutPersistence) {
-  auto cluster = Cluster::Create(workload_.follow_graph, Options(""));
-  ASSERT_TRUE(cluster.ok());
-  ASSERT_TRUE(Feed(cluster->get(), 0, 100).ok());
-  ASSERT_TRUE((*cluster)->KillReplica(0, 0).ok());
-  ASSERT_TRUE(Feed(cluster->get(), 100, 200).ok());
-  ASSERT_TRUE((*cluster)->RecoverReplica(0, 0).ok());
-  EXPECT_EQ(DynamicStateOf(**cluster, 0, 0), DynamicStateOf(**cluster, 0, 1));
+  // The process came back with the pre-crash D and the right resume point.
+  {
+    auto restarted =
+        Cluster::Create(workload_.follow_graph, Options(dir.path()));
+    ASSERT_TRUE(restarted.ok()) << restarted.status();
+    EXPECT_EQ((*restarted)->next_sequence(), 300u);
+    EXPECT_EQ(DynamicStateOf(**restarted), DynamicStateOf(**uninterrupted));
+
+    // New events must continue the sequence space, not restart at 0 —
+    // otherwise the next restart would skip them as already covered.
+    ASSERT_TRUE(Feed(restarted->get(), 300, 400).ok());
+    ASSERT_TRUE((*restarted)->KillReplica(0, 0).ok());
+    ASSERT_TRUE(Feed(restarted->get(), 400, 500).ok());
+    ASSERT_TRUE((*restarted)->RecoverReplica(0, 0).ok());
+    EXPECT_EQ((*restarted)->next_sequence(), 500u);
+    // <- and "crashes" again.
+  }
+
+  // And the full restarted lineage equals an uninterrupted cluster.
+  auto restarted = Cluster::Create(workload_.follow_graph, Options(dir.path()));
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  EXPECT_EQ((*restarted)->next_sequence(), 500u);
+  ASSERT_TRUE(Feed(uninterrupted->get(), 300, 500).ok());
+  EXPECT_EQ(DynamicStateOf(**restarted), DynamicStateOf(**uninterrupted));
 }
 
 }  // namespace

@@ -77,13 +77,14 @@ TEST(DynamicIndexCodecTest, InvalidVertexIdIsCorruption) {
   };
   DynamicInEdgeIndex index;
   ASSERT_TRUE(index.Insert(1, 10, Seconds(1)).ok());
+  std::vector<TimestampedInEdge> out;
   for (const std::string& bytes :
        {forge(kInvalidVertex, 1), forge(10, kInvalidVertex)}) {
     const Status s = index.DecodeFrom(
         reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
     EXPECT_TRUE(s.IsCorruption()) << s;
     // The failed decode left the index as it was.
-    EXPECT_EQ(index.CountRecentInEdges(10, Seconds(1)), 1u);
+    EXPECT_EQ(index.GetRecentInEdges(10, Seconds(1), &out), 1u);
   }
   // The same bytes with valid ids decode.
   const std::string valid = forge(10, 1);
@@ -98,7 +99,8 @@ TEST(DynamicIndexCodecTest, ClearDropsEverything) {
   ASSERT_TRUE(index.Insert(1, 10, Seconds(1)).ok());
   index.Clear();
   EXPECT_EQ(index.stats().current_edges, 0u);
-  EXPECT_EQ(index.CountRecentInEdges(10, Seconds(1)), 0u);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(index.GetRecentInEdges(10, Seconds(1), &out), 0u);
 }
 
 class SnapshotFileTest : public ::testing::Test {
@@ -132,7 +134,8 @@ TEST_F(SnapshotFileTest, FullRoundTrip) {
                                   contents->dynamic_bytes.data()),
                               contents->dynamic_bytes.size())
                   .ok());
-  EXPECT_EQ(restored.CountRecentInEdges(100, Seconds(5)), 1u);
+  std::vector<TimestampedInEdge> out;
+  EXPECT_EQ(restored.GetRecentInEdges(100, Seconds(5), &out), 1u);
 }
 
 /// A snapshot in the version-1 layout, section by section: `flags`, then
