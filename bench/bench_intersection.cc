@@ -201,10 +201,11 @@ void ThresholdSweep(bench::JsonRows* rows) {
   std::vector<ThresholdShape> shapes;
   // Balanced: 6 lists, k=3, universe 4x the list size. The totals straddle
   // kScanCountMaxElements; scan-count's table (8 bytes x 2x the total,
-  // rounded up to a power of two) grows from 4 KiB to 4 MiB.
+  // rounded up to a power of two) grows from 4 KiB to 16 MiB. 6x131072 is
+  // the size where heap-merge overtakes scan-count (threshold.h).
   Rng rng(7);
-  for (const size_t list_size :
-       {32ul, 512ul, 1'024ul, 2'048ul, 4'096ul, 8'192ul, 16'384ul, 32'768ul}) {
+  for (const size_t list_size : {32ul, 512ul, 1'024ul, 2'048ul, 4'096ul,
+                                 8'192ul, 16'384ul, 32'768ul, 131'072ul}) {
     ThresholdShape& shape =
         shapes.emplace_back("6x" + std::to_string(list_size), 3);
     for (size_t i = 0; i < 6; ++i) {

@@ -1,7 +1,6 @@
 #include "core/motif_engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/clock.h"
 #include "util/str_format.h"
@@ -10,20 +9,10 @@ namespace magicrecs {
 
 namespace {
 
-/// The plan's op of `kind`. CompileMotif emits every kind but the optional
-/// witness cap, and the engine only looks up the ones it always emits.
-const PlanOp& OpOf(const MotifPlan& plan, PlanOpKind kind) {
-  const auto it =
-      std::find_if(plan.ops.begin(), plan.ops.end(),
-                   [kind](const PlanOp& op) { return op.kind == kind; });
-  assert(it != plan.ops.end());
-  return *it;
-}
-
 DynamicGraphOptions MakeDynamicOptions(const MotifPlan& plan,
                                        const MotifOptions& options) {
   DynamicGraphOptions dyn;
-  dyn.window = OpOf(plan, PlanOpKind::kInsertDynamic).window;
+  dyn.window = plan.window;
   dyn.max_in_edges_per_vertex = options.max_in_edges_per_vertex;
   dyn.strict_time_order = options.strict_time_order;
   return dyn;
@@ -37,8 +26,6 @@ class StageClock {
       : stats_(timed ? stats : nullptr) {
     if (stats_ != nullptr) start_ = last_ = SteadyNowNanos();
   }
-
-  bool timed() const { return stats_ != nullptr; }
 
   /// Ends `stage` now.
   void Lap(PlanStage stage) {
@@ -59,15 +46,6 @@ class StageClock {
   int64_t last_ = 0;
 };
 
-/// Laps the stage of op `i` if op `i` is the stage's last op.
-void LapAtStageEnd(const MotifPlan& plan, size_t i, StageClock* clock) {
-  if (!clock->timed()) return;
-  const PlanStage stage = PlanStageOf(plan.ops[i].kind);
-  if (i + 1 == plan.ops.size() || PlanStageOf(plan.ops[i + 1].kind) != stage) {
-    clock->Lap(stage);
-  }
-}
-
 }  // namespace
 
 MotifEngine::MotifEngine(MotifPlan plan,
@@ -76,13 +54,7 @@ MotifEngine::MotifEngine(MotifPlan plan,
     : plan_(std::move(plan)),
       static_index_(std::move(static_index)),
       dynamic_index_(MakeDynamicOptions(plan_, options)),
-      trigger_action_(OpOf(plan_, PlanOpKind::kInsertDynamic).action),
-      follower_orientation_(
-          OpOf(plan_, PlanOpKind::kGatherStaticLists).lookup ==
-          StaticLookup::kFollowersOfActor),
       use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
-      first_query_op_(static_cast<size_t>(
-          &OpOf(plan_, PlanOpKind::kGatherStaticLists) - plan_.ops.data())),
       kept_((static_index_->num_vertices() + 63) / 64, 0) {}
 
 Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
@@ -94,8 +66,7 @@ Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
   // U -> W means "U follows W", matching the follow graph's orientation, so:
   //   followers(actor)  needs the transpose;
   //   followees(actor)  needs the graph as-is.
-  StaticGraph index = OpOf(plan, PlanOpKind::kGatherStaticLists).lookup ==
-                              StaticLookup::kFollowersOfActor
+  StaticGraph index = plan.lookup == StaticLookup::kFollowersOfActor
                           ? follow_graph.Transpose()
                           : follow_graph;
   index.BuildHubIndex();
@@ -122,7 +93,7 @@ Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateDiamond(
 }
 
 bool MotifEngine::Admits(MotifAction action) {
-  if (trigger_action_ == MotifAction::kAny || action == trigger_action_) {
+  if (plan_.action == MotifAction::kAny || action == plan_.action) {
     return true;
   }
   ++stats_.filtered_by_action;
@@ -148,52 +119,30 @@ Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
   return Status::OK();
 }
 
-// The interpreter walks the compiled ops in order, split between Window and
-// Query; every op manipulates the per-event context (actors_ / lists_ / ...).
-
 Status MotifEngine::Window(VertexId src, VertexId dst, Timestamp t,
                            std::vector<VertexId>* actors, MotifAction action,
                            bool timed) {
   if (!Admits(action)) return Status::OK();  // not the motif's action
   StageClock clock(timed, &stats_);
-  for (size_t i = 0; i < first_query_op_; ++i) {
-    const PlanOp& op = plan_.ops[i];
-    switch (op.kind) {
-      case PlanOpKind::kInsertDynamic: {
-        MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
-        ++stats_.events;
-        break;
-      }
-      case PlanOpKind::kCollectActors: {
-        dynamic_index_.GetRecentInEdges(dst, t, &actors_);
-        break;
-      }
-      case PlanOpKind::kCheckThreshold: {
-        if (actors_.size() < op.k) {
-          clock.Lap(PlanStage::kIndexWindow);
-          return Status::OK();
-        }
-        break;
-      }
-      case PlanOpKind::kCapWitnesses: {
-        // Celebrity-target guard: keep only the most recent actors.
-        if (op.cap > 0 && actors_.size() > op.cap) {
-          std::nth_element(
-              actors_.begin(),
-              actors_.begin() + static_cast<std::ptrdiff_t>(op.cap),
-              actors_.end(),
-              [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
-                return a.created_at > b.created_at;
-              });
-          actors_.resize(op.cap);
-        }
-        break;
-      }
-      default:
-        assert(false && "query-half op before kGatherStaticLists");
-    }
-    LapAtStageEnd(plan_, i, &clock);
+  MAGICRECS_RETURN_IF_ERROR(dynamic_index_.Insert(src, dst, t));
+  ++stats_.events;
+  clock.Lap(PlanStage::kIndexInsert);
+
+  dynamic_index_.GetRecentInEdges(dst, t, &actors_);
+  const bool query = actors_.size() >= plan_.k;
+  // Celebrity-target guard: keep only the most recent actors.
+  const size_t cap = plan_.witness_cap;
+  if (query && cap > 0 && actors_.size() > cap) {
+    std::nth_element(
+        actors_.begin(), actors_.begin() + static_cast<std::ptrdiff_t>(cap),
+        actors_.end(),
+        [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
+          return a.created_at > b.created_at;
+        });
+    actors_.resize(cap);
   }
+  clock.Lap(PlanStage::kIndexWindow);
+  if (!query) return Status::OK();
   for (const TimestampedInEdge& actor : actors_) actors->push_back(actor.src);
   return Status::OK();
 }
@@ -205,81 +154,70 @@ void MotifEngine::Query(VertexId src, VertexId dst, Timestamp t,
   StageClock clock(timed, &stats_);
   const StaticGraph& index = *static_index_;
   ++stats_.threshold_queries;
-  for (size_t i = first_query_op_; i < plan_.ops.size(); ++i) {
-    const PlanOp& op = plan_.ops[i];
-    switch (op.kind) {
-      case PlanOpKind::kGatherStaticLists: {
-        // Hub actors also carry their bitmap view for O(1) verification
-        // probes.
-        stats_.intersection_sizes.Record(static_cast<int64_t>(actors.size()));
-        lists_.clear();
-        bitsets_.clear();
-        list_sources_.clear();
-        for (const VertexId actor : actors) {
-          const auto list = index.Neighbors(actor);
-          if (list.empty()) continue;
-          lists_.push_back(list);
-          if (use_bitsets_) bitsets_.push_back(index.HubBitset(actor));
-          list_sources_.push_back(actor);
-        }
-        break;
-      }
-      case PlanOpKind::kThresholdIntersect: {
-        if (lists_.size() < op.k) {
-          clock.Finish();
-          return;
-        }
-        ThresholdIntersect(lists_, op.k, &matches_, op.algorithm,
-                           use_bitsets_ ? &bitsets_ : nullptr);
-        stats_.raw_candidates += matches_.size();
-        break;
-      }
-      case PlanOpKind::kFilterCandidates: {
-        auto keep = matches_.begin();
-        for (auto it = matches_.begin(); it != matches_.end(); ++it) {
-          const VertexId user = it->id;
-          if (user == dst) {
-            ++stats_.suppressed_self;
-            continue;
-          }
-          // "Already follows the item": a static in-edge of the item from
-          // the user (only checkable in follower orientation) or an
-          // in-window dynamic action by the user.
-          if (op.exclude_existing &&
-              ((follower_orientation_ && index.HasEdge(dst, user)) ||
-               std::find(actors.begin(), actors.end(), user) !=
-                   actors.end())) {
-            ++stats_.suppressed_existing;
-            continue;
-          }
-          *keep++ = *it;
-        }
-        matches_.erase(keep, matches_.end());
-        break;
-      }
-      case PlanOpKind::kEmit: {
-        const size_t first = out->size();
-        for (const ThresholdMatch& match : matches_) {
-          Recommendation rec;
-          rec.user = match.id;
-          rec.item = dst;
-          rec.witness_count = match.count;
-          rec.event_time = t;
-          rec.trigger = src;
-          rec.witnesses.reserve(std::min<size_t>(match.count, op.cap));
-          out->push_back(std::move(rec));
-        }
-        stats_.recommendations += matches_.size();
-        if (op.cap > 0 && !matches_.empty()) {
-          CollectWitnesses(op.cap, out->data() + first);
-        }
-        break;
-      }
-      default:
-        assert(false && "window-half op after kGatherStaticLists");
-    }
-    LapAtStageEnd(plan_, i, &clock);
+
+  // s-fetch. Hub actors also carry their bitmap view for O(1) verification
+  // probes.
+  stats_.intersection_sizes.Record(static_cast<int64_t>(actors.size()));
+  lists_.clear();
+  bitsets_.clear();
+  list_sources_.clear();
+  for (const VertexId actor : actors) {
+    const auto list = index.Neighbors(actor);
+    if (list.empty()) continue;
+    lists_.push_back(list);
+    if (use_bitsets_) bitsets_.push_back(index.HubBitset(actor));
+    list_sources_.push_back(actor);
   }
+  clock.Lap(PlanStage::kSFetch);
+
+  // intersect
+  if (lists_.size() < plan_.k) {
+    clock.Finish();
+    return;
+  }
+  ThresholdIntersect(lists_, plan_.k, &matches_, plan_.algorithm,
+                     use_bitsets_ ? &bitsets_ : nullptr);
+  stats_.raw_candidates += matches_.size();
+  clock.Lap(PlanStage::kIntersect);
+
+  // emit: the exclusion filters, then the records.
+  const bool follower_orientation =
+      plan_.lookup == StaticLookup::kFollowersOfActor;
+  auto keep = matches_.begin();
+  for (auto it = matches_.begin(); it != matches_.end(); ++it) {
+    const VertexId user = it->id;
+    if (user == dst) {
+      ++stats_.suppressed_self;
+      continue;
+    }
+    // "Already follows the item": a static in-edge of the item from the user
+    // (only checkable in follower orientation) or an in-window dynamic
+    // action by the user.
+    if (plan_.exclude_existing &&
+        ((follower_orientation && index.HasEdge(dst, user)) ||
+         std::find(actors.begin(), actors.end(), user) != actors.end())) {
+      ++stats_.suppressed_existing;
+      continue;
+    }
+    *keep++ = *it;
+  }
+  matches_.erase(keep, matches_.end());
+
+  const size_t cap = plan_.reported_witness_cap;
+  const size_t first = out->size();
+  for (const ThresholdMatch& match : matches_) {
+    Recommendation rec;
+    rec.user = match.id;
+    rec.item = dst;
+    rec.witness_count = match.count;
+    rec.event_time = t;
+    rec.trigger = src;
+    rec.witnesses.reserve(std::min<size_t>(match.count, cap));
+    out->push_back(std::move(rec));
+  }
+  stats_.recommendations += matches_.size();
+  if (cap > 0 && !matches_.empty()) CollectWitnesses(cap, out->data() + first);
+  clock.Lap(PlanStage::kEmit);
   clock.Finish();
 }
 

@@ -7,8 +7,9 @@
 //      static index S and find every A present in >= k of them — the bottom
 //      half;
 //   3. each such A receives C as a recommendation.
-// Other specs (triangle closure, content co-action, followee pushes) run
-// through the same interpreter; adding a motif means writing a spec.
+// Other specs (triangle closure, content co-action, followee pushes) compile
+// to the same plan shape with other parameters; adding a motif means writing
+// a spec.
 
 #ifndef MAGICRECS_CORE_MOTIF_ENGINE_H_
 #define MAGICRECS_CORE_MOTIF_ENGINE_H_
@@ -71,8 +72,8 @@ struct MotifEngineStats {
 };
 
 /// Executes one compiled motif plan against a static index and its own
-/// dynamic index. The plan splits at the query: Window runs the ops on D,
-/// Query the ops on S. Thread-compatible: a Cluster runs Window on one
+/// dynamic index. The plan splits at the query: Window runs the D stages,
+/// Query the S stages. Thread-compatible: a Cluster runs Window on one
 /// instance per process and Query on one per partition replica.
 class MotifEngine {
  public:
@@ -160,26 +161,20 @@ class MotifEngine {
   /// False (and counted) when the trigger's action filter rejects `action`.
   bool Admits(MotifAction action);
 
-  /// kEmit's witness step: recs[r] is the record built for matches_[r].
-  /// Each record gets the sources of the first `cap` gathered lists that
-  /// hold its user, in gather order, then sorted.
+  /// The emit stage's witness step: recs[r] is the record built for
+  /// matches_[r]. Each record gets the sources of the first `cap` gathered
+  /// lists that hold its user, in gather order, then sorted.
   void CollectWitnesses(size_t cap, Recommendation* recs);
 
   MotifPlan plan_;
-  /// Oriented so that Neighbors(actor) is exactly what kGatherStaticLists
-  /// needs (followers or followees per the plan).
+  /// Oriented so that Neighbors(actor) is exactly the list s-fetch gathers
+  /// (followers or followees per the plan's lookup).
   std::shared_ptr<const StaticGraph> static_index_;
   DynamicInEdgeIndex dynamic_index_;
   MotifEngineStats stats_;
 
-  // Resolved from the plan and options once, off the per-event path.
-  MotifAction trigger_action_;
-  /// The index is the follower orientation, so S can answer "already
-  /// follows the item" (a static in-edge of the item from the user).
-  bool follower_orientation_;
+  /// Resolved from the options and the index once, off the per-event path.
   bool use_bitsets_;
-  /// Plan index of the first query-half op (kGatherStaticLists).
-  size_t first_query_op_;
 
   // Scratch, reused per event to stay allocation-free on the hot path.
   std::vector<TimestampedInEdge> actors_;
@@ -189,7 +184,7 @@ class MotifEngine {
   std::vector<VertexId> list_sources_;
   std::vector<ThresholdMatch> matches_;
   /// Bitmap over the static index's vertex ids, one bit per vertex
-  /// (num_vertices / 8 bytes): marks the kept matches while kEmit walks the
+  /// (num_vertices / 8 bytes): marks the kept matches while emit walks the
   /// gathered lists. Match ids come from those lists, so they are always in
   /// range. All-zero between events; an event clears only the words it set.
   std::vector<uint64_t> kept_;

@@ -1,49 +1,10 @@
 #include "core/motif_plan.h"
 
+#include <utility>
+
 #include "util/str_format.h"
 
 namespace magicrecs {
-
-std::string_view PlanOpKindName(PlanOpKind kind) {
-  switch (kind) {
-    case PlanOpKind::kInsertDynamic:
-      return "INSERT_DYNAMIC";
-    case PlanOpKind::kCollectActors:
-      return "COLLECT_ACTORS";
-    case PlanOpKind::kCheckThreshold:
-      return "CHECK_THRESHOLD";
-    case PlanOpKind::kCapWitnesses:
-      return "CAP_WITNESSES";
-    case PlanOpKind::kGatherStaticLists:
-      return "GATHER_STATIC_LISTS";
-    case PlanOpKind::kThresholdIntersect:
-      return "THRESHOLD_INTERSECT";
-    case PlanOpKind::kFilterCandidates:
-      return "FILTER_CANDIDATES";
-    case PlanOpKind::kEmit:
-      return "EMIT";
-  }
-  return "UNKNOWN";
-}
-
-PlanStage PlanStageOf(PlanOpKind kind) {
-  switch (kind) {
-    case PlanOpKind::kInsertDynamic:
-      return PlanStage::kIndexInsert;
-    case PlanOpKind::kCollectActors:
-    case PlanOpKind::kCheckThreshold:
-    case PlanOpKind::kCapWitnesses:
-      return PlanStage::kIndexWindow;
-    case PlanOpKind::kGatherStaticLists:
-      return PlanStage::kSFetch;
-    case PlanOpKind::kThresholdIntersect:
-      return PlanStage::kIntersect;
-    case PlanOpKind::kFilterCandidates:
-    case PlanOpKind::kEmit:
-      return PlanStage::kEmit;
-  }
-  return PlanStage::kEmit;
-}
 
 std::string_view PlanStageName(PlanStage stage) {
   switch (stage) {
@@ -61,52 +22,44 @@ std::string_view PlanStageName(PlanStage stage) {
   return "unknown";
 }
 
-std::string PlanOp::Describe() const {
-  switch (kind) {
-    case PlanOpKind::kInsertDynamic: {
-      std::string desc = StrFormat("D[item].append(actor, t), window=%.0fs",
-                                   ToSeconds(window));
-      if (action != MotifAction::kAny) {
-        desc += StrFormat(", action=%s",
-                          std::string(MotifActionName(action)).c_str());
-      }
-      return desc;
-    }
-    case PlanOpKind::kCollectActors:
-      return StrFormat("actors = distinct sources of D[item] in (t-%.0fs, t]",
-                       ToSeconds(window));
-    case PlanOpKind::kCheckThreshold:
-      return StrFormat("stop unless |actors| >= %u", k);
-    case PlanOpKind::kCapWitnesses:
-      return cap == 0 ? std::string("no cap")
-                      : StrFormat("keep %zu most recent actors", cap);
-    case PlanOpKind::kGatherStaticLists:
-      return lookup == StaticLookup::kFollowersOfActor
-                 ? std::string("lists[i] = S.followers(actors[i])  (reverse index)")
-                 : std::string("lists[i] = S.followees(actors[i])  (forward index)");
-    case PlanOpKind::kThresholdIntersect:
-      return StrFormat("users in >= %u lists, algorithm=%s", k,
-                       std::string(ThresholdAlgorithmName(algorithm)).c_str());
-    case PlanOpKind::kFilterCandidates:
-      return exclude_existing
-                 ? std::string("drop user==item, existing followers")
-                 : std::string("drop user==item");
-    case PlanOpKind::kEmit:
-      return StrFormat("recommend item to each user, report <=%zu witnesses",
-                       cap);
-  }
-  return "";
-}
-
 std::string MotifPlan::Explain() const {
+  std::string insert =
+      StrFormat("D[item].append(actor, t), window=%.0fs", ToSeconds(window));
+  if (action != MotifAction::kAny) {
+    insert +=
+        StrFormat(", action=%s", std::string(MotifActionName(action)).c_str());
+  }
+  std::string collect = StrFormat(
+      "actors = distinct sources of D[item] in (t-%.0fs, t]; "
+      "stop unless |actors| >= %u; ",
+      ToSeconds(window), k);
+  collect += witness_cap == 0
+                 ? std::string("no cap")
+                 : StrFormat("keep %zu most recent actors", witness_cap);
+  std::string emit = StrFormat(
+      "%s; recommend item to each user, report <=%zu witnesses",
+      exclude_existing ? "drop user==item, existing followers"
+                       : "drop user==item",
+      reported_witness_cap);
+  const std::string stages[kNumPlanStages] = {
+      std::move(insert),
+      std::move(collect),
+      lookup == StaticLookup::kFollowersOfActor
+          ? "lists[i] = S.followers(actors[i])  (reverse index)"
+          : "lists[i] = S.followees(actors[i])  (forward index)",
+      StrFormat("users in >= %u lists, algorithm=%s", k,
+                std::string(ThresholdAlgorithmName(algorithm)).c_str()),
+      std::move(emit),
+  };
   std::string out =
       StrFormat("plan for motif '%s' (trigger %s -> %s, k=%u):\n",
                 spec.name.c_str(), spec.trigger_src.c_str(),
                 spec.trigger_dst.c_str(), spec.threshold);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    out += StrFormat("  %zu. %-20s %s\n", i + 1,
-                     std::string(PlanOpKindName(ops[i].kind)).c_str(),
-                     ops[i].Describe().c_str());
+  for (size_t i = 0; i < kNumPlanStages; ++i) {
+    out += StrFormat(
+        "  %zu. %-13s %s\n", i + 1,
+        std::string(PlanStageName(static_cast<PlanStage>(i))).c_str(),
+        stages[i].c_str());
   }
   return out;
 }
@@ -175,51 +128,14 @@ Result<MotifPlan> CompileMotif(const MotifSpec& spec,
 
   MotifPlan plan;
   plan.spec = spec;
-
-  PlanOp insert;
-  insert.kind = PlanOpKind::kInsertDynamic;
-  insert.window = trigger->window;
-  insert.action = trigger->action;
-  plan.ops.push_back(insert);
-
-  PlanOp collect;
-  collect.kind = PlanOpKind::kCollectActors;
-  collect.window = trigger->window;
-  plan.ops.push_back(collect);
-
-  PlanOp check;
-  check.kind = PlanOpKind::kCheckThreshold;
-  check.k = spec.threshold;
-  plan.ops.push_back(check);
-
-  if (options.max_witnesses_per_query > 0) {
-    PlanOp cap;
-    cap.kind = PlanOpKind::kCapWitnesses;
-    cap.cap = options.max_witnesses_per_query;
-    plan.ops.push_back(cap);
-  }
-
-  PlanOp gather;
-  gather.kind = PlanOpKind::kGatherStaticLists;
-  gather.lookup = lookup;
-  plan.ops.push_back(gather);
-
-  PlanOp intersect;
-  intersect.kind = PlanOpKind::kThresholdIntersect;
-  intersect.k = spec.threshold;
-  intersect.algorithm = options.algorithm;
-  plan.ops.push_back(intersect);
-
-  PlanOp filter;
-  filter.kind = PlanOpKind::kFilterCandidates;
-  filter.exclude_existing = options.exclude_existing_followers;
-  plan.ops.push_back(filter);
-
-  PlanOp emit;
-  emit.kind = PlanOpKind::kEmit;
-  emit.cap = options.max_reported_witnesses;
-  plan.ops.push_back(emit);
-
+  plan.window = trigger->window;
+  plan.action = trigger->action;
+  plan.k = spec.threshold;
+  plan.witness_cap = options.max_witnesses_per_query;
+  plan.lookup = lookup;
+  plan.algorithm = options.algorithm;
+  plan.exclude_existing = options.exclude_existing_followers;
+  plan.reported_witness_cap = options.max_reported_witnesses;
   return plan;
 }
 

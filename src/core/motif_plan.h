@@ -1,5 +1,8 @@
 // Compilation of a declarative MotifSpec into a physical execution plan —
-// the "optimized query plan against an online graph database" of §3.
+// the "optimized query plan against an online graph database" of §3. The
+// plan is a record of parameters (window, action, k, caps, static lookup,
+// intersection algorithm, exclusion filter) that MotifEngine's Window and
+// Query run stage by stage; every supported spec shares its one shape.
 //
 // The v1 planner supports the trigger-fan-in family of motifs, which covers
 // everything the paper discusses (diamond, triangle-closure, content
@@ -18,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/motif_spec.h"
 #include "intersect/threshold.h"
@@ -27,60 +29,28 @@
 
 namespace magicrecs {
 
-/// Physical operators of the streaming motif plan.
-enum class PlanOpKind {
-  kInsertDynamic,       ///< append trigger edge to D, prune window
-  kCollectActors,       ///< actors = distinct in-window sources on item
-  kCheckThreshold,      ///< stop unless |actors| >= k
-  kCapWitnesses,        ///< keep most recent N actors
-  kGatherStaticLists,   ///< per-actor sorted static adjacency from S
-  kThresholdIntersect,  ///< users present in >= k lists
-  kFilterCandidates,    ///< drop self / already-following users
-  kEmit,                ///< materialize Recommendations
-};
-
-std::string_view PlanOpKindName(PlanOpKind kind);
-
-/// The stages one event passes through, in plan order: each groups the
-/// consecutive ops that do one layer's work. Their names are the per-layer
-/// ledger's, so a metric label and a bench row name the same layer.
+/// The stages one event passes through, in plan order. Their names are the
+/// per-layer ledger's, so a metric label, a bench row and a line of
+/// Explain() name the same layer.
 enum class PlanStage : uint8_t {
-  kIndexInsert,  ///< "index-insert": kInsertDynamic
-  kIndexWindow,  ///< "index-window": kCollectActors, kCheckThreshold,
-                 ///< kCapWitnesses
-  kSFetch,       ///< "s-fetch": kGatherStaticLists
-  kIntersect,    ///< "intersect": kThresholdIntersect
-  kEmit,         ///< "emit": kFilterCandidates, kEmit
+  kIndexInsert,  ///< "index-insert": append the trigger edge to D
+  kIndexWindow,  ///< "index-window": in-window actors, the k check, the cap
+  kSFetch,       ///< "s-fetch": each actor's static list from S
+  kIntersect,    ///< "intersect": users present in >= k lists
+  kEmit,         ///< "emit": exclusion filters, then the Recommendations
 };
 inline constexpr size_t kNumPlanStages = 5;
 
-/// The stage `kind` belongs to.
-PlanStage PlanStageOf(PlanOpKind kind);
 std::string_view PlanStageName(PlanStage stage);
 
-/// Which orientation of the static graph kGatherStaticLists reads.
+/// Which orientation of the static graph s-fetch reads.
 enum class StaticLookup {
   kFollowersOfActor,  ///< reverse index: who follows the actor (diamond)
   kFolloweesOfActor,  ///< forward index: whom the actor follows
 };
 
-/// One plan step with its parameters (unused fields zero).
-struct PlanOp {
-  PlanOpKind kind = PlanOpKind::kInsertDynamic;
-  Duration window = 0;                    // kInsertDynamic/kCollectActors
-  uint32_t k = 0;                         // kCheckThreshold/kThresholdIntersect
-  size_t cap = 0;                         // kCapWitnesses/kEmit
-  StaticLookup lookup = StaticLookup::kFollowersOfActor;  // kGatherStaticLists
-  ThresholdAlgorithm algorithm = ThresholdAlgorithm::kAuto;  // intersect
-  bool exclude_existing = false;          // kFilterCandidates
-  MotifAction action = MotifAction::kAny;  // kInsertDynamic (stream filter)
-
-  /// Human-readable parameter summary for Explain().
-  std::string Describe() const;
-};
-
 /// Execution knobs of one motif: the planner bakes the witness caps, the
-/// exclusion filter and the intersection algorithm into the plan's ops;
+/// exclusion filter and the intersection algorithm into the plan;
 /// MotifEngine applies the rest to its indexes.
 struct MotifOptions {
   /// Upper bound on dynamic in-edges retained per target (forwarded to the
@@ -125,16 +95,38 @@ struct DiamondOptions : MotifOptions {
   Duration window = Minutes(10);
 };
 
-/// A compiled, immutable plan.
+/// A compiled, immutable plan: the parameters of the one plan shape the v1
+/// planner emits. MotifEngine runs it stage by stage, Window the D stages
+/// (index-insert, index-window) and Query the S stages (s-fetch, intersect,
+/// emit).
 struct MotifPlan {
   MotifSpec spec;
-  std::vector<PlanOp> ops;
 
-  /// EXPLAIN-style rendering of the plan.
+  // index-insert: the trigger edge's freshness window and action filter.
+  Duration window = 0;
+  MotifAction action = MotifAction::kAny;
+
+  // index-window stops unless |actors| >= k, then keeps the witness_cap
+  // most recent actors (0 = no cap); intersect keeps users in >= k lists.
+  uint32_t k = 0;
+  size_t witness_cap = 0;
+
+  // s-fetch: which orientation of S the actors' lists come from.
+  StaticLookup lookup = StaticLookup::kFollowersOfActor;
+
+  // intersect: the threshold-intersection strategy.
+  ThresholdAlgorithm algorithm = ThresholdAlgorithm::kAuto;
+
+  // emit: drop candidates who already follow the item, and report at most
+  // reported_witness_cap witness ids per recommendation.
+  bool exclude_existing = false;
+  size_t reported_witness_cap = 0;
+
+  /// EXPLAIN-style rendering: one line per stage, under its ledger name.
   std::string Explain() const;
 };
 
-/// Validates the spec's shape and emits the physical plan.
+/// Validates the spec's shape and returns its plan.
 Result<MotifPlan> CompileMotif(const MotifSpec& spec,
                                const MotifOptions& options = {});
 

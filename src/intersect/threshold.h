@@ -78,9 +78,14 @@ size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
                           const std::vector<BitsetView>* bitsets = nullptr);
 
 /// kAuto's cut between ScanCount and HeapMerge, in total input elements
-/// (docs/experiments-a1.md). On balanced families ScanCount beat HeapMerge
-/// at every measured size, so the cut is where its table stops fitting in
-/// L2: 65536 elements need 131072 slots, 1 MiB, plus the touched list.
+/// (docs/experiments-a1.md). The cut is where ScanCount's table stops
+/// fitting in L2: 65536 elements need 131072 slots, 1 MiB, plus the touched
+/// list. On six balanced lists (k=3) ScanCount still beats HeapMerge above
+/// it, 1.8x at 98,304 elements and 1.1-1.4x at 196,608, but HeapMerge
+/// overtakes it by 786,432 (6x131072: ScanCount runs at 0.7-0.8x, 0.4x with
+/// k=1; 0.7x at 6x524288), which is why HeapMerge stays. With 16-64 lists
+/// ScanCount keeps winning at 131k-1M elements. No serving query comes near
+/// the cut (the largest had 6,648 elements).
 inline constexpr size_t kScanCountMaxElements = 65536;
 
 /// The heuristic used by kAuto, exposed for tests and benches: picks

@@ -216,22 +216,42 @@ TEST(MotifEngineTest, FilteredActionIsNotTimed) {
   EXPECT_EQ(StageCount(**engine, PlanStage::kIndexInsert), 0u);
 }
 
+TEST(MotifEngineTest, TimedEventWithTooFewListsStopsBeforeIntersect) {
+  // k=2 over a graph where only A2 -> B2 exists: C2's two in-window actors
+  // pass the k check, but B1 has no followers, so one list reaches the
+  // intersection and the query stops after s-fetch.
+  const auto engine = Diamond(
+      Follows(figure1::kNumVertices, {{figure1::kA2, figure1::kB2}}),
+      Defaults(2));
+  std::vector<Recommendation> recs;
+  ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 1, &recs).ok());
+  ASSERT_TRUE(engine
+                  ->OnEdge(figure1::kB2, figure1::kC2, 2, &recs,
+                           MotifAction::kFollow, /*timed=*/true)
+                  .ok());
+  EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->stats().threshold_queries, 1u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexInsert), 1u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexWindow), 1u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kSFetch), 1u);
+  EXPECT_EQ(engine->stats().query_micros.Count(), 1u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kIntersect), 0u);
+  EXPECT_EQ(StageCount(*engine, PlanStage::kEmit), 0u);
+}
+
 TEST(MotifEngineTest, StageNamesAreTheLedgerVocabulary) {
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kInsertDynamic)),
-            "index-insert");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCollectActors)),
-            "index-window");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCheckThreshold)),
-            "index-window");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kCapWitnesses)),
-            "index-window");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kGatherStaticLists)),
-            "s-fetch");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kThresholdIntersect)),
-            "intersect");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kFilterCandidates)),
-            "emit");
-  EXPECT_EQ(PlanStageName(PlanStageOf(PlanOpKind::kEmit)), "emit");
+  EXPECT_EQ(PlanStageName(PlanStage::kIndexInsert), "index-insert");
+  EXPECT_EQ(PlanStageName(PlanStage::kIndexWindow), "index-window");
+  EXPECT_EQ(PlanStageName(PlanStage::kSFetch), "s-fetch");
+  EXPECT_EQ(PlanStageName(PlanStage::kIntersect), "intersect");
+  EXPECT_EQ(PlanStageName(PlanStage::kEmit), "emit");
+  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  const std::string text = engine->plan().Explain();
+  for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+    EXPECT_NE(text.find(PlanStageName(static_cast<PlanStage>(stage))),
+              std::string::npos)
+        << text;
+  }
 }
 
 // --- Exclusion filters -------------------------------------------------------
@@ -561,11 +581,11 @@ TEST(MotifEngineTest, PlanIsExposedForExplain) {
 
 // --- Differential: the one-pass emit against the per-match emit --------------
 //
-// kEmit walks the gathered lists once per query. The reference below runs
-// the same diamond pipeline with the direct per-match emit: each kept match
-// binary-searches every gathered list in gather order and stops at the
-// reporting cap. Records must match exactly, witnesses included. Failures
-// print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed> (and
+// The emit stage walks the gathered lists once per query. The reference
+// below runs the same diamond pipeline with the direct per-match emit: each
+// kept match binary-searches every gathered list in gather order and stops
+// at the reporting cap. Records must match exactly, witnesses included.
+// Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed> (and
 // MAGICRECS_FUZZ_TRIALS=<n> for a longer run).
 
 uint64_t FuzzSeed() {

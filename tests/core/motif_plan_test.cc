@@ -2,24 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include "util/str_format.h"
+
 namespace magicrecs {
 namespace {
 
 TEST(MotifPlanTest, DiamondCompilesToTheExpectedPipeline) {
   auto plan = CompileMotif(MakeDiamondSpec(3, Minutes(10)));
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->ops.size(), 8u);
-  EXPECT_EQ(plan->ops[0].kind, PlanOpKind::kInsertDynamic);
-  EXPECT_EQ(plan->ops[1].kind, PlanOpKind::kCollectActors);
-  EXPECT_EQ(plan->ops[2].kind, PlanOpKind::kCheckThreshold);
-  EXPECT_EQ(plan->ops[3].kind, PlanOpKind::kCapWitnesses);
-  EXPECT_EQ(plan->ops[4].kind, PlanOpKind::kGatherStaticLists);
-  EXPECT_EQ(plan->ops[5].kind, PlanOpKind::kThresholdIntersect);
-  EXPECT_EQ(plan->ops[6].kind, PlanOpKind::kFilterCandidates);
-  EXPECT_EQ(plan->ops[7].kind, PlanOpKind::kEmit);
-  EXPECT_EQ(plan->ops[2].k, 3u);
-  EXPECT_EQ(plan->ops[0].window, Minutes(10));
-  EXPECT_EQ(plan->ops[4].lookup, StaticLookup::kFollowersOfActor);
+  EXPECT_EQ(plan->spec.name, "diamond");
+  EXPECT_EQ(plan->window, Minutes(10));
+  EXPECT_EQ(plan->action, MotifAction::kAny);
+  EXPECT_EQ(plan->k, 3u);
+  EXPECT_EQ(plan->witness_cap, 64u);
+  EXPECT_EQ(plan->lookup, StaticLookup::kFollowersOfActor);
+  EXPECT_EQ(plan->algorithm, ThresholdAlgorithm::kAuto);
+  EXPECT_TRUE(plan->exclude_existing);
+  EXPECT_EQ(plan->reported_witness_cap, 8u);
 }
 
 TEST(MotifPlanTest, ReversedStaticEdgeUsesForwardIndex) {
@@ -29,11 +28,7 @@ TEST(MotifPlanTest, ReversedStaticEdgeUsesForwardIndex) {
                                 MotifAction::kAny};
   auto plan = CompileMotif(spec);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  for (const PlanOp& op : plan->ops) {
-    if (op.kind == PlanOpKind::kGatherStaticLists) {
-      EXPECT_EQ(op.lookup, StaticLookup::kFolloweesOfActor);
-    }
-  }
+  EXPECT_EQ(plan->lookup, StaticLookup::kFolloweesOfActor);
 }
 
 TEST(MotifPlanTest, MotifOptionsAreBakedIn) {
@@ -44,27 +39,10 @@ TEST(MotifPlanTest, MotifOptionsAreBakedIn) {
   opts.algorithm = ThresholdAlgorithm::kHeapMerge;
   auto plan = CompileMotif(MakeDiamondSpec(2, Minutes(1)), opts);
   ASSERT_TRUE(plan.ok());
-  bool saw_cap = false;
-  for (const PlanOp& op : plan->ops) {
-    switch (op.kind) {
-      case PlanOpKind::kCapWitnesses:
-        saw_cap = true;
-        EXPECT_EQ(op.cap, 7u);
-        break;
-      case PlanOpKind::kThresholdIntersect:
-        EXPECT_EQ(op.algorithm, ThresholdAlgorithm::kHeapMerge);
-        break;
-      case PlanOpKind::kFilterCandidates:
-        EXPECT_FALSE(op.exclude_existing);
-        break;
-      case PlanOpKind::kEmit:
-        EXPECT_EQ(op.cap, 2u);
-        break;
-      default:
-        break;
-    }
-  }
-  EXPECT_TRUE(saw_cap);
+  EXPECT_EQ(plan->witness_cap, 7u);
+  EXPECT_EQ(plan->algorithm, ThresholdAlgorithm::kHeapMerge);
+  EXPECT_FALSE(plan->exclude_existing);
+  EXPECT_EQ(plan->reported_witness_cap, 2u);
 }
 
 TEST(MotifPlanTest, ZeroWitnessCapDropsTheCapOp) {
@@ -72,16 +50,15 @@ TEST(MotifPlanTest, ZeroWitnessCapDropsTheCapOp) {
   opts.max_witnesses_per_query = 0;
   auto plan = CompileMotif(MakeDiamondSpec(2, Minutes(1)), opts);
   ASSERT_TRUE(plan.ok());
-  for (const PlanOp& op : plan->ops) {
-    EXPECT_NE(op.kind, PlanOpKind::kCapWitnesses);
-  }
+  EXPECT_EQ(plan->witness_cap, 0u);
+  EXPECT_NE(plan->Explain().find("no cap"), std::string::npos);
 }
 
 TEST(MotifPlanTest, ActionFilterPropagates) {
   auto plan = CompileMotif(
       MakeCoActionSpec(2, Minutes(1), MotifAction::kFavorite));
   ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->ops[0].action, MotifAction::kFavorite);
+  EXPECT_EQ(plan->action, MotifAction::kFavorite);
 }
 
 TEST(MotifPlanTest, ExplainListsEveryOp) {
@@ -89,10 +66,14 @@ TEST(MotifPlanTest, ExplainListsEveryOp) {
   ASSERT_TRUE(plan.ok());
   const std::string text = plan->Explain();
   EXPECT_NE(text.find("diamond"), std::string::npos);
-  EXPECT_NE(text.find("INSERT_DYNAMIC"), std::string::npos);
-  EXPECT_NE(text.find("THRESHOLD_INTERSECT"), std::string::npos);
-  EXPECT_NE(text.find("EMIT"), std::string::npos);
   EXPECT_NE(text.find("k=3"), std::string::npos);
+  for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+    const std::string name(PlanStageName(static_cast<PlanStage>(stage)));
+    EXPECT_NE(text.find(StrFormat("%zu. %s ", stage + 1, name.c_str())),
+              std::string::npos)
+        << name << " missing from:\n"
+        << text;
+  }
 }
 
 TEST(MotifPlanTest, RejectsCountOverNonTriggerSource) {
