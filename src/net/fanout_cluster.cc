@@ -11,10 +11,11 @@
 namespace magicrecs::net {
 namespace {
 
-Status UnexpectedReply(MessageTag got, const char* expected) {
-  return Status::Internal(StrFormat("server replied %s where %s was expected",
-                                    std::string(MessageTagName(got)).c_str(),
-                                    expected));
+Status UnexpectedReply(MessageTag got, MessageTag expected) {
+  return Status::Internal(
+      StrFormat("server replied %s where %s was expected",
+                std::string(MessageTagName(got)).c_str(),
+                std::string(MessageTagName(expected)).c_str()));
 }
 
 }  // namespace
@@ -254,7 +255,8 @@ size_t FanoutCluster::RequiredQuorum() const {
   return n;
 }
 
-FanoutCluster::Daemon* FanoutCluster::RouteToPartition(uint32_t partition) {
+Result<FanoutCluster::Daemon*> FanoutCluster::RouteToPartition(
+    uint32_t partition) {
   Daemon* all_hosting = nullptr;
   for (const auto& daemon : daemons_) {
     if (daemon->endpoint.partition == partition) return daemon.get();
@@ -262,15 +264,28 @@ FanoutCluster::Daemon* FanoutCluster::RouteToPartition(uint32_t partition) {
       all_hosting = daemon.get();
     }
   }
+  if (all_hosting == nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("no daemon hosts partition %u", partition));
+  }
   return all_hosting;
 }
 
 // --- broadcast plumbing ------------------------------------------------------
 
-std::vector<FanoutCluster::Slot> FanoutCluster::AcquireAll() {
+Result<std::shared_lock<std::shared_mutex>> FanoutCluster::Enter() {
+  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
+  if (closed_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("fan-out cluster is closed");
+  }
+  return lifecycle;
+}
+
+std::vector<FanoutCluster::Slot> FanoutCluster::AcquireLanes(Daemon* only) {
   std::vector<Slot> slots;
   slots.reserve(daemons_.size());
   for (const auto& daemon : daemons_) {
+    if (only != nullptr && daemon.get() != only) continue;
     Slot slot;
     slot.daemon = daemon.get();
     Result<std::shared_ptr<MuxConnection>> conn = AcquireConn(daemon.get());
@@ -314,43 +329,22 @@ void FanoutCluster::FlushReplayOn(Slot* slot) {
       FailLane(slot, status);
       return;
     }
-    const MessageTag tag =
-        reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
-    if (tag == MessageTag::kAck) {
+    const Status classified = ClassifyReply(slot, reply, MessageTag::kAck);
+    // Neither ack nor error fails the lane; keep the frame parked for the
+    // next attempt — consuming it here would lose its events without
+    // counting them anywhere.
+    if (!slot->live()) return;
+    if (classified.ok()) {
       replayed_events_.fetch_add(frame.events, std::memory_order_relaxed);
-    } else if (tag == MessageTag::kError) {
+    } else {
       // The daemon took the frame but rejected it; replaying it again
       // would just re-fail. Count the loss and surface the rejection.
       replay_dropped_events_.fetch_add(frame.events,
                                        std::memory_order_relaxed);
-      const Status err = TagError(*daemon, DecodeError(reply.front().payload));
-      if (slot->server_error.ok()) slot->server_error = err;
-      if (slot->status.ok()) slot->status = err;
-    } else {
-      // Neither ack nor error: version skew or a protocol bug. Fail the
-      // lane and keep the frame parked for the next attempt — consuming it
-      // here would lose its events without counting them anywhere.
-      FailLane(slot, UnexpectedReply(tag, "replay ack"));
-      return;
+      if (slot->server_error.ok()) slot->server_error = classified;
     }
     daemon->replay_events -= frame.events;
     daemon->replay.pop_front();
-  }
-}
-
-void FanoutCluster::StartAll(std::vector<Slot>* slots,
-                             const FrameBuf& request) {
-  // Every lane's Start copies the FrameBuf — segment references onto the
-  // same payload block, never the bytes.
-  for (Slot& slot : *slots) {
-    if (!slot.live()) continue;
-    Result<MuxConnection::CallHandle> started =
-        slot.conn->Start(request, options_.recv_timeout_ms);
-    if (started.ok()) {
-      slot.call = std::move(started).value();
-    } else {
-      FailLane(&slot, started.status());
-    }
   }
 }
 
@@ -361,31 +355,24 @@ Status FanoutCluster::FirstError(const std::vector<Slot>& slots) const {
   return Status::OK();
 }
 
-bool FanoutCluster::AwaitReply(Slot* slot, std::vector<Frame>* frames) {
-  if (slot->call == nullptr || !slot->live()) return false;
-  const Status status =
-      slot->conn->Await(slot->call, options_.recv_timeout_ms, frames);
-  if (status.ok()) return true;
-  // Timed out or the connection died. Either way this call treats the
-  // daemon as failed: drop the shared connection and open the breaker
-  // window. (Frames that did arrive stay in *frames for rescue.)
-  FailLane(slot, status);
-  return false;
-}
-
-Status FanoutCluster::FirstReplayRejection(
-    const std::vector<Slot>& slots) const {
-  // In the broadcast calls, Slot::server_error can only have been set by
-  // AcquireAll's replay flush (ReapOneAck's setter runs on the publish
-  // path, which finalizes its own statuses): a daemon took a replayed
-  // frame and REJECTED it, so those parked events are permanently lost
-  // and were dropped from the buffer. That loss must fail the observing
-  // call loudly — quorum tolerance is for daemons that are absent, not
-  // for events that are gone.
-  for (const Slot& slot : slots) {
-    if (!slot.server_error.ok()) return slot.server_error;
+Status FanoutCluster::ClassifyReply(Slot* slot,
+                                    const std::vector<Frame>& reply,
+                                    MessageTag expected) {
+  const auto odd =
+      std::find_if(reply.begin(), reply.end(), [expected](const Frame& f) {
+        return f.tag != expected;
+      });
+  if (odd == reply.end() && !reply.empty()) return Status::OK();
+  if (odd != reply.end() && odd->tag == MessageTag::kError) {
+    slot->daemon_error = DecodeError(odd->payload);
+    const Status err = TagError(*slot->daemon, slot->daemon_error);
+    if (slot->status.ok()) slot->status = err;
+    return err;
   }
-  return Status::OK();
+  FailLane(slot, UnexpectedReply(
+                     odd == reply.end() ? MessageTag::kMuxResponse : odd->tag,
+                     expected));
+  return slot->status;
 }
 
 void FanoutCluster::RescuePending(std::vector<Recommendation>* recs) {
@@ -401,48 +388,67 @@ void FanoutCluster::RescuePending(std::vector<Recommendation>* recs) {
   }
 }
 
-Status FanoutCluster::BroadcastForAck(const std::string& request,
-                                      bool require_all) {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
-  std::vector<Slot> slots = AcquireAll();
-  StartAll(&slots, FrameBuf::Wrap(request));
+Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
+                                MessageTag expected, Coverage coverage,
+                                const ReplyStep& on_reply) {
+  std::vector<Slot> slots = AcquireLanes(only);
+  // Every lane's Start copies the FrameBuf — segment references onto the
+  // same payload block, never the bytes.
+  const FrameBuf framed = FrameBuf::Wrap(request);
   for (Slot& slot : slots) {
-    std::vector<Frame> reply;
-    if (!AwaitReply(&slot, &reply)) continue;
-    const MessageTag tag =
-        reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
-    if (tag == MessageTag::kAck) {
-      slot.answered = true;
-    } else if (tag == MessageTag::kError) {
-      if (slot.status.ok()) {
-        slot.status =
-            TagError(*slot.daemon, DecodeError(reply.front().payload));
-      }
-    } else if (slot.status.ok()) {
-      slot.status = TagError(*slot.daemon, UnexpectedReply(tag, "ack"));
+    if (!slot.live()) continue;
+    Result<MuxConnection::CallHandle> started =
+        slot.conn->Start(framed, options_.recv_timeout_ms);
+    if (started.ok()) {
+      slot.call = std::move(started).value();
+    } else {
+      FailLane(&slot, started.status());
     }
   }
-  // Quorum counts daemons that acked THIS request; an error carried over
-  // from a replay flush (surfaced below) must not shrink the answering
-  // set.
   size_t answered = 0;
-  for (const Slot& slot : slots) {
+  for (Slot& slot : slots) {
+    std::vector<Frame> reply;
+    if (slot.call != nullptr && slot.live()) {
+      const Status awaited =
+          slot.conn->Await(slot.call, options_.recv_timeout_ms, &reply);
+      if (awaited.ok()) {
+        slot.answered = ClassifyReply(&slot, reply, expected).ok();
+      } else {
+        // Timed out or the connection died. Either way this call treats
+        // the daemon as failed: drop the shared connection and open the
+        // breaker window. (Frames that did arrive stay in `reply` for the
+        // step.)
+        FailLane(&slot, awaited);
+      }
+    }
+    if (on_reply) {
+      const Status stepped = on_reply(&slot, reply);
+      if (!stepped.ok()) {
+        slot.answered = false;
+        if (slot.status.ok()) slot.status = TagError(*slot.daemon, stepped);
+      }
+    }
     if (slot.answered) answered++;
   }
-  const Status replay_rejection = FirstReplayRejection(slots);
+
+  // The coverage rule. Quorum counts lanes that answered THIS request: an
+  // error carried over from a replay flush must not shrink the answering
+  // set.
   const Status first = FirstError(slots);
-  if (first.ok()) return first;
-  // Degraded policies tolerate missing daemons down to the quorum, except
-  // for the calls that must never silently degrade (require_all). A
-  // replay-flush rejection still surfaces: it is permanent event loss,
-  // not a coverage gap.
-  if (!require_all && degraded() && answered >= RequiredQuorum()) {
-    return replay_rejection;
+  if (first.ok() || coverage == Coverage::kNone) return Status::OK();
+  const size_t required =
+      coverage == Coverage::kEvery ? slots.size() : RequiredQuorum();
+  if (answered < required) return first;
+  // Enough lanes answered, so the absent ones are tolerated — but not a
+  // replay-flush rejection: a daemon took a replayed frame and REJECTED
+  // it, so those parked events are permanently lost and were dropped from
+  // the buffer. That loss must fail the observing call loudly — quorum
+  // tolerance is for daemons that are absent, not for events that are
+  // gone.
+  for (const Slot& slot : slots) {
+    if (!slot.server_error.ok()) return slot.server_error;
   }
-  return first;
+  return Status::OK();
 }
 
 // --- ClusterTransport --------------------------------------------------------
@@ -459,19 +465,20 @@ void FanoutCluster::ReapOneAck(Slot* slot, TraceContext* trace) {
     FailLane(slot, status);
     return;
   }
-  const MessageTag tag =
-      reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
-  if (tag != MessageTag::kAck && tag != MessageTag::kError) {
-    // A protocol violation: counting it as an ack would mark events
-    // applied that never were. The normal failure path (replay parking
-    // under a degraded policy, an error under strict) takes over.
-    FailLane(slot, UnexpectedReply(tag, "ack"));
-    return;
-  }
+  // A wrong-kind reply is a protocol violation: counting it as an ack
+  // would mark events applied that never were. The classifier fails the
+  // lane and the normal failure path (replay parking under a degraded
+  // policy, an error under strict) takes over.
+  const Status classified = ClassifyReply(slot, reply, MessageTag::kAck);
+  if (!slot->live()) return;
   // Ack or server rejection: either way the server answered THIS frame
   // and the lane stays usable.
   slot->acked++;
-  if (tag == MessageTag::kAck && trace != nullptr) {
+  if (!classified.ok()) {
+    if (slot->server_error.ok()) slot->server_error = classified;
+    return;
+  }
+  if (trace != nullptr) {
     // A traced frame's ack echoes the daemon's stamps; fold them into the
     // originating context (MergeStampsFrom drops the repeated
     // broker-encode stamp). Stale echoes for some other trace — a
@@ -481,12 +488,6 @@ void FanoutCluster::ReapOneAck(Slot* slot, TraceContext* trace) {
         echoed.trace_id == trace->trace_id) {
       trace->MergeStampsFrom(echoed);
     }
-  }
-  if (tag == MessageTag::kError) {
-    const Status err =
-        TagError(*slot->daemon, DecodeError(reply.front().payload));
-    if (slot->server_error.ok()) slot->server_error = err;
-    if (slot->status.ok()) slot->status = err;
   }
 }
 
@@ -527,10 +528,7 @@ void FanoutCluster::QueueUnsent(Slot* slot,
 
 Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   if (events.empty()) return Status::OK();
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   // Admission control: when the health monitor flagged replay saturation,
   // fail fast instead of pushing a buffer to its hard bound and dropping
   // events mid-frame. The journal has the shed_start event with the
@@ -592,7 +590,7 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
     frame_events.push_back(n);
   }
 
-  std::vector<Slot> slots = AcquireAll();
+  std::vector<Slot> slots = AcquireLanes(nullptr);
   TraceContext* trace_out = trace.active() ? &trace : nullptr;
 
   // The pipeline: keep up to kPublishWindowFrames outstanding request_ids
@@ -644,9 +642,10 @@ void FanoutCluster::ParkTrace(TraceContext trace) {
 }
 
 Status FanoutCluster::Drain() {
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendEmptyRequest(MessageTag::kDrain, &request);
-  return BroadcastForAck(request, /*require_all=*/false);
+  return Broadcast(nullptr, request, MessageTag::kAck, Coverage::kQuorum);
 }
 
 Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations() {
@@ -655,22 +654,18 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations() {
 
 Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
     GatherReport* caller_report) {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendEmptyRequest(MessageTag::kTakeRecommendations, &request);
-
-  // Start from whatever a previous partially-failed gather rescued.
+  // Start from whatever a previous partially-failed gather rescued, so a
+  // partial share this gather rescues finds the buffer's full room.
   std::vector<Recommendation> recs;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     recs.swap(pending_);
   }
-
-  std::vector<Slot> slots = AcquireAll();
-  StartAll(&slots, FrameBuf::Wrap(std::move(request)));
+  GatherReport report;
+  report.daemons_total = static_cast<uint32_t>(daemons_.size());
   // Gather: each daemon streams its share as chunked reply frames; the
   // merged result is their concatenation (cross-partition ordering is
   // unspecified, exactly as with the in-process broker). Each daemon's
@@ -681,244 +676,157 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
   // them. The partial share is rescued instead (the server-side take was
   // destructive) and rides with the next successful gather, like any
   // other rescued share.
-  for (Slot& slot : slots) {
-    std::vector<Frame> reply;
-    const bool replied = AwaitReply(&slot, &reply);
-    std::vector<Recommendation> staged;
-    bool complete = replied && !reply.empty();
-    for (size_t i = 0; i < reply.size() && complete; ++i) {
-      const Frame& frame = reply[i];
-      if (frame.tag == MessageTag::kError) {
-        slot.status = TagError(*slot.daemon, DecodeError(frame.payload));
-        complete = false;
-        break;
-      }
-      if (frame.tag != MessageTag::kRecommendationsReply) {
-        slot.status = TagError(
-            *slot.daemon,
-            UnexpectedReply(frame.tag, "recommendations-reply"));
-        complete = false;
-        break;
-      }
-      bool has_more = false;
-      const Status decoded =
-          DecodeRecommendationsReply(frame.payload, &staged, &has_more);
-      if (!decoded.ok()) {
-        slot.status = TagError(*slot.daemon, decoded);
-        complete = false;
-        break;
-      }
-      if (i + 1 == reply.size() && has_more) {
-        // The session said "last frame" while the chunking protocol
-        // promised more: the reply stream is broken.
-        slot.status = TagError(
-            *slot.daemon,
-            Status::Internal("chunked reply ended with has_more set"));
-        complete = false;
-      }
-    }
-    // A timed-out or died-mid-stream lane may still have decodable chunks
-    // in `reply`: decode what arrived so the partial share is rescued,
-    // never dropped (the server-side take was destructive).
-    if (!replied && !reply.empty() && staged.empty()) {
-      bool more = true;
-      for (const Frame& frame : reply) {
-        if (frame.tag != MessageTag::kRecommendationsReply || !more ||
-            !DecodeRecommendationsReply(frame.payload, &staged, &more).ok()) {
-          break;
+  const Status covered = Broadcast(
+      nullptr, request, MessageTag::kRecommendationsReply, Coverage::kQuorum,
+      [&](Slot* slot, const std::vector<Frame>& reply) {
+        std::vector<Recommendation> staged;
+        Status decoded;
+        bool more = true;
+        // A timed-out or died-mid-stream lane may still have decodable
+        // chunks: decode what arrived so the partial share is rescued,
+        // never dropped.
+        for (const Frame& frame : reply) {
+          if (frame.tag != MessageTag::kRecommendationsReply) break;
+          decoded = DecodeRecommendationsReply(frame.payload, &staged, &more);
+          if (!decoded.ok()) break;
         }
-      }
-      complete = false;
-    }
-    if (complete) {
-      slot.answered = true;
-      recs.insert(recs.end(), std::make_move_iterator(staged.begin()),
-                  std::make_move_iterator(staged.end()));
-    } else if (!staged.empty()) {
-      RescuePending(&staged);
-    }
-  }
-
-  // Build the coverage report and the per-daemon staleness counters. A
-  // daemon answered iff THIS gather's chunk stream completed on its lane —
-  // a replay-flush error carried in slot.status must not mark a daemon
-  // missing when its recommendations are in the merge.
-  GatherReport report;
-  report.daemons_total = static_cast<uint32_t>(slots.size());
-  for (const Slot& slot : slots) {
-    const bool missed = !slot.answered;
-    Daemon* daemon = slot.daemon;
-    {
-      std::lock_guard<std::mutex> lock(daemon->mu);
-      if (missed) {
-        daemon->gathers_missed_total++;
-        daemon->gathers_missed_consecutive++;
-      } else {
-        daemon->gathers_missed_consecutive = 0;
-      }
-    }
-    if (!missed) {
-      report.daemons_answered++;
-      continue;
-    }
-    const uint32_t partition = daemon->endpoint.partition;
-    if (partition == FanoutEndpoint::kAllPartitions && group_size_ > 0) {
-      for (uint32_t p = 0; p < group_size_; ++p) {
-        report.missing_partitions.push_back(p);
-      }
-    } else {
-      report.missing_partitions.push_back(partition);
-    }
-  }
+        if (slot->answered && decoded.ok() && more) {
+          // The session said "last frame" while the chunking protocol
+          // promised more: the reply stream is broken.
+          decoded = Status::Internal("chunked reply ended with has_more set");
+        }
+        // A daemon answered iff THIS gather's chunk stream completed on its
+        // lane — a replay-flush error carried in slot->status must not mark
+        // a daemon missing when its recommendations are in the merge.
+        const bool merged = slot->answered && decoded.ok();
+        if (merged) {
+          recs.insert(recs.end(), std::make_move_iterator(staged.begin()),
+                      std::make_move_iterator(staged.end()));
+        } else if (!staged.empty()) {
+          RescuePending(&staged);
+        }
+        // The coverage report and the per-daemon staleness counters.
+        Daemon* daemon = slot->daemon;
+        {
+          std::lock_guard<std::mutex> lock(daemon->mu);
+          if (merged) {
+            daemon->gathers_missed_consecutive = 0;
+          } else {
+            daemon->gathers_missed_total++;
+            daemon->gathers_missed_consecutive++;
+          }
+        }
+        const uint32_t partition = daemon->endpoint.partition;
+        if (merged) {
+          report.daemons_answered++;
+        } else if (partition == FanoutEndpoint::kAllPartitions &&
+                   group_size_ > 0) {
+          for (uint32_t p = 0; p < group_size_; ++p) {
+            report.missing_partitions.push_back(p);
+          }
+        } else {
+          report.missing_partitions.push_back(partition);
+        }
+        return decoded;
+      });
   std::sort(report.missing_partitions.begin(),
             report.missing_partitions.end());
-
-  const Status replay_rejection = FirstReplayRejection(slots);
-  const Status first = FirstError(slots);
   if (caller_report != nullptr) *caller_report = report;
-  // Quorum tolerance covers ABSENT daemons, not data loss: a replay-flush
-  // rejection (permanent loss of parked events, surfaced exactly once)
-  // fails the call even when enough daemons answered this gather.
-  const bool covered =
-      first.ok() ||
-      (degraded() && report.daemons_answered >= RequiredQuorum());
-  if (covered && replay_rejection.ok()) {
-    if (!report.complete()) {
-      degraded_gathers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // A successful gather closes every parked trace that was still waiting
-    // for one: this is the merge that carries the traced batch's
-    // recommendations (or would have, had it produced any).
-    {
-      std::lock_guard<std::mutex> lock(traces_mu_);
-      for (TraceContext& parked : traces_) {
-        if (parked.Find(TraceStage::kGather) == nullptr) {
-          parked.Stamp(TraceStage::kGather, kTracePartyBroker,
-                       SystemClock::Default()->Now());
-        }
+  if (!covered.ok()) {
+    // Below quorum (or strict, or a replay rejection): the healthy daemons
+    // already surrendered their share and a server-side take is
+    // destructive, so park it — bounded — for the next successful call
+    // instead of dropping it on the floor. Overflow is counted, never
+    // silent.
+    RescuePending(&recs);
+    return covered;
+  }
+  if (!report.complete()) {
+    degraded_gathers_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A successful gather closes every parked trace that was still waiting
+  // for one: this is the merge that carries the traced batch's
+  // recommendations (or would have, had it produced any).
+  {
+    std::lock_guard<std::mutex> lock(traces_mu_);
+    for (TraceContext& parked : traces_) {
+      if (parked.Find(TraceStage::kGather) == nullptr) {
+        parked.Stamp(TraceStage::kGather, kTracePartyBroker,
+                     SystemClock::Default()->Now());
       }
     }
-    return recs;
   }
-  // Below quorum (or strict, or a replay rejection): the healthy daemons
-  // already surrendered their share and a server-side take is
-  // destructive, so park it — bounded — for the next successful call
-  // instead of dropping it on the floor. Overflow is counted, never
-  // silent.
-  RescuePending(&recs);
-  return covered ? replay_rejection : first;
+  return recs;
 }
 
 Status FanoutCluster::Checkpoint(Timestamp created_at) {
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendCheckpoint(created_at, &request);
   // Durability never degrades: a checkpoint that silently skipped a daemon
   // would leave that shard unrecoverable.
-  return BroadcastForAck(request, /*require_all=*/true);
+  return Broadcast(nullptr, request, MessageTag::kAck, Coverage::kEvery);
 }
 
 Status FanoutCluster::KillReplica(uint32_t partition, uint32_t replica) {
+  MAGICRECS_ASSIGN_OR_RETURN(Daemon* daemon, RouteToPartition(partition));
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendReplicaOp(MessageTag::kKillReplica, partition, replica, &request);
-  Daemon* daemon = RouteToPartition(partition);
-  if (daemon == nullptr) {
-    return Status::InvalidArgument(
-        StrFormat("no daemon hosts partition %u", partition));
-  }
-  return ExchangeForAckOn(daemon, request);
+  return Broadcast(daemon, request, MessageTag::kAck, Coverage::kEvery);
 }
 
 Status FanoutCluster::RecoverReplica(uint32_t partition, uint32_t replica) {
+  MAGICRECS_ASSIGN_OR_RETURN(Daemon* daemon, RouteToPartition(partition));
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendReplicaOp(MessageTag::kRecoverReplica, partition, replica, &request);
-  Daemon* daemon = RouteToPartition(partition);
-  if (daemon == nullptr) {
-    return Status::InvalidArgument(
-        StrFormat("no daemon hosts partition %u", partition));
-  }
-  return ExchangeForAckOn(daemon, request);
-}
-
-Status FanoutCluster::ExchangeForAckOn(Daemon* daemon,
-                                       const std::string& request) {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
-  MAGICRECS_ASSIGN_OR_RETURN(std::shared_ptr<MuxConnection> conn,
-                             AcquireConn(daemon));
-  std::vector<Frame> reply;
-  const Status status =
-      conn->CallOne(request, options_.recv_timeout_ms, &reply);
-  if (!status.ok()) {
-    DropConn(daemon, conn);
-    return TagError(*daemon, status);
-  }
-  const MessageTag tag =
-      reply.empty() ? MessageTag::kMuxResponse : reply.front().tag;
-  if (tag == MessageTag::kError) {
-    return TagError(*daemon, DecodeError(reply.front().payload));
-  }
-  if (tag != MessageTag::kAck) {
-    return TagError(*daemon, UnexpectedReply(tag, "ack"));
-  }
-  return Status::OK();
+  return Broadcast(daemon, request, MessageTag::kAck, Coverage::kEvery);
 }
 
 Result<ClusterStats> FanoutCluster::GetStats() {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendEmptyRequest(MessageTag::kStats, &request);
-
-  // Start-all-then-await-all like every other broadcast, so the per-daemon
-  // snapshots are taken concurrently (minimally skewed in time) instead of
-  // one round trip after another.
-  std::vector<Slot> slots = AcquireAll();
-  StartAll(&slots, FrameBuf::Wrap(std::move(request)));
+  // One broadcast, so the per-daemon snapshots are taken concurrently
+  // (minimally skewed in time) instead of one round trip after another.
   ClusterStats merged;
-  size_t answered = 0;
-  for (Slot& slot : slots) {
-    ClusterStats stats;
-    if (!AwaitStatsReply(&slot, &stats)) continue;
-    answered++;
-    // Merge: shape fields take the widest daemon view; detector counters,
-    // memory, and server-loop counters sum across daemons;
-    // events_published takes the max (every daemon counts the same
-    // fanned-out stream, so summing would multiply the broker-side publish
-    // count by the daemon count).
-    merged.num_partitions = std::max(merged.num_partitions,
-                                     stats.num_partitions);
-    merged.replicas_per_partition =
-        std::max(merged.replicas_per_partition, stats.replicas_per_partition);
-    merged.events_published =
-        std::max(merged.events_published, stats.events_published);
-    merged.detector_events += stats.detector_events;
-    merged.threshold_queries += stats.threshold_queries;
-    merged.recommendations += stats.recommendations;
-    merged.static_memory_bytes += stats.static_memory_bytes;
-    merged.dynamic_memory_bytes += stats.dynamic_memory_bytes;
-    merged.partitioner_salt = stats.partitioner_salt;  // equal; Ping checks
-    if (stats.server.loop != 0) merged.server.loop = stats.server.loop;
-    merged.server.connections_open += stats.server.connections_open;
-    merged.server.requests_served += stats.server.requests_served;
-    merged.server.partial_reads += stats.server.partial_reads;
-    merged.server.partial_writes += stats.server.partial_writes;
-    merged.server.inflight_stalls += stats.server.inflight_stalls;
-    merged.server.mux_connections += stats.server.mux_connections;
-    merged.per_replica.insert(merged.per_replica.end(),
-                              stats.per_replica.begin(),
-                              stats.per_replica.end());
-  }
-  const Status replay_rejection = FirstReplayRejection(slots);
-  const Status first = FirstError(slots);
-  if (!first.ok() && !(degraded() && answered >= RequiredQuorum())) {
-    return first;
-  }
-  // Quorum met: tolerated, unless a replay flush lost events for good.
-  if (!replay_rejection.ok()) return replay_rejection;
+  MAGICRECS_RETURN_IF_ERROR(Broadcast(
+      nullptr, request, MessageTag::kStatsReply, Coverage::kQuorum,
+      [&merged](Slot* slot, const std::vector<Frame>& reply) {
+        if (!slot->answered) return Status::OK();
+        ClusterStats stats;
+        MAGICRECS_RETURN_IF_ERROR(
+            DecodeStatsReply(reply.front().payload, &stats));
+        // Merge: shape fields take the widest daemon view; detector
+        // counters, memory, and server-loop counters sum across daemons;
+        // events_published takes the max (every daemon counts the same
+        // fanned-out stream, so summing would multiply the broker-side
+        // publish count by the daemon count).
+        merged.num_partitions =
+            std::max(merged.num_partitions, stats.num_partitions);
+        merged.replicas_per_partition = std::max(
+            merged.replicas_per_partition, stats.replicas_per_partition);
+        merged.events_published =
+            std::max(merged.events_published, stats.events_published);
+        merged.detector_events += stats.detector_events;
+        merged.threshold_queries += stats.threshold_queries;
+        merged.recommendations += stats.recommendations;
+        merged.static_memory_bytes += stats.static_memory_bytes;
+        merged.dynamic_memory_bytes += stats.dynamic_memory_bytes;
+        merged.partitioner_salt = stats.partitioner_salt;  // equal; Ping checks
+        if (stats.server.loop != 0) merged.server.loop = stats.server.loop;
+        merged.server.connections_open += stats.server.connections_open;
+        merged.server.requests_served += stats.server.requests_served;
+        merged.server.partial_reads += stats.server.partial_reads;
+        merged.server.partial_writes += stats.server.partial_writes;
+        merged.server.inflight_stalls += stats.server.inflight_stalls;
+        merged.server.mux_connections += stats.server.mux_connections;
+        merged.per_replica.insert(merged.per_replica.end(),
+                                  stats.per_replica.begin(),
+                                  stats.per_replica.end());
+        return Status::OK();
+      }));
   std::sort(merged.per_replica.begin(), merged.per_replica.end(),
             [](const ReplicaStats& a, const ReplicaStats& b) {
               return a.partition != b.partition ? a.partition < b.partition
@@ -961,10 +869,7 @@ std::vector<TraceContext> FanoutCluster::TakeTraces() {
 }
 
 Result<std::string> FanoutCluster::GetStatsText() {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   // Mirror the broker-side degraded-mode atomics into the process registry
   // at scrape time (the health monitor mirrors the same set each tick).
   MirrorBrokerCounters();
@@ -978,40 +883,42 @@ Result<std::string> FanoutCluster::GetStatsText() {
   // return the healthy daemons' text, not fail wholesale.
   std::string request;
   AppendEmptyRequest(MessageTag::kStatsText, &request);
-  std::vector<Slot> slots = AcquireAll();
-  StartAll(&slots, FrameBuf::Wrap(std::move(request)));
-  for (Slot& slot : slots) {
-    const FanoutEndpoint& e = slot.daemon->endpoint;
-    std::string header =
-        e.partition == FanoutEndpoint::kAllPartitions
-            ? StrFormat("# source daemon %s:%u", e.host.c_str(), e.port)
-            : StrFormat("# source daemon %s:%u partition %u", e.host.c_str(),
-                        e.port, e.partition);
-    std::vector<Frame> reply;
-    if (!AwaitReply(&slot, &reply) || reply.empty()) {
-      out += StrFormat("%s unreachable: %s\n", header.c_str(),
-                       std::string(slot.status.message()).c_str());
-      continue;
-    }
-    const Frame& frame = reply.front();
-    if (frame.tag == MessageTag::kError) {
-      const Status err = DecodeError(frame.payload);
-      out += StrFormat("%s error: %s\n", header.c_str(),
-                       std::string(err.message()).c_str());
-      continue;
-    }
-    std::string text;
-    if (frame.tag != MessageTag::kStatsTextReply ||
-        !DecodeStatsTextReply(frame.payload, &text).ok()) {
-      out += StrFormat("%s error: malformed stats-text reply\n",
-                       header.c_str());
-      continue;
-    }
-    out += header;
-    out += '\n';
-    out += text;
-    if (!text.empty() && text.back() != '\n') out += '\n';
-  }
+  MAGICRECS_RETURN_IF_ERROR(Broadcast(
+      nullptr, request, MessageTag::kStatsTextReply, Coverage::kNone,
+      [&out](Slot* slot, const std::vector<Frame>& reply) {
+        const FanoutEndpoint& e = slot->daemon->endpoint;
+        const std::string header =
+            e.partition == FanoutEndpoint::kAllPartitions
+                ? StrFormat("# source daemon %s:%u", e.host.c_str(), e.port)
+                : StrFormat("# source daemon %s:%u partition %u",
+                            e.host.c_str(), e.port, e.partition);
+        std::string text;
+        if (!slot->answered && slot->live()) {
+          // A live lane that did not answer got a server kError to THIS
+          // request; print it as the daemon sent it (the header names the
+          // daemon already).
+          out += StrFormat("%s error: %s\n", header.c_str(),
+                           std::string(slot->daemon_error.message()).c_str());
+        } else if (!slot->answered) {
+          out += StrFormat("%s unreachable: %s\n", header.c_str(),
+                           std::string(slot->status.message()).c_str());
+        } else if (!DecodeStatsTextReply(reply.front().payload, &text).ok()) {
+          out += StrFormat("%s error: malformed stats-text reply\n",
+                           header.c_str());
+        } else {
+          out += header;
+          out += '\n';
+          out += text;
+          if (!text.empty() && text.back() != '\n') out += '\n';
+        }
+        // A replayed frame this daemon rejected is permanent event loss;
+        // the scrape may be the first call to see it, and the only one.
+        if (!slot->server_error.ok()) {
+          out += StrFormat("# replay rejected: %s\n",
+                           slot->server_error.ToString().c_str());
+        }
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -1024,87 +931,49 @@ Result<HashPartitioner> FanoutCluster::Partitioner() const {
   return HashPartitioner(group_size_, options_.partitioner_salt);
 }
 
-bool FanoutCluster::AwaitStatsReply(Slot* slot, ClusterStats* stats) {
-  std::vector<Frame> reply;
-  if (!AwaitReply(slot, &reply) || reply.empty()) return false;
-  const Frame& frame = reply.front();
-  if (frame.tag == MessageTag::kError) {
-    slot->status = TagError(*slot->daemon, DecodeError(frame.payload));
-    return false;
-  }
-  if (frame.tag != MessageTag::kStatsReply) {
-    slot->status =
-        TagError(*slot->daemon, UnexpectedReply(frame.tag, "stats-reply"));
-    return false;
-  }
-  const Status decoded = DecodeStatsReply(frame.payload, stats);
-  if (!decoded.ok()) {
-    slot->status = TagError(*slot->daemon, decoded);
-    return false;
-  }
-  return true;
-}
-
-Status FanoutCluster::VerifyTopology() {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+Status FanoutCluster::Ping() {
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
   AppendEmptyRequest(MessageTag::kStats, &request);
-  std::vector<Slot> slots = AcquireAll();
-  StartAll(&slots, FrameBuf::Wrap(std::move(request)));
-  for (Slot& slot : slots) {
-    ClusterStats stats;
-    if (!AwaitStatsReply(&slot, &stats)) continue;
-    const FanoutEndpoint& endpoint = slot.daemon->endpoint;
-    if (group_size_ > 0 && stats.num_partitions != group_size_) {
-      slot.status = TagError(
-          *slot.daemon,
-          Status::FailedPrecondition(StrFormat(
+  // One stats sweep checks liveness and topology together, strict under
+  // every policy: its whole point is to find the daemon that is down or
+  // miswired.
+  return Broadcast(
+      nullptr, request, MessageTag::kStatsReply, Coverage::kEvery,
+      [this](Slot* slot, const std::vector<Frame>& reply) {
+        if (!slot->answered) return Status::OK();
+        ClusterStats stats;
+        MAGICRECS_RETURN_IF_ERROR(
+            DecodeStatsReply(reply.front().payload, &stats));
+        if (group_size_ > 0 && stats.num_partitions != group_size_) {
+          return Status::FailedPrecondition(StrFormat(
               "daemon spans %u partitions, this broker expects a "
               "%u-partition group (check --partition-group)",
-              stats.num_partitions, group_size_)));
-      continue;
-    }
-    if (stats.partitioner_salt != options_.partitioner_salt) {
-      slot.status = TagError(
-          *slot.daemon,
-          Status::FailedPrecondition(StrFormat(
+              stats.num_partitions, group_size_));
+        }
+        if (stats.partitioner_salt != options_.partitioner_salt) {
+          return Status::FailedPrecondition(StrFormat(
               "daemon partitioner salt %llu != broker salt %llu — "
               "placement would disagree (check --partitioner-salt)",
               static_cast<unsigned long long>(stats.partitioner_salt),
-              static_cast<unsigned long long>(
-                  options_.partitioner_salt))));
-      continue;
-    }
-    if (endpoint.partition == FanoutEndpoint::kAllPartitions) continue;
-    // An explicit-partition endpoint must host that partition and nothing
-    // else: a daemon missing its --partition-group flags hosts EVERY
-    // partition and would silently duplicate recommendations.
-    for (const ReplicaStats& entry : stats.per_replica) {
-      if (entry.partition != endpoint.partition) {
-        slot.status = TagError(
-            *slot.daemon,
-            Status::FailedPrecondition(StrFormat(
+              static_cast<unsigned long long>(options_.partitioner_salt)));
+        }
+        const uint32_t wired = slot->daemon->endpoint.partition;
+        if (wired == FanoutEndpoint::kAllPartitions) return Status::OK();
+        // An explicit-partition endpoint must host that partition and
+        // nothing else: a daemon missing its --partition-group flags hosts
+        // EVERY partition and would silently duplicate recommendations.
+        for (const ReplicaStats& entry : stats.per_replica) {
+          if (entry.partition != wired) {
+            return Status::FailedPrecondition(StrFormat(
                 "daemon hosts partition %u but this endpoint is wired as "
                 "partition %u (swapped endpoints, or the daemon is missing "
                 "--partition-group/--partition-id?)",
-                entry.partition, endpoint.partition)));
-        break;
-      }
-    }
-  }
-  return FirstError(slots);
-}
-
-Status FanoutCluster::Ping() {
-  std::string request;
-  AppendEmptyRequest(MessageTag::kPing, &request);
-  // Liveness/topology verification is strict under every policy: its whole
-  // point is to find the daemon that is down or miswired.
-  MAGICRECS_RETURN_IF_ERROR(BroadcastForAck(request, /*require_all=*/true));
-  return VerifyTopology();
+                entry.partition, wired));
+          }
+        }
+        return Status::OK();
+      });
 }
 
 // --- health autopilot --------------------------------------------------------
@@ -1254,7 +1123,7 @@ void FanoutCluster::OnHealthReport(
   if (any_daemon_unhealthy) {
     desired = FanoutPolicy::kQuorum;
   } else {
-    // Flip back only when every replay buffer has drained: AcquireAll
+    // Flip back only when every replay buffer has drained: AcquireLanes
     // flushes owed frames under any policy, but strict gathers would
     // count still-parked events as missing, and the whole point of the
     // dwell was to be sure before tightening the contract again.
@@ -1307,10 +1176,7 @@ void FanoutCluster::OnHealthReport(
 }
 
 Result<HealthReport> FanoutCluster::GetHealth() {
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_mu_);
-  if (closed_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("fan-out cluster is closed");
-  }
+  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   if (monitor_ != nullptr) return monitor_->Latest();
   return HealthReportFromRegistry(*MetricsRegistry::Default(),
                                   SystemClock::Default()->Now());

@@ -16,13 +16,15 @@
 //     partition (magicrecsd --partition-group=N --partition-id=p), covering
 //     partitions 0..N-1.
 //
-// Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats
+// Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats/Ping
 // broadcast to every daemon — every daemon must ingest the full stream
 // (each holds a complete D), and a gather is the union of the per-
 // partition results. KillReplica/RecoverReplica route to the one daemon
-// hosting that partition. The group HashPartitioner is exposed through
-// Partitioner() so callers can attribute a user (and its recommendations)
-// to the daemon that owns it.
+// hosting that partition. Every call but PublishBatch runs one exchange:
+// acquire the lanes (flushing owed replay), start the request on each,
+// await and classify each reply once, then apply one coverage rule. The
+// group HashPartitioner is exposed through Partitioner() so callers can
+// attribute a user (and its recommendations) to the daemon that owns it.
 //
 // Wire mechanics per daemon: ONE multiplexed connection
 // (net/mux_connection.h), shared by every broker caller. Each logical call
@@ -75,7 +77,11 @@
 //     exactly-once;
 //   * Drain and GetStats tolerate missing daemons under the same quorum;
 //     Checkpoint, replica ops, and Ping stay strict under every policy —
-//     durability and topology verification must not silently degrade.
+//     durability and topology verification must not silently degrade;
+//   * every call, replica ops included, first flushes what its daemons
+//     are owed, and a replayed frame the daemon rejects fails the first
+//     call that sees it even when the quorum answered (a scrape names it
+//     in that daemon's section instead).
 // Degraded semantics are eventual, not exact: events parked in a replay
 // buffer are invisible to Drain until flushed, so recommendations can
 // trail into a later gather. Strict mode keeps the all-or-nothing
@@ -89,6 +95,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -339,12 +346,13 @@ class FanoutCluster : public ClusterTransport {
   /// when no path was configured). Transitions, flips, and shed events.
   EventLog* journal() { return journal_.get(); }
 
-  /// Round-trips every daemon AND verifies each actually hosts what the
-  /// endpoint list claims — group size, hosted partition, partitioner salt
-  /// — via its stats reply. A swapped PORT:PARTITION pair, a daemon
-  /// missing its --partition-group flags, or a salt mismatch would
-  /// silently duplicate or drop recommendations; Ping makes it fail
-  /// loudly. Returns the first dead or misconfigured daemon's error.
+  /// One stats sweep that checks liveness and topology together: every
+  /// daemon must answer, and each must actually host what the endpoint
+  /// list claims — group size, hosted partition, partitioner salt. A
+  /// swapped PORT:PARTITION pair, a daemon missing its --partition-group
+  /// flags, or a salt mismatch would silently duplicate or drop
+  /// recommendations; Ping makes it fail loudly. Returns the first dead or
+  /// misconfigured daemon's error.
   Status Ping();
 
   uint32_t group_size() const { return group_size_; }
@@ -402,6 +410,10 @@ class FanoutCluster : public ClusterTransport {
     /// transport error but must not hide a server-side rejection.
     Status server_error;
 
+    /// The latest kError reply on this lane as the daemon sent it
+    /// (untagged): the scrape's `error:` annotation prints it.
+    Status daemon_error;
+
     bool poisoned = false;  ///< lane unusable for the rest of this call
 
     /// Publish pipeline: calls[i] is frame i's in-flight handle; the first
@@ -409,14 +421,15 @@ class FanoutCluster : public ClusterTransport {
     std::vector<MuxConnection::CallHandle> calls;
     size_t acked = 0;
 
-    /// Single-exchange broadcasts (drain, stats, gather) park their one
-    /// handle here between the start and await passes.
+    /// Broadcast parks its one handle here between the start and await
+    /// passes.
     MuxConnection::CallHandle call;
 
-    /// THIS call's request/reply exchange completed on this lane (gather:
-    /// every chunk decoded; ack broadcasts: kAck read). Deliberately
-    /// distinct from `status`: a replay-flush failure carried over from
-    /// AcquireAll lands in status, and keying "did this daemon answer"
+    /// THIS call's request/reply exchange completed on this lane: the
+    /// reply classified as the expected kind and the caller's reply step
+    /// accepted it (gather: every chunk decoded). Deliberately distinct
+    /// from `status`: a replay-flush failure carried over from
+    /// AcquireLanes lands in status, and keying "did this daemon answer"
     /// off status would report a daemon as missing a gather whose
     /// recommendations it fully delivered into the merge.
     bool answered = false;
@@ -450,21 +463,57 @@ class FanoutCluster : public ClusterTransport {
   /// Prefixes `status` with the daemon's identity.
   Status TagError(const Daemon& daemon, const Status& status) const;
 
-  // Broadcast plumbing shared by every fan-out call: snapshot one
-  // connection per daemon (failures land in the slot's status), start the
-  // request on every live slot BEFORE awaiting any reply (daemons process
-  // concurrently), then surface the first error in daemon order.
-  // AcquireAll also flushes any replay buffer owed to a daemon that just
-  // became reachable again (degraded policies only), so every broker call
-  // is a replay opportunity.
-  std::vector<Slot> AcquireAll();
-  void StartAll(std::vector<Slot>* slots, const FrameBuf& request);
+  /// Holds lifecycle_mu_ shared for the caller's whole call (Close() waits
+  /// it out), or fails once the broker is closed.
+  Result<std::shared_lock<std::shared_mutex>> Enter();
+
+  /// Snapshots one connection per daemon — every daemon, or just `only` —
+  /// with failures landing in the slot's status. A reachable daemon is
+  /// first flushed whatever replay it is owed, so every broker call is a
+  /// replay opportunity.
+  std::vector<Slot> AcquireLanes(Daemon* only);
+
+  /// First error in daemon order.
   Status FirstError(const std::vector<Slot>& slots) const;
 
-  /// Awaits the slot's single-exchange reply. On success the reply frames
-  /// land in *frames and true returns; failures poison the slot, drop the
-  /// connection, and record the tagged error.
-  bool AwaitReply(Slot* slot, std::vector<Frame>* frames);
+  /// The one reply classifier (broadcasts, publish acks, replay flushes).
+  /// Every frame of the expected kind is OK. A server kError becomes a
+  /// tagged Status, recorded as the slot's first error (and, untagged, as
+  /// its daemon_error); the lane stays, since the session still answers.
+  /// Any other reply — version skew or a protocol bug — fails the lane
+  /// (FailLane).
+  Status ClassifyReply(Slot* slot, const std::vector<Frame>& reply,
+                       MessageTag expected);
+
+  /// Which lanes must answer for a broadcast to succeed.
+  enum class Coverage {
+    kEvery,   ///< every lane under every policy: Checkpoint, Ping, replica ops
+    kQuorum,  ///< RequiredQuorum() under the active policy: Drain, GetStats,
+              ///< the gather
+    kNone,    ///< no lane: the scrape annotates failures instead of failing
+  };
+
+  /// A broadcast's per-reply step, run once per lane in daemon order with
+  /// whatever frames arrived — a failed lane's partial frames too, so the
+  /// gather can rescue them. slot->answered says whether the reply
+  /// classified as expected; an error return rejects it (the lane no
+  /// longer counts as answered and the error, tagged, becomes its status).
+  using ReplyStep =
+      std::function<Status(Slot* slot, const std::vector<Frame>& reply)>;
+
+  /// The one exchange behind every call but PublishBatch. The caller holds
+  /// Enter()'s lock for its whole call — its tail too, which Close() must
+  /// not overtake — so Broadcast never takes it again (a second shared
+  /// lock on one thread can deadlock behind a waiting Close()). Acquires
+  /// the lanes (every daemon, or `only`), starts `request` on every live
+  /// lane BEFORE awaiting any reply (daemons process concurrently),
+  /// classifies each reply, hands it to `on_reply`, and applies
+  /// `coverage`. Returns the first error in daemon order when
+  /// too few lanes answered; when enough did, a replay-flush rejection
+  /// still fails the call (except under kNone).
+  Status Broadcast(Daemon* only, const std::string& request,
+                   MessageTag expected, Coverage coverage,
+                   const ReplyStep& on_reply = nullptr);
 
   /// True under a degraded ACTIVE policy (anything but kStrict). The
   /// active policy starts as options.policy and is flipped by the
@@ -481,12 +530,6 @@ class FanoutCluster : public ClusterTransport {
 
   /// Daemons that must answer for a broadcast to succeed under the policy.
   size_t RequiredQuorum() const;
-
-  /// First replay-flush rejection recorded on the slots (Status::OK when
-  /// none): a daemon took a replayed frame and refused it, so its events
-  /// are permanently lost — the observing call must fail loudly even when
-  /// the quorum is met.
-  Status FirstReplayRejection(const std::vector<Slot>& slots) const;
 
   /// Parks recommendations (moved out of *recs) in the bounded pending_
   /// rescue buffer for the next successful gather; overflow is counted in
@@ -508,7 +551,7 @@ class FanoutCluster : public ClusterTransport {
   /// Awaits the oldest unacked publish frame on the lane. kError replies
   /// record the first server error but keep the lane (the session is still
   /// usable); silence past recv_timeout_ms, a transport failure, or a
-  /// protocol violation fails the lane (FailLane). A non-null `trace` folds
+  /// wrong-kind reply fails the lane (FailLane). A non-null `trace` folds
   /// the stamps echoed on an ack's trace tail into the publish's
   /// originating context.
   void ReapOneAck(Slot* slot, TraceContext* trace);
@@ -516,26 +559,9 @@ class FanoutCluster : public ClusterTransport {
   /// Appends a trace to the bounded traces_ ring for TakeTraces.
   void ParkTrace(TraceContext trace);
 
-  /// Awaits and decodes one kStatsReply on a slot; false on any failure
-  /// (recorded in the slot's status).
-  bool AwaitStatsReply(Slot* slot, ClusterStats* stats);
-
-  /// Stats sweep checking every daemon's reported group size, hosted
-  /// partitions, and partitioner salt against this broker's endpoint list.
-  Status VerifyTopology();
-
-  /// Sends `request` to every daemon and expects one kAck each; kError
-  /// replies decode to their Status. `require_all` demands every daemon
-  /// answer regardless of policy (Checkpoint, Ping); otherwise failures are
-  /// tolerated down to RequiredQuorum(). Returns the first failure (tagged)
-  /// when the bar is missed.
-  Status BroadcastForAck(const std::string& request, bool require_all);
-
-  /// Single-daemon request/ack exchange (replica ops routed by partition).
-  Status ExchangeForAckOn(Daemon* daemon, const std::string& request);
-
-  /// The daemon hosting `partition`, or null.
-  Daemon* RouteToPartition(uint32_t partition);
+  /// The daemon hosting `partition` (replica ops route there), or
+  /// InvalidArgument when none does.
+  Result<Daemon*> RouteToPartition(uint32_t partition);
 
   // --- health autopilot plumbing (see StartHealthMonitor in the .cc) --------
 

@@ -332,6 +332,23 @@ TEST(FanoutClusterTest, PingRejectsMisconfiguredDaemons) {
       << salt_ping;
 }
 
+TEST(FanoutClusterTest, WarmPingCostsEachDaemonOneRequest) {
+  // Ping is one stats sweep: liveness and topology come from the same
+  // reply, so a warm broker spends exactly one request per daemon on it.
+  Group g = StartGroup(figure1::FollowGraph(), /*group_size=*/2,
+                       /*replicas=*/1);
+  ASSERT_TRUE(g.broker->Ping().ok());  // dials; the hellos are not counted
+  std::vector<uint64_t> before;
+  for (const Daemon& daemon : g.daemons) {
+    before.push_back(daemon.server->stats().requests_served);
+  }
+  ASSERT_TRUE(g.broker->Ping().ok());
+  for (size_t i = 0; i < g.daemons.size(); ++i) {
+    EXPECT_EQ(g.daemons[i].server->stats().requests_served - before[i], 1u)
+        << "daemon " << i;
+  }
+}
+
 TEST(FanoutClusterTest, PartialGatherIsRescuedNotDropped) {
   // Server-side takes are destructive: when one daemon dies mid-gather,
   // what the healthy daemons already surrendered must reappear on the next

@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../persist/scoped_temp_dir.h"
 #include "fanout_test_util.h"
 #include "raw_session.h"
 
@@ -142,6 +145,162 @@ class GatedFailingTransport : public ClusterTransport {
   std::condition_variable cv_;
   bool released_ = false;
 };
+
+/// A ClusterTransport decorator whose PublishBatch rejects every batch
+/// without applying it: a revived daemon that refuses the frames parked
+/// for it. With `reject_stats_text` its stats-text scrape fails too.
+/// Everything else forwards unchanged.
+class RejectingTransport : public ClusterTransport {
+ public:
+  explicit RejectingTransport(ClusterTransport* wrapped,
+                              bool reject_stats_text = false)
+      : wrapped_(wrapped), reject_stats_text_(reject_stats_text) {}
+
+  Status PublishBatch(std::span<const EdgeEvent>) override {
+    return Status::InvalidArgument("injected publish rejection");
+  }
+  Status Drain() override { return wrapped_->Drain(); }
+  Result<std::vector<Recommendation>> TakeRecommendations() override {
+    return wrapped_->TakeRecommendations();
+  }
+  Status Checkpoint(Timestamp created_at) override {
+    return wrapped_->Checkpoint(created_at);
+  }
+  Status KillReplica(uint32_t partition, uint32_t replica) override {
+    return wrapped_->KillReplica(partition, replica);
+  }
+  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
+    return wrapped_->RecoverReplica(partition, replica);
+  }
+  Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
+  Result<std::string> GetStatsText() override {
+    if (reject_stats_text_) {
+      return Status::Unavailable("injected stats-text failure");
+    }
+    return wrapped_->GetStatsText();
+  }
+  Status Close() override { return Status::OK(); }  // wrapped_ not owned
+
+ private:
+  ClusterTransport* wrapped_;
+  bool reject_stats_text_;
+};
+
+/// A scripted daemon whose gathers die mid-stream. On every session it
+/// answers the hello, then answers each gather with ONE chunk holding
+/// `rec` and has_more set — and then either hangs up (`hang_up`) or falls
+/// silent until the broker does. Any other request gets a kError.
+class MidStreamDaemon {
+ public:
+  MidStreamDaemon(const Recommendation& rec, bool hang_up)
+      : rec_(rec), hang_up_(hang_up) {
+    auto listener = net::TcpListener::Listen("127.0.0.1", 0);
+    EXPECT_TRUE(listener.ok()) << listener.status();
+    listener_ = std::move(listener).value();
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  /// Destroy after the broker: a session still open would pin Serve.
+  ~MidStreamDaemon() {
+    stopping_.store(true);
+    // Unblocks a pending Accept; harmless if Serve already returned.
+    (void)net::TcpSocket::Connect("127.0.0.1", port());
+    thread_.join();
+  }
+
+  uint16_t port() const { return listener_.port(); }
+
+  /// Blocks until `n` gathers have reached this daemon.
+  void AwaitGathers(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return gathers_ >= n; });
+  }
+
+ private:
+  void Serve() {
+    while (true) {
+      Result<net::TcpSocket> peer = listener_.Accept();
+      if (!peer.ok() || stopping_.load()) return;
+      Session(&*peer);
+    }
+  }
+
+  void Session(net::TcpSocket* peer) {
+    net::Frame frame;
+    if (!net::ReadFrame(peer, &frame).ok()) return;  // the hello
+    std::string out;
+    net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace,
+                          /*max_inflight=*/64, &out);
+    if (!net::WriteFrames(peer, out).ok()) return;
+    while (net::ReadFrame(peer, &frame).ok()) {
+      uint64_t request_id = 0;
+      net::Frame request;
+      if (!net::DecodeMuxRequest(frame.payload, &request_id, &request).ok()) {
+        return;
+      }
+      std::string reply;
+      const bool gather =
+          request.tag == net::MessageTag::kTakeRecommendations;
+      if (gather) {
+        net::AppendRecommendationsReply(std::span(&rec_, 1),
+                                        /*has_more=*/true, &reply);
+      } else {
+        net::AppendError(Status::Unimplemented("scripted daemon"), &reply);
+      }
+      out.clear();
+      net::AppendMuxResponse(request_id, /*last=*/!gather, reply, &out);
+      if (!net::WriteFrames(peer, out).ok()) return;
+      if (!gather) continue;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        gathers_++;
+      }
+      cv_.notify_all();
+      if (hang_up_) return;
+    }
+  }
+
+  const Recommendation rec_;
+  const bool hang_up_;
+  net::TcpListener listener_;
+  std::atomic<bool> stopping_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int gathers_ = 0;
+  std::thread thread_;
+};
+
+/// A 3-endpoint quorum broker: real daemons for partitions 0 and 1, and
+/// `scripted` wired as partition 2.
+struct ScriptedGroup {
+  std::vector<Daemon> daemons;
+  std::unique_ptr<FanoutCluster> broker;
+};
+
+ScriptedGroup StartScriptedGroup(const MidStreamDaemon& scripted,
+                                 FanoutClusterOptions fopt) {
+  ScriptedGroup g;
+  fopt.policy = FanoutPolicy::kQuorum;
+  fopt.group_size = 3;
+  for (uint32_t p = 0; p < 3; ++p) {
+    FanoutEndpoint endpoint;
+    endpoint.partition = p;
+    if (p < 2) {
+      ClusterOptions options = MakeClusterOptions(1);
+      options.group_size = 3;
+      options.group_partition = p;
+      g.daemons.push_back(StartDaemon(figure1::FollowGraph(), options));
+      endpoint.port = g.daemons.back().server->port();
+    } else {
+      endpoint.port = scripted.port();
+    }
+    fopt.endpoints.push_back(endpoint);
+  }
+  auto broker = FanoutCluster::Connect(fopt);
+  EXPECT_TRUE(broker.ok()) << broker.status();
+  g.broker = std::move(broker).value();
+  return g;
+}
 
 /// A degraded-policy partition group.
 Group StartGroup(const StaticGraph& graph, uint32_t group_size,
@@ -698,6 +857,239 @@ TEST(FanoutDegradedTest, ReplayBufferOverflowIsExplicit) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->replay_dropped_events, 64u)
       << "exactly the refused batch should be counted dropped";
+}
+
+/// A 2-daemon quorum group whose daemon 1 was stopped while a publish of
+/// `events` parked for it. Its reconnect backoff is 1 ms, so a revive is
+/// reachable by the broker call right after it.
+Group StartGroupOwingDaemon1(const TestWorkload& w, uint32_t replicas) {
+  FanoutClusterOptions fopt;
+  fopt.policy = FanoutPolicy::kQuorum;
+  fopt.reconnect_backoff_ms = 1;
+  fopt.max_reconnect_backoff_ms = 1;
+  Group g = StartGroup(w.graph, 2, replicas, /*k=*/2, fopt);
+  g.daemons[1].server->Stop();
+  EXPECT_TRUE(g.broker->PublishBatch(w.events).ok())
+      << "a quorum publish parks the stopped daemon's share";
+  return g;
+}
+
+/// Restarts daemon 1 on its old port serving `transport` (its hosted
+/// cluster, or a decorator over it) and waits out the broker's backoff:
+/// the next broker call is the first to reach it, and flushes its replay.
+void ReviveDaemon1(Group* g, ClusterTransport* transport) {
+  RpcServerOptions ropt;
+  ropt.port = g->daemons[1].server->port();
+  auto revived = RpcServer::Start(transport, ropt);
+  ASSERT_TRUE(revived.ok()) << revived.status();
+  g->daemons[1].server = std::move(revived).value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(FanoutDegradedTest, ScrapeNamesAReplayRejectionInTheDaemonsSection) {
+  // Whichever call first reaches a revived daemon flushes its replay
+  // buffer. When that call is a stats-text scrape, which never fails on a
+  // daemon, the rejection must still show — in that daemon's section —
+  // or the only trace left is the replay_dropped_events counter.
+  TestWorkload w = MakeTestWorkload(512);
+  Group g = StartGroupOwingDaemon1(w, /*replicas=*/1);
+  RejectingTransport rejecting(g.daemons[1].hosted.get());
+  ReviveDaemon1(&g, &rejecting);
+
+  auto text = g.broker->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  const std::string header =
+      "# source daemon 127.0.0.1:" +
+      std::to_string(g.daemons[1].server->port()) + " partition 1\n";
+  const size_t section = text->find(header);
+  ASSERT_NE(section, std::string::npos) << *text;
+  const size_t next_section = text->find("# source", section + 1);
+  const size_t rejected = text->find("# replay rejected: ", section);
+  ASSERT_NE(rejected, std::string::npos) << *text;
+  EXPECT_LT(rejected, next_section)
+      << "the rejection is outside daemon 1's section: " << *text;
+  EXPECT_NE(text->find("injected publish rejection", rejected),
+            std::string::npos)
+      << *text;
+  auto stats = g.broker->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replay_dropped_events, w.events.size());
+}
+
+TEST(FanoutDegradedTest, ReplayRejectionSurfacesExactlyOnce) {
+  // A rejected replay is permanent event loss, not a coverage gap: the
+  // first call to see it fails even though every daemon answered, the
+  // loss is counted, and the call after it is clean.
+  TestWorkload w = MakeTestWorkload(512);
+  Group g = StartGroupOwingDaemon1(w, /*replicas=*/1);
+  RejectingTransport rejecting(g.daemons[1].hosted.get());
+  ReviveDaemon1(&g, &rejecting);
+
+  const Status drained = g.broker->Drain();
+  EXPECT_FALSE(drained.ok()) << "the quorum answered, but events were lost";
+  EXPECT_NE(drained.ToString().find("injected publish rejection"),
+            std::string::npos)
+      << drained;
+  EXPECT_NE(drained.ToString().find("partition 1"), std::string::npos)
+      << drained;
+  auto stats = g.broker->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replay_dropped_events, w.events.size());
+  EXPECT_EQ(stats->replayed_events, 0u);
+  const Status again = g.broker->Drain();
+  EXPECT_TRUE(again.ok()) << "the rejection surfaced twice: " << again;
+}
+
+TEST(FanoutDegradedTest, ReplicaOpFlushesWhatItsDaemonIsOwed) {
+  // Replica ops acquire their one lane like every other broker call, so a
+  // daemon's owed replay lands before the op does.
+  TestWorkload w = MakeTestWorkload(512);
+  Group g = StartGroupOwingDaemon1(w, /*replicas=*/2);
+  ReviveDaemon1(&g, g.daemons[1].hosted.get());
+
+  ASSERT_TRUE(g.broker->KillReplica(1, 0).ok());
+  // Read the daemon directly: any broker call would flush on its own.
+  auto daemon_stats = g.daemons[1].hosted->GetStats();
+  ASSERT_TRUE(daemon_stats.ok()) << daemon_stats.status();
+  EXPECT_EQ(daemon_stats->events_published, w.events.size())
+      << "the replica op reached the daemon ahead of its parked events";
+  auto stats = g.broker->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replayed_events, w.events.size());
+  EXPECT_EQ(stats->replay_dropped_events, 0u);
+}
+
+TEST(FanoutDegradedTest, StrictCallsStayStrictUnderQuorum) {
+  // Drain and stats tolerate a missing daemon under quorum; durability,
+  // topology verification and replica ops never do.
+  ScopedTempDir dir;
+  constexpr uint32_t kGroup = 4;
+  std::vector<std::string> persist_dirs;
+  for (uint32_t p = 0; p < kGroup; ++p) {
+    persist_dirs.push_back(dir.path() + "/p" + std::to_string(p));
+    std::filesystem::create_directories(persist_dirs.back());
+  }
+  FanoutClusterOptions fopt;
+  fopt.policy = FanoutPolicy::kQuorum;
+  Group g = StartGroup(figure1::FollowGraph(), kGroup, /*replicas=*/2,
+                       /*k=*/2, fopt, persist_dirs);
+  for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
+    ASSERT_TRUE(g.broker->Publish(event).ok());
+  }
+  ASSERT_TRUE(g.broker->Drain().ok());
+  ASSERT_TRUE(g.broker->Checkpoint(Seconds(100)).ok());
+
+  const uint32_t victim = 2;
+  g.daemons[victim].server->Stop();
+  const std::string named = "(partition 2)";
+
+  EXPECT_TRUE(g.broker->Drain().ok());
+  auto stats = g.broker->GetStats();
+  EXPECT_TRUE(stats.ok()) << stats.status();
+
+  const Status checkpoint = g.broker->Checkpoint(Seconds(200));
+  EXPECT_FALSE(checkpoint.ok()) << "a checkpoint skipped a daemon";
+  EXPECT_NE(checkpoint.ToString().find(named), std::string::npos)
+      << checkpoint;
+  const Status ping = g.broker->Ping();
+  EXPECT_FALSE(ping.ok()) << "Ping passed with a daemon down";
+  EXPECT_NE(ping.ToString().find(named), std::string::npos) << ping;
+
+  EXPECT_TRUE(g.broker->KillReplica(0, 1).ok());
+  EXPECT_TRUE(g.broker->RecoverReplica(0, 1).ok());
+  const Status routed = g.broker->KillReplica(victim, 1);
+  EXPECT_FALSE(routed.ok()) << "a replica op reached a stopped daemon";
+  EXPECT_NE(routed.ToString().find(named), std::string::npos) << routed;
+}
+
+TEST(FanoutDegradedTest, MidStreamRescueFindsTheBufferEmpty) {
+  // A gather starts from the rescue buffer, so the partial share a daemon
+  // streams before dying has the buffer's whole room — even when earlier
+  // rescues had filled it — and rides with the NEXT gather, not with the
+  // one whose report names its partition missing.
+  Recommendation rec;
+  rec.user = figure1::kA2;
+  rec.item = figure1::kC2;
+  rec.witness_count = 2;
+  MidStreamDaemon scripted(rec, /*hang_up=*/true);
+  FanoutClusterOptions fopt;
+  fopt.max_pending_recommendations = 1;
+  fopt.reconnect_backoff_ms = 1;
+  fopt.max_reconnect_backoff_ms = 1;
+  ScriptedGroup g = StartScriptedGroup(scripted, fopt);
+
+  GatherReport report;
+  auto first = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->empty())
+      << "the gather returned the share of a daemon its report names missing";
+  EXPECT_EQ(report.missing_partitions, std::vector<uint32_t>{2});
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // backoff
+  auto second = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(second->size(), 1u) << "the first partial share was not delivered";
+  EXPECT_EQ((*second)[0].user, rec.user);
+  EXPECT_EQ(report.missing_partitions, std::vector<uint32_t>{2});
+
+  auto stats = g.broker->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->rescue_dropped, 0u)
+      << "the second partial share found the buffer full";
+  EXPECT_EQ(stats->rescued_recommendations, 1u);
+}
+
+TEST(FanoutDegradedTest, CloseWaitsOutAnInFlightGather) {
+  // Close() severs the connections and then waits out every in-flight
+  // call — its tail included: a gather that fails below quorum parks its
+  // share after the lanes return, and must do so before Close() clears
+  // the buffer and lets the owner free the broker. The gather's report is
+  // the visible part of that tail.
+  Recommendation rec;
+  rec.user = figure1::kA2;
+  rec.item = figure1::kC2;
+  rec.witness_count = 2;
+  MidStreamDaemon scripted(rec, /*hang_up=*/false);
+  FanoutClusterOptions fopt;
+  fopt.gather_quorum = 3;
+  ScriptedGroup g = StartScriptedGroup(scripted, fopt);
+
+  GatherReport report;
+  Status gathered;
+  std::thread gather([&] {
+    gathered = g.broker->TakeRecommendations(&report).status();
+  });
+  scripted.AwaitGathers(1);  // the gather is in flight
+  ASSERT_TRUE(g.broker->Close().ok());
+  EXPECT_EQ(report.daemons_total, 3u)
+      << "Close() returned before the gather finished";
+  gather.join();
+  EXPECT_FALSE(gathered.ok()) << "a severed lane met a 3-of-3 quorum";
+}
+
+TEST(FanoutDegradedTest, ScrapeErrorIsTheDaemonsOwnMessage) {
+  // A daemon whose replay flush was rejected and whose scrape then fails
+  // gets both lines in its section: the scrape's own error as the daemon
+  // sent it, and the rejection on its own line.
+  TestWorkload w = MakeTestWorkload(512);
+  Group g = StartGroupOwingDaemon1(w, /*replicas=*/1);
+  RejectingTransport rejecting(g.daemons[1].hosted.get(),
+                               /*reject_stats_text=*/true);
+  ReviveDaemon1(&g, &rejecting);
+
+  auto text = g.broker->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  const std::string header =
+      "# source daemon 127.0.0.1:" +
+      std::to_string(g.daemons[1].server->port()) + " partition 1";
+  EXPECT_NE(text->find(header + " error: injected stats-text failure\n"),
+            std::string::npos)
+      << *text;
+  const size_t rejected = text->find("# replay rejected: ");
+  ASSERT_NE(rejected, std::string::npos) << *text;
+  EXPECT_NE(text->find("injected publish rejection", rejected),
+            std::string::npos)
+      << *text;
 }
 
 TEST(FanoutDegradedTest, QuorumValidationAtConnect) {

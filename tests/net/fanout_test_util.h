@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -86,10 +87,12 @@ struct Group {
 
 /// Builds the daemons for partitions 0..group_size-1 and connects a broker
 /// configured from `fopt` (whose endpoints and group_size are filled in
-/// here — set policy/quorum/buffer bounds before calling).
+/// here — set policy/quorum/buffer bounds before calling). A non-empty
+/// `persist_dirs` gives daemon p the persistence directory persist_dirs[p].
 inline Group StartGroup(const StaticGraph& graph, uint32_t group_size,
                         uint32_t replicas, uint32_t k,
-                        net::FanoutClusterOptions fopt) {
+                        net::FanoutClusterOptions fopt,
+                        const std::vector<std::string>& persist_dirs = {}) {
   Group g;
   fopt.endpoints.clear();
   fopt.group_size = group_size;
@@ -105,6 +108,7 @@ inline Group StartGroup(const StaticGraph& graph, uint32_t group_size,
     ClusterOptions options = MakeClusterOptions(1, replicas, k);
     options.group_size = group_size;
     options.group_partition = p;
+    if (!persist_dirs.empty()) options.persist.dir = persist_dirs[p];
     // Group members stamp traces with their global partition id, exactly
     // as magicrecsd wires it for a partition-group deployment.
     net::RpcServerOptions server_options;
