@@ -4,7 +4,8 @@
 // against S) on a single detector across graph sizes, and on the threaded
 // cluster across partition counts. The paper's target is 10^4 events/s for
 // the whole deployment; a single in-memory partition should beat that by
-// orders of magnitude.
+// orders of magnitude. A last row times D alone (insert + window read) on
+// a dense-shaped stream.
 
 #include <cstdio>
 
@@ -161,6 +162,49 @@ void KernelAblationSweep(bench::JsonRows* rows) {
   }
 }
 
+/// D alone: MotifEngine::Window (index-insert + index-window) with no
+/// query half, on a stream shaped like the serving benchmark's `dense`
+/// (20k users, Zipf 0.8, 40 events/s against a 10-minute window, so about
+/// 24k events are in the window and hot destinations hold hundreds). The
+/// row gates the window read; its "recs" field counts the events whose
+/// window reached k, i.e. the queries the window half would start.
+void WindowSweep(bench::JsonRows* rows) {
+  std::printf("\n--- D alone (index-insert + index-window), dense-shaped "
+              "stream ---\n");
+  std::printf("%18s %12s %14s %14s\n", "config", "events", "events/s",
+              "queries");
+
+  WorkloadConfig config;
+  config.num_users = 20'000;
+  config.popularity_exponent = 0.8;
+  config.num_events = 150'000;
+  config.events_per_second = 40;
+  config.burst_fraction = 0.02;
+  config.mean_burst_size = 3;
+  const Workload w = MakeWorkload(config);
+
+  // Best-of-2 passes, as in the kernel ablation.
+  double rate = 0;
+  uint64_t queries = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto engine =
+        bench::DiamondEngine(w.follower_index, ProductionOptions());
+    std::vector<VertexId> actors;
+    queries = 0;
+    Stopwatch timer;
+    for (const TimestampedEdge& e : w.events) {
+      actors.clear();
+      if (!engine->Window(e.src, e.dst, e.created_at, &actors).ok()) return;
+      queries += actors.empty() ? 0 : 1;
+    }
+    rate = std::max(
+        rate, static_cast<double>(w.events.size()) / timer.ElapsedSeconds());
+  }
+  std::printf("%18s %12zu %14s %14s\n", "window", w.events.size(),
+              HumanCount(rate).c_str(), HumanCount(double(queries)).c_str());
+  rows->AddThroughput("throughput-window", "window", 1, rate, queries);
+}
+
 }  // namespace
 
 int main() {
@@ -170,6 +214,7 @@ int main() {
   ThreadedClusterSweep();
   bench::JsonRows rows;
   KernelAblationSweep(&rows);
+  WindowSweep(&rows);
   rows.MergeWrite("BENCH_net.json");
   return 0;
 }

@@ -9,20 +9,6 @@
 
 namespace magicrecs {
 
-namespace {
-
-/// Drops the dead front of `entries` once it is at least half the buffer,
-/// so trimming stays O(1) amortized without pinning dead space.
-void Compact(std::vector<TimestampedInEdge>* entries, size_t* begin) {
-  if (*begin > 0 && *begin * 2 >= entries->size()) {
-    entries->erase(entries->begin(),
-                   entries->begin() + static_cast<std::ptrdiff_t>(*begin));
-    *begin = 0;
-  }
-}
-
-}  // namespace
-
 DynamicInEdgeIndex::DynamicInEdgeIndex(const DynamicGraphOptions& options)
     : options_(options) {
   assert(options_.window > 0);
@@ -34,16 +20,16 @@ Status DynamicInEdgeIndex::Insert(VertexId src, VertexId dst, Timestamp t) {
     return Status::InvalidArgument("edge uses the reserved invalid vertex id");
   }
   const Slot& slot = slots_[Probe(dst)];
-  if (slot.dst == dst && t < slot.entries.back().created_at) {
+  if (slot.dst == dst && t < slot.newest) {
     if (options_.strict_time_order) {
       return Status::FailedPrecondition(
           StrFormat("timestamp %lld precedes the newest in-edge of vertex %u",
                     static_cast<long long>(t), dst));
     }
-    // Tolerant mode: clamp so the log stays time-sorted; out-of-order
+    // Tolerant mode: clamp so every run stays time-sorted; out-of-order
     // deliveries from a real message queue are expected to be rare and
     // barely late.
-    t = slot.entries.back().created_at;
+    t = slot.newest;
   }
   ++stats_.inserted;
   watermark_ = std::max(watermark_, t);
@@ -56,16 +42,19 @@ Status DynamicInEdgeIndex::Insert(VertexId src, VertexId dst, Timestamp t) {
   }
   // Expire may have moved or freed dst's slot: look it up again.
   Slot& log = FindOrAdd(dst);
-  log.entries.push_back(TimestampedInEdge{src, t});
+  // The back of src's run: after every earlier insert of src.
+  log.entries.insert(
+      std::ranges::upper_bound(log.entries, src, {}, &Entry::src),
+      Entry{src, log.next_seq++, t});
+  log.newest = t;
   ++stats_.current_edges;
-  PushExpiry(Expiry{t, dst});
-  if (options_.max_in_edges_per_vertex > 0 &&
-      log.size() > options_.max_in_edges_per_vertex) {
-    const size_t excess = log.size() - options_.max_in_edges_per_vertex;
-    log.begin += excess;
-    stats_.evicted += excess;
-    stats_.current_edges -= excess;
-    Compact(&log.entries, &log.begin);
+  PushExpiry(Expiry{t, dst, src});
+  while (options_.max_in_edges_per_vertex > 0 &&
+         log.entries.size() > options_.max_in_edges_per_vertex) {
+    // The cap evicts the oldest insertion.
+    log.entries.erase(std::ranges::min_element(log.entries, InsertedBefore));
+    ++stats_.evicted;
+    --stats_.current_edges;
   }
   return Status::OK();
 }
@@ -132,28 +121,31 @@ void DynamicInEdgeIndex::Rehash(size_t capacity) {
 
 void DynamicInEdgeIndex::Expire(Timestamp cutoff) {
   while (expiry_size_ > 0 && ExpiryAt(0).t <= cutoff) {
-    const VertexId dst = ExpiryAt(0).dst;
+    const Expiry e = ExpiryAt(0);
     expiry_head_ = (expiry_head_ + 1) & (expiry_.size() - 1);
     --expiry_size_;
-    const size_t i = Probe(dst);
-    if (slots_[i].dst != dst) continue;  // its log already emptied
-    PruneLog(&slots_[i], cutoff);
-    if (slots_[i].size() == 0) EraseSlot(i);
+    const size_t i = Probe(e.dst);
+    if (slots_[i].dst != e.dst) continue;  // its log already emptied
+    PruneRun(&slots_[i], e.src, cutoff);
+    if (slots_[i].entries.empty()) EraseSlot(i);
   }
   size_t capacity = expiry_.size();
   while (capacity > kMinCapacity && 8 * expiry_size_ < capacity) capacity /= 2;
   if (capacity < expiry_.size()) ResizeExpiry(capacity);
 }
 
-void DynamicInEdgeIndex::PruneLog(Slot* slot, Timestamp cutoff) {
-  size_t begin = slot->begin;
-  const size_t end = slot->entries.size();
-  while (begin < end && slot->entries[begin].created_at <= cutoff) ++begin;
-  const size_t dropped = begin - slot->begin;
+void DynamicInEdgeIndex::PruneRun(Slot* slot, VertexId src, Timestamp cutoff) {
+  const auto first =
+      std::ranges::lower_bound(slot->entries, src, {}, &Entry::src);
+  auto last = first;
+  while (last != slot->entries.end() && last->src == src &&
+         last->created_at <= cutoff) {
+    ++last;
+  }
+  const auto dropped = static_cast<uint64_t>(last - first);
   stats_.pruned += dropped;
   stats_.current_edges -= dropped;
-  slot->begin = begin;
-  Compact(&slot->entries, &slot->begin);
+  slot->entries.erase(first, last);
 }
 
 void DynamicInEdgeIndex::PushExpiry(Expiry e) {
@@ -178,32 +170,18 @@ size_t DynamicInEdgeIndex::GetRecentInEdges(
   const Slot& slot = slots_[Probe(dst)];
   if (slot.dst != dst) return 0;
   const Timestamp cutoff = Cutoff(now);
-  for (size_t i = slot.begin; i < slot.entries.size(); ++i) {
-    const TimestampedInEdge& e = slot.entries[i];
-    if (e.created_at > cutoff && e.created_at <= now) {
-      out->push_back(e);
+  // Runs come in source order and each is time-sorted, so the last entry of
+  // a run inside (cutoff, now] is that source's most recent.
+  for (auto it = slot.entries.begin(); it != slot.entries.end();) {
+    const VertexId src = it->src;
+    Timestamp latest = cutoff;  // none yet
+    for (; it != slot.entries.end() && it->src == src; ++it) {
+      if (it->created_at > cutoff && it->created_at <= now) {
+        latest = it->created_at;
+      }
     }
+    if (latest > cutoff) out->push_back(TimestampedInEdge{src, latest});
   }
-  // Deduplicate sources, keeping the most recent timestamp: after sorting by
-  // (source, time) the last entry per source is the freshest. Entries equal
-  // in both fields are interchangeable, so an unstable in-place sort gives
-  // the same result as a stable one without its temporary buffer.
-  std::sort(out->begin(), out->end(),
-            [](const TimestampedInEdge& a, const TimestampedInEdge& b) {
-              return a.src != b.src ? a.src < b.src
-                                    : a.created_at < b.created_at;
-            });
-  auto write = out->begin();
-  for (auto read = out->begin(); read != out->end();) {
-    auto next = read + 1;
-    while (next != out->end() && next->src == read->src) {
-      read = next;
-      ++next;
-    }
-    *write++ = *read;
-    read = next;
-  }
-  out->erase(write, out->end());
   return out->size();
 }
 
@@ -219,12 +197,16 @@ void DynamicInEdgeIndex::EncodeTo(std::string* out) const {
             [](const Slot* a, const Slot* b) { return a->dst < b->dst; });
 
   persist::PutU64(out, logs.size());
+  std::vector<Entry> inserted;
   for (const Slot* slot : logs) {
+    // Oldest first, as the log was inserted.
+    inserted = slot->entries;
+    std::ranges::sort(inserted, InsertedBefore);
     persist::PutU32(out, slot->dst);
-    persist::PutU64(out, slot->size());
-    for (size_t i = slot->begin; i < slot->entries.size(); ++i) {
-      persist::PutU32(out, slot->entries[i].src);
-      persist::PutI64(out, slot->entries[i].created_at);
+    persist::PutU64(out, inserted.size());
+    for (const Entry& e : inserted) {
+      persist::PutU32(out, e.src);
+      persist::PutI64(out, e.created_at);
     }
   }
 }
@@ -260,7 +242,8 @@ Status DynamicInEdgeIndex::DecodeFrom(const uint8_t* data, size_t size) {
     slot.entries.reserve(count);
     Timestamp prev = std::numeric_limits<Timestamp>::min();
     for (uint64_t j = 0; j < count; ++j) {
-      TimestampedInEdge e;
+      // The log is written oldest first: file order is insertion order.
+      Entry e{kInvalidVertex, slot.next_seq++, 0};
       reader.GetU32(&e.src);
       reader.GetI64(&e.created_at);
       if (e.src == kInvalidVertex) {
@@ -272,8 +255,10 @@ Status DynamicInEdgeIndex::DecodeFrom(const uint8_t* data, size_t size) {
       }
       prev = e.created_at;
       slot.entries.push_back(e);
-      expiries.push_back(Expiry{e.created_at, dst});
+      expiries.push_back(Expiry{e.created_at, dst, e.src});
     }
+    std::ranges::stable_sort(slot.entries, {}, &Entry::src);
+    slot.newest = prev;
     decoded.watermark_ = std::max(decoded.watermark_, prev);
   }
   // Each log is time-sorted; the queue must be across logs too.
@@ -292,7 +277,7 @@ size_t DynamicInEdgeIndex::MemoryUsage() const {
   size_t total = slots_.capacity() * sizeof(Slot) +
                  expiry_.capacity() * sizeof(Expiry);
   for (const Slot& slot : slots_) {
-    total += slot.entries.capacity() * sizeof(TimestampedInEdge);
+    total += slot.entries.capacity() * sizeof(Entry);
   }
   return total;
 }

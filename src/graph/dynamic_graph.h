@@ -14,11 +14,17 @@
 //
 // Layout: a flat open-addressing table keyed by destination (linear
 // probing, multiplicative hashing, backward-shift deletion, so no
-// tombstones), each slot holding its time-sorted log inline, plus an expiry
-// queue of (time, destination), one entry per stored edge, kept in time
-// order. Expiry pops the queue's expired front and front-trims the logs it
-// names; a log that empties frees its slot. Both structures grow and shrink
-// with the window.
+// tombstones), each slot holding its log inline, grouped by source: one run
+// per source in ascending source id, each run in insertion order. The
+// tolerant-mode clamp keeps times non-decreasing within a destination, so
+// every run is time-sorted and a window read is one pass that emits, per
+// run, its newest entry in the window: deduped and in source order with no
+// sort. Each entry carries its slot's insertion counter: the per-vertex cap
+// evicts the oldest insertion, and the encoding writes a log in insertion
+// order, the bytes a time-ordered log gives. An expiry queue of (time,
+// destination, source), one entry per stored edge, kept in time order,
+// names the run whose front each expired edge is at; a log that empties
+// frees its slot. Both structures grow and shrink with the window.
 
 #ifndef MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
 #define MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
@@ -103,22 +109,38 @@ class DynamicInEdgeIndex {
   Status DecodeFrom(const uint8_t* data, size_t size);
 
  private:
-  /// One destination's log, oldest first; entries before `begin` are dead
-  /// space, compacted when it reaches half the buffer. dst == kInvalidVertex
-  /// marks an empty slot.
+  /// A stored edge. `seq` is its slot's insertion counter at insert time;
+  /// it fills the padding, so an entry is as small as a TimestampedInEdge.
+  struct Entry {
+    VertexId src;
+    uint32_t seq;
+    Timestamp created_at;
+  };
+  static_assert(sizeof(Entry) == sizeof(TimestampedInEdge));
+
+  /// Insertion order: the smaller seq modulo 2^32 (a log spans far fewer
+  /// than 2^31 inserts).
+  static bool InsertedBefore(const Entry& a, const Entry& b) {
+    return static_cast<int32_t>(a.seq - b.seq) < 0;
+  }
+
+  /// One destination's log, grouped by source (ascending id), each source's
+  /// run in insertion order. dst == kInvalidVertex marks an empty slot.
   struct Slot {
     VertexId dst = kInvalidVertex;
-    size_t begin = 0;
-    std::vector<TimestampedInEdge> entries;
-
-    size_t size() const { return entries.size() - begin; }
+    /// The seq the next insert takes; wraps, compared modulo 2^32.
+    uint32_t next_seq = 0;
+    /// Time of the newest (last inserted) entry: the tolerant-mode clamp.
+    Timestamp newest = 0;
+    std::vector<Entry> entries;
   };
 
-  /// An expiry queue entry: at watermark `t + window`, `dst`'s log holds an
-  /// expired edge (unless the cap evicted it first).
+  /// An expiry queue entry: at watermark `t + window`, `src`'s run in
+  /// `dst`'s log holds an expired edge (unless the cap evicted it first).
   struct Expiry {
     Timestamp t;
     VertexId dst;
+    VertexId src;
   };
 
   static constexpr size_t kMinCapacity = 16;
@@ -136,11 +158,12 @@ class DynamicInEdgeIndex {
   void EraseSlot(size_t i);
   void Rehash(size_t capacity);
 
-  /// Pops the queue's entries at or before `cutoff`, front-trims the logs
-  /// they name and erases the ones that empty.
+  /// Pops the queue's entries at or before `cutoff`, front-trims the runs
+  /// they name and erases the logs that empty.
   void Expire(Timestamp cutoff);
-  /// Trims entries of `slot` created at or before `cutoff`; updates stats.
-  void PruneLog(Slot* slot, Timestamp cutoff);
+  /// Trims the entries of `src`'s run in `slot` created at or before
+  /// `cutoff`; updates stats.
+  void PruneRun(Slot* slot, VertexId src, Timestamp cutoff);
   /// Enqueues at the position that keeps the queue time-sorted: the back,
   /// unless the edge is late.
   void PushExpiry(Expiry e);

@@ -346,6 +346,18 @@ TEST(MotifEngineTest, WitnessReportingCapKeepsCountExact) {
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].witness_count, 6u);
   EXPECT_EQ(recs[0].witnesses.size(), 2u);
+
+  // The reported witnesses are the first in gather order, which is source
+  // id order: actors arriving in descending id order at rising times still
+  // report the two smallest ids, not the two oldest or newest actions.
+  const auto reversed = Diamond(Follows(30, follows), opt);
+  recs.clear();
+  for (VertexId b = 15; b >= 10; --b) {
+    ASSERT_TRUE(reversed->OnEdge(b, 20, 16 - b, &recs).ok());
+  }
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].witness_count, 6u);
+  EXPECT_EQ(recs[0].witnesses, (std::vector<VertexId>{10, 11}));
 }
 
 TEST(MotifEngineTest, WitnessQueryCapBoundsWork) {

@@ -5,7 +5,8 @@
 // destinations, pinning the watermark retention rule. The duplicate-heavy
 // cases (three sources, one or two targets, steps of 0 or 1 microsecond)
 // put many entries equal in both source and timestamp into one window,
-// pinning the window's (source, time) dedup.
+// pinning the window's (source, time) dedup. The hot-destination cases
+// (400 sources, two targets) keep logs of a hundred or more entries.
 //
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
@@ -151,6 +152,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ModelCase{Seconds(10), 0}, ModelCase{Seconds(10), 5},
                       ModelCase{Minutes(5), 0}, ModelCase{Minutes(5), 64},
                       ModelCase{Seconds(1), 3},
+                      // Hot destinations: 400 sources onto 2 targets, so a
+                      // log holds ~150 live entries in long runs of
+                      // repeating sources, and inserts and expiries land
+                      // mid-log.
+                      ModelCase{Minutes(5), 0, 400, 2},
+                      ModelCase{Minutes(5), 64, 400, 2},
                       // Duplicate-heavy: ~80 entries per 40 us window, a
                       // third of them repeating a (source, time) pair.
                       ModelCase{40, 0, 3, 1, 2}, ModelCase{40, 5, 3, 2, 2},

@@ -94,6 +94,76 @@ TEST(DynamicIndexCodecTest, InvalidVertexIdIsCorruption) {
                   .ok());
 }
 
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return hex;
+}
+
+TEST(DynamicIndexCodecTest, EncodingBytesArePinned) {
+  // A checkpoint written by an earlier build must restore in this one, and
+  // this one's must restore in the earlier: the bytes of a fixed stream are
+  // pinned, whatever layout D keeps in memory. The stream repeats sources,
+  // puts equal timestamps on different sources, clamps a late edge, evicts
+  // by the per-vertex cap and expires a whole destination.
+  DynamicGraphOptions options;
+  options.window = Seconds(10);
+  options.max_in_edges_per_vertex = 4;
+  DynamicInEdgeIndex index(options);
+  ASSERT_TRUE(index.Insert(1, 50, Millis(500)).ok());
+  ASSERT_TRUE(index.Insert(5, 100, Seconds(1)).ok());
+  ASSERT_TRUE(index.Insert(3, 100, Seconds(2)).ok());
+  ASSERT_TRUE(index.Insert(5, 100, Seconds(2)).ok());
+  ASSERT_TRUE(index.Insert(4, 100, Seconds(2)).ok());
+  ASSERT_TRUE(index.Insert(5, 200, Seconds(2)).ok());
+  ASSERT_TRUE(index.Insert(9, 200, Seconds(2)).ok());
+  ASSERT_TRUE(index.Insert(3, 100, Seconds(3)).ok());     // evicts 5 @ 1 s
+  ASSERT_TRUE(index.Insert(7, 100, Millis(1500)).ok());   // clamped to 3 s
+  ASSERT_TRUE(index.Insert(5, 200, Seconds(4)).ok());
+  ASSERT_TRUE(index.Insert(2, 300, Seconds(11)).ok());    // expires 50's log
+  ASSERT_TRUE(index.Insert(5, 100, Seconds(11)).ok());
+  ASSERT_EQ(index.stats().evicted, 3u);
+  ASSERT_EQ(index.stats().pruned, 1u);
+
+  // Three logs, each (dst, count, then (src, created_at) oldest first).
+  const std::string golden =
+      "0300000000000000"
+      "64000000" "0400000000000000"
+      "04000000" "80841e0000000000" "03000000" "c0c62d0000000000"
+      "07000000" "c0c62d0000000000" "05000000" "c0d8a70000000000"
+      "c8000000" "0300000000000000"
+      "05000000" "80841e0000000000" "09000000" "80841e0000000000"
+      "05000000" "00093d0000000000"
+      "2c010000" "0100000000000000"
+      "02000000" "c0d8a70000000000";
+  std::string bytes;
+  index.EncodeTo(&bytes);
+  EXPECT_EQ(Hex(bytes), golden);
+
+  // The pinned bytes restore to the same windows and re-encode unchanged.
+  DynamicInEdgeIndex restored(options);
+  ASSERT_TRUE(restored
+                  .DecodeFrom(reinterpret_cast<const uint8_t*>(bytes.data()),
+                              bytes.size())
+                  .ok());
+  std::string again;
+  restored.EncodeTo(&again);
+  EXPECT_EQ(Hex(again), golden);
+  std::vector<TimestampedInEdge> expected;
+  std::vector<TimestampedInEdge> actual;
+  for (const VertexId dst : {50u, 100u, 200u, 300u}) {
+    for (const Timestamp now : {Seconds(3), Seconds(11)}) {
+      index.GetRecentInEdges(dst, now, &expected);
+      restored.GetRecentInEdges(dst, now, &actual);
+      EXPECT_EQ(actual, expected) << "dst=" << dst << " now=" << now;
+    }
+  }
+}
+
 TEST(DynamicIndexCodecTest, ClearDropsEverything) {
   DynamicInEdgeIndex index;
   ASSERT_TRUE(index.Insert(1, 10, Seconds(1)).ok());
