@@ -176,12 +176,11 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
   // Variant 1: snapshot + WAL tail, the pass Cluster::Create runs on
   // restart to rebuild the process's one D.
   const DiamondOptions options = ProductionOptions();
-  auto window = MotifEngine::CreateDiamond(
-      std::make_shared<const StaticGraph>(), options);
+  const Result<MotifPlan> plan = CompileDiamond(options);
+  if (!plan.ok()) std::exit(1);
+  WindowStage window(*plan, options);
   RecoveryStats stats;
-  if (!window.ok() || !RecoveryManager(persist)
-                           .RecoverDynamicState(window->get(), &stats)
-                           .ok()) {
+  if (!RecoveryManager(persist).RecoverDynamicState(&window, &stats).ok()) {
     std::exit(1);
   }
   print_row("snapshot + wal tail", stats.events_replayed,
@@ -189,18 +188,16 @@ void RecoverySpeed(const Workload& w, const std::string& root) {
   std::printf("  recovery stats: %s\n", stats.ToString().c_str());
 
   // Variant 2: WAL only (pretend the snapshot is absent by replaying into a
-  // fresh engine from sequence 0).
-  auto engine = MotifEngine::Create(
-      w.follow_graph, MakeDiamondSpec(options.k, options.window), options);
-  if (!engine.ok()) std::exit(1);
+  // fresh D from sequence 0).
+  WindowStage fresh(*plan, options);
   Stopwatch timer;
   uint64_t replayed = 0;
   const Status s = ReplayWal(
       persist.dir, 0,
       [&](const EdgeEvent& event) {
         ++replayed;
-        return (*engine)->Ingest(event.edge.src, event.edge.dst,
-                                 event.edge.created_at);
+        return fresh.Ingest(event.edge.src, event.edge.dst,
+                            event.edge.created_at);
       },
       nullptr);
   if (!s.ok()) std::exit(1);

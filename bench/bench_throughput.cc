@@ -162,7 +162,7 @@ void KernelAblationSweep(bench::JsonRows* rows) {
   }
 }
 
-/// D alone: MotifEngine::Window (index-insert + index-window) with no
+/// D alone: WindowStage::Window (index-insert + index-window) with no
 /// query half, on a stream shaped like the serving benchmark's `dense`
 /// (20k users, Zipf 0.8, 40 events/s against a 10-minute window, so about
 /// 24k events are in the window and hot destinations hold hundreds). The
@@ -183,18 +183,21 @@ void WindowSweep(bench::JsonRows* rows) {
   config.mean_burst_size = 3;
   const Workload w = MakeWorkload(config);
 
+  const DiamondOptions options = ProductionOptions();
+  const Result<MotifPlan> plan = CompileDiamond(options);
+  if (!plan.ok()) return;
+
   // Best-of-2 passes, as in the kernel ablation.
   double rate = 0;
   uint64_t queries = 0;
   for (int pass = 0; pass < 2; ++pass) {
-    const auto engine =
-        bench::DiamondEngine(w.follower_index, ProductionOptions());
+    WindowStage window(*plan, options);
     std::vector<VertexId> actors;
     queries = 0;
     Stopwatch timer;
     for (const TimestampedEdge& e : w.events) {
       actors.clear();
-      if (!engine->Window(e.src, e.dst, e.created_at, &actors).ok()) return;
+      if (!window.Window(e.src, e.dst, e.created_at, &actors).ok()) return;
       queries += actors.empty() ? 0 : 1;
     }
     rate = std::max(

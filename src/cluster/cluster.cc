@@ -30,8 +30,11 @@ std::string PartitionHealth::ToString() const {
       static_cast<unsigned long long>(gathers_missed_consecutive));
 }
 
-Cluster::Cluster(const ClusterOptions& options, HashPartitioner partitioner)
-    : options_(options), partitioner_(partitioner) {}
+Cluster::Cluster(const ClusterOptions& options, HashPartitioner partitioner,
+                 const MotifPlan& plan)
+    : options_(options),
+      partitioner_(partitioner),
+      window_(plan, options.detector) {}
 
 int Cluster::LocalPartitionIndex(uint32_t partition) const {
   if (options_.group_size > 0) {
@@ -65,7 +68,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
   HashPartitioner partitioner(
       group_mode ? options.group_size : options.num_partitions,
       options.partitioner_salt);
-  std::unique_ptr<Cluster> cluster(new Cluster(options, partitioner));
+  MAGICRECS_ASSIGN_OR_RETURN(const MotifPlan plan,
+                             CompileDiamond(options.detector));
+  std::unique_ptr<Cluster> cluster(new Cluster(options, partitioner, plan));
   if (group_mode) {
     cluster->owned_partitions_ = {options.group_partition};
   } else {
@@ -74,13 +79,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     }
   }
 
-  // The process's one D. Its engine only ever runs the window half, so its
-  // S is empty.
-  MAGICRECS_ASSIGN_OR_RETURN(
-      cluster->window_engine_,
-      MotifEngine::CreateDiamond(std::make_shared<const StaticGraph>(),
-                                 options.detector));
-
   // Offline pipeline: influencer cap, invert to the follower index, then
   // cut one shard per hosted partition. Replicas share the immutable shard.
   MAGICRECS_ASSIGN_OR_RETURN(
@@ -88,20 +86,17 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
       ApplyInfluencerCap(follow_graph, options.max_influencers_per_user));
   const StaticGraph full_follower_index = capped.Transpose();
 
-  cluster->servers_.resize(cluster->owned_partitions_.size());
+  cluster->replicas_.resize(cluster->owned_partitions_.size());
   for (size_t i = 0; i < cluster->owned_partitions_.size(); ++i) {
     const uint32_t p = cluster->owned_partitions_[i];
     MAGICRECS_ASSIGN_OR_RETURN(
         StaticGraph shard,
         BuildPartitionShard(full_follower_index, partitioner, p));
     shard.BuildHubIndex();
-    auto shared_shard = std::make_shared<const StaticGraph>(std::move(shard));
-    for (uint32_t r = 0; r < options.replicas_per_partition; ++r) {
-      MAGICRECS_ASSIGN_OR_RETURN(
-          std::unique_ptr<PartitionServer> server,
-          PartitionServer::CreateWithShard(shared_shard, p, options.detector));
-      cluster->servers_[i].push_back(std::move(server));
-    }
+    cluster->replicas_[i].assign(
+        options.replicas_per_partition,
+        QueryStage(plan, std::make_shared<const StaticGraph>(std::move(shard)),
+                   options.detector));
     auto mask = std::make_unique<std::atomic<uint64_t>>(
         options.replicas_per_partition == 64
             ? ~uint64_t{0}
@@ -128,7 +123,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     RecoveryStats stats;
     MAGICRECS_RETURN_IF_ERROR(
         RecoveryManager(options.persist)
-            .RecoverDynamicState(cluster->window_engine_.get(), &stats));
+            .RecoverDynamicState(&cluster->window_, &stats));
     cluster->next_sequence_.store(
         std::max(cluster->wal_->recovered_next_sequence(),
                  stats.next_sequence),
@@ -174,9 +169,9 @@ Status Cluster::Window(WindowedBatch* batch) {
   Status first_error;
   for (const EdgeEvent& event : batch->events) {
     const TimestampedEdge& e = event.edge;
-    Status s = window_engine_->Window(e.src, e.dst, e.created_at,
-                                      &batch->actors, MotifAction::kFollow,
-                                      IsTimingSample(event.sequence));
+    Status s = window_.Window(e.src, e.dst, e.created_at, &batch->actors,
+                              MotifAction::kFollow,
+                              IsTimingSample(event.sequence));
     batch->offsets.push_back(static_cast<uint32_t>(batch->actors.size()));
     if (s.ok()) continue;
     // Logged, so the event stays in the batch; no partition can query it.
@@ -191,14 +186,12 @@ void Cluster::QueryOnReplica(uint32_t local, uint32_t replica,
                              std::span<const VertexId> actors,
                              std::vector<Recommendation>* out) {
   if (actors.empty()) return;  // no query: nothing runs, nothing is timed
-  PartitionServer& server = *servers_[local][replica];
-  if (IsTimingSample(event.sequence)) {
-    const Stopwatch apply_timer;
-    server.Query(event, actors, out);
-    apply_histograms_[local]->Record(apply_timer.ElapsedMicros());
-  } else {
-    server.Query(event, actors, out);
-  }
+  const TimestampedEdge& e = event.edge;
+  const bool timed = IsTimingSample(event.sequence);
+  const int64_t t0 = timed ? SteadyNowNanos() : 0;
+  replicas_[local][replica].Query(e.src, e.dst, e.created_at, actors, out,
+                                  timed);
+  if (timed) apply_histograms_[local]->Record((SteadyNowNanos() - t0) / 1000);
 }
 
 Status Cluster::OnEdgeEvent(EdgeEvent event,
@@ -224,7 +217,7 @@ Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
   const Status window_error = Window(&inline_batch_);
   for (size_t i = 0; i < inline_batch_.events.size(); ++i) {
     const EdgeEvent& event = inline_batch_.events[i];
-    for (uint32_t local = 0; local < servers_.size(); ++local) {
+    for (uint32_t local = 0; local < replicas_.size(); ++local) {
       for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
         if (ShouldEmit(local, r, event.sequence)) {
           QueryOnReplica(local, r, event, inline_batch_.ActorsOf(i), out);
@@ -237,7 +230,7 @@ Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
 
 Status Cluster::Start() {
   if (running_) return Status::FailedPrecondition("cluster already running");
-  const uint32_t local_partitions = static_cast<uint32_t>(servers_.size());
+  const uint32_t local_partitions = static_cast<uint32_t>(replicas_.size());
   inboxes_.clear();
   consumed_.clear();
   inboxes_.resize(local_partitions);
@@ -414,7 +407,7 @@ Status Cluster::Checkpoint(Timestamp created_at) {
     MAGICRECS_RETURN_IF_ERROR(wal_->Sync());
   }
   return RecoveryManager(options_.persist)
-      .Checkpoint(*window_engine_, owned_partitions_.front(),
+      .Checkpoint(window_, owned_partitions_.front(),
                   next_sequence_.load(std::memory_order_relaxed), created_at);
 }
 
@@ -425,33 +418,35 @@ uint32_t Cluster::alive_replicas(uint32_t partition) const {
       std::popcount(alive_masks_[local]->load(std::memory_order_acquire)));
 }
 
-const PartitionServer& Cluster::server(uint32_t partition,
-                                       uint32_t replica) const {
+const QueryStage& Cluster::replica(uint32_t partition,
+                                   uint32_t replica) const {
   const int local = LocalPartitionIndex(partition);
   assert(local >= 0 && "partition is not hosted by this cluster");
-  return *servers_[local][replica];
+  return replicas_[local][replica];
 }
 
 size_t Cluster::TotalStaticMemory() const {
   size_t total = 0;
-  for (const auto& partition : servers_) {
-    for (const auto& server : partition) total += server->StaticMemoryUsage();
+  for (const auto& partition : replicas_) {
+    for (const QueryStage& stage : partition) {
+      total += stage.static_index().MemoryUsage();
+    }
   }
   return total;
 }
 
 std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
   std::vector<ReplicaStats> out;
-  out.reserve(servers_.size() * options_.replicas_per_partition);
-  for (size_t i = 0; i < servers_.size(); ++i) {
+  out.reserve(replicas_.size() * options_.replicas_per_partition);
+  for (size_t i = 0; i < replicas_.size(); ++i) {
     const uint64_t mask = alive_masks_[i]->load(std::memory_order_acquire);
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-      const MotifEngineStats& s = servers_[i][r]->stats();
+      const MotifEngineStats& s = replicas_[i][r].stats();
       ReplicaStats entry;
       entry.partition = owned_partitions_[i];
       entry.replica = r;
       entry.alive = (mask & (uint64_t{1} << r)) != 0;
-      entry.detector_events = window_engine_->stats().events;
+      entry.detector_events = window_.stats().events;
       entry.threshold_queries = s.threshold_queries;
       entry.recommendations = s.recommendations;
       out.push_back(entry);
@@ -461,24 +456,9 @@ std::vector<ReplicaStats> Cluster::PerReplicaStats() const {
 }
 
 MotifEngineStats Cluster::AggregatedStats() const {
-  MotifEngineStats total;
-  const auto merge = [&total](const MotifEngineStats& s) {
-    total.events += s.events;
-    total.filtered_by_action += s.filtered_by_action;
-    total.threshold_queries += s.threshold_queries;
-    total.raw_candidates += s.raw_candidates;
-    total.recommendations += s.recommendations;
-    total.suppressed_existing += s.suppressed_existing;
-    total.suppressed_self += s.suppressed_self;
-    total.query_micros.Merge(s.query_micros);
-    for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
-      total.stage_nanos[stage].Merge(s.stage_nanos[stage]);
-    }
-    total.intersection_sizes.Merge(s.intersection_sizes);
-  };
-  merge(window_engine_->stats());
-  for (const auto& partition : servers_) {
-    for (const auto& server : partition) merge(server->stats());
+  MotifEngineStats total = window_.stats();
+  for (const auto& partition : replicas_) {
+    for (const QueryStage& stage : partition) total.Merge(stage.stats());
   }
   return total;
 }

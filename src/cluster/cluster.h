@@ -6,10 +6,10 @@
 //
 // D is kept once per process: the paper gives each partition a complete D
 // because each runs on its own machine, but the partitions and replicas of
-// one process share one. The plan splits at the query (MotifEngine::Window /
-// Query): the window half (insert into D, collect actors, check k, cap)
-// runs once per event per process, and each partition runs only the query
-// half (S fetch, intersection, emit) on its shard over the actor ids found.
+// one process share one. The plan splits at the query: the window half (a
+// WindowStage: insert into D, collect actors, check k, cap) runs once per
+// event per process, and each replica is only a query half (a QueryStage:
+// S fetch, intersection, emit) on its shard over the actor ids found.
 //
 // Two execution modes:
 //   * inline   — single-threaded, deterministic; each call runs the window
@@ -232,7 +232,7 @@ class Cluster {
 
   /// `partition` is a global id; asserts it is hosted here.
   uint32_t alive_replicas(uint32_t partition) const;
-  const PartitionServer& server(uint32_t partition, uint32_t replica) const;
+  const QueryStage& replica(uint32_t partition, uint32_t replica) const;
   const HashPartitioner& partitioner() const { return partitioner_; }
   uint64_t events_published() const {
     return events_published_.load(std::memory_order_relaxed);
@@ -245,7 +245,7 @@ class Cluster {
 
   /// The process's one D. Read it quiesced.
   const DynamicInEdgeIndex& dynamic_index() const {
-    return window_engine_->dynamic_index();
+    return window_.dynamic_index();
   }
 
   /// Sum of all shard sizes (equals the unsharded S times the replication
@@ -254,9 +254,7 @@ class Cluster {
 
   /// Bytes of the process's one D, whatever the partition and replica
   /// counts.
-  size_t TotalDynamicMemory() const {
-    return window_engine_->DynamicMemoryUsage();
-  }
+  size_t TotalDynamicMemory() const { return window_.MemoryUsage(); }
 
   /// Detector stats of the process: the window half's counters and stage
   /// times (once per event) merged with every hosted replica's query half.
@@ -289,9 +287,10 @@ class Cluster {
   };
   using Inbox = MpmcQueue<InboxBatch>;
 
-  Cluster(const ClusterOptions& options, HashPartitioner partitioner);
+  Cluster(const ClusterOptions& options, HashPartitioner partitioner,
+          const MotifPlan& plan);
 
-  /// Index into servers_/alive_masks_/inboxes_ for a global partition id,
+  /// Index into replicas_/alive_masks_/inboxes_ for a global partition id,
   /// or -1 when this process does not host that partition.
   int LocalPartitionIndex(uint32_t partition) const;
 
@@ -329,13 +328,13 @@ class Cluster {
 
   ClusterOptions options_;
   HashPartitioner partitioner_;
-  /// Global partition ids hosted here; servers_[i] / alive_masks_[i] /
+  /// Global partition ids hosted here; replicas_[i] / alive_masks_[i] /
   /// inboxes_[i] belong to owned_partitions_[i].
   std::vector<uint32_t> owned_partitions_;
-  /// The process's one D: a diamond engine over an empty S that runs only
-  /// the window half (threaded: on the window thread).
-  std::unique_ptr<MotifEngine> window_engine_;
-  std::vector<std::vector<std::unique_ptr<PartitionServer>>> servers_;
+  /// The process's one D (threaded: touched only by the window thread).
+  WindowStage window_;
+  /// Each replica's query half; a partition's replicas share one S shard.
+  std::vector<std::vector<QueryStage>> replicas_;
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> alive_masks_;
 
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once

@@ -65,37 +65,20 @@ Result<std::unique_ptr<PartitionServer>> PartitionServer::Create(
       StaticGraph shard,
       BuildPartitionShard(full_follower_index, partitioner, partition_id));
   shard.BuildHubIndex();
-  return CreateWithShard(std::make_shared<const StaticGraph>(std::move(shard)),
-                         partition_id, options);
-}
-
-Result<std::unique_ptr<PartitionServer>> PartitionServer::CreateWithShard(
-    std::shared_ptr<const StaticGraph> shard, uint32_t partition_id,
-    const DiamondOptions& options) {
-  MAGICRECS_ASSIGN_OR_RETURN(
-      std::unique_ptr<MotifEngine> engine,
-      MotifEngine::CreateDiamond(std::move(shard), options));
-  return std::unique_ptr<PartitionServer>(
-      new PartitionServer(std::move(engine), partition_id));
+  MAGICRECS_ASSIGN_OR_RETURN(const MotifPlan plan, CompileDiamond(options));
+  return std::unique_ptr<PartitionServer>(new PartitionServer(
+      plan, std::make_shared<const StaticGraph>(std::move(shard)), options));
 }
 
 Status PartitionServer::OnEvent(const EdgeEvent& event, bool emit,
                                 std::vector<Recommendation>* out) {
   const TimestampedEdge& e = event.edge;
+  const bool timed = IsTimingSample(event.sequence);
   actors_.clear();
-  MAGICRECS_RETURN_IF_ERROR(
-      engine_->Window(e.src, e.dst, e.created_at, &actors_,
-                      MotifAction::kFollow, IsTimingSample(event.sequence)));
-  if (emit) Query(event, actors_, out);
+  MAGICRECS_RETURN_IF_ERROR(window_.Window(e.src, e.dst, e.created_at, &actors_,
+                                           MotifAction::kFollow, timed));
+  if (emit) query_.Query(e.src, e.dst, e.created_at, actors_, out, timed);
   return Status::OK();
-}
-
-void PartitionServer::Query(const EdgeEvent& event,
-                            std::span<const VertexId> actors,
-                            std::vector<Recommendation>* out) {
-  const TimestampedEdge& e = event.edge;
-  engine_->Query(e.src, e.dst, e.created_at, actors, out,
-                 IsTimingSample(event.sequence));
 }
 
 }  // namespace magicrecs

@@ -1,8 +1,8 @@
-// One partition server: the S shard for its resident A's and a diamond
-// MotifEngine over it. Stand-alone (OnEvent) it is the paper's partition on
-// its own machine, which "needs to keep the complete D data structure, since
-// in principle any B can be in any partition". Inside a Cluster it runs only
-// the query half (Query) over the actors the process's one D found.
+// The offline cuts of S, and one stand-alone partition server: the S shard
+// for its resident A's and a diamond detector, the paper's partition on its
+// own machine, which "needs to keep the complete D data structure, since in
+// principle any B can be in any partition". A Cluster reads one D per
+// process instead, and each of its replicas is only a QueryStage.
 
 #ifndef MAGICRECS_CLUSTER_PARTITION_SERVER_H_
 #define MAGICRECS_CLUSTER_PARTITION_SERVER_H_
@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cluster/partitioner.h"
@@ -39,8 +38,8 @@ Result<StaticGraph> BuildPartitionShard(const StaticGraph& full_follower_index,
                                         const HashPartitioner& partitioner,
                                         uint32_t partition_id);
 
-/// A single partition replica. Thread-compatible: in threaded deployments
-/// each replica is driven by exactly one worker thread.
+/// A stand-alone partition: its own D (WindowStage) and a query half
+/// (QueryStage) over its shard. Thread-compatible.
 class PartitionServer {
  public:
   /// Builds the S shard for `partition_id`: the follower lists of the full
@@ -49,36 +48,22 @@ class PartitionServer {
       const StaticGraph& full_follower_index, const HashPartitioner& partitioner,
       uint32_t partition_id, const DiamondOptions& options);
 
-  /// Shares a pre-built shard (used when creating replicas of the same
-  /// partition: the immutable shard is built once).
-  static Result<std::unique_ptr<PartitionServer>> CreateWithShard(
-      std::shared_ptr<const StaticGraph> shard, uint32_t partition_id,
-      const DiamondOptions& options);
-
-  /// Stand-alone serving: runs the event's window half on this server's
-  /// own D and, if `emit` is true, the query half, appending local
-  /// recommendations to *out. The engine times the event when its sequence
-  /// is a timing sample (IsTimingSample).
+  /// Runs the event's window half on this server's D and, if `emit` is
+  /// true, the query half, appending local recommendations to *out. The
+  /// event is timed when its sequence is a timing sample (IsTimingSample).
   Status OnEvent(const EdgeEvent& event, bool emit,
                  std::vector<Recommendation>* out);
 
-  /// The query half of `event` over the actor ids another engine's window
-  /// half found (MotifEngine::Query); timed like OnEvent. A Cluster calls
-  /// this and leaves this server's own D empty.
-  void Query(const EdgeEvent& event, std::span<const VertexId> actors,
-             std::vector<Recommendation>* out);
-
-  uint32_t partition_id() const { return partition_id_; }
-  const MotifEngineStats& stats() const { return engine_->stats(); }
-  const StaticGraph& shard() const { return engine_->static_index(); }
-  size_t StaticMemoryUsage() const { return shard().MemoryUsage(); }
+  const StaticGraph& shard() const { return query_.static_index(); }
 
  private:
-  PartitionServer(std::unique_ptr<MotifEngine> engine, uint32_t partition_id)
-      : partition_id_(partition_id), engine_(std::move(engine)) {}
+  PartitionServer(const MotifPlan& plan,
+                  std::shared_ptr<const StaticGraph> shard,
+                  const DiamondOptions& options)
+      : window_(plan, options), query_(plan, std::move(shard), options) {}
 
-  uint32_t partition_id_;
-  std::unique_ptr<MotifEngine> engine_;
+  WindowStage window_;
+  QueryStage query_;
   std::vector<VertexId> actors_;  ///< OnEvent's window-half output
 };
 

@@ -9,15 +9,6 @@ namespace magicrecs {
 
 namespace {
 
-DynamicGraphOptions MakeDynamicOptions(const MotifPlan& plan,
-                                       const MotifOptions& options) {
-  DynamicGraphOptions dyn;
-  dyn.window = plan.window;
-  dyn.max_in_edges_per_vertex = options.max_in_edges_per_vertex;
-  dyn.strict_time_order = options.strict_time_order;
-  return dyn;
-}
-
 /// The clock reads of one Window or Query call: one per stage boundary when
 /// timed, none otherwise. The query time comes from the same reads.
 class StageClock {
@@ -48,15 +39,6 @@ class StageClock {
 
 }  // namespace
 
-MotifEngine::MotifEngine(MotifPlan plan,
-                         std::shared_ptr<const StaticGraph> static_index,
-                         const MotifOptions& options)
-    : plan_(std::move(plan)),
-      static_index_(std::move(static_index)),
-      dynamic_index_(MakeDynamicOptions(plan_, options)),
-      use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
-      kept_((static_index_->num_vertices() + 63) / 64, 0) {}
-
 Result<std::unique_ptr<MotifEngine>> MotifEngine::Create(
     const StaticGraph& follow_graph, const MotifSpec& spec,
     const MotifOptions& options) {
@@ -80,9 +62,9 @@ Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateOverIndex(
   if (static_index == nullptr) {
     return Status::InvalidArgument("motif engine needs a static index");
   }
-  MAGICRECS_ASSIGN_OR_RETURN(MotifPlan plan, CompileMotif(spec, options));
+  MAGICRECS_ASSIGN_OR_RETURN(const MotifPlan plan, CompileMotif(spec, options));
   return std::unique_ptr<MotifEngine>(
-      new MotifEngine(std::move(plan), std::move(static_index), options));
+      new MotifEngine(plan, std::move(static_index), options));
 }
 
 Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateDiamond(
@@ -92,7 +74,22 @@ Result<std::unique_ptr<MotifEngine>> MotifEngine::CreateDiamond(
                          MakeDiamondSpec(options.k, options.window), options);
 }
 
-bool MotifEngine::Admits(MotifAction action) {
+Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
+                           std::vector<Recommendation>* out,
+                           MotifAction action, bool timed) {
+  actors_.clear();
+  MAGICRECS_RETURN_IF_ERROR(
+      window_.Window(src, dst, t, &actors_, action, timed));
+  query_.Query(src, dst, t, actors_, out, timed);
+  return Status::OK();
+}
+
+WindowStage::WindowStage(const MotifPlan& plan, const MotifOptions& options)
+    : plan_(plan),
+      dynamic_index_({plan.window, options.max_in_edges_per_vertex,
+                      options.strict_time_order}) {}
+
+bool WindowStage::Admits(MotifAction action) {
   if (plan_.action == MotifAction::kAny || action == plan_.action) {
     return true;
   }
@@ -100,7 +97,7 @@ bool MotifEngine::Admits(MotifAction action) {
   return false;
 }
 
-Status MotifEngine::Ingest(VertexId src, VertexId dst, Timestamp t,
+Status WindowStage::Ingest(VertexId src, VertexId dst, Timestamp t,
                            MotifAction action, bool timed) {
   if (!Admits(action)) return Status::OK();
   StageClock clock(timed, &stats_);
@@ -110,16 +107,7 @@ Status MotifEngine::Ingest(VertexId src, VertexId dst, Timestamp t,
   return Status::OK();
 }
 
-Status MotifEngine::OnEdge(VertexId src, VertexId dst, Timestamp t,
-                           std::vector<Recommendation>* out,
-                           MotifAction action, bool timed) {
-  actor_ids_.clear();
-  MAGICRECS_RETURN_IF_ERROR(Window(src, dst, t, &actor_ids_, action, timed));
-  Query(src, dst, t, actor_ids_, out, timed);
-  return Status::OK();
-}
-
-Status MotifEngine::Window(VertexId src, VertexId dst, Timestamp t,
+Status WindowStage::Window(VertexId src, VertexId dst, Timestamp t,
                            std::vector<VertexId>* actors, MotifAction action,
                            bool timed) {
   if (!Admits(action)) return Status::OK();  // not the motif's action
@@ -147,9 +135,17 @@ Status MotifEngine::Window(VertexId src, VertexId dst, Timestamp t,
   return Status::OK();
 }
 
-void MotifEngine::Query(VertexId src, VertexId dst, Timestamp t,
-                        std::span<const VertexId> actors,
-                        std::vector<Recommendation>* out, bool timed) {
+QueryStage::QueryStage(const MotifPlan& plan,
+                       std::shared_ptr<const StaticGraph> index,
+                       const MotifOptions& options)
+    : plan_(plan),
+      static_index_(std::move(index)),
+      use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
+      kept_((static_index_->num_vertices() + 63) / 64, 0) {}
+
+void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
+                       std::span<const VertexId> actors,
+                       std::vector<Recommendation>* out, bool timed) {
   if (actors.empty()) return;  // no query: nothing runs, nothing is timed
   StageClock clock(timed, &stats_);
   const StaticGraph& index = *static_index_;
@@ -221,7 +217,7 @@ void MotifEngine::Query(VertexId src, VertexId dst, Timestamp t,
   clock.Finish();
 }
 
-void MotifEngine::CollectWitnesses(size_t cap, Recommendation* recs) {
+void QueryStage::CollectWitnesses(size_t cap, Recommendation* recs) {
   for (const ThresholdMatch& match : matches_) {
     kept_[match.id >> 6] |= uint64_t{1} << (match.id & 63);
   }
@@ -244,6 +240,21 @@ void MotifEngine::CollectWitnesses(size_t cap, Recommendation* recs) {
     kept_[matches_[r].id >> 6] = 0;
     std::sort(recs[r].witnesses.begin(), recs[r].witnesses.end());
   }
+}
+
+void MotifEngineStats::Merge(const MotifEngineStats& other) {
+  events += other.events;
+  filtered_by_action += other.filtered_by_action;
+  threshold_queries += other.threshold_queries;
+  raw_candidates += other.raw_candidates;
+  recommendations += other.recommendations;
+  suppressed_existing += other.suppressed_existing;
+  suppressed_self += other.suppressed_self;
+  query_micros.Merge(other.query_micros);
+  for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+    stage_nanos[stage].Merge(other.stage_nanos[stage]);
+  }
+  intersection_sizes.Merge(other.intersection_sizes);
 }
 
 std::string MotifEngineStats::ToString() const {

@@ -1,6 +1,7 @@
 // Streaming executor for compiled motif plans — the one motif executor on
-// every path. Compiled from MakeDiamondSpec(k, window) it is the paper's
-// online diamond detector (§2): when edge B -> C is created at time t,
+// every path, split at the query into WindowStage (D) and QueryStage (S).
+// Compiled from MakeDiamondSpec(k, window) it is the paper's online diamond
+// detector (§2): when edge B -> C is created at time t,
 //   1. query the dynamic index D for the other B's that followed C within
 //      (t - window, t]  — the top half of the diamond;
 //   2. if at least k distinct B's exist, look up their follower lists in the
@@ -40,7 +41,7 @@ constexpr bool IsTimingSample(uint64_t sequence) {
   return sequence % kTimingSamplePeriod == 0;
 }
 
-/// Counters and latency distributions for one engine instance. The counters
+/// Counters and latency distributions for one engine half. The counters
 /// cover every event; the histograms of times cover only the timed ones
 /// (the `timed` argument). The window half counts events and times
 /// index-insert and index-window; the query half counts and times the rest.
@@ -68,13 +69,112 @@ struct MotifEngineStats {
   /// actors' static lists.
   Histogram intersection_sizes;
 
+  /// Adds `other`'s counters and distributions to these: a window half and
+  /// its query halves sum to one detector's view.
+  void Merge(const MotifEngineStats& other);
+
   std::string ToString() const;
 };
 
-/// Executes one compiled motif plan against a static index and its own
-/// dynamic index. The plan splits at the query: Window runs the D stages,
-/// Query the S stages. Thread-compatible: a Cluster runs Window on one
-/// instance per process and Query on one per partition replica.
+/// The window half of a compiled plan (index-insert, index-window): D, the
+/// action filter, the k check and the witness cap, and no S.
+/// Thread-compatible: a Cluster runs one per process, on its window thread.
+class WindowStage {
+ public:
+  /// `plan` comes from CompileMotif with these `options`.
+  WindowStage(const MotifPlan& plan, const MotifOptions& options);
+
+  /// Inserts the edge into D, then appends its destination's in-window
+  /// actors' ids (capped, in gather order) to *actors when at least k
+  /// remain, else nothing: "no query". `action` must pass the trigger's
+  /// action filter (kAny passes all). Each destination must see
+  /// non-decreasing `t` (strict_time_order enforces it); a late event finds
+  /// only what the newest time's window left in D. When `timed`, records
+  /// each stage reached in stats().stage_nanos; otherwise reads no clock.
+  Status Window(VertexId src, VertexId dst, Timestamp t,
+                std::vector<VertexId>* actors,
+                MotifAction action = MotifAction::kFollow, bool timed = false);
+
+  /// Inserts the edge into D and nothing more, for WAL replay (replayed
+  /// events were answered before the crash); `timed` samples index-insert.
+  Status Ingest(VertexId src, VertexId dst, Timestamp t,
+                MotifAction action = MotifAction::kFollow, bool timed = false);
+
+  /// Drops D. Recovery resets before restoring from a snapshot + WAL
+  /// replay, so stale pre-crash edges cannot leak into the rebuilt state.
+  void Clear() { dynamic_index_.Clear(); }
+
+  /// Restores D from DynamicInEdgeIndex::EncodeTo() bytes (the persist/
+  /// snapshot module).
+  Status Restore(const uint8_t* data, size_t size) {
+    return dynamic_index_.DecodeFrom(data, size);
+  }
+
+  const MotifEngineStats& stats() const { return stats_; }
+  const DynamicInEdgeIndex& dynamic_index() const { return dynamic_index_; }
+
+  /// Bytes held by D, which follows the window with no maintenance call.
+  size_t MemoryUsage() const { return dynamic_index_.MemoryUsage(); }
+
+ private:
+  /// False (and counted) when the trigger's action filter rejects `action`.
+  bool Admits(MotifAction action);
+
+  MotifPlan plan_;
+  DynamicInEdgeIndex dynamic_index_;
+  MotifEngineStats stats_;
+  std::vector<TimestampedInEdge> actors_;  ///< scratch, reused per event
+};
+
+/// The query half of a compiled plan (s-fetch, intersect, emit): S, and no
+/// D. Thread-compatible: a Cluster runs one per partition replica, the
+/// replicas of a partition sharing one S shard.
+class QueryStage {
+ public:
+  /// `index` (non-null) is oriented so that Neighbors(actor) is exactly the
+  /// list the plan gathers (the follower index for the diamond). It is
+  /// shared, not copied.
+  QueryStage(const MotifPlan& plan, std::shared_ptr<const StaticGraph> index,
+             const MotifOptions& options);
+
+  /// Runs over the actor ids WindowStage::Window appended for the same
+  /// edge (none: nothing runs), appending recommendations to *out. When
+  /// `timed`, records its stages and total.
+  void Query(VertexId src, VertexId dst, Timestamp t,
+             std::span<const VertexId> actors,
+             std::vector<Recommendation>* out, bool timed = false);
+
+  const MotifPlan& plan() const { return plan_; }
+  const MotifEngineStats& stats() const { return stats_; }
+  const StaticGraph& static_index() const { return *static_index_; }
+
+ private:
+  /// The emit stage's witness step: recs[r] is the record built for
+  /// matches_[r]. Each record gets the sources of the first `cap` gathered
+  /// lists that hold its user, in gather order, then sorted.
+  void CollectWitnesses(size_t cap, Recommendation* recs);
+
+  MotifPlan plan_;
+  std::shared_ptr<const StaticGraph> static_index_;
+  MotifEngineStats stats_;
+
+  /// Resolved from the options and the index once, off the per-event path.
+  bool use_bitsets_;
+
+  // Scratch, reused per event to stay allocation-free on the hot path.
+  std::vector<std::span<const VertexId>> lists_;
+  std::vector<BitsetView> bitsets_;
+  std::vector<VertexId> list_sources_;
+  std::vector<ThresholdMatch> matches_;
+  /// Bitmap over the static index's vertex ids, one bit per vertex
+  /// (num_vertices / 8 bytes): marks the kept matches while emit walks the
+  /// gathered lists. Match ids come from those lists, so they are always in
+  /// range. All-zero between events; an event clears only the words it set.
+  std::vector<uint64_t> kept_;
+};
+
+/// A detector: one WindowStage over its own D feeding one QueryStage over
+/// its static index, edge by edge.
 class MotifEngine {
  public:
   /// `follow_graph` holds the declared static orientation (edges U -> W mean
@@ -86,8 +186,7 @@ class MotifEngine {
 
   /// Runs over an already-oriented static index — Neighbors(actor) must be
   /// exactly the list the plan gathers (the follower index for the
-  /// diamond). The index is shared, not copied: replicas of one partition
-  /// keep one S shard between them.
+  /// diamond). The index is shared, not copied.
   static Result<std::unique_ptr<MotifEngine>> CreateOverIndex(
       std::shared_ptr<const StaticGraph> static_index, const MotifSpec& spec,
       const MotifOptions& options = {});
@@ -98,96 +197,37 @@ class MotifEngine {
       std::shared_ptr<const StaticGraph> follower_index,
       const DiamondOptions& options);
 
-  /// Ingests a stream edge: Window, then Query, on this engine's own D and
-  /// S. `action` is matched against the trigger edge's action filter (kAny
-  /// accepts everything). Appends recommendations to *out (not cleared).
-  /// The stream must be delivered in non-decreasing `t` order per
-  /// destination (MotifOptions::strict_time_order enforces it). D retains
-  /// the edges within the window of the newest time it has seen, so a late
-  /// event's query finds only what that watermark left. When `timed`,
-  /// records each stage the event reaches in stats().stage_nanos, one clock
-  /// read per stage boundary; otherwise it reads no clock.
+  /// Ingests a stream edge: WindowStage::Window, then QueryStage::Query on
+  /// the actors it found (see both for `action`, the time order and
+  /// `timed`). Appends recommendations to *out (not cleared).
   Status OnEdge(VertexId src, VertexId dst, Timestamp t,
                 std::vector<Recommendation>* out,
                 MotifAction action = MotifAction::kFollow, bool timed = false);
 
-  /// The window half (index-insert, index-window): inserts the edge into D
-  /// and collects its destination's in-window actors. When at least k
-  /// remain, appends the (capped) actors' ids to *actors in the order the
-  /// query half gathers them; otherwise appends nothing: "no query".
-  Status Window(VertexId src, VertexId dst, Timestamp t,
-                std::vector<VertexId>* actors,
-                MotifAction action = MotifAction::kFollow, bool timed = false);
-
-  /// The query half (s-fetch, intersect, emit) over the actor ids Window
-  /// appended for the same edge (none: nothing runs). Reads S and no D, so
-  /// it may run on another engine than the window half. Appends
-  /// recommendations to *out. When `timed`, records its stages and total.
-  void Query(VertexId src, VertexId dst, Timestamp t,
-             std::span<const VertexId> actors,
-             std::vector<Recommendation>* out, bool timed = false);
-
-  /// Inserts the edge into D and nothing more: WAL replay rebuilds D with it
-  /// (recommendations for replayed events were delivered before the
-  /// crash). When `timed`, records an index-insert sample.
-  Status Ingest(VertexId src, VertexId dst, Timestamp t,
-                MotifAction action = MotifAction::kFollow, bool timed = false);
-
-  /// Drops all dynamic state. Recovery resets an engine before restoring it
-  /// from a snapshot + WAL replay, so stale pre-crash edges cannot leak into
-  /// the rebuilt state.
-  void ClearDynamicState() { dynamic_index_.Clear(); }
-
-  /// Restores the dynamic edge store from DynamicInEdgeIndex::EncodeTo()
-  /// bytes (the persist/ snapshot module).
-  Status RestoreDynamicState(const uint8_t* data, size_t size) {
-    return dynamic_index_.DecodeFrom(data, size);
+  const MotifPlan& plan() const { return query_.plan(); }
+  /// The two halves' stats, merged.
+  const MotifEngineStats& stats() const {
+    stats_ = window_.stats();
+    stats_.Merge(query_.stats());
+    return stats_;
+  }
+  const StaticGraph& static_index() const { return query_.static_index(); }
+  const DynamicInEdgeIndex& dynamic_index() const {
+    return window_.dynamic_index();
   }
 
-  const MotifPlan& plan() const { return plan_; }
-  const MotifEngineStats& stats() const { return stats_; }
-  const StaticGraph& static_index() const { return *static_index_; }
-  const DynamicInEdgeIndex& dynamic_index() const { return dynamic_index_; }
-
   /// Bytes held by the dynamic index (S is shared, accounted by its owner).
-  /// D expires edges as the stream's watermark advances, so this follows
-  /// the window with no maintenance call.
-  size_t DynamicMemoryUsage() const { return dynamic_index_.MemoryUsage(); }
+  size_t DynamicMemoryUsage() const { return window_.MemoryUsage(); }
 
  private:
-  MotifEngine(MotifPlan plan, std::shared_ptr<const StaticGraph> static_index,
-              const MotifOptions& options);
+  MotifEngine(const MotifPlan& plan, std::shared_ptr<const StaticGraph> index,
+              const MotifOptions& options)
+      : window_(plan, options), query_(plan, std::move(index), options) {}
 
-  /// False (and counted) when the trigger's action filter rejects `action`.
-  bool Admits(MotifAction action);
-
-  /// The emit stage's witness step: recs[r] is the record built for
-  /// matches_[r]. Each record gets the sources of the first `cap` gathered
-  /// lists that hold its user, in gather order, then sorted.
-  void CollectWitnesses(size_t cap, Recommendation* recs);
-
-  MotifPlan plan_;
-  /// Oriented so that Neighbors(actor) is exactly the list s-fetch gathers
-  /// (followers or followees per the plan's lookup).
-  std::shared_ptr<const StaticGraph> static_index_;
-  DynamicInEdgeIndex dynamic_index_;
-  MotifEngineStats stats_;
-
-  /// Resolved from the options and the index once, off the per-event path.
-  bool use_bitsets_;
-
-  // Scratch, reused per event to stay allocation-free on the hot path.
-  std::vector<TimestampedInEdge> actors_;
-  std::vector<VertexId> actor_ids_;  ///< OnEdge's hand-off between halves
-  std::vector<std::span<const VertexId>> lists_;
-  std::vector<BitsetView> bitsets_;
-  std::vector<VertexId> list_sources_;
-  std::vector<ThresholdMatch> matches_;
-  /// Bitmap over the static index's vertex ids, one bit per vertex
-  /// (num_vertices / 8 bytes): marks the kept matches while emit walks the
-  /// gathered lists. Match ids come from those lists, so they are always in
-  /// range. All-zero between events; an event clears only the words it set.
-  std::vector<uint64_t> kept_;
+  WindowStage window_;
+  QueryStage query_;
+  std::vector<VertexId> actors_;  ///< OnEdge's hand-off between the halves
+  mutable MotifEngineStats stats_;  ///< stats()'s merged copy
 };
 
 }  // namespace magicrecs

@@ -1,8 +1,8 @@
 // Compilation of a declarative MotifSpec into a physical execution plan —
 // the "optimized query plan against an online graph database" of §3. The
 // plan is a record of parameters (window, action, k, caps, static lookup,
-// intersection algorithm, exclusion filter) that MotifEngine's Window and
-// Query run stage by stage; every supported spec shares its one shape.
+// intersection algorithm, exclusion filter) that WindowStage and QueryStage
+// run stage by stage; every supported spec shares its one shape.
 //
 // The v1 planner supports the trigger-fan-in family of motifs, which covers
 // everything the paper discusses (diamond, triangle-closure, content
@@ -50,8 +50,8 @@ enum class StaticLookup {
 };
 
 /// Execution knobs of one motif: the planner bakes the witness caps, the
-/// exclusion filter and the intersection algorithm into the plan;
-/// MotifEngine applies the rest to its indexes.
+/// exclusion filter and the intersection algorithm into the plan; the
+/// engine's halves apply the rest to their indexes.
 struct MotifOptions {
   /// Upper bound on dynamic in-edges retained per target (forwarded to the
   /// D structure; 0 = unlimited).
@@ -96,9 +96,8 @@ struct DiamondOptions : MotifOptions {
 };
 
 /// A compiled, immutable plan: the parameters of the one plan shape the v1
-/// planner emits. MotifEngine runs it stage by stage, Window the D stages
-/// (index-insert, index-window) and Query the S stages (s-fetch, intersect,
-/// emit).
+/// planner emits. WindowStage runs its D stages (index-insert,
+/// index-window) and QueryStage its S stages (s-fetch, intersect, emit).
 struct MotifPlan {
   MotifSpec spec;
 
@@ -129,6 +128,11 @@ struct MotifPlan {
 /// Validates the spec's shape and returns its plan.
 Result<MotifPlan> CompileMotif(const MotifSpec& spec,
                                const MotifOptions& options = {});
+
+/// The diamond's plan.
+inline Result<MotifPlan> CompileDiamond(const DiamondOptions& options) {
+  return CompileMotif(MakeDiamondSpec(options.k, options.window), options);
+}
 
 }  // namespace magicrecs
 

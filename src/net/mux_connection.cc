@@ -195,24 +195,23 @@ Result<MuxConnection::CallHandle> MuxConnection::Start(
   // requests from one caller reach the daemon in the order they started.
   pending_.emplace(call->id, call);
   outbox_.Append(WrapMuxRequestShared(call->id, framed_request));
-  const Status written = FlushOutboxLocked(lock);
-  if (!written.ok()) return written;
+  // From here a broken connection fails the call at Await, with the reply
+  // frames that arrived first (a peer may answer and hang up mid-write).
+  FlushOutboxLocked(lock);
   return call;
 }
 
-Status MuxConnection::FlushOutboxLocked(std::unique_lock<std::mutex>& lock) {
+void MuxConnection::FlushOutboxLocked(std::unique_lock<std::mutex>& lock) {
   if (writer_active_) {
     // Another thread is draining the chain; it will carry these frames in
     // order. If its write fails, FailAllLocked fails this call too — the
     // error surfaces at Await.
-    return Status::OK();
+    return;
   }
   writer_active_ = true;
-  Status result = Status::OK();
   while (true) {
     if (broken_) {
       outbox_.Clear();
-      result = broken_status_;
       break;
     }
     if (outbox_.empty()) break;
@@ -233,14 +232,12 @@ Status MuxConnection::FlushOutboxLocked(std::unique_lock<std::mutex>& lock) {
     if (!chunk.ok()) {
       writer_active_ = false;
       outbox_.Clear();
-      const Status status = chunk.status();
-      FailAllLocked(status);
-      return status;
+      FailAllLocked(chunk.status());
+      return;
     }
     if (chunk->bytes > 0) outbox_.Advance(chunk->bytes);
   }
   writer_active_ = false;
-  return result;
 }
 
 Status MuxConnection::Await(const CallHandle& call, int timeout_ms,

@@ -101,8 +101,8 @@ class MuxConnection {
   /// (0 = forever) — a daemon that stops answering stops freeing slots,
   /// and without the bound a publisher would hang here ahead of every
   /// timeout that lives in Await. A cap-wait miss fails ONLY this call
-  /// (Unavailable); the connection is not poisoned. On a write failure
-  /// the connection is poisoned and the error returned.
+  /// (Unavailable); the connection is not poisoned. A registered call
+  /// fails only at Await, with any reply frames that arrived first.
   Result<CallHandle> Start(const std::string& framed_request,
                            int cap_wait_ms = 0);
 
@@ -161,9 +161,9 @@ class MuxConnection {
   /// iovecs under the lock, releases it for the sendmsg (and for the
   /// bounded poll when the socket buffer is full), and re-acquires it to
   /// advance the cursor — the bounded per-write hold that keeps a jumbo
-  /// frame from convoying concurrent request_ids. `lock` must hold mu_ on
-  /// entry and holds it again on return.
-  Status FlushOutboxLocked(std::unique_lock<std::mutex>& lock);
+  /// frame from convoying concurrent request_ids. A write failure fails
+  /// every call (FailAllLocked). `lock` holds mu_ on entry and on return.
+  void FlushOutboxLocked(std::unique_lock<std::mutex>& lock);
 
   MuxConnectionOptions options_;
   TcpSocket socket_;

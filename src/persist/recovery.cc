@@ -24,7 +24,7 @@ std::string RecoveryStats::ToString() const {
       static_cast<unsigned long long>(next_sequence), ToMillis(wall_micros));
 }
 
-Status RecoveryManager::ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
+Status RecoveryManager::ReplayFrom(uint64_t min_sequence, WindowStage* window,
                                    RecoveryStats* stats) const {
   uint64_t max_seen = 0;
   bool any = false;
@@ -34,7 +34,7 @@ Status RecoveryManager::ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
       [&](const EdgeEvent& event) {
         max_seen = std::max(max_seen, event.sequence);
         any = true;
-        return engine->Ingest(event.edge.src, event.edge.dst,
+        return window->Ingest(event.edge.src, event.edge.dst,
                               event.edge.created_at);
       },
       &wal_stats));
@@ -47,7 +47,7 @@ Status RecoveryManager::ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
   return Status::OK();
 }
 
-Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
+Status RecoveryManager::RecoverDynamicState(WindowStage* window,
                                             RecoveryStats* stats) const {
   *stats = RecoveryStats{};
   if (!options_.enabled()) {
@@ -55,13 +55,13 @@ Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
   }
   Stopwatch timer;
   // Reset first, so stale pre-crash edges cannot leak into the rebuilt D.
-  engine->ClearDynamicState();
+  window->Clear();
   uint64_t min_sequence = 0;
   Result<std::string> path = FindLatestSnapshot(options_.dir);
   if (path.ok()) {
     MAGICRECS_ASSIGN_OR_RETURN(const SnapshotContents snapshot,
                                ReadSnapshot(*path));
-    MAGICRECS_RETURN_IF_ERROR(engine->RestoreDynamicState(
+    MAGICRECS_RETURN_IF_ERROR(window->Restore(
         reinterpret_cast<const uint8_t*>(snapshot.dynamic_bytes.data()),
         snapshot.dynamic_bytes.size()));
     std::error_code ec;
@@ -72,12 +72,12 @@ Status RecoveryManager::RecoverDynamicState(MotifEngine* engine,
   } else if (!path.status().IsNotFound()) {  // NotFound: cold start
     return path.status();
   }
-  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(min_sequence, engine, stats));
+  MAGICRECS_RETURN_IF_ERROR(ReplayFrom(min_sequence, window, stats));
   stats->wall_micros = timer.ElapsedMicros();
   return Status::OK();
 }
 
-Status RecoveryManager::Checkpoint(const MotifEngine& engine,
+Status RecoveryManager::Checkpoint(const WindowStage& window,
                                    uint32_t partition_id,
                                    uint64_t next_sequence,
                                    Timestamp created_at) const {
@@ -98,7 +98,7 @@ Status RecoveryManager::Checkpoint(const MotifEngine& engine,
   const std::string path =
       options_.dir + "/" + SnapshotFileName(next_sequence);
   MAGICRECS_RETURN_IF_ERROR(
-      WriteSnapshot(path, meta, engine.dynamic_index()));
+      WriteSnapshot(path, meta, window.dynamic_index()));
   // Reclaim everything the new snapshot supersedes. Failing to reclaim is
   // not fatal to durability, but surfacing it beats silent disk growth.
   MAGICRECS_RETURN_IF_ERROR(

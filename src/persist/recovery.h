@@ -47,27 +47,27 @@ class RecoveryManager {
  public:
   explicit RecoveryManager(const PersistOptions& options) : options_(options) {}
 
-  /// Rebuilds `engine`'s D: clears it, restores the newest snapshot's D (if
+  /// Rebuilds `window`'s D: clears it, restores the newest snapshot's D (if
   /// any), then replays the WAL tail the snapshot does not cover through
   /// Ingest. S is untouched; it is rebuilt from the follow graph, never
   /// persisted. A directory with no snapshot and no WAL is a valid cold
   /// start (empty state, OK). stats->next_sequence is where live ingest
   /// resumes. Resets and fills *stats.
-  Status RecoverDynamicState(MotifEngine* engine, RecoveryStats* stats) const;
+  Status RecoverDynamicState(WindowStage* window, RecoveryStats* stats) const;
 
-  /// Writes a snapshot of `engine`'s D covering sequences
+  /// Writes a snapshot of `window`'s D covering sequences
   /// [0, next_sequence), then deletes the WAL segments and older snapshots
-  /// it supersedes. The caller must be quiesced: `engine` must have applied
+  /// it supersedes. The caller must be quiesced: `window` must have applied
   /// exactly the events below `next_sequence`.
-  Status Checkpoint(const MotifEngine& engine, uint32_t partition_id,
+  Status Checkpoint(const WindowStage& window, uint32_t partition_id,
                     uint64_t next_sequence, Timestamp created_at) const;
 
   const PersistOptions& options() const { return options_; }
 
  private:
-  /// Replays WAL records with sequence >= min_sequence into `engine`,
+  /// Replays WAL records with sequence >= min_sequence into `window`,
   /// accounting into *stats (including the post-replay next_sequence).
-  Status ReplayFrom(uint64_t min_sequence, MotifEngine* engine,
+  Status ReplayFrom(uint64_t min_sequence, WindowStage* window,
                     RecoveryStats* stats) const;
 
   PersistOptions options_;

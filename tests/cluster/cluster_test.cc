@@ -62,7 +62,7 @@ TEST(ClusterTest, OnePartitionShardIsTheFullFollowerIndex) {
   // follower index, inverted from the follow graph.
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(1));
   ASSERT_TRUE(cluster.ok()) << cluster.status();
-  const StaticGraph& s = (*cluster)->server(0, 0).shard();
+  const StaticGraph& s = (*cluster)->replica(0, 0).static_index();
   EXPECT_EQ(s.num_edges(), figure1::FollowGraph().num_edges());
   // followers(B1) = {A1, A2}
   const auto followers = s.Neighbors(figure1::kB1);
@@ -507,7 +507,7 @@ TEST(ClusterTest, OneEventInThePeriodIsTimedInlineAndThreaded) {
           << mode << " partition " << p;
       uint64_t queries_timed = 0;
       for (uint32_t r = 0; r < kReplicas; ++r) {
-        queries_timed += cluster.server(p, r).stats().query_micros.Count();
+        queries_timed += cluster.replica(p, r).stats().query_micros.Count();
       }
       // Only the replica that emits a timed event runs its query half.
       EXPECT_EQ(queries_timed, kSamples) << mode << " partition " << p;
@@ -694,6 +694,46 @@ TEST(ClusterTest, DynamicMemoryDoesNotGrowWithPartitionCount) {
   EXPECT_EQ(memory_large, memory_small);
 }
 
+TEST(ClusterTest, OneDWhateverTheReplicaLayout) {
+  // Partitions and replicas hold only query halves: a 1x1 and a 4x3
+  // deployment fed the same stream hold the same D, count the same events,
+  // and report that count on every replica.
+  SocialGraphOptions gopt;
+  gopt.num_users = 200;
+  gopt.seed = 23;
+  auto graph = SocialGraphGenerator(gopt).Generate();
+  ASSERT_TRUE(graph.ok());
+
+  std::vector<std::unique_ptr<Cluster>> clusters;
+  for (const auto& [partitions, replicas] :
+       std::vector<std::pair<uint32_t, uint32_t>>{{1, 1}, {4, 3}}) {
+    auto cluster = Cluster::Create(*graph, MakeOptions(partitions, replicas));
+    ASSERT_TRUE(cluster.ok());
+    std::vector<Recommendation> recs;
+    for (int i = 0; i < 500; ++i) {
+      const VertexId src = static_cast<VertexId>(i % 200);
+      const VertexId dst = static_cast<VertexId>((i * 7 + 1) % 200);
+      if (src == dst) continue;
+      ASSERT_TRUE((*cluster)->OnEdge(src, dst, Seconds(i), &recs).ok());
+    }
+    clusters.push_back(std::move(cluster).value());
+  }
+  const Cluster& one = *clusters[0];
+  const Cluster& many = *clusters[1];
+  EXPECT_GT(one.TotalDynamicMemory(), 0u);
+  EXPECT_EQ(many.TotalDynamicMemory(), one.TotalDynamicMemory());
+  const uint64_t events = one.AggregatedStats().events;
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(many.AggregatedStats().events, events);
+  EXPECT_EQ(one.PerReplicaStats().size(), 1u);
+  EXPECT_EQ(many.PerReplicaStats().size(), 12u);
+  for (const Cluster* cluster : {&one, &many}) {
+    for (const ReplicaStats& replica : cluster->PerReplicaStats()) {
+      EXPECT_EQ(replica.detector_events, events) << replica.ToString();
+    }
+  }
+}
+
 TEST(ClusterTest, ShardsPartitionStaticMemory) {
   // Without replication, the shards together hold exactly the full S.
   auto one = Cluster::Create(figure1::FollowGraph(), MakeOptions(1));
@@ -701,10 +741,10 @@ TEST(ClusterTest, ShardsPartitionStaticMemory) {
   ASSERT_TRUE(one.ok() && four.ok());
   size_t one_edges = 0, four_edges = 0;
   for (uint32_t p = 0; p < 1; ++p) {
-    one_edges += (*one)->server(p, 0).shard().num_edges();
+    one_edges += (*one)->replica(p, 0).static_index().num_edges();
   }
   for (uint32_t p = 0; p < 4; ++p) {
-    four_edges += (*four)->server(p, 0).shard().num_edges();
+    four_edges += (*four)->replica(p, 0).static_index().num_edges();
   }
   EXPECT_EQ(one_edges, four_edges);
 }

@@ -70,7 +70,17 @@ TEST(PartitionGroupTest, GroupMemberHostsExactlyItsPartition) {
   EXPECT_EQ((*cluster)->owned_partitions()[0], 2u);
   EXPECT_TRUE((*cluster)->hosts_partition(2));
   EXPECT_FALSE((*cluster)->hosts_partition(0));
-  EXPECT_EQ((*cluster)->server(2, 0).partition_id(), 2u);
+  // Its one shard is exactly partition 2's cut of the follower index.
+  auto cut = BuildPartitionShard(figure1::FollowGraph().Transpose(),
+                                 (*cluster)->partitioner(), 2);
+  ASSERT_TRUE(cut.ok()) << cut.status();
+  std::vector<Edge> hosted;
+  std::vector<Edge> expected;
+  (*cluster)->replica(2, 0).static_index().ForEachEdge(
+      [&](VertexId b, VertexId a) { hosted.push_back({b, a}); });
+  cut->ForEachEdge([&](VertexId b, VertexId a) { expected.push_back({b, a}); });
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(hosted, expected);
 }
 
 TEST(PartitionGroupTest, GroupUnionMatchesFullClusterExactly) {

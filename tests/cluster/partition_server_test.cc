@@ -143,34 +143,13 @@ TEST(PartitionServerTest, StandbyIngestKeepsDWarm) {
   ASSERT_EQ(out.size(), 1u);
 }
 
-TEST(PartitionServerTest, SharedShardReplicasAreIndependent) {
-  const StaticGraph follower_index = figure1::FollowGraph().Transpose();
-  HashPartitioner partitioner(1);
-  auto shard = BuildPartitionShard(follower_index, partitioner, 0);
-  ASSERT_TRUE(shard.ok());
-  auto shared = std::make_shared<const StaticGraph>(std::move(shard).value());
-  auto r0 = PartitionServer::CreateWithShard(shared, 0, Defaults(2));
-  auto r1 = PartitionServer::CreateWithShard(shared, 0, Defaults(2));
-  ASSERT_TRUE(r0.ok() && r1.ok());
-
-  std::vector<Recommendation> out;
-  ASSERT_TRUE(
-      (*r0)->OnEvent(MakeEvent({figure1::kB1, figure1::kC2, 1}), true, &out)
-          .ok());
-  // r1's D never saw the edge, but both read the one shared shard.
-  EXPECT_EQ((*r0)->stats().events, 1u);
-  EXPECT_EQ((*r1)->stats().events, 0u);
-  EXPECT_EQ(&(*r0)->shard(), shared.get());
-  EXPECT_EQ(&(*r1)->shard(), shared.get());
-}
-
 TEST(PartitionServerTest, MemoryAccountedPerReplica) {
   const StaticGraph follower_index = figure1::FollowGraph().Transpose();
   HashPartitioner partitioner(1);
   auto server =
       PartitionServer::Create(follower_index, partitioner, 0, Defaults(2));
   ASSERT_TRUE(server.ok());
-  EXPECT_GT((*server)->StaticMemoryUsage(), 0u);
+  EXPECT_GT((*server)->shard().MemoryUsage(), 0u);
 }
 
 }  // namespace

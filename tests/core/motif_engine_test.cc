@@ -30,6 +30,13 @@ std::unique_ptr<MotifEngine> Diamond(const StaticGraph& follow_graph,
   return engine.ok() ? std::move(engine).value() : nullptr;
 }
 
+/// The diamond's window half alone: D, with no S.
+WindowStage DiamondWindow(const DiamondOptions& options) {
+  const auto plan = CompileDiamond(options);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return WindowStage(*plan, options);
+}
+
 /// Builds a follow graph over `num_vertices` from (follower, followee) pairs.
 StaticGraph Follows(size_t num_vertices, const std::vector<Edge>& edges) {
   StaticGraphBuilder builder(num_vertices);
@@ -132,7 +139,9 @@ TEST(MotifEngineTest, StatsAreAccurate) {
 
 // --- Sampled timing ----------------------------------------------------------
 
-size_t StageCount(const MotifEngine& engine, PlanStage stage) {
+/// Timed samples of `stage` recorded by a MotifEngine or one of its halves.
+template <typename Engine>
+size_t StageCount(const Engine& engine, PlanStage stage) {
   return engine.stats().stage_nanos[static_cast<size_t>(stage)].Count();
 }
 
@@ -185,16 +194,16 @@ TEST(MotifEngineTest, TimedEventsRecordEveryStageTheyReach) {
 }
 
 TEST(MotifEngineTest, TimedIngestRecordsOnlyTheInsert) {
-  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  WindowStage window = DiamondWindow(Defaults(2));
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE(engine
-                    ->Ingest(e.src, e.dst, e.created_at, MotifAction::kFollow,
-                             /*timed=*/true)
+    ASSERT_TRUE(window
+                    .Ingest(e.src, e.dst, e.created_at, MotifAction::kFollow,
+                            /*timed=*/true)
                     .ok());
   }
-  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexInsert), 4u);
-  EXPECT_EQ(StageCount(*engine, PlanStage::kIndexWindow), 0u);
-  EXPECT_EQ(engine->stats().query_micros.Count(), 0u);
+  EXPECT_EQ(StageCount(window, PlanStage::kIndexInsert), 4u);
+  EXPECT_EQ(StageCount(window, PlanStage::kIndexWindow), 0u);
+  EXPECT_EQ(window.stats().query_micros.Count(), 0u);
 }
 
 TEST(MotifEngineTest, FilteredActionIsNotTimed) {
@@ -207,13 +216,17 @@ TEST(MotifEngineTest, FilteredActionIsNotTimed) {
                   ->OnEdge(figure1::kB1, figure1::kC2, 1, &recs,
                            MotifAction::kFollow, /*timed=*/true)
                   .ok());
-  ASSERT_TRUE((*engine)
-                  ->Ingest(figure1::kB1, figure1::kC2, 1, MotifAction::kFollow,
-                           /*timed=*/true)
-                  .ok());
-  EXPECT_EQ((*engine)->stats().filtered_by_action, 2u);
+  EXPECT_EQ((*engine)->stats().filtered_by_action, 1u);
   EXPECT_EQ((*engine)->stats().query_micros.Count(), 0u);
   EXPECT_EQ(StageCount(**engine, PlanStage::kIndexInsert), 0u);
+
+  WindowStage replay((*engine)->plan(), MotifOptions{});
+  ASSERT_TRUE(replay
+                  .Ingest(figure1::kB1, figure1::kC2, 1, MotifAction::kFollow,
+                          /*timed=*/true)
+                  .ok());
+  EXPECT_EQ(replay.stats().filtered_by_action, 1u);
+  EXPECT_EQ(StageCount(replay, PlanStage::kIndexInsert), 0u);
 }
 
 TEST(MotifEngineTest, TimedEventWithTooFewListsStopsBeforeIntersect) {
@@ -420,57 +433,82 @@ TEST(MotifEngineTest, RetentionCapPropagates) {
 // --- Serving hooks: ingest-only, split halves, prune, shared index ----------
 
 TEST(MotifEngineTest, IngestSkipsQueryWork) {
-  const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
+  WindowStage window = DiamondWindow(Defaults(2));
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE(engine->Ingest(e.src, e.dst, e.created_at).ok());
+    ASSERT_TRUE(window.Ingest(e.src, e.dst, e.created_at).ok());
   }
-  EXPECT_EQ(engine->stats().events, 4u);
-  EXPECT_EQ(engine->stats().threshold_queries, 0u);
-  EXPECT_EQ(engine->stats().recommendations, 0u);
-  EXPECT_EQ(engine->stats().query_micros.Count(), 0u);
+  EXPECT_EQ(window.stats().events, 4u);
+  EXPECT_EQ(window.stats().threshold_queries, 0u);
+  EXPECT_EQ(window.stats().recommendations, 0u);
+  EXPECT_EQ(window.stats().query_micros.Count(), 0u);
 }
 
+// The window half holds D and no S; the query half, S and no D.
+template <typename Stage>
+concept HoldsD = requires(const Stage& stage) { stage.dynamic_index(); };
+template <typename Stage>
+concept HoldsS = requires(const Stage& stage) { stage.static_index(); };
+static_assert(HoldsD<WindowStage> && !HoldsS<WindowStage>);
+static_assert(HoldsS<QueryStage> && !HoldsD<QueryStage>);
+
 TEST(MotifEngineTest, QueryHalfRunsOverAnotherEnginesWindow) {
-  // A cluster windows each event once and queries it on every partition:
-  // one engine's window half feeds another engine's query half.
-  const auto window = Diamond(figure1::FollowGraph(), Defaults(2));
-  const auto query = Diamond(figure1::FollowGraph(), Defaults(2));
+  // A cluster windows each event once and queries it on one replica per
+  // partition: one WindowStage feeds QueryStages that share one shard.
+  const auto plan = CompileDiamond(Defaults(2));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const auto shared =
+      std::make_shared<const StaticGraph>(figure1::FollowGraph().Transpose());
+  WindowStage window(*plan, Defaults(2));
+  QueryStage r0(*plan, shared, Defaults(2));
+  QueryStage r1(*plan, shared, Defaults(2));
+  EXPECT_EQ(&r0.static_index(), shared.get());
+  EXPECT_EQ(&r1.static_index(), shared.get());
+
   std::vector<Recommendation> recs;
   std::vector<VertexId> actors;
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
     actors.clear();
-    ASSERT_TRUE(window->Window(e.src, e.dst, e.created_at, &actors).ok());
-    query->Query(e.src, e.dst, e.created_at, actors, &recs);
+    ASSERT_TRUE(window.Window(e.src, e.dst, e.created_at, &actors).ok());
+    r0.Query(e.src, e.dst, e.created_at, actors, &recs);
   }
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
   // The window half counts the events; the query half, the queries.
-  EXPECT_EQ(window->stats().events, 4u);
-  EXPECT_EQ(window->stats().threshold_queries, 0u);
-  EXPECT_EQ(query->stats().events, 0u);
-  EXPECT_EQ(query->stats().threshold_queries, 1u);
-  EXPECT_EQ(query->dynamic_index().stats().current_edges, 0u);
+  EXPECT_EQ(window.stats().events, 4u);
+  EXPECT_EQ(window.stats().threshold_queries, 0u);
+  EXPECT_EQ(r0.stats().events, 0u);
+  EXPECT_EQ(r0.stats().threshold_queries, 1u);
+  // The other replica ran nothing: its counters are its own.
+  EXPECT_EQ(r1.stats().threshold_queries, 0u);
+
+  // Given the trigger's actors, the other replica answers the same over the
+  // shared shard.
+  const TimestampedEdge trigger = figure1::TriggerEdge(0);
+  std::vector<Recommendation> again;
+  r1.Query(trigger.src, trigger.dst, trigger.created_at, actors, &again);
+  EXPECT_EQ(again, recs);
+  EXPECT_EQ(r0.stats().threshold_queries, 1u);
+  EXPECT_EQ(r1.stats().threshold_queries, 1u);
 }
 
 TEST(MotifEngineTest, DynamicStateRoundTripsThroughEncoding) {
-  const auto source = Diamond(figure1::FollowGraph(), Defaults(2));
+  WindowStage source = DiamondWindow(Defaults(2));
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE(source->Ingest(e.src, e.dst, e.created_at).ok());
+    ASSERT_TRUE(source.Ingest(e.src, e.dst, e.created_at).ok());
   }
   std::string bytes;
-  source->dynamic_index().EncodeTo(&bytes);
+  source.dynamic_index().EncodeTo(&bytes);
 
-  const auto restored = Diamond(figure1::FollowGraph(), Defaults(2));
+  WindowStage restored = DiamondWindow(Defaults(2));
   ASSERT_TRUE(restored
-                  ->RestoreDynamicState(
-                      reinterpret_cast<const uint8_t*>(bytes.data()),
-                      bytes.size())
+                  .Restore(reinterpret_cast<const uint8_t*>(bytes.data()),
+                           bytes.size())
                   .ok());
   std::string again;
-  restored->dynamic_index().EncodeTo(&again);
+  restored.dynamic_index().EncodeTo(&again);
   EXPECT_EQ(again, bytes);
-  restored->ClearDynamicState();
-  EXPECT_EQ(restored->dynamic_index().stats().current_edges, 0u);
+  restored.Clear();
+  EXPECT_EQ(restored.dynamic_index().stats().current_edges, 0u);
 }
 
 TEST(MotifEngineTest, LaterEventReleasesExpiredState) {
@@ -544,9 +582,10 @@ TEST(MotifEngineTest, ActionFilterSkipsOtherActions) {
 
   // Ingest-only follows are filtered the same way, so WAL replay stays in
   // step.
-  ASSERT_TRUE((*engine)->Ingest(figure1::kB1, figure1::kC2, 1).ok());
-  EXPECT_EQ((*engine)->stats().filtered_by_action, 5u);
-  EXPECT_EQ((*engine)->stats().events, 0u);
+  WindowStage replay((*engine)->plan(), MotifOptions{});
+  ASSERT_TRUE(replay.Ingest(figure1::kB1, figure1::kC2, 1).ok());
+  EXPECT_EQ(replay.stats().filtered_by_action, 1u);
+  EXPECT_EQ(replay.stats().events, 0u);
 
   // Replayed as retweets, the motif fires.
   for (const TimestampedEdge& e : figure1::DynamicEdges(Hours(1))) {

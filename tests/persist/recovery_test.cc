@@ -178,12 +178,12 @@ TEST(RecoveryTest, ColdStartOnEmptyDirectoryIsOk) {
   EXPECT_EQ(cluster->next_sequence(), 0u);
 
   // The same empty directory through the recovery pass Create runs.
-  auto engine = MotifEngine::CreateDiamond(
-      std::make_shared<const StaticGraph>(), options.detector);
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  const auto plan = CompileDiamond(options.detector);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  WindowStage window(*plan, options.detector);
   RecoveryStats stats;
   ASSERT_TRUE(RecoveryManager(options.persist)
-                  .RecoverDynamicState(engine->get(), &stats)
+                  .RecoverDynamicState(&window, &stats)
                   .ok());
   EXPECT_FALSE(stats.snapshot_loaded);
   EXPECT_EQ(stats.events_replayed, 0u);
