@@ -11,6 +11,10 @@
 //   * k-of-n: scan-count vs heap-merge vs candidate-verify on balanced
 //     shapes around kScanCountMaxElements, the celebrity list, and two
 //     serving-shaped queries where one list holds most of ~300 elements.
+//     The balanced shapes up to kScanCountMaxElements and the serving
+//     shapes run scan-count, candidate-verify and auto twice: counting in
+//     the per-thread hash table, and in a VertexCountTable over the shape's
+//     universe ("+table" rows), as the serving query half does.
 //
 // Emits the machine-readable "threshold" section into BENCH_net.json
 // (merged; other benches' sections are preserved). The "speedup" field is
@@ -186,17 +190,34 @@ struct ThresholdShape {
   std::string name;
   size_t k;
   std::vector<std::vector<VertexId>> storage;
+  /// Ids are below this; 0 means the shape gets no "+table" rows.
+  uint32_t universe = 0;
+};
+
+/// One timed configuration of ThresholdIntersect.
+struct ThresholdVariant {
+  ThresholdAlgorithm algo;
+  bool table;  ///< counts in a VertexCountTable, not the hash table
+
+  std::string Name() const {
+    return std::string(ThresholdAlgorithmName(algo)) + (table ? "+table" : "");
+  }
 };
 
 /// Times every algorithm on every k-of-n shape and emits one "threshold" row
-/// per (shape, algorithm); heap-merge is the speedup reference, as in the
+/// per (shape, variant); heap-merge is the speedup reference, as in the
 /// ablation tables. The whole sweep runs several rounds and each cell keeps
 /// its best time, so a burst of interference on a shared host cannot cover
 /// every round of one shape, nor land on one side of a ratio.
 void ThresholdSweep(bench::JsonRows* rows) {
-  constexpr ThresholdAlgorithm kAlgos[] = {
-      ThresholdAlgorithm::kHeapMerge, ThresholdAlgorithm::kScanCount,
-      ThresholdAlgorithm::kCandidateVerify, ThresholdAlgorithm::kAuto};
+  constexpr ThresholdVariant kVariants[] = {
+      {ThresholdAlgorithm::kHeapMerge, false},
+      {ThresholdAlgorithm::kScanCount, false},
+      {ThresholdAlgorithm::kCandidateVerify, false},
+      {ThresholdAlgorithm::kAuto, false},
+      {ThresholdAlgorithm::kScanCount, true},
+      {ThresholdAlgorithm::kCandidateVerify, true},
+      {ThresholdAlgorithm::kAuto, true}};
   constexpr int kRounds = 5;
   std::vector<ThresholdShape> shapes;
   // Balanced: 6 lists, k=3, universe 4x the list size. The totals straddle
@@ -208,10 +229,11 @@ void ThresholdSweep(bench::JsonRows* rows) {
                                  8'192ul, 16'384ul, 32'768ul, 131'072ul}) {
     ThresholdShape& shape =
         shapes.emplace_back("6x" + std::to_string(list_size), 3);
+    const auto universe = static_cast<uint32_t>(list_size * 4);
     for (size_t i = 0; i < 6; ++i) {
-      shape.storage.push_back(SortedRandom(
-          list_size, static_cast<uint32_t>(list_size * 4), &rng));
+      shape.storage.push_back(SortedRandom(list_size, universe, &rng));
     }
+    if (6 * list_size <= kScanCountMaxElements) shape.universe = universe;
   }
   // Celebrity: 2x64 + one huge list, k=2 — the shape candidate-verify
   // exists for.
@@ -232,6 +254,7 @@ void ThresholdSweep(bench::JsonRows* rows) {
     Rng srng(13);
     ThresholdShape& shape = shapes.emplace_back(
         "serving-" + std::to_string(num_lists) + "x300", 3);
+    shape.universe = kServingUniverse;
     shape.storage.push_back(SortedRandom(kLargest, kServingUniverse, &srng));
     for (size_t i = 1; i < num_lists; ++i) {
       shape.storage.push_back(SortedRandom(
@@ -240,25 +263,30 @@ void ThresholdSweep(bench::JsonRows* rows) {
   }
 
   std::vector<std::vector<double>> best(
-      shapes.size(), std::vector<double>(std::size(kAlgos),
+      shapes.size(), std::vector<double>(std::size(kVariants),
                                          std::numeric_limits<double>::infinity()));
   std::vector<ThresholdMatch> out;
   for (int round = 0; round < kRounds; ++round) {
     for (size_t s = 0; s < shapes.size(); ++s) {
       const std::vector<std::span<const VertexId>> lists(
           shapes[s].storage.begin(), shapes[s].storage.end());
-      for (size_t a = 0; a < std::size(kAlgos); ++a) {
-        best[s][a] = std::min(best[s][a], TimePerCall([&] {
-                                ThresholdIntersect(lists, shapes[s].k, &out,
-                                                   kAlgos[a]);
+      VertexCountTable table(shapes[s].universe);
+      for (size_t v = 0; v < std::size(kVariants); ++v) {
+        const ThresholdVariant variant = kVariants[v];
+        if (variant.table && shapes[s].universe == 0) continue;
+        best[s][v] = std::min(best[s][v], TimePerCall([&] {
+                                ThresholdIntersect(
+                                    lists, shapes[s].k, &out, variant.algo,
+                                    nullptr, variant.table ? &table : nullptr);
                               }));
       }
     }
   }
 
   std::printf("--- k-of-n: us/op, speedup vs heap-merge in parens ---\n");
-  std::printf("%16s %8s %16s %16s %16s %16s\n", "shape", "elems",
-              "heap-merge", "scan-count", "cand-verify", "auto");
+  std::printf("%16s %8s %16s %16s %16s %16s %16s %16s %16s\n", "shape",
+              "elems", "heap-merge", "scan-count", "cand-verify", "auto",
+              "scan+table", "verify+table", "auto+table");
   for (size_t s = 0; s < shapes.size(); ++s) {
     const std::vector<std::span<const VertexId>> lists(
         shapes[s].storage.begin(), shapes[s].storage.end());
@@ -268,11 +296,15 @@ void ThresholdSweep(bench::JsonRows* rows) {
     }
     const double heap_merge = best[s][0];
     std::printf("%16s %8.0f", shapes[s].name.c_str(), total_elems);
-    for (size_t a = 0; a < std::size(kAlgos); ++a) {
-      std::printf(" %8.1f (%3.1fx)", best[s][a] * 1e6, heap_merge / best[s][a]);
-      rows->AddKernel("threshold", ThresholdAlgorithmName(kAlgos[a]).data(),
-                      shapes[s].name.c_str(), total_elems / best[s][a] / 1e6,
-                      heap_merge / best[s][a]);
+    for (size_t v = 0; v < std::size(kVariants); ++v) {
+      if (kVariants[v].table && shapes[s].universe == 0) {
+        std::printf(" %16s", "-");
+        continue;
+      }
+      std::printf(" %8.1f (%3.1fx)", best[s][v] * 1e6, heap_merge / best[s][v]);
+      rows->AddKernel("threshold", kVariants[v].Name().c_str(),
+                      shapes[s].name.c_str(), total_elems / best[s][v] / 1e6,
+                      heap_merge / best[s][v]);
     }
     std::printf("  auto=%s matches=%zu\n",
                 ThresholdAlgorithmName(

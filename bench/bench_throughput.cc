@@ -4,8 +4,9 @@
 // against S) on a single detector across graph sizes, and on the threaded
 // cluster across partition counts. The paper's target is 10^4 events/s for
 // the whole deployment; a single in-memory partition should beat that by
-// orders of magnitude. A last row times D alone (insert + window read) on
-// a dense-shaped stream.
+// orders of magnitude. The last two rows split one detector on a
+// dense-shaped stream into its halves: D alone (insert + window read), then
+// the query half alone (S fetch, intersection, emit).
 
 #include <cstdio>
 
@@ -162,18 +163,10 @@ void KernelAblationSweep(bench::JsonRows* rows) {
   }
 }
 
-/// D alone: WindowStage::Window (index-insert + index-window) with no
-/// query half, on a stream shaped like the serving benchmark's `dense`
-/// (20k users, Zipf 0.8, 40 events/s against a 10-minute window, so about
-/// 24k events are in the window and hot destinations hold hundreds). The
-/// row gates the window read; its "recs" field counts the events whose
-/// window reached k, i.e. the queries the window half would start.
-void WindowSweep(bench::JsonRows* rows) {
-  std::printf("\n--- D alone (index-insert + index-window), dense-shaped "
-              "stream ---\n");
-  std::printf("%18s %12s %14s %14s\n", "config", "events", "events/s",
-              "queries");
-
+/// A stream shaped like the serving benchmark's `dense` (20k users, Zipf
+/// 0.8, 40 events/s against a 10-minute window, so about 24k events are in
+/// the window and hot destinations hold hundreds).
+Workload DenseShapedWorkload() {
   WorkloadConfig config;
   config.num_users = 20'000;
   config.popularity_exponent = 0.8;
@@ -181,7 +174,18 @@ void WindowSweep(bench::JsonRows* rows) {
   config.events_per_second = 40;
   config.burst_fraction = 0.02;
   config.mean_burst_size = 3;
-  const Workload w = MakeWorkload(config);
+  return MakeWorkload(config);
+}
+
+/// D alone: WindowStage::Window (index-insert + index-window) with no
+/// query half, on the dense-shaped stream. The row gates the window read;
+/// its "recs" field counts the events whose window reached k, i.e. the
+/// queries the window half would start.
+void WindowSweep(const Workload& w, bench::JsonRows* rows) {
+  std::printf("\n--- D alone (index-insert + index-window), dense-shaped "
+              "stream ---\n");
+  std::printf("%18s %12s %14s %14s\n", "config", "events", "events/s",
+              "queries");
 
   const DiamondOptions options = ProductionOptions();
   const Result<MotifPlan> plan = CompileDiamond(options);
@@ -208,6 +212,68 @@ void WindowSweep(bench::JsonRows* rows) {
   rows->AddThroughput("throughput-window", "window", 1, rate, queries);
 }
 
+/// The query half alone: QueryStage::Query (s-fetch, intersect, emit) over
+/// the actors a WindowStage yields on the dense-shaped stream, collected
+/// first so only the query half is timed. It runs over a hub-indexed
+/// follower index, as a partition shard is, and with the default witness
+/// caps, as the daemons serve, so emit builds every record's witnesses.
+/// events/s counts queries; "recs" counts the recommendations.
+void QuerySweep(const Workload& w, bench::JsonRows* rows) {
+  std::printf("\n--- query half alone (s-fetch + intersect + emit), "
+              "dense-shaped stream ---\n");
+  std::printf("%18s %12s %14s %14s\n", "config", "queries", "queries/s",
+              "recs");
+
+  DiamondOptions options;
+  options.k = 3;
+  options.window = Minutes(10);
+  const Result<MotifPlan> plan = CompileDiamond(options);
+  if (!plan.ok()) return;
+
+  // Every query's trigger edge and its actors, flattened.
+  std::vector<TimestampedEdge> triggers;
+  std::vector<size_t> ends;
+  std::vector<VertexId> actors;
+  WindowStage window(*plan, options);
+  for (const TimestampedEdge& e : w.events) {
+    const size_t begin = actors.size();
+    if (!window.Window(e.src, e.dst, e.created_at, &actors).ok()) return;
+    if (actors.size() == begin) continue;
+    triggers.push_back(e);
+    ends.push_back(actors.size());
+  }
+
+  StaticGraph index = w.follower_index;
+  index.BuildHubIndex();
+  const auto shard = std::make_shared<const StaticGraph>(std::move(index));
+
+  // Best-of-2 passes, as in the kernel ablation.
+  double rate = 0;
+  uint64_t total_recs = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    QueryStage query(*plan, shard, options);
+    std::vector<Recommendation> recs;
+    total_recs = 0;
+    size_t begin = 0;
+    Stopwatch timer;
+    for (size_t q = 0; q < triggers.size(); ++q) {
+      const TimestampedEdge& e = triggers[q];
+      recs.clear();
+      query.Query(e.src, e.dst, e.created_at,
+                  std::span<const VertexId>(actors).subspan(begin,
+                                                            ends[q] - begin),
+                  &recs);
+      total_recs += recs.size();
+      begin = ends[q];
+    }
+    rate = std::max(
+        rate, static_cast<double>(triggers.size()) / timer.ElapsedSeconds());
+  }
+  std::printf("%18s %12zu %14s %14s\n", "query", triggers.size(),
+              HumanCount(rate).c_str(), HumanCount(double(total_recs)).c_str());
+  rows->AddThroughput("throughput-query", "query", 1, rate, total_recs);
+}
+
 }  // namespace
 
 int main() {
@@ -217,7 +283,9 @@ int main() {
   ThreadedClusterSweep();
   bench::JsonRows rows;
   KernelAblationSweep(&rows);
-  WindowSweep(&rows);
+  const Workload dense = DenseShapedWorkload();
+  WindowSweep(dense, &rows);
+  QuerySweep(dense, &rows);
   rows.MergeWrite("BENCH_net.json");
   return 0;
 }

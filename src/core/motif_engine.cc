@@ -141,7 +141,7 @@ QueryStage::QueryStage(const MotifPlan& plan,
     : plan_(plan),
       static_index_(std::move(index)),
       use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
-      kept_((static_index_->num_vertices() + 63) / 64, 0) {}
+      counts_(static_index_->num_vertices()) {}
 
 void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
                        std::span<const VertexId> actors,
@@ -172,7 +172,7 @@ void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
     return;
   }
   ThresholdIntersect(lists_, plan_.k, &matches_, plan_.algorithm,
-                     use_bitsets_ ? &bitsets_ : nullptr);
+                     use_bitsets_ ? &bitsets_ : nullptr, &counts_);
   stats_.raw_candidates += matches_.size();
   clock.Lap(PlanStage::kIntersect);
 
@@ -218,26 +218,21 @@ void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
 }
 
 void QueryStage::CollectWitnesses(size_t cap, Recommendation* recs) {
-  for (const ThresholdMatch& match : matches_) {
-    kept_[match.id >> 6] |= uint64_t{1} << (match.id & 63);
+  // A fresh count over the same cells maps each kept user to its record:
+  // cell = record index + 1, and zero for every other id.
+  counts_.Begin();
+  for (size_t r = 0; r < matches_.size(); ++r) {
+    counts_.Set(matches_[r].id, static_cast<uint32_t>(r + 1));
   }
-  const BitsetView kept{kept_.data(), kept_.size()};
-  // A list is sorted, so its kept ids come in match order and each record
-  // lookup resumes where the previous one stopped.
   for (size_t i = 0; i < lists_.size(); ++i) {
-    auto next = matches_.begin();
     for (const VertexId v : lists_[i]) {
-      if (!kept.Test(v)) continue;
-      next = std::lower_bound(
-          next, matches_.end(), v,
-          [](const ThresholdMatch& m, VertexId id) { return m.id < id; });
-      std::vector<VertexId>& witnesses =
-          recs[next - matches_.begin()].witnesses;
+      const uint32_t record = counts_.Get(v);
+      if (record == 0) continue;
+      std::vector<VertexId>& witnesses = recs[record - 1].witnesses;
       if (witnesses.size() < cap) witnesses.push_back(list_sources_[i]);
     }
   }
   for (size_t r = 0; r < matches_.size(); ++r) {
-    kept_[matches_[r].id >> 6] = 0;
     std::sort(recs[r].witnesses.begin(), recs[r].witnesses.end());
   }
 }

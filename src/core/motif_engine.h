@@ -166,11 +166,11 @@ class QueryStage {
   std::vector<BitsetView> bitsets_;
   std::vector<VertexId> list_sources_;
   std::vector<ThresholdMatch> matches_;
-  /// Bitmap over the static index's vertex ids, one bit per vertex
-  /// (num_vertices / 8 bytes): marks the kept matches while emit walks the
-  /// gathered lists. Match ids come from those lists, so they are always in
-  /// range. All-zero between events; an event clears only the words it set.
-  std::vector<uint64_t> kept_;
+  /// One cell per vertex of the static index (8 * num_vertices bytes). Every
+  /// gathered id is a vertex of that index, so the intersect stage counts
+  /// here without hashing, and the witness step maps each kept user to its
+  /// record here. A copy (one per replica) owns its own cells.
+  VertexCountTable counts_;
 };
 
 /// A detector: one WindowStage over its own D feeding one QueryStage over

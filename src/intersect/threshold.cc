@@ -26,12 +26,11 @@ std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo) {
 namespace {
 
 /// Open-addressing id -> occurrence-count table, reused by every call on a
-/// thread. Linear probing, multiplicative (Fibonacci) hashing, power-of-two
-/// sizes. kInvalidVertex marks an empty slot, so a real occurrence of that
-/// id is counted on the side. Every slot a call fills is listed in
-/// touched_: the caller reads its counts from that list, and the next
-/// Begin() empties exactly those slots — nothing ever scans or clears the
-/// whole table.
+/// thread that passes no VertexCountTable. Linear probing, multiplicative
+/// (Fibonacci) hashing, power-of-two sizes. kInvalidVertex marks an empty
+/// slot, so a real occurrence of that id is counted on the side. Every slot
+/// a call fills is listed in touched_, and the next Begin() empties exactly
+/// those slots — nothing ever scans or clears the whole table.
 class CountTable {
  public:
   /// Starts a count over `total` list elements: empties what the previous
@@ -48,34 +47,28 @@ class CountTable {
     shift_ = 64 - std::countr_zero(capacity);
   }
 
-  void Add(VertexId v) {
-    if (v == kInvalidVertex) {
-      ++invalid_count_;
-      return;
-    }
-    size_t i = static_cast<size_t>((uint64_t{v} * 0x9E3779B97F4A7C15ull) >>
-                                   shift_);
-    while (true) {
+  /// Counts one occurrence of v and returns its count so far.
+  uint32_t Add(VertexId v) {
+    if (v == kInvalidVertex) return ++invalid_count_;
+    for (size_t i = Home(v);; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
-      if (slot.id == v) {
-        ++slot.count;
-        return;
-      }
+      if (slot.id == v) return ++slot.count;
       if (slot.id == kInvalidVertex) {
         touched_.push_back(i);  // first, so a throw leaves no unlisted slot
         slot = Slot{v, 1};
-        return;
+        return 1;
       }
-      i = (i + 1) & mask_;
     }
   }
 
-  /// Calls fn(id, count) for every distinct id counted since Begin(), in
-  /// no particular order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const size_t slot : touched_) fn(slots_[slot].id, slots_[slot].count);
-    if (invalid_count_ > 0) fn(kInvalidVertex, invalid_count_);
+  /// v's count since Begin() (zero if never added).
+  uint32_t Get(VertexId v) const {
+    if (v == kInvalidVertex) return invalid_count_;
+    for (size_t i = Home(v);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == v) return slot.count;
+      if (slot.id == kInvalidVertex) return 0;
+    }
   }
 
  private:
@@ -85,6 +78,11 @@ class CountTable {
   };
   static constexpr size_t kMinSlots = 16;
 
+  size_t Home(VertexId v) const {
+    return static_cast<size_t>((uint64_t{v} * 0x9E3779B97F4A7C15ull) >>
+                               shift_);
+  }
+
   std::vector<Slot> slots_;
   std::vector<size_t> touched_;
   uint32_t invalid_count_ = 0;
@@ -92,35 +90,40 @@ class CountTable {
   int shift_ = 64;
 };
 
-/// Per-thread working memory of ScanCount and CandidateVerify; once warm,
-/// neither allocates.
-struct Scratch {
-  CountTable counts;
-  std::vector<ThresholdMatch> candidates;
-};
-
-Scratch& ThreadScratch() {
-  thread_local Scratch scratch;
-  return scratch;
+/// The per-thread hash table; once warm, counting in it allocates nothing.
+CountTable& ThreadCounts() {
+  thread_local CountTable counts;
+  return counts;
 }
+
+// The two tables start a count differently: the hash table sizes its slot
+// range to the input, the vertex table only moves its epoch.
+void BeginCount(CountTable& counts, size_t total) { counts.Begin(total); }
+void BeginCount(VertexCountTable& counts, size_t /*total*/) { counts.Begin(); }
 
 bool IdLess(const ThresholdMatch& a, const ThresholdMatch& b) {
   return a.id < b.id;
 }
 
+/// Sorts the ids collected in *out and reads each one's count back.
+template <typename Table>
+void SortAndReadCounts(const Table& counts, std::vector<ThresholdMatch>* out) {
+  std::sort(out->begin(), out->end(), IdLess);
+  for (ThresholdMatch& match : *out) match.count = counts.Get(match.id);
+}
+
+template <typename Table>
 size_t ScanCount(const std::vector<std::span<const VertexId>>& lists, size_t k,
-                 std::vector<ThresholdMatch>* out) {
-  CountTable& counts = ThreadScratch().counts;
+                 std::vector<ThresholdMatch>* out, Table& counts) {
   size_t total = 0;
   for (const auto& list : lists) total += list.size();
-  counts.Begin(total);
+  BeginCount(counts, total);
   for (const auto& list : lists) {
-    for (const VertexId v : list) counts.Add(v);
+    for (const VertexId v : list) {
+      if (counts.Add(v) == k) out->push_back(ThresholdMatch{v, 0});
+    }
   }
-  counts.ForEach([&](VertexId v, uint32_t c) {
-    if (c >= k) out->push_back(ThresholdMatch{v, c});
-  });
-  std::sort(out->begin(), out->end(), IdLess);
+  SortAndReadCounts(counts, out);
   return out->size();
 }
 
@@ -156,13 +159,13 @@ BitsetView BitsetFor(const std::vector<BitsetView>* bitsets, size_t index) {
   return (*bitsets)[index];
 }
 
+template <typename Table>
 size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
                        size_t k, std::vector<ThresholdMatch>* out,
-                       const std::vector<BitsetView>* bitsets) {
+                       const std::vector<BitsetView>* bitsets, Table& counts) {
   // With k < 2 an id may occur only in the largest list, which is never
   // counted here.
-  if (k < 2) return ScanCount(lists, k, out);
-  Scratch& scratch = ThreadScratch();
+  if (k < 2) return ScanCount(lists, k, out, counts);
   size_t big = 0, total = 0;
   for (size_t i = 0; i < lists.size(); ++i) {
     total += lists[i].size();
@@ -171,25 +174,24 @@ size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
 
   // Count every list but the largest. An id counted k-1 times is a
   // candidate: one hit in the largest list can still lift it to k.
-  scratch.counts.Begin(total - lists[big].size());
+  BeginCount(counts, total - lists[big].size());
   for (size_t i = 0; i < lists.size(); ++i) {
     if (i == big) continue;
-    for (const VertexId v : lists[i]) scratch.counts.Add(v);
+    for (const VertexId v : lists[i]) {
+      if (counts.Add(v) + 1 == k) out->push_back(ThresholdMatch{v, 0});
+    }
   }
-  std::vector<ThresholdMatch>& candidates = scratch.candidates;
-  candidates.clear();
-  scratch.counts.ForEach([&](VertexId v, uint32_t c) {
-    if (c + 1 >= k) candidates.push_back(ThresholdMatch{v, c});
-  });
-  std::sort(candidates.begin(), candidates.end(), IdLess);
+  SortAndReadCounts(counts, out);
 
   // Probe each candidate once in the largest list: one bit test of its hub
   // bitmap, or a galloping cursor that only moves forward because the
-  // candidates are sorted. The probe completes each count exactly.
+  // candidates are sorted. The probe completes each count exactly; the
+  // matches are compacted in place.
   const auto list = lists[big];
   const BitsetView bits = BitsetFor(bitsets, big);
   size_t pos = 0;
-  for (ThresholdMatch cand : candidates) {
+  auto match = out->begin();
+  for (ThresholdMatch cand : *out) {
     if (!bits.empty()) {
       if (bits.Test(cand.id)) ++cand.count;
     } else if (pos < list.size()) {
@@ -199,9 +201,26 @@ size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
         ++pos;
       }
     }
-    if (cand.count >= k) out->push_back(cand);
+    if (cand.count >= k) *match++ = cand;
   }
+  out->erase(match, out->end());
   return out->size();
+}
+
+/// Whether every id in `lists` is below `universe` (the lists are sorted,
+/// so their backs are their largest ids).
+[[maybe_unused]] bool AllBelow(
+    const std::vector<std::span<const VertexId>>& lists, size_t universe) {
+  return std::all_of(lists.begin(), lists.end(), [&](const auto& list) {
+    return list.empty() || list.back() < universe;
+  });
+}
+
+/// Calls fn with the caller's vertex table when there is one, else with
+/// the per-thread hash table.
+template <typename Fn>
+size_t WithCounts(VertexCountTable* table, Fn&& fn) {
+  return table != nullptr ? fn(*table) : fn(ThreadCounts());
 }
 
 }  // namespace
@@ -226,7 +245,9 @@ ThresholdAlgorithm SelectThresholdAlgorithm(
 size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
                           size_t k, std::vector<ThresholdMatch>* out,
                           ThresholdAlgorithm algo,
-                          const std::vector<BitsetView>* bitsets) {
+                          const std::vector<BitsetView>* bitsets,
+                          VertexCountTable* table) {
+  assert(table == nullptr || AllBelow(lists, table->universe()));
   out->clear();
   if (k == 0) k = 1;
   if (lists.empty() || k > lists.size()) return 0;
@@ -235,11 +256,15 @@ size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
   }
   switch (algo) {
     case ThresholdAlgorithm::kScanCount:
-      return ScanCount(lists, k, out);
+      return WithCounts(table, [&](auto& counts) {
+        return ScanCount(lists, k, out, counts);
+      });
     case ThresholdAlgorithm::kHeapMerge:
       return HeapMerge(lists, k, out);
     case ThresholdAlgorithm::kCandidateVerify:
-      return CandidateVerify(lists, k, out, bitsets);
+      return WithCounts(table, [&](auto& counts) {
+        return CandidateVerify(lists, k, out, bitsets, counts);
+      });
     case ThresholdAlgorithm::kAuto:
       break;
   }

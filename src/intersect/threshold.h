@@ -4,34 +4,39 @@
 // followed C (§2; the paper's worked example is k=2, production is k=3).
 //
 // Three classic strategies, selectable for the A1 ablation:
-//   * ScanCount  — hash-count every occurrence; O(total), wins while its
-//                  table fits in L2 (kScanCountMaxElements). The counts live
-//                  in a flat open-addressing table (linear probing, 8 bytes
-//                  per slot, sized to >= 2x the call's input) that is
-//                  reused across calls: each call records the slots it
-//                  fills and the next call empties exactly those, so a
-//                  warm call allocates nothing and never scans the table.
+//   * ScanCount  — count every occurrence; O(total), wins while its table
+//                  fits in L2 (kScanCountMaxElements). An id is collected
+//                  the moment its count reaches k, so no pass over the
+//                  table is needed; the collected ids are then sorted and
+//                  their final counts read back.
 //   * HeapMerge  — n-way merge with a min-heap, counting runs of equal
 //                  values; O(total * log n), memory-light, output sorted for
 //                  free.
-//   * CandidateVerify — count every list except the largest in the same
-//                  reused table; an id counted >= k-1 times is a candidate,
-//                  and one probe of the largest list (a hub-bitmap bit test,
-//                  or a galloping cursor) completes its count exactly. Wins
-//                  when one list holds much of the input: the follow graph's
-//                  popularity skew makes that the common serving query, and
-//                  a celebrity B the extreme one. Probing one list, not the
+//   * CandidateVerify — count every list except the largest; an id whose
+//                  count reaches k-1 is a candidate, and one probe of the
+//                  largest list (a hub-bitmap bit test, or a galloping
+//                  cursor) completes its count exactly. Wins when one list
+//                  holds much of the input: the follow graph's popularity
+//                  skew makes that the common serving query, and a
+//                  celebrity B the extreme one. Probing one list, not the
 //                  k-1 largest, keeps the candidates few: an id needs k-1
 //                  counts before it is probed at all.
 //
-// The table and CandidateVerify's candidate vector are per-thread scratch
-// (thread_local), so concurrent callers never share state and the
-// signature carries no scratch argument. The scratch only grows: a thread
-// keeps the capacity of the largest input it has counted.
+// The counts live in one of two tables. A caller whose ids are all below a
+// known bound (a StaticGraph's lists are below its num_vertices()) passes a
+// VertexCountTable: one cell per id, indexed directly, which is what the
+// serving query half does. Any other caller counts in a per-thread
+// (thread_local) open-addressing hash table (linear probing, 8 bytes per
+// slot, sized to >= 2x the call's input) that records the slots each call
+// fills and empties exactly those on the next call; it only grows, keeping
+// the capacity of the largest input the thread has counted. Either way a
+// warm call allocates nothing, and concurrent callers share no state.
 
 #ifndef MAGICRECS_INTERSECT_THRESHOLD_H_
 #define MAGICRECS_INTERSECT_THRESHOLD_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -61,6 +66,58 @@ enum class ThresholdAlgorithm {
 
 std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo);
 
+/// Per-vertex counts over the ids [0, universe), one 8-byte cell per id.
+/// Each cell carries the epoch of the count that last wrote it, so a cell
+/// from an earlier count reads as zero: starting a count is one epoch
+/// increment, plus one refill of every cell when the epoch wraps, and
+/// nothing is cleared per call. Counts are exact (32 bits) for any number
+/// of lists. Thread-compatible: one owner counts in it at a time, and a
+/// copy owns its own cells.
+class VertexCountTable {
+ public:
+  explicit VertexCountTable(size_t universe = 0) : cells_(universe) {}
+
+  size_t universe() const { return cells_.size(); }
+
+  /// Starts a count: every cell reads zero.
+  void Begin() {
+    if (++epoch_ == 0) {
+      std::fill(cells_.begin(), cells_.end(), Cell{});
+      epoch_ = 1;
+    }
+  }
+
+  /// Adds one to v's cell (v < universe) and returns its new value.
+  uint32_t Add(VertexId v) {
+    Cell& cell = cells_[v];
+    if (cell.epoch != epoch_) cell = Cell{epoch_, 0};
+    return ++cell.value;
+  }
+
+  /// Sets v's cell (v < universe) for the current count.
+  void Set(VertexId v, uint32_t value) { cells_[v] = Cell{epoch_, value}; }
+
+  /// v's value in the current count: zero unless added or set since
+  /// Begin().
+  uint32_t Get(VertexId v) const {
+    const Cell& cell = cells_[v];
+    return cell.epoch == epoch_ ? cell.value : 0;
+  }
+
+  /// Sets the epoch the next Begin() increments, so tests reach the wrap
+  /// without 2^32 counts.
+  void SetEpochForTesting(uint32_t epoch) { epoch_ = epoch; }
+
+ private:
+  struct Cell {
+    uint32_t epoch = 0;
+    uint32_t value = 0;
+  };
+
+  std::vector<Cell> cells_;
+  uint32_t epoch_ = 0;
+};
+
 /// Computes the elements present in >= k of `lists` (each sorted ascending,
 /// duplicate-free). Results are appended to *out (cleared first) in
 /// ascending id order. Returns the number of matches.
@@ -72,13 +129,19 @@ std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo);
 /// or an empty view when none exists. CandidateVerify probes the largest
 /// list with one bit test instead of a galloping search when that list has
 /// a view; results are identical with or without the views.
+///
+/// `table`, when non-null, is where ScanCount and CandidateVerify count, in
+/// place of the per-thread hash table. The caller promises that every id in
+/// `lists` is below table->universe() (debug builds assert it); results
+/// are identical with or without it.
 size_t ThresholdIntersect(const std::vector<std::span<const VertexId>>& lists,
                           size_t k, std::vector<ThresholdMatch>* out,
                           ThresholdAlgorithm algo = ThresholdAlgorithm::kAuto,
-                          const std::vector<BitsetView>* bitsets = nullptr);
+                          const std::vector<BitsetView>* bitsets = nullptr,
+                          VertexCountTable* table = nullptr);
 
 /// kAuto's cut between ScanCount and HeapMerge, in total input elements
-/// (docs/experiments-a1.md). The cut is where ScanCount's table stops
+/// (docs/experiments-a1.md). The cut is where ScanCount's hash table stops
 /// fitting in L2: 65536 elements need 131072 slots, 1 MiB, plus the touched
 /// list. On six balanced lists (k=3) ScanCount still beats HeapMerge above
 /// it, 1.8x at 98,304 elements and 1.1-1.4x at 196,608, but HeapMerge

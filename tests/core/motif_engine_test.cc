@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -489,6 +490,68 @@ TEST(MotifEngineTest, QueryHalfRunsOverAnotherEnginesWindow) {
   EXPECT_EQ(again, recs);
   EXPECT_EQ(r0.stats().threshold_queries, 1u);
   EXPECT_EQ(r1.stats().threshold_queries, 1u);
+}
+
+TEST(MotifEngineTest, QueryStageCopiesCountInTheirOwnCells) {
+  // A Cluster copies one QueryStage per replica, and the replicas query at
+  // once: each copy must count and map witnesses in cells of its own.
+  Rng rng(0xc0b1e5);
+  constexpr size_t kUsers = 400;
+  StaticGraphBuilder builder(kUsers);
+  for (VertexId a = 0; a < kUsers; ++a) {
+    for (VertexId b = 0; b < 40; ++b) {
+      if (a != b && rng.Bernoulli(0.3)) {
+        ASSERT_TRUE(builder.AddEdge(a, b).ok());
+      }
+    }
+  }
+  auto follow_graph = builder.Build();
+  ASSERT_TRUE(follow_graph.ok());
+  const auto shared =
+      std::make_shared<const StaticGraph>(follow_graph->Transpose());
+  DiamondOptions options = Defaults(2);
+  options.max_reported_witnesses = 3;
+  const auto plan = CompileDiamond(options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  // Each query is one edge's actors, as the window half hands them over.
+  struct Query {
+    TimestampedEdge edge;
+    std::vector<VertexId> actors;
+  };
+  std::vector<Query> queries;
+  WindowStage window(*plan, options);
+  for (int i = 0; i < 400; ++i) {
+    const TimestampedEdge e{static_cast<VertexId>(rng.UniformInt(40)),
+                            static_cast<VertexId>(rng.UniformInt(8)),
+                            Seconds(i)};
+    Query q{e, {}};
+    ASSERT_TRUE(window.Window(e.src, e.dst, e.created_at, &q.actors).ok());
+    if (!q.actors.empty()) queries.push_back(std::move(q));
+  }
+  ASSERT_FALSE(queries.empty());
+  const auto run = [&](QueryStage* stage, std::vector<Recommendation>* out) {
+    for (int pass = 0; pass < 4; ++pass) {
+      for (const Query& q : queries) {
+        stage->Query(q.edge.src, q.edge.dst, q.edge.created_at, q.actors, out);
+      }
+    }
+  };
+  QueryStage prototype(*plan, shared, options);
+  std::vector<Recommendation> want;
+  run(&prototype, &want);
+  ASSERT_FALSE(want.empty());
+
+  std::vector<QueryStage> replicas(2, prototype);
+  std::vector<std::vector<Recommendation>> got(replicas.size());
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    threads.emplace_back([&, r] { run(&replicas[r], &got[r]); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t r = 0; r < replicas.size(); ++r) {
+    EXPECT_EQ(got[r], want) << "replica " << r;
+  }
 }
 
 TEST(MotifEngineTest, DynamicStateRoundTripsThroughEncoding) {

@@ -8,7 +8,9 @@
 //   * ThresholdIntersect, under every ThresholdAlgorithm, with and without
 //     hub bitmaps for a random subset of the lists, must return exactly the
 //     ids a std::map count finds in >= k lists, with their counts, for every
-//     k from 0 to n+1.
+//     k from 0 to n+1 — counting in the per-thread hash table, and again,
+//     on the family's ids remapped into [0, universe), in a reused
+//     VertexCountTable.
 //
 // Inputs are generated from a printed seed so any failure is a one-line
 // repro:
@@ -361,7 +363,22 @@ std::vector<ThresholdMatch> ReferenceMatches(const KofNCase& c, size_t k) {
   return out;
 }
 
-void CheckKofN(const KofNCase& c, uint64_t seed, int trial) {
+/// `c` with every id shifted down by its base, into [0, universe): the
+/// input a VertexCountTable over `universe` ids may count. Bitmaps stay
+/// valid, since only base-0 families carry one.
+KofNCase Remapped(const KofNCase& c) {
+  KofNCase r = c;
+  r.base = 0;
+  for (auto& list : r.lists) {
+    for (VertexId& v : list) v -= c.base;
+  }
+  return r;
+}
+
+/// Runs every algorithm at every k from 0 to n+1, with and without the
+/// bitmaps, against the std::map count; in `table` when non-null.
+void CheckKofN(const KofNCase& c, VertexCountTable* table, uint64_t seed,
+               int trial) {
   constexpr ThresholdAlgorithm kAlgos[] = {
       ThresholdAlgorithm::kAuto, ThresholdAlgorithm::kScanCount,
       ThresholdAlgorithm::kHeapMerge, ThresholdAlgorithm::kCandidateVerify};
@@ -376,6 +393,7 @@ void CheckKofN(const KofNCase& c, uint64_t seed, int trial) {
            " simd=" + std::to_string(SimdEnabled()) + " shape=" + c.shape +
            " base=" + std::to_string(c.base) +
            " universe=" + std::to_string(c.universe) +
+           " table=" + std::to_string(table != nullptr) +
            " k=" + std::to_string(k) + " sizes=" + sizes;
   };
   std::vector<ThresholdMatch> out;
@@ -386,7 +404,8 @@ void CheckKofN(const KofNCase& c, uint64_t seed, int trial) {
       for (const std::vector<BitsetView>* bitsets :
            {static_cast<const std::vector<BitsetView>*>(nullptr), &views}) {
         out.assign(3, ThresholdMatch{7, 7});  // must be cleared
-        const size_t n = ThresholdIntersect(lists, k, &out, algo, bitsets);
+        const size_t n =
+            ThresholdIntersect(lists, k, &out, algo, bitsets, table);
         ASSERT_EQ(n, out.size()) << describe(k);
         ASSERT_EQ(out, want) << "k-of-n diverged; " << describe(k)
                              << " algo=" << ThresholdAlgorithmName(algo)
@@ -407,10 +426,18 @@ void CheckKofN(const KofNCase& c, uint64_t seed, int trial) {
   }
 }
 
+/// Each case runs twice: in the per-thread hash table on its own ids, then
+/// remapped in one vertex table reused across cases (grown when a case's
+/// universe outgrows it), so a stale cell from an earlier case would show.
 void RunKofNDifferential(uint64_t seed, int trials) {
   Rng rng(seed);
+  VertexCountTable table;
   for (int trial = 0; trial < trials; ++trial) {
-    CheckKofN(GenerateKofNCase(&rng), seed, trial);
+    const KofNCase c = GenerateKofNCase(&rng);
+    CheckKofN(c, nullptr, seed, trial);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (table.universe() < c.universe) table = VertexCountTable(c.universe);
+    CheckKofN(Remapped(c), &table, seed, trial);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

@@ -9,12 +9,16 @@
 // calls, so the ThresholdScratchTest cases feed one thread a sequence of
 // large, small and empty families (a bad reset shows up as stale ids or
 // counts), families holding kInvalidVertex (the table's empty-slot
-// marker), and eight threads at once.
+// marker), and eight threads at once. The ThresholdTableTest cases do the
+// same for a caller's VertexCountTable, plus its epoch wrap, counts past
+// what a byte holds, and the debug check that every id is in range.
 //
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -108,10 +112,12 @@ std::vector<BitsetView> MakeBitsets(
 
 /// Every algorithm (and kAuto) at every k from 1 to n must match the
 /// reference, without and — when `bitsets` is given — with hub bitset
-/// views. `where` names the family in failure messages.
+/// views, counting in `table` when given. `where` names the family in
+/// failure messages.
 void CheckAgainstReference(const std::vector<std::vector<VertexId>>& lists,
                            const std::vector<BitsetView>* bitsets,
-                           const std::string& where) {
+                           const std::string& where,
+                           VertexCountTable* table = nullptr) {
   std::vector<std::span<const VertexId>> spans(lists.begin(), lists.end());
   for (size_t k = 1; k <= lists.size(); ++k) {
     const std::vector<ThresholdMatch> expected = Reference(lists, k);
@@ -120,7 +126,8 @@ void CheckAgainstReference(const std::vector<std::vector<VertexId>>& lists,
           ThresholdAlgorithm::kHeapMerge,
           ThresholdAlgorithm::kCandidateVerify}) {
       std::vector<ThresholdMatch> got;
-      const size_t n = ThresholdIntersect(spans, k, &got, algo);
+      const size_t n =
+          ThresholdIntersect(spans, k, &got, algo, nullptr, table);
       ASSERT_EQ(n, got.size()) << ThresholdAlgorithmName(algo)
                                << " count mismatch; " << where << " k=" << k;
       ASSERT_EQ(got, expected)
@@ -130,7 +137,7 @@ void CheckAgainstReference(const std::vector<std::vector<VertexId>>& lists,
 
       // Same query with hub bitset views must be identical.
       std::vector<ThresholdMatch> got_bits;
-      ThresholdIntersect(spans, k, &got_bits, algo, bitsets);
+      ThresholdIntersect(spans, k, &got_bits, algo, bitsets, table);
       ASSERT_EQ(got_bits, expected)
           << ThresholdAlgorithmName(algo) << " diverged with bitsets; "
           << where << " k=" << k;
@@ -301,6 +308,120 @@ TEST(ThresholdScratchTest, ConcurrentThreadsKeepTheirOwnTables) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+}
+
+// --- A caller's vertex table ------------------------------------------------
+
+TEST(ThresholdTableTest, AlternatingSizesLeaveNoStaleCounts) {
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  Rng rng(base ^ 0x7ab1e5);
+  VertexCountTable table(12'000);
+  for (int trial = 0; trial < 32; ++trial) {
+    CheckAgainstReference(AlternatingFamily(&rng, trial, 12'000), nullptr,
+                          Where(base, trial), &table);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ThresholdTableTest, ConcurrentThreadsKeepTheirOwnTables) {
+  // Each thread counts in its own copy of one warm table, as a Cluster's
+  // replicas each hold a copy of one QueryStage: a copy must own its cells.
+  constexpr int kThreads = 8;
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  VertexCountTable prototype(3'000);
+  Rng warm(base);
+  CheckAgainstReference(AlternatingFamily(&warm, 0, 3'000), nullptr, "warm-up",
+                        &prototype);
+  std::vector<VertexCountTable> tables(kThreads, prototype);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([base, t, &tables] {
+      Rng rng((base ^ 0x7ab1ec0ffee) + static_cast<uint64_t>(t));
+      for (int trial = 0; trial < 24; ++trial) {
+        CheckAgainstReference(
+            AlternatingFamily(&rng, trial, 3'000), nullptr,
+            Where(base, trial) + " thread=" + std::to_string(t), &tables[t]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
+TEST(ThresholdTableTest, CountAfterTheEpochWrapSeesNoStaleCell) {
+  Rng rng(BaseSeed() ^ 0xe90c);
+  const auto before = DenseFamily(&rng, 6, 500, 0.5);
+  const auto after = DenseFamily(&rng, 4, 500, 0.3);
+  std::vector<std::span<const VertexId>> spans(before.begin(), before.end());
+  VertexCountTable table(500);
+  std::vector<ThresholdMatch> got;
+  // The first count leaves its cells at epoch 1. Were the wrap not to refill
+  // the table, the count after it would run at epoch 1 again and read them.
+  ThresholdIntersect(spans, 1, &got, ThresholdAlgorithm::kScanCount, nullptr,
+                     &table);
+  ASSERT_FALSE(got.empty());
+  table.SetEpochForTesting(std::numeric_limits<uint32_t>::max());
+  CheckAgainstReference(after, nullptr, "first counts after the wrap", &table);
+  // The witness step's use: values set after a wrap read back exactly, and
+  // every other cell reads zero.
+  table.SetEpochForTesting(std::numeric_limits<uint32_t>::max());
+  table.Begin();
+  table.Set(7, 3);
+  for (VertexId v = 0; v < 500; ++v) {
+    ASSERT_EQ(table.Get(v), v == 7 ? 3u : 0u) << "v=" << v;
+  }
+}
+
+TEST(ThresholdTableTest, CountsPastTwoFiftyFiveListsAreExact) {
+  // With no witness cap a query may gather any number of lists, so a count
+  // must not saturate at a byte: id 3 is in all 300 lists, id 9 in 256
+  // (the first 255 and the last).
+  constexpr size_t kLists = 300;
+  std::vector<std::vector<VertexId>> lists(kLists);
+  for (size_t i = 0; i < kLists; ++i) {
+    lists[i].push_back(3);
+    if (i < 255) lists[i].push_back(9);
+    lists[i].push_back(static_cast<VertexId>(20 + i));
+  }
+  // A large last list makes kAuto pick candidate-verify at k >= 2.
+  for (VertexId v = 3; v < 1'000; ++v) lists.back().push_back(v);
+  std::sort(lists.back().begin(), lists.back().end());
+  lists.back().erase(std::unique(lists.back().begin(), lists.back().end()),
+                     lists.back().end());
+  std::vector<std::span<const VertexId>> spans(lists.begin(), lists.end());
+  VertexCountTable table(1'000);
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{255}, size_t{256},
+                         size_t{257}, kLists}) {
+    const std::vector<ThresholdMatch> expected = Reference(lists, k);
+    for (const ThresholdAlgorithm algo :
+         {ThresholdAlgorithm::kAuto, ThresholdAlgorithm::kScanCount,
+          ThresholdAlgorithm::kCandidateVerify}) {
+      std::vector<ThresholdMatch> got;
+      ThresholdIntersect(spans, k, &got, algo, nullptr, &table);
+      ASSERT_EQ(got, expected) << ThresholdAlgorithmName(algo) << " k=" << k;
+    }
+  }
+  std::vector<ThresholdMatch> got;
+  ThresholdIntersect(spans, 256, &got, ThresholdAlgorithm::kScanCount, nullptr,
+                     &table);
+  const std::vector<ThresholdMatch> want = {{3, 300}, {9, 256}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(ThresholdTableTest, DebugBuildsRejectAnIdPastTheUniverse) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the range check is a debug assert";
+#else
+  const std::vector<std::vector<VertexId>> lists = {{1, 5}, {2, 64}};
+  std::vector<std::span<const VertexId>> spans(lists.begin(), lists.end());
+  VertexCountTable table(64);
+  std::vector<ThresholdMatch> got;
+  EXPECT_DEATH(ThresholdIntersect(spans, 1, &got,
+                                  ThresholdAlgorithm::kScanCount, nullptr,
+                                  &table),
+               "universe");
+#endif
 }
 
 }  // namespace

@@ -10,21 +10,27 @@ latency and count fields. The check fails when
     (p50_us > p99_us, p99_us > max_us, or the same for frames_p50/p99/max),
     since such a row is not a measurement, or
   * a baseline row is missing from the current run (a bench stopped
-    emitting it), or, for any row present in both files,
+    emitting it), or
+  * the current run emits a section the baseline has no rows of (a new
+    bench row would otherwise go ungated), or, for any row present in both
+    files,
   * a throughput measurement (events_per_sec, requests_per_sec) dropped by
     more than --threshold (default 30%), or
   * tail latency (p99_us) grew by more than --threshold.
 
-Rows present only in the current run are new coverage and pass silently.
-To retire a row, delete it from the baseline in the same change that stops
-emitting it. Refresh the baseline deliberately:
+A row present only in the current run passes when the baseline holds other
+rows of its section (the baseline keeps a chosen subset of some sections'
+shapes). To gate a new section, add its rows to the baseline in the change
+that starts emitting it; to retire a row, delete it from the baseline in the
+same change that stops emitting it. Refresh the baseline deliberately:
 
     ./build/bench_net && ./build/bench_health
+    ./build/bench_intersection && ./build/bench_throughput
     cp BENCH_net.json bench/baseline/BENCH_net.json
 
 The "threshold" rows come from ./build/bench_intersection; the baseline
 keeps only the shapes whose scan-count table fits in L2
-(docs/experiments-a1.md).
+(docs/experiments-a1.md), so prune the larger shapes' rows after copying.
 
 Usage:
     tools/check_bench_regression.py [--baseline PATH] [--current PATH]
@@ -140,6 +146,15 @@ def main():
                       f"{row[upper]} in {describe(row)}")
                 invalid.append(row)
 
+    known = {r.get("section") for r in baseline_rows}
+    unbaselined = sorted(
+        {str(r.get("section")) for r in current_rows
+         if r.get("section") not in known
+         and (not sections or r.get("section") in sections)})
+    for section in unbaselined:
+        print(f"FAIL: the run emits section {section!r}, which has no "
+              f"baseline rows")
+
     failures = []
     missing = []
     compared = 0
@@ -176,10 +191,14 @@ def main():
               "retire it):", file=sys.stderr)
         for row in missing:
             print(f"  {describe(row)}", file=sys.stderr)
+    if unbaselined:
+        print(f"\n{len(unbaselined)} section(s) without baseline rows "
+              f"(add their rows to {args.baseline} to gate them): "
+              f"{', '.join(unbaselined)}", file=sys.stderr)
     if invalid:
         print(f"\n{len(invalid)} row(s) with percentiles out of order "
               "(p50 <= p99 <= max must hold)", file=sys.stderr)
-    if compared == 0 and not missing and not invalid:
+    if compared == 0 and not missing and not invalid and not unbaselined:
         sys.exit("no comparable measurements between "
                  f"{args.baseline} and {args.current}")
     if failures:
@@ -188,7 +207,7 @@ def main():
         for row, field, base, cur in failures:
             print(f"  {describe(row)} :: {field} {base:.1f} -> {cur:.1f}",
                   file=sys.stderr)
-    if invalid or missing or failures:
+    if invalid or missing or unbaselined or failures:
         sys.exit(1)
     print(f"\nbench check passed: {compared} measurements within "
           f"{args.threshold:.0%} of baseline")
