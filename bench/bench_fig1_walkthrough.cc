@@ -68,10 +68,9 @@ int main() {
     std::vector<Recommendation> recs;
     if (cluster.ok()) {
       for (const auto& e : edges) {
-        if (!(*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
-          ++failures;
-        }
+        if (!(*cluster)->Publish({.edge = e}).ok()) ++failures;
       }
+      recs = (*cluster)->TakeRecommendations();
     }
     std::printf("%-28s %s\n", "20-partition Cluster:",
                 IsExpected(recs) ? "push C2 to A2  [ok]" : "MISMATCH");

@@ -47,14 +47,10 @@ int main() {
     copt.detector = dopt;
     auto cluster = Cluster::Create(w.follow_graph, copt);
     if (!cluster.ok()) return 1;
-    std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
-      recs.clear();
-      if (!(*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
-        return 1;
-      }
-      total_recs += recs.size();
+      if (!(*cluster)->Publish({.edge = e}).ok()) return 1;
+      total_recs += (*cluster)->TakeRecommendations().size();
     }
     if (partitions == 1) reference_recs = total_recs;
     const MotifEngineStats stats = (*cluster)->AggregatedStats();
@@ -82,14 +78,10 @@ int main() {
     copt.detector = dopt;
     auto cluster = Cluster::Create(w.follow_graph, copt);
     if (!cluster.ok()) return 1;
-    std::vector<Recommendation> recs;
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
-      recs.clear();
-      if (!(*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
-        return 1;
-      }
-      total_recs += recs.size();
+      if (!(*cluster)->Publish({.edge = e}).ok()) return 1;
+      total_recs += (*cluster)->TakeRecommendations().size();
     }
     const MotifEngineStats stats = (*cluster)->AggregatedStats();
     std::printf("%9u %10s %22s\n", replicas,
@@ -113,12 +105,11 @@ int main() {
     copt.detector = dopt;
     auto reference = Cluster::Create(w.follow_graph, copt);
     if (!reference.ok()) return 1;
-    std::vector<Recommendation> ref_recs;
     for (const TimestampedEdge& e : w.events) {
-      if (!(*reference)->OnEdge(e.src, e.dst, e.created_at, &ref_recs).ok()) {
-        return 1;
-      }
+      if (!(*reference)->Publish({.edge = e}).ok()) return 1;
     }
+    const std::vector<Recommendation> ref_recs =
+        (*reference)->TakeRecommendations();
 
     auto chaos = Cluster::Create(w.follow_graph, copt);
     if (!chaos.ok() || !(*chaos)->Start().ok()) return 1;

@@ -55,15 +55,12 @@ std::unique_ptr<Cluster> MakeCluster(const Workload& w,
   return std::move(cluster).value();
 }
 
-/// Feeds events [begin, end) through the inline cluster.
+/// Feeds events [begin, end) through the inline cluster, dropping each
+/// event's recommendations.
 void Feed(Cluster* cluster, const Workload& w, size_t begin, size_t end) {
-  std::vector<Recommendation> recs;
   for (size_t i = begin; i < end; ++i) {
-    const TimestampedEdge& e = w.events[i];
-    recs.clear();
-    if (!cluster->OnEdge(e.src, e.dst, e.created_at, &recs).ok()) {
-      std::exit(1);
-    }
+    if (!cluster->Publish({.edge = w.events[i]}).ok()) std::exit(1);
+    cluster->TakeRecommendations();
   }
 }
 

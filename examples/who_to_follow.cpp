@@ -88,15 +88,13 @@ int main(int argc, char** argv) {
   DeliveryPipeline pipeline;
   LatencyTracker latency;
   std::vector<Notification> notifications;
-  std::vector<Recommendation> recs;
   Stopwatch wall;
   simulator.Run([&](const EdgeEvent& event, Timestamp deliver_time) {
     latency.RecordQueueDelay(deliver_time - event.edge.created_at);
-    recs.clear();
-    const Status status = (*cluster)->OnEdge(
-        event.edge.src, event.edge.dst, event.edge.created_at, &recs);
-    if (!status.ok()) return;
-    for (const Recommendation& rec : recs) {
+    // The cluster was never started, so the publish applies before it
+    // returns and the gather holds this event's recommendations.
+    if (!(*cluster)->Publish(event).ok()) return;
+    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
       if (pipeline.Process(rec, clock.Now(), &notifications) ==
           DeliveryOutcome::kDelivered) {
         latency.RecordEndToEnd(clock.Now() - rec.event_time);

@@ -144,13 +144,6 @@ bool Cluster::ShouldEmit(uint32_t local, uint32_t replica,
          static_cast<uint64_t>(rank);
 }
 
-Status Cluster::OnEdge(VertexId src, VertexId dst, Timestamp t,
-                       std::vector<Recommendation>* out) {
-  EdgeEvent event;
-  event.edge = TimestampedEdge{src, dst, t};
-  return OnEdgeEvent(event, out);
-}
-
 Status Cluster::SequenceAndLog(std::span<EdgeEvent> events) {
   uint64_t sequence =
       next_sequence_.fetch_add(events.size(), std::memory_order_relaxed);
@@ -181,51 +174,30 @@ Status Cluster::Window(WindowedBatch* batch) {
   return first_error;
 }
 
-void Cluster::QueryOnReplica(uint32_t local, uint32_t replica,
-                             const EdgeEvent& event,
-                             std::span<const VertexId> actors,
-                             std::vector<Recommendation>* out) {
-  if (actors.empty()) return;  // no query: nothing runs, nothing is timed
-  const TimestampedEdge& e = event.edge;
-  const bool timed = IsTimingSample(event.sequence);
-  const int64_t t0 = timed ? SteadyNowNanos() : 0;
-  replicas_[local][replica].Query(e.src, e.dst, e.created_at, actors, out,
-                                  timed);
-  if (timed) apply_histograms_[local]->Record((SteadyNowNanos() - t0) / 1000);
-}
-
-Status Cluster::OnEdgeEvent(EdgeEvent event,
-                            std::vector<Recommendation>* out) {
-  return OnEdgeEventBatch(std::span(&event, 1), out);
-}
-
-Status Cluster::OnEdgeEventBatch(std::span<const EdgeEvent> events,
-                                 std::vector<Recommendation>* out) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "inline OnEdge cannot be mixed with threaded mode");
-  }
-  if (events.empty()) return Status::OK();
-  inline_batch_.events.assign(events.begin(), events.end());
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    MAGICRECS_RETURN_IF_ERROR(SequenceAndLog(inline_batch_.events));
-  }
-  events_published_.fetch_add(events.size(), std::memory_order_relaxed);
-  // The whole batch is logged, so the whole batch applies; the first
-  // failure is reported once every event has run.
-  const Status window_error = Window(&inline_batch_);
-  for (size_t i = 0; i < inline_batch_.events.size(); ++i) {
-    const EdgeEvent& event = inline_batch_.events[i];
-    for (uint32_t local = 0; local < replicas_.size(); ++local) {
-      for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
-        if (ShouldEmit(local, r, event.sequence)) {
-          QueryOnReplica(local, r, event, inline_batch_.ActorsOf(i), out);
-        }
-      }
+void Cluster::QueryBatch(uint32_t local, uint32_t replica,
+                         const WindowedBatch& batch,
+                         std::vector<Recommendation>* gathered) {
+  gathered->clear();
+  for (size_t i = 0; i < batch.events.size(); ++i) {
+    const EdgeEvent& event = batch.events[i];
+    // ShouldEmit reads the alive mask per event, so a KillReplica takes
+    // effect mid-batch.
+    if (!ShouldEmit(local, replica, event.sequence)) continue;
+    const std::span<const VertexId> actors = batch.ActorsOf(i);
+    if (actors.empty()) continue;  // no query: nothing runs, nothing is timed
+    const TimestampedEdge& e = event.edge;
+    const bool timed = IsTimingSample(event.sequence);
+    const int64_t t0 = timed ? SteadyNowNanos() : 0;
+    replicas_[local][replica].Query(e.src, e.dst, e.created_at, actors,
+                                    gathered, timed);
+    if (timed) {
+      apply_histograms_[local]->Record((SteadyNowNanos() - t0) / 1000);
     }
   }
-  return window_error;
+  if (gathered->empty()) return;
+  std::lock_guard<std::mutex> lock(results_mu_);
+  results_.insert(results_.end(), std::make_move_iterator(gathered->begin()),
+                  std::make_move_iterator(gathered->end()));
 }
 
 Status Cluster::Start() {
@@ -234,13 +206,16 @@ Status Cluster::Start() {
   inboxes_.clear();
   consumed_.clear();
   inboxes_.resize(local_partitions);
+  // Each replica has consumed everything published before this Start(),
+  // inline or in an earlier run, so Drain() waits only for what follows.
+  const uint64_t published = events_published_.load(std::memory_order_acquire);
   // The window thread's inbox and each replica inbox split inbox_capacity,
   // so what is queued ahead of a replica stays within it.
   const size_t half = options_.inbox_capacity - options_.inbox_capacity / 2;
   for (uint32_t i = 0; i < local_partitions; ++i) {
     for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
       inboxes_[i].push_back(std::make_unique<Inbox>(half));
-      consumed_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
+      consumed_.push_back(std::make_unique<std::atomic<uint64_t>>(published));
     }
   }
   window_inbox_ = std::make_unique<WindowInbox>(half);
@@ -259,10 +234,8 @@ Status Cluster::Publish(EdgeEvent event) {
 }
 
 Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
-  if (!running_) {
-    return Status::FailedPrecondition("cluster is not running; call Start()");
-  }
   if (events.empty()) return Status::OK();
+  if (!running_) return PublishInline(events);
   // The one copy of the batch. Every replica inbox shares it, and the last
   // worker to pop it frees it.
   auto batch = std::make_shared<WindowedBatch>();
@@ -280,6 +253,24 @@ Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
   }
   events_published_.fetch_add(events.size(), std::memory_order_release);
   return Status::OK();
+}
+
+Status Cluster::PublishInline(std::span<const EdgeEvent> events) {
+  // The caller's thread runs both halves; publish_mu_ orders concurrent
+  // publishers and guards the reused batch.
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  inline_batch_.events.assign(events.begin(), events.end());
+  MAGICRECS_RETURN_IF_ERROR(SequenceAndLog(inline_batch_.events));
+  events_published_.fetch_add(events.size(), std::memory_order_release);
+  // The whole batch is logged, so the whole batch applies; the first
+  // failure is reported once every event has run.
+  const Status window_error = Window(&inline_batch_);
+  for (uint32_t local = 0; local < replicas_.size(); ++local) {
+    for (uint32_t r = 0; r < options_.replicas_per_partition; ++r) {
+      QueryBatch(local, r, inline_batch_, &inline_gathered_);
+    }
+  }
+  return window_error;
 }
 
 void Cluster::WindowLoop() {
@@ -310,21 +301,7 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
     if (!item.has_value()) return;  // closed and drained
     inbox_wait_histograms_[local]->Record(item->queued.ElapsedMicros());
     const WindowedBatch& batch = *item->batch;
-    gathered.clear();
-    for (size_t i = 0; i < batch.events.size(); ++i) {
-      // ShouldEmit reads the alive mask per event, so a KillReplica takes
-      // effect mid-batch.
-      if (ShouldEmit(local, replica, batch.events[i].sequence)) {
-        QueryOnReplica(local, replica, batch.events[i], batch.ActorsOf(i),
-                       &gathered);
-      }
-    }
-    if (!gathered.empty()) {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      results_.insert(results_.end(),
-                      std::make_move_iterator(gathered.begin()),
-                      std::make_move_iterator(gathered.end()));
-    }
+    QueryBatch(local, replica, batch, &gathered);
     // seq_cst pairs with Drain(): either this worker sees the waiter's
     // registration and notifies, or the waiter's predicate sees this
     // increment — no missed wakeup, no sleep-polling.
@@ -354,16 +331,17 @@ void Cluster::Drain() {
 }
 
 void Cluster::Stop() {
-  if (!running_) return;
-  // The window thread first, so every batch it took reaches the workers.
-  window_inbox_->Close();
-  window_worker_.join();
-  for (auto& partition_inboxes : inboxes_) {
-    for (auto& inbox : partition_inboxes) inbox->Close();
+  if (running_) {
+    // The window thread first, so every batch it took reaches the workers.
+    window_inbox_->Close();
+    window_worker_.join();
+    for (auto& partition_inboxes : inboxes_) {
+      for (auto& inbox : partition_inboxes) inbox->Close();
+    }
+    for (auto& worker : workers_) worker.join();
+    workers_.clear();
+    running_ = false;
   }
-  for (auto& worker : workers_) worker.join();
-  workers_.clear();
-  running_ = false;
   if (wal_ != nullptr) {
     std::lock_guard<std::mutex> lock(publish_mu_);
     const Status s = wal_->Sync();

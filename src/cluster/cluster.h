@@ -11,17 +11,22 @@
 // event per process, and each replica is only a query half (a QueryStage:
 // S fetch, intersection, emit) on its shard over the actor ids found.
 //
-// Two execution modes:
-//   * inline   — single-threaded, deterministic; each call runs the window
-//                half, then the query halves. Used by tests and virtual-time
-//                experiments.
-//   * threaded — the Publish() path is the broker: it sequences and WAL-logs
-//                each batch and, under the same lock, hands it to the window
-//                thread, the only thread that touches D. That thread pushes
-//                one immutable batch — the events plus each event's actor
-//                ids or "no query" — onto every replica's bounded inbox, and
-//                one worker per replica runs the query halves. Used by the
-//                throughput experiments and the daemon.
+// One contract, publish/drain/gather: PublishBatch() is the broker — it
+// sequences and WAL-logs each batch under one lock — and
+// TakeRecommendations() gathers what the query halves emitted. Whether
+// Start() has run only decides which threads run the halves:
+//   * before Start() — the publishing thread, under the same lock: the
+//                window half, then every replica's query half, before the
+//                call returns. Deterministic; tests and virtual-time
+//                experiments use it.
+//   * after Start()  — the batch goes to the window thread, the only thread
+//                that touches D. That thread pushes one immutable batch —
+//                the events plus each event's actor ids or "no query" —
+//                onto every replica's bounded inbox, and one worker per
+//                replica runs the query halves; Drain() waits for them. The
+//                throughput experiments and the daemon use it.
+// Both run one per-replica query loop (QueryBatch), so a replica's output is
+// in event order either way.
 //
 // Replica semantics: the query for an event runs on exactly one alive
 // replica per partition, chosen round-robin by sequence number — the
@@ -103,7 +108,7 @@ struct ClusterOptions {
   /// which shrinks S and bounds per-B follower-list fan-in. 0 = off.
   uint32_t max_influencers_per_user = 0;
 
-  /// Threaded mode's backpressure: the window thread's inbox holds up to
+  /// Backpressure after Start(): the window thread's inbox holds up to
   /// half of this in events, each replica inbox up to half in events plus
   /// their actor ids. A batch larger than a half enters an empty inbox alone.
   size_t inbox_capacity = 1 << 16;
@@ -124,8 +129,8 @@ struct ClusterOptions {
   uint32_t group_partition = 0;
 
   /// Durability. When persist.dir is set, the broker write-ahead-logs every
-  /// published event (threaded and inline modes both), Checkpoint() writes
-  /// snapshots of D there, and Create() restores D from them on restart.
+  /// published event, Checkpoint() writes snapshots of D there, and
+  /// Create() restores D from them on restart.
   PersistOptions persist;
 };
 
@@ -141,47 +146,35 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // --- Inline mode -----------------------------------------------------------
+  // --- Publish, drain, gather -----------------------------------------------
 
-  /// Processes one edge-creation event synchronously: the window half, then
-  /// every partition's query half; appends gathered recommendations to
-  /// *out. Must not be mixed with threaded-mode calls.
-  Status OnEdge(VertexId src, VertexId dst, Timestamp t,
-                std::vector<Recommendation>* out);
-
-  /// Same, but keeps the event's action type (content pipelines and the RPC
-  /// transport publish retweet/favorite events too). The sequence field is
-  /// assigned here; any caller-provided value is overwritten.
-  Status OnEdgeEvent(EdgeEvent event, std::vector<Recommendation>* out);
-
-  /// Applies a whole wire batch synchronously: sequences + WAL-appends every
-  /// event under one publish_mu_ acquisition, then runs the window half and
-  /// the query halves. One lock round-trip per batch instead of per event.
-  /// A failed apply is counted and the batch keeps going, as in threaded
-  /// mode; the first failure is returned after the last event.
-  Status OnEdgeEventBatch(std::span<const EdgeEvent> events,
-                          std::vector<Recommendation>* out);
-
-  // --- Threaded mode ---------------------------------------------------------
-
-  /// Spawns the window thread and one worker per replica. FailedPrecondition
-  /// if running.
+  /// Spawns the window thread and one worker per replica; later publishes
+  /// run on them. Call while no publish is in flight. Events published
+  /// before it are already applied. FailedPrecondition if running.
   Status Start();
 
   /// Broker fan-out of one event: PublishBatch of a batch of one.
   Status Publish(EdgeEvent event);
 
-  /// Batch fan-out: copies the batch once, then sequences, WAL-appends and
-  /// queues it for the window thread under one publish_mu_ acquisition
-  /// (blocking on backpressure); that thread pushes the one copy onto every
-  /// replica's inbox. Same per-event semantics as Publish in a loop. A
-  /// failed window half is counted in publish_apply_errors, not returned.
+  /// Batch fan-out: sequences (any caller-provided sequence is overwritten)
+  /// and WAL-appends the batch under one publish_mu_ acquisition. Same
+  /// per-event semantics as Publish in a loop. A failed window half is
+  /// counted in publish_apply_errors and the batch keeps going.
+  ///  * Before Start(), under that same acquisition, runs the window half
+  ///    and every replica's query half, and returns the first window
+  ///    failure once the batch is done.
+  ///  * After Start(), copies the batch once and queues it for the window
+  ///    thread (blocking on backpressure), which pushes the one copy onto
+  ///    every replica's inbox. A window failure is only counted.
   Status PublishBatch(std::span<const EdgeEvent> events);
 
   /// Blocks until every replica has consumed everything published so far.
+  /// Returns at once before Start(): an inline publish is done on return.
   void Drain();
 
-  /// Closes inboxes and joins the window thread and workers. Idempotent.
+  /// Closes inboxes and joins the window thread and workers, if running,
+  /// then syncs the WAL. Later publishes run inline until the next
+  /// Start(). Idempotent.
   void Stop();
 
   /// Moves out all recommendations gathered since the last call. Ordering
@@ -198,7 +191,7 @@ class Cluster {
 
   /// Marks a dead replica alive. It reads the process's D, which kept
   /// ingesting while the replica was down, so there is nothing to rebuild.
-  /// In threaded mode, call only while quiesced (after Drain()), or a queued
+  /// After Start(), call only while quiesced (after Drain()), or a queued
   /// event may be answered twice or not at all.
   Status RecoverReplica(uint32_t partition, uint32_t replica) {
     return SetAlive(partition, replica, true);
@@ -207,8 +200,9 @@ class Cluster {
   // --- Durability ------------------------------------------------------------
 
   /// Writes a snapshot of the process's D and reclaims the WAL segments and
-  /// snapshots it supersedes. Call while quiesced (inline mode, or threaded
-  /// mode after Drain()). FailedPrecondition without persistence.
+  /// snapshots it supersedes. Call while quiesced (with no publish in
+  /// flight, and after Drain() once started). FailedPrecondition without
+  /// persistence.
   Status Checkpoint(Timestamp created_at = 0);
 
   // --- Introspection ---------------------------------------------------------
@@ -304,6 +298,9 @@ class Cluster {
 
   void WorkerLoop(uint32_t local, uint32_t replica);
 
+  /// PublishBatch before Start(): both halves on the caller's thread.
+  Status PublishInline(std::span<const EdgeEvent> events);
+
   /// Stamps contiguous sequence numbers on `events` and WAL-appends them
   /// when persistence is on. Callers hold publish_mu_ and queue the events
   /// for the window half under it, so the log and D share one order.
@@ -319,19 +316,21 @@ class Cluster {
   /// it onto every replica inbox.
   void WindowLoop();
 
-  /// One replica's query half of one event ("no query" runs nothing),
-  /// inline or in a worker. Times it into publish_apply_us only when the
-  /// event is a timing sample (IsTimingSample).
-  void QueryOnReplica(uint32_t local, uint32_t replica, const EdgeEvent& event,
-                      std::span<const VertexId> actors,
-                      std::vector<Recommendation>* out);
+  /// One replica's share of a windowed batch, in event order: the query
+  /// half of each event whose turn (ShouldEmit) is this replica's ("no
+  /// query" runs nothing), then the emitted recommendations into results_.
+  /// The workers and PublishInline both run it. An event is timed into
+  /// publish_apply_us only when it is a timing sample (IsTimingSample).
+  /// `gathered` is the caller's scratch.
+  void QueryBatch(uint32_t local, uint32_t replica, const WindowedBatch& batch,
+                  std::vector<Recommendation>* gathered);
 
   ClusterOptions options_;
   HashPartitioner partitioner_;
   /// Global partition ids hosted here; replicas_[i] / alive_masks_[i] /
   /// inboxes_[i] belong to owned_partitions_[i].
   std::vector<uint32_t> owned_partitions_;
-  /// The process's one D (threaded: touched only by the window thread).
+  /// The process's one D (after Start(), touched only by the window thread).
   WindowStage window_;
   /// Each replica's query half; a partition's replicas share one S shard.
   std::vector<std::vector<QueryStage>> replicas_;
@@ -348,20 +347,23 @@ class Cluster {
   std::vector<HistogramMetric*> inbox_wait_histograms_;
   /// publish_apply_errors{partition=P}: events whose window half failed, so
   /// that no partition could query them; each counts once in every hosted
-  /// partition. The inline path also returns the error; a threaded publish
-  /// accepts the logged batch, so this counter is the only trace it leaves.
+  /// partition. A publish before Start() also returns the error; one after
+  /// it accepts the logged batch, so this counter is the only trace it
+  /// leaves.
   std::vector<Counter*> apply_errors_;
 
   // Durability state (null when options_.persist is disabled).
   std::unique_ptr<WalWriter> wal_;
   /// Orders publishers: sequencing, the WAL append and the hand-off to the
-  /// window half happen under it.
+  /// window half happen under it (before Start(), both halves do).
   std::mutex publish_mu_;
 
-  /// Inline mode's batch, reused so an inline event allocates nothing.
+  /// The batch of a publish before Start() and its query halves' scratch,
+  /// reused under publish_mu_.
   WindowedBatch inline_batch_;
+  std::vector<Recommendation> inline_gathered_;
 
-  // Threaded mode state.
+  // State of the threads Start() spawns.
   bool running_ = false;
   using WindowInbox = MpmcQueue<std::shared_ptr<WindowedBatch>>;
   std::unique_ptr<WindowInbox> window_inbox_;

@@ -78,16 +78,8 @@ Result<std::unique_ptr<LocalClusterTransport>> LocalClusterTransport::Create(
     Mode mode) {
   MAGICRECS_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
                              Cluster::Create(follow_graph, options));
-  return Adopt(std::move(cluster), mode);
-}
-
-Result<std::unique_ptr<LocalClusterTransport>> LocalClusterTransport::Adopt(
-    std::unique_ptr<Cluster> cluster, Mode mode) {
-  if (cluster == nullptr) {
-    return Status::InvalidArgument("cluster must be non-null");
-  }
   std::unique_ptr<LocalClusterTransport> transport(
-      new LocalClusterTransport(std::move(cluster), mode));
+      new LocalClusterTransport(std::move(cluster)));
   if (mode == Mode::kThreaded) {
     MAGICRECS_RETURN_IF_ERROR(transport->cluster_->Start());
   }
@@ -101,30 +93,24 @@ LocalClusterTransport::~LocalClusterTransport() {
 
 Status LocalClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
   // One lock round trip for the whole batch: a wire batch from the RPC
-  // server sequences and logs under a single publish_mu_ (and, inline, a
-  // single inline_mu_) acquisition instead of one per event.
+  // server sequences and logs under a single publish_mu_ acquisition
+  // instead of one per event.
   std::shared_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) return cluster_->PublishBatch(events);
-  std::lock_guard<std::mutex> lock(inline_mu_);
-  return cluster_->OnEdgeEventBatch(events, &inline_results_);
+  return cluster_->PublishBatch(events);
 }
 
 Status LocalClusterTransport::Drain() {
   std::shared_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) cluster_->Drain();
-  return Status::OK();  // inline publishes are synchronous: always drained
+  cluster_->Drain();
+  return Status::OK();
 }
 
 Result<std::vector<Recommendation>> LocalClusterTransport::TakeRecommendations() {
   std::shared_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) return cluster_->TakeRecommendations();
-  std::lock_guard<std::mutex> lock(inline_mu_);
-  std::vector<Recommendation> out;
-  out.swap(inline_results_);
-  return out;
+  return cluster_->TakeRecommendations();
 }
 
 Status LocalClusterTransport::Checkpoint(Timestamp created_at) {
@@ -132,7 +118,7 @@ Status LocalClusterTransport::Checkpoint(Timestamp created_at) {
   // workers, so the snapshot serializes a D no thread is mutating.
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) cluster_->Drain();
+  cluster_->Drain();
   return cluster_->Checkpoint(created_at);
 }
 
@@ -149,7 +135,7 @@ Status LocalClusterTransport::RecoverReplica(uint32_t partition,
   // when they reach an event, so it may only grow with none queued.
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) cluster_->Drain();
+  cluster_->Drain();
   return cluster_->RecoverReplica(partition, replica);
 }
 
@@ -158,7 +144,7 @@ Result<ClusterStats> LocalClusterTransport::GetStats() {
   // fields the worker threads mutate, so stats reads must be quiesced too.
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_) return Status::FailedPrecondition("transport is closed");
-  if (mode_ == Mode::kThreaded) cluster_->Drain();
+  cluster_->Drain();
   const MotifEngineStats detector = cluster_->AggregatedStats();
   ClusterStats stats;
   stats.num_partitions = cluster_->num_partitions();
@@ -182,7 +168,7 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
   {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     if (closed_) return Status::FailedPrecondition("transport is closed");
-    if (mode_ == Mode::kThreaded) cluster_->Drain();
+    cluster_->Drain();
     const MotifEngineStats detector = cluster_->AggregatedStats();
     MetricsRegistry* registry = MetricsRegistry::Default();
     registry->GetCounter("detector_events")->RaiseTo(detector.events);
@@ -219,7 +205,7 @@ Result<std::string> LocalClusterTransport::GetStatsText() {
 Status LocalClusterTransport::Close() {
   std::unique_lock<std::shared_mutex> state_lock(state_mu_);
   if (closed_.exchange(true)) return Status::OK();
-  if (mode_ == Mode::kThreaded) cluster_->Stop();
+  cluster_->Stop();
   return Status::OK();
 }
 

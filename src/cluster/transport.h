@@ -6,8 +6,10 @@
 // is the boundary the RPC server dispatches through and the benches and
 // tests drive, so the same calls run against
 //
-//   * LocalClusterTransport(kInline)   — synchronous, deterministic,
-//   * LocalClusterTransport(kThreaded) — one worker thread per replica,
+//   * LocalClusterTransport(kInline)   — a Cluster never started: each
+//                                        publish applies before it returns,
+//   * LocalClusterTransport(kThreaded) — a started Cluster: a window thread
+//                                        and one worker per replica,
 //   * FanoutCluster (src/net/)         — magicrecsd processes over TCP (one
 //                                        all-hosting daemon, or a group),
 //
@@ -188,7 +190,9 @@ class ClusterTransport {
   virtual Status Close() = 0;
 };
 
-/// In-process transport over a Cluster, in either execution mode.
+/// In-process transport over a Cluster: every call forwards to the
+/// cluster's one publish/drain/gather contract. The mode only decides
+/// whether Create() starts the cluster.
 class LocalClusterTransport : public ClusterTransport {
  public:
   enum class Mode {
@@ -200,10 +204,6 @@ class LocalClusterTransport : public ClusterTransport {
   static Result<std::unique_ptr<LocalClusterTransport>> Create(
       const StaticGraph& follow_graph, const ClusterOptions& options,
       Mode mode);
-
-  /// Wraps an existing cluster (must not be running yet in kThreaded mode).
-  static Result<std::unique_ptr<LocalClusterTransport>> Adopt(
-      std::unique_ptr<Cluster> cluster, Mode mode);
 
   ~LocalClusterTransport() override;
 
@@ -217,16 +217,14 @@ class LocalClusterTransport : public ClusterTransport {
   Result<std::string> GetStatsText() override;
   Status Close() override;
 
-  Mode mode() const { return mode_; }
   Cluster& cluster() { return *cluster_; }
   const Cluster& cluster() const { return *cluster_; }
 
  private:
-  LocalClusterTransport(std::unique_ptr<Cluster> cluster, Mode mode)
-      : cluster_(std::move(cluster)), mode_(mode) {}
+  explicit LocalClusterTransport(std::unique_ptr<Cluster> cluster)
+      : cluster_(std::move(cluster)) {}
 
   std::unique_ptr<Cluster> cluster_;
-  const Mode mode_;
   std::atomic<bool> closed_{false};
 
   // Concurrency: several RPC connection handlers drive one transport. Data-
@@ -236,12 +234,6 @@ class LocalClusterTransport : public ClusterTransport {
   // or must not race queued events (GetStats, Checkpoint, RecoverReplica)
   // hold it exclusive and quiesce first.
   std::shared_mutex state_mu_;
-
-  // kInline state: Cluster::OnEdgeEvent is not thread-safe and returns
-  // recommendations synchronously, so the transport serializes calls and
-  // buffers the results to honor the publish/gather contract.
-  std::mutex inline_mu_;
-  std::vector<Recommendation> inline_results_;
 };
 
 }  // namespace magicrecs

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <span>
 #include <string>
@@ -36,6 +38,14 @@ std::multiset<std::pair<VertexId, VertexId>> Pairs(
   std::multiset<std::pair<VertexId, VertexId>> out;
   for (const auto& r : recs) out.insert({r.user, r.item});
   return out;
+}
+
+// Publishes `edges` one event at a time. Before Start() each publish
+// applies before it returns.
+void PublishEdges(Cluster& cluster, std::span<const TimestampedEdge> edges) {
+  for (const TimestampedEdge& e : edges) {
+    EXPECT_TRUE(cluster.Publish({.edge = e}).ok());
+  }
 }
 
 TEST(ClusterTest, InvalidOptionsRejected) {
@@ -93,23 +103,21 @@ TEST(ClusterTest, CapChangesDetectionOutcome) {
   auto full_cluster = Cluster::Create(*g, MakeOptions(1));
   ASSERT_TRUE(full_cluster.ok());
 
-  std::vector<Recommendation> capped_recs, full_recs;
-  ASSERT_TRUE((*capped_cluster)->OnEdge(1, 9, 1, &capped_recs).ok());
-  ASSERT_TRUE((*capped_cluster)->OnEdge(2, 9, 2, &capped_recs).ok());
-  ASSERT_TRUE((*full_cluster)->OnEdge(1, 9, 1, &full_recs).ok());
-  ASSERT_TRUE((*full_cluster)->OnEdge(2, 9, 2, &full_recs).ok());
+  const std::vector<TimestampedEdge> edges = {{1, 9, 1}, {2, 9, 2}};
+  PublishEdges(**capped_cluster, edges);
+  PublishEdges(**full_cluster, edges);
 
-  EXPECT_EQ(full_recs.size(), 1u);   // motif via B1+B2 found
-  EXPECT_TRUE(capped_recs.empty());  // pruned away by the influencer cap
+  // motif via B1+B2 found
+  EXPECT_EQ((*full_cluster)->TakeRecommendations().size(), 1u);
+  // pruned away by the influencer cap
+  EXPECT_TRUE((*capped_cluster)->TakeRecommendations().empty());
 }
 
 TEST(ClusterTest, InlineFigure1MatchesSingleMachine) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(4));
   ASSERT_TRUE(cluster.ok()) << cluster.status();
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, figure1::DynamicEdges(0));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
   EXPECT_EQ(recs[0].item, figure1::kC2);
@@ -136,10 +144,9 @@ TEST(ClusterTest, PartitionCountDoesNotChangeResults) {
   for (const uint32_t partitions : {1u, 2u, 7u, 20u}) {
     auto cluster = Cluster::Create(*graph, MakeOptions(partitions));
     ASSERT_TRUE(cluster.ok());
-    std::vector<Recommendation> recs;
-    for (const TimestampedEdge& e : stream->events) {
-      ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-    }
+    PublishEdges(**cluster, stream->events);
+    const std::vector<Recommendation> recs =
+        (*cluster)->TakeRecommendations();
     if (partitions == 1) {
       reference = Pairs(recs);
       EXPECT_FALSE(reference.empty()) << "workload produced no motifs";
@@ -152,10 +159,8 @@ TEST(ClusterTest, PartitionCountDoesNotChangeResults) {
 TEST(ClusterTest, ReplicasDoNotDuplicateRecommendations) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2, 3));
   ASSERT_TRUE(cluster.ok());
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, figure1::DynamicEdges(0));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   EXPECT_EQ(recs.size(), 1u);
 }
 
@@ -173,28 +178,49 @@ TEST(ClusterTest, ThreadedModeMatchesInlineMode) {
   auto stream = ActivityStreamGenerator(&*graph, sopt).Generate();
   ASSERT_TRUE(stream.ok());
 
-  auto inline_cluster = Cluster::Create(*graph, MakeOptions(3));
-  ASSERT_TRUE(inline_cluster.ok());
-  std::vector<Recommendation> inline_recs;
-  for (const TimestampedEdge& e : stream->events) {
-    ASSERT_TRUE(
-        (*inline_cluster)->OnEdge(e.src, e.dst, e.created_at, &inline_recs).ok());
-  }
+  // Both clusters take the same calls; only Start() differs. A replica is
+  // killed a third of the way in and recovered at two thirds, quiesced
+  // (Drain() is a no-op before Start()), so the query shares move the same
+  // way in both modes.
+  constexpr uint32_t kVictimPartition = 1;
+  const std::span<const TimestampedEdge> all(stream->events);
+  const size_t third = all.size() / 3;
+  const auto run = [&](bool started, std::vector<Recommendation>* recs,
+                       std::vector<ReplicaStats>* stats) {
+    auto cluster = Cluster::Create(*graph, MakeOptions(3, 2));
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    if (started) {
+      ASSERT_TRUE((*cluster)->Start().ok());
+    }
+    PublishEdges(**cluster, all.first(third));
+    (*cluster)->Drain();
+    ASSERT_TRUE((*cluster)->KillReplica(kVictimPartition, 0).ok());
+    PublishEdges(**cluster, all.subspan(third, third));
+    (*cluster)->Drain();
+    ASSERT_TRUE((*cluster)->RecoverReplica(kVictimPartition, 0).ok());
+    PublishEdges(**cluster, all.subspan(2 * third));
+    (*cluster)->Drain();
+    (*cluster)->Stop();
+    *recs = (*cluster)->TakeRecommendations();
+    *stats = (*cluster)->PerReplicaStats();
+  };
+  std::vector<Recommendation> inline_recs, threaded_recs;
+  std::vector<ReplicaStats> inline_stats, threaded_stats;
+  run(/*started=*/false, &inline_recs, &inline_stats);
+  run(/*started=*/true, &threaded_recs, &threaded_stats);
 
-  auto threaded = Cluster::Create(*graph, MakeOptions(3));
-  ASSERT_TRUE(threaded.ok());
-  ASSERT_TRUE((*threaded)->Start().ok());
-  for (const TimestampedEdge& e : stream->events) {
-    EdgeEvent event;
-    event.edge = e;
-    ASSERT_TRUE((*threaded)->Publish(event).ok());
-  }
-  (*threaded)->Drain();
-  (*threaded)->Stop();
-  const std::vector<Recommendation> threaded_recs =
-      (*threaded)->TakeRecommendations();
-
+  EXPECT_FALSE(inline_recs.empty()) << "workload produced no motifs";
   EXPECT_EQ(Pairs(threaded_recs), Pairs(inline_recs));
+  // One query loop: each replica ran the same queries and emitted the same
+  // recommendations in both modes, the outage included.
+  ASSERT_EQ(threaded_stats.size(), inline_stats.size());
+  for (size_t i = 0; i < inline_stats.size(); ++i) {
+    EXPECT_EQ(threaded_stats[i].ToString(), inline_stats[i].ToString());
+  }
+  // The outage moved queries: the victim ran fewer than its sibling.
+  const ReplicaStats& victim = inline_stats[kVictimPartition * 2];
+  const ReplicaStats& sibling = inline_stats[kVictimPartition * 2 + 1];
+  EXPECT_LT(victim.threshold_queries, sibling.threshold_queries);
 }
 
 TEST(ClusterTest, FailedApplyIsReturnedInlineAndCountedThreaded) {
@@ -219,11 +245,9 @@ TEST(ClusterTest, FailedApplyIsReturnedInlineAndCountedThreaded) {
 
   auto inline_cluster = Cluster::Create(figure1::FollowGraph(), opt);
   ASSERT_TRUE(inline_cluster.ok()) << inline_cluster.status();
-  std::vector<Recommendation> recs;
-  ASSERT_TRUE((*inline_cluster)->OnEdgeEvent(newer, &recs).ok());
+  ASSERT_TRUE((*inline_cluster)->Publish(newer).ok());
   uint64_t before = total_errors();
-  EXPECT_TRUE(
-      (*inline_cluster)->OnEdgeEvent(older, &recs).IsFailedPrecondition());
+  EXPECT_TRUE((*inline_cluster)->Publish(older).IsFailedPrecondition());
   EXPECT_EQ(total_errors(), before + 2);
 
   auto threaded = Cluster::Create(figure1::FollowGraph(), opt);
@@ -243,18 +267,17 @@ std::vector<EdgeEvent> ToEvents(const std::vector<TimestampedEdge>& edges) {
   return events;
 }
 
-// The recommendations of an inline cluster fed `events` one at a time: the
-// oracle for every threaded publish schedule.
+// The recommendations of a never-started cluster fed `events` one at a
+// time: the oracle for every threaded publish schedule.
 std::multiset<std::pair<VertexId, VertexId>> InlinePairs(
     const StaticGraph& graph, const ClusterOptions& opt,
     const std::vector<EdgeEvent>& events) {
   auto cluster = Cluster::Create(graph, opt);
   EXPECT_TRUE(cluster.ok()) << cluster.status();
-  std::vector<Recommendation> recs;
   for (const EdgeEvent& event : events) {
-    EXPECT_TRUE((*cluster)->OnEdgeEvent(event, &recs).ok());
+    EXPECT_TRUE((*cluster)->Publish(event).ok());
   }
-  return Pairs(recs);
+  return Pairs((*cluster)->TakeRecommendations());
 }
 
 struct Workload {
@@ -310,47 +333,53 @@ TEST(ClusterTest, MixedBatchesMatchInline) {
 
 TEST(ClusterTest, ConcurrentPublishersMatchTheirWalReplayedInline) {
   // Two threads publish into one durable 4x2 cluster at once. Publishers
-  // hand batches to the window thread under the lock that also sequences
-  // and logs them, so the WAL holds the order D saw: replaying it through
-  // an inline cluster must reproduce the threaded recommendations.
-  ClusterOptions opt = MakeOptions(4, 2);
-  ScopedTempDir dir;
-  opt.persist.dir = dir.path();
+  // sequence and log a batch under the lock that also hands it to the
+  // window half — to the window thread once started, run on the spot
+  // before — so the WAL holds the order D saw: replaying it through a
+  // never-started cluster must reproduce the recommendations, either way.
   const Workload w = MakeWorkload(8'000);
-  auto threaded = Cluster::Create(w.graph, opt);
-  ASSERT_TRUE(threaded.ok()) << threaded.status();
-  ASSERT_TRUE((*threaded)->Start().ok());
   const std::span<const EdgeEvent> all(w.events);
-  std::atomic<int> failed_publishes{0};
-  std::vector<std::thread> publishers;
-  for (const std::span<const EdgeEvent> part :
-       {all.first(all.size() / 2), all.subspan(all.size() / 2)}) {
-    publishers.emplace_back([&, part] {
-      for (size_t i = 0; i < part.size(); i += 32) {
-        const auto batch =
-            part.subspan(i, std::min<size_t>(32, part.size() - i));
-        if (!(*threaded)->PublishBatch(batch).ok()) ++failed_publishes;
-      }
-    });
-  }
-  for (std::thread& publisher : publishers) publisher.join();
-  (*threaded)->Drain();
-  (*threaded)->Stop();
-  EXPECT_EQ(failed_publishes.load(), 0);
-  const auto threaded_pairs = Pairs((*threaded)->TakeRecommendations());
-  EXPECT_FALSE(threaded_pairs.empty()) << "workload produced no motifs";
+  for (const bool started : {true, false}) {
+    SCOPED_TRACE(started ? "started" : "never started");
+    ClusterOptions opt = MakeOptions(4, 2);
+    ScopedTempDir dir;
+    opt.persist.dir = dir.path();
+    auto cluster = Cluster::Create(w.graph, opt);
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    if (started) {
+      ASSERT_TRUE((*cluster)->Start().ok());
+    }
+    std::atomic<int> failed_publishes{0};
+    std::vector<std::thread> publishers;
+    for (const std::span<const EdgeEvent> part :
+         {all.first(all.size() / 2), all.subspan(all.size() / 2)}) {
+      publishers.emplace_back([&, part] {
+        for (size_t i = 0; i < part.size(); i += 32) {
+          const auto batch =
+              part.subspan(i, std::min<size_t>(32, part.size() - i));
+          if (!(*cluster)->PublishBatch(batch).ok()) ++failed_publishes;
+        }
+      });
+    }
+    for (std::thread& publisher : publishers) publisher.join();
+    (*cluster)->Drain();
+    (*cluster)->Stop();
+    EXPECT_EQ(failed_publishes.load(), 0);
+    const auto pairs = Pairs((*cluster)->TakeRecommendations());
+    EXPECT_FALSE(pairs.empty()) << "workload produced no motifs";
 
-  std::vector<EdgeEvent> logged;
-  ASSERT_TRUE(ReplayWal(
-                  dir.path(), 0,
-                  [&](const EdgeEvent& event) {
-                    logged.push_back(event);
-                    return Status::OK();
-                  },
-                  nullptr)
-                  .ok());
-  ASSERT_EQ(logged.size(), all.size());
-  EXPECT_EQ(threaded_pairs, InlinePairs(w.graph, MakeOptions(4, 2), logged));
+    std::vector<EdgeEvent> logged;
+    ASSERT_TRUE(ReplayWal(
+                    dir.path(), 0,
+                    [&](const EdgeEvent& event) {
+                      logged.push_back(event);
+                      return Status::OK();
+                    },
+                    nullptr)
+                    .ok());
+    ASSERT_EQ(logged.size(), all.size());
+    EXPECT_EQ(pairs, InlinePairs(w.graph, MakeOptions(4, 2), logged));
+  }
 }
 
 TEST(ClusterTest, OversizedBatchIsAdmittedAlone) {
@@ -473,8 +502,7 @@ TEST(ClusterTest, InlineApplyTimesTheEmittingReplicaOnly) {
     const uint64_t before = ApplySamples(0);
     EdgeEvent event;
     event.edge = {figure1::kB1, figure1::kC1, 1};
-    std::vector<Recommendation> recs;
-    ASSERT_TRUE((*cluster)->OnEdgeEvent(event, &recs).ok());
+    ASSERT_TRUE((*cluster)->Publish(event).ok());
     EXPECT_EQ(ApplySamples(0) - before, k == 1 ? 1u : 0u) << "k=" << k;
     EXPECT_EQ((*cluster)->AggregatedStats().query_micros.Count(),
               k == 1 ? 1u : 0u)
@@ -519,8 +547,7 @@ TEST(ClusterTest, OneEventInThePeriodIsTimedInlineAndThreaded) {
   auto inline_cluster =
       Cluster::Create(w.graph, MakeOptions(kPartitions, kReplicas, /*k=*/1));
   ASSERT_TRUE(inline_cluster.ok());
-  std::vector<Recommendation> recs;
-  ASSERT_TRUE((*inline_cluster)->OnEdgeEventBatch(w.events, &recs).ok());
+  ASSERT_TRUE((*inline_cluster)->PublishBatch(w.events).ok());
   check(**inline_cluster, before, "inline");
 
   for (uint32_t p = 0; p < kPartitions; ++p) before[p] = ApplySamples(p);
@@ -543,22 +570,59 @@ TEST(ClusterTest, OneEventInThePeriodIsTimedInlineAndThreaded) {
   check(**threaded, before, "threaded");
 }
 
-TEST(ClusterTest, PublishRequiresStart) {
-  auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2));
-  ASSERT_TRUE(cluster.ok());
-  EdgeEvent event;
-  event.edge = {figure1::kB1, figure1::kC1, 1};
-  EXPECT_TRUE((*cluster)->Publish(event).IsFailedPrecondition());
-}
+TEST(ClusterTest, DrainCountsWhatWasPublishedBeforeStart) {
+  // Drain() waits until every replica has consumed all events published so
+  // far. Events published before a Start() — applied on the spot, or by
+  // the threads of an earlier Start()/Stop() run — are already consumed.
+  const std::vector<EdgeEvent> events = ToEvents(figure1::DynamicEdges(0));
+  // Drain() on a helper thread: true if it returns within the bound. On a
+  // miss, publishing as many events again as the cluster holds lets a
+  // stuck wait finish, so a hang fails the test instead of stalling it.
+  const auto drains = [&events](Cluster& cluster) {
+    std::future<void> drained =
+        std::async(std::launch::async, [&cluster] { cluster.Drain(); });
+    if (drained.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::ready) {
+      return true;
+    }
+    for (uint64_t i = cluster.events_published(); i > 0; --i) {
+      EXPECT_TRUE(cluster.Publish(events.front()).ok());
+    }
+    return false;
+  };
+  const std::span<const EdgeEvent> all(events);
+  const std::span<const EdgeEvent> head = all.first(2);
+  const std::span<const EdgeEvent> tail = all.subspan(2);
 
-TEST(ClusterTest, InlineRejectedWhileRunning) {
-  auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2));
-  ASSERT_TRUE(cluster.ok());
-  ASSERT_TRUE((*cluster)->Start().ok());
-  std::vector<Recommendation> recs;
-  EXPECT_TRUE(
-      (*cluster)->OnEdge(0, 1, 0, &recs).IsFailedPrecondition());
-  (*cluster)->Stop();
+  {
+    SCOPED_TRACE("publish, Start, publish, Drain");
+    auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2));
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    EXPECT_TRUE((*cluster)->PublishBatch(head).ok());
+    ASSERT_TRUE((*cluster)->Start().ok());
+    EXPECT_TRUE((*cluster)->PublishBatch(tail).ok());
+    EXPECT_TRUE(drains(**cluster));
+    (*cluster)->Stop();
+    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations()),
+              (std::multiset<std::pair<VertexId, VertexId>>{
+                  {figure1::kA2, figure1::kC2}}));
+  }
+  {
+    SCOPED_TRACE("Start, publish, Drain, Stop, Start, publish, Drain");
+    auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2));
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    ASSERT_TRUE((*cluster)->Start().ok());
+    EXPECT_TRUE((*cluster)->PublishBatch(head).ok());
+    EXPECT_TRUE(drains(**cluster));
+    (*cluster)->Stop();
+    ASSERT_TRUE((*cluster)->Start().ok());
+    EXPECT_TRUE((*cluster)->PublishBatch(tail).ok());
+    EXPECT_TRUE(drains(**cluster));
+    (*cluster)->Stop();
+    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations()),
+              (std::multiset<std::pair<VertexId, VertexId>>{
+                  {figure1::kA2, figure1::kC2}}));
+  }
 }
 
 TEST(ClusterTest, DoubleStartRejected) {
@@ -578,10 +642,8 @@ TEST(ClusterTest, KillReplicaWithoutReplicationLosesDetections) {
       (*cluster)->partitioner().PartitionOf(figure1::kA2);
   ASSERT_TRUE((*cluster)->KillReplica(a2_partition, 0).ok());
 
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, figure1::DynamicEdges(0));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   EXPECT_TRUE(recs.empty());
 }
 
@@ -594,10 +656,8 @@ TEST(ClusterTest, ReplicaFailoverPreservesDetections) {
   ASSERT_TRUE((*cluster)->KillReplica(a2_partition, 0).ok());
   EXPECT_EQ((*cluster)->alive_replicas(a2_partition), 1u);
 
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, figure1::DynamicEdges(0));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }
@@ -609,19 +669,13 @@ TEST(ClusterTest, RecoveredReplicaReadsTheCompleteD) {
 
   // Replica 1 misses the first three edges.
   const auto edges = figure1::DynamicEdges(0);
-  std::vector<Recommendation> recs;
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    ASSERT_TRUE(
-        (*cluster)->OnEdge(edges[i].src, edges[i].dst, edges[i].created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, std::span(edges).first(edges.size() - 1));
   // Recover it, then deliver the trigger. Both replicas read the process's
   // D, so whichever replica answers, the state is complete.
   ASSERT_TRUE((*cluster)->RecoverReplica(0, 1).ok());
   EXPECT_EQ((*cluster)->alive_replicas(0), 2u);
-  ASSERT_TRUE((*cluster)
-                  ->OnEdge(edges.back().src, edges.back().dst,
-                           edges.back().created_at, &recs)
-                  .ok());
+  PublishEdges(**cluster, std::span(edges).last(1));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }
@@ -637,18 +691,10 @@ TEST(ClusterTest, RecoveredOnlyReplicaAnswersFromTheProcessD) {
   ASSERT_TRUE((*cluster)->KillReplica(a2_partition, 0).ok());
 
   const auto edges = figure1::DynamicEdges(0);
-  std::vector<Recommendation> recs;
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    ASSERT_TRUE((*cluster)
-                    ->OnEdge(edges[i].src, edges[i].dst, edges[i].created_at,
-                             &recs)
-                    .ok());
-  }
+  PublishEdges(**cluster, std::span(edges).first(edges.size() - 1));
   ASSERT_TRUE((*cluster)->RecoverReplica(a2_partition, 0).ok());
-  ASSERT_TRUE((*cluster)
-                  ->OnEdge(edges.back().src, edges.back().dst,
-                           edges.back().created_at, &recs)
-                  .ok());
+  PublishEdges(**cluster, std::span(edges).last(1));
+  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }
@@ -681,12 +727,11 @@ TEST(ClusterTest, DynamicMemoryDoesNotGrowWithPartitionCount) {
                                                  {8, &memory_large}}) {
     auto cluster = Cluster::Create(*graph, MakeOptions(partitions));
     ASSERT_TRUE(cluster.ok());
-    std::vector<Recommendation> recs;
     for (int i = 0; i < 500; ++i) {
       const VertexId src = static_cast<VertexId>(i % 200);
       const VertexId dst = static_cast<VertexId>((i * 7 + 1) % 200);
       if (src == dst) continue;
-      ASSERT_TRUE((*cluster)->OnEdge(src, dst, Seconds(i), &recs).ok());
+      ASSERT_TRUE((*cluster)->Publish({.edge = {src, dst, Seconds(i)}}).ok());
     }
     *out = (*cluster)->TotalDynamicMemory();
   }
@@ -709,12 +754,11 @@ TEST(ClusterTest, OneDWhateverTheReplicaLayout) {
        std::vector<std::pair<uint32_t, uint32_t>>{{1, 1}, {4, 3}}) {
     auto cluster = Cluster::Create(*graph, MakeOptions(partitions, replicas));
     ASSERT_TRUE(cluster.ok());
-    std::vector<Recommendation> recs;
     for (int i = 0; i < 500; ++i) {
       const VertexId src = static_cast<VertexId>(i % 200);
       const VertexId dst = static_cast<VertexId>((i * 7 + 1) % 200);
       if (src == dst) continue;
-      ASSERT_TRUE((*cluster)->OnEdge(src, dst, Seconds(i), &recs).ok());
+      ASSERT_TRUE((*cluster)->Publish({.edge = {src, dst, Seconds(i)}}).ok());
     }
     clusters.push_back(std::move(cluster).value());
   }
@@ -752,10 +796,7 @@ TEST(ClusterTest, ShardsPartitionStaticMemory) {
 TEST(ClusterTest, AggregatedStatsCoverAllPartitions) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(3));
   ASSERT_TRUE(cluster.ok());
-  std::vector<Recommendation> recs;
-  for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-  }
+  PublishEdges(**cluster, figure1::DynamicEdges(0));
   const MotifEngineStats stats = (*cluster)->AggregatedStats();
   // The process's D ingests every event once.
   EXPECT_EQ(stats.events, 4u);

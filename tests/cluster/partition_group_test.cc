@@ -102,10 +102,10 @@ TEST(PartitionGroupTest, GroupUnionMatchesFullClusterExactly) {
   constexpr uint32_t kGroup = 4;
   auto full = Cluster::Create(*graph, FullOptions(kGroup));
   ASSERT_TRUE(full.ok());
-  std::vector<Recommendation> reference;
   for (const TimestampedEdge& e : stream->events) {
-    ASSERT_TRUE((*full)->OnEdge(e.src, e.dst, e.created_at, &reference).ok());
+    ASSERT_TRUE((*full)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> reference = (*full)->TakeRecommendations();
   ASSERT_FALSE(reference.empty()) << "workload produced no motifs";
 
   // Feed the identical stream to each group member (the fan-out broker's
@@ -114,10 +114,10 @@ TEST(PartitionGroupTest, GroupUnionMatchesFullClusterExactly) {
   for (uint32_t p = 0; p < kGroup; ++p) {
     auto member = Cluster::Create(*graph, GroupOptions(kGroup, p));
     ASSERT_TRUE(member.ok()) << member.status();
-    std::vector<Recommendation> local;
     for (const TimestampedEdge& e : stream->events) {
-      ASSERT_TRUE((*member)->OnEdge(e.src, e.dst, e.created_at, &local).ok());
+      ASSERT_TRUE((*member)->Publish({.edge = e}).ok());
     }
+    const std::vector<Recommendation> local = (*member)->TakeRecommendations();
     for (const Recommendation& rec : local) {
       EXPECT_EQ((*member)->partitioner().PartitionOf(rec.user), p)
           << "a group member emitted a recommendation for an A it does not "
@@ -149,9 +149,8 @@ TEST(PartitionGroupTest, PerReplicaStatsCarryGlobalIdentity) {
   auto cluster =
       Cluster::Create(figure1::FollowGraph(), GroupOptions(8, 5, /*replicas=*/2));
   ASSERT_TRUE(cluster.ok());
-  std::vector<Recommendation> sink;
   for (const TimestampedEdge& e : figure1::DynamicEdges(0)) {
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &sink).ok());
+    ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
   }
   ASSERT_TRUE((*cluster)->KillReplica(5, 1).ok());
 
@@ -198,11 +197,11 @@ TEST(PartitionGroupTest, ThreadedGroupMemberMatchesInlineGroupMember) {
 
   auto inline_member = Cluster::Create(*graph, GroupOptions(3, 1));
   ASSERT_TRUE(inline_member.ok());
-  std::vector<Recommendation> reference;
   for (const TimestampedEdge& e : stream->events) {
-    ASSERT_TRUE(
-        (*inline_member)->OnEdge(e.src, e.dst, e.created_at, &reference).ok());
+    ASSERT_TRUE((*inline_member)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> reference =
+      (*inline_member)->TakeRecommendations();
 
   auto threaded = Cluster::Create(*graph, GroupOptions(3, 1, /*replicas=*/2));
   ASSERT_TRUE(threaded.ok());

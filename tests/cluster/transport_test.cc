@@ -276,11 +276,5 @@ TEST(ClusterTransportTest, ClosedTransportRejectsCalls) {
       (*transport)->TakeRecommendations().status().IsFailedPrecondition());
 }
 
-TEST(ClusterTransportTest, AdoptRejectsNull) {
-  EXPECT_TRUE(LocalClusterTransport::Adopt(nullptr, Mode::kInline)
-                  .status()
-                  .IsInvalidArgument());
-}
-
 }  // namespace
 }  // namespace magicrecs

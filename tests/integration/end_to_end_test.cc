@@ -44,11 +44,8 @@ TEST(EndToEndTest, Figure1ThroughTheWholePipeline) {
   std::vector<Notification> delivered;
   simulator.Run([&](const EdgeEvent& event, Timestamp deliver_time) {
     latency.RecordQueueDelay(deliver_time - event.edge.created_at);
-    std::vector<Recommendation> recs;
-    const Status s = cluster->OnEdge(event.edge.src, event.edge.dst,
-                                     event.edge.created_at, &recs);
-    ASSERT_TRUE(s.ok());
-    for (const Recommendation& rec : recs) {
+    ASSERT_TRUE(cluster->Publish(event).ok());
+    for (const Recommendation& rec : cluster->TakeRecommendations()) {
       if (pipeline.Process(rec, clock.Now(), &delivered) ==
           DeliveryOutcome::kDelivered) {
         latency.RecordEndToEnd(clock.Now() - rec.event_time);
@@ -90,11 +87,9 @@ TEST(EndToEndTest, SyntheticDayProducesFunnelShape) {
 
   DeliveryPipeline pipeline;
   std::vector<Notification> delivered;
-  std::vector<Recommendation> recs;
   for (const TimestampedEdge& e : stream->events) {
-    recs.clear();
-    ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-    for (const Recommendation& rec : recs) {
+    ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
+    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
       pipeline.Process(rec, e.created_at, &delivered);
     }
   }
@@ -156,13 +151,10 @@ TEST(EndToEndTest, DedupAbsorbsRetriggeredMotifs) {
   popt.quiet_hours.synthetic_timezone_spread = 0;
   DeliveryPipeline pipeline(popt);
   std::vector<Notification> delivered;
-  std::vector<Recommendation> recs;
   const Timestamp noon = Hours(12);
   for (VertexId b : {10u, 11u, 12u}) {
-    recs.clear();
-    ASSERT_TRUE(
-        (*cluster)->OnEdge(b, 20, noon + Seconds(b), &recs).ok());
-    for (const Recommendation& rec : recs) {
+    ASSERT_TRUE((*cluster)->Publish({.edge = {b, 20, noon + Seconds(b)}}).ok());
+    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
       pipeline.Process(rec, noon + Seconds(b), &delivered);
     }
   }

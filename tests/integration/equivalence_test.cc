@@ -174,11 +174,11 @@ TEST_P(EquivalenceTest, ClusterMatchesSingleMachine) {
   copt.detector = DetectorOptions(k);
   auto cluster = Cluster::Create(w.follow_graph, copt);
   ASSERT_TRUE(cluster.ok());
-  std::vector<Recommendation> cluster_recs;
   for (const TimestampedEdge& e : w.events) {
-    ASSERT_TRUE(
-        (*cluster)->OnEdge(e.src, e.dst, e.created_at, &cluster_recs).ok());
+    ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> cluster_recs =
+      (*cluster)->TakeRecommendations();
 
   EXPECT_EQ(Keys(cluster_recs), Keys(single_recs)) << "k=" << k;
 
@@ -200,11 +200,11 @@ TEST_P(EquivalenceTest, ClusterMatchesSingleMachine) {
       RunEngine(capped_w, one.detector);
   auto one_cluster = Cluster::Create(w.follow_graph, one);
   ASSERT_TRUE(one_cluster.ok()) << one_cluster.status();
-  std::vector<Recommendation> one_recs;
   for (const TimestampedEdge& e : w.events) {
-    ASSERT_TRUE(
-        (*one_cluster)->OnEdge(e.src, e.dst, e.created_at, &one_recs).ok());
+    ASSERT_TRUE((*one_cluster)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> one_recs =
+      (*one_cluster)->TakeRecommendations();
   if (k <= 2) {
     EXPECT_FALSE(one_recs.empty()) << "k=" << k;
   }

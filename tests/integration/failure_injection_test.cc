@@ -64,17 +64,16 @@ TEST(FailureInjectionTest, MidStreamFailoverLosesNothingInlineMode) {
   // Healthy run for reference.
   auto healthy = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(healthy.ok());
-  std::vector<Recommendation> healthy_recs;
   for (const TimestampedEdge& e : f.events) {
-    ASSERT_TRUE(
-        (*healthy)->OnEdge(e.src, e.dst, e.created_at, &healthy_recs).ok());
+    ASSERT_TRUE((*healthy)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> healthy_recs =
+      (*healthy)->TakeRecommendations();
 
   // Faulty run: kill replica 0 of every partition a third of the way in,
   // recover it at two thirds.
   auto faulty = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(faulty.ok());
-  std::vector<Recommendation> faulty_recs;
   const size_t third = f.events.size() / 3;
   for (size_t i = 0; i < f.events.size(); ++i) {
     if (i == third) {
@@ -88,10 +87,10 @@ TEST(FailureInjectionTest, MidStreamFailoverLosesNothingInlineMode) {
         EXPECT_EQ((*faulty)->alive_replicas(p), 2u);
       }
     }
-    const TimestampedEdge& e = f.events[i];
-    ASSERT_TRUE(
-        (*faulty)->OnEdge(e.src, e.dst, e.created_at, &faulty_recs).ok());
+    ASSERT_TRUE((*faulty)->Publish({.edge = f.events[i]}).ok());
   }
+  const std::vector<Recommendation> faulty_recs =
+      (*faulty)->TakeRecommendations();
 
   // The survivor answered during the outage and the recovered replica was
   // re-synced, so recommendations are identical.
@@ -130,11 +129,11 @@ TEST(FailureInjectionTest, ThreadedFailoverWhileQuiesced) {
   ref_options.replicas_per_partition = 1;
   auto reference = Cluster::Create(f.graph, ref_options);
   ASSERT_TRUE(reference.ok());
-  std::vector<Recommendation> ref_recs;
   for (const TimestampedEdge& e : f.events) {
-    ASSERT_TRUE(
-        (*reference)->OnEdge(e.src, e.dst, e.created_at, &ref_recs).ok());
+    ASSERT_TRUE((*reference)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> ref_recs =
+      (*reference)->TakeRecommendations();
   EXPECT_EQ(Pairs(recs), Pairs(ref_recs));
 }
 
@@ -147,15 +146,14 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedInline) {
 
   auto healthy = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(healthy.ok());
-  std::vector<Recommendation> healthy_recs;
   for (const TimestampedEdge& e : f.events) {
-    ASSERT_TRUE(
-        (*healthy)->OnEdge(e.src, e.dst, e.created_at, &healthy_recs).ok());
+    ASSERT_TRUE((*healthy)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> healthy_recs =
+      (*healthy)->TakeRecommendations();
 
   auto chaos = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(chaos.ok());
-  std::vector<Recommendation> chaos_recs;
   constexpr size_t kRounds = 10;
   const size_t chunk = (f.events.size() + kRounds - 1) / kRounds;
   for (size_t round = 0; round * chunk < f.events.size(); ++round) {
@@ -166,9 +164,7 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedInline) {
     const size_t begin = round * chunk;
     const size_t end = std::min(begin + chunk, f.events.size());
     for (size_t i = begin; i < end; ++i) {
-      const TimestampedEdge& e = f.events[i];
-      ASSERT_TRUE(
-          (*chaos)->OnEdge(e.src, e.dst, e.created_at, &chaos_recs).ok());
+      ASSERT_TRUE((*chaos)->Publish({.edge = f.events[i]}).ok());
     }
     for (uint32_t p = 0; p < 4; ++p) {
       ASSERT_TRUE((*chaos)->RecoverReplica(p, victim).ok());
@@ -176,7 +172,7 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedInline) {
     }
   }
 
-  EXPECT_EQ(Pairs(chaos_recs), Pairs(healthy_recs));
+  EXPECT_EQ(Pairs((*chaos)->TakeRecommendations()), Pairs(healthy_recs));
   EXPECT_FALSE(healthy_recs.empty());
 }
 
@@ -187,11 +183,11 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedThreaded) {
 
   auto reference = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(reference.ok());
-  std::vector<Recommendation> reference_recs;
   for (const TimestampedEdge& e : f.events) {
-    ASSERT_TRUE(
-        (*reference)->OnEdge(e.src, e.dst, e.created_at, &reference_recs).ok());
+    ASSERT_TRUE((*reference)->Publish({.edge = e}).ok());
   }
+  const std::vector<Recommendation> reference_recs =
+      (*reference)->TakeRecommendations();
 
   auto chaos = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(chaos.ok());
@@ -239,12 +235,10 @@ TEST(FailureInjectionTest, DedupAbsorbsReplayAfterRecovery) {
   DeliveryPipeline pipeline(popt);
 
   std::vector<Notification> delivered;
-  std::vector<Recommendation> recs;
   auto run = [&](const std::vector<TimestampedEdge>& events) {
     for (const TimestampedEdge& e : events) {
-      recs.clear();
-      ASSERT_TRUE((*cluster)->OnEdge(e.src, e.dst, e.created_at, &recs).ok());
-      for (const Recommendation& rec : recs) {
+      ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
+      for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
         pipeline.Process(rec, Hours(12) + e.created_at, &delivered);
       }
     }

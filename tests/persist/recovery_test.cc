@@ -70,14 +70,10 @@ std::unique_ptr<Cluster> MakeCluster(const TestWorkload& w,
 std::vector<Recommendation> RunRange(Cluster* cluster,
                                      const std::vector<TimestampedEdge>& events,
                                      size_t begin, size_t end) {
-  std::vector<Recommendation> recs;
   for (size_t i = begin; i < end; ++i) {
-    EXPECT_TRUE(cluster
-                    ->OnEdge(events[i].src, events[i].dst,
-                             events[i].created_at, &recs)
-                    .ok());
+    EXPECT_TRUE(cluster->Publish({.edge = events[i]}).ok());
   }
-  return recs;
+  return cluster->TakeRecommendations();
 }
 
 TEST(RecoveryEquivalenceTest, CrashAtMidStreamThenRecoverMatchesUninterrupted) {
@@ -204,11 +200,9 @@ class ClusterRecoveryTest : public ::testing::Test {
   }
 
   Status Feed(Cluster* cluster, size_t begin, size_t end) {
-    std::vector<Recommendation> sink;
     for (size_t i = begin; i < end; ++i) {
-      const TimestampedEdge& e = workload_.events[i];
       MAGICRECS_RETURN_IF_ERROR(
-          cluster->OnEdge(e.src, e.dst, e.created_at, &sink));
+          cluster->Publish({.edge = workload_.events[i]}));
     }
     return Status::OK();
   }

@@ -1,6 +1,6 @@
 // Batch publishing must be durably indistinguishable from per-event
-// publishing: Cluster::OnEdgeEventBatch / PublishBatch sequence and
-// WAL-append a whole wire batch under one lock acquisition, and the log
+// publishing: Cluster::PublishBatch, before or after Start(), sequences
+// and WAL-appends a whole wire batch under one lock acquisition, and the log
 // that results has to carry every event, in order, with contiguous
 // sequences — exactly what a per-event run would have written.
 
