@@ -6,13 +6,18 @@
 // the whole deployment; a single in-memory partition should beat that by
 // orders of magnitude. The last two rows split one detector on a
 // dense-shaped stream into its halves: D alone (insert + window read), then
-// the query half alone (S fetch, intersection, emit).
+// the query half alone (S fetch, intersection, emit). The final row times a
+// daemon's setup: load a follow graph from its edge file and cut the shards.
+
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "bench_json.h"
 #include "workload.h"
 #include "cluster/cluster.h"
+#include "graph/graph_io.h"
 #include "intersect/simd.h"
 #include "util/clock.h"
 #include "util/str_format.h"
@@ -274,6 +279,50 @@ void QuerySweep(const Workload& w, bench::JsonRows* rows) {
   rows->AddThroughput("throughput-query", "query", 1, rate, total_recs);
 }
 
+/// A daemon's setup: LoadEdgeList of the serving benchmark's `sparse` graph
+/// (50k users, 30 mean followees: 1.77M edges, 20 MB of text), then the four
+/// shards a 4-partition Cluster cuts from it. events/s counts edges loaded
+/// and cut per second; "recs" counts the edges.
+void LoadSweep(bench::JsonRows* rows) {
+  std::printf("\n--- setup: load an edge file and cut 4 shards ---\n");
+  std::printf("%18s %12s %14s\n", "config", "edges", "edges/s");
+
+  SocialGraphOptions gopt;
+  gopt.num_users = 50'000;
+  gopt.mean_followees = 30;
+  gopt.popularity_exponent = 0.7;
+  gopt.seed = 1;
+  const Result<StaticGraph> graph = SocialGraphGenerator(gopt).Generate();
+  if (!graph.ok()) return;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("magicrecs_bench_load_" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  if (!SaveEdgeList(*graph, path).ok()) return;
+
+  ClusterOptions copt;
+  copt.num_partitions = 4;
+  copt.detector = ProductionOptions();
+  // Best-of-3 passes, as the other rows take the best of 2.
+  double rate = 0;
+  size_t edges = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    Stopwatch timer;
+    const Result<StaticGraph> loaded = LoadEdgeList(path);
+    if (!loaded.ok()) break;
+    const auto cluster = Cluster::Create(*loaded, copt);
+    if (!cluster.ok()) break;
+    edges = loaded->num_edges();
+    rate = std::max(rate,
+                    static_cast<double>(edges) / timer.ElapsedSeconds());
+  }
+  std::filesystem::remove(path);
+  if (rate == 0) return;
+  std::printf("%18s %12zu %14s\n", "load+cut-4", edges,
+              HumanCount(rate).c_str());
+  rows->AddThroughput("throughput-load", "load+cut-4", 1, rate, edges);
+}
+
 }  // namespace
 
 int main() {
@@ -286,6 +335,7 @@ int main() {
   const Workload dense = DenseShapedWorkload();
   WindowSweep(dense, &rows);
   QuerySweep(dense, &rows);
+  LoadSweep(&rows);
   rows.MergeWrite("BENCH_net.json");
   return 0;
 }

@@ -79,19 +79,24 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
     }
   }
 
-  // Offline pipeline: influencer cap, invert to the follower index, then
-  // cut one shard per hosted partition. Replicas share the immutable shard.
-  MAGICRECS_ASSIGN_OR_RETURN(
-      const StaticGraph capped,
-      ApplyInfluencerCap(follow_graph, options.max_influencers_per_user));
-  const StaticGraph full_follower_index = capped.Transpose();
+  // Offline pipeline: the influencer cap, if any, then one shard per hosted
+  // partition, cut as the follower lists of that partition's A's straight
+  // from the follow graph, so the full follower index is never built.
+  // Replicas share the immutable shard.
+  StaticGraph capped;
+  const StaticGraph* graph = &follow_graph;
+  if (options.max_influencers_per_user > 0) {
+    MAGICRECS_ASSIGN_OR_RETURN(
+        capped,
+        ApplyInfluencerCap(follow_graph, options.max_influencers_per_user));
+    graph = &capped;
+  }
 
   cluster->replicas_.resize(cluster->owned_partitions_.size());
   for (size_t i = 0; i < cluster->owned_partitions_.size(); ++i) {
     const uint32_t p = cluster->owned_partitions_[i];
-    MAGICRECS_ASSIGN_OR_RETURN(
-        StaticGraph shard,
-        BuildPartitionShard(full_follower_index, partitioner, p));
+    StaticGraph shard = graph->TransposeIf(
+        [&](VertexId a) { return partitioner.PartitionOf(a) == p; });
     shard.BuildHubIndex();
     cluster->replicas_[i].assign(
         options.replicas_per_partition,

@@ -13,15 +13,23 @@ Result<StaticGraph> ApplyInfluencerCap(const StaticGraph& follow_graph,
   follow_graph.ForEachEdge(
       [&](VertexId, VertexId dst) { ++in_degree[dst]; });
 
-  StaticGraphBuilder builder(follow_graph.num_vertices());
+  // Each user's row keeps its `cap` most popular followees; FromRows sorts
+  // the rows.
+  const size_t v = follow_graph.num_vertices();
+  std::vector<uint64_t> offsets(v + 1, 0);
+  for (size_t src = 0; src < v; ++src) {
+    offsets[src + 1] =
+        offsets[src] + std::min<uint64_t>(
+                           follow_graph.OutDegree(static_cast<VertexId>(src)),
+                           cap);
+  }
+  std::vector<VertexId> targets(offsets[v]);
   std::vector<VertexId> followees;
-  for (size_t v = 0; v < follow_graph.num_vertices(); ++v) {
-    const VertexId src = static_cast<VertexId>(v);
-    const auto neighbors = follow_graph.Neighbors(src);
+  for (size_t src = 0; src < v; ++src) {
+    const auto neighbors = follow_graph.Neighbors(static_cast<VertexId>(src));
+    const auto out = targets.begin() + static_cast<std::ptrdiff_t>(offsets[src]);
     if (neighbors.size() <= cap) {
-      for (const VertexId dst : neighbors) {
-        MAGICRECS_RETURN_IF_ERROR(builder.AddEdge(src, dst));
-      }
+      std::copy(neighbors.begin(), neighbors.end(), out);
       continue;
     }
     followees.assign(neighbors.begin(), neighbors.end());
@@ -33,11 +41,10 @@ Result<StaticGraph> ApplyInfluencerCap(const StaticGraph& follow_graph,
                         }
                         return a < b;
                       });
-    for (uint32_t i = 0; i < cap; ++i) {
-      MAGICRECS_RETURN_IF_ERROR(builder.AddEdge(src, followees[i]));
-    }
+    std::copy(followees.begin(),
+              followees.begin() + static_cast<std::ptrdiff_t>(cap), out);
   }
-  return builder.Build();
+  return StaticGraph::FromRows(std::move(offsets), std::move(targets));
 }
 
 Result<StaticGraph> BuildPartitionShard(const StaticGraph& full_follower_index,

@@ -25,8 +25,7 @@ namespace magicrecs {
 /// number of influencers each user can have" (§2). Returns a copy of
 /// `follow_graph` where each user keeps only their `cap` most-popular
 /// followees (popularity = follower count; ties break toward smaller id).
-/// cap == 0 returns the graph unchanged. Fails with the graph builder's
-/// status if the capped graph cannot be built.
+/// cap == 0 returns the graph unchanged.
 Result<StaticGraph> ApplyInfluencerCap(const StaticGraph& follow_graph,
                                        uint32_t cap);
 

@@ -56,20 +56,60 @@ void StaticGraph::ForEachEdge(
   }
 }
 
+StaticGraph StaticGraph::FromRows(std::vector<uint64_t> offsets,
+                                  std::vector<VertexId> targets) {
+  // Sort and deduplicate each row, then slide it down over the duplicates
+  // removed before it.
+  const size_t v = offsets.empty() ? 0 : offsets.size() - 1;
+  uint64_t kept = 0;
+  uint64_t begin = 0;
+  for (size_t src = 0; src < v; ++src) {
+    const auto first = targets.begin() + static_cast<std::ptrdiff_t>(begin);
+    auto last = targets.begin() + static_cast<std::ptrdiff_t>(offsets[src + 1]);
+    std::sort(first, last);
+    last = std::unique(first, last);
+    begin = offsets[src + 1];
+    offsets[src] = kept;
+    if (kept != static_cast<uint64_t>(first - targets.begin())) {
+      std::move(first, last,
+                targets.begin() + static_cast<std::ptrdiff_t>(kept));
+    }
+    kept += static_cast<uint64_t>(last - first);
+  }
+  if (v > 0) offsets[v] = kept;
+  if (kept != targets.size()) {
+    targets.resize(kept);
+    targets.shrink_to_fit();
+  }
+  StaticGraph graph;
+  graph.offsets_ = std::move(offsets);
+  graph.targets_ = std::move(targets);
+  return graph;
+}
+
 StaticGraph StaticGraph::Transpose() const {
+  return TransposeIf([](VertexId) { return true; });
+}
+
+StaticGraph StaticGraph::TransposeIf(
+    const std::function<bool(VertexId)>& keep_source) const {
   StaticGraph out;
   const size_t v = num_vertices();
   out.offsets_.assign(v + 1, 0);
-  out.targets_.resize(num_edges());
   // Counting sort by destination: one pass to count, one to place. The
   // source ids are visited in increasing order, so each transposed adjacency
   // list comes out already sorted.
-  for (const VertexId dst : targets_) {
-    out.offsets_[dst + 1]++;
+  for (size_t src = 0; src < v; ++src) {
+    if (!keep_source(static_cast<VertexId>(src))) continue;
+    for (uint64_t i = offsets_[src]; i < offsets_[src + 1]; ++i) {
+      out.offsets_[targets_[i] + 1]++;
+    }
   }
   for (size_t i = 1; i <= v; ++i) out.offsets_[i] += out.offsets_[i - 1];
+  out.targets_.resize(out.offsets_[v]);
   std::vector<uint64_t> cursor(out.offsets_.begin(), out.offsets_.end() - 1);
   for (size_t src = 0; src < v; ++src) {
+    if (!keep_source(static_cast<VertexId>(src))) continue;
     for (uint64_t i = offsets_[src]; i < offsets_[src + 1]; ++i) {
       out.targets_[cursor[targets_[i]]++] = static_cast<VertexId>(src);
     }

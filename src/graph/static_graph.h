@@ -40,6 +40,12 @@ class StaticGraph {
   /// Empty graph with zero vertices.
   StaticGraph() = default;
 
+  /// Adopts CSR arrays: row `v` of `targets` is [offsets[v], offsets[v+1]),
+  /// and offsets.back() == targets.size(). A row may be unsorted and may
+  /// repeat a target; each row is sorted and deduplicated in place.
+  static StaticGraph FromRows(std::vector<uint64_t> offsets,
+                              std::vector<VertexId> targets);
+
   /// Number of vertices (ids are dense: 0 .. num_vertices()-1).
   size_t num_vertices() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -96,6 +102,12 @@ class StaticGraph {
   /// follower index ("who follows B") is derived from follow edges
   /// ("A follows B"). O(V + E).
   StaticGraph Transpose() const;
+
+  /// Transpose() of only the edges whose source `keep_source` accepts,
+  /// over the same vertex count: a partition's S shard, cut from the
+  /// follow graph without building the full follower index. O(V + E).
+  StaticGraph TransposeIf(
+      const std::function<bool(VertexId)>& keep_source) const;
 
   /// Bytes held by the CSR arrays and the hub-index arena.
   size_t MemoryUsage() const {

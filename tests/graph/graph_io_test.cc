@@ -50,6 +50,13 @@ TEST_F(GraphIoTest, LoadMissingFileIsNotFound) {
   EXPECT_TRUE(result.status().IsNotFound());
 }
 
+TEST_F(GraphIoTest, UnreadablePathIsAnErrorNotAnEmptyGraph) {
+  // A directory opens but cannot be read.
+  auto result = LoadEdgeList(testing::TempDir());
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsUnavailable()) << result.status();
+}
+
 TEST_F(GraphIoTest, CommentsAndBlankLinesSkipped) {
   const std::string path = Track(TempPath("comments.txt"));
   {
@@ -83,28 +90,6 @@ TEST_F(GraphIoTest, OversizedVertexIdIsCorruption) {
   auto loaded = LoadEdgeList(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
-}
-
-TEST_F(GraphIoTest, TimestampedRoundTrip) {
-  const std::vector<TimestampedEdge> edges = {
-      {0, 1, 1'000'000}, {2, 3, 2'500'000}, {1, 0, 42}};
-  const std::string path = Track(TempPath("timestamped.txt"));
-  ASSERT_TRUE(SaveTimestampedEdges(edges, path).ok());
-  auto loaded = LoadTimestampedEdges(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(*loaded, edges);
-}
-
-TEST_F(GraphIoTest, MissingTimestampDefaultsToZero) {
-  const std::string path = Track(TempPath("no_ts.txt"));
-  {
-    std::ofstream out(path);
-    out << "5 6\n";
-  }
-  auto loaded = LoadTimestampedEdges(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_EQ((*loaded)[0].created_at, 0);
 }
 
 TEST_F(GraphIoTest, EmptyGraphRoundTrips) {

@@ -27,10 +27,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "cluster/cluster.h"
 #include "cluster/transport.h"
@@ -262,6 +267,19 @@ Result<StaticGraph> BuildGraph(const DaemonOptions& options) {
       StrFormat("unknown --graph source '%s'", options.graph.c_str()));
 }
 
+/// The value of one /proc/self/status field, such as "VmHWM" -> "34304 kB";
+/// "?" where the file or field is missing.
+std::string ProcStatusField(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) != 0) continue;
+    const size_t value = line.find_first_not_of(" \t", field.size() + 1);
+    return value == std::string::npos ? "?" : line.substr(value);
+  }
+  return "?";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -293,6 +311,17 @@ int main(int argc, char** argv) {
                  transport.status().ToString().c_str());
     return 1;
   }
+
+  // Setup is done with the follow graph: S lives in the shards now. Its
+  // copies were freed into the main arena, which the serving threads do
+  // not allocate from, so hand that memory back before serving.
+  *graph = StaticGraph();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::fprintf(stderr, "magicrecsd: setup done (VmRSS %s, VmHWM %s)\n",
+               ProcStatusField("VmRSS").c_str(),
+               ProcStatusField("VmHWM").c_str());
 
   net::RpcServerOptions server_options;
   server_options.host = options.host;
