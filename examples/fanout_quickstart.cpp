@@ -1,19 +1,22 @@
-// Quickstart against a real partition group: N magicrecsd processes, one
-// per partition, driven through the fan-out broker. Replays the paper's
-// Figure-1 scenario and checks the recommendation is gathered back from
-// whichever daemon owns A2's partition. The group twin of
-// examples/remote_quickstart.cpp; CI uses it as the partition-group smoke.
+// Quickstart against real magicrecsd processes, driven through the fan-out
+// broker. Replays the paper's Figure-1 scenario and checks the
+// recommendation is gathered back from whichever daemon owns A2's
+// partition. The networked twin of examples/quickstart.cpp; CI uses it as
+// the loopback and partition-group smokes.
 //
-// Start the group first (every daemon needs the same graph, k, group size
-// and salt; see docs/operations.md), one line per daemon:
+// Against one daemon hosting every partition, pass its bare PORT:
+//   ./magicrecsd --graph=fig1 --k=2 --partitions=2 --port=7421 &
+//   ./example_fanout_quickstart 7421
+//
+// Against a partition group, start one daemon per partition (every daemon
+// needs the same graph, k, group size and salt; see docs/operations.md):
 //   ./magicrecsd --graph=fig1 --k=2 --partition-group=2 --partition-id=0 --replicas=2 --port=7431 &
 //   ./magicrecsd --graph=fig1 --k=2 --partition-group=2 --partition-id=1 --replicas=2 --port=7432 &
 //   ./example_fanout_quickstart 7431:0 7432:1
 //
-// Each argument is PORT:PARTITION on 127.0.0.1 (a single bare PORT means
-// one daemon hosting every partition). Exits 0 iff the expected
-// recommendation (C2 to A2) arrived and the merged stats cover every
-// endpoint's shard.
+// Each argument is PORT:PARTITION on 127.0.0.1, or a bare PORT for one
+// all-hosting daemon. Exits 0 iff the expected recommendation (C2 to A2)
+// arrived and the merged stats cover every endpoint's shard.
 //
 // Degraded-mode drill (the CI quorum smoke): --policy=quorum --quorum=N
 // runs the same scenario tolerating dead daemons — publishes to a dead
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: example_fanout_quickstart [--policy=strict|quorum|"
                  "best-effort] [--quorum=N] [--autopilot] [--chaos-drill] "
-                 "[--journal=PATH] [--health-interval-ms=N] PORT:PARTITION "
+                 "[--journal=PATH] [--health-interval-ms=N] PORT | PORT:PARTITION "
                  "[PORT:PARTITION ...]\n");
     return 2;
   }

@@ -16,7 +16,7 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, EventLog* journal,
       pre_sample_(std::move(pre_sample)),
       options_(options),
       clock_(clock),
-      series_(options.history),
+      series_(kHealthHistory),
       engine_(options.thresholds) {
   thread_ = std::thread([this] { Loop(); });
 }
@@ -49,7 +49,7 @@ void HealthMonitor::EvaluateNow() {
   series_.Sample(*registry_, now);
 
   HealthInputs inputs;
-  collector_(series_, options_.rate_window_us, &inputs);
+  collector_(series_, kHealthRateWindowUs, &inputs);
 
   std::vector<HealthTransition> transitions;
   const HealthReport report = engine_.Evaluate(inputs, now, &transitions);

@@ -35,21 +35,23 @@
 
 namespace magicrecs {
 
+/// Snapshot ring capacity (util/timeseries.h).
+inline constexpr size_t kHealthHistory = 128;
+
+/// Window handed to collectors for rate queries.
+inline constexpr int64_t kHealthRateWindowUs = 10'000'000;
+
 struct HealthMonitorOptions {
   /// Evaluation cadence. This is the "evaluation interval" the acceptance
   /// criteria count flip latency in.
   int interval_ms = 1000;
   HealthThresholds thresholds;
-  /// Snapshot ring capacity (util/timeseries.h).
-  size_t history = 128;
-  /// Window handed to collectors for rate queries.
-  int64_t rate_window_us = 10'000'000;
 };
 
 class HealthMonitor {
  public:
   /// Builds this tick's HealthInputs. `series` already contains the fresh
-  /// snapshot; `window_us` is options.rate_window_us.
+  /// snapshot; `window_us` is kHealthRateWindowUs.
   using Collector = std::function<void(const MetricsTimeSeries& series,
                                        int64_t window_us, HealthInputs* out)>;
   /// Called after gauges and journal are updated, outside the tick lock's

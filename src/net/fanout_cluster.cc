@@ -194,7 +194,6 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     // the dial inside the reply-silence bound, not pin every caller
     // behind the dialing flag.
     mopt.hello_timeout_ms = options_.recv_timeout_ms;
-    mopt.slow_call_us = options_.slow_call_us;
     Result<std::unique_ptr<MuxConnection>> dialed =
         MuxConnection::Dial(daemon->endpoint.host, daemon->endpoint.port,
                             mopt);

@@ -206,11 +206,6 @@ struct FanoutClusterOptions {
   /// carry no trace tail.
   uint64_t trace_sample_every = 1024;
 
-  /// When > 0, any logical call (publish ack, gather, stats) slower than
-  /// this logs one stderr line — with the per-stage trace breakdown when
-  /// the reply echoed one (MuxConnectionOptions::slow_call_us). 0 = off.
-  int64_t slow_call_us = 0;
-
   // --- degraded-mode policy --------------------------------------------------
 
   FanoutPolicy policy = FanoutPolicy::kStrict;

@@ -1,31 +1,17 @@
 #include "net/mux_connection.h"
 
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "net/frame_io.h"
 #include "util/str_format.h"
-#include "util/trace.h"
 
 namespace magicrecs::net {
-namespace {
-
-/// Monotonic microseconds, for slow-call accounting only (never on the
-/// wire — wall-clock trace stamps come from SystemClock).
-int64_t SteadyNowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
     const std::string& host, uint16_t port,
     const MuxConnectionOptions& options) {
   std::unique_ptr<MuxConnection> conn(new MuxConnection());
-  conn->options_ = options;
   MAGICRECS_ASSIGN_OR_RETURN(
       conn->socket_,
       TcpSocket::Connect(host, port, options.connect_timeout_ms));
@@ -189,7 +175,6 @@ Result<MuxConnection::CallHandle> MuxConnection::Start(
   if (broken_) return broken_status_;
   CallHandle call = std::make_shared<Call>();
   call->id = next_id_++;
-  if (options_.slow_call_us > 0) call->started_at_us = SteadyNowMicros();
   // Registration and outbox enqueue happen in the SAME mu_ critical
   // section, so registration order == wire order: order-sensitive
   // requests from one caller reach the daemon in the order they started.
@@ -282,32 +267,7 @@ Status MuxConnection::Await(const CallHandle& call, int timeout_ms,
   }
   *frames = std::move(call->frames);
   call->frames.clear();
-  MaybeLogSlowCall(*call, *frames);
   return call->status;
-}
-
-void MuxConnection::MaybeLogSlowCall(const Call& call,
-                                     const std::vector<Frame>& frames) const {
-  if (options_.slow_call_us <= 0 || call.started_at_us == 0) return;
-  const int64_t elapsed_us = SteadyNowMicros() - call.started_at_us;
-  if (elapsed_us < options_.slow_call_us) return;
-  // When the slow reply is an ack echoing a trace tail, print the
-  // per-stage breakdown with it — the whole point of carrying stamps.
-  std::string breakdown;
-  if (frames.size() == 1 && frames.front().tag == MessageTag::kAck &&
-      !frames.front().payload.empty()) {
-    TraceContext trace;
-    if (DecodeAck(frames.front().payload, &trace).ok() && trace.active()) {
-      breakdown = " " + trace.ToString();
-    }
-  }
-  std::fprintf(stderr,
-               "[magicrecs] slow call id=%llu took %lldus (threshold "
-               "%lldus)%s\n",
-               static_cast<unsigned long long>(call.id),
-               static_cast<long long>(elapsed_us),
-               static_cast<long long>(options_.slow_call_us),
-               breakdown.c_str());
 }
 
 Status MuxConnection::CallOne(const std::string& framed_request,

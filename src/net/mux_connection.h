@@ -53,13 +53,6 @@ struct MuxConnectionOptions {
   /// within this window, not hang it (and, behind the fan-out broker,
   /// everyone parked on the dialing flag with it). 0 = wait forever.
   int hello_timeout_ms = 0;
-
-  /// When > 0, a call whose reply takes at least this many microseconds
-  /// (Start to final frame) logs one line to stderr — and, when the reply
-  /// is an ack echoing a trace tail, the per-stage breakdown with it, so a
-  /// slow publish names the stage that ate the time. 0 = off. The
-  /// client-side mirror of RpcServerOptions::slow_request_us.
-  int64_t slow_call_us = 0;
 };
 
 class MuxConnection {
@@ -71,7 +64,6 @@ class MuxConnection {
     std::vector<Frame> frames;  ///< reply frames, in per-call order
     bool done = false;
     Status status;  ///< non-OK when the call failed (set before done)
-    int64_t started_at_us = 0;  ///< set by Start when slow_call_us > 0
   };
   using CallHandle = std::shared_ptr<Call>;
 
@@ -144,11 +136,6 @@ class MuxConnection {
 
   void ReaderLoop();
 
-  /// Logs a completed call that outlived options_.slow_call_us, with its
-  /// trace breakdown when the reply carried one.
-  void MaybeLogSlowCall(const Call& call,
-                        const std::vector<Frame>& frames) const;
-
   /// Fails every outstanding call and marks the connection broken.
   /// Caller holds mu_.
   void FailAllLocked(const Status& status);
@@ -165,7 +152,6 @@ class MuxConnection {
   /// every call (FailAllLocked). `lock` holds mu_ on entry and on return.
   void FlushOutboxLocked(std::unique_lock<std::mutex>& lock);
 
-  MuxConnectionOptions options_;
   TcpSocket socket_;
   uint32_t server_max_inflight_ = 0;
   std::thread reader_;

@@ -1,23 +1,31 @@
-// The daemon side of the RPC layer: a TCP listener and an epoll reactor
-// (net/epoll_reactor.h), dispatching decoded frames onto a
-// ClusterTransport. This is the fan-out broker boundary of the paper's
-// deployment — magicrecsd is a thin main() around this class.
+// The daemon side of the RPC layer: a TCP listener and an epoll loop,
+// dispatching decoded frames onto a ClusterTransport. This is the fan-out
+// broker boundary of the paper's deployment — magicrecsd is a thin main()
+// around this class.
 //
-// One reactor thread multiplexes every connection through epoll:
-// non-blocking reads feed an incremental FrameAssembler, decoded requests
-// are dispatched onto a small ThreadPool, responses drain through
+// One loop thread multiplexes the listener and every connection fd through
+// epoll: non-blocking reads feed an incremental FrameAssembler, decoded
+// requests are dispatched onto a small ThreadPool, responses drain through
 // per-connection write buffers with partial-write state machines.
 // Connection count is bounded by fds, not threads — the shape the paper's
 // "millions of users behind a handful of hosts" deployment needs. Every
 // connection speaks the one session protocol of net/wire.h: a hello first
 // (the version gate), then mux-enveloped requests, so one connection
-// carries many logical calls identified by request_id.
+// carries many logical calls identified by request_id. The data path per
+// connection:
+//
+//   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
+//   machine) -> session gate (the opening hello is answered inline; mux
+//   envelopes are parked in arrival order) -> dispatch onto the worker
+//   ThreadPool -> completion queue -> the loop appends the response to the
+//   connection's outbox -> non-blocking WritevChunk with partial-write
+//   carry + EPOLLOUT when the socket buffer fills.
 //
 // Ordering and backpressure: requests that mutate the event stream
 // (IsOrderSensitive) are applied in per-connection arrival order; on a
 // muxed connection order-free reads may overtake a stalled write. Each
 // connection caps dispatched-but-unanswered requests at
-// max_inflight_per_conn — at the cap the reactor stops reading that
+// max_inflight_per_conn — at the cap the loop stops reading that
 // connection, the kernel's TCP window fills, and the peer blocks:
 // end-to-end backpressure without a thread pinned per peer.
 //
@@ -42,18 +50,23 @@
 #ifndef MAGICRECS_NET_RPC_SERVER_H_
 #define MAGICRECS_NET_RPC_SERVER_H_
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "cluster/transport.h"
 #include "health/health_engine.h"
 #include "net/frame_buf.h"
+#include "net/frame_io.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "util/result.h"
@@ -65,11 +78,10 @@ class EventLog;
 class Gauge;
 class HealthMonitor;
 class HistogramMetric;
+class ThreadPool;
 }  // namespace magicrecs
 
 namespace magicrecs::net {
-
-class EpollReactor;
 
 struct RpcServerOptions {
   /// Numeric IPv4 listen address.
@@ -78,14 +90,12 @@ struct RpcServerOptions {
   /// 0 picks an ephemeral port (see RpcServer::port()).
   uint16_t port = 0;
 
-  int backlog = 64;
-
   /// Cap on dispatched-but-unanswered requests per connection; at the cap
-  /// the reactor stops reading that peer (backpressure). Also advertised
-  /// in the hello reply as the client's pipelining budget.
+  /// the loop stops reading that peer (backpressure). Also advertised in
+  /// the hello reply as the client's pipelining budget.
   size_t max_inflight_per_conn = 64;
 
-  /// Worker threads the reactor dispatches requests onto.
+  /// Worker threads requests are dispatched onto.
   int worker_threads = 4;
 
   /// Log any request whose handler runs at least this long (stderr, plus
@@ -94,7 +104,8 @@ struct RpcServerOptions {
 
   /// Identity this server stamps into trace contexts (util/trace.h): a
   /// partition-group daemon passes its global partition id, an all-hosting
-  /// daemon keeps the sentinel.
+  /// daemon keeps the sentinel. The self-health monitor reports under
+  /// "pN" for a partition id, else under "host:port".
   uint32_t trace_party = kTracePartyAllHosting;
 
   /// > 0 runs a self-health monitor (health/health_monitor.h) on this
@@ -112,10 +123,6 @@ struct RpcServerOptions {
   /// Where health transitions are journaled (JSONL, util/event_log.h).
   /// Borrowed, may be null, must outlive the server when set.
   EventLog* event_journal = nullptr;
-
-  /// Party name the monitor reports under. Empty derives one: "pN" when
-  /// trace_party names a partition, else "host:port".
-  std::string health_party;
 };
 
 /// Lifetime counters, readable while the server runs. Since PR 6 these are
@@ -129,7 +136,7 @@ struct RpcServerStats {
   uint64_t protocol_errors = 0;   ///< malformed frames / unknown tags
   uint64_t duplicate_batches = 0; ///< replayed copies suppressed by dedup
 
-  // Reactor / session counters (see ServerLoopStats in cluster/transport.h
+  // Loop / session counters (see ServerLoopStats in cluster/transport.h
   // for the wire-visible form).
   uint32_t connections_open = 0;
   uint64_t partial_reads = 0;     ///< reads that left a frame incomplete
@@ -146,9 +153,9 @@ inline constexpr size_t kPublishDedupWindow = 4096;
 
 class RpcServer {
  public:
-  /// Binds, listens, and starts the reactor. `transport` must be
-  /// thread-safe and outlive the server; the server never owns it, so one
-  /// daemon process can host several servers over distinct transports.
+  /// Binds, listens, and starts the loop. `transport` must be thread-safe
+  /// and outlive the server; the server never owns it, so one daemon
+  /// process can host several servers over distinct transports.
   static Result<std::unique_ptr<RpcServer>> Start(
       ClusterTransport* transport, const RpcServerOptions& options);
 
@@ -168,37 +175,123 @@ class RpcServer {
   RpcServerStats stats() const;
 
  private:
-  friend class EpollReactor;
+  /// One request waiting for (or blocked from) dispatch: the whole mux
+  /// envelope (unwrapped by HandleMuxEnvelope on the worker); only the
+  /// inner tag was peeked for the ordering classification.
+  struct Parked {
+    Frame frame;
+    bool order_sensitive = true;
+  };
+
+  /// Per-connection state. Owned and touched by the loop thread only.
+  struct Conn {
+    uint64_t id = 0;
+    TcpSocket socket;
+    FrameAssembler assembler;
+
+    /// Response frames owed to the peer: refcounted segments flushed via
+    /// writev with a partial-write cursor — never concatenated, never
+    /// compacted.
+    OutboxChain outbox;
+
+    std::deque<Parked> parked;
+    size_t inflight = 0;       ///< dispatched, completion not yet drained
+    bool serial_busy = false;  ///< an order-sensitive request is running
+    bool hello_done = false;   ///< the opening hello was accepted
+    bool read_paused = false;  ///< EPOLLIN dropped at the in-flight cap
+    bool eof_seen = false;     ///< peer half-closed; serve what is parked
+    bool drop_residue = false; ///< truncated tail at EOF: ignore buffer
+    bool close_after_flush = false;  ///< reply queued; sever once flushed
+
+    /// A framing or session violation waiting to be reported. The error
+    /// reply is deferred until every earlier request has answered, so it
+    /// never overtakes replies the peer is owed; reading stays paused
+    /// forever.
+    Status framing_error;
+    uint32_t interest = 0;     ///< epoll events currently registered
+  };
+
+  /// One finished request, handed from a worker back to the loop. The
+  /// reply rides as a FrameBuf so appending it to the outbox splices
+  /// segment references instead of copying bytes.
+  struct Completion {
+    uint64_t conn_id = 0;
+    bool order_sensitive = false;
+    FrameBuf buf;
+  };
 
   RpcServer(ClusterTransport* transport, const RpcServerOptions& options);
 
-  /// Appends the response frame(s) for one well-framed request to
-  /// *response. Framing-level errors (which do close the connection) are
-  /// handled by the reactor before dispatch reaches here. Thread-safe: the
-  /// reactor calls it from several workers at once. Also the slow-request
-  /// timing point.
-  void HandleRequest(const Frame& request, std::string* response);
+  // Start()'s steps after the listen, in order.
 
-  /// The untimed handler body behind HandleRequest.
-  void DispatchRequest(const Frame& request, std::string* response);
+  /// Resolves the registry counters and records the stats() baseline.
+  void ResolveMetrics();
+  /// Creates the epoll instance and wake eventfd, flips the listener
+  /// non-blocking, spawns the worker pool and then the loop thread.
+  Status StartLoop();
+  void StartHealthMonitor();
+
+  // The loop (loop thread only, except Wake).
+
+  void Run();
+  void Wake();
+
+  void AcceptReady();
+
+  /// Transient accept failure (EMFILE flood): drops the listener's epoll
+  /// interest for a short backoff instead of sleeping the loop thread (it
+  /// is the only I/O thread); Run()'s wait timeout re-arms it.
+  void PauseAccept();
+  void ResumeAccept();
+
+  void HandleConnEvent(uint64_t id, uint32_t events);
+  void ReadReady(Conn* conn);
+
+  /// Pulls complete frames out of the assembler and passes each through
+  /// ParkFrame; a framing error or session violation pauses reading and
+  /// records the deferred error reply.
+  void DrainFrames(Conn* conn);
+
+  /// The session gate: answers the opening hello inline and parks mux
+  /// envelopes. Returns the violation for any other frame.
+  Status ParkFrame(Conn* conn, Frame frame);
+
+  /// Emits the deferred framing-error reply once the connection owes
+  /// nothing earlier, then marks it close-after-flush.
+  void SettleFramingError(Conn* conn);
+
+  /// Dispatches parked requests within the ordering and in-flight rules.
+  void TryDispatch(Conn* conn);
+  void Dispatch(Conn* conn, Parked parked);
+  void DrainCompletions();
+
+  /// Writes as much outbox as the socket takes; arms EPOLLOUT on a partial
+  /// write. Returns false when the connection died and was destroyed.
+  bool FlushOutbox(Conn* conn);
+
+  /// Destroys the connection when it has nothing left to do (EOF drained,
+  /// or a post-error flush completed). Returns false when destroyed.
+  bool MaybeClose(Conn* conn);
+
+  void UpdateInterest(Conn* conn);
+  void DestroyConn(Conn* conn);
+
+  // Handlers.
 
   /// Checks a connection's opening kHello — the session's version gate —
   /// and on success appends the kHelloReply. A hello that does not decode,
   /// names another proto_version, or does not ask for mux returns the
-  /// error the reactor answers before it closes the connection.
+  /// error the loop answers before it closes the connection.
   Status HandleHello(const Frame& request, std::string* response);
 
-  /// Unwraps one kMuxRequest envelope, handles the inner request, and
-  /// sets the id-wrapped reply frames (or a bare error for a mangled
-  /// envelope payload — the stream itself is still aligned). The inner
-  /// reply frames are encoded once and every kMuxResponse envelope shares
-  /// that block — no per-chunk body copy; byte-identical to the string
-  /// encoder WrapMuxResponses (locked by the egress tests). Thread-safe
-  /// like HandleRequest.
+  /// Unwraps one kMuxRequest envelope, serves the inner request (the
+  /// slow-request timing point), and sets the id-wrapped reply frames (or
+  /// a bare error for a mangled envelope payload — the stream itself is
+  /// still aligned). The inner reply frames are encoded once and every
+  /// kMuxResponse envelope shares that block — no per-chunk body copy;
+  /// byte-identical to the string encoder WrapMuxResponses (locked by the
+  /// egress tests). Runs on several workers at once.
   void HandleMuxEnvelope(const Frame& envelope, FrameBuf* response);
-
-  /// Snapshot of the wire-visible server-loop counters.
-  ServerLoopStats SnapshotLoopStats() const;
 
   /// Idempotent-batch admission. True iff `sequence` was already APPLIED
   /// inside the dedup window — the caller acks without applying. Otherwise
@@ -220,8 +313,22 @@ class RpcServer {
   ClusterTransport* transport_;
   RpcServerOptions options_;
   TcpListener listener_;
-  std::unique_ptr<EpollReactor> reactor_;
-  bool stopped_ = false;
+  std::string address_;  ///< "host:port": the metrics label and log name
+
+  /// Set once by Stop(); the loop thread exits when it sees it.
+  std::atomic<bool> stopped_{false};
+
+  // Loop state. The loop thread owns every Conn; workers only see copies
+  // of decoded frames and push completed replies through completions_,
+  // waking the loop via wake_fd_.
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wake eventfd
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
+  bool accept_paused_ = false;
+  std::chrono::steady_clock::time_point accept_resume_{};
+  std::mutex completions_mu_;
+  std::vector<Completion> completions_;
 
   /// Outcome record for a sequence whose apply is in flight. Shared with
   /// every duplicate waiting on it: the outcome is handed to waiters
@@ -244,10 +351,10 @@ class RpcServer {
       inflight_batches_;
   std::deque<uint64_t> seen_batch_order_;
 
-  /// Registry-backed counters (util/metrics.h), labeled with this server's
-  /// "host:port" and resolved once in Start() after the listen socket is
-  /// bound (an ephemeral port is only known then). The registry entries
-  /// are process-lifetime and monotonic; baseline_ records their values at
+  /// Registry-backed counters (util/metrics.h), labeled with address_ and
+  /// resolved once in Start() after the listen socket is bound (an
+  /// ephemeral port is only known then). The registry entries are
+  /// process-lifetime and monotonic; baseline_ records their values at
   /// Start() so stats() can report per-server-lifetime deltas even when
   /// sequential servers in one process reuse a port.
   Counter* connections_accepted_metric_ = nullptr;
@@ -268,6 +375,11 @@ class RpcServer {
   Counter* egress_bytes_metric_ = nullptr;
   HistogramMetric* frames_per_writev_metric_ = nullptr;
   RpcServerStats baseline_;
+
+  // The threads, declared after everything they touch. Stop() joins the
+  // loop before the pool, so no worker outlives the completion queue.
+  std::unique_ptr<ThreadPool> pool_;
+  std::thread loop_thread_;
 
   /// Self-health monitor (present only when health_interval_ms > 0).
   /// Created last in Start(), destroyed first in Stop(): its collector

@@ -232,55 +232,34 @@ HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name,
   return GetHistogram(MetricKey(name, labels));
 }
 
-std::vector<std::string> MetricsRegistry::Snapshot() const {
+MetricsRegistry::Entries MetricsRegistry::CopyEntries() const {
+  Entries entries;
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.push_back(StrFormat("%s %llu", name.c_str(),
-                            static_cast<unsigned long long>(counter->Value())));
+  entries.counters.reserve(counters_.size());
+  for (const auto& [name, c] : counters_) {
+    entries.counters.emplace_back(name, c.get());
   }
-  for (const auto& [name, gauge] : gauges_) {
-    out.push_back(StrFormat("%s %lld", name.c_str(),
-                            static_cast<long long>(gauge->Value())));
+  entries.gauges.reserve(gauges_.size());
+  for (const auto& [name, g] : gauges_) entries.gauges.emplace_back(name, g.get());
+  entries.histograms.reserve(histograms_.size());
+  for (const auto& [name, h] : histograms_) {
+    entries.histograms.emplace_back(name, h.get());
   }
-  for (const auto& [name, histogram] : histograms_) {
-    out.push_back(StrFormat(
-        "%s %s", name.c_str(),
-        HistogramSummaryText(histogram->Snapshot()).c_str()));
-  }
-  return out;
+  return entries;
 }
 
 std::string MetricsRegistry::RenderText() const {
-  // Copy the metric pointers out under the map lock, then read values
-  // unlocked: Value()/Snapshot() are individually safe, and holding the
-  // registry mutex across the whole render would serialize against every
-  // hot-path GetCounter() miss.
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
-    gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
-    histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
-  }
+  const Entries entries = CopyEntries();
   std::string out;
-  for (const auto& [name, c] : counters) {
+  for (const auto& [name, c] : entries.counters) {
     out += StrFormat("counter %s %llu\n", name.c_str(),
                      static_cast<unsigned long long>(c->Value()));
   }
-  for (const auto& [name, g] : gauges) {
+  for (const auto& [name, g] : entries.gauges) {
     out += StrFormat("gauge %s %lld\n", name.c_str(),
                      static_cast<long long>(g->Value()));
   }
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, h] : entries.histograms) {
     out += StrFormat("hist %s %s\n", name.c_str(),
                      HistogramSummaryText(h->Snapshot()).c_str());
   }
@@ -288,20 +267,7 @@ std::string MetricsRegistry::RenderText() const {
 }
 
 std::string MetricsRegistry::RenderJson() const {
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
-    gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
-    histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
-  }
+  const Entries entries = CopyEntries();
   std::string out = "{";
   bool first = true;
   const auto append_key = [&out, &first](const std::string& key) {
@@ -309,15 +275,15 @@ std::string MetricsRegistry::RenderJson() const {
     first = false;
     out += "\"" + JsonEscapeKey(key) + "\": ";
   };
-  for (const auto& [name, c] : counters) {
+  for (const auto& [name, c] : entries.counters) {
     append_key(name);
     out += StrFormat("%llu", static_cast<unsigned long long>(c->Value()));
   }
-  for (const auto& [name, g] : gauges) {
+  for (const auto& [name, g] : entries.gauges) {
     append_key(name);
     out += StrFormat("%lld", static_cast<long long>(g->Value()));
   }
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, h] : entries.histograms) {
     const Histogram snapshot = h->Snapshot();
     append_key(name);
     out += StrFormat(
@@ -335,26 +301,15 @@ std::string MetricsRegistry::RenderJson() const {
 }
 
 void MetricsRegistry::Export(MetricsSnapshotData* out) const {
+  const Entries entries = CopyEntries();
   out->counters.clear();
   out->gauges.clear();
   out->histograms.clear();
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
-    gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
-    histograms.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
+  for (const auto& [name, c] : entries.counters) {
+    out->counters[name] = c->Value();
   }
-  for (const auto& [name, c] : counters) out->counters[name] = c->Value();
-  for (const auto& [name, g] : gauges) out->gauges[name] = g->Value();
-  for (const auto& [name, h] : histograms) {
+  for (const auto& [name, g] : entries.gauges) out->gauges[name] = g->Value();
+  for (const auto& [name, h] : entries.histograms) {
     out->histograms.emplace(name, h->Snapshot());
   }
 }

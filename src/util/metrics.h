@@ -11,7 +11,7 @@
 // metric object.
 //
 // Counters are strictly monotonic: there is deliberately no Reset() — a
-// reset racing a concurrent Snapshot() would produce a non-monotonic read,
+// reset racing a concurrent render would produce a non-monotonic read,
 // and every consumer (rate computation, drift checks between ClusterStats
 // and the scrape surface) assumes monotonicity. Callers that need "since X"
 // deltas record a baseline and subtract (see RpcServer::stats()).
@@ -151,10 +151,6 @@ class MetricsRegistry {
   HistogramMetric* GetHistogram(const std::string& name,
                                 const MetricLabels& labels);
 
-  /// Sorted "name value" lines for reporting (histograms render their
-  /// one-line summary).
-  std::vector<std::string> Snapshot() const;
-
   /// Stable text exposition, one metric per line, sorted by key:
   ///   counter <key> <value>
   ///   gauge <key> <value>
@@ -176,6 +172,19 @@ class MetricsRegistry {
   static MetricsRegistry* Default();
 
  private:
+  /// Every metric's key and pointer, sorted by key within each kind.
+  struct Entries {
+    std::vector<std::pair<std::string, const Counter*>> counters;
+    std::vector<std::pair<std::string, const Gauge*>> gauges;
+    std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
+  };
+
+  /// The one reader of the maps: copies the pointers out under mu_, so the
+  /// renderers read values unlocked — Value()/Snapshot() are individually
+  /// safe, and holding the registry mutex across a whole render would
+  /// serialize against every hot-path GetCounter() miss.
+  Entries CopyEntries() const;
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -9,14 +9,18 @@
 //   * the per-connection in-flight cap applies backpressure instead of
 //     unbounded buffering;
 //   * 256 concurrent connections are served without 256 threads
-//     (asserted via /proc/self/task).
+//     (asserted via /proc/self/task);
+//   * the lifecycle: a refused Start leaves no thread behind, a server
+//     on a reused port counts from zero, and Stop waits out a handler
+//     blocked in the transport before it closes every connection.
 
-#include "net/epoll_reactor.h"
+#include "net/rpc_server.h"
 
 #include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -30,7 +34,6 @@
 #include "raw_session.h"
 #include "stub_transport.h"
 
-#include "net/rpc_server.h"
 #include "net/wire.h"
 
 namespace magicrecs::net {
@@ -240,6 +243,92 @@ TEST_F(EpollServerTest, Soak256ConcurrentConnections) {
   EXPECT_EQ(server_->stats().connections_open, 0u);
   EXPECT_EQ(server_->stats().protocol_errors, 0u)
       << "orderly closes must not count as protocol errors";
+}
+
+TEST_F(EpollServerTest, RefusedStartLeavesNoThreadRunning) {
+  StartServer();
+  const long threads_before = CountThreads();
+  RpcServerOptions no_inflight;
+  no_inflight.max_inflight_per_conn = 0;
+  RpcServerOptions no_workers;
+  no_workers.worker_threads = 0;
+  RpcServerOptions taken_port;
+  taken_port.port = server_->port();
+  taken_port.health_interval_ms = 10;
+  EXPECT_TRUE(RpcServer::Start(nullptr, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      RpcServer::Start(&transport_, no_inflight).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      RpcServer::Start(&transport_, no_workers).status().IsInvalidArgument());
+  EXPECT_FALSE(RpcServer::Start(&transport_, taken_port).ok())
+      << "a second listener on a port in use";
+  EXPECT_EQ(CountThreads(), threads_before);
+
+  // The server that owns the port is untouched.
+  RawSession session = Open();
+  ASSERT_TRUE(session.Send(1, EmptyRequest(MessageTag::kPing)).ok());
+  Frame reply;
+  ASSERT_TRUE(session.ReadReply(&reply).ok());
+  EXPECT_EQ(reply.tag, MessageTag::kAck);
+}
+
+TEST_F(EpollServerTest, ServerOnAReusedPortCountsFromZero) {
+  StartServer();
+  RawSession session = Open();
+  ASSERT_TRUE(session.Send(1, EmptyRequest(MessageTag::kPing)).ok());
+  Frame reply;
+  ASSERT_TRUE(session.ReadReply(&reply).ok());
+  const uint16_t port = server_->port();
+  // The connection is still open: Stop must sever it and take the shared
+  // rpc_connections_open gauge back down with it.
+  server_->Stop();
+  EXPECT_EQ(server_->stats().requests_served, 2u) << "hello + ping";
+
+  // Same host:port, so the same registry counters: stats() must start
+  // from the new server's baseline, not the old server's totals.
+  RpcServerOptions options;
+  options.port = port;
+  StartServer(options);
+  const RpcServerStats fresh = server_->stats();
+  EXPECT_EQ(fresh.connections_accepted, 0u);
+  EXPECT_EQ(fresh.requests_served, 0u);
+  EXPECT_EQ(fresh.mux_connections, 0u);
+  EXPECT_EQ(fresh.connections_open, 0u);
+  EXPECT_EQ(fresh.protocol_errors, 0u);
+
+  RawSession again = Open();
+  ASSERT_TRUE(again.Send(1, EmptyRequest(MessageTag::kPing)).ok());
+  ASSERT_TRUE(again.ReadReply(&reply).ok());
+  const RpcServerStats served = server_->stats();
+  EXPECT_EQ(served.connections_accepted, 1u);
+  EXPECT_EQ(served.requests_served, 2u);
+  EXPECT_EQ(served.mux_connections, 1u);
+  EXPECT_EQ(served.connections_open, 1u);
+}
+
+TEST_F(EpollServerTest, StopWaitsOutABlockedHandler) {
+  StartServer();
+  RawSession session = Open();
+  transport_.GateDrains();
+  ASSERT_TRUE(session.Send(1, EmptyRequest(MessageTag::kDrain)).ok());
+  for (int i = 0; i < 500 && !transport_.drain_blocked(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(transport_.drain_blocked());
+  EXPECT_EQ(server_->stats().connections_open, 1u);
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server_->Stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load())
+      << "Stop returned while a worker was still inside the transport";
+  transport_.Release();
+  stopper.join();
+  EXPECT_EQ(server_->stats().connections_open, 0u);
+  server_->Stop();  // idempotent
 }
 
 }  // namespace
