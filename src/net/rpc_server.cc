@@ -460,10 +460,10 @@ Status RpcServer::ParkFrame(Conn* conn, Frame frame) {
   // decode — and its error policy — lives in HandleMuxEnvelope on the
   // worker. A payload too short to hold an inner tag is parked anyway and
   // answered with that error reply.
-  parked.order_sensitive =
-      frame.payload.size() > 8 &&
-      IsOrderSensitive(static_cast<MessageTag>(
-          static_cast<uint8_t>(frame.payload[8])));
+  if (frame.payload.size() > 8) {
+    parked.inner_tag =
+        static_cast<MessageTag>(static_cast<uint8_t>(frame.payload[8]));
+  }
   parked.frame = std::move(frame);
   conn->parked.push_back(std::move(parked));
   return Status::OK();
@@ -471,32 +471,53 @@ Status RpcServer::ParkFrame(Conn* conn, Frame frame) {
 
 void RpcServer::TryDispatch(Conn* conn) {
   const size_t cap = options_.max_inflight_per_conn;
-  bool serial_busy = conn->serial_busy;
   for (auto it = conn->parked.begin();
        it != conn->parked.end() && conn->inflight < cap;) {
-    if (it->order_sensitive) {
-      if (serial_busy) {
-        // The first blocked order-sensitive request fences the ones behind
-        // it; order-free reads may still overtake below.
-        ++it;
-        continue;
-      }
-      serial_busy = true;
+    const bool order_sensitive = IsOrderSensitive(it->inner_tag);
+    if (order_sensitive && conn->serial_busy) {
+      // The first blocked order-sensitive request fences the ones behind
+      // it; order-free reads may still overtake below.
+      ++it;
+      continue;
     }
-    Parked parked = std::move(*it);
-    it = conn->parked.erase(it);
-    Dispatch(conn, std::move(parked));
+    // A publish-batch takes every publish-batch parked directly behind it
+    // into its run, each counting against the cap. Anything else runs
+    // alone: a drain, checkpoint or replica op may block for long, and
+    // acks held behind it could trip the peer's receive timeout.
+    auto end = std::next(it);
+    if (it->inner_tag == MessageTag::kPublishBatch) {
+      while (end != conn->parked.end() &&
+             end->inner_tag == MessageTag::kPublishBatch &&
+             conn->inflight + static_cast<size_t>(end - it) < cap) {
+        ++end;
+      }
+    }
+    std::vector<Frame> run;
+    run.reserve(static_cast<size_t>(end - it));
+    for (auto p = it; p != end; ++p) run.push_back(std::move(p->frame));
+    it = conn->parked.erase(it, end);
+    if (order_sensitive) conn->serial_busy = true;
+    Dispatch(conn, std::move(run), order_sensitive);
   }
-  conn->serial_busy = serial_busy;
 }
 
-void RpcServer::Dispatch(Conn* conn, Parked parked) {
-  conn->inflight++;
-  pool_->Submit([this, conn_id = conn->id, p = std::move(parked)]() mutable {
+void RpcServer::Dispatch(Conn* conn, std::vector<Frame> run,
+                         bool order_sensitive) {
+  conn->inflight += run.size();
+  pool_->Submit([this, conn_id = conn->id, order_sensitive,
+                 run = std::move(run)] {
+    // Each frame is served on its own — dedup, trace stamps, slow-request
+    // timing and error replies stay per request — but the run hands the
+    // loop one completion and one wake.
     Completion completion;
     completion.conn_id = conn_id;
-    completion.order_sensitive = p.order_sensitive;
-    HandleMuxEnvelope(p.frame, &completion.buf);
+    completion.requests = run.size();
+    completion.order_sensitive = order_sensitive;
+    for (const Frame& frame : run) {
+      FrameBuf reply;
+      HandleMuxEnvelope(frame, &reply);
+      completion.buf.Append(std::move(reply));
+    }
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
       completions_.push_back(std::move(completion));
@@ -515,10 +536,10 @@ void RpcServer::DrainCompletions() {
     const auto it = conns_.find(completion.conn_id);
     if (it == conns_.end()) continue;  // connection died mid-request
     Conn* conn = it->second.get();
-    conn->inflight--;
+    conn->inflight -= completion.requests;
     if (completion.order_sensitive) conn->serial_busy = false;
     conn->outbox.Append(std::move(completion.buf));
-    requests_served_metric_->Increment();
+    requests_served_metric_->Increment(completion.requests);
     // Room freed: resume a paused read (the assembler may already hold the
     // next frames) and dispatch whatever became eligible. A connection
     // paused by a framing error never resumes — it drains and severs.

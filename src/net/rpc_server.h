@@ -16,16 +16,22 @@
 //
 //   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
 //   machine) -> session gate (the opening hello is answered inline; mux
-//   envelopes are parked in arrival order) -> dispatch onto the worker
-//   ThreadPool -> completion queue -> the loop appends the response to the
-//   connection's outbox -> non-blocking WritevChunk with partial-write
-//   carry + EPOLLOUT when the socket buffer fills.
+//   envelopes are parked in arrival order) -> dispatch of a run (see
+//   below) as one task onto the worker ThreadPool -> one completion per
+//   run -> the loop appends the run's replies to the connection's outbox
+//   -> non-blocking WritevChunk with partial-write carry + EPOLLOUT when
+//   the socket buffer fills.
 //
 // Ordering and backpressure: requests that mutate the event stream
 // (IsOrderSensitive) are applied in per-connection arrival order; on a
-// muxed connection order-free reads may overtake a stalled write. Each
-// connection caps dispatched-but-unanswered requests at
-// max_inflight_per_conn — at the cap the loop stops reading that
+// muxed connection order-free reads may overtake a stalled write. A run is
+// what one worker task serves: an order-free request alone, a drain,
+// checkpoint or replica op alone (they may block for long, and acks held
+// behind them could trip the peer's receive timeout), or a publish-batch
+// together with every publish-batch parked directly behind it — served in
+// order, answered in one flush. Each connection caps dispatched-but-
+// unanswered requests at max_inflight_per_conn, each request of a run
+// counting against it — at the cap the loop stops reading that
 // connection, the kernel's TCP window fills, and the peer blocks:
 // end-to-end backpressure without a thread pinned per peer.
 //
@@ -90,9 +96,10 @@ struct RpcServerOptions {
   /// 0 picks an ephemeral port (see RpcServer::port()).
   uint16_t port = 0;
 
-  /// Cap on dispatched-but-unanswered requests per connection; at the cap
-  /// the loop stops reading that peer (backpressure). Also advertised in
-  /// the hello reply as the client's pipelining budget.
+  /// Cap on dispatched-but-unanswered requests per connection, each
+  /// request of a publish run counting once; at the cap the loop stops
+  /// reading that peer (backpressure) and a run stops growing. Also
+  /// advertised in the hello reply as the client's pipelining budget.
   size_t max_inflight_per_conn = 64;
 
   /// Worker threads requests are dispatched onto.
@@ -177,10 +184,13 @@ class RpcServer {
  private:
   /// One request waiting for (or blocked from) dispatch: the whole mux
   /// envelope (unwrapped by HandleMuxEnvelope on the worker); only the
-  /// inner tag was peeked for the ordering classification.
+  /// inner tag was peeked, for the ordering classification and for
+  /// gathering publish runs. A payload too short to hold an inner tag
+  /// keeps the zero tag, which no request uses: order-free, answered with
+  /// its decode error.
   struct Parked {
     Frame frame;
-    bool order_sensitive = true;
+    MessageTag inner_tag = MessageTag{0};
   };
 
   /// Per-connection state. Owned and touched by the loop thread only.
@@ -211,11 +221,12 @@ class RpcServer {
     uint32_t interest = 0;     ///< epoll events currently registered
   };
 
-  /// One finished request, handed from a worker back to the loop. The
-  /// reply rides as a FrameBuf so appending it to the outbox splices
-  /// segment references instead of copying bytes.
+  /// One finished run, handed from a worker back to the loop. The replies
+  /// ride as one FrameBuf chain, in request order, so appending them to
+  /// the outbox splices segment references instead of copying bytes.
   struct Completion {
     uint64_t conn_id = 0;
+    size_t requests = 0;  ///< requests the run served
     bool order_sensitive = false;
     FrameBuf buf;
   };
@@ -260,9 +271,12 @@ class RpcServer {
   /// nothing earlier, then marks it close-after-flush.
   void SettleFramingError(Conn* conn);
 
-  /// Dispatches parked requests within the ordering and in-flight rules.
+  /// Dispatches parked requests as runs within the ordering and in-flight
+  /// rules.
   void TryDispatch(Conn* conn);
-  void Dispatch(Conn* conn, Parked parked);
+  /// Submits one worker task that serves `run` in order and pushes one
+  /// completion for it.
+  void Dispatch(Conn* conn, std::vector<Frame> run, bool order_sensitive);
   void DrainCompletions();
 
   /// Writes as much outbox as the socket takes; arms EPOLLOUT on a partial

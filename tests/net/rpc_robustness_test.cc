@@ -1,11 +1,18 @@
 // Hostile-peer tests for the daemon side of the RPC layer: session-gate
 // violations, truncated frames, oversized length prefixes, CRC damage, and
 // unknown tags must come back as Status errors (or a severed connection) —
-// never a crash, a hang, or collateral damage to other connections.
+// never a crash, a hang, or collateral damage to other connections. A
+// seeded fuzz pipelines random request mixes down one connection; rerun a
+// failure with
+//
+//   MAGICRECS_FUZZ_SEED=<seed> ./net_rpc_robustness_test
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "raw_session.h"
+#include "stub_transport.h"
 
 #include "cluster/transport.h"
 #include "gen/figure1.h"
@@ -20,6 +28,7 @@
 #include "net/rpc_server.h"
 #include "net/wire.h"
 #include "persist/codec.h"
+#include "util/random.h"
 
 namespace magicrecs::net {
 namespace {
@@ -349,6 +358,176 @@ TEST_F(RpcRobustnessTest, StopWithOpenConnectionsDoesNotHang) {
   // Neither connection sends a request; Stop() must still return promptly
   // (the test harness timeout is the hang detector).
   server_->Stop();
+}
+
+// --- pipelined sessions, seeded ----------------------------------------------
+
+uint64_t FuzzSeed() {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_SEED")) {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 0x919e'11ed'2026ull;
+}
+
+TEST(RpcPipelineFuzzTest, EveryRequestAnsweredOnceAndAppliedInOrder) {
+  // Each trial pipelines a random mix down one connection of a fresh
+  // server: valid publishes, publishes without a batch sequence, truncated
+  // envelopes, replays of earlier batch sequences, pings and drains, under
+  // a random in-flight cap and pool size, written in random slices. Every
+  // request must get exactly one reply of the right kind; order-sensitive
+  // requests must reach the transport in request order; each distinct
+  // valid batch sequence must be applied exactly once.
+  auto publish = [](VertexId src, uint64_t sequence) {
+    EdgeEvent event;
+    event.edge = TimestampedEdge{src, 7, 42};
+    std::string frame;
+    AppendPublishBatch(std::span(&event, 1), &frame, sequence);
+    return frame;
+  };
+  const uint64_t seed = FuzzSeed();
+  SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  constexpr int kTrials = 24;
+  const size_t caps[] = {1, 2, 3, 8, 64};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    net_test::StubTransport transport;
+    RpcServerOptions options;
+    options.max_inflight_per_conn = caps[rng.UniformInt(std::size(caps))];
+    options.worker_threads = 1 + static_cast<int>(rng.UniformInt(4));
+    auto server = RpcServer::Start(&transport, options);
+    ASSERT_TRUE(server.ok()) << server.status();
+    auto session = RawSession::Open((*server)->port());
+    ASSERT_TRUE(session.ok()) << session.status();
+    ASSERT_TRUE(session->socket().SetRecvTimeout(10'000).ok());
+
+    // The requests and the oracle: the reply kind owed to each request id,
+    // how many bare errors (envelopes too short for a request id and tag),
+    // the transport calls in order, and the edge source of each applied
+    // batch's one event (its batch sequence).
+    std::string bytes;
+    std::map<uint64_t, MessageTag> owed;
+    size_t bare_errors = 0;
+    uint64_t replays = 0;
+    std::string calls;
+    std::vector<VertexId> applied;
+    std::vector<std::string> valid;  // valid publish frames, for replays
+    uint64_t next_sequence = 1;
+    const uint64_t requests = 1 + rng.UniformInt(120);
+    for (uint64_t id = 1; id <= requests; ++id) {
+      switch (rng.UniformInt(6)) {
+        case 0: {
+          const uint64_t sequence = next_sequence++;
+          valid.push_back(publish(sequence, sequence));
+          bytes += MuxWrap(id, valid.back());
+          owed[id] = MessageTag::kAck;
+          calls += 'P';
+          applied.push_back(sequence);
+          break;
+        }
+        case 1:
+          bytes += MuxWrap(id, publish(id, 0));
+          owed[id] = MessageTag::kError;
+          break;
+        case 2: {
+          // A publish envelope cut short and re-framed: the frame is sound,
+          // its payload is not. Too short for an id and a tag, it earns a
+          // bare error; otherwise an error under its id.
+          const std::string whole = MuxWrap(id, publish(id, 0));
+          const std::string payload = whole.substr(kFrameHeaderBytes + 1);
+          const size_t cut = rng.UniformInt(payload.size());
+          AppendFrame(MessageTag::kMuxRequest, payload.substr(0, cut), &bytes);
+          if (cut <= sizeof(uint64_t)) {
+            bare_errors++;
+          } else {
+            owed[id] = MessageTag::kError;
+          }
+          break;
+        }
+        case 3:
+          if (!valid.empty()) {
+            bytes += MuxWrap(id, valid[rng.UniformInt(valid.size())]);
+            owed[id] = MessageTag::kAck;
+            replays++;
+            break;
+          }
+          [[fallthrough]];
+        case 4:
+          bytes += MuxWrap(id, EmptyRequest(MessageTag::kPing));
+          owed[id] = MessageTag::kAck;
+          break;
+        default:
+          bytes += MuxWrap(id, EmptyRequest(MessageTag::kDrain));
+          owed[id] = MessageTag::kAck;
+          calls += 'D';
+          break;
+      }
+    }
+    std::vector<size_t> slices;
+    for (size_t at = 0; at < bytes.size();) {
+      const size_t slice = 1 + rng.UniformInt(rng.Bernoulli(0.5) ? 64 : 4096);
+      slices.push_back(std::min(slice, bytes.size() - at));
+      at += slices.back();
+    }
+
+    // A second thread writes: at a small cap the server stops reading, and
+    // the replies must be read for it to go on.
+    std::thread writer([&] {
+      size_t at = 0;
+      for (const size_t slice : slices) {
+        if (!session->Write(std::string_view(bytes).substr(at, slice)).ok()) {
+          return;
+        }
+        at += slice;
+      }
+    });
+    size_t bare_seen = 0;
+    const size_t replies = owed.size() + bare_errors;
+    for (size_t i = 0; i < replies; ++i) {
+      Frame frame;
+      const Status read = session->Read(&frame);
+      if (!read.ok()) {
+        ADD_FAILURE() << "reply " << i << " of " << replies << ": " << read;
+        break;
+      }
+      if (frame.tag == MessageTag::kError) {
+        bare_seen++;
+        continue;
+      }
+      uint64_t id = 0;
+      bool last = false;
+      Frame inner;
+      if (frame.tag != MessageTag::kMuxResponse ||
+          !DecodeMuxResponse(frame.payload, &id, &last, &inner).ok()) {
+        ADD_FAILURE() << "reply " << i << " is no mux response";
+        break;
+      }
+      EXPECT_TRUE(last);
+      const auto it = owed.find(id);
+      if (it == owed.end()) {
+        ADD_FAILURE() << "request " << id << " answered twice, or never sent";
+        continue;
+      }
+      EXPECT_EQ(inner.tag, it->second) << "request " << id;
+      owed.erase(it);
+    }
+    // After a failure the writer may be blocked on a server that stopped
+    // reading; cutting the connection releases it.
+    if (::testing::Test::HasFailure()) session->socket().Shutdown();
+    writer.join();
+    EXPECT_TRUE(owed.empty()) << owed.size() << " requests unanswered";
+    EXPECT_EQ(bare_seen, bare_errors);
+    EXPECT_EQ(transport.call_order(), calls);
+    std::vector<VertexId> sources;
+    for (const EdgeEvent& event : transport.published()) {
+      sources.push_back(event.edge.src);
+    }
+    EXPECT_EQ(sources, applied);
+    const RpcServerStats stats = (*server)->stats();
+    EXPECT_EQ(stats.duplicate_batches, replays);
+    EXPECT_EQ(stats.requests_served, requests + 1) << "the hello, then each";
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

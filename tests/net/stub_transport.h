@@ -1,6 +1,7 @@
 // A scriptable ClusterTransport for server-loop and session tests: canned
-// recommendations for gathers, an optional gate that parks Drain calls
-// until released (to hold a request in flight deliberately), and counters.
+// recommendations for gathers, optional gates that park Drain or
+// PublishBatch calls until released (to hold a request in flight
+// deliberately), a record of the order the calls arrived in, and counters.
 // Lets the net tests exercise scheduling, partial I/O, and multiplexing
 // without hauling a real detector workload into every case.
 
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,11 @@ class StubTransport : public ClusterTransport {
   /// Once set, Drain calls block until Release().
   void GateDrains() { gate_drains_.store(true, std::memory_order_release); }
 
+  /// Once set, PublishBatch calls block until Release().
+  void GatePublishes() {
+    gate_publishes_.store(true, std::memory_order_release);
+  }
+
   void Release() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -43,20 +50,46 @@ class StubTransport : public ClusterTransport {
     return drains_blocked_.load(std::memory_order_acquire) > 0;
   }
 
+  /// True once at least one PublishBatch is parked at the gate.
+  bool publish_blocked() const {
+    return publishes_blocked_.load(std::memory_order_acquire) > 0;
+  }
+
   uint64_t publishes() const {
     return publishes_.load(std::memory_order_relaxed);
   }
 
+  /// One letter per order-sensitive call, in the order the calls arrived:
+  /// P publish, D drain, C checkpoint, K kill-replica, R recover-replica.
+  std::string call_order() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+  /// Every published event, in the order the batches arrived.
+  std::vector<EdgeEvent> published() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return published_;
+  }
+
   Status PublishBatch(std::span<const EdgeEvent> events) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_ += 'P';
+      published_.insert(published_.end(), events.begin(), events.end());
+    }
     publishes_.fetch_add(events.size(), std::memory_order_relaxed);
+    if (gate_publishes_.load(std::memory_order_acquire)) {
+      WaitAtGate(&publishes_blocked_);
+    }
     return Status::OK();
   }
 
   Status Drain() override {
-    if (!gate_drains_.load(std::memory_order_acquire)) return Status::OK();
-    drains_blocked_.fetch_add(1, std::memory_order_acq_rel);
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return released_; });
+    Record('D');
+    if (gate_drains_.load(std::memory_order_acquire)) {
+      WaitAtGate(&drains_blocked_);
+    }
     return Status::OK();
   }
 
@@ -65,9 +98,18 @@ class StubTransport : public ClusterTransport {
     return recs_;
   }
 
-  Status Checkpoint(Timestamp) override { return Status::OK(); }
-  Status KillReplica(uint32_t, uint32_t) override { return Status::OK(); }
-  Status RecoverReplica(uint32_t, uint32_t) override { return Status::OK(); }
+  Status Checkpoint(Timestamp) override {
+    Record('C');
+    return Status::OK();
+  }
+  Status KillReplica(uint32_t, uint32_t) override {
+    Record('K');
+    return Status::OK();
+  }
+  Status RecoverReplica(uint32_t, uint32_t) override {
+    Record('R');
+    return Status::OK();
+  }
 
   Result<ClusterStats> GetStats() override {
     ClusterStats stats;
@@ -78,12 +120,27 @@ class StubTransport : public ClusterTransport {
   Status Close() override { return Status::OK(); }
 
  private:
+  void Record(char call) {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_ += call;
+  }
+
+  void WaitAtGate(std::atomic<int>* blocked) {
+    blocked->fetch_add(1, std::memory_order_acq_rel);
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return released_; });
+  }
+
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
   std::atomic<bool> gate_drains_{false};
+  std::atomic<bool> gate_publishes_{false};
   std::atomic<int> drains_blocked_{0};
+  std::atomic<int> publishes_blocked_{0};
   std::atomic<uint64_t> publishes_{0};
+  std::string calls_;
+  std::vector<EdgeEvent> published_;
   std::vector<Recommendation> recs_;
 };
 
