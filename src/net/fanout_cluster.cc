@@ -280,12 +280,57 @@ Result<std::shared_lock<std::shared_mutex>> FanoutCluster::Enter() {
   return lifecycle;
 }
 
+template <typename FrameAt, typename OnFrame>
+void FanoutCluster::Exchange(std::span<Slot> slots, size_t frames,
+                             MessageTag expected, const FrameAt& frame_at,
+                             const OnFrame& on_frame) {
+  // Awaits the lane's oldest unanswered frame. Silence past
+  // recv_timeout_ms, a transport failure or a wrong-kind reply fails the
+  // lane; a server kError keeps it, since the session still answers.
+  const auto reap = [&](Slot* slot) {
+    const size_t f = slot->replied;
+    const MuxConnection::CallHandle call =
+        std::move(slot->window[f % kPublishWindowFrames]);
+    std::vector<Frame> reply;
+    Status classified =
+        slot->conn->Await(call, options_.recv_timeout_ms, &reply);
+    if (classified.ok()) {
+      classified = ClassifyReply(slot, reply, expected);
+    } else {
+      FailLane(slot, classified);
+    }
+    if (slot->live()) slot->replied++;
+    on_frame(slot, f, reply, classified);
+  };
+  // The window counts this exchange only: AcquireLanes may already have
+  // run a replay flush's exchange on the same slot.
+  for (Slot& slot : slots) slot.started = slot.replied = 0;
+  for (size_t f = 0; f < frames; ++f) {
+    for (Slot& slot : slots) {
+      if (!slot.live()) continue;
+      if (slot.started - slot.replied == kPublishWindowFrames) reap(&slot);
+      if (!slot.live()) continue;
+      Result<MuxConnection::CallHandle> started =
+          slot.conn->Start(frame_at(f), options_.recv_timeout_ms);
+      if (started.ok()) {
+        slot.window[slot.started++ % kPublishWindowFrames] =
+            std::move(started).value();
+      } else {
+        FailLane(&slot, started.status());
+      }
+    }
+  }
+  for (Slot& slot : slots) {
+    while (slot.live() && slot.replied < slot.started) reap(&slot);
+  }
+}
+
 std::vector<FanoutCluster::Slot> FanoutCluster::AcquireLanes(Daemon* only) {
   std::vector<Slot> slots;
   slots.reserve(daemons_.size());
   for (const auto& daemon : daemons_) {
     if (only != nullptr && daemon.get() != only) continue;
-    Slot slot;
+    Slot& slot = slots.emplace_back();
     slot.daemon = daemon.get();
     Result<std::shared_ptr<MuxConnection>> conn = AcquireConn(daemon.get());
     if (conn.ok()) {
@@ -305,46 +350,42 @@ std::vector<FanoutCluster::Slot> FanoutCluster::AcquireLanes(Daemon* only) {
     } else {
       slot.status = conn.status();
     }
-    slots.push_back(std::move(slot));
   }
   return slots;
 }
 
 void FanoutCluster::FlushReplayOn(Slot* slot) {
   Daemon* daemon = slot->daemon;
-  // replay_mu is held across the flush exchanges so a concurrent caller
+  // replay_mu is held across the flush exchange so a concurrent caller
   // cannot interleave its own traffic between two replayed frames — every
   // broker call flushes (and therefore queues here) before sending its
-  // own.
+  // own. Replies are reaped in order under the lock, so each answered
+  // frame of the snapshot is the queue's front.
   std::lock_guard<std::mutex> lock(daemon->replay_mu);
-  while (!daemon->replay.empty() && slot->live()) {
-    const ReplayFrame& frame = daemon->replay.front();
-    std::vector<Frame> reply;
-    const Status status = slot->conn->CallOne(
-        frame.frame, options_.recv_timeout_ms, &reply);
-    if (!status.ok()) {
-      // The daemon went away again mid-replay: fail the lane, keep the
-      // unacked frames parked for the next attempt.
-      FailLane(slot, status);
-      return;
-    }
-    const Status classified = ClassifyReply(slot, reply, MessageTag::kAck);
-    // Neither ack nor error fails the lane; keep the frame parked for the
-    // next attempt — consuming it here would lose its events without
-    // counting them anywhere.
-    if (!slot->live()) return;
-    if (classified.ok()) {
-      replayed_events_.fetch_add(frame.events, std::memory_order_relaxed);
-    } else {
-      // The daemon took the frame but rejected it; replaying it again
-      // would just re-fail. Count the loss and surface the rejection.
-      replay_dropped_events_.fetch_add(frame.events,
-                                       std::memory_order_relaxed);
-      if (slot->server_error.ok()) slot->server_error = classified;
-    }
-    daemon->replay_events -= frame.events;
-    daemon->replay.pop_front();
-  }
+  const std::vector<ReplayFrame> parked(daemon->replay.begin(),
+                                        daemon->replay.end());
+  Exchange(
+      std::span(slot, 1), parked.size(), MessageTag::kAck,
+      [&](size_t f) -> const FrameBuf& { return parked[f].frame; },
+      [&](Slot* lane, size_t f, const std::vector<Frame>&,
+          const Status& classified) {
+        // A failed lane keeps its unanswered frames parked for the next
+        // attempt — consuming one here would lose its events without
+        // counting them anywhere.
+        if (!lane->live()) return;
+        if (classified.ok()) {
+          replayed_events_.fetch_add(parked[f].events,
+                                     std::memory_order_relaxed);
+        } else {
+          // The daemon took the frame but rejected it; replaying it again
+          // would just re-fail. Count the loss and surface the rejection.
+          replay_dropped_events_.fetch_add(parked[f].events,
+                                           std::memory_order_relaxed);
+          if (lane->server_error.ok()) lane->server_error = classified;
+        }
+        daemon->replay_events -= parked[f].events;
+        daemon->replay.pop_front();
+      });
 }
 
 Status FanoutCluster::FirstError(const std::vector<Slot>& slots) const {
@@ -394,34 +435,21 @@ Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
   // Every lane's Start copies the FrameBuf — segment references onto the
   // same payload block, never the bytes.
   const FrameBuf framed = FrameBuf::Wrap(request);
-  for (Slot& slot : slots) {
-    if (!slot.live()) continue;
-    Result<MuxConnection::CallHandle> started =
-        slot.conn->Start(framed, options_.recv_timeout_ms);
-    if (started.ok()) {
-      slot.call = std::move(started).value();
-    } else {
-      FailLane(&slot, started.status());
-    }
-  }
+  // Each lane's reply for the step pass, a failed lane's partial frames
+  // too. A lane that never started keeps an empty one.
+  std::vector<std::vector<Frame>> replies(slots.size());
+  Exchange(slots, 1, expected,
+           [&](size_t) -> const FrameBuf& { return framed; },
+           [&](Slot* slot, size_t, std::vector<Frame>& reply,
+               const Status& classified) {
+             slot->answered = classified.ok();
+             replies[slot - slots.data()] = std::move(reply);
+           });
   size_t answered = 0;
-  for (Slot& slot : slots) {
-    std::vector<Frame> reply;
-    if (slot.call != nullptr && slot.live()) {
-      const Status awaited =
-          slot.conn->Await(slot.call, options_.recv_timeout_ms, &reply);
-      if (awaited.ok()) {
-        slot.answered = ClassifyReply(&slot, reply, expected).ok();
-      } else {
-        // Timed out or the connection died. Either way this call treats
-        // the daemon as failed: drop the shared connection and open the
-        // breaker window. (Frames that did arrive stay in `reply` for the
-        // step.)
-        FailLane(&slot, awaited);
-      }
-    }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    Slot& slot = slots[i];
     if (on_reply) {
-      const Status stepped = on_reply(&slot, reply);
+      const Status stepped = on_reply(&slot, replies[i]);
       if (!stepped.ok()) {
         slot.answered = false;
         if (slot.status.ok()) slot.status = TagError(*slot.daemon, stepped);
@@ -452,44 +480,6 @@ Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
 
 // --- ClusterTransport --------------------------------------------------------
 
-void FanoutCluster::ReapOneAck(Slot* slot, TraceContext* trace) {
-  // On a kError reply the session stays usable (the server answered; later
-  // acks still arrive) so only the first error is recorded; a transport
-  // failure or silence past the deadline fails the lane, and under a
-  // degraded policy its unacked frames then park for replay.
-  std::vector<Frame> reply;
-  const Status status = slot->conn->Await(slot->calls[slot->acked],
-                                          options_.recv_timeout_ms, &reply);
-  if (!status.ok()) {
-    FailLane(slot, status);
-    return;
-  }
-  // A wrong-kind reply is a protocol violation: counting it as an ack
-  // would mark events applied that never were. The classifier fails the
-  // lane and the normal failure path (replay parking under a degraded
-  // policy, an error under strict) takes over.
-  const Status classified = ClassifyReply(slot, reply, MessageTag::kAck);
-  if (!slot->live()) return;
-  // Ack or server rejection: either way the server answered THIS frame
-  // and the lane stays usable.
-  slot->acked++;
-  if (!classified.ok()) {
-    if (slot->server_error.ok()) slot->server_error = classified;
-    return;
-  }
-  if (trace != nullptr) {
-    // A traced frame's ack echoes the daemon's stamps; fold them into the
-    // originating context (MergeStampsFrom drops the repeated
-    // broker-encode stamp). Stale echoes for some other trace — a
-    // dedup-suppressed ack — stay out.
-    TraceContext echoed;
-    if (DecodeAck(reply.front().payload, &echoed).ok() &&
-        echoed.trace_id == trace->trace_id) {
-      trace->MergeStampsFrom(echoed);
-    }
-  }
-}
-
 void FanoutCluster::QueueUnsent(Slot* slot,
                                 const std::vector<FrameBuf>& frames,
                                 const std::vector<size_t>& frame_events) {
@@ -499,7 +489,7 @@ void FanoutCluster::QueueUnsent(Slot* slot,
   // not an availability problem and must surface, not retry forever.
   if (slot->live()) return;
   size_t queue_events = 0;
-  for (size_t f = slot->acked; f < frames.size(); ++f) {
+  for (size_t f = slot->replied; f < frames.size(); ++f) {
     queue_events += frame_events[f];
   }
   if (queue_events == 0) return;
@@ -516,7 +506,7 @@ void FanoutCluster::QueueUnsent(Slot* slot,
             options_.replay_buffer_events, queue_events)));
     return;
   }
-  for (size_t f = slot->acked; f < frames.size(); ++f) {
+  for (size_t f = slot->replied; f < frames.size(); ++f) {
     daemon->replay.push_back(ReplayFrame{frames[f], frame_events[f]});
     daemon->replay_events += frame_events[f];
   }
@@ -590,36 +580,36 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   }
 
   std::vector<Slot> slots = AcquireLanes(nullptr);
-  TraceContext* trace_out = trace.active() ? &trace : nullptr;
-
-  // The pipeline: keep up to kPublishWindowFrames outstanding request_ids
-  // per daemon, starting frame f on every lane before frame f+1 so all
-  // daemons chew on the same prefix of the stream concurrently. (The
-  // session additionally honors the cap the daemon advertised in its hello
-  // reply — MuxConnection::Start blocks there.)
-  for (size_t f = 0; f < frames.size(); ++f) {
-    for (Slot& slot : slots) {
-      if (!slot.live()) continue;
-      if (slot.calls.size() - slot.acked >= kPublishWindowFrames) {
-        ReapOneAck(&slot, trace_out);
-      }
-      if (!slot.live()) continue;
-      const FrameBuf& buf =
-          f == 0 && trace.active() ? traced_first_frame : frames[f];
-      Result<MuxConnection::CallHandle> started =
-          slot.conn->Start(buf, options_.recv_timeout_ms);
-      if (started.ok()) {
-        slot.calls.push_back(std::move(started).value());
-      } else {
-        FailLane(&slot, started.status());
-      }
-    }
-  }
-  for (Slot& slot : slots) {
-    while (slot.live() && slot.acked < slot.calls.size()) {
-      ReapOneAck(&slot, trace_out);
-    }
-  }
+  // The pipeline: every daemon chews on the same prefix of the stream
+  // concurrently. (The session additionally honors the cap the daemon
+  // advertised in its hello reply — MuxConnection::Start blocks there.)
+  Exchange(
+      slots, frames.size(), MessageTag::kAck,
+      [&](size_t f) -> const FrameBuf& {
+        return f == 0 && trace.active() ? traced_first_frame : frames[f];
+      },
+      [&](Slot* slot, size_t, const std::vector<Frame>& reply,
+          const Status& classified) {
+        // A failed lane's unanswered frames park below (degraded) or fail
+        // the publish (strict).
+        if (!slot->live()) return;
+        // A rejection answered THIS frame: the lane stays, and the first
+        // one survives a queue-to-replay.
+        if (!classified.ok()) {
+          if (slot->server_error.ok()) slot->server_error = classified;
+          return;
+        }
+        if (!trace.active()) return;
+        // A traced frame's ack echoes the daemon's stamps; fold them into
+        // the originating context (MergeStampsFrom drops the repeated
+        // broker-encode stamp). Stale echoes for some other trace — a
+        // dedup-suppressed ack — stay out.
+        TraceContext echoed;
+        if (DecodeAck(reply.front().payload, &echoed).ok() &&
+            echoed.trace_id == trace.trace_id) {
+          trace.MergeStampsFrom(echoed);
+        }
+      });
   // Queue-to-replay only for calls that ENTERED degraded: strict mode keeps
   // its all-or-nothing contract and fails the publish instead. (A replayed
   // frame that was applied but never acked dedups on its batch sequence.)

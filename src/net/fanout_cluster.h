@@ -20,10 +20,13 @@
 // broadcast to every daemon — every daemon must ingest the full stream
 // (each holds a complete D), and a gather is the union of the per-
 // partition results. KillReplica/RecoverReplica route to the one daemon
-// hosting that partition. Every call but PublishBatch runs one exchange:
-// acquire the lanes (flushing owed replay), start the request on each,
-// await and classify each reply once, then apply one coverage rule. The
-// group HashPartitioner is exposed through Partitioner() so callers can
+// hosting that partition. Every call runs one windowed exchange: acquire
+// the lanes (each flushing its owed replay through the same exchange),
+// start frame f on every lane before frame f+1, keep at most
+// kPublishWindowFrames unanswered per lane, and await and classify each
+// reply once. Broadcasts are the one-frame case and then apply one
+// coverage rule; PublishBatch is the many-frame case. The group
+// HashPartitioner is exposed through Partitioner() so callers can
 // attribute a user (and its recommendations) to the daemon that owns it.
 //
 // Wire mechanics per daemon: ONE multiplexed connection
@@ -90,6 +93,7 @@
 #ifndef MAGICRECS_NET_FANOUT_CLUSTER_H_
 #define MAGICRECS_NET_FANOUT_CLUSTER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -99,6 +103,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -167,8 +172,9 @@ std::string_view FanoutPolicyName(FanoutPolicy policy);
 /// Events per pipelined kPublishBatch frame.
 inline constexpr size_t kPublishChunkEvents = 256;
 
-/// Publish frames (request_ids) in flight per daemon before acks are
-/// awaited. The daemon's advertised in-flight cap (its hello reply) also
+/// Frames (request_ids) one exchange keeps in flight per daemon before it
+/// awaits the oldest reply: a publish's chunks, or a replay flush's parked
+/// frames. The daemon's advertised in-flight cap (its hello reply) also
 /// bounds the window: MuxConnection::Start blocks there.
 inline constexpr size_t kPublishWindowFrames = 32;
 
@@ -394,7 +400,7 @@ class FanoutCluster : public ClusterTransport {
   };
 
   /// One daemon's slice of a broker call: the connection snapshot, the
-  /// first error it produced, and the pipelining bookkeeping.
+  /// first error it produced, and the exchange's window bookkeeping.
   struct Slot {
     Daemon* daemon = nullptr;
     std::shared_ptr<MuxConnection> conn;
@@ -411,14 +417,12 @@ class FanoutCluster : public ClusterTransport {
 
     bool poisoned = false;  ///< lane unusable for the rest of this call
 
-    /// Publish pipeline: calls[i] is frame i's in-flight handle; the first
-    /// `acked` frames are confirmed (ack or server error).
-    std::vector<MuxConnection::CallHandle> calls;
-    size_t acked = 0;
-
-    /// Broadcast parks its one handle here between the start and await
-    /// passes.
-    MuxConnection::CallHandle call;
+    /// The current exchange's window: frames [replied, started) are in
+    /// flight, frame f's handle in window[f % kPublishWindowFrames]; the
+    /// first `replied` frames were answered (ack or server error).
+    std::array<MuxConnection::CallHandle, kPublishWindowFrames> window;
+    size_t started = 0;
+    size_t replied = 0;
 
     /// THIS call's request/reply exchange completed on this lane: the
     /// reply classified as the expected kind and the caller's reply step
@@ -471,8 +475,8 @@ class FanoutCluster : public ClusterTransport {
   /// First error in daemon order.
   Status FirstError(const std::vector<Slot>& slots) const;
 
-  /// The one reply classifier (broadcasts, publish acks, replay flushes).
-  /// Every frame of the expected kind is OK. A server kError becomes a
+  /// The one reply classifier, run by Exchange on every reply. Every
+  /// frame of the expected kind is OK. A server kError becomes a
   /// tagged Status, recorded as the slot's first error (and, untagged, as
   /// its daemon_error); the lane stays, since the session still answers.
   /// Any other reply — version skew or a protocol bug — fails the lane
@@ -496,16 +500,28 @@ class FanoutCluster : public ClusterTransport {
   using ReplyStep =
       std::function<Status(Slot* slot, const std::vector<Frame>& reply)>;
 
-  /// The one exchange behind every call but PublishBatch. The caller holds
+  /// The one way the broker talks to daemons: sends frame_at(f), f in
+  /// [0, frames), on every live slot, frame f on every lane before f+1,
+  /// reaping a lane's oldest frame rather than exceed kPublishWindowFrames
+  /// unanswered. Each reply is awaited and classified once, then handed to
+  /// on_frame(slot, f, reply, classified): OK is an answer, an error on a
+  /// live lane a server rejection, a dead lane a failure (its arrived
+  /// frames included). A failed lane never answered frames
+  /// [slot.replied, frames).
+  template <typename FrameAt, typename OnFrame>
+  void Exchange(std::span<Slot> slots, size_t frames, MessageTag expected,
+                const FrameAt& frame_at, const OnFrame& on_frame);
+
+  /// The exchange behind every call but PublishBatch: one frame, then
+  /// `on_reply` over every slot and one coverage rule. The caller holds
   /// Enter()'s lock for its whole call — its tail too, which Close() must
   /// not overtake — so Broadcast never takes it again (a second shared
   /// lock on one thread can deadlock behind a waiting Close()). Acquires
-  /// the lanes (every daemon, or `only`), starts `request` on every live
-  /// lane BEFORE awaiting any reply (daemons process concurrently),
-  /// classifies each reply, hands it to `on_reply`, and applies
-  /// `coverage`. Returns the first error in daemon order when
-  /// too few lanes answered; when enough did, a replay-flush rejection
-  /// still fails the call (except under kNone).
+  /// the lanes (every daemon, or `only`), exchanges `request`, hands each
+  /// lane's reply to `on_reply` in daemon order, and applies `coverage`.
+  /// Returns the first error in daemon order when too few lanes answered;
+  /// when enough did, a replay-flush rejection still fails the call
+  /// (except under kNone).
   Status Broadcast(Daemon* only, const std::string& request,
                    MessageTag expected, Coverage coverage,
                    const ReplyStep& on_reply = nullptr);
@@ -531,25 +547,19 @@ class FanoutCluster : public ClusterTransport {
   /// rescue_dropped_, never silent.
   void RescuePending(std::vector<Recommendation>* recs);
 
-  /// Re-sends the daemon's parked replay frames on the slot's connection
-  /// (serial request/ack; this is the recovery path, not the hot path).
-  /// A failure poisons the slot; frames stay queued for next time.
+  /// Re-sends the daemon's parked replay frames on the slot's connection,
+  /// pipelined through Exchange under replay_mu. Each answered frame
+  /// leaves the buffer, counted as replayed (ack) or dropped (rejection);
+  /// a lane failure poisons the slot and leaves the unanswered frames
+  /// queued for next time.
   void FlushReplayOn(Slot* slot);
 
-  /// Parks frames [slot->acked, frames.size()) in the daemon's replay
+  /// Parks frames [slot->replied, frames.size()) in the daemon's replay
   /// buffer after a lane failure, clearing the slot's transport error.
   /// Overflow queues nothing more, counts the dropped events, and sets the
   /// explicit ResourceExhausted status instead.
   void QueueUnsent(Slot* slot, const std::vector<FrameBuf>& frames,
                    const std::vector<size_t>& frame_events);
-
-  /// Awaits the oldest unacked publish frame on the lane. kError replies
-  /// record the first server error but keep the lane (the session is still
-  /// usable); silence past recv_timeout_ms, a transport failure, or a
-  /// wrong-kind reply fails the lane (FailLane). A non-null `trace` folds
-  /// the stamps echoed on an ack's trace tail into the publish's
-  /// originating context.
-  void ReapOneAck(Slot* slot, TraceContext* trace);
 
   /// Appends a trace to the bounded traces_ ring for TakeTraces.
   void ParkTrace(TraceContext trace);

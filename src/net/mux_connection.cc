@@ -277,11 +277,4 @@ Status MuxConnection::CallOne(const std::string& framed_request,
   return Await(call, timeout_ms, frames);
 }
 
-Status MuxConnection::CallOne(FrameBuf framed_request, int timeout_ms,
-                              std::vector<Frame>* frames) {
-  MAGICRECS_ASSIGN_OR_RETURN(
-      CallHandle call, Start(std::move(framed_request), timeout_ms));
-  return Await(call, timeout_ms, frames);
-}
-
 }  // namespace magicrecs::net

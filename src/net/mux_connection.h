@@ -124,8 +124,6 @@ class MuxConnection {
   /// silence.
   Status CallOne(const std::string& framed_request, int timeout_ms,
                  std::vector<Frame>* frames);
-  Status CallOne(FrameBuf framed_request, int timeout_ms,
-                 std::vector<Frame>* frames);
 
   /// Severs the socket: outstanding calls fail with Unavailable, the
   /// reader exits. Idempotent; the destructor calls it.

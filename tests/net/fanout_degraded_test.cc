@@ -4,12 +4,16 @@
 // out into the replay buffer and the server-side batch-sequence dedup
 // suppresses the replayed copy; publishes to an unreachable daemon park in
 // a bounded replay buffer and flow again — restoring byte-identical
-// strict-mode results — once the daemon returns. Strict mode on a healthy
-// group must stay byte-identical to the inline reference.
+// strict-mode results — once the daemon returns, replayed as one pipelined
+// exchange. Strict mode on a healthy group must stay byte-identical to the
+// inline reference. A seeded exchange fuzz checks every call's outcome
+// against a model of the policy; rerun a failure with
+//   MAGICRECS_FUZZ_SEED=<seed> ./net_fanout_degraded_test
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -22,6 +26,7 @@
 #include "../persist/scoped_temp_dir.h"
 #include "fanout_test_util.h"
 #include "raw_session.h"
+#include "stub_transport.h"
 
 #include "cluster/transport.h"
 #include "gen/activity_stream.h"
@@ -32,6 +37,10 @@
 #include "net/rpc_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "util/histogram.h"
+#include "util/metrics.h"
+#include "util/random.h"
+#include "util/str_format.h"
 
 namespace magicrecs {
 namespace {
@@ -1090,6 +1099,260 @@ TEST(FanoutDegradedTest, ScrapeErrorIsTheDaemonsOwnMessage) {
   EXPECT_NE(text->find("injected publish rejection", rejected),
             std::string::npos)
       << *text;
+}
+
+/// `n` events whose source ids count up from `first`: the order a daemon
+/// applied them in is readable off the ids.
+std::vector<EdgeEvent> NumberedEvents(VertexId first, size_t n) {
+  std::vector<EdgeEvent> events(n);
+  for (size_t i = 0; i < n; ++i) {
+    const VertexId id = first + static_cast<VertexId>(i);
+    events[i].edge = TimestampedEdge{id, 7, static_cast<Timestamp>(id)};
+  }
+  return events;
+}
+
+TEST(FanoutDegradedTest, ReplayFlushIsPipelined) {
+  // A daemon owed 16 parked frames gets them as one pipelined exchange,
+  // not one request/ack round trip each: while the first replayed publish
+  // is held in the transport, the other 15 queue behind it, so the daemon
+  // acks them together.
+  constexpr size_t kFrames = 16;
+  const std::vector<EdgeEvent> events =
+      NumberedEvents(1, kFrames * net::kPublishChunkEvents);
+  net_test::StubTransport stub;
+  uint16_t port = 0;
+  {
+    // A port that refuses connections while the frames park.
+    auto probe = RpcServer::Start(&stub, RpcServerOptions{});
+    ASSERT_TRUE(probe.ok()) << probe.status();
+    port = (*probe)->port();
+  }
+  FanoutClusterOptions fopt;
+  fopt.policy = FanoutPolicy::kBestEffort;
+  fopt.trace_sample_every = 0;
+  fopt.reconnect_backoff_ms = 1;
+  fopt.max_reconnect_backoff_ms = 1;
+  fopt.endpoints.resize(1);
+  fopt.endpoints[0].port = port;
+  auto broker = FanoutCluster::Connect(fopt);
+  ASSERT_TRUE(broker.ok()) << broker.status();
+  ASSERT_TRUE((*broker)->PublishBatch(events).ok());
+
+  HistogramMetric* frames_per_writev = MetricsRegistry::Default()->GetHistogram(
+      "rpc_frames_per_writev",
+      {{"server", StrFormat("127.0.0.1:%u", static_cast<unsigned>(port))}});
+  const Histogram before = frames_per_writev->Snapshot();
+  stub.GatePublishes();
+  RpcServerOptions ropt;
+  ropt.port = port;
+  auto server = RpcServer::Start(&stub, ropt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // backoff
+
+  Status drained;
+  std::thread flush([&] { drained = (*broker)->Drain(); });
+  for (int i = 0; i < 500 && !stub.publish_blocked(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_TRUE(stub.publish_blocked());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  stub.Release();
+  flush.join();
+  ASSERT_TRUE(drained.ok()) << drained;
+
+  const std::vector<EdgeEvent> seen = stub.published();
+  ASSERT_EQ(seen.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(seen[i].edge, events[i].edge) << "event " << i;
+  }
+  auto stats = (*broker)->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replayed_events, events.size());
+  // The loop records a writev's sample only after the kernel took the
+  // bytes, so the acks can be read before it lands.
+  auto most_frames_per_writev = [&] {
+    return frames_per_writev->Snapshot().DeltaSince(before).Max();
+  };
+  for (int i = 0; i < 500 && most_frames_per_writev() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(most_frames_per_writev(), 2)
+      << "the replayed frames were sent one round trip at a time";
+}
+
+// --- the exchange, seeded ----------------------------------------------------
+
+uint64_t FuzzSeed() {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_SEED")) {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 0xe8c4'a11e'2026ull;
+}
+
+/// One stub daemon of the fuzz, and what the model expects of it.
+struct FuzzDaemon {
+  net_test::StubTransport stub;
+  std::unique_ptr<RpcServer> server;
+  uint16_t port = 0;
+  bool running = true;
+  int rejections = 0;        ///< scripted, not yet consumed
+  size_t parked_frames = 0;  ///< owed by the broker's replay buffer
+};
+
+TEST(FanoutDegradedTest, ExchangeFuzz) {
+  // Each trial puts a broker under a random policy in front of three stub
+  // daemons and runs a random mix of multi-frame publishes, drains,
+  // gathers, scripted publish rejections and one stop/restart of a daemon
+  // on its own port. A model of the policy predicts every call's outcome:
+  // a call fails iff a lane failed under strict, or a daemon rejected a
+  // frame — a fresh one or a replayed one. Afterwards every daemon must
+  // have applied each event at most once, in publish order, over the one
+  // connection it accepted (a rejection never poisons a lane), and every
+  // parked event must be counted replayed or dropped.
+  const uint64_t seed = FuzzSeed();
+  SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  constexpr int kTrials = 16;
+  constexpr int kOps = 20;
+  constexpr uint32_t kDaemons = 3;
+  const FanoutPolicy policies[] = {FanoutPolicy::kStrict,
+                                   FanoutPolicy::kQuorum,
+                                   FanoutPolicy::kBestEffort};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const FanoutPolicy policy = policies[rng.UniformInt(std::size(policies))];
+    const bool degraded = policy != FanoutPolicy::kStrict;
+    std::vector<std::unique_ptr<FuzzDaemon>> daemons;
+    FanoutClusterOptions fopt;
+    fopt.policy = policy;
+    fopt.group_size = kDaemons;
+    fopt.reconnect_backoff_ms = 1;
+    fopt.max_reconnect_backoff_ms = 1;
+    RpcServerOptions server_options;
+    server_options.worker_threads = 1;
+    for (uint32_t p = 0; p < kDaemons; ++p) {
+      auto daemon = std::make_unique<FuzzDaemon>();
+      auto server = RpcServer::Start(&daemon->stub, server_options);
+      ASSERT_TRUE(server.ok()) << server.status();
+      daemon->server = std::move(server).value();
+      daemon->port = daemon->server->port();
+      FanoutEndpoint endpoint;
+      endpoint.port = daemon->port;
+      endpoint.partition = p;
+      fopt.endpoints.push_back(endpoint);
+      daemons.push_back(std::move(daemon));
+    }
+    auto broker = FanoutCluster::Connect(fopt);
+    ASSERT_TRUE(broker.ok()) << broker.status();
+
+    VertexId next_id = 1;
+    size_t parked_events = 0;
+    FuzzDaemon* stopped = nullptr;
+    bool restarted = false;
+    int ops_while_stopped = 0;
+    auto restart = [&] {
+      RpcServerOptions ropt = server_options;
+      ropt.port = stopped->port;
+      auto server = RpcServer::Start(&stopped->stub, ropt);
+      ASSERT_TRUE(server.ok()) << server.status();
+      stopped->server = std::move(server).value();
+      stopped->running = true;
+      stopped = nullptr;
+      restarted = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));  // backoff
+    };
+    // Every call first flushes what each reachable daemon is owed; a
+    // scripted rejection meets the replayed frames before fresh ones.
+    auto model_flush = [&] {
+      bool rejected = false;
+      for (auto& d : daemons) {
+        if (!d->running || d->parked_frames == 0) continue;
+        const int hit = static_cast<int>(
+            std::min<size_t>(d->rejections, d->parked_frames));
+        d->rejections -= hit;
+        rejected |= hit > 0;
+        d->parked_frames = 0;
+      }
+      return rejected;
+    };
+    // One call, checked against the model.
+    auto call = [&](const std::string& what, bool expect_fail,
+                    const Status& status) {
+      EXPECT_EQ(!status.ok(), expect_fail) << what << ": " << status;
+      if (stopped != nullptr) ops_while_stopped++;
+    };
+
+    for (int op = 0; op < kOps; ++op) {
+      const uint64_t dice = rng.UniformInt(10);
+      if (dice == 0 && stopped == nullptr && !restarted) {
+        stopped = daemons[rng.UniformInt(kDaemons)].get();
+        stopped->server->Stop();
+        stopped->running = false;
+        ops_while_stopped = 0;
+      } else if (dice == 0 && stopped != nullptr && ops_while_stopped > 0) {
+        // At least one call saw the stopped daemon, so the broker has
+        // dropped its old connection: the restart is reachable at once.
+        restart();
+      } else if (dice == 1) {
+        FuzzDaemon* d = daemons[rng.UniformInt(kDaemons)].get();
+        const int n = 1 + static_cast<int>(rng.UniformInt(2));
+        d->stub.RejectPublishes(n);
+        d->rejections += n;
+      } else if (dice < 6) {
+        const size_t n = 1 + rng.UniformInt(4 * net::kPublishChunkEvents);
+        const size_t frames =
+            (n + net::kPublishChunkEvents - 1) / net::kPublishChunkEvents;
+        const std::vector<EdgeEvent> events = NumberedEvents(next_id, n);
+        next_id += static_cast<VertexId>(n);
+        bool expect_fail = model_flush();
+        for (auto& d : daemons) {
+          if (d->running) {
+            const int hit =
+                static_cast<int>(std::min<size_t>(d->rejections, frames));
+            d->rejections -= hit;
+            expect_fail |= hit > 0;
+          } else if (degraded) {
+            d->parked_frames += frames;
+            parked_events += n;
+          } else {
+            expect_fail = true;
+          }
+        }
+        call(StrFormat("publish of %zu events", n), expect_fail,
+             (*broker)->PublishBatch(events));
+      } else {
+        const bool expect_fail =
+            model_flush() || (!degraded && stopped != nullptr);
+        if (dice < 8) {
+          call("drain", expect_fail, (*broker)->Drain());
+        } else {
+          call("gather", expect_fail,
+               (*broker)->TakeRecommendations().status());
+        }
+      }
+    }
+
+    // The final flush: every daemon reachable, every parked frame settled.
+    if (stopped != nullptr) restart();
+    call("final drain", model_flush(), (*broker)->Drain());
+    auto stats = (*broker)->GetStats();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->replayed_events + stats->replay_dropped_events,
+              parked_events)
+        << "parked events went missing from the replay accounting";
+    for (uint32_t p = 0; p < kDaemons; ++p) {
+      const std::vector<EdgeEvent> seen = daemons[p]->stub.published();
+      for (size_t i = 1; i < seen.size(); ++i) {
+        ASSERT_LT(seen[i - 1].edge.src, seen[i].edge.src)
+            << "daemon " << p << " applied an event twice or out of order";
+      }
+      EXPECT_EQ(daemons[p]->server->stats().connections_accepted, 1u)
+          << "daemon " << p << ": the broker redialed a lane that never "
+          << "failed";
+    }
+    ASSERT_TRUE((*broker)->Close().ok());
+  }
 }
 
 TEST(FanoutDegradedTest, QuorumValidationAtConnect) {

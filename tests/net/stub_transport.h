@@ -1,7 +1,8 @@
 // A scriptable ClusterTransport for server-loop and session tests: canned
 // recommendations for gathers, optional gates that park Drain or
 // PublishBatch calls until released (to hold a request in flight
-// deliberately), a record of the order the calls arrived in, and counters.
+// deliberately), scripted publish rejections, a record of the order the
+// calls arrived in, and counters.
 // Lets the net tests exercise scheduling, partial I/O, and multiplexing
 // without hauling a real detector workload into every case.
 
@@ -35,6 +36,13 @@ class StubTransport : public ClusterTransport {
   /// Once set, PublishBatch calls block until Release().
   void GatePublishes() {
     gate_publishes_.store(true, std::memory_order_release);
+  }
+
+  /// The next `n` PublishBatch calls fail with InvalidArgument, applying
+  /// and recording nothing.
+  void RejectPublishes(int n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    rejections_ += n;
   }
 
   void Release() {
@@ -75,6 +83,10 @@ class StubTransport : public ClusterTransport {
   Status PublishBatch(std::span<const EdgeEvent> events) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (rejections_ > 0) {
+        rejections_--;
+        return Status::InvalidArgument("scripted publish rejection");
+      }
       calls_ += 'P';
       published_.insert(published_.end(), events.begin(), events.end());
     }
@@ -134,6 +146,7 @@ class StubTransport : public ClusterTransport {
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;
+  int rejections_ = 0;
   std::atomic<bool> gate_drains_{false};
   std::atomic<bool> gate_publishes_{false};
   std::atomic<int> drains_blocked_{0};

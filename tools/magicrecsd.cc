@@ -82,6 +82,10 @@ struct DaemonOptions {
   std::string metrics_dump_path = "metrics.jsonl";
   int health_interval_ms = 0;
   std::string health_journal_path;
+
+  // Dependent flags given, checked against their enablers after parsing.
+  bool metrics_dump_path_set = false;
+  bool fsync_batch_set = false;
 };
 
 void PrintUsage() {
@@ -111,13 +115,14 @@ void PrintUsage() {
       "  --slow-request-ms=N    log requests slower than N ms; 0 = off (0)\n"
       "  --metrics-dump-interval=N  append a metrics JSONL line every N\n"
       "                         seconds; 0 = off (0)\n"
-      "  --metrics-dump-path=PATH   JSONL exporter target (metrics.jsonl)\n"
+      "  --metrics-dump-path=PATH   JSONL exporter target (metrics.jsonl;\n"
+      "                         requires --metrics-dump-interval)\n"
       "  --health-interval-ms=N self-health evaluation interval; publishes\n"
       "                         the health{party=...} gauge; 0 = off (0)\n"
       "  --health-journal=PATH  append health transitions as JSONL\n"
       "                         (requires --health-interval-ms)\n"
       "  --persist-dir=PATH     WAL + snapshot directory, empty = off\n"
-      "  --fsync-batch=N        group-commit batch with --fsync (1)\n"
+      "  --fsync-batch=N        group-commit batch (1; requires --fsync)\n"
       "  --fsync                fdatasync WAL appends\n"
       "  --help                 this text\n");
 }
@@ -215,6 +220,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
       }
     } else if (FlagValue(arg, "metrics-dump-path", &value)) {
       options->metrics_dump_path = value;
+      options->metrics_dump_path_set = true;
     } else if (FlagValue(arg, "health-interval-ms", &value)) {
       if (!IntFlag("health-interval-ms", value, &options->health_interval_ms,
                    0)) {
@@ -229,6 +235,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
                    &options->cluster.persist.fsync_batch)) {
         return false;
       }
+      options->fsync_batch_set = true;
     } else {
       std::fprintf(stderr, "magicrecsd: unknown flag '%s'\n\n", arg);
       PrintUsage();
@@ -248,6 +255,22 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
   if (options->cluster.group_size > 0 && !options->partition_id_set) {
     std::fprintf(stderr,
                  "magicrecsd: --partition-group requires --partition-id\n");
+    return false;
+  }
+  // A dependent flag without its enabler would be silently ignored.
+  if (!options->health_journal_path.empty() &&
+      options->health_interval_ms == 0) {
+    std::fprintf(stderr, "magicrecsd: --health-journal requires "
+                         "--health-interval-ms\n");
+    return false;
+  }
+  if (options->fsync_batch_set && !options->cluster.persist.sync_each_append) {
+    std::fprintf(stderr, "magicrecsd: --fsync-batch requires --fsync\n");
+    return false;
+  }
+  if (options->metrics_dump_path_set && options->metrics_dump_interval_s == 0) {
+    std::fprintf(stderr, "magicrecsd: --metrics-dump-path requires "
+                         "--metrics-dump-interval\n");
     return false;
   }
   return true;
