@@ -218,12 +218,14 @@ ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
   net::AppendEmptyRequest(net::MessageTag::kPing, &bare_ping);
   std::string ping;
   net::AppendMuxRequest(/*request_id=*/1, bare_ping, &ping);
+  // Each socket is read through its own assembler for its whole life.
+  std::vector<net::FrameAssembler> assemblers(connections);
   // The hello round trip on every connection also makes sure each one is
   // accepted before the census.
-  for (net::TcpSocket& socket : sockets) {
-    if (!socket.WriteAll(hello.data(), hello.size()).ok()) std::exit(1);
+  for (size_t i = 0; i < connections; ++i) {
+    if (!sockets[i].WriteAll(hello.data(), hello.size()).ok()) std::exit(1);
     net::Frame reply;
-    if (!net::ReadFrame(&socket, &reply).ok() ||
+    if (!net::ReceiveFrame(&sockets[i], &assemblers[i], &reply).ok() ||
         reply.tag != net::MessageTag::kHelloReply) {
       std::exit(1);
     }
@@ -238,9 +240,11 @@ ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
     for (net::TcpSocket& socket : sockets) {
       if (!socket.WriteAll(ping.data(), ping.size()).ok()) std::exit(1);
     }
-    for (net::TcpSocket& socket : sockets) {
+    for (size_t i = 0; i < connections; ++i) {
       net::Frame reply;
-      if (!net::ReadFrame(&socket, &reply).ok()) std::exit(1);
+      if (!net::ReceiveFrame(&sockets[i], &assemblers[i], &reply).ok()) {
+        std::exit(1);
+      }
     }
   }
   result.requests_per_sec =

@@ -1,41 +1,8 @@
 #include "net/frame_io.h"
 
-#include <cstdint>
-
-#include "persist/crc32.h"
+#include "util/str_format.h"
 
 namespace magicrecs::net {
-
-Status ReadFrame(TcpSocket* socket, Frame* frame, bool* clean_eof) {
-  uint8_t header[kFrameHeaderBytes];
-  MAGICRECS_RETURN_IF_ERROR(
-      socket->ReadFull(header, kFrameHeaderBytes, clean_eof));
-  uint32_t body_len = 0;
-  uint32_t masked_crc = 0;
-  MAGICRECS_RETURN_IF_ERROR(
-      DecodeFrameHeader(header, &body_len, &masked_crc));
-  // Read the tag and the payload straight into their destinations; the body
-  // CRC is seed-chained over the two parts, so the payload is never staged
-  // in (and copied out of) a temporary body buffer.
-  uint8_t tag_byte = 0;
-  MAGICRECS_RETURN_IF_ERROR(socket->ReadFull(&tag_byte, 1));
-  frame->payload.resize(body_len - 1);
-  if (body_len > 1) {
-    MAGICRECS_RETURN_IF_ERROR(
-        socket->ReadFull(frame->payload.data(), body_len - 1));
-  }
-  uint32_t crc = persist::Crc32c(&tag_byte, 1);
-  crc = persist::Crc32c(frame->payload.data(), frame->payload.size(), crc);
-  if (crc != persist::UnmaskCrc(masked_crc)) {
-    return Status::Corruption("frame body CRC mismatch");
-  }
-  frame->tag = static_cast<MessageTag>(tag_byte);
-  return Status::OK();
-}
-
-Status WriteFrames(TcpSocket* socket, const std::string& bytes) {
-  return socket->WriteAll(bytes.data(), bytes.size());
-}
 
 void FrameAssembler::Append(const char* data, size_t n) {
   // Compact opportunistically: once everything parsed so far has been
@@ -71,6 +38,38 @@ Status FrameAssembler::Next(Frame* frame, bool* ready) {
   consumed_ += kFrameHeaderBytes + body_len;
   *ready = true;
   return Status::OK();
+}
+
+Status ReceiveInto(TcpSocket* socket, FrameAssembler* assembler) {
+  char buf[kReadChunkBytes];
+  MAGICRECS_ASSIGN_OR_RETURN(IoChunk chunk,
+                             socket->ReadChunk(buf, sizeof(buf)));
+  if (chunk.would_block) {
+    // SO_RCVTIMEO expired (see SetRecvTimeout). Unavailable, like every
+    // other condition that forces the connection to be abandoned.
+    return Status::Unavailable(StrFormat(
+        "recv timed out (%zu bytes of a frame buffered)",
+        assembler->buffered()));
+  }
+  if (chunk.eof) {
+    return assembler->mid_frame()
+               ? Status::Unavailable(StrFormat(
+                     "connection closed mid-frame (%zu bytes buffered)",
+                     assembler->buffered()))
+               : Status::Unavailable("connection closed by peer");
+  }
+  assembler->Append(buf, chunk.bytes);
+  return Status::OK();
+}
+
+Status ReceiveFrame(TcpSocket* socket, FrameAssembler* assembler,
+                    Frame* frame) {
+  while (true) {
+    bool ready = false;
+    MAGICRECS_RETURN_IF_ERROR(assembler->Next(frame, &ready));
+    if (ready) return Status::OK();
+    MAGICRECS_RETURN_IF_ERROR(ReceiveInto(socket, assembler));
+  }
 }
 
 }  // namespace magicrecs::net

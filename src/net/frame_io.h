@@ -1,6 +1,10 @@
-// Frame <-> socket plumbing shared by the server and the client: one place
-// that knows a frame is "8-byte header, then body", so both sides enforce
-// the same length / CRC discipline before a single payload byte is trusted.
+// The one ingress parser for the wire: FrameAssembler turns socket bytes
+// into frames at both ends. The daemon's epoll loop feeds it from
+// non-blocking reads; the broker's MuxConnection, and every scripted peer in
+// the tests, feed it from blocking reads through ReceiveInto/ReceiveFrame
+// below. Either way a frame is "8-byte header, then body", the length bound
+// is checked before any allocation and the body CRC before a payload byte is
+// trusted, in one place.
 
 #ifndef MAGICRECS_NET_FRAME_IO_H_
 #define MAGICRECS_NET_FRAME_IO_H_
@@ -15,28 +19,19 @@
 
 namespace magicrecs::net {
 
-/// Reads one complete frame. `*clean_eof` (optional) is set when the peer
-/// closed the connection between frames — the orderly end of a session.
-/// Errors:
-///   Unavailable       — connection closed or reset (incl. mid-frame)
-///   InvalidArgument   — zero-length body
-///   ResourceExhausted — length prefix above kMaxFrameBodyBytes (nothing
-///                       is allocated; the stream is desynchronized)
-///   Corruption        — body CRC mismatch
-Status ReadFrame(TcpSocket* socket, Frame* frame, bool* clean_eof = nullptr);
+/// Bytes one read asks the kernel for, at either end of the wire: a read
+/// may complete many small frames (a run of acks) or one slice of a large
+/// one.
+inline constexpr size_t kReadChunkBytes = 64u << 10;
 
-/// Writes pre-assembled frame bytes (from the Append* wire encoders).
-Status WriteFrames(TcpSocket* socket, const std::string& bytes);
-
-/// Incremental frame parser for the non-blocking reactor: bytes arrive in
-/// arbitrary slices (a header split across two reads, ten frames in one),
-/// Append() buffers them, Next() pulls complete frames one at a time.
+/// Incremental frame parser: bytes arrive in arbitrary slices (a header
+/// split across two reads, ten frames in one), Append() buffers them,
+/// Next() pulls complete frames one at a time.
 ///
-/// Enforces the same discipline as ReadFrame — the length bound BEFORE any
-/// allocation, the body CRC before a payload byte is trusted — so the
-/// reactor and the blocking client reader share one robustness contract.
-/// After Next() returns an error the stream is desynchronized and the
-/// connection must be dropped.
+/// Checks the length bound BEFORE any allocation and the body CRC before a
+/// payload byte is trusted. After Next() returns an error the stream is
+/// desynchronized and the connection must be dropped; the frames Next()
+/// returned before the error were complete and intact.
 class FrameAssembler {
  public:
   /// Buffers `n` more bytes from the wire.
@@ -61,6 +56,21 @@ class FrameAssembler {
   std::string buffer_;
   size_t consumed_ = 0;  ///< parsed-and-released prefix of buffer_
 };
+
+/// One blocking read of up to kReadChunkBytes from `socket`, appended to
+/// `assembler`. A socket must be read through one assembler for its whole
+/// life: a read may carry bytes past the frame its caller wanted. Errors
+/// (every one ends the session):
+///   Unavailable — the peer closed the connection (between frames or in
+///                 the middle of one), reset it, or stayed silent past the
+///                 socket's SO_RCVTIMEO (TcpSocket::SetRecvTimeout)
+///   Internal    — any other socket error
+Status ReceiveInto(TcpSocket* socket, FrameAssembler* assembler);
+
+/// Blocks until `assembler` holds the next complete frame, reading `socket`
+/// through ReceiveInto as needed. Errors are ReceiveInto's and Next()'s.
+Status ReceiveFrame(TcpSocket* socket, FrameAssembler* assembler,
+                    Frame* frame);
 
 }  // namespace magicrecs::net
 

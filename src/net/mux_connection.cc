@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "net/frame_io.h"
 #include "util/str_format.h"
 
 namespace magicrecs::net {
@@ -25,9 +24,11 @@ Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
   }
   std::string hello;
   AppendHello(kFeatureMux | kFeatureTrace, &hello);
-  MAGICRECS_RETURN_IF_ERROR(WriteFrames(&conn->socket_, hello));
+  MAGICRECS_RETURN_IF_ERROR(
+      conn->socket_.WriteAll(hello.data(), hello.size()));
   Frame reply;
-  MAGICRECS_RETURN_IF_ERROR(ReadFrame(&conn->socket_, &reply));
+  MAGICRECS_RETURN_IF_ERROR(
+      ReceiveFrame(&conn->socket_, &conn->assembler_, &reply));
   if (options.hello_timeout_ms > 0) {
     // The reader thread's waits are deadline-based; the socket itself goes
     // back to blocking reads.
@@ -101,47 +102,65 @@ void MuxConnection::FailAllLocked(const Status& status) {
 }
 
 void MuxConnection::ReaderLoop() {
+  std::vector<Frame> frames;  // one read's complete frames, reused
+  Status fault;               // the read or parse error that ends the session
   while (true) {
-    Frame frame;
-    bool clean_eof = false;
-    const Status read = ReadFrame(&socket_, &frame, &clean_eof);
-    if (!read.ok()) {
+    // Parse everything buffered: the first pass drains what the hello read
+    // left past its reply, every later pass what one read completed.
+    bool ready = true;
+    while (fault.ok() && ready) {
+      Frame frame;
+      fault = assembler_.Next(&frame, &ready);
+      if (ready) frames.push_back(std::move(frame));
+    }
+    {
       std::lock_guard<std::mutex> lock(mu_);
-      FailAllLocked(read);
-      return;
+      if (broken_) return;  // shut down while we were reading
+      // Every complete frame reaches its call before a fault fails the
+      // rest: a daemon that streams part of a gather and then hangs up
+      // leaves that share rescuable.
+      bool completed = false;
+      Status ended;
+      for (size_t i = 0; i < frames.size() && ended.ok(); ++i) {
+        ended = DeliverLocked(&frames[i], &completed);
+      }
+      frames.clear();
+      if (completed) cv_.notify_all();
+      if (ended.ok()) ended = fault;
+      if (!ended.ok()) {
+        FailAllLocked(ended);
+        return;
+      }
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return;  // shut down while we were reading
-    if (frame.tag != MessageTag::kMuxResponse) {
-      // The only bare frame a muxed server sends is the framing-error
-      // kError that precedes a sever; anything else is protocol
-      // corruption. Either way the session is over.
-      FailAllLocked(frame.tag == MessageTag::kError
-                        ? DecodeError(frame.payload)
-                        : Status::Internal(StrFormat(
-                              "bare %s frame on a multiplexed session",
-                              std::string(MessageTagName(frame.tag))
-                                  .c_str())));
-      return;
-    }
-    uint64_t request_id = 0;
-    bool last = false;
-    Frame inner;
-    const Status decoded =
-        DecodeMuxResponse(frame.payload, &request_id, &last, &inner);
-    if (!decoded.ok()) {
-      FailAllLocked(decoded);
-      return;
-    }
-    const auto it = pending_.find(request_id);
-    if (it == pending_.end()) continue;  // abandoned call: discard
-    it->second->frames.push_back(std::move(inner));
-    if (last) {
-      it->second->done = true;
-      pending_.erase(it);
-      cv_.notify_all();
-    }
+    fault = ReceiveInto(&socket_, &assembler_);
   }
+}
+
+Status MuxConnection::DeliverLocked(Frame* frame, bool* completed) {
+  if (frame->tag != MessageTag::kMuxResponse) {
+    // The only bare frame a muxed server sends is the framing-error kError
+    // that precedes a sever; anything else is protocol corruption. Either
+    // way the session is over.
+    return frame->tag == MessageTag::kError
+               ? DecodeError(frame->payload)
+               : Status::Internal(StrFormat(
+                     "bare %s frame on a multiplexed session",
+                     std::string(MessageTagName(frame->tag)).c_str()));
+  }
+  uint64_t request_id = 0;
+  bool last = false;
+  Frame inner;
+  MAGICRECS_RETURN_IF_ERROR(
+      DecodeMuxResponse(frame->payload, &request_id, &last, &inner));
+  const auto it = pending_.find(request_id);
+  if (it == pending_.end()) return Status::OK();  // abandoned call: discard
+  it->second->frames.push_back(std::move(inner));
+  if (last) {
+    it->second->done = true;
+    pending_.erase(it);
+    *completed = true;
+  }
+  return Status::OK();
 }
 
 Result<MuxConnection::CallHandle> MuxConnection::Start(

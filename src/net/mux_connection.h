@@ -6,6 +6,13 @@
 // every incoming kMuxResponse to its waiter by id, so replies may return in
 // any order and one slow call never blocks the wire for the others.
 //
+// Reader: the daemon's own parser, FrameAssembler (net/frame_io.h), turns
+// the reply stream into frames. Each blocking read takes up to
+// kReadChunkBytes, and every frame it completes is handed to its waiter in
+// one critical section, so a run of acks costs one recv. A fault (EOF,
+// reset, CRC mismatch, oversized length, a bare kError) fails the
+// outstanding calls only after every complete frame ahead of it landed.
+//
 // Session: Dial() opens the session with kHello and requires a kHelloReply
 // naming kProtocolVersion and granting kFeatureMux. Anything else — a
 // kError, a reply from another protocol version, or one without the mux
@@ -37,6 +44,7 @@
 #include <vector>
 
 #include "net/frame_buf.h"
+#include "net/frame_io.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "util/result.h"
@@ -132,7 +140,14 @@ class MuxConnection {
  private:
   MuxConnection() = default;
 
+  /// The reader thread (see the file comment).
   void ReaderLoop();
+
+  /// Hands one frame to its call: a kMuxResponse's inner frame joins the
+  /// call's reply (a late frame of an abandoned call is dropped), and the
+  /// last one completes it (*completed set). Any other frame ends the
+  /// session: a bare kError with the status it carries. Caller holds mu_.
+  Status DeliverLocked(Frame* frame, bool* completed);
 
   /// Fails every outstanding call and marks the connection broken.
   /// Caller holds mu_.
@@ -151,6 +166,10 @@ class MuxConnection {
   void FlushOutboxLocked(std::unique_lock<std::mutex>& lock);
 
   TcpSocket socket_;
+  /// The reply stream's parser, touched only by Dial (the hello reply) and
+  /// then the reader thread: a read may buffer frames past the one it
+  /// completes, so the socket is read through this one assembler for life.
+  FrameAssembler assembler_;
   uint32_t server_max_inflight_ = 0;
   std::thread reader_;
 

@@ -23,7 +23,6 @@ namespace {
 constexpr int kListenBacklog = 64;
 constexpr uint64_t kListenerToken = 0;
 constexpr uint64_t kWakeToken = 1;
-constexpr size_t kReadChunkBytes = 64u << 10;
 
 }  // namespace
 

@@ -131,38 +131,6 @@ Status TcpSocket::WriteAll(const void* data, size_t n) {
   return Status::OK();
 }
 
-Status TcpSocket::ReadFull(void* data, size_t n, bool* clean_eof) {
-  if (clean_eof != nullptr) *clean_eof = false;
-  char* p = static_cast<char*>(data);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd_, p + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        return Status::Unavailable("connection reset by peer");
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired (see SetRecvTimeout). Unavailable, like every
-        // other condition that forces the connection to be abandoned.
-        return Status::Unavailable(StrFormat(
-            "recv timed out (%zu of %zu bytes)", got, n));
-      }
-      return Errno("recv");
-    }
-    if (r == 0) {
-      if (got == 0 && clean_eof != nullptr) *clean_eof = true;
-      return got == 0
-                 ? Status::Unavailable("connection closed by peer")
-                 : Status::Unavailable(StrFormat(
-                       "connection closed mid-message (%zu of %zu bytes)",
-                       got, n));
-    }
-    got += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
 Status TcpSocket::SetNonBlocking(bool enabled) {
   return SetFdNonBlocking(fd_, enabled);
 }
@@ -189,30 +157,6 @@ Result<IoChunk> TcpSocket::ReadChunk(void* data, size_t capacity) {
     }
     return Errno("recv");
   }
-}
-
-Result<IoChunk> TcpSocket::WriteChunk(const void* data, size_t n) {
-  IoChunk chunk;
-  const char* p = static_cast<const char*>(data);
-  while (chunk.bytes < n) {
-    // MSG_NOSIGNAL: a dead peer must surface as a Status, not SIGPIPE.
-    const ssize_t written =
-        ::send(fd_, p + chunk.bytes, n - chunk.bytes, MSG_NOSIGNAL);
-    if (written > 0) {
-      chunk.bytes += static_cast<size_t>(written);
-      continue;
-    }
-    if (written < 0 && errno == EINTR) continue;
-    if (written < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      chunk.would_block = true;
-      return chunk;
-    }
-    if (written < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      return Status::Unavailable("connection closed by peer");
-    }
-    return Errno("send");
-  }
-  return chunk;
 }
 
 Result<IoChunk> TcpSocket::WritevChunk(const struct iovec* iov, int iovcnt) {

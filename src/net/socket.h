@@ -18,8 +18,8 @@
 
 namespace magicrecs::net {
 
-/// Outcome of one non-blocking read/write attempt (see TcpSocket::ReadChunk
-/// / WriteChunk). Exactly one of {bytes > 0, would_block, eof} describes
+/// Outcome of one read/write attempt (see TcpSocket::ReadChunk /
+/// WritevChunk). Exactly one of {bytes > 0, would_block, eof} describes
 /// what happened; errors travel as the surrounding Result's Status.
 struct IoChunk {
   size_t bytes = 0;        ///< bytes moved by this attempt
@@ -53,36 +53,26 @@ class TcpSocket {
   /// closed the connection, Internal on other errors.
   Status WriteAll(const void* data, size_t n);
 
-  /// Reads exactly n bytes. `*clean_eof` (optional) is set iff the peer
-  /// closed the connection before the FIRST byte — an orderly shutdown
-  /// between messages, reported as Unavailable. EOF mid-message is a
-  /// truncated frame and also reports Unavailable with *clean_eof false.
-  Status ReadFull(void* data, size_t n, bool* clean_eof = nullptr);
-
   /// Disables Nagle's algorithm (latency-sensitive request/response).
   Status SetNoDelay(bool enabled);
 
-  /// Flips O_NONBLOCK — the epoll reactor runs every connection fd
-  /// non-blocking and uses ReadChunk/WriteChunk below.
+  /// Flips O_NONBLOCK — the daemon's epoll loop runs every connection fd
+  /// non-blocking and uses ReadChunk/WritevChunk below.
   Status SetNonBlocking(bool enabled);
 
   /// One recv() attempt: reads up to `capacity` bytes without blocking
   /// semantics beyond the fd's own mode. On a non-blocking fd an empty
-  /// socket reports would_block instead of an error; an orderly close
-  /// reports eof. Connection-fatal conditions (ECONNRESET, ...) surface as
-  /// Unavailable.
+  /// socket reports would_block instead of an error, and so does a
+  /// blocking fd whose SO_RCVTIMEO expired; an orderly close reports eof.
+  /// Connection-fatal conditions (ECONNRESET, ...) surface as Unavailable.
+  /// Every frame reader goes through it (net/frame_io.h).
   Result<IoChunk> ReadChunk(void* data, size_t capacity);
-
-  /// One send() attempt: writes as much of [data, data+n) as the socket
-  /// buffer takes. A full buffer on a non-blocking fd reports would_block
-  /// (possibly after a short write); a dead peer is Unavailable.
-  Result<IoChunk> WriteChunk(const void* data, size_t n);
 
   /// One scatter/gather sendmsg attempt over `iov[0..iovcnt)`. Never
   /// blocks regardless of the fd's mode (MSG_DONTWAIT): a full socket
   /// buffer reports would_block, which lets the mux client's writer poll
   /// for room without holding its lock while the reader blocks in recv.
-  /// Same error mapping as WriteChunk.
+  /// A dead peer is Unavailable.
   Result<IoChunk> WritevChunk(const struct iovec* iov, int iovcnt);
 
   /// Polls the fd for writability. True when writable, false on the
@@ -90,7 +80,8 @@ class TcpSocket {
   Result<bool> PollWritable(int timeout_ms);
 
   /// Bounds every subsequent blocking read: a peer silent for longer than
-  /// `millis` makes ReadFull fail with Unavailable ("timed out") instead of
+  /// `millis` makes ReadChunk report would_block, which ReceiveInto
+  /// (net/frame_io.h) turns into Unavailable ("timed out"), instead of
   /// hanging forever — the fan-out broker's defense against a wedged
   /// daemon. 0 restores the blocking default. The connection must be
   /// abandoned after a timeout: a reply may be half-read.

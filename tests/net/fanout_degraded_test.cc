@@ -235,13 +235,14 @@ class MidStreamDaemon {
   }
 
   void Session(net::TcpSocket* peer) {
+    net::FrameAssembler assembler;
     net::Frame frame;
-    if (!net::ReadFrame(peer, &frame).ok()) return;  // the hello
+    if (!net::ReceiveFrame(peer, &assembler, &frame).ok()) return;  // hello
     std::string out;
     net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace,
                           /*max_inflight=*/64, &out);
-    if (!net::WriteFrames(peer, out).ok()) return;
-    while (net::ReadFrame(peer, &frame).ok()) {
+    if (!peer->WriteAll(out.data(), out.size()).ok()) return;
+    while (net::ReceiveFrame(peer, &assembler, &frame).ok()) {
       uint64_t request_id = 0;
       net::Frame request;
       if (!net::DecodeMuxRequest(frame.payload, &request_id, &request).ok()) {
@@ -258,7 +259,7 @@ class MidStreamDaemon {
       }
       out.clear();
       net::AppendMuxResponse(request_id, /*last=*/!gather, reply, &out);
-      if (!net::WriteFrames(peer, out).ok()) return;
+      if (!peer->WriteAll(out.data(), out.size()).ok()) return;
       if (!gather) continue;
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -770,14 +771,15 @@ TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
   std::thread fake([&] {
     Result<net::TcpSocket> peer = listener->Accept();
     ASSERT_TRUE(peer.ok()) << peer.status();
+    net::FrameAssembler assembler;
     net::Frame frame;
-    ASSERT_TRUE(net::ReadFrame(&*peer, &frame).ok());
+    ASSERT_TRUE(net::ReceiveFrame(&*peer, &assembler, &frame).ok());
     ASSERT_EQ(frame.tag, net::MessageTag::kHello);
     std::string reply;
     net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace, 64, &reply);
-    ASSERT_TRUE(net::WriteFrames(&*peer, reply).ok());
+    ASSERT_TRUE(peer->WriteAll(reply.data(), reply.size()).ok());
     // Ack every request until the broker hangs up.
-    while (net::ReadFrame(&*peer, &frame).ok()) {
+    while (net::ReceiveFrame(&*peer, &assembler, &frame).ok()) {
       uint64_t id = 0;
       net::Frame inner;
       ASSERT_TRUE(net::DecodeMuxRequest(frame.payload, &id, &inner).ok());
@@ -788,7 +790,7 @@ TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
       net::AppendAck(&ack);
       std::string envelope;
       net::AppendMuxResponse(id, /*last=*/true, ack, &envelope);
-      ASSERT_TRUE(net::WriteFrames(&*peer, envelope).ok());
+      ASSERT_TRUE(peer->WriteAll(envelope.data(), envelope.size()).ok());
     }
   });
 

@@ -1,13 +1,20 @@
 // Session-layer acceptance: the mandatory hello (the protocol's version
 // gate), request-id multiplexing with out-of-order completion on one
-// socket, timeout-abandon keeping the connection usable, and bounded waits
-// at the in-flight cap.
+// socket, timeout-abandon keeping the connection usable, bounded waits at
+// the in-flight cap and in the hello read, and a seeded ingress fuzz of the
+// reply reader over a real socket; rerun a failure with
+//   MAGICRECS_FUZZ_SEED=<seed> ./net_mux_connection_test
 
 #include "net/mux_connection.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +28,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "persist/codec.h"
+#include "util/random.h"
 
 namespace magicrecs::net {
 namespace {
@@ -84,14 +92,15 @@ TEST(MuxConnectionTest, DialFailsAgainstAServerWithoutHello) {
   std::thread server([&] {
     Result<TcpSocket> peer = listener->Accept();
     ASSERT_TRUE(peer.ok()) << peer.status();
+    FrameAssembler assembler;
     Frame hello;
-    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    ASSERT_TRUE(ReceiveFrame(&*peer, &assembler, &hello).ok());
     EXPECT_EQ(hello.tag, MessageTag::kHello);
     std::string error;
     AppendError(Status::Unimplemented("unknown message tag 0x0a"), &error);
-    ASSERT_TRUE(WriteFrames(&*peer, error).ok());
-    char byte;
-    (void)peer->ReadFull(&byte, 1);  // hold the socket until the client exits
+    ASSERT_TRUE(peer->WriteAll(error.data(), error.size()).ok());
+    // Hold the socket until the client exits.
+    (void)ReceiveInto(&*peer, &assembler);
   });
   {
     auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
@@ -112,8 +121,9 @@ TEST(MuxConnectionTest, DialFailsAgainstAnotherProtocolVersion) {
   std::thread server([&] {
     Result<TcpSocket> peer = listener->Accept();
     ASSERT_TRUE(peer.ok()) << peer.status();
+    FrameAssembler assembler;
     Frame hello;
-    ASSERT_TRUE(ReadFrame(&*peer, &hello).ok());
+    ASSERT_TRUE(ReceiveFrame(&*peer, &assembler, &hello).ok());
     uint32_t version = 0;
     uint32_t features = 0;
     ASSERT_TRUE(DecodeHello(hello.payload, &version, &features).ok());
@@ -124,9 +134,9 @@ TEST(MuxConnectionTest, DialFailsAgainstAnotherProtocolVersion) {
     persist::PutU32(&payload, 64);
     std::string reply;
     AppendFrame(MessageTag::kHelloReply, payload, &reply);
-    ASSERT_TRUE(WriteFrames(&*peer, reply).ok());
-    char byte;
-    (void)peer->ReadFull(&byte, 1);  // hold the socket until the client exits
+    ASSERT_TRUE(peer->WriteAll(reply.data(), reply.size()).ok());
+    // Hold the socket until the client exits.
+    (void)ReceiveInto(&*peer, &assembler);
   });
   {
     auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), {});
@@ -270,12 +280,240 @@ TEST(MuxConnectionTest, ShutdownFailsInflightCallsAndFutureStarts) {
   h->transport.Release();  // let the parked worker finish before teardown
 }
 
+TEST(MuxConnectionTest, HelloTimeoutBoundsTheDial) {
+  // The kernel completes the handshake for a listener that never accepts,
+  // so the hello is sent and no reply ever comes: the recv timeout must
+  // fail the dial with Unavailable instead of hanging it.
+  auto listener = TcpListener::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  MuxConnectionOptions options;
+  options.hello_timeout_ms = 100;
+  auto dialed = std::async(std::launch::async, [&] {
+    return MuxConnection::Dial("127.0.0.1", listener->port(), options);
+  });
+  const bool in_time = dialed.wait_for(std::chrono::seconds(5)) ==
+                       std::future_status::ready;
+  // Closing the listener resets the connection it never accepted, which
+  // releases a dial that ignored its timeout.
+  { TcpListener closed = std::move(*listener); }
+  auto conn = dialed.get();
+  EXPECT_TRUE(in_time) << "the hello read outlived hello_timeout_ms";
+  EXPECT_FALSE(conn.ok());
+  EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status();
+}
+
 TEST(MuxConnectionTest, FailedDialReturnsErrorNotCrash) {
   // Nothing listens on the reserved port: the dial must come back as a
   // Status.
   auto conn = MuxConnection::Dial("127.0.0.1", 1, {});
   EXPECT_FALSE(conn.ok());
   EXPECT_TRUE(conn.status().IsUnavailable()) << conn.status();
+}
+
+// --- the reply reader, seeded ------------------------------------------------
+
+uint64_t FuzzSeed() {
+  if (const char* env = std::getenv("MAGICRECS_FUZZ_SEED")) {
+    return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  }
+  return 0x1d6e'55f0'2026ull;
+}
+
+/// How a trial's reply stream is damaged at one envelope.
+enum class Damage { kNone, kCrc, kOversized, kTruncated, kBareError };
+
+/// One kMuxResponse envelope of a scripted reply stream.
+struct Envelope {
+  size_t call = 0;  ///< index of the call it answers
+  Frame inner;
+  std::string bytes;  ///< the envelope on the wire
+};
+
+TEST(MuxConnectionTest, ReplyReaderFuzz) {
+  // A scripted peer answers N started calls with interleaved, multi-frame
+  // replies, coalesced and cut at random byte boundaries with short pauses
+  // between writes. Every call must receive exactly its frames, in order.
+  // A damaged stream must still deliver every complete frame ahead of the
+  // damage, then fail the remaining calls with a Status.
+  const uint64_t seed = FuzzSeed();
+  SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(seed));
+  Rng rng(seed);
+  constexpr int kTrials = 40;
+  const Damage damages[] = {Damage::kNone, Damage::kCrc, Damage::kOversized,
+                            Damage::kTruncated, Damage::kBareError};
+  const Status scripted_error = Status::ResourceExhausted("scripted sever");
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Damage damage = damages[rng.UniformInt(std::size(damages))];
+    const size_t calls = 1 + rng.UniformInt(12);
+
+    // Each call's reply frames, and one call label per frame; shuffling
+    // the labels interleaves the calls, and the k-th label c carries c's
+    // k-th frame, so each call's frames stay in order.
+    std::vector<std::vector<Frame>> expected(calls);
+    std::vector<size_t> order;
+    for (size_t c = 0; c < calls; ++c) {
+      const size_t frames = 1 + rng.UniformInt(4);
+      for (size_t f = 0; f < frames; ++f) {
+        Frame frame;
+        frame.tag = rng.Bernoulli(0.5) ? MessageTag::kRecommendationsReply
+                                       : MessageTag::kAck;
+        // Mostly small; now and then larger than one 64 KiB read.
+        const size_t size = rng.Bernoulli(0.1) ? 60'000 + rng.UniformInt(90'000)
+                                               : rng.UniformInt(300);
+        frame.payload.resize(size);
+        for (char& byte : frame.payload) {
+          byte = static_cast<char>(rng.UniformInt(256));
+        }
+        expected[c].push_back(std::move(frame));
+        order.push_back(c);
+      }
+    }
+    rng.Shuffle(&order);
+    std::vector<Envelope> envelopes;
+    std::vector<size_t> next(calls, 0);
+    for (size_t c : order) {
+      Envelope envelope;
+      envelope.call = c;
+      envelope.inner = expected[c][next[c]++];
+      envelopes.push_back(std::move(envelope));
+    }
+
+    const size_t damaged =
+        damage == Damage::kNone ? envelopes.size()
+                                : rng.UniformInt(envelopes.size());
+    auto listener = TcpListener::Listen("127.0.0.1", 0);
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    std::thread peer_thread([&] {
+      Result<TcpSocket> peer = listener->Accept();
+      ASSERT_TRUE(peer.ok()) << peer.status();
+      FrameAssembler assembler;
+      Frame frame;
+      ASSERT_TRUE(ReceiveFrame(&*peer, &assembler, &frame).ok());
+      ASSERT_EQ(frame.tag, MessageTag::kHello);
+      std::string stream;
+      AppendHelloReply(kFeatureMux | kFeatureTrace, /*max_inflight=*/64,
+                       &stream);
+      ASSERT_TRUE(peer->WriteAll(stream.data(), stream.size()).ok());
+      stream.clear();
+      // The ids the client chose, in the order it started the calls.
+      std::vector<uint64_t> ids;
+      for (size_t c = 0; c < calls; ++c) {
+        ASSERT_TRUE(ReceiveFrame(&*peer, &assembler, &frame).ok());
+        uint64_t id = 0;
+        Frame request;
+        ASSERT_TRUE(DecodeMuxRequest(frame.payload, &id, &request).ok());
+        ids.push_back(id);
+      }
+      std::vector<size_t> left(calls, 0);
+      for (const Envelope& envelope : envelopes) left[envelope.call]++;
+      for (size_t e = 0; e < envelopes.size(); ++e) {
+        const Envelope& envelope = envelopes[e];
+        std::string inner;
+        AppendFrame(envelope.inner.tag, envelope.inner.payload, &inner);
+        std::string bytes;
+        AppendMuxResponse(ids[envelope.call], --left[envelope.call] == 0,
+                          inner, &bytes);
+        if (e == damaged) {
+          switch (damage) {
+            case Damage::kNone:
+              break;
+            case Damage::kCrc:
+              bytes[4 + rng.UniformInt(4)] ^= 0x5a;
+              break;
+            case Damage::kOversized: {
+              std::string length;
+              persist::PutU32(&length,
+                              static_cast<uint32_t>(kMaxFrameBodyBytes + 1));
+              std::memcpy(bytes.data(), length.data(), length.size());
+              break;
+            }
+            case Damage::kTruncated:
+              bytes.resize(rng.UniformInt(bytes.size()));
+              break;
+            case Damage::kBareError:
+              bytes.clear();
+              AppendError(scripted_error, &bytes);
+              break;
+          }
+        }
+        stream += bytes;
+        if (e == damaged && damage == Damage::kTruncated) break;
+      }
+      // Coalesced, then cut at random byte boundaries.
+      for (size_t at = 0; at < stream.size();) {
+        const size_t piece =
+            std::min(stream.size() - at, 1 + rng.UniformInt(
+                                                 rng.Bernoulli(0.5) ? 64
+                                                                    : 100'000));
+        if (!peer->WriteAll(stream.data() + at, piece).ok()) return;
+        at += piece;
+        if (rng.Bernoulli(0.2)) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.UniformInt(500)));
+        }
+      }
+      if (damage == Damage::kTruncated) return;  // close mid-stream
+      // Hold the socket until the client hangs up.
+      while (ReceiveInto(&*peer, &assembler).ok()) {
+      }
+    });
+
+    {
+      MuxConnectionOptions options;
+      options.hello_timeout_ms = 10'000;
+      auto conn = MuxConnection::Dial("127.0.0.1", listener->port(), options);
+      ASSERT_TRUE(conn.ok()) << conn.status();
+      std::vector<MuxConnection::CallHandle> handles;
+      for (size_t c = 0; c < calls; ++c) {
+        auto call = (*conn)->Start(PingFrame());
+        ASSERT_TRUE(call.ok()) << call.status();
+        handles.push_back(*call);
+      }
+      // What each call must hold once the stream ends: its frames ahead of
+      // the damaged envelope, and whether its last one is among them.
+      std::vector<size_t> delivered(calls, 0);
+      for (size_t e = 0; e < damaged; ++e) delivered[envelopes[e].call]++;
+      for (size_t c = 0; c < calls; ++c) {
+        SCOPED_TRACE("call " + std::to_string(c));
+        std::vector<Frame> reply;
+        const Status awaited = (*conn)->Await(handles[c], 10'000, &reply);
+        EXPECT_EQ(reply.size(), delivered[c]) << awaited;
+        for (size_t f = 0; f < std::min(reply.size(), delivered[c]); ++f) {
+          EXPECT_EQ(reply[f].tag, expected[c][f].tag) << "frame " << f;
+          EXPECT_TRUE(reply[f].payload == expected[c][f].payload)
+              << "frame " << f;
+        }
+        if (delivered[c] == expected[c].size()) {
+          EXPECT_TRUE(awaited.ok()) << awaited;
+          continue;
+        }
+        switch (damage) {
+          case Damage::kNone:
+            ADD_FAILURE() << "an undamaged reply is short: " << awaited;
+            break;
+          case Damage::kCrc:
+            EXPECT_TRUE(awaited.IsCorruption()) << awaited;
+            break;
+          case Damage::kOversized:
+            EXPECT_TRUE(awaited.IsResourceExhausted()) << awaited;
+            break;
+          case Damage::kTruncated:
+            EXPECT_TRUE(awaited.IsUnavailable()) << awaited;
+            EXPECT_EQ(awaited.ToString().find("call timed out"),
+                      std::string::npos)
+                << awaited;
+            break;
+          case Damage::kBareError:
+            EXPECT_EQ(awaited.ToString(), scripted_error.ToString());
+            break;
+        }
+      }
+      EXPECT_EQ((*conn)->broken(), damage != Damage::kNone);
+    }  // the client hangs up here, releasing the peer
+    peer_thread.join();
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 }  // namespace

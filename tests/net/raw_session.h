@@ -78,7 +78,9 @@ class RawSession {
   }
 
   /// Reads one raw frame (the hello reply, a bare kError, or an envelope).
-  Status Read(net::Frame* frame) { return net::ReadFrame(&socket_, frame); }
+  Status Read(net::Frame* frame) {
+    return net::ReceiveFrame(&socket_, &assembler_, frame);
+  }
 
   /// Reads one kMuxResponse and unwraps it. Any other frame is an error;
   /// a bare kError is returned as the Status it carries.
@@ -103,17 +105,20 @@ class RawSession {
     return Status::OK();
   }
 
-  /// True when the server has closed the connection: the next read hits
-  /// end of stream (or a reset) instead of a byte.
+  /// True when the server has closed the connection: nothing is buffered
+  /// and the next read hits end of stream (or a reset) instead of a byte.
   bool Closed() {
-    char byte;
-    return socket_.ReadFull(&byte, 1).IsUnavailable();
+    if (assembler_.buffered() > 0) return false;
+    return net::ReceiveInto(&socket_, &assembler_).IsUnavailable();
   }
 
  private:
   explicit RawSession(net::TcpSocket socket) : socket_(std::move(socket)) {}
 
   net::TcpSocket socket_;
+  /// Every read of socket_ goes through this one parser: a read may buffer
+  /// bytes past the frame it was asked for.
+  net::FrameAssembler assembler_;
 };
 
 }  // namespace magicrecs::net_test

@@ -36,6 +36,10 @@ namespace {
 using namespace magicrecs;
 using namespace magicrecs::net;
 
+/// Bounds the dial, the hello reply and each scrape call: a stopped or
+/// wedged daemon makes the tool exit 2 instead of hanging.
+constexpr int kTimeoutMs = 10'000;
+
 /// One parsed exposition: counters and gauges by canonical key. Histogram
 /// lines pass through untouched in watch mode only when they move, so the
 /// parse keeps their raw text too.
@@ -157,8 +161,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  MuxConnectionOptions options;
+  options.connect_timeout_ms = kTimeoutMs;
+  options.hello_timeout_ms = kTimeoutMs;
   Result<std::unique_ptr<MuxConnection>> conn =
-      MuxConnection::Dial(host, port, MuxConnectionOptions{});
+      MuxConnection::Dial(host, port, options);
   if (!conn.ok()) {
     std::fprintf(stderr, "magicrecs_scrape: dialing %s:%u: %s\n",
                  host.c_str(), static_cast<unsigned>(port),
@@ -170,8 +177,7 @@ int main(int argc, char** argv) {
     std::string request;
     AppendEmptyRequest(MessageTag::kStatsText, &request);
     std::vector<Frame> reply;
-    const Status called = (*conn)->CallOne(request, /*timeout_ms=*/10'000,
-                                           &reply);
+    const Status called = (*conn)->CallOne(request, kTimeoutMs, &reply);
     if (!called.ok() || reply.empty()) {
       std::fprintf(stderr, "magicrecs_scrape: scrape failed: %s\n",
                    called.ok() ? "empty reply" : called.ToString().c_str());
