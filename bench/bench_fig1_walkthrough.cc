@@ -70,7 +70,7 @@ int main() {
       for (const auto& e : edges) {
         if (!(*cluster)->Publish({.edge = e}).ok()) ++failures;
       }
-      recs = (*cluster)->TakeRecommendations();
+      recs = (*cluster)->TakeRecommendations().value();
     }
     std::printf("%-28s %s\n", "20-partition Cluster:",
                 IsExpected(recs) ? "push C2 to A2  [ok]" : "MISMATCH");

@@ -1,7 +1,8 @@
 // Experiment T6 — the cost of the network boundary. The same workload is
 // driven through the same ClusterTransport interface five ways:
 //
-//   threaded    — the in-process broker (std::thread workers, no network)
+//   threaded    — a started Cluster in process (window thread and replica
+//                 workers, no network)
 //   rpc         — FanoutCluster -> loopback TCP -> one in-process RpcServer
 //                 hosting all partitions, one Publish round trip per event
 //   rpc-batch   — same, but PublishBatch frames of 256 events
@@ -40,7 +41,7 @@
 
 #include "bench_json.h"
 #include "workload.h"
-#include "cluster/transport.h"
+#include "cluster/cluster.h"
 #include "net/fanout_cluster.h"
 #include "net/frame_buf.h"
 #include "net/frame_io.h"
@@ -82,34 +83,36 @@ ClusterOptions MakeClusterOptions() {
 /// A transport plus whatever infrastructure keeps it alive.
 struct Endpoint {
   ClusterTransport* transport = nullptr;
-  std::unique_ptr<LocalClusterTransport> local;
-  std::vector<std::unique_ptr<LocalClusterTransport>> hosted;
+  std::vector<std::unique_ptr<Cluster>> hosted;
   std::vector<std::unique_ptr<net::RpcServer>> servers;
   std::unique_ptr<net::FanoutCluster> fanout;
 };
 
+/// A started in-process cluster: a window thread and one worker per
+/// replica.
+std::unique_ptr<Cluster> StartCluster(const StaticGraph& graph,
+                                      const ClusterOptions& options) {
+  auto cluster = Cluster::Create(graph, options);
+  const Status started = cluster.ok() ? (*cluster)->Start() : cluster.status();
+  if (!started.ok()) {
+    std::fprintf(stderr, "cluster: %s\n", started.ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(cluster).value();
+}
+
 /// Fresh in-process threaded endpoint.
 Endpoint MakeLocal(const StaticGraph& graph) {
   Endpoint e;
-  auto local = LocalClusterTransport::Create(
-      graph, MakeClusterOptions(), LocalClusterTransport::Mode::kThreaded);
-  if (!local.ok()) {
-    std::fprintf(stderr, "local transport: %s\n",
-                 local.status().ToString().c_str());
-    std::exit(1);
-  }
-  e.local = std::move(local).value();
-  e.transport = e.local.get();
+  e.hosted.push_back(StartCluster(graph, MakeClusterOptions()));
+  e.transport = e.hosted.back().get();
   return e;
 }
 
-/// Spawns one in-process "daemon" (hosted transport + RPC server).
+/// Spawns one in-process "daemon" (hosted cluster + RPC server).
 net::RpcServer* SpawnDaemon(Endpoint* e, const StaticGraph& graph,
                             const ClusterOptions& options) {
-  auto hosted = LocalClusterTransport::Create(
-      graph, options, LocalClusterTransport::Mode::kThreaded);
-  if (!hosted.ok()) std::exit(1);
-  e->hosted.push_back(std::move(hosted).value());
+  e->hosted.push_back(StartCluster(graph, options));
   net::RpcServerOptions sopt;
   // Partition-group members stamp traces with their global partition id,
   // exactly as magicrecsd wires it.
@@ -193,10 +196,7 @@ struct ConnScaleResult {
 ConnScaleResult RunConnScale(const StaticGraph& graph, size_t connections,
                              size_t rounds) {
   Endpoint e;
-  auto hosted = LocalClusterTransport::Create(
-      graph, MakeClusterOptions(), LocalClusterTransport::Mode::kThreaded);
-  if (!hosted.ok()) std::exit(1);
-  e.hosted.push_back(std::move(hosted).value());
+  e.hosted.push_back(StartCluster(graph, MakeClusterOptions()));
   const long threads_before = CountThreads();
   auto server = net::RpcServer::Start(e.hosted.back().get(), {});
   if (!server.ok()) std::exit(1);

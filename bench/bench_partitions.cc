@@ -50,7 +50,7 @@ int main() {
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
       if (!(*cluster)->Publish({.edge = e}).ok()) return 1;
-      total_recs += (*cluster)->TakeRecommendations().size();
+      total_recs += (*cluster)->TakeRecommendations()->size();
     }
     if (partitions == 1) reference_recs = total_recs;
     const MotifEngineStats stats = (*cluster)->AggregatedStats();
@@ -81,7 +81,7 @@ int main() {
     uint64_t total_recs = 0;
     for (const TimestampedEdge& e : w.events) {
       if (!(*cluster)->Publish({.edge = e}).ok()) return 1;
-      total_recs += (*cluster)->TakeRecommendations().size();
+      total_recs += (*cluster)->TakeRecommendations()->size();
     }
     const MotifEngineStats stats = (*cluster)->AggregatedStats();
     std::printf("%9u %10s %22s\n", replicas,
@@ -109,7 +109,7 @@ int main() {
       if (!(*reference)->Publish({.edge = e}).ok()) return 1;
     }
     const std::vector<Recommendation> ref_recs =
-        (*reference)->TakeRecommendations();
+        (*reference)->TakeRecommendations().value();
 
     auto chaos = Cluster::Create(w.follow_graph, copt);
     if (!chaos.ok() || !(*chaos)->Start().ok()) return 1;
@@ -119,7 +119,6 @@ int main() {
     size_t kills = 0, recoveries = 0;
     for (size_t round = 0; round * chunk < w.events.size(); ++round) {
       const uint32_t victim = static_cast<uint32_t>(round % 2);
-      (*chaos)->Drain();
       for (uint32_t p = 0; p < 4; ++p) {
         if (!(*chaos)->KillReplica(p, victim).ok()) return 1;
         ++kills;
@@ -131,7 +130,6 @@ int main() {
         event.edge = w.events[i];
         if (!(*chaos)->Publish(event).ok()) return 1;
       }
-      (*chaos)->Drain();
       for (uint32_t p = 0; p < 4; ++p) {
         if (!(*chaos)->RecoverReplica(p, victim).ok()) return 1;
         ++recoveries;
@@ -140,7 +138,8 @@ int main() {
     (*chaos)->Drain();
     (*chaos)->Stop();
     const double secs = watch.ElapsedSeconds();
-    const auto chaos_recs = (*chaos)->TakeRecommendations();
+    const std::vector<Recommendation> chaos_recs =
+        (*chaos)->TakeRecommendations().value();
 
     auto pairs = [](const std::vector<Recommendation>& recs) {
       std::vector<std::pair<VertexId, VertexId>> out;

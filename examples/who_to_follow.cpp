@@ -94,7 +94,9 @@ int main(int argc, char** argv) {
     // The cluster was never started, so the publish applies before it
     // returns and the gather holds this event's recommendations.
     if (!(*cluster)->Publish(event).ok()) return;
-    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
+    auto recs = (*cluster)->TakeRecommendations();
+    if (!recs.ok()) return;
+    for (const Recommendation& rec : *recs) {
       if (pipeline.Process(rec, clock.Now(), &notifications) ==
           DeliveryOutcome::kDelivered) {
         latency.RecordEndToEnd(clock.Now() - rec.event_time);

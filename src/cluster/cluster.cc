@@ -4,7 +4,7 @@
 #include <bit>
 #include <cassert>
 
-#include "cluster/transport.h"
+#include "cluster/shard_cut.h"
 #include "persist/recovery.h"
 #include "persist/wal.h"
 #include "util/clock.h"
@@ -12,23 +12,6 @@
 #include "util/str_format.h"
 
 namespace magicrecs {
-
-std::string ReplicaStats::ToString() const {
-  return StrFormat("p%u/r%u %s events=%llu queries=%llu recs=%llu", partition,
-                   replica, alive ? "alive" : "dead",
-                   static_cast<unsigned long long>(detector_events),
-                   static_cast<unsigned long long>(threshold_queries),
-                   static_cast<unsigned long long>(recommendations));
-}
-
-std::string PartitionHealth::ToString() const {
-  const std::string which =
-      partition == UINT32_MAX ? "all" : StrFormat("p%u", partition);
-  return StrFormat(
-      "%s missed=%llu (consecutive=%llu)", which.c_str(),
-      static_cast<unsigned long long>(gathers_missed_total),
-      static_cast<unsigned long long>(gathers_missed_consecutive));
-}
 
 Cluster::Cluster(const ClusterOptions& options, HashPartitioner partitioner,
                  const MotifPlan& plan)
@@ -46,6 +29,13 @@ int Cluster::LocalPartitionIndex(uint32_t partition) const {
 
 Cluster::~Cluster() { Stop(); }
 
+Result<std::unique_ptr<ClusterTransport>> LocalClusterTransport::Create(
+    const StaticGraph& follow_graph, const ClusterOptions& options, Mode) {
+  MAGICRECS_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
+                             Cluster::Create(follow_graph, options));
+  return std::unique_ptr<ClusterTransport>(std::move(cluster));
+}
+
 Result<std::unique_ptr<Cluster>> Cluster::Create(
     const StaticGraph& follow_graph, const ClusterOptions& options) {
   const bool group_mode = options.group_size > 0;
@@ -61,6 +51,11 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
       options.replicas_per_partition > 64) {
     return Status::InvalidArgument(
         "replicas_per_partition must be in [1, 64]");
+  }
+  if (options.inbox_capacity == 0) {
+    // Start() splits the capacity into two inboxes, and a zero-capacity
+    // MpmcQueue is unbounded: 0 would turn backpressure off.
+    return Status::InvalidArgument("inbox_capacity must be >= 1");
   }
 
   // The partitioner always spans the full deployment, so a group member's
@@ -185,8 +180,8 @@ void Cluster::QueryBatch(uint32_t local, uint32_t replica,
   gathered->clear();
   for (size_t i = 0; i < batch.events.size(); ++i) {
     const EdgeEvent& event = batch.events[i];
-    // ShouldEmit reads the alive mask per event, so a KillReplica takes
-    // effect mid-batch.
+    // The alive mask only changes quiesced (SetAlive), so every replica of
+    // the partition reads the same mask for this event.
     if (!ShouldEmit(local, replica, event.sequence)) continue;
     const std::span<const VertexId> actors = batch.ActorsOf(i);
     if (actors.empty()) continue;  // no query: nothing runs, nothing is timed
@@ -234,11 +229,9 @@ Status Cluster::Start() {
   return Status::OK();
 }
 
-Status Cluster::Publish(EdgeEvent event) {
-  return PublishBatch(std::span<const EdgeEvent>(&event, 1));
-}
-
 Status Cluster::PublishBatch(std::span<const EdgeEvent> events) {
+  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
   if (events.empty()) return Status::OK();
   if (!running_) return PublishInline(events);
   // The one copy of the batch. Every replica inbox shares it, and the last
@@ -318,7 +311,14 @@ void Cluster::WorkerLoop(uint32_t local, uint32_t replica) {
   }
 }
 
-void Cluster::Drain() {
+Status Cluster::Drain() {
+  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
+  Quiesce();
+  return Status::OK();
+}
+
+void Cluster::Quiesce() {
   if (!running_) return;
   const uint64_t target = events_published_.load(std::memory_order_acquire);
   const auto all_consumed = [&] {
@@ -354,14 +354,26 @@ void Cluster::Stop() {
   }
 }
 
-std::vector<Recommendation> Cluster::TakeRecommendations() {
+Result<std::vector<Recommendation>> Cluster::TakeRecommendations() {
+  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
   std::lock_guard<std::mutex> lock(results_mu_);
   std::vector<Recommendation> out;
   out.swap(results_);
   return out;
 }
 
+Status Cluster::Close() {
+  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_.exchange(true)) return Status::OK();
+  Stop();
+  return Status::OK();
+}
+
 Status Cluster::SetAlive(uint32_t partition, uint32_t replica, bool alive) {
+  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
+  Quiesce();
   const int local = LocalPartitionIndex(partition);
   if (local < 0 || replica >= options_.replicas_per_partition) {
     return Status::InvalidArgument(
@@ -382,6 +394,11 @@ Status Cluster::SetAlive(uint32_t partition, uint32_t replica, bool alive) {
 }
 
 Status Cluster::Checkpoint(Timestamp created_at) {
+  // Exclusive: blocks publishers, then quiesces the window thread and the
+  // workers, so the snapshot serializes a D no thread is mutating.
+  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
+  Quiesce();
   if (!options_.persist.enabled()) {
     return Status::FailedPrecondition("cluster has no persistence configured");
   }
@@ -392,6 +409,66 @@ Status Cluster::Checkpoint(Timestamp created_at) {
   return RecoveryManager(options_.persist)
       .Checkpoint(window_, owned_partitions_.front(),
                   next_sequence_.load(std::memory_order_relaxed), created_at);
+}
+
+Result<ClusterStats> Cluster::GetStats() {
+  // Exclusive + quiesced: the per-detector counters and histograms are
+  // plain fields the worker threads mutate.
+  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+  if (closed_) return Status::FailedPrecondition("cluster is closed");
+  Quiesce();
+  const MotifEngineStats detector = AggregatedStats();
+  ClusterStats stats;
+  stats.num_partitions = num_partitions();
+  stats.replicas_per_partition = replicas_per_partition();
+  stats.events_published = events_published();
+  stats.detector_events = detector.events;
+  stats.threshold_queries = detector.threshold_queries;
+  stats.recommendations = detector.recommendations;
+  stats.static_memory_bytes = TotalStaticMemory();
+  stats.dynamic_memory_bytes = TotalDynamicMemory();
+  stats.per_replica = PerReplicaStats();
+  stats.partitioner_salt = partitioner_.salt();
+  return stats;
+}
+
+Result<std::string> Cluster::GetStatsText() {
+  // Scrape-time collector: quiesce (as GetStats does), then mirror the
+  // aggregates into the process registry. ReplaceWith/RaiseTo — not
+  // Merge/Increment — because the mirror re-runs wholesale on every scrape.
+  {
+    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
+    if (closed_) return Status::FailedPrecondition("cluster is closed");
+    Quiesce();
+    const MotifEngineStats detector = AggregatedStats();
+    MetricsRegistry* registry = MetricsRegistry::Default();
+    registry->GetCounter("detector_events")->RaiseTo(detector.events);
+    registry->GetCounter("detector_threshold_queries")
+        ->RaiseTo(detector.threshold_queries);
+    registry->GetCounter("detector_recommendations")
+        ->RaiseTo(detector.recommendations);
+    registry->GetCounter("detector_suppressed_existing")
+        ->RaiseTo(detector.suppressed_existing);
+    registry->GetCounter("detector_suppressed_self")
+        ->RaiseTo(detector.suppressed_self);
+    registry->GetHistogram("detector_query_us")
+        ->ReplaceWith(detector.query_micros);
+    for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
+      const std::string op(PlanStageName(static_cast<PlanStage>(stage)));
+      registry->GetHistogram("detector_op_ns", {{"op", op}})
+          ->ReplaceWith(detector.stage_nanos[stage]);
+    }
+    registry->GetHistogram("detector_intersection_size")
+        ->ReplaceWith(detector.intersection_sizes);
+    registry->GetCounter("events_published")->RaiseTo(events_published());
+    // The size of the process's one D: gauges, since expiry shrinks D as
+    // the window moves.
+    registry->GetGauge("dynamic_edges")
+        ->Set(static_cast<int64_t>(dynamic_index().stats().current_edges));
+    registry->GetGauge("dynamic_bytes")
+        ->Set(static_cast<int64_t>(TotalDynamicMemory()));
+  }
+  return MetricsRegistry::Default()->RenderText();
 }
 
 uint32_t Cluster::alive_replicas(uint32_t partition) const {

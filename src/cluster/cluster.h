@@ -28,11 +28,18 @@
 // Both run one per-replica query loop (QueryBatch), so a replica's output is
 // in event order either way.
 //
+// Cluster is the in-process ClusterTransport, the one the daemon's
+// RpcServer fronts, so several connection handlers call it at once. The
+// data-plane calls (PublishBatch, Drain, TakeRecommendations) run
+// concurrently; the control-plane calls that read detector state or must
+// not race queued events (GetStats, GetStatsText, Checkpoint, KillReplica,
+// RecoverReplica) run alone and quiesce first.
+//
 // Replica semantics: the query for an event runs on exactly one alive
 // replica per partition, chosen round-robin by sequence number — the
 // "increased query throughput" of the paper. Failover re-spreads queries
 // over the survivors; a recovered replica reads the process's current D, so
-// recovery is an alive-bit flip, made while no event is queued.
+// recovery is an alive-bit flip. Both flips are made quiesced.
 //
 // Partition-group mode (ClusterOptions::group_size): one Cluster instance
 // hosts a single global partition of a wider deployment, so each partition
@@ -50,17 +57,18 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cluster/partition_server.h"
+#include "cluster/cluster_options.h"
 #include "cluster/partitioner.h"
+#include "cluster/transport.h"
 #include "core/motif_engine.h"
 #include "core/recommendation.h"
 #include "graph/static_graph.h"
-#include "persist/persist_options.h"
 #include "stream/event.h"
 #include "util/clock.h"
 #include "util/mpmc_queue.h"
@@ -72,76 +80,15 @@ class Counter;
 class HistogramMetric;
 class WalWriter;
 
-/// Identity-tagged per-replica counters (surfaced as
-/// ClusterStats::per_replica and over the stats RPC): the global partition
-/// id and replica index ride along, so stats gathered from many
-/// partition-group daemons stay attributable to the shard that produced
-/// them.
-struct ReplicaStats {
-  uint32_t partition = 0;  ///< global partition id
-  uint32_t replica = 0;
-  bool alive = true;
-  uint64_t detector_events = 0;
-  uint64_t threshold_queries = 0;
-  uint64_t recommendations = 0;
-
-  friend bool operator==(const ReplicaStats&, const ReplicaStats&) = default;
-
-  /// e.g. "p3/r1 alive events=120 queries=60 recs=2".
-  std::string ToString() const;
-};
-
-/// Cluster configuration.
-struct ClusterOptions {
-  /// Number of partitions (the paper's production value is 20).
-  uint32_t num_partitions = 20;
-
-  /// Replicas per partition (1 = no replication).
-  uint32_t replicas_per_partition = 1;
-
-  /// Detector parameters applied on every partition server.
-  DiamondOptions detector;
-
-  /// Influencer cap applied to the follow graph before sharding (see
-  /// ApplyInfluencerCap). When > 0, only each user's
-  /// `max_influencers_per_user` most-followed followees contribute to S,
-  /// which shrinks S and bounds per-B follower-list fan-in. 0 = off.
-  uint32_t max_influencers_per_user = 0;
-
-  /// Backpressure after Start(): the window thread's inbox holds up to
-  /// half of this in events, each replica inbox up to half in events plus
-  /// their actor ids. A batch larger than a half enters an empty inbox alone.
-  size_t inbox_capacity = 1 << 16;
-
-  /// Salt for the hash partitioner.
-  uint64_t partitioner_salt = 0;
-
-  /// Partition-group deployment (one daemon per partition). When group_size
-  /// is non-zero this cluster hosts ONLY global partition `group_partition`
-  /// of a group_size-wide deployment: the partitioner spans the full group,
-  /// so the S shard cut here is byte-identical to the corresponding shard of
-  /// a single process hosting all group_size partitions, and replica ops /
-  /// stats speak global partition ids. `num_partitions` is ignored. Every
-  /// group member must still ingest the entire edge stream (each member
-  /// process keeps a complete D) — the broker-side fan-out
-  /// (net/fanout_cluster.h) does that.
-  uint32_t group_size = 0;
-  uint32_t group_partition = 0;
-
-  /// Durability. When persist.dir is set, the broker write-ahead-logs every
-  /// published event, Checkpoint() writes snapshots of D there, and
-  /// Create() restores D from them on restart.
-  PersistOptions persist;
-};
-
 /// The partitioned, replicated deployment.
-class Cluster {
+class Cluster final : public ClusterTransport {
  public:
   /// Builds all shards and replicas from the follow graph (edges A -> B).
+  /// The cluster is not started: publishes apply inline until Start().
   static Result<std::unique_ptr<Cluster>> Create(
       const StaticGraph& follow_graph, const ClusterOptions& options);
 
-  ~Cluster();
+  ~Cluster() override;
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -153,9 +100,6 @@ class Cluster {
   /// before it are already applied. FailedPrecondition if running.
   Status Start();
 
-  /// Broker fan-out of one event: PublishBatch of a batch of one.
-  Status Publish(EdgeEvent event);
-
   /// Batch fan-out: sequences (any caller-provided sequence is overwritten)
   /// and WAL-appends the batch under one publish_mu_ acquisition. Same
   /// per-event semantics as Publish in a loop. A failed window half is
@@ -166,11 +110,11 @@ class Cluster {
   ///  * After Start(), copies the batch once and queues it for the window
   ///    thread (blocking on backpressure), which pushes the one copy onto
   ///    every replica's inbox. A window failure is only counted.
-  Status PublishBatch(std::span<const EdgeEvent> events);
+  Status PublishBatch(std::span<const EdgeEvent> events) override;
 
   /// Blocks until every replica has consumed everything published so far.
   /// Returns at once before Start(): an inline publish is done on return.
-  void Drain();
+  Status Drain() override;
 
   /// Closes inboxes and joins the window thread and workers, if running,
   /// then syncs the WAL. Later publishes run inline until the next
@@ -179,33 +123,46 @@ class Cluster {
 
   /// Moves out all recommendations gathered since the last call. Ordering
   /// across partitions is unspecified (concurrent gathering).
-  std::vector<Recommendation> TakeRecommendations();
+  Result<std::vector<Recommendation>> TakeRecommendations() override;
+
+  /// Stop(); every ClusterTransport call after it but Close() is
+  /// FailedPrecondition. Idempotent; the destructor stops the cluster
+  /// either way.
+  Status Close() override;
 
   // --- Failure injection -----------------------------------------------------
 
   /// Marks a replica dead: it stops answering queries; other replicas of the
-  /// partition absorb its query share.
-  Status KillReplica(uint32_t partition, uint32_t replica) {
+  /// partition absorb its query share. Quiesces first: workers read the
+  /// alive mask when they reach an event, and the replicas of a partition
+  /// reach a queued event at different times, so a flip with events queued
+  /// would answer some twice or not at all.
+  Status KillReplica(uint32_t partition, uint32_t replica) override {
     return SetAlive(partition, replica, false);
   }
 
   /// Marks a dead replica alive. It reads the process's D, which kept
   /// ingesting while the replica was down, so there is nothing to rebuild.
-  /// After Start(), call only while quiesced (after Drain()), or a queued
-  /// event may be answered twice or not at all.
-  Status RecoverReplica(uint32_t partition, uint32_t replica) {
+  /// Quiesces first, as KillReplica does.
+  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
     return SetAlive(partition, replica, true);
   }
 
   // --- Durability ------------------------------------------------------------
 
-  /// Writes a snapshot of the process's D and reclaims the WAL segments and
-  /// snapshots it supersedes. Call while quiesced (with no publish in
-  /// flight, and after Drain() once started). FailedPrecondition without
+  /// Quiesces, then writes a snapshot of the process's D and reclaims the
+  /// WAL segments and snapshots it supersedes. FailedPrecondition without
   /// persistence.
-  Status Checkpoint(Timestamp created_at = 0);
+  Status Checkpoint(Timestamp created_at = 0) override;
 
   // --- Introspection ---------------------------------------------------------
+
+  /// Quiesces, then reports the cluster-wide and per-replica counters.
+  Result<ClusterStats> GetStats() override;
+
+  /// Quiesces, mirrors the detector counters, histograms and the size of D
+  /// into the process's MetricsRegistry, then renders it.
+  Result<std::string> GetStatsText() override;
 
   /// Deployment-wide partition count: the full group in partition-group
   /// mode, not just the locally hosted slice.
@@ -293,8 +250,12 @@ class Cluster {
   /// index.
   bool ShouldEmit(uint32_t local, uint32_t replica, uint64_t sequence) const;
 
-  /// KillReplica / RecoverReplica: validates, then flips the alive bit.
+  /// KillReplica / RecoverReplica: quiesces, validates, then flips the alive
+  /// bit.
   Status SetAlive(uint32_t partition, uint32_t replica, bool alive);
+
+  /// Drain() for callers that hold state_mu_.
+  void Quiesce();
 
   void WorkerLoop(uint32_t local, uint32_t replica);
 
@@ -333,7 +294,9 @@ class Cluster {
   /// The process's one D (after Start(), touched only by the window thread).
   WindowStage window_;
   /// Each replica's query half; a partition's replicas share one S shard.
-  std::vector<std::vector<QueryStage>> replicas_;
+  /// Workers read it per event while the window thread writes window_'s
+  /// tail (its actor scratch): it starts a cache line of its own.
+  alignas(64) std::vector<std::vector<QueryStage>> replicas_;
   std::vector<std::unique_ptr<std::atomic<uint64_t>>> alive_masks_;
 
   /// publish_apply_us{partition=P}, one per hosted partition, resolved once
@@ -382,6 +345,11 @@ class Cluster {
   std::atomic<uint64_t> next_sequence_{0};
   std::mutex results_mu_;
   std::vector<Recommendation> results_;
+
+  // The rule in the file comment. Every publish writes its reader count,
+  // so it sits off the cache line of results_, which the workers write.
+  alignas(64) std::shared_mutex state_mu_;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace magicrecs

@@ -1,11 +1,26 @@
 #include "cluster/transport.h"
 
-#include <utility>
-
 #include "util/metrics.h"
 #include "util/str_format.h"
 
 namespace magicrecs {
+
+std::string ReplicaStats::ToString() const {
+  return StrFormat("p%u/r%u %s events=%llu queries=%llu recs=%llu", partition,
+                   replica, alive ? "alive" : "dead",
+                   static_cast<unsigned long long>(detector_events),
+                   static_cast<unsigned long long>(threshold_queries),
+                   static_cast<unsigned long long>(recommendations));
+}
+
+std::string PartitionHealth::ToString() const {
+  const std::string which =
+      partition == UINT32_MAX ? "all" : StrFormat("p%u", partition);
+  return StrFormat(
+      "%s missed=%llu (consecutive=%llu)", which.c_str(),
+      static_cast<unsigned long long>(gathers_missed_total),
+      static_cast<unsigned long long>(gathers_missed_consecutive));
+}
 
 std::string_view ServerLoopName(uint8_t loop) {
   switch (loop) {
@@ -69,144 +84,6 @@ std::string ClusterStats::PerReplicaString() const {
 
 Result<std::string> ClusterTransport::GetStatsText() {
   return MetricsRegistry::Default()->RenderText();
-}
-
-// --- LocalClusterTransport ---------------------------------------------------
-
-Result<std::unique_ptr<LocalClusterTransport>> LocalClusterTransport::Create(
-    const StaticGraph& follow_graph, const ClusterOptions& options,
-    Mode mode) {
-  MAGICRECS_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
-                             Cluster::Create(follow_graph, options));
-  std::unique_ptr<LocalClusterTransport> transport(
-      new LocalClusterTransport(std::move(cluster)));
-  if (mode == Mode::kThreaded) {
-    MAGICRECS_RETURN_IF_ERROR(transport->cluster_->Start());
-  }
-  return transport;
-}
-
-LocalClusterTransport::~LocalClusterTransport() {
-  const Status s = Close();
-  (void)s;  // destructor cannot propagate
-}
-
-Status LocalClusterTransport::PublishBatch(std::span<const EdgeEvent> events) {
-  // One lock round trip for the whole batch: a wire batch from the RPC
-  // server sequences and logs under a single publish_mu_ acquisition
-  // instead of one per event.
-  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  return cluster_->PublishBatch(events);
-}
-
-Status LocalClusterTransport::Drain() {
-  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  cluster_->Drain();
-  return Status::OK();
-}
-
-Result<std::vector<Recommendation>> LocalClusterTransport::TakeRecommendations() {
-  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  return cluster_->TakeRecommendations();
-}
-
-Status LocalClusterTransport::Checkpoint(Timestamp created_at) {
-  // Exclusive: blocks publishers, then quiesces the window thread and the
-  // workers, so the snapshot serializes a D no thread is mutating.
-  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  cluster_->Drain();
-  return cluster_->Checkpoint(created_at);
-}
-
-Status LocalClusterTransport::KillReplica(uint32_t partition,
-                                          uint32_t replica) {
-  std::shared_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  return cluster_->KillReplica(partition, replica);  // one atomic bit flip
-}
-
-Status LocalClusterTransport::RecoverReplica(uint32_t partition,
-                                             uint32_t replica) {
-  // Exclusive and quiesced, like Checkpoint: workers read the alive mask
-  // when they reach an event, so it may only grow with none queued.
-  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  cluster_->Drain();
-  return cluster_->RecoverReplica(partition, replica);
-}
-
-Result<ClusterStats> LocalClusterTransport::GetStats() {
-  // Exclusive + drained: the per-detector counters and histograms are plain
-  // fields the worker threads mutate, so stats reads must be quiesced too.
-  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("transport is closed");
-  cluster_->Drain();
-  const MotifEngineStats detector = cluster_->AggregatedStats();
-  ClusterStats stats;
-  stats.num_partitions = cluster_->num_partitions();
-  stats.replicas_per_partition = cluster_->replicas_per_partition();
-  stats.events_published = cluster_->events_published();
-  stats.detector_events = detector.events;
-  stats.threshold_queries = detector.threshold_queries;
-  stats.recommendations = detector.recommendations;
-  stats.static_memory_bytes = cluster_->TotalStaticMemory();
-  stats.dynamic_memory_bytes = cluster_->TotalDynamicMemory();
-  stats.per_replica = cluster_->PerReplicaStats();
-  stats.partitioner_salt = cluster_->partitioner().salt();
-  return stats;
-}
-
-Result<std::string> LocalClusterTransport::GetStatsText() {
-  // Scrape-time collector: the detector counters and histograms are plain
-  // fields the workers mutate, so quiesce (as GetStats does), then mirror
-  // the aggregates into the process registry. ReplaceWith/RaiseTo — not
-  // Merge/Increment — because the mirror re-runs wholesale on every scrape.
-  {
-    std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-    if (closed_) return Status::FailedPrecondition("transport is closed");
-    cluster_->Drain();
-    const MotifEngineStats detector = cluster_->AggregatedStats();
-    MetricsRegistry* registry = MetricsRegistry::Default();
-    registry->GetCounter("detector_events")->RaiseTo(detector.events);
-    registry->GetCounter("detector_threshold_queries")
-        ->RaiseTo(detector.threshold_queries);
-    registry->GetCounter("detector_recommendations")
-        ->RaiseTo(detector.recommendations);
-    registry->GetCounter("detector_suppressed_existing")
-        ->RaiseTo(detector.suppressed_existing);
-    registry->GetCounter("detector_suppressed_self")
-        ->RaiseTo(detector.suppressed_self);
-    registry->GetHistogram("detector_query_us")
-        ->ReplaceWith(detector.query_micros);
-    for (size_t stage = 0; stage < kNumPlanStages; ++stage) {
-      const std::string op(PlanStageName(static_cast<PlanStage>(stage)));
-      registry->GetHistogram("detector_op_ns", {{"op", op}})
-          ->ReplaceWith(detector.stage_nanos[stage]);
-    }
-    registry->GetHistogram("detector_intersection_size")
-        ->ReplaceWith(detector.intersection_sizes);
-    registry->GetCounter("events_published")
-        ->RaiseTo(cluster_->events_published());
-    // The size of the process's one D: gauges, since expiry shrinks D as
-    // the window moves.
-    registry->GetGauge("dynamic_edges")
-        ->Set(static_cast<int64_t>(
-            cluster_->dynamic_index().stats().current_edges));
-    registry->GetGauge("dynamic_bytes")
-        ->Set(static_cast<int64_t>(cluster_->TotalDynamicMemory()));
-  }
-  return MetricsRegistry::Default()->RenderText();
-}
-
-Status LocalClusterTransport::Close() {
-  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_.exchange(true)) return Status::OK();
-  cluster_->Stop();
-  return Status::OK();
 }
 
 }  // namespace magicrecs

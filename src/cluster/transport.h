@@ -4,34 +4,33 @@
 // machines behind a fan-out broker; this repo started with a single-process
 // Cluster object whose "distributed" mode was std::thread. ClusterTransport
 // is the boundary the RPC server dispatches through and the benches and
-// tests drive, so the same calls run against
+// tests drive. It has one implementation on each side of the wire:
 //
-//   * LocalClusterTransport(kInline)   — a Cluster never started: each
-//                                        publish applies before it returns,
-//   * LocalClusterTransport(kThreaded) — a started Cluster: a window thread
-//                                        and one worker per replica,
-//   * FanoutCluster (src/net/)         — magicrecsd processes over TCP (one
-//                                        all-hosting daemon, or a group),
+//   * Cluster (cluster/cluster.h) — the in-process deployment. Never
+//                                   started, each publish applies before it
+//                                   returns; after Start(), a window thread
+//                                   and one worker per replica run it,
+//   * FanoutCluster (src/net/)    — magicrecsd processes over TCP (one
+//                                   all-hosting daemon, or a group),
 //
-// without knowing which one it has. The contract is publish/drain/gather:
-// PublishBatch delivers events to every partition, Drain blocks until all
-// published events are fully processed, TakeRecommendations moves out what
-// the motif queries emitted since the last call. Broker-only calls (the
-// gather coverage report, traces, health, placement) live on FanoutCluster.
+// and drivers run against either without knowing which one they have. The
+// contract is publish/drain/gather: PublishBatch delivers events to every
+// partition, Drain blocks until all published events are fully processed,
+// TakeRecommendations moves out what the motif queries emitted since the
+// last call. Broker-only calls (the gather coverage report, traces, health,
+// placement) live on FanoutCluster.
 
 #ifndef MAGICRECS_CLUSTER_TRANSPORT_H_
 #define MAGICRECS_CLUSTER_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/cluster_options.h"
 #include "core/recommendation.h"
 #include "stream/event.h"
 #include "util/result.h"
@@ -39,6 +38,27 @@
 #include "util/types.h"
 
 namespace magicrecs {
+
+class StaticGraph;
+
+/// Identity-tagged per-replica counters (surfaced as
+/// ClusterStats::per_replica and over the stats RPC): the global partition
+/// id and replica index ride along, so stats gathered from many
+/// partition-group daemons stay attributable to the shard that produced
+/// them.
+struct ReplicaStats {
+  uint32_t partition = 0;  ///< global partition id
+  uint32_t replica = 0;
+  bool alive = true;
+  uint64_t detector_events = 0;
+  uint64_t threshold_queries = 0;
+  uint64_t recommendations = 0;
+
+  friend bool operator==(const ReplicaStats&, const ReplicaStats&) = default;
+
+  /// e.g. "p3/r1 alive events=120 queries=60 recs=2".
+  std::string ToString() const;
+};
 
 /// Broker-side liveness of one partition's daemon across gathers. A
 /// consecutive count of 0 means the daemon answered the most recent
@@ -169,7 +189,7 @@ class ClusterTransport {
   /// across partitions is unspecified.
   virtual Result<std::vector<Recommendation>> TakeRecommendations() = 0;
 
-  /// Snapshots the durable state (see Cluster::Checkpoint). Call quiesced.
+  /// Snapshots the durable state (see Cluster::Checkpoint).
   virtual Status Checkpoint(Timestamp created_at) = 0;
 
   /// Failure injection (see Cluster::KillReplica / RecoverReplica).
@@ -180,9 +200,9 @@ class ClusterTransport {
 
   /// The text exposition of every metric this endpoint knows (see
   /// docs/observability.md for the format). The default renders the
-  /// process-wide MetricsRegistry; transports that sit in front of other
-  /// processes (the fan-out broker) override it to pull the remote
-  /// surface too. Serves the kStatsText RPC.
+  /// process-wide MetricsRegistry; Cluster mirrors its detector counters
+  /// into it first, and the fan-out broker pulls the remote surface too.
+  /// Serves the kStatsText RPC.
   virtual Result<std::string> GetStatsText();
 
   /// Releases the transport's resources (joins workers, closes the
@@ -190,50 +210,15 @@ class ClusterTransport {
   virtual Status Close() = 0;
 };
 
-/// In-process transport over a Cluster: every call forwards to the
-/// cluster's one publish/drain/gather contract. The mode only decides
-/// whether Create() starts the cluster.
-class LocalClusterTransport : public ClusterTransport {
- public:
-  enum class Mode {
-    kInline,    ///< single-threaded, deterministic ordering
-    kThreaded,  ///< one worker per replica; Start() on creation
-  };
-
-  /// Builds the cluster from the follow graph and wraps it.
-  static Result<std::unique_ptr<LocalClusterTransport>> Create(
+/// Kept only for bench_serving/bench_serving.cc, its only caller: the
+/// serving benchmark is frozen with its reference digest built through this
+/// name. Create is Cluster::Create, never started. Cluster is the in-process
+/// transport; new code calls it directly.
+struct LocalClusterTransport {
+  enum class Mode { kInline };
+  static Result<std::unique_ptr<ClusterTransport>> Create(
       const StaticGraph& follow_graph, const ClusterOptions& options,
       Mode mode);
-
-  ~LocalClusterTransport() override;
-
-  Status PublishBatch(std::span<const EdgeEvent> events) override;
-  Status Drain() override;
-  Result<std::vector<Recommendation>> TakeRecommendations() override;
-  Status Checkpoint(Timestamp created_at) override;
-  Status KillReplica(uint32_t partition, uint32_t replica) override;
-  Status RecoverReplica(uint32_t partition, uint32_t replica) override;
-  Result<ClusterStats> GetStats() override;
-  Result<std::string> GetStatsText() override;
-  Status Close() override;
-
-  Cluster& cluster() { return *cluster_; }
-  const Cluster& cluster() const { return *cluster_; }
-
- private:
-  explicit LocalClusterTransport(std::unique_ptr<Cluster> cluster)
-      : cluster_(std::move(cluster)) {}
-
-  std::unique_ptr<Cluster> cluster_;
-  std::atomic<bool> closed_{false};
-
-  // Concurrency: several RPC connection handlers drive one transport. Data-
-  // plane calls (PublishBatch, Drain, TakeRecommendations, KillReplica —
-  // all safe to run concurrently through the cluster's own synchronization)
-  // hold state_mu_ shared; control-plane calls that read raw detector state
-  // or must not race queued events (GetStats, Checkpoint, RecoverReplica)
-  // hold it exclusive and quiesce first.
-  std::shared_mutex state_mu_;
 };
 
 }  // namespace magicrecs

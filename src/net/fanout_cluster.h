@@ -4,8 +4,8 @@
 // FanoutCluster is that broker as a ClusterTransport — drivers written
 // against the seam (tests, benches) run unchanged against N magicrecsd
 // processes, one per partition. It is the one broker tier: a daemon's
-// RpcServer always fronts an in-process LocalClusterTransport, never
-// another broker, so a gather reply carries recommendations only. The
+// RpcServer always fronts an in-process Cluster, never another broker, so
+// a gather reply carries recommendations only. The
 // broker-only calls — the gather coverage report, completed traces, health
 // and placement — are plain FanoutCluster methods, not part of the seam.
 //

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <set>
 #include <span>
@@ -12,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/transport.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -65,6 +65,13 @@ TEST(ClusterTest, InvalidOptionsRejected) {
   EXPECT_TRUE(Cluster::Create(figure1::FollowGraph(), zero_window)
                   .status()
                   .IsInvalidArgument());
+  // Start() splits inbox_capacity between two inboxes, and a zero-capacity
+  // inbox is unbounded: 0 would queue without backpressure.
+  ClusterOptions unbounded_inbox = MakeOptions(1);
+  unbounded_inbox.inbox_capacity = 0;
+  EXPECT_TRUE(Cluster::Create(figure1::FollowGraph(), unbounded_inbox)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ClusterTest, OnePartitionShardIsTheFullFollowerIndex) {
@@ -108,16 +115,17 @@ TEST(ClusterTest, CapChangesDetectionOutcome) {
   PublishEdges(**full_cluster, edges);
 
   // motif via B1+B2 found
-  EXPECT_EQ((*full_cluster)->TakeRecommendations().size(), 1u);
+  EXPECT_EQ((*full_cluster)->TakeRecommendations()->size(), 1u);
   // pruned away by the influencer cap
-  EXPECT_TRUE((*capped_cluster)->TakeRecommendations().empty());
+  EXPECT_TRUE((*capped_cluster)->TakeRecommendations()->empty());
 }
 
 TEST(ClusterTest, InlineFigure1MatchesSingleMachine) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(4));
   ASSERT_TRUE(cluster.ok()) << cluster.status();
   PublishEdges(**cluster, figure1::DynamicEdges(0));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
   EXPECT_EQ(recs[0].item, figure1::kC2);
@@ -146,7 +154,7 @@ TEST(ClusterTest, PartitionCountDoesNotChangeResults) {
     ASSERT_TRUE(cluster.ok());
     PublishEdges(**cluster, stream->events);
     const std::vector<Recommendation> recs =
-        (*cluster)->TakeRecommendations();
+        (*cluster)->TakeRecommendations().value();
     if (partitions == 1) {
       reference = Pairs(recs);
       EXPECT_FALSE(reference.empty()) << "workload produced no motifs";
@@ -160,7 +168,8 @@ TEST(ClusterTest, ReplicasDoNotDuplicateRecommendations) {
   auto cluster = Cluster::Create(figure1::FollowGraph(), MakeOptions(2, 3));
   ASSERT_TRUE(cluster.ok());
   PublishEdges(**cluster, figure1::DynamicEdges(0));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   EXPECT_EQ(recs.size(), 1u);
 }
 
@@ -201,7 +210,7 @@ TEST(ClusterTest, ThreadedModeMatchesInlineMode) {
     PublishEdges(**cluster, all.subspan(2 * third));
     (*cluster)->Drain();
     (*cluster)->Stop();
-    *recs = (*cluster)->TakeRecommendations();
+    *recs = (*cluster)->TakeRecommendations().value();
     *stats = (*cluster)->PerReplicaStats();
   };
   std::vector<Recommendation> inline_recs, threaded_recs;
@@ -277,7 +286,7 @@ std::multiset<std::pair<VertexId, VertexId>> InlinePairs(
   for (const EdgeEvent& event : events) {
     EXPECT_TRUE((*cluster)->Publish(event).ok());
   }
-  return Pairs((*cluster)->TakeRecommendations());
+  return Pairs((*cluster)->TakeRecommendations().value());
 }
 
 struct Workload {
@@ -328,7 +337,7 @@ TEST(ClusterTest, MixedBatchesMatchInline) {
   (*threaded)->Drain();
   (*threaded)->Stop();
   EXPECT_EQ((*threaded)->events_published(), w.events.size());
-  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations()), reference);
+  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations().value()), reference);
 }
 
 TEST(ClusterTest, ConcurrentPublishersMatchTheirWalReplayedInline) {
@@ -365,7 +374,7 @@ TEST(ClusterTest, ConcurrentPublishersMatchTheirWalReplayedInline) {
     (*cluster)->Drain();
     (*cluster)->Stop();
     EXPECT_EQ(failed_publishes.load(), 0);
-    const auto pairs = Pairs((*cluster)->TakeRecommendations());
+    const auto pairs = Pairs((*cluster)->TakeRecommendations().value());
     EXPECT_FALSE(pairs.empty()) << "workload produced no motifs";
 
     std::vector<EdgeEvent> logged;
@@ -380,6 +389,99 @@ TEST(ClusterTest, ConcurrentPublishersMatchTheirWalReplayedInline) {
     ASSERT_EQ(logged.size(), all.size());
     EXPECT_EQ(pairs, InlinePairs(w.graph, MakeOptions(4, 2), logged));
   }
+}
+
+TEST(ClusterTest, ControlPlaneRacingTheDataPlaneMatchesInline) {
+  // The daemon's RPC workers serve scrapes, checkpoints and replica ops
+  // while other connections publish. One thread publishes a generated
+  // stream in batches of 16 into a started, durable 2x2 cluster; another
+  // loops over every control-plane call meanwhile, pausing before each so
+  // that it lands on queued batches. Each of those runs alone and quiesces
+  // first, so every event is still answered exactly once: the
+  // recommendations are a never-started cluster's over the same stream.
+  // The small inbox paces the publisher to the workers, so the loop runs
+  // until the stream ends; at k = 1 every event queries, so a partition's
+  // two replica workers drift apart, and a replica op that did not quiesce
+  // would answer an event twice or not at all.
+  // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
+  const char* env = std::getenv("MAGICRECS_FUZZ_SEED");
+  const uint64_t seed = env != nullptr ? std::strtoull(env, nullptr, 10) : 53;
+  SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(seed));
+  SocialGraphOptions gopt;
+  gopt.num_users = 300;
+  gopt.mean_followees = 10;
+  gopt.seed = seed;
+  auto graph = SocialGraphGenerator(gopt).Generate();
+  ASSERT_TRUE(graph.ok());
+  ActivityStreamOptions sopt;
+  sopt.num_events = 2'000;
+  sopt.seed = seed + 1;
+  auto stream = ActivityStreamGenerator(&*graph, sopt).Generate();
+  ASSERT_TRUE(stream.ok());
+  std::vector<EdgeEvent> events;
+  for (const TimestampedEdge& edge : stream->events) {
+    events.push_back({.edge = edge});
+  }
+  const std::span<const EdgeEvent> all(events);
+
+  const ClusterOptions opt = MakeOptions(2, 2, /*k=*/1);
+  ClusterOptions durable = opt;
+  ScopedTempDir dir;
+  durable.persist.dir = dir.path();
+  durable.inbox_capacity = 64;
+  auto cluster = Cluster::Create(*graph, durable);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  ASSERT_TRUE((*cluster)->Start().ok());
+
+  std::atomic<bool> published{false};
+  Status publish_error;
+  std::thread publisher([&] {
+    for (size_t i = 0; i < all.size() && publish_error.ok(); i += 16) {
+      publish_error = (*cluster)->PublishBatch(
+          all.subspan(i, std::min<size_t>(16, all.size() - i)));
+    }
+    published = true;
+  });
+  size_t rounds = 0;
+  Status control_error;
+  std::thread control([&] {
+    const auto check = [&](const Status& s) {
+      if (control_error.ok()) control_error = s;
+    };
+    const auto pause = [] {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    };
+    do {
+      pause();
+      check((*cluster)->GetStats().status());
+      pause();
+      check((*cluster)->GetStatsText().status());
+      pause();
+      check((*cluster)->Checkpoint(static_cast<Timestamp>(rounds)));
+      for (uint32_t p = 0; p < 2; ++p) {
+        pause();
+        check((*cluster)->KillReplica(p, 1));
+        pause();
+        check((*cluster)->RecoverReplica(p, 1));
+      }
+      ++rounds;
+    } while (!published);
+  });
+  publisher.join();
+  control.join();
+  EXPECT_TRUE(publish_error.ok()) << publish_error;
+  EXPECT_TRUE(control_error.ok()) << control_error;
+  EXPECT_GT(rounds, 0u);
+
+  ASSERT_TRUE((*cluster)->Drain().ok());
+  auto stats = (*cluster)->GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->detector_events, events.size());
+  auto recs = (*cluster)->TakeRecommendations();
+  ASSERT_TRUE(recs.ok()) << recs.status();
+  const auto reference = InlinePairs(*graph, opt, events);
+  EXPECT_FALSE(reference.empty()) << "workload produced no motifs";
+  EXPECT_EQ(Pairs(*recs), reference);
 }
 
 TEST(ClusterTest, OversizedBatchIsAdmittedAlone) {
@@ -402,7 +504,7 @@ TEST(ClusterTest, OversizedBatchIsAdmittedAlone) {
   }
   (*threaded)->Drain();
   (*threaded)->Stop();
-  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations()), reference);
+  EXPECT_EQ(Pairs((*threaded)->TakeRecommendations().value()), reference);
 }
 
 TEST(ClusterTest, FailedEventMidBatchDoesNotStopTheBatch) {
@@ -421,13 +523,13 @@ TEST(ClusterTest, FailedEventMidBatchDoesNotStopTheBatch) {
   const Counter* errors = MetricsRegistry::Default()->GetCounter(
       "publish_apply_errors", {{"partition", "0"}});
 
-  for (const auto mode : {LocalClusterTransport::Mode::kInline,
-                          LocalClusterTransport::Mode::kThreaded}) {
-    const bool inline_mode = mode == LocalClusterTransport::Mode::kInline;
+  for (const bool inline_mode : {true, false}) {
     SCOPED_TRACE(inline_mode ? "inline" : "threaded");
-    auto transport =
-        LocalClusterTransport::Create(figure1::FollowGraph(), opt, mode);
+    auto transport = Cluster::Create(figure1::FollowGraph(), opt);
     ASSERT_TRUE(transport.ok()) << transport.status();
+    if (!inline_mode) {
+      ASSERT_TRUE((*transport)->Start().ok());
+    }
     const uint64_t before = errors->Value();
     const Status published = (*transport)->PublishBatch(batch);
     if (inline_mode) {
@@ -436,7 +538,7 @@ TEST(ClusterTest, FailedEventMidBatchDoesNotStopTheBatch) {
       EXPECT_TRUE(published.ok()) << published;  // fails on apply
     }
     ASSERT_TRUE((*transport)->Drain().ok());
-    EXPECT_EQ((*transport)->cluster().events_published(), batch.size());
+    EXPECT_EQ((*transport)->events_published(), batch.size());
     EXPECT_EQ(errors->Value(), before + 1);
     auto recs = (*transport)->TakeRecommendations();
     ASSERT_TRUE(recs.ok()) << recs.status();
@@ -603,7 +705,7 @@ TEST(ClusterTest, DrainCountsWhatWasPublishedBeforeStart) {
     EXPECT_TRUE((*cluster)->PublishBatch(tail).ok());
     EXPECT_TRUE(drains(**cluster));
     (*cluster)->Stop();
-    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations()),
+    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations().value()),
               (std::multiset<std::pair<VertexId, VertexId>>{
                   {figure1::kA2, figure1::kC2}}));
   }
@@ -619,7 +721,7 @@ TEST(ClusterTest, DrainCountsWhatWasPublishedBeforeStart) {
     EXPECT_TRUE((*cluster)->PublishBatch(tail).ok());
     EXPECT_TRUE(drains(**cluster));
     (*cluster)->Stop();
-    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations()),
+    EXPECT_EQ(Pairs((*cluster)->TakeRecommendations().value()),
               (std::multiset<std::pair<VertexId, VertexId>>{
                   {figure1::kA2, figure1::kC2}}));
   }
@@ -643,7 +745,8 @@ TEST(ClusterTest, KillReplicaWithoutReplicationLosesDetections) {
   ASSERT_TRUE((*cluster)->KillReplica(a2_partition, 0).ok());
 
   PublishEdges(**cluster, figure1::DynamicEdges(0));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   EXPECT_TRUE(recs.empty());
 }
 
@@ -657,7 +760,8 @@ TEST(ClusterTest, ReplicaFailoverPreservesDetections) {
   EXPECT_EQ((*cluster)->alive_replicas(a2_partition), 1u);
 
   PublishEdges(**cluster, figure1::DynamicEdges(0));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }
@@ -675,7 +779,8 @@ TEST(ClusterTest, RecoveredReplicaReadsTheCompleteD) {
   ASSERT_TRUE((*cluster)->RecoverReplica(0, 1).ok());
   EXPECT_EQ((*cluster)->alive_replicas(0), 2u);
   PublishEdges(**cluster, std::span(edges).last(1));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }
@@ -694,7 +799,8 @@ TEST(ClusterTest, RecoveredOnlyReplicaAnswersFromTheProcessD) {
   PublishEdges(**cluster, std::span(edges).first(edges.size() - 1));
   ASSERT_TRUE((*cluster)->RecoverReplica(a2_partition, 0).ok());
   PublishEdges(**cluster, std::span(edges).last(1));
-  const std::vector<Recommendation> recs = (*cluster)->TakeRecommendations();
+  const std::vector<Recommendation> recs =
+      (*cluster)->TakeRecommendations().value();
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].user, figure1::kA2);
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "cluster/shard_cut.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -105,7 +106,8 @@ TEST(PartitionGroupTest, GroupUnionMatchesFullClusterExactly) {
   for (const TimestampedEdge& e : stream->events) {
     ASSERT_TRUE((*full)->Publish({.edge = e}).ok());
   }
-  const std::vector<Recommendation> reference = (*full)->TakeRecommendations();
+  const std::vector<Recommendation> reference =
+      (*full)->TakeRecommendations().value();
   ASSERT_FALSE(reference.empty()) << "workload produced no motifs";
 
   // Feed the identical stream to each group member (the fan-out broker's
@@ -117,7 +119,8 @@ TEST(PartitionGroupTest, GroupUnionMatchesFullClusterExactly) {
     for (const TimestampedEdge& e : stream->events) {
       ASSERT_TRUE((*member)->Publish({.edge = e}).ok());
     }
-    const std::vector<Recommendation> local = (*member)->TakeRecommendations();
+    const std::vector<Recommendation> local =
+        (*member)->TakeRecommendations().value();
     for (const Recommendation& rec : local) {
       EXPECT_EQ((*member)->partitioner().PartitionOf(rec.user), p)
           << "a group member emitted a recommendation for an A it does not "
@@ -201,7 +204,7 @@ TEST(PartitionGroupTest, ThreadedGroupMemberMatchesInlineGroupMember) {
     ASSERT_TRUE((*inline_member)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> reference =
-      (*inline_member)->TakeRecommendations();
+      (*inline_member)->TakeRecommendations().value();
 
   auto threaded = Cluster::Create(*graph, GroupOptions(3, 1, /*replicas=*/2));
   ASSERT_TRUE(threaded.ok());
@@ -212,7 +215,8 @@ TEST(PartitionGroupTest, ThreadedGroupMemberMatchesInlineGroupMember) {
     ASSERT_TRUE((*threaded)->Publish(event).ok());
   }
   (*threaded)->Drain();
-  const std::vector<Recommendation> got = (*threaded)->TakeRecommendations();
+  const std::vector<Recommendation> got =
+      (*threaded)->TakeRecommendations().value();
   (*threaded)->Stop();
   EXPECT_EQ(Sorted(got), Sorted(reference));
 }

@@ -1,5 +1,5 @@
-// ClusterTransport seam tests: the inline and threaded local transports
-// must be interchangeable behind the publish/drain/gather contract.
+// ClusterTransport seam tests: a never-started and a started Cluster must
+// be interchangeable behind the publish/drain/gather contract.
 
 #include "cluster/transport.h"
 
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -20,7 +21,16 @@
 namespace magicrecs {
 namespace {
 
-using Mode = LocalClusterTransport::Mode;
+/// Never started, every publish applies before it returns (inline);
+/// `threaded`, a window thread and one worker per replica run it.
+Result<std::unique_ptr<Cluster>> MakeCluster(const StaticGraph& graph,
+                                             const ClusterOptions& options,
+                                             bool threaded) {
+  MAGICRECS_ASSIGN_OR_RETURN(std::unique_ptr<Cluster> cluster,
+                             Cluster::Create(graph, options));
+  if (threaded) MAGICRECS_RETURN_IF_ERROR(cluster->Start());
+  return cluster;
+}
 
 ClusterOptions MakeOptions(uint32_t partitions, uint32_t k = 2) {
   ClusterOptions opt;
@@ -51,10 +61,9 @@ std::vector<Recommendation> RunFigure1(ClusterTransport* transport) {
 }
 
 TEST(ClusterTransportTest, InlineAndThreadedAgreeOnFigure1) {
-  for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
+  for (const bool threaded : {false, true}) {
     auto transport =
-        LocalClusterTransport::Create(figure1::FollowGraph(),
-                                      MakeOptions(2), mode);
+        MakeCluster(figure1::FollowGraph(), MakeOptions(2), threaded);
     ASSERT_TRUE(transport.ok()) << transport.status();
     const auto recs = RunFigure1(transport->get());
     ASSERT_EQ(recs.size(), 1u);
@@ -77,9 +86,8 @@ TEST(ClusterTransportTest, ModesAgreeOnGeneratedStream) {
   ASSERT_TRUE(stream.ok());
 
   std::multiset<std::pair<VertexId, VertexId>> reference;
-  for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
-    auto transport =
-        LocalClusterTransport::Create(*graph, MakeOptions(3), mode);
+  for (const bool threaded : {false, true}) {
+    auto transport = MakeCluster(*graph, MakeOptions(3), threaded);
     ASSERT_TRUE(transport.ok());
     // Exercise both the per-event and the default batched path.
     std::vector<EdgeEvent> batch;
@@ -99,7 +107,7 @@ TEST(ClusterTransportTest, ModesAgreeOnGeneratedStream) {
     ASSERT_TRUE((*transport)->Drain().ok());
     auto recs = (*transport)->TakeRecommendations();
     ASSERT_TRUE(recs.ok());
-    if (mode == Mode::kInline) {
+    if (!threaded) {
       reference = Pairs(*recs);
       EXPECT_FALSE(reference.empty());
     } else {
@@ -139,8 +147,8 @@ TEST(ClusterTransportTest, RecoverWithAQueuedBacklogAnswersEveryEventOnce) {
   options.replicas_per_partition = 2;
 
   std::multiset<std::pair<VertexId, VertexId>> reference;
-  for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
-    auto transport = LocalClusterTransport::Create(*graph, options, mode);
+  for (const bool threaded : {false, true}) {
+    auto transport = MakeCluster(*graph, options, threaded);
     ASSERT_TRUE(transport.ok());
     // One replica of each partition dies: the second of partition 0, the
     // first of partition 1.
@@ -165,7 +173,7 @@ TEST(ClusterTransportTest, RecoverWithAQueuedBacklogAnswersEveryEventOnce) {
     ASSERT_TRUE((*transport)->Drain().ok());
     auto recs = (*transport)->TakeRecommendations();
     ASSERT_TRUE(recs.ok());
-    if (mode == Mode::kInline) {
+    if (!threaded) {
       reference = Pairs(*recs);
       ASSERT_FALSE(reference.empty()) << "workload produced no motifs";
     } else {
@@ -175,8 +183,8 @@ TEST(ClusterTransportTest, RecoverWithAQueuedBacklogAnswersEveryEventOnce) {
 }
 
 TEST(ClusterTransportTest, StatsReflectThePublishedStream) {
-  auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),
-                                                 MakeOptions(3), Mode::kInline);
+  auto transport =
+      MakeCluster(figure1::FollowGraph(), MakeOptions(3), /*threaded=*/false);
   ASSERT_TRUE(transport.ok());
   const auto recs = RunFigure1(transport->get());
   ASSERT_EQ(recs.size(), 1u);
@@ -208,8 +216,8 @@ TEST(ClusterTransportTest, StatsReflectThePublishedStream) {
 TEST(ClusterTransportTest, StatsTextMirrorsTheProcessD) {
   ClusterOptions options = MakeOptions(2);
   options.replicas_per_partition = 2;
-  auto transport = LocalClusterTransport::Create(
-      figure1::FollowGraph(), options, Mode::kThreaded);
+  auto transport =
+      MakeCluster(figure1::FollowGraph(), options, /*threaded=*/true);
   ASSERT_TRUE(transport.ok());
   ASSERT_EQ(RunFigure1(transport->get()).size(), 1u);
   auto text = (*transport)->GetStatsText();
@@ -234,8 +242,8 @@ TEST(ClusterTransportTest, StatsTextMirrorsSampledStageTimes) {
   // stops below k, so no replica runs or times a query half for it.
   ClusterOptions options = MakeOptions(2);
   options.replicas_per_partition = 2;
-  auto transport = LocalClusterTransport::Create(
-      figure1::FollowGraph(), options, Mode::kThreaded);
+  auto transport =
+      MakeCluster(figure1::FollowGraph(), options, /*threaded=*/true);
   ASSERT_TRUE(transport.ok());
   ASSERT_EQ(RunFigure1(transport->get()).size(), 1u);
   auto text = (*transport)->GetStatsText();
@@ -251,9 +259,9 @@ TEST(ClusterTransportTest, StatsTextMirrorsSampledStageTimes) {
 }
 
 TEST(ClusterTransportTest, TakeIsMoveOutInBothModes) {
-  for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
-    auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),
-                                                   MakeOptions(2), mode);
+  for (const bool threaded : {false, true}) {
+    auto transport =
+        MakeCluster(figure1::FollowGraph(), MakeOptions(2), threaded);
     ASSERT_TRUE(transport.ok());
     ASSERT_EQ(RunFigure1(transport->get()).size(), 1u);
     auto again = (*transport)->TakeRecommendations();
@@ -263,9 +271,8 @@ TEST(ClusterTransportTest, TakeIsMoveOutInBothModes) {
 }
 
 TEST(ClusterTransportTest, ClosedTransportRejectsCalls) {
-  auto transport = LocalClusterTransport::Create(figure1::FollowGraph(),
-                                                 MakeOptions(2),
-                                                 Mode::kThreaded);
+  auto transport =
+      MakeCluster(figure1::FollowGraph(), MakeOptions(2), /*threaded=*/true);
   ASSERT_TRUE(transport.ok());
   ASSERT_TRUE((*transport)->Close().ok());
   ASSERT_TRUE((*transport)->Close().ok()) << "Close must be idempotent";

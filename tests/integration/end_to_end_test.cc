@@ -45,7 +45,9 @@ TEST(EndToEndTest, Figure1ThroughTheWholePipeline) {
   simulator.Run([&](const EdgeEvent& event, Timestamp deliver_time) {
     latency.RecordQueueDelay(deliver_time - event.edge.created_at);
     ASSERT_TRUE(cluster->Publish(event).ok());
-    for (const Recommendation& rec : cluster->TakeRecommendations()) {
+    auto recs = cluster->TakeRecommendations();
+    ASSERT_TRUE(recs.ok());
+    for (const Recommendation& rec : *recs) {
       if (pipeline.Process(rec, clock.Now(), &delivered) ==
           DeliveryOutcome::kDelivered) {
         latency.RecordEndToEnd(clock.Now() - rec.event_time);
@@ -89,7 +91,9 @@ TEST(EndToEndTest, SyntheticDayProducesFunnelShape) {
   std::vector<Notification> delivered;
   for (const TimestampedEdge& e : stream->events) {
     ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
-    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
+    auto recs = (*cluster)->TakeRecommendations();
+    ASSERT_TRUE(recs.ok());
+    for (const Recommendation& rec : *recs) {
       pipeline.Process(rec, e.created_at, &delivered);
     }
   }
@@ -154,7 +158,9 @@ TEST(EndToEndTest, DedupAbsorbsRetriggeredMotifs) {
   const Timestamp noon = Hours(12);
   for (VertexId b : {10u, 11u, 12u}) {
     ASSERT_TRUE((*cluster)->Publish({.edge = {b, 20, noon + Seconds(b)}}).ok());
-    for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
+    auto recs = (*cluster)->TakeRecommendations();
+    ASSERT_TRUE(recs.ok());
+    for (const Recommendation& rec : *recs) {
       pipeline.Process(rec, noon + Seconds(b), &delivered);
     }
   }

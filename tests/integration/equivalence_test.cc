@@ -12,6 +12,7 @@
 
 #include "baseline/snapshot_finder.h"
 #include "cluster/cluster.h"
+#include "cluster/shard_cut.h"
 #include "core/motif_engine.h"
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
@@ -178,7 +179,7 @@ TEST_P(EquivalenceTest, ClusterMatchesSingleMachine) {
     ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> cluster_recs =
-      (*cluster)->TakeRecommendations();
+      (*cluster)->TakeRecommendations().value();
 
   EXPECT_EQ(Keys(cluster_recs), Keys(single_recs)) << "k=" << k;
 
@@ -204,7 +205,7 @@ TEST_P(EquivalenceTest, ClusterMatchesSingleMachine) {
     ASSERT_TRUE((*one_cluster)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> one_recs =
-      (*one_cluster)->TakeRecommendations();
+      (*one_cluster)->TakeRecommendations().value();
   if (k <= 2) {
     EXPECT_FALSE(one_recs.empty()) << "k=" << k;
   }

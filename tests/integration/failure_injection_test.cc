@@ -68,7 +68,7 @@ TEST(FailureInjectionTest, MidStreamFailoverLosesNothingInlineMode) {
     ASSERT_TRUE((*healthy)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> healthy_recs =
-      (*healthy)->TakeRecommendations();
+      (*healthy)->TakeRecommendations().value();
 
   // Faulty run: kill replica 0 of every partition a third of the way in,
   // recover it at two thirds.
@@ -90,7 +90,7 @@ TEST(FailureInjectionTest, MidStreamFailoverLosesNothingInlineMode) {
     ASSERT_TRUE((*faulty)->Publish({.edge = f.events[i]}).ok());
   }
   const std::vector<Recommendation> faulty_recs =
-      (*faulty)->TakeRecommendations();
+      (*faulty)->TakeRecommendations().value();
 
   // The survivor answered during the outage and the recovered replica was
   // re-synced, so recommendations are identical.
@@ -122,7 +122,7 @@ TEST(FailureInjectionTest, ThreadedFailoverWhileQuiesced) {
   ASSERT_TRUE((*cluster)->RecoverReplica(0, 1).ok());
   (*cluster)->Stop();
 
-  const auto recs = (*cluster)->TakeRecommendations();
+  const auto recs = (*cluster)->TakeRecommendations().value();
 
   // Reference: single-replica inline run.
   ClusterOptions ref_options = TwoReplicaOptions();
@@ -133,7 +133,7 @@ TEST(FailureInjectionTest, ThreadedFailoverWhileQuiesced) {
     ASSERT_TRUE((*reference)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> ref_recs =
-      (*reference)->TakeRecommendations();
+      (*reference)->TakeRecommendations().value();
   EXPECT_EQ(Pairs(recs), Pairs(ref_recs));
 }
 
@@ -150,7 +150,7 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedInline) {
     ASSERT_TRUE((*healthy)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> healthy_recs =
-      (*healthy)->TakeRecommendations();
+      (*healthy)->TakeRecommendations().value();
 
   auto chaos = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(chaos.ok());
@@ -172,7 +172,8 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedInline) {
     }
   }
 
-  EXPECT_EQ(Pairs((*chaos)->TakeRecommendations()), Pairs(healthy_recs));
+  EXPECT_EQ(Pairs((*chaos)->TakeRecommendations().value()),
+            Pairs(healthy_recs));
   EXPECT_FALSE(healthy_recs.empty());
 }
 
@@ -187,7 +188,7 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedThreaded) {
     ASSERT_TRUE((*reference)->Publish({.edge = e}).ok());
   }
   const std::vector<Recommendation> reference_recs =
-      (*reference)->TakeRecommendations();
+      (*reference)->TakeRecommendations().value();
 
   auto chaos = Cluster::Create(f.graph, TwoReplicaOptions());
   ASSERT_TRUE(chaos.ok());
@@ -215,7 +216,8 @@ TEST(FailureInjectionTest, ChaosKillRecoverLoopMatchesUninterruptedThreaded) {
   (*chaos)->Drain();
   (*chaos)->Stop();
 
-  EXPECT_EQ(Pairs((*chaos)->TakeRecommendations()), Pairs(reference_recs));
+  EXPECT_EQ(Pairs((*chaos)->TakeRecommendations().value()),
+            Pairs(reference_recs));
   EXPECT_FALSE(reference_recs.empty());
 }
 
@@ -238,7 +240,9 @@ TEST(FailureInjectionTest, DedupAbsorbsReplayAfterRecovery) {
   auto run = [&](const std::vector<TimestampedEdge>& events) {
     for (const TimestampedEdge& e : events) {
       ASSERT_TRUE((*cluster)->Publish({.edge = e}).ok());
-      for (const Recommendation& rec : (*cluster)->TakeRecommendations()) {
+      auto recs = (*cluster)->TakeRecommendations();
+      ASSERT_TRUE(recs.ok());
+      for (const Recommendation& rec : *recs) {
         pipeline.Process(rec, Hours(12) + e.created_at, &delivered);
       }
     }

@@ -22,7 +22,7 @@
 #include "../persist/scoped_temp_dir.h"
 #include "fanout_test_util.h"
 
-#include "cluster/transport.h"
+#include "cluster/cluster.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -73,10 +73,9 @@ struct SingleDaemon {
 
 SingleDaemon StartSingleDaemon(const StaticGraph& graph,
                                const ClusterOptions& options,
-                               LocalClusterTransport::Mode mode =
-                                   LocalClusterTransport::Mode::kThreaded) {
+                               bool threaded = true) {
   SingleDaemon s;
-  s.daemon = StartDaemon(graph, options, {}, mode);
+  s.daemon = StartDaemon(graph, options, {}, threaded);
   FanoutClusterOptions fopt;
   fopt.endpoints.resize(1);
   fopt.endpoints[0].port = s.daemon.server->port();
@@ -162,9 +161,9 @@ TEST(FanoutClusterTest, TenThousandEventStreamIdenticalAcrossAllTransports) {
   ASSERT_FALSE(reference.empty()) << "workload produced no motifs";
 
   {
-    auto threaded = LocalClusterTransport::Create(
-        *graph, options, LocalClusterTransport::Mode::kThreaded);
+    auto threaded = Cluster::Create(*graph, options);
     ASSERT_TRUE(threaded.ok());
+    ASSERT_TRUE((*threaded)->Start().ok());
     EXPECT_EQ(Sorted(RunThrough(threaded->get(), events)), reference)
         << "threaded in-process broker diverged";
   }
@@ -520,7 +519,7 @@ TEST(FanoutClusterTest, SingleDaemonOverAnInlineModeTransport) {
   // The daemon can host an inline (single-threaded) cluster too.
   SingleDaemon s = StartSingleDaemon(figure1::FollowGraph(),
                                      MakeClusterOptions(2),
-                                     LocalClusterTransport::Mode::kInline);
+                                     /*threaded=*/false);
   for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
     ASSERT_TRUE(s.broker->Publish(event).ok());
   }

@@ -28,7 +28,7 @@
 #include "raw_session.h"
 #include "stub_transport.h"
 
-#include "cluster/transport.h"
+#include "cluster/cluster.h"
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
@@ -605,9 +605,9 @@ TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
   TestWorkload w = MakeTestWorkload(256);
   ClusterOptions options = MakeClusterOptions(2);
 
-  auto hosted = LocalClusterTransport::Create(
-      w.graph, options, LocalClusterTransport::Mode::kThreaded);
+  auto hosted = Cluster::Create(w.graph, options);
   ASSERT_TRUE(hosted.ok()) << hosted.status();
+  ASSERT_TRUE((*hosted)->Start().ok());
   constexpr auto kStall = std::chrono::milliseconds(400);
   DelayingTransport delaying(hosted->get(), kStall, /*delays=*/1);
   auto server = RpcServer::Start(&delaying, RpcServerOptions{});
@@ -670,9 +670,9 @@ TEST(FanoutDegradedTest, RestartedBrokerIsNotDupSuppressed) {
   // second incarnation below draws from a disjoint range.
   TestWorkload w = MakeTestWorkload(512);
   ClusterOptions options = MakeClusterOptions(2);
-  auto hosted = LocalClusterTransport::Create(
-      w.graph, options, LocalClusterTransport::Mode::kThreaded);
+  auto hosted = Cluster::Create(w.graph, options);
   ASSERT_TRUE(hosted.ok()) << hosted.status();
+  ASSERT_TRUE((*hosted)->Start().ok());
   auto server = RpcServer::Start(hosted->get(), RpcServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -711,9 +711,9 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
   // claim the sequence and apply the batch itself.
   TestWorkload w = MakeTestWorkload(64);
   ClusterOptions options = MakeClusterOptions(2);
-  auto hosted = LocalClusterTransport::Create(
-      w.graph, options, LocalClusterTransport::Mode::kThreaded);
+  auto hosted = Cluster::Create(w.graph, options);
   ASSERT_TRUE(hosted.ok()) << hosted.status();
+  ASSERT_TRUE((*hosted)->Start().ok());
   GatedFailingTransport gated(hosted->get());
   auto server = RpcServer::Start(&gated, RpcServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();

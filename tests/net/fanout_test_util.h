@@ -1,5 +1,5 @@
 // Shared scaffolding for the fan-out broker tests: in-process "daemons"
-// (a hosted transport behind a real RpcServer on an ephemeral loopback
+// (a hosted Cluster behind a real RpcServer on an ephemeral loopback
 // port — the same wire path as a magicrecsd process), partition groups
 // wired to a FanoutCluster, and the inline single-process reference run
 // the acceptance tests compare against. Used by fanout_cluster_test.cc
@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/transport.h"
+#include "cluster/cluster.h"
 #include "net/fanout_cluster.h"
 #include "net/rpc_server.h"
 
@@ -57,21 +57,25 @@ inline std::vector<EdgeEvent> ToEvents(
   return events;
 }
 
-/// One in-process "daemon": a hosted transport behind a real RpcServer.
+/// One in-process "daemon": a hosted Cluster behind a real RpcServer.
 struct Daemon {
-  std::unique_ptr<LocalClusterTransport> hosted;
+  std::unique_ptr<Cluster> hosted;
   std::unique_ptr<net::RpcServer> server;
 };
 
+/// `threaded` starts the cluster, as magicrecsd does; otherwise every
+/// publish applies before its ack.
 inline Daemon StartDaemon(const StaticGraph& graph,
                           const ClusterOptions& options,
                           const net::RpcServerOptions& server_options = {},
-                          LocalClusterTransport::Mode mode =
-                              LocalClusterTransport::Mode::kThreaded) {
+                          bool threaded = true) {
   Daemon d;
-  auto hosted = LocalClusterTransport::Create(graph, options, mode);
+  auto hosted = Cluster::Create(graph, options);
   EXPECT_TRUE(hosted.ok()) << hosted.status();
   d.hosted = std::move(hosted).value();
+  if (threaded) {
+    EXPECT_TRUE(d.hosted->Start().ok());
+  }
   auto server = net::RpcServer::Start(d.hosted.get(), server_options);
   EXPECT_TRUE(server.ok()) << server.status();
   d.server = std::move(server).value();
@@ -136,13 +140,12 @@ inline Group StartGroup(const StaticGraph& graph, uint32_t group_size,
 inline std::vector<Recommendation> InlineReference(
     const StaticGraph& graph, const ClusterOptions& options,
     const std::vector<EdgeEvent>& events) {
-  auto inline_transport = LocalClusterTransport::Create(
-      graph, options, LocalClusterTransport::Mode::kInline);
-  EXPECT_TRUE(inline_transport.ok());
+  auto inline_cluster = Cluster::Create(graph, options);
+  EXPECT_TRUE(inline_cluster.ok());
   for (const EdgeEvent& event : events) {
-    EXPECT_TRUE((*inline_transport)->Publish(event).ok());
+    EXPECT_TRUE((*inline_cluster)->Publish(event).ok());
   }
-  auto recs = (*inline_transport)->TakeRecommendations();
+  auto recs = (*inline_cluster)->TakeRecommendations();
   EXPECT_TRUE(recs.ok());
   return std::move(recs).value();
 }

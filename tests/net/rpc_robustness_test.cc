@@ -22,7 +22,7 @@
 #include "raw_session.h"
 #include "stub_transport.h"
 
-#include "cluster/transport.h"
+#include "cluster/cluster.h"
 #include "gen/figure1.h"
 #include "net/fanout_cluster.h"
 #include "net/rpc_server.h"
@@ -45,11 +45,10 @@ class RpcRobustnessTest : public ::testing::Test {
     options.num_partitions = 2;
     options.detector.k = 2;
     options.detector.window = Minutes(10);
-    auto hosted = LocalClusterTransport::Create(
-        figure1::FollowGraph(), options,
-        LocalClusterTransport::Mode::kThreaded);
+    auto hosted = Cluster::Create(figure1::FollowGraph(), options);
     ASSERT_TRUE(hosted.ok()) << hosted.status();
     hosted_ = std::move(hosted).value();
+    ASSERT_TRUE(hosted_->Start().ok());
     auto server = RpcServer::Start(hosted_.get(), RpcServerOptions{});
     ASSERT_TRUE(server.ok()) << server.status();
     server_ = std::move(server).value();
@@ -100,7 +99,7 @@ class RpcRobustnessTest : public ::testing::Test {
     EXPECT_GE(server_->stats().protocol_errors, at_least);
   }
 
-  std::unique_ptr<LocalClusterTransport> hosted_;
+  std::unique_ptr<Cluster> hosted_;
   std::unique_ptr<RpcServer> server_;
 };
 

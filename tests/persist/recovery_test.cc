@@ -73,7 +73,7 @@ std::vector<Recommendation> RunRange(Cluster* cluster,
   for (size_t i = begin; i < end; ++i) {
     EXPECT_TRUE(cluster->Publish({.edge = events[i]}).ok());
   }
-  return cluster->TakeRecommendations();
+  return cluster->TakeRecommendations().value();
 }
 
 TEST(RecoveryEquivalenceTest, CrashAtMidStreamThenRecoverMatchesUninterrupted) {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
-#include "cluster/transport.h"
 #include "gen/activity_stream.h"
 #include "gen/social_graph.h"
 #include "persist/wal.h"
@@ -18,8 +17,6 @@
 
 namespace magicrecs {
 namespace {
-
-using Mode = LocalClusterTransport::Mode;
 
 struct TestWorkload {
   StaticGraph follow_graph;
@@ -62,7 +59,7 @@ std::vector<EdgeEvent> WalContents(const std::string& dir) {
 TEST(WalBatchTest, BatchPublishLogsEveryEventInSequenceOrder) {
   const TestWorkload w = MakeTestWorkload(600);
 
-  for (const Mode mode : {Mode::kInline, Mode::kThreaded}) {
+  for (const bool threaded : {false, true}) {
     ScopedTempDir dir;
     ClusterOptions options;
     options.num_partitions = 2;
@@ -71,9 +68,11 @@ TEST(WalBatchTest, BatchPublishLogsEveryEventInSequenceOrder) {
     options.persist.dir = dir.path();
 
     {
-      auto transport =
-          LocalClusterTransport::Create(w.follow_graph, options, mode);
+      auto transport = Cluster::Create(w.follow_graph, options);
       ASSERT_TRUE(transport.ok()) << transport.status();
+      if (threaded) {
+        ASSERT_TRUE((*transport)->Start().ok());
+      }
       std::vector<EdgeEvent> batch;
       for (const TimestampedEdge& edge : w.events) {
         EdgeEvent event;
@@ -95,9 +94,9 @@ TEST(WalBatchTest, BatchPublishLogsEveryEventInSequenceOrder) {
     }
 
     const std::vector<EdgeEvent> logged = WalContents(dir.path());
-    ASSERT_EQ(logged.size(), w.events.size()) << "mode " << int(mode);
+    ASSERT_EQ(logged.size(), w.events.size()) << "threaded " << threaded;
     for (size_t i = 0; i < logged.size(); ++i) {
-      EXPECT_EQ(logged[i].sequence, i) << "mode " << int(mode);
+      EXPECT_EQ(logged[i].sequence, i) << "threaded " << threaded;
       EXPECT_EQ(logged[i].edge.src, w.events[i].src);
       EXPECT_EQ(logged[i].edge.dst, w.events[i].dst);
       EXPECT_EQ(logged[i].edge.created_at, w.events[i].created_at);
@@ -115,8 +114,7 @@ TEST(WalBatchTest, EmptyBatchIsANoOp) {
   options.detector.window = Minutes(10);
   options.persist.dir = dir.path();
   {
-    auto transport =
-        LocalClusterTransport::Create(w.follow_graph, options, Mode::kInline);
+    auto transport = Cluster::Create(w.follow_graph, options);
     ASSERT_TRUE(transport.ok());
     ASSERT_TRUE((*transport)->PublishBatch({}).ok());
     ASSERT_TRUE((*transport)->Close().ok());

@@ -38,7 +38,6 @@
 #endif
 
 #include "cluster/cluster.h"
-#include "cluster/transport.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
 #include "graph/graph_io.h"
@@ -106,7 +105,8 @@ void PrintUsage() {
       "  --replicas=N           replicas per partition (1)\n"
       "  --k=N                  motif threshold k (3; fig1 wants 2)\n"
       "  --window-secs=N        freshness window tau (600)\n"
-      "  --inbox-capacity=N     events + actor ids queued per replica (65536)\n"
+      "  --inbox-capacity=N     events + actor ids queued per replica, N >= 1\n"
+      "                         (65536)\n"
       "  --max-influencers=N    influencer cap, 0 = off (0)\n"
       "  --max-inflight-per-conn=N  dispatched-but-unanswered requests per\n"
       "                         connection before the reactor stops reading\n"
@@ -327,11 +327,11 @@ int main(int argc, char** argv) {
                static_cast<size_t>(graph->num_vertices()),
                static_cast<size_t>(graph->num_edges()));
 
-  auto transport = LocalClusterTransport::Create(
-      *graph, options.cluster, LocalClusterTransport::Mode::kThreaded);
-  if (!transport.ok()) {
+  auto cluster = Cluster::Create(*graph, options.cluster);
+  Status started = cluster.ok() ? (*cluster)->Start() : cluster.status();
+  if (!started.ok()) {
     std::fprintf(stderr, "magicrecsd: creating cluster: %s\n",
-                 transport.status().ToString().c_str());
+                 started.ToString().c_str());
     return 1;
   }
 
@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
     server_options.health_interval_ms = options.health_interval_ms;
     server_options.event_journal = health_journal.get();
   }
-  auto server = net::RpcServer::Start(transport->get(), server_options);
+  auto server = net::RpcServer::Start(cluster->get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "magicrecsd: starting server: %s\n",
                  server.status().ToString().c_str());
@@ -405,7 +405,7 @@ int main(int argc, char** argv) {
 
   // Final attributable stats dump before teardown: one line per hosted
   // replica, tagged with its global partition id.
-  if (auto cluster_stats = (*transport)->GetStats(); cluster_stats.ok()) {
+  if (auto cluster_stats = (*cluster)->GetStats(); cluster_stats.ok()) {
     std::fprintf(stderr, "magicrecsd: %s\n",
                  cluster_stats->ToString().c_str());
     std::fprintf(stderr, "%s\n", cluster_stats->PerReplicaString().c_str());
@@ -413,9 +413,9 @@ int main(int argc, char** argv) {
 
   (*server)->Stop();
   const net::RpcServerStats stats = (*server)->stats();
-  const Status closed = (*transport)->Close();
+  const Status closed = (*cluster)->Close();
   if (!closed.ok()) {
-    std::fprintf(stderr, "magicrecsd: transport close: %s\n",
+    std::fprintf(stderr, "magicrecsd: cluster close: %s\n",
                  closed.ToString().c_str());
   }
   std::fprintf(stderr,
