@@ -25,8 +25,9 @@
 // expected recommendation is then only required when the partition owning
 // A2 actually answered.
 //
-// Autopilot chaos drill (the CI health smoke): --autopilot --chaos-drill
-// [--journal=PATH] [--health-interval-ms=N] runs the scenario strict, then
+// Health-monitor chaos drill (the CI health smoke): --chaos-drill
+// [--journal=PATH] [--health-interval-ms=N] runs the scenario under
+// --policy=auto (strict until the broker's health monitor flips it), then
 // keeps publishing a trickle and narrates the broker's self-driven policy
 // flips so an orchestrator (CI) can kill and restart a daemon around it:
 //   DRILL: ready              -> kill a daemon now
@@ -80,6 +81,8 @@ int main(int argc, char** argv) {
         options.policy = net::FanoutPolicy::kQuorum;
       } else if (value == "best-effort") {
         options.policy = net::FanoutPolicy::kBestEffort;
+      } else if (value == "auto") {
+        options.policy = net::FanoutPolicy::kAuto;
       } else {
         std::fprintf(stderr, "unknown --policy '%s'\n", value.c_str());
         return 2;
@@ -89,10 +92,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--quorum=", 9) == 0) {
       options.gather_quorum =
           static_cast<uint32_t>(std::strtoul(argv[i] + 9, nullptr, 10));
-      continue;
-    }
-    if (std::strcmp(argv[i], "--autopilot") == 0) {
-      options.autopilot = true;
       continue;
     }
     if (std::strncmp(argv[i], "--journal=", 10) == 0) {
@@ -121,23 +120,24 @@ int main(int argc, char** argv) {
   if (options.endpoints.empty()) {
     std::fprintf(stderr,
                  "usage: example_fanout_quickstart [--policy=strict|quorum|"
-                 "best-effort] [--quorum=N] [--autopilot] [--chaos-drill] "
-                 "[--journal=PATH] [--health-interval-ms=N] PORT | PORT:PARTITION "
-                 "[PORT:PARTITION ...]\n");
+                 "best-effort|auto] [--quorum=N] [--chaos-drill] "
+                 "[--health-interval-ms=N] [--journal=PATH] PORT | "
+                 "PORT:PARTITION [PORT:PARTITION ...]\n");
     return 2;
   }
   if (chaos_drill) {
-    // The drill narrates autopilot flips to an orchestrator, so tune for
-    // drill time (fast ticks, short dwell, short redial backoff) and
-    // line-buffer stdout — the orchestrator tails it through a pipe/file.
-    options.autopilot = true;
-    if (options.health_interval_ms > 100) options.health_interval_ms = 50;
-    options.health.min_dwell_us = 500'000;
-    options.health.recover_evaluations = 2;
+    // The drill narrates kAuto's flips to an orchestrator, so tune for
+    // drill time (fast ticks, short redial backoff) and line-buffer
+    // stdout — the orchestrator tails it through a pipe/file.
+    options.policy = net::FanoutPolicy::kAuto;
+    if (options.health_interval_ms <= 0 || options.health_interval_ms > 100) {
+      options.health_interval_ms = 50;
+    }
     options.max_reconnect_backoff_ms = 200;
     std::setvbuf(stdout, nullptr, _IOLBF, 0);
   }
-  const bool degraded = options.policy != net::FanoutPolicy::kStrict;
+  const bool degraded = options.policy != net::FanoutPolicy::kStrict &&
+                        options.policy != net::FanoutPolicy::kAuto;
 
   auto broker = net::FanoutCluster::Connect(options);
   if (!broker.ok()) {

@@ -254,25 +254,11 @@ HealthReport HealthEngine::Latest() const {
   return latest_;
 }
 
-HealthReport HealthReportFromRegistry(const MetricsRegistry& registry,
-                                      int64_t now_us) {
-  MetricsSnapshotData snapshot;
-  registry.Export(&snapshot);
-  HealthReport report;
-  report.at_us = now_us;
-  const std::string prefix = "health{party=\"";
-  for (const auto& [key, value] : snapshot.gauges) {
-    if (key.compare(0, prefix.size(), prefix) != 0) continue;
-    const size_t end = key.find('"', prefix.size());
-    if (end == std::string::npos) continue;
-    PartyHealth party;
-    party.party =
-        UnescapeLabelValue(key.substr(prefix.size(), end - prefix.size()));
-    const int64_t clamped = std::clamp<int64_t>(value, 0, 2);
-    party.state = static_cast<HealthState>(clamped);
-    report.parties.push_back(std::move(party));
-  }
-  return report;
+std::string HealthPartyName(std::optional<uint32_t> partition,
+                            std::string_view host, uint16_t port) {
+  if (partition.has_value()) return StrFormat("p%u", *partition);
+  return StrFormat("%s:%u", std::string(host).c_str(),
+                   static_cast<unsigned>(port));
 }
 
 }  // namespace magicrecs

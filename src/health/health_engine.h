@@ -29,11 +29,10 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/metrics.h"
 
 namespace magicrecs {
 
@@ -157,8 +156,6 @@ class HealthEngine {
   /// The report from the most recent Evaluate (empty before the first).
   HealthReport Latest() const;
 
-  const HealthThresholds& thresholds() const { return thresholds_; }
-
   /// Raw threshold classification of one party, before hysteresis. Public
   /// for tests and for callers that want an instantaneous reading.
   static void Classify(const HealthThresholds& thresholds,
@@ -180,12 +177,12 @@ class HealthEngine {
   HealthReport latest_;
 };
 
-/// Reconstructs a HealthReport from `health{party="..."}` gauges in a
-/// registry — the read side of the gauge encoding a HealthMonitor writes.
-/// Parties come back with reason kNone: the gauge carries state only; the
-/// journal carries the why.
-HealthReport HealthReportFromRegistry(const MetricsRegistry& registry,
-                                      int64_t now_us);
+/// A party's name in reports, gauges and journals: "pN" for the member
+/// hosting global partition N of a group, "host:port" for a daemon hosting
+/// every partition. The broker names its daemons and a daemon names itself
+/// by this one rule, so their journals agree on who is who.
+std::string HealthPartyName(std::optional<uint32_t> partition,
+                            std::string_view host, uint16_t port);
 
 }  // namespace magicrecs
 

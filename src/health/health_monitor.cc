@@ -16,8 +16,7 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, EventLog* journal,
       pre_sample_(std::move(pre_sample)),
       options_(options),
       clock_(clock),
-      series_(kHealthHistory),
-      engine_(options.thresholds) {
+      series_(kHealthHistory) {
   thread_ = std::thread([this] { Loop(); });
 }
 

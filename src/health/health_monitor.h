@@ -10,8 +10,10 @@
 //   5. publishes `health{party="..."}` gauges back into the registry (so
 //      health rides the existing kStatsText wire surface unchanged),
 //   6. journals every transition to the event log, and
-//   7. hands the report + transitions to the owner's observer (the policy
-//      autopilot in net/fanout_cluster.cc).
+//   7. hands the report + transitions to the owner's observer (the broker's
+//      FanoutPolicy::kAuto flips in net/fanout_cluster.cc).
+//
+// Every monitor scores with the default HealthThresholds.
 //
 // EvaluateNow() runs one tick synchronously so tests and shutdown paths can
 // force an evaluation without waiting out the interval.
@@ -45,7 +47,6 @@ struct HealthMonitorOptions {
   /// Evaluation cadence. This is the "evaluation interval" the acceptance
   /// criteria count flip latency in.
   int interval_ms = 1000;
-  HealthThresholds thresholds;
 };
 
 class HealthMonitor {
@@ -78,9 +79,6 @@ class HealthMonitor {
 
   /// Latest engine report (empty before the first tick).
   HealthReport Latest() const { return engine_.Latest(); }
-
-  const MetricsTimeSeries& series() const { return series_; }
-  HealthEngine* engine() { return &engine_; }
 
  private:
   void Loop();

@@ -1,6 +1,7 @@
 #include "net/fanout_cluster.h"
 
 #include <algorithm>
+#include <optional>
 #include <random>
 #include <utility>
 
@@ -37,6 +38,7 @@ std::string_view FanoutPolicyName(FanoutPolicy policy) {
     case FanoutPolicy::kStrict: return "strict";
     case FanoutPolicy::kQuorum: return "quorum";
     case FanoutPolicy::kBestEffort: return "best-effort";
+    case FanoutPolicy::kAuto: return "auto";
   }
   return "unknown";
 }
@@ -50,6 +52,25 @@ Result<std::unique_ptr<FanoutCluster>> FanoutCluster::Connect(
     return Status::InvalidArgument(StrFormat(
         "gather_quorum %u exceeds the %zu configured endpoints",
         options.gather_quorum, options.endpoints.size()));
+  }
+  // At 0 an open circuit would stay at 0 ms: the broker would redial a
+  // dead daemon on every call and never score it unreachable.
+  if (options.reconnect_backoff_ms < 1) {
+    return Status::InvalidArgument("reconnect_backoff_ms must be >= 1");
+  }
+  if (options.max_reconnect_backoff_ms < options.reconnect_backoff_ms) {
+    return Status::InvalidArgument(
+        "max_reconnect_backoff_ms must be >= reconnect_backoff_ms");
+  }
+  if (!(options.shed_replay_frac >= 0 && options.shed_replay_frac <= 1)) {
+    return Status::InvalidArgument("shed_replay_frac must be in [0, 1]");
+  }
+  // Only the monitor flips kAuto or writes the journal.
+  if (options.health_interval_ms <= 0 &&
+      (options.policy == FanoutPolicy::kAuto ||
+       !options.event_journal_path.empty())) {
+    return Status::InvalidArgument(
+        "policy auto and event_journal_path need health_interval_ms > 0");
   }
 
   uint32_t group_size = options.group_size;
@@ -90,13 +111,15 @@ Result<std::unique_ptr<FanoutCluster>> FanoutCluster::Connect(
 
   std::unique_ptr<FanoutCluster> cluster(new FanoutCluster(options));
   cluster->group_size_ = group_size;
-  cluster->StartHealthMonitor();
+  if (options.health_interval_ms > 0) cluster->StartHealthMonitor();
   return cluster;
 }
 
 FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
     : options_(options) {
-  active_policy_.store(options.policy, std::memory_order_relaxed);
+  if (options.policy != FanoutPolicy::kAuto) {  // kAuto starts strict
+    active_policy_.store(options.policy, std::memory_order_relaxed);
+  }
   // Batch sequences must be unique across broker incarnations, not just
   // within one: the daemons' dedup window is keyed by the raw u64 and
   // outlives any one broker's connections, so a counter restarting at 1
@@ -250,6 +273,7 @@ size_t FanoutCluster::RequiredQuorum() const {
                  ? n / 2 + 1
                  : static_cast<size_t>(options_.gather_quorum);
     case FanoutPolicy::kBestEffort: return 0;
+    case FanoutPolicy::kAuto: break;  // never active
   }
   return n;
 }
@@ -337,7 +361,7 @@ std::vector<FanoutCluster::Slot> FanoutCluster::AcquireLanes(Daemon* only) {
       slot.conn = std::move(conn).value();
       // A reachable daemon is first owed whatever a degraded policy parked
       // for it while it was away — replay preserves publish order. Frames
-      // can also be owed AFTER the autopilot flipped back to strict (the
+      // can also be owed AFTER kAuto's monitor flipped back to strict (the
       // flip-back gate requires empty buffers, but a racing publish can
       // park between the check and the flip), so any non-empty buffer
       // flushes regardless of the active policy.
@@ -528,7 +552,7 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
         "broker is shedding publishes: replay buffers near capacity (see "
         "the health journal's shed_start event)");
   }
-  // One policy snapshot steers this whole call: a concurrent autopilot
+  // One policy snapshot steers this whole call: a concurrent kAuto
   // flip must not park some of its failed lanes and fail others.
   const bool entered_degraded = degraded();
   // Sampling decision for end-to-end tracing: 1 in trace_sample_every
@@ -965,14 +989,7 @@ Status FanoutCluster::Ping() {
       });
 }
 
-// --- health autopilot --------------------------------------------------------
-
-std::string FanoutCluster::PartyName(const Daemon& daemon) const {
-  const FanoutEndpoint& e = daemon.endpoint;
-  return e.partition == FanoutEndpoint::kAllPartitions
-             ? StrFormat("%s:%u", e.host.c_str(), e.port)
-             : StrFormat("p%u", e.partition);
-}
+// --- health monitor ----------------------------------------------------------
 
 void FanoutCluster::MirrorBrokerCounters() {
   // RaiseTo (CAS-to-max) keeps concurrent mirrors (monitor tick, scrape)
@@ -996,14 +1013,9 @@ void FanoutCluster::MirrorBrokerCounters() {
 }
 
 void FanoutCluster::StartHealthMonitor() {
-  // The journal exists under every configuration (tests read its in-memory
-  // ring; non-autopilot brokers can still be pointed at a path); the
-  // monitor thread only spins up when the autopilot is on.
   journal_ = std::make_unique<EventLog>(options_.event_journal_path);
-  if (!options_.autopilot) return;
   HealthMonitorOptions monitor_options;
-  monitor_options.interval_ms = std::max(1, options_.health_interval_ms);
-  monitor_options.thresholds = options_.health;
+  monitor_options.interval_ms = options_.health_interval_ms;
   monitor_ = std::make_unique<HealthMonitor>(
       MetricsRegistry::Default(), journal_.get(),
       [this](const MetricsTimeSeries& series, int64_t window_us,
@@ -1034,8 +1046,12 @@ void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
   double worst_frac = 0;
   std::string worst_party;
   for (const auto& daemon : daemons_) {
+    const FanoutEndpoint& e = daemon->endpoint;
     HealthInputs::Party party;
-    party.name = PartyName(*daemon);
+    party.name = HealthPartyName(e.partition == FanoutEndpoint::kAllPartitions
+                                     ? std::nullopt
+                                     : std::optional<uint32_t>(e.partition),
+                                 e.host, e.port);
     {
       std::lock_guard<std::mutex> lock(daemon->mu);
       // backoff_ms resets to 0 on a successful dial, so nonzero means the
@@ -1073,19 +1089,15 @@ void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
     const bool was_shedding = shedding_.load(std::memory_order_relaxed);
     if (!was_shedding && shed_raise) {
       shedding_.store(true, std::memory_order_relaxed);
-      if (journal_ != nullptr) {
-        journal_->Append(
-            SystemClock::Default()->Now(), "shed_start",
-            {LogEvent::Str("party", worst_party),
-             LogEvent::Num("replay_frac", worst_frac),
-             LogEvent::Num("shed_replay_frac", options_.shed_replay_frac)});
-      }
+      journal_->Append(
+          SystemClock::Default()->Now(), "shed_start",
+          {LogEvent::Str("party", worst_party),
+           LogEvent::Num("replay_frac", worst_frac),
+           LogEvent::Num("shed_replay_frac", options_.shed_replay_frac)});
     } else if (was_shedding && shed_all_clear) {
       shedding_.store(false, std::memory_order_relaxed);
-      if (journal_ != nullptr) {
-        journal_->Append(SystemClock::Default()->Now(), "shed_stop",
-                         {LogEvent::Num("replay_frac", worst_frac)});
-      }
+      journal_->Append(SystemClock::Default()->Now(), "shed_stop",
+                       {LogEvent::Num("replay_frac", worst_frac)});
     }
   }
 }
@@ -1094,9 +1106,8 @@ void FanoutCluster::OnHealthReport(
     const HealthReport& report,
     const std::vector<HealthTransition>& transitions) {
   (void)transitions;  // journaled by the monitor itself
-  // The autopilot only manages a strict-configured broker: a configured
-  // degraded policy is already at or past what a flip would grant.
-  if (options_.policy != FanoutPolicy::kStrict) return;
+  // Only kAuto flips; every other configured policy is pinned.
+  if (options_.policy != FanoutPolicy::kAuto) return;
 
   bool any_daemon_unhealthy = false;
   const PartyHealth* worst = nullptr;
@@ -1127,11 +1138,7 @@ void FanoutCluster::OnHealthReport(
     if (replay_empty) desired = FanoutPolicy::kStrict;
   }
 
-  if (desired == current || options_.pin_policy) {
-    MetricsRegistry::Default()->GetGauge("broker_policy")
-        ->Set(static_cast<int64_t>(current));
-    return;
-  }
+  if (desired == current) return;  // the pre-sample mirror set the gauge
 
   active_policy_.store(desired, std::memory_order_relaxed);
   policy_flips_.fetch_add(1, std::memory_order_relaxed);
@@ -1144,16 +1151,12 @@ void FanoutCluster::OnHealthReport(
   const std::string detail =
       worst != nullptr ? worst->detail
                        : "all parties healthy through dwell, replay drained";
-  if (journal_ != nullptr) {
-    journal_->Append(report.at_us, "policy_flip",
-                     {LogEvent::Str("from", std::string(FanoutPolicyName(
-                                                current))),
-                      LogEvent::Str("to", std::string(FanoutPolicyName(
-                                              desired))),
-                      LogEvent::Str("trigger_party", trigger_party),
-                      LogEvent::Str("reason", reason),
-                      LogEvent::Str("detail", detail)});
-  }
+  journal_->Append(
+      report.at_us, "policy_flip",
+      {LogEvent::Str("from", std::string(FanoutPolicyName(current))),
+       LogEvent::Str("to", std::string(FanoutPolicyName(desired))),
+       LogEvent::Str("trigger_party", trigger_party),
+       LogEvent::Str("reason", reason), LogEvent::Str("detail", detail)});
   std::fprintf(stderr, "fanout broker: policy %s -> %s%s%s%s\n",
                std::string(FanoutPolicyName(current)).c_str(),
                std::string(FanoutPolicyName(desired)).c_str(),
@@ -1166,9 +1169,7 @@ void FanoutCluster::OnHealthReport(
 
 Result<HealthReport> FanoutCluster::GetHealth() {
   MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
-  if (monitor_ != nullptr) return monitor_->Latest();
-  return HealthReportFromRegistry(*MetricsRegistry::Default(),
-                                  SystemClock::Default()->Now());
+  return monitor_ != nullptr ? monitor_->Latest() : HealthReport{};
 }
 
 Status FanoutCluster::Close() {

@@ -165,6 +165,10 @@ enum class FanoutPolicy {
   kStrict,      ///< any daemon failure fails the call (PR 3 behavior)
   kQuorum,      ///< succeed when >= gather_quorum daemons answer
   kBestEffort,  ///< succeed with whatever answered, even nothing
+  /// Starts strict; the health monitor (which it requires) flips the
+  /// active policy to kQuorum while any daemon is unhealthy and back once
+  /// all recover. Never an active policy itself.
+  kAuto,
 };
 
 std::string_view FanoutPolicyName(FanoutPolicy policy);
@@ -201,7 +205,8 @@ struct FanoutClusterOptions {
   int connect_timeout_ms = 5'000;
 
   /// Reconnect backoff after a daemon failure: starts at the first value,
-  /// doubles per consecutive failure, capped at the second.
+  /// doubles per consecutive failure, capped at the second. The first must
+  /// be >= 1 (an open circuit is a nonzero backoff) and the cap >= it.
   int reconnect_backoff_ms = 50;
   int max_reconnect_backoff_ms = 2'000;
 
@@ -233,40 +238,31 @@ struct FanoutClusterOptions {
   /// counts them in ClusterStats::rescue_dropped.
   size_t max_pending_recommendations = 1 << 16;
 
-  // --- health autopilot ------------------------------------------------------
+  // --- health monitor --------------------------------------------------------
 
-  /// Run the broker-side health engine: a monitor thread samples the
-  /// registry every health_interval_ms, scores every daemon plus the
-  /// broker itself (src/health/health_engine.h), publishes
-  /// `health{party=...}` gauges, journals transitions — and flips the
-  /// ACTIVE policy strict→quorum while any daemon is unhealthy, then back
-  /// once every party has been healthy through the engine's dwell +
-  /// recovery hysteresis AND every replay buffer has drained (flipping to
-  /// strict with frames still parked would strand them). Only meaningful
-  /// when `policy` is kStrict: a configured degraded policy is already at
-  /// or past what the autopilot would flip to, so it is left alone.
-  bool autopilot = false;
-
-  /// Evaluation cadence of the broker health engine.
-  int health_interval_ms = 250;
-
-  /// Rule thresholds + anti-flap tuning (docs/observability.md).
-  HealthThresholds health;
+  /// > 0 runs the broker-side health monitor on this interval: it samples
+  /// the registry, scores every daemon plus the broker itself with the
+  /// default HealthThresholds (src/health/health_engine.h), publishes
+  /// `health{party=...}` gauges, journals transitions, and evaluates load
+  /// shedding. Under kAuto it also flips the ACTIVE policy strict→quorum
+  /// while any daemon is unhealthy, then back once every party has been
+  /// healthy through the engine's dwell + recovery hysteresis AND every
+  /// replay buffer has drained (flipping to strict with frames still
+  /// parked would strand them). Any other policy is pinned: the monitor
+  /// scores, journals and sheds but never flips. 0 (the default) runs no
+  /// monitor thread; kAuto then fails Connect.
+  int health_interval_ms = 0;
 
   /// JSONL journal for health transitions, policy flips, and load-shed
-  /// events ("" = in-memory ring only; see EventLog::Recent()).
+  /// events ("" = in-memory ring only; see EventLog::Recent()). Requires
+  /// the monitor, the only writer.
   std::string event_journal_path;
-
-  /// Operator override: keep evaluating and journaling health, but never
-  /// flip the active policy (docs/operations.md's "pin the policy").
-  bool pin_policy = false;
 
   /// Load shedding: while any daemon's replay buffer is at least this
   /// full, PublishBatch fails fast with ResourceExhausted instead of
   /// pushing the buffer to its hard bound and dropping events. Shedding
   /// clears once every buffer is back below half this fraction
-  /// (hysteresis). 0 disables. Requires autopilot (the monitor is what
-  /// evaluates it).
+  /// (hysteresis). In [0, 1]; 0 disables. Only the monitor evaluates it.
   double shed_replay_frac = 0.9;
 };
 
@@ -326,15 +322,13 @@ class FanoutCluster : public ClusterTransport {
   /// server-side.
   Result<HashPartitioner> Partitioner() const;
 
-  /// The broker engine's latest report: the broker party plus one party
-  /// per daemon, with reasons and triggering values. With the autopilot
-  /// off, the party states are rebuilt from the process registry's
-  /// `health{party="..."}` gauges. An empty report means no health engine
-  /// has evaluated yet.
+  /// The broker monitor's latest report: the broker party plus one party
+  /// per daemon, with reasons and triggering values. Empty when no monitor
+  /// runs or before its first evaluation.
   Result<HealthReport> GetHealth();
 
-  /// The policy currently steering gathers/replay — the autopilot
-  /// may have flipped it away from options.policy.
+  /// The policy currently steering gathers/replay: strict, quorum or
+  /// best-effort, never kAuto (which starts strict and flips).
   FanoutPolicy active_policy() const {
     return active_policy_.load(std::memory_order_relaxed);
   }
@@ -343,8 +337,9 @@ class FanoutCluster : public ClusterTransport {
   /// FanoutClusterOptions::shed_replay_frac).
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
 
-  /// The event journal (never null once Connect returns; in-memory only
-  /// when no path was configured). Transitions, flips, and shed events.
+  /// The monitor's event journal: transitions, flips, and shed events
+  /// (in-memory only when no path was configured). Null when no monitor
+  /// runs.
   EventLog* journal() { return journal_.get(); }
 
   /// One stats sweep that checks liveness and topology together: every
@@ -527,9 +522,9 @@ class FanoutCluster : public ClusterTransport {
                    const ReplyStep& on_reply = nullptr);
 
   /// True under a degraded ACTIVE policy (anything but kStrict). The
-  /// active policy starts as options.policy and is flipped by the
-  /// autopilot; every degraded-mode gate (replay, quorum tolerance) keys
-  /// off it, never off the configured one.
+  /// active policy starts as options.policy (kStrict for kAuto) and only
+  /// kAuto's monitor flips it; every degraded-mode gate (replay, quorum
+  /// tolerance) keys off it, never off the configured one.
   bool degraded() const {
     return active_policy_.load(std::memory_order_relaxed) !=
            FanoutPolicy::kStrict;
@@ -568,13 +563,9 @@ class FanoutCluster : public ClusterTransport {
   /// InvalidArgument when none does.
   Result<Daemon*> RouteToPartition(uint32_t partition);
 
-  // --- health autopilot plumbing (see StartHealthMonitor in the .cc) --------
+  // --- health monitor plumbing (see StartHealthMonitor in the .cc) ----------
 
-  /// Gauge/party label for a daemon: "pN" for a partition-group member,
-  /// "host:port" for an all-hosting daemon.
-  std::string PartyName(const Daemon& daemon) const;
-
-  /// Spawns journal_ + monitor_ (Connect tail, after topology validation).
+  /// Spawns journal_ + monitor_ (Connect tail, after validation).
   void StartHealthMonitor();
 
   /// Monitor pre-sample hook: mirrors the broker's degraded-mode atomics
@@ -588,8 +579,8 @@ class FanoutCluster : public ClusterTransport {
   void CollectHealthInputs(const MetricsTimeSeries& series, int64_t window_us,
                            HealthInputs* inputs);
 
-  /// Monitor observer: decides the desired active policy from the report
-  /// and flips (journaled) unless pinned.
+  /// Monitor observer: under kAuto, decides the desired active policy
+  /// from the report and flips (journaled).
   void OnHealthReport(const HealthReport& report,
                       const std::vector<HealthTransition>& transitions);
 
@@ -625,10 +616,10 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> replay_dropped_events_{0};
   std::atomic<uint64_t> rescue_dropped_{0};
 
-  // --- health autopilot state ------------------------------------------------
+  // --- health monitor state --------------------------------------------------
 
-  /// The policy actually steering this broker. Equals options_.policy
-  /// until the autopilot flips it.
+  /// The policy actually steering this broker. Equals options_.policy,
+  /// or kStrict under kAuto until the monitor flips it.
   std::atomic<FanoutPolicy> active_policy_{FanoutPolicy::kStrict};
 
   /// Admission control: set/cleared by the monitor's shed hysteresis,
@@ -638,10 +629,10 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> policy_flips_{0};
   std::atomic<uint64_t> shed_publishes_{0};
 
-  /// Journal + monitor. Created by Connect (journal always, monitor only
-  /// with autopilot on); the monitor is torn down at the top of Close(),
-  /// before daemon state is severed, since its collector reads daemon
-  /// mutexes and replay depths.
+  /// Journal + monitor. Created by Connect only when health_interval_ms
+  /// > 0, both null otherwise; Close() tears the monitor down before it
+  /// clears daemon state, since its collector reads daemon mutexes and
+  /// replay depths.
   std::unique_ptr<EventLog> journal_;
   std::unique_ptr<HealthMonitor> monitor_;
 

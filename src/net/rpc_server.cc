@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -117,16 +118,17 @@ void RpcServer::StartHealthMonitor() {
   // registry counters the scrape surface renders. Only the rate rules fire
   // — replay depth and gather staleness are the broker's view of this
   // daemon, not its own.
-  const std::string party = options_.trace_party == kTracePartyAllHosting
-                                ? address_
-                                : StrFormat("p%u", options_.trace_party);
+  const std::string party = HealthPartyName(
+      options_.trace_party == kTracePartyAllHosting
+          ? std::nullopt
+          : std::optional<uint32_t>(options_.trace_party),
+      options_.host, port());
   const MetricLabels labels = {{"server", address_}};
   const std::string stalls_key = MetricKey("rpc_inflight_stalls", labels);
   const std::string errors_key = MetricKey("rpc_protocol_errors", labels);
   const std::string slow_key = MetricKey("rpc_slow_requests", labels);
   HealthMonitorOptions monitor_options;
   monitor_options.interval_ms = options_.health_interval_ms;
-  monitor_options.thresholds = options_.health;
   health_monitor_ = std::make_unique<HealthMonitor>(
       MetricsRegistry::Default(), options_.event_journal,
       [party, stalls_key, errors_key, slow_key](

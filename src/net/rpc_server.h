@@ -70,7 +70,6 @@
 #include <vector>
 
 #include "cluster/transport.h"
-#include "health/health_engine.h"
 #include "net/frame_buf.h"
 #include "net/frame_io.h"
 #include "net/socket.h"
@@ -112,20 +111,17 @@ struct RpcServerOptions {
   /// Identity this server stamps into trace contexts (util/trace.h): a
   /// partition-group daemon passes its global partition id, an all-hosting
   /// daemon keeps the sentinel. The self-health monitor reports under
-  /// "pN" for a partition id, else under "host:port".
+  /// HealthPartyName: "pN" for a partition id, else "host:port".
   uint32_t trace_party = kTracePartyAllHosting;
 
   /// > 0 runs a self-health monitor (health/health_monitor.h) on this
   /// interval: windowed rates of this server's own in-flight stalls,
   /// protocol errors, and slow requests feed the rule engine, whose state
   /// lands in the `health{party=...}` gauge the kStatsText scrape renders.
-  /// 0 (the default) runs no monitor thread.
+  /// Only the rate rules apply: a daemon has no replay buffers or gather
+  /// staleness of its own; those are the broker's view of it. 0 (the
+  /// default) runs no monitor thread.
   int health_interval_ms = 0;
-
-  /// Rule thresholds for the self-health monitor. Only the rate rules
-  /// apply — a daemon has no replay buffers or gather staleness of its
-  /// own; those are the broker's view of it.
-  HealthThresholds health;
 
   /// Where health transitions are journaled (JSONL, util/event_log.h).
   /// Borrowed, may be null, must outlive the server when set.

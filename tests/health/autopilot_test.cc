@@ -1,7 +1,11 @@
-// Acceptance for the broker health autopilot (ISSUE 7): a strict
-// partition-group broker watches its own health engine, flips itself to
-// quorum when a daemon dies, keeps publishing, journals the flip with the
-// triggering window values, and flips back after recovery + dwell.
+// Acceptance for the broker health monitor: a kAuto partition-group broker
+// starts strict, watches its own health engine, flips itself to quorum
+// when a daemon dies, keeps publishing, journals the flip with the
+// triggering window values, and flips back after recovery + dwell. Any
+// other policy under a monitor is pinned: scored and journaled, never
+// flipped. With health_interval_ms = 0 the broker runs no monitor at all.
+
+#include <dirent.h>
 
 #include <chrono>
 #include <string>
@@ -27,15 +31,12 @@ using net::FanoutPolicy;
 using net::RpcServerOptions;
 using net::RpcServer;
 
-/// Autopilot options tuned for test time: 25ms evaluation ticks, 200ms
-/// dwell, two clean evaluations to recover.
-FanoutClusterOptions AutopilotOptions() {
+/// Monitored broker options tuned for test time: 25ms evaluation ticks.
+FanoutClusterOptions MonitoredOptions(
+    FanoutPolicy policy = FanoutPolicy::kAuto) {
   FanoutClusterOptions fopt;
-  fopt.policy = FanoutPolicy::kStrict;
-  fopt.autopilot = true;
+  fopt.policy = policy;
   fopt.health_interval_ms = 25;
-  fopt.health.min_dwell_us = 200'000;
-  fopt.health.recover_evaluations = 2;
   // Short reconnect backoff so recovery detection is not dominated by the
   // dial backoff cap.
   fopt.max_reconnect_backoff_ms = 100;
@@ -78,9 +79,21 @@ std::string FieldOf(const LogEvent& event, const std::string& key) {
   return "";
 }
 
+/// Threads in this process right now (/proc/self/task entries).
+long CountThreads() {
+  long count = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* entry = ::readdir(dir)) {
+      if (entry->d_name[0] != '.') count++;
+    }
+    ::closedir(dir);
+  }
+  return count;
+}
+
 TEST(HealthAutopilotTest, FlipsToQuorumOnDeathAndBackAfterRecovery) {
   Group g = StartGroup(figure1::FollowGraph(), 4, /*replicas=*/1, /*k=*/2,
-                       AutopilotOptions());
+                       MonitoredOptions());
   ASSERT_TRUE(g.broker->Ping().ok());
   EXPECT_EQ(g.broker->active_policy(), FanoutPolicy::kStrict);
   ASSERT_NE(g.broker->journal(), nullptr);
@@ -189,8 +202,7 @@ TEST(HealthAutopilotTest, FlipsToQuorumOnDeathAndBackAfterRecovery) {
 }
 
 TEST(HealthAutopilotTest, PinnedPolicyObservesButNeverFlips) {
-  FanoutClusterOptions fopt = AutopilotOptions();
-  fopt.pin_policy = true;
+  FanoutClusterOptions fopt = MonitoredOptions(FanoutPolicy::kStrict);
   Group g = StartGroup(figure1::FollowGraph(), 2, /*replicas=*/1, /*k=*/2,
                        fopt);
   ASSERT_TRUE(g.broker->Ping().ok());
@@ -219,7 +231,7 @@ TEST(HealthAutopilotTest, PinnedPolicyObservesButNeverFlips) {
 }
 
 TEST(HealthAutopilotTest, ShedsPublishesAtReplaySaturation) {
-  FanoutClusterOptions fopt = AutopilotOptions();
+  FanoutClusterOptions fopt = MonitoredOptions();
   fopt.replay_buffer_events = 64;
   fopt.shed_replay_frac = 0.5;
   Group g = StartGroup(figure1::FollowGraph(), 2, /*replicas=*/1, /*k=*/2,
@@ -252,6 +264,78 @@ TEST(HealthAutopilotTest, ShedsPublishesAtReplaySaturation) {
   EXPECT_NE(text->find("gauge broker_shedding 1\n"), std::string::npos)
       << *text;
   EXPECT_TRUE(g.broker->Close().ok());
+}
+
+TEST(HealthAutopilotTest, ConfiguredQuorumScoresAndJournalsButNeverFlips) {
+  FanoutClusterOptions fopt = MonitoredOptions(FanoutPolicy::kQuorum);
+  fopt.gather_quorum = 1;
+  Group g = StartGroup(figure1::FollowGraph(), 2, /*replicas=*/1, /*k=*/2,
+                       fopt);
+  ASSERT_TRUE(g.broker->Ping().ok());
+  // Let the monitor evaluate a healthy group first: a flip-back-to-strict
+  // rule applied to a configured policy would fire here.
+  Timestamp at = 1;
+  ASSERT_TRUE(TrickleUntil(
+      g.broker.get(),
+      [&] {
+        auto report = g.broker->GetHealth();
+        return report.ok() && report->Find("p1") != nullptr;
+      },
+      /*deadline_ms=*/5'000, &at))
+      << "monitor never produced a report";
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(g.broker->active_policy(), FanoutPolicy::kQuorum);
+
+  g.daemons[1].server->Stop();
+  ASSERT_TRUE(TrickleUntil(
+      g.broker.get(),
+      [&] {
+        auto report = g.broker->GetHealth();
+        const PartyHealth* p1 = report.ok() ? report->Find("p1") : nullptr;
+        return p1 != nullptr && p1->state != HealthState::kHealthy;
+      },
+      /*deadline_ms=*/20'000, &at))
+      << "health engine never saw the death";
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // Scored and journaled like any monitored broker...
+  bool saw_p1_worsen = false;
+  for (const LogEvent& event :
+       EventsOfType(*g.broker->journal(), "health_transition")) {
+    saw_p1_worsen = saw_p1_worsen || (FieldOf(event, "party") == "p1" &&
+                                      FieldOf(event, "from") == "healthy");
+  }
+  EXPECT_TRUE(saw_p1_worsen) << "no journaled p1 health transition";
+  // ...but the configured policy is the active one, before and after.
+  EXPECT_EQ(g.broker->active_policy(), FanoutPolicy::kQuorum);
+  EXPECT_TRUE(EventsOfType(*g.broker->journal(), "policy_flip").empty());
+  EXPECT_TRUE(g.broker->Publish(Tick(++at)).ok())
+      << "quorum keeps publishing with one daemon down";
+  EXPECT_TRUE(g.broker->Close().ok());
+}
+
+TEST(HealthAutopilotTest, ZeroIntervalRunsNoMonitorAndNoJournal) {
+  // Connections are lazy, so the monitor is the only thread Connect can
+  // start: none at interval 0, one at interval 25 (the control that shows
+  // the count sees it). No daemon is ever dialed.
+  FanoutClusterOptions fopt;
+  fopt.endpoints.resize(2);
+  fopt.endpoints[0].partition = 0;
+  fopt.endpoints[1].partition = 1;
+  const long before = CountThreads();
+  auto unmonitored = net::FanoutCluster::Connect(fopt);
+  ASSERT_TRUE(unmonitored.ok()) << unmonitored.status();
+  EXPECT_EQ(CountThreads(), before);
+  EXPECT_EQ((*unmonitored)->journal(), nullptr);
+  auto report = (*unmonitored)->GetHealth();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->parties.empty());
+
+  fopt.health_interval_ms = 25;
+  auto monitored = net::FanoutCluster::Connect(fopt);
+  ASSERT_TRUE(monitored.ok()) << monitored.status();
+  EXPECT_EQ(CountThreads(), before + 1);
+  EXPECT_NE((*monitored)->journal(), nullptr);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 #include "health/health_engine.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "util/metrics.h"
 
 namespace magicrecs {
 namespace {
@@ -264,21 +263,10 @@ TEST(HealthReportTest, ToStringIsOneLinePerParty) {
             "p2 degraded daemon-unreachable (backoff_ms=200)\n");
 }
 
-TEST(HealthReportFromRegistryTest, RoundTripsGaugeEncoding) {
-  MetricsRegistry registry;
-  registry.GetGauge("health", {{"party", "p0"}})->Set(0);
-  registry.GetGauge("health", {{"party", "p2"}})->Set(2);
-  registry.GetGauge("health", {{"party", "host a:1|x"}})->Set(1);
-  registry.GetGauge("unrelated")->Set(7);
-  const HealthReport report = HealthReportFromRegistry(registry, 99);
-  EXPECT_EQ(report.at_us, 99);
-  ASSERT_EQ(report.parties.size(), 3u);
-  EXPECT_EQ(report.Find("p0")->state, HealthState::kHealthy);
-  EXPECT_EQ(report.Find("p2")->state, HealthState::kCritical);
-  // Escaped label values decode back to the original party name.
-  ASSERT_NE(report.Find("host a:1|x"), nullptr);
-  EXPECT_EQ(report.Find("host a:1|x")->state, HealthState::kDegraded);
-  EXPECT_EQ(report.overall(), HealthState::kCritical);
+TEST(HealthPartyNameTest, PartitionIdElseHostPort) {
+  EXPECT_EQ(HealthPartyName(2, "127.0.0.1", 7421), "p2");
+  EXPECT_EQ(HealthPartyName(std::nullopt, "127.0.0.1", 7421),
+            "127.0.0.1:7421");
 }
 
 }  // namespace

@@ -41,6 +41,7 @@ using fanout_test::StartGroup;
 using fanout_test::ToEvents;
 using net::FanoutCluster;
 using net::FanoutClusterOptions;
+using net::FanoutPolicy;
 using net::FanoutEndpoint;
 using net::RpcServer;
 using net::RpcServerOptions;
@@ -107,6 +108,37 @@ TEST(FanoutClusterTest, TopologyValidation) {
   auto partitioner = (*ok)->Partitioner();
   ASSERT_TRUE(partitioner.ok());
   EXPECT_EQ(partitioner->num_partitions(), 2u);
+
+  // Values the circuit breaker, the shed gate or a missing monitor would
+  // silently ignore are refused on an otherwise valid topology.
+  const auto refused = [&](void (*tweak)(FanoutClusterOptions*)) {
+    FanoutClusterOptions bad = opt;
+    tweak(&bad);
+    return FanoutCluster::Connect(bad).status().IsInvalidArgument();
+  };
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->reconnect_backoff_ms = 0;  // an open circuit would redial every call
+  }));
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->reconnect_backoff_ms = 100;
+    o->max_reconnect_backoff_ms = 50;
+  }));
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->shed_replay_frac = -0.1;
+  }));
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->shed_replay_frac = 1.5;
+  }));
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->policy = FanoutPolicy::kAuto;  // nothing would ever flip it
+  }));
+  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
+    o->event_journal_path = "broker.health.jsonl";  // nothing would write it
+  }));
+  opt.reconnect_backoff_ms = 1;
+  opt.max_reconnect_backoff_ms = 1;
+  opt.shed_replay_frac = 1;
+  EXPECT_TRUE(FanoutCluster::Connect(opt).ok()) << "the bounds are inclusive";
 }
 
 TEST(FanoutClusterTest, Figure1AcrossTwoByTwoPartitionGroup) {

@@ -83,6 +83,8 @@ struct DaemonOptions {
   std::string health_journal_path;
 
   // Dependent flags given, checked against their enablers after parsing.
+  bool graph_set = false;
+  const char* synthetic_flag = nullptr;  // the last synthetic-graph flag
   bool metrics_dump_path_set = false;
   bool fsync_batch_set = false;
 };
@@ -93,7 +95,7 @@ void PrintUsage() {
       "  --host=ADDR            numeric IPv4 listen address (127.0.0.1)\n"
       "  --port=N               listen port; 0 = ephemeral (7421)\n"
       "  --graph=fig1|synthetic graph source (synthetic)\n"
-      "  --graph-file=PATH      load 'src dst' edge list instead\n"
+      "  --graph-file=PATH      load 'src dst' edge list instead of --graph\n"
       "  --users=N              synthetic graph size (10000)\n"
       "  --mean-followees=F     synthetic mean out-degree (30)\n"
       "  --graph-seed=N         synthetic graph seed (42)\n"
@@ -151,17 +153,21 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
       if (!IntFlag("port", value, &options->port)) return false;
     } else if (FlagValue(arg, "graph", &value)) {
       options->graph = value;
+      options->graph_set = true;
     } else if (FlagValue(arg, "graph-file", &value)) {
       options->graph_file = value;
     } else if (FlagValue(arg, "users", &value)) {
       if (!IntFlag("users", value, &options->users)) return false;
+      options->synthetic_flag = "users";
     } else if (FlagValue(arg, "mean-followees", &value)) {
       if (!ParseFiniteDoubleFlag("magicrecsd", "mean-followees", value,
                                  &options->mean_followees)) {
         return false;
       }
+      options->synthetic_flag = "mean-followees";
     } else if (FlagValue(arg, "graph-seed", &value)) {
       if (!IntFlag("graph-seed", value, &options->graph_seed)) return false;
+      options->synthetic_flag = "graph-seed";
     } else if (FlagValue(arg, "partitions", &value)) {
       if (!IntFlag("partitions", value, &options->cluster.num_partitions)) {
         return false;
@@ -257,7 +263,19 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
                  "magicrecsd: --partition-group requires --partition-id\n");
     return false;
   }
+  // Two graph sources would silently drop one of them.
+  if (options->graph_set && !options->graph_file.empty()) {
+    std::fprintf(stderr,
+                 "magicrecsd: --graph and --graph-file are exclusive\n");
+    return false;
+  }
   // A dependent flag without its enabler would be silently ignored.
+  if (options->synthetic_flag != nullptr &&
+      (!options->graph_file.empty() || options->graph != "synthetic")) {
+    std::fprintf(stderr, "magicrecsd: --%s requires --graph=synthetic\n",
+                 options->synthetic_flag);
+    return false;
+  }
   if (!options->health_journal_path.empty() &&
       options->health_interval_ms == 0) {
     std::fprintf(stderr, "magicrecsd: --health-journal requires "
