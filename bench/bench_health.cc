@@ -1,11 +1,12 @@
 // Experiment T-health — cost of the observability/health plumbing.
 //
-// The health autopilot rides the hot daemons' scrape path: a monitor thread
-// snapshots the registry into a time series, computes windowed counter
-// rates, runs the rule engine over every party, and journals transitions.
-// All of that must stay far below the evaluation interval (default 250 ms)
-// even for wide groups, or the monitor starts stealing the CPU it is meant
-// to watch. Four rows, all section "health" in BENCH_net.json:
+// A health monitor (broker or daemon, on whenever its health_interval_ms
+// is > 0) rides the scrape path: its thread snapshots the registry into a
+// time series, computes windowed counter rates, runs the rule engine over
+// every party, and journals transitions. All of that must stay far below
+// the evaluation interval (the chaos drill runs 50 ms) even for wide
+// groups, or the monitor starts stealing the CPU it is meant to watch.
+// Four rows, all section "health" in BENCH_net.json:
 //
 //   sample      — MetricsTimeSeries::Sample of a realistically-sized
 //                 registry (ops/s; one op = one full snapshot append)
@@ -33,8 +34,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A registry shaped like a real daemon's: server counters, per-partition
-/// histograms, broker mirrors — ~64 metrics.
+/// A ~64-metric registry: a daemon's server counters and per-partition
+/// histograms plus a few broker_* series (a broker keeps those in its own,
+/// smaller registry), so one sample costs at least a real monitor's.
 void PopulateRegistry(MetricsRegistry* registry) {
   for (int p = 0; p < 8; ++p) {
     const std::string label = StrFormat("%d", p);

@@ -33,8 +33,9 @@
 //   DRILL: ready              -> kill a daemon now
 //   DRILL: flipped to quorum  -> restart the daemon (same port)
 //   DRILL: recovered to strict
-// Exits 0 only if both flips happened; the journal file records every
-// health transition and flip with its triggering window values.
+// followed by the broker's `# source broker` scrape section. Exits 0 only
+// if both flips happened; the journal file records every health
+// transition and flip with its triggering window values.
 
 #include <chrono>
 #include <cstdio>
@@ -258,6 +259,15 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("DRILL: recovered to strict\n");
+    // The broker's own scrape section: its counters show both flips.
+    Result<std::string> text = (*broker)->GetStatsText();
+    if (!text.ok()) {
+      std::fprintf(stderr, "DRILL FAIL: scrape: %s\n",
+                   text.status().ToString().c_str());
+      return 1;
+    }
+    std::fputs(text->substr(0, text->find("# source daemon")).c_str(),
+               stdout);
   }
   return 0;
 }

@@ -22,14 +22,6 @@ std::string PartitionHealth::ToString() const {
       static_cast<unsigned long long>(gathers_missed_consecutive));
 }
 
-std::string_view ServerLoopName(uint8_t loop) {
-  switch (loop) {
-    case 1: return "threads";
-    case 2: return "epoll";
-  }
-  return "none";
-}
-
 std::string ClusterStats::ToString() const {
   std::string out = StrFormat(
       "partitions=%u replicas=%u published=%llu ingests=%llu queries=%llu "
@@ -55,20 +47,6 @@ std::string ClusterStats::ToString() const {
         static_cast<unsigned long long>(replay_dropped_events),
         static_cast<unsigned long long>(rescued_recommendations),
         static_cast<unsigned long long>(rescue_dropped));
-  }
-  // Same stance for the server-loop counters: silent unless a daemon-side
-  // RPC loop actually reported them.
-  if (server.any()) {
-    out += StrFormat(
-        " loop=%s conns=%u served=%llu partial_reads=%llu "
-        "partial_writes=%llu inflight_stalls=%llu mux_conns=%llu",
-        std::string(ServerLoopName(server.loop)).c_str(),
-        server.connections_open,
-        static_cast<unsigned long long>(server.requests_served),
-        static_cast<unsigned long long>(server.partial_reads),
-        static_cast<unsigned long long>(server.partial_writes),
-        static_cast<unsigned long long>(server.inflight_stalls),
-        static_cast<unsigned long long>(server.mux_connections));
   }
   return out;
 }

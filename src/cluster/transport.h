@@ -77,35 +77,6 @@ struct PartitionHealth {
   std::string ToString() const;
 };
 
-/// Counters from the RPC server loop serving a daemon's stats request —
-/// the event-driven reactor's observability surface. Rides the stats wire
-/// as its marker-led last tail (net/wire.h); a fan-out broker sums the
-/// daemons' counters into its merged view.
-struct ServerLoopStats {
-  /// 0 = none/unknown (in-process transport), 2 = epoll reactor (every
-  /// current daemon). 1 named a thread-per-connection loop that no longer
-  /// exists; the byte stays so the stats wire bytes do not change.
-  uint8_t loop = 0;
-
-  uint32_t connections_open = 0;   ///< currently-accepted connections
-  uint64_t requests_served = 0;    ///< responses sent, errors included
-  uint64_t partial_reads = 0;      ///< reads that left a frame incomplete
-  uint64_t partial_writes = 0;     ///< writes cut short by a full buffer
-  uint64_t inflight_stalls = 0;    ///< reads paused at the in-flight cap
-  uint64_t mux_connections = 0;    ///< connections that negotiated mux
-
-  bool any() const {
-    return loop != 0 || connections_open != 0 || requests_served != 0 ||
-           partial_reads != 0 || partial_writes != 0 ||
-           inflight_stalls != 0 || mux_connections != 0;
-  }
-
-  friend bool operator==(const ServerLoopStats&,
-                         const ServerLoopStats&) = default;
-};
-
-std::string_view ServerLoopName(uint8_t loop);
-
 /// Cluster-wide counters as reported over the stats RPC. A flat POD rather
 /// than MotifEngineStats so it has a stable wire encoding.
 struct ClusterStats {
@@ -129,9 +100,10 @@ struct ClusterStats {
   uint64_t partitioner_salt = 0;
 
   // --- degraded-mode broker counters -----------------------------------------
-  // Filled only by a fan-out broker (net/fanout_cluster.h); always zero on
-  // in-process transports and daemons, and deliberately NOT carried on the
-  // stats wire — they describe the broker, not the cluster behind it.
+  // Filled only by a fan-out broker (net/fanout_cluster.h), from its own
+  // registry's broker_* counters; always zero on in-process transports and
+  // daemons, and deliberately NOT carried on the stats wire — they
+  // describe the broker, not the cluster behind it.
 
   /// Gathers that returned successfully with >= 1 partition missing.
   uint64_t degraded_gathers = 0;
@@ -151,12 +123,6 @@ struct ClusterStats {
 
   /// Per-partition gather staleness, ordered by partition (broker only).
   std::vector<PartitionHealth> partition_health;
-
-  /// Counters of the RPC server loop that served this stats request (zero
-  /// for in-process transports). A fan-out broker's merged view sums the
-  /// counters across daemons; `loop` takes any daemon's value (Ping
-  /// verifies deployments are homogeneous enough for that to be useful).
-  ServerLoopStats server;
 
   friend bool operator==(const ClusterStats&, const ClusterStats&) = default;
 

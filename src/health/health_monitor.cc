@@ -6,15 +6,13 @@
 namespace magicrecs {
 
 HealthMonitor::HealthMonitor(MetricsRegistry* registry, EventLog* journal,
-                             Collector collector, HealthMonitorOptions options,
-                             Observer observer,
-                             std::function<void()> pre_sample, Clock* clock)
+                             Collector collector, int interval_ms,
+                             Observer observer, Clock* clock)
     : registry_(registry),
       journal_(journal),
       collector_(std::move(collector)),
       observer_(std::move(observer)),
-      pre_sample_(std::move(pre_sample)),
-      options_(options),
+      interval_ms_(interval_ms),
       clock_(clock),
       series_(kHealthHistory) {
   thread_ = std::thread([this] { Loop(); });
@@ -32,7 +30,7 @@ HealthMonitor::~HealthMonitor() {
 void HealthMonitor::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
+    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
                  [this] { return stop_; });
     if (stop_) return;
     lock.unlock();
@@ -44,7 +42,6 @@ void HealthMonitor::Loop() {
 void HealthMonitor::EvaluateNow() {
   std::lock_guard<std::mutex> tick(tick_mu_);
   const int64_t now = clock_->Now();
-  if (pre_sample_) pre_sample_();
   series_.Sample(*registry_, now);
 
   HealthInputs inputs;

@@ -1,19 +1,19 @@
 // HealthMonitor: the periodic glue between a MetricsRegistry, the windowed
 // time-series, a HealthEngine, and the export surfaces. Every tick it
 //
-//   1. runs the owner's pre-sample hook (mirror thread-compatible atomics
-//      into the registry, same as GetStatsText does at scrape time),
-//   2. appends a registry snapshot to the ring (util/timeseries.h),
-//   3. asks the owner's collector to build HealthInputs from the ring plus
+//   1. appends a registry snapshot to the ring (util/timeseries.h),
+//   2. asks the owner's collector to build HealthInputs from the ring plus
 //      whatever live state only the owner can see (replay depths, backoff),
-//   4. evaluates the engine,
-//   5. publishes `health{party="..."}` gauges back into the registry (so
+//   3. evaluates the engine,
+//   4. publishes `health{party="..."}` gauges back into the registry (so
 //      health rides the existing kStatsText wire surface unchanged),
-//   6. journals every transition to the event log, and
-//   7. hands the report + transitions to the owner's observer (the broker's
+//   5. journals every transition to the event log, and
+//   6. hands the report + transitions to the owner's observer (the broker's
 //      FanoutPolicy::kAuto flips in net/fanout_cluster.cc).
 //
-// Every monitor scores with the default HealthThresholds.
+// The registry is the owner's: the process-wide one for a daemon, the
+// broker's own for a FanoutCluster. Every monitor scores with the default
+// HealthThresholds.
 //
 // EvaluateNow() runs one tick synchronously so tests and shutdown paths can
 // force an evaluation without waiting out the interval.
@@ -43,12 +43,6 @@ inline constexpr size_t kHealthHistory = 128;
 /// Window handed to collectors for rate queries.
 inline constexpr int64_t kHealthRateWindowUs = 10'000'000;
 
-struct HealthMonitorOptions {
-  /// Evaluation cadence. This is the "evaluation interval" the acceptance
-  /// criteria count flip latency in.
-  int interval_ms = 1000;
-};
-
 class HealthMonitor {
  public:
   /// Builds this tick's HealthInputs. `series` already contains the fresh
@@ -62,12 +56,11 @@ class HealthMonitor {
       const std::vector<HealthTransition>& transitions)>;
 
   /// `registry` and `journal` must outlive the monitor; `journal` may be
-  /// null (no journaling, engine state still advances). `pre_sample` may be
-  /// null. The background thread starts immediately.
+  /// null (no journaling, engine state still advances). The background
+  /// thread starts immediately and ticks every `interval_ms` (> 0).
   HealthMonitor(MetricsRegistry* registry, EventLog* journal,
-                Collector collector, HealthMonitorOptions options,
+                Collector collector, int interval_ms,
                 Observer observer = nullptr,
-                std::function<void()> pre_sample = nullptr,
                 Clock* clock = SystemClock::Default());
   ~HealthMonitor();
 
@@ -87,8 +80,7 @@ class HealthMonitor {
   EventLog* const journal_;
   const Collector collector_;
   const Observer observer_;
-  const std::function<void()> pre_sample_;
-  const HealthMonitorOptions options_;
+  const int interval_ms_;
   Clock* const clock_;
 
   MetricsTimeSeries series_;

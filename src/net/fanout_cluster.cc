@@ -116,10 +116,20 @@ Result<std::unique_ptr<FanoutCluster>> FanoutCluster::Connect(
 }
 
 FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
-    : options_(options) {
+    : options_(options),
+      degraded_gathers_(registry_.GetCounter("broker_degraded_gathers")),
+      replayed_events_(registry_.GetCounter("broker_replayed_events")),
+      replay_dropped_events_(
+          registry_.GetCounter("broker_replay_dropped_events")),
+      rescue_dropped_(registry_.GetCounter("broker_rescue_dropped")),
+      policy_flips_(registry_.GetCounter("broker_policy_flips")),
+      shed_publishes_(registry_.GetCounter("broker_shed_publishes")) {
   if (options.policy != FanoutPolicy::kAuto) {  // kAuto starts strict
     active_policy_.store(options.policy, std::memory_order_relaxed);
   }
+  registry_.GetGauge("broker_policy")
+      ->Set(static_cast<int64_t>(active_policy()));
+  registry_.GetGauge("broker_shedding")->Set(0);
   // Batch sequences must be unique across broker incarnations, not just
   // within one: the daemons' dedup window is keyed by the raw u64 and
   // outlives any one broker's connections, so a counter restarting at 1
@@ -398,13 +408,11 @@ void FanoutCluster::FlushReplayOn(Slot* slot) {
         // counting them anywhere.
         if (!lane->live()) return;
         if (classified.ok()) {
-          replayed_events_.fetch_add(parked[f].events,
-                                     std::memory_order_relaxed);
+          replayed_events_->Increment(parked[f].events);
         } else {
           // The daemon took the frame but rejected it; replaying it again
           // would just re-fail. Count the loss and surface the rejection.
-          replay_dropped_events_.fetch_add(parked[f].events,
-                                           std::memory_order_relaxed);
+          replay_dropped_events_->Increment(parked[f].events);
           if (lane->server_error.ok()) lane->server_error = classified;
         }
         daemon->replay_events -= parked[f].events;
@@ -447,8 +455,7 @@ void FanoutCluster::RescuePending(std::vector<Recommendation>* recs) {
   pending_.insert(pending_.end(), std::make_move_iterator(recs->begin()),
                   std::make_move_iterator(recs->begin() + keep));
   if (keep < recs->size()) {
-    rescue_dropped_.fetch_add(recs->size() - keep,
-                              std::memory_order_relaxed);
+    rescue_dropped_->Increment(recs->size() - keep);
   }
 }
 
@@ -520,7 +527,7 @@ void FanoutCluster::QueueUnsent(Slot* slot,
   Daemon* daemon = slot->daemon;
   std::lock_guard<std::mutex> lock(daemon->replay_mu);
   if (daemon->replay_events + queue_events > options_.replay_buffer_events) {
-    replay_dropped_events_.fetch_add(queue_events, std::memory_order_relaxed);
+    replay_dropped_events_->Increment(queue_events);
     slot->status = TagError(
         *daemon,
         Status::ResourceExhausted(StrFormat(
@@ -547,7 +554,7 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   // events mid-frame. The journal has the shed_start event with the
   // triggering depths.
   if (shedding_.load(std::memory_order_relaxed)) {
-    shed_publishes_.fetch_add(1, std::memory_order_relaxed);
+    shed_publishes_->Increment();
     return Status::ResourceExhausted(
         "broker is shedding publishes: replay buffers near capacity (see "
         "the health journal's shed_start event)");
@@ -755,7 +762,7 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
     return covered;
   }
   if (!report.complete()) {
-    degraded_gathers_.fetch_add(1, std::memory_order_relaxed);
+    degraded_gathers_->Increment();
   }
   // A successful gather closes every parked trace that was still waiting
   // for one: this is the merge that carries the traced batch's
@@ -812,10 +819,10 @@ Result<ClusterStats> FanoutCluster::GetStats() {
         MAGICRECS_RETURN_IF_ERROR(
             DecodeStatsReply(reply.front().payload, &stats));
         // Merge: shape fields take the widest daemon view; detector
-        // counters, memory, and server-loop counters sum across daemons;
-        // events_published takes the max (every daemon counts the same
-        // fanned-out stream, so summing would multiply the broker-side
-        // publish count by the daemon count).
+        // counters and memory sum across daemons; events_published takes
+        // the max (every daemon counts the same fanned-out stream, so
+        // summing would multiply the broker-side publish count by the
+        // daemon count).
         merged.num_partitions =
             std::max(merged.num_partitions, stats.num_partitions);
         merged.replicas_per_partition = std::max(
@@ -828,13 +835,6 @@ Result<ClusterStats> FanoutCluster::GetStats() {
         merged.static_memory_bytes += stats.static_memory_bytes;
         merged.dynamic_memory_bytes += stats.dynamic_memory_bytes;
         merged.partitioner_salt = stats.partitioner_salt;  // equal; Ping checks
-        if (stats.server.loop != 0) merged.server.loop = stats.server.loop;
-        merged.server.connections_open += stats.server.connections_open;
-        merged.server.requests_served += stats.server.requests_served;
-        merged.server.partial_reads += stats.server.partial_reads;
-        merged.server.partial_writes += stats.server.partial_writes;
-        merged.server.inflight_stalls += stats.server.inflight_stalls;
-        merged.server.mux_connections += stats.server.mux_connections;
         merged.per_replica.insert(merged.per_replica.end(),
                                   stats.per_replica.begin(),
                                   stats.per_replica.end());
@@ -846,11 +846,10 @@ Result<ClusterStats> FanoutCluster::GetStats() {
                                                 : a.replica < b.replica;
             });
   // Broker-side degraded-mode counters (never on the wire; see transport.h).
-  merged.degraded_gathers = degraded_gathers_.load(std::memory_order_relaxed);
-  merged.replayed_events = replayed_events_.load(std::memory_order_relaxed);
-  merged.replay_dropped_events =
-      replay_dropped_events_.load(std::memory_order_relaxed);
-  merged.rescue_dropped = rescue_dropped_.load(std::memory_order_relaxed);
+  merged.degraded_gathers = degraded_gathers_->Value();
+  merged.replayed_events = replayed_events_->Value();
+  merged.replay_dropped_events = replay_dropped_events_->Value();
+  merged.rescue_dropped = rescue_dropped_->Value();
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     merged.rescued_recommendations = pending_.size();
@@ -883,12 +882,8 @@ std::vector<TraceContext> FanoutCluster::TakeTraces() {
 
 Result<std::string> FanoutCluster::GetStatsText() {
   MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
-  // Mirror the broker-side degraded-mode atomics into the process registry
-  // at scrape time (the health monitor mirrors the same set each tick).
-  MirrorBrokerCounters();
-
   std::string out = "# source broker\n";
-  out += MetricsRegistry::Default()->RenderText();
+  out += registry_.RenderText();
 
   // Scrape every daemon concurrently. A daemon that cannot answer (down,
   // or a pre-kStatsText binary answering kError) degrades to an annotated
@@ -991,43 +986,19 @@ Status FanoutCluster::Ping() {
 
 // --- health monitor ----------------------------------------------------------
 
-void FanoutCluster::MirrorBrokerCounters() {
-  // RaiseTo (CAS-to-max) keeps concurrent mirrors (monitor tick, scrape)
-  // and the monotone sources consistent without double-counting.
-  MetricsRegistry* registry = MetricsRegistry::Default();
-  registry->GetCounter("broker_degraded_gathers")
-      ->RaiseTo(degraded_gathers_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_replayed_events")
-      ->RaiseTo(replayed_events_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_replay_dropped_events")
-      ->RaiseTo(replay_dropped_events_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_rescue_dropped")
-      ->RaiseTo(rescue_dropped_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_policy_flips")
-      ->RaiseTo(policy_flips_.load(std::memory_order_relaxed));
-  registry->GetCounter("broker_shed_publishes")
-      ->RaiseTo(shed_publishes_.load(std::memory_order_relaxed));
-  registry->GetGauge("broker_policy")
-      ->Set(static_cast<int64_t>(active_policy()));
-  registry->GetGauge("broker_shedding")->Set(shedding() ? 1 : 0);
-}
-
 void FanoutCluster::StartHealthMonitor() {
   journal_ = std::make_unique<EventLog>(options_.event_journal_path);
-  HealthMonitorOptions monitor_options;
-  monitor_options.interval_ms = options_.health_interval_ms;
   monitor_ = std::make_unique<HealthMonitor>(
-      MetricsRegistry::Default(), journal_.get(),
+      &registry_, journal_.get(),
       [this](const MetricsTimeSeries& series, int64_t window_us,
              HealthInputs* inputs) {
         CollectHealthInputs(series, window_us, inputs);
       },
-      monitor_options,
+      options_.health_interval_ms,
       [this](const HealthReport& report,
              const std::vector<HealthTransition>& transitions) {
         OnHealthReport(report, transitions);
-      },
-      [this] { MirrorBrokerCounters(); });
+      });
 }
 
 void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
@@ -1089,6 +1060,7 @@ void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
     const bool was_shedding = shedding_.load(std::memory_order_relaxed);
     if (!was_shedding && shed_raise) {
       shedding_.store(true, std::memory_order_relaxed);
+      registry_.GetGauge("broker_shedding")->Set(1);
       journal_->Append(
           SystemClock::Default()->Now(), "shed_start",
           {LogEvent::Str("party", worst_party),
@@ -1096,6 +1068,7 @@ void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
            LogEvent::Num("shed_replay_frac", options_.shed_replay_frac)});
     } else if (was_shedding && shed_all_clear) {
       shedding_.store(false, std::memory_order_relaxed);
+      registry_.GetGauge("broker_shedding")->Set(0);
       journal_->Append(SystemClock::Default()->Now(), "shed_stop",
                        {LogEvent::Num("replay_frac", worst_frac)});
     }
@@ -1138,12 +1111,11 @@ void FanoutCluster::OnHealthReport(
     if (replay_empty) desired = FanoutPolicy::kStrict;
   }
 
-  if (desired == current) return;  // the pre-sample mirror set the gauge
+  if (desired == current) return;
 
   active_policy_.store(desired, std::memory_order_relaxed);
-  policy_flips_.fetch_add(1, std::memory_order_relaxed);
-  MetricsRegistry::Default()->GetGauge("broker_policy")
-      ->Set(static_cast<int64_t>(desired));
+  policy_flips_->Increment();
+  registry_.GetGauge("broker_policy")->Set(static_cast<int64_t>(desired));
   const std::string trigger_party = worst != nullptr ? worst->party : "";
   const std::string reason =
       worst != nullptr ? std::string(HealthReasonName(worst->reason))

@@ -115,6 +115,7 @@
 #include "net/mux_connection.h"
 #include "net/wire.h"
 #include "util/event_log.h"
+#include "util/metrics.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -241,14 +242,14 @@ struct FanoutClusterOptions {
   // --- health monitor --------------------------------------------------------
 
   /// > 0 runs the broker-side health monitor on this interval: it samples
-  /// the registry, scores every daemon plus the broker itself with the
-  /// default HealthThresholds (src/health/health_engine.h), publishes
-  /// `health{party=...}` gauges, journals transitions, and evaluates load
-  /// shedding. Under kAuto it also flips the ACTIVE policy strict→quorum
-  /// while any daemon is unhealthy, then back once every party has been
-  /// healthy through the engine's dwell + recovery hysteresis AND every
-  /// replay buffer has drained (flipping to strict with frames still
-  /// parked would strand them). Any other policy is pinned: the monitor
+  /// the broker's own registry, scores every daemon plus the broker itself
+  /// with the default HealthThresholds (src/health/health_engine.h),
+  /// publishes `health{party=...}` gauges, journals transitions, and
+  /// evaluates load shedding. Under kAuto it also flips the ACTIVE policy
+  /// strict→quorum while any daemon is unhealthy, then back once every
+  /// party has been healthy through the engine's dwell + recovery
+  /// hysteresis AND every replay buffer has drained (flipping to strict
+  /// with frames still parked would strand them). Any other policy is pinned: the monitor
   /// scores, journals and sheds but never flips. 0 (the default) runs no
   /// monitor thread; kAuto then fails Connect.
   int health_interval_ms = 0;
@@ -300,17 +301,19 @@ class FanoutCluster : public ClusterTransport {
   Status RecoverReplica(uint32_t partition, uint32_t replica) override;
 
   /// Merged view: identity-tagged per_replica entries are concatenated from
-  /// all daemons (sorted by partition, replica); detector counters, memory,
-  /// and server-loop reactor counters sum; events_published is the
-  /// per-daemon maximum, since every daemon counts the same fanned-out
-  /// stream.
+  /// all daemons (sorted by partition, replica); detector counters and
+  /// memory sum; events_published is the per-daemon maximum, since every
+  /// daemon counts the same fanned-out stream. The degraded-mode counters
+  /// are read from the broker's own registry.
   Result<ClusterStats> GetStats() override;
 
-  /// The broker's own registry exposition followed by one `# source`-headed
-  /// section per daemon (its kStatsText reply). A daemon that cannot answer
-  /// — down, or pre-kStatsText — degrades to an annotated header instead of
-  /// failing the whole scrape: an observability probe into a degraded
-  /// cluster is exactly when partial output matters most.
+  /// The broker's own registry exposition (its degraded-mode counters,
+  /// policy and shedding gauges, and monitor verdicts; never the
+  /// process-wide registry) followed by one `# source`-headed section per
+  /// daemon (its kStatsText reply). A daemon that cannot answer — down, or
+  /// pre-kStatsText — degrades to an annotated header instead of failing
+  /// the whole scrape: an observability probe into a degraded cluster is
+  /// exactly when partial output matters most.
   Result<std::string> GetStatsText() override;
 
   /// Drains the completed-trace ring (bounded; oldest dropped on
@@ -568,11 +571,6 @@ class FanoutCluster : public ClusterTransport {
   /// Spawns journal_ + monitor_ (Connect tail, after validation).
   void StartHealthMonitor();
 
-  /// Monitor pre-sample hook: mirrors the broker's degraded-mode atomics
-  /// into the registry so windowed rate queries see them (the same
-  /// mirroring GetStatsText performs at scrape time).
-  void MirrorBrokerCounters();
-
   /// Monitor collector: one HealthInputs party per daemon plus "broker".
   /// Also evaluates the load-shed hysteresis, since it already holds the
   /// replay depths.
@@ -609,25 +607,31 @@ class FanoutCluster : public ClusterTransport {
   /// NextBatchSequence() never hands out 0, the wire's "no sequence".
   std::atomic<uint64_t> next_batch_sequence_{1};
 
-  // Degraded-mode counters surfaced through GetStats() (and mirrored into
-  // the process registry at GetStatsText() scrape time via RaiseTo).
-  std::atomic<uint64_t> degraded_gathers_{0};
-  std::atomic<uint64_t> replayed_events_{0};
-  std::atomic<uint64_t> replay_dropped_events_{0};
-  std::atomic<uint64_t> rescue_dropped_{0};
+  /// The broker's metrics, apart from the process-wide registry the
+  /// daemons' series live in: GetStats() reads its counters, the monitor
+  /// samples it, and GetStatsText() renders it as the `# source broker`
+  /// section. Declared before monitor_, which must not outlive it.
+  MetricsRegistry registry_;
+
+  // Degraded-mode counters, resolved from registry_ once at construction.
+  Counter* const degraded_gathers_;
+  Counter* const replayed_events_;
+  Counter* const replay_dropped_events_;
+  Counter* const rescue_dropped_;
+  Counter* const policy_flips_;
+  Counter* const shed_publishes_;
 
   // --- health monitor state --------------------------------------------------
 
   /// The policy actually steering this broker. Equals options_.policy,
-  /// or kStrict under kAuto until the monitor flips it.
+  /// or kStrict under kAuto until the monitor flips it. The broker_policy
+  /// gauge is set with it.
   std::atomic<FanoutPolicy> active_policy_{FanoutPolicy::kStrict};
 
   /// Admission control: set/cleared by the monitor's shed hysteresis,
-  /// checked at the top of PublishBatch.
+  /// checked at the top of PublishBatch. The broker_shedding gauge is set
+  /// with it.
   std::atomic<bool> shedding_{false};
-
-  std::atomic<uint64_t> policy_flips_{0};
-  std::atomic<uint64_t> shed_publishes_{0};
 
   /// Journal + monitor. Created by Connect only when health_interval_ms
   /// > 0, both null otherwise; Close() tears the monitor down before it

@@ -127,8 +127,6 @@ void RpcServer::StartHealthMonitor() {
   const std::string stalls_key = MetricKey("rpc_inflight_stalls", labels);
   const std::string errors_key = MetricKey("rpc_protocol_errors", labels);
   const std::string slow_key = MetricKey("rpc_slow_requests", labels);
-  HealthMonitorOptions monitor_options;
-  monitor_options.interval_ms = options_.health_interval_ms;
   health_monitor_ = std::make_unique<HealthMonitor>(
       MetricsRegistry::Default(), options_.event_journal,
       [party, stalls_key, errors_key, slow_key](
@@ -144,7 +142,7 @@ void RpcServer::StartHealthMonitor() {
             series.CounterRate(slow_key, window_us).value_or(0);
         inputs->parties.push_back(std::move(self));
       },
-      monitor_options);
+      options_.health_interval_ms);
 }
 
 RpcServer::~RpcServer() { Stop(); }
@@ -719,18 +717,7 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
     case MessageTag::kStats: {
       Result<ClusterStats> cluster = transport_->GetStats();
       status = cluster.status();
-      if (cluster.ok()) {
-        const RpcServerStats current = stats();
-        ServerLoopStats& loop = cluster->server;
-        loop.loop = 2;  // the epoll loop (see ServerLoopStats::loop)
-        loop.connections_open = current.connections_open;
-        loop.requests_served = current.requests_served;
-        loop.partial_reads = current.partial_reads;
-        loop.partial_writes = current.partial_writes;
-        loop.inflight_stalls = current.inflight_stalls;
-        loop.mux_connections = current.mux_connections;
-        AppendStatsReply(*cluster, &reply);
-      }
+      if (cluster.ok()) AppendStatsReply(*cluster, &reply);
       break;
     }
     case MessageTag::kStatsText: {

@@ -139,8 +139,7 @@ struct RpcServerStats {
   uint64_t protocol_errors = 0;   ///< malformed frames / unknown tags
   uint64_t duplicate_batches = 0; ///< replayed copies suppressed by dedup
 
-  // Loop / session counters (see ServerLoopStats in cluster/transport.h
-  // for the wire-visible form).
+  // Loop / session counters (the scrape's rpc_* series).
   uint32_t connections_open = 0;
   uint64_t partial_reads = 0;     ///< reads that left a frame incomplete
   uint64_t partial_writes = 0;    ///< writes cut short by a full buffer

@@ -30,10 +30,9 @@ constexpr size_t kEventBytes = 4 + 4 + 8 + 1;
 constexpr uint8_t kBatchSequenceMarker = 0x01;
 constexpr size_t kBatchSequenceTailBytes = 1 + 8;
 
-// The hello marker, the stats-reply server-loop tail marker, and the fixed
-// envelope prefix sizes (request_id:u64 [+ last:u8]).
+// The hello marker and the fixed envelope prefix sizes
+// (request_id:u64 [+ last:u8]).
 constexpr uint8_t kHelloMarker = 0x01;
-constexpr uint8_t kServerLoopMarker = 0x01;
 constexpr size_t kMuxRequestPrefixBytes = 8;
 constexpr size_t kMuxResponsePrefixBytes = 8 + 1;
 
@@ -607,15 +606,6 @@ void AppendStatsReply(const ClusterStats& stats, std::string* out) {
     PutU64(&payload, entry.recommendations);
   }
   PutU64(&payload, stats.partitioner_salt);
-  // Server-loop reactor counters: a marker-led tail after the salt.
-  PutU8(&payload, kServerLoopMarker);
-  PutU8(&payload, stats.server.loop);
-  PutU32(&payload, stats.server.connections_open);
-  PutU64(&payload, stats.server.requests_served);
-  PutU64(&payload, stats.server.partial_reads);
-  PutU64(&payload, stats.server.partial_writes);
-  PutU64(&payload, stats.server.inflight_stalls);
-  PutU64(&payload, stats.server.mux_connections);
   AppendFrame(MessageTag::kStatsReply, payload, out);
 }
 
@@ -684,16 +674,14 @@ Status DecodeStatsReply(std::string_view payload, ClusterStats* stats) {
       !reader.GetU64(&stats->dynamic_memory_bytes)) {
     return Truncated("stats-reply");
   }
-  // The per-replica identity list, the partitioner salt, then the
-  // marker-led server-loop counters: every server sends all three, so the
-  // replica count must account for exactly the bytes that remain.
+  // The per-replica identity list, then the partitioner salt: every
+  // server sends both, so the replica count must account for exactly the
+  // bytes that remain.
   uint32_t count = 0;
   if (!reader.GetU32(&count)) return Truncated("stats-reply");
   // partition + replica + alive + 3 counters = 33 bytes per entry; then the
-  // salt (8) and the server-loop tail (marker + loop + u32 + 5 x u64).
-  constexpr uint64_t kSaltAndServerTailBytes = 8 + 1 + 1 + 4 + 5 * 8;
-  if (static_cast<uint64_t>(count) * 33 + kSaltAndServerTailBytes !=
-      reader.remaining()) {
+  // salt (8).
+  if (static_cast<uint64_t>(count) * 33 + 8 != reader.remaining()) {
     return Status::InvalidArgument(StrFormat(
         "stats-reply replica count %u does not match %zu payload bytes",
         count, reader.remaining()));
@@ -711,19 +699,6 @@ Status DecodeStatsReply(std::string_view payload, ClusterStats* stats) {
     entry.alive = alive != 0;
   }
   reader.GetU64(&stats->partitioner_salt);
-  uint8_t marker = 0;
-  reader.GetU8(&marker);
-  if (marker != kServerLoopMarker) {
-    return Status::InvalidArgument(
-        "stats-reply server-loop tail lacks its presence marker");
-  }
-  reader.GetU8(&stats->server.loop);
-  reader.GetU32(&stats->server.connections_open);
-  reader.GetU64(&stats->server.requests_served);
-  reader.GetU64(&stats->server.partial_reads);
-  reader.GetU64(&stats->server.partial_writes);
-  reader.GetU64(&stats->server.inflight_stalls);
-  reader.GetU64(&stats->server.mux_connections);
   return Status::OK();
 }
 

@@ -12,7 +12,7 @@
 //   frame := body_len:u32  masked_crc32c(body):u32  body
 //   body  := tag:u8  payload
 //
-// Session (protocol version 2). There is one session protocol: every
+// Session (protocol version 3). There is one session protocol: every
 // connection opens with a hello, and every request after it travels in a
 // mux envelope.
 //   kHello              marker:u8=0x01 proto_version:u32 features:u32
@@ -79,18 +79,15 @@
 //   kStatsReply         num_partitions:u32 replicas:u32 published:u64
 //                       detector_events:u64 queries:u64 recs:u64
 //                       static_bytes:u64 dynamic_bytes:u64
-//                       replica_count:u32 replica*  salt:u64
-//                       marker:u8=0x01 loop:u8 conns_open:u32
-//                       requests:u64 partial_reads:u64
-//                       partial_writes:u64 inflight_stalls:u64
-//                       mux_conns:u64   where
+//                       replica_count:u32 replica*  salt:u64   where
 //     replica := partition:u32 replica:u32 alive:u8
 //                events:u64 queries:u64 recs:u64
 //     The per-replica identity list keeps stats from many partition-group
-//     daemons attributable, the partitioner salt lets a fan-out broker
-//     detect placement disagreement, and the marker-led tail carries the
-//     serving loop's reactor counters. Every server sends all three, and
-//     the decoder accepts only that one layout.
+//     daemons attributable, and the partitioner salt lets a fan-out broker
+//     detect placement disagreement. Every server sends both, and the
+//     decoder accepts only that one layout: nothing follows the salt. The
+//     serving loop's reactor counters ride the kStatsText scrape
+//     (rpc_*{server=...}).
 //   kStatsTextReply       the registry text exposition, raw UTF-8 bytes
 //
 // Growth: payloads grow only at the tail, behind a marker byte. Any
@@ -168,7 +165,9 @@ enum class MessageTag : uint8_t {
 /// a peer that names another. Version 2 made the hello mandatory, every
 /// publish-batch's batch_seq required, and retired tag 0x01 — a version-1
 /// peer would fail on those mid-stream, so it is refused at the hello.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// Version 3 ends kStatsReply at the salt, a layout a version-2 decoder
+/// rejects.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Hello feature bits. A client asks for kFeatureMux; the server grants
 /// both bits to every hello that does.
@@ -302,8 +301,8 @@ Status DecodeStatsTextReply(std::string_view payload, std::string* text);
 /// Default chunk budget: comfortably under kMaxFrameBodyBytes.
 inline constexpr size_t kRecommendationsChunkBytes = 4u << 20;
 
-/// Always carries the per-replica list, the salt, and the serving loop's
-/// reactor counters (ClusterStats::server) as the marker-led tail.
+/// Always carries the per-replica list and the salt; the broker-only
+/// ClusterStats fields never travel.
 void AppendStatsReply(const ClusterStats& stats, std::string* out);
 
 /// Rebuilds the Status carried by a kError payload (always non-OK; a

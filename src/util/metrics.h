@@ -5,10 +5,13 @@
 // One process-wide registry (MetricsRegistry::Default()) is the export
 // surface: every subsystem registers its counters there, the kStatsText RPC
 // and the daemon's JSONL exporter render it, and nothing else needs to know
-// which subsystem owns which counter. Labels attach dimensions to a name
-// ("publish_apply_us{partition=\"3\"}"); the label set is canonicalized
-// into the key, so the same (name, labels) pair always returns the same
-// metric object.
+// which subsystem owns which counter. A fan-out broker is the exception: it
+// counts in a registry of its own (net/fanout_cluster.h), so brokers never
+// share a counter with each other or with in-process daemons.
+//
+// Labels attach dimensions to a name ("publish_apply_us{partition=\"3\"}");
+// the label set is canonicalized into the key, so the same (name, labels)
+// pair always returns the same metric object.
 //
 // Counters are strictly monotonic: there is deliberately no Reset() — a
 // reset racing a concurrent render would produce a non-monotonic read,

@@ -1105,6 +1105,39 @@ TEST(FanoutDegradedTest, ScrapeErrorIsTheDaemonsOwnMessage) {
 
 /// `n` events whose source ids count up from `first`: the order a daemon
 /// applied them in is readable off the ids.
+TEST(FanoutDegradedTest, EachBrokerScrapesItsOwnCounters) {
+  // Two brokers in one process, one after the other, each with a daemon
+  // down: every broker's scrape section must carry the degraded-gather
+  // count its own GetStats() reports, and none of the daemons' series
+  // (those live in the process-wide registry).
+  for (const uint64_t gathers : {uint64_t{3}, uint64_t{1}}) {
+    Group g = StartGroup(figure1::FollowGraph(), 2, FanoutPolicy::kQuorum,
+                         /*gather_quorum=*/1);
+    g.daemons[1].server->Stop();
+    for (uint64_t i = 0; i < gathers; ++i) {
+      GatherReport report;
+      ASSERT_TRUE(g.broker->TakeRecommendations(&report).ok());
+      ASSERT_FALSE(report.complete());
+    }
+    auto stats = g.broker->GetStats();
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->degraded_gathers, gathers);
+
+    auto text = g.broker->GetStatsText();
+    ASSERT_TRUE(text.ok()) << text.status();
+    const std::string broker_section =
+        text->substr(0, text->find("# source daemon"));
+    EXPECT_NE(broker_section.find(StrFormat(
+                  "counter broker_degraded_gathers %llu\n",
+                  static_cast<unsigned long long>(stats->degraded_gathers))),
+              std::string::npos)
+        << broker_section;
+    EXPECT_EQ(broker_section.find("counter detector_events"),
+              std::string::npos)
+        << broker_section;
+  }
+}
+
 std::vector<EdgeEvent> NumberedEvents(VertexId first, size_t n) {
   std::vector<EdgeEvent> events(n);
   for (size_t i = 0; i < n; ++i) {

@@ -70,17 +70,6 @@ TEST(MuxConnectionTest, NegotiatesWithTheServer) {
   ASSERT_EQ(reply.size(), 1u);
   EXPECT_EQ(reply[0].tag, MessageTag::kAck);
   EXPECT_EQ(h->server->stats().mux_connections, 1u);
-
-  // Every session's stats reply carries the server-loop counters (loop
-  // byte 2, the reactor).
-  std::string stats_request;
-  AppendEmptyRequest(MessageTag::kStats, &stats_request);
-  ASSERT_TRUE((*conn)->CallOne(stats_request, 0, &reply).ok());
-  ASSERT_EQ(reply.size(), 1u);
-  ClusterStats stats;
-  ASSERT_TRUE(DecodeStatsReply(reply[0].payload, &stats).ok());
-  EXPECT_EQ(stats.server.loop, 2);
-  EXPECT_EQ(stats.server.mux_connections, 1u);
 }
 
 TEST(MuxConnectionTest, DialFailsAgainstAServerWithoutHello) {

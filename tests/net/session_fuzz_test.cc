@@ -163,13 +163,6 @@ ClusterStats RandomStats(Rng* rng) {
     entry.recommendations = rng->NextUint64();
   }
   stats.partitioner_salt = rng->NextUint64();
-  stats.server.loop = static_cast<uint8_t>(rng->UniformInt(256));
-  stats.server.connections_open = RandomU32(rng);
-  stats.server.requests_served = rng->NextUint64();
-  stats.server.partial_reads = rng->NextUint64();
-  stats.server.partial_writes = rng->NextUint64();
-  stats.server.inflight_stalls = rng->NextUint64();
-  stats.server.mux_connections = rng->NextUint64();
   return stats;
 }
 

@@ -241,14 +241,25 @@ TEST(WireTest, StatsReplyCarriesPerReplicaIdentity) {
 }
 
 TEST(WireTest, StatsReplyWithoutIdentityTailIsRejected) {
-  // Every server sends the replica list, the salt and the server-loop
-  // tail; an encoding that stops after the fixed fields is malformed.
-  std::string payload;
-  persist::PutU32(&payload, 4);   // num_partitions
-  persist::PutU32(&payload, 1);   // replicas
-  for (int i = 0; i < 6; ++i) persist::PutU64(&payload, 100 + i);
+  // Every server sends the replica list and the salt, and nothing after
+  // the salt: an encoding that stops after the fixed fields, cuts the salt
+  // short, or carries a byte past it is malformed.
+  std::string fixed_only;
+  persist::PutU32(&fixed_only, 4);   // num_partitions
+  persist::PutU32(&fixed_only, 1);   // replicas
+  for (int i = 0; i < 6; ++i) persist::PutU64(&fixed_only, 100 + i);
+  ClusterStats stats;
+  stats.partitioner_salt = 7;
+  std::string frame;
+  AppendStatsReply(stats, &frame);
+  const std::string whole = DecodeWhole(frame).payload;
   ClusterStats out;
-  EXPECT_TRUE(DecodeStatsReply(payload, &out).IsInvalidArgument());
+  ASSERT_TRUE(DecodeStatsReply(whole, &out).ok());
+  for (const std::string& payload :
+       {fixed_only, whole.substr(0, whole.size() - 3), whole + '\0'}) {
+    EXPECT_TRUE(DecodeStatsReply(payload, &out).IsInvalidArgument())
+        << payload.size() << " bytes";
+  }
 }
 
 TEST(WireTest, StatsReplyWithForgedReplicaCountIsRejected) {
@@ -778,51 +789,6 @@ TEST(WireTest, OrderSensitivityClassification) {
         MessageTag::kStatsText, MessageTag::kPing, MessageTag::kHello}) {
     EXPECT_FALSE(IsOrderSensitive(tag)) << MessageTagName(tag);
   }
-}
-
-TEST(WireTest, StatsReplyServerLoopTailRoundTrips) {
-  ClusterStats stats;
-  stats.num_partitions = 2;
-  stats.partitioner_salt = 7;
-  stats.server.loop = 2;
-  stats.server.connections_open = 300;
-  stats.server.requests_served = 12345;
-  stats.server.partial_reads = 17;
-  stats.server.partial_writes = 5;
-  stats.server.inflight_stalls = 3;
-  stats.server.mux_connections = 299;
-
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  ClusterStats decoded;
-  ASSERT_TRUE(DecodeStatsReply(DecodeWhole(frame).payload, &decoded).ok());
-  EXPECT_EQ(decoded.server, stats.server);
-  EXPECT_EQ(decoded.partitioner_salt, 7u);
-
-  // An encoding that stops after the salt is rejected, as is one with a
-  // byte appended after the server-loop tail.
-  std::string payload = DecodeWhole(frame).payload;
-  payload.resize(payload.size() - (1 + 1 + 4 + 5 * 8));
-  EXPECT_TRUE(DecodeStatsReply(payload, &decoded).IsInvalidArgument());
-  EXPECT_TRUE(DecodeStatsReply(DecodeWhole(frame).payload + '\0', &decoded)
-                  .IsInvalidArgument());
-}
-
-TEST(WireTest, StatsReplyServerLoopTailRejectsForgedResidue) {
-  ClusterStats stats;
-  stats.server.loop = 1;
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  std::string payload = DecodeWhole(frame).payload;
-  // Corrupt the tail's presence marker: length-compatible residue must not
-  // decode as reactor counters.
-  payload[payload.size() - (1 + 1 + 4 + 5 * 8)] = '\x7c';
-  ClusterStats decoded;
-  EXPECT_TRUE(DecodeStatsReply(payload, &decoded).IsInvalidArgument());
-  // And a truncated tail is rejected, not zero-filled.
-  std::string truncated = DecodeWhole(frame).payload;
-  truncated.resize(truncated.size() - 3);
-  EXPECT_TRUE(DecodeStatsReply(truncated, &decoded).IsInvalidArgument());
 }
 
 }  // namespace

@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
   bool watch = false;
   int interval_ms = 1000;
   long long count = 0;  // watch forever
+  const char* watch_flag = nullptr;  // the last flag that needs --watch
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (std::strcmp(argv[i], "--help") == 0) {
@@ -134,8 +135,9 @@ int main(int argc, char** argv) {
           "  --port=N         daemon port (7421)\n"
           "  --watch          re-scrape on an interval; print per-window\n"
           "                   counter rates, gauges, and health states\n"
-          "  --interval-ms=N  watch interval (1000)\n"
-          "  --count=N        stop after N watch windows; 0 = forever (0)\n");
+          "  --interval-ms=N  watch interval (1000; requires --watch)\n"
+          "  --count=N        stop after N watch windows; 0 = forever (0;\n"
+          "                   requires --watch)\n");
       return 0;
     } else if (std::strcmp(argv[i], "--watch") == 0) {
       watch = true;
@@ -145,10 +147,12 @@ int main(int argc, char** argv) {
                             &interval_ms, 1)) {
         return 2;
       }
+      watch_flag = "interval-ms";
     } else if (FlagValue(argv[i], "count", &value)) {
       if (!ParseIntegerFlag("magicrecs_scrape", "count", value, &count, 0)) {
         return 2;
       }
+      watch_flag = "count";
     } else if (FlagValue(argv[i], "host", &value)) {
       host = value;
     } else if (FlagValue(argv[i], "port", &value)) {
@@ -159,6 +163,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "magicrecs_scrape: unknown flag '%s'\n", argv[i]);
       return 2;
     }
+  }
+  // A watch-only flag without --watch would be silently ignored.
+  if (watch_flag != nullptr && !watch) {
+    std::fprintf(stderr, "magicrecs_scrape: --%s requires --watch\n",
+                 watch_flag);
+    return 2;
   }
 
   MuxConnectionOptions options;

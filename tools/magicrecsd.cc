@@ -84,6 +84,7 @@ struct DaemonOptions {
 
   // Dependent flags given, checked against their enablers after parsing.
   bool graph_set = false;
+  bool partitions_set = false;
   const char* synthetic_flag = nullptr;  // the last synthetic-graph flag
   bool metrics_dump_path_set = false;
   bool fsync_batch_set = false;
@@ -99,7 +100,8 @@ void PrintUsage() {
       "  --users=N              synthetic graph size (10000)\n"
       "  --mean-followees=F     synthetic mean out-degree (30)\n"
       "  --graph-seed=N         synthetic graph seed (42)\n"
-      "  --partitions=N         partition count (20)\n"
+      "  --partitions=N         partition count (20; not with\n"
+      "                         --partition-group)\n"
       "  --partition-group=N    host ONE partition of an N-wide group\n"
       "  --partition-id=P       which global partition this daemon hosts\n"
       "  --partitioner-salt=N   hash partitioner salt; must match across the\n"
@@ -125,7 +127,8 @@ void PrintUsage() {
       "                         (requires --health-interval-ms)\n"
       "  --persist-dir=PATH     WAL + snapshot directory, empty = off\n"
       "  --fsync-batch=N        group-commit batch (1; requires --fsync)\n"
-      "  --fsync                fdatasync WAL appends\n"
+      "  --fsync                fdatasync WAL appends (requires\n"
+      "                         --persist-dir)\n"
       "  --help                 this text\n");
 }
 
@@ -172,6 +175,7 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
       if (!IntFlag("partitions", value, &options->cluster.num_partitions)) {
         return false;
       }
+      options->partitions_set = true;
     } else if (FlagValue(arg, "partition-group", &value)) {
       if (!IntFlag("partition-group", value, &options->cluster.group_size)) {
         return false;
@@ -263,6 +267,14 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
                  "magicrecsd: --partition-group requires --partition-id\n");
     return false;
   }
+  // A group member hosts one partition of group_size; num_partitions is
+  // ignored in group mode.
+  if (options->partitions_set && options->cluster.group_size > 0) {
+    std::fprintf(stderr,
+                 "magicrecsd: --partitions and --partition-group are "
+                 "exclusive\n");
+    return false;
+  }
   // Two graph sources would silently drop one of them.
   if (options->graph_set && !options->graph_file.empty()) {
     std::fprintf(stderr,
@@ -284,6 +296,11 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
   }
   if (options->fsync_batch_set && !options->cluster.persist.sync_each_append) {
     std::fprintf(stderr, "magicrecsd: --fsync-batch requires --fsync\n");
+    return false;
+  }
+  if (options->cluster.persist.sync_each_append &&
+      options->cluster.persist.dir.empty()) {
+    std::fprintf(stderr, "magicrecsd: --fsync requires --persist-dir\n");
     return false;
   }
   if (options->metrics_dump_path_set && options->metrics_dump_interval_s == 0) {
