@@ -113,11 +113,7 @@ Endpoint MakeLocal(const StaticGraph& graph) {
 net::RpcServer* SpawnDaemon(Endpoint* e, const StaticGraph& graph,
                             const ClusterOptions& options) {
   e->hosted.push_back(StartCluster(graph, options));
-  net::RpcServerOptions sopt;
-  // Partition-group members stamp traces with their global partition id,
-  // exactly as magicrecsd wires it.
-  if (options.group_size > 0) sopt.trace_party = options.group_partition;
-  auto server = net::RpcServer::Start(e->hosted.back().get(), sopt);
+  auto server = net::RpcServer::Start(e->hosted.back().get(), {});
   if (!server.ok()) {
     std::fprintf(stderr, "rpc server: %s\n",
                  server.status().ToString().c_str());
@@ -363,14 +359,13 @@ int main() {
     endpoint.servers.back()->Stop();
     const ThroughputResult result =
         RunThroughput(endpoint, events, 4096);
-    auto stats = endpoint.fanout->GetStats();
     std::printf("%11s %8d %12s %10s [%s]\n", "fanout-3/4", 4096,
                 HumanCount(result.events_per_sec).c_str(),
                 HumanCount(static_cast<double>(result.recs)).c_str(),
                 result.report.ToString().c_str());
-    if (stats.ok()) {
-      std::printf("            degraded stats: %s\n",
-                  stats->ToString().c_str());
+    // The broker's own scrape section: its degraded-mode counters.
+    if (auto text = endpoint.fanout->GetStatsText(); text.ok()) {
+      std::printf("%s", text->substr(0, text->find("# source daemon")).c_str());
     }
     json.AddThroughput("degraded", "fanout-3of4-quorum", 4096,
                        result.events_per_sec, result.recs);

@@ -15,8 +15,10 @@
 //   ./example_fanout_quickstart 7431:0 7432:1
 //
 // Each argument is PORT:PARTITION on 127.0.0.1, or a bare PORT for one
-// all-hosting daemon. Exits 0 iff the expected recommendation (C2 to A2)
-// arrived and the merged stats cover every endpoint's shard.
+// all-hosting daemon. Prints the broker's `# source broker` scrape section,
+// and exits 0 iff the expected recommendation (C2 to A2) arrived and every
+// answering endpoint's scrape section (`# source daemon HOST:PORT
+// partition P`) reports replicas of partition P.
 //
 // Degraded-mode drill (the CI quorum smoke): --policy=quorum --quorum=N
 // runs the same scenario tolerating dead daemons — publishes to a dead
@@ -42,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "gen/figure1.h"
@@ -65,6 +68,22 @@ bool AwaitPolicy(net::FanoutCluster* broker, net::FanoutPolicy want,
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return broker->active_policy() == want;
+}
+
+/// The body of the daemon scrape section headed exactly `header`, or ""
+/// when there is none (an unreachable daemon's header line carries its
+/// error after the address). The broker's section always comes first.
+std::string_view Section(std::string_view text, const std::string& header) {
+  const std::string line = "\n" + header + "\n";
+  const size_t at = text.find(line);
+  if (at == std::string_view::npos) return {};
+  const size_t begin = at + line.size();
+  return text.substr(begin, text.find("\n# source ", begin) - begin);
+}
+
+/// The broker's own scrape section.
+std::string_view BrokerSection(std::string_view text) {
+  return text.substr(0, text.find("# source daemon"));
 }
 
 }  // namespace
@@ -197,19 +216,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto stats = (*broker)->GetStats();
-  if (!stats.ok()) {
-    std::fprintf(stderr, "stats: %s\n", stats.status().ToString().c_str());
+  Result<std::string> text = (*broker)->GetStatsText();
+  if (!text.ok()) {
+    std::fprintf(stderr, "scrape: %s\n", text.status().ToString().c_str());
     return 1;
   }
-  std::printf("merged stats: %s\n", stats->ToString().c_str());
-  std::printf("%s\n", stats->PerReplicaString().c_str());
-  for (const PartitionHealth& health : stats->partition_health) {
-    std::printf("health: %s\n", health.ToString().c_str());
-  }
-  // With explicit partitions every daemon must show up in the merged
-  // per-replica identities (the attributability check) — unless the gather
-  // report already told us that daemon is down.
+  const std::string_view broker_section = BrokerSection(*text);
+  std::fwrite(broker_section.data(), 1, broker_section.size(), stdout);
+  // With explicit partitions every daemon's scrape section must report
+  // replicas of its own partition (the attributability check) — unless the
+  // gather report already told us that daemon is down.
   for (const net::FanoutEndpoint& endpoint : options.endpoints) {
     if (endpoint.partition == net::FanoutEndpoint::kAllPartitions) continue;
     bool reported_missing = false;
@@ -217,12 +233,16 @@ int main(int argc, char** argv) {
       reported_missing = reported_missing || missing == endpoint.partition;
     }
     if (reported_missing) continue;
-    bool covered = false;
-    for (const ReplicaStats& entry : stats->per_replica) {
-      covered = covered || entry.partition == endpoint.partition;
-    }
-    if (!covered) {
-      std::fprintf(stderr, "FAIL: partition %u missing from merged stats\n",
+    const std::string partition = std::to_string(endpoint.partition);
+    const std::string_view section =
+        Section(*text, "# source daemon " + endpoint.host + ":" +
+                           std::to_string(endpoint.port) + " partition " +
+                           partition);
+    if (section.find("gauge replica_alive{partition=\"" + partition + "\"") ==
+        std::string_view::npos) {
+      std::fprintf(stderr,
+                   "FAIL: partition %u's scrape section reports none of its "
+                   "replicas\n",
                    endpoint.partition);
       return 1;
     }
@@ -260,14 +280,14 @@ int main(int argc, char** argv) {
     }
     std::printf("DRILL: recovered to strict\n");
     // The broker's own scrape section: its counters show both flips.
-    Result<std::string> text = (*broker)->GetStatsText();
+    text = (*broker)->GetStatsText();
     if (!text.ok()) {
       std::fprintf(stderr, "DRILL FAIL: scrape: %s\n",
                    text.status().ToString().c_str());
       return 1;
     }
-    std::fputs(text->substr(0, text->find("# source daemon")).c_str(),
-               stdout);
+    const std::string_view drilled = BrokerSection(*text);
+    std::fwrite(drilled.data(), 1, drilled.size(), stdout);
   }
   return 0;
 }

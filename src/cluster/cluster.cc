@@ -411,31 +411,20 @@ Status Cluster::Checkpoint(Timestamp created_at) {
                   next_sequence_.load(std::memory_order_relaxed), created_at);
 }
 
-Result<ClusterStats> Cluster::GetStats() {
-  // Exclusive + quiesced: the per-detector counters and histograms are
-  // plain fields the worker threads mutate.
-  std::unique_lock<std::shared_mutex> state_lock(state_mu_);
-  if (closed_) return Status::FailedPrecondition("cluster is closed");
-  Quiesce();
-  const MotifEngineStats detector = AggregatedStats();
-  ClusterStats stats;
-  stats.num_partitions = num_partitions();
-  stats.replicas_per_partition = replicas_per_partition();
-  stats.events_published = events_published();
-  stats.detector_events = detector.events;
-  stats.threshold_queries = detector.threshold_queries;
-  stats.recommendations = detector.recommendations;
-  stats.static_memory_bytes = TotalStaticMemory();
-  stats.dynamic_memory_bytes = TotalDynamicMemory();
-  stats.per_replica = PerReplicaStats();
-  stats.partitioner_salt = partitioner_.salt();
-  return stats;
+Placement Cluster::placement() const {
+  Placement placement;
+  placement.group_size = num_partitions();
+  if (is_partition_group_member()) {
+    placement.partition = options_.group_partition;
+  }
+  placement.salt = partitioner_.salt();
+  return placement;
 }
 
 Result<std::string> Cluster::GetStatsText() {
-  // Scrape-time collector: quiesce (as GetStats does), then mirror the
-  // aggregates into the process registry. ReplaceWith/RaiseTo — not
-  // Merge/Increment — because the mirror re-runs wholesale on every scrape.
+  // Scrape-time collector: quiesce, then mirror the aggregates into the
+  // process registry. ReplaceWith/RaiseTo/Set — not Merge/Increment —
+  // because the mirror re-runs wholesale on every scrape.
   {
     std::unique_lock<std::shared_mutex> state_lock(state_mu_);
     if (closed_) return Status::FailedPrecondition("cluster is closed");
@@ -467,6 +456,19 @@ Result<std::string> Cluster::GetStatsText() {
         ->Set(static_cast<int64_t>(dynamic_index().stats().current_edges));
     registry->GetGauge("dynamic_bytes")
         ->Set(static_cast<int64_t>(TotalDynamicMemory()));
+    registry->GetGauge("static_bytes")
+        ->Set(static_cast<int64_t>(TotalStaticMemory()));
+    // Each hosted replica, labelled with its global identity.
+    for (const ReplicaStats& entry : PerReplicaStats()) {
+      const MetricLabels labels = {
+          {"partition", StrFormat("%u", entry.partition)},
+          {"replica", StrFormat("%u", entry.replica)}};
+      registry->GetGauge("replica_alive", labels)->Set(entry.alive ? 1 : 0);
+      registry->GetCounter("replica_threshold_queries", labels)
+          ->RaiseTo(entry.threshold_queries);
+      registry->GetCounter("replica_recommendations", labels)
+          ->RaiseTo(entry.recommendations);
+    }
   }
   return MetricsRegistry::Default()->RenderText();
 }
@@ -493,6 +495,14 @@ size_t Cluster::TotalStaticMemory() const {
     }
   }
   return total;
+}
+
+std::string ReplicaStats::ToString() const {
+  return StrFormat("p%u/r%u %s events=%llu queries=%llu recs=%llu", partition,
+                   replica, alive ? "alive" : "dead",
+                   static_cast<unsigned long long>(detector_events),
+                   static_cast<unsigned long long>(threshold_queries),
+                   static_cast<unsigned long long>(recommendations));
 }
 
 std::vector<ReplicaStats> Cluster::PerReplicaStats() const {

@@ -32,7 +32,7 @@
 // RpcServer fronts, so several connection handlers call it at once. The
 // data-plane calls (PublishBatch, Drain, TakeRecommendations) run
 // concurrently; the control-plane calls that read detector state or must
-// not race queued events (GetStats, GetStatsText, Checkpoint, KillReplica,
+// not race queued events (GetStatsText, Checkpoint, KillReplica,
 // RecoverReplica) run alone and quiesce first.
 //
 // Replica semantics: the query for an event runs on exactly one alive
@@ -79,6 +79,22 @@ namespace magicrecs {
 class Counter;
 class HistogramMetric;
 class WalWriter;
+
+/// One hosted replica's counters, tagged with its global partition id so
+/// the counts of many partition-group daemons stay attributable to the
+/// shard that produced them. The scrape carries them as the
+/// replica_*{partition, replica} series.
+struct ReplicaStats {
+  uint32_t partition = 0;  ///< global partition id
+  uint32_t replica = 0;
+  bool alive = true;
+  uint64_t detector_events = 0;
+  uint64_t threshold_queries = 0;
+  uint64_t recommendations = 0;
+
+  /// e.g. "p3/r1 alive events=120 queries=60 recs=2".
+  std::string ToString() const;
+};
 
 /// The partitioned, replicated deployment.
 class Cluster final : public ClusterTransport {
@@ -157,11 +173,13 @@ class Cluster final : public ClusterTransport {
 
   // --- Introspection ---------------------------------------------------------
 
-  /// Quiesces, then reports the cluster-wide and per-replica counters.
-  Result<ClusterStats> GetStats() override;
+  /// num_partitions(), the hosted partition in partition-group mode (else
+  /// Placement::kAllPartitions), and the partitioner's salt.
+  Placement placement() const override;
 
-  /// Quiesces, mirrors the detector counters, histograms and the size of D
-  /// into the process's MetricsRegistry, then renders it.
+  /// Quiesces, mirrors the detector counters, histograms, per-replica
+  /// counters and the sizes of S and D into the process's MetricsRegistry,
+  /// then renders it.
   Result<std::string> GetStatsText() override;
 
   /// Deployment-wide partition count: the full group in partition-group
@@ -214,6 +232,7 @@ class Cluster final : public ClusterTransport {
   /// Per-replica counters tagged with global partition identity, ordered by
   /// (partition, replica). The attributable complement of AggregatedStats():
   /// detector_events is the process's D's count, the same on every replica.
+  /// Read it quiesced, e.g. after Drain().
   std::vector<ReplicaStats> PerReplicaStats() const;
 
  private:

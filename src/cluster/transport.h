@@ -17,8 +17,9 @@
 // contract is publish/drain/gather: PublishBatch delivers events to every
 // partition, Drain blocks until all published events are fully processed,
 // TakeRecommendations moves out what the motif queries emitted since the
-// last call. Broker-only calls (the gather coverage report, traces, health,
-// placement) live on FanoutCluster.
+// last call. Counts travel only as the GetStatsText exposition; placement()
+// is what the RPC server puts in its hello reply. Broker-only calls (the
+// gather coverage report, traces, health) live on FanoutCluster.
 
 #ifndef MAGICRECS_CLUSTER_TRANSPORT_H_
 #define MAGICRECS_CLUSTER_TRANSPORT_H_
@@ -41,96 +42,17 @@ namespace magicrecs {
 
 class StaticGraph;
 
-/// Identity-tagged per-replica counters (surfaced as
-/// ClusterStats::per_replica and over the stats RPC): the global partition
-/// id and replica index ride along, so stats gathered from many
-/// partition-group daemons stay attributable to the shard that produced
-/// them.
-struct ReplicaStats {
-  uint32_t partition = 0;  ///< global partition id
-  uint32_t replica = 0;
-  bool alive = true;
-  uint64_t detector_events = 0;
-  uint64_t threshold_queries = 0;
-  uint64_t recommendations = 0;
+/// Where an endpoint sits in the deployment: the hello reply carries it,
+/// so a fan-out broker checks a daemon's placement on every dial.
+struct Placement {
+  /// `partition` of an endpoint that hosts every partition.
+  static constexpr uint32_t kAllPartitions = UINT32_MAX;
 
-  friend bool operator==(const ReplicaStats&, const ReplicaStats&) = default;
+  uint32_t group_size = 0;  ///< deployment-wide partition count
+  uint32_t partition = kAllPartitions;  ///< the one hosted global partition
+  uint64_t salt = 0;        ///< the HashPartitioner salt
 
-  /// e.g. "p3/r1 alive events=120 queries=60 recs=2".
-  std::string ToString() const;
-};
-
-/// Broker-side liveness of one partition's daemon across gathers. A
-/// consecutive count of 0 means the daemon answered the most recent
-/// TakeRecommendations; anything else is how stale that partition's
-/// recommendations currently are, measured in missed gathers.
-struct PartitionHealth {
-  /// Global partition id, or UINT32_MAX for an all-hosting daemon.
-  uint32_t partition = 0;
-  uint64_t gathers_missed_total = 0;
-  uint64_t gathers_missed_consecutive = 0;
-
-  friend bool operator==(const PartitionHealth&,
-                         const PartitionHealth&) = default;
-
-  /// e.g. "p3 missed=2 (consecutive=1)".
-  std::string ToString() const;
-};
-
-/// Cluster-wide counters as reported over the stats RPC. A flat POD rather
-/// than MotifEngineStats so it has a stable wire encoding.
-struct ClusterStats {
-  uint32_t num_partitions = 0;       ///< deployment-wide (full group)
-  uint32_t replicas_per_partition = 0;
-  uint64_t events_published = 0;     ///< broker-side publish count
-  uint64_t detector_events = 0;      ///< D ingests (one D per process)
-  uint64_t threshold_queries = 0;    ///< motif queries summed over replicas
-  uint64_t recommendations = 0;      ///< emitted recommendations (sum)
-  uint64_t static_memory_bytes = 0;  ///< all S shards
-  uint64_t dynamic_memory_bytes = 0; ///< D (one per process)
-
-  /// Identity-tagged counters, one entry per hosted replica, ordered by
-  /// (partition, replica). A partition-group daemon reports only its own
-  /// shard here, so stats merged from many daemons stay attributable.
-  std::vector<ReplicaStats> per_replica;
-
-  /// The hash-partitioner salt placement was computed with. Lets a fan-out
-  /// broker detect a daemon whose placement disagrees with its own
-  /// (FanoutCluster::Ping verifies it).
-  uint64_t partitioner_salt = 0;
-
-  // --- degraded-mode broker counters -----------------------------------------
-  // Filled only by a fan-out broker (net/fanout_cluster.h), from its own
-  // registry's broker_* counters; always zero on in-process transports and
-  // daemons, and deliberately NOT carried on the stats wire — they
-  // describe the broker, not the cluster behind it.
-
-  /// Gathers that returned successfully with >= 1 partition missing.
-  uint64_t degraded_gathers = 0;
-
-  /// Events delivered from a replay buffer after a daemon came back.
-  uint64_t replayed_events = 0;
-
-  /// Events dropped because a daemon's replay buffer overflowed (or the
-  /// daemon rejected a replayed frame).
-  uint64_t replay_dropped_events = 0;
-
-  /// Recommendations currently parked in the partial-gather rescue buffer.
-  uint64_t rescued_recommendations = 0;
-
-  /// Recommendations dropped because the rescue buffer overflowed.
-  uint64_t rescue_dropped = 0;
-
-  /// Per-partition gather staleness, ordered by partition (broker only).
-  std::vector<PartitionHealth> partition_health;
-
-  friend bool operator==(const ClusterStats&, const ClusterStats&) = default;
-
-  /// The aggregate counters on one line (per_replica not included).
-  std::string ToString() const;
-
-  /// One line per per_replica entry, e.g. for an operator stats dump.
-  std::string PerReplicaString() const;
+  friend bool operator==(const Placement&, const Placement&) = default;
 };
 
 /// Abstract cluster endpoint. Implementations are thread-safe: the RPC
@@ -162,13 +84,15 @@ class ClusterTransport {
   virtual Status KillReplica(uint32_t partition, uint32_t replica) = 0;
   virtual Status RecoverReplica(uint32_t partition, uint32_t replica) = 0;
 
-  virtual Result<ClusterStats> GetStats() = 0;
+  /// This endpoint's placement. Fixed at construction; the RPC server
+  /// reads it once and sends it in every hello reply.
+  virtual Placement placement() const = 0;
 
   /// The text exposition of every metric this endpoint knows (see
-  /// docs/observability.md for the format). The default renders the
-  /// process-wide MetricsRegistry; Cluster mirrors its detector counters
-  /// into it first, and the fan-out broker pulls the remote surface too.
-  /// Serves the kStatsText RPC.
+  /// docs/observability.md for the format), and its only stats surface.
+  /// The default renders the process-wide MetricsRegistry; Cluster mirrors
+  /// its detector and per-replica counters into it first, and the fan-out
+  /// broker pulls the remote surface too. Serves the kStatsText RPC.
   virtual Result<std::string> GetStatsText();
 
   /// Releases the transport's resources (joins workers, closes the

@@ -123,13 +123,16 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
           registry_.GetCounter("broker_replay_dropped_events")),
       rescue_dropped_(registry_.GetCounter("broker_rescue_dropped")),
       policy_flips_(registry_.GetCounter("broker_policy_flips")),
-      shed_publishes_(registry_.GetCounter("broker_shed_publishes")) {
+      shed_publishes_(registry_.GetCounter("broker_shed_publishes")),
+      rescued_recommendations_(
+          registry_.GetGauge("broker_rescued_recommendations")) {
   if (options.policy != FanoutPolicy::kAuto) {  // kAuto starts strict
     active_policy_.store(options.policy, std::memory_order_relaxed);
   }
   registry_.GetGauge("broker_policy")
       ->Set(static_cast<int64_t>(active_policy()));
   registry_.GetGauge("broker_shedding")->Set(0);
+  rescued_recommendations_->Set(0);
   // Batch sequences must be unique across broker incarnations, not just
   // within one: the daemons' dedup window is keyed by the raw u64 and
   // outlives any one broker's connections, so a counter restarting at 1
@@ -154,6 +157,17 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
   for (const FanoutEndpoint& endpoint : options.endpoints) {
     auto daemon = std::make_unique<Daemon>();
     daemon->endpoint = endpoint;
+    daemon->party = HealthPartyName(
+        endpoint.partition == FanoutEndpoint::kAllPartitions
+            ? std::nullopt
+            : std::optional<uint32_t>(endpoint.partition),
+        endpoint.host, endpoint.port);
+    const MetricLabels labels = {{"party", daemon->party}};
+    daemon->gathers_missed =
+        registry_.GetCounter("broker_gathers_missed", labels);
+    daemon->gathers_missed_consecutive =
+        registry_.GetGauge("broker_gathers_missed_consecutive", labels);
+    daemon->gathers_missed_consecutive->Set(0);
     daemons_.push_back(std::move(daemon));
   }
 }
@@ -230,12 +244,19 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     Result<std::unique_ptr<MuxConnection>> dialed =
         MuxConnection::Dial(daemon->endpoint.host, daemon->endpoint.port,
                             mopt);
+    // A daemon that answers the hello but is placed elsewhere than its
+    // endpoint says fails like a dial (dropping `dialed` severs it): it
+    // must not get a single frame.
+    const Status placed =
+        dialed.ok()
+            ? CheckPlacement(daemon->endpoint, (*dialed)->placement())
+            : dialed.status();
     lock.lock();
     daemon->dialing = false;
     daemon->cv.notify_all();
-    if (!dialed.ok()) {
+    if (!placed.ok()) {
       StartBackoffLocked(daemon);
-      return TagError(*daemon, dialed.status());
+      return TagError(*daemon, placed);
     }
     if (closed_.load(std::memory_order_acquire)) {
       (*dialed)->Shutdown();
@@ -245,6 +266,44 @@ Result<std::shared_ptr<MuxConnection>> FanoutCluster::AcquireConn(
     daemon->conn = std::shared_ptr<MuxConnection>(std::move(dialed).value());
     return daemon->conn;
   }
+}
+
+Status FanoutCluster::CheckPlacement(const FanoutEndpoint& endpoint,
+                                     const Placement& placed) const {
+  if (group_size_ > 0 && placed.group_size != group_size_) {
+    return Status::FailedPrecondition(StrFormat(
+        "daemon spans %u partitions, this broker expects a %u-partition "
+        "group (check --partition-group)",
+        placed.group_size, group_size_));
+  }
+  if (placed.salt != options_.partitioner_salt) {
+    return Status::FailedPrecondition(StrFormat(
+        "daemon partitioner salt %llu != broker salt %llu — placement would "
+        "disagree (check --partitioner-salt)",
+        static_cast<unsigned long long>(placed.salt),
+        static_cast<unsigned long long>(options_.partitioner_salt)));
+  }
+  if (placed.partition == endpoint.partition) return Status::OK();
+  if (endpoint.partition == FanoutEndpoint::kAllPartitions) {
+    // A one-endpoint broker on a group member would gather one
+    // partition's share and call it the whole cluster.
+    return Status::FailedPrecondition(StrFormat(
+        "daemon hosts only partition %u of a %u-partition group but this "
+        "endpoint is wired as all-hosting (give the endpoint its "
+        "partition, or drop the daemon's --partition-group/--partition-id)",
+        placed.partition, placed.group_size));
+  }
+  // A daemon missing its --partition-group flags hosts EVERY partition and
+  // would silently duplicate recommendations.
+  const std::string hosted =
+      placed.partition == Placement::kAllPartitions
+          ? std::string("every partition")
+          : StrFormat("partition %u", placed.partition);
+  return Status::FailedPrecondition(StrFormat(
+      "daemon hosts %s but this endpoint is wired as partition %u (swapped "
+      "endpoints, or the daemon is missing --partition-group/"
+      "--partition-id?)",
+      hosted.c_str(), endpoint.partition));
 }
 
 void FanoutCluster::DropConn(Daemon* daemon,
@@ -454,9 +513,14 @@ void FanoutCluster::RescuePending(std::vector<Recommendation>* recs) {
   const size_t keep = std::min(room, recs->size());
   pending_.insert(pending_.end(), std::make_move_iterator(recs->begin()),
                   std::make_move_iterator(recs->begin() + keep));
+  SetRescuedLocked();
   if (keep < recs->size()) {
     rescue_dropped_->Increment(recs->size() - keep);
   }
+}
+
+void FanoutCluster::SetRescuedLocked() {
+  rescued_recommendations_->Set(static_cast<int64_t>(pending_.size()));
 }
 
 Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
@@ -683,6 +747,7 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     recs.swap(pending_);
+    SetRescuedLocked();
   }
   GatherReport report;
   report.daemons_total = static_cast<uint32_t>(daemons_.size());
@@ -725,16 +790,13 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
         } else if (!staged.empty()) {
           RescuePending(&staged);
         }
-        // The coverage report and the per-daemon staleness counters.
+        // The coverage report and the per-daemon staleness series.
         Daemon* daemon = slot->daemon;
-        {
-          std::lock_guard<std::mutex> lock(daemon->mu);
-          if (merged) {
-            daemon->gathers_missed_consecutive = 0;
-          } else {
-            daemon->gathers_missed_total++;
-            daemon->gathers_missed_consecutive++;
-          }
+        if (merged) {
+          daemon->gathers_missed_consecutive->Set(0);
+        } else {
+          daemon->gathers_missed->Increment();
+          daemon->gathers_missed_consecutive->Add(1);
         }
         const uint32_t partition = daemon->endpoint.partition;
         if (merged) {
@@ -802,73 +864,6 @@ Status FanoutCluster::RecoverReplica(uint32_t partition, uint32_t replica) {
   std::string request;
   AppendReplicaOp(MessageTag::kRecoverReplica, partition, replica, &request);
   return Broadcast(daemon, request, MessageTag::kAck, Coverage::kEvery);
-}
-
-Result<ClusterStats> FanoutCluster::GetStats() {
-  MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
-  std::string request;
-  AppendEmptyRequest(MessageTag::kStats, &request);
-  // One broadcast, so the per-daemon snapshots are taken concurrently
-  // (minimally skewed in time) instead of one round trip after another.
-  ClusterStats merged;
-  MAGICRECS_RETURN_IF_ERROR(Broadcast(
-      nullptr, request, MessageTag::kStatsReply, Coverage::kQuorum,
-      [&merged](Slot* slot, const std::vector<Frame>& reply) {
-        if (!slot->answered) return Status::OK();
-        ClusterStats stats;
-        MAGICRECS_RETURN_IF_ERROR(
-            DecodeStatsReply(reply.front().payload, &stats));
-        // Merge: shape fields take the widest daemon view; detector
-        // counters and memory sum across daemons; events_published takes
-        // the max (every daemon counts the same fanned-out stream, so
-        // summing would multiply the broker-side publish count by the
-        // daemon count).
-        merged.num_partitions =
-            std::max(merged.num_partitions, stats.num_partitions);
-        merged.replicas_per_partition = std::max(
-            merged.replicas_per_partition, stats.replicas_per_partition);
-        merged.events_published =
-            std::max(merged.events_published, stats.events_published);
-        merged.detector_events += stats.detector_events;
-        merged.threshold_queries += stats.threshold_queries;
-        merged.recommendations += stats.recommendations;
-        merged.static_memory_bytes += stats.static_memory_bytes;
-        merged.dynamic_memory_bytes += stats.dynamic_memory_bytes;
-        merged.partitioner_salt = stats.partitioner_salt;  // equal; Ping checks
-        merged.per_replica.insert(merged.per_replica.end(),
-                                  stats.per_replica.begin(),
-                                  stats.per_replica.end());
-        return Status::OK();
-      }));
-  std::sort(merged.per_replica.begin(), merged.per_replica.end(),
-            [](const ReplicaStats& a, const ReplicaStats& b) {
-              return a.partition != b.partition ? a.partition < b.partition
-                                                : a.replica < b.replica;
-            });
-  // Broker-side degraded-mode counters (never on the wire; see transport.h).
-  merged.degraded_gathers = degraded_gathers_->Value();
-  merged.replayed_events = replayed_events_->Value();
-  merged.replay_dropped_events = replay_dropped_events_->Value();
-  merged.rescue_dropped = rescue_dropped_->Value();
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    merged.rescued_recommendations = pending_.size();
-  }
-  for (const auto& daemon : daemons_) {
-    PartitionHealth health;
-    health.partition = daemon->endpoint.partition;
-    {
-      std::lock_guard<std::mutex> lock(daemon->mu);
-      health.gathers_missed_total = daemon->gathers_missed_total;
-      health.gathers_missed_consecutive = daemon->gathers_missed_consecutive;
-    }
-    merged.partition_health.push_back(health);
-  }
-  std::sort(merged.partition_health.begin(), merged.partition_health.end(),
-            [](const PartitionHealth& a, const PartitionHealth& b) {
-              return a.partition < b.partition;
-            });
-  return merged;
 }
 
 std::vector<TraceContext> FanoutCluster::TakeTraces() {
@@ -939,49 +934,21 @@ Result<HashPartitioner> FanoutCluster::Partitioner() const {
   return HashPartitioner(group_size_, options_.partitioner_salt);
 }
 
+Placement FanoutCluster::placement() const {
+  Placement placement;
+  placement.group_size = group_size_;
+  placement.salt = options_.partitioner_salt;
+  return placement;
+}
+
 Status FanoutCluster::Ping() {
   MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
   std::string request;
-  AppendEmptyRequest(MessageTag::kStats, &request);
-  // One stats sweep checks liveness and topology together, strict under
-  // every policy: its whole point is to find the daemon that is down or
-  // miswired.
-  return Broadcast(
-      nullptr, request, MessageTag::kStatsReply, Coverage::kEvery,
-      [this](Slot* slot, const std::vector<Frame>& reply) {
-        if (!slot->answered) return Status::OK();
-        ClusterStats stats;
-        MAGICRECS_RETURN_IF_ERROR(
-            DecodeStatsReply(reply.front().payload, &stats));
-        if (group_size_ > 0 && stats.num_partitions != group_size_) {
-          return Status::FailedPrecondition(StrFormat(
-              "daemon spans %u partitions, this broker expects a "
-              "%u-partition group (check --partition-group)",
-              stats.num_partitions, group_size_));
-        }
-        if (stats.partitioner_salt != options_.partitioner_salt) {
-          return Status::FailedPrecondition(StrFormat(
-              "daemon partitioner salt %llu != broker salt %llu — "
-              "placement would disagree (check --partitioner-salt)",
-              static_cast<unsigned long long>(stats.partitioner_salt),
-              static_cast<unsigned long long>(options_.partitioner_salt)));
-        }
-        const uint32_t wired = slot->daemon->endpoint.partition;
-        if (wired == FanoutEndpoint::kAllPartitions) return Status::OK();
-        // An explicit-partition endpoint must host that partition and
-        // nothing else: a daemon missing its --partition-group flags hosts
-        // EVERY partition and would silently duplicate recommendations.
-        for (const ReplicaStats& entry : stats.per_replica) {
-          if (entry.partition != wired) {
-            return Status::FailedPrecondition(StrFormat(
-                "daemon hosts partition %u but this endpoint is wired as "
-                "partition %u (swapped endpoints, or the daemon is missing "
-                "--partition-group/--partition-id?)",
-                entry.partition, wired));
-          }
-        }
-        return Status::OK();
-      });
+  AppendEmptyRequest(MessageTag::kPing, &request);
+  // Strict under every policy: its whole point is to find the daemon that
+  // is down. Acquiring the lanes dials, and so placement-checks, every
+  // daemon not yet connected.
+  return Broadcast(nullptr, request, MessageTag::kAck, Coverage::kEvery);
 }
 
 // --- health monitor ----------------------------------------------------------
@@ -1017,19 +984,16 @@ void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
   double worst_frac = 0;
   std::string worst_party;
   for (const auto& daemon : daemons_) {
-    const FanoutEndpoint& e = daemon->endpoint;
     HealthInputs::Party party;
-    party.name = HealthPartyName(e.partition == FanoutEndpoint::kAllPartitions
-                                     ? std::nullopt
-                                     : std::optional<uint32_t>(e.partition),
-                                 e.host, e.port);
+    party.name = daemon->party;
     {
       std::lock_guard<std::mutex> lock(daemon->mu);
       // backoff_ms resets to 0 on a successful dial, so nonzero means the
       // most recent attempt failed — the circuit breaker is (or was) open.
       party.unreachable = daemon->backoff_ms != 0;
-      party.gathers_missed_consecutive = daemon->gathers_missed_consecutive;
     }
+    party.gathers_missed_consecutive = static_cast<uint64_t>(
+        daemon->gathers_missed_consecutive->Value());
     {
       std::lock_guard<std::mutex> lock(daemon->replay_mu);
       party.replay_events = daemon->replay_events;
@@ -1173,6 +1137,7 @@ Status FanoutCluster::Close() {
     std::lock_guard<std::mutex> lock(pending_mu_);
     pending_.clear();
     pending_.shrink_to_fit();
+    SetRescuedLocked();
   }
   for (const auto& daemon : daemons_) {
     std::lock_guard<std::mutex> lock(daemon->replay_mu);

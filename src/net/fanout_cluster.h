@@ -7,7 +7,8 @@
 // RpcServer always fronts an in-process Cluster, never another broker, so
 // a gather reply carries recommendations only. The
 // broker-only calls — the gather coverage report, completed traces, health
-// and placement — are plain FanoutCluster methods, not part of the seam.
+// and the routing partitioner — are plain FanoutCluster methods, not part
+// of the seam.
 //
 // Topology: each endpoint is one daemon. Either
 //   * one endpoint hosting the whole cluster (partition = kAllPartitions;
@@ -16,7 +17,17 @@
 //     partition (magicrecsd --partition-group=N --partition-id=p), covering
 //     partitions 0..N-1.
 //
-// Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/Stats/Ping
+// Placement: every dial checks the daemon's hello-reply placement against
+// its endpoint — group size, hosted partition (or every partition for an
+// all-hosting endpoint) and partitioner salt. A swapped PORT:PARTITION
+// pair, a daemon missing (or wrongly given) its --partition-group flags, or
+// a salt mismatch would silently duplicate or drop recommendations; the
+// dial fails instead, with FailedPrecondition naming the daemon, and opens
+// the daemon's circuit-breaker window like any failed dial. The check runs
+// wherever a connection is made, so a daemon restarted with other flags is
+// caught at the redial, before it gets a frame.
+//
+// Routing: PublishBatch/Drain/TakeRecommendations/Checkpoint/StatsText/Ping
 // broadcast to every daemon — every daemon must ingest the full stream
 // (each holds a complete D), and a gather is the union of the per-
 // partition results. KillReplica/RecoverReplica route to the one daemon
@@ -32,7 +43,7 @@
 // Wire mechanics per daemon: ONE multiplexed connection
 // (net/mux_connection.h), shared by every broker caller. Each logical call
 // is a request_id on that socket; replies demultiplex to their callers, so
-// concurrent gathers, stats probes, and publish pipelines coexist on the
+// concurrent gathers, scrapes, and publish pipelines coexist on the
 // same connection without a leased-socket pool. A PublishBatch splits into
 // kPublishChunkEvents-event kPublishBatch frames, each tagged with a batch
 // sequence, and keeps up to kPublishWindowFrames of them outstanding
@@ -53,7 +64,7 @@
 // broker (tests/net/fanout_cluster_test.cc). Recommendations already
 // gathered when a gather fails — from healthy daemons, and any partial
 // share a daemon streamed before dying mid-reply — are buffered (bounded;
-// overflow is counted in ClusterStats::rescue_dropped) and delivered by
+// overflow is counted in broker_rescue_dropped) and delivered by
 // the next successful TakeRecommendations: the take is destructive
 // server-side, so dropping them would lose them, and a partial share must
 // not sit in a merge whose report names its partition missing.
@@ -78,7 +89,7 @@
 //     the original's still-in-flight apply is held until that apply
 //     resolves — an ack always means the events landed — so replay is
 //     exactly-once;
-//   * Drain and GetStats tolerate missing daemons under the same quorum;
+//   * Drain tolerates missing daemons under the same quorum;
 //     Checkpoint, replica ops, and Ping stay strict under every policy —
 //     durability and topology verification must not silently degrade;
 //   * every call, replica ops included, first flushes what its daemons
@@ -149,8 +160,9 @@ struct GatherReport {
 
 /// One partition daemon behind the broker.
 struct FanoutEndpoint {
-  /// The daemon hosts every partition (single-daemon deployment).
-  static constexpr uint32_t kAllPartitions = UINT32_MAX;
+  /// The daemon hosts every partition (single-daemon deployment); the
+  /// same sentinel its hello-reply placement names.
+  static constexpr uint32_t kAllPartitions = Placement::kAllPartitions;
 
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -222,7 +234,7 @@ struct FanoutClusterOptions {
 
   FanoutPolicy policy = FanoutPolicy::kStrict;
 
-  /// Daemons that must answer for a kQuorum gather/drain/stats to succeed.
+  /// Daemons that must answer for a kQuorum gather or drain to succeed.
   /// 0 = majority (endpoints/2 + 1). Ignored by the other policies.
   uint32_t gather_quorum = 0;
 
@@ -230,13 +242,13 @@ struct FanoutClusterOptions {
   /// reach a daemon (backoff, connect failure, mid-pipeline death) are
   /// queued up to this bound and replayed when the daemon answers again;
   /// beyond it the publish returns ResourceExhausted and counts the
-  /// overflow in ClusterStats::replay_dropped_events.
+  /// overflow in broker_replay_dropped_events.
   size_t replay_buffer_events = 1 << 16;
 
   /// Bound on the partial-gather rescue buffer (recommendations already
   /// taken from healthy daemons when a gather failed, owed to the next
   /// successful take). Overflow drops the newest rescued entries and
-  /// counts them in ClusterStats::rescue_dropped.
+  /// counts them in broker_rescue_dropped.
   size_t max_pending_recommendations = 1 << 16;
 
   // --- health monitor --------------------------------------------------------
@@ -273,7 +285,8 @@ class FanoutCluster : public ClusterTransport {
  public:
   /// Validates the topology (either one all-hosting daemon, or explicit
   /// partitions exactly covering 0..group_size-1). Connections are opened
-  /// lazily on first use; call Ping() for an eager liveness sweep.
+  /// lazily on first use, each checking the daemon's placement; call
+  /// Ping() for an eager sweep.
   static Result<std::unique_ptr<FanoutCluster>> Connect(
       const FanoutClusterOptions& options);
 
@@ -300,12 +313,9 @@ class FanoutCluster : public ClusterTransport {
   Status KillReplica(uint32_t partition, uint32_t replica) override;
   Status RecoverReplica(uint32_t partition, uint32_t replica) override;
 
-  /// Merged view: identity-tagged per_replica entries are concatenated from
-  /// all daemons (sorted by partition, replica); detector counters and
-  /// memory sum; events_published is the per-daemon maximum, since every
-  /// daemon counts the same fanned-out stream. The degraded-mode counters
-  /// are read from the broker's own registry.
-  Result<ClusterStats> GetStats() override;
+  /// The broker's own placement: group_size() (0 when unknown), every
+  /// partition, and the configured salt.
+  Placement placement() const override;
 
   /// The broker's own registry exposition (its degraded-mode counters,
   /// policy and shedding gauges, and monitor verdicts; never the
@@ -345,13 +355,10 @@ class FanoutCluster : public ClusterTransport {
   /// runs.
   EventLog* journal() { return journal_.get(); }
 
-  /// One stats sweep that checks liveness and topology together: every
-  /// daemon must answer, and each must actually host what the endpoint
-  /// list claims — group size, hosted partition, partitioner salt. A
-  /// swapped PORT:PARTITION pair, a daemon missing its --partition-group
-  /// flags, or a salt mismatch would silently duplicate or drop
-  /// recommendations; Ping makes it fail loudly. Returns the first dead or
-  /// misconfigured daemon's error.
+  /// One kPing sweep, strict under every policy: every daemon must answer.
+  /// A daemon not yet connected is dialed first, and so placement-checked
+  /// (see the file comment). Returns the first dead or misconfigured
+  /// daemon's error; a warm Ping costs each daemon one request.
   Status Ping();
 
   uint32_t group_size() const { return group_size_; }
@@ -371,6 +378,9 @@ class FanoutCluster : public ClusterTransport {
   /// Per-daemon shared connection + reconnect/backoff state.
   struct Daemon {
     FanoutEndpoint endpoint;
+    /// HealthPartyName of the endpoint: the health party and the `party`
+    /// label of its broker_gathers_missed* series.
+    std::string party;
     std::mutex mu;
     std::condition_variable cv;  ///< waits out a concurrent dial
 
@@ -382,10 +392,12 @@ class FanoutCluster : public ClusterTransport {
     int backoff_ms = 0;  ///< 0 = healthy
     std::chrono::steady_clock::time_point next_attempt{};
 
-    /// Gather staleness (guarded by mu): bumped when this daemon misses a
-    /// TakeRecommendations, zeroed when it answers one.
-    uint64_t gathers_missed_total = 0;
-    uint64_t gathers_missed_consecutive = 0;
+    /// Gather staleness in the broker's registry, resolved at
+    /// construction: broker_gathers_missed{party} counts the gathers this
+    /// daemon missed, and broker_gathers_missed_consecutive{party} is the
+    /// run since it last answered one (0 = it answered the latest).
+    Counter* gathers_missed = nullptr;
+    Gauge* gathers_missed_consecutive = nullptr;
 
     /// Queue-and-replay state. replay_mu is held across the replay
     /// exchanges of a flush so replayed frames reach the daemon in publish
@@ -440,7 +452,9 @@ class FanoutCluster : public ClusterTransport {
   /// The daemon's shared connection, dialing it if absent. Inside a
   /// daemon's reconnect-backoff window this fails fast with Unavailable
   /// (circuit breaker) — one dead daemon must not stall calls touching
-  /// the healthy ones. Errors name the daemon.
+  /// the healthy ones. A fresh connection whose placement fails
+  /// CheckPlacement is severed and fails like a dial. Errors name the
+  /// daemon.
   Result<std::shared_ptr<MuxConnection>> AcquireConn(Daemon* daemon);
 
   /// Severs `conn` and forgets it as the daemon's shared connection (a
@@ -452,6 +466,11 @@ class FanoutCluster : public ClusterTransport {
   /// and drops its connection with backoff. Under a degraded policy a
   /// failed publish lane then parks its unacked frames (QueueUnsent).
   void FailLane(Slot* slot, const Status& status);
+
+  /// Whether a daemon placed at `placed` may serve `endpoint`:
+  /// FailedPrecondition, saying what disagrees, if not.
+  Status CheckPlacement(const FanoutEndpoint& endpoint,
+                        const Placement& placed) const;
 
   /// Opens/extends the daemon's circuit-breaker window after a failure.
   /// Caller holds daemon->mu.
@@ -485,8 +504,7 @@ class FanoutCluster : public ClusterTransport {
   /// Which lanes must answer for a broadcast to succeed.
   enum class Coverage {
     kEvery,   ///< every lane under every policy: Checkpoint, Ping, replica ops
-    kQuorum,  ///< RequiredQuorum() under the active policy: Drain, GetStats,
-              ///< the gather
+    kQuorum,  ///< RequiredQuorum() under the active policy: Drain, the gather
     kNone,    ///< no lane: the scrape annotates failures instead of failing
   };
 
@@ -544,6 +562,10 @@ class FanoutCluster : public ClusterTransport {
   /// rescue buffer for the next successful gather; overflow is counted in
   /// rescue_dropped_, never silent.
   void RescuePending(std::vector<Recommendation>* recs);
+
+  /// Sets the broker_rescued_recommendations gauge to pending_.size().
+  /// Caller holds pending_mu_.
+  void SetRescuedLocked();
 
   /// Re-sends the daemon's parked replay frames on the slot's connection,
   /// pipelined through Exchange under replay_mu. Each answered frame
@@ -608,18 +630,19 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> next_batch_sequence_{1};
 
   /// The broker's metrics, apart from the process-wide registry the
-  /// daemons' series live in: GetStats() reads its counters, the monitor
-  /// samples it, and GetStatsText() renders it as the `# source broker`
-  /// section. Declared before monitor_, which must not outlive it.
+  /// daemons' series live in: the monitor samples it, and GetStatsText()
+  /// renders it as the `# source broker` section. Declared before
+  /// monitor_, which must not outlive it.
   MetricsRegistry registry_;
 
-  // Degraded-mode counters, resolved from registry_ once at construction.
+  // Degraded-mode series, resolved from registry_ once at construction.
   Counter* const degraded_gathers_;
   Counter* const replayed_events_;
   Counter* const replay_dropped_events_;
   Counter* const rescue_dropped_;
   Counter* const policy_flips_;
   Counter* const shed_publishes_;
+  Gauge* const rescued_recommendations_;
 
   // --- health monitor state --------------------------------------------------
 

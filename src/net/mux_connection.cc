@@ -43,16 +43,21 @@ Result<std::unique_ptr<MuxConnection>> MuxConnection::Dial(
         "daemon did not negotiate mux: it answered hello with %s",
         answer.c_str()));
   }
-  uint32_t peer_version = 0;
+  // Stays kProtocolVersion when the reply is too short to name a version,
+  // so that case reports the decode error below.
+  uint32_t peer_version = kProtocolVersion;
   uint32_t features = 0;
   uint32_t max_inflight = 0;
-  MAGICRECS_RETURN_IF_ERROR(DecodeHelloReply(reply.payload, &peer_version,
-                                             &features, &max_inflight));
+  const Status decoded =
+      DecodeHelloReply(reply.payload, &peer_version, &features, &max_inflight,
+                       &conn->placement_);
+  // Version skew first: an older server's reply may lack the placement.
   if (peer_version != kProtocolVersion) {
     return Status::FailedPrecondition(StrFormat(
         "daemon speaks protocol version %u; this client speaks %u",
         peer_version, kProtocolVersion));
   }
+  MAGICRECS_RETURN_IF_ERROR(decoded);
   if ((features & kFeatureMux) == 0) {
     return Status::FailedPrecondition(
         "daemon did not negotiate mux: its hello reply lacks the mux bit");

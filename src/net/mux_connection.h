@@ -18,7 +18,9 @@
 // kError, a reply from another protocol version, or one without the mux
 // bit — fails the dial; the hello is the protocol's one version gate
 // (docs/wire-protocol.md). A session always carries trace tails: every
-// server of this version grants kFeatureTrace with mux.
+// server of this version grants kFeatureTrace with mux. The reply also
+// names the server's placement, kept for placement(); judging it is the
+// caller's business (the fan-out broker checks it on every dial).
 //
 // Timeouts: a call that misses its deadline is abandoned — the id is
 // forgotten, late frames for it are discarded, and the connection stays
@@ -91,6 +93,9 @@ class MuxConnection {
   /// The per-connection in-flight cap the server advertised (0 = none).
   /// Start() enforces it.
   uint32_t server_max_inflight() const { return server_max_inflight_; }
+
+  /// The placement the server's hello reply named.
+  const Placement& placement() const { return placement_; }
 
   /// True once the connection failed; every Start/Await fails thereafter.
   bool broken() const;
@@ -171,6 +176,7 @@ class MuxConnection {
   /// completes, so the socket is read through this one assembler for life.
   FrameAssembler assembler_;
   uint32_t server_max_inflight_ = 0;
+  Placement placement_;
   std::thread reader_;
 
   mutable std::mutex mu_;

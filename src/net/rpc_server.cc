@@ -29,7 +29,12 @@ constexpr uint64_t kWakeToken = 1;
 
 RpcServer::RpcServer(ClusterTransport* transport,
                      const RpcServerOptions& options)
-    : transport_(transport), options_(options) {}
+    : transport_(transport),
+      options_(options),
+      placement_(transport->placement()),
+      stamp_party_(placement_.partition == Placement::kAllPartitions
+                       ? kTracePartyAllHosting
+                       : placement_.partition) {}
 
 Result<std::unique_ptr<RpcServer>> RpcServer::Start(
     ClusterTransport* transport, const RpcServerOptions& options) {
@@ -119,9 +124,9 @@ void RpcServer::StartHealthMonitor() {
   // — replay depth and gather staleness are the broker's view of this
   // daemon, not its own.
   const std::string party = HealthPartyName(
-      options_.trace_party == kTracePartyAllHosting
+      placement_.partition == Placement::kAllPartitions
           ? std::nullopt
-          : std::optional<uint32_t>(options_.trace_party),
+          : std::optional<uint32_t>(placement_.partition),
       options_.host, port());
   const MetricLabels labels = {{"server", address_}};
   const std::string stalls_key = MetricKey("rpc_inflight_stalls", labels);
@@ -616,7 +621,7 @@ Status RpcServer::HandleHello(const Frame& request, std::string* response) {
   mux_connections_metric_->Increment();
   AppendHelloReply(kFeatureMux | kFeatureTrace,
                    static_cast<uint32_t>(options_.max_inflight_per_conn),
-                   response);
+                   placement_, response);
   return Status::OK();
 }
 
@@ -652,7 +657,7 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
       }
       if (!status.ok()) break;
       if (trace.active()) {
-        trace.Stamp(TraceStage::kDaemonDequeue, options_.trace_party,
+        trace.Stamp(TraceStage::kDaemonDequeue, stamp_party_,
                     SystemClock::Default()->Now());
       }
       // Every batch is idempotent: a replayed copy of a frame this server
@@ -671,7 +676,7 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
       // A threaded transport returns once the batch is queued for its window
       // thread, so this stamp marks the handoff, not the apply.
       if (status.ok() && trace.active()) {
-        trace.Stamp(TraceStage::kDetectorApply, options_.trace_party,
+        trace.Stamp(TraceStage::kDetectorApply, stamp_party_,
                     SystemClock::Default()->Now());
         AppendAck(&reply, &trace);  // trace in, trace out
       }
@@ -712,12 +717,6 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
                      ? transport_->KillReplica(partition, replica)
                      : transport_->RecoverReplica(partition, replica);
       }
-      break;
-    }
-    case MessageTag::kStats: {
-      Result<ClusterStats> cluster = transport_->GetStats();
-      status = cluster.status();
-      if (cluster.ok()) AppendStatsReply(*cluster, &reply);
       break;
     }
     case MessageTag::kStatsText: {

@@ -108,16 +108,12 @@ struct RpcServerOptions {
   /// the rpc_slow_requests registry counter). 0 disables.
   int64_t slow_request_us = 0;
 
-  /// Identity this server stamps into trace contexts (util/trace.h): a
-  /// partition-group daemon passes its global partition id, an all-hosting
-  /// daemon keeps the sentinel. The self-health monitor reports under
-  /// HealthPartyName: "pN" for a partition id, else "host:port".
-  uint32_t trace_party = kTracePartyAllHosting;
-
   /// > 0 runs a self-health monitor (health/health_monitor.h) on this
   /// interval: windowed rates of this server's own in-flight stalls,
   /// protocol errors, and slow requests feed the rule engine, whose state
   /// lands in the `health{party=...}` gauge the kStatsText scrape renders.
+  /// The party is named after the transport's placement (HealthPartyName:
+  /// "pN" for a group member, else "host:port").
   /// Only the rate rules apply: a daemon has no replay buffers or gather
   /// staleness of its own; those are the broker's view of it. 0 (the
   /// default) runs no monitor thread.
@@ -321,6 +317,11 @@ class RpcServer {
 
   ClusterTransport* transport_;
   RpcServerOptions options_;
+  /// transport_->placement(), read once: every hello reply carries it.
+  Placement placement_;
+  /// Who this server stamps into trace contexts (util/trace.h): its hosted
+  /// global partition, or kTracePartyAllHosting.
+  uint32_t stamp_party_ = kTracePartyAllHosting;
   TcpListener listener_;
   std::string address_;  ///< "host:port": the metrics label and log name
 

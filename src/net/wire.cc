@@ -138,7 +138,6 @@ std::string_view MessageTagName(MessageTag tag) {
     case MessageTag::kCheckpoint: return "checkpoint";
     case MessageTag::kKillReplica: return "kill-replica";
     case MessageTag::kRecoverReplica: return "recover-replica";
-    case MessageTag::kStats: return "stats";
     case MessageTag::kStatsText: return "stats-text";
     case MessageTag::kPing: return "ping";
     case MessageTag::kHello: return "hello";
@@ -146,7 +145,6 @@ std::string_view MessageTagName(MessageTag tag) {
     case MessageTag::kAck: return "ack";
     case MessageTag::kError: return "error";
     case MessageTag::kRecommendationsReply: return "recommendations-reply";
-    case MessageTag::kStatsReply: return "stats-reply";
     case MessageTag::kStatsTextReply: return "stats-text-reply";
     case MessageTag::kHelloReply: return "hello-reply";
     case MessageTag::kMuxResponse: return "mux-response";
@@ -361,19 +359,25 @@ Status DecodeHello(std::string_view payload, uint32_t* proto_version,
 }
 
 void AppendHelloReply(uint32_t features, uint32_t max_inflight,
-                      std::string* out) {
+                      const Placement& placement, std::string* out) {
   std::string payload;
   PutU32(&payload, kProtocolVersion);
   PutU32(&payload, features);
   PutU32(&payload, max_inflight);
+  PutU32(&payload, placement.group_size);
+  PutU32(&payload, placement.partition);
+  PutU64(&payload, placement.salt);
   AppendFrame(MessageTag::kHelloReply, payload, out);
 }
 
 Status DecodeHelloReply(std::string_view payload, uint32_t* proto_version,
-                        uint32_t* features, uint32_t* max_inflight) {
+                        uint32_t* features, uint32_t* max_inflight,
+                        Placement* placement) {
   ByteReader reader = ReaderOf(payload);
   if (!reader.GetU32(proto_version) || !reader.GetU32(features) ||
-      !reader.GetU32(max_inflight)) {
+      !reader.GetU32(max_inflight) || !reader.GetU32(&placement->group_size) ||
+      !reader.GetU32(&placement->partition) ||
+      !reader.GetU64(&placement->salt)) {
     return Truncated("hello-reply");
   }
   return Status::OK();  // tail-growth: future fields are ignored
@@ -586,29 +590,6 @@ Status DecodeStatsTextReply(std::string_view payload, std::string* text) {
   return Status::OK();
 }
 
-void AppendStatsReply(const ClusterStats& stats, std::string* out) {
-  std::string payload;
-  PutU32(&payload, stats.num_partitions);
-  PutU32(&payload, stats.replicas_per_partition);
-  PutU64(&payload, stats.events_published);
-  PutU64(&payload, stats.detector_events);
-  PutU64(&payload, stats.threshold_queries);
-  PutU64(&payload, stats.recommendations);
-  PutU64(&payload, stats.static_memory_bytes);
-  PutU64(&payload, stats.dynamic_memory_bytes);
-  PutU32(&payload, static_cast<uint32_t>(stats.per_replica.size()));
-  for (const ReplicaStats& entry : stats.per_replica) {
-    PutU32(&payload, entry.partition);
-    PutU32(&payload, entry.replica);
-    PutU8(&payload, entry.alive ? 1 : 0);
-    PutU64(&payload, entry.detector_events);
-    PutU64(&payload, entry.threshold_queries);
-    PutU64(&payload, entry.recommendations);
-  }
-  PutU64(&payload, stats.partitioner_salt);
-  AppendFrame(MessageTag::kStatsReply, payload, out);
-}
-
 Status DecodeError(std::string_view payload) {
   ByteReader reader = ReaderOf(payload);
   uint8_t code = 0;
@@ -659,46 +640,6 @@ Status DecodeRecommendationsReply(std::string_view payload,
     recs->push_back(std::move(rec));
   }
   if (reader.remaining() != 0) return TrailingGarbage("recommendations-reply");
-  return Status::OK();
-}
-
-Status DecodeStatsReply(std::string_view payload, ClusterStats* stats) {
-  ByteReader reader = ReaderOf(payload);
-  if (!reader.GetU32(&stats->num_partitions) ||
-      !reader.GetU32(&stats->replicas_per_partition) ||
-      !reader.GetU64(&stats->events_published) ||
-      !reader.GetU64(&stats->detector_events) ||
-      !reader.GetU64(&stats->threshold_queries) ||
-      !reader.GetU64(&stats->recommendations) ||
-      !reader.GetU64(&stats->static_memory_bytes) ||
-      !reader.GetU64(&stats->dynamic_memory_bytes)) {
-    return Truncated("stats-reply");
-  }
-  // The per-replica identity list, then the partitioner salt: every
-  // server sends both, so the replica count must account for exactly the
-  // bytes that remain.
-  uint32_t count = 0;
-  if (!reader.GetU32(&count)) return Truncated("stats-reply");
-  // partition + replica + alive + 3 counters = 33 bytes per entry; then the
-  // salt (8).
-  if (static_cast<uint64_t>(count) * 33 + 8 != reader.remaining()) {
-    return Status::InvalidArgument(StrFormat(
-        "stats-reply replica count %u does not match %zu payload bytes",
-        count, reader.remaining()));
-  }
-  // The exact length check above keeps every read below in bounds.
-  stats->per_replica.resize(count);
-  for (ReplicaStats& entry : stats->per_replica) {
-    uint8_t alive = 0;
-    reader.GetU32(&entry.partition);
-    reader.GetU32(&entry.replica);
-    reader.GetU8(&alive);
-    reader.GetU64(&entry.detector_events);
-    reader.GetU64(&entry.threshold_queries);
-    reader.GetU64(&entry.recommendations);
-    entry.alive = alive != 0;
-  }
-  reader.GetU64(&stats->partitioner_salt);
   return Status::OK();
 }
 

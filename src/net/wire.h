@@ -12,11 +12,12 @@
 //   frame := body_len:u32  masked_crc32c(body):u32  body
 //   body  := tag:u8  payload
 //
-// Session (protocol version 3). There is one session protocol: every
+// Session (protocol version 4). There is one session protocol: every
 // connection opens with a hello, and every request after it travels in a
 // mux envelope.
 //   kHello              marker:u8=0x01 proto_version:u32 features:u32
 //   kHelloReply         proto_version:u32 features:u32 max_inflight:u32
+//                       group_size:u32 partition:u32 salt:u64
 //   kMuxRequest         request_id:u64 inner_tag:u8 inner_payload
 //   kMuxResponse        request_id:u64 last:u8 inner_tag:u8 inner_payload
 //     The first frame a client sends is kHello naming kProtocolVersion and
@@ -25,7 +26,12 @@
 //     session (the server answers kError(FailedPrecondition) and closes;
 //     the client fails the dial). The server answers kHelloReply granting
 //     kFeatureMux | kFeatureTrace plus the per-connection in-flight request
-//     cap it enforces. Any other first frame, a second hello, or a hello
+//     cap it enforces, then its placement (ClusterTransport::placement()):
+//     the deployment's partition count, the one global partition it hosts
+//     (UINT32_MAX when it hosts every partition) and its partitioner salt.
+//     A fan-out broker checks the placement on every dial. A reply that
+//     lacks any of it is rejected; bytes after the salt are ignored (tail
+//     growth). Any other first frame, a second hello, or a hello
 //     that does not ask for mux is refused the same way: kError
 //     (FailedPrecondition), then the connection is closed. After the hello,
 //     each request is a kMuxRequest envelope around an ordinary request
@@ -56,11 +62,13 @@
 //   kCheckpoint         created_at:i64
 //   kKillReplica        partition:u32 replica:u32
 //   kRecoverReplica     partition:u32 replica:u32
-//   kStats                (empty)
+//   0x08                  retired (the typed stats request); never reuse
 //   kPing                 (empty)
+//     Answered by kAck: a liveness probe that touches no cluster state.
 //   kStatsText            (empty)
 //     Answered by kStatsTextReply: the serving process's metrics registry
-//     rendered in the stable text exposition (docs/observability.md).
+//     rendered in the stable text exposition (docs/observability.md), the
+//     protocol's one stats surface.
 //
 // Reply bodies (inside a kMuxResponse):
 //   kAck                  (empty)
@@ -76,18 +84,7 @@
 //     A gather too large for one frame streams as several reply frames;
 //     has_more != 0 on all but the last. One request, N ordered frames.
 //     Nothing follows the last rec: a trailing byte is rejected.
-//   kStatsReply         num_partitions:u32 replicas:u32 published:u64
-//                       detector_events:u64 queries:u64 recs:u64
-//                       static_bytes:u64 dynamic_bytes:u64
-//                       replica_count:u32 replica*  salt:u64   where
-//     replica := partition:u32 replica:u32 alive:u8
-//                events:u64 queries:u64 recs:u64
-//     The per-replica identity list keeps stats from many partition-group
-//     daemons attributable, and the partitioner salt lets a fan-out broker
-//     detect placement disagreement. Every server sends both, and the
-//     decoder accepts only that one layout: nothing follows the salt. The
-//     serving loop's reactor counters ride the kStatsText scrape
-//     (rpc_*{server=...}).
+//   0x83                  retired (the typed stats reply); never reuse
 //   kStatsTextReply       the registry text exposition, raw UTF-8 bytes
 //
 // Growth: payloads grow only at the tail, behind a marker byte. Any
@@ -108,8 +105,8 @@
 //
 // Ordering: requests that mutate the event stream (publish-batch, drain,
 // checkpoint, replica ops) are applied in per-connection arrival order;
-// out-of-order completion is only allowed for reads (gather, stats,
-// stats-text, ping), which may overtake a stalled write. Sequence numbers
+// out-of-order completion is only allowed for reads (gather, stats-text,
+// ping), which may overtake a stalled write. Sequence numbers
 // for published EVENTS are not carried: the server's broker assigns them
 // at ingest, exactly as the in-process broker does (batch_seq identifies
 // a frame, not an event).
@@ -146,7 +143,7 @@ enum class MessageTag : uint8_t {
   kCheckpoint = 0x05,
   kKillReplica = 0x06,
   kRecoverReplica = 0x07,
-  kStats = 0x08,
+  // 0x08 is retired (the typed stats request) and must never be reused.
   kPing = 0x09,
   kHello = 0x0A,
   kMuxRequest = 0x0B,
@@ -155,7 +152,7 @@ enum class MessageTag : uint8_t {
   kAck = 0x80,
   kError = 0x81,
   kRecommendationsReply = 0x82,
-  kStatsReply = 0x83,
+  // 0x83 is retired (the typed stats reply) and must never be reused.
   kHelloReply = 0x84,
   kMuxResponse = 0x85,
   kStatsTextReply = 0x86,
@@ -165,9 +162,11 @@ enum class MessageTag : uint8_t {
 /// a peer that names another. Version 2 made the hello mandatory, every
 /// publish-batch's batch_seq required, and retired tag 0x01 — a version-1
 /// peer would fail on those mid-stream, so it is refused at the hello.
-/// Version 3 ends kStatsReply at the salt, a layout a version-2 decoder
-/// rejects.
-inline constexpr uint32_t kProtocolVersion = 3;
+/// Version 3 ended the stats reply at the salt, a layout a version-2
+/// decoder rejects. Version 4 retires the stats request and reply (tags
+/// 0x08 and 0x83) and ends kHelloReply with the server's placement, which a
+/// version-3 client never reads.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Hello feature bits. A client asks for kFeatureMux; the server grants
 /// both bits to every hello that does.
@@ -241,9 +240,14 @@ Status DecodeHello(std::string_view payload, uint32_t* proto_version,
                    uint32_t* features);
 
 void AppendHelloReply(uint32_t features, uint32_t max_inflight,
-                      std::string* out);
+                      const Placement& placement, std::string* out);
+
+/// Rejects a reply without the whole placement. *proto_version is set
+/// whenever the payload holds one, even if the rest is rejected, so a
+/// caller can report version skew ahead of the decode error.
 Status DecodeHelloReply(std::string_view payload, uint32_t* proto_version,
-                        uint32_t* features, uint32_t* max_inflight);
+                        uint32_t* features, uint32_t* max_inflight,
+                        Placement* placement);
 
 /// Wraps ONE complete frame (header + body, as produced by the Append*
 /// encoders) into a kMuxRequest envelope frame. `frame` must hold exactly
@@ -301,10 +305,6 @@ Status DecodeStatsTextReply(std::string_view payload, std::string* text);
 /// Default chunk budget: comfortably under kMaxFrameBodyBytes.
 inline constexpr size_t kRecommendationsChunkBytes = 4u << 20;
 
-/// Always carries the per-replica list and the salt; the broker-only
-/// ClusterStats fields never travel.
-void AppendStatsReply(const ClusterStats& stats, std::string* out);
-
 /// Rebuilds the Status carried by a kError payload (always non-OK; a
 /// mangled error payload decodes to Internal).
 Status DecodeError(std::string_view payload);
@@ -314,7 +314,6 @@ Status DecodeError(std::string_view payload);
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,
                                   bool* has_more);
-Status DecodeStatsReply(std::string_view payload, ClusterStats* stats);
 
 }  // namespace magicrecs::net
 

@@ -15,8 +15,8 @@
 //
 // Counters are strictly monotonic: there is deliberately no Reset() — a
 // reset racing a concurrent render would produce a non-monotonic read,
-// and every consumer (rate computation, drift checks between ClusterStats
-// and the scrape surface) assumes monotonicity. Callers that need "since X"
+// and every consumer (rate computation, scrape-to-scrape deltas) assumes
+// monotonicity. Callers that need "since X"
 // deltas record a baseline and subtract (see RpcServer::stats()).
 
 #ifndef MAGICRECS_UTIL_METRICS_H_

@@ -453,8 +453,6 @@ TEST(ClusterTest, ControlPlaneRacingTheDataPlaneMatchesInline) {
     };
     do {
       pause();
-      check((*cluster)->GetStats().status());
-      pause();
       check((*cluster)->GetStatsText().status());
       pause();
       check((*cluster)->Checkpoint(static_cast<Timestamp>(rounds)));
@@ -474,9 +472,7 @@ TEST(ClusterTest, ControlPlaneRacingTheDataPlaneMatchesInline) {
   EXPECT_GT(rounds, 0u);
 
   ASSERT_TRUE((*cluster)->Drain().ok());
-  auto stats = (*cluster)->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->detector_events, events.size());
+  EXPECT_EQ((*cluster)->AggregatedStats().events, events.size());
   auto recs = (*cluster)->TakeRecommendations();
   ASSERT_TRUE(recs.ok()) << recs.status();
   const auto reference = InlinePairs(*graph, opt, events);

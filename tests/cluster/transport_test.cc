@@ -17,6 +17,7 @@
 #include "gen/activity_stream.h"
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
+#include "util/str_format.h"
 
 namespace magicrecs {
 namespace {
@@ -188,29 +189,73 @@ TEST(ClusterTransportTest, StatsReflectThePublishedStream) {
   ASSERT_TRUE(transport.ok());
   const auto recs = RunFigure1(transport->get());
   ASSERT_EQ(recs.size(), 1u);
-  auto stats = (*transport)->GetStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->num_partitions, 3u);
-  EXPECT_EQ(stats->replicas_per_partition, 1u);
-  EXPECT_EQ(stats->events_published, 4u);
-  EXPECT_EQ(stats->detector_events, 4u);  // the process's one D, once each
-  EXPECT_EQ(stats->recommendations, 1u);
-  EXPECT_GT(stats->dynamic_memory_bytes, 0u);
+  const Cluster& cluster = **transport;
+  EXPECT_EQ(cluster.placement(),
+            (Placement{.group_size = 3,
+                       .partition = Placement::kAllPartitions,
+                       .salt = 0}));
+  EXPECT_EQ(cluster.num_partitions(), 3u);
+  EXPECT_EQ(cluster.replicas_per_partition(), 1u);
+  EXPECT_EQ(cluster.events_published(), 4u);
+  const MotifEngineStats detector = cluster.AggregatedStats();
+  EXPECT_EQ(detector.events, 4u);  // the process's one D, once each
+  EXPECT_EQ(detector.recommendations, 1u);
+  EXPECT_GT(cluster.TotalDynamicMemory(), 0u);
 
   // The aggregate counters stay attributable: one identity-tagged entry per
   // replica, each reading the process's D, the query counts summing back to
   // the aggregate.
-  ASSERT_EQ(stats->per_replica.size(), 3u);
+  const std::vector<ReplicaStats> replicas = cluster.PerReplicaStats();
+  ASSERT_EQ(replicas.size(), 3u);
   uint64_t queries = 0;
   for (uint32_t p = 0; p < 3; ++p) {
-    EXPECT_EQ(stats->per_replica[p].partition, p);
-    EXPECT_EQ(stats->per_replica[p].replica, 0u);
-    EXPECT_TRUE(stats->per_replica[p].alive);
-    EXPECT_EQ(stats->per_replica[p].detector_events, stats->detector_events);
-    queries += stats->per_replica[p].threshold_queries;
+    EXPECT_EQ(replicas[p].partition, p);
+    EXPECT_EQ(replicas[p].replica, 0u);
+    EXPECT_TRUE(replicas[p].alive);
+    EXPECT_EQ(replicas[p].detector_events, detector.events);
+    queries += replicas[p].threshold_queries;
   }
-  EXPECT_EQ(queries, stats->threshold_queries);
-  EXPECT_FALSE(stats->PerReplicaString().empty());
+  EXPECT_EQ(queries, detector.threshold_queries);
+  EXPECT_FALSE(replicas[0].ToString().empty());
+}
+
+TEST(ClusterTransportTest, StatsTextCarriesEveryHostedReplica) {
+  // The scrape is the one stats surface, so each hosted replica's counts
+  // ride it labelled with their global identity, next to the size of S.
+  // Hosting partition 7 of a 9-partition group keeps these series apart
+  // from the other tests' clusters, which share this process's registry.
+  ClusterOptions options = MakeOptions(1);
+  options.group_size = 9;
+  options.group_partition = 7;
+  options.replicas_per_partition = 2;
+  auto transport =
+      MakeCluster(figure1::FollowGraph(), options, /*threaded=*/true);
+  ASSERT_TRUE(transport.ok());
+  RunFigure1(transport->get());
+  ASSERT_TRUE((*transport)->KillReplica(7, 1).ok());
+  auto text = (*transport)->GetStatsText();
+  ASSERT_TRUE(text.ok()) << text.status();
+  const std::vector<ReplicaStats> replicas = (*transport)->PerReplicaStats();
+  ASSERT_EQ(replicas.size(), 2u);
+  EXPECT_TRUE(replicas[0].alive);
+  EXPECT_FALSE(replicas[1].alive);
+  for (const ReplicaStats& replica : replicas) {
+    const std::string labels =
+        StrFormat("{partition=\"7\",replica=\"%u\"} ", replica.replica);
+    for (const std::string& line :
+         {"gauge replica_alive" + labels + (replica.alive ? "1" : "0"),
+          "counter replica_threshold_queries" + labels +
+              std::to_string(replica.threshold_queries),
+          "counter replica_recommendations" + labels +
+              std::to_string(replica.recommendations)}) {
+      EXPECT_NE(text->find(line + "\n"), std::string::npos)
+          << line << "\n" << *text;
+    }
+  }
+  EXPECT_NE(text->find(StrFormat("gauge static_bytes %zu\n",
+                                 (*transport)->TotalStaticMemory())),
+            std::string::npos)
+      << *text;
 }
 
 TEST(ClusterTransportTest, StatsTextMirrorsTheProcessD) {

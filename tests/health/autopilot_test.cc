@@ -170,7 +170,6 @@ TEST(HealthAutopilotTest, FlipsToQuorumOnDeathAndBackAfterRecovery) {
   {
     RpcServerOptions ropt;
     ropt.port = dead_port;
-    ropt.trace_party = 2;
     auto revived = RpcServer::Start(g.daemons[2].hosted.get(), ropt);
     ASSERT_TRUE(revived.ok()) << revived.status();
     g.daemons[2].server = std::move(revived).value();

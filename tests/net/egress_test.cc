@@ -135,7 +135,7 @@ TEST(OutboxChainTest, FillIovAdvanceResumesMidSegmentAndRetiresFrames) {
   const std::string a = PingFrame();
   std::string b;
   AppendEmptyRequest(MessageTag::kDrain, &b);
-  AppendEmptyRequest(MessageTag::kStats, &b);
+  AppendEmptyRequest(MessageTag::kStatsText, &b);
   chain.Append(FrameBuf::Wrap(a));
   chain.Append(FrameBuf::Wrap(b));  // two frames in one buf
   ASSERT_EQ(chain.pending_bytes(), a.size() + b.size());
@@ -354,7 +354,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
     ASSERT_TRUE(ReceiveFrame(&*peer, &assembler, &hello).ok());
     ASSERT_EQ(hello.tag, MessageTag::kHello);
     std::string reply;
-    AppendHelloReply(kFeatureMux, /*max_inflight=*/64, &reply);
+    AppendHelloReply(kFeatureMux, /*max_inflight=*/64, Placement{}, &reply);
     ASSERT_TRUE(peer->WriteAll(reply.data(), reply.size()).ok());
     // Hold every byte in flight until the small Start has come back.
     while (!jumbo_started.load(std::memory_order_acquire)) {

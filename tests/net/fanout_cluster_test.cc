@@ -14,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "gen/figure1.h"
 #include "gen/social_graph.h"
 #include "net/rpc_server.h"
+#include "util/str_format.h"
 
 namespace magicrecs {
 namespace {
@@ -218,25 +221,28 @@ TEST(FanoutClusterTest, TenThousandEventStreamIdenticalAcrossAllTransports) {
     EXPECT_EQ(Sorted(RunThrough(g.broker.get(), events)), reference)
         << "partition-group fan-out diverged";
 
-    // Stats stay attributable across daemons: kGroup x kReplicas entries,
-    // one per (partition, replica), every partition covered.
-    auto stats = g.broker->GetStats();
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_EQ(stats->num_partitions, kGroup);
-    EXPECT_EQ(stats->replicas_per_partition, kReplicas);
-    EXPECT_EQ(stats->events_published, events.size());
-    EXPECT_EQ(stats->recommendations, reference.size());
-    ASSERT_EQ(stats->per_replica.size(), kGroup * kReplicas);
+    // Counts stay attributable across daemons: each hosts kReplicas
+    // replicas of its own partition, every partition is covered, and
+    // together they emitted the reference.
+    uint64_t recommendations = 0;
     for (uint32_t p = 0; p < kGroup; ++p) {
+      Cluster& hosted = *g.daemons[p].hosted;
+      ASSERT_TRUE(hosted.Drain().ok());
+      EXPECT_EQ(hosted.placement().group_size, kGroup);
+      EXPECT_EQ(hosted.replicas_per_partition(), kReplicas);
+      EXPECT_EQ(hosted.events_published(), events.size());
+      recommendations += hosted.AggregatedStats().recommendations;
+      const std::vector<ReplicaStats> replicas = hosted.PerReplicaStats();
+      ASSERT_EQ(replicas.size(), kReplicas);
       for (uint32_t r = 0; r < kReplicas; ++r) {
-        const ReplicaStats& entry = stats->per_replica[p * kReplicas + r];
-        EXPECT_EQ(entry.partition, p);
-        EXPECT_EQ(entry.replica, r);
-        EXPECT_TRUE(entry.alive);
-        EXPECT_EQ(entry.detector_events, events.size())
+        EXPECT_EQ(replicas[r].partition, p);
+        EXPECT_EQ(replicas[r].replica, r);
+        EXPECT_TRUE(replicas[r].alive);
+        EXPECT_EQ(replicas[r].detector_events, events.size())
             << "every partition must ingest the entire stream";
       }
     }
+    EXPECT_EQ(recommendations, reference.size());
   }
 }
 
@@ -245,13 +251,15 @@ TEST(FanoutClusterTest, ReplicaOpsRouteToTheOwningDaemon) {
                        /*replicas=*/2);
 
   ASSERT_TRUE(g.broker->KillReplica(1, 0).ok());
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok());
-  ASSERT_EQ(stats->per_replica.size(), 4u);
-  for (const ReplicaStats& entry : stats->per_replica) {
-    EXPECT_EQ(entry.alive, !(entry.partition == 1 && entry.replica == 0))
-        << entry.ToString();
+  size_t replicas = 0;
+  for (const Daemon& daemon : g.daemons) {
+    for (const ReplicaStats& entry : daemon.hosted->PerReplicaStats()) {
+      EXPECT_EQ(entry.alive, !(entry.partition == 1 && entry.replica == 0))
+          << entry.ToString();
+      replicas++;
+    }
   }
+  EXPECT_EQ(replicas, 4u);
   ASSERT_TRUE(g.broker->RecoverReplica(1, 0).ok());
 
   // Misrouted ops fail with the broker's routing error or the daemon's
@@ -325,7 +333,8 @@ TEST(FanoutClusterTest, DaemonKilledMidPipelineSurfacesErrorThenReconnects) {
 TEST(FanoutClusterTest, PingRejectsMisconfiguredDaemons) {
   // A daemon that hosts every partition (its --partition-group flags are
   // missing) wired up as "partition 1" would silently duplicate every
-  // recommendation; Ping must refuse the topology loudly.
+  // recommendation; Ping, which dials every daemon, must refuse the
+  // topology loudly.
   Daemon group_member;
   {
     ClusterOptions options = MakeClusterOptions(1, 1);
@@ -361,11 +370,67 @@ TEST(FanoutClusterTest, PingRejectsMisconfiguredDaemons) {
   ASSERT_TRUE(salt_ping.IsFailedPrecondition()) << salt_ping;
   EXPECT_NE(salt_ping.ToString().find("salt"), std::string::npos)
       << salt_ping;
+
+  // The converse: a one-endpoint broker on a group member would gather one
+  // partition's share as if it were the whole cluster. An all-hosting
+  // endpoint needs a daemon that hosts every partition.
+  FanoutClusterOptions lone;
+  lone.endpoints.resize(1);
+  lone.endpoints[0].port = group_member.server->port();
+  auto one = FanoutCluster::Connect(lone);
+  ASSERT_TRUE(one.ok()) << one.status();
+  const Status lone_ping = (*one)->Ping();
+  ASSERT_TRUE(lone_ping.IsFailedPrecondition()) << lone_ping;
+  EXPECT_NE(lone_ping.ToString().find("all-hosting"), std::string::npos)
+      << lone_ping;
+}
+
+TEST(FanoutClusterTest, RedialRejectsARestartedDaemonPlacedElsewhere) {
+  // The placement check runs on every dial, not only in Ping: a group
+  // member restarted on its port with another partition id, or another
+  // salt, is refused at the broker's redial, so under strict it applies
+  // nothing and the publish fails naming it.
+  const std::vector<EdgeEvent> events = ToEvents(figure1::DynamicEdges(0));
+  for (const bool other_salt : {false, true}) {
+    SCOPED_TRACE(other_salt ? "another salt" : "another partition id");
+    Group g = StartGroup(figure1::FollowGraph(), /*group_size=*/2,
+                         /*replicas=*/1);
+    ASSERT_TRUE(g.broker->Publish(events[0]).ok());  // dials both
+
+    const uint16_t port = g.daemons[1].server->port();
+    g.daemons[1].server->Stop();
+    ClusterOptions options = MakeClusterOptions(1);
+    options.group_size = 2;
+    options.group_partition = other_salt ? 1 : 0;
+    if (other_salt) options.partitioner_salt = 42;
+    RpcServerOptions ropt;
+    ropt.port = port;
+    g.daemons[1] = StartDaemon(figure1::FollowGraph(), options, ropt);
+    // Let the broker's reader see the old connection close, so the
+    // publish below redials instead of failing on the dead socket.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    const Status published =
+        g.broker->PublishBatch(std::span(events).subspan(1));
+    ASSERT_TRUE(published.IsFailedPrecondition()) << published;
+    EXPECT_NE(published.ToString().find(StrFormat(
+                  "daemon 127.0.0.1:%u (partition 1)",
+                  static_cast<unsigned>(port))),
+              std::string::npos)
+        << published;
+    EXPECT_NE(published.ToString().find(other_salt ? "salt 42"
+                                                   : "hosts partition 0"),
+              std::string::npos)
+        << published;
+    ASSERT_TRUE(g.daemons[1].hosted->Drain().ok());
+    EXPECT_EQ(g.daemons[1].hosted->events_published(), 0u)
+        << "the miswired daemon applied a frame";
+  }
 }
 
 TEST(FanoutClusterTest, WarmPingCostsEachDaemonOneRequest) {
-  // Ping is one stats sweep: liveness and topology come from the same
-  // reply, so a warm broker spends exactly one request per daemon on it.
+  // Ping is one kPing sweep: topology was checked when the broker dialed,
+  // so a warm broker spends exactly one request per daemon on it.
   Group g = StartGroup(figure1::FollowGraph(), /*group_size=*/2,
                        /*replicas=*/1);
   ASSERT_TRUE(g.broker->Ping().ok());  // dials; the hellos are not counted
@@ -462,8 +527,8 @@ TEST(FanoutClusterTest, ConcurrentCallersShareThePool) {
   });
   for (int probes = 0; probes < 50; ++probes) {
     EXPECT_TRUE(g.broker->Ping().ok());
-    auto stats = g.broker->GetStats();
-    EXPECT_TRUE(stats.ok()) << stats.status();
+    auto text = g.broker->GetStatsText();
+    EXPECT_TRUE(text.ok()) << text.status();
   }
   publisher.join();
   EXPECT_TRUE(publisher_ok);

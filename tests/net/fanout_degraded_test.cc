@@ -45,6 +45,7 @@
 namespace magicrecs {
 namespace {
 
+using fanout_test::BrokerSeries;
 using fanout_test::Daemon;
 using fanout_test::Group;
 using fanout_test::InlineReference;
@@ -90,7 +91,7 @@ class DelayingTransport : public ClusterTransport {
   Status RecoverReplica(uint32_t partition, uint32_t replica) override {
     return wrapped_->RecoverReplica(partition, replica);
   }
-  Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
+  Placement placement() const override { return wrapped_->placement(); }
   Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
@@ -143,7 +144,7 @@ class GatedFailingTransport : public ClusterTransport {
   Status RecoverReplica(uint32_t partition, uint32_t replica) override {
     return wrapped_->RecoverReplica(partition, replica);
   }
-  Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
+  Placement placement() const override { return wrapped_->placement(); }
   Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
@@ -181,7 +182,7 @@ class RejectingTransport : public ClusterTransport {
   Status RecoverReplica(uint32_t partition, uint32_t replica) override {
     return wrapped_->RecoverReplica(partition, replica);
   }
-  Result<ClusterStats> GetStats() override { return wrapped_->GetStats(); }
+  Placement placement() const override { return wrapped_->placement(); }
   Result<std::string> GetStatsText() override {
     if (reject_stats_text_) {
       return Status::Unavailable("injected stats-text failure");
@@ -196,7 +197,8 @@ class RejectingTransport : public ClusterTransport {
 };
 
 /// A scripted daemon whose gathers die mid-stream. On every session it
-/// answers the hello, then answers each gather with ONE chunk holding
+/// answers the hello as partition 2 of a 3-partition group (its place in
+/// StartScriptedGroup), then answers each gather with ONE chunk holding
 /// `rec` and has_more set — and then either hangs up (`hang_up`) or falls
 /// silent until the broker does. Any other request gets a kError.
 class MidStreamDaemon {
@@ -239,8 +241,11 @@ class MidStreamDaemon {
     net::Frame frame;
     if (!net::ReceiveFrame(peer, &assembler, &frame).ok()) return;  // hello
     std::string out;
+    Placement placement;
+    placement.group_size = 3;
+    placement.partition = 2;
     net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace,
-                          /*max_inflight=*/64, &out);
+                          /*max_inflight=*/64, placement, &out);
     if (!peer->WriteAll(out.data(), out.size()).ok()) return;
     while (net::ReceiveFrame(peer, &assembler, &frame).ok()) {
       uint64_t request_id = 0;
@@ -401,16 +406,18 @@ TEST(FanoutDegradedTest, QuorumGatherSurvivesDaemonKilledMidstream) {
   EXPECT_EQ(Sorted(*degraded), Sorted(expected_survivors))
       << "degraded gather does not match the surviving partitions' share";
 
-  // Staleness is visible through the merged stats.
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_GE(stats->degraded_gathers, 1u);
-  ASSERT_EQ(stats->partition_health.size(), kGroup);
-  for (const PartitionHealth& health : stats->partition_health) {
-    if (health.partition == victim) {
-      EXPECT_GE(health.gathers_missed_consecutive, 1u) << health.ToString();
+  // Staleness is visible in the broker's scrape section.
+  EXPECT_GE(BrokerSeries(g.broker.get(), "counter broker_degraded_gathers"),
+            1u);
+  for (uint32_t p = 0; p < kGroup; ++p) {
+    const uint64_t consecutive = BrokerSeries(
+        g.broker.get(),
+        StrFormat("gauge broker_gathers_missed_consecutive{party=\"p%u\"}",
+                  p));
+    if (p == victim) {
+      EXPECT_GE(consecutive, 1u) << "p" << p;
     } else {
-      EXPECT_EQ(health.gathers_missed_consecutive, 0u) << health.ToString();
+      EXPECT_EQ(consecutive, 0u) << "p" << p;
     }
   }
 
@@ -441,11 +448,12 @@ TEST(FanoutDegradedTest, QuorumGatherSurvivesDaemonKilledMidstream) {
   }
   EXPECT_EQ(Sorted(all), reference)
       << "recovery did not restore byte-identical strict-mode results";
-  auto recovered_stats = g.broker->GetStats();
-  ASSERT_TRUE(recovered_stats.ok());
-  EXPECT_GT(recovered_stats->replayed_events, 0u)
+  EXPECT_GT(BrokerSeries(g.broker.get(), "counter broker_replayed_events"),
+            0u)
       << "the parked publishes were never replayed";
-  EXPECT_EQ(recovered_stats->replay_dropped_events, 0u);
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      0u);
 }
 
 TEST(FanoutDegradedTest, StrictModeOnHealthyGroupMatchesInlineReference) {
@@ -465,10 +473,10 @@ TEST(FanoutDegradedTest, StrictModeOnHealthyGroupMatchesInlineReference) {
   ASSERT_TRUE(recs.ok());
   EXPECT_EQ(Sorted(*recs), reference);
   EXPECT_TRUE(report.complete());
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->degraded_gathers, 0u);
-  EXPECT_EQ(stats->replayed_events, 0u);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_degraded_gathers"),
+            0u);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_replayed_events"),
+            0u);
 }
 
 TEST(FanoutDegradedTest, BestEffortGatherSurvivesEveryDaemonDown) {
@@ -570,8 +578,8 @@ TEST(FanoutDegradedTest, RescueBufferIsBoundedAndCountsDrops) {
   }
   ASSERT_FALSE(failed.ok());
 
-  // Revive the victim so the 2-quorum stats sweep can answer, then check
-  // the rescue accounting: 1 kept (the bound), the rest counted dropped.
+  // Revive the victim so the Ping sweep can answer, then check the rescue
+  // accounting: 1 kept (the bound), the rest counted dropped.
   {
     RpcServerOptions ropt;
     ropt.port = victim_port;
@@ -586,11 +594,12 @@ TEST(FanoutDegradedTest, RescueBufferIsBoundedAndCountsDrops) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   ASSERT_TRUE(reconnected.ok()) << reconnected;
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->rescued_recommendations, 1u)
+  EXPECT_EQ(BrokerSeries(g.broker.get(),
+                         "gauge broker_rescued_recommendations"),
+            1u)
       << "rescue buffer exceeded its bound";
-  EXPECT_EQ(stats->rescue_dropped, per_partition[survivor] - 1);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_rescue_dropped"),
+            per_partition[survivor] - 1);
 }
 
 TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
@@ -644,16 +653,16 @@ TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
   }
   ASSERT_TRUE(recovered.ok()) << recovered;
   ASSERT_TRUE((*broker)->Drain().ok());
-  auto settled = (*broker)->GetStats();
-  ASSERT_TRUE(settled.ok()) << settled.status();
+  ASSERT_TRUE((*hosted)->Drain().ok());
   // Exactly-once accounting end to end: every parked event was replayed,
   // the daemon applied each event one time, and the replayed copy was
   // suppressed by the sequence dedup, not silently double-applied.
-  EXPECT_EQ(settled->replayed_events, w.events.size())
+  EXPECT_EQ(BrokerSeries(broker->get(), "counter broker_replayed_events"),
+            w.events.size())
       << "the timed-out frame never went through the replay buffer";
-  EXPECT_EQ(settled->events_published, w.events.size())
+  EXPECT_EQ((*hosted)->events_published(), w.events.size())
       << "replayed batch was applied twice (dedup failed) or dropped";
-  EXPECT_EQ(settled->detector_events, w.events.size())
+  EXPECT_EQ((*hosted)->AggregatedStats().events, w.events.size())
       << "the daemon's one D must ingest every event exactly once";
   EXPECT_GE((*server)->stats().duplicate_batches, 1u)
       << "no duplicate was ever suppressed — the exactly-once result above "
@@ -697,9 +706,7 @@ TEST(FanoutDegradedTest, RestartedBrokerIsNotDupSuppressed) {
   ASSERT_TRUE(
       (*second)->PublishBatch(std::span(w.events.data() + 256, 256)).ok());
   ASSERT_TRUE((*second)->Drain().ok());
-  auto stats = (*second)->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->events_published, w.events.size())
+  EXPECT_EQ((*hosted)->events_published(), w.events.size())
       << "the restarted broker's first batch was dup-suppressed";
 }
 
@@ -752,9 +759,7 @@ TEST(FanoutDegradedTest, RacingDuplicateWaitsForOriginalApplyOutcome) {
 
   // Exactly one application landed despite two deliveries and one failure.
   ASSERT_TRUE(hosted->get()->Drain().ok());
-  auto stats = hosted->get()->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->events_published, w.events.size())
+  EXPECT_EQ(hosted->get()->events_published(), w.events.size())
       << "racing duplicate was blind-acked over a failed apply (0 = lost) "
          "or double-applied (2x)";
 }
@@ -776,7 +781,8 @@ TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
     ASSERT_TRUE(net::ReceiveFrame(&*peer, &assembler, &frame).ok());
     ASSERT_EQ(frame.tag, net::MessageTag::kHello);
     std::string reply;
-    net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace, 64, &reply);
+    net::AppendHelloReply(net::kFeatureMux | net::kFeatureTrace, 64,
+                          Placement{}, &reply);
     ASSERT_TRUE(peer->WriteAll(reply.data(), reply.size()).ok());
     // Ack every request until the broker hangs up.
     while (net::ReceiveFrame(&*peer, &assembler, &frame).ok()) {
@@ -832,9 +838,7 @@ TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
     EXPECT_EQ(reply.tag, net::MessageTag::kAck) << "copy " << attempt;
   }
   ASSERT_TRUE(daemon.hosted->Drain().ok());
-  auto stats = daemon.hosted->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->events_published, net::kPublishChunkEvents)
+  EXPECT_EQ(daemon.hosted->events_published(), net::kPublishChunkEvents)
       << "the second copy was applied again";
   EXPECT_EQ(daemon.server->stats().duplicate_batches, 1u);
 }
@@ -864,9 +868,9 @@ TEST(FanoutDegradedTest, ReplayBufferOverflowIsExplicit) {
   ASSERT_GE(overflow_at, 0) << "overflow never surfaced: " << status;
   EXPECT_NE(status.ToString().find("replay buffer full"), std::string::npos)
       << status;
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->replay_dropped_events, 64u)
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      64u)
       << "exactly the refused batch should be counted dropped";
 }
 
@@ -922,9 +926,9 @@ TEST(FanoutDegradedTest, ScrapeNamesAReplayRejectionInTheDaemonsSection) {
   EXPECT_NE(text->find("injected publish rejection", rejected),
             std::string::npos)
       << *text;
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->replay_dropped_events, w.events.size());
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      w.events.size());
 }
 
 TEST(FanoutDegradedTest, ReplayRejectionSurfacesExactlyOnce) {
@@ -943,10 +947,11 @@ TEST(FanoutDegradedTest, ReplayRejectionSurfacesExactlyOnce) {
       << drained;
   EXPECT_NE(drained.ToString().find("partition 1"), std::string::npos)
       << drained;
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->replay_dropped_events, w.events.size());
-  EXPECT_EQ(stats->replayed_events, 0u);
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      w.events.size());
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_replayed_events"),
+            0u);
   const Status again = g.broker->Drain();
   EXPECT_TRUE(again.ok()) << "the rejection surfaced twice: " << again;
 }
@@ -960,19 +965,18 @@ TEST(FanoutDegradedTest, ReplicaOpFlushesWhatItsDaemonIsOwed) {
 
   ASSERT_TRUE(g.broker->KillReplica(1, 0).ok());
   // Read the daemon directly: any broker call would flush on its own.
-  auto daemon_stats = g.daemons[1].hosted->GetStats();
-  ASSERT_TRUE(daemon_stats.ok()) << daemon_stats.status();
-  EXPECT_EQ(daemon_stats->events_published, w.events.size())
+  EXPECT_EQ(g.daemons[1].hosted->events_published(), w.events.size())
       << "the replica op reached the daemon ahead of its parked events";
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->replayed_events, w.events.size());
-  EXPECT_EQ(stats->replay_dropped_events, 0u);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_replayed_events"),
+            w.events.size());
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      0u);
 }
 
 TEST(FanoutDegradedTest, StrictCallsStayStrictUnderQuorum) {
-  // Drain and stats tolerate a missing daemon under quorum; durability,
-  // topology verification and replica ops never do.
+  // Drain and the scrape tolerate a missing daemon under quorum;
+  // durability, topology verification and replica ops never do.
   ScopedTempDir dir;
   constexpr uint32_t kGroup = 4;
   std::vector<std::string> persist_dirs;
@@ -995,8 +999,8 @@ TEST(FanoutDegradedTest, StrictCallsStayStrictUnderQuorum) {
   const std::string named = "(partition 2)";
 
   EXPECT_TRUE(g.broker->Drain().ok());
-  auto stats = g.broker->GetStats();
-  EXPECT_TRUE(stats.ok()) << stats.status();
+  auto text = g.broker->GetStatsText();
+  EXPECT_TRUE(text.ok()) << text.status();
 
   const Status checkpoint = g.broker->Checkpoint(Seconds(200));
   EXPECT_FALSE(checkpoint.ok()) << "a checkpoint skipped a daemon";
@@ -1043,11 +1047,12 @@ TEST(FanoutDegradedTest, MidStreamRescueFindsTheBufferEmpty) {
   EXPECT_EQ((*second)[0].user, rec.user);
   EXPECT_EQ(report.missing_partitions, std::vector<uint32_t>{2});
 
-  auto stats = g.broker->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->rescue_dropped, 0u)
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_rescue_dropped"),
+            0u)
       << "the second partial share found the buffer full";
-  EXPECT_EQ(stats->rescued_recommendations, 1u);
+  EXPECT_EQ(BrokerSeries(g.broker.get(),
+                         "gauge broker_rescued_recommendations"),
+            1u);
 }
 
 TEST(FanoutDegradedTest, CloseWaitsOutAnInFlightGather) {
@@ -1107,9 +1112,9 @@ TEST(FanoutDegradedTest, ScrapeErrorIsTheDaemonsOwnMessage) {
 /// applied them in is readable off the ids.
 TEST(FanoutDegradedTest, EachBrokerScrapesItsOwnCounters) {
   // Two brokers in one process, one after the other, each with a daemon
-  // down: every broker's scrape section must carry the degraded-gather
-  // count its own GetStats() reports, and none of the daemons' series
-  // (those live in the process-wide registry).
+  // down: every broker's scrape section must carry its own degraded-gather
+  // count, and none of the daemons' series (those live in the process-wide
+  // registry).
   for (const uint64_t gathers : {uint64_t{3}, uint64_t{1}}) {
     Group g = StartGroup(figure1::FollowGraph(), 2, FanoutPolicy::kQuorum,
                          /*gather_quorum=*/1);
@@ -1119,17 +1124,13 @@ TEST(FanoutDegradedTest, EachBrokerScrapesItsOwnCounters) {
       ASSERT_TRUE(g.broker->TakeRecommendations(&report).ok());
       ASSERT_FALSE(report.complete());
     }
-    auto stats = g.broker->GetStats();
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_EQ(stats->degraded_gathers, gathers);
-
     auto text = g.broker->GetStatsText();
     ASSERT_TRUE(text.ok()) << text.status();
     const std::string broker_section =
         text->substr(0, text->find("# source daemon"));
-    EXPECT_NE(broker_section.find(StrFormat(
-                  "counter broker_degraded_gathers %llu\n",
-                  static_cast<unsigned long long>(stats->degraded_gathers))),
+    EXPECT_NE(broker_section.find(
+                  StrFormat("counter broker_degraded_gathers %llu\n",
+                            static_cast<unsigned long long>(gathers))),
               std::string::npos)
         << broker_section;
     EXPECT_EQ(broker_section.find("counter detector_events"),
@@ -1201,9 +1202,8 @@ TEST(FanoutDegradedTest, ReplayFlushIsPipelined) {
   for (size_t i = 0; i < events.size(); ++i) {
     ASSERT_EQ(seen[i].edge, events[i].edge) << "event " << i;
   }
-  auto stats = (*broker)->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->replayed_events, events.size());
+  EXPECT_EQ(BrokerSeries(broker->get(), "counter broker_replayed_events"),
+            events.size());
   // The loop records a writev's sample only after the kernel took the
   // bytes, so the acks can be read before it lands.
   auto most_frames_per_writev = [&] {
@@ -1268,6 +1268,7 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
     server_options.worker_threads = 1;
     for (uint32_t p = 0; p < kDaemons; ++p) {
       auto daemon = std::make_unique<FuzzDaemon>();
+      daemon->stub.set_placement({.group_size = kDaemons, .partition = p});
       auto server = RpcServer::Start(&daemon->stub, server_options);
       ASSERT_TRUE(server.ok()) << server.status();
       daemon->server = std::move(server).value();
@@ -1371,10 +1372,11 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
     // The final flush: every daemon reachable, every parked frame settled.
     if (stopped != nullptr) restart();
     call("final drain", model_flush(), (*broker)->Drain());
-    auto stats = (*broker)->GetStats();
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_EQ(stats->replayed_events + stats->replay_dropped_events,
-              parked_events)
+    EXPECT_EQ(
+        BrokerSeries(broker->get(), "counter broker_replayed_events") +
+            BrokerSeries(broker->get(),
+                         "counter broker_replay_dropped_events"),
+        parked_events)
         << "parked events went missing from the replay accounting";
     for (uint32_t p = 0; p < kDaemons; ++p) {
       const std::vector<EdgeEvent> seen = daemons[p]->stub.published();

@@ -1,14 +1,17 @@
 // Shared scaffolding for the fan-out broker tests: in-process "daemons"
 // (a hosted Cluster behind a real RpcServer on an ephemeral loopback
 // port — the same wire path as a magicrecsd process), partition groups
-// wired to a FanoutCluster, and the inline single-process reference run
-// the acceptance tests compare against. Used by fanout_cluster_test.cc
+// wired to a FanoutCluster, the inline single-process reference run the
+// acceptance tests compare against, and the reader of the broker's own
+// scrape section. Used by fanout_cluster_test.cc
 // (strict-mode acceptance) and fanout_degraded_test.cc (FanoutPolicy).
 
 #ifndef MAGICRECS_TESTS_NET_FANOUT_TEST_UTIL_H_
 #define MAGICRECS_TESTS_NET_FANOUT_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -113,11 +116,7 @@ inline Group StartGroup(const StaticGraph& graph, uint32_t group_size,
     options.group_size = group_size;
     options.group_partition = p;
     if (!persist_dirs.empty()) options.persist.dir = persist_dirs[p];
-    // Group members stamp traces with their global partition id, exactly
-    // as magicrecsd wires it for a partition-group deployment.
-    net::RpcServerOptions server_options;
-    server_options.trace_party = p;
-    g.daemons.push_back(StartDaemon(graph, options, server_options));
+    g.daemons.push_back(StartDaemon(graph, options));
     net::FanoutEndpoint endpoint;
     endpoint.port = g.daemons.back().server->port();
     endpoint.partition = p;
@@ -134,6 +133,27 @@ inline Group StartGroup(const StaticGraph& graph, uint32_t group_size,
                         uint32_t replicas, uint32_t k = 2) {
   return StartGroup(graph, group_size, replicas, k,
                     net::FanoutClusterOptions{});
+}
+
+/// The value of one series in the broker's `# source broker` scrape
+/// section, the one place broker counts are read: e.g.
+/// "counter broker_replayed_events" or
+/// "gauge broker_gathers_missed_consecutive{party=\"p1\"}". Fails the
+/// test, and returns UINT64_MAX, when the section lacks the series.
+inline uint64_t BrokerSeries(net::FanoutCluster* broker,
+                             const std::string& series) {
+  auto text = broker->GetStatsText();
+  EXPECT_TRUE(text.ok()) << text.status();
+  if (!text.ok()) return UINT64_MAX;
+  const std::string section = text->substr(0, text->find("# source daemon"));
+  const std::string line = "\n" + series + " ";
+  const size_t at = section.find(line);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no '" << series << "' in the broker section:\n"
+                  << section;
+    return UINT64_MAX;
+  }
+  return std::strtoull(section.c_str() + at + line.size(), nullptr, 10);
 }
 
 /// The inline single-process reference run every transport must match.

@@ -382,7 +382,7 @@ TEST(MuxConnectionTest, ReplyReaderFuzz) {
       ASSERT_EQ(frame.tag, MessageTag::kHello);
       std::string stream;
       AppendHelloReply(kFeatureMux | kFeatureTrace, /*max_inflight=*/64,
-                       &stream);
+                       Placement{}, &stream);
       ASSERT_TRUE(peer->WriteAll(stream.data(), stream.size()).ok());
       stream.clear();
       // The ids the client chose, in the order it started the calls.

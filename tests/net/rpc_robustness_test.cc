@@ -240,7 +240,8 @@ TEST_F(RpcRobustnessTest, UnknownTagGetsErrorButConnectionSurvives) {
   ASSERT_EQ(inner.tag, MessageTag::kError);
   EXPECT_TRUE(DecodeError(inner.payload).IsUnimplemented());
 
-  // The retired single-event publish tag (0x01) is just as unknown.
+  // The retired tags are just as unknown: the single-event publish (0x01)
+  // and the typed stats request (0x08).
   std::string retired;
   AppendFrame(static_cast<MessageTag>(0x01), std::string(17, '\0'), &retired);
   ASSERT_TRUE(session.Send(2, retired).ok());
@@ -248,11 +249,17 @@ TEST_F(RpcRobustnessTest, UnknownTagGetsErrorButConnectionSurvives) {
   EXPECT_EQ(id, 2u);
   ASSERT_EQ(inner.tag, MessageTag::kError);
   EXPECT_TRUE(DecodeError(inner.payload).IsUnimplemented());
-
-  // Same connection, valid ping: still served.
-  ASSERT_TRUE(session.Send(3, EmptyRequest(MessageTag::kPing)).ok());
+  ASSERT_TRUE(
+      session.Send(3, EmptyRequest(static_cast<MessageTag>(0x08))).ok());
   ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
   EXPECT_EQ(id, 3u);
+  ASSERT_EQ(inner.tag, MessageTag::kError);
+  EXPECT_TRUE(DecodeError(inner.payload).IsUnimplemented());
+
+  // Same connection, valid ping: still served.
+  ASSERT_TRUE(session.Send(4, EmptyRequest(MessageTag::kPing)).ok());
+  ASSERT_TRUE(session.ReadReply(&inner, &id).ok());
+  EXPECT_EQ(id, 4u);
   EXPECT_EQ(inner.tag, MessageTag::kAck);
 }
 
@@ -301,9 +308,7 @@ TEST_F(RpcRobustnessTest, PublishBatchWithoutASequenceIsRefused) {
   const Status refused = DecodeError(inner.payload);
   EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
   ASSERT_TRUE(hosted_->Drain().ok());
-  auto stats = hosted_->GetStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->events_published, 0u);
+  EXPECT_EQ(hosted_->events_published(), 0u);
 
   std::string tagged;
   AppendPublishBatch(events, &tagged, /*batch_sequence=*/42);

@@ -2,8 +2,8 @@
 // and the reply bodies a broker parses: the hello, the hello reply and the
 // mux envelopes are the first bytes a daemon (or a client) parses from an
 // untrusted peer; the publish-batch, checkpoint and replica-op requests are
-// what it then parses off the network; and the ack, recommendations and
-// stats replies are what a broker decodes from every daemon. Valid
+// what it then parses off the network; and the ack and recommendations
+// replies are what a broker decodes from every daemon. Valid
 // messages must round-trip exactly; truncated,
 // marker-flipped, count-forged and length-forged ones must come back as a
 // Status, never a crash, an out-of-bounds read or an allocation the payload
@@ -110,9 +110,10 @@ void DecodeAll(const std::string& payload) {
   Timestamp created_at = 0;
   uint32_t partition = 0, replica = 0;
   std::vector<Recommendation> recs;
-  ClusterStats stats;
+  Placement placement;
   (void)DecodeHello(payload, &version, &features);
-  (void)DecodeHelloReply(payload, &version, &features, &max_inflight);
+  (void)DecodeHelloReply(payload, &version, &features, &max_inflight,
+                         &placement);
   (void)DecodeMuxRequest(payload, &id, &inner);
   (void)DecodeMuxResponse(payload, &id, &last, &inner);
   (void)DecodePublishBatch(payload, &events, &batch_sequence, &trace);
@@ -120,7 +121,6 @@ void DecodeAll(const std::string& payload) {
   (void)DecodeReplicaOp(payload, &partition, &replica);
   (void)DecodeAck(payload, &trace);
   (void)DecodeRecommendationsReply(payload, &recs, &last);
-  (void)DecodeStatsReply(payload, &stats);
 }
 
 Recommendation RandomRecommendation(Rng* rng) {
@@ -141,29 +141,13 @@ std::vector<Recommendation> RandomRecommendations(Rng* rng, size_t max) {
   return recs;
 }
 
-/// Every field the stats wire carries, randomized; the broker-only
-/// counters stay zero because the wire does not carry them.
-ClusterStats RandomStats(Rng* rng) {
-  ClusterStats stats;
-  stats.num_partitions = RandomU32(rng);
-  stats.replicas_per_partition = RandomU32(rng);
-  stats.events_published = rng->NextUint64();
-  stats.detector_events = rng->NextUint64();
-  stats.threshold_queries = rng->NextUint64();
-  stats.recommendations = rng->NextUint64();
-  stats.static_memory_bytes = rng->NextUint64();
-  stats.dynamic_memory_bytes = rng->NextUint64();
-  stats.per_replica.resize(rng->UniformInt(6));
-  for (ReplicaStats& entry : stats.per_replica) {
-    entry.partition = RandomU32(rng);
-    entry.replica = RandomU32(rng);
-    entry.alive = rng->Bernoulli(0.5);
-    entry.detector_events = rng->NextUint64();
-    entry.threshold_queries = rng->NextUint64();
-    entry.recommendations = rng->NextUint64();
-  }
-  stats.partitioner_salt = rng->NextUint64();
-  return stats;
+/// Every field of the placement a hello reply carries, randomized.
+Placement RandomPlacement(Rng* rng) {
+  Placement placement;
+  placement.group_size = RandomU32(rng);
+  placement.partition = RandomU32(rng);
+  placement.salt = rng->NextUint64();
+  return placement;
 }
 
 /// Residue in the retired recommendations-reply layout: a coverage tail
@@ -209,14 +193,6 @@ void ExpectRecsRejected(const std::string& payload, const char* what) {
   }
 }
 
-/// The same for a stats-reply payload: a replica entry is 33 wire bytes.
-void ExpectStatsRejected(const std::string& payload, const char* what) {
-  ClusterStats stats;
-  const Status s = DecodeStatsReply(payload, &stats);
-  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
-  EXPECT_LE(stats.per_replica.capacity(), payload.size() / 33) << what;
-}
-
 TEST(SessionFuzzTest, ValidMessagesRoundTripExactly) {
   const uint64_t seed = BaseSeed();
   RecordProperty("seed", std::to_string(seed));
@@ -235,17 +211,20 @@ TEST(SessionFuzzTest, ValidMessagesRoundTripExactly) {
     EXPECT_EQ(got_features, features);
 
     const uint32_t max_inflight = RandomU32(&rng);
+    const Placement placement = RandomPlacement(&rng);
     std::string reply;
-    AppendHelloReply(features, max_inflight, &reply);
+    AppendHelloReply(features, max_inflight, placement, &reply);
     frame = ParseOne(reply);
     ASSERT_EQ(frame.tag, MessageTag::kHelloReply);
     uint32_t got_inflight = 0;
+    Placement got_placement;
     ASSERT_TRUE(DecodeHelloReply(frame.payload, &version, &got_features,
-                                 &got_inflight)
+                                 &got_inflight, &got_placement)
                     .ok());
     EXPECT_EQ(version, kProtocolVersion);
     EXPECT_EQ(got_features, features);
     EXPECT_EQ(got_inflight, max_inflight);
+    EXPECT_EQ(got_placement, placement);
 
     const std::string inner = RandomInnerFrame(&rng);
     const Frame want = ParseOne(inner);
@@ -288,7 +267,8 @@ TEST(SessionFuzzTest, DamagedMessagesReturnAStatus) {
     const uint64_t id = rng.NextUint64();
     std::string hello, reply, request, response;
     AppendHello(RandomU32(&rng), &hello);
-    AppendHelloReply(RandomU32(&rng), RandomU32(&rng), &reply);
+    AppendHelloReply(RandomU32(&rng), RandomU32(&rng), RandomPlacement(&rng),
+                     &reply);
     AppendMuxRequest(id, inner, &request);
     AppendMuxResponse(id, rng.Bernoulli(0.5), inner, &response);
     const std::string payloads[] = {
@@ -296,6 +276,7 @@ TEST(SessionFuzzTest, DamagedMessagesReturnAStatus) {
         ParseOne(request).payload, ParseOne(response).payload};
 
     uint32_t version = 0, features = 0, max_inflight = 0;
+    Placement placement;
     uint64_t got_id = 0;
     bool last = false;
     Frame got;
@@ -313,10 +294,10 @@ TEST(SessionFuzzTest, DamagedMessagesReturnAStatus) {
               << "hello cut at " << cut;
           break;
         case 1:
-          EXPECT_EQ(
-              DecodeHelloReply(prefix, &version, &features, &max_inflight)
-                  .ok(),
-              cut >= 12)
+          EXPECT_EQ(DecodeHelloReply(prefix, &version, &features,
+                                     &max_inflight, &placement)
+                        .ok(),
+                    cut >= 28)
               << "hello-reply cut at " << cut;
           break;
         case 2: {
@@ -457,15 +438,6 @@ TEST(SessionFuzzTest, ReplyBodiesRoundTripExactly) {
       EXPECT_EQ(has_more, i + 1 < frames.size()) << "frame " << i;
     }
     EXPECT_EQ(got, recs);
-
-    const ClusterStats stats = RandomStats(&rng);
-    std::string reply;
-    AppendStatsReply(stats, &reply);
-    const Frame frame = ParseOne(reply);
-    ASSERT_EQ(frame.tag, MessageTag::kStatsReply);
-    ClusterStats decoded;
-    ASSERT_TRUE(DecodeStatsReply(frame.payload, &decoded).ok());
-    EXPECT_EQ(decoded, stats);
     if (HasFatalFailure()) return;
   }
 }
@@ -481,17 +453,10 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
     std::string frame;
     AppendRecommendationsReply(recs, rng.Bernoulli(0.5), &frame);
     const std::string recs_payload = ParseOne(frame).payload;
-    const ClusterStats stats = RandomStats(&rng);
-    std::string stats_frame;
-    AppendStatsReply(stats, &stats_frame);
-    const std::string stats_payload = ParseOne(stats_frame).payload;
 
-    // Every truncation: each layout is exact, so no strict prefix decodes.
+    // Every truncation: the layout is exact, so no strict prefix decodes.
     for (size_t cut = 0; cut < recs_payload.size(); ++cut) {
       ExpectRecsRejected(recs_payload.substr(0, cut), "recs truncation");
-    }
-    for (size_t cut = 0; cut < stats_payload.size(); ++cut) {
-      ExpectStatsRejected(stats_payload.substr(0, cut), "stats truncation");
     }
 
     // A forged rec count (after has_more), and a forged witness count on
@@ -511,13 +476,6 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
       ExpectRecsRejected(damaged, "forged witness count");
     }
 
-    // A forged replica count (after the 56 fixed bytes).
-    forged = RandomU32(&rng) >> rng.UniformInt(32);
-    if (forged == stats.per_replica.size()) forged++;
-    damaged = stats_payload;
-    std::memcpy(damaged.data() + 56, &forged, sizeof(forged));
-    ExpectStatsRejected(damaged, "forged replica count");
-
     // Any appended byte: random residue, a lone 0x01 or 0x02 marker, or a
     // whole tail in the retired reply layout.
     const std::string residues[] = {
@@ -526,7 +484,6 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
         RetiredReplyTail(&rng) + RetiredReplyTail(&rng)};
     for (const std::string& residue : residues) {
       ExpectRecsRejected(recs_payload + residue, "appended bytes");
-      ExpectStatsRejected(stats_payload + residue, "appended bytes");
     }
     if (HasFatalFailure()) return;
   }

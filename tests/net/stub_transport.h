@@ -1,8 +1,8 @@
 // A scriptable ClusterTransport for server-loop and session tests: canned
 // recommendations for gathers, optional gates that park Drain or
 // PublishBatch calls until released (to hold a request in flight
-// deliberately), scripted publish rejections, a record of the order the
-// calls arrived in, and counters.
+// deliberately), scripted publish rejections, a settable placement, a
+// record of the order the calls arrived in, and counters.
 // Lets the net tests exercise scheduling, partial I/O, and multiplexing
 // without hauling a real detector workload into every case.
 
@@ -23,6 +23,10 @@ namespace magicrecs::net_test {
 class StubTransport : public ClusterTransport {
  public:
   StubTransport() = default;
+
+  /// The placement an RpcServer started after this call sends in its hello
+  /// replies (default: all-hosting, no group size, salt 0).
+  void set_placement(const Placement& placement) { placement_ = placement; }
 
   /// Every future TakeRecommendations returns a copy of `recs`.
   void set_recommendations(std::vector<Recommendation> recs) {
@@ -123,11 +127,7 @@ class StubTransport : public ClusterTransport {
     return Status::OK();
   }
 
-  Result<ClusterStats> GetStats() override {
-    ClusterStats stats;
-    stats.events_published = publishes_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  Placement placement() const override { return placement_; }
 
   Status Close() override { return Status::OK(); }
 
@@ -143,6 +143,7 @@ class StubTransport : public ClusterTransport {
     cv_.wait(lock, [&] { return released_; });
   }
 
+  Placement placement_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool released_ = false;

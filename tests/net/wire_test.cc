@@ -189,93 +189,6 @@ TEST(WireTest, ChunkedRecommendationsReassemble) {
   EXPECT_FALSE(has_more);
 }
 
-TEST(WireTest, StatsReplyRoundTrip) {
-  ClusterStats stats;
-  stats.num_partitions = 20;
-  stats.replicas_per_partition = 2;
-  stats.events_published = 1'000'000;
-  stats.detector_events = 40'000'000;
-  stats.threshold_queries = 123;
-  stats.recommendations = 456;
-  stats.static_memory_bytes = 1u << 30;
-  stats.dynamic_memory_bytes = 789;
-
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  const Frame decoded = DecodeWhole(frame);
-  EXPECT_EQ(decoded.tag, MessageTag::kStatsReply);
-  ClusterStats out;
-  ASSERT_TRUE(DecodeStatsReply(decoded.payload, &out).ok());
-  EXPECT_EQ(out, stats);
-}
-
-TEST(WireTest, StatsReplyCarriesPerReplicaIdentity) {
-  // A partition-group daemon reports its own shard: the identity tail must
-  // survive the round trip exactly, dead replicas included.
-  ClusterStats stats;
-  stats.num_partitions = 8;
-  stats.replicas_per_partition = 2;
-  ReplicaStats alive;
-  alive.partition = 5;
-  alive.replica = 0;
-  alive.alive = true;
-  alive.detector_events = 10'000;
-  alive.threshold_queries = 5'000;
-  alive.recommendations = 42;
-  ReplicaStats dead = alive;
-  dead.replica = 1;
-  dead.alive = false;
-  stats.per_replica = {alive, dead};
-  stats.partitioner_salt = 0xfeedface;
-
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  ClusterStats out;
-  ASSERT_TRUE(DecodeStatsReply(DecodeWhole(frame).payload, &out).ok());
-  EXPECT_EQ(out, stats);
-  ASSERT_EQ(out.per_replica.size(), 2u);
-  EXPECT_EQ(out.per_replica[0].partition, 5u);
-  EXPECT_TRUE(out.per_replica[0].alive);
-  EXPECT_FALSE(out.per_replica[1].alive);
-  EXPECT_EQ(out.partitioner_salt, 0xfeedfaceu);
-}
-
-TEST(WireTest, StatsReplyWithoutIdentityTailIsRejected) {
-  // Every server sends the replica list and the salt, and nothing after
-  // the salt: an encoding that stops after the fixed fields, cuts the salt
-  // short, or carries a byte past it is malformed.
-  std::string fixed_only;
-  persist::PutU32(&fixed_only, 4);   // num_partitions
-  persist::PutU32(&fixed_only, 1);   // replicas
-  for (int i = 0; i < 6; ++i) persist::PutU64(&fixed_only, 100 + i);
-  ClusterStats stats;
-  stats.partitioner_salt = 7;
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  const std::string whole = DecodeWhole(frame).payload;
-  ClusterStats out;
-  ASSERT_TRUE(DecodeStatsReply(whole, &out).ok());
-  for (const std::string& payload :
-       {fixed_only, whole.substr(0, whole.size() - 3), whole + '\0'}) {
-    EXPECT_TRUE(DecodeStatsReply(payload, &out).IsInvalidArgument())
-        << payload.size() << " bytes";
-  }
-}
-
-TEST(WireTest, StatsReplyWithForgedReplicaCountIsRejected) {
-  ClusterStats stats;
-  stats.per_replica.resize(1);
-  std::string frame;
-  AppendStatsReply(stats, &frame);
-  Frame decoded = DecodeWhole(frame);
-  // Forge the replica count upward without supplying the bytes.
-  std::string payload = decoded.payload;
-  const size_t count_pos = 4 + 4 + 6 * 8;
-  payload[count_pos] = 0x7f;
-  ClusterStats out;
-  EXPECT_TRUE(DecodeStatsReply(payload, &out).IsInvalidArgument());
-}
-
 // --- robustness --------------------------------------------------------------
 
 TEST(WireTest, OversizedLengthPrefixIsResourceExhausted) {
@@ -492,17 +405,20 @@ TEST(WireTest, EveryTagHasAName) {
        {MessageTag::kPublishBatch,
         MessageTag::kTakeRecommendations, MessageTag::kDrain,
         MessageTag::kCheckpoint, MessageTag::kKillReplica,
-        MessageTag::kRecoverReplica, MessageTag::kStats, MessageTag::kPing,
+        MessageTag::kRecoverReplica, MessageTag::kPing,
         MessageTag::kHello, MessageTag::kMuxRequest, MessageTag::kStatsText,
         MessageTag::kAck, MessageTag::kError,
-        MessageTag::kRecommendationsReply, MessageTag::kStatsReply,
+        MessageTag::kRecommendationsReply,
         MessageTag::kHelloReply, MessageTag::kMuxResponse,
         MessageTag::kStatsTextReply}) {
     EXPECT_NE(MessageTagName(tag), "unknown");
   }
   EXPECT_EQ(MessageTagName(static_cast<MessageTag>(0x55)), "unknown");
-  // 0x01, the retired single-event publish, stays unassigned.
-  EXPECT_EQ(MessageTagName(static_cast<MessageTag>(0x01)), "unknown");
+  // The retired tags stay unassigned: 0x01 (the single-event publish),
+  // 0x08 and 0x83 (the typed stats request and reply).
+  for (const uint8_t retired : {0x01, 0x08, 0x83}) {
+    EXPECT_EQ(MessageTagName(static_cast<MessageTag>(retired)), "unknown");
+  }
 }
 
 // --- trace propagation -------------------------------------------------------
@@ -668,19 +584,47 @@ TEST(WireTest, HelloToleratesFutureTailButNotMissingMarker) {
 }
 
 TEST(WireTest, HelloReplyRoundTrip) {
+  const Placement placement{.group_size = 20, .partition = 7,
+                            .salt = 0xfeedface'0000beefull};
   std::string frame;
-  AppendHelloReply(kFeatureMux, 64, &frame);
+  AppendHelloReply(kFeatureMux, 64, placement, &frame);
   const Frame decoded = DecodeWhole(frame);
   EXPECT_EQ(decoded.tag, MessageTag::kHelloReply);
   uint32_t version = 0, features = 0, max_inflight = 0;
-  ASSERT_TRUE(
-      DecodeHelloReply(decoded.payload, &version, &features, &max_inflight)
-          .ok());
+  Placement out;
+  ASSERT_TRUE(DecodeHelloReply(decoded.payload, &version, &features,
+                               &max_inflight, &out)
+                  .ok());
   EXPECT_EQ(version, kProtocolVersion);
   EXPECT_EQ(features, kFeatureMux);
   EXPECT_EQ(max_inflight, 64u);
-  EXPECT_TRUE(DecodeHelloReply("\x01\x02", &version, &features, &max_inflight)
+  EXPECT_EQ(out, placement);
+  EXPECT_TRUE(DecodeHelloReply("\x01\x02", &version, &features, &max_inflight,
+                               &out)
                   .IsInvalidArgument());
+}
+
+TEST(WireTest, HelloReplyWithoutWholePlacementIsRejected) {
+  // The placement is what a broker checks on every dial, so a reply that
+  // lacks it, or cuts it short anywhere, is malformed — while bytes after
+  // the salt are a newer server's tail and are ignored. The version is
+  // still read, so a client can name version skew first.
+  std::string frame;
+  AppendHelloReply(kFeatureMux, 64, Placement{}, &frame);
+  const std::string whole = DecodeWhole(frame).payload;
+  uint32_t version = 0, features = 0, max_inflight = 0;
+  Placement out;
+  for (size_t cut = 12; cut < whole.size(); ++cut) {
+    version = 0;
+    EXPECT_TRUE(DecodeHelloReply(whole.substr(0, cut), &version, &features,
+                                 &max_inflight, &out)
+                    .IsInvalidArgument())
+        << cut << " of " << whole.size() << " bytes";
+    EXPECT_EQ(version, kProtocolVersion) << cut << " bytes";
+  }
+  EXPECT_TRUE(DecodeHelloReply(whole + "future", &version, &features,
+                               &max_inflight, &out)
+                  .ok());
 }
 
 TEST(WireTest, MuxRequestRoundTrip) {
@@ -785,8 +729,8 @@ TEST(WireTest, OrderSensitivityClassification) {
     EXPECT_TRUE(IsOrderSensitive(tag)) << MessageTagName(tag);
   }
   for (const MessageTag tag :
-       {MessageTag::kTakeRecommendations, MessageTag::kStats,
-        MessageTag::kStatsText, MessageTag::kPing, MessageTag::kHello}) {
+       {MessageTag::kTakeRecommendations, MessageTag::kStatsText,
+        MessageTag::kPing, MessageTag::kHello}) {
     EXPECT_FALSE(IsOrderSensitive(tag)) << MessageTagName(tag);
   }
 }

@@ -5,6 +5,12 @@
 //
 //   magicrecs_scrape --host=127.0.0.1 --port=7421
 //
+// The first line names the daemon's placement, as its hello reply gave it:
+//
+//   # placement group=2 partition=1 salt=0
+//
+// where partition=all marks a daemon that hosts every partition.
+//
 // Watch mode re-scrapes on an interval and prints the client-side view an
 // operator actually wants mid-incident: per-window rates for every counter
 // that moved, gauge values, and a `health ...` line per party so a
@@ -182,6 +188,14 @@ int main(int argc, char** argv) {
                  conn.status().ToString().c_str());
     return 2;
   }
+  const Placement& placed = (*conn)->placement();
+  const std::string partition =
+      placed.partition == Placement::kAllPartitions
+          ? std::string("all")
+          : StrFormat("%u", placed.partition);
+  std::printf("# placement group=%u partition=%s salt=%llu\n",
+              placed.group_size, partition.c_str(),
+              static_cast<unsigned long long>(placed.salt));
 
   const auto scrape_once = [&](std::string* text) -> int {
     std::string request;

@@ -387,12 +387,6 @@ int main(int argc, char** argv) {
   server_options.max_inflight_per_conn = options.max_inflight_per_conn;
   server_options.worker_threads = options.rpc_workers;
   server_options.slow_request_us = options.slow_request_ms * 1000;
-  // Partition-group members stamp traces with their global partition id so
-  // a merged trace tells the daemons apart; an all-hosting daemon uses the
-  // sentinel.
-  if (options.cluster.group_size > 0) {
-    server_options.trace_party = options.cluster.group_partition;
-  }
   // Self-health monitor: the journal must outlive the server (its monitor
   // writes transitions until Stop()), so it is created first here and
   // destroyed last by scope.
@@ -438,15 +432,26 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "magicrecsd: caught signal %d, shutting down\n",
                signal);
 
-  // Final attributable stats dump before teardown: one line per hosted
-  // replica, tagged with its global partition id.
-  if (auto cluster_stats = (*cluster)->GetStats(); cluster_stats.ok()) {
-    std::fprintf(stderr, "magicrecsd: %s\n",
-                 cluster_stats->ToString().c_str());
-    std::fprintf(stderr, "%s\n", cluster_stats->PerReplicaString().c_str());
-  }
-
   (*server)->Stop();
+  // Final attributable stats dump before teardown: with the server stopped,
+  // nothing runs on the detectors once the drain returns. One line per
+  // hosted replica, tagged with its global partition id.
+  if ((*cluster)->Drain().ok()) {
+    const MotifEngineStats detector = (*cluster)->AggregatedStats();
+    std::fprintf(
+        stderr,
+        "magicrecsd: published=%llu ingests=%llu queries=%llu recs=%llu "
+        "S=%s D=%s\n",
+        static_cast<unsigned long long>((*cluster)->events_published()),
+        static_cast<unsigned long long>(detector.events),
+        static_cast<unsigned long long>(detector.threshold_queries),
+        static_cast<unsigned long long>(detector.recommendations),
+        HumanBytes((*cluster)->TotalStaticMemory()).c_str(),
+        HumanBytes((*cluster)->TotalDynamicMemory()).c_str());
+    for (const ReplicaStats& replica : (*cluster)->PerReplicaStats()) {
+      std::fprintf(stderr, "%s\n", replica.ToString().c_str());
+    }
+  }
   const net::RpcServerStats stats = (*server)->stats();
   const Status closed = (*cluster)->Close();
   if (!closed.ok()) {
