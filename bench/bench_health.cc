@@ -1,16 +1,17 @@
 // Experiment T-health — cost of the observability/health plumbing.
 //
 // A health monitor (broker or daemon, on whenever its health_interval_ms
-// is > 0) rides the scrape path: its thread snapshots the registry into a
-// time series, computes windowed counter rates, runs the rule engine over
-// every party, and journals transitions. All of that must stay far below
-// the evaluation interval (the chaos drill runs 50 ms) even for wide
-// groups, or the monitor starts stealing the CPU it is meant to watch.
-// Four rows, all section "health" in BENCH_net.json:
+// is > 0) rides the scrape path: every tick its thread samples the few
+// counters it scores into a CounterWindow, rates them over the trailing
+// 10s, runs the rule engine over every party, and journals transitions.
+// All of that must stay far below the evaluation interval (the chaos drill
+// runs 50 ms) even for wide groups, or the monitor starts stealing the CPU
+// it is meant to watch. Four rows, all section "health" in BENCH_net.json:
 //
-//   sample      — MetricsTimeSeries::Sample of a realistically-sized
-//                 registry (ops/s; one op = one full snapshot append)
-//   rate        — CounterRate over a 10s window (ops/s)
+//   sample      — CounterWindow::Sample over 64 counters (ops/s; one op =
+//                 one point appended)
+//   rate        — CounterWindow::Rate of one counter over a window of 64
+//                 points (ops/s)
 //   evaluate    — HealthEngine::Evaluate with 32 parties (ops/s)
 //   journal     — EventLog::Append to a real file (ops/s)
 
@@ -23,10 +24,10 @@
 
 #include "bench_json.h"
 #include "health/health_engine.h"
+#include "health/health_monitor.h"
 #include "util/clock.h"
 #include "util/event_log.h"
 #include "util/metrics.h"
-#include "util/timeseries.h"
 
 using namespace magicrecs;
 
@@ -34,50 +35,43 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A ~64-metric registry: a daemon's server counters and per-partition
-/// histograms plus a few broker_* series (a broker keeps those in its own,
-/// smaller registry), so one sample costs at least a real monitor's.
-void PopulateRegistry(MetricsRegistry* registry) {
-  for (int p = 0; p < 8; ++p) {
-    const std::string label = StrFormat("%d", p);
-    registry->GetCounter("rpc_requests_served", {{"server", label}})
-        ->Increment(1000 + p);
-    registry->GetCounter("rpc_inflight_stalls", {{"server", label}})
-        ->Increment(p);
-    registry->GetCounter("rpc_protocol_errors", {{"server", label}});
-    registry->GetGauge("rpc_connections_open", {{"server", label}})->Set(4);
-    registry->GetHistogram("publish_apply_us", {{"partition", label}})
-        ->Record(80 + p);
-    registry->GetHistogram("detector_query_us", {{"partition", label}})
-        ->Record(40 + p);
+constexpr size_t kCounters = 64;
+
+/// 64 counters, far more than any monitor watches (a daemon scores 3, a
+/// broker 2), so one sample costs at least a real monitor's.
+std::vector<const Counter*> Counters(MetricsRegistry* registry) {
+  std::vector<const Counter*> counters;
+  for (size_t i = 0; i < kCounters; ++i) {
+    Counter* counter = registry->GetCounter(
+        "rpc_requests_served", {{"server", StrFormat("%zu", i)}});
+    counter->Increment(1000 + i);
+    counters.push_back(counter);
   }
-  registry->GetCounter("events_published")->Increment(50'000);
-  registry->GetCounter("broker_replay_dropped_events")->Increment(3);
-  registry->GetCounter("broker_replayed_events")->Increment(12);
-  registry->GetGauge("broker_policy")->Set(0);
+  return counters;
 }
 
-double SampleOpsPerSec(const MetricsRegistry& registry, size_t iters) {
-  MetricsTimeSeries series(256);
+double SampleOpsPerSec(MetricsRegistry* registry, size_t iters) {
+  // One point per "second" into a 10s window: the steady state of a
+  // monitor, which appends one point and drops one per tick.
+  CounterWindow window(Counters(registry), 10'000'000);
   Stopwatch timer;
   for (size_t i = 0; i < iters; ++i) {
-    series.Sample(registry, static_cast<int64_t>(i) * 1'000'000);
+    window.Sample(static_cast<int64_t>(i) * 1'000'000);
   }
   return static_cast<double>(iters) / timer.ElapsedSeconds();
 }
 
-double RateOpsPerSec(const MetricsRegistry& registry, size_t iters) {
-  MetricsTimeSeries series(256);
-  // 64 samples, one per "second": plenty for a 10s window walk.
+double RateOpsPerSec(MetricsRegistry* registry, size_t iters) {
+  Counter* counter = registry->GetCounter("rate_probe");
+  // 64 points, one per "second", all inside a 64s window.
+  CounterWindow window({counter}, 64'000'000);
   for (int i = 0; i < 64; ++i) {
-    series.Sample(registry, static_cast<int64_t>(i) * 1'000'000);
+    counter->Increment(10);
+    window.Sample(static_cast<int64_t>(i) * 1'000'000);
   }
-  const std::string key = MetricKey("rpc_requests_served", {{"server", "0"}});
   double sink = 0;
   Stopwatch timer;
-  for (size_t i = 0; i < iters; ++i) {
-    sink += series.CounterRate(key, 10'000'000).value_or(0);
-  }
+  for (size_t i = 0; i < iters; ++i) sink += window.Rate(0);
   const double per_sec = static_cast<double>(iters) / timer.ElapsedSeconds();
   if (sink < 0) std::printf("unreachable %f\n", sink);  // defeat DCE
   return per_sec;
@@ -130,17 +124,16 @@ double JournalOpsPerSec(const std::string& path, size_t iters) {
 
 int main() {
   MetricsRegistry registry;
-  PopulateRegistry(&registry);
 
   bench::JsonRows rows;
   std::printf("T-health: observability plumbing cost\n");
   std::printf("%-10s %14s\n", "op", "ops/s");
 
-  const double sample = SampleOpsPerSec(registry, 20'000);
+  const double sample = SampleOpsPerSec(&registry, 20'000);
   std::printf("%-10s %14.0f\n", "sample", sample);
-  rows.AddThroughput("health", "sample", 64, sample, 0);
+  rows.AddThroughput("health", "sample", kCounters, sample, 0);
 
-  const double rate = RateOpsPerSec(registry, 200'000);
+  const double rate = RateOpsPerSec(&registry, 200'000);
   std::printf("%-10s %14.0f\n", "rate", rate);
   rows.AddThroughput("health", "rate", 64, rate, 0);
 

@@ -1,7 +1,7 @@
-// Health engine: folds windowed metrics (util/timeseries.h), gather
-// staleness, replay-buffer depth, and in-flight stall rates into a
-// per-party HealthState with a reason code — the rule layer that turns the
-// observability surface of PR 6 into something an autopilot can act on.
+// Health engine: folds windowed counter rates (health/health_monitor.h),
+// gather staleness and replay-buffer depth into a per-party HealthState
+// with a reason code — the rule layer that turns the observability surface
+// of PR 6 into something an autopilot can act on.
 //
 // A "party" is anything with independent health: each daemon a broker fans
 // out to ("p0".."pN"), the broker itself ("broker"), or a daemon's own

@@ -5,7 +5,37 @@
 
 namespace magicrecs {
 
+CounterWindow::CounterWindow(std::vector<const Counter*> counters,
+                             int64_t window_us)
+    : counters_(std::move(counters)), window_us_(window_us) {}
+
+void CounterWindow::Sample(int64_t now_us) {
+  Point point{now_us, {}};
+  point.values.reserve(counters_.size());
+  for (const Counter* counter : counters_) {
+    point.values.push_back(counter->Value());
+  }
+  points_.push_back(std::move(point));
+  // Drop every point older than the base: the oldest point inside the
+  // window, but never the newest, so two points always remain.
+  const int64_t cutoff = now_us - window_us_;
+  while (points_.size() > 2 && points_.front().at_us < cutoff) {
+    points_.pop_front();
+  }
+}
+
+double CounterWindow::Rate(size_t i) const {
+  if (points_.size() < 2) return 0;
+  const Point& base = points_.front();
+  const Point& newest = points_.back();
+  const int64_t elapsed_us = newest.at_us - base.at_us;
+  if (elapsed_us <= 0) return 0;
+  return static_cast<double>(newest.values[i] - base.values[i]) * 1e6 /
+         static_cast<double>(elapsed_us);
+}
+
 HealthMonitor::HealthMonitor(MetricsRegistry* registry, EventLog* journal,
+                             std::vector<const Counter*> watched,
                              Collector collector, int interval_ms,
                              Observer observer, Clock* clock)
     : registry_(registry),
@@ -14,7 +44,7 @@ HealthMonitor::HealthMonitor(MetricsRegistry* registry, EventLog* journal,
       observer_(std::move(observer)),
       interval_ms_(interval_ms),
       clock_(clock),
-      series_(kHealthHistory) {
+      window_(std::move(watched), kHealthRateWindowUs) {
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -42,10 +72,12 @@ void HealthMonitor::Loop() {
 void HealthMonitor::EvaluateNow() {
   std::lock_guard<std::mutex> tick(tick_mu_);
   const int64_t now = clock_->Now();
-  series_.Sample(*registry_, now);
+  window_.Sample(now);
+  std::vector<double> rates(window_.counters());
+  for (size_t i = 0; i < rates.size(); ++i) rates[i] = window_.Rate(i);
 
   HealthInputs inputs;
-  collector_(series_, kHealthRateWindowUs, &inputs);
+  collector_(rates, &inputs);
 
   std::vector<HealthTransition> transitions;
   const HealthReport report = engine_.Evaluate(inputs, now, &transitions);

@@ -957,9 +957,9 @@ void FanoutCluster::StartHealthMonitor() {
   journal_ = std::make_unique<EventLog>(options_.event_journal_path);
   monitor_ = std::make_unique<HealthMonitor>(
       &registry_, journal_.get(),
-      [this](const MetricsTimeSeries& series, int64_t window_us,
-             HealthInputs* inputs) {
-        CollectHealthInputs(series, window_us, inputs);
+      std::vector<const Counter*>{replay_dropped_events_, rescue_dropped_},
+      [this](std::span<const double> rates, HealthInputs* inputs) {
+        CollectHealthInputs(rates, inputs);
       },
       options_.health_interval_ms,
       [this](const HealthReport& report,
@@ -968,16 +968,12 @@ void FanoutCluster::StartHealthMonitor() {
       });
 }
 
-void FanoutCluster::CollectHealthInputs(const MetricsTimeSeries& series,
-                                        int64_t window_us,
+void FanoutCluster::CollectHealthInputs(std::span<const double> rates,
                                         HealthInputs* inputs) {
   // Permanent event loss in-window (replay rejections, rescue overflow) is
   // the broker's own failure to uphold the degraded contract — it scores
   // the "broker" party, not a daemon.
-  const double loss_rate =
-      series.CounterRate("broker_replay_dropped_events", window_us)
-          .value_or(0) +
-      series.CounterRate("broker_rescue_dropped", window_us).value_or(0);
+  const double loss_rate = rates[0] + rates[1];
 
   bool shed_raise = false;
   bool shed_all_clear = true;

@@ -593,10 +593,11 @@ class FanoutCluster : public ClusterTransport {
   /// Spawns journal_ + monitor_ (Connect tail, after validation).
   void StartHealthMonitor();
 
-  /// Monitor collector: one HealthInputs party per daemon plus "broker".
+  /// Monitor collector: one HealthInputs party per daemon plus "broker",
+  /// whose loss rate sums `rates` (replay_dropped_events_, rescue_dropped_).
   /// Also evaluates the load-shed hysteresis, since it already holds the
   /// replay depths.
-  void CollectHealthInputs(const MetricsTimeSeries& series, int64_t window_us,
+  void CollectHealthInputs(std::span<const double> rates,
                            HealthInputs* inputs);
 
   /// Monitor observer: under kAuto, decides the desired active policy
@@ -630,9 +631,10 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> next_batch_sequence_{1};
 
   /// The broker's metrics, apart from the process-wide registry the
-  /// daemons' series live in: the monitor samples it, and GetStatsText()
-  /// renders it as the `# source broker` section. Declared before
-  /// monitor_, which must not outlive it.
+  /// daemons' series live in: the monitor rates two of its counters and
+  /// publishes its health gauges here, and GetStatsText() renders it as
+  /// the `# source broker` section. Declared before monitor_, which must
+  /// not outlive it.
   MetricsRegistry registry_;
 
   // Degraded-mode series, resolved from registry_ once at construction.

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -128,23 +129,17 @@ void RpcServer::StartHealthMonitor() {
           ? std::nullopt
           : std::optional<uint32_t>(placement_.partition),
       options_.host, port());
-  const MetricLabels labels = {{"server", address_}};
-  const std::string stalls_key = MetricKey("rpc_inflight_stalls", labels);
-  const std::string errors_key = MetricKey("rpc_protocol_errors", labels);
-  const std::string slow_key = MetricKey("rpc_slow_requests", labels);
   health_monitor_ = std::make_unique<HealthMonitor>(
       MetricsRegistry::Default(), options_.event_journal,
-      [party, stalls_key, errors_key, slow_key](
-          const MetricsTimeSeries& series, int64_t window_us,
-          HealthInputs* inputs) {
+      std::vector<const Counter*>{inflight_stalls_metric_,
+                                  protocol_errors_metric_,
+                                  slow_requests_metric_},
+      [party](std::span<const double> rates, HealthInputs* inputs) {
         HealthInputs::Party self;
         self.name = party;
-        self.inflight_stall_rate_per_s =
-            series.CounterRate(stalls_key, window_us).value_or(0);
-        self.protocol_error_rate_per_s =
-            series.CounterRate(errors_key, window_us).value_or(0);
-        self.slow_request_rate_per_s =
-            series.CounterRate(slow_key, window_us).value_or(0);
+        self.inflight_stall_rate_per_s = rates[0];
+        self.protocol_error_rate_per_s = rates[1];
+        self.slow_request_rate_per_s = rates[2];
         inputs->parties.push_back(std::move(self));
       },
       options_.health_interval_ms);

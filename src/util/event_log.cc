@@ -89,7 +89,7 @@ void EventLog::Append(int64_t ts_us, std::string type,
   ++appended_;
   if (!path_.empty()) {
     // Open-per-append keeps external log rotation working without a signal
-    // handler, same as the metrics JSONL exporter.
+    // handler.
     std::FILE* out = std::fopen(path_.c_str(), "a");
     if (out != nullptr) {
       std::fprintf(out, "%s\n", line.c_str());

@@ -2,9 +2,9 @@
 // state changes, policy flips, load-shed starts/stops. One JSON object per
 // line, append-only, shared by the broker and magicrecsd.
 //
-// Rotation-friendly by construction: like the metrics JSONL exporter, the
-// file is opened in append mode per write, so an external logrotate can
-// rename the file between events without signaling the process. A bounded
+// Rotation-friendly by construction: the file is opened in append mode per
+// write, so an external logrotate can rename the file between events
+// without signaling the process. A bounded
 // in-memory ring of recent events backs tests and the scrape surface when
 // no file is configured.
 

@@ -28,16 +28,6 @@ std::string HistogramSummaryText(const Histogram& h) {
                    CompactDouble(h.Mean()).c_str());
 }
 
-std::string JsonEscapeKey(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  for (const char c : key) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 /// Replaces exposition-grammar characters in a metric name or label key
 /// with '_'. Names and keys are structural tokens, not data: escaping them
 /// would push the complexity onto every line-oriented consumer, so they are
@@ -232,86 +222,39 @@ HistogramMetric* MetricsRegistry::GetHistogram(const std::string& name,
   return GetHistogram(MetricKey(name, labels));
 }
 
-MetricsRegistry::Entries MetricsRegistry::CopyEntries() const {
-  Entries entries;
-  std::lock_guard<std::mutex> lock(mu_);
-  entries.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    entries.counters.emplace_back(name, c.get());
-  }
-  entries.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) entries.gauges.emplace_back(name, g.get());
-  entries.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    entries.histograms.emplace_back(name, h.get());
-  }
-  return entries;
-}
-
 std::string MetricsRegistry::RenderText() const {
-  const Entries entries = CopyEntries();
+  // Copy the pointers out under mu_ and read the values unlocked:
+  // Value()/Snapshot() are individually safe, and holding the registry
+  // mutex across a whole render would serialize against every hot-path
+  // GetCounter() miss. The maps are sorted, so the copies are too.
+  std::vector<std::pair<std::string, const Counter*>> counters;
+  std::vector<std::pair<std::string, const Gauge*>> gauges;
+  std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    counters.reserve(counters_.size());
+    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
+    gauges.reserve(gauges_.size());
+    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
+    histograms.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_) {
+      histograms.emplace_back(name, h.get());
+    }
+  }
   std::string out;
-  for (const auto& [name, c] : entries.counters) {
+  for (const auto& [name, c] : counters) {
     out += StrFormat("counter %s %llu\n", name.c_str(),
                      static_cast<unsigned long long>(c->Value()));
   }
-  for (const auto& [name, g] : entries.gauges) {
+  for (const auto& [name, g] : gauges) {
     out += StrFormat("gauge %s %lld\n", name.c_str(),
                      static_cast<long long>(g->Value()));
   }
-  for (const auto& [name, h] : entries.histograms) {
+  for (const auto& [name, h] : histograms) {
     out += StrFormat("hist %s %s\n", name.c_str(),
                      HistogramSummaryText(h->Snapshot()).c_str());
   }
   return out;
-}
-
-std::string MetricsRegistry::RenderJson() const {
-  const Entries entries = CopyEntries();
-  std::string out = "{";
-  bool first = true;
-  const auto append_key = [&out, &first](const std::string& key) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + JsonEscapeKey(key) + "\": ";
-  };
-  for (const auto& [name, c] : entries.counters) {
-    append_key(name);
-    out += StrFormat("%llu", static_cast<unsigned long long>(c->Value()));
-  }
-  for (const auto& [name, g] : entries.gauges) {
-    append_key(name);
-    out += StrFormat("%lld", static_cast<long long>(g->Value()));
-  }
-  for (const auto& [name, h] : entries.histograms) {
-    const Histogram snapshot = h->Snapshot();
-    append_key(name);
-    out += StrFormat(
-        "{\"count\": %llu, \"p50\": %s, \"p90\": %s, \"p99\": %s, "
-        "\"max\": %lld, \"mean\": %s}",
-        static_cast<unsigned long long>(snapshot.Count()),
-        CompactDouble(snapshot.Percentile(50)).c_str(),
-        CompactDouble(snapshot.Percentile(90)).c_str(),
-        CompactDouble(snapshot.Percentile(99)).c_str(),
-        static_cast<long long>(snapshot.Max()),
-        CompactDouble(snapshot.Mean()).c_str());
-  }
-  out += "}";
-  return out;
-}
-
-void MetricsRegistry::Export(MetricsSnapshotData* out) const {
-  const Entries entries = CopyEntries();
-  out->counters.clear();
-  out->gauges.clear();
-  out->histograms.clear();
-  for (const auto& [name, c] : entries.counters) {
-    out->counters[name] = c->Value();
-  }
-  for (const auto& [name, g] : entries.gauges) out->gauges[name] = g->Value();
-  for (const auto& [name, h] : entries.histograms) {
-    out->histograms.emplace(name, h->Snapshot());
-  }
 }
 
 MetricsRegistry* MetricsRegistry::Default() {

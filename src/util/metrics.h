@@ -4,7 +4,7 @@
 //
 // One process-wide registry (MetricsRegistry::Default()) is the export
 // surface: every subsystem registers its counters there, the kStatsText RPC
-// and the daemon's JSONL exporter render it, and nothing else needs to know
+// renders it (RenderText is the one export), and nothing else needs to know
 // which subsystem owns which counter. A fan-out broker is the exception: it
 // counts in a registry of its own (net/fanout_cluster.h), so brokers never
 // share a counter with each other or with in-process daemons.
@@ -15,8 +15,8 @@
 //
 // Counters are strictly monotonic: there is deliberately no Reset() — a
 // reset racing a concurrent render would produce a non-monotonic read,
-// and every consumer (rate computation, scrape-to-scrape deltas) assumes
-// monotonicity. Callers that need "since X"
+// and every consumer (the health monitor's CounterWindow rates,
+// scrape-to-scrape deltas) assumes monotonicity. Callers that need "since X"
 // deltas record a baseline and subtract (see RpcServer::stats()).
 
 #ifndef MAGICRECS_UTIL_METRICS_H_
@@ -130,15 +130,6 @@ std::string UnescapeLabelValue(const std::string& value);
 /// rejections in `metrics_sanitized_keys`.
 std::string MetricKey(const std::string& name, const MetricLabels& labels);
 
-/// A point-in-time copy of every metric in a registry, keyed by exposition
-/// key. This is the structured feed for the windowed time-series
-/// (util/timeseries.h) and the health engine built on it.
-struct MetricsSnapshotData {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  std::map<std::string, Histogram> histograms;
-};
-
 /// Registry of named metrics. Lookup creates on first use; the returned
 /// pointers remain valid for the registry's lifetime, so hot paths resolve
 /// once and increment through the cached pointer. Thread-safe.
@@ -162,32 +153,10 @@ class MetricsRegistry {
   /// (CI greps it); see docs/observability.md.
   std::string RenderText() const;
 
-  /// One-line JSON object {"key": value, ..., "hist_key": {...}} for the
-  /// JSONL file exporter.
-  std::string RenderJson() const;
-
-  /// Copies every metric's current value into `out` (cleared first).
-  /// Histograms are deep-copied so the caller can difference snapshots
-  /// later (Histogram::DeltaSince).
-  void Export(MetricsSnapshotData* out) const;
-
   /// The process-wide registry every subsystem reports into.
   static MetricsRegistry* Default();
 
  private:
-  /// Every metric's key and pointer, sorted by key within each kind.
-  struct Entries {
-    std::vector<std::pair<std::string, const Counter*>> counters;
-    std::vector<std::pair<std::string, const Gauge*>> gauges;
-    std::vector<std::pair<std::string, const HistogramMetric*>> histograms;
-  };
-
-  /// The one reader of the maps: copies the pointers out under mu_, so the
-  /// renderers read values unlocked — Value()/Snapshot() are individually
-  /// safe, and holding the registry mutex across a whole render would
-  /// serialize against every hot-path GetCounter() miss.
-  Entries CopyEntries() const;
-
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

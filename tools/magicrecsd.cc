@@ -45,8 +45,6 @@
 #include "util/clock.h"
 #include "util/event_log.h"
 #include "util/flags.h"
-#include "util/metrics.h"
-#include "util/metrics_export.h"
 #include "util/str_format.h"
 
 namespace {
@@ -73,12 +71,9 @@ struct DaemonOptions {
   int rpc_workers = 4;
 
   // Observability (docs/observability.md). slow_request_ms = 0 disables the
-  // slow-request log; metrics_dump_interval_s = 0 disables the JSONL
-  // exporter (util/metrics_export.h); health_interval_ms = 0 disables the
-  // self-health monitor.
+  // slow-request log; health_interval_ms = 0 disables the self-health
+  // monitor. Counts leave the daemon only through the kStatsText scrape.
   int64_t slow_request_ms = 0;
-  int64_t metrics_dump_interval_s = 0;
-  std::string metrics_dump_path = "metrics.jsonl";
   int health_interval_ms = 0;
   std::string health_journal_path;
 
@@ -86,7 +81,6 @@ struct DaemonOptions {
   bool graph_set = false;
   bool partitions_set = false;
   const char* synthetic_flag = nullptr;  // the last synthetic-graph flag
-  bool metrics_dump_path_set = false;
   bool fsync_batch_set = false;
 };
 
@@ -117,10 +111,6 @@ void PrintUsage() {
       "                         that peer (64)\n"
       "  --rpc-workers=N        reactor request worker threads (4)\n"
       "  --slow-request-ms=N    log requests slower than N ms; 0 = off (0)\n"
-      "  --metrics-dump-interval=N  append a metrics JSONL line every N\n"
-      "                         seconds; 0 = off (0)\n"
-      "  --metrics-dump-path=PATH   JSONL exporter target (metrics.jsonl;\n"
-      "                         requires --metrics-dump-interval)\n"
       "  --health-interval-ms=N self-health evaluation interval; publishes\n"
       "                         the health{party=...} gauge; 0 = off (0)\n"
       "  --health-journal=PATH  append health transitions as JSONL\n"
@@ -223,14 +213,6 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
       if (!IntFlag("slow-request-ms", value, &options->slow_request_ms, 0)) {
         return false;
       }
-    } else if (FlagValue(arg, "metrics-dump-interval", &value)) {
-      if (!IntFlag("metrics-dump-interval", value,
-                   &options->metrics_dump_interval_s, 0)) {
-        return false;
-      }
-    } else if (FlagValue(arg, "metrics-dump-path", &value)) {
-      options->metrics_dump_path = value;
-      options->metrics_dump_path_set = true;
     } else if (FlagValue(arg, "health-interval-ms", &value)) {
       if (!IntFlag("health-interval-ms", value, &options->health_interval_ms,
                    0)) {
@@ -301,11 +283,6 @@ bool ParseArgs(int argc, char** argv, DaemonOptions* options) {
   if (options->cluster.persist.sync_each_append &&
       options->cluster.persist.dir.empty()) {
     std::fprintf(stderr, "magicrecsd: --fsync requires --persist-dir\n");
-    return false;
-  }
-  if (options->metrics_dump_path_set && options->metrics_dump_interval_s == 0) {
-    std::fprintf(stderr, "magicrecsd: --metrics-dump-path requires "
-                         "--metrics-dump-interval\n");
     return false;
   }
   return true;
@@ -420,12 +397,6 @@ int main(int argc, char** argv) {
               options.host.c_str(), (*server)->port(), shape.c_str(),
               options.cluster.detector.k);
   std::fflush(stdout);
-
-  std::unique_ptr<MetricsJsonlDumper> dumper;
-  if (options.metrics_dump_interval_s > 0) {
-    dumper = std::make_unique<MetricsJsonlDumper>(
-        options.metrics_dump_path, options.metrics_dump_interval_s);
-  }
 
   int signal = 0;
   sigwait(&signals, &signal);
