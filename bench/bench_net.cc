@@ -20,11 +20,12 @@
 // publish->recommendation latency distribution (publish one event, drain,
 // gather — the time until that event's recommendations are in hand).
 // Per-event RPC pays one round trip per event, so batching is the lever
-// that recovers most of the gap; pipelining overlaps the framing/syscall
-// cost with daemon-side work; the multi-daemon rows price the paper's
-// process-per-partition deployment (every daemon ingests the full stream,
-// so fan-out multiplies bytes written, while the per-daemon detector work
-// shrinks with the shard).
+// that recovers most of the gap; pipelining writes a publish's frames to
+// each daemon in one writev, which the daemon serves as one run, and
+// overlaps that with daemon-side work; the multi-daemon rows price the
+// paper's process-per-partition deployment (every daemon ingests the full
+// stream, so fan-out multiplies bytes written, while the per-daemon
+// detector work shrinks with the shard).
 //
 // Every row is also written to BENCH_net.json (one JSON array, rewritten
 // per run) so a CI job or an operator can diff runs machine-readably;

@@ -1,4 +1,4 @@
-// Experiment T6 — "memory pressure can be alleviated by pruning the D data
+// Experiment T10 — "memory pressure can be alleviated by pruning the D data
 // structure to only retain the most recent edges (since we desire timely
 // results)".
 //
@@ -17,7 +17,7 @@ using bench::Workload;
 using bench::WorkloadConfig;
 
 int main() {
-  std::printf("=== T6: pruning the D structure (window tau + per-vertex "
+  std::printf("=== T10: pruning the D structure (window tau + per-vertex "
               "cap) ===\n\n");
   WorkloadConfig config;
   config.num_users = 15'000;

@@ -373,10 +373,10 @@ Result<std::shared_lock<std::shared_mutex>> FanoutCluster::Enter() {
   return lifecycle;
 }
 
-template <typename FrameAt, typename OnFrame>
-void FanoutCluster::Exchange(std::span<Slot> slots, size_t frames,
-                             MessageTag expected, const FrameAt& frame_at,
-                             const OnFrame& on_frame) {
+template <typename OnFrame>
+void FanoutCluster::Exchange(std::span<Slot> slots,
+                             std::span<const FrameBuf> frames,
+                             MessageTag expected, const OnFrame& on_frame) {
   // Awaits the lane's oldest unanswered frame. Silence past
   // recv_timeout_ms, a transport failure or a wrong-kind reply fails the
   // lane; a server kError keeps it, since the session still answers.
@@ -395,22 +395,38 @@ void FanoutCluster::Exchange(std::span<Slot> slots, size_t frames,
     if (slot->live()) slot->replied++;
     on_frame(slot, f, reply, classified);
   };
+  // Queues every frame the lane's window has room for in one Start, so a
+  // window fill is one write per lane. The window is kPublishWindowFrames,
+  // or the daemon's in-flight cap when that is smaller: a fill then waits
+  // at the cap only behind other callers' calls.
+  std::vector<MuxConnection::CallHandle> started;
+  const auto fill = [&](Slot* slot, size_t window) {
+    const size_t room = window - (slot->started - slot->replied);
+    const size_t n = std::min(room, frames.size() - slot->started);
+    started.clear();
+    const Status status = slot->conn->Start(frames.subspan(slot->started, n),
+                                            options_.recv_timeout_ms, &started);
+    for (MuxConnection::CallHandle& call : started) {
+      slot->window[slot->started++ % kPublishWindowFrames] = std::move(call);
+    }
+    if (!status.ok()) FailLane(slot, status);
+  };
   // The window counts this exchange only: AcquireLanes may already have
   // run a replay flush's exchange on the same slot.
   for (Slot& slot : slots) slot.started = slot.replied = 0;
-  for (size_t f = 0; f < frames; ++f) {
+  bool unsent = true;
+  while (unsent) {
+    unsent = false;
     for (Slot& slot : slots) {
+      if (!slot.live() || slot.started == frames.size()) continue;
+      const uint32_t cap = slot.conn->server_max_inflight();
+      const size_t window =
+          cap == 0 ? kPublishWindowFrames
+                   : std::min<size_t>(kPublishWindowFrames, cap);
+      if (slot.started - slot.replied == window) reap(&slot);
       if (!slot.live()) continue;
-      if (slot.started - slot.replied == kPublishWindowFrames) reap(&slot);
-      if (!slot.live()) continue;
-      Result<MuxConnection::CallHandle> started =
-          slot.conn->Start(frame_at(f), options_.recv_timeout_ms);
-      if (started.ok()) {
-        slot.window[slot.started++ % kPublishWindowFrames] =
-            std::move(started).value();
-      } else {
-        FailLane(&slot, started.status());
-      }
+      fill(&slot, window);
+      unsent |= slot.live() && slot.started < frames.size();
     }
   }
   for (Slot& slot : slots) {
@@ -455,26 +471,27 @@ void FanoutCluster::FlushReplayOn(Slot* slot) {
   // own. Replies are reaped in order under the lock, so each answered
   // frame of the snapshot is the queue's front.
   std::lock_guard<std::mutex> lock(daemon->replay_mu);
-  const std::vector<ReplayFrame> parked(daemon->replay.begin(),
-                                        daemon->replay.end());
+  std::vector<FrameBuf> parked;
+  parked.reserve(daemon->replay.size());
+  for (const ReplayFrame& frame : daemon->replay) parked.push_back(frame.frame);
   Exchange(
-      std::span(slot, 1), parked.size(), MessageTag::kAck,
-      [&](size_t f) -> const FrameBuf& { return parked[f].frame; },
-      [&](Slot* lane, size_t f, const std::vector<Frame>&,
+      std::span(slot, 1), parked, MessageTag::kAck,
+      [&](Slot* lane, size_t, const std::vector<Frame>&,
           const Status& classified) {
         // A failed lane keeps its unanswered frames parked for the next
         // attempt — consuming one here would lose its events without
         // counting them anywhere.
         if (!lane->live()) return;
+        const size_t events = daemon->replay.front().events;
         if (classified.ok()) {
-          replayed_events_->Increment(parked[f].events);
+          replayed_events_->Increment(events);
         } else {
           // The daemon took the frame but rejected it; replaying it again
           // would just re-fail. Count the loss and surface the rejection.
-          replay_dropped_events_->Increment(parked[f].events);
+          replay_dropped_events_->Increment(events);
           if (lane->server_error.ok()) lane->server_error = classified;
         }
-        daemon->replay_events -= parked[f].events;
+        daemon->replay_events -= events;
         daemon->replay.pop_front();
       });
 }
@@ -533,8 +550,7 @@ Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
   // Each lane's reply for the step pass, a failed lane's partial frames
   // too. A lane that never started keeps an empty one.
   std::vector<std::vector<Frame>> replies(slots.size());
-  Exchange(slots, 1, expected,
-           [&](size_t) -> const FrameBuf& { return framed; },
+  Exchange(slots, std::span(&framed, 1), expected,
            [&](Slot* slot, size_t, std::vector<Frame>& reply,
                const Status& classified) {
              slot->answered = classified.ok();
@@ -674,15 +690,19 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
     frame_events.push_back(n);
   }
 
+  // The lanes send the traced variant; the replay buffer keeps `frames`.
+  std::vector<FrameBuf> traced_frames;
+  if (trace.active()) {
+    traced_frames = frames;
+    traced_frames.front() = std::move(traced_first_frame);
+  }
+
   std::vector<Slot> slots = AcquireLanes(nullptr);
   // The pipeline: every daemon chews on the same prefix of the stream
   // concurrently. (The session additionally honors the cap the daemon
   // advertised in its hello reply — MuxConnection::Start blocks there.)
   Exchange(
-      slots, frames.size(), MessageTag::kAck,
-      [&](size_t f) -> const FrameBuf& {
-        return f == 0 && trace.active() ? traced_first_frame : frames[f];
-      },
+      slots, trace.active() ? traced_frames : frames, MessageTag::kAck,
       [&](Slot* slot, size_t, const std::vector<Frame>& reply,
           const Status& classified) {
         // A failed lane's unanswered frames park below (degraded) or fail

@@ -33,9 +33,9 @@
 // partition results. KillReplica/RecoverReplica route to the one daemon
 // hosting that partition. Every call runs one windowed exchange: acquire
 // the lanes (each flushing its owed replay through the same exchange),
-// start frame f on every lane before frame f+1, keep at most
-// kPublishWindowFrames unanswered per lane, and await and classify each
-// reply once. Broadcasts are the one-frame case and then apply one
+// queue the open window on every lane and write each lane once, keep at
+// most kPublishWindowFrames unanswered per lane, and await and classify
+// each reply once. Broadcasts are the one-frame case and then apply one
 // coverage rule; PublishBatch is the many-frame case. The group
 // HashPartitioner is exposed through Partitioner() so callers can
 // attribute a user (and its recommendations) to the daemon that owns it.
@@ -47,10 +47,11 @@
 // same connection without a leased-socket pool. A PublishBatch splits into
 // kPublishChunkEvents-event kPublishBatch frames, each tagged with a batch
 // sequence, and keeps up to kPublishWindowFrames of them outstanding
-// (distinct request_ids) per daemon before awaiting acks,
-// while the same bytes stream to every other daemon; daemons process
-// concurrently, the client never blocks on one daemon before writing to
-// the next.
+// (distinct request_ids) per daemon before awaiting acks. A lane's window
+// leaves in one writev, so the daemon reads it as one burst and serves it
+// as one run, then the same bytes go to the next daemon; daemons process
+// concurrently, the client never awaits one daemon before writing to the
+// next.
 //
 // Failure handling per daemon: replies are bounded by a per-call recv
 // timeout, a connection failure fails only that daemon's lane, and every
@@ -516,17 +517,20 @@ class FanoutCluster : public ClusterTransport {
   using ReplyStep =
       std::function<Status(Slot* slot, const std::vector<Frame>& reply)>;
 
-  /// The one way the broker talks to daemons: sends frame_at(f), f in
-  /// [0, frames), on every live slot, frame f on every lane before f+1,
-  /// reaping a lane's oldest frame rather than exceed kPublishWindowFrames
-  /// unanswered. Each reply is awaited and classified once, then handed to
+  /// The one way the broker talks to daemons: sends every frame on every
+  /// live slot, keeping at most kPublishWindowFrames (or the daemon's
+  /// smaller in-flight cap) unanswered per lane. Each lane's open window
+  /// is queued in one MuxConnection::Start and so written once: a fill
+  /// goes to every lane, then the lanes' oldest frames are reaped one at a
+  /// time and each freed slot refilled the same way. Each reply is
+  /// awaited and classified once, then handed to
   /// on_frame(slot, f, reply, classified): OK is an answer, an error on a
   /// live lane a server rejection, a dead lane a failure (its arrived
   /// frames included). A failed lane never answered frames
-  /// [slot.replied, frames).
-  template <typename FrameAt, typename OnFrame>
-  void Exchange(std::span<Slot> slots, size_t frames, MessageTag expected,
-                const FrameAt& frame_at, const OnFrame& on_frame);
+  /// [slot.replied, frames.size()).
+  template <typename OnFrame>
+  void Exchange(std::span<Slot> slots, std::span<const FrameBuf> frames,
+                MessageTag expected, const OnFrame& on_frame);
 
   /// The exchange behind every call but PublishBatch: one frame, then
   /// `on_reply` over every slot and one coverage rule. The caller holds

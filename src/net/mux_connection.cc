@@ -170,44 +170,57 @@ Status MuxConnection::DeliverLocked(Frame* frame, bool* completed) {
 
 Result<MuxConnection::CallHandle> MuxConnection::Start(
     const std::string& framed_request, int cap_wait_ms) {
-  // One copy into a shared block; the FrameBuf path shares it from there.
-  return Start(FrameBuf::Wrap(framed_request), cap_wait_ms);
+  const FrameBuf frame = FrameBuf::Wrap(framed_request);
+  std::vector<CallHandle> calls;
+  MAGICRECS_RETURN_IF_ERROR(Start(std::span(&frame, 1), cap_wait_ms, &calls));
+  return std::move(calls.front());
 }
 
-Result<MuxConnection::CallHandle> MuxConnection::Start(
-    FrameBuf framed_request, int cap_wait_ms) {
+Status MuxConnection::Start(std::span<const FrameBuf> framed_requests,
+                            int cap_wait_ms, std::vector<CallHandle>* calls) {
   std::unique_lock<std::mutex> lock(mu_);
-  // Honor the server's advertised in-flight cap: waiting here is the
-  // client half of the reactor's backpressure. The wait is bounded: a
-  // daemon that stops answering stops freeing slots, and every timeout
-  // that could notice lives in Await, which a hung Start never reaches.
-  if (server_max_inflight_ > 0) {
+  Status status;
+  for (const FrameBuf& request : framed_requests) {
+    // Honor the server's advertised in-flight cap: waiting here is the
+    // client half of the reactor's backpressure. Frames queued so far are
+    // written before the wait — they are the calls whose replies free the
+    // slots, so waiting with them unsent could never end. The wait is
+    // bounded: a daemon that stops answering stops freeing slots, and
+    // every timeout that could notice lives in Await, which a hung Start
+    // never reaches.
     const auto slot_free = [&] {
-      return broken_ || pending_.size() < server_max_inflight_;
+      return broken_ || server_max_inflight_ == 0 ||
+             pending_.size() < server_max_inflight_;
     };
-    if (cap_wait_ms > 0) {
-      if (!cv_.wait_for(lock, std::chrono::milliseconds(cap_wait_ms),
-                        slot_free)) {
-        return Status::Unavailable(StrFormat(
+    if (!slot_free()) {
+      FlushOutboxLocked(lock);
+      if (cap_wait_ms <= 0) {
+        cv_.wait(lock, slot_free);
+      } else if (!cv_.wait_for(lock, std::chrono::milliseconds(cap_wait_ms),
+                               slot_free)) {
+        status = Status::Unavailable(StrFormat(
             "no in-flight slot freed in %dms (%zu of %u outstanding)",
             cap_wait_ms, pending_.size(), server_max_inflight_));
+        break;
       }
-    } else {
-      cv_.wait(lock, slot_free);
     }
+    if (broken_) {
+      status = broken_status_;
+      break;
+    }
+    CallHandle call = std::make_shared<Call>();
+    call->id = next_id_++;
+    // Registration and outbox enqueue happen in the SAME mu_ critical
+    // section, so registration order == wire order: order-sensitive
+    // requests from one caller reach the daemon in the order they started.
+    pending_.emplace(call->id, call);
+    outbox_.Append(WrapMuxRequestShared(call->id, request));
+    calls->push_back(std::move(call));
   }
-  if (broken_) return broken_status_;
-  CallHandle call = std::make_shared<Call>();
-  call->id = next_id_++;
-  // Registration and outbox enqueue happen in the SAME mu_ critical
-  // section, so registration order == wire order: order-sensitive
-  // requests from one caller reach the daemon in the order they started.
-  pending_.emplace(call->id, call);
-  outbox_.Append(WrapMuxRequestShared(call->id, framed_request));
-  // From here a broken connection fails the call at Await, with the reply
+  // From here a broken connection fails the calls at Await, with the reply
   // frames that arrived first (a peer may answer and hang up mid-write).
   FlushOutboxLocked(lock);
-  return call;
+  return status;
 }
 
 void MuxConnection::FlushOutboxLocked(std::unique_lock<std::mutex>& lock) {

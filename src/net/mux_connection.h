@@ -1,10 +1,11 @@
 // One shared, request-id-multiplexed connection to an RPC daemon — the
 // client half of the wire protocol's hello/mux session extension
 // (net/wire.h). Many threads issue logical calls on the same socket:
-// Start() assigns a request id, wraps the request in a kMuxRequest
-// envelope, and registers a waiter; a dedicated reader thread demultiplexes
-// every incoming kMuxResponse to its waiter by id, so replies may return in
-// any order and one slow call never blocks the wire for the others.
+// Start() assigns each request an id, wraps it in a kMuxRequest envelope,
+// and registers a waiter (a span of requests in one critical section and
+// one write); a dedicated reader thread demultiplexes every incoming
+// kMuxResponse to its waiter by id, so replies may return in any order and
+// one slow call never blocks the wire for the others.
 //
 // Reader: the daemon's own parser, FrameAssembler (net/frame_io.h), turns
 // the reply stream into frames. Each blocking read takes up to
@@ -40,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -100,28 +102,38 @@ class MuxConnection {
   /// True once the connection failed; every Start/Await fails thereafter.
   bool broken() const;
 
-  /// Sends one framed request (exactly one frame from the wire encoders)
-  /// and registers its waiter. Blocks at the server's in-flight cap until
-  /// a slot frees; `cap_wait_ms` bounds that wait
-  /// (0 = forever) — a daemon that stops answering stops freeing slots,
-  /// and without the bound a publisher would hang here ahead of every
-  /// timeout that lives in Await. A cap-wait miss fails ONLY this call
-  /// (Unavailable); the connection is not poisoned. A registered call
-  /// fails only at Await, with any reply frames that arrived first.
+  /// Sends framed requests (each exactly one frame from the wire encoders)
+  /// as one call apiece, appending each call's handle to `calls` in
+  /// order. The request rides as a FrameBuf, so the send builds its
+  /// kMuxRequest envelope around the SAME payload block the caller encoded
+  /// (the fan-out broker hands one refcounted publish frame to every
+  /// daemon and every pipeline slot this way — no per-daemon copy). Every
+  /// call that fits under the server's in-flight cap is registered and
+  /// queued in one critical section, and the queue is flushed once, not
+  /// once per frame (a writev takes kMaxIovPerWritev segments, two per
+  /// frame). At the cap, Start first writes what it queued — those frames
+  /// are what will free the slots — and then waits for a slot;
+  /// `cap_wait_ms` bounds each such wait (0 = forever). A daemon that
+  /// stops answering stops freeing slots, and without the bound a
+  /// publisher would hang here ahead of every timeout that lives in Await.
+  /// A cap-wait miss or a broken connection ends the span with that error:
+  /// the calls already in `calls` stand (they fail only at Await, with any
+  /// reply frames that arrived first) and the rest were never sent. A miss
+  /// does not poison the connection.
+  ///
+  /// Sends go through a per-connection outbox chain drained by whichever
+  /// caller becomes the writer; a Start that arrives while another thread
+  /// is mid-write enqueues and returns once registered — its bytes follow
+  /// in order, and a failure of that later write fails its calls at
+  /// Await. No lock is held across blocking socket I/O, so concurrent
+  /// small calls are never convoyed behind one jumbo frame.
+  Status Start(std::span<const FrameBuf> framed_requests, int cap_wait_ms,
+               std::vector<CallHandle>* calls);
+
+  /// The one-call Start, for a request the caller holds as a string (one
+  /// copy into a shared block).
   Result<CallHandle> Start(const std::string& framed_request,
                            int cap_wait_ms = 0);
-
-  /// Zero-copy Start: the request rides as a FrameBuf, so the send builds
-  /// its kMuxRequest envelope around the SAME payload block the
-  /// caller encoded (the fan-out broker hands one refcounted publish frame
-  /// to every daemon and every pipeline slot this way — no per-daemon
-  /// copy). Sends go through a per-connection outbox chain drained by
-  /// whichever caller becomes the writer; a Start that arrives while
-  /// another thread is mid-write enqueues and returns once registered —
-  /// its bytes follow in order, and a failure of that later write fails
-  /// the call at Await. No lock is held across blocking socket I/O, so
-  /// concurrent small calls are never convoyed behind one jumbo frame.
-  Result<CallHandle> Start(FrameBuf framed_request, int cap_wait_ms = 0);
 
   /// Waits for the call's final reply frame and moves the frames out.
   /// `timeout_ms` 0 waits forever; otherwise it bounds SILENCE — each

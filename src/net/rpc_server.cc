@@ -372,7 +372,7 @@ void RpcServer::ReadReady(Conn* conn) {
       break;
     }
     conn->assembler.Append(buf, chunk->bytes);
-    DrainFrames(conn);
+    ParkFrames(conn);
     // Count a partial read only when parsing genuinely stopped short of a
     // frame boundary: a cap stall (read_paused) leaves COMPLETE frames
     // buffered and already has its own counter.
@@ -380,10 +380,15 @@ void RpcServer::ReadReady(Conn* conn) {
       partial_reads_metric_->Increment();
     }
   }
+  // Dispatch only now: every frame this readiness event delivered is
+  // parked, so a burst the peer wrote at once is served as one run however
+  // many read chunks it spanned.
+  TryDispatch(conn);
+  SettleFramingError(conn);
   UpdateInterest(conn);
 }
 
-void RpcServer::DrainFrames(Conn* conn) {
+void RpcServer::ParkFrames(Conn* conn) {
   const size_t cap = options_.max_inflight_per_conn;
   while (!conn->close_after_flush) {
     if (conn->parked.size() + conn->inflight >= cap) {
@@ -419,8 +424,6 @@ void RpcServer::DrainFrames(Conn* conn) {
       break;
     }
   }
-  TryDispatch(conn);
-  SettleFramingError(conn);
 }
 
 void RpcServer::SettleFramingError(Conn* conn) {
@@ -546,7 +549,7 @@ void RpcServer::DrainCompletions() {
         conn->parked.size() + conn->inflight <
             options_.max_inflight_per_conn) {
       conn->read_paused = false;
-      DrainFrames(conn);
+      ParkFrames(conn);
       ReadReady(conn);
       if (conns_.find(completion.conn_id) == conns_.end()) continue;
     } else {

@@ -14,13 +14,14 @@
 // carries many logical calls identified by request_id. The data path per
 // connection:
 //
-//   EPOLLIN -> non-blocking ReadChunk -> FrameAssembler (partial-read state
-//   machine) -> session gate (the opening hello is answered inline; mux
-//   envelopes are parked in arrival order) -> dispatch of a run (see
-//   below) as one task onto the worker ThreadPool -> one completion per
-//   run -> the loop appends the run's replies to the connection's outbox
-//   -> non-blocking WritevChunk with partial-write carry + EPOLLOUT when
-//   the socket buffer fills.
+//   EPOLLIN -> non-blocking ReadChunks until the socket would block ->
+//   FrameAssembler (partial-read state machine) -> session gate (the
+//   opening hello is answered inline; mux envelopes are parked in arrival
+//   order) -> once the readiness event is drained, dispatch of the parked
+//   requests as runs (see below), each one task onto the worker
+//   ThreadPool -> one completion per run -> the loop appends the run's
+//   replies to the connection's outbox -> non-blocking WritevChunk with
+//   partial-write carry + EPOLLOUT when the socket buffer fills.
 //
 // Ordering and backpressure: requests that mutate the event stream
 // (IsOrderSensitive) are applied in per-connection arrival order; on a
@@ -29,11 +30,14 @@
 // checkpoint or replica op alone (they may block for long, and acks held
 // behind them could trip the peer's receive timeout), or a publish-batch
 // together with every publish-batch parked directly behind it — served in
-// order, answered in one flush. Each connection caps dispatched-but-
-// unanswered requests at max_inflight_per_conn, each request of a run
-// counting against it — at the cap the loop stops reading that
-// connection, the kernel's TCP window fills, and the peer blocks:
-// end-to-end backpressure without a thread pinned per peer.
+// order, answered in one flush. A run is cut from what one readiness
+// event delivered: nothing is dispatched mid-read, so a broker's window,
+// written at once, is one run however many read chunks it spans. Each
+// connection caps dispatched-but-unanswered requests at
+// max_inflight_per_conn, each request of a run counting against it — at
+// the cap the loop stops reading that connection, the kernel's TCP window
+// fills, and the peer blocks: end-to-end backpressure without a thread
+// pinned per peer.
 //
 // Protocol-error policy (exercised by tests/net/rpc_robustness_test.cc and
 // tests/net/epoll_server_test.cc):
@@ -247,12 +251,17 @@ class RpcServer {
   void ResumeAccept();
 
   void HandleConnEvent(uint64_t id, uint32_t events);
+
+  /// Reads until the socket would block (or reading pauses), parking every
+  /// frame, then dispatches what was parked: what one readiness event
+  /// delivered is served as one run, however many read chunks it took.
   void ReadReady(Conn* conn);
 
-  /// Pulls complete frames out of the assembler and passes each through
-  /// ParkFrame; a framing error or session violation pauses reading and
-  /// records the deferred error reply.
-  void DrainFrames(Conn* conn);
+  /// Pulls complete frames out of the assembler, up to the in-flight cap,
+  /// and passes each through ParkFrame; dispatches nothing. A framing
+  /// error or session violation pauses reading and records the deferred
+  /// error reply.
+  void ParkFrames(Conn* conn);
 
   /// The session gate: answers the opening hello inline and parks mux
   /// envelopes. Returns the violation for any other frame.

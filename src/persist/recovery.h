@@ -1,7 +1,10 @@
 // Crash recovery for a durable process: restore = load the newest
 // snapshot's D (if any), then replay WAL records from the snapshot's
-// sequence cutoff — ingest-only, since recommendations for replayed events
-// were already delivered before the crash. Checkpoint = write a snapshot of
+// sequence cutoff — ingest-only: replayed events emit no recommendations.
+// Those taken before the crash were delivered; those emitted but not yet
+// taken died with the process and are NOT re-emitted, a known gap until
+// acknowledged takes let recovery re-run the query half for exactly the
+// unacknowledged events. Checkpoint = write a snapshot of
 // D, then reclaim WAL segments and snapshots it supersedes. S is never
 // persisted: Cluster::Create rebuilds it from the follow graph and then
 // restores the process's one D through RecoverDynamicState, once per

@@ -376,7 +376,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
 
   std::thread jumbo_writer([&] {
     Result<MuxConnection::CallHandle> call =
-        (*conn)->Start(FrameBuf::Wrap(jumbo));
+        (*conn)->Start(jumbo);
     EXPECT_TRUE(call.ok()) << call.status();
     jumbo_done.store(true, std::memory_order_release);
   });
@@ -384,7 +384,7 @@ TEST(MuxEgressTest, SmallStartIsNotConvoyedBehindAJumboFrameWrite) {
   // socket buffers (the server is not reading yet).
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   Result<MuxConnection::CallHandle> small =
-      (*conn)->Start(FrameBuf::Wrap(ping));
+      (*conn)->Start(ping);
   ASSERT_TRUE(small.ok()) << small.status();
   EXPECT_FALSE(jumbo_done.load(std::memory_order_acquire))
       << "the small Start waited for the whole jumbo write: sends are "

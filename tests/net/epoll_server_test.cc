@@ -15,7 +15,10 @@
 //     blocked in the transport before it closes every connection;
 //   * publish-batches queued behind one another are served as one run —
 //     one worker task, their acks in one write — and a run ends at every
-//     other order-sensitive request, which runs alone.
+//     other order-sensitive request, which runs alone;
+//   * a burst of publish-batches larger than one read chunk, written at
+//     once with nothing gated, is still one run: the loop dispatches only
+//     after the readiness event is drained.
 
 #include "net/rpc_server.h"
 
@@ -69,6 +72,18 @@ std::string OnePublish(VertexId src, uint64_t batch_sequence) {
   event.edge = TimestampedEdge{src, 7, 42};
   std::string frame;
   AppendPublishBatch(std::span(&event, 1), &frame, batch_sequence);
+  return frame;
+}
+
+/// A publish-batch of `n` events, sources from `first_src` on.
+std::string PublishOf(size_t n, VertexId first_src, uint64_t batch_sequence) {
+  std::vector<EdgeEvent> events(n);
+  for (size_t i = 0; i < n; ++i) {
+    events[i].edge = TimestampedEdge{first_src + static_cast<VertexId>(i), 7,
+                                     42};
+  }
+  std::string frame;
+  AppendPublishBatch(events, &frame, batch_sequence);
   return frame;
 }
 
@@ -394,6 +409,62 @@ TEST_F(EpollServerTest, QueuedPublishesRunAsOneTaskAndOneWrite) {
   }
   EXPECT_GE(most_frames_per_writev(), 15)
       << "the 15 queued publishes should be one run, acked in one write";
+}
+
+TEST_F(EpollServerTest, BurstLargerThanOneReadIsOneRunAndOneWrite) {
+  StartServer();
+  RawSession session = Open();
+  HistogramMetric* frames_per_writev = MetricsRegistry::Default()->GetHistogram(
+      "rpc_frames_per_writev",
+      {{"server", StrFormat("127.0.0.1:%u",
+                            static_cast<unsigned>(server_->port()))}});
+  const Histogram before = frames_per_writev->Snapshot();
+  const auto delta = [&] {
+    return frames_per_writev->Snapshot().DeltaSince(before);
+  };
+
+  // 16 publish-batches of 256 events, the frames of one 4096-event broker
+  // publish, written at once with no gate: more bytes than one read takes,
+  // so the loop needs two reads for them. The kernel may still hand a
+  // burst over in two readiness events (the loop can wake between the
+  // two segments of one send), which the server cannot join; so up to
+  // three bursts are sent, and one of them must come back as one run.
+  constexpr uint64_t kFrames = 16;
+  constexpr size_t kEventsPerFrame = 256;
+  constexpr int kBursts = 3;
+  uint64_t sent = 0;
+  for (int burst = 0; burst < kBursts && delta().Max() < 16; ++burst) {
+    std::string bytes;
+    for (uint64_t f = 0; f < kFrames; ++f) {
+      const uint64_t id = sent + f + 1;
+      bytes += MuxWrap(id, PublishOf(kEventsPerFrame, id * 1000, id));
+    }
+    ASSERT_GT(bytes.size(), kReadChunkBytes);
+    ASSERT_TRUE(session.Write(bytes).ok());
+    for (uint64_t f = 0; f < kFrames; ++f) {
+      Frame reply;
+      uint64_t id = 0;
+      ASSERT_TRUE(session.ReadReply(&reply, &id).ok()) << "publish " << f;
+      EXPECT_EQ(reply.tag, MessageTag::kAck);
+      EXPECT_EQ(id, sent + f + 1) << "publish acks leave in request order";
+    }
+    sent += kFrames;
+    // The loop records a writev's sample only after the kernel took the
+    // bytes, so the acks can be read before the last sample lands: wait
+    // until every ack frame is counted.
+    for (int i = 0; i < 500; ++i) {
+      const Histogram acked = delta();
+      if (acked.Mean() * static_cast<double>(acked.Count()) + 0.5 >=
+          static_cast<double>(sent)) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_EQ(transport_.publishes(), sent * kEventsPerFrame);
+  EXPECT_GE(delta().Max(), 16)
+      << "a burst of 16 publishes spanning two reads should be one run, "
+         "acked in one write";
 }
 
 TEST_F(EpollServerTest, PublishRunsEndAtEveryOtherOrderSensitiveRequest) {

@@ -6,7 +6,9 @@
 // mid-pipeline surfaces as a Status error, and the pool reconnects once the
 // daemon is back. The single-daemon deployment — one all-hosting endpoint —
 // gets its own cases: move-out gathers, Status codes across the wire,
-// persistence, an inline-mode daemon, and a server stop.
+// persistence, an inline-mode daemon, and a server stop. A publish longer
+// than the exchange window, against a daemon whose in-flight cap is far
+// below it, completes in order while a gather shares its connection.
 
 #include "net/fanout_cluster.h"
 
@@ -23,6 +25,7 @@
 
 #include "../persist/scoped_temp_dir.h"
 #include "fanout_test_util.h"
+#include "stub_transport.h"
 
 #include "cluster/cluster.h"
 #include "gen/activity_stream.h"
@@ -535,6 +538,55 @@ TEST(FanoutClusterTest, ConcurrentCallersShareThePool) {
   ASSERT_TRUE(g.broker->Drain().ok());
   auto recs = g.broker->TakeRecommendations();
   ASSERT_TRUE(recs.ok());
+}
+
+TEST(FanoutClusterTest, WindowRefillsPastASmallCapWithAGatherAlongside) {
+  // 40 frames against a window of 32 and a daemon cap of 4: the lane's
+  // window fills to the cap and refills after each reap. The first run is
+  // held in the transport, so the cap is full when the gather starts on
+  // the same connection; its Start must wait there without stranding
+  // queued frames, and both calls must finish once the hold is released.
+  constexpr size_t kFrames = net::kPublishWindowFrames + 8;
+  std::vector<EdgeEvent> events(kFrames * net::kPublishChunkEvents);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const VertexId id = static_cast<VertexId>(i + 1);
+    events[i].edge = TimestampedEdge{id, 7, static_cast<Timestamp>(id)};
+  }
+  net_test::StubTransport stub;
+  RpcServerOptions ropt;
+  ropt.max_inflight_per_conn = 4;
+  auto server = RpcServer::Start(&stub, ropt);
+  ASSERT_TRUE(server.ok()) << server.status();
+  FanoutClusterOptions fopt;
+  fopt.endpoints.resize(1);
+  fopt.endpoints[0].port = (*server)->port();
+  auto broker = FanoutCluster::Connect(fopt);
+  ASSERT_TRUE(broker.ok()) << broker.status();
+
+  stub.GatePublishes();
+  Status published;
+  std::thread publisher([&] { published = (*broker)->PublishBatch(events); });
+  for (int i = 0; i < 500 && !stub.publish_blocked(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(stub.publish_blocked());
+  Status gathered;
+  std::thread gatherer(
+      [&] { gathered = (*broker)->TakeRecommendations().status(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stub.Release();
+  publisher.join();
+  gatherer.join();
+  EXPECT_TRUE(published.ok()) << published;
+  EXPECT_TRUE(gathered.ok()) << gathered;
+
+  const std::vector<EdgeEvent> seen = stub.published();
+  ASSERT_EQ(seen.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(seen[i].edge, events[i].edge) << "event " << i;
+  }
+  EXPECT_EQ((*server)->stats().connections_accepted, 1u)
+      << "every call shares the one connection";
 }
 
 TEST(FanoutClusterTest, CallsAfterCloseFailCleanly) {

@@ -1233,11 +1233,13 @@ struct FuzzDaemon {
   bool running = true;
   int rejections = 0;        ///< scripted, not yet consumed
   size_t parked_frames = 0;  ///< owed by the broker's replay buffer
+  size_t parked_events = 0;  ///< the events of those frames
 };
 
 TEST(FanoutDegradedTest, ExchangeFuzz) {
   // Each trial puts a broker under a random policy in front of three stub
-  // daemons and runs a random mix of multi-frame publishes, drains,
+  // daemons and runs a random mix of multi-frame publishes (some longer
+  // than the exchange window), drains,
   // gathers, scripted publish rejections and one stop/restart of a daemon
   // on its own port. A model of the policy predicts every call's outcome:
   // a call fails iff a lane failed under strict, or a daemon rejected a
@@ -1309,6 +1311,7 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
         d->rejections -= hit;
         rejected |= hit > 0;
         d->parked_frames = 0;
+        d->parked_events = 0;
       }
       return rejected;
     };
@@ -1336,7 +1339,13 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
         d->stub.RejectPublishes(n);
         d->rejections += n;
       } else if (dice < 6) {
-        const size_t n = 1 + rng.UniformInt(4 * net::kPublishChunkEvents);
+        // One publish in four runs past the exchange window (up to 40
+        // frames), so its lanes refill after reaping, and so does the
+        // replay flush that later carries it.
+        const size_t max_frames =
+            rng.UniformInt(4) == 0 ? net::kPublishWindowFrames + 8 : 4;
+        const size_t n =
+            1 + rng.UniformInt(max_frames * net::kPublishChunkEvents);
         const size_t frames =
             (n + net::kPublishChunkEvents - 1) / net::kPublishChunkEvents;
         const std::vector<EdgeEvent> events = NumberedEvents(next_id, n);
@@ -1349,7 +1358,14 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
             d->rejections -= hit;
             expect_fail |= hit > 0;
           } else if (degraded) {
-            d->parked_frames += frames;
+            // Past the buffer's bound the whole publish is refused for
+            // this daemon, and its events are counted dropped.
+            if (d->parked_events + n > fopt.replay_buffer_events) {
+              expect_fail = true;
+            } else {
+              d->parked_frames += frames;
+              d->parked_events += n;
+            }
             parked_events += n;
           } else {
             expect_fail = true;

@@ -1,7 +1,8 @@
 // Session-layer acceptance: the mandatory hello (the protocol's version
 // gate), request-id multiplexing with out-of-order completion on one
 // socket, timeout-abandon keeping the connection usable, bounded waits at
-// the in-flight cap and in the hello read, and a seeded ingress fuzz of the
+// the in-flight cap and in the hello read, a span of calls longer than the
+// cap that writes its queue before it waits, and a seeded ingress fuzz of the
 // reply reader over a real socket; rerun a failure with
 //   MAGICRECS_FUZZ_SEED=<seed> ./net_mux_connection_test
 
@@ -220,6 +221,28 @@ TEST(MuxConnectionTest, CapWaitIsBoundedAgainstASilentServer) {
   ASSERT_TRUE((*conn)->Await(*drain, 5'000, &drain_reply).ok());
   ASSERT_TRUE((*conn)->CallOne(PingFrame(), 5'000, &reply).ok());
   EXPECT_EQ(reply[0].tag, MessageTag::kAck);
+}
+
+TEST(MuxConnectionTest, SpanPastTheCapWritesItsQueueBeforeItWaits) {
+  // Ten calls in one Start against a cap of 4: the first four are queued
+  // together, and only their replies can free the slots the rest wait
+  // for, so Start must write them before it waits. Otherwise the wait
+  // runs out its bound with nothing on the wire.
+  RpcServerOptions options;
+  options.max_inflight_per_conn = 4;
+  auto h = StartServer(options);
+  auto conn = MuxConnection::Dial("127.0.0.1", h->server->port(), {});
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  const std::vector<FrameBuf> pings(10, FrameBuf::Wrap(PingFrame()));
+  std::vector<MuxConnection::CallHandle> calls;
+  ASSERT_TRUE((*conn)->Start(pings, 5'000, &calls).ok());
+  ASSERT_EQ(calls.size(), pings.size());
+  for (const MuxConnection::CallHandle& call : calls) {
+    std::vector<Frame> reply;
+    ASSERT_TRUE((*conn)->Await(call, 5'000, &reply).ok());
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0].tag, MessageTag::kAck);
+  }
 }
 
 TEST(MuxConnectionTest, ManyThreadsShareOneConnection) {
