@@ -54,7 +54,7 @@ enum class HealthReason : uint8_t {
   kDaemonUnreachable,    // connection down, dial in backoff
   kGatherStaleness,      // consecutive gathers missing this party
   kReplayBacklog,        // replay buffer filling toward its bound
-  kReplayLoss,           // replay/rescue buffers dropped events in-window
+  kReplayLoss,           // replay buffer or reply carry dropped in-window
   kInflightStalls,       // reactor pausing reads at max_inflight
   kProtocolErrors,       // malformed frames / CRC failures in-window
   kSlowRequests,         // slow-request log firing in-window

@@ -121,18 +121,14 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
       replayed_events_(registry_.GetCounter("broker_replayed_events")),
       replay_dropped_events_(
           registry_.GetCounter("broker_replay_dropped_events")),
-      rescue_dropped_(registry_.GetCounter("broker_rescue_dropped")),
       policy_flips_(registry_.GetCounter("broker_policy_flips")),
-      shed_publishes_(registry_.GetCounter("broker_shed_publishes")),
-      rescued_recommendations_(
-          registry_.GetGauge("broker_rescued_recommendations")) {
+      shed_publishes_(registry_.GetCounter("broker_shed_publishes")) {
   if (options.policy != FanoutPolicy::kAuto) {  // kAuto starts strict
     active_policy_.store(options.policy, std::memory_order_relaxed);
   }
   registry_.GetGauge("broker_policy")
       ->Set(static_cast<int64_t>(active_policy()));
   registry_.GetGauge("broker_shedding")->Set(0);
-  rescued_recommendations_->Set(0);
   // Batch sequences must be unique across broker incarnations, not just
   // within one: the daemons' dedup window is keyed by the raw u64 and
   // outlives any one broker's connections, so a counter restarting at 1
@@ -154,6 +150,11 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
       (static_cast<uint64_t>(rd()) << 32) | static_cast<uint64_t>(rd());
   if (trace_epoch == 0) trace_epoch = 1;  // 0 is the wire's "no trace"
   next_trace_id_.store(trace_epoch, std::memory_order_relaxed);
+  // The take requests' broker id, random for the same reason: two brokers
+  // taking from one daemon must never share the reply it holds.
+  broker_id_ =
+      (static_cast<uint64_t>(rd()) << 32) | static_cast<uint64_t>(rd());
+  if (broker_id_ == 0) broker_id_ = 1;  // daemons refuse a take without one
   for (const FanoutEndpoint& endpoint : options.endpoints) {
     auto daemon = std::make_unique<Daemon>();
     daemon->endpoint = endpoint;
@@ -523,23 +524,6 @@ Status FanoutCluster::ClassifyReply(Slot* slot,
   return slot->status;
 }
 
-void FanoutCluster::RescuePending(std::vector<Recommendation>* recs) {
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  const size_t cap = options_.max_pending_recommendations;
-  const size_t room = cap > pending_.size() ? cap - pending_.size() : 0;
-  const size_t keep = std::min(room, recs->size());
-  pending_.insert(pending_.end(), std::make_move_iterator(recs->begin()),
-                  std::make_move_iterator(recs->begin() + keep));
-  SetRescuedLocked();
-  if (keep < recs->size()) {
-    rescue_dropped_->Increment(recs->size() - keep);
-  }
-}
-
-void FanoutCluster::SetRescuedLocked() {
-  rescued_recommendations_->Set(static_cast<int64_t>(pending_.size()));
-}
-
 Status FanoutCluster::Broadcast(Daemon* only, const std::string& request,
                                 MessageTag expected, Coverage coverage,
                                 const ReplyStep& on_reply) {
@@ -759,70 +743,76 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations() {
 Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
     GatherReport* caller_report) {
   MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
-  std::string request;
-  AppendEmptyRequest(MessageTag::kTakeRecommendations, &request);
-  // Start from whatever a previous partially-failed gather rescued, so a
-  // partial share this gather rescues finds the buffer's full room.
-  std::vector<Recommendation> recs;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    recs.swap(pending_);
-    SetRescuedLocked();
+  // One gather at a time: the daemons hold this broker's last reply until
+  // an ack names it, so two gathers in flight would both receive it.
+  std::lock_guard<std::mutex> gathering(gather_mu_);
+  std::vector<TakeAck> acks;
+  acks.reserve(daemons_.size());
+  for (const auto& daemon : daemons_) {
+    acks.push_back({daemon->endpoint.partition, daemon->merged_take});
   }
+  std::string request;
+  AppendTakeRecommendations(broker_id_, acks, &request);
+  std::vector<Recommendation> recs;
+  // The take id each merged daemon's reply named.
+  std::vector<std::pair<Daemon*, uint64_t>> merged_takes;
   GatherReport report;
   report.daemons_total = static_cast<uint32_t>(daemons_.size());
   // Gather: each daemon streams its share as chunked reply frames; the
   // merged result is their concatenation (cross-partition ordering is
-  // unspecified, exactly as with the in-process broker). Each daemon's
-  // chunks are STAGED and merged only when its stream completes: a daemon
-  // that dies mid-stream is reported missing, and recommendations it did
-  // deliver must not sit in a merge whose report names their partition
-  // absent — a caller compensating per the report would double-count
-  // them. The partial share is rescued instead (the server-side take was
-  // destructive) and rides with the next successful gather, like any
-  // other rescued share.
+  // unspecified, exactly as with the in-process broker). A daemon's share
+  // is merged only when its stream completed: a daemon that dies
+  // mid-stream is reported missing, and what it did deliver must not sit
+  // in a merge whose report names its partition absent. It keeps that
+  // share and sends it again, since its cursor does not move.
   const Status covered = Broadcast(
       nullptr, request, MessageTag::kRecommendationsReply, Coverage::kQuorum,
       [&](Slot* slot, const std::vector<Frame>& reply) {
         std::vector<Recommendation> staged;
         Status decoded;
-        bool more = true;
-        // A timed-out or died-mid-stream lane may still have decodable
-        // chunks: decode what arrived so the partial share is rescued,
-        // never dropped.
-        for (const Frame& frame : reply) {
-          if (frame.tag != MessageTag::kRecommendationsReply) break;
-          decoded = DecodeRecommendationsReply(frame.payload, &staged, &more);
-          if (!decoded.ok()) break;
+        uint64_t take = 0;
+        if (slot->answered) {
+          bool more = false;
+          for (const Frame& frame : reply) {
+            uint64_t chunk_take = 0;
+            decoded = DecodeRecommendationsReply(frame.payload, &staged, &more,
+                                                 &chunk_take);
+            if (!decoded.ok()) break;
+            // Every chunk of one stream names the same take: acking a mix
+            // would free a reply this gather never merged whole.
+            if (&frame != &reply.front() && chunk_take != take) {
+              decoded = Status::InvalidArgument(StrFormat(
+                  "reply stream names take %llu, then take %llu",
+                  static_cast<unsigned long long>(take),
+                  static_cast<unsigned long long>(chunk_take)));
+              break;
+            }
+            take = chunk_take;
+          }
+          if (decoded.ok() && more) {
+            // The session said "last frame" while the chunking protocol
+            // promised more: the reply stream is broken.
+            decoded =
+                Status::Internal("chunked reply ended with has_more set");
+          }
         }
-        if (slot->answered && decoded.ok() && more) {
-          // The session said "last frame" while the chunking protocol
-          // promised more: the reply stream is broken.
-          decoded = Status::Internal("chunked reply ended with has_more set");
-        }
-        // A daemon answered iff THIS gather's chunk stream completed on its
-        // lane — a replay-flush error carried in slot->status must not mark
-        // a daemon missing when its recommendations are in the merge.
-        const bool merged = slot->answered && decoded.ok();
-        if (merged) {
+        // The merge, the coverage report and the staleness series. A daemon
+        // answered iff THIS gather's chunk stream completed on its lane — a
+        // replay-flush error carried in slot->status must not mark a daemon
+        // missing when its recommendations are in the merge.
+        Daemon* daemon = slot->daemon;
+        if (slot->answered && decoded.ok()) {
           recs.insert(recs.end(), std::make_move_iterator(staged.begin()),
                       std::make_move_iterator(staged.end()));
-        } else if (!staged.empty()) {
-          RescuePending(&staged);
-        }
-        // The coverage report and the per-daemon staleness series.
-        Daemon* daemon = slot->daemon;
-        if (merged) {
+          merged_takes.emplace_back(daemon, take);
           daemon->gathers_missed_consecutive->Set(0);
-        } else {
-          daemon->gathers_missed->Increment();
-          daemon->gathers_missed_consecutive->Add(1);
-        }
-        const uint32_t partition = daemon->endpoint.partition;
-        if (merged) {
           report.daemons_answered++;
-        } else if (partition == FanoutEndpoint::kAllPartitions &&
-                   group_size_ > 0) {
+          return decoded;
+        }
+        daemon->gathers_missed->Increment();
+        daemon->gathers_missed_consecutive->Add(1);
+        const uint32_t partition = daemon->endpoint.partition;
+        if (partition == FanoutEndpoint::kAllPartitions && group_size_ > 0) {
           for (uint32_t p = 0; p < group_size_; ++p) {
             report.missing_partitions.push_back(p);
           }
@@ -834,15 +824,10 @@ Result<std::vector<Recommendation>> FanoutCluster::TakeRecommendations(
   std::sort(report.missing_partitions.begin(),
             report.missing_partitions.end());
   if (caller_report != nullptr) *caller_report = report;
-  if (!covered.ok()) {
-    // Below quorum (or strict, or a replay rejection): the healthy daemons
-    // already surrendered their share and a server-side take is
-    // destructive, so park it — bounded — for the next successful call
-    // instead of dropping it on the floor. Overflow is counted, never
-    // silent.
-    RescuePending(&recs);
-    return covered;
-  }
+  // Below quorum (or strict, or a replay rejection): the call returns
+  // nothing, so no cursor moves and every daemon sends its share again.
+  if (!covered.ok()) return covered;
+  for (const auto& [daemon, take] : merged_takes) daemon->merged_take = take;
   if (!report.complete()) {
     degraded_gathers_->Increment();
   }
@@ -977,7 +962,7 @@ void FanoutCluster::StartHealthMonitor() {
   journal_ = std::make_unique<EventLog>(options_.event_journal_path);
   monitor_ = std::make_unique<HealthMonitor>(
       &registry_, journal_.get(),
-      std::vector<const Counter*>{replay_dropped_events_, rescue_dropped_},
+      std::vector<const Counter*>{replay_dropped_events_},
       [this](std::span<const double> rates, HealthInputs* inputs) {
         CollectHealthInputs(rates, inputs);
       },
@@ -990,10 +975,10 @@ void FanoutCluster::StartHealthMonitor() {
 
 void FanoutCluster::CollectHealthInputs(std::span<const double> rates,
                                         HealthInputs* inputs) {
-  // Permanent event loss in-window (replay rejections, rescue overflow) is
-  // the broker's own failure to uphold the degraded contract — it scores
-  // the "broker" party, not a daemon.
-  const double loss_rate = rates[0] + rates[1];
+  // Permanent event loss in-window (replay rejections and overflow) is the
+  // broker's own failure to uphold the degraded contract — it scores the
+  // "broker" party, not a daemon.
+  const double loss_rate = rates[0];
 
   bool shed_raise = false;
   bool shed_all_clear = true;
@@ -1147,14 +1132,7 @@ Status FanoutCluster::Close() {
   // it under the shared lifecycle lock this barrier just drained.
   monitor_.reset();
   // With no call in flight anymore, drop everything a degraded run parked:
-  // rescued recommendations must not survive into a rebuilt broker's
-  // gathers, and replay buffers must not pin memory after close.
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.clear();
-    pending_.shrink_to_fit();
-    SetRescuedLocked();
-  }
+  // replay buffers must not pin memory after close.
   for (const auto& daemon : daemons_) {
     std::lock_guard<std::mutex> lock(daemon->replay_mu);
     daemon->replay.clear();

@@ -62,13 +62,20 @@
 // first call after it redials. A daemon kill mid-pipeline surfaces as a
 // Status error on the call — never a crash or a wedged broker — and
 // retrying after the daemon returns reconnects without rebuilding the
-// broker (tests/net/fanout_cluster_test.cc). Recommendations already
-// gathered when a gather fails — from healthy daemons, and any partial
-// share a daemon streamed before dying mid-reply — are buffered (bounded;
-// overflow is counted in broker_rescue_dropped) and delivered by
-// the next successful TakeRecommendations: the take is destructive
-// server-side, so dropping them would lose them, and a partial share must
-// not sit in a merge whose report names its partition missing.
+// broker (tests/net/fanout_cluster_test.cc). A gather loses nothing when
+// it fails: a daemon's take is acknowledged, not destructive. Each take
+// request carries the broker's random per-incarnation id and its cursor
+// for every daemon, the take id of the last reply it merged from it, and
+// a daemon holds each broker's last reply until that broker's cursor names
+// it (RpcServer, "Acknowledged takes"). A cursor moves only when the
+// gather succeeds and that daemon's stream completed and merged, so the
+// shares of a failed gather, and a partial share a daemon streamed before
+// its lane failed, merge nothing and are sent again by the next take.
+// Gathers run one at a time. Delivery is exactly once while this broker
+// and the daemons' servers live, and brokers sharing a daemon receive
+// disjoint shares. A restarted broker is a new broker to the daemons: the
+// last reply its predecessor had not acknowledged is not sent again, and
+// a daemon that dies loses what it held and had not yet handed out.
 //
 // Degraded-mode policy (FanoutClusterOptions::policy): the paper's
 // deployment keeps serving recommendations while individual partition
@@ -246,12 +253,6 @@ struct FanoutClusterOptions {
   /// overflow in broker_replay_dropped_events.
   size_t replay_buffer_events = 1 << 16;
 
-  /// Bound on the partial-gather rescue buffer (recommendations already
-  /// taken from healthy daemons when a gather failed, owed to the next
-  /// successful take). Overflow drops the newest rescued entries and
-  /// counts them in broker_rescue_dropped.
-  size_t max_pending_recommendations = 1 << 16;
-
   // --- health monitor --------------------------------------------------------
 
   /// > 0 runs the broker-side health monitor on this interval: it samples
@@ -297,12 +298,10 @@ class FanoutCluster : public ClusterTransport {
   Status Drain() override;
 
   /// Union of every answering daemon's gather, subject to the policy: a
-  /// failure below quorum returns the error and rescues everything already
-  /// taken from healthy daemons into a bounded client-side buffer,
-  /// prepended to the next successful call (server-side takes are
-  /// destructive; see the class comment). A quorum/best-effort success with
-  /// daemons missing returns the partial merge; the report overload names
-  /// the missing partitions.
+  /// failure below quorum returns the error and acknowledges nothing, so
+  /// the daemons send their shares again to the next call (see the class
+  /// comment). A quorum/best-effort success with daemons missing returns
+  /// the partial merge; the report overload names the missing partitions.
   Result<std::vector<Recommendation>> TakeRecommendations() override;
 
   /// Same gather, also filling `*report` (if non-null) with THIS call's
@@ -399,6 +398,11 @@ class FanoutCluster : public ClusterTransport {
     /// run since it last answered one (0 = it answered the latest).
     Counter* gathers_missed = nullptr;
     Gauge* gathers_missed_consecutive = nullptr;
+
+    /// The gather cursor: the take id of the last reply a successful
+    /// gather merged from this daemon (0: none), acked by every take.
+    /// Guarded by gather_mu_.
+    uint64_t merged_take = 0;
 
     /// Queue-and-replay state. replay_mu is held across the replay
     /// exchanges of a flush so replayed frames reach the daemon in publish
@@ -510,10 +514,10 @@ class FanoutCluster : public ClusterTransport {
   };
 
   /// A broadcast's per-reply step, run once per lane in daemon order with
-  /// whatever frames arrived — a failed lane's partial frames too, so the
-  /// gather can rescue them. slot->answered says whether the reply
-  /// classified as expected; an error return rejects it (the lane no
-  /// longer counts as answered and the error, tagged, becomes its status).
+  /// whatever frames arrived, a failed lane's partial frames too.
+  /// slot->answered says whether the reply classified as expected; an
+  /// error return rejects it (the lane no longer counts as answered and
+  /// the error, tagged, becomes its status).
   using ReplyStep =
       std::function<Status(Slot* slot, const std::vector<Frame>& reply)>;
 
@@ -562,15 +566,6 @@ class FanoutCluster : public ClusterTransport {
   /// Daemons that must answer for a broadcast to succeed under the policy.
   size_t RequiredQuorum() const;
 
-  /// Parks recommendations (moved out of *recs) in the bounded pending_
-  /// rescue buffer for the next successful gather; overflow is counted in
-  /// rescue_dropped_, never silent.
-  void RescuePending(std::vector<Recommendation>* recs);
-
-  /// Sets the broker_rescued_recommendations gauge to pending_.size().
-  /// Caller holds pending_mu_.
-  void SetRescuedLocked();
-
   /// Re-sends the daemon's parked replay frames on the slot's connection,
   /// pipelined through Exchange under replay_mu. Each answered frame
   /// leaves the buffer, counted as replayed (ack) or dropped (rejection);
@@ -598,7 +593,7 @@ class FanoutCluster : public ClusterTransport {
   void StartHealthMonitor();
 
   /// Monitor collector: one HealthInputs party per daemon plus "broker",
-  /// whose loss rate sums `rates` (replay_dropped_events_, rescue_dropped_).
+  /// whose loss rate is `rates` (replay_dropped_events_).
   /// Also evaluates the load-shed hysteresis, since it already holds the
   /// replay depths.
   void CollectHealthInputs(std::span<const double> rates,
@@ -620,11 +615,13 @@ class FanoutCluster : public ClusterTransport {
   /// call.
   std::shared_mutex lifecycle_mu_;
 
-  /// Recommendations rescued from a partially failed gather, owed to the
-  /// next successful TakeRecommendations. Bounded by
-  /// max_pending_recommendations; cleared by Close().
-  std::mutex pending_mu_;
-  std::vector<Recommendation> pending_;
+  /// Serializes gathers, and guards every Daemon::merged_take.
+  std::mutex gather_mu_;
+
+  /// Names this broker in every take request, so each daemon holds this
+  /// broker's last reply apart from other brokers'. A random epoch per
+  /// incarnation, like the batch sequences; never 0.
+  uint64_t broker_id_ = 0;
 
   /// Source of the idempotent batch sequences every publish frame carries.
   /// Seeded with a random epoch per broker incarnation (see the
@@ -635,7 +632,7 @@ class FanoutCluster : public ClusterTransport {
   std::atomic<uint64_t> next_batch_sequence_{1};
 
   /// The broker's metrics, apart from the process-wide registry the
-  /// daemons' series live in: the monitor rates two of its counters and
+  /// daemons' series live in: the monitor rates one of its counters and
   /// publishes its health gauges here, and GetStatsText() renders it as
   /// the `# source broker` section. Declared before monitor_, which must
   /// not outlive it.
@@ -645,10 +642,8 @@ class FanoutCluster : public ClusterTransport {
   Counter* const degraded_gathers_;
   Counter* const replayed_events_;
   Counter* const replay_dropped_events_;
-  Counter* const rescue_dropped_;
   Counter* const policy_flips_;
   Counter* const shed_publishes_;
-  Gauge* const rescued_recommendations_;
 
   // --- health monitor state --------------------------------------------------
 

@@ -288,8 +288,7 @@ Status MuxConnection::Await(const CallHandle& call, int timeout_ms,
       }
     }
     if (timed) {
-      // Timed out. Hand back whatever arrived — a gather's partial share
-      // is rescuable — then abandon the id.
+      // Timed out. Hand back whatever arrived, then abandon the id.
       const Status timeout = Status::Unavailable(StrFormat(
           "call timed out after %dms (%zu reply frames received)",
           timeout_ms, call->frames.size()));

@@ -26,8 +26,7 @@
 // Timeouts: a call that misses its deadline is abandoned — the id is
 // forgotten, late frames for it are discarded, and the connection stays
 // usable (the stream is still frame-aligned). Frames that DID arrive
-// before the deadline are handed back with the timeout, so a gather's
-// partial share can be rescued rather than dropped.
+// before the deadline are handed back with the timeout.
 //
 // Lifetime: Shutdown() (or destruction) severs the socket; the reader
 // fails every outstanding call with Unavailable and exits. A broken
@@ -140,8 +139,7 @@ class MuxConnection {
   /// arriving reply frame extends the deadline, so a chunked reply that
   /// keeps streaming never times out mid-delivery (the per-read recv
   /// timeout semantics of a blocking socket read). On a timeout, frames
-  /// that already arrived are still moved out (rescuable partial share)
-  /// and the call is abandoned.
+  /// that already arrived are still moved out and the call is abandoned.
   Status Await(const CallHandle& call, int timeout_ms,
                std::vector<Frame>* frames);
 

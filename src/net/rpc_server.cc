@@ -4,11 +4,13 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <random>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -35,7 +37,13 @@ RpcServer::RpcServer(ClusterTransport* transport,
       placement_(transport->placement()),
       stamp_party_(placement_.partition == Placement::kAllPartitions
                        ? kTracePartyAllHosting
-                       : placement_.partition) {}
+                       : placement_.partition) {
+  // A random epoch per incarnation, as the broker seeds its batch
+  // sequences: a restarted server must not reuse the id a broker's cursor
+  // still names, or that broker would free a reply it never merged.
+  std::random_device rd;
+  next_take_ = (static_cast<uint64_t>(rd()) << 32) | rd();
+}
 
 Result<std::unique_ptr<RpcServer>> RpcServer::Start(
     ClusterTransport* transport, const RpcServerOptions& options) {
@@ -82,6 +90,7 @@ void RpcServer::ResolveMetrics() {
   inflight_stalls_metric_ = registry->GetCounter("rpc_inflight_stalls", labels);
   mux_connections_metric_ = registry->GetCounter("rpc_mux_connections", labels);
   slow_requests_metric_ = registry->GetCounter("rpc_slow_requests", labels);
+  carry_dropped_metric_ = registry->GetCounter("rpc_carry_dropped", labels);
   writev_calls_metric_ = registry->GetCounter("rpc_writev_calls", labels);
   egress_bytes_metric_ = registry->GetCounter("rpc_egress_bytes", labels);
   frames_per_writev_metric_ =
@@ -122,7 +131,8 @@ Status RpcServer::StartLoop() {
 void RpcServer::StartHealthMonitor() {
   // Self-health: the daemon grades its own serving behavior from the same
   // registry counters the scrape surface renders. Only the rate rules fire
-  // — replay depth and gather staleness are the broker's view of this
+  // (recommendations dropped past the carry bound are its replay loss) —
+  // replay depth and gather staleness are the broker's view of this
   // daemon, not its own.
   const std::string party = HealthPartyName(
       placement_.partition == Placement::kAllPartitions
@@ -133,13 +143,15 @@ void RpcServer::StartHealthMonitor() {
       MetricsRegistry::Default(), options_.event_journal,
       std::vector<const Counter*>{inflight_stalls_metric_,
                                   protocol_errors_metric_,
-                                  slow_requests_metric_},
+                                  slow_requests_metric_,
+                                  carry_dropped_metric_},
       [party](std::span<const double> rates, HealthInputs* inputs) {
         HealthInputs::Party self;
         self.name = party;
         self.inflight_stall_rate_per_s = rates[0];
         self.protocol_error_rate_per_s = rates[1];
         self.slow_request_rate_per_s = rates[2];
+        self.replay_loss_rate_per_s = rates[3];
         inputs->parties.push_back(std::move(self));
       },
       options_.health_interval_ms);
@@ -194,6 +206,8 @@ RpcServerStats RpcServer::stats() const {
   stats.mux_connections =
       mux_connections_metric_->Value() - baseline_.mux_connections;
   stats.slow_requests = slow_requests_metric_->Value() - baseline_.slow_requests;
+  stats.carry_dropped =
+      carry_dropped_metric_->Value() - baseline_.carry_dropped;
   return stats;
 }
 
@@ -637,11 +651,13 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
     return;
   }
 
-  // A case that writes its own reply frames leaves `reply` non-empty; the
-  // rest set `status` and get an ack or an error below.
+  // A case that writes its own reply frames leaves `reply` non-empty (a
+  // take shares its held block instead); the rest set `status` and get an
+  // ack or an error below.
   const Stopwatch timer;
   const std::string_view payload = request.payload;
   std::string reply;
+  FrameBuf::Block held;
   Status status;
   switch (request.tag) {
     case MessageTag::kPublishBatch: {
@@ -681,19 +697,12 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
       break;
     }
     case MessageTag::kTakeRecommendations: {
-      Result<std::vector<Recommendation>> recs =
-          transport_->TakeRecommendations();
-      status = recs.status();
-      // A large gather streams as several bounded frames (one request, N
-      // ordered replies) so no reply can hit the frame-size cap. Delivery
-      // of a gather is at-most-once, mirroring the in-process move-out
-      // contract: recommendations taken here are gone if the reply write
-      // fails; the delivery pipeline's dedup absorbs any operator-level
-      // replay.
-      if (recs.ok()) {
-        AppendRecommendationsReplyChunked(*recs, kRecommendationsChunkBytes,
-                                          &reply);
-      }
+      // Acknowledged, not destructive: what this reply carries stays held
+      // until the broker's next take names its id, so a reply that is lost
+      // or never merged is sent again (see "Acknowledged takes").
+      Result<FrameBuf::Block> taken = Take(payload);
+      status = taken.status();
+      if (taken.ok()) held = std::move(taken).value();
       break;
     }
     case MessageTag::kDrain:
@@ -735,7 +744,7 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
                     static_cast<unsigned>(static_cast<uint8_t>(request.tag))));
       break;
   }
-  if (reply.empty()) {
+  if (reply.empty() && held == nullptr) {
     if (status.ok()) {
       AppendAck(&reply);
     } else {
@@ -759,7 +768,8 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
   // its body out of that block instead of copying it — the server-side
   // half of the zero-copy egress path.
   Result<FrameBuf> wrapped = WrapMuxResponsesShared(
-      request_id, FrameBuf::MakeBlock(std::move(reply)));
+      request_id,
+      held != nullptr ? held : FrameBuf::MakeBlock(std::move(reply)));
   if (!wrapped.ok()) {
     std::string error;
     AppendError(wrapped.status(), &error);
@@ -767,6 +777,75 @@ void RpcServer::HandleMuxEnvelope(const Frame& envelope, FrameBuf* response) {
     return;
   }
   *response = std::move(wrapped).value();
+}
+
+Result<FrameBuf::Block> RpcServer::Take(std::string_view payload) {
+  uint64_t broker = 0;
+  std::vector<TakeAck> acks;
+  MAGICRECS_RETURN_IF_ERROR(
+      DecodeTakeRecommendations(payload, &broker, &acks));
+  if (broker == 0) {
+    return Status::InvalidArgument("take-recommendations lacks its broker id");
+  }
+  uint64_t ack = 0;  // no entry for this server: nothing was merged
+  for (const TakeAck& entry : acks) {
+    if (entry.partition == placement_.partition) ack = entry.take;
+  }
+  std::lock_guard<std::mutex> lock(take_mu_);
+  auto held = held_.find(broker);
+  if (held != held_.end() && ack == held->second.take) {
+    held->second.frames.reset();
+    held->second.count = 0;
+  }
+  // The held reply is kept encoded, the bytes the peer was sent: only a
+  // carry, which the broker asks for after a failure, decodes it again.
+  std::vector<Recommendation> recs;
+  if (held != held_.end() && held->second.count > 0) {
+    FrameAssembler frames;
+    frames.Append(held->second.frames->data(), held->second.frames->size());
+    Frame frame;
+    bool ready = true;
+    bool more = true;
+    while (more) {
+      MAGICRECS_RETURN_IF_ERROR(frames.Next(&frame, &ready));
+      if (!ready) return Status::Internal("held reply ends mid-frame");
+      MAGICRECS_RETURN_IF_ERROR(
+          DecodeRecommendationsReply(frame.payload, &recs, &more));
+    }
+  }
+  // A failed take leaves every held reply and its id as they are.
+  MAGICRECS_ASSIGN_OR_RETURN(std::vector<Recommendation> fresh,
+                             transport_->TakeRecommendations());
+  if (held == held_.end()) {
+    if (held_.size() >= kMaxHeldReplies) {
+      const auto oldest = std::max_element(
+          held_.begin(), held_.end(), [this](const auto& a, const auto& b) {
+            return next_take_ - a.second.take < next_take_ - b.second.take;
+          });
+      carry_dropped_metric_->Increment(oldest->second.count);
+      held_.erase(oldest);
+    }
+    held = held_.emplace(broker, HeldReply{}).first;
+  }
+  if (recs.size() > kMaxCarriedRecommendations) {
+    carry_dropped_metric_->Increment(recs.size() - kMaxCarriedRecommendations);
+    recs.resize(kMaxCarriedRecommendations);
+  }
+  if (recs.empty()) {
+    recs = std::move(fresh);
+  } else {
+    recs.insert(recs.end(), std::make_move_iterator(fresh.begin()),
+                std::make_move_iterator(fresh.end()));
+  }
+  if (++next_take_ == 0) ++next_take_;  // 0 is the "nothing merged" ack
+  // A large gather streams as several bounded frames (one request, N
+  // ordered replies) so no reply can hit the frame-size cap.
+  std::string reply;
+  AppendRecommendationsReplyChunked(recs, kRecommendationsChunkBytes, &reply,
+                                    next_take_);
+  held->second = {FrameBuf::MakeBlock(std::move(reply)), recs.size(),
+                  next_take_};
+  return held->second.frames;
 }
 
 bool RpcServer::BeginBatch(uint64_t sequence) {

@@ -56,6 +56,27 @@
 //   * truncated frame / dropped connection -> the connection is reaped.
 // A closing kError never overtakes replies owed to earlier requests.
 // None of these touch the other connections or the daemon's lifetime.
+//
+// Acknowledged takes: a gather's recommendations stay with the server
+// until the broker says it merged them, the mirror image of the publish
+// side's replay buffer. The server holds each broker's last reply, the
+// encoded frames it sent, under that reply's take id, keyed by the
+// broker's random per-incarnation id (wire.h). A take whose ack (its entry
+// for this server's placement) names the held id frees it; any other take
+// carries its recommendations into that broker's own reply, ahead of the
+// fresh TakeRecommendations(). A reply lost on the wire or cut short, or
+// merged by no successful gather, is therefore simply sent again — to the
+// broker it was sent to, so brokers sharing a daemon still receive
+// disjoint shares. Holding the bytes rather than the decoded
+// recommendations keeps the daemon's memory where it was with destructive
+// takes: the bytes existed until the write anyway, and only a carry
+// decodes them again. Takes are serialized per server. Take ids start at
+// a random per-incarnation epoch and are never 0, so a restarted server
+// never matches a stale cursor. Delivery is exactly once per broker while
+// that broker and this server live. A restarted broker is a new broker:
+// its predecessor's last reply is not sent again, and stays held until
+// kMaxHeldReplies newer brokers push it out, counted as dropped. A stopped
+// server loses what it held.
 
 #ifndef MAGICRECS_NET_RPC_SERVER_H_
 #define MAGICRECS_NET_RPC_SERVER_H_
@@ -118,9 +139,10 @@ struct RpcServerOptions {
   /// lands in the `health{party=...}` gauge the kStatsText scrape renders.
   /// The party is named after the transport's placement (HealthPartyName:
   /// "pN" for a group member, else "host:port").
-  /// Only the rate rules apply: a daemon has no replay buffers or gather
-  /// staleness of its own; those are the broker's view of it. 0 (the
-  /// default) runs no monitor thread.
+  /// Recommendations dropped past the carry bound score as replay loss.
+  /// The other rules do not apply: a daemon has no replay buffers or
+  /// gather staleness of its own; those are the broker's view of it. 0
+  /// (the default) runs no monitor thread.
   int health_interval_ms = 0;
 
   /// Where health transitions are journaled (JSONL, util/event_log.h).
@@ -146,12 +168,24 @@ struct RpcServerStats {
   uint64_t inflight_stalls = 0;   ///< reads paused at the in-flight cap
   uint64_t mux_connections = 0;   ///< connections that completed the hello
   uint64_t slow_requests = 0;     ///< handlers past slow_request_us
+  uint64_t carry_dropped = 0;     ///< held recommendations past the bound
 };
 
 /// How many recently applied publish-batch sequences the server remembers
 /// (shared across connections): a broker's replay of a frame the daemon
 /// already applied under the same sequence is acked without applying it.
 inline constexpr size_t kPublishDedupWindow = 4096;
+
+/// How many held recommendations an unacknowledged take carries into the
+/// next reply; the rest are dropped and counted in rpc_carry_dropped. The
+/// fresh recommendations a take appends are never bounded.
+inline constexpr size_t kMaxCarriedRecommendations = 1 << 16;
+
+/// How many brokers' last replies a server holds at once. A take from a
+/// further broker drops the held reply of the broker that took least
+/// recently (most likely one that restarted or left), counted in
+/// rpc_carry_dropped: the server cannot tell whether that broker merged it.
+inline constexpr size_t kMaxHeldReplies = 16;
 
 class RpcServer {
  public:
@@ -307,6 +341,13 @@ class RpcServer {
   /// egress tests). Runs on several workers at once.
   void HandleMuxEnvelope(const Frame& envelope, FrameBuf* response);
 
+  /// Serves one kTakeRecommendations (see "Acknowledged takes" above):
+  /// frees or carries the requesting broker's held reply per its ack,
+  /// appends the fresh TakeRecommendations(), and returns the reply frames
+  /// of the result under a new take id — the block it now holds for that
+  /// broker.
+  Result<FrameBuf::Block> Take(std::string_view payload);
+
   /// Idempotent-batch admission. True iff `sequence` was already APPLIED
   /// inside the dedup window — the caller acks without applying. Otherwise
   /// marks the sequence in flight and returns false; the caller MUST
@@ -370,6 +411,22 @@ class RpcServer {
       inflight_batches_;
   std::deque<uint64_t> seen_batch_order_;
 
+  /// One broker's last reply: its frames (null once acknowledged), how
+  /// many recommendations they hold, and its take id. The take id also
+  /// dates the broker's last take: next_take_ - take is its age.
+  struct HeldReply {
+    FrameBuf::Block frames;
+    size_t count = 0;
+    uint64_t take = 0;
+  };
+
+  // The acknowledged take's state: each broker's held reply, by broker id
+  // (at most kMaxHeldReplies), and the take-id source, seeded with a random
+  // epoch at construction.
+  std::mutex take_mu_;
+  std::unordered_map<uint64_t, HeldReply> held_;
+  uint64_t next_take_ = 0;
+
   /// Registry-backed counters (util/metrics.h), labeled with address_ and
   /// resolved once in Start() after the listen socket is bound (an
   /// ephemeral port is only known then). The registry entries are
@@ -386,6 +443,7 @@ class RpcServer {
   Counter* inflight_stalls_metric_ = nullptr;
   Counter* mux_connections_metric_ = nullptr;
   Counter* slow_requests_metric_ = nullptr;
+  Counter* carry_dropped_metric_ = nullptr;
 
   // Zero-copy egress counters: writev (sendmsg) calls issued, bytes they
   // moved, and a histogram of whole frames each call retired — the

@@ -236,6 +236,18 @@ void AppendCheckpoint(Timestamp created_at, std::string* out) {
   AppendFrame(MessageTag::kCheckpoint, payload, out);
 }
 
+void AppendTakeRecommendations(uint64_t broker, std::span<const TakeAck> acks,
+                               std::string* out) {
+  std::string payload;
+  PutU64(&payload, broker);
+  PutU32(&payload, static_cast<uint32_t>(acks.size()));
+  for (const TakeAck& ack : acks) {
+    PutU32(&payload, ack.partition);
+    PutU64(&payload, ack.take);
+  }
+  AppendFrame(MessageTag::kTakeRecommendations, payload, out);
+}
+
 void AppendReplicaOp(MessageTag tag, uint32_t partition, uint32_t replica,
                      std::string* out) {
   std::string payload;
@@ -299,6 +311,27 @@ Status DecodeCheckpoint(std::string_view payload, Timestamp* created_at) {
   ByteReader reader = ReaderOf(payload);
   if (!reader.GetI64(created_at)) return Truncated("checkpoint");
   if (reader.remaining() != 0) return TrailingGarbage("checkpoint");
+  return Status::OK();
+}
+
+Status DecodeTakeRecommendations(std::string_view payload, uint64_t* broker,
+                                 std::vector<TakeAck>* acks) {
+  ByteReader reader = ReaderOf(payload);
+  uint32_t count = 0;
+  if (!reader.GetU64(broker) || !reader.GetU32(&count)) {
+    return Truncated("take-recommendations");
+  }
+  // partition:u32 ack:u64 per entry, checked before anything is reserved.
+  if (static_cast<uint64_t>(count) * 12 != reader.remaining()) {
+    return Status::InvalidArgument(StrFormat(
+        "take-recommendations count %u does not match %zu payload bytes",
+        count, reader.remaining()));
+  }
+  acks->resize(count);
+  for (TakeAck& ack : *acks) {
+    reader.GetU32(&ack.partition);
+    reader.GetU64(&ack.take);
+  }
   return Status::OK();
 }
 
@@ -541,10 +574,11 @@ class FrameWriter {
 }  // namespace
 
 void AppendRecommendationsReply(std::span<const Recommendation> recs,
-                                bool has_more, std::string* out) {
+                                bool has_more, std::string* out,
+                                uint64_t take) {
   size_t rec_bytes = 0;
   for (const Recommendation& rec : recs) rec_bytes += RecWireBytes(rec);
-  out->reserve(out->size() + kFrameHeaderBytes + 1 + 1 + 4 + rec_bytes);
+  out->reserve(out->size() + kFrameHeaderBytes + 1 + 1 + 8 + 4 + rec_bytes);
   FrameWriter frame(MessageTag::kRecommendationsReply, out);
   std::string* payload = frame.payload();
   PutU8(payload, has_more ? 1 : 0);
@@ -558,12 +592,13 @@ void AppendRecommendationsReply(std::span<const Recommendation> recs,
     PutU32(payload, static_cast<uint32_t>(rec.witnesses.size()));
     for (const VertexId witness : rec.witnesses) PutU32(payload, witness);
   }
+  PutU64(payload, take);
   frame.Finish();
 }
 
 void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
                                        size_t max_payload_bytes,
-                                       std::string* out) {
+                                       std::string* out, uint64_t take) {
   size_t begin = 0;
   do {
     size_t end = begin;
@@ -575,7 +610,7 @@ void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
       ++end;
     }
     AppendRecommendationsReply(recs.subspan(begin, end - begin),
-                               /*has_more=*/end < recs.size(), out);
+                               /*has_more=*/end < recs.size(), out, take);
     begin = end;
   } while (begin < recs.size());
 }
@@ -607,7 +642,7 @@ Status DecodeError(std::string_view payload) {
 
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,
-                                  bool* has_more) {
+                                  bool* has_more, uint64_t* take) {
   ByteReader reader = ReaderOf(payload);
   uint8_t more = 0;
   uint32_t count = 0;
@@ -639,6 +674,9 @@ Status DecodeRecommendationsReply(std::string_view payload,
     }
     recs->push_back(std::move(rec));
   }
+  uint64_t take_id = 0;
+  if (!reader.GetU64(&take_id)) return Truncated("recommendations-reply");
+  if (take != nullptr) *take = take_id;
   if (reader.remaining() != 0) return TrailingGarbage("recommendations-reply");
   return Status::OK();
 }

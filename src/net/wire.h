@@ -12,7 +12,7 @@
 //   frame := body_len:u32  masked_crc32c(body):u32  body
 //   body  := tag:u8  payload
 //
-// Session (protocol version 4). There is one session protocol: every
+// Session (protocol version 5). There is one session protocol: every
 // connection opens with a hello, and every request after it travels in a
 // mux envelope.
 //   kHello              marker:u8=0x01 proto_version:u32 features:u32
@@ -57,7 +57,17 @@
 //     payload length alone: a forged count that leaves tail-sized residue
 //     is rejected, not silently decoded as a sequence. The codec itself
 //     still encodes and decodes a batch without the tail (a sequence of 0).
-//   kTakeRecommendations  (empty)
+//   kTakeRecommendations  broker:u64 count:u32 (partition:u32 ack:u64)*
+//     `broker` is the taking broker's random per-incarnation id, never 0.
+//     The entries are its gather cursor for every daemon, so one encoded
+//     request serves every lane: each names a daemon by the partition its
+//     placement hosts (UINT32_MAX for an all-hosting daemon) and the take
+//     id of the last reply the broker merged from it. A daemon reads its
+//     own entry; a missing entry means ack 0, which no take id uses. A take
+//     is acknowledged, not destructive: the daemon keeps each broker's last
+//     reply until that broker's ack names the reply's id, and carries it
+//     into that broker's next reply otherwise (rpc_server.h, "Acknowledged
+//     takes"). A forged count that the payload cannot back is rejected.
 //   kDrain                (empty)
 //   kCheckpoint         created_at:i64
 //   kKillReplica        partition:u32 replica:u32
@@ -78,12 +88,14 @@
 //     emitted only when the acked request itself carried a trace — trace
 //     in, trace out.
 //   kError              code:u8 message-bytes (to end of payload)
-//   kRecommendationsReply has_more:u8 count:u32 rec*   where
+//   kRecommendationsReply has_more:u8 count:u32 rec* take:u64   where
 //     rec := user:u32 item:u32 witness_count:u32 trigger:u32
 //            event_time:i64  nwitnesses:u32 witness:u32*
 //     A gather too large for one frame streams as several reply frames;
-//     has_more != 0 on all but the last. One request, N ordered frames.
-//     Nothing follows the last rec: a trailing byte is rejected.
+//     has_more != 0 on all but the last. One request, N ordered frames,
+//     every one naming the same take id: the value the broker's next take
+//     acks once it merged the whole stream. Nothing follows the take id:
+//     a trailing byte is rejected.
 //   0x83                  retired (the typed stats reply); never reuse
 //   kStatsTextReply       the registry text exposition, raw UTF-8 bytes
 //
@@ -165,8 +177,10 @@ enum class MessageTag : uint8_t {
 /// Version 3 ended the stats reply at the salt, a layout a version-2
 /// decoder rejects. Version 4 retires the stats request and reply (tags
 /// 0x08 and 0x83) and ends kHelloReply with the server's placement, which a
-/// version-3 client never reads.
-inline constexpr uint32_t kProtocolVersion = 4;
+/// version-3 client never reads. Version 5 makes the take acknowledged: the
+/// request carries the broker's id and cursors and every reply chunk names
+/// its take id, layouts a version-4 decoder rejects.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Hello feature bits. A client asks for kFeatureMux; the server grants
 /// both bits to every hello that does.
@@ -217,8 +231,20 @@ Status DecodeFrameBody(const uint8_t* body, size_t body_len,
 void AppendPublishBatch(std::span<const EdgeEvent> events, std::string* out,
                         uint64_t batch_sequence = 0,
                         const TraceContext* trace = nullptr);
-void AppendEmptyRequest(MessageTag tag, std::string* out);  // take/drain/...
+void AppendEmptyRequest(MessageTag tag, std::string* out);  // drain/ping/...
 void AppendCheckpoint(Timestamp created_at, std::string* out);
+
+/// One entry of a take request: the daemon hosting `partition` last had
+/// its reply `take` merged (0: none yet).
+struct TakeAck {
+  uint32_t partition = 0;
+  uint64_t take = 0;
+
+  friend bool operator==(const TakeAck&, const TakeAck&) = default;
+};
+/// `broker` is the taking broker's id (the daemon refuses 0).
+void AppendTakeRecommendations(uint64_t broker, std::span<const TakeAck> acks,
+                               std::string* out);
 void AppendReplicaOp(MessageTag tag, uint32_t partition, uint32_t replica,
                      std::string* out);
 
@@ -230,6 +256,8 @@ Status DecodePublishBatch(std::string_view payload,
                           uint64_t* batch_sequence = nullptr,
                           TraceContext* trace = nullptr);
 Status DecodeCheckpoint(std::string_view payload, Timestamp* created_at);
+Status DecodeTakeRecommendations(std::string_view payload, uint64_t* broker,
+                                 std::vector<TakeAck>* acks);
 Status DecodeReplicaOp(std::string_view payload, uint32_t* partition,
                        uint32_t* replica);
 
@@ -285,17 +313,18 @@ void AppendError(const Status& status, std::string* out);
 /// context when absent (the empty payload).
 Status DecodeAck(std::string_view payload, TraceContext* trace = nullptr);
 
-/// One reply frame holding exactly these recommendations.
+/// One reply frame holding exactly these recommendations, named `take`.
 void AppendRecommendationsReply(std::span<const Recommendation> recs,
-                                bool has_more, std::string* out);
+                                bool has_more, std::string* out,
+                                uint64_t take = 0);
 
 /// Splits a gather across as many reply frames as its encoded size needs
 /// (target payload <= max_payload_bytes, one oversized rec still ships
-/// alone). Always emits at least one frame so an empty gather gets its
-/// empty reply.
+/// alone), each named `take`. Always emits at least one frame so an empty
+/// gather gets its empty reply.
 void AppendRecommendationsReplyChunked(std::span<const Recommendation> recs,
                                        size_t max_payload_bytes,
-                                       std::string* out);
+                                       std::string* out, uint64_t take = 0);
 
 /// The registry text exposition as a kStatsTextReply frame. The payload is
 /// the raw text; DecodeStatsTextReply exists for symmetry.
@@ -310,10 +339,11 @@ inline constexpr size_t kRecommendationsChunkBytes = 4u << 20;
 Status DecodeError(std::string_view payload);
 
 /// APPENDS the frame's recommendations to *recs (the caller accumulates
-/// across a chunked reply) and reports whether more frames follow.
+/// across a chunked reply) and reports whether more frames follow and,
+/// in `*take` (optional), the take id the frame names.
 Status DecodeRecommendationsReply(std::string_view payload,
                                   std::vector<Recommendation>* recs,
-                                  bool* has_more);
+                                  bool* has_more, uint64_t* take = nullptr);
 
 }  // namespace magicrecs::net
 

@@ -1,15 +1,19 @@
 // Crash recovery for a durable process: restore = load the newest
 // snapshot's D (if any), then replay WAL records from the snapshot's
 // sequence cutoff — ingest-only: replayed events emit no recommendations.
-// Those taken before the crash were delivered; those emitted but not yet
-// taken died with the process and are NOT re-emitted, a known gap until
-// acknowledged takes let recovery re-run the query half for exactly the
-// unacknowledged events. Checkpoint = write a snapshot of
-// D, then reclaim WAL segments and snapshots it supersedes. S is never
-// persisted: Cluster::Create rebuilds it from the follow graph and then
-// restores the process's one D through RecoverDynamicState, once per
-// process however many partitions and replicas it hosts. A killed replica
-// reads that same D when it rejoins, so it needs no recovery of its own.
+// Takes are acknowledged (net/rpc_server.h), so a recommendation the
+// broker acknowledged before the crash was delivered. Two kinds died with
+// the process and are NOT re-emitted: those held in the server's last,
+// unacknowledged reply to each broker, and those emitted but not yet
+// taken. That is a
+// known gap until recovery logs the acknowledged take and re-runs the
+// query half for exactly the unacknowledged events. Checkpoint = write a
+// snapshot of D, then reclaim WAL segments and snapshots it supersedes.
+// S is never persisted: Cluster::Create rebuilds it from the follow graph
+// and then restores the process's one D through RecoverDynamicState, once
+// per process however many partitions and replicas it hosts. A killed
+// replica reads that same D when it rejoins, so it needs no recovery of
+// its own.
 //
 // Recovery is deterministic: D is a pure function of the event stream, so
 // snapshot-load + replay reproduces exactly the state an uninterrupted run

@@ -76,8 +76,7 @@ TEST(FrameBufTest, FrameByteIdenticalToAppendFrameAcrossSegments) {
 }
 
 TEST(FrameBufTest, WrapMuxRequestSharedByteIdenticalAndSharesTheBlock) {
-  std::string inner;
-  AppendEmptyRequest(MessageTag::kTakeRecommendations, &inner);
+  const std::string inner = net_test::TakeRequest(/*ack=*/9);
   std::string flat;
   AppendMuxRequest(77, inner, &flat);
 
@@ -282,28 +281,36 @@ TEST_F(EgressServerTest, ChunkedGatherBytesIdenticalToTheStringEncoders) {
   transport_.set_recommendations(canned);
   StartServer();
 
-  std::string expected;
-  AppendRecommendationsReplyChunked(canned, kRecommendationsChunkBytes,
-                                    &expected);
-
-  std::string expected_wrapped;
-  ASSERT_TRUE(WrapMuxResponses(7, expected, &expected_wrapped).ok());
-
   auto session = net_test::RawSession::Open(server_->port());
   ASSERT_TRUE(session.ok()) << session.status();
-  ASSERT_TRUE(session
-                  ->Send(7, net_test::EmptyRequest(
-                                MessageTag::kTakeRecommendations))
-                  .ok());
+  ASSERT_TRUE(session->Send(7, net_test::TakeRequest()).ok());
 
   // Each envelope re-encoded from its parsed tag and payload: the header is
-  // a function of the body, so these are the bytes on the wire.
+  // a function of the body, so these are the bytes on the wire. The take
+  // id the server drew is read off the first chunk.
   std::string raw;
-  while (raw.size() < expected_wrapped.size()) {
+  std::string expected_wrapped;
+  do {
     Frame envelope;
     ASSERT_TRUE(session->Read(&envelope).ok());
     AppendFrame(envelope.tag, envelope.payload, &raw);
-  }
+    if (expected_wrapped.empty()) {
+      uint64_t id = 0;
+      bool last = false;
+      Frame inner;
+      ASSERT_TRUE(DecodeMuxResponse(envelope.payload, &id, &last, &inner).ok());
+      std::vector<Recommendation> first;
+      bool has_more = false;
+      uint64_t take = 0;
+      ASSERT_TRUE(
+          DecodeRecommendationsReply(inner.payload, &first, &has_more, &take)
+              .ok());
+      std::string expected;
+      AppendRecommendationsReplyChunked(canned, kRecommendationsChunkBytes,
+                                        &expected, take);
+      ASSERT_TRUE(WrapMuxResponses(7, expected, &expected_wrapped).ok());
+    }
+  } while (raw.size() < expected_wrapped.size());
   EXPECT_TRUE(raw == expected_wrapped)
       << "zero-copy egress changed the wire bytes";
 }

@@ -53,6 +53,7 @@ using net_test::HelloFrame;
 using net_test::MuxWrap;
 using net_test::RawSession;
 using net_test::StubTransport;
+using net_test::TakeRequest;
 
 /// Threads in this process right now (/proc/self/task entries).
 long CountThreads() {
@@ -155,7 +156,7 @@ TEST_F(EpollServerTest, ReplyLargerThanSocketBufferDrains) {
   StartServer();
   RawSession session = Open();
   ASSERT_TRUE(
-      session.Send(1, EmptyRequest(MessageTag::kTakeRecommendations)).ok());
+      session.Send(1, TakeRequest()).ok());
   // Let the server hit the full socket buffer before we start draining.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 

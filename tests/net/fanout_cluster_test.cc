@@ -449,9 +449,9 @@ TEST(FanoutClusterTest, WarmPingCostsEachDaemonOneRequest) {
 }
 
 TEST(FanoutClusterTest, PartialGatherIsRescuedNotDropped) {
-  // Server-side takes are destructive: when one daemon dies mid-gather,
-  // what the healthy daemons already surrendered must reappear on the next
-  // successful take instead of vanishing.
+  // When one daemon dies mid-gather, the gather fails and acknowledges
+  // nothing, so what the healthy daemons already sent must reappear on the
+  // next successful take instead of vanishing.
   Group g = StartGroup(figure1::FollowGraph(), /*group_size=*/2,
                        /*replicas=*/1);
   for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
@@ -474,7 +474,7 @@ TEST(FanoutClusterTest, PartialGatherIsRescuedNotDropped) {
   }
   ASSERT_FALSE(failed.ok()) << "gather kept succeeding with a dead daemon";
 
-  // Revive the victim and retake: the rescued recommendation must surface.
+  // Revive the victim and retake: the unmerged recommendation must surface.
   {
     RpcServerOptions ropt;
     ropt.port = victim_port;
@@ -538,6 +538,119 @@ TEST(FanoutClusterTest, ConcurrentCallersShareThePool) {
   ASSERT_TRUE(g.broker->Drain().ok());
   auto recs = g.broker->TakeRecommendations();
   ASSERT_TRUE(recs.ok());
+}
+
+TEST(FanoutClusterTest, ConcurrentGathersDeliverEachRecommendationOnce) {
+  // Two threads gather while a third publishes. Each daemon holds its last
+  // reply until a take acks it, so gathers run one at a time; the union of
+  // everything gathered must be the inline reference, no recommendation
+  // twice and none missing.
+  SocialGraphOptions gopt;
+  gopt.num_users = 200;
+  gopt.mean_followees = 8;
+  gopt.seed = 616;
+  auto graph = SocialGraphGenerator(gopt).Generate();
+  ASSERT_TRUE(graph.ok());
+  ActivityStreamOptions sopt;
+  sopt.num_events = 3'000;
+  sopt.events_per_second = 300;
+  sopt.seed = 617;
+  auto stream = ActivityStreamGenerator(&*graph, sopt).Generate();
+  ASSERT_TRUE(stream.ok());
+  const std::vector<EdgeEvent> events = ToEvents(stream->events);
+  const std::vector<Recommendation> reference =
+      Sorted(InlineReference(*graph, MakeClusterOptions(2), events));
+  ASSERT_FALSE(reference.empty());
+
+  Group g = StartGroup(*graph, /*group_size=*/2, /*replicas=*/1);
+  std::atomic<bool> published{false};
+  std::thread publisher([&] {
+    constexpr size_t kBatch = 128;
+    for (size_t i = 0; i < events.size(); i += kBatch) {
+      const size_t n = std::min(kBatch, events.size() - i);
+      EXPECT_TRUE(g.broker->PublishBatch(std::span(events.data() + i, n)).ok());
+    }
+    EXPECT_TRUE(g.broker->Drain().ok());
+    published = true;
+  });
+  std::vector<Recommendation> gathered[2];
+  auto gather = [&](std::vector<Recommendation>* into) {
+    while (!published) {
+      auto recs = g.broker->TakeRecommendations();
+      ASSERT_TRUE(recs.ok()) << recs.status();
+      into->insert(into->end(), recs->begin(), recs->end());
+    }
+  };
+  std::thread first(gather, &gathered[0]);
+  std::thread second(gather, &gathered[1]);
+  publisher.join();
+  first.join();
+  second.join();
+  auto last = g.broker->TakeRecommendations();
+  ASSERT_TRUE(last.ok()) << last.status();
+
+  std::vector<Recommendation> all = std::move(last).value();
+  for (const auto& recs : gathered) {
+    all.insert(all.end(), recs.begin(), recs.end());
+  }
+  EXPECT_EQ(Sorted(all), reference);
+}
+
+TEST(FanoutClusterTest, BrokersSharingADaemonTakeDisjointShares) {
+  // Two brokers take in turn from the same daemons. Each daemon holds each
+  // broker's last reply apart, so one broker's ack never frees, and its
+  // take never carries, the reply held for the other: the union of both
+  // brokers' takes is the inline reference, no recommendation twice.
+  SocialGraphOptions gopt;
+  gopt.num_users = 200;
+  gopt.mean_followees = 8;
+  gopt.seed = 616;
+  auto graph = SocialGraphGenerator(gopt).Generate();
+  ASSERT_TRUE(graph.ok());
+  ActivityStreamOptions sopt;
+  sopt.num_events = 3'000;
+  sopt.events_per_second = 300;
+  sopt.seed = 617;
+  auto stream = ActivityStreamGenerator(&*graph, sopt).Generate();
+  ASSERT_TRUE(stream.ok());
+  const std::vector<EdgeEvent> events = ToEvents(stream->events);
+  const std::vector<Recommendation> reference =
+      Sorted(InlineReference(*graph, MakeClusterOptions(2), events));
+  ASSERT_FALSE(reference.empty());
+
+  Group g = StartGroup(*graph, /*group_size=*/2, /*replicas=*/1);
+  FanoutClusterOptions other_opt;
+  other_opt.group_size = 2;
+  for (uint32_t p = 0; p < 2; ++p) {
+    FanoutEndpoint endpoint;
+    endpoint.port = g.daemons[p].server->port();
+    endpoint.partition = p;
+    other_opt.endpoints.push_back(endpoint);
+  }
+  auto other = FanoutCluster::Connect(other_opt);
+  ASSERT_TRUE(other.ok()) << other.status();
+  FanoutCluster* takers[2] = {g.broker.get(), other->get()};
+
+  std::vector<Recommendation> all;
+  size_t taken[2] = {0, 0};
+  auto take = [&](int i) {
+    auto recs = takers[i]->TakeRecommendations();
+    ASSERT_TRUE(recs.ok()) << recs.status();
+    taken[i] += recs->size();
+    all.insert(all.end(), recs->begin(), recs->end());
+  };
+  constexpr size_t kBatch = 64;
+  for (size_t i = 0; i < events.size(); i += kBatch) {
+    const size_t n = std::min(kBatch, events.size() - i);
+    ASSERT_TRUE(g.broker->PublishBatch(std::span(events.data() + i, n)).ok());
+    ASSERT_TRUE(g.broker->Drain().ok());  // each take finds fresh ones
+    take(static_cast<int>(i / kBatch % 2));
+  }
+  take(0);
+  take(1);
+  EXPECT_EQ(Sorted(all), reference);
+  EXPECT_GT(taken[0], 0u);
+  EXPECT_GT(taken[1], 0u);
 }
 
 TEST(FanoutClusterTest, WindowRefillsPastASmallCapWithAGatherAlongside) {
@@ -616,7 +729,7 @@ TEST(FanoutClusterTest, SingleDaemonSecondTakeIsEmpty) {
   EXPECT_EQ((*recs)[0].user, figure1::kA2);
   EXPECT_EQ((*recs)[0].item, figure1::kC2);
 
-  // Move-out semantics hold across the wire.
+  // The second take acknowledges the first, which is not sent again.
   auto empty = s.broker->TakeRecommendations();
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());

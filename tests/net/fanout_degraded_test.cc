@@ -47,6 +47,7 @@ namespace {
 
 using fanout_test::BrokerSeries;
 using fanout_test::Daemon;
+using fanout_test::ForwardingTransport;
 using fanout_test::Group;
 using fanout_test::InlineReference;
 using fanout_test::MakeClusterOptions;
@@ -66,11 +67,11 @@ using net::RpcServerOptions;
 /// calls by `delay` — the "slow daemon" whose unacked frame the broker
 /// times out on and later sends again as a replayed copy. Everything else
 /// forwards unchanged.
-class DelayingTransport : public ClusterTransport {
+class DelayingTransport : public ForwardingTransport {
  public:
   DelayingTransport(ClusterTransport* wrapped,
                     std::chrono::milliseconds delay, int delays)
-      : wrapped_(wrapped), delay_(delay), delays_left_(delays) {}
+      : ForwardingTransport(wrapped), delay_(delay), delays_left_(delays) {}
 
   Status PublishBatch(std::span<const EdgeEvent> events) override {
     if (delays_left_.fetch_sub(1, std::memory_order_relaxed) > 0) {
@@ -78,36 +79,40 @@ class DelayingTransport : public ClusterTransport {
     }
     return wrapped_->PublishBatch(events);
   }
-  Status Drain() override { return wrapped_->Drain(); }
-  Result<std::vector<Recommendation>> TakeRecommendations() override {
-    return wrapped_->TakeRecommendations();
-  }
-  Status Checkpoint(Timestamp created_at) override {
-    return wrapped_->Checkpoint(created_at);
-  }
-  Status KillReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->KillReplica(partition, replica);
-  }
-  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->RecoverReplica(partition, replica);
-  }
-  Placement placement() const override { return wrapped_->placement(); }
-  Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
-  ClusterTransport* wrapped_;
   std::chrono::milliseconds delay_;
   std::atomic<int> delays_left_;
+};
+
+/// A ClusterTransport decorator whose FIRST take returns only after
+/// `delay`: its reply outlasts the broker's recv timeout, so the broker
+/// drops the lane while the daemon's reply is still on its way.
+class SlowFirstTakeTransport : public ForwardingTransport {
+ public:
+  SlowFirstTakeTransport(ClusterTransport* wrapped,
+                         std::chrono::milliseconds delay)
+      : ForwardingTransport(wrapped), delay_(delay) {}
+
+  Result<std::vector<Recommendation>> TakeRecommendations() override {
+    Result<std::vector<Recommendation>> recs =
+        wrapped_->TakeRecommendations();
+    if (!slowed_.exchange(true)) std::this_thread::sleep_for(delay_);
+    return recs;
+  }
+
+ private:
+  std::chrono::milliseconds delay_;
+  std::atomic<bool> slowed_{false};
 };
 
 /// A ClusterTransport decorator whose FIRST PublishBatch blocks until
 /// Release() and then fails without applying anything — an apply caught in
 /// flight whose outcome turns out to be failure, exactly the window where
 /// a racing replayed copy must not be blind-acked. Later calls forward.
-class GatedFailingTransport : public ClusterTransport {
+class GatedFailingTransport : public ForwardingTransport {
  public:
-  explicit GatedFailingTransport(ClusterTransport* wrapped)
-      : wrapped_(wrapped) {}
+  using ForwardingTransport::ForwardingTransport;
 
   /// True once the first PublishBatch is inside the gate.
   bool first_apply_started() const {
@@ -131,24 +136,8 @@ class GatedFailingTransport : public ClusterTransport {
     }
     return wrapped_->PublishBatch(events);
   }
-  Status Drain() override { return wrapped_->Drain(); }
-  Result<std::vector<Recommendation>> TakeRecommendations() override {
-    return wrapped_->TakeRecommendations();
-  }
-  Status Checkpoint(Timestamp created_at) override {
-    return wrapped_->Checkpoint(created_at);
-  }
-  Status KillReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->KillReplica(partition, replica);
-  }
-  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->RecoverReplica(partition, replica);
-  }
-  Placement placement() const override { return wrapped_->placement(); }
-  Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
-  ClusterTransport* wrapped_;
   std::atomic<bool> first_taken_{false};
   std::atomic<bool> started_{false};
   std::mutex mu_;
@@ -160,51 +149,44 @@ class GatedFailingTransport : public ClusterTransport {
 /// without applying it: a revived daemon that refuses the frames parked
 /// for it. With `reject_stats_text` its stats-text scrape fails too.
 /// Everything else forwards unchanged.
-class RejectingTransport : public ClusterTransport {
+class RejectingTransport : public ForwardingTransport {
  public:
   explicit RejectingTransport(ClusterTransport* wrapped,
                               bool reject_stats_text = false)
-      : wrapped_(wrapped), reject_stats_text_(reject_stats_text) {}
+      : ForwardingTransport(wrapped), reject_stats_text_(reject_stats_text) {}
 
   Status PublishBatch(std::span<const EdgeEvent>) override {
     return Status::InvalidArgument("injected publish rejection");
   }
-  Status Drain() override { return wrapped_->Drain(); }
-  Result<std::vector<Recommendation>> TakeRecommendations() override {
-    return wrapped_->TakeRecommendations();
-  }
-  Status Checkpoint(Timestamp created_at) override {
-    return wrapped_->Checkpoint(created_at);
-  }
-  Status KillReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->KillReplica(partition, replica);
-  }
-  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
-    return wrapped_->RecoverReplica(partition, replica);
-  }
-  Placement placement() const override { return wrapped_->placement(); }
   Result<std::string> GetStatsText() override {
     if (reject_stats_text_) {
       return Status::Unavailable("injected stats-text failure");
     }
     return wrapped_->GetStatsText();
   }
-  Status Close() override { return Status::OK(); }  // wrapped_ not owned
 
  private:
-  ClusterTransport* wrapped_;
   bool reject_stats_text_;
 };
 
-/// A scripted daemon whose gathers die mid-stream. On every session it
-/// answers the hello as partition 2 of a 3-partition group (its place in
-/// StartScriptedGroup), then answers each gather with ONE chunk holding
-/// `rec` and has_more set — and then either hangs up (`hang_up`) or falls
-/// silent until the broker does. Any other request gets a kError.
+/// How a MidStreamDaemon's first gather goes wrong after its first chunk.
+enum class FirstGather {
+  kHangUp,      ///< it hangs up
+  kFallSilent,  ///< it falls silent until the broker hangs up
+  kMixTakeIds,  ///< a last, empty chunk names a take it never held
+};
+
+/// A scripted daemon whose first gather dies mid-stream. On every session
+/// it answers the hello as partition 2 of a 3-partition group (its place
+/// in StartScriptedGroup). It answers its FIRST gather with ONE chunk
+/// holding `rec` and has_more set — and then goes wrong as `first` says.
+/// Every later gather gets a whole reply, which carries `rec` again until
+/// a take acks the id of the reply that last carried it. Any other
+/// request gets a kError.
 class MidStreamDaemon {
  public:
-  MidStreamDaemon(const Recommendation& rec, bool hang_up)
-      : rec_(rec), hang_up_(hang_up) {
+  MidStreamDaemon(const Recommendation& rec, FirstGather first)
+      : rec_(rec), first_(first) {
     auto listener = net::TcpListener::Listen("127.0.0.1", 0);
     EXPECT_TRUE(listener.ok()) << listener.status();
     listener_ = std::move(listener).value();
@@ -256,14 +238,33 @@ class MidStreamDaemon {
       std::string reply;
       const bool gather =
           request.tag == net::MessageTag::kTakeRecommendations;
+      const bool cut = gather && take_ == 0;
       if (gather) {
-        net::AppendRecommendationsReply(std::span(&rec_, 1),
-                                        /*has_more=*/true, &reply);
+        uint64_t broker = 0;
+        std::vector<net::TakeAck> acks;
+        EXPECT_TRUE(
+            net::DecodeTakeRecommendations(request.payload, &broker, &acks)
+                .ok());
+        for (const net::TakeAck& ack : acks) {
+          if (ack.partition == 2 && take_ != 0 && ack.take == take_) {
+            acked_ = true;
+          }
+        }
+        const size_t share = acked_ ? 0 : 1;
+        net::AppendRecommendationsReply(std::span(&rec_, share),
+                                        /*has_more=*/cut, &reply, ++take_);
       } else {
         net::AppendError(Status::Unimplemented("scripted daemon"), &reply);
       }
       out.clear();
-      net::AppendMuxResponse(request_id, /*last=*/!gather, reply, &out);
+      net::AppendMuxResponse(request_id, /*last=*/!cut, reply, &out);
+      if (cut && first_ == FirstGather::kMixTakeIds) {
+        // The stream ends, but its last chunk names another take.
+        reply.clear();
+        net::AppendRecommendationsReply({}, /*has_more=*/false, &reply,
+                                        take_ + 1000);
+        net::AppendMuxResponse(request_id, /*last=*/true, reply, &out);
+      }
       if (!peer->WriteAll(out.data(), out.size()).ok()) return;
       if (!gather) continue;
       {
@@ -271,12 +272,14 @@ class MidStreamDaemon {
         gathers_++;
       }
       cv_.notify_all();
-      if (hang_up_) return;
+      if (cut && first_ == FirstGather::kHangUp) return;
     }
   }
 
   const Recommendation rec_;
-  const bool hang_up_;
+  const FirstGather first_;
+  uint64_t take_ = 0;   ///< id of the last reply sent (Serve thread only)
+  bool acked_ = false;  ///< a take acked a reply carrying rec_
   net::TcpListener listener_;
   std::atomic<bool> stopping_{false};
   std::mutex mu_;
@@ -497,8 +500,9 @@ TEST(FanoutDegradedTest, BestEffortGatherSurvivesEveryDaemonDown) {
 
 TEST(FanoutDegradedTest, QuorumNotMetReturnsErrorAndRescues) {
   // 2-daemon group with quorum 2: one death means the gather FAILS (below
-  // quorum) and the healthy daemon's share is rescued for the next
-  // successful take — the strict-mode rescue contract under quorum policy.
+  // quorum), so it acknowledges nothing, and the healthy daemon sends its
+  // share again to the next successful take — the strict-mode contract
+  // under quorum policy.
   Group g = StartGroup(figure1::FollowGraph(), 2, FanoutPolicy::kQuorum,
                        /*gather_quorum=*/2);
   for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
@@ -535,71 +539,152 @@ TEST(FanoutDegradedTest, QuorumNotMetReturnsErrorAndRescues) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  ASSERT_EQ(recs.size(), 1u) << "the rescued recommendation was dropped";
+  ASSERT_EQ(recs.size(), 1u) << "the unmerged recommendation was dropped";
   EXPECT_EQ(recs[0].user, figure1::kA2);
   EXPECT_EQ(recs[0].item, figure1::kC2);
 }
 
-TEST(FanoutDegradedTest, RescueBufferIsBoundedAndCountsDrops) {
-  // A rescue buffer capped at 1: a failed gather holding several
-  // recommendations keeps one and counts the rest as dropped — growth is
-  // bounded no matter how often partial gathers repeat.
-  TestWorkload w = MakeTestWorkload(2'000);
-  constexpr uint32_t kGroup = 2;
-  const std::vector<Recommendation> reference = Sorted(
-      InlineReference(w.graph, MakeClusterOptions(kGroup), w.events));
-  ASSERT_GT(reference.size(), 1u) << "need >= 2 recs to overflow a 1-cap";
-
-  FanoutClusterOptions fopt;
-  fopt.policy = FanoutPolicy::kQuorum;
-  fopt.gather_quorum = 2;  // any death -> below quorum -> rescue path
-  fopt.max_pending_recommendations = 1;
-  Group g = StartGroup(w.graph, kGroup, /*replicas=*/1, /*k=*/2, fopt);
-  ASSERT_TRUE(g.broker->PublishBatch(w.events).ok());
-  ASSERT_TRUE(g.broker->Drain().ok());
-
-  // Find a victim whose death leaves >= 2 recs on the survivor.
-  auto partitioner = g.broker->Partitioner();
-  ASSERT_TRUE(partitioner.ok());
-  size_t per_partition[kGroup] = {};
-  for (const Recommendation& rec : reference) {
-    per_partition[partitioner->PartitionOf(rec.user)]++;
+TEST(FanoutDegradedTest, CarriedReplyIsBoundedAndCountsDrops) {
+  // A take that does not ack the held reply carries it into the next one,
+  // but only up to kMaxCarriedRecommendations: the rest are dropped and
+  // counted, so a broker that never acks cannot grow a daemon's memory.
+  std::vector<Recommendation> recs(net::kMaxCarriedRecommendations + 3);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    recs[i].user = static_cast<VertexId>(i);
   }
-  const uint32_t survivor = per_partition[0] >= 2 ? 0 : 1;
-  ASSERT_GE(per_partition[survivor], 2u)
-      << "workload left no partition with 2+ recs";
-  const uint32_t victim = 1 - survivor;
-  const uint16_t victim_port = g.daemons[victim].server->port();
-  g.daemons[victim].server->Stop();
+  net_test::StubTransport stub;
+  stub.AddRecommendations(recs);
+  auto server = RpcServer::Start(&stub, RpcServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto session = net_test::RawSession::Open((*server)->port());
+  ASSERT_TRUE(session.ok()) << session.status();
 
-  Status failed;
-  for (int i = 0; i < 10 && failed.ok(); ++i) {
-    failed = g.broker->TakeRecommendations().status();
-  }
-  ASSERT_FALSE(failed.ok());
+  std::vector<Recommendation> first;
+  uint64_t first_take = 0;
+  ASSERT_TRUE(session->Send(1, net_test::TakeRequest(/*ack=*/0)).ok());
+  ASSERT_TRUE(session->ReadRecommendations(&first, &first_take).ok());
+  EXPECT_EQ(first.size(), recs.size());
+  EXPECT_NE(first_take, 0u);
 
-  // Revive the victim so the Ping sweep can answer, then check the rescue
-  // accounting: 1 kept (the bound), the rest counted dropped.
-  {
-    RpcServerOptions ropt;
-    ropt.port = victim_port;
-    auto revived = RpcServer::Start(g.daemons[victim].hosted.get(), ropt);
-    ASSERT_TRUE(revived.ok()) << revived.status();
-    g.daemons[victim].server = std::move(revived).value();
+  std::vector<Recommendation> second;
+  uint64_t second_take = 0;
+  ASSERT_TRUE(session->Send(2, net_test::TakeRequest(/*ack=*/0)).ok());
+  ASSERT_TRUE(session->ReadRecommendations(&second, &second_take).ok());
+  ASSERT_EQ(second.size(), net::kMaxCarriedRecommendations);
+  EXPECT_EQ(second.back().user, net::kMaxCarriedRecommendations - 1)
+      << "the carry keeps the oldest recommendations";
+  EXPECT_NE(second_take, first_take);
+  EXPECT_EQ((*server)->stats().carry_dropped, 3u);
+
+  // Acking the carried reply frees it.
+  std::vector<Recommendation> third;
+  uint64_t third_take = 0;
+  ASSERT_TRUE(session->Send(3, net_test::TakeRequest(second_take)).ok());
+  ASSERT_TRUE(session->ReadRecommendations(&third, &third_take).ok());
+  EXPECT_TRUE(third.empty());
+  EXPECT_EQ((*server)->stats().carry_dropped, 3u);
+}
+
+TEST(FanoutDegradedTest, HeldRepliesAreBoundedPerBroker) {
+  // A daemon holds one reply per broker, for at most kMaxHeldReplies
+  // brokers: a take by one more drops the reply of the broker that took
+  // least recently, counted as carry loss. A take naming no broker is
+  // refused.
+  std::vector<Recommendation> recs(5);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    recs[i].user = static_cast<VertexId>(i);
   }
-  Status reconnected;
-  for (int i = 0; i < 100; ++i) {
-    reconnected = g.broker->Ping();
-    if (reconnected.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  net_test::StubTransport stub;
+  stub.AddRecommendations(recs);
+  auto server = RpcServer::Start(&stub, RpcServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto session = net_test::RawSession::Open((*server)->port());
+  ASSERT_TRUE(session.ok()) << session.status();
+  uint64_t request_id = 0;
+  auto take = [&](uint64_t broker) {
+    std::vector<Recommendation> got;
+    uint64_t id = 0;
+    EXPECT_TRUE(session
+                    ->Send(++request_id,
+                           net_test::TakeRequest(
+                               /*ack=*/0, Placement::kAllPartitions, broker))
+                    .ok());
+    EXPECT_TRUE(session->ReadRecommendations(&got, &id).ok());
+    return got.size();
+  };
+
+  // Broker 1 takes the five and never acks them.
+  ASSERT_EQ(take(1), recs.size());
+  // kMaxHeldReplies - 1 more brokers fill the table; the next one pushes
+  // broker 1's reply out.
+  for (uint64_t broker = 2; broker <= net::kMaxHeldReplies; ++broker) {
+    ASSERT_EQ(take(broker), 0u);
   }
-  ASSERT_TRUE(reconnected.ok()) << reconnected;
-  EXPECT_EQ(BrokerSeries(g.broker.get(),
-                         "gauge broker_rescued_recommendations"),
-            1u)
-      << "rescue buffer exceeded its bound";
-  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_rescue_dropped"),
-            per_partition[survivor] - 1);
+  EXPECT_EQ((*server)->stats().carry_dropped, 0u);
+  ASSERT_EQ(take(net::kMaxHeldReplies + 1), 0u);
+  EXPECT_EQ((*server)->stats().carry_dropped, recs.size());
+  // Broker 1 comes back to nothing; the reply it pushes out was empty.
+  EXPECT_EQ(take(1), 0u);
+  EXPECT_EQ((*server)->stats().carry_dropped, recs.size());
+
+  ASSERT_TRUE(session->Send(++request_id,
+                            net_test::TakeRequest(
+                                /*ack=*/0, Placement::kAllPartitions,
+                                /*broker=*/0))
+                  .ok());
+  net::Frame reply;
+  ASSERT_TRUE(session->ReadReply(&reply).ok());
+  ASSERT_EQ(reply.tag, net::MessageTag::kError);
+  EXPECT_TRUE(net::DecodeError(reply.payload).IsInvalidArgument());
+}
+
+TEST(FanoutDegradedTest, TakeReplyPastTheTimeoutIsDeliveredOnce) {
+  // The daemon's first take answers only after the broker's recv timeout,
+  // so the broker drops the lane while the reply, holding Figure 1's one
+  // recommendation, is still on its way. The daemon holds that reply until
+  // a take acks it: the recommendation arrives exactly once, by a later
+  // take, under a strict and a quorum broker alike.
+  for (const FanoutPolicy policy :
+       {FanoutPolicy::kStrict, FanoutPolicy::kQuorum}) {
+    SCOPED_TRACE(std::string(net::FanoutPolicyName(policy)));
+    auto hosted =
+        Cluster::Create(figure1::FollowGraph(), MakeClusterOptions(2));
+    ASSERT_TRUE(hosted.ok()) << hosted.status();
+    ASSERT_TRUE((*hosted)->Start().ok());
+    SlowFirstTakeTransport slow(hosted->get(), std::chrono::milliseconds(600));
+    auto server = RpcServer::Start(&slow, RpcServerOptions{});
+    ASSERT_TRUE(server.ok()) << server.status();
+    FanoutClusterOptions fopt;
+    fopt.policy = policy;
+    fopt.recv_timeout_ms = 150;
+    fopt.endpoints.resize(1);
+    fopt.endpoints[0].port = (*server)->port();
+    auto broker = FanoutCluster::Connect(fopt);
+    ASSERT_TRUE(broker.ok()) << broker.status();
+    for (const EdgeEvent& event : ToEvents(figure1::DynamicEdges(0))) {
+      ASSERT_TRUE((*broker)->Publish(event).ok());
+    }
+    ASSERT_TRUE((*broker)->Drain().ok());
+
+    std::vector<Recommendation> delivered;
+    for (int i = 0; i < 60; ++i) {
+      auto taken = (*broker)->TakeRecommendations();
+      if (taken.ok()) {
+        delivered.insert(delivered.end(), taken->begin(), taken->end());
+        if (!taken->empty()) break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_EQ(delivered.size(), 1u)
+        << "Figure 1's recommendation was not delivered exactly once";
+    EXPECT_EQ(delivered[0].user, figure1::kA2);
+    EXPECT_EQ(delivered[0].item, figure1::kC2);
+    auto next = (*broker)->TakeRecommendations();
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_TRUE(next->empty()) << "the delivered recommendation came again";
+    ASSERT_TRUE((*broker)->Close().ok());
+    (*server)->Stop();
+  }
 }
 
 TEST(FanoutDegradedTest, StalledPublishFailsOverToReplayExactlyOnce) {
@@ -1017,18 +1102,17 @@ TEST(FanoutDegradedTest, StrictCallsStayStrictUnderQuorum) {
   EXPECT_NE(routed.ToString().find(named), std::string::npos) << routed;
 }
 
-TEST(FanoutDegradedTest, MidStreamRescueFindsTheBufferEmpty) {
-  // A gather starts from the rescue buffer, so the partial share a daemon
-  // streams before dying has the buffer's whole room — even when earlier
-  // rescues had filled it — and rides with the NEXT gather, not with the
-  // one whose report names its partition missing.
+TEST(FanoutDegradedTest, MidStreamShareIsResentNotMerged) {
+  // A share a daemon streams before its lane fails is merged by no gather:
+  // the report names its partition missing, the broker's cursor for it
+  // stays put, and the daemon sends the share again — whole this time — to
+  // the next gather, which delivers it once.
   Recommendation rec;
   rec.user = figure1::kA2;
   rec.item = figure1::kC2;
   rec.witness_count = 2;
-  MidStreamDaemon scripted(rec, /*hang_up=*/true);
+  MidStreamDaemon scripted(rec, FirstGather::kHangUp);
   FanoutClusterOptions fopt;
-  fopt.max_pending_recommendations = 1;
   fopt.reconnect_backoff_ms = 1;
   fopt.max_reconnect_backoff_ms = 1;
   ScriptedGroup g = StartScriptedGroup(scripted, fopt);
@@ -1043,29 +1127,52 @@ TEST(FanoutDegradedTest, MidStreamRescueFindsTheBufferEmpty) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // backoff
   auto second = g.broker->TakeRecommendations(&report);
   ASSERT_TRUE(second.ok()) << second.status();
-  ASSERT_EQ(second->size(), 1u) << "the first partial share was not delivered";
+  ASSERT_EQ(second->size(), 1u) << "the cut share was not sent again";
   EXPECT_EQ((*second)[0].user, rec.user);
-  EXPECT_EQ(report.missing_partitions, std::vector<uint32_t>{2});
+  EXPECT_TRUE(report.complete()) << report.ToString();
 
-  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_rescue_dropped"),
-            0u)
-      << "the second partial share found the buffer full";
-  EXPECT_EQ(BrokerSeries(g.broker.get(),
-                         "gauge broker_rescued_recommendations"),
-            1u);
+  auto third = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_TRUE(third->empty()) << "the merged share was delivered twice";
 }
 
-TEST(FanoutDegradedTest, CloseWaitsOutAnInFlightGather) {
-  // Close() severs the connections and then waits out every in-flight
-  // call — its tail included: a gather that fails below quorum parks its
-  // share after the lanes return, and must do so before Close() clears
-  // the buffer and lets the owner free the broker. The gather's report is
-  // the visible part of that tail.
+TEST(FanoutDegradedTest, StreamNamingTwoTakesIsNotMerged) {
+  // Every chunk of one reply stream names the same take. A stream that
+  // mixes ids is a decode error: merging it and acking its last id would
+  // free nothing the daemon holds, and the share would come again.
   Recommendation rec;
   rec.user = figure1::kA2;
   rec.item = figure1::kC2;
   rec.witness_count = 2;
-  MidStreamDaemon scripted(rec, /*hang_up=*/false);
+  MidStreamDaemon scripted(rec, FirstGather::kMixTakeIds);
+  ScriptedGroup g = StartScriptedGroup(scripted, FanoutClusterOptions{});
+
+  GatherReport report;
+  auto first = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->empty()) << "a stream naming two takes was merged";
+  EXPECT_EQ(report.missing_partitions, std::vector<uint32_t>{2});
+
+  auto second = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(second.ok()) << second.status();
+  ASSERT_EQ(second->size(), 1u) << "the rejected share was not sent again";
+  EXPECT_TRUE(report.complete()) << report.ToString();
+
+  auto third = g.broker->TakeRecommendations(&report);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_TRUE(third->empty()) << "the merged share was delivered twice";
+}
+
+TEST(FanoutDegradedTest, CloseWaitsOutAnInFlightGather) {
+  // Close() severs the connections and then waits out every in-flight
+  // call — its tail included: a gather that fails below quorum still
+  // writes its report after the lanes return, and must do so before
+  // Close() lets the owner free the broker.
+  Recommendation rec;
+  rec.user = figure1::kA2;
+  rec.item = figure1::kC2;
+  rec.witness_count = 2;
+  MidStreamDaemon scripted(rec, FirstGather::kFallSilent);
   FanoutClusterOptions fopt;
   fopt.gather_quorum = 3;
   ScriptedGroup g = StartScriptedGroup(scripted, fopt);
@@ -1231,6 +1338,8 @@ struct FuzzDaemon {
   std::unique_ptr<RpcServer> server;
   uint16_t port = 0;
   bool running = true;
+  bool ever_stopped = false;
+  std::vector<VertexId> queued;  ///< ids of the recommendations it emitted
   int rejections = 0;        ///< scripted, not yet consumed
   size_t parked_frames = 0;  ///< owed by the broker's replay buffer
   size_t parked_events = 0;  ///< the events of those frames
@@ -1239,14 +1348,18 @@ struct FuzzDaemon {
 TEST(FanoutDegradedTest, ExchangeFuzz) {
   // Each trial puts a broker under a random policy in front of three stub
   // daemons and runs a random mix of multi-frame publishes (some longer
-  // than the exchange window), drains,
-  // gathers, scripted publish rejections and one stop/restart of a daemon
-  // on its own port. A model of the policy predicts every call's outcome:
-  // a call fails iff a lane failed under strict, or a daemon rejected a
-  // frame — a fresh one or a replayed one. Afterwards every daemon must
-  // have applied each event at most once, in publish order, over the one
-  // connection it accepted (a rejection never poisons a lane), and every
-  // parked event must be counted replayed or dropped.
+  // than the exchange window), drains, gathers, numbered recommendations
+  // each daemon's take hands out once, scripted publish rejections and one
+  // stop/restart of a daemon on its own port. A model of the policy
+  // predicts every call's outcome: a call fails iff a lane failed under
+  // strict, or a daemon rejected a frame — a fresh one or a replayed one.
+  // Afterwards every daemon must have applied each event at most once, in
+  // publish order, over the one connection it accepted (a rejection never
+  // poisons a lane), and every parked event must be counted replayed or
+  // dropped. After one last gather, no recommendation has arrived twice,
+  // and each one of a daemon never stopped has arrived exactly once; the
+  // stopped daemon's old server lost the reply it held, so each of its
+  // recommendations arrives at most once.
   const uint64_t seed = FuzzSeed();
   SCOPED_TRACE("MAGICRECS_FUZZ_SEED=" + std::to_string(seed));
   Rng rng(seed);
@@ -1285,6 +1398,8 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
     ASSERT_TRUE(broker.ok()) << broker.status();
 
     VertexId next_id = 1;
+    VertexId next_rec = 1;
+    std::vector<Recommendation> delivered;
     size_t parked_events = 0;
     FuzzDaemon* stopped = nullptr;
     bool restarted = false;
@@ -1323,11 +1438,21 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
     };
 
     for (int op = 0; op < kOps; ++op) {
+      // A daemon emits up to two fresh recommendations for its next take.
+      FuzzDaemon* emitter = daemons[rng.UniformInt(kDaemons)].get();
+      std::vector<Recommendation> fresh(rng.UniformInt(3));
+      for (Recommendation& rec : fresh) {
+        rec.user = next_rec++;
+        emitter->queued.push_back(rec.user);
+      }
+      emitter->stub.AddRecommendations(fresh);
+
       const uint64_t dice = rng.UniformInt(10);
       if (dice == 0 && stopped == nullptr && !restarted) {
         stopped = daemons[rng.UniformInt(kDaemons)].get();
         stopped->server->Stop();
         stopped->running = false;
+        stopped->ever_stopped = true;
         ops_while_stopped = 0;
       } else if (dice == 0 && stopped != nullptr && ops_while_stopped > 0) {
         // At least one call saw the stopped daemon, so the broker has
@@ -1379,8 +1504,11 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
         if (dice < 8) {
           call("drain", expect_fail, (*broker)->Drain());
         } else {
-          call("gather", expect_fail,
-               (*broker)->TakeRecommendations().status());
+          auto taken = (*broker)->TakeRecommendations();
+          call("gather", expect_fail, taken.status());
+          if (taken.ok()) {
+            delivered.insert(delivered.end(), taken->begin(), taken->end());
+          }
         }
       }
     }
@@ -1394,6 +1522,22 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
                          "counter broker_replay_dropped_events"),
         parked_events)
         << "parked events went missing from the replay accounting";
+    auto last = (*broker)->TakeRecommendations();
+    call("final gather", false, last.status());
+    if (last.ok()) delivered.insert(delivered.end(), last->begin(), last->end());
+    std::vector<int> arrivals(next_rec);
+    for (const Recommendation& rec : delivered) {
+      ASSERT_LT(rec.user, next_rec) << "a gather invented a recommendation";
+      EXPECT_EQ(++arrivals[rec.user], 1)
+          << "recommendation " << rec.user << " arrived twice";
+    }
+    for (uint32_t p = 0; p < kDaemons; ++p) {
+      if (daemons[p]->ever_stopped) continue;  // at most once, checked above
+      for (const VertexId id : daemons[p]->queued) {
+        EXPECT_EQ(arrivals[id], 1)
+            << "daemon " << p << "'s recommendation " << id << " was lost";
+      }
+    }
     for (uint32_t p = 0; p < kDaemons; ++p) {
       const std::vector<EdgeEvent> seen = daemons[p]->stub.published();
       for (size_t i = 1; i < seen.size(); ++i) {

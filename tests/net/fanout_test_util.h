@@ -2,8 +2,8 @@
 // (a hosted Cluster behind a real RpcServer on an ephemeral loopback
 // port — the same wire path as a magicrecsd process), partition groups
 // wired to a FanoutCluster, the inline single-process reference run the
-// acceptance tests compare against, and the reader of the broker's own
-// scrape section. Used by fanout_cluster_test.cc
+// acceptance tests compare against, the reader of the broker's own
+// scrape section, and the base of the tests' transport decorators. Used by fanout_cluster_test.cc
 // (strict-mode acceptance) and fanout_degraded_test.cc (FanoutPolicy).
 
 #ifndef MAGICRECS_TESTS_NET_FANOUT_TEST_UTIL_H_
@@ -59,6 +59,39 @@ inline std::vector<EdgeEvent> ToEvents(
   }
   return events;
 }
+
+/// A ClusterTransport decorator that forwards every call to `wrapped`
+/// (not owned); a test overrides the calls it scripts.
+class ForwardingTransport : public ClusterTransport {
+ public:
+  explicit ForwardingTransport(ClusterTransport* wrapped)
+      : wrapped_(wrapped) {}
+
+  Status PublishBatch(std::span<const EdgeEvent> events) override {
+    return wrapped_->PublishBatch(events);
+  }
+  Status Drain() override { return wrapped_->Drain(); }
+  Result<std::vector<Recommendation>> TakeRecommendations() override {
+    return wrapped_->TakeRecommendations();
+  }
+  Status Checkpoint(Timestamp created_at) override {
+    return wrapped_->Checkpoint(created_at);
+  }
+  Status KillReplica(uint32_t partition, uint32_t replica) override {
+    return wrapped_->KillReplica(partition, replica);
+  }
+  Status RecoverReplica(uint32_t partition, uint32_t replica) override {
+    return wrapped_->RecoverReplica(partition, replica);
+  }
+  Placement placement() const override { return wrapped_->placement(); }
+  Result<std::string> GetStatsText() override {
+    return wrapped_->GetStatsText();
+  }
+  Status Close() override { return Status::OK(); }
+
+ protected:
+  ClusterTransport* wrapped_;
+};
 
 /// One in-process "daemon": a hosted Cluster behind a real RpcServer.
 struct Daemon {

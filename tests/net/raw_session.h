@@ -9,9 +9,11 @@
 #define MAGICRECS_TESTS_NET_RAW_SESSION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "net/frame_io.h"
 #include "net/socket.h"
@@ -39,6 +41,18 @@ inline std::string MuxWrap(uint64_t request_id, const std::string& frame) {
 inline std::string EmptyRequest(net::MessageTag tag) {
   std::string frame;
   net::AppendEmptyRequest(tag, &frame);
+  return frame;
+}
+
+/// A take by broker `broker` whose one cursor entry acknowledges `ack` for
+/// the daemon hosting `partition` (by default an all-hosting one, the
+/// stub's placement); ack 0 acknowledges nothing.
+inline std::string TakeRequest(
+    uint64_t ack = 0, uint32_t partition = Placement::kAllPartitions,
+    uint64_t broker = 1) {
+  std::string frame;
+  const net::TakeAck entry{partition, ack};
+  net::AppendTakeRecommendations(broker, std::span(&entry, 1), &frame);
   return frame;
 }
 
@@ -102,6 +116,25 @@ class RawSession {
         net::DecodeMuxResponse(frame.payload, &id, &is_last, inner));
     if (request_id != nullptr) *request_id = id;
     if (last != nullptr) *last = is_last;
+    return Status::OK();
+  }
+
+  /// Reads one whole (possibly chunked) recommendations reply, appending
+  /// its recommendations to *recs and setting *take to the id it names.
+  Status ReadRecommendations(std::vector<Recommendation>* recs,
+                             uint64_t* take) {
+    bool has_more = true;
+    while (has_more) {
+      net::Frame reply;
+      MAGICRECS_RETURN_IF_ERROR(ReadReply(&reply));
+      if (reply.tag != net::MessageTag::kRecommendationsReply) {
+        return Status::Internal(
+            StrFormat("expected a recommendations reply, got %s",
+                      std::string(net::MessageTagName(reply.tag)).c_str()));
+      }
+      MAGICRECS_RETURN_IF_ERROR(net::DecodeRecommendationsReply(
+          reply.payload, recs, &has_more, take));
+    }
     return Status::OK();
   }
 

@@ -1,8 +1,8 @@
 // Seeded fuzzing of the session gate, the request bodies a daemon parses
 // and the reply bodies a broker parses: the hello, the hello reply and the
 // mux envelopes are the first bytes a daemon (or a client) parses from an
-// untrusted peer; the publish-batch, checkpoint and replica-op requests are
-// what it then parses off the network; and the ack and recommendations
+// untrusted peer; the publish-batch, take, checkpoint and replica-op
+// requests are what it then parses off the network; and the ack and recommendations
 // replies are what a broker decodes from every daemon. Valid
 // messages must round-trip exactly; truncated,
 // marker-flipped, count-forged and length-forged ones must come back as a
@@ -110,6 +110,8 @@ void DecodeAll(const std::string& payload) {
   Timestamp created_at = 0;
   uint32_t partition = 0, replica = 0;
   std::vector<Recommendation> recs;
+  std::vector<TakeAck> acks;
+  uint64_t broker = 0;
   Placement placement;
   (void)DecodeHello(payload, &version, &features);
   (void)DecodeHelloReply(payload, &version, &features, &max_inflight,
@@ -117,10 +119,11 @@ void DecodeAll(const std::string& payload) {
   (void)DecodeMuxRequest(payload, &id, &inner);
   (void)DecodeMuxResponse(payload, &id, &last, &inner);
   (void)DecodePublishBatch(payload, &events, &batch_sequence, &trace);
+  (void)DecodeTakeRecommendations(payload, &broker, &acks);
   (void)DecodeCheckpoint(payload, &created_at);
   (void)DecodeReplicaOp(payload, &partition, &replica);
   (void)DecodeAck(payload, &trace);
-  (void)DecodeRecommendationsReply(payload, &recs, &last);
+  (void)DecodeRecommendationsReply(payload, &recs, &last, &id);
 }
 
 Recommendation RandomRecommendation(Rng* rng) {
@@ -424,18 +427,22 @@ TEST(SessionFuzzTest, ReplyBodiesRoundTripExactly) {
     // chains of one or more frames.
     const std::vector<Recommendation> recs = RandomRecommendations(&rng, 40);
     const size_t budget = 1 + rng.UniformInt(2'048);
+    const uint64_t take = rng.NextUint64();
     std::string chain;
-    AppendRecommendationsReplyChunked(recs, budget, &chain);
+    AppendRecommendationsReplyChunked(recs, budget, &chain, take);
     const std::vector<Frame> frames = ParseAll(chain);
     ASSERT_FALSE(frames.empty());
     std::vector<Recommendation> got;
     for (size_t i = 0; i < frames.size(); ++i) {
       ASSERT_EQ(frames[i].tag, MessageTag::kRecommendationsReply);
       bool has_more = false;
-      ASSERT_TRUE(
-          DecodeRecommendationsReply(frames[i].payload, &got, &has_more).ok())
+      uint64_t got_take = ~take;
+      ASSERT_TRUE(DecodeRecommendationsReply(frames[i].payload, &got,
+                                             &has_more, &got_take)
+                      .ok())
           << "frame " << i;
       EXPECT_EQ(has_more, i + 1 < frames.size()) << "frame " << i;
+      EXPECT_EQ(got_take, take) << "frame " << i;
     }
     EXPECT_EQ(got, recs);
     if (HasFatalFailure()) return;
@@ -451,7 +458,8 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
     SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
     const std::vector<Recommendation> recs = RandomRecommendations(&rng, 4);
     std::string frame;
-    AppendRecommendationsReply(recs, rng.Bernoulli(0.5), &frame);
+    AppendRecommendationsReply(recs, rng.Bernoulli(0.5), &frame,
+                               rng.NextUint64());
     const std::string recs_payload = ParseOne(frame).payload;
 
     // Every truncation: the layout is exact, so no strict prefix decodes.
@@ -468,7 +476,7 @@ TEST(SessionFuzzTest, DamagedReplyBodiesReturnAStatus) {
     ExpectRecsRejected(damaged, "forged rec count");
     if (!recs.empty()) {
       const size_t witnesses = recs.back().witnesses.size();
-      const size_t at = recs_payload.size() - 4 * witnesses - 4;
+      const size_t at = recs_payload.size() - 8 - 4 * witnesses - 4;
       forged = RandomU32(&rng) >> rng.UniformInt(32);
       if (forged == witnesses) forged++;
       damaged = recs_payload;
@@ -497,6 +505,8 @@ constexpr size_t kEventWireBytes = 4 + 4 + 8 + 1;
 constexpr size_t kSequenceTailBytes = 1 + 8;
 constexpr size_t kTraceHeadBytes = 1 + 8 + 8 + 1;
 constexpr size_t kStampWireBytes = 1 + 4 + 8;
+constexpr size_t kTakeHeadBytes = 8 + 4;
+constexpr size_t kTakeAckWireBytes = 4 + 8;
 
 EdgeEvent RandomEvent(Rng* rng) {
   EdgeEvent event;
@@ -577,6 +587,22 @@ Status DecodePublishBacked(const std::string& payload, const char* what) {
   return s;
 }
 
+/// A take request of up to `max` random cursor entries.
+std::vector<TakeAck> RandomAcks(Rng* rng, size_t max) {
+  std::vector<TakeAck> acks(rng->UniformInt(max + 1));
+  for (TakeAck& ack : acks) ack = {RandomU32(rng), rng->NextUint64()};
+  return acks;
+}
+
+/// The same for a take-request payload that must be rejected.
+void ExpectTakeRejected(const std::string& payload, const char* what) {
+  uint64_t broker = 0;
+  std::vector<TakeAck> acks;
+  const Status s = DecodeTakeRecommendations(payload, &broker, &acks);
+  EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
+  EXPECT_LE(acks.capacity(), payload.size() / kTakeAckWireBytes) << what;
+}
+
 void ExpectPublishRejected(const std::string& payload, const char* what) {
   const Status s = DecodePublishBacked(payload, what);
   EXPECT_TRUE(s.IsInvalidArgument()) << what << ": " << s;
@@ -643,10 +669,25 @@ TEST(SessionFuzzTest, RequestBodiesAndAckRoundTripExactly) {
     ASSERT_TRUE(DecodePublishBatch(publish.payload, &events).ok());
     ExpectSameEvents(events, publish.events, "publish-batch, no tails out");
 
-    const Timestamp created_at = static_cast<Timestamp>(rng.NextUint64());
+    const std::vector<TakeAck> acks =
+        RandomAcks(&rng, rng.Bernoulli(0.1) ? 256 : 8);
+    const uint64_t broker = rng.NextUint64();
     std::string frame;
-    AppendCheckpoint(created_at, &frame);
+    AppendTakeRecommendations(broker, acks, &frame);
     Frame parsed = ParseOne(frame);
+    ASSERT_EQ(parsed.tag, MessageTag::kTakeRecommendations);
+    uint64_t got_broker = 0;
+    std::vector<TakeAck> got_acks = RandomAcks(&rng, 2);  // overwritten
+    ASSERT_TRUE(
+        DecodeTakeRecommendations(parsed.payload, &got_broker, &got_acks)
+            .ok());
+    EXPECT_EQ(got_broker, broker);
+    EXPECT_EQ(got_acks, acks);
+
+    const Timestamp created_at = static_cast<Timestamp>(rng.NextUint64());
+    frame.clear();
+    AppendCheckpoint(created_at, &frame);
+    parsed = ParseOne(frame);
     ASSERT_EQ(parsed.tag, MessageTag::kCheckpoint);
     Timestamp got_created_at = 0;
     ASSERT_TRUE(DecodeCheckpoint(parsed.payload, &got_created_at).ok());
@@ -766,8 +807,27 @@ TEST(SessionFuzzTest, DamagedRequestBodiesAndAckReturnAStatus) {
       DecodeAll(payload + residue);
     }
 
-    // Checkpoint and replica ops are exact 8-byte layouts.
+    // The take request is an exact layout: every strict prefix, a forged
+    // count and any appended byte are rejected, reserving nothing the
+    // payload cannot back.
     std::string frame;
+    AppendTakeRecommendations(rng.NextUint64(), RandomAcks(&rng, 6), &frame);
+    const std::string take = ParseOne(frame).payload;
+    for (size_t cut = 0; cut < take.size(); ++cut) {
+      ExpectTakeRejected(take.substr(0, cut), "take truncation");
+    }
+    const auto entries = static_cast<uint32_t>((take.size() - kTakeHeadBytes) /
+                                               kTakeAckWireBytes);
+    forged = RandomU32(&rng) >> rng.UniformInt(32);
+    if (forged == entries) forged++;
+    damaged = take;
+    std::memcpy(damaged.data() + sizeof(uint64_t), &forged, sizeof(forged));
+    ExpectTakeRejected(damaged, "forged take count");
+    ExpectTakeRejected(take + RandomBytes(&rng, 1 + rng.UniformInt(32)),
+                       "take trailing bytes");
+
+    // Checkpoint and replica ops are exact 8-byte layouts.
+    frame.clear();
     AppendCheckpoint(static_cast<Timestamp>(rng.NextUint64()), &frame);
     const std::string checkpoint = ParseOne(frame).payload;
     frame.clear();

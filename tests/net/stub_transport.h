@@ -1,5 +1,6 @@
 // A scriptable ClusterTransport for server-loop and session tests: canned
-// recommendations for gathers, optional gates that park Drain or
+// recommendations for gathers, queued ones each handed out once, optional
+// gates that park Drain or
 // PublishBatch calls until released (to hold a request in flight
 // deliberately), scripted publish rejections, a settable placement, a
 // record of the order the calls arrived in, and counters.
@@ -32,6 +33,13 @@ class StubTransport : public ClusterTransport {
   void set_recommendations(std::vector<Recommendation> recs) {
     std::lock_guard<std::mutex> lock(mu_);
     recs_ = std::move(recs);
+  }
+
+  /// Queues `recs` for the next TakeRecommendations only, as a Cluster's
+  /// take moves its results out; they follow the canned ones.
+  void AddRecommendations(const std::vector<Recommendation>& recs) {
+    std::lock_guard<std::mutex> lock(mu_);
+    queued_.insert(queued_.end(), recs.begin(), recs.end());
   }
 
   /// Once set, Drain calls block until Release().
@@ -111,7 +119,10 @@ class StubTransport : public ClusterTransport {
 
   Result<std::vector<Recommendation>> TakeRecommendations() override {
     std::lock_guard<std::mutex> lock(mu_);
-    return recs_;
+    std::vector<Recommendation> recs = recs_;
+    recs.insert(recs.end(), queued_.begin(), queued_.end());
+    queued_.clear();
+    return recs;
   }
 
   Status Checkpoint(Timestamp) override {
@@ -156,6 +167,7 @@ class StubTransport : public ClusterTransport {
   std::string calls_;
   std::vector<EdgeEvent> published_;
   std::vector<Recommendation> recs_;
+  std::vector<Recommendation> queued_;
 };
 
 }  // namespace magicrecs::net_test

@@ -124,15 +124,64 @@ TEST(WireTest, RecommendationsReplyRoundTrip) {
   recs[1].trigger = 8;
 
   std::string frame;
-  AppendRecommendationsReply(recs, /*has_more=*/false, &frame);
+  AppendRecommendationsReply(recs, /*has_more=*/false, &frame,
+                             /*take=*/0x1122334455667788);
   const Frame decoded = DecodeWhole(frame);
   EXPECT_EQ(decoded.tag, MessageTag::kRecommendationsReply);
   std::vector<Recommendation> out;
   bool has_more = true;
+  uint64_t take = 0;
   ASSERT_TRUE(
-      DecodeRecommendationsReply(decoded.payload, &out, &has_more).ok());
+      DecodeRecommendationsReply(decoded.payload, &out, &has_more, &take)
+          .ok());
   EXPECT_EQ(out, recs);
   EXPECT_FALSE(has_more);
+  EXPECT_EQ(take, 0x1122334455667788u);
+}
+
+TEST(WireTest, TakeRequestRoundTrips) {
+  const std::vector<TakeAck> acks = {
+      {0, 7}, {1, 0}, {Placement::kAllPartitions, 0xfeedbeefcafe}};
+  std::string frame;
+  AppendTakeRecommendations(0xabcdef0123456789, acks, &frame);
+  const Frame decoded = DecodeWhole(frame);
+  EXPECT_EQ(decoded.tag, MessageTag::kTakeRecommendations);
+  uint64_t broker = 0;
+  std::vector<TakeAck> out;
+  ASSERT_TRUE(DecodeTakeRecommendations(decoded.payload, &broker, &out).ok());
+  EXPECT_EQ(broker, 0xabcdef0123456789u);
+  EXPECT_EQ(out, acks);
+
+  frame.clear();
+  AppendTakeRecommendations(7, {}, &frame);
+  ASSERT_TRUE(
+      DecodeTakeRecommendations(DecodeWhole(frame).payload, &broker, &out)
+          .ok());
+  EXPECT_EQ(broker, 7u);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(WireTest, TakeRequestRejectsForgedCountsAndCuts) {
+  std::string frame;
+  AppendTakeRecommendations(5, std::vector<TakeAck>{{2, 9}, {3, 10}}, &frame);
+  const std::string payload = DecodeWhole(frame).payload;
+  uint64_t broker = 0;
+  std::vector<TakeAck> acks;
+  // Every cut, the empty payload included, and one appended byte.
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_TRUE(
+        DecodeTakeRecommendations(payload.substr(0, cut), &broker, &acks)
+            .IsInvalidArgument())
+        << cut << "-byte cut";
+  }
+  EXPECT_TRUE(DecodeTakeRecommendations(payload + '\0', &broker, &acks)
+                  .IsInvalidArgument());
+  // A count claiming 1M entries backed by two (it follows the broker id).
+  std::string forged = payload;
+  const uint32_t count = 1'000'000;
+  std::memcpy(forged.data() + sizeof(uint64_t), &count, sizeof(count));
+  EXPECT_TRUE(
+      DecodeTakeRecommendations(forged, &broker, &acks).IsInvalidArgument());
 }
 
 TEST(WireTest, ChunkedRecommendationsReassemble) {
@@ -368,7 +417,7 @@ TEST(WireTest, PublishBatchRejectsCorruptedPresenceMarker) {
 }
 
 TEST(WireTest, RecommendationsReplyRejectsAnyTrailingByte) {
-  // Nothing follows the last rec: any residue is corruption, including a
+  // Nothing follows the take id: any residue is corruption, including a
   // tail in the retired layout (a 0x01 coverage tail or a 0x02 trace tail).
   std::vector<Recommendation> recs(1);
   recs[0].user = 11;
