@@ -76,8 +76,10 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(
 
   // Offline pipeline: the influencer cap, if any, then one shard per hosted
   // partition, cut as the follower lists of that partition's A's straight
-  // from the follow graph, so the full follower index is never built.
-  // Replicas share the immutable shard.
+  // from the follow graph, so the full follower index is never built. The
+  // shard names each A by its rank among the partition's users, so its hub
+  // bitmaps and each replica's count table span only those users. Replicas
+  // share the immutable shard and its rank -> id map.
   StaticGraph capped;
   const StaticGraph* graph = &follow_graph;
   if (options.max_influencers_per_user > 0) {

@@ -1,6 +1,7 @@
 #include "core/motif_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/clock.h"
 #include "util/str_format.h"
@@ -141,7 +142,7 @@ QueryStage::QueryStage(const MotifPlan& plan,
     : plan_(plan),
       static_index_(std::move(index)),
       use_bitsets_(options.use_hub_bitsets && static_index_->has_hub_index()),
-      counts_(static_index_->num_vertices()) {}
+      counts_(static_index_->neighbor_universe()) {}
 
 void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
                        std::span<const VertexId> actors,
@@ -176,12 +177,12 @@ void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
   stats_.raw_candidates += matches_.size();
   clock.Lap(PlanStage::kIntersect);
 
-  // emit: the exclusion filters, then the records.
+  // emit: each match as its vertex id, the exclusion filters, then the
+  // record with its witnesses read from the match's list mask.
   const bool follower_orientation =
       plan_.lookup == StaticLookup::kFollowersOfActor;
-  auto keep = matches_.begin();
-  for (auto it = matches_.begin(); it != matches_.end(); ++it) {
-    const VertexId user = it->id;
+  for (const ThresholdMatch& match : matches_) {
+    const VertexId user = index.GlobalId(match.id);
     if (user == dst) {
       ++stats_.suppressed_self;
       continue;
@@ -190,51 +191,42 @@ void QueryStage::Query(VertexId src, VertexId dst, Timestamp t,
     // (only checkable in follower orientation) or an in-window dynamic
     // action by the user.
     if (plan_.exclude_existing &&
-        ((follower_orientation && index.HasEdge(dst, user)) ||
+        ((follower_orientation && index.HasEdge(dst, match.id)) ||
          std::find(actors.begin(), actors.end(), user) != actors.end())) {
       ++stats_.suppressed_existing;
       continue;
     }
-    *keep++ = *it;
-  }
-  matches_.erase(keep, matches_.end());
-
-  const size_t cap = plan_.reported_witness_cap;
-  const size_t first = out->size();
-  for (const ThresholdMatch& match : matches_) {
-    Recommendation rec;
-    rec.user = match.id;
+    Recommendation& rec = out->emplace_back();
+    rec.user = user;
     rec.item = dst;
     rec.witness_count = match.count;
     rec.event_time = t;
     rec.trigger = src;
-    rec.witnesses.reserve(std::min<size_t>(match.count, cap));
-    out->push_back(std::move(rec));
+    AppendWitnesses(match, &rec.witnesses);
+    ++stats_.recommendations;
   }
-  stats_.recommendations += matches_.size();
-  if (cap > 0 && !matches_.empty()) CollectWitnesses(cap, out->data() + first);
   clock.Lap(PlanStage::kEmit);
   clock.Finish();
 }
 
-void QueryStage::CollectWitnesses(size_t cap, Recommendation* recs) {
-  // A fresh count over the same cells maps each kept user to its record:
-  // cell = record index + 1, and zero for every other id.
-  counts_.Begin();
-  for (size_t r = 0; r < matches_.size(); ++r) {
-    counts_.Set(matches_[r].id, static_cast<uint32_t>(r + 1));
+void QueryStage::AppendWitnesses(const ThresholdMatch& match,
+                                 std::vector<VertexId>* witnesses) const {
+  const size_t want =
+      std::min<size_t>(match.count, plan_.reported_witness_cap);
+  if (want == 0) return;
+  witnesses->reserve(want);
+  for (uint64_t bits = match.lists; bits != 0 && witnesses->size() < want;
+       bits &= bits - 1) {
+    witnesses->push_back(list_sources_[std::countr_zero(bits)]);
   }
-  for (size_t i = 0; i < lists_.size(); ++i) {
-    for (const VertexId v : lists_[i]) {
-      const uint32_t record = counts_.Get(v);
-      if (record == 0) continue;
-      std::vector<VertexId>& witnesses = recs[record - 1].witnesses;
-      if (witnesses.size() < cap) witnesses.push_back(list_sources_[i]);
+  // The mask names only the first kMatchListBits lists: past them, probe.
+  for (size_t i = kMatchListBits;
+       i < lists_.size() && witnesses->size() < want; ++i) {
+    if (std::binary_search(lists_[i].begin(), lists_[i].end(), match.id)) {
+      witnesses->push_back(list_sources_[i]);
     }
   }
-  for (size_t r = 0; r < matches_.size(); ++r) {
-    std::sort(recs[r].witnesses.begin(), recs[r].witnesses.end());
-  }
+  std::sort(witnesses->begin(), witnesses->end());
 }
 
 void MotifEngineStats::Merge(const MotifEngineStats& other) {

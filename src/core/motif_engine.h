@@ -133,13 +133,18 @@ class QueryStage {
  public:
   /// `index` (non-null) is oriented so that Neighbors(actor) is exactly the
   /// list the plan gathers (the follower index for the diamond). It is
-  /// shared, not copied.
+  /// shared, not copied. Its neighbor ids may be local ids (a shard cut by
+  /// StaticGraph::TransposeIf): the stage counts in them and emits each
+  /// user by its vertex id.
   QueryStage(const MotifPlan& plan, std::shared_ptr<const StaticGraph> index,
              const MotifOptions& options);
 
   /// Runs over the actor ids WindowStage::Window appended for the same
-  /// edge (none: nothing runs), appending recommendations to *out. When
-  /// `timed`, records its stages and total.
+  /// edge (none: nothing runs), appending recommendations to *out: one pass
+  /// over the gathered lists counts them, and each record's witnesses, the
+  /// sources of the first reported_witness_cap lists that hold its user in
+  /// gather order, sorted, come from its match's list mask. When `timed`,
+  /// records its stages and total.
   void Query(VertexId src, VertexId dst, Timestamp t,
              std::span<const VertexId> actors,
              std::vector<Recommendation>* out, bool timed = false);
@@ -147,12 +152,17 @@ class QueryStage {
   const MotifPlan& plan() const { return plan_; }
   const MotifEngineStats& stats() const { return stats_; }
   const StaticGraph& static_index() const { return *static_index_; }
+  /// Ids the intersect stage's count table spans: the index's
+  /// neighbor_universe().
+  size_t count_universe() const { return counts_.universe(); }
 
  private:
-  /// The emit stage's witness step: recs[r] is the record built for
-  /// matches_[r]. Each record gets the sources of the first `cap` gathered
-  /// lists that hold its user, in gather order, then sorted.
-  void CollectWitnesses(size_t cap, Recommendation* recs);
+  /// Appends the sources of the first min(count, reported_witness_cap)
+  /// gathered lists that hold `match`, in gather order, then sorts them.
+  /// The mask names the first kMatchListBits lists; only a query gathering
+  /// more probes the rest, and only while the mask falls short.
+  void AppendWitnesses(const ThresholdMatch& match,
+                       std::vector<VertexId>* witnesses) const;
 
   MotifPlan plan_;
   std::shared_ptr<const StaticGraph> static_index_;
@@ -166,10 +176,11 @@ class QueryStage {
   std::vector<BitsetView> bitsets_;
   std::vector<VertexId> list_sources_;
   std::vector<ThresholdMatch> matches_;
-  /// One cell per vertex of the static index (8 * num_vertices bytes). Every
-  /// gathered id is a vertex of that index, so the intersect stage counts
-  /// here without hashing, and the witness step maps each kept user to its
-  /// record here. A copy (one per replica) owns its own cells.
+  /// One 16-byte cell per neighbor id of the static index (16 *
+  /// neighbor_universe bytes: a shard's local ids, or every vertex). Every
+  /// gathered id is below that universe, so the intersect stage counts here
+  /// without hashing, and each match's list mask names its witnesses. A
+  /// copy (one per replica) owns its own cells.
   VertexCountTable counts_;
 };
 

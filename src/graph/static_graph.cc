@@ -1,6 +1,7 @@
 #include "graph/static_graph.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/str_format.h"
 
@@ -12,7 +13,7 @@ size_t AutoHubDegreeThreshold(size_t num_vertices) {
 
 bool StaticGraph::HasEdge(VertexId src, VertexId dst) const {
   if (IsHub(src)) {
-    return dst < num_vertices() && HubBitset(src).Test(dst);
+    return dst < neighbor_universe() && HubBitset(src).Test(dst);
   }
   const auto neighbors = Neighbors(src);
   return std::binary_search(neighbors.begin(), neighbors.end(), dst);
@@ -27,7 +28,7 @@ void StaticGraph::BuildHubIndex(size_t hub_degree_threshold) {
     return;
   }
   hub_degree_threshold_ = hub_degree_threshold;
-  hub_words_per_row_ = (v + 63) / 64;
+  hub_words_per_row_ = (neighbor_universe() + 63) / 64;
   hub_slot_.assign(v, kNoHubSlot);
   hub_count_ = 0;
   for (size_t src = 0; src < v; ++src) {
@@ -88,19 +89,31 @@ StaticGraph StaticGraph::FromRows(std::vector<uint64_t> offsets,
 }
 
 StaticGraph StaticGraph::Transpose() const {
-  return TransposeIf([](VertexId) { return true; });
+  std::vector<VertexId> sources(num_vertices());
+  std::iota(sources.begin(), sources.end(), VertexId{0});
+  return TransposeRows(std::move(sources), /*local=*/false);
 }
 
 StaticGraph StaticGraph::TransposeIf(
     const std::function<bool(VertexId)>& keep_source) const {
+  std::vector<VertexId> sources;
+  for (size_t src = 0; src < num_vertices(); ++src) {
+    if (keep_source(static_cast<VertexId>(src))) {
+      sources.push_back(static_cast<VertexId>(src));
+    }
+  }
+  return TransposeRows(std::move(sources), /*local=*/true);
+}
+
+StaticGraph StaticGraph::TransposeRows(std::vector<VertexId> sources,
+                                       bool local) const {
   StaticGraph out;
   const size_t v = num_vertices();
   out.offsets_.assign(v + 1, 0);
   // Counting sort by destination: one pass to count, one to place. The
-  // source ids are visited in increasing order, so each transposed adjacency
-  // list comes out already sorted.
-  for (size_t src = 0; src < v; ++src) {
-    if (!keep_source(static_cast<VertexId>(src))) continue;
+  // sources are visited in increasing order, and ranks rise with them, so
+  // each transposed adjacency list comes out already sorted.
+  for (const VertexId src : sources) {
     for (uint64_t i = offsets_[src]; i < offsets_[src + 1]; ++i) {
       out.offsets_[targets_[i] + 1]++;
     }
@@ -108,11 +121,16 @@ StaticGraph StaticGraph::TransposeIf(
   for (size_t i = 1; i <= v; ++i) out.offsets_[i] += out.offsets_[i - 1];
   out.targets_.resize(out.offsets_[v]);
   std::vector<uint64_t> cursor(out.offsets_.begin(), out.offsets_.end() - 1);
-  for (size_t src = 0; src < v; ++src) {
-    if (!keep_source(static_cast<VertexId>(src))) continue;
+  for (size_t rank = 0; rank < sources.size(); ++rank) {
+    const VertexId src = sources[rank];
+    const VertexId written = local ? static_cast<VertexId>(rank) : src;
     for (uint64_t i = offsets_[src]; i < offsets_[src + 1]; ++i) {
-      out.targets_[cursor[targets_[i]]++] = static_cast<VertexId>(src);
+      out.targets_[cursor[targets_[i]]++] = written;
     }
+  }
+  if (local) {
+    out.local_ = true;
+    out.local_ids_ = std::move(sources);
   }
   return out;
 }

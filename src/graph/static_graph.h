@@ -7,6 +7,13 @@
 // agnostic: build it from whatever orientation you need and use Transpose()
 // to invert. Immutable after Build(), hence trivially shareable across
 // threads.
+//
+// A partition's shard, cut by TransposeIf, names its neighbors by local
+// ids: each kept source is written as its rank among the kept sources.
+// Ranks rise with ids, so every list keeps its order; the shard keeps the
+// rank -> id map (local_ids(), GlobalId()), and its neighbor ids, hub
+// bitmaps and any per-id table a caller sizes by neighbor_universe() span
+// only the partition's users, a quarter of them in a 4-way group.
 
 #ifndef MAGICRECS_GRAPH_STATIC_GRAPH_H_
 #define MAGICRECS_GRAPH_STATIC_GRAPH_H_
@@ -25,11 +32,12 @@
 namespace magicrecs {
 
 /// Degree at or above which a vertex's adjacency additionally gets a bitmap
-/// in the hub index. A hub's bitmap costs num_vertices/8 bytes vs 4*degree
-/// for the array, so degree >= num_vertices/32 caps the bitmap overhead at
-/// 2x the array it shadows; the floor keeps small graphs bitmap-free where
-/// binary search is already cache-resident. Crossover measured by
-/// bench_intersection (docs/experiments-a1.md).
+/// in the hub index. A hub's bitmap costs neighbor_universe/8 bytes (at
+/// most num_vertices/8) vs 4*degree for the array, so degree >=
+/// num_vertices/32 caps the bitmap overhead at 2x the array it shadows;
+/// the floor keeps small graphs bitmap-free where binary search is already
+/// cache-resident. Crossover measured by bench_intersection
+/// (docs/experiments-a1.md).
 inline constexpr size_t kMinHubDegree = 256;
 size_t AutoHubDegreeThreshold(size_t num_vertices);
 
@@ -54,6 +62,22 @@ class StaticGraph {
   /// Number of directed edges.
   size_t num_edges() const { return targets_.size(); }
 
+  /// Every neighbor id is below this: the number of local ids when the
+  /// graph has them, else num_vertices().
+  size_t neighbor_universe() const {
+    return local_ ? local_ids_.size() : num_vertices();
+  }
+
+  /// The rank -> id map of a graph whose neighbors are local ids
+  /// (TransposeIf); empty when neighbor ids are vertex ids.
+  std::span<const VertexId> local_ids() const { return local_ids_; }
+
+  /// The vertex id a neighbor id stands for (`neighbor` <
+  /// neighbor_universe()).
+  VertexId GlobalId(VertexId neighbor) const {
+    return local_ ? local_ids_[neighbor] : neighbor;
+  }
+
   /// Sorted neighbors of `src`. Returns an empty span for out-of-range ids
   /// (partitioned deployments routinely look up vertices they do not own).
   std::span<const VertexId> Neighbors(VertexId src) const {
@@ -65,19 +89,21 @@ class StaticGraph {
   /// Out-degree of `src` (0 for out-of-range ids).
   size_t OutDegree(VertexId src) const { return Neighbors(src).size(); }
 
-  /// True iff the edge src -> dst exists. O(1) bit probe when `src` is an
-  /// indexed hub, O(log degree) binary search otherwise.
+  /// True iff the edge src -> dst exists, `dst` a neighbor id (false at or
+  /// past neighbor_universe()). O(1) bit probe when `src` is an indexed
+  /// hub, O(log degree) binary search otherwise.
   bool HasEdge(VertexId src, VertexId dst) const;
 
   /// Builds the hybrid adjacency view: every vertex with degree >=
-  /// `hub_degree_threshold` (0 = AutoHubDegreeThreshold) additionally gets a
-  /// bitmap over [0, num_vertices), packed into one contiguous arena so
-  /// hub ∩ hub runs word-parallel and hub membership probes are O(1).
+  /// `hub_degree_threshold` (0 = AutoHubDegreeThreshold of num_vertices)
+  /// additionally gets a bitmap over [0, neighbor_universe), packed into
+  /// one contiguous arena so hub ∩ hub runs word-parallel and hub
+  /// membership probes are O(1).
   /// Derived data only; call before the graph is shared across threads.
   /// Idempotent for a given threshold.
   void BuildHubIndex(size_t hub_degree_threshold = 0);
 
-  bool has_hub_index() const { return hub_words_per_row_ > 0; }
+  bool has_hub_index() const { return hub_degree_threshold_ > 0; }
   size_t hub_degree_threshold() const { return hub_degree_threshold_; }
   size_t num_hubs() const { return hub_count_; }
 
@@ -86,8 +112,8 @@ class StaticGraph {
     return v < hub_slot_.size() && hub_slot_[v] != kNoHubSlot;
   }
 
-  /// Bitmap over [0, num_vertices) of `v`'s neighbors; an empty view when
-  /// `v` is not an indexed hub (callers fall back to the array list).
+  /// Bitmap over [0, neighbor_universe) of `v`'s neighbors; an empty view
+  /// when `v` is not an indexed hub (callers fall back to the array list).
   BitsetView HubBitset(VertexId v) const {
     if (!IsHub(v)) return {};
     return {hub_words_.data() + size_t{hub_slot_[v]} * hub_words_per_row_,
@@ -104,15 +130,18 @@ class StaticGraph {
   StaticGraph Transpose() const;
 
   /// Transpose() of only the edges whose source `keep_source` accepts,
-  /// over the same vertex count: a partition's S shard, cut from the
-  /// follow graph without building the full follower index. O(V + E).
+  /// over the same vertex count, with each kept source written as its local
+  /// id, its rank among the kept sources: a partition's S shard, cut from
+  /// the follow graph without building the full follower index. O(V + E).
   StaticGraph TransposeIf(
       const std::function<bool(VertexId)>& keep_source) const;
 
-  /// Bytes held by the CSR arrays and the hub-index arena.
+  /// Bytes held by the CSR arrays, the local-id map and the hub-index
+  /// arena.
   size_t MemoryUsage() const {
     return offsets_.size() * sizeof(uint64_t) +
            targets_.size() * sizeof(VertexId) +
+           local_ids_.size() * sizeof(VertexId) +
            hub_words_.size() * sizeof(uint64_t) +
            hub_slot_.size() * sizeof(uint32_t);
   }
@@ -122,8 +151,16 @@ class StaticGraph {
 
   static constexpr uint32_t kNoHubSlot = UINT32_MAX;
 
+  /// The transpose of the rows of `sources` (ascending ids), writing
+  /// sources[r] as r and keeping `sources` as the local-id map when
+  /// `local`, else as itself.
+  StaticGraph TransposeRows(std::vector<VertexId> sources, bool local) const;
+
   std::vector<uint64_t> offsets_;  // size num_vertices()+1
   std::vector<VertexId> targets_;  // size num_edges(), sorted per source
+  // Neighbors are local ids (TransposeIf), local_ids_ their rank -> id map.
+  bool local_ = false;
+  std::vector<VertexId> local_ids_;
 
   // Hybrid hub view (BuildHubIndex): hub_slot_[v] is the row index of v's
   // bitmap inside the hub_words_ arena, kNoHubSlot for array-only vertices.

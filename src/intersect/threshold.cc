@@ -25,12 +25,13 @@ std::string_view ThresholdAlgorithmName(ThresholdAlgorithm algo) {
 
 namespace {
 
-/// Open-addressing id -> occurrence-count table, reused by every call on a
-/// thread that passes no VertexCountTable. Linear probing, multiplicative
-/// (Fibonacci) hashing, power-of-two sizes. kInvalidVertex marks an empty
-/// slot, so a real occurrence of that id is counted on the side. Every slot
-/// a call fills is listed in touched_, and the next Begin() empties exactly
-/// those slots — nothing ever scans or clears the whole table.
+/// Open-addressing id -> {occurrence count, list mask} table, reused by
+/// every call on a thread that passes no VertexCountTable. Linear probing,
+/// multiplicative (Fibonacci) hashing, power-of-two sizes. kInvalidVertex
+/// marks an empty slot, so a real occurrence of that id is counted on the
+/// side. Every slot a call fills is listed in touched_, and the next Begin()
+/// empties exactly those slots — nothing ever scans or clears the whole
+/// table.
 class CountTable {
  public:
   /// Starts a count over `total` list elements: empties what the previous
@@ -39,7 +40,7 @@ class CountTable {
   void Begin(size_t total) {
     for (const size_t slot : touched_) slots_[slot] = Slot{};
     touched_.clear();
-    invalid_count_ = 0;
+    invalid_ = Slot{};
     const size_t capacity =
         std::bit_ceil(std::max<size_t>(2 * total, kMinSlots));
     if (capacity > slots_.size()) slots_.assign(capacity, Slot{});
@@ -47,45 +48,59 @@ class CountTable {
     shift_ = 64 - std::countr_zero(capacity);
   }
 
-  /// Counts one occurrence of v and returns its count so far.
-  uint32_t Add(VertexId v) {
-    if (v == kInvalidVertex) return ++invalid_count_;
+  /// Counts one occurrence of v in the list whose mask bit is `list_bit`
+  /// and returns v's count so far.
+  uint32_t Add(VertexId v, uint64_t list_bit) {
+    if (v == kInvalidVertex) return Count(invalid_, list_bit);
     for (size_t i = Home(v);; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
-      if (slot.id == v) return ++slot.count;
+      if (slot.id == v) return Count(slot, list_bit);
       if (slot.id == kInvalidVertex) {
         touched_.push_back(i);  // first, so a throw leaves no unlisted slot
-        slot = Slot{v, 1};
+        slot = Slot{v, 1, list_bit};
         return 1;
       }
     }
   }
 
-  /// v's count since Begin() (zero if never added).
-  uint32_t Get(VertexId v) const {
-    if (v == kInvalidVertex) return invalid_count_;
-    for (size_t i = Home(v);; i = (i + 1) & mask_) {
-      const Slot& slot = slots_[i];
-      if (slot.id == v) return slot.count;
-      if (slot.id == kInvalidVertex) return 0;
-    }
+  /// v's count and list mask since Begin() (zero if never added).
+  ThresholdMatch Read(VertexId v) const {
+    const Slot& slot = Find(v);
+    return ThresholdMatch{v, slot.count, slot.lists};
   }
 
  private:
   struct Slot {
     VertexId id = kInvalidVertex;
     uint32_t count = 0;
+    uint64_t lists = 0;
   };
   static constexpr size_t kMinSlots = 16;
+
+  static uint32_t Count(Slot& slot, uint64_t list_bit) {
+    slot.lists |= list_bit;
+    return ++slot.count;
+  }
 
   size_t Home(VertexId v) const {
     return static_cast<size_t>((uint64_t{v} * 0x9E3779B97F4A7C15ull) >>
                                shift_);
   }
 
+  /// v's slot, or an empty one when v was never added.
+  const Slot& Find(VertexId v) const {
+    static constexpr Slot kEmpty;
+    if (v == kInvalidVertex) return invalid_;
+    for (size_t i = Home(v);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == v) return slot;
+      if (slot.id == kInvalidVertex) return kEmpty;
+    }
+  }
+
   std::vector<Slot> slots_;
   std::vector<size_t> touched_;
-  uint32_t invalid_count_ = 0;
+  Slot invalid_;  ///< kInvalidVertex's count and mask
   size_t mask_ = 0;
   int shift_ = 64;
 };
@@ -101,15 +116,21 @@ CountTable& ThreadCounts() {
 void BeginCount(CountTable& counts, size_t total) { counts.Begin(total); }
 void BeginCount(VertexCountTable& counts, size_t /*total*/) { counts.Begin(); }
 
+/// lists[i]'s bit in a match mask; lists past the mask's width have none.
+uint64_t ListBit(size_t i) {
+  return i < kMatchListBits ? uint64_t{1} << i : 0;
+}
+
 bool IdLess(const ThresholdMatch& a, const ThresholdMatch& b) {
   return a.id < b.id;
 }
 
-/// Sorts the ids collected in *out and reads each one's count back.
+/// Sorts the ids collected in *out and reads each one's count and mask
+/// back.
 template <typename Table>
 void SortAndReadCounts(const Table& counts, std::vector<ThresholdMatch>* out) {
   std::sort(out->begin(), out->end(), IdLess);
-  for (ThresholdMatch& match : *out) match.count = counts.Get(match.id);
+  for (ThresholdMatch& match : *out) match = counts.Read(match.id);
 }
 
 template <typename Table>
@@ -118,9 +139,10 @@ size_t ScanCount(const std::vector<std::span<const VertexId>>& lists, size_t k,
   size_t total = 0;
   for (const auto& list : lists) total += list.size();
   BeginCount(counts, total);
-  for (const auto& list : lists) {
-    for (const VertexId v : list) {
-      if (counts.Add(v) == k) out->push_back(ThresholdMatch{v, 0});
+  for (size_t i = 0; i < lists.size(); ++i) {
+    const uint64_t bit = ListBit(i);
+    for (const VertexId v : lists[i]) {
+      if (counts.Add(v, bit) == k) out->push_back(ThresholdMatch{v});
     }
   }
   SortAndReadCounts(counts, out);
@@ -130,7 +152,8 @@ size_t ScanCount(const std::vector<std::span<const VertexId>>& lists, size_t k,
 size_t HeapMerge(const std::vector<std::span<const VertexId>>& lists, size_t k,
                  std::vector<ThresholdMatch>* out) {
   // Min-heap of (head value, list index). Runs of equal popped values give
-  // the occurrence count directly because lists are duplicate-free.
+  // the occurrence count and the mask directly because lists are
+  // duplicate-free.
   using Head = std::pair<VertexId, uint32_t>;
   std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
   std::vector<size_t> pos(lists.size(), 0);
@@ -138,17 +161,17 @@ size_t HeapMerge(const std::vector<std::span<const VertexId>>& lists, size_t k,
     if (!lists[i].empty()) heap.emplace(lists[i][0], i);
   }
   while (!heap.empty()) {
-    const VertexId value = heap.top().first;
-    uint32_t count = 0;
-    while (!heap.empty() && heap.top().first == value) {
+    ThresholdMatch match{heap.top().first};
+    while (!heap.empty() && heap.top().first == match.id) {
       const uint32_t list = heap.top().second;
       heap.pop();
-      ++count;
+      ++match.count;
+      match.lists |= ListBit(list);
       if (++pos[list] < lists[list].size()) {
         heap.emplace(lists[list][pos[list]], list);
       }
     }
-    if (count >= k) out->push_back(ThresholdMatch{value, count});
+    if (match.count >= k) out->push_back(match);
   }
   return out->size();
 }
@@ -177,29 +200,34 @@ size_t CandidateVerify(const std::vector<std::span<const VertexId>>& lists,
   BeginCount(counts, total - lists[big].size());
   for (size_t i = 0; i < lists.size(); ++i) {
     if (i == big) continue;
+    const uint64_t bit = ListBit(i);
     for (const VertexId v : lists[i]) {
-      if (counts.Add(v) + 1 == k) out->push_back(ThresholdMatch{v, 0});
+      if (counts.Add(v, bit) + 1 == k) out->push_back(ThresholdMatch{v});
     }
   }
   SortAndReadCounts(counts, out);
 
   // Probe each candidate once in the largest list: one bit test of its hub
   // bitmap, or a galloping cursor that only moves forward because the
-  // candidates are sorted. The probe completes each count exactly; the
-  // matches are compacted in place.
+  // candidates are sorted. A hit completes the count and sets the largest
+  // list's bit; the matches are compacted in place.
   const auto list = lists[big];
   const BitsetView bits = BitsetFor(bitsets, big);
+  const uint64_t big_bit = ListBit(big);
   size_t pos = 0;
   auto match = out->begin();
   for (ThresholdMatch cand : *out) {
+    bool hit = false;
     if (!bits.empty()) {
-      if (bits.Test(cand.id)) ++cand.count;
+      hit = bits.Test(cand.id);
     } else if (pos < list.size()) {
       pos = SimdGallopLowerBound(list, pos, cand.id);
-      if (pos < list.size() && list[pos] == cand.id) {
-        ++cand.count;
-        ++pos;
-      }
+      hit = pos < list.size() && list[pos] == cand.id;
+      if (hit) ++pos;
+    }
+    if (hit) {
+      ++cand.count;
+      cand.lists |= big_bit;
     }
     if (cand.count >= k) *match++ = cand;
   }

@@ -2,17 +2,22 @@
 // BuildPartitionShard, and the cut Cluster::Create makes instead.
 //
 // Cluster::Create cuts each hosted shard straight from the follow graph
-// with StaticGraph::TransposeIf. Every shard must equal the offline cut it
-// replaces: BuildPartitionShard over the transpose of the capped follow
-// graph, hub index included. Random graphs, 1-5 partitions, all-hosting and
-// partition-group mode, caps 0, 2 and 10.
+// with StaticGraph::TransposeIf, which names each A by its rank among the
+// partition's users. Mapped back through its rank -> id map, every shard
+// must equal the offline cut it replaces: BuildPartitionShard over the
+// transpose of the capped follow graph, hub index included. Random graphs,
+// 1-5 partitions, all-hosting and partition-group mode, caps 0, 2 and 10.
+// A shard's hub bitmaps and each replica's count table span only the
+// partition's users.
 //
 // The graphs are seeded; failures print the seed, rerun with
 // MAGICRECS_FUZZ_SEED=<seed>.
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,34 +63,74 @@ StaticGraph RandomFollowGraph(Rng& rng, bool with_celebrity) {
   return std::move(graph).value();
 }
 
-/// Same vertex count, rows and hub index.
-::testing::AssertionResult SameShard(const StaticGraph& a,
-                                     const StaticGraph& b) {
-  if (a.num_vertices() != b.num_vertices() || a.num_edges() != b.num_edges()) {
+/// `hosted`, a shard in local ids, mapped back through its rank -> id map,
+/// equals `expected`, the same partition's cut in vertex ids: same vertex
+/// count, rows and hub rows. The map holds exactly `users`, the
+/// partition's users in ascending order, and each hub bitmap spans only
+/// them.
+::testing::AssertionResult SameShard(const StaticGraph& hosted,
+                                     const StaticGraph& expected,
+                                     const std::vector<VertexId>& users) {
+  const auto map = hosted.local_ids();
+  if (!std::equal(map.begin(), map.end(), users.begin(), users.end())) {
     return ::testing::AssertionFailure()
-           << a.num_vertices() << " vertices / " << a.num_edges()
-           << " edges vs " << b.num_vertices() << " / " << b.num_edges();
+           << "the rank -> id map is not the partition's users ("
+           << map.size() << " ids vs " << users.size() << ")";
   }
-  if (a.has_hub_index() != b.has_hub_index() ||
-      a.hub_degree_threshold() != b.hub_degree_threshold() ||
-      a.num_hubs() != b.num_hubs()) {
+  if (hosted.neighbor_universe() != users.size()) {
+    return ::testing::AssertionFailure()
+           << "neighbor universe " << hosted.neighbor_universe() << " vs "
+           << users.size() << " users";
+  }
+  if (hosted.num_vertices() != expected.num_vertices() ||
+      hosted.num_edges() != expected.num_edges()) {
+    return ::testing::AssertionFailure()
+           << hosted.num_vertices() << " vertices / " << hosted.num_edges()
+           << " edges vs " << expected.num_vertices() << " / "
+           << expected.num_edges();
+  }
+  if (hosted.has_hub_index() != expected.has_hub_index() ||
+      hosted.hub_degree_threshold() != expected.hub_degree_threshold() ||
+      hosted.num_hubs() != expected.num_hubs()) {
     return ::testing::AssertionFailure() << "hub indexes differ";
   }
-  for (size_t v = 0; v < a.num_vertices(); ++v) {
+  std::vector<VertexId> mapped;
+  for (size_t v = 0; v < hosted.num_vertices(); ++v) {
     const VertexId id = static_cast<VertexId>(v);
-    const auto x = a.Neighbors(id);
-    const auto y = b.Neighbors(id);
-    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) {
+    const auto row = hosted.Neighbors(id);
+    mapped.clear();
+    for (const VertexId a : row) mapped.push_back(hosted.GlobalId(a));
+    const auto want = expected.Neighbors(id);
+    if (!std::equal(mapped.begin(), mapped.end(), want.begin(), want.end())) {
       return ::testing::AssertionFailure() << "row " << v << " differs";
     }
-    const BitsetView p = a.HubBitset(id);
-    const BitsetView q = b.HubBitset(id);
-    if (p.num_words != q.num_words ||
-        !std::equal(p.words, p.words + p.num_words, q.words)) {
+    if (hosted.IsHub(id) != expected.IsHub(id)) {
+      return ::testing::AssertionFailure() << "hub row " << v << " differs";
+    }
+    if (!hosted.IsHub(id)) continue;
+    // The bitmap spans the local universe and holds exactly the row.
+    const BitsetView bits = hosted.HubBitset(id);
+    size_t set = 0;
+    for (size_t w = 0; w < bits.num_words; ++w) {
+      set += static_cast<size_t>(std::popcount(bits.words[w]));
+    }
+    if (bits.num_words != (users.size() + 63) / 64 || set != row.size() ||
+        !std::all_of(row.begin(), row.end(),
+                     [&](VertexId a) { return bits.Test(a); })) {
       return ::testing::AssertionFailure() << "hub row " << v << " differs";
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Partition p's users among `num_vertices`, in ascending order.
+std::vector<VertexId> UsersOf(const HashPartitioner& partitioner, uint32_t p,
+                              size_t num_vertices) {
+  std::vector<VertexId> users;
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    if (partitioner.PartitionOf(v) == p) users.push_back(v);
+  }
+  return users;
 }
 
 TEST(ShardCutTest, EveryHostedShardEqualsTheOfflineCut) {
@@ -129,8 +174,9 @@ TEST(ShardCutTest, EveryHostedShardEqualsTheOfflineCut) {
             ASSERT_TRUE(expected.ok()) << expected.status();
             expected->BuildHubIndex();
             hub_rows += expected->num_hubs();
-            EXPECT_TRUE(
-                SameShard(cluster->replica(p, 0).static_index(), *expected))
+            EXPECT_TRUE(SameShard(
+                cluster->replica(p, 0).static_index(), *expected,
+                UsersOf(partitioner, p, follow_graph.num_vertices())))
                 << "cap " << cap << ", partition " << p << " of "
                 << partitions
                 << (cluster->is_partition_group_member() ? " (group)" : "");
@@ -140,6 +186,60 @@ TEST(ShardCutTest, EveryHostedShardEqualsTheOfflineCut) {
     }
   }
   EXPECT_GT(hub_rows, 0u) << "no shard had a hub row to compare";
+}
+
+TEST(ShardCutTest, ShardTablesSpanOnlyThePartitionsUsers) {
+  // A 4-way group member's shard names its A's by local ids: its hub
+  // bitmaps and each replica's count table span the partition's users, not
+  // every vertex, and no id at or past that universe is an edge.
+  Rng rng(BaseSeed() ^ 0x10ca1);
+  StaticGraph follow_graph = RandomFollowGraph(rng, /*with_celebrity=*/true);
+  while (follow_graph.num_vertices() < 1'400) {
+    follow_graph = RandomFollowGraph(rng, /*with_celebrity=*/true);
+  }
+  ClusterOptions options;
+  options.group_size = 4;
+  options.group_partition = 1;
+  options.replicas_per_partition = 2;
+  options.detector.k = 2;
+  auto cluster = Cluster::Create(follow_graph, options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const std::vector<VertexId> users = UsersOf(
+      (*cluster)->partitioner(), 1, follow_graph.num_vertices());
+  const size_t universe = users.size();
+  ASSERT_LT(universe, follow_graph.num_vertices() / 2);
+
+  const StaticGraph& shard = (*cluster)->replica(1, 0).static_index();
+  EXPECT_EQ(shard.num_vertices(), follow_graph.num_vertices());
+  EXPECT_EQ(shard.neighbor_universe(), universe);
+  ASSERT_TRUE(shard.IsHub(0)) << "the celebrity's followers make a hub row";
+  EXPECT_EQ(shard.HubBitset(0).num_words, (universe + 63) / 64);
+  for (uint32_t r = 0; r < 2; ++r) {
+    EXPECT_EQ((*cluster)->replica(1, r).count_universe(), universe)
+        << "replica " << r;
+    EXPECT_EQ(&(*cluster)->replica(1, r).static_index(), &shard)
+        << "replica " << r;
+  }
+
+  // Every local id below the universe stands for a user of the partition;
+  // none at or past it is an edge, on a hub row or an array row.
+  VertexId array_row = 1;
+  while (shard.IsHub(array_row) || shard.OutDegree(array_row) == 0) {
+    ++array_row;
+    ASSERT_LT(array_row, shard.num_vertices());
+  }
+  for (const VertexId row : {VertexId{0}, array_row}) {
+    const auto list = shard.Neighbors(row);
+    ASSERT_FALSE(list.empty());
+    EXPECT_LT(list.back(), universe);
+    EXPECT_TRUE(shard.HasEdge(row, list.back()));
+    for (const size_t past :
+         {universe, universe + 1, 64 * ((universe + 63) / 64),
+          follow_graph.num_vertices() - 1}) {
+      EXPECT_FALSE(shard.HasEdge(row, static_cast<VertexId>(past)))
+          << "row " << row << ", id " << past;
+    }
+  }
 }
 
 TEST(InfluencerCapTest, ZeroCapKeepsEverything) {

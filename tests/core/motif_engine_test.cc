@@ -494,7 +494,8 @@ TEST(MotifEngineTest, QueryHalfRunsOverAnotherEnginesWindow) {
 
 TEST(MotifEngineTest, QueryStageCopiesCountInTheirOwnCells) {
   // A Cluster copies one QueryStage per replica, and the replicas query at
-  // once: each copy must count and map witnesses in cells of its own.
+  // once: each copy must count and mark witnesses in cells of its own, over
+  // one shared shard in local ids and its one rank -> id map.
   Rng rng(0xc0b1e5);
   constexpr size_t kUsers = 400;
   StaticGraphBuilder builder(kUsers);
@@ -507,8 +508,10 @@ TEST(MotifEngineTest, QueryStageCopiesCountInTheirOwnCells) {
   }
   auto follow_graph = builder.Build();
   ASSERT_TRUE(follow_graph.ok());
-  const auto shared =
-      std::make_shared<const StaticGraph>(follow_graph->Transpose());
+  // Half the users, as a 2-way partition's shard holds them.
+  const auto shared = std::make_shared<const StaticGraph>(
+      follow_graph->TransposeIf([](VertexId a) { return a % 2 == 1; }));
+  ASSERT_EQ(shared->neighbor_universe(), kUsers / 2);
   DiamondOptions options = Defaults(2);
   options.max_reported_witnesses = 3;
   const auto plan = CompileDiamond(options);
@@ -542,7 +545,13 @@ TEST(MotifEngineTest, QueryStageCopiesCountInTheirOwnCells) {
   run(&prototype, &want);
   ASSERT_FALSE(want.empty());
 
+  for (const Recommendation& rec : want) ASSERT_EQ(rec.user % 2, 1u);
+
   std::vector<QueryStage> replicas(2, prototype);
+  for (const QueryStage& replica : replicas) {
+    EXPECT_EQ(replica.static_index().local_ids().data(),
+              shared->local_ids().data());
+  }
   std::vector<std::vector<Recommendation>> got(replicas.size());
   std::vector<std::thread> threads;
   for (size_t r = 0; r < replicas.size(); ++r) {
@@ -695,10 +704,13 @@ TEST(MotifEngineTest, PlanIsExposedForExplain) {
 
 // --- Differential: the one-pass emit against the per-match emit --------------
 //
-// The emit stage walks the gathered lists once per query. The reference
-// below runs the same diamond pipeline with the direct per-match emit: each
-// kept match binary-searches every gathered list in gather order and stops
-// at the reporting cap. Records must match exactly, witnesses included.
+// The emit stage reads each record's witnesses from its match's list mask,
+// which names the first 64 gathered lists, and probes the lists past them
+// only when the mask falls short. The reference below runs the same
+// diamond pipeline with the direct per-match emit: each kept match
+// binary-searches every gathered list in gather order and stops at the
+// reporting cap. Records must match exactly, witnesses included, on
+// queries of up to 64 lists and on queries of more.
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed> (and
 // MAGICRECS_FUZZ_TRIALS=<n> for a longer run).
 
@@ -780,104 +792,172 @@ class PerMatchDiamond {
       rec.event_time = t;
       rec.trigger = src;
       const size_t cap = options_.max_reported_witnesses;
+      bool past_mask = false;
       for (size_t i = 0; i < lists.size() && rec.witnesses.size() < cap; ++i) {
         if (std::binary_search(lists[i].begin(), lists[i].end(), user)) {
           rec.witnesses.push_back(sources[i]);
+          past_mask |= i >= kMatchListBits;
         }
       }
+      records_past_mask_ += past_mask ? 1 : 0;
       std::sort(rec.witnesses.begin(), rec.witnesses.end());
       out->push_back(std::move(rec));
     }
   }
 
+  /// Records with a witness from a list the match mask does not name.
+  size_t records_past_mask() const { return records_past_mask_; }
+
  private:
   std::shared_ptr<const StaticGraph> index_;
   DiamondOptions options_;
   DynamicInEdgeIndex dynamic_;
+  size_t records_past_mask_ = 0;
 };
+
+/// Witness tallies of one family's runs, for the checks that its caps bind.
+struct EmitTally {
+  size_t capped_records = 0;     ///< records whose count exceeds the cap
+  size_t records_past_mask = 0;  ///< records with a witness past list 63
+};
+
+/// A random follow graph of `n` users, A following B with probability
+/// `density`, as a hub-indexed follower index (a low hub threshold gives
+/// these small graphs bitmapped lists).
+std::shared_ptr<const StaticGraph> RandomFollowerIndex(Rng& rng, size_t n,
+                                                       double density) {
+  StaticGraphBuilder builder(n);
+  for (VertexId a = 0; a < n; ++a) {
+    for (VertexId b = 0; b < n; ++b) {
+      if (a != b && rng.Bernoulli(density)) {
+        EXPECT_TRUE(builder.AddEdge(a, b).ok());
+      }
+    }
+  }
+  auto follow_graph = builder.Build();
+  EXPECT_TRUE(follow_graph.ok());
+  StaticGraph followers = follow_graph->Transpose();
+  followers.BuildHubIndex(n / 4);
+  return std::make_shared<const StaticGraph>(std::move(followers));
+}
+
+/// A time-ordered stream of B -> C actions by `n` users onto `targets`
+/// items, `step` apart at most.
+std::vector<TimestampedEdge> RandomStream(Rng& rng, size_t events, size_t n,
+                                          size_t targets, Duration step) {
+  std::vector<TimestampedEdge> stream(events);
+  Timestamp now = 0;
+  for (TimestampedEdge& e : stream) {
+    now += static_cast<Duration>(rng.UniformInt(static_cast<uint64_t>(step)));
+    e = {static_cast<VertexId>(rng.UniformInt(n)),
+         static_cast<VertexId>(rng.UniformInt(targets)), now};
+  }
+  return stream;
+}
+
+/// Runs `stream` through the engine and the per-match reference under
+/// `opt`, for every algorithm, each reporting cap in `caps`, with and
+/// without bitmaps and the exclusion filter: records must match exactly.
+void CheckEmitAgainstReference(
+    const std::shared_ptr<const StaticGraph>& index,
+    const std::vector<TimestampedEdge>& stream, DiamondOptions opt,
+    std::initializer_list<size_t> caps, const std::string& family,
+    EmitTally* tally) {
+  for (const ThresholdAlgorithm algo :
+       {ThresholdAlgorithm::kScanCount, ThresholdAlgorithm::kHeapMerge,
+        ThresholdAlgorithm::kCandidateVerify}) {
+    for (const size_t cap : caps) {
+      for (const bool bitsets : {false, true}) {
+        for (const bool exclude : {false, true}) {
+          opt.algorithm = algo;
+          opt.max_reported_witnesses = cap;
+          opt.use_hub_bitsets = bitsets;
+          opt.exclude_existing_followers = exclude;
+          const std::string where =
+              family + " algo=" + std::string(ThresholdAlgorithmName(algo)) +
+              " cap=" + std::to_string(cap) +
+              " bitsets=" + std::to_string(bitsets) +
+              " exclude=" + std::to_string(exclude);
+          auto engine = MotifEngine::CreateDiamond(index, opt);
+          ASSERT_TRUE(engine.ok()) << engine.status() << " " << where;
+          PerMatchDiamond reference(index, opt);
+          std::vector<Recommendation> got;
+          std::vector<Recommendation> want;
+          for (const TimestampedEdge& e : stream) {
+            ASSERT_TRUE(
+                (*engine)->OnEdge(e.src, e.dst, e.created_at, &got).ok());
+            reference.OnEdge(e.src, e.dst, e.created_at, &want);
+            ASSERT_EQ(got.size(), want.size()) << where;
+          }
+          for (size_t r = 0; r < want.size(); ++r) {
+            ASSERT_EQ(got[r], want[r])
+                << where << " record " << r << ": " << want[r].ToString();
+            if (cap > 0 && want[r].witness_count > cap) {
+              ++tally->capped_records;
+            }
+          }
+          tally->records_past_mask += reference.records_past_mask();
+        }
+      }
+    }
+  }
+}
 
 TEST(MotifEngineEmitTest, OnePassEmitMatchesPerMatchReference) {
   const uint64_t seed = FuzzSeed();
   RecordProperty("seed", std::to_string(seed));
   Rng rng(seed);
-  size_t capped_records = 0;  // records whose count exceeds the cap
   const int trials = FuzzTrials(6);
+  // Queries of at most 64 lists, whose masks name every list: a random
+  // follow graph with a per-trial density, so some A's follow many of the
+  // acting B's (witness_count above every cap), and B -> C actions onto a
+  // handful of targets.
+  EmitTally narrow;
   for (int trial = 0; trial < trials; ++trial) {
-    // A random follow graph: A follows B with a per-trial density, so some
-    // A's follow many of the acting B's (witness_count above every cap).
     const size_t n = 30 + rng.UniformInt(90);
-    const double density = 0.05 + 0.3 * rng.UniformDouble();
-    StaticGraphBuilder builder(n);
-    for (VertexId a = 0; a < n; ++a) {
-      for (VertexId b = 0; b < n; ++b) {
-        if (a != b && rng.Bernoulli(density)) {
-          ASSERT_TRUE(builder.AddEdge(a, b).ok());
-        }
-      }
-    }
-    auto follow_graph = builder.Build();
-    ASSERT_TRUE(follow_graph.ok());
-    StaticGraph followers = follow_graph->Transpose();
-    // A low hub threshold gives these small graphs bitmapped lists.
-    followers.BuildHubIndex(n / 4);
     const auto index =
-        std::make_shared<const StaticGraph>(std::move(followers));
-
-    // A stream of B -> C actions onto a handful of targets, in time order.
-    std::vector<TimestampedEdge> stream(80 + rng.UniformInt(80));
+        RandomFollowerIndex(rng, n, 0.05 + 0.3 * rng.UniformDouble());
+    const size_t events = 80 + rng.UniformInt(80);
     const size_t targets = 1 + rng.UniformInt(6);
-    Timestamp now = 0;
-    for (TimestampedEdge& e : stream) {
-      now += static_cast<Duration>(rng.UniformInt(Seconds(3)));
-      e = {static_cast<VertexId>(rng.UniformInt(n)),
-           static_cast<VertexId>(rng.UniformInt(targets)), now};
-    }
-
+    const auto stream = RandomStream(rng, events, n, targets, Seconds(3));
     DiamondOptions opt;
     opt.k = static_cast<uint32_t>(1 + rng.UniformInt(4));
     opt.window = Minutes(1 + static_cast<int64_t>(rng.UniformInt(10)));
     opt.max_witnesses_per_query =
         rng.Bernoulli(0.5) ? 0 : 4 + rng.UniformInt(60);
-    for (const ThresholdAlgorithm algo :
-         {ThresholdAlgorithm::kScanCount, ThresholdAlgorithm::kHeapMerge,
-          ThresholdAlgorithm::kCandidateVerify}) {
-      for (const size_t cap : {0, 1, 3, 8, 64}) {
-        for (const bool bitsets : {false, true}) {
-          for (const bool exclude : {false, true}) {
-            opt.algorithm = algo;
-            opt.max_reported_witnesses = cap;
-            opt.use_hub_bitsets = bitsets;
-            opt.exclude_existing_followers = exclude;
-            const std::string where =
-                "MAGICRECS_FUZZ_SEED=" + std::to_string(seed) +
-                " trial=" + std::to_string(trial) + " algo=" +
-                std::string(ThresholdAlgorithmName(algo)) +
-                " cap=" + std::to_string(cap) +
-                " bitsets=" + std::to_string(bitsets) +
-                " exclude=" + std::to_string(exclude);
-            auto engine = MotifEngine::CreateDiamond(index, opt);
-            ASSERT_TRUE(engine.ok()) << engine.status() << " " << where;
-            PerMatchDiamond reference(index, opt);
-            std::vector<Recommendation> got;
-            std::vector<Recommendation> want;
-            for (const TimestampedEdge& e : stream) {
-              ASSERT_TRUE(
-                  (*engine)->OnEdge(e.src, e.dst, e.created_at, &got).ok());
-              reference.OnEdge(e.src, e.dst, e.created_at, &want);
-              ASSERT_EQ(got.size(), want.size()) << where;
-            }
-            for (size_t r = 0; r < want.size(); ++r) {
-              ASSERT_EQ(got[r], want[r])
-                  << where << " record " << r << ": " << want[r].ToString();
-              if (cap > 0 && want[r].witness_count > cap) ++capped_records;
-            }
-          }
-        }
-      }
-    }
+    CheckEmitAgainstReference(index, stream, opt, {0, 1, 3, 8, 64},
+                              "MAGICRECS_FUZZ_SEED=" + std::to_string(seed) +
+                                  " trial=" + std::to_string(trial),
+                              &narrow);
+    if (HasFatalFailure()) return;
   }
   // The cap must actually bind, or the gather-order selection goes untested.
-  EXPECT_GT(capped_records, 0u) << "MAGICRECS_FUZZ_SEED=" << seed;
+  EXPECT_GT(narrow.capped_records, 0u) << "MAGICRECS_FUZZ_SEED=" << seed;
+
+  // Queries of more than 64 lists, which only an uncapped query gathers:
+  // over a hundred B's act on one or two targets within the window, so a
+  // record's first witnesses may lie past the 64 lists its mask names.
+  EmitTally wide;
+  for (int trial = 0; trial < std::max(1, trials / 3); ++trial) {
+    const size_t n = 160 + rng.UniformInt(40);
+    const auto index =
+        RandomFollowerIndex(rng, n, 0.04 + 0.2 * rng.UniformDouble());
+    const size_t targets = 1 + rng.UniformInt(2);
+    const auto stream = RandomStream(rng, 150, n, targets, Seconds(1));
+    DiamondOptions opt;
+    opt.k = static_cast<uint32_t>(3 + rng.UniformInt(3));
+    opt.window = Minutes(10);
+    opt.max_witnesses_per_query = 0;
+    CheckEmitAgainstReference(index, stream, opt, {1, 8, 64},
+                              "MAGICRECS_FUZZ_SEED=" + std::to_string(seed) +
+                                  " wide trial=" + std::to_string(trial),
+                              &wide);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(wide.capped_records, 0u) << "MAGICRECS_FUZZ_SEED=" << seed;
+  // Records whose witnesses need lists 64 and up, or the probe past the
+  // mask goes untested.
+  EXPECT_GT(wide.records_past_mask, 0u) << "MAGICRECS_FUZZ_SEED=" << seed;
 }
 
 }  // namespace

@@ -130,6 +130,41 @@ TEST(StaticGraphTest, TransposeNeighborsSorted) {
   }
 }
 
+TEST(StaticGraphTest, TransposeIfWritesKeptSourcesAsTheirRanks) {
+  // Sources 1, 3 and 4 are kept: they become local ids 0, 1 and 2.
+  StaticGraphBuilder builder(6);
+  ASSERT_TRUE(builder.AddEdges({{1, 0}, {3, 0}, {4, 0}, {2, 0}, {4, 5},
+                                {3, 5}, {0, 5}})
+                  .ok());
+  StaticGraph g = BuildOrDie(&builder);
+  const StaticGraph t =
+      g.TransposeIf([](VertexId v) { return v == 1 || v == 3 || v == 4; });
+  EXPECT_EQ(t.num_vertices(), 6u);
+  EXPECT_EQ(t.num_edges(), 5u);
+  EXPECT_EQ(t.neighbor_universe(), 3u);
+  EXPECT_EQ(std::vector<VertexId>(t.local_ids().begin(), t.local_ids().end()),
+            (std::vector<VertexId>{1, 3, 4}));
+  const auto zero = t.Neighbors(0);
+  EXPECT_EQ(std::vector<VertexId>(zero.begin(), zero.end()),
+            (std::vector<VertexId>{0, 1, 2}));
+  const auto five = t.Neighbors(5);
+  EXPECT_EQ(std::vector<VertexId>(five.begin(), five.end()),
+            (std::vector<VertexId>{1, 2}));
+  EXPECT_EQ(t.GlobalId(2), 4u);
+  EXPECT_FALSE(t.HasEdge(0, 3));  // past the local universe
+
+  // A full transpose keeps vertex ids.
+  const StaticGraph full = g.Transpose();
+  EXPECT_TRUE(full.local_ids().empty());
+  EXPECT_EQ(full.neighbor_universe(), 6u);
+  EXPECT_EQ(full.GlobalId(4), 4u);
+
+  // A cut that keeps nobody has an empty universe, not every vertex.
+  const StaticGraph none = g.TransposeIf([](VertexId) { return false; });
+  EXPECT_EQ(none.num_edges(), 0u);
+  EXPECT_EQ(none.neighbor_universe(), 0u);
+}
+
 TEST(StaticGraphTest, DoubleTransposeIsIdentity) {
   Rng rng(5);
   StaticGraphBuilder builder(100);

@@ -7,10 +7,10 @@
 //     ids past the end of the view;
 //   * ThresholdIntersect, under every ThresholdAlgorithm, with and without
 //     hub bitmaps for a random subset of the lists, must return exactly the
-//     ids a std::map count finds in >= k lists, with their counts, for every
-//     k from 0 to n+1 — counting in the per-thread hash table, and again,
-//     on the family's ids remapped into [0, universe), in a reused
-//     VertexCountTable.
+//     ids a std::map count finds in >= k lists, with their counts and list
+//     masks, for every k from 0 to n+1 — counting in the per-thread hash
+//     table, and again, on the family's ids remapped into [0, universe), in
+//     a reused VertexCountTable.
 //
 // Inputs are generated from a printed seed so any failure is a one-line
 // repro:
@@ -352,13 +352,18 @@ KofNCase GenerateKofNCase(Rng* rng) {
 }
 
 std::vector<ThresholdMatch> ReferenceMatches(const KofNCase& c, size_t k) {
-  std::map<VertexId, uint32_t> counts;
-  for (const auto& list : c.lists) {
-    for (const VertexId v : list) ++counts[v];
+  std::map<VertexId, ThresholdMatch> counts;
+  for (size_t i = 0; i < c.lists.size(); ++i) {
+    for (const VertexId v : c.lists[i]) {
+      ThresholdMatch& match = counts[v];
+      match.id = v;
+      ++match.count;
+      if (i < 64) match.lists |= uint64_t{1} << i;
+    }
   }
   std::vector<ThresholdMatch> out;
-  for (const auto& [v, count] : counts) {
-    if (count >= std::max<size_t>(k, 1)) out.push_back({v, count});
+  for (const auto& [v, match] : counts) {
+    if (match.count >= std::max<size_t>(k, 1)) out.push_back(match);
   }
   return out;
 }

@@ -1,9 +1,9 @@
 // Property tests for ThresholdIntersect: on randomized Zipf-shaped list
 // families — the in-degree profile the paper's follow graph actually has —
 // every algorithm (ScanCount, HeapMerge, CandidateVerify, and whatever kAuto
-// selects) must agree on both the matched ids AND their occurrence counts,
-// for every k from 1 to n, with and without hub bitset views. The k == 0 and
-// k > n boundary contracts are locked down explicitly.
+// selects) must agree on the matched ids, their occurrence counts AND their
+// list masks, for every k from 1 to n, with and without hub bitset views.
+// The k == 0 and k > n boundary contracts are locked down explicitly.
 //
 // ScanCount and CandidateVerify count in a per-thread table reused across
 // calls, so the ThresholdScratchTest cases feed one thread a sequence of
@@ -11,7 +11,8 @@
 // counts), families holding kInvalidVertex (the table's empty-slot
 // marker), and eight threads at once. The ThresholdTableTest cases do the
 // same for a caller's VertexCountTable, plus its epoch wrap, counts past
-// what a byte holds, and the debug check that every id is in range.
+// what a byte holds, families past the 64 lists a mask names, and the
+// debug check that every id is in range.
 //
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
@@ -77,18 +78,24 @@ std::vector<std::vector<VertexId>> ZipfFamily(Rng* rng, size_t n,
   return lists;
 }
 
-/// Brute-force reference: occurrence counting over a map.
+/// Brute-force reference: occurrence counting over a map, with list i
+/// marked in the mask of every id it holds, for i < 64.
 std::vector<ThresholdMatch> Reference(
     const std::vector<std::vector<VertexId>>& lists, size_t k) {
   if (k == 0) k = 1;
   if (k > lists.size()) return {};
-  std::map<VertexId, uint32_t> counts;
-  for (const auto& list : lists) {
-    for (const VertexId v : list) ++counts[v];
+  std::map<VertexId, ThresholdMatch> counts;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (const VertexId v : lists[i]) {
+      ThresholdMatch& match = counts[v];
+      match.id = v;
+      ++match.count;
+      if (i < 64) match.lists |= uint64_t{1} << i;
+    }
   }
   std::vector<ThresholdMatch> out;
-  for (const auto& [id, count] : counts) {
-    if (count >= k) out.push_back({id, count});
+  for (const auto& [id, match] : counts) {
+    if (match.count >= k) out.push_back(match);
   }
   return out;
 }
@@ -405,8 +412,39 @@ TEST(ThresholdTableTest, CountsPastTwoFiftyFiveListsAreExact) {
   std::vector<ThresholdMatch> got;
   ThresholdIntersect(spans, 256, &got, ThresholdAlgorithm::kScanCount, nullptr,
                      &table);
-  const std::vector<ThresholdMatch> want = {{3, 300}, {9, 256}};
+  const std::vector<ThresholdMatch> want = {{3, 300, ~uint64_t{0}},
+                                            {9, 256, ~uint64_t{0}}};
   EXPECT_EQ(got, want);
+}
+
+TEST(ThresholdTableTest, SeventyListsMaskOnlyTheFirstSixtyFour) {
+  // A mask names lists 0..63: lists 64..69 must count exactly and set no
+  // bit (a shift by 64 or more would wrap onto a low bit on x86). Both
+  // tables, with and without bitmaps, with and without SIMD probes.
+  const uint64_t base = BaseSeed();
+  RecordProperty("seed", std::to_string(base));
+  Rng rng(base ^ 0x70);
+  const bool prior = SimdEnabled();
+  VertexCountTable table(600);
+  for (int trial = 0; trial < 4; ++trial) {
+    auto lists = DenseFamily(&rng, 70, 600, 0.05 + 0.1 * rng.UniformDouble());
+    // A near-full last list makes candidate-verify probe list 69, whose
+    // hits complete a count and set no bit.
+    lists.back() = DenseFamily(&rng, 1, 600, 0.9)[0];
+    std::vector<std::vector<uint64_t>> storage;
+    const std::vector<BitsetView> bitsets =
+        MakeBitsets(lists, 600, &storage, &rng);
+    for (const bool simd : {true, false}) {
+      SetSimdEnabled(simd && prior);
+      const std::string where =
+          Where(base, trial) + " simd=" + std::to_string(SimdEnabled());
+      CheckAgainstReference(lists, &bitsets, where + " hash");
+      CheckAgainstReference(lists, &bitsets, where + " table", &table);
+      if (HasFatalFailure()) break;
+    }
+    SetSimdEnabled(prior);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(ThresholdTableTest, DebugBuildsRejectAnIdPastTheUniverse) {

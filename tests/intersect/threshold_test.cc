@@ -20,16 +20,22 @@ std::vector<std::span<const VertexId>> Spans(
   return out;
 }
 
-/// Naive reference: count occurrences across lists with a map.
+/// Naive reference: count occurrences across lists with a map, and mark
+/// list i in the mask of every id it holds, for i < 64.
 std::vector<ThresholdMatch> Reference(
     const std::vector<std::vector<VertexId>>& lists, size_t k) {
-  std::map<VertexId, uint32_t> counts;
-  for (const auto& list : lists) {
-    for (const VertexId v : list) ++counts[v];
+  std::map<VertexId, ThresholdMatch> counts;
+  for (size_t i = 0; i < lists.size(); ++i) {
+    for (const VertexId v : lists[i]) {
+      ThresholdMatch& match = counts[v];
+      match.id = v;
+      ++match.count;
+      if (i < 64) match.lists |= uint64_t{1} << i;
+    }
   }
   std::vector<ThresholdMatch> out;
-  for (const auto& [v, c] : counts) {
-    if (c >= k) out.push_back(ThresholdMatch{v, c});
+  for (const auto& [v, match] : counts) {
+    if (match.count >= k) out.push_back(match);
   }
   return out;
 }
@@ -67,14 +73,15 @@ TEST_P(ThresholdTest, PaperWorkedExample) {
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].id, 1u);
   EXPECT_EQ(matches[0].count, 2u);
+  EXPECT_EQ(matches[0].lists, 0b11u);
 }
 
 TEST_P(ThresholdTest, KEqualsOneIsUnionWithCounts) {
   const auto matches = Run({{1, 3}, {3, 5}}, 1);
   ASSERT_EQ(matches.size(), 3u);
-  EXPECT_EQ(matches[0], (ThresholdMatch{1, 1}));
-  EXPECT_EQ(matches[1], (ThresholdMatch{3, 2}));
-  EXPECT_EQ(matches[2], (ThresholdMatch{5, 1}));
+  EXPECT_EQ(matches[0], (ThresholdMatch{1, 1, 0b01}));
+  EXPECT_EQ(matches[1], (ThresholdMatch{3, 2, 0b11}));
+  EXPECT_EQ(matches[2], (ThresholdMatch{5, 1, 0b10}));
 }
 
 TEST_P(ThresholdTest, KEqualsNIsFullIntersection) {
@@ -87,8 +94,7 @@ TEST_P(ThresholdTest, KEqualsNIsFullIntersection) {
 TEST_P(ThresholdTest, CountsAreExactAboveThreshold) {
   const auto matches = Run({{7}, {7}, {7}, {7, 9}}, 2);
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].id, 7u);
-  EXPECT_EQ(matches[0].count, 4u);
+  EXPECT_EQ(matches[0], (ThresholdMatch{7, 4, 0b1111}));
 }
 
 TEST_P(ThresholdTest, OutputSortedById) {
@@ -103,7 +109,7 @@ TEST_P(ThresholdTest, OutputSortedById) {
 TEST_P(ThresholdTest, EmptyListsAmongInputs) {
   const auto matches = Run({{}, {4, 5}, {}, {5, 6}}, 2);
   ASSERT_EQ(matches.size(), 1u);
-  EXPECT_EQ(matches[0].id, 5u);
+  EXPECT_EQ(matches[0], (ThresholdMatch{5, 2, 0b1010}));
 }
 
 TEST_P(ThresholdTest, SkewedSizesWithCelebrityList) {
@@ -112,8 +118,8 @@ TEST_P(ThresholdTest, SkewedSizesWithCelebrityList) {
   const auto matches = Run({{10, 70'000}, {10, 20}, celebrity}, 2);
   // 10 appears in lists 0,1,2 (count 3); 20 in 1,2; 70000 only in 0.
   ASSERT_EQ(matches.size(), 2u);
-  EXPECT_EQ(matches[0], (ThresholdMatch{10, 3}));
-  EXPECT_EQ(matches[1], (ThresholdMatch{20, 2}));
+  EXPECT_EQ(matches[0], (ThresholdMatch{10, 3, 0b111}));
+  EXPECT_EQ(matches[1], (ThresholdMatch{20, 2, 0b110}));
 }
 
 TEST_P(ThresholdTest, RandomizedAgainstReference) {
@@ -134,6 +140,27 @@ TEST_P(ThresholdTest, RandomizedAgainstReference) {
     const auto actual = Run(lists, k);
     EXPECT_EQ(actual, expected)
         << "trial " << trial << " k=" << k << " lists=" << num_lists;
+  }
+}
+
+TEST_P(ThresholdTest, SeventyListsSetNoBitPastTheMask) {
+  // The mask names the first 64 lists only: id 1 is in all 70 and id 2 only
+  // in the last six, so both count exactly and no bit at 64 or above is
+  // set (a shift past 63 would set one, or be undefined).
+  std::vector<std::vector<VertexId>> lists(70);
+  for (size_t i = 0; i < lists.size(); ++i) {
+    lists[i] = {1};
+    if (i >= 64) lists[i].push_back(2);
+  }
+  for (const size_t k : {size_t{1}, size_t{6}, size_t{65}, size_t{70}}) {
+    const auto matches = Run(lists, k);
+    EXPECT_EQ(matches, Reference(lists, k)) << "k=" << k;
+    ASSERT_FALSE(matches.empty()) << "k=" << k;
+    EXPECT_EQ(matches[0], (ThresholdMatch{1, 70, ~uint64_t{0}})) << "k=" << k;
+    if (k <= 6) {
+      ASSERT_EQ(matches.size(), 2u) << "k=" << k;
+      EXPECT_EQ(matches[1], (ThresholdMatch{2, 6, 0})) << "k=" << k;
+    }
   }
 }
 
