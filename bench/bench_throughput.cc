@@ -4,10 +4,11 @@
 // against S) on a single detector across graph sizes, and on the threaded
 // cluster across partition counts. The paper's target is 10^4 events/s for
 // the whole deployment; a single in-memory partition should beat that by
-// orders of magnitude. The last two rows split one detector on a
-// dense-shaped stream into its halves: D alone (insert + window read), then
-// the query half alone (S fetch, intersection, emit). The final row times a
-// daemon's setup: load a follow graph from its edge file and cut the shards.
+// orders of magnitude. Two rows split one detector on a dense-shaped stream
+// into its halves: D alone (insert + window read), then the query half alone
+// (S fetch, intersection, emit); a third times D alone on a sparse-shaped
+// stream. The final row times a daemon's setup: load a follow graph from its
+// edge file and cut the shards.
 
 #include <unistd.h>
 
@@ -182,17 +183,36 @@ Workload DenseShapedWorkload() {
   return MakeWorkload(config);
 }
 
+/// A stream shaped like the serving benchmark's `sparse` (50k users, Zipf
+/// 0.7, 100 events/s with 5% bursts against a 10-second window, so about
+/// 1.1k edges are live and most window reads see one source).
+Workload SparseShapedWorkload() {
+  WorkloadConfig config;
+  config.num_users = 50'000;
+  config.popularity_exponent = 0.7;
+  config.num_events = 500'000;
+  config.events_per_second = 100;
+  config.burst_fraction = 0.05;
+  config.mean_burst_size = 3;
+  config.burst_spread = Seconds(10);
+  return MakeWorkload(config);
+}
+
 /// D alone: WindowStage::Window (index-insert + index-window) with no
-/// query half, on the dense-shaped stream. The row gates the window read;
-/// its "recs" field counts the events whose window reached k, i.e. the
-/// queries the window half would start.
-void WindowSweep(const Workload& w, bench::JsonRows* rows) {
-  std::printf("\n--- D alone (index-insert + index-window), dense-shaped "
-              "stream ---\n");
+/// query half, on `w` with a k=3 diamond over `window`. The rows gate D's
+/// per-event cost on both serving shapes: on the dense-shaped stream
+/// ("window") the window reads dominate, on the sparse-shaped one
+/// ("window-sparse") the insert and expiry do. A row's "recs" field counts
+/// the events whose window reached k, i.e. the queries the window half would
+/// start.
+void WindowSweep(const char* name, const Workload& w, Duration window,
+                 bench::JsonRows* rows) {
+  std::printf("\n--- D alone (index-insert + index-window), %s ---\n", name);
   std::printf("%18s %12s %14s %14s\n", "config", "events", "events/s",
               "queries");
 
-  const DiamondOptions options = ProductionOptions();
+  DiamondOptions options = ProductionOptions();
+  options.window = window;
   const Result<MotifPlan> plan = CompileDiamond(options);
   if (!plan.ok()) return;
 
@@ -200,21 +220,21 @@ void WindowSweep(const Workload& w, bench::JsonRows* rows) {
   double rate = 0;
   uint64_t queries = 0;
   for (int pass = 0; pass < 2; ++pass) {
-    WindowStage window(*plan, options);
+    WindowStage stage(*plan, options);
     std::vector<VertexId> actors;
     queries = 0;
     Stopwatch timer;
     for (const TimestampedEdge& e : w.events) {
       actors.clear();
-      if (!window.Window(e.src, e.dst, e.created_at, &actors).ok()) return;
+      if (!stage.Window(e.src, e.dst, e.created_at, &actors).ok()) return;
       queries += actors.empty() ? 0 : 1;
     }
     rate = std::max(
         rate, static_cast<double>(w.events.size()) / timer.ElapsedSeconds());
   }
-  std::printf("%18s %12zu %14s %14s\n", "window", w.events.size(),
+  std::printf("%18s %12zu %14s %14s\n", name, w.events.size(),
               HumanCount(rate).c_str(), HumanCount(double(queries)).c_str());
-  rows->AddThroughput("throughput-window", "window", 1, rate, queries);
+  rows->AddThroughput("throughput-window", name, 1, rate, queries);
 }
 
 /// The query half alone: QueryStage::Query (s-fetch, intersect, emit) over
@@ -333,8 +353,9 @@ int main() {
   bench::JsonRows rows;
   KernelAblationSweep(&rows);
   const Workload dense = DenseShapedWorkload();
-  WindowSweep(dense, &rows);
+  WindowSweep("window", dense, Minutes(10), &rows);
   QuerySweep(dense, &rows);
+  WindowSweep("window-sparse", SparseShapedWorkload(), Seconds(10), &rows);
   LoadSweep(&rows);
   rows.MergeWrite("BENCH_net.json");
   return 0;

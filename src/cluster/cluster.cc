@@ -181,12 +181,12 @@ void Cluster::QueryBatch(uint32_t local, uint32_t replica,
                          std::vector<Recommendation>* gathered) {
   gathered->clear();
   for (size_t i = 0; i < batch.events.size(); ++i) {
+    const std::span<const VertexId> actors = batch.ActorsOf(i);
+    if (actors.empty()) continue;  // no query: nothing runs, nothing is timed
     const EdgeEvent& event = batch.events[i];
     // The alive mask only changes quiesced (SetAlive), so every replica of
     // the partition reads the same mask for this event.
     if (!ShouldEmit(local, replica, event.sequence)) continue;
-    const std::span<const VertexId> actors = batch.ActorsOf(i);
-    if (actors.empty()) continue;  // no query: nothing runs, nothing is timed
     const TimestampedEdge& e = event.edge;
     const bool timed = IsTimingSample(event.sequence);
     const int64_t t0 = timed ? SteadyNowNanos() : 0;

@@ -117,6 +117,11 @@ Status WindowStage::Window(VertexId src, VertexId dst, Timestamp t,
   ++stats_.events;
   clock.Lap(PlanStage::kIndexInsert);
 
+  // A log of fewer than k entries holds fewer than k sources: not read.
+  if (dynamic_index_.last_log_size() < plan_.k) {
+    clock.Lap(PlanStage::kIndexWindow);
+    return Status::OK();
+  }
   dynamic_index_.GetRecentInEdges(dst, t, &actors_);
   const bool query = actors_.size() >= plan_.k;
   // Celebrity-target guard: keep only the most recent actors.

@@ -19,29 +19,39 @@ Status DynamicInEdgeIndex::Insert(VertexId src, VertexId dst, Timestamp t) {
   if (src == kInvalidVertex || dst == kInvalidVertex) {
     return Status::InvalidArgument("edge uses the reserved invalid vertex id");
   }
-  const Slot& slot = slots_[Probe(dst)];
-  if (slot.dst == dst && t < slot.newest) {
-    if (options_.strict_time_order) {
+  // No log is newer than the watermark, so only an edge older than it can
+  // precede its destination's newest: strict mode refuses it before
+  // anything changes.
+  if (options_.strict_time_order && t < watermark_) {
+    const Slot& slot = slots_[Probe(dst)];
+    if (slot.dst == dst && t < slot.newest) {
       return Status::FailedPrecondition(
           StrFormat("timestamp %lld precedes the newest in-edge of vertex %u",
                     static_cast<long long>(t), dst));
     }
-    // Tolerant mode: clamp so every run stays time-sorted; out-of-order
-    // deliveries from a real message queue are expected to be rare and
-    // barely late.
-    t = slot.newest;
   }
   ++stats_.inserted;
+  // The clamp below never raises t past the watermark, so the watermark,
+  // and what it expires, do not depend on it: expire first, then one probe
+  // serves both the clamp and the claim.
   watermark_ = std::max(watermark_, t);
   const Timestamp cutoff = Cutoff(watermark_);
   Expire(cutoff);
-  if (t <= cutoff) {
+  size_t i = Probe(dst);
+  if (slots_[i].dst == dst) {
+    // Tolerant mode: clamp so every run stays time-sorted; out-of-order
+    // deliveries from a real message queue are expected to be rare and
+    // barely late. A live log's newest is inside the window, so t is too.
+    t = std::max(t, slots_[i].newest);
+  } else if (t <= cutoff) {
     // Only a late edge to a destination without a live log gets here.
     ++stats_.pruned;
+    last_log_size_ = 0;
     return Status::OK();
+  } else {
+    i = Claim(i, dst);
   }
-  // Expire may have moved or freed dst's slot: look it up again.
-  Slot& log = FindOrAdd(dst);
+  Slot& log = slots_[i];
   // The back of src's run: after every earlier insert of src.
   log.entries.insert(
       std::ranges::upper_bound(log.entries, src, {}, &Entry::src),
@@ -56,6 +66,8 @@ Status DynamicInEdgeIndex::Insert(VertexId src, VertexId dst, Timestamp t) {
     ++stats_.evicted;
     --stats_.current_edges;
   }
+  last_slot_ = i;
+  last_log_size_ = log.entries.size();
   return Status::OK();
 }
 
@@ -78,19 +90,22 @@ size_t DynamicInEdgeIndex::Probe(VertexId dst) const {
   return i;
 }
 
-DynamicInEdgeIndex::Slot& DynamicInEdgeIndex::FindOrAdd(VertexId dst) {
-  size_t i = Probe(dst);
-  if (slots_[i].dst == dst) return slots_[i];
+size_t DynamicInEdgeIndex::Claim(size_t i, VertexId dst) {
   if (2 * (stats_.tracked_vertices + 1) > slots_.size()) {
     Rehash(2 * slots_.size());
     i = Probe(dst);
   }
   ++stats_.tracked_vertices;
   slots_[i].dst = dst;
-  return slots_[i];
+  if (!pool_.empty()) {
+    slots_[i].entries = std::move(pool_.back());
+    pool_.pop_back();
+  }
+  return i;
 }
 
 void DynamicInEdgeIndex::EraseSlot(size_t hole) {
+  std::vector<Entry> buffer = std::move(slots_[hole].entries);
   const size_t mask = slots_.size() - 1;
   for (size_t i = (hole + 1) & mask; slots_[i].dst != kInvalidVertex;
        i = (i + 1) & mask) {
@@ -103,9 +118,19 @@ void DynamicInEdgeIndex::EraseSlot(size_t hole) {
   }
   slots_[hole] = Slot{};
   --stats_.tracked_vertices;
+  // The pool keeps at most one small buffer per kLogsPerPooledBuffer live
+  // logs, so it shrinks with the table.
+  if (buffer.capacity() <= kMaxPooledEntries &&
+      kLogsPerPooledBuffer * (pool_.size() + 1) <= stats_.tracked_vertices) {
+    pool_.push_back(std::move(buffer));
+  }
+  while (kLogsPerPooledBuffer * pool_.size() > stats_.tracked_vertices) {
+    pool_.pop_back();
+  }
   if (slots_.size() > kMinCapacity &&
       8 * stats_.tracked_vertices < slots_.size()) {
     Rehash(slots_.size() / 2);
+    pool_.shrink_to_fit();
   }
 }
 
@@ -114,6 +139,7 @@ void DynamicInEdgeIndex::Rehash(size_t capacity) {
   slots_.clear();
   slots_.resize(capacity);
   shift_ = 64 - std::countr_zero(capacity);
+  last_slot_ = 0;
   for (Slot& slot : old) {
     if (slot.dst != kInvalidVertex) slots_[Probe(slot.dst)] = std::move(slot);
   }
@@ -167,7 +193,9 @@ void DynamicInEdgeIndex::ResizeExpiry(size_t capacity) {
 size_t DynamicInEdgeIndex::GetRecentInEdges(
     VertexId dst, Timestamp now, std::vector<TimestampedInEdge>* out) const {
   out->clear();
-  const Slot& slot = slots_[Probe(dst)];
+  // The slot the last insert wrote needs no probe.
+  const Slot& slot = slots_[last_slot_].dst == dst ? slots_[last_slot_]
+                                                   : slots_[Probe(dst)];
   if (slot.dst != dst) return 0;
   const Timestamp cutoff = Cutoff(now);
   // Runs come in source order and each is time-sorted, so the last entry of
@@ -235,10 +263,11 @@ Status DynamicInEdgeIndex::DecodeFrom(const uint8_t* data, size_t size) {
     if (count > reader.remaining() / kEntryBytes) {
       return Status::Corruption("dynamic index entries truncated");
     }
-    Slot& slot = decoded.FindOrAdd(dst);
-    if (!slot.entries.empty()) {
+    const size_t at = decoded.Probe(dst);
+    if (decoded.slots_[at].dst == dst) {
       return Status::Corruption("dynamic index encodes a destination twice");
     }
+    Slot& slot = decoded.slots_[decoded.Claim(at, dst)];
     slot.entries.reserve(count);
     Timestamp prev = std::numeric_limits<Timestamp>::min();
     for (uint64_t j = 0; j < count; ++j) {
@@ -279,7 +308,10 @@ size_t DynamicInEdgeIndex::MemoryUsage() const {
   for (const Slot& slot : slots_) {
     total += slot.entries.capacity() * sizeof(Entry);
   }
-  return total;
+  for (const std::vector<Entry>& buffer : pool_) {
+    total += buffer.capacity() * sizeof(Entry);
+  }
+  return total + pool_.capacity() * sizeof(std::vector<Entry>);
 }
 
 }  // namespace magicrecs

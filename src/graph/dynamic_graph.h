@@ -24,7 +24,12 @@
 // order, the bytes a time-ordered log gives. An expiry queue of (time,
 // destination, source), one entry per stored edge, kept in time order,
 // names the run whose front each expired edge is at; a log that empties
-// frees its slot. Both structures grow and shrink with the window.
+// frees its slot and gives its buffer to a pool, which the next new
+// destination takes from (at most one buffer of up to 16 entries per eight
+// live logs). All three grow and shrink with the window. An insert expires
+// first and then probes once for both the clamp and the write (the clamp
+// never raises a time past the watermark); it keeps the slot it wrote, so a
+// read of that destination right after needs no probe.
 
 #ifndef MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
 #define MAGICRECS_GRAPH_DYNAMIC_GRAPH_H_
@@ -78,6 +83,11 @@ class DynamicInEdgeIndex {
   /// new watermark puts out of the window.
   Status Insert(VertexId src, VertexId dst, Timestamp t);
 
+  /// Entries in the log of the last accepted Insert's destination right
+  /// after it (0 when the edge arrived already expired): a bound on the
+  /// sources a read of that destination can return.
+  size_t last_log_size() const { return last_log_size_; }
+
   /// Appends the distinct sources with an edge to `dst` created in
   /// (now - window, now] into `*out` (cleared first), most-recent timestamp
   /// kept per source, sorted by source id. Returns the number appended.
@@ -87,7 +97,8 @@ class DynamicInEdgeIndex {
   const DynamicGraphOptions& options() const { return options_; }
   const DynamicGraphStats& stats() const { return stats_; }
 
-  /// Bytes held: the table, the expiry queue and every log's buffer.
+  /// Bytes held: the table, the expiry queue, every log's buffer and the
+  /// pooled buffers.
   size_t MemoryUsage() const;
 
   /// Drops every retained edge (recovery resets state before restoring it
@@ -144,6 +155,10 @@ class DynamicInEdgeIndex {
   };
 
   static constexpr size_t kMinCapacity = 16;
+  /// The buffer pool keeps at most one buffer per this many live logs, and
+  /// none of a capacity above kMaxPooledEntries.
+  static constexpr size_t kLogsPerPooledBuffer = 8;
+  static constexpr size_t kMaxPooledEntries = 16;
 
   /// `now - window`, saturating at the smallest timestamp.
   Timestamp Cutoff(Timestamp now) const;
@@ -151,10 +166,12 @@ class DynamicInEdgeIndex {
   size_t Home(VertexId dst) const;
   /// The slot holding `dst`, or the empty slot where it would go.
   size_t Probe(VertexId dst) const;
-  /// `dst`'s slot, claimed (growing the table if needed) when absent.
-  Slot& FindOrAdd(VertexId dst);
-  /// Empties slot `i`, shifting later probe-chain entries back into the
-  /// hole, and shrinks the table once it is mostly empty.
+  /// Claims empty slot `i`, where Probe(dst) ended, for `dst` with a pooled
+  /// buffer if one is left; grows the table if needed. Returns the slot.
+  size_t Claim(size_t i, VertexId dst);
+  /// Empties slot `i`, pooling its buffer, shifting later probe-chain
+  /// entries back into the hole, and shrinks the table once it is mostly
+  /// empty.
   void EraseSlot(size_t i);
   void Rehash(size_t capacity);
 
@@ -177,6 +194,12 @@ class DynamicInEdgeIndex {
   /// Power-of-two capacity, at most half full.
   std::vector<Slot> slots_;
   int shift_ = 64;
+  /// Emptied logs' buffers, for the next destinations to claim a slot.
+  std::vector<std::vector<Entry>> pool_;
+  /// The slot the last accepted Insert wrote: a hint, read only after its
+  /// dst is checked, and reset by Rehash so it stays in range.
+  size_t last_slot_ = 0;
+  size_t last_log_size_ = 0;
 
   /// Ring buffer of power-of-two capacity (or none yet).
   std::vector<Expiry> expiry_;

@@ -107,12 +107,19 @@ TEST(MotifEngineTest, WindowBoundaryInclusive) {
 }
 
 TEST(MotifEngineTest, RepeatFollowByTheSameBDoesNotCount) {
-  // B1 following C2 twice is one distinct witness, not two.
+  // B1 following C2 twice is one distinct witness, not two: a log of k
+  // entries from k - 1 sources starts no query, and k sources start one.
   const auto engine = Diamond(figure1::FollowGraph(), Defaults(2));
   std::vector<Recommendation> recs;
   ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 1, &recs).ok());
   ASSERT_TRUE(engine->OnEdge(figure1::kB1, figure1::kC2, 2, &recs).ok());
   EXPECT_TRUE(recs.empty());
+  EXPECT_EQ(engine->stats().threshold_queries, 0u);
+  ASSERT_TRUE(engine->OnEdge(figure1::kB2, figure1::kC2, 3, &recs).ok());
+  EXPECT_EQ(engine->stats().threshold_queries, 1u);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].user, figure1::kA2);
+  EXPECT_EQ(recs[0].witness_count, 2u);
 }
 
 TEST(MotifEngineTest, StatsAreAccurate) {

@@ -1,12 +1,13 @@
 // Property test: DynamicInEdgeIndex against a brute-force reference model
 // under long random operation sequences — insertions with drifting time,
 // interleaved queries, and after every step the retained edge and
-// destination counts. The late cases move time backwards across
-// destinations, pinning the watermark retention rule. The duplicate-heavy
-// cases (three sources, one or two targets, steps of 0 or 1 microsecond)
-// put many entries equal in both source and timestamp into one window,
-// pinning the window's (source, time) dedup. The hot-destination cases
-// (400 sources, two targets) keep logs of a hundred or more entries.
+// destination counts and a read of the destination just inserted. The late
+// cases move time backwards across destinations, pinning the watermark
+// retention rule. The duplicate-heavy cases (three sources, one or two
+// targets, steps of 0 or 1 microsecond) put many entries equal in both
+// source and timestamp into one window, pinning the window's (source, time)
+// dedup. The hot-destination cases (400 sources, two targets) keep logs of a
+// hundred or more entries.
 //
 // Failures print the seed; rerun with MAGICRECS_FUZZ_SEED=<seed>.
 
@@ -137,6 +138,11 @@ TEST_P(DynamicGraphModelTest, AgreesWithBruteForceModel) {
     ASSERT_EQ(index.stats().current_edges, model.edges()) << "step " << step;
     ASSERT_EQ(index.stats().tracked_vertices, model.destinations())
         << "step " << step;
+    // The destination just written: its slot survived this step's expiries
+    // and any rehash, wherever they moved it.
+    index.GetRecentInEdges(dst, now, &actual);
+    ASSERT_EQ(actual, model.Query(dst, now))
+        << "step " << step << " inserted dst " << dst;
 
     if (step % 7 == 0) {
       const VertexId q = static_cast<VertexId>(rng.UniformInt(param.targets));

@@ -1,6 +1,7 @@
 #include "graph/dynamic_graph.h"
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,6 +185,34 @@ TEST(DynamicGraphTest, StrictTimeOrderRejectsRegression) {
   ASSERT_TRUE(d.Insert(1, 100, Seconds(5)).ok());
   const Status s = d.Insert(2, 100, Seconds(3));
   EXPECT_TRUE(s.IsFailedPrecondition()) << s;
+
+  // A refused insert changes nothing, not even by the expiry an accepted
+  // one runs first. Restored from a one-hour window's state, 100's log lies
+  // outside this index's window of the restored watermark, so an expiry
+  // would drop it.
+  DynamicInEdgeIndex wide(WindowOptions(Hours(1)));
+  ASSERT_TRUE(wide.Insert(1, 100, 0).ok());
+  ASSERT_TRUE(wide.Insert(2, 200, Seconds(100)).ok());
+  std::string bytes;
+  wide.EncodeTo(&bytes);
+  ASSERT_TRUE(
+      d.DecodeFrom(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size())
+          .ok());
+  const DynamicGraphStats before = d.stats();
+  const Status late = d.Insert(3, 100, -Seconds(1));
+  EXPECT_TRUE(late.IsFailedPrecondition()) << late;
+  EXPECT_EQ(d.stats().inserted, before.inserted);
+  EXPECT_EQ(d.stats().pruned, before.pruned);
+  EXPECT_EQ(d.stats().evicted, before.evicted);
+  EXPECT_EQ(d.stats().current_edges, before.current_edges);
+  EXPECT_EQ(d.stats().tracked_vertices, before.tracked_vertices);
+  std::string after;
+  d.EncodeTo(&after);
+  EXPECT_EQ(after, bytes);
+  std::vector<TimestampedInEdge> out;
+  ASSERT_EQ(d.GetRecentInEdges(100, 0, &out), 1u);
+  EXPECT_EQ(out[0].src, 1u);
+  EXPECT_EQ(out[0].created_at, 0);
 }
 
 TEST(DynamicGraphTest, TolerantModeClampsRegression) {

@@ -91,6 +91,20 @@ long CountThreads() {
   return count;
 }
 
+/// CountThreads once /proc/self/task stops shrinking: a thread joined just
+/// before can stay listed for a moment after its join returns. Waits at most
+/// about a second.
+long SettledThreadCount() {
+  long count = CountThreads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const long now = CountThreads();
+    if (now >= count) return now;
+    count = now;
+  }
+  return count;
+}
+
 TEST(HealthAutopilotTest, FlipsToQuorumOnDeathAndBackAfterRecovery) {
   Group g = StartGroup(figure1::FollowGraph(), 4, /*replicas=*/1, /*k=*/2,
                        MonitoredOptions());
@@ -321,7 +335,7 @@ TEST(HealthAutopilotTest, ZeroIntervalRunsNoMonitorAndNoJournal) {
   fopt.endpoints.resize(2);
   fopt.endpoints[0].partition = 0;
   fopt.endpoints[1].partition = 1;
-  const long before = CountThreads();
+  const long before = SettledThreadCount();
   auto unmonitored = net::FanoutCluster::Connect(fopt);
   ASSERT_TRUE(unmonitored.ok()) << unmonitored.status();
   EXPECT_EQ(CountThreads(), before);

@@ -67,6 +67,20 @@ long CountThreads() {
   return count;
 }
 
+/// CountThreads once /proc/self/task stops shrinking: a thread joined just
+/// before can stay listed for a moment after its join returns. Waits at most
+/// about a second.
+long SettledThreadCount() {
+  long count = CountThreads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const long now = CountThreads();
+    if (now >= count) return now;
+    count = now;
+  }
+  return count;
+}
+
 /// A one-event publish-batch whose edge source is `src`.
 std::string OnePublish(VertexId src, uint64_t batch_sequence) {
   EdgeEvent event;
@@ -278,7 +292,7 @@ TEST_F(EpollServerTest, Soak256ConcurrentConnections) {
 
 TEST_F(EpollServerTest, RefusedStartLeavesNoThreadRunning) {
   StartServer();
-  const long threads_before = CountThreads();
+  const long threads_before = SettledThreadCount();
   RpcServerOptions no_inflight;
   no_inflight.max_inflight_per_conn = 0;
   RpcServerOptions no_workers;
