@@ -99,8 +99,6 @@ int main(int argc, char** argv) {
         options.policy = net::FanoutPolicy::kStrict;
       } else if (value == "quorum") {
         options.policy = net::FanoutPolicy::kQuorum;
-      } else if (value == "best-effort") {
-        options.policy = net::FanoutPolicy::kBestEffort;
       } else if (value == "auto") {
         options.policy = net::FanoutPolicy::kAuto;
       } else {
@@ -140,7 +138,7 @@ int main(int argc, char** argv) {
   if (options.endpoints.empty()) {
     std::fprintf(stderr,
                  "usage: example_fanout_quickstart [--policy=strict|quorum|"
-                 "best-effort|auto] [--quorum=N] [--chaos-drill] "
+                 "auto] [--quorum=N] [--chaos-drill] "
                  "[--health-interval-ms=N] [--journal=PATH] PORT | "
                  "PORT:PARTITION [PORT:PARTITION ...]\n");
     return 2;
@@ -156,8 +154,7 @@ int main(int argc, char** argv) {
     options.max_reconnect_backoff_ms = 200;
     std::setvbuf(stdout, nullptr, _IOLBF, 0);
   }
-  const bool degraded = options.policy != net::FanoutPolicy::kStrict &&
-                        options.policy != net::FanoutPolicy::kAuto;
+  const bool degraded = options.policy == net::FanoutPolicy::kQuorum;
 
   auto broker = net::FanoutCluster::Connect(options);
   if (!broker.ok()) {

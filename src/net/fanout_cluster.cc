@@ -37,7 +37,6 @@ std::string_view FanoutPolicyName(FanoutPolicy policy) {
   switch (policy) {
     case FanoutPolicy::kStrict: return "strict";
     case FanoutPolicy::kQuorum: return "quorum";
-    case FanoutPolicy::kBestEffort: return "best-effort";
     case FanoutPolicy::kAuto: return "auto";
   }
   return "unknown";
@@ -61,9 +60,6 @@ Result<std::unique_ptr<FanoutCluster>> FanoutCluster::Connect(
   if (options.max_reconnect_backoff_ms < options.reconnect_backoff_ms) {
     return Status::InvalidArgument(
         "max_reconnect_backoff_ms must be >= reconnect_backoff_ms");
-  }
-  if (!(options.shed_replay_frac >= 0 && options.shed_replay_frac <= 1)) {
-    return Status::InvalidArgument("shed_replay_frac must be in [0, 1]");
   }
   // Only the monitor flips kAuto or writes the journal.
   if (options.health_interval_ms <= 0 &&
@@ -128,7 +124,6 @@ FanoutCluster::FanoutCluster(const FanoutClusterOptions& options)
   }
   registry_.GetGauge("broker_policy")
       ->Set(static_cast<int64_t>(active_policy()));
-  registry_.GetGauge("broker_shedding")->Set(0);
   // Batch sequences must be unique across broker incarnations, not just
   // within one: the daemons' dedup window is keyed by the raw u64 and
   // outlives any one broker's connections, so a counter restarting at 1
@@ -342,7 +337,6 @@ size_t FanoutCluster::RequiredQuorum() const {
       return options_.gather_quorum == 0
                  ? n / 2 + 1
                  : static_cast<size_t>(options_.gather_quorum);
-    case FanoutPolicy::kBestEffort: return 0;
     case FanoutPolicy::kAuto: break;  // never active
   }
   return n;
@@ -613,16 +607,6 @@ void FanoutCluster::QueueUnsent(Slot* slot,
 Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   if (events.empty()) return Status::OK();
   MAGICRECS_ASSIGN_OR_RETURN(const auto lifecycle, Enter());
-  // Admission control: when the health monitor flagged replay saturation,
-  // fail fast instead of pushing a buffer to its hard bound and dropping
-  // events mid-frame. The journal has the shed_start event with the
-  // triggering depths.
-  if (shedding_.load(std::memory_order_relaxed)) {
-    shed_publishes_->Increment();
-    return Status::ResourceExhausted(
-        "broker is shedding publishes: replay buffers near capacity (see "
-        "the health journal's shed_start event)");
-  }
   // One policy snapshot steers this whole call: a concurrent kAuto
   // flip must not park some of its failed lanes and fail others.
   const bool entered_degraded = degraded();
@@ -682,6 +666,28 @@ Status FanoutCluster::PublishBatch(std::span<const EdgeEvent> events) {
   }
 
   std::vector<Slot> slots = AcquireLanes(nullptr);
+  // Admission: every frame of a lane unreachable now would park, so a
+  // publish that lane's buffer cannot hold is refused whole, before any
+  // daemon applies a frame of it. Refusing after the send would leave the
+  // healthy daemons holding events the parked one never gets.
+  if (entered_degraded) {
+    for (const Slot& slot : slots) {
+      if (slot.live()) continue;
+      std::lock_guard<std::mutex> lock(slot.daemon->replay_mu);
+      if (slot.daemon->replay_events + events.size() <=
+          options_.replay_buffer_events) {
+        continue;
+      }
+      shed_publishes_->Increment();
+      return TagError(
+          *slot.daemon,
+          Status::ResourceExhausted(StrFormat(
+              "replay buffer full (%zu events parked, %zu more would exceed "
+              "the %zu-event bound): publish refused, no daemon received it",
+              slot.daemon->replay_events, events.size(),
+              options_.replay_buffer_events)));
+    }
+  }
   // The pipeline: every daemon chews on the same prefix of the stream
   // concurrently. (The session additionally honors the cap the daemon
   // advertised in its hello reply — MuxConnection::Start blocks there.)
@@ -980,10 +986,6 @@ void FanoutCluster::CollectHealthInputs(std::span<const double> rates,
   // "broker" party, not a daemon.
   const double loss_rate = rates[0];
 
-  bool shed_raise = false;
-  bool shed_all_clear = true;
-  double worst_frac = 0;
-  std::string worst_party;
   for (const auto& daemon : daemons_) {
     HealthInputs::Party party;
     party.name = daemon->party;
@@ -1000,16 +1002,6 @@ void FanoutCluster::CollectHealthInputs(std::span<const double> rates,
       party.replay_events = daemon->replay_events;
     }
     party.replay_capacity = options_.replay_buffer_events;
-    if (options_.shed_replay_frac > 0 && party.replay_capacity > 0) {
-      const double frac = static_cast<double>(party.replay_events) /
-                          static_cast<double>(party.replay_capacity);
-      if (frac >= options_.shed_replay_frac) shed_raise = true;
-      if (frac >= options_.shed_replay_frac / 2) shed_all_clear = false;
-      if (frac > worst_frac) {
-        worst_frac = frac;
-        worst_party = party.name;
-      }
-    }
     inputs->parties.push_back(std::move(party));
   }
 
@@ -1017,27 +1009,6 @@ void FanoutCluster::CollectHealthInputs(std::span<const double> rates,
   broker.name = "broker";
   broker.replay_loss_rate_per_s = loss_rate;
   inputs->parties.push_back(std::move(broker));
-
-  // Load-shed hysteresis: raise at shed_replay_frac, clear only once every
-  // buffer is back under half of it. Runs here (not in the observer)
-  // because this is where the replay depths are already in hand.
-  if (options_.shed_replay_frac > 0) {
-    const bool was_shedding = shedding_.load(std::memory_order_relaxed);
-    if (!was_shedding && shed_raise) {
-      shedding_.store(true, std::memory_order_relaxed);
-      registry_.GetGauge("broker_shedding")->Set(1);
-      journal_->Append(
-          SystemClock::Default()->Now(), "shed_start",
-          {LogEvent::Str("party", worst_party),
-           LogEvent::Num("replay_frac", worst_frac),
-           LogEvent::Num("shed_replay_frac", options_.shed_replay_frac)});
-    } else if (was_shedding && shed_all_clear) {
-      shedding_.store(false, std::memory_order_relaxed);
-      registry_.GetGauge("broker_shedding")->Set(0);
-      journal_->Append(SystemClock::Default()->Now(), "shed_stop",
-                       {LogEvent::Num("replay_frac", worst_frac)});
-    }
-  }
 }
 
 void FanoutCluster::OnHealthReport(

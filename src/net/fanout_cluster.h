@@ -79,14 +79,19 @@
 //
 // Degraded-mode policy (FanoutClusterOptions::policy): the paper's
 // deployment keeps serving recommendations while individual partition
-// hosts fail. Under kQuorum / kBestEffort the broker trades the strict
-// all-or-nothing contract for availability:
+// hosts fail. Under kQuorum the broker trades the strict all-or-nothing
+// contract for availability:
 //   * gathers return the merged recommendations of whichever daemons
 //     answered, as long as at least the quorum did; the partitions missing
 //     from the merge are named by TakeRecommendations(GatherReport*);
 //   * publishes to a daemon in reconnect backoff are queued in a bounded
 //     per-daemon replay buffer and re-sent — in order, ahead of newer
-//     traffic — once the daemon answers again; overflow is an explicit
+//     traffic — once the daemon answers again. One admission rule guards
+//     the bound: a publish that some unreachable daemon's buffer cannot
+//     hold is refused whole with ResourceExhausted before its first frame
+//     leaves, so no daemon applies it. Only a lane that dies mid-publish
+//     (or a concurrent publisher racing past admission) can still overflow
+//     a buffer; those events are counted dropped and the call returns
 //     ResourceExhausted, never a silent drop;
 //   * a publish lane that stays silent for recv_timeout_ms (a stalled
 //     daemon), or whose connection fails mid-pipeline, fails over to the
@@ -142,8 +147,8 @@
 namespace magicrecs::net {
 
 /// Coverage of one gather: which partitions the merged recommendations
-/// actually came from. A degraded-mode broker (FanoutPolicy::kQuorum /
-/// kBestEffort) returns merged results while some daemons are down; this
+/// actually came from. A degraded-mode broker (FanoutPolicy::kQuorum)
+/// returns merged results while some daemons are down; this
 /// report names what is missing so callers can tell a complete gather from
 /// a degraded one.
 struct GatherReport {
@@ -183,9 +188,8 @@ struct FanoutEndpoint {
 /// How the broker behaves when some daemons are down (see the class
 /// comment for the full contract).
 enum class FanoutPolicy {
-  kStrict,      ///< any daemon failure fails the call (PR 3 behavior)
-  kQuorum,      ///< succeed when >= gather_quorum daemons answer
-  kBestEffort,  ///< succeed with whatever answered, even nothing
+  kStrict,  ///< any daemon failure fails the call (PR 3 behavior)
+  kQuorum,  ///< succeed when >= gather_quorum daemons answer
   /// Starts strict; the health monitor (which it requires) flips the
   /// active policy to kQuorum while any daemon is unhealthy and back once
   /// all recover. Never an active policy itself.
@@ -248,9 +252,11 @@ struct FanoutClusterOptions {
 
   /// Per-daemon replay buffer bound, in events. Publishes that cannot
   /// reach a daemon (backoff, connect failure, mid-pipeline death) are
-  /// queued up to this bound and replayed when the daemon answers again;
-  /// beyond it the publish returns ResourceExhausted and counts the
-  /// overflow in broker_replay_dropped_events.
+  /// queued up to this bound and replayed when the daemon answers again.
+  /// A publish an unreachable daemon's buffer cannot hold is refused
+  /// before it is sent (ResourceExhausted, broker_shed_publishes); a lane
+  /// that dies mid-publish past the bound drops its unsent events instead
+  /// (ResourceExhausted, broker_replay_dropped_events).
   size_t replay_buffer_events = 1 << 16;
 
   // --- health monitor --------------------------------------------------------
@@ -258,27 +264,20 @@ struct FanoutClusterOptions {
   /// > 0 runs the broker-side health monitor on this interval: it samples
   /// the broker's own registry, scores every daemon plus the broker itself
   /// with the default HealthThresholds (src/health/health_engine.h),
-  /// publishes `health{party=...}` gauges, journals transitions, and
-  /// evaluates load shedding. Under kAuto it also flips the ACTIVE policy
+  /// publishes `health{party=...}` gauges and journals transitions. Under
+  /// kAuto it also flips the ACTIVE policy
   /// strict→quorum while any daemon is unhealthy, then back once every
   /// party has been healthy through the engine's dwell + recovery
   /// hysteresis AND every replay buffer has drained (flipping to strict
-  /// with frames still parked would strand them). Any other policy is pinned: the monitor
-  /// scores, journals and sheds but never flips. 0 (the default) runs no
-  /// monitor thread; kAuto then fails Connect.
+  /// with frames still parked would strand them). Any other policy is
+  /// pinned: the monitor scores and journals but never flips. 0 (the
+  /// default) runs no monitor thread; kAuto then fails Connect.
   int health_interval_ms = 0;
 
-  /// JSONL journal for health transitions, policy flips, and load-shed
-  /// events ("" = in-memory ring only; see EventLog::Recent()). Requires
-  /// the monitor, the only writer.
+  /// JSONL journal for health transitions and policy flips ("" =
+  /// in-memory ring only; see EventLog::Recent()). Requires the monitor,
+  /// the only writer.
   std::string event_journal_path;
-
-  /// Load shedding: while any daemon's replay buffer is at least this
-  /// full, PublishBatch fails fast with ResourceExhausted instead of
-  /// pushing the buffer to its hard bound and dropping events. Shedding
-  /// clears once every buffer is back below half this fraction
-  /// (hysteresis). In [0, 1]; 0 disables. Only the monitor evaluates it.
-  double shed_replay_frac = 0.9;
 };
 
 /// The fan-out/gather broker endpoint. Thread-safe; concurrent callers
@@ -300,7 +299,7 @@ class FanoutCluster : public ClusterTransport {
   /// Union of every answering daemon's gather, subject to the policy: a
   /// failure below quorum returns the error and acknowledges nothing, so
   /// the daemons send their shares again to the next call (see the class
-  /// comment). A quorum/best-effort success with daemons missing returns
+  /// comment). A quorum success with daemons missing returns
   /// the partial merge; the report overload names the missing partitions.
   Result<std::vector<Recommendation>> TakeRecommendations() override;
 
@@ -318,7 +317,7 @@ class FanoutCluster : public ClusterTransport {
   Placement placement() const override;
 
   /// The broker's own registry exposition (its degraded-mode counters,
-  /// policy and shedding gauges, and monitor verdicts; never the
+  /// policy gauge, and monitor verdicts; never the
   /// process-wide registry) followed by one `# source`-headed section per
   /// daemon (its kStatsText reply). A daemon that cannot answer — down, or
   /// pre-kStatsText — degrades to an annotated header instead of failing
@@ -340,19 +339,14 @@ class FanoutCluster : public ClusterTransport {
   /// runs or before its first evaluation.
   Result<HealthReport> GetHealth();
 
-  /// The policy currently steering gathers/replay: strict, quorum or
-  /// best-effort, never kAuto (which starts strict and flips).
+  /// The policy currently steering gathers/replay: strict or quorum,
+  /// never kAuto (which starts strict and flips).
   FanoutPolicy active_policy() const {
     return active_policy_.load(std::memory_order_relaxed);
   }
 
-  /// True while admission control is rejecting publishes (see
-  /// FanoutClusterOptions::shed_replay_frac).
-  bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
-
-  /// The monitor's event journal: transitions, flips, and shed events
-  /// (in-memory only when no path was configured). Null when no monitor
-  /// runs.
+  /// The monitor's event journal: transitions and flips (in-memory only
+  /// when no path was configured). Null when no monitor runs.
   EventLog* journal() { return journal_.get(); }
 
   /// One kPing sweep, strict under every policy: every daemon must answer.
@@ -576,7 +570,10 @@ class FanoutCluster : public ClusterTransport {
   /// Parks frames [slot->replied, frames.size()) in the daemon's replay
   /// buffer after a lane failure, clearing the slot's transport error.
   /// Overflow queues nothing more, counts the dropped events, and sets the
-  /// explicit ResourceExhausted status instead.
+  /// explicit ResourceExhausted status instead. PublishBatch's admission
+  /// rule refuses what a lane unreachable at admission cannot park, so
+  /// this backstop fires only for a lane that dies mid-publish or a
+  /// concurrent publisher that raced past admission.
   void QueueUnsent(Slot* slot, const std::vector<FrameBuf>& frames,
                    const std::vector<size_t>& frame_events);
 
@@ -594,8 +591,6 @@ class FanoutCluster : public ClusterTransport {
 
   /// Monitor collector: one HealthInputs party per daemon plus "broker",
   /// whose loss rate is `rates` (replay_dropped_events_).
-  /// Also evaluates the load-shed hysteresis, since it already holds the
-  /// replay depths.
   void CollectHealthInputs(std::span<const double> rates,
                            HealthInputs* inputs);
 
@@ -651,11 +646,6 @@ class FanoutCluster : public ClusterTransport {
   /// or kStrict under kAuto until the monitor flips it. The broker_policy
   /// gauge is set with it.
   std::atomic<FanoutPolicy> active_policy_{FanoutPolicy::kStrict};
-
-  /// Admission control: set/cleared by the monitor's shed hysteresis,
-  /// checked at the top of PublishBatch. The broker_shedding gauge is set
-  /// with it.
-  std::atomic<bool> shedding_{false};
 
   /// Journal + monitor. Created by Connect only when health_interval_ms
   /// > 0, both null otherwise; Close() tears the monitor down before it

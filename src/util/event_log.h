@@ -1,6 +1,6 @@
 // Structured JSONL event journal for operational state transitions: health
-// state changes, policy flips, load-shed starts/stops. One JSON object per
-// line, append-only, shared by the broker and magicrecsd.
+// state changes and policy flips. One JSON object per line, append-only,
+// shared by the broker and magicrecsd.
 //
 // Rotation-friendly by construction: the file is opened in append mode per
 // write, so an external logrotate can rename the file between events

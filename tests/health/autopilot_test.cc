@@ -243,42 +243,6 @@ TEST(HealthAutopilotTest, PinnedPolicyObservesButNeverFlips) {
   EXPECT_TRUE(g.broker->Close().ok());
 }
 
-TEST(HealthAutopilotTest, ShedsPublishesAtReplaySaturation) {
-  FanoutClusterOptions fopt = MonitoredOptions();
-  fopt.replay_buffer_events = 64;
-  fopt.shed_replay_frac = 0.5;
-  Group g = StartGroup(figure1::FollowGraph(), 2, /*replicas=*/1, /*k=*/2,
-                       fopt);
-  ASSERT_TRUE(g.broker->Ping().ok());
-
-  g.daemons[1].server->Stop();
-  Timestamp at = 1;
-  // Flip to quorum first so singles park in p1's replay buffer.
-  ASSERT_TRUE(TrickleUntil(
-      g.broker.get(),
-      [&] { return g.broker->active_policy() == FanoutPolicy::kQuorum; },
-      /*deadline_ms=*/20'000, &at))
-      << "autopilot never flipped to quorum";
-  // Park singles until the buffer crosses half full and the next tick
-  // raises the shed gate.
-  ASSERT_TRUE(TrickleUntil(g.broker.get(),
-                           [&] { return g.broker->shedding(); },
-                           /*deadline_ms=*/20'000, &at))
-      << "broker never started shedding";
-  const Status shed = g.broker->Publish(Tick(++at));
-  EXPECT_TRUE(shed.IsResourceExhausted()) << shed;
-
-  const std::vector<LogEvent> sheds =
-      EventsOfType(*g.broker->journal(), "shed_start");
-  ASSERT_EQ(sheds.size(), 1u);
-  EXPECT_EQ(FieldOf(sheds[0], "party"), "p1");
-  auto text = g.broker->GetStatsText();
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("gauge broker_shedding 1\n"), std::string::npos)
-      << *text;
-  EXPECT_TRUE(g.broker->Close().ok());
-}
-
 TEST(HealthAutopilotTest, ConfiguredQuorumScoresAndJournalsButNeverFlips) {
   FanoutClusterOptions fopt = MonitoredOptions(FanoutPolicy::kQuorum);
   fopt.gather_quorum = 1;

@@ -115,8 +115,8 @@ TEST(FanoutClusterTest, TopologyValidation) {
   ASSERT_TRUE(partitioner.ok());
   EXPECT_EQ(partitioner->num_partitions(), 2u);
 
-  // Values the circuit breaker, the shed gate or a missing monitor would
-  // silently ignore are refused on an otherwise valid topology.
+  // Values the circuit breaker or a missing monitor would silently ignore
+  // are refused on an otherwise valid topology.
   const auto refused = [&](void (*tweak)(FanoutClusterOptions*)) {
     FanoutClusterOptions bad = opt;
     tweak(&bad);
@@ -130,12 +130,6 @@ TEST(FanoutClusterTest, TopologyValidation) {
     o->max_reconnect_backoff_ms = 50;
   }));
   EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
-    o->shed_replay_frac = -0.1;
-  }));
-  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
-    o->shed_replay_frac = 1.5;
-  }));
-  EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
     o->policy = FanoutPolicy::kAuto;  // nothing would ever flip it
   }));
   EXPECT_TRUE(refused([](FanoutClusterOptions* o) {
@@ -143,7 +137,6 @@ TEST(FanoutClusterTest, TopologyValidation) {
   }));
   opt.reconnect_backoff_ms = 1;
   opt.max_reconnect_backoff_ms = 1;
-  opt.shed_replay_frac = 1;
   EXPECT_TRUE(FanoutCluster::Connect(opt).ok()) << "the bounds are inclusive";
 }
 

@@ -5,10 +5,14 @@
 // suppresses the replayed copy; publishes to an unreachable daemon park in
 // a bounded replay buffer and flow again — restoring byte-identical
 // strict-mode results — once the daemon returns, replayed as one pipelined
-// exchange. Strict mode on a healthy group must stay byte-identical to the
-// inline reference. A seeded exchange fuzz checks every call's outcome
+// exchange; a publish that buffer cannot hold is refused before any daemon
+// gets it, and a lane that dies mid-publish past the bound drops its
+// unsent events explicitly. Strict mode on a healthy group must stay
+// byte-identical to the inline reference. A seeded exchange fuzz checks every call's outcome
 // against a model of the policy; rerun a failure with
 //   MAGICRECS_FUZZ_SEED=<seed> ./net_fanout_degraded_test
+
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
@@ -19,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,24 +174,29 @@ class RejectingTransport : public ForwardingTransport {
   bool reject_stats_text_;
 };
 
-/// How a MidStreamDaemon's first gather goes wrong after its first chunk.
-enum class FirstGather {
+/// How a MidStreamDaemon goes wrong.
+enum class Fault {
+  // How its first gather goes wrong after the first chunk:
   kHangUp,      ///< it hangs up
   kFallSilent,  ///< it falls silent until the broker hangs up
   kMixTakeIds,  ///< a last, empty chunk names a take it never held
+  // How its first publish goes wrong:
+  kHangUpAfterFirstAck,  ///< it acks the first frame, then hangs up
 };
 
-/// A scripted daemon whose first gather dies mid-stream. On every session
-/// it answers the hello as partition 2 of a 3-partition group (its place
-/// in StartScriptedGroup). It answers its FIRST gather with ONE chunk
-/// holding `rec` and has_more set — and then goes wrong as `first` says.
-/// Every later gather gets a whole reply, which carries `rec` again until
-/// a take acks the id of the reply that last carried it. Any other
-/// request gets a kError.
+/// A scripted daemon whose first gather dies mid-stream, or whose first
+/// publish dies after one ack. On every session it answers the hello as
+/// partition 2 of a 3-partition group (its place in StartScriptedGroup).
+/// It answers its FIRST gather with ONE chunk holding `rec` and has_more
+/// set — and then goes wrong as `fault` says. Every later gather gets a
+/// whole reply, which carries `rec` again until a take acks the id of the
+/// reply that last carried it. It acks every publish frame without
+/// applying it; under kHangUpAfterFirstAck it hangs up after the first.
+/// Any other request gets a kError.
 class MidStreamDaemon {
  public:
-  MidStreamDaemon(const Recommendation& rec, FirstGather first)
-      : rec_(rec), first_(first) {
+  MidStreamDaemon(const Recommendation& rec, Fault fault)
+      : rec_(rec), fault_(fault) {
     auto listener = net::TcpListener::Listen("127.0.0.1", 0);
     EXPECT_TRUE(listener.ok()) << listener.status();
     listener_ = std::move(listener).value();
@@ -238,8 +248,11 @@ class MidStreamDaemon {
       std::string reply;
       const bool gather =
           request.tag == net::MessageTag::kTakeRecommendations;
+      const bool publish = request.tag == net::MessageTag::kPublishBatch;
       const bool cut = gather && take_ == 0;
-      if (gather) {
+      if (publish) {
+        net::AppendAck(&reply);
+      } else if (gather) {
         uint64_t broker = 0;
         std::vector<net::TakeAck> acks;
         EXPECT_TRUE(
@@ -258,7 +271,7 @@ class MidStreamDaemon {
       }
       out.clear();
       net::AppendMuxResponse(request_id, /*last=*/!cut, reply, &out);
-      if (cut && first_ == FirstGather::kMixTakeIds) {
+      if (cut && fault_ == Fault::kMixTakeIds) {
         // The stream ends, but its last chunk names another take.
         reply.clear();
         net::AppendRecommendationsReply({}, /*has_more=*/false, &reply,
@@ -266,20 +279,31 @@ class MidStreamDaemon {
         net::AppendMuxResponse(request_id, /*last=*/true, reply, &out);
       }
       if (!peer->WriteAll(out.data(), out.size()).ok()) return;
+      if (publish && fault_ == Fault::kHangUpAfterFirstAck && !acked_publish_) {
+        acked_publish_ = true;
+        // A half-close, then read out what the broker already sent: a
+        // close over unread frames would reset the connection and could
+        // lose the ack.
+        ::shutdown(peer->fd(), SHUT_WR);
+        while (net::ReceiveFrame(peer, &assembler, &frame).ok()) {
+        }
+        return;
+      }
       if (!gather) continue;
       {
         std::lock_guard<std::mutex> lock(mu_);
         gathers_++;
       }
       cv_.notify_all();
-      if (cut && first_ == FirstGather::kHangUp) return;
+      if (cut && fault_ == Fault::kHangUp) return;
     }
   }
 
   const Recommendation rec_;
-  const FirstGather first_;
+  const Fault fault_;
   uint64_t take_ = 0;   ///< id of the last reply sent (Serve thread only)
   bool acked_ = false;  ///< a take acked a reply carrying rec_
+  bool acked_publish_ = false;  ///< a publish frame was acked
   net::TcpListener listener_;
   std::atomic<bool> stopping_{false};
   std::mutex mu_;
@@ -480,22 +504,6 @@ TEST(FanoutDegradedTest, StrictModeOnHealthyGroupMatchesInlineReference) {
             0u);
   EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_replayed_events"),
             0u);
-}
-
-TEST(FanoutDegradedTest, BestEffortGatherSurvivesEveryDaemonDown) {
-  Group g = StartGroup(figure1::FollowGraph(), 2, FanoutPolicy::kBestEffort);
-  for (auto& daemon : g.daemons) daemon.server->Stop();
-  // Publishes park in the replay buffers, gathers return empty — nothing
-  // errors, the report says everything is missing.
-  EdgeEvent event;
-  event.edge = {figure1::kB1, figure1::kC1, 1};
-  EXPECT_TRUE(g.broker->Publish(event).ok());
-  GatherReport report;
-  auto recs = g.broker->TakeRecommendations(&report);
-  ASSERT_TRUE(recs.ok()) << recs.status();
-  EXPECT_TRUE(recs->empty());
-  EXPECT_EQ(report.daemons_answered, 0u);
-  EXPECT_EQ(report.missing_partitions.size(), 2u);
 }
 
 TEST(FanoutDegradedTest, QuorumNotMetReturnsErrorAndRescues) {
@@ -928,37 +936,6 @@ TEST(FanoutDegradedTest, StrictBrokerFramesCarrySequencesSoCopiesDedup) {
   EXPECT_EQ(daemon.server->stats().duplicate_batches, 1u);
 }
 
-TEST(FanoutDegradedTest, ReplayBufferOverflowIsExplicit) {
-  // A replay buffer bounded at 100 events: parking past it must refuse
-  // with ResourceExhausted and count the drop, never silently grow or
-  // silently discard.
-  TestWorkload w = MakeTestWorkload(1'024);
-  FanoutClusterOptions fopt;
-  fopt.policy = FanoutPolicy::kQuorum;
-  fopt.gather_quorum = 1;
-  fopt.replay_buffer_events = 100;
-  Group g = StartGroup(w.graph, 2, /*replicas=*/1, /*k=*/2, fopt);
-  g.daemons[1].server->Stop();
-
-  // 64-event batches park fine until the 100-event bound would be crossed.
-  Status status;
-  int overflow_at = -1;
-  for (int i = 0; i < 10; ++i) {
-    status = g.broker->PublishBatch(std::span(w.events.data() + i * 64, 64));
-    if (status.IsResourceExhausted()) {
-      overflow_at = i;
-      break;
-    }
-  }
-  ASSERT_GE(overflow_at, 0) << "overflow never surfaced: " << status;
-  EXPECT_NE(status.ToString().find("replay buffer full"), std::string::npos)
-      << status;
-  EXPECT_EQ(
-      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
-      64u)
-      << "exactly the refused batch should be counted dropped";
-}
-
 /// A 2-daemon quorum group whose daemon 1 was stopped while a publish of
 /// `events` parked for it. Its reconnect backoff is 1 ms, so a revive is
 /// reachable by the broker call right after it.
@@ -984,6 +961,55 @@ void ReviveDaemon1(Group* g, ClusterTransport* transport) {
   ASSERT_TRUE(revived.ok()) << revived.status();
   g->daemons[1].server = std::move(revived).value();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(FanoutDegradedTest, ReplayBufferOverflowIsExplicit) {
+  // A replay buffer bounded at 100 events, and no health monitor: 64-event
+  // batches park for the stopped daemon 1 until one would cross the bound.
+  // That publish is refused whole, before it is sent: the healthy daemon
+  // never applies it, nothing is dropped, and once daemon 1 is back both
+  // daemons hold the same events.
+  TestWorkload w = MakeTestWorkload(1'024);
+  FanoutClusterOptions fopt;
+  fopt.policy = FanoutPolicy::kQuorum;
+  fopt.gather_quorum = 1;
+  fopt.replay_buffer_events = 100;
+  fopt.reconnect_backoff_ms = 1;
+  fopt.max_reconnect_backoff_ms = 1;
+  ASSERT_EQ(fopt.health_interval_ms, 0);
+  Group g = StartGroup(w.graph, 2, /*replicas=*/1, /*k=*/2, fopt);
+  g.daemons[1].server->Stop();
+
+  Status status;
+  int overflow_at = -1;
+  for (int i = 0; i < 10; ++i) {
+    status = g.broker->PublishBatch(std::span(w.events.data() + i * 64, 64));
+    if (status.IsResourceExhausted()) {
+      overflow_at = i;
+      break;
+    }
+  }
+  ASSERT_GE(overflow_at, 0) << "overflow never surfaced: " << status;
+  EXPECT_NE(status.ToString().find("replay buffer full"), std::string::npos)
+      << status;
+  EXPECT_NE(status.ToString().find("(partition 1)"), std::string::npos)
+      << status;
+  const uint64_t accepted = static_cast<uint64_t>(overflow_at) * 64;
+  ASSERT_TRUE(g.broker->Drain().ok());
+  EXPECT_EQ(g.daemons[0].hosted->events_published(), accepted)
+      << "the healthy daemon applied the refused batch";
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      0u);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_shed_publishes"),
+            1u);
+
+  ReviveDaemon1(&g, g.daemons[1].hosted.get());
+  ASSERT_TRUE(g.broker->Drain().ok());
+  for (const Daemon& daemon : g.daemons) {
+    EXPECT_EQ(daemon.hosted->events_published(), accepted);
+    EXPECT_EQ(daemon.hosted->AggregatedStats().events, accepted);
+  }
 }
 
 TEST(FanoutDegradedTest, ScrapeNamesAReplayRejectionInTheDaemonsSection) {
@@ -1111,7 +1137,7 @@ TEST(FanoutDegradedTest, MidStreamShareIsResentNotMerged) {
   rec.user = figure1::kA2;
   rec.item = figure1::kC2;
   rec.witness_count = 2;
-  MidStreamDaemon scripted(rec, FirstGather::kHangUp);
+  MidStreamDaemon scripted(rec, Fault::kHangUp);
   FanoutClusterOptions fopt;
   fopt.reconnect_backoff_ms = 1;
   fopt.max_reconnect_backoff_ms = 1;
@@ -1144,7 +1170,7 @@ TEST(FanoutDegradedTest, StreamNamingTwoTakesIsNotMerged) {
   rec.user = figure1::kA2;
   rec.item = figure1::kC2;
   rec.witness_count = 2;
-  MidStreamDaemon scripted(rec, FirstGather::kMixTakeIds);
+  MidStreamDaemon scripted(rec, Fault::kMixTakeIds);
   ScriptedGroup g = StartScriptedGroup(scripted, FanoutClusterOptions{});
 
   GatherReport report;
@@ -1172,7 +1198,7 @@ TEST(FanoutDegradedTest, CloseWaitsOutAnInFlightGather) {
   rec.user = figure1::kA2;
   rec.item = figure1::kC2;
   rec.witness_count = 2;
-  MidStreamDaemon scripted(rec, FirstGather::kFallSilent);
+  MidStreamDaemon scripted(rec, Fault::kFallSilent);
   FanoutClusterOptions fopt;
   fopt.gather_quorum = 3;
   ScriptedGroup g = StartScriptedGroup(scripted, fopt);
@@ -1272,7 +1298,8 @@ TEST(FanoutDegradedTest, ReplayFlushIsPipelined) {
     port = (*probe)->port();
   }
   FanoutClusterOptions fopt;
-  fopt.policy = FanoutPolicy::kBestEffort;
+  fopt.policy = FanoutPolicy::kQuorum;
+  fopt.gather_quorum = 1;
   fopt.trace_sample_every = 0;
   fopt.reconnect_backoff_ms = 1;
   fopt.max_reconnect_backoff_ms = 1;
@@ -1323,6 +1350,32 @@ TEST(FanoutDegradedTest, ReplayFlushIsPipelined) {
       << "the replayed frames were sent one round trip at a time";
 }
 
+TEST(FanoutDegradedTest, LaneDyingMidPublishDropsWhatItCannotPark) {
+  // Admission sees only lanes that are down before the send. The scripted
+  // daemon is up then, acks the first of three frames and hangs up, which
+  // leaves two frames unsent against a one-frame buffer: the backstop
+  // counts their events dropped and the call names the daemon.
+  Recommendation rec;
+  rec.user = figure1::kA2;
+  rec.item = figure1::kC2;
+  MidStreamDaemon scripted(rec, Fault::kHangUpAfterFirstAck);
+  FanoutClusterOptions fopt;
+  fopt.replay_buffer_events = net::kPublishChunkEvents;
+  fopt.trace_sample_every = 0;
+  ScriptedGroup g = StartScriptedGroup(scripted, fopt);
+
+  const Status published = g.broker->PublishBatch(
+      NumberedEvents(1, 3 * net::kPublishChunkEvents));
+  ASSERT_TRUE(published.IsResourceExhausted()) << published;
+  EXPECT_NE(published.ToString().find("(partition 2)"), std::string::npos)
+      << published;
+  EXPECT_EQ(
+      BrokerSeries(g.broker.get(), "counter broker_replay_dropped_events"),
+      2 * net::kPublishChunkEvents);
+  EXPECT_EQ(BrokerSeries(g.broker.get(), "counter broker_shed_publishes"),
+            0u);
+}
+
 // --- the exchange, seeded ----------------------------------------------------
 
 uint64_t FuzzSeed() {
@@ -1352,7 +1405,9 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
   // each daemon's take hands out once, scripted publish rejections and one
   // stop/restart of a daemon on its own port. A model of the policy
   // predicts every call's outcome: a call fails iff a lane failed under
-  // strict, or a daemon rejected a frame — a fresh one or a replayed one.
+  // strict, a daemon rejected a frame — a fresh one or a replayed one — or
+  // a stopped daemon's buffer could not hold a publish, which is then
+  // refused whole.
   // Afterwards every daemon must have applied each event at most once, in
   // publish order, over the one connection it accepted (a rejection never
   // poisons a lane), and every parked event must be counted replayed or
@@ -1366,16 +1421,25 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
   constexpr int kTrials = 16;
   constexpr int kOps = 20;
   constexpr uint32_t kDaemons = 3;
-  const FanoutPolicy policies[] = {FanoutPolicy::kStrict,
-                                   FanoutPolicy::kQuorum,
-                                   FanoutPolicy::kBestEffort};
+  // The longest publish: 8 frames past the exchange window.
+  constexpr size_t kMaxFrames = net::kPublishWindowFrames + 8;
+  // Strict, a majority quorum, and a quorum of one.
+  const std::pair<FanoutPolicy, uint32_t> policies[] = {
+      {FanoutPolicy::kStrict, 0},
+      {FanoutPolicy::kQuorum, 0},
+      {FanoutPolicy::kQuorum, 1}};
   for (int trial = 0; trial < kTrials; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const FanoutPolicy policy = policies[rng.UniformInt(std::size(policies))];
+    const auto [policy, quorum] = policies[rng.UniformInt(std::size(policies))];
     const bool degraded = policy != FanoutPolicy::kStrict;
     std::vector<std::unique_ptr<FuzzDaemon>> daemons;
     FanoutClusterOptions fopt;
     fopt.policy = policy;
+    fopt.gather_quorum = quorum;
+    // One longest publish fits, so the first publish after a stop parks
+    // whole even on a lane the broker has not yet seen fail; a second can
+    // be refused.
+    fopt.replay_buffer_events = kMaxFrames * net::kPublishChunkEvents;
     fopt.group_size = kDaemons;
     fopt.reconnect_backoff_ms = 1;
     fopt.max_reconnect_backoff_ms = 1;
@@ -1467,8 +1531,7 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
         // One publish in four runs past the exchange window (up to 40
         // frames), so its lanes refill after reaping, and so does the
         // replay flush that later carries it.
-        const size_t max_frames =
-            rng.UniformInt(4) == 0 ? net::kPublishWindowFrames + 8 : 4;
+        const size_t max_frames = rng.UniformInt(4) == 0 ? kMaxFrames : 4;
         const size_t n =
             1 + rng.UniformInt(max_frames * net::kPublishChunkEvents);
         const size_t frames =
@@ -1476,21 +1539,27 @@ TEST(FanoutDegradedTest, ExchangeFuzz) {
         const std::vector<EdgeEvent> events = NumberedEvents(next_id, n);
         next_id += static_cast<VertexId>(n);
         bool expect_fail = model_flush();
+        // A publish a stopped daemon's buffer cannot hold is refused
+        // whole: it reaches no daemon, so it consumes no rejection and
+        // parks nothing.
+        const bool refused =
+            degraded && std::any_of(daemons.begin(), daemons.end(),
+                                    [&](const auto& d) {
+                                      return !d->running &&
+                                             d->parked_events + n >
+                                                 fopt.replay_buffer_events;
+                                    });
+        expect_fail |= refused;
         for (auto& d : daemons) {
+          if (refused) break;
           if (d->running) {
             const int hit =
                 static_cast<int>(std::min<size_t>(d->rejections, frames));
             d->rejections -= hit;
             expect_fail |= hit > 0;
           } else if (degraded) {
-            // Past the buffer's bound the whole publish is refused for
-            // this daemon, and its events are counted dropped.
-            if (d->parked_events + n > fopt.replay_buffer_events) {
-              expect_fail = true;
-            } else {
-              d->parked_frames += frames;
-              d->parked_events += n;
-            }
+            d->parked_frames += frames;
+            d->parked_events += n;
             parked_events += n;
           } else {
             expect_fail = true;
